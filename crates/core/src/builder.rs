@@ -6,6 +6,65 @@ use geocast_overlay::{OverlayGraph, PeerInfo, TopologyStore};
 use crate::partition::ZonePartitioner;
 use crate::tree::MulticastTree;
 
+/// Responsibility zones of a construction, for the reached peers only
+/// (sorted by peer id) — like [`MulticastTree`], `O(reached)` however
+/// large the overlay is.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Zones {
+    entries: Vec<(usize, Rect)>,
+}
+
+impl Zones {
+    /// Assembles the table from one zone per peer, in any order.
+    fn from_unsorted(mut entries: Vec<(usize, Rect)>) -> Self {
+        entries.sort_unstable_by_key(|&(i, _)| i);
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "a peer reached twice: sub-zones of disjoint zones overlap"
+        );
+        Zones { entries }
+    }
+
+    fn position(&self, i: usize) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&i, |&(peer, _)| peer)
+    }
+
+    /// The zone peer `i` received (`None` for unreached peers and
+    /// relays).
+    #[must_use]
+    pub fn get(&self, i: usize) -> Option<&Rect> {
+        self.position(i).ok().map(|at| &self.entries[at].1)
+    }
+
+    /// Records peer `i`'s zone, returning the one it replaces.
+    pub fn insert(&mut self, i: usize, zone: Rect) -> Option<Rect> {
+        match self.position(i) {
+            Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, zone)),
+            Err(at) => {
+                self.entries.insert(at, (i, zone));
+                None
+            }
+        }
+    }
+
+    /// Forgets peer `i`'s zone, returning it.
+    pub fn remove(&mut self, i: usize) -> Option<Rect> {
+        self.position(i).ok().map(|at| self.entries.remove(at).1)
+    }
+
+    /// Number of peers holding a zone.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` if no peer holds a zone.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
 /// Outcome of an offline tree construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuildResult {
@@ -18,10 +77,10 @@ pub struct BuildResult {
     /// ended up in an orthant with no in-zone overlay neighbour — i.e.
     /// provably unreachable for this topology. Empty at equilibrium.
     pub stranded: Vec<usize>,
-    /// The responsibility zone each reached peer received (`None` for
-    /// unreached peers). `zones[root]` is the full space. Used by
-    /// [`crate::repair`] to rebuild orphaned zones after departures.
-    pub zones: Vec<Option<Rect>>,
+    /// The responsibility zone each reached peer received.
+    /// `zones.get(root)` is the full space. Used by [`crate::repair`] to
+    /// rebuild orphaned zones after departures.
+    pub zones: Zones,
     /// **Relay** nodes (sorted): peers grafted into the tree purely to
     /// forward traffic — they carry payloads but are not part of the
     /// session audience and receive no responsibility zone. Always empty
@@ -102,13 +161,15 @@ pub fn build_in_zone_on_store(
     partitioner: &dyn ZonePartitioner,
 ) -> BuildResult {
     assert!(start < store.len(), "start out of range");
-    build_in_zone_generic(
+    let mut result = build_in_zone_generic(
         store.peers(),
         |i, buf| store.undirected_neighbors_into(i, buf),
         start,
         zone,
         partitioner,
-    )
+    );
+    result.stranded = result.tree.unreached();
+    result
 }
 
 /// Runs the §2 work-queue construction seeded at `(start, zone)` instead
@@ -134,7 +195,7 @@ pub fn build_in_zone(
     assert!(start < peers.len(), "start out of range");
     // CSR closure: one shared flat adjacency, no per-peer list allocations.
     let adj = overlay.undirected_closure();
-    build_in_zone_generic(
+    let mut result = build_in_zone_generic(
         peers,
         |i, buf| {
             buf.clear();
@@ -143,7 +204,9 @@ pub fn build_in_zone(
         start,
         zone,
         partitioner,
-    )
+    );
+    result.stranded = result.tree.unreached();
+    result
 }
 
 /// The shared §2 work-queue over any undirected-neighbour source:
@@ -151,6 +214,12 @@ pub fn build_in_zone(
 /// partners (sorted or not — zone filtering does not care). Crate-wide
 /// machinery: the full-space build, zone repair and the group layer
 /// (`crate::groups`, member-filtered neighbour sources) all run on it.
+///
+/// Time and memory are proportional to the peers *reached* (and their
+/// adjacency rows), not to `peers.len()`: a 20-member group build over
+/// a 20 000-peer overlay touches 20 peers' worth of state. For the same
+/// reason `stranded` is left **empty** — whom the build was meant to
+/// reach (everyone, or a member set) is the caller's knowledge.
 pub(crate) fn build_in_zone_generic(
     peers: &[PeerInfo],
     neighbors_into: impl Fn(usize, &mut Vec<usize>),
@@ -158,13 +227,8 @@ pub(crate) fn build_in_zone_generic(
     zone: Rect,
     partitioner: &dyn ZonePartitioner,
 ) -> BuildResult {
-    let n = peers.len();
-    let mut parent: Vec<Option<usize>> = vec![None; n];
-    let mut reached = vec![false; n];
-    let mut zones: Vec<Option<Rect>> = vec![None; n];
-    reached[start] = true;
-    zones[start] = Some(zone.clone());
-    let mut messages = 0usize;
+    let mut links: Vec<(usize, usize)> = Vec::new();
+    let mut zones: Vec<(usize, Rect)> = vec![(start, zone.clone())];
 
     let mut queue: VecDeque<(usize, Rect)> = VecDeque::new();
     queue.push_back((start, zone));
@@ -179,25 +243,19 @@ pub(crate) fn build_in_zone_generic(
             .collect();
         for (child_ci, child_zone) in partitioner.partition(&peers[p], &zone, &in_zone) {
             let child = in_zone[child_ci].id().index();
-            debug_assert!(
-                !reached[child],
-                "child {child} already reached: sub-zones of disjoint zones overlap"
-            );
-            reached[child] = true;
-            parent[child] = Some(p);
-            zones[child] = Some(child_zone.clone());
-            messages += 1;
+            // Sub-zones of disjoint zones are disjoint, so a child is
+            // reached once: one link, one message.
+            links.push((child, p));
+            zones.push((child, child_zone.clone()));
             queue.push_back((child, child_zone));
         }
     }
 
-    let tree = MulticastTree::from_parents(start, parent, reached);
-    let stranded = tree.unreached();
     BuildResult {
-        tree,
-        messages,
-        stranded,
-        zones,
+        messages: links.len(),
+        tree: MulticastTree::from_links(start, peers.len(), links),
+        stranded: Vec::new(),
+        zones: Zones::from_unsorted(zones),
         relays: Vec::new(),
     }
 }

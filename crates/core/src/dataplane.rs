@@ -70,20 +70,29 @@ impl DeliveryPlan {
     pub fn compute(build: &BuildResult, members: &BTreeSet<usize>, epoch: u64) -> Self {
         let tree = &build.tree;
         let root = tree.root();
-        let mut on_path = vec![false; tree.len()];
+        // One mark per *reached* peer: plan computation costs by the
+        // tree's size, not the overlay's.
+        let reached = tree.reached();
+        let mut on_path = vec![false; reached.len()];
         let mut delivered = 0usize;
         let mut edges = Vec::new();
+        // Members and reached peers both ascend: one merge walk finds
+        // every member's slot, and parents are slots already.
+        let mut next = 0usize;
         for &m in members {
-            if !tree.is_reached(m) {
+            while reached.get(next).is_some_and(|&r| r < m) {
+                next += 1;
+            }
+            if reached.get(next) != Some(&m) {
                 continue;
             }
             delivered += 1;
-            let mut cur = m;
-            while cur != root && !on_path[cur] {
-                on_path[cur] = true;
-                edges.push(cur);
-                cur = tree
-                    .parent(cur)
+            let mut slot = next;
+            while reached[slot] != root && !on_path[slot] {
+                on_path[slot] = true;
+                edges.push(reached[slot]);
+                slot = tree
+                    .parent_slot(slot)
                     .expect("reached non-root nodes have parents");
             }
         }

@@ -43,6 +43,7 @@ use geocast_geom::{Interval, Metric, MetricKind, Rect};
 use geocast_overlay::routing::{greedy_route_to_rect_on_store, route_to_peer_on_store};
 use geocast_overlay::TopologyStore;
 
+use crate::bits::PeerBits;
 use crate::builder::BuildResult;
 
 /// Rounds of tier-1/tier-2 alternation before flood discovery takes
@@ -94,43 +95,41 @@ pub fn graft_stranded_members(
         return (report, Vec::new());
     }
 
-    // The on-tree set, maintained incrementally across grafts (one scan
-    // here, pushes as paths attach).
-    let mut on_tree_mask: Vec<bool> = (0..build.tree.len())
-        .map(|i| build.tree.is_reached(i))
-        .collect();
-    let mut on_tree_count = on_tree_mask.iter().filter(|&&r| r).count();
-
+    // The on-tree set while paths are being discovered: a list (for
+    // the nearest-node scan) and a bit mask (for the per-hop tests),
+    // both growing as paths are found. The tree itself absorbs every
+    // discovered link in one merge at the end.
+    let mut tree_nodes = build.tree.reached().to_vec();
+    let mut on_tree = PeerBits::from_peers(store.len(), &tree_nodes);
     let stranded = std::mem::take(&mut build.stranded);
-    let members: BTreeSet<usize> = stranded
-        .iter()
-        .copied()
-        .chain((0..build.tree.len()).filter(|&i| build.tree.is_reached(i)))
-        .collect();
+    let mut links: Vec<(usize, usize)> = Vec::new();
     let mut relays: BTreeSet<usize> = BTreeSet::new();
 
     for &s in &stranded {
-        if build.tree.is_reached(s) {
+        if on_tree.contains(s) {
             // An earlier graft path already routed through this member.
             continue;
         }
-        match discover_path(
+        let found = discover_path(
             store,
-            &on_tree_mask,
-            on_tree_count,
+            &on_tree,
+            &tree_nodes,
             s,
             metric,
             &mut support,
             &mut report,
-        ) {
+        );
+        match found {
             Some(path) => {
-                // path[0] = s, path[last] on-tree; attach tree-end first.
-                for i in (0..path.len() - 1).rev() {
-                    build.tree.attach(path[i], path[i + 1]);
-                    on_tree_mask[path[i]] = true;
-                    on_tree_count += 1;
-                    if !members.contains(&path[i]) {
-                        relays.insert(path[i]);
+                // path[0] = s, path[last] on-tree; everything before it
+                // is new. A new node that is not itself a stranded
+                // member (the list is sorted) only forwards: a relay.
+                for hop in path.windows(2) {
+                    links.push((hop[0], hop[1]));
+                    on_tree.insert(hop[0]);
+                    tree_nodes.push(hop[0]);
+                    if stranded.binary_search(&hop[0]).is_err() {
+                        relays.insert(hop[0]);
                     }
                 }
                 report.grafted += 1;
@@ -139,9 +138,10 @@ pub fn graft_stranded_members(
         }
     }
 
+    build.tree.attach_all(links);
     build.stranded = stranded
         .into_iter()
-        .filter(|&m| !build.tree.is_reached(m))
+        .filter(|&m| !on_tree.contains(m))
         .collect();
     report.relays = relays.len();
     build.relays = relays.into_iter().collect();
@@ -153,14 +153,14 @@ pub fn graft_stranded_members(
 /// component does not contain the tree.
 fn discover_path(
     store: &TopologyStore,
-    on_tree: &[bool],
-    on_tree_count: usize,
+    on_tree: &PeerBits,
+    tree: &[usize],
     s: usize,
     metric: MetricKind,
     support: &mut BTreeSet<usize>,
     report: &mut GraftReport,
 ) -> Option<Vec<usize>> {
-    let target = nearest_on_tree(store, on_tree, on_tree_count, s, metric)?;
+    let target = nearest_on_tree(store, on_tree, tree, s, metric)?;
     let mut walked: Vec<usize> = vec![s];
     let mut cur = s;
 
@@ -219,20 +219,17 @@ fn discover_path(
 /// the choice never changes the answer.
 fn nearest_on_tree(
     store: &TopologyStore,
-    on_tree: &[bool],
-    on_tree_count: usize,
+    on_tree: &PeerBits,
+    tree: &[usize],
     s: usize,
     metric: MetricKind,
 ) -> Option<usize> {
     let sp = store.peers()[s].point();
-    if store.has_spatial_index() && on_tree_count.saturating_mul(on_tree_count) >= store.len() {
-        return store.nearest_live_where(sp, metric, |j| on_tree[j]);
+    if store.has_spatial_index() && tree.len().saturating_mul(tree.len()) >= store.len() {
+        return store.nearest_live_where(sp, metric, |j| on_tree.contains(j));
     }
-    on_tree
-        .iter()
-        .enumerate()
-        .filter(|&(_, &r)| r)
-        .map(|(j, _)| (metric.dist(store.peers()[j].point(), sp), j))
+    tree.iter()
+        .map(|&j| (metric.dist(store.peers()[j].point(), sp), j))
         .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
         .map(|(_, j)| j)
 }
@@ -245,13 +242,13 @@ fn nearest_on_tree(
 fn splice_until_on_tree(
     walked: &mut Vec<usize>,
     path: &[usize],
-    on_tree: &[bool],
+    on_tree: &PeerBits,
     support: &mut BTreeSet<usize>,
 ) -> Option<Vec<usize>> {
     support.insert(path[0]);
     for &hop in &path[1..] {
         walked.push(hop);
-        if on_tree[hop] {
+        if on_tree.contains(hop) {
             // The terminal's own row was never read; it stays out.
             return Some(std::mem::take(walked));
         }
@@ -265,7 +262,7 @@ fn splice_until_on_tree(
 /// rows are consulted, so they all enter the support set.
 fn flood_to_tree(
     store: &TopologyStore,
-    on_tree: &[bool],
+    on_tree: &PeerBits,
     walked: &mut Vec<usize>,
     support: &mut BTreeSet<usize>,
     report: &mut GraftReport,
@@ -277,7 +274,7 @@ fn flood_to_tree(
     let mut queue = VecDeque::from([start]);
     let mut nbuf: Vec<usize> = Vec::new();
     while let Some(u) = queue.pop_front() {
-        if on_tree[u] {
+        if on_tree.contains(u) {
             // Reconstruct start → u and splice onto the walked prefix.
             let mut tail = Vec::new();
             let mut cur = u;

@@ -80,6 +80,7 @@ use geocast_overlay::delta::DeltaKind;
 use geocast_overlay::{CursorCatchUp, DeltaCursor, PeerId, TopologyStore};
 use geocast_sim::workload::{GroupOp, MembershipPlacement};
 
+use crate::bits::PeerBits;
 use crate::builder::{build_in_zone_generic, BuildResult};
 use crate::dataplane::{
     eager_lazy_deliver, DeliveryPlan, EpidemicReport, PlanCache, PlanStats, PublishBatch,
@@ -133,25 +134,38 @@ pub fn build_group_tree_on_store(
     assert!(root < store.len(), "root out of range");
     assert!(members.contains(&root), "root must be a member");
     assert!(!store.is_departed(PeerId(root as u64)), "root has departed");
-    let mut mask = vec![false; store.len()];
-    for &m in members {
-        assert!(m < store.len(), "member {m} out of range");
-        mask[m] = !store.is_departed(PeerId(m as u64));
-    }
+    assert!(
+        members.last().is_none_or(|&m| m < store.len()),
+        "member out of range"
+    );
+    // The only state of a group build that scales with the overlay
+    // rather than the group (2.5 kB at 20 000 peers). Departed peers
+    // have no adjacency rows, so filtering neighbours by membership
+    // alone already restricts the walk to live members.
+    let member_bits = PeerBits::from_peers(store.len(), members);
     let dim = store.peers()[root].point().dim();
     let mut result = build_in_zone_generic(
         store.peers(),
         |i, buf| {
             store.undirected_neighbors_into(i, buf);
-            buf.retain(|&j| mask[j]);
+            buf.retain(|&j| member_bits.contains(j));
         },
         root,
         Rect::full(dim),
         partitioner,
     );
-    // Unreached *members* are the meaningful strandings of a group
-    // build; everyone else is simply not part of the session.
-    result.stranded.retain(|&i| mask[i]);
+    // Unreached live *members* are the meaningful strandings of a
+    // group build; everyone else is simply not part of the session.
+    // Members and reached peers both ascend: one merge walk.
+    let mut reached = result.tree.reached().iter().copied().peekable();
+    result.stranded = members
+        .iter()
+        .copied()
+        .filter(|&m| {
+            while reached.next_if(|&r| r < m).is_some() {}
+            reached.peek() != Some(&m) && !store.is_departed(PeerId(m as u64))
+        })
+        .collect();
     result
 }
 
@@ -972,23 +986,17 @@ impl GroupEngine {
         // Forwarding stops at failed nodes: walk the tree from the root
         // through surviving nodes only.
         let tree = &build.tree;
-        let mut alive_reach = vec![false; tree.len()];
-        alive_reach[root] = true;
+        let mut alive_reach = BTreeSet::from([root]);
         let mut queue = VecDeque::from([root]);
         while let Some(u) = queue.pop_front() {
             for &c in tree.children(u) {
                 if !failed.contains(&c) {
-                    alive_reach[c] = true;
+                    alive_reach.insert(c);
                     queue.push_back(c);
                 }
             }
         }
-        let live_targets: Vec<usize> = group
-            .members
-            .iter()
-            .copied()
-            .filter(|&m| alive_reach[m])
-            .collect();
+        let live_targets: Vec<usize> = group.members.intersection(&alive_reach).copied().collect();
         let delivered = live_targets.len();
         let messages = tree.delivery_messages(live_targets);
         Some(PublishOutcome {
@@ -1251,23 +1259,9 @@ impl GroupEngine {
             }
         }
 
-        // Joins grow the peer universe: pad untouched groups' cached
-        // trees with the new (unreached, non-member) peers so they stay
-        // byte-identical to a from-scratch rebuild — O(new peers) per
-        // group, no tree computation.
-        let n = self.store.len();
-        for (gi, group) in self.groups.iter_mut().enumerate() {
-            if affected.contains(&gi) {
-                continue;
-            }
-            if let Some(gb) = &mut group.build {
-                if gb.build.tree.len() < n {
-                    gb.build.tree.extend_len(n);
-                    gb.build.zones.resize(n, None);
-                }
-            }
-        }
-
+        // Joins grow the peer universe, but a cached build stores only
+        // the peers it reached and answers "unreached" for everyone
+        // else, so untouched groups need no upkeep at all.
         let mut rebuilt_members = 0usize;
         for &gi in &affected {
             rebuilt_members += self.groups[gi].members.len();
@@ -1329,7 +1323,13 @@ impl GroupEngine {
         // bbox below replaces itself wholesale.
         if let Some(gb) = &self.groups[gi].build {
             for &r in &gb.build.relays {
-                self.relay_of[r].retain(|&x| x as usize != gi);
+                let ids = &mut self.relay_of[r];
+                ids.retain(|&x| x as usize != gi);
+                if ids.is_empty() {
+                    // Release the capacity too: most ex-relays (every
+                    // departed one) never relay again.
+                    *ids = Vec::new();
+                }
             }
         }
         let group = &mut self.groups[gi];
@@ -1467,6 +1467,52 @@ mod tests {
                 }
                 None => assert!(engine.tree(g).is_none(), "dormant {g} has a tree"),
             }
+        }
+    }
+
+    /// Count-based regression (no clock): what a 20-member group's
+    /// build retains is bounded by the group, not by the overlay —
+    /// members + relays nodes and zones at N = 2k and N = 20k alike —
+    /// and a departure leaves nothing behind in the engine's per-peer
+    /// tables. (An unoptimised 20k-peer bulk build takes ~15 s, so
+    /// debug runs stop at 5k; the release test jobs run the full size.)
+    #[test]
+    fn a_group_build_retains_members_plus_relays_whatever_the_overlay_size() {
+        let large = if cfg!(debug_assertions) {
+            5_000
+        } else {
+            20_000
+        };
+        for n in [2_000usize, large] {
+            let peers = PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 9));
+            let store = TopologyStore::from_peers_sharded(
+                peers,
+                Arc::new(EmptyRectSelection),
+                &geocast_overlay::ShardConfig::new(1),
+            );
+            let mut eng = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
+            let mut state = 0x5eed;
+            for placement in [
+                MembershipPlacement::Clustered,
+                MembershipPlacement::Scattered,
+            ] {
+                let g = eng.seed_groups_placed(placement, &[20], &mut state)[0];
+                let gb = eng.group_build(g).expect("seeded groups have builds");
+                let bound = eng.members(g).len() + gb.build.relays.len();
+                assert_eq!(eng.members(g).len(), 20);
+                assert!(gb.build.stranded.is_empty(), "empty-rect grafts are total");
+                assert_eq!(gb.build.tree.reached_count(), bound, "n={n} {placement:?}");
+                assert!(gb.build.zones.len() <= bound, "n={n} {placement:?}");
+                assert_eq!(gb.build.tree.len(), n, "the universe is a number");
+            }
+            // A relay that departs releases its per-peer table entries.
+            let g = GroupId(1);
+            let relay = eng.relays(g)[0];
+            assert!(!eng.relay_of[relay].is_empty());
+            eng.leave(PeerId(relay as u64));
+            assert_eq!(eng.relay_of[relay].capacity(), 0);
+            assert_eq!(eng.member_of[relay].capacity(), 0);
+            assert!(eng.matches_reference(g));
         }
     }
 

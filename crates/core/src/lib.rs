@@ -58,6 +58,7 @@ mod tree;
 
 pub mod aggregate;
 pub mod baseline;
+mod bits;
 pub mod bounds;
 pub mod dataplane;
 pub mod detect;
@@ -71,7 +72,7 @@ pub mod stability;
 pub mod validate;
 
 pub use builder::{
-    build_in_zone, build_in_zone_on_store, build_tree, build_tree_on_store, BuildResult,
+    build_in_zone, build_in_zone_on_store, build_tree, build_tree_on_store, BuildResult, Zones,
 };
 pub use partition::{OrthantRectPartitioner, PickRule, ZonePartitioner};
 pub use tree::{MulticastTree, TreeError};

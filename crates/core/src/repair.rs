@@ -30,7 +30,7 @@ use std::fmt;
 use geocast_geom::Rect;
 use geocast_overlay::{OverlayGraph, PeerId, PeerInfo, TopologyStore};
 
-use crate::builder::{build_in_zone, build_in_zone_on_store, BuildResult};
+use crate::builder::{build_in_zone, build_in_zone_on_store, BuildResult, Zones};
 use crate::partition::ZonePartitioner;
 use crate::tree::MulticastTree;
 
@@ -76,7 +76,7 @@ pub struct RepairResult {
     pub tree: MulticastTree,
     /// Updated responsibility zones (the re-adopted peers received new,
     /// narrower zones).
-    pub zones: Vec<Option<Rect>>,
+    pub zones: Zones,
     /// Construction-request messages sent by the repair — exactly the
     /// number of re-adopted peers.
     pub repair_messages: usize,
@@ -199,8 +199,10 @@ fn orphan_seed(build: &BuildResult, departed: usize) -> Result<(usize, Rect), Re
     let Some(parent) = build.tree.parent(departed) else {
         return Err(RepairError::RootDeparted { root: departed });
     };
-    let orphan_zone = build.zones[departed]
-        .clone()
+    let orphan_zone = build
+        .zones
+        .get(departed)
+        .cloned()
         .expect("reached peers have zones");
     Ok((parent, orphan_zone))
 }
@@ -222,12 +224,13 @@ fn merge_repair(
 
     reached[departed] = false;
     parent_vec[departed] = None;
-    zones[departed] = None;
+    zones.remove(departed);
 
-    for i in 0..n {
-        if i != parent && sub.tree.is_reached(i) {
+    for &i in sub.tree.reached() {
+        if i != parent {
             parent_vec[i] = sub.tree.parent(i);
-            zones[i] = sub.zones[i].clone();
+            let zone = sub.zones.get(i).expect("reached peers have zones");
+            zones.insert(i, zone.clone());
             reached[i] = true;
             readopted.push(i);
         }
@@ -287,7 +290,7 @@ mod tests {
         let departed = (1..peers.len())
             .find(|&i| !build.tree.children(i).is_empty())
             .expect("internal node exists");
-        let zone = build.zones[departed].clone().unwrap();
+        let zone = build.zones.get(departed).cloned().unwrap();
         let live_overlay = survivor_overlay(&peers, departed);
         let repaired = repair_after_departure(
             &peers,
@@ -321,7 +324,7 @@ mod tests {
         let leaf = (1..peers.len())
             .find(|&i| {
                 build.tree.children(i).is_empty()
-                    && build.zones[i].as_ref().is_some_and(|z| {
+                    && build.zones.get(i).is_some_and(|z| {
                         // A leaf whose zone holds nobody else.
                         (0..peers.len())
                             .filter(|&j| j != i)
@@ -351,7 +354,7 @@ mod tests {
         let departed = (1..peers.len())
             .find(|&i| !build.tree.children(i).is_empty())
             .unwrap();
-        let zone = build.zones[departed].clone().unwrap();
+        let zone = build.zones.get(departed).cloned().unwrap();
         let live_overlay = survivor_overlay(&peers, departed);
         let repaired = repair_after_departure(
             &peers,

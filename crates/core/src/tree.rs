@@ -12,13 +12,46 @@ use std::fmt;
 /// always is). On a complete run the tree is spanning; partial trees
 /// arise under message loss or partial knowledge and are first-class so
 /// experiments can measure coverage.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// # Memory
+///
+/// Only reached peers are stored (sorted by id, one slot each), so a
+/// 20-member group tree over a 20 000-peer overlay costs 20 slots, not
+/// 20 000: the many trees of [`crate::groups`] are `O(reached)` each.
+/// The peer universe survives as a number ([`MulticastTree::len`], the
+/// population the tree was built over). Every per-peer accessor answers
+/// for *any* index — a peer outside the stored set, including one that
+/// joined the overlay after the tree was built, is simply unreached —
+/// so a cached tree never has to be padded when the population grows.
+///
+/// For the same reason **equality is structural**: two trees are equal
+/// iff they have the same root and connect the same reached peers the
+/// same way. The size of the universe around them is not compared — a
+/// cached group tree and its from-scratch rebuild over a since-grown
+/// population are the same tree.
+#[derive(Debug, Clone)]
 pub struct MulticastTree {
     root: usize,
+    /// Peers the tree was built over (reached or not).
+    len: usize,
+    /// Reached peers, ascending; `parent` and `children` are parallel.
+    nodes: Vec<usize>,
+    /// Each reached peer's parent as a **slot** of `nodes`, so walks
+    /// towards the root cost one index per hop, not one search.
     parent: Vec<Option<usize>>,
+    /// Each reached peer's children as peer ids, sorted.
     children: Vec<Vec<usize>>,
-    reached: Vec<bool>,
 }
+
+impl PartialEq for MulticastTree {
+    fn eq(&self, other: &Self) -> bool {
+        // Children lists are derived from the parent links, and equal
+        // node lists make equal parent slots equal parents.
+        self.root == other.root && self.nodes == other.nodes && self.parent == other.parent
+    }
+}
+
+impl Eq for MulticastTree {}
 
 /// Structural defects detected by [`MulticastTree::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,7 +98,7 @@ impl MulticastTree {
     /// # Panics
     ///
     /// Panics if `root` is out of range, `parent.len() != reached.len()`,
-    /// or the root is marked unreached.
+    /// the root is marked unreached, or an unreached peer has a parent.
     #[must_use]
     pub fn from_parents(root: usize, parent: Vec<Option<usize>>, reached: Vec<bool>) -> Self {
         assert_eq!(
@@ -75,56 +108,137 @@ impl MulticastTree {
         );
         assert!(root < parent.len(), "root out of range");
         assert!(reached[root], "root must be reached");
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); parent.len()];
-        for (i, p) in parent.iter().enumerate() {
-            if let Some(p) = *p {
-                children[p].push(i);
-            }
-        }
-        for list in &mut children {
-            list.sort_unstable();
-        }
+        assert!(
+            parent.iter().zip(&reached).all(|(p, &r)| r || p.is_none()),
+            "only reached peers have parents"
+        );
+        let nodes: Vec<usize> = (0..parent.len()).filter(|&i| reached[i]).collect();
+        let parents = nodes.iter().map(|&i| parent[i]).collect();
+        Self::assemble(root, parent.len(), nodes, parents)
+    }
+
+    /// Assembles a tree over a universe of `len` peers from its links:
+    /// one `(child, parent)` pair per reached non-root peer, in any
+    /// order. Costs `O(links · log links)` whatever `len` is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` or a link endpoint is out of range, a child is
+    /// linked twice or is the root, or a parent is not itself reached.
+    #[must_use]
+    pub fn from_links(root: usize, len: usize, mut links: Vec<(usize, usize)>) -> Self {
+        assert!(root < len, "root out of range");
+        links.sort_unstable();
+        let mut nodes: Vec<usize> = links.iter().map(|&(child, _)| child).collect();
+        assert!(
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "a peer has one parent"
+        );
+        assert!(nodes.last().is_none_or(|&c| c < len), "child out of range");
+        let at = nodes.partition_point(|&c| c < root);
+        assert!(nodes.get(at) != Some(&root), "the root has no parent");
+        nodes.insert(at, root);
+        let mut parents: Vec<Option<usize>> = links.iter().map(|&(_, p)| Some(p)).collect();
+        parents.insert(at, None);
+        Self::assemble(root, len, nodes, parents)
+    }
+
+    /// Resolves parent ids to slots and derives the children lists of
+    /// the sorted `nodes`.
+    fn assemble(root: usize, len: usize, nodes: Vec<usize>, parent: Vec<Option<usize>>) -> Self {
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+        let parent = parent
+            .into_iter()
+            .zip(&nodes)
+            .map(|(p, &child)| {
+                let slot = nodes.binary_search(&p?).expect("parents are reached peers");
+                // Ascending child order leaves every list sorted.
+                children[slot].push(child);
+                Some(slot)
+            })
+            .collect();
         MulticastTree {
             root,
+            len,
+            nodes,
             parent,
             children,
-            reached,
         }
     }
 
-    /// Extends the tree's peer universe to `n`, marking the new peers
-    /// unreached — how cached group trees (`crate::groups`) stay aligned
-    /// with a growing population without a rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` shrinks the tree.
-    pub(crate) fn extend_len(&mut self, n: usize) {
-        assert!(n >= self.len(), "a tree's universe never shrinks");
-        self.parent.resize(n, None);
-        self.children.resize_with(n, Vec::new);
-        self.reached.resize(n, false);
+    /// The storage slot of reached peer `i`.
+    pub(crate) fn slot(&self, i: usize) -> Option<usize> {
+        self.nodes.binary_search(&i).ok()
     }
 
-    /// Grafts an unreached peer into the tree as a child of `parent` —
-    /// the relay-join primitive behind `crate::graft`: routing-based
-    /// group join attaches each hop of a discovered relay path with one
-    /// `attach` call.
+    /// The slot of the parent of the reached peer stored at `slot`.
+    pub(crate) fn parent_slot(&self, slot: usize) -> Option<usize> {
+        self.parent[slot]
+    }
+
+    /// Grafts unreached peers into the tree, one `(child, parent)` link
+    /// each, in any order — the relay-join primitive behind
+    /// `crate::graft`, which attaches every hop of every discovered
+    /// relay path in one call. A parent may itself be one of the new
+    /// children. One merge pass: `O(reached + links · log)`.
     ///
     /// # Panics
     ///
-    /// Panics if either index is out of range, `child` is already
-    /// reached, or `parent` is not.
-    pub(crate) fn attach(&mut self, child: usize, parent: usize) {
-        assert!(child < self.len(), "child out of range");
-        assert!(parent < self.len(), "parent out of range");
-        assert!(!self.reached[child], "child {child} already in the tree");
-        assert!(self.reached[parent], "parent {parent} not in the tree");
-        self.reached[child] = true;
-        self.parent[child] = Some(parent);
-        let list = &mut self.children[parent];
-        let pos = list.partition_point(|&c| c < child);
-        list.insert(pos, child);
+    /// Panics if an index is out of range, a child is already reached
+    /// or linked twice, or a parent is neither reached nor a new child.
+    pub(crate) fn attach_all(&mut self, mut links: Vec<(usize, usize)>) {
+        links.sort_unstable();
+        assert!(
+            links.last().is_none_or(|&(c, _)| c < self.len),
+            "child out of range"
+        );
+        let total = self.nodes.len() + links.len();
+        let old_nodes = std::mem::replace(&mut self.nodes, Vec::with_capacity(total));
+        let old_parent = std::mem::replace(&mut self.parent, Vec::with_capacity(total));
+        let mut old_children = std::mem::take(&mut self.children).into_iter();
+        self.children.reserve(total);
+        // Merge the sorted newcomers in; remember where old slots went.
+        let mut moved = Vec::with_capacity(old_nodes.len());
+        let mut fresh = links.iter().map(|&(c, _)| c).peekable();
+        for &node in &old_nodes {
+            while let Some(c) = fresh.next_if(|&c| c < node) {
+                self.push_fresh(c);
+            }
+            assert!(
+                fresh.peek() != Some(&node),
+                "child {node} already in the tree"
+            );
+            moved.push(self.nodes.len());
+            self.nodes.push(node);
+            self.children
+                .push(old_children.next().expect("parallel arrays"));
+        }
+        for c in fresh {
+            self.push_fresh(c);
+        }
+        self.parent.resize(total, None);
+        for (&to, p) in moved.iter().zip(old_parent) {
+            self.parent[to] = p.map(|slot| moved[slot]);
+        }
+        for (child, parent) in links {
+            let at = self.slot(child).expect("just merged");
+            let up = self
+                .slot(parent)
+                .unwrap_or_else(|| panic!("parent {parent} not in the tree"));
+            self.parent[at] = Some(up);
+            let list = &mut self.children[up];
+            let pos = list.partition_point(|&c| c < child);
+            list.insert(pos, child);
+        }
+    }
+
+    fn push_fresh(&mut self, child: usize) {
+        assert!(
+            self.nodes.last().is_none_or(|&last| last < child),
+            "a peer has one parent"
+        );
+        self.nodes.push(child);
+        self.children.push(Vec::new());
     }
 
     /// The session initiator.
@@ -133,79 +247,87 @@ impl MulticastTree {
         self.root
     }
 
-    /// Total peers (reached or not).
+    /// Total peers (reached or not) of the population the tree was
+    /// built over.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.parent.len()
+        self.len
     }
 
     /// `true` if the tree covers no peers (impossible once constructed —
     /// the root is always reached — but required by convention).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
+        self.len == 0
     }
 
     /// Parent of `i` (`None` for the root and for unreached peers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
     #[must_use]
     pub fn parent(&self, i: usize) -> Option<usize> {
-        self.parent[i]
+        let up = self.parent[self.slot(i)?]?;
+        Some(self.nodes[up])
     }
 
-    /// Tree children of `i` (sorted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
+    /// Tree children of `i` (sorted; empty for unreached peers).
     #[must_use]
     pub fn children(&self, i: usize) -> &[usize] {
-        &self.children[i]
+        self.slot(i).map_or(&[], |s| &self.children[s])
     }
 
     /// `true` if peer `i` received the construction request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
     #[must_use]
     pub fn is_reached(&self, i: usize) -> bool {
-        self.reached[i]
+        self.slot(i).is_some()
+    }
+
+    /// The reached peers, ascending.
+    #[must_use]
+    pub fn reached(&self) -> &[usize] {
+        &self.nodes
     }
 
     /// Number of reached peers.
     #[must_use]
     pub fn reached_count(&self) -> usize {
-        self.reached.iter().filter(|&&r| r).count()
+        self.nodes.len()
     }
 
     /// `true` if every peer was reached.
     #[must_use]
     pub fn is_spanning(&self) -> bool {
-        self.reached.iter().all(|&r| r)
+        self.nodes.len() == self.len
     }
 
     /// Indices of unreached peers (empty when spanning).
     #[must_use]
     pub fn unreached(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&i| !self.reached[i]).collect()
+        let mut reached = self.nodes.iter().copied().peekable();
+        (0..self.len)
+            .filter(|&i| reached.next_if_eq(&i).is_none())
+            .collect()
+    }
+
+    /// Depth of every reached peer by storage slot (root = 0).
+    fn slot_depths(&self) -> Vec<usize> {
+        let mut depth = vec![0usize; self.nodes.len()];
+        let mut queue = VecDeque::from([self.root]);
+        while let Some(u) = queue.pop_front() {
+            let su = self.slot(u).expect("queued nodes are reached");
+            for &c in &self.children[su] {
+                let sc = self.slot(c).expect("children are reached");
+                depth[sc] = depth[su] + 1;
+                queue.push_back(c);
+            }
+        }
+        depth
     }
 
     /// Depth of every reached peer (root = 0); `None` for unreached.
     #[must_use]
     pub fn depths(&self) -> Vec<Option<usize>> {
-        let mut depth = vec![None; self.len()];
-        depth[self.root] = Some(0);
-        let mut queue = VecDeque::from([self.root]);
-        while let Some(u) = queue.pop_front() {
-            let du = depth[u].expect("queued nodes have depths");
-            for &c in &self.children[u] {
-                depth[c] = Some(du + 1);
-                queue.push_back(c);
-            }
+        let mut depth = vec![None; self.len];
+        for (&i, d) in self.nodes.iter().zip(self.slot_depths()) {
+            depth[i] = Some(d);
         }
         depth
     }
@@ -214,16 +336,18 @@ impl MulticastTree {
     /// metric.
     #[must_use]
     pub fn longest_root_to_leaf(&self) -> usize {
-        self.depths().into_iter().flatten().max().unwrap_or(0)
+        self.slot_depths().into_iter().max().unwrap_or(0)
     }
 
     /// Undirected tree degree of every peer (children + parent link) —
     /// the Fig. 1e metric.
     #[must_use]
     pub fn degrees(&self) -> Vec<usize> {
-        (0..self.len())
-            .map(|i| self.children[i].len() + usize::from(self.parent[i].is_some()))
-            .collect()
+        let mut degree = vec![0usize; self.len];
+        for (s, &i) in self.nodes.iter().enumerate() {
+            degree[i] = self.children[s].len() + usize::from(self.parent[s].is_some());
+        }
+        degree
     }
 
     /// Largest number of children of any peer (the §2 "maximum tree
@@ -247,20 +371,22 @@ impl MulticastTree {
     }
 
     fn farthest_from(&self, start: usize) -> (usize, usize) {
-        let mut dist = vec![None; self.len()];
-        dist[start] = Some(0usize);
-        let mut queue = VecDeque::from([start]);
+        let mut dist: Vec<Option<usize>> = vec![None; self.nodes.len()];
+        dist[self.slot(start).expect("walks start on the tree")] = Some(0);
+        let mut queue = VecDeque::from([(start, 0usize)]);
         let mut best = (start, 0);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u].expect("queued nodes have distances");
+        while let Some((u, du)) = queue.pop_front() {
             if du > best.1 {
                 best = (u, du);
             }
-            let neighbors = self.children[u].iter().copied().chain(self.parent[u]);
+            let su = self.slot(u).expect("queued nodes are reached");
+            let up = self.parent[su].map(|slot| self.nodes[slot]);
+            let neighbors = self.children[su].iter().copied().chain(up);
             for v in neighbors {
-                if dist[v].is_none() {
-                    dist[v] = Some(du + 1);
-                    queue.push_back(v);
+                let sv = self.slot(v).expect("tree links join reached peers");
+                if dist[sv].is_none() {
+                    dist[sv] = Some(du + 1);
+                    queue.push_back((v, du + 1));
                 }
             }
         }
@@ -276,25 +402,21 @@ impl MulticastTree {
     /// `delivered − 1` accounting silently omitted.
     ///
     /// Unreached targets (and the root itself) contribute no path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a target index is out of range.
     #[must_use]
     pub fn delivery_messages<I: IntoIterator<Item = usize>>(&self, targets: I) -> usize {
-        let mut on_path = vec![false; self.len()];
+        let mut on_path = vec![false; self.nodes.len()];
         let mut messages = 0usize;
         for t in targets {
-            if !self.reached[t] {
-                continue;
-            }
             // Walk up until the root or an already-counted node; every
             // newly marked node is one payload-carrying edge.
-            let mut cur = t;
-            while cur != self.root && !on_path[cur] {
-                on_path[cur] = true;
+            let mut cur = self.slot(t);
+            while let Some(s) = cur {
+                if self.nodes[s] == self.root || on_path[s] {
+                    break;
+                }
+                on_path[s] = true;
                 messages += 1;
-                cur = self.parent[cur].expect("reached non-root nodes have parents");
+                cur = Some(self.parent[s].expect("reached non-root nodes have parents"));
             }
         }
         messages
@@ -307,21 +429,21 @@ impl MulticastTree {
     ///
     /// Returns the first [`TreeError`] found.
     pub fn validate(&self) -> Result<(), TreeError> {
-        for i in 0..self.len() {
-            if let Some(p) = self.parent[i] {
-                if self.children[p].binary_search(&i).is_err() {
+        for (s, &i) in self.nodes.iter().enumerate() {
+            if let Some(up) = self.parent[s] {
+                if self.children[up].binary_search(&i).is_err() {
                     return Err(TreeError::ParentChildMismatch { node: i });
                 }
-            } else if self.reached[i] && i != self.root {
+            } else if i != self.root {
                 return Err(TreeError::OrphanReached { node: i });
             }
-            // Walk to the root; more than n steps means a cycle.
-            let mut cur = i;
+            // Walk to the root; more steps than nodes means a cycle.
+            let mut cur = s;
             let mut steps = 0;
-            while let Some(p) = self.parent[cur] {
-                cur = p;
+            while let Some(up) = self.parent[cur] {
+                cur = up;
                 steps += 1;
-                if steps > self.len() {
+                if steps > self.nodes.len() {
                     return Err(TreeError::Cycle { node: i });
                 }
             }
@@ -470,7 +592,7 @@ mod tests {
     #[test]
     fn attach_grafts_and_keeps_children_sorted() {
         let mut t = sample();
-        t.attach(5, 1);
+        t.attach_all(vec![(5, 1)]);
         assert!(t.is_reached(5));
         assert_eq!(t.parent(5), Some(1));
         assert_eq!(t.children(1), &[3, 4, 5]);
@@ -481,7 +603,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already in the tree")]
     fn attach_rejects_reached_children() {
-        sample().attach(3, 0);
+        sample().attach_all(vec![(3, 0)]);
     }
 
     #[test]
@@ -489,7 +611,7 @@ mod tests {
     fn attach_rejects_unreached_parents() {
         let mut t =
             MulticastTree::from_parents(0, vec![None, None, None], vec![true, false, false]);
-        t.attach(2, 1);
+        t.attach_all(vec![(2, 1)]);
     }
 
     /// The satellite regression: a hand-built tree with relay interior
@@ -531,6 +653,106 @@ mod tests {
         assert_eq!(t.delivery_messages([5]), 0, "unreached target");
         // Full membership on a relay-free tree reduces to reached − 1.
         assert_eq!(t.delivery_messages(0..6), t.reached_count() - 1);
+    }
+
+    /// A 3-node tree over a 10 000-peer universe whose last id is
+    /// reached: `9999 ← 17 ← 4000`.
+    fn sparse() -> MulticastTree {
+        MulticastTree::from_links(17, 10_000, vec![(4000, 17), (9999, 4000)])
+    }
+
+    #[test]
+    fn sparse_trees_store_only_reached_peers() {
+        let t = sparse();
+        assert_eq!(t.len(), 10_000);
+        assert_eq!(t.reached(), &[17, 4000, 9999]);
+        assert_eq!(t.reached_count(), 3);
+        assert!(!t.is_spanning());
+        assert_eq!(t.unreached().len(), 9_997);
+        assert_eq!(t.validate(), Ok(()));
+        assert_eq!(t.longest_root_to_leaf(), 2);
+        assert_eq!(t.diameter(), 2);
+        assert_eq!(t.max_children(), 1);
+    }
+
+    #[test]
+    fn sparse_accessors_answer_for_unreached_and_last_id_peers() {
+        let t = sparse();
+        // The last id of the universe is an ordinary reached leaf.
+        assert!(t.is_reached(9999));
+        assert_eq!(t.parent(9999), Some(4000));
+        assert!(t.children(9999).is_empty());
+        assert_eq!(t.children(4000), &[9999]);
+        assert_eq!(t.depths()[9999], Some(2));
+        assert_eq!(t.degrees()[4000], 2);
+        // Unreached peers — below, between and beyond the stored ids,
+        // including ones that joined after the tree was built.
+        for i in [0usize, 18, 5000, 9998, 10_000, 123_456] {
+            assert!(!t.is_reached(i), "peer {i}");
+            assert_eq!(t.parent(i), None, "peer {i}");
+            assert!(t.children(i).is_empty(), "peer {i}");
+        }
+        assert_eq!(t.depths()[5000], None);
+        assert_eq!(t.degrees()[0], 0);
+    }
+
+    #[test]
+    fn sparse_attach_merges_in_id_order() {
+        let mut t = sparse();
+        // A relay chain 9998 → 3 → 4000 (its parent is a fellow
+        // newcomer) and a lone graft under the root, in one call.
+        t.attach_all(vec![(9998, 3), (5, 17), (3, 4000)]);
+        assert_eq!(t.reached(), &[3, 5, 17, 4000, 9998, 9999]);
+        assert_eq!(t.children(4000), &[3, 9999]);
+        assert_eq!(t.children(17), &[5, 4000]);
+        assert_eq!(t.children(3), &[9998]);
+        assert_eq!(t.parent(9998), Some(3));
+        assert_eq!(t.parent(9999), Some(4000), "old links survive the merge");
+        assert_eq!(t.validate(), Ok(()));
+        // Grafting equals building from all links at once.
+        let whole = MulticastTree::from_links(
+            17,
+            10_000,
+            vec![(9999, 4000), (3, 4000), (4000, 17), (9998, 3), (5, 17)],
+        );
+        assert_eq!(t, whole);
+        t.attach_all(Vec::new());
+        assert_eq!(t, whole, "an empty graft changes nothing");
+    }
+
+    #[test]
+    fn sparse_delivery_messages_walk_stored_paths_only() {
+        let t = sparse();
+        assert_eq!(t.delivery_messages([9999]), 2);
+        assert_eq!(t.delivery_messages([4000, 9999]), 2, "shared prefix");
+        assert_eq!(t.delivery_messages([17]), 0, "the root needs no message");
+        assert_eq!(t.delivery_messages([5, 9998, 20_000]), 0, "unreached");
+    }
+
+    #[test]
+    fn equality_is_structural_across_universe_sizes() {
+        // The same links over a grown population are the same tree.
+        let grown = MulticastTree::from_links(17, 12_345, vec![(4000, 17), (9999, 4000)]);
+        assert_eq!(sparse(), grown);
+        assert_ne!(
+            sparse(),
+            MulticastTree::from_links(17, 10_000, vec![(4000, 17), (9999, 17)])
+        );
+        // Dense and sparse construction agree.
+        let dense = MulticastTree::from_parents(
+            0,
+            vec![None, Some(0), Some(0), Some(1), Some(1), None],
+            vec![true, true, true, true, true, false],
+        );
+        let links = MulticastTree::from_links(0, 6, vec![(4, 1), (1, 0), (3, 1), (2, 0)]);
+        assert_eq!(dense, links);
+        assert_eq!(links.children(1), &[3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one parent")]
+    fn from_links_rejects_duplicate_children() {
+        let _ = MulticastTree::from_links(0, 5, vec![(2, 0), (2, 1), (1, 0)]);
     }
 
     #[test]

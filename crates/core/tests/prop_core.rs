@@ -256,7 +256,7 @@ proptest! {
                 }
                 prop_assert!(!repaired.tree.is_reached(victim));
                 prop_assert_eq!(repaired.tree.validate(), Ok(()));
-                let zone = build.zones[victim].as_ref().unwrap();
+                let zone = build.zones.get(victim).unwrap();
                 let zone_members =
                     live.iter().filter(|&&i| zone.contains(population[i].point())).count();
                 prop_assert_eq!(repaired.repair_messages, zone_members);

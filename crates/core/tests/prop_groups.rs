@@ -244,6 +244,47 @@ proptest! {
         }
     }
 
+    /// Joins grow the peer universe under every cached build. A build
+    /// stores only the peers it reached, so a join must leave every
+    /// delta-untouched group's build (and rebuild counter) exactly as it
+    /// was — no padding, no upkeep — and that untouched build must still
+    /// be what a from-scratch rebuild over the grown population gives.
+    #[test]
+    fn joins_leave_untouched_groups_builds_and_counters_untouched(
+        n in 25usize..55,
+        seed in 0u64..10_000,
+        joins in 4usize..14,
+    ) {
+        let store = TopologyStore::from_peers(
+            PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, seed)),
+            Arc::new(EmptyRectSelection),
+        );
+        let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
+        let mut state = seed ^ 0x5eed;
+        let ids = engine.seed_groups(&zipf_group_sizes(8, 40, 1.0), &mut state);
+
+        let mut untouched_checks = 0usize;
+        for p in uniform_points(joins, 2, 1000.0, seed ^ 0x101).into_points() {
+            let before: Vec<_> = ids
+                .iter()
+                .map(|&g| (engine.group_build(g).cloned(), engine.rebuild_count(g)))
+                .collect();
+            engine.join(p);
+            let mut moved = 0usize;
+            for (&g, (build, count)) in ids.iter().zip(&before) {
+                if engine.rebuild_count(g) == *count {
+                    prop_assert_eq!(engine.group_build(g), build.as_ref(), "{} changed", g);
+                    untouched_checks += 1;
+                } else {
+                    moved += 1;
+                }
+                prop_assert!(engine.matches_reference(g), "{} diverged", g);
+            }
+            prop_assert_eq!(moved, engine.last_sync().affected_groups);
+        }
+        prop_assert!(untouched_checks > 0, "some group sat out some join");
+    }
+
     /// The data-plane acceptance property: after every churn step, a
     /// flushed batch of K payloads delivers to the exact member set of
     /// K sequential `publish` calls — byte-identical delivered/stranded

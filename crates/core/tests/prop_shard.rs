@@ -147,6 +147,99 @@ proptest! {
         }
     }
 
+    /// Remove-heavy churn over a **collision-free** integer lattice
+    /// (every coordinate value used once per dimension, so the
+    /// departure repair runs instead of declining) whose tile and halo
+    /// edges fall on lattice values: peers sit exactly on band edges
+    /// while their selectors' shadow boxes are tested against the
+    /// foreign shards' uncovered boxes. Byte-identical to the single
+    /// store and to the from-scratch selection after every event; a
+    /// few joins deliberately reuse a coordinate to drive the decline
+    /// fallback through the same geometry.
+    #[test]
+    fn remove_heavy_lattice_churn_on_band_edges_stays_byte_identical(
+        initial in 10usize..40,
+        ops in 4usize..24,
+        shards_pick in 0usize..3,
+        halo_cells in 0usize..5,
+        collide_every in 0usize..6,
+        seed in 0u64..10_000,
+    ) {
+        use geocast_geom::Point;
+
+        let shards = [1usize, 4, 16][shards_pick];
+        let (cells, step) = (48usize, 25.0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Per dimension, a shuffled pool of unused lattice values; the
+        // two anchors pin the domain to [0, 48·step]², which 4×4 tiles
+        // cut at multiples of 12·step.
+        let mut pools: Vec<Vec<usize>> = (0..2)
+            .map(|_| {
+                let mut pool: Vec<usize> = (1..cells).collect();
+                for i in (1..pool.len()).rev() {
+                    pool.swap(i, rng.random_range(0..=i));
+                }
+                pool
+            })
+            .collect();
+        let at = |x: usize, y: usize| {
+            Point::new(vec![x as f64 * step, y as f64 * step]).expect("finite")
+        };
+        let fresh = |pools: &mut Vec<Vec<usize>>| {
+            Some(at(pools[0].pop()?, pools[1].pop()?))
+        };
+        let mut points = vec![at(0, 0), at(cells, cells)];
+        while points.len() < initial {
+            points.push(fresh(&mut pools).expect("47 values cover 40 peers"));
+        }
+        let infos: Vec<PeerInfo> = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| PeerInfo::new(PeerId(i as u64), p.clone()))
+            .collect();
+        let selection: Arc<dyn NeighborSelection + Send + Sync> = Arc::new(EmptyRectSelection);
+        let config = ShardConfig::new(shards).with_halo_width(halo_cells as f64 * step);
+        let mut single = TopologyStore::from_peers(infos.clone(), selection.clone());
+        let mut sharded = TopologyStore::from_peers_sharded(infos, selection, &config);
+        assert_identical(&single, &sharded, "lattice bulk build");
+
+        for op in 0..ops {
+            let live: Vec<usize> = (0..single.len())
+                .filter(|&i| !single.is_departed(PeerId(i as u64)))
+                .collect();
+            if live.len() > 3 && rng.random_range(0..3) != 0 {
+                let gone = PeerId(live[rng.random_range(0..live.len())] as u64);
+                single.remove(gone);
+                sharded.remove(gone);
+            } else {
+                let Some(mut p) = fresh(&mut pools) else {
+                    break;
+                };
+                if collide_every > 0 && op % collide_every == 0 {
+                    // Share x with a live peer: its re-selections decline.
+                    let twin = single.peers()[live[rng.random_range(0..live.len())]].point();
+                    p = Point::new(vec![twin[0], p[1]]).expect("finite");
+                }
+                prop_assert_eq!(single.insert(p.clone()), sharded.insert(p));
+            }
+            assert_identical(&single, &sharded, &format!("{shards} shards, op {op}"));
+            // …and to the definition: every live row from scratch.
+            let peers = sharded.peers();
+            for &i in live.iter().filter(|&&i| !sharded.is_departed(PeerId(i as u64))) {
+                let ids: Vec<usize> = (0..peers.len())
+                    .filter(|&j| j != i && !sharded.is_departed(PeerId(j as u64)))
+                    .collect();
+                let candidates: Vec<&PeerInfo> = ids.iter().map(|&j| &peers[j]).collect();
+                let row: Vec<usize> = EmptyRectSelection
+                    .select(&peers[i], &candidates)
+                    .into_iter()
+                    .map(|ci| ids[ci])
+                    .collect();
+                prop_assert_eq!(sharded.out_neighbors(i), &row[..], "row {} after op {}", i, op);
+            }
+        }
+    }
+
     /// Every group tree built over the sharded store equals the same
     /// build over the single-shard store — the downstream consumers'
     /// view of the adjacency is interchangeable.

@@ -28,14 +28,42 @@
 //! bound*: for a cell, the per-dimension minimum absolute offset from
 //! `p` to any point inside it is known from the cell boundaries.
 //!
-//! * For the empty-rectangle query, a cell can be skipped when some
-//!   already-collected point of the same orthant is strictly closer to
-//!   `p` in **every** dimension than the cell's corner — every point in
-//!   the cell is then rect-dominated ([`crate::dominance::rect_dominates`]),
-//!   and by transitivity of domination, skipping it changes neither the
-//!   frontier nor any later domination decision. Because the corner
-//!   bound grows monotonically along the innermost walk direction, the
-//!   first skippable cell ends the walk of that cell column.
+//! * The empty-rectangle query is **one frontier walk**
+//!   (`GridIndex::frontier_walk`) over one orthant at a time,
+//!   parameterised by a *floor* (per-dimension offsets a point must
+//!   strictly exceed to count — which also fixes the layer the walk
+//!   starts from in each dimension) and a *seed frontier*
+//!   ([`RectFrontier`]). The walk keeps a single running set: the exact
+//!   Pareto frontier of the seeds and every point scanned so far. A
+//!   scanned point that some member strictly dominates
+//!   ([`crate::dominance::rect_dominates`], as absolute offsets) is
+//!   dropped; otherwise it evicts the members it dominates and joins.
+//!   Domination is a strict partial order, so whatever a dropped or
+//!   evicted point could have dominated, a surviving member dominates
+//!   too: the running set never needs a second look, and when the walk
+//!   ends it **is** the answer — there is no candidate list and no
+//!   final sort-and-filter pass.
+//! * At every depth of the walk the *pruning corner* is
+//!   `max(cell corner, floor)` per dimension already fixed and `floor`
+//!   for the dimensions still to be walked. When a frontier member is
+//!   strictly closer to `p` than that corner in **every** dimension,
+//!   each point the walk could still reach from here is dominated, and
+//!   because the corner only grows along the walk direction the loop at
+//!   that depth ends. With a zero floor this can only fire in the
+//!   innermost dimension (the classic column break: nothing is strictly
+//!   closer than offset 0); with a positive floor it also ends the
+//!   outer dimensions early.
+//! * The **full query** ([`GridIndex::empty_rect_neighbors`]) runs the
+//!   walk once per orthant with a zero floor and no seeds. The
+//!   **shadow query** ([`GridIndex::empty_rect_shadow`]) repairs a row
+//!   after a selected neighbour `x` of `p` departed: only `x`'s orthant
+//!   changes, and there only points `x` strictly dominated can surface
+//!   (see [`RectFrontier`] for the lemma), so the walk runs over the
+//!   box strictly beyond `x` — floor `|x − p|` — seeded with `p`'s
+//!   surviving neighbours of that orthant, which bound it from the
+//!   other sides. In 2-D that is a handful of cells for a neighbour in
+//!   the middle of the staircase and a strip to the grid edge for its
+//!   two ends, against `O(side)` cells per orthant for the full query.
 //! * For the `K`-nearest query, a cell column is cut as soon as the
 //!   metric applied to the corner bound exceeds (strictly) the current
 //!   `K`-th best distance — a tie at equal distance is *not* cut, so
@@ -75,6 +103,217 @@ pub const MAX_INDEX_DIM: usize = 16;
 /// does in the scan loops).
 fn coord_bits(x: f64) -> u64 {
     (x + 0.0).to_bits()
+}
+
+/// The running Pareto frontier of **one orthant** around a fixed
+/// position `p`: the state of one empty-rectangle (re-)selection, which
+/// [`GridIndex::empty_rect_shadow`] can carry across several indexes
+/// (the shards of a region-sharded store) so that their answers merge
+/// as they are found.
+///
+/// Members are live points of the orthant, identified by caller-chosen
+/// ids, none strictly closer to `p` than another in every dimension.
+/// Offering a point the set already dominates is a no-op; offering one
+/// that dominates members evicts them. Domination is a strict partial
+/// order, so the set is at all times the exact Pareto frontier of
+/// everything offered so far, in any offering order.
+///
+/// # The shadow lemma
+///
+/// Let `row` be the exact empty-rectangle neighbours of `p` and let
+/// `x ∈ row` depart. Then, over absolute offsets from `p`,
+///
+/// > new row = (`row` − `x`) ∪ Pareto-min { live `q` : `x` strictly
+/// > dominates `q`, and no survivor of `row` dominates `q` }.
+///
+/// *Why.* Every live non-neighbour was dominated by a member of `row`
+/// (descend along dominators; the descent is finite and ends on the
+/// frontier). A point some survivor dominates stays dominated. A point
+/// only `x` dominated lies strictly beyond `x` in every dimension — in
+/// `x`'s orthant — and among those points the new neighbours are the
+/// Pareto-minimal ones: a dominator of such a point is itself beyond
+/// `x` and free of the survivors, by transitivity. No survivor is
+/// evicted, because a point beyond `x` that dominated a survivor would
+/// put `x` inside that survivor's rectangle. Points of other orthants
+/// never enter the argument, so those parts of the row are untouched.
+///
+/// [`RectFrontier::begin_shadow`] + [`RectFrontier::seed`] set that
+/// computation up — the orthant and floor of `x`, the survivors of its
+/// orthant as seeds — and the walk restricted to the box strictly
+/// beyond `x` completes it.
+#[derive(Debug, Clone, Default)]
+pub struct RectFrontier {
+    /// The reference position `p`.
+    p: Vec<f64>,
+    /// The departed neighbour `x` (shadow queries; equals `p` otherwise).
+    gone: Vec<f64>,
+    /// `|x − p|` per dimension: only points strictly beyond count. All
+    /// zero for a full query.
+    floor: Vec<f64>,
+    /// Bit `d` set = positive side of `p` in dimension `d`.
+    orthant: usize,
+    set: ParetoSet,
+}
+
+/// Flat storage of a [`RectFrontier`]'s members: `offs[m * dim..][..dim]`
+/// are member `m`'s absolute offsets from `p`, `ids[m]` its id.
+#[derive(Debug, Clone, Default)]
+struct ParetoSet {
+    dim: usize,
+    offs: Vec<f64>,
+    ids: Vec<usize>,
+}
+
+impl ParetoSet {
+    fn reset(&mut self, dim: usize) {
+        self.dim = dim;
+        self.offs.clear();
+        self.ids.clear();
+    }
+
+    /// `true` if some member is strictly closer to `p` than `bound` in
+    /// every dimension.
+    fn dominates(&self, bound: &[f64]) -> bool {
+        self.offs
+            .chunks_exact(self.dim)
+            .any(|m| m.iter().zip(bound).all(|(r, b)| r < b))
+    }
+
+    /// Offers a point: dropped if a member dominates it (or it already
+    /// is a member — halo mirrors show one peer to several indexes),
+    /// else it evicts the members it dominates and joins.
+    fn offer(&mut self, offs: &[f64], id: usize) {
+        let dim = self.dim;
+        if self.ids.contains(&id) || self.dominates(offs) {
+            return;
+        }
+        let mut m = 0;
+        while m < self.ids.len() {
+            let member = &self.offs[m * dim..(m + 1) * dim];
+            if offs.iter().zip(member).all(|(n, r)| n < r) {
+                // swap_remove on the flat layout.
+                let last = self.ids.len() - 1;
+                self.offs.copy_within(last * dim..(last + 1) * dim, m * dim);
+                self.offs.truncate(last * dim);
+                self.ids.swap_remove(m);
+            } else {
+                m += 1;
+            }
+        }
+        self.offs.extend_from_slice(offs);
+        self.ids.push(id);
+    }
+}
+
+impl RectFrontier {
+    /// An empty frontier; its buffers are reused across queries.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts a full-orthant selection around `p`: no floor, no seeds.
+    fn begin_orthant(&mut self, p: &[f64], orthant: usize) {
+        self.p.clear();
+        self.p.extend_from_slice(p);
+        self.gone.clear();
+        self.gone.extend_from_slice(p);
+        self.floor.clear();
+        self.floor.resize(p.len(), 0.0);
+        self.orthant = orthant;
+        self.set.reset(p.len());
+    }
+
+    /// Starts the re-selection of `p` after its neighbour `gone`
+    /// departed: fixes `gone`'s orthant and floor and empties the set.
+    /// Returns `false` when `gone` shares a coordinate with `p` — it
+    /// then lay in no orthant, dominated nobody, and the row simply
+    /// loses it: nothing is absorbed by [`RectFrontier::seed`] and
+    /// [`GridIndex::empty_rect_shadow`] adds nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimensionality mismatch.
+    pub fn begin_shadow(&mut self, p: &Point, gone: &Point) -> bool {
+        assert_eq!(p.dim(), gone.dim(), "shadow dimensionality mismatch");
+        self.begin_orthant(p.coords(), 0);
+        self.gone.clear();
+        self.gone.extend_from_slice(gone.coords());
+        for d in 0..p.dim() {
+            let delta = gone[d] - p[d];
+            self.floor[d] = delta.abs();
+            if delta > 0.0 {
+                self.orthant |= 1 << d;
+            }
+        }
+        self.has_shadow()
+    }
+
+    fn has_shadow(&self) -> bool {
+        self.floor.iter().all(|&f| f > 0.0)
+    }
+
+    /// Offers a surviving neighbour of `p` as a seed. Returns `true` if
+    /// it lies in the departed neighbour's orthant (the frontier now
+    /// accounts for it); `false` means it belongs to another part of
+    /// the row, which the departure leaves as it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimensionality mismatch.
+    pub fn seed(&mut self, point: &Point, id: usize) -> bool {
+        assert_eq!(point.dim(), self.p.len(), "seed dimensionality mismatch");
+        if !self.has_shadow() {
+            return false;
+        }
+        let mut offs = [0.0f64; MAX_INDEX_DIM];
+        if !offsets_in_orthant(&self.p, point.coords(), self.orthant, &mut offs) {
+            return false;
+        }
+        self.set.offer(&offs[..self.p.len()], id);
+        true
+    }
+
+    /// Ids of the current members, in no particular order.
+    #[must_use]
+    pub fn ids(&self) -> &[usize] {
+        &self.set.ids
+    }
+
+    /// `true` if the closed box `[lo, hi]` reaches into the open box
+    /// strictly beyond the departed neighbour — i.e. could hold a point
+    /// the shadow query has to see. Always `false` without a shadow.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimensionality mismatch.
+    #[must_use]
+    pub fn shadow_reaches(&self, lo: &[f64], hi: &[f64]) -> bool {
+        assert_eq!(lo.len(), self.p.len(), "box dimensionality mismatch");
+        assert_eq!(hi.len(), self.p.len(), "box dimensionality mismatch");
+        self.has_shadow()
+            && (0..self.p.len()).all(|d| {
+                if self.orthant >> d & 1 == 1 {
+                    hi[d] > self.gone[d]
+                } else {
+                    lo[d] < self.gone[d]
+                }
+            })
+    }
+}
+
+/// Writes `q`'s absolute offsets from `p` into `offs` and reports
+/// whether `q` lies in orthant `o` around `p` (a zero offset lies in
+/// none).
+fn offsets_in_orthant(p: &[f64], q: &[f64], o: usize, offs: &mut [f64; MAX_INDEX_DIM]) -> bool {
+    for d in 0..p.len() {
+        let delta = q[d] - p[d];
+        if delta == 0.0 || (delta > 0.0) != (o >> d & 1 == 1) {
+            return false;
+        }
+        offs[d] = delta.abs();
+    }
+    true
 }
 
 /// A uniform grid over a mutable point population, supporting exact
@@ -469,117 +708,109 @@ impl GridIndex {
         Some(self.empty_rect_walk(q.coords(), skip.unwrap_or(usize::MAX)))
     }
 
-    /// The shared walk behind both empty-rectangle entry points: exact
-    /// frontier of the position `p` over live points, excluding `skip`
-    /// (`usize::MAX` excludes nobody). Collision gating is the caller's
-    /// job.
-    fn empty_rect_walk(&self, p: &[f64], skip: usize) -> Vec<usize> {
-        let dim = self.dim;
-        let orthants = 1usize << dim;
-
-        // Per orthant: collected candidate (offset vector, id) pairs and
-        // the pruning frontier (indices into the collected list).
-        let mut collected: Vec<Vec<(Vec<f64>, usize)>> = vec![Vec::new(); orthants];
-        let mut frontier: Vec<Vec<usize>> = vec![Vec::new(); orthants];
-
-        let p_layer: Vec<usize> = (0..dim).map(|d| self.layer_of(d, p[d])).collect();
-
-        let mut prefix_cells = vec![0usize; dim];
-        let mut prefix_offs = vec![0.0f64; dim];
-        for o in 0..orthants {
-            self.walk_empty_rect(
-                o,
-                0,
-                p,
-                &p_layer,
-                &mut prefix_cells,
-                &mut prefix_offs,
-                skip,
-                &mut collected,
-                &mut frontier,
-            );
+    /// Extends `frontier` — set up by [`RectFrontier::begin_shadow`]
+    /// and seeded with the surviving neighbours — with this index's
+    /// live points strictly beyond the departed neighbour, excluding
+    /// `skip`; a newly admitted point enters as `id_of(its id here)`.
+    /// Afterwards the frontier is the exact Pareto frontier of its
+    /// seeds and every such point (see the lemma on [`RectFrontier`]).
+    ///
+    /// Returns `false` — declines, leaving the frontier as it was —
+    /// exactly when [`GridIndex::empty_rect_neighbors_at`] would return
+    /// `None` for the same position: some live point other than `skip`
+    /// shares a coordinate with it, or the dimensionality exceeds
+    /// [`MAX_INDEX_DIM`]. Callers then fall back to a full selection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index is non-empty and the frontier's
+    /// dimensionality disagrees, or `skip` is out of range.
+    #[must_use]
+    pub fn empty_rect_shadow(
+        &self,
+        frontier: &mut RectFrontier,
+        skip: Option<usize>,
+        id_of: impl Fn(usize) -> usize,
+    ) -> bool {
+        if self.live == 0 {
+            return true;
         }
+        assert_eq!(frontier.p.len(), self.dim, "query dimensionality mismatch");
+        if let Some(s) = skip {
+            assert!(s < self.len(), "skip id out of range");
+        }
+        if self.dim > MAX_INDEX_DIM || self.collides_at(&frontier.p, skip) {
+            return false;
+        }
+        if frontier.has_shadow() {
+            self.frontier_walk(frontier, skip.unwrap_or(usize::MAX), &id_of);
+        }
+        true
+    }
 
-        // Exact per-orthant Pareto frontier over the (reduced) collected
-        // sets — the same computation dominance::empty_rect_neighbors
-        // runs over the full candidate set.
+    /// The full query behind both empty-rectangle entry points: the
+    /// frontier walk once per orthant with no floor and no seeds, over
+    /// live points excluding `skip` (`usize::MAX` excludes nobody).
+    /// Collision gating is the caller's job.
+    fn empty_rect_walk(&self, p: &[f64], skip: usize) -> Vec<usize> {
+        let mut frontier = RectFrontier::new();
         let mut kept = Vec::new();
-        for group in &mut collected {
-            group.sort_by(|a, b| {
-                let la: f64 = a.0.iter().sum();
-                let lb: f64 = b.0.iter().sum();
-                la.total_cmp(&lb).then(a.1.cmp(&b.1))
-            });
-            let mut local: Vec<usize> = Vec::new();
-            for qi in 0..group.len() {
-                let dominated = local
-                    .iter()
-                    .any(|&ri| group[ri].0.iter().zip(&group[qi].0).all(|(r, q)| r < q));
-                if !dominated {
-                    local.push(qi);
-                    kept.push(group[qi].1);
-                }
-            }
+        for o in 0..1usize << self.dim {
+            frontier.begin_orthant(p, o);
+            self.frontier_walk(&mut frontier, skip, &|id| id);
+            kept.extend_from_slice(frontier.ids());
         }
         kept.sort_unstable();
         kept
     }
 
-    /// Walks the cells of orthant `o` (bit `d` set = positive side in
-    /// dimension `d`), collecting candidate points and pruning cells
-    /// whose corner is rect-dominated by an already-collected point.
-    /// Collisions cannot occur: [`GridIndex::collides`] gates the walk.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_empty_rect(
+    /// The one empty-rectangle walk (module docs, "How pruning works"):
+    /// scans the cells of the frontier's orthant that can hold a point
+    /// strictly beyond its floor, offering every such live point except
+    /// `skip` to the running set. Returns the number of cells scanned
+    /// (what the count-based regression tests assert on). Collisions
+    /// cannot occur: [`GridIndex::collides_at`] gates every caller.
+    fn frontier_walk(
         &self,
-        o: usize,
-        depth: usize,
-        p: &[f64],
-        p_layer: &[usize],
-        prefix_cells: &mut [usize],
-        prefix_offs: &mut [f64],
+        frontier: &mut RectFrontier,
         skip: usize,
-        collected: &mut [Vec<(Vec<f64>, usize)>],
-        frontier: &mut [Vec<usize>],
-    ) {
-        let d = depth;
-        let positive = o >> d & 1 == 1;
-        let innermost = depth + 1 == self.dim;
-        for t in 0.. {
-            let Some((cell, offmin)) = self.layer_step(d, p, p_layer, positive, t) else {
-                break;
-            };
-            prefix_cells[d] = cell;
-            prefix_offs[d] = offmin;
-            if innermost {
-                // Full corner bound available: prune and, because the
-                // bound is monotone in `t`, stop the column at the first
-                // dominated cell.
-                let dominated = frontier[o].iter().any(|&ri| {
-                    collected[o][ri]
-                        .0
-                        .iter()
-                        .zip(prefix_offs.iter())
-                        .all(|(r, c)| r < c)
-                });
-                if dominated {
-                    break;
-                }
-                self.scan_cell_empty_rect(o, p, prefix_cells, skip, collected, frontier);
-            } else {
-                self.walk_empty_rect(
-                    o,
-                    depth + 1,
-                    p,
-                    p_layer,
-                    prefix_cells,
-                    prefix_offs,
-                    skip,
-                    collected,
-                    frontier,
-                );
-            }
+        id_of: &impl Fn(usize) -> usize,
+    ) -> usize {
+        let dim = self.dim;
+        let RectFrontier {
+            p,
+            gone,
+            floor,
+            orthant,
+            set,
+        } = frontier;
+        let mut walk = FrontierWalk {
+            index: self,
+            p,
+            floor,
+            orthant: *orthant,
+            set,
+            skip,
+            id_of,
+            p_layer: [0; MAX_INDEX_DIM],
+            start: [0; MAX_INDEX_DIM],
+            cell: [0; MAX_INDEX_DIM],
+            bound: [0.0; MAX_INDEX_DIM],
+            // A zero floor in a deeper dimension makes the corner
+            // undominatable there: only check from here inwards.
+            check_from: floor.iter().rposition(|&f| f <= 0.0).unwrap_or(0),
+            cells: 0,
+        };
+        for d in 0..dim {
+            walk.p_layer[d] = self.layer_of(d, p[d]);
+            // The first layer that can hold a point beyond the floor is
+            // the departed neighbour's own (layers are monotone in the
+            // coordinate); with no floor that is `p`'s layer.
+            walk.start[d] = self.layer_of(d, gone[d]).abs_diff(walk.p_layer[d]);
+            walk.bound[d] = floor[d];
         }
+        walk.descend(0);
+        walk.cells
     }
 
     /// The cell layer `t` steps from `p`'s layer along `d` (direction
@@ -614,64 +845,6 @@ impl GridIndex {
             p[d] - (self.lo[d] + (cell + 1) as f64 * self.cell_size[d])
         };
         Some((cell, offmin.max(0.0)))
-    }
-
-    /// Scans one cell for orthant `o` candidates, updating the collected
-    /// set and its pruning frontier.
-    fn scan_cell_empty_rect(
-        &self,
-        o: usize,
-        p: &[f64],
-        cell: &[usize],
-        skip: usize,
-        collected: &mut [Vec<(Vec<f64>, usize)>],
-        frontier: &mut [Vec<usize>],
-    ) {
-        let dim = self.dim;
-        let mut flat = 0usize;
-        for &c in cell {
-            flat = flat * self.side + c;
-        }
-        for &entry in &self.cells[flat] {
-            let id = entry as usize;
-            if id == skip {
-                continue;
-            }
-            debug_assert!(!self.removed[id], "buckets hold live points only");
-            let q = self.point_coords(id);
-            let mut offsets = Vec::with_capacity(dim);
-            let mut in_orthant = true;
-            for d in 0..dim {
-                let delta = q[d] - p[d];
-                debug_assert!(delta != 0.0, "collides() must gate the walk");
-                if (delta > 0.0) != (o >> d & 1 == 1) {
-                    in_orthant = false;
-                    break;
-                }
-                offsets.push(delta.abs());
-            }
-            if !in_orthant {
-                continue;
-            }
-            // Maintain the pruning frontier: a Pareto set of collected
-            // offsets (sound to prune with any collected point; keeping
-            // only non-dominated ones keeps the corner tests short).
-            let dominated = frontier[o]
-                .iter()
-                .any(|&ri| collected[o][ri].0.iter().zip(&offsets).all(|(r, q)| r < q));
-            collected[o].push((offsets, id));
-            if !dominated {
-                let new_ri = collected[o].len() - 1;
-                frontier[o].retain(|&ri| {
-                    !collected[o][new_ri]
-                        .0
-                        .iter()
-                        .zip(&collected[o][ri].0)
-                        .all(|(n, r)| n < r)
-                });
-                frontier[o].push(new_ri);
-            }
-        }
     }
 
     /// The `k` nearest live indexed points to point `i` within each
@@ -988,6 +1161,81 @@ impl GridIndex {
                     accept,
                     best,
                 );
+            }
+        }
+    }
+}
+
+/// The recursion state of one [`GridIndex::frontier_walk`]: everything
+/// lives on the stack or in the caller's [`RectFrontier`], so a walk
+/// allocates only when the frontier outgrows its buffers.
+struct FrontierWalk<'a, F> {
+    index: &'a GridIndex,
+    p: &'a [f64],
+    floor: &'a [f64],
+    orthant: usize,
+    set: &'a mut ParetoSet,
+    skip: usize,
+    id_of: &'a F,
+    p_layer: [usize; MAX_INDEX_DIM],
+    /// First step of the walk per dimension (layers nearer to `p` hold
+    /// nothing beyond the floor).
+    start: [usize; MAX_INDEX_DIM],
+    cell: [usize; MAX_INDEX_DIM],
+    /// The pruning corner: `max(cell corner, floor)` for dimensions
+    /// already fixed, `floor` for those still to be walked.
+    bound: [f64; MAX_INDEX_DIM],
+    check_from: usize,
+    cells: usize,
+}
+
+impl<F: Fn(usize) -> usize> FrontierWalk<'_, F> {
+    fn descend(&mut self, depth: usize) {
+        let dim = self.index.dim;
+        let d = depth;
+        let positive = self.orthant >> d & 1 == 1;
+        for t in self.start[d].. {
+            let Some((cell, offmin)) =
+                self.index
+                    .layer_step(d, self.p, &self.p_layer[..dim], positive, t)
+            else {
+                break;
+            };
+            self.cell[d] = cell;
+            self.bound[d] = offmin.max(self.floor[d]);
+            // Everything still reachable from here is at or beyond the
+            // corner, which only grows with `t`: once dominated, done.
+            if depth >= self.check_from && self.set.dominates(&self.bound[..dim]) {
+                break;
+            }
+            if depth + 1 == dim {
+                self.scan_cell();
+            } else {
+                self.descend(depth + 1);
+            }
+        }
+        self.bound[d] = self.floor[d];
+    }
+
+    fn scan_cell(&mut self) {
+        let index = self.index;
+        let dim = index.dim;
+        self.cells += 1;
+        let flat = self.cell[..dim]
+            .iter()
+            .fold(0usize, |flat, &c| flat * index.side + c);
+        let mut offs = [0.0f64; MAX_INDEX_DIM];
+        for &entry in &index.cells[flat] {
+            let id = entry as usize;
+            if id == self.skip {
+                continue;
+            }
+            debug_assert!(!index.removed[id], "buckets hold live points only");
+            let q = index.point_coords(id);
+            if offsets_in_orthant(self.p, q, self.orthant, &mut offs)
+                && offs.iter().zip(self.floor).all(|(o, f)| o > f)
+            {
+                self.set.offer(&offs[..dim], (self.id_of)(id));
             }
         }
     }
@@ -1341,6 +1589,191 @@ mod tests {
         // A clean external point answers.
         let q = Point::new(vec![7.0, 6.0]).unwrap();
         assert_eq!(index.empty_rect_neighbors_at(&q, None), Some(vec![0, 1]));
+    }
+
+    /// The departure repair the sharded store performs, on one index:
+    /// `p`'s row after its neighbour at `gone` left, from the old row
+    /// (without the departed id) and the shadow query. Also returns the
+    /// cells the shadow walk scanned.
+    fn reselect(
+        index: &GridIndex,
+        p: usize,
+        gone: &Point,
+        survivors: &[usize],
+    ) -> Option<(Vec<usize>, usize)> {
+        let here = Point::new(index.point_coords(p).to_vec()).unwrap();
+        let mut frontier = RectFrontier::new();
+        let mut row = Vec::new();
+        let shadow = frontier.begin_shadow(&here, gone);
+        for &r in survivors {
+            let at = Point::new(index.point_coords(r).to_vec()).unwrap();
+            if !frontier.seed(&at, r) {
+                row.push(r);
+            }
+        }
+        if index.collides(p) {
+            assert!(!index.empty_rect_shadow(&mut frontier, Some(p), |id| id));
+            return None;
+        }
+        let cells = if shadow {
+            index.frontier_walk(&mut frontier, p, &|id| id)
+        } else {
+            0
+        };
+        row.extend_from_slice(frontier.ids());
+        row.sort_unstable();
+        Some((row, cells))
+    }
+
+    #[test]
+    fn shadow_query_repairs_rows_exactly_after_departures() {
+        for &(n, dim, seed) in &[
+            (150usize, 2usize, 81u64),
+            (90, 3, 82),
+            (60, 4, 83),
+            (40, 1, 84),
+        ] {
+            let points = uniform_points(n, dim, 1000.0, seed).into_points();
+            let mut index = GridIndex::build(&points);
+            for victim in (0..n).step_by(7) {
+                // Links are mutual, so the departed peer's row names
+                // exactly the peers whose rows can change.
+                let selectors = index.empty_rect_neighbors(victim).unwrap();
+                let old_rows: Vec<Vec<usize>> = selectors
+                    .iter()
+                    .map(|&i| index.empty_rect_neighbors(i).unwrap())
+                    .collect();
+                index.remove(victim);
+                for (&i, old) in selectors.iter().zip(&old_rows) {
+                    let survivors: Vec<usize> =
+                        old.iter().copied().filter(|&r| r != victim).collect();
+                    assert_ne!(survivors.len(), old.len(), "links are mutual");
+                    let (row, _) = reselect(&index, i, &points[victim], &survivors)
+                        .expect("distinct workload");
+                    assert_eq!(
+                        Some(row),
+                        index.empty_rect_neighbors(i),
+                        "n={n} dim={dim} victim={victim} selector={i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shadow_query_declines_exactly_when_the_full_query_does() {
+        let points = vec![
+            Point::new(vec![0.0, 0.0]).unwrap(),
+            Point::new(vec![4.0, 5.0]).unwrap(), // departs
+            Point::new(vec![9.0, 0.0]).unwrap(), // shares y with point 0
+            Point::new(vec![6.0, 8.0]).unwrap(),
+        ];
+        let mut index = GridIndex::build(&points);
+        index.remove(1);
+        assert_eq!(index.empty_rect_neighbors(0), None);
+        assert_eq!(reselect(&index, 0, &points[1], &[2]), None);
+        // Without the collider both answer, and agree.
+        index.remove(2);
+        let (row, _) = reselect(&index, 0, &points[1], &[]).unwrap();
+        assert_eq!(Some(row), index.empty_rect_neighbors(0));
+    }
+
+    #[test]
+    fn a_departed_collider_casts_no_shadow() {
+        // Point 1 shares x with point 0: it lay in no orthant and
+        // dominated nobody, so the row just loses it.
+        let points = vec![
+            Point::new(vec![0.0, 0.0]).unwrap(),
+            Point::new(vec![0.0, 3.0]).unwrap(),
+            Point::new(vec![2.0, 6.0]).unwrap(),
+            Point::new(vec![5.0, 1.0]).unwrap(),
+        ];
+        let mut index = GridIndex::build(&points);
+        index.remove(1);
+        let (row, cells) = reselect(&index, 0, &points[1], &[2, 3]).unwrap();
+        assert_eq!(cells, 0, "nothing to walk");
+        assert_eq!(Some(row), index.empty_rect_neighbors(0));
+    }
+
+    #[test]
+    fn frontiers_merge_across_indexes_and_ignore_mirrored_duplicates() {
+        // Two overlapping "shards" of one population: the frontier
+        // carried through both equals the single-index answer, with the
+        // shared points admitted once.
+        let points = uniform_points(120, 2, 1000.0, 91).into_points();
+        let mut whole = GridIndex::build(&points);
+        let left: Vec<usize> = (0..120).filter(|&i| points[i][0] < 600.0).collect();
+        let right: Vec<usize> = (0..120).filter(|&i| points[i][0] > 400.0).collect();
+        let build = |ids: &[usize], skip: usize| {
+            let pts: Vec<Point> = ids
+                .iter()
+                .filter(|&&i| i != skip)
+                .map(|&i| points[i].clone())
+                .collect();
+            let map: Vec<usize> = ids.iter().copied().filter(|&i| i != skip).collect();
+            (GridIndex::build(&pts), map)
+        };
+        for p in 0..20 {
+            let old = whole.empty_rect_neighbors(p).unwrap();
+            let Some(&victim) = old.first() else { continue };
+            whole.remove(victim);
+            let (a, amap) = build(&left, victim);
+            let (b, bmap) = build(&right, victim);
+            let mut frontier = RectFrontier::new();
+            let mut row = Vec::new();
+            assert!(frontier.begin_shadow(&points[p], &points[victim]));
+            for &r in old.iter().filter(|&&r| r != victim) {
+                if !frontier.seed(&points[r], r) {
+                    row.push(r);
+                }
+            }
+            let skip = |map: &[usize]| map.iter().position(|&g| g == p);
+            assert!(a.empty_rect_shadow(&mut frontier, skip(&amap), |l| amap[l]));
+            assert!(b.empty_rect_shadow(&mut frontier, skip(&bmap), |l| bmap[l]));
+            row.extend_from_slice(frontier.ids());
+            row.sort_unstable();
+            assert_eq!(Some(row), whole.empty_rect_neighbors(p), "p={p}");
+            // Restore for the next round.
+            whole = GridIndex::build(&points);
+        }
+    }
+
+    /// Count-based regression (no clock): at N = 20k uniform 2-D the
+    /// shadow walk must scan a small fraction of the cells a full
+    /// re-selection scans — a handful for a neighbour in the middle of
+    /// the staircase, a partial strip for its two ends.
+    #[test]
+    fn shadow_walk_scans_under_a_tenth_of_the_full_query_cells() {
+        let points = uniform_points(20_000, 2, 1000.0, 97).into_points();
+        let mut index = GridIndex::build(&points);
+        let (mut shadow_cells, mut full_cells, mut reselections) = (0usize, 0usize, 0usize);
+        for victim in (0..20_000).step_by(400) {
+            let selectors = index.empty_rect_neighbors(victim).unwrap();
+            let old_rows: Vec<Vec<usize>> = selectors
+                .iter()
+                .map(|&i| index.empty_rect_neighbors(i).unwrap())
+                .collect();
+            index.remove(victim);
+            for (&i, old) in selectors.iter().zip(&old_rows) {
+                let survivors: Vec<usize> = old.iter().copied().filter(|&r| r != victim).collect();
+                let (row, cells) = reselect(&index, i, &points[victim], &survivors).unwrap();
+                assert_eq!(Some(row), index.empty_rect_neighbors(i));
+                shadow_cells += cells;
+                let mut frontier = RectFrontier::new();
+                for o in 0..4 {
+                    frontier.begin_orthant(index.point_coords(i), o);
+                    full_cells += index.frontier_walk(&mut frontier, i, &|id| id);
+                }
+                reselections += 1;
+            }
+        }
+        assert!(reselections > 1000, "a real sample: {reselections}");
+        assert!(
+            shadow_cells * 10 < full_cells,
+            "mean cells per re-selection: shadow {:.1}, full {:.1}",
+            shadow_cells as f64 / reselections as f64,
+            full_cells as f64 / reselections as f64
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! neighbour rule and the per-orthant Pareto frontier.
 
 use geocast_geom::dominance::{empty_rect_neighbors, empty_rect_neighbors_naive, rect_dominates};
-use geocast_geom::{Arrangement, Interval, Metric, MetricKind, Orthant, Point, Rect};
+use geocast_geom::index::RectFrontier;
+use geocast_geom::{Arrangement, GridIndex, Interval, Metric, MetricKind, Orthant, Point, Rect};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -31,6 +32,58 @@ fn distinct_points(dim: usize, n: usize) -> impl Strategy<Value = Vec<Point>> {
             })
             .collect()
     })
+}
+
+/// Reshapes a distinct-coordinate population (integer lattice + jitter,
+/// so every integer-valued transform keeps per-dimension distinctness):
+/// 0 = uniform, 1 = clustered around three centres, 2 = degenerate
+/// extent (dimension 0 squeezed into a micro-band). The last `outside`
+/// points are pushed far beyond everyone else, so that — inserted after
+/// the index is built — they land in clamped edge cells.
+fn reshape(points: Vec<Point>, shape: u8, outside: usize) -> Vec<Point> {
+    let n = points.len();
+    points
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let coords = p
+                .coords()
+                .iter()
+                .enumerate()
+                .map(|(d, &x)| {
+                    let (whole, jitter) = (x.floor(), x - x.floor());
+                    let whole = match shape {
+                        1 => whole.rem_euclid(30.0) + 400.0 * (whole / 700.0).trunc(),
+                        2 if d == 0 => 0.0,
+                        _ => whole,
+                    };
+                    let x = if shape == 2 && d == 0 {
+                        500.0 + jitter * 1e-6
+                    } else {
+                        whole + jitter
+                    };
+                    if i + outside >= n {
+                        x + if (i + d) % 2 == 0 { 5000.0 } else { -5000.0 }
+                    } else {
+                        x
+                    }
+                })
+                .collect();
+            Point::from_validated(coords)
+        })
+        .collect()
+}
+
+/// `p`'s empty-rectangle row over the live points, by the dominance
+/// module's brute force (which falls back to the naive rule on
+/// coordinate collisions — the store's reference semantics).
+fn brute_row(points: &[Point], live: &[bool], p: usize) -> Vec<usize> {
+    let ids: Vec<usize> = (0..points.len()).filter(|&j| j != p && live[j]).collect();
+    let candidates: Vec<&Point> = ids.iter().map(|&j| &points[j]).collect();
+    empty_rect_neighbors(&points[p], &candidates)
+        .into_iter()
+        .map(|ci| ids[ci])
+        .collect()
 }
 
 proptest! {
@@ -132,6 +185,72 @@ proptest! {
         naive.sort_unstable();
         let fast = empty_rect_neighbors(&p, &cands);
         prop_assert_eq!(fast, naive);
+    }
+
+    /// The departure repair: after random removals, the shadow query
+    /// (old row + the box the departed neighbour was blocking) equals a
+    /// fresh full query and the brute force, and it declines exactly
+    /// when the full query declines — over uniform, clustered and
+    /// degenerate-extent populations, points inserted outside the built
+    /// box, and an optional coordinate collider.
+    #[test]
+    fn shadow_query_equals_fresh_query_and_brute_force_after_removals(
+        dim in 2usize..=4,
+        shape in 0u8..3,
+        outside in 0usize..4,
+        pts in (8usize..40).prop_flat_map(|n| distinct_points(4, n)),
+        collider in (0usize..3, 0usize..40, 0usize..4),
+        victims in vec(0usize..1000, 1..8),
+    ) {
+        let project = |p: &Point| Point::from_validated(p.coords()[..dim].to_vec());
+        let mut points: Vec<Point> = reshape(pts.iter().map(project).collect(), shape, outside);
+        if collider.0 == 0 {
+            // One more point sharing a coordinate with an existing one.
+            let (twin, d) = (collider.1 % points.len(), collider.2 % dim);
+            let mut coords: Vec<f64> = points[twin].coords().iter().map(|x| x + 7.5).collect();
+            coords[d] = points[twin][d];
+            points.push(Point::from_validated(coords));
+        }
+        let built = points.len() - outside.min(points.len() - 2);
+        let mut index = GridIndex::build(&points[..built]);
+        for p in &points[built..] {
+            index.insert(p);
+        }
+        let mut live = vec![true; points.len()];
+        let mut frontier = RectFrontier::new();
+        for pick in victims {
+            let alive: Vec<usize> = (0..points.len()).filter(|&i| live[i]).collect();
+            if alive.len() <= 2 {
+                break;
+            }
+            let victim = alive[pick % alive.len()];
+            let old_rows: Vec<(usize, Vec<usize>)> = alive
+                .iter()
+                .filter(|&&i| i != victim)
+                .map(|&i| (i, brute_row(&points, &live, i)))
+                .filter(|(_, row)| row.contains(&victim))
+                .collect();
+            index.remove(victim);
+            live[victim] = false;
+            for (i, old) in old_rows {
+                let mut row = Vec::new();
+                frontier.begin_shadow(&points[i], &points[victim]);
+                for &r in old.iter().filter(|&&r| r != victim) {
+                    if !frontier.seed(&points[r], r) {
+                        row.push(r);
+                    }
+                }
+                let answered = index.empty_rect_shadow(&mut frontier, Some(i), |id| id);
+                let fresh = index.empty_rect_neighbors(i);
+                prop_assert_eq!(answered, fresh.is_some(), "declines differ at {}", i);
+                if let Some(fresh) = fresh {
+                    row.extend_from_slice(frontier.ids());
+                    row.sort_unstable();
+                    prop_assert_eq!(&row, &fresh, "shadow != fresh at {}", i);
+                    prop_assert_eq!(row, brute_row(&points, &live, i), "!= brute at {}", i);
+                }
+            }
+        }
     }
 
     #[test]

@@ -71,9 +71,7 @@ use crate::delta::DeltaKind;
 use crate::par;
 use crate::peer::{PeerId, PeerInfo};
 use crate::select::{NeighborSelection, ShardProfile};
-use crate::shard::{
-    orthant_stats, skip_certified, topk_join_recheck, uncovered_box_of, Shard, Tiling,
-};
+use crate::shard::{orthant_stats, skip_certified, topk_join_recheck, BoxScratch, Shard, Tiling};
 use crate::store::{topology_hash, TopologyStore};
 
 /// How a [`ShardRuntime`] is provisioned.
@@ -774,12 +772,13 @@ impl<T: ShardTransport> ShardRuntime<T> {
         let mut delta = BTreeSet::new();
         delta.insert(v);
         store.apply_out(v, Vec::new(), &mut delta);
-        let affected = store.rev[v].clone();
+        // Taking the list also releases its capacity: nobody selects a
+        // departed id again.
+        let affected = std::mem::take(&mut store.rev[v]);
         let folds = self.fold_batch(store, &affected);
         for (&i, new_out) in affected.iter().zip(folds) {
             store.apply_out(i, new_out, &mut delta);
         }
-        debug_assert!(store.rev[v].is_empty(), "survivors must drop the departed");
         store.last_delta = delta.into_iter().collect();
         store.record_delta(DeltaKind::Leave(v));
         self.record_shard_deltas(store, DeltaKind::Leave(v));
@@ -943,6 +942,7 @@ impl<T: ShardTransport> ShardRuntime<T> {
         // serial uncovered-box / skip-certificate sequence.
         let mut foreign_order: Vec<Vec<usize>> = vec![Vec::new(); k];
         let mut escaped = false;
+        let mut boxes = BoxScratch::default();
         for (qi, &i) in items.iter().enumerate() {
             let knn = match self.profile {
                 ShardProfile::OrthantTopK { k: kk, metric } => {
@@ -951,31 +951,22 @@ impl<T: ShardTransport> ShardRuntime<T> {
                 _ => None,
             };
             let home = homes[qi];
+            boxes.set_home(&self.tile_lo[home], &self.tile_hi[home], self.halo);
             for (s, order) in foreign_order.iter_mut().enumerate() {
-                if s == home || self.live_members[s] == 0 {
+                if s == home
+                    || self.live_members[s] == 0
+                    || !boxes.uncovered(&self.cover_lo[s], &self.cover_hi[s])
+                    || skip_certified(
+                        self.profile,
+                        &store.peers,
+                        i,
+                        &pools[qi],
+                        knn.as_ref(),
+                        &boxes.ulo,
+                        &boxes.uhi,
+                    )
+                {
                     continue;
-                }
-                match uncovered_box_of(
-                    &self.cover_lo[s],
-                    &self.cover_hi[s],
-                    &self.tile_lo[home],
-                    &self.tile_hi[home],
-                    self.halo,
-                ) {
-                    None => continue,
-                    Some((ulo, uhi)) => {
-                        if skip_certified(
-                            self.profile,
-                            &store.peers,
-                            i,
-                            &pools[qi],
-                            knn.as_ref(),
-                            &ulo,
-                            &uhi,
-                        ) {
-                            continue;
-                        }
-                    }
                 }
                 order.push(qi);
                 self.stats.cross_shard_requests += 1;
@@ -1113,6 +1104,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_departed_id_retains_no_reverse_list_on_any_engine() {
+        // Every engine's Leave takes the departed peer's selector list:
+        // the peer is never selected again, so the capacity goes too.
+        let selection: Arc<dyn NeighborSelection + Send + Sync> = Arc::new(EmptyRectSelection);
+        let config = ShardConfig::new(4);
+        let mut classic = TopologyStore::from_peers(peers(60, 2, 7), selection.clone());
+        let mut serial =
+            TopologyStore::from_peers_sharded(peers(60, 2, 7), selection.clone(), &config);
+        let mut driven = TopologyStore::from_peers_sharded(peers(60, 2, 7), selection, &config);
+        let mut rt = ShardRuntime::launch(&mut driven, &RuntimeConfig::default());
+        for v in [3usize, 17, 41] {
+            assert!(
+                classic.rev[v].capacity() > 0,
+                "peer {v} is selected by someone"
+            );
+            classic.remove(PeerId(v as u64));
+            serial.remove(PeerId(v as u64));
+            rt.remove(&mut driven, PeerId(v as u64));
+            for (name, store) in [
+                ("classic", &classic),
+                ("serial", &serial),
+                ("workers", &driven),
+            ] {
+                assert_eq!(store.rev[v].capacity(), 0, "{name}: rev[{v}]");
+                assert_eq!(store.out[v].capacity(), 0, "{name}: out[{v}]");
+            }
+        }
+        rt.shutdown(&mut driven);
+        assert_eq!(classic.graph(), serial.graph());
+        assert_eq!(classic.graph(), driven.graph());
     }
 
     #[test]

@@ -56,12 +56,18 @@
 //! the per-join cost from `O(N)` selection re-runs to `O(degree)`;
 //! per-orthant top-`K` rules prune the recheck scan with a saturation
 //! test per peer (`O(degree)` arithmetic, no selection call); other
-//! rules keep the exact full recheck. Leaves re-select exactly the
-//! departed peer's selectors, as in the single store.
+//! rules keep the exact full recheck. Leaves touch exactly the departed
+//! peer's selectors, as in the single store — and under the
+//! empty-rectangle rule each selector's row is *repaired* rather than
+//! re-selected: old row plus the shadow query over the box the departed
+//! peer was blocking, on the home shard and on the foreign shards that
+//! box reaches (`crate::store`, "Why the incremental path is exact").
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
+use geocast_geom::dominance::rect_dominates;
+use geocast_geom::index::{RectFrontier, MAX_INDEX_DIM};
 use geocast_geom::{Metric, MetricKind, Point};
 
 use crate::delta::DeltaKind;
@@ -539,6 +545,68 @@ pub struct ShardedTopologyStore {
     /// Global peer id → home shard.
     home: Vec<u32>,
     stats: ShardBuildStats,
+    /// Buffers the serial churn paths reuse from event to event.
+    scratch: FoldScratch,
+}
+
+/// Reusable buffers of the fold paths, so that a churn event allocates
+/// the rows it returns and little else.
+#[derive(Debug, Default)]
+pub(crate) struct FoldScratch {
+    boxes: BoxScratch,
+    frontier: RectFrontier,
+}
+
+/// The home halo band of one fold and the uncovered box of the foreign
+/// shard under test, as caller-owned buffers: the skip tests run once
+/// per foreign shard per fold and must not allocate.
+#[derive(Debug, Default)]
+pub(crate) struct BoxScratch {
+    band_lo: Vec<f64>,
+    band_hi: Vec<f64>,
+    /// The uncovered box after a `true` from [`BoxScratch::uncovered`].
+    pub(crate) ulo: Vec<f64>,
+    pub(crate) uhi: Vec<f64>,
+}
+
+impl BoxScratch {
+    /// Fixes the home shard of the fold: its tile grown by the halo
+    /// width is the band whose residents the home index mirrors.
+    pub(crate) fn set_home(&mut self, tile_lo: &[f64], tile_hi: &[f64], halo: f64) {
+        self.band_lo.clear();
+        self.band_lo.extend(tile_lo.iter().map(|x| x - halo));
+        self.band_hi.clear();
+        self.band_hi.extend(tile_hi.iter().map(|x| x + halo));
+    }
+
+    /// The conservative resident box of a foreign shard minus the home
+    /// halo band, written to `ulo`/`uhi`. `false` means the shard is
+    /// entirely inside the band — every one of its residents is
+    /// mirrored into the home shard.
+    pub(crate) fn uncovered(&mut self, cover_lo: &[f64], cover_hi: &[f64]) -> bool {
+        let (g_lo, g_hi) = (&self.band_lo, &self.band_hi);
+        let mut outside =
+            (0..cover_lo.len()).filter(|&d| !(g_lo[d] <= cover_lo[d] && cover_hi[d] <= g_hi[d]));
+        let Some(d) = outside.next() else {
+            return false;
+        };
+        let single = outside.next().is_none();
+        self.ulo.clear();
+        self.ulo.extend_from_slice(cover_lo);
+        self.uhi.clear();
+        self.uhi.extend_from_slice(cover_hi);
+        // With exactly one uncovered dimension the band removes a
+        // full-width slab, so that dimension can be clipped; with more,
+        // the difference is not a box and the full cover stays.
+        if single {
+            if g_lo[d] <= self.ulo[d] && g_hi[d] < self.uhi[d] {
+                self.ulo[d] = g_hi[d];
+            } else if self.ulo[d] < g_lo[d] && self.uhi[d] <= g_hi[d] {
+                self.uhi[d] = g_lo[d];
+            }
+        }
+        true
+    }
 }
 
 impl ShardedTopologyStore {
@@ -620,6 +688,7 @@ impl ShardedTopologyStore {
             shards,
             home,
             stats: ShardBuildStats::default(),
+            scratch: FoldScratch::default(),
         };
         let departed = vec![false; peers.len()];
         // Per shard: each resident's (global id, folded selection), plus
@@ -631,10 +700,14 @@ impl ShardedTopologyStore {
             par::map_shards(k, |s| {
                 // lint:allow(D002, reason = "feeds ShardBuildStats phase timings only; no control flow reads the clock")
                 let t = Instant::now();
+                let mut scratch = FoldScratch::default();
                 let outs: Vec<(usize, Vec<usize>)> = engine.shards[s]
                     .resident_ids
                     .iter()
-                    .map(|&g| (g, engine.fold_select(peers, departed, selection, g)))
+                    .map(|&g| {
+                        let row = engine.fold_select(peers, departed, selection, g, &mut scratch);
+                        (g, row)
+                    })
                     .collect();
                 (outs, t.elapsed())
             })
@@ -776,41 +849,128 @@ impl ShardedTopologyStore {
         departed: &[bool],
         selection: &dyn NeighborSelection,
         i: usize,
+        scratch: &mut FoldScratch,
     ) -> Vec<usize> {
         let home = self.home[i] as usize;
-        let base = self.shard_shortlist(peers, departed, selection, home, i);
-        let mut pool = base.clone();
+        let boxes = &mut scratch.boxes;
+        // The home shortlist doubles as the skip tests' base: the pool
+        // grows behind it.
+        let mut pool = self.shard_shortlist(peers, departed, selection, home, i);
+        let base_len = pool.len();
         let knn = match self.profile {
             ShardProfile::OrthantTopK { k, metric } => {
-                Some(orthant_stats(peers, i, &base, k, metric))
+                Some(orthant_stats(peers, i, &pool, k, metric))
             }
             _ => None,
         };
-        for s in 0..self.shards.len() {
-            if s == home || self.shards[s].index.live_len() == 0 {
+        boxes.set_home(
+            &self.shards[home].tile_lo,
+            &self.shards[home].tile_hi,
+            self.halo,
+        );
+        for (s, shard) in self.shards.iter().enumerate() {
+            if s == home || shard.index.live_len() == 0 {
                 continue;
             }
-            match self.uncovered_box(s, home) {
-                // Every resident of `s` lies inside the home halo band,
-                // so the home shortlist already considered them all.
-                None => continue,
-                Some((ulo, uhi)) => {
-                    if self.skippable(peers, i, &base, knn.as_ref(), &ulo, &uhi) {
-                        continue;
-                    }
-                }
+            // Entirely inside the home halo band: the home shortlist
+            // already considered every resident.
+            if !boxes.uncovered(&shard.cover_lo, &shard.cover_hi) {
+                continue;
+            }
+            let base = &pool[..base_len];
+            if skip_certified(
+                self.profile,
+                peers,
+                i,
+                base,
+                knn.as_ref(),
+                &boxes.ulo,
+                &boxes.uhi,
+            ) {
+                continue;
             }
             pool.extend(self.shard_shortlist(peers, departed, selection, s, i));
         }
+        let escaped = pool.len() > base_len;
         pool.sort_unstable();
         pool.dedup();
         pool.retain(|&j| j != i && !departed[j]);
+        if !escaped {
+            // The home shortlist is a selection's own output, and
+            // selections are stable on their own output (module docs,
+            // step 3): the merge-select would hand it back unchanged.
+            return pool;
+        }
         let refs: Vec<&PeerInfo> = pool.iter().map(|&j| &peers[j]).collect();
         selection
             .select(&peers[i], &refs)
             .into_iter()
             .map(|ci| pool[ci])
             .collect()
+    }
+
+    /// Peer `i`'s exact row after its selected neighbour `v` departed
+    /// (already tombstoned), under the empty-rectangle rule: the old
+    /// row without `v`, plus whatever `v` alone was blocking — the
+    /// shadow query ([`RectFrontier`]) on the home shard and on those
+    /// foreign shards whose uncovered box reaches into the shadow and
+    /// that the survivors cannot rule out, their frontiers merged as
+    /// they are found. `None` when an index declines (a coordinate
+    /// collision with `i`): the caller falls back to
+    /// [`ShardedTopologyStore::fold_select`].
+    fn shadow_reselect(
+        &self,
+        peers: &[PeerInfo],
+        old_row: &[usize],
+        i: usize,
+        v: usize,
+        scratch: &mut FoldScratch,
+    ) -> Option<Vec<usize>> {
+        let FoldScratch { boxes, frontier } = scratch;
+        frontier.begin_shadow(peers[i].point(), peers[v].point());
+        let mut row = Vec::with_capacity(old_row.len() + 2);
+        for &r in old_row {
+            if r != v && !frontier.seed(peers[r].point(), r) {
+                row.push(r);
+            }
+        }
+        let shadow_on = |shard: &Shard, frontier: &mut RectFrontier| {
+            shard
+                .index
+                .empty_rect_shadow(frontier, shard.local_of.get(&i).copied(), |l| {
+                    shard.members[l]
+                })
+        };
+        let home_id = self.home[i] as usize;
+        let home = &self.shards[home_id];
+        if !shadow_on(home, frontier) {
+            return None;
+        }
+        boxes.set_home(&home.tile_lo, &home.tile_hi, self.halo);
+        for (s, shard) in self.shards.iter().enumerate() {
+            if s == home_id
+                || shard.index.live_len() == 0
+                || !boxes.uncovered(&shard.cover_lo, &shard.cover_hi)
+                || !frontier.shadow_reaches(&boxes.ulo, &boxes.uhi)
+                || skip_certified(
+                    ShardProfile::EmptyRect,
+                    peers,
+                    i,
+                    frontier.ids(),
+                    None,
+                    &boxes.ulo,
+                    &boxes.uhi,
+                )
+            {
+                continue;
+            }
+            if !shadow_on(shard, frontier) {
+                return None;
+            }
+        }
+        row.extend_from_slice(frontier.ids());
+        row.sort_unstable();
+        Some(row)
     }
 
     /// Shard `s`'s shortlist for peer `i`: [`Shard::shortlist`] backed
@@ -832,33 +992,6 @@ impl ShardedTopologyStore {
             |l| &peers[shard.members[l]],
             |l| departed[shard.members[l]],
         )
-    }
-
-    /// The conservative box of shard `s`'s residents minus the home
-    /// halo band. `None` means `s` is entirely inside the band — every
-    /// one of its residents is mirrored into the home shard.
-    fn uncovered_box(&self, s: usize, home: usize) -> Option<(Vec<f64>, Vec<f64>)> {
-        uncovered_box_of(
-            &self.shards[s].cover_lo,
-            &self.shards[s].cover_hi,
-            &self.shards[home].tile_lo,
-            &self.shards[home].tile_hi,
-            self.halo,
-        )
-    }
-
-    /// `true` when no point of the box `[ulo, uhi]` can enter peer
-    /// `i`'s selection, certified from the home shortlist alone.
-    fn skippable(
-        &self,
-        peers: &[PeerInfo],
-        i: usize,
-        base: &[usize],
-        knn: Option<&BTreeMap<u32, (usize, f64)>>,
-        ulo: &[f64],
-        uhi: &[f64],
-    ) -> bool {
-        skip_certified(self.profile, peers, i, base, knn, ulo, uhi)
     }
 
     /// Registers a freshly inserted peer: home assignment, resident
@@ -961,42 +1094,6 @@ impl ShardedTopologyStore {
     }
 }
 
-/// The conservative resident box of a foreign shard minus the home
-/// halo band (free-function form shared by the serial engine and the
-/// runtime coordinator's shard replicas). `None` means the shard is
-/// entirely inside the band — every one of its residents is mirrored
-/// into the home shard.
-pub(crate) fn uncovered_box_of(
-    cover_lo: &[f64],
-    cover_hi: &[f64],
-    home_tile_lo: &[f64],
-    home_tile_hi: &[f64],
-    halo: f64,
-) -> Option<(Vec<f64>, Vec<f64>)> {
-    let dim = cover_lo.len();
-    let g_lo: Vec<f64> = home_tile_lo.iter().map(|x| x - halo).collect();
-    let g_hi: Vec<f64> = home_tile_hi.iter().map(|x| x + halo).collect();
-    let uncovered: Vec<usize> = (0..dim)
-        .filter(|&d| !(g_lo[d] <= cover_lo[d] && cover_hi[d] <= g_hi[d]))
-        .collect();
-    if uncovered.is_empty() {
-        return None;
-    }
-    let mut ulo = cover_lo.to_vec();
-    let mut uhi = cover_hi.to_vec();
-    // With exactly one uncovered dimension the band removes a
-    // full-width slab, so that dimension can be clipped; with more,
-    // the difference is not a box and the full cover stays.
-    if let [d] = uncovered[..] {
-        if g_lo[d] <= ulo[d] && g_hi[d] < uhi[d] {
-            ulo[d] = g_hi[d];
-        } else if ulo[d] < g_lo[d] && uhi[d] <= g_hi[d] {
-            uhi[d] = g_lo[d];
-        }
-    }
-    Some((ulo, uhi))
-}
-
 /// `true` when no point of the box `[ulo, uhi]` can enter peer `i`'s
 /// selection, certified from the home shortlist alone (free-function
 /// form shared by the serial engine and the runtime coordinator).
@@ -1049,9 +1146,12 @@ pub(crate) fn skip_certified(
             if count < k {
                 return false;
             }
-            let clamped: Vec<f64> = (0..pc.len()).map(|d| pc[d].clamp(ulo[d], uhi[d])).collect();
-            let nearest = Point::new(clamped).expect("clamped coordinates are finite");
-            metric.dist(peers[i].point(), &nearest) > kth
+            // Distance to the box's closest point, as a gap vector.
+            let mut gaps = [0.0f64; MAX_INDEX_DIM];
+            for d in 0..pc.len() {
+                gaps[d] = pc[d] - pc[d].clamp(ulo[d], uhi[d]);
+            }
+            metric.norm(&gaps[..pc.len()]) > kth
         }
         ShardProfile::Generic => false,
     }
@@ -1197,7 +1297,15 @@ pub(crate) fn sharded_insert(store: &mut TopologyStore, point: Point) -> PeerId 
     engine.add_peer(id, &store.peers);
 
     let selection = store.selection.clone();
-    let own = engine.fold_select(&store.peers, &store.departed, selection.as_ref(), id);
+    let mut scratch = std::mem::take(&mut engine.scratch);
+    let own = engine.fold_select(
+        &store.peers,
+        &store.departed,
+        selection.as_ref(),
+        id,
+        &mut scratch,
+    );
+    engine.scratch = scratch;
 
     // The affected set, by rule structure (module docs): the newcomer's
     // own selection for the empty-rectangle rule; the saturation-pruned
@@ -1217,7 +1325,12 @@ pub(crate) fn sharded_insert(store: &mut TopologyStore, point: Point) -> PeerId 
         }
         ShardProfile::Generic => (0..id).filter(|&i| !store.departed[i]).collect(),
     };
-    let updates: Vec<Option<Vec<usize>>> = {
+    let updates: Vec<Option<Vec<usize>>> = if engine.profile == ShardProfile::EmptyRect {
+        affected
+            .iter()
+            .map(|&i| Some(join_dominance_update(&store.peers, &store.out[i], i, id)))
+            .collect()
+    } else {
         let peers = &store.peers;
         let out = &store.out;
         let sel = selection.as_ref();
@@ -1250,9 +1363,33 @@ pub(crate) fn sharded_insert(store: &mut TopologyStore, point: Point) -> PeerId 
     PeerId(id as u64)
 }
 
+/// Peer `i`'s row after newcomer `q` entered it, under the
+/// empty-rectangle rule: `q` joins (it selected `i`, and the spanned
+/// rectangle is the same from both ends) and evicts exactly the old
+/// neighbours whose rectangle with `i` it now sits in. `O(degree)`
+/// [`rect_dominates`] tests — the definitional strict-interior test, so
+/// this is the rule itself restricted to the one new candidate and
+/// needs no collision fallback (`crate::store`, "Why the incremental
+/// path is exact").
+fn join_dominance_update(peers: &[PeerInfo], old_row: &[usize], i: usize, q: usize) -> Vec<usize> {
+    let (p, newcomer) = (peers[i].point(), peers[q].point());
+    let mut row = Vec::with_capacity(old_row.len() + 1);
+    row.extend(
+        old_row
+            .iter()
+            .copied()
+            .filter(|&r| !rect_dominates(p, newcomer, peers[r].point())),
+    );
+    // `q` is the largest id, so appending keeps the row sorted.
+    row.push(q);
+    row
+}
+
 /// The sharded [`TopologyStore::remove`] path: identical affected set
-/// to the single store (the departed peer's selectors), with every
-/// re-selection answered by the sharded fold.
+/// to the single store (the departed peer's selectors). Under the
+/// empty-rectangle rule each selector's row is repaired from its old
+/// row plus the shadow query; every other profile — and any decline —
+/// re-selects through the sharded fold.
 pub(crate) fn sharded_remove(store: &mut TopologyStore, id: PeerId) {
     let v = id.index();
     assert!(v < store.peers.len(), "peer id out of range");
@@ -1269,13 +1406,30 @@ pub(crate) fn sharded_remove(store: &mut TopologyStore, id: PeerId) {
     let mut delta = BTreeSet::new();
     delta.insert(v);
     store.apply_out(v, Vec::new(), &mut delta);
-    let affected = store.rev[v].clone();
+    // Taking the list also releases its capacity: nobody selects a
+    // departed id again.
+    let affected = std::mem::take(&mut store.rev[v]);
     let selection = store.selection.clone();
+    let mut scratch = std::mem::take(&mut engine.scratch);
     for i in affected {
-        let new_out = engine.fold_select(&store.peers, &store.departed, selection.as_ref(), i);
+        let repaired = match engine.profile {
+            ShardProfile::EmptyRect => {
+                engine.shadow_reselect(&store.peers, &store.out[i], i, v, &mut scratch)
+            }
+            _ => None,
+        };
+        let new_out = repaired.unwrap_or_else(|| {
+            engine.fold_select(
+                &store.peers,
+                &store.departed,
+                selection.as_ref(),
+                i,
+                &mut scratch,
+            )
+        });
         store.apply_out(i, new_out, &mut delta);
     }
-    debug_assert!(store.rev[v].is_empty(), "survivors must drop the departed");
+    engine.scratch = scratch;
     store.last_delta = delta.into_iter().collect();
     store.record_delta(DeltaKind::Leave(v));
     engine.record_shard_deltas(store.epoch, DeltaKind::Leave(v), &store.last_delta);
@@ -1687,6 +1841,80 @@ mod tests {
                     .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
                     .map(|(_, i)| i);
                 assert_eq!(store.nearest_live_where(q, MetricKind::L1, f), scan);
+            }
+        }
+    }
+
+    #[test]
+    fn uncovered_box_clips_only_a_single_uncovered_dimension() {
+        let mut boxes = BoxScratch::default();
+        // Home tile [0,100]², halo 10: the band is [-10,110]².
+        boxes.set_home(&[0.0, 0.0], &[100.0, 100.0], 10.0);
+        // Entirely inside the band (closed on both edges): mirrored.
+        assert!(!boxes.uncovered(&[-10.0, 5.0], &[110.0, 90.0]));
+        // Sticking out along x only: the covered slab is clipped off.
+        assert!(boxes.uncovered(&[50.0, 0.0], &[300.0, 100.0]));
+        assert_eq!(
+            (&boxes.ulo[..], &boxes.uhi[..]),
+            (&[110.0, 0.0][..], &[300.0, 100.0][..])
+        );
+        assert!(boxes.uncovered(&[-200.0, 20.0], &[40.0, 80.0]));
+        assert_eq!(
+            (&boxes.ulo[..], &boxes.uhi[..]),
+            (&[-200.0, 20.0][..], &[-10.0, 80.0][..])
+        );
+        // Sticking out along both: the difference is no box, keep all.
+        assert!(boxes.uncovered(&[50.0, 50.0], &[300.0, 300.0]));
+        assert_eq!(
+            (&boxes.ulo[..], &boxes.uhi[..]),
+            (&[50.0, 50.0][..], &[300.0, 300.0][..])
+        );
+        // Straddling the band along x: nothing to clip either.
+        assert!(boxes.uncovered(&[-50.0, 0.0], &[150.0, 100.0]));
+        assert_eq!(
+            (&boxes.ulo[..], &boxes.uhi[..]),
+            (&[-50.0, 0.0][..], &[150.0, 100.0][..])
+        );
+    }
+
+    #[test]
+    fn join_dominance_update_is_the_rule_on_the_old_row_plus_the_newcomer() {
+        // Every peer of a population in turn plays the newcomer (it has
+        // the largest id of the slice): for each peer it selects, the
+        // closed-form update must equal re-running the rule on
+        // `old row ∪ {newcomer}` — collisions included (the lattice
+        // population shares coordinates constantly).
+        let lattice: Vec<PeerInfo> = (0..36u64)
+            .map(|i| {
+                let (x, y) = ((i * 7) % 6, (i * 5) % 7);
+                PeerInfo::new(PeerId(i), Point::new(vec![x as f64, y as f64]).unwrap())
+            })
+            .collect();
+        for population in [peers(40, 2, 61), peers(30, 3, 62), lattice] {
+            let q = population.len() - 1;
+            let before =
+                TopologyStore::from_peers(population[..q].to_vec(), Arc::new(EmptyRectSelection));
+            let after = TopologyStore::from_peers(population.clone(), Arc::new(EmptyRectSelection));
+            for &i in after.out_neighbors(q) {
+                let old = before.out_neighbors(i);
+                let mut cand_ids = old.to_vec();
+                cand_ids.push(q);
+                let refs: Vec<&PeerInfo> = cand_ids.iter().map(|&j| &population[j]).collect();
+                let want: Vec<usize> = EmptyRectSelection
+                    .select(&population[i], &refs)
+                    .into_iter()
+                    .map(|ci| cand_ids[ci])
+                    .collect();
+                assert_eq!(
+                    join_dominance_update(&population, old, i, q),
+                    want,
+                    "peer {i}"
+                );
+                assert_eq!(
+                    after.out_neighbors(i),
+                    &want[..],
+                    "peer {i} vs from scratch"
+                );
             }
         }
     }

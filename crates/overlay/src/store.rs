@@ -35,9 +35,48 @@
 //!   dropping a non-selected candidate leaves every top-`K` intact.
 //!   The reverse-adjacency table hands the affected set directly.
 //!
+//! On the sharded engine ([`crate::shard`]) the empty-rectangle rule
+//! goes one step further and makes each affected peer's update cost what
+//! the event changes in its row, not what a selection costs:
+//!
+//! * **Join: the dominance update.** The affected set of `q`'s join is
+//!   `q`'s own selection (links are mutual), and for `i` in it the
+//!   recheck over `selection(i) ∪ {q}` has a closed form. `q` enters —
+//!   `q` selected `i`, and the spanned rectangle is the same from both
+//!   ends. The old neighbours are pairwise non-blocking, so the only
+//!   candidate that can newly sit inside a rectangle is `q` itself:
+//!   new row = `{r ∈ selection(i) : q ∉ rect(i, r)} ∪ {q}` — `O(degree)`
+//!   strict-interior tests
+//!   ([`geocast_geom::dominance::rect_dominates`]), no selection call.
+//!   That test *is* the rule's definition, coordinate collisions
+//!   included (a point sharing a coordinate with `i` is inside no open
+//!   rectangle and has an empty one of its own), so the update needs no
+//!   fallback.
+//! * **Leave: the shadow lemma.** When `x ∈ selection(i)` departs,
+//!   new row = `(selection(i) − x) ∪` Pareto-min `{live q : x ∈ rect(i, q)
+//!   and no survivor of the row is in rect(i, q)}`. Every live
+//!   non-neighbour had some neighbour in its rectangle; one with a
+//!   survivor there stays blocked; one only `x` blocked lies strictly
+//!   beyond `x` in `x`'s orthant, and among those the unblocked ones
+//!   are the Pareto-minimal (a blocker of such a point is itself beyond
+//!   `x` and free of the survivors, by transitivity). No survivor is
+//!   evicted — a point beyond `x` inside a survivor's rectangle would
+//!   put `x` inside it too — and other orthants never enter the
+//!   argument. So the repair is the old row plus one *shadow query*
+//!   ([`geocast_geom::index::RectFrontier`]): a walk of the box
+//!   strictly beyond `x`, seeded with the survivors of `x`'s orthant,
+//!   on the home shard and on the foreign shards that box reaches. The
+//!   lemma needs `i`'s row to be a per-orthant Pareto frontier, i.e. no
+//!   live point sharing a coordinate with `i`: exactly then the shard
+//!   index answers, and when it declines the selector re-selects from
+//!   scratch as before. A departed `x` that itself shared a coordinate
+//!   with `i` blocked nobody; the row just loses it.
+//!
 //! Property tests (`tests/prop_store.rs`) assert the incremental result
 //! equals a from-scratch rebuild for the empty-rectangle rule and all
-//! Hyperplanes instances, across random join/leave interleavings.
+//! Hyperplanes instances, across random join/leave interleavings —
+//! remove-heavy ones on 1, 4 and 16 shards included; `prop_geom` pins
+//! the shadow query itself against the full query and the brute force.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -649,13 +688,14 @@ impl TopologyStore {
         // The departed peer selects nobody.
         self.apply_out(v, Vec::new(), &mut delta);
         // Only its selectors can lose an edge; they re-select over the
-        // survivors (index-tombstoned or mask-filtered).
-        let affected = self.rev[v].clone();
+        // survivors (index-tombstoned or mask-filtered). Taking the
+        // list also releases its capacity: nobody selects a departed
+        // id again.
+        let affected = std::mem::take(&mut self.rev[v]);
         for i in affected {
             let new_out = self.select_full(i);
             self.apply_out(i, new_out, &mut delta);
         }
-        debug_assert!(self.rev[v].is_empty(), "survivors must drop the departed");
         self.last_delta = delta.into_iter().collect();
         self.record_delta(DeltaKind::Leave(v));
     }
@@ -663,9 +703,6 @@ impl TopologyStore {
     /// One peer's selection over the full live candidate set, through
     /// the index when it applies.
     fn select_full(&self, i: usize) -> Vec<usize> {
-        if let Some(engine) = &self.sharding {
-            return engine.fold_select(&self.peers, &self.departed, self.selection.as_ref(), i);
-        }
         let ctx = match &self.index {
             Some(ix) => SelectContext::with_index(ix, true),
             None => SelectContext::without_index(),
