@@ -4,10 +4,11 @@
 //!
 //! Two claims under test:
 //!
-//! 1. **Locality.** The `GroupEngine` pays per churn event for the
+//! 1. **Locality.** The `GroupEngine` examines per churn event only the
 //!    **delta-affected** groups (those whose members or graft-support
-//!    nodes intersect the event's dirty region), not for the total
-//!    group count. Holding the population and the total subscription
+//!    nodes intersect the event's dirty region) and rebuilds only those
+//!    of them whose repair certificate failed — not the total group
+//!    count. Holding the population and the total subscription
 //!    count fixed while sweeping the number of groups, the
 //!    affected-group mean must grow sublinearly in the group count —
 //!    while a naive rebuild-everything engine would scale linearly.

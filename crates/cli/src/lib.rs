@@ -933,6 +933,7 @@ fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
     let start = Instant::now();
     let mut affected_sum = 0usize;
     let mut affected_max = 0usize;
+    let mut certified_sum = 0usize;
     for event in schedule.events() {
         match event {
             ChurnEvent::Join(p) => {
@@ -940,8 +941,10 @@ fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
             }
             ChurnEvent::Leave(id) => engine.leave(*id),
         }
-        affected_sum += engine.last_sync().affected_groups;
-        affected_max = affected_max.max(engine.last_sync().affected_groups);
+        let sync = engine.last_sync();
+        affected_sum += sync.affected_groups;
+        affected_max = affected_max.max(sync.affected_groups);
+        certified_sum += sync.certified_groups;
     }
     // Workload publishes plus one final publish per group (so every
     // group's coverage is measured even when the Zipf tail drew no
@@ -990,10 +993,16 @@ fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
         "  events per second   : {:.0}\n",
         events as f64 / secs.max(1e-9)
     ));
+    let churn = schedule.len().max(1) as f64;
     out.push_str(&format!(
-        "  affected groups     : mean {:.2} / max {} (naive engine: {num_groups} per event)\n",
-        affected_sum as f64 / schedule.len().max(1) as f64,
+        "  affected groups     : mean {:.2} / max {} examined per churn event (naive engine: {num_groups})\n",
+        affected_sum as f64 / churn,
         affected_max
+    ));
+    out.push_str(&format!(
+        "  certified / rebuilt : mean {:.2} / {:.2} per churn event\n",
+        certified_sum as f64 / churn,
+        (affected_sum - certified_sum) as f64 / churn
     ));
     out.push_str(&format!(
         "  tree rebuilds       : {}\n",

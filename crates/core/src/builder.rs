@@ -222,7 +222,7 @@ pub fn build_in_zone(
 /// reach (everyone, or a member set) is the caller's knowledge.
 pub(crate) fn build_in_zone_generic(
     peers: &[PeerInfo],
-    neighbors_into: impl Fn(usize, &mut Vec<usize>),
+    mut neighbors_into: impl FnMut(usize, &mut Vec<usize>),
     start: usize,
     zone: Rect,
     partitioner: &dyn ZonePartitioner,

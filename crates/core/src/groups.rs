@@ -18,14 +18,25 @@
 //!   discovered path joins the tree as non-member relay nodes
 //!   ([`build_group_tree_grafted`]). Only members overlay-disconnected
 //!   from the root remain stranded — provably undeliverable.
-//! * **Delta-driven repair.** The engine is a registered consumer of the
-//!   store's epoch-numbered delta stream ([`geocast_overlay::DeltaLog`]).
-//!   Per churn event it repairs *only* the groups whose members **or
-//!   graft-support nodes** (relay paths and every adjacency row the
-//!   discovery consulted) intersect the event's dirty region — a
-//!   group's grafted tree is a pure function of exactly those rows plus
-//!   membership and liveness, so a group untouched by every delta is
-//!   provably unchanged, and a touched one re-grafts, tearing down and
+//! * **Delta-driven repair, certificate-gated.** The engine is a
+//!   registered consumer of the store's epoch-numbered delta stream
+//!   ([`geocast_overlay::DeltaLog`]). Per churn event it *examines* only
+//!   the groups whose members **or graft-support nodes** (relay paths
+//!   and every adjacency row the discovery consulted) intersect the
+//!   event's dirty region — a group's grafted tree is a pure function of
+//!   exactly those rows plus membership and liveness, so a group
+//!   untouched by every delta is provably unchanged. An examined group
+//!   is rebuilt only if a **recorded decision changed**: every build
+//!   carries a [`RepairCertificate`] (the member-induced rows the §2
+//!   construction read, and the target each graft walk was heading for
+//!   at each support node), and the group keeps its build, its rebuild
+//!   counter and its cached delivery plan when no member or support
+//!   node departed, every dirtied reached member's member-induced row
+//!   reads as recorded, and every dirtied support node still takes the
+//!   same greedy hop — the induction that makes this exact is written
+//!   at [`GroupBuild::still_holds`]. Anything else (a failed
+//!   clause, a graft that used the region or flood tier, a membership
+//!   operation) goes through the one rebuild path, tearing down and
 //!   re-routing relays whose underlying peers churned. Consumers that
 //!   fall behind the log's retention window resync from the full store
 //!   state.
@@ -45,8 +56,10 @@
 //! tested (`tests/prop_groups.rs`): after any churn interleaving, every
 //! registered group's build — relay grafts included — is byte-identical
 //! to a from-scratch [`build_group_tree_grafted`] rebuild on the
-//! surviving members, while the engine pays only for delta-affected
-//! groups.
+//! surviving members — whether the engine rebuilt it, certified it
+//! unchanged or never looked at it — while the engine pays a full
+//! rebuild only for delta-affected groups in which a recorded decision
+//! changed.
 //!
 //! # Example
 //!
@@ -77,6 +90,7 @@ use std::sync::Arc;
 
 use geocast_geom::{MetricKind, Point, Rect};
 use geocast_overlay::delta::DeltaKind;
+use geocast_overlay::routing::greedy_step_on_store;
 use geocast_overlay::{CursorCatchUp, DeltaCursor, PeerId, TopologyStore};
 use geocast_sim::workload::{GroupOp, MembershipPlacement};
 
@@ -85,7 +99,7 @@ use crate::builder::{build_in_zone_generic, BuildResult};
 use crate::dataplane::{
     eager_lazy_deliver, DeliveryPlan, EpidemicReport, PlanCache, PlanStats, PublishBatch,
 };
-use crate::graft::{graft_stranded_members, GraftReport};
+use crate::graft::{graft_with_targets, GraftReport};
 use crate::partition::ZonePartitioner;
 use crate::stability::{preferred_links_on_store, PreferredPolicy, StabilityForest};
 
@@ -131,6 +145,18 @@ pub fn build_group_tree_on_store(
     members: &BTreeSet<usize>,
     partitioner: &dyn ZonePartitioner,
 ) -> BuildResult {
+    member_tree(store, root, members, partitioner, |_, _| {})
+}
+
+/// [`build_group_tree_on_store`], handing every member-induced row the
+/// construction reads — each reached member's, once — to `read`.
+fn member_tree(
+    store: &TopologyStore,
+    root: usize,
+    members: &BTreeSet<usize>,
+    partitioner: &dyn ZonePartitioner,
+    mut read: impl FnMut(usize, &[usize]),
+) -> BuildResult {
     assert!(root < store.len(), "root out of range");
     assert!(members.contains(&root), "root must be a member");
     assert!(!store.is_departed(PeerId(root as u64)), "root has departed");
@@ -149,6 +175,7 @@ pub fn build_group_tree_on_store(
         |i, buf| {
             store.undirected_neighbors_into(i, buf);
             buf.retain(|&j| member_bits.contains(j));
+            read(i, buf);
         },
         root,
         Rect::full(dim),
@@ -169,6 +196,52 @@ pub fn build_group_tree_on_store(
     result
 }
 
+/// The member-induced adjacency rows one §2 group construction read:
+/// for every member the tree reached, its overlay neighbours that are
+/// fellow members, in row order. The construction is a function of
+/// exactly these rows (plus coordinates and the partitioner), so a
+/// later state of the overlay in which they all read the same yields
+/// the same §2 tree.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct MemberRows {
+    /// `(member, start, end)` of each row in `flat`, ascending by member.
+    spans: Vec<(u32, u32, u32)>,
+    flat: Vec<u32>,
+}
+
+impl MemberRows {
+    fn record(&mut self, member: usize, row: &[usize]) {
+        let start = self.flat.len() as u32;
+        self.flat.extend(row.iter().map(|&j| j as u32));
+        self.spans
+            .push((member as u32, start, self.flat.len() as u32));
+    }
+
+    /// The recorded row of `member`; `None` if the §2 construction did
+    /// not reach it.
+    fn row(&self, member: usize) -> Option<&[u32]> {
+        let at = self
+            .spans
+            .binary_search_by_key(&(member as u32), |&(m, _, _)| m)
+            .ok()?;
+        let (_, start, end) = self.spans[at];
+        Some(&self.flat[start as usize..end as usize])
+    }
+}
+
+/// The decisions a [`GroupBuild`] rests on, recorded in the form
+/// [`GroupEngine::sync`] re-checks them after churn (see
+/// [`GroupBuild::still_holds`]). `O(members + support)` `u32`s.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RepairCertificate {
+    /// What the §2 construction read.
+    member_rows: MemberRows,
+    /// Parallel to [`GroupBuild::support`]: the on-tree node each
+    /// support node's walk was heading for (the hop it chose is its
+    /// tree parent). Empty when the graft left tier 1.
+    targets: Vec<u32>,
+}
+
 /// A group's complete delivery structure: the (grafted) tree plus the
 /// graft bookkeeping the incremental engine repairs by.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,10 +256,92 @@ pub struct GroupBuild {
     /// relays, flood-expanded nodes, and the stranded members the walks
     /// started from — sorted. A churn delta dirtying any of these can
     /// reroute a relay path, so the engine treats support nodes exactly
-    /// like members when deciding which groups to repair — this is what
-    /// tears relays down and re-routes them when their underlying peers
-    /// churn.
+    /// like members when deciding which groups to examine — this is
+    /// what tears relays down and re-routes them when their underlying
+    /// peers churn.
     pub support: Vec<usize>,
+    /// What the build read and decided, so that a dirtied member or
+    /// support node can be shown not to have changed it.
+    pub certificate: RepairCertificate,
+}
+
+impl GroupBuild {
+    /// Decides, without rebuilding, whether this build — made for
+    /// `members` over an earlier state of `store` — is still what
+    /// [`build_group_tree_grafted`] returns now, given `dirty`: every
+    /// member or support node of the group whose adjacency row (or
+    /// liveness) may have changed since, the member set itself being
+    /// unchanged. `true` is a proof; `false` only means "rebuild to
+    /// find out". Costs `O(|dirty| × degree)`.
+    ///
+    /// The three clauses, and why they suffice:
+    ///
+    /// 1. *No dirty peer has departed.* Then `members` is the live
+    ///    member set the old build saw, and every recorded target is
+    ///    still a live peer.
+    /// 2. *Every dirty §2-reached member's member-induced row reads as
+    ///    recorded.* The §2 work-queue pops the root, reads its row,
+    ///    partitions, enqueues children, and repeats; if every row it
+    ///    reads is unchanged (clean rows are, dirty ones by this
+    ///    clause) each pop makes the same delegation, so by induction
+    ///    over the queue it reaches the same members with the same
+    ///    zones, and strands the same ones. An unreached member whose
+    ///    links changed is visible here from the other end: the reached
+    ///    member it now touches has a dirty, different row.
+    /// 3. *Every dirty support node's greedy hop over its new row
+    ///    towards its recorded target is still its tree parent.* The
+    ///    graft pass handles the stranded members in ascending order.
+    ///    Assume the on-tree set before member `s` is what it was. Its
+    ///    target — the `(distance, index)`-nearest on-tree node — is a
+    ///    function of that set and of coordinates, so it is the
+    ///    recorded one. The walk from `s` reads the row of each node it
+    ///    stands on for one decision, the hop towards that target, and
+    ///    ends at the first on-tree node: every node it stood on is a
+    ///    support node recorded with this target, so each hop is the
+    ///    old hop (clean row, or this clause), the path is the old
+    ///    path, and the on-tree set after `s` is what it was. By
+    ///    induction over the stranded members the whole pass — links,
+    ///    relays, support, report — repeats.
+    ///
+    /// A graft that used the region or flood tier read rows for other
+    /// decisions than one hop; it is never certified. A dirty peer that
+    /// is neither a recorded member nor a support node cannot occur for
+    /// a greedy-only graft (an unreached member is either grafted, and
+    /// then walked from or through, or unreachable, which takes the
+    /// flood tier to establish) and is refused all the same.
+    #[must_use]
+    pub fn still_holds(
+        &self,
+        store: &TopologyStore,
+        members: &BTreeSet<usize>,
+        dirty: impl Iterator<Item = usize>,
+        nbuf: &mut Vec<usize>,
+    ) -> bool {
+        if !self.graft.greedy_only() {
+            return false;
+        }
+        let cert = &self.certificate;
+        for p in dirty {
+            if store.is_departed(PeerId(p as u64)) {
+                return false;
+            }
+            let unchanged = if let Some(row) = cert.member_rows.row(p) {
+                store.undirected_neighbors_into(p, nbuf);
+                nbuf.retain(|j| members.contains(j));
+                nbuf.iter().map(|&j| j as u32).eq(row.iter().copied())
+            } else if let Ok(at) = self.support.binary_search(&p) {
+                let target = store.peers()[cert.targets[at] as usize].point();
+                let hop = greedy_step_on_store(store, p, target, GRAFT_METRIC, nbuf);
+                hop.is_some() && hop == self.build.tree.parent(p)
+            } else {
+                false
+            };
+            if !unchanged {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 /// The full group-build reference: the member-induced §2 construction
@@ -205,12 +360,24 @@ pub fn build_group_tree_grafted(
     members: &BTreeSet<usize>,
     partitioner: &dyn ZonePartitioner,
 ) -> GroupBuild {
-    let mut build = build_group_tree_on_store(store, root, members, partitioner);
-    let (graft, support) = graft_stranded_members(store, &mut build, GRAFT_METRIC);
+    assert!(
+        u32::try_from(store.len()).is_ok(),
+        "certificates store peer ids as u32"
+    );
+    let mut member_rows = MemberRows::default();
+    let mut build = member_tree(store, root, members, partitioner, |member, row| {
+        member_rows.record(member, row);
+    });
+    member_rows.spans.sort_unstable();
+    let (graft, support, targets) = graft_with_targets(store, &mut build, GRAFT_METRIC);
     GroupBuild {
         build,
         graft,
         support,
+        certificate: RepairCertificate {
+            member_rows,
+            targets,
+        },
     }
 }
 
@@ -235,11 +402,16 @@ struct Group {
 pub struct SyncReport {
     /// Deltas replayed from the store's log.
     pub deltas: usize,
-    /// Groups whose members intersected some dirty region (each
-    /// rebuilt exactly once).
+    /// Groups examined: those whose members or graft-support nodes
+    /// intersected some dirty region. Each was either certified
+    /// unchanged or rebuilt exactly once.
     pub affected_groups: usize,
-    /// Σ member-set sizes over the rebuilt groups — the work actually
-    /// paid, versus Σ over *all* groups for a naive engine.
+    /// Of which kept their build, rebuild counter and cached delivery
+    /// plan because their repair certificate still held.
+    pub certified_groups: usize,
+    /// Σ member-set sizes over the groups actually rebuilt
+    /// (`affected_groups − certified_groups` of them) — the work paid,
+    /// versus Σ over *all* groups for a naive engine.
     pub rebuilt_members: usize,
     /// `true` when the engine had fallen out of the delta log's
     /// retention window and resynchronised from full store state.
@@ -285,7 +457,7 @@ pub enum AppliedOp {
 
 /// splitmix64 — the deterministic peer picker behind workload binding,
 /// so the facade crates need no RNG dependency.
-fn splitmix(state: &mut u64) -> u64 {
+pub(crate) fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -623,17 +795,32 @@ impl GroupEngine {
     /// Panics if `root` is out of range or departed.
     pub fn create_group(&mut self, root: PeerId) -> GroupId {
         self.sync();
-        let r = root.index();
-        assert!(r < self.store.len(), "root out of range");
-        assert!(!self.store.is_departed(root), "root has departed");
+        self.register_group(root.index(), BTreeSet::from([root.index()]))
+    }
+
+    /// Registers a group with its whole initial audience (`root`
+    /// included, everyone live) and builds its tree once — what
+    /// [`GroupEngine::create_group`] plus one [`GroupEngine::subscribe`]
+    /// per further member ends on, without the intermediate trees.
+    fn register_group(&mut self, root: usize, members: BTreeSet<usize>) -> GroupId {
+        assert!(root < self.store.len(), "root out of range");
+        assert!(
+            !self.store.is_departed(PeerId(root as u64)),
+            "root has departed"
+        );
+        debug_assert!(members.contains(&root), "the root subscribes");
         let id = GroupId(u32::try_from(self.groups.len()).expect("group count fits u32"));
+        for &m in &members {
+            // The newest id is the largest: the lists stay sorted.
+            self.member_of[m].push(id.0);
+        }
+        self.totals.membership_ops += members.len() as u64 - 1;
         self.groups.push(Group {
-            root: Some(r),
-            members: BTreeSet::from([r]),
+            root: Some(root),
+            members,
             build: None,
             rebuilds: 0,
         });
-        self.member_of[r].push(id.0);
         self.rebuild_group(id.index());
         id
     }
@@ -1037,7 +1224,8 @@ impl GroupEngine {
     /// [`geocast_sim::workload::zipf_group_sizes`]): each group gets
     /// `sizes[g]` distinct live members picked deterministically from
     /// `state` (splitmix64 stream; groups may overlap). The first pick
-    /// roots the group. Sizes are capped at the live population.
+    /// roots the group. Sizes are capped at the live population. Each
+    /// group's tree is built once, over its whole sample.
     ///
     /// # Panics
     ///
@@ -1059,11 +1247,8 @@ impl GroupEngine {
                 let j = k + (splitmix(state) as usize) % (scratch.len() - k);
                 scratch.swap(k, j);
             }
-            let g = self.create_group(PeerId(scratch[0] as u64));
-            for &m in &scratch[1..size] {
-                self.subscribe(g, PeerId(m as u64));
-            }
-            ids.push(g);
+            let members = scratch[..size].iter().copied().collect();
+            ids.push(self.register_group(scratch[0], members));
         }
         ids
     }
@@ -1090,19 +1275,20 @@ impl GroupEngine {
             assert!(size > 0, "groups start with at least one member");
             let size = size.min(live.len());
             let center = live[(splitmix(state) as usize) % live.len()];
-            let cp = self.store.peers()[center].point().clone();
-            let mut by_dist: Vec<usize> = live.clone();
-            by_dist.sort_by(|&a, &b| {
-                MetricKind::L1
-                    .dist(self.store.peers()[a].point(), &cp)
-                    .total_cmp(&MetricKind::L1.dist(self.store.peers()[b].point(), &cp))
-                    .then(a.cmp(&b))
-            });
-            let g = self.create_group(PeerId(center as u64));
-            for &m in by_dist.iter().take(size).filter(|&&m| m != center) {
-                self.subscribe(g, PeerId(m as u64));
+            let cp = self.store.peers()[center].point();
+            // The `size` nearest by (distance, index): a selection, not
+            // a sort — only the set matters.
+            let mut by_dist: Vec<(f64, usize)> = live
+                .iter()
+                .map(|&i| (MetricKind::L1.dist(self.store.peers()[i].point(), cp), i))
+                .collect();
+            if size < by_dist.len() {
+                by_dist
+                    .select_nth_unstable_by(size, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             }
-            ids.push(g);
+            let mut members: BTreeSet<usize> = by_dist[..size].iter().map(|&(_, i)| i).collect();
+            members.insert(center);
+            ids.push(self.register_group(center, members));
         }
         ids
     }
@@ -1190,9 +1376,10 @@ impl GroupEngine {
 
     /// Catches up with the store's delta stream: replays every delta
     /// recorded since the engine's last absorbed epoch, prunes departed
-    /// members, and rebuilds exactly the groups whose members intersect
-    /// the union of dirty regions. Falls back to a full resync when the
-    /// log has evicted a needed delta.
+    /// members, examines exactly the groups whose members or graft
+    /// support intersect the union of dirty regions, and rebuilds those
+    /// of them whose [`RepairCertificate`] no longer holds. Falls back
+    /// to a full resync when the log has evicted a needed delta.
     ///
     /// Idempotent; called automatically by every mutating engine entry
     /// point.
@@ -1206,31 +1393,33 @@ impl GroupEngine {
             CursorCatchUp::Deltas(deltas) => deltas,
         };
 
-        let mut affected: BTreeSet<usize> = BTreeSet::new();
+        // Every (group, dirty peer) pair where the peer is a member or a
+        // graft-support node of the group, as of the last sync (a
+        // membership op syncs first, so neither relation moves while
+        // deltas are replayed — except by the departures below).
+        let mut hits: Vec<(u32, u32)> = Vec::new();
         let mut candidates: Vec<u32> = Vec::new();
         for delta in &deltas {
             self.member_of.resize(self.store.len(), Vec::new());
             self.relay_of.resize(self.store.len(), Vec::new());
             for &p in &delta.dirty {
-                affected.extend(self.member_of[p].iter().map(|&g| g as usize));
-                // A dirty support node can reroute a relay path: the
-                // group re-grafts, tearing down / re-routing relays
-                // whose underlying peers churned. Candidate groups come
-                // from the bbox index (every group whose support box
-                // contains the dirty peer's point); each is confirmed
-                // against the group's sorted support set, which makes
-                // the affected set identical to a full reverse-map scan
-                // at O(log G + hits) per dirty peer.
+                let peer = p as u32;
+                hits.extend(self.member_of[p].iter().map(|&g| (g, peer)));
+                // A dirty support node can reroute a relay path.
+                // Candidate groups come from the bbox index (every group
+                // whose support box contains the dirty peer's point);
+                // each is confirmed against the group's sorted support
+                // set, which makes the examined set identical to a full
+                // reverse-map scan at O(log G + hits) per dirty peer.
                 if let Some(bounds) = &self.bounds {
                     bounds.candidates(self.store.peers()[p].point().coords(), &mut candidates);
                     for &gc in &candidates {
-                        let gi = gc as usize;
-                        let hit = self.groups[gi]
+                        let hit = self.groups[gc as usize]
                             .build
                             .as_ref()
                             .is_some_and(|gb| gb.support.binary_search(&p).is_ok());
                         if hit {
-                            affected.insert(gi);
+                            hits.push((gc, peer));
                         }
                     }
                 }
@@ -1241,6 +1430,10 @@ impl GroupEngine {
                     self.live_peers.push(v);
                 }
                 DeltaKind::Leave(v) => {
+                    debug_assert!(
+                        delta.dirty.binary_search(&v).is_ok(),
+                        "a departure dirties the departed peer itself"
+                    );
                     if let Ok(pos) = self.live_peers.binary_search(&v) {
                         self.live_peers.remove(pos);
                     }
@@ -1261,19 +1454,39 @@ impl GroupEngine {
 
         // Joins grow the peer universe, but a cached build stores only
         // the peers it reached and answers "unreached" for everyone
-        // else, so untouched groups need no upkeep at all.
-        let mut rebuilt_members = 0usize;
-        for &gi in &affected {
-            rebuilt_members += self.groups[gi].members.len();
-            self.rebuild_group(gi);
+        // else, so untouched groups need no upkeep at all. An examined
+        // group is rebuilt unless its certificate shows, from the dirty
+        // peers' current rows alone, that the rebuild would return the
+        // build it already has; a certified group keeps its rebuild
+        // counter, and with it its cached delivery plan.
+        hits.sort_unstable();
+        hits.dedup();
+        let mut report = SyncReport {
+            deltas: deltas.len(),
+            ..SyncReport::default()
+        };
+        let mut nbuf: Vec<usize> = Vec::new();
+        for of_group in hits.chunk_by(|a, b| a.0 == b.0) {
+            let gi = of_group[0].0 as usize;
+            let group = &self.groups[gi];
+            report.affected_groups += 1;
+            let certified = group.build.as_ref().is_some_and(|gb| {
+                let dirty = of_group.iter().map(|&(_, p)| p as usize);
+                gb.still_holds(&self.store, &group.members, dirty, &mut nbuf)
+            });
+            if certified {
+                report.certified_groups += 1;
+                debug_assert!(
+                    self.matches_reference(GroupId(gi as u32)),
+                    "group {gi}: certified, yet its from-scratch rebuild differs"
+                );
+            } else {
+                report.rebuilt_members += group.members.len();
+                self.rebuild_group(gi);
+            }
         }
         self.totals.deltas += deltas.len() as u64;
-        self.last_sync = SyncReport {
-            deltas: deltas.len(),
-            affected_groups: affected.len(),
-            rebuilt_members,
-            resynced: false,
-        };
+        self.last_sync = report;
     }
 
     /// The laggard path: reconcile every group against the full store
@@ -1311,6 +1524,7 @@ impl GroupEngine {
         self.last_sync = SyncReport {
             deltas: 0,
             affected_groups: self.groups.len(),
+            certified_groups: 0,
             rebuilt_members,
             resynced: true,
         };
@@ -1320,8 +1534,9 @@ impl GroupEngine {
         // Retire the group's old relay index entries; the rebuild
         // installs the fresh set (relays torn down here are re-routed
         // by the graft pass below, or dropped for good). The support
-        // bbox below replaces itself wholesale.
-        if let Some(gb) = &self.groups[gi].build {
+        // bbox below replaces itself wholesale. The old build is dropped
+        // here, before its replacement is allocated.
+        if let Some(gb) = self.groups[gi].build.take() {
             for &r in &gb.build.relays {
                 let ids = &mut self.relay_of[r];
                 ids.retain(|&x| x as usize != gi);
@@ -1334,7 +1549,6 @@ impl GroupEngine {
         }
         let group = &mut self.groups[gi];
         let Some(root) = group.root else {
-            group.build = None;
             if let Some(bounds) = &mut self.bounds {
                 bounds.clear(gi);
             }
@@ -1780,11 +1994,214 @@ mod tests {
         assert_exact(&eng);
     }
 
+    /// Peers at explicit 2-D coordinates under the empty-rectangle rule,
+    /// indexed in the order given.
+    fn engine_at(coords: &[(f64, f64)]) -> GroupEngine {
+        use geocast_geom::Point;
+        let mut store = TopologyStore::new(Arc::new(EmptyRectSelection));
+        for &(x, y) in coords {
+            store.insert(Point::new(vec![x, y]).unwrap());
+        }
+        GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()))
+    }
+
+    /// `0 —1—2—3— 4` on a diagonal (consecutive peers are overlay
+    /// neighbours, no others) with members `{0, 4}`: member 4's join
+    /// walks `4→3→2→1→0`, every hop heading for on-tree node 0.
+    fn two_ended_diagonal() -> (GroupEngine, GroupId) {
+        let coords: Vec<(f64, f64)> = (0..5)
+            .map(|i| (10.0 * f64::from(i), 10.0 * f64::from(i)))
+            .collect();
+        let mut eng = engine_at(&coords);
+        let g = eng.create_group(PeerId(0));
+        eng.subscribe(g, PeerId(4));
+        let gb = eng.group_build(g).unwrap();
+        assert_eq!(gb.support, vec![1, 2, 3, 4]);
+        assert_eq!(gb.certificate.targets, vec![0, 0, 0, 0]);
+        (eng, g)
+    }
+
+    fn neighbors(eng: &GroupEngine, p: usize) -> Vec<usize> {
+        let mut row = Vec::new();
+        eng.store().undirected_neighbors_into(p, &mut row);
+        row
+    }
+
+    /// Certificate clause 3, both sides of it. A joiner that becomes a
+    /// neighbour of a support node changes that node's row; the group
+    /// keeps its build, its rebuild counter and its cached plan when the
+    /// recorded hop still wins — including on a distance tie, which the
+    /// smaller index (never the newcomer) takes — and is re-grafted
+    /// through the joiner when the joiner is strictly closer.
+    #[test]
+    fn a_joiner_next_to_a_support_node_regrafts_only_if_it_wins_the_hop() {
+        use geocast_geom::Point;
+        // Recorded hop of node 4 is node 3 at (30, 30): 60 from the
+        // target in L1. (32, 28) is 60 away too; (31, 28) is 59.
+        let (mut eng, g) = two_ended_diagonal();
+        eng.publish(g).unwrap();
+        let (rebuilds, misses) = (eng.rebuild_count(g), eng.plan_stats().misses);
+        let tie = eng.join(Point::new(vec![32.0, 28.0]).unwrap()).index();
+        assert!(
+            neighbors(&eng, 4).contains(&tie),
+            "the joiner must dirty node 4"
+        );
+        let sync = *eng.last_sync();
+        assert_eq!((sync.affected_groups, sync.certified_groups), (1, 1));
+        assert_eq!(sync.rebuilt_members, 0);
+        assert_eq!(eng.rebuild_count(g), rebuilds);
+        assert_eq!(eng.tree(g).unwrap().tree.parent(4), Some(3));
+        eng.publish(g).unwrap();
+        assert_eq!(
+            eng.plan_stats().misses,
+            misses,
+            "a certified group keeps its plan"
+        );
+        assert_exact(&eng);
+
+        let (mut eng, g) = two_ended_diagonal();
+        let rebuilds = eng.rebuild_count(g);
+        let closer = eng.join(Point::new(vec![31.0, 28.0]).unwrap()).index();
+        assert!(neighbors(&eng, 4).contains(&closer));
+        let sync = *eng.last_sync();
+        assert_eq!((sync.affected_groups, sync.certified_groups), (1, 0));
+        assert_eq!(sync.rebuilt_members, 2);
+        assert_eq!(eng.rebuild_count(g), rebuilds + 1);
+        assert_eq!(eng.tree(g).unwrap().tree.parent(4), Some(closer));
+        assert_exact(&eng);
+    }
+
+    /// Certificate clause 1: a departed member or support node is never
+    /// certified around — whether it was a relay in the middle of a
+    /// path or the on-tree member a path ended at.
+    #[test]
+    fn a_departed_hop_or_support_node_always_regrafts() {
+        // A support node (relay 2) departs.
+        let (mut eng, g) = two_ended_diagonal();
+        let rebuilds = eng.rebuild_count(g);
+        eng.leave(PeerId(2));
+        let sync = *eng.last_sync();
+        assert_eq!((sync.affected_groups, sync.certified_groups), (1, 0));
+        assert_eq!(eng.rebuild_count(g), rebuilds + 1);
+        assert_eq!(eng.relays(g), &[1, 3]);
+        assert_exact(&eng);
+
+        // The next hop that departs is the member the walk ended at:
+        // with member 1 on the tree, 4 walks 4→3→2→1.
+        let (mut eng, g) = two_ended_diagonal();
+        eng.subscribe(g, PeerId(1));
+        let gb = eng.group_build(g).unwrap();
+        assert_eq!(
+            (&gb.support[..], &gb.certificate.targets[..]),
+            (&[2, 3, 4][..], &[1, 1, 1][..])
+        );
+        assert_eq!(gb.build.tree.parent(2), Some(1));
+        let rebuilds = eng.rebuild_count(g);
+        eng.leave(PeerId(1));
+        assert_eq!(eng.last_sync().certified_groups, 0);
+        assert_eq!(eng.rebuild_count(g), rebuilds + 1);
+        assert_eq!(eng.tree(g).unwrap().tree.parent(2), Some(0));
+        assert_exact(&eng);
+    }
+
+    /// Certificate clause 2: a departure elsewhere makes the store
+    /// re-select two members into adjacency. No member or support node
+    /// departed and every graft hop still stands, yet the §2
+    /// construction now reaches the member directly.
+    #[test]
+    fn a_reselection_that_links_two_members_rebuilds_the_member_tree() {
+        // A = 0 at the origin roots the group; B = 2 sits behind the
+        // non-member blocker 1; C = 3 is adjacent to both A and B but
+        // lies in another orthant of A than B, so the member tree
+        // reaches C only and B is grafted, one hop, onto C.
+        let mut eng = engine_at(&[(0.0, 0.0), (10.0, 10.0), (20.0, 20.0), (-5.0, 25.0)]);
+        let g = eng.create_group(PeerId(0));
+        eng.subscribe(g, PeerId(2));
+        eng.subscribe(g, PeerId(3));
+        let old = eng.group_build(g).unwrap().clone();
+        assert_eq!(
+            (&old.support[..], &old.certificate.targets[..]),
+            (&[2][..], &[3][..])
+        );
+        assert_eq!(old.certificate.member_rows.row(0), Some(&[3u32][..]));
+        assert_eq!(
+            old.certificate.member_rows.row(2),
+            None,
+            "B was not reached"
+        );
+        let rebuilds = eng.rebuild_count(g);
+
+        eng.store_mut().remove(PeerId(1));
+        assert_eq!(neighbors(&eng, 0), vec![2, 3], "A and B are now linked");
+        let holds = |dirty: &[usize]| {
+            old.still_holds(
+                eng.store(),
+                eng.members(g),
+                dirty.iter().copied(),
+                &mut Vec::new(),
+            )
+        };
+        assert!(holds(&[2, 3]), "B's hop and C's row stand");
+        assert!(!holds(&[0]), "A's member-induced row gained B");
+        eng.sync();
+        let sync = *eng.last_sync();
+        assert_eq!((sync.affected_groups, sync.certified_groups), (1, 0));
+        assert_eq!(eng.rebuild_count(g), rebuilds + 1);
+        assert!(
+            eng.group_build(g).unwrap().support.is_empty(),
+            "no graft needed"
+        );
+        assert_exact(&eng);
+    }
+
+    /// A graft that left tier 1 read rows for other decisions than one
+    /// greedy hop: its build is never certified, whatever is dirty.
+    #[test]
+    fn a_graft_that_used_a_fallback_tier_is_never_certified() {
+        use geocast_geom::{Point, PointSet};
+        use geocast_overlay::select::HyperplanesSelection;
+        // Two clusters far apart under a 1-closest rule: the far member
+        // is overlay-disconnected, which only the flood tier can tell.
+        let mut points: Vec<Point> = (0..4)
+            .map(|i| Point::new(vec![10.0 + f64::from(i), 10.0 + 2.0 * f64::from(i)]).unwrap())
+            .collect();
+        points.extend((0..3).map(|i| {
+            Point::new(vec![5000.0 + f64::from(i), 5000.0 + 2.0 * f64::from(i)]).unwrap()
+        }));
+        let store = TopologyStore::from_peers(
+            PeerInfo::from_point_set(&PointSet::new(points).unwrap()),
+            Arc::new(HyperplanesSelection::k_closest(2, 1, MetricKind::L1)),
+        );
+        let mut eng = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
+        let g = eng.create_group(PeerId(0));
+        eng.subscribe(g, PeerId(5));
+        let gb = eng.group_build(g).unwrap();
+        assert!(gb.graft.flood_fallbacks > 0 && !gb.graft.greedy_only());
+        assert!(gb.certificate.targets.is_empty());
+        assert!(!gb.still_holds(
+            eng.store(),
+            eng.members(g),
+            std::iter::empty(),
+            &mut Vec::new(),
+        ));
+        // Through the engine: every sync that examines the group
+        // rebuilds it.
+        let mut examined = 0;
+        for i in 0..6 {
+            let near = Point::new(vec![12.5 + f64::from(i), 11.0 + 3.0 * f64::from(i)]).unwrap();
+            eng.join(near);
+            examined += eng.last_sync().affected_groups;
+            assert_eq!(eng.last_sync().certified_groups, 0);
+            assert_exact(&eng);
+        }
+        assert!(examined > 0, "some join must have touched the group");
+    }
+
     /// The satellite regression: the bbox-index affected-group lookup
     /// ([`crate::bounds::GroupBoundsIndex`] + support confirmation)
-    /// produces exactly the same affected sets as the definitional
-    /// scan over every group's members ∪ support, across join and
-    /// leave churn.
+    /// examines exactly the groups the definitional scan over every
+    /// group's members ∪ support finds, across join and leave churn —
+    /// and rebuilds none outside them.
     #[test]
     fn bbox_affected_groups_match_the_reference_scan() {
         let mut eng = engine(200, 49);
@@ -1838,10 +2255,15 @@ mod tests {
             let rebuilt: BTreeSet<usize> = (0..eng.group_count())
                 .filter(|&gi| eng.rebuild_count(GroupId(gi as u32)) > before[gi])
                 .collect();
-            assert_eq!(rebuilt, expected, "step {step}: affected sets diverged");
-            assert_eq!(eng.last_sync().affected_groups, expected.len());
+            let sync = *eng.last_sync();
+            assert_eq!(sync.affected_groups, expected.len(), "step {step}");
+            assert!(
+                rebuilt.is_subset(&expected),
+                "step {step}: rebuilt an untouched group"
+            );
+            assert_eq!(rebuilt.len() + sync.certified_groups, expected.len());
+            assert_exact(&eng);
         }
-        assert_exact(&eng);
     }
 
     /// The satellite regression: workload Subscribe binding from the

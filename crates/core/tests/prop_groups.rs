@@ -5,7 +5,12 @@
 //! from-scratch `build_group_tree_grafted` rebuild on the surviving
 //! members (so relay teardown keeps incremental == from-scratch), for
 //! the empty-rectangle rule and a Hyperplanes instance, while the
-//! engine rebuilds exactly the delta-affected groups, never the rest.
+//! engine examines exactly the delta-affected groups and rebuilds only
+//! those of them whose repair certificate failed — rebuilt ⊆ examined,
+//! rebuilt + certified = examined, and every group, whichever of the
+//! three happened to it, equals the from-scratch build. Syncs lag the
+//! store by up to three events, so certificates are checked against the
+//! union of several deltas at once.
 //!
 //! Plus the coverage theorem routing-based join buys: after every step,
 //! each live member is reached **iff** the full overlay connects it to
@@ -23,6 +28,7 @@ use geocast_core::groups::{build_group_tree_grafted, GroupEngine, GroupId};
 use geocast_core::OrthantRectPartitioner;
 use geocast_geom::gen::uniform_points;
 use geocast_geom::MetricKind;
+use geocast_overlay::delta::DeltaKind;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
 use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
 use geocast_sim::workload::zipf_group_sizes;
@@ -128,6 +134,136 @@ fn check_full_coverage(engine: &GroupEngine, ids: &[GroupId], rule: u8) {
     }
 }
 
+/// What the engine's groups looked like at some store epoch: the
+/// definitional side of the locality contract. The groups a later sync
+/// must examine are those whose members or graft support, as of then,
+/// intersect the union of the dirty regions recorded since.
+struct Laggard {
+    epoch: u64,
+    members_and_support: Vec<BTreeSet<usize>>,
+}
+
+impl Laggard {
+    fn of(engine: &GroupEngine, ids: &[GroupId]) -> Self {
+        Laggard {
+            epoch: engine.store().epoch(),
+            members_and_support: ids
+                .iter()
+                .map(|&g| {
+                    let mut touched = engine.members(g).clone();
+                    touched.extend(engine.group_build(g).into_iter().flat_map(|gb| &gb.support));
+                    touched
+                })
+                .collect(),
+        }
+    }
+
+    /// Peers that departed between the snapshot and now.
+    fn departed_since(&self, engine: &GroupEngine) -> Vec<usize> {
+        let log = engine.store().delta_log();
+        log.deltas_since(self.epoch)
+            .expect("the test never outruns the log")
+            .filter_map(|d| match d.kind {
+                DeltaKind::Leave(v) => Some(v),
+                DeltaKind::Join(_) => None,
+            })
+            .collect()
+    }
+
+    /// Checks the sync that just absorbed everything since the snapshot.
+    fn check_sync(&self, engine: &GroupEngine, ids: &[GroupId], counts: &mut [u64]) {
+        let log = engine.store().delta_log();
+        let dirty: BTreeSet<usize> = log
+            .deltas_since(self.epoch)
+            .expect("the test never outruns the log")
+            .flat_map(|d| d.dirty.iter().copied())
+            .collect();
+        let examined: Vec<bool> = self
+            .members_and_support
+            .iter()
+            .map(|touched| !touched.is_disjoint(&dirty))
+            .collect();
+        let before = counts.to_vec();
+        let rebuilt = check_exact_and_count_rebuilds(engine, ids, counts);
+        for (i, &g) in ids.iter().enumerate() {
+            assert!(
+                examined[i] || counts[i] == before[i],
+                "{g} rebuilt though no delta touched it"
+            );
+        }
+        // A group whose last member departed is repaired to "no tree";
+        // that repair does not move its rebuild counter.
+        let emptied = (ids.iter().zip(&self.members_and_support))
+            .filter(|(&g, touched)| !touched.is_empty() && engine.root(g).is_none())
+            .count();
+        let sync = engine.last_sync();
+        assert_eq!(
+            sync.affected_groups,
+            examined.iter().filter(|&&e| e).count()
+        );
+        assert_eq!(
+            rebuilt + emptied + sync.certified_groups,
+            sync.affected_groups
+        );
+    }
+}
+
+/// The count-based locality gate (no clock): on the shape of the
+/// end-to-end benchmark's repair-bound workload — 3 000 uniform 2-D
+/// peers, 256 scattered Zipf-1.0 groups, 100 mixed churn events — at
+/// most a quarter of the groups a churn event makes the engine examine
+/// may be rebuilt; the rest must be certified unchanged, and all of
+/// them must equal their from-scratch builds. Debug builds run a
+/// smaller instance of the same shape (they also re-derive every
+/// certified group inside `sync`); CI runs the full size in release.
+#[test]
+fn churn_rebuilds_at_most_a_quarter_of_the_groups_it_examines() {
+    let (n, groups, events) = if cfg!(debug_assertions) {
+        (800, 64, 40)
+    } else {
+        (3_000, 256, 100)
+    };
+    let store = TopologyStore::from_peers(
+        PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 13)),
+        Arc::new(EmptyRectSelection),
+    );
+    let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
+    let mut state = 0x010c_a1e5_u64;
+    let ids = engine.seed_groups(&zipf_group_sizes(groups, 2 * n, 1.0), &mut state);
+
+    let (mut examined, mut certified) = (0usize, 0usize);
+    let joins = uniform_points(events, 2, 1000.0, 14).into_points();
+    for (event, point) in joins.into_iter().enumerate() {
+        if event % 2 == 0 {
+            engine.join(point);
+        } else {
+            let live: Vec<usize> = (0..engine.store().len())
+                .filter(|&i| !engine.store().is_departed(PeerId(i as u64)))
+                .collect();
+            let victim = live[event * 7919 % live.len()];
+            engine.leave(PeerId(victim as u64));
+        }
+        let sync = engine.last_sync();
+        assert!(!sync.resynced);
+        examined += sync.affected_groups;
+        certified += sync.certified_groups;
+        if event % 10 == 9 {
+            for &g in &ids {
+                assert!(engine.matches_reference(g), "event {event}: {g} diverged");
+            }
+        }
+    }
+    let rebuilt = examined - certified;
+    assert!(
+        examined >= 10 * events,
+        "the workload must exercise the check: {examined} groups examined"
+    );
+    assert!(
+        4 * rebuilt <= examined,
+        "{rebuilt} of {examined} examined groups were rebuilt"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -137,6 +273,7 @@ proptest! {
         dim in 2usize..4,
         seed in 0u64..10_000,
         rule in 0u8..2,
+        lag in 1usize..4,
         steps in proptest::collection::vec(step_strategy(), 10..18),
     ) {
         let points = uniform_points(n, dim, 1000.0, seed);
@@ -158,15 +295,18 @@ proptest! {
         let join_pool = uniform_points(steps.len(), dim, 1000.0, seed ^ 0x101)
             .into_points();
         let mut joins = join_pool.into_iter();
+        // What every group looked like when the first store event the
+        // engine has not absorbed yet landed, and how many have since.
+        let mut pending: Option<Laggard> = None;
+        let mut behind = 0usize;
 
         for step in steps {
-            match step {
+            let churned = match step {
                 Step::Join => {
-                    engine.join(joins.next().expect("pool sized to steps"));
-                    let rebuilt = check_exact_and_count_rebuilds(&engine, &ids, &mut counts);
-                    // The locality contract: exactly the delta-affected
-                    // groups were recomputed, no others.
-                    prop_assert_eq!(rebuilt, engine.last_sync().affected_groups);
+                    pending.get_or_insert_with(|| Laggard::of(&engine, &ids));
+                    let p = joins.next().expect("pool sized to steps");
+                    engine.store_mut().insert(p);
+                    true
                 }
                 Step::Leave(raw) => {
                     let live: Vec<usize> = (0..engine.store().len())
@@ -175,21 +315,37 @@ proptest! {
                     if live.len() <= 1 {
                         continue;
                     }
-                    let victim = live[raw % live.len()];
-                    engine.leave(PeerId(victim as u64));
-                    let rebuilt = check_exact_and_count_rebuilds(&engine, &ids, &mut counts);
-                    prop_assert_eq!(rebuilt, engine.last_sync().affected_groups);
+                    pending.get_or_insert_with(|| Laggard::of(&engine, &ids));
+                    engine.store_mut().remove(PeerId(live[raw % live.len()] as u64));
+                    true
+                }
+                Step::Subscribe(_) | Step::Unsubscribe(_) => false,
+            };
+            if churned {
+                behind += 1;
+                if behind < lag {
+                    continue;
+                }
+            }
+            // The locality contract, on every sync: exactly the
+            // delta-affected groups were examined, only examined groups
+            // were recomputed, and each examined group was either
+            // recomputed or certified — with every group exact whichever
+            // it was. (Membership ops sync first, so the lag is flushed
+            // through the same check before them.)
+            if let Some(before) = pending.take() {
+                behind = 0;
+                engine.sync();
+                before.check_sync(&engine, &ids, &mut counts);
+                for gone in before.departed_since(&engine) {
                     for &g in &ids {
-                        prop_assert!(
-                            !engine.members(g).contains(&victim),
-                            "departed peer lingers in {g}"
-                        );
-                        prop_assert!(
-                            !engine.relays(g).contains(&victim),
-                            "departed relay lingers in {g}"
-                        );
+                        prop_assert!(!engine.members(g).contains(&gone), "{} lingers in {}", gone, g);
+                        prop_assert!(!engine.relays(g).contains(&gone), "relay {} lingers in {}", gone, g);
                     }
                 }
+            }
+            match step {
+                Step::Join | Step::Leave(_) => {}
                 Step::Subscribe(raw) => {
                     let g = ids[raw % ids.len()];
                     let members: BTreeSet<usize> = engine.members(g).clone();
@@ -215,8 +371,13 @@ proptest! {
                     check_exact_and_count_rebuilds(&engine, &ids, &mut counts);
                 }
             }
-            // Post-graft coverage holds after every churn step — the
+            // Post-graft coverage holds after every sync — the
             // relay-teardown/re-route path included.
+            check_full_coverage(&engine, &ids, rule);
+        }
+        if let Some(before) = pending.take() {
+            engine.sync();
+            before.check_sync(&engine, &ids, &mut counts);
             check_full_coverage(&engine, &ids, rule);
         }
 
@@ -245,10 +406,11 @@ proptest! {
     }
 
     /// Joins grow the peer universe under every cached build. A build
-    /// stores only the peers it reached, so a join must leave every
-    /// delta-untouched group's build (and rebuild counter) exactly as it
-    /// was — no padding, no upkeep — and that untouched build must still
-    /// be what a from-scratch rebuild over the grown population gives.
+    /// stores only the peers it reached, so a join must leave the build
+    /// (and rebuild counter) of every group it did not touch, or touched
+    /// without changing a recorded decision, exactly as it was — no
+    /// padding, no upkeep — and that kept build must still be what a
+    /// from-scratch rebuild over the grown population gives.
     #[test]
     fn joins_leave_untouched_groups_builds_and_counters_untouched(
         n in 25usize..55,
@@ -280,7 +442,8 @@ proptest! {
                 }
                 prop_assert!(engine.matches_reference(g), "{} diverged", g);
             }
-            prop_assert_eq!(moved, engine.last_sync().affected_groups);
+            let sync = engine.last_sync();
+            prop_assert_eq!(moved + sync.certified_groups, sync.affected_groups);
         }
         prop_assert!(untouched_checks > 0, "some group sat out some join");
     }

@@ -11,7 +11,8 @@
 //! replays identical overlay churn plus a subscribe/unsubscribe/publish
 //! workload, and reports:
 //!
-//! * the engine's locality — groups actually repaired per churn event
+//! * the engine's locality — groups examined per churn event, and how
+//!   many of those were certified unchanged or actually rebuilt,
 //!   against the total a naive engine would rebuild;
 //! * the **coverage-vs-scatter** outcome routing-based join buys: with
 //!   relay grafting every publish must deliver to every subscriber
@@ -113,6 +114,7 @@ struct ScenarioStats {
     placement: MembershipPlacement,
     memberships: usize,
     affected_sum: usize,
+    certified_sum: usize,
     repaired_members_sum: usize,
     churn_events: usize,
     group_events: usize,
@@ -172,6 +174,7 @@ fn run_scenario(
         placement,
         memberships: 0,
         affected_sum: 0,
+        certified_sum: 0,
         repaired_members_sum: 0,
         churn_events: 0,
         group_events: 0,
@@ -209,6 +212,7 @@ fn run_scenario(
             let sync = *engine.last_sync();
             stats.churn_events += 1;
             stats.affected_sum += sync.affected_groups;
+            stats.certified_sum += sync.certified_groups;
             stats.repaired_members_sum += sync.rebuilt_members;
             if chart {
                 trace.push((stats.churn_events as f64, sync.affected_groups as f64));
@@ -259,7 +263,8 @@ fn run_scenario(
 /// **and** scattered membership.
 ///
 /// Per-event repair cost must track the *delta-affected* groups (the
-/// `affected μ` column), not the group count (`naive` column); every
+/// `examined μ` column, split into `certified μ` kept and `rebuilt μ`
+/// recomputed), not the group count (`naive` column); every
 /// row must report `== rebuild: true`; and with relay grafting every
 /// publish must report zero stranded members (`pub stranded` column)
 /// at the measured relay overhead (`relay msg/pub`).
@@ -270,7 +275,9 @@ pub fn groups_panel(cfg: &GroupsConfig) -> FigureReport {
         "place".into(),
         "members".into(),
         "events".into(),
-        "affected μ".into(),
+        "examined μ".into(),
+        "certified μ".into(),
+        "rebuilt μ".into(),
         "naive".into(),
         "repaired members μ".into(),
         "coverage".into(),
@@ -296,6 +303,11 @@ pub fn groups_panel(cfg: &GroupsConfig) -> FigureReport {
                 s.memberships.to_string(),
                 format!("{}+{}", s.churn_events, s.group_events),
                 format!("{:.2}", s.affected_sum as f64 / churn as f64),
+                format!("{:.2}", s.certified_sum as f64 / churn as f64),
+                format!(
+                    "{:.2}",
+                    (s.affected_sum - s.certified_sum) as f64 / churn as f64
+                ),
                 s.groups.to_string(),
                 format!("{:.1}", s.repaired_members_sum as f64 / churn as f64),
                 format!("{:.0}%", s.coverage_mean * 100.0),
@@ -313,7 +325,7 @@ pub fn groups_panel(cfg: &GroupsConfig) -> FigureReport {
 
     let mut chart = AsciiChart::new(56, 12);
     chart.add_series(
-        format!("groups repaired per churn event (of {largest}, scattered)"),
+        format!("groups examined per churn event (of {largest}, scattered)"),
         trace,
     );
     FigureReport::new(
@@ -326,10 +338,12 @@ pub fn groups_panel(cfg: &GroupsConfig) -> FigureReport {
     )
     .with_chart(chart.render())
     .with_note(
-        "affected μ = groups whose members or graft-support nodes \
-         intersected a churn event's dirty region (only these are \
-         repaired); naive = groups a rebuild-everything engine would \
-         touch per event; every row must report '== rebuild: true'",
+        "examined μ = groups whose members or graft-support nodes \
+         intersected a churn event's dirty region; certified μ of them \
+         kept their build because no recorded decision changed, \
+         rebuilt μ were recomputed; naive = groups a rebuild-everything \
+         engine would touch per event; every row must report \
+         '== rebuild: true'",
     )
     .with_note(
         "coverage-vs-scatter: relay grafting must hold 'pub stranded' \
@@ -364,16 +378,16 @@ mod tests {
         assert_eq!(report.table.len(), 4, "2 placements x 2 group counts");
         for row in report.table.rows() {
             assert_eq!(
-                row[12], "true",
+                row[14], "true",
                 "groups={} place={}: diverged from rebuild",
                 row[0], row[1]
             );
             assert_eq!(
-                row[9], "0",
+                row[11], "0",
                 "groups={} place={}: published payloads stranded members",
                 row[0], row[1]
             );
-            assert_eq!(row[7], "100%", "coverage must close for {}", row[1]);
+            assert_eq!(row[9], "100%", "coverage must close for {}", row[1]);
         }
         assert!(report.chart.is_some());
         // Scattered rows need relays; the sweep must show a non-zero
@@ -383,7 +397,7 @@ mod tests {
             .rows()
             .iter()
             .filter(|r| r[1] == "scattered")
-            .map(|r| r[8].parse::<usize>().unwrap())
+            .map(|r| r[10].parse::<usize>().unwrap())
             .sum();
         assert!(scattered_relays > 0, "scattered rows should graft relays");
     }
@@ -407,10 +421,13 @@ mod tests {
         let report = groups_panel(&cfg);
         let rows = report.table.rows();
         let affected: f64 = rows[1][4].parse().unwrap();
-        let naive: f64 = rows[1][5].parse().unwrap();
+        let naive: f64 = rows[1][7].parse().unwrap();
         assert!(
             affected < 0.7 * naive,
-            "affected μ {affected} vs naive {naive}: locality lost"
+            "examined μ {affected} vs naive {naive}: locality lost"
         );
+        let certified: f64 = rows[1][5].parse().unwrap();
+        let rebuilt: f64 = rows[1][6].parse().unwrap();
+        assert!((certified + rebuilt - affected).abs() < 0.011, "{rows:?}");
     }
 }

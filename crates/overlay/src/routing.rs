@@ -25,8 +25,10 @@
 //! [`TopologyStore`] (`*_on_store` — the churn-engine path, reading the
 //! store's incrementally-maintained forward + reverse adjacency without
 //! building a closure). The group layer's relay grafting
-//! (`geocast_core::groups`) routes join requests over the store
-//! variants.
+//! (`geocast_core::graft`) routes join requests over the store
+//! variants, hop by hop through [`greedy_step_on_store`] — the one
+//! decision every walk here iterates, and the one the group engine's
+//! repair certificate re-checks when a walked peer's row changes.
 
 use geocast_geom::{Metric, MetricKind, Point, Rect};
 
@@ -109,11 +111,64 @@ impl RouteResult {
     }
 }
 
-/// The shared greedy walk: step to the neighbour minimising `score`
-/// (ties broken by peer index), stop on `score == 0` (delivery), at a
-/// local minimum, or after `max_hops`. `neighbors_into(i, buf)` fills
-/// `buf` with peer `i`'s undirected overlay partners — the
-/// graph-closure and store-adjacency flavours share everything else.
+/// One greedy hop, the decision every walk in this module is made of:
+/// among `neighbors`, the one minimising `score` **strictly below**
+/// `current_score`, ties broken by the smaller peer index; `None` at a
+/// local minimum. Returns the chosen neighbour with its score.
+fn greedy_step(
+    neighbors: &[usize],
+    mut score: impl FnMut(usize) -> f64,
+    current_score: f64,
+) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for &nbr in neighbors {
+        let d = score(nbr);
+        if d < current_score {
+            let better = match best {
+                None => true,
+                Some((bi, bd)) => d < bd || (d == bd && nbr < bi),
+            };
+            if better {
+                best = Some((nbr, d));
+            }
+        }
+    }
+    best
+}
+
+/// The single greedy hop from live peer `from` towards `target` over the
+/// store's undirected row of `from` (read into `nbuf`): the neighbour
+/// strictly closer to `target` than `from` under `metric`, nearest
+/// first, ties broken by peer index; `None` when `from` is a local
+/// minimum. [`greedy_route_on_store`] is exactly this step iterated, so
+/// a caller that walks hop by hop (relay grafting, which stops at the
+/// first on-tree node) or re-checks one recorded hop against a changed
+/// row (the group engine's repair certificate) decides what the full
+/// route would have decided.
+///
+/// # Panics
+///
+/// Panics if `from` is out of range.
+#[must_use]
+pub fn greedy_step_on_store(
+    store: &TopologyStore,
+    from: usize,
+    target: &Point,
+    metric: MetricKind,
+    nbuf: &mut Vec<usize>,
+) -> Option<usize> {
+    let peers = store.peers();
+    let score = |i: usize| metric.dist(peers[i].point(), target);
+    store.undirected_neighbors_into(from, nbuf);
+    greedy_step(nbuf, score, score(from)).map(|(next, _)| next)
+}
+
+/// The shared greedy walk: iterate [`greedy_step`] (nearest strictly
+/// improving neighbour, ties broken by peer index), stop on
+/// `score == 0` (delivery), at a local minimum, or after `max_hops`.
+/// `neighbors_into(i, buf)` fills `buf` with peer `i`'s undirected
+/// overlay partners — the graph-closure and store-adjacency flavours
+/// share everything else.
 fn greedy_walk(
     mut neighbors_into: impl FnMut(usize, &mut Vec<usize>),
     mut arrived: impl FnMut(usize) -> bool,
@@ -131,20 +186,7 @@ fn greedy_walk(
             return RouteResult::new(path, true, false);
         }
         neighbors_into(current, &mut nbuf);
-        let mut best: Option<(usize, f64)> = None;
-        for &nbr in &nbuf {
-            let d = score(nbr);
-            if d < current_score {
-                let better = match best {
-                    None => true,
-                    Some((bi, bd)) => d < bd || (d == bd && nbr < bi),
-                };
-                if better {
-                    best = Some((nbr, d));
-                }
-            }
-        }
-        match best {
+        match greedy_step(&nbuf, &mut score, current_score) {
             Some((nbr, d)) => {
                 path.push(nbr);
                 current = nbr;
@@ -705,6 +747,27 @@ mod tests {
                 store.len()
             ),
         );
+    }
+
+    #[test]
+    fn single_steps_iterate_to_the_full_route() {
+        let store = store_setup(70, 2, 27);
+        let mut nbuf = Vec::new();
+        for to in [1usize, 23, 69] {
+            let target = store.peers()[to].point();
+            let mut path = vec![0usize];
+            while let Some(next) = greedy_step_on_store(
+                &store,
+                path[path.len() - 1],
+                target,
+                MetricKind::L1,
+                &mut nbuf,
+            ) {
+                path.push(next);
+            }
+            let route = route_to_peer_on_store(&store, 0, to, MetricKind::L1);
+            assert_eq!(path, route.path(), "0 -> {to}");
+        }
     }
 
     #[test]
