@@ -1009,6 +1009,10 @@ fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
         totals.tree_rebuilds
     ));
     out.push_str(&format!(
+        "  graft walks         : {} replayed from the previous build / {} searched\n",
+        totals.graft_walks_replayed, totals.graft_walks_recomputed
+    ));
+    out.push_str(&format!(
         "  memberships after   : {memberships} across {num_groups} groups\n"
     ));
     out.push_str(&format!(
@@ -1655,6 +1659,7 @@ mod tests {
         );
         assert!(out.contains("all == rebuild      : true"), "{out}");
         assert!(out.contains("affected groups"), "{out}");
+        assert!(out.contains("graft walks         : "), "{out}");
     }
 
     #[test]

@@ -39,12 +39,22 @@
 //! never left tier 1 each support node's row was read for exactly one
 //! decision — the greedy hop towards its walk's target, which became
 //! its tree parent. The pass returns those targets next to the support
-//! set; the incremental engine keeps a group's build across a churn
-//! delta exactly when every dirtied support node still takes the same
-//! hop (the repair certificate of [`crate::groups`], where the
+//! set, together with the stranded member whose walk attached each
+//! support node; the incremental engine keeps a group's build across a
+//! churn delta exactly when every dirtied support node still takes the
+//! same hop (the repair certificate of [`crate::groups`], where the
 //! induction is written out), and re-grafts otherwise — which keeps the
 //! maintained tree byte-identical to a from-scratch rebuild
 //! (property-tested in `tests/prop_groups.rs`).
+//!
+//! A re-graft costs what changed, not the group: the same pass, handed
+//! the previous build's recorded decisions as a `GraftMemo`, takes a
+//! walk's target from the record whenever the recorded target is still
+//! on the tree and nothing the old pass did not have there is nearer,
+//! and takes a hop from the old tree whenever the node's row has not
+//! changed since — and searches or steps as above otherwise. It returns
+//! exactly what it returns without a memo; `GraftMemo` carries the
+//! argument.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -54,6 +64,7 @@ use geocast_overlay::{PeerInfo, TopologyStore};
 
 use crate::bits::PeerBits;
 use crate::builder::BuildResult;
+use crate::tree::MulticastTree;
 
 /// Rounds of tier-1/tier-2 alternation before flood discovery takes
 /// over. Each successful round at least halves the distance to the
@@ -108,24 +119,150 @@ pub fn graft_stranded_members(
     build: &mut BuildResult,
     metric: MetricKind,
 ) -> (GraftReport, Vec<usize>) {
-    let (report, support, _targets) = graft_with_targets(store, build, metric);
-    (report, support)
+    let pass = graft_pass(store, build, metric, None);
+    (pass.report, pass.support)
 }
 
-/// [`graft_stranded_members`] plus, parallel to the support set, the
-/// on-tree node each support node's walk was heading for when its row
-/// was read. The targets are empty unless the pass was
-/// [`GraftReport::greedy_only`] (a fallback tier reads rows for other
-/// decisions than a hop towards one target).
-pub(crate) fn graft_with_targets(
+/// What one graft pass returns besides the grafted `build`.
+#[derive(Default)]
+pub(crate) struct GraftPass {
+    pub report: GraftReport,
+    /// Every peer whose adjacency row the pass consulted, sorted.
+    pub support: Vec<usize>,
+    /// Parallel to `support`: the on-tree node each support node's walk
+    /// was heading for when its row was read. Empty, like `joined`,
+    /// unless the pass was [`GraftReport::greedy_only`] (a fallback tier
+    /// reads rows for other decisions than a hop towards one target).
+    pub targets: Vec<u32>,
+    /// Parallel to `support`: the stranded member whose walk attached
+    /// the node (itself, for a member that led its own walk).
+    pub joined: Vec<u32>,
+    /// Walks whose target was the memo's recorded one.
+    pub walks_replayed: u64,
+    /// Walks whose target was searched for ([`OnTreeIndex::nearest`]).
+    pub walks_recomputed: u64,
+}
+
+/// The decisions the previous, greedy-only pass over the same group
+/// recorded, in the form the next pass replays them. A pass given a memo
+/// returns exactly what it returns without one; the memo only tells it
+/// which answers it need not search for:
+///
+/// * **A hop.** A greedy hop is a function of one adjacency row and one
+///   target point. A support node that is not `dirty` has the row it had
+///   when its hop was last taken or re-checked, so towards its recorded
+///   target it takes the hop it took — its parent in the old tree.
+/// * **A target.** The target of stranded member `s` is the
+///   `(distance, index)` minimum over the nodes on the tree when the
+///   pass reaches `s`. Split that set into the nodes the old pass also
+///   had on its tree at that point and the rest (`fresh`). If `s` led
+///   its own walk last time, its recorded target was the minimum over
+///   the whole old set, so once it is seen to be on the tree now it is
+///   the minimum over the shared part — and the new target is the
+///   better of it and the best `fresh` node.
+pub(crate) struct GraftMemo<'a> {
+    /// The old pass's support set, sorted; `targets` and `joined` are
+    /// parallel to it.
+    pub support: &'a [usize],
+    pub targets: &'a [u32],
+    pub joined: &'a [u32],
+    /// The old grafted tree.
+    pub tree: &'a MulticastTree,
+    /// Every old support node whose adjacency row may have changed
+    /// since its recorded hop was last known to stand, sorted.
+    pub dirty: &'a [usize],
+}
+
+impl GraftMemo<'_> {
+    fn slot(&self, p: usize) -> Option<usize> {
+        self.support.binary_search(&p).ok()
+    }
+
+    /// `true` if `p` was on the old tree once the old pass was done
+    /// with stranded member `after` — before any walk, for `None`. (A
+    /// greedy-only pass attaches every node it consults, so the walks'
+    /// share of the old tree is its support and the rest of it is what
+    /// the old §2 construction reached.)
+    fn on_tree_after(&self, p: usize, after: Option<usize>) -> bool {
+        match self.slot(p) {
+            Some(at) => after.is_some_and(|s| self.joined[at] as usize <= s),
+            None => self.tree.is_reached(p),
+        }
+    }
+
+    /// The recorded hop of `p` towards `target`, if `p` recorded one
+    /// and its row still reads as it did then.
+    fn hop(&self, p: usize, target: u32) -> Option<usize> {
+        let at = self.slot(p)?;
+        if self.targets[at] != target || self.dirty.binary_search(&p).is_ok() {
+            return None;
+        }
+        self.tree.parent(p)
+    }
+}
+
+/// Past this many `fresh` nodes a pass stops replaying targets: each
+/// replayed target costs one distance per fresh node, a searched one a
+/// few grid cells.
+const MAX_FRESH: usize = 32;
+
+/// A memo plus what the running pass has put on its tree that the old
+/// pass did not have there at the same point.
+struct Replay<'a> {
+    memo: &'a GraftMemo<'a>,
+    fresh: Vec<usize>,
+}
+
+impl Replay<'_> {
+    /// Notes that `p` is on the tree from now on — the pass is about to
+    /// walk (`after == None`, §2-reached nodes) or has just attached a
+    /// path of stranded member `after`.
+    fn note_on_tree(&mut self, p: usize, after: Option<usize>) {
+        if !self.memo.on_tree_after(p, after) && self.fresh.len() <= MAX_FRESH {
+            self.fresh.push(p);
+        }
+    }
+
+    /// The target of stranded member `s`, when the memo decides it.
+    fn target(
+        &self,
+        peers: &[PeerInfo],
+        metric: MetricKind,
+        on_tree: &PeerBits,
+        s: usize,
+    ) -> Option<usize> {
+        let memo = self.memo;
+        if self.fresh.len() > MAX_FRESH {
+            return None;
+        }
+        let at = memo.slot(s).filter(|&at| memo.joined[at] as usize == s)?;
+        let recorded = memo.targets[at] as usize;
+        if !on_tree.contains(recorded) {
+            return None;
+        }
+        let sp = peers[s].point();
+        let best = metric.dist(peers[recorded].point(), sp);
+        let beaten = self.fresh.iter().any(|&f| {
+            let dist = metric.dist(peers[f].point(), sp);
+            dist < best || (dist == best && f < recorded)
+        });
+        (!beaten).then_some(recorded)
+    }
+}
+
+/// The one graft pass: [`graft_stranded_members`] plus what the
+/// incremental engine records about it, optionally replaying the
+/// decisions of the group's previous pass (see [`GraftMemo`]).
+pub(crate) fn graft_pass(
     store: &TopologyStore,
     build: &mut BuildResult,
     metric: MetricKind,
-) -> (GraftReport, Vec<usize>, Vec<u32>) {
+    memo: Option<&GraftMemo>,
+) -> GraftPass {
     assert_eq!(store.len(), build.tree.len(), "store/tree size mismatch");
-    let mut report = GraftReport::default();
+    let mut pass = GraftPass::default();
     if build.stranded.is_empty() {
-        return (report, Vec::new(), Vec::new());
+        return pass;
     }
 
     // The on-tree set while paths are being discovered: a grid (for the
@@ -135,16 +272,47 @@ pub(crate) fn graft_with_targets(
     let stranded = std::mem::take(&mut build.stranded);
     let mut index = OnTreeIndex::new(store.peers(), metric, build.tree.reached(), &stranded);
     let mut on_tree = PeerBits::from_peers(store.len(), build.tree.reached());
+    let mut replay = memo.map(|memo| {
+        let mut replay = Replay {
+            memo,
+            fresh: Vec::new(),
+        };
+        for &p in build.tree.reached() {
+            replay.note_on_tree(p, None);
+        }
+        replay
+    });
     let mut links: Vec<(usize, usize)> = Vec::new();
     let mut relays: Vec<usize> = Vec::new();
     let mut walk = Walk::default();
+    let discovery = Discovery {
+        store,
+        metric,
+        memo,
+    };
+    let report = &mut pass.report;
 
     for &s in &stranded {
         if on_tree.contains(s) {
             // An earlier graft path already routed through this member.
             continue;
         }
-        if !discover_path(store, &on_tree, &mut index, s, &mut walk, &mut report) {
+        let target = match replay
+            .as_ref()
+            .and_then(|r| r.target(store.peers(), metric, &on_tree, s))
+        {
+            Some(recorded) => {
+                pass.walks_replayed += 1;
+                Some(recorded)
+            }
+            None => {
+                pass.walks_recomputed += 1;
+                index.nearest(s)
+            }
+        };
+        let found = target
+            .is_some_and(|target| discover_path(discovery, &on_tree, s, target, &mut walk, report));
+        if !found {
             report.unreachable += 1;
             continue;
         }
@@ -155,6 +323,9 @@ pub(crate) fn graft_with_targets(
             links.push((hop[0], hop[1]));
             on_tree.insert(hop[0]);
             index.insert(hop[0]);
+            if let Some(replay) = &mut replay {
+                replay.note_on_tree(hop[0], Some(s));
+            }
             if stranded.binary_search(&hop[0]).is_err() {
                 relays.push(hop[0]);
             }
@@ -177,14 +348,23 @@ pub(crate) fn graft_with_targets(
     // fallback tiers can revisit.
     let mut consulted = walk.consulted;
     consulted.sort_unstable();
-    consulted.dedup_by_key(|&mut (node, _)| node);
-    let support = consulted.iter().map(|&(node, _)| node).collect();
-    let targets = if report.greedy_only() {
-        consulted.iter().map(|&(_, target)| target).collect()
-    } else {
-        Vec::new()
-    };
-    (report, support, targets)
+    consulted.dedup_by_key(|c| c.node);
+    pass.support = consulted.iter().map(|c| c.node).collect();
+    if pass.report.greedy_only() {
+        pass.targets = consulted.iter().map(|c| c.target).collect();
+        pass.joined = consulted.iter().map(|c| c.joined).collect();
+    }
+    pass
+}
+
+/// One adjacency row some discovery of the pass read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Consulted {
+    node: usize,
+    /// The on-tree node that discovery was locating.
+    target: u32,
+    /// The stranded member that discovery started from.
+    joined: u32,
 }
 
 /// Scratch and output of the discoveries of one graft pass.
@@ -192,32 +372,45 @@ pub(crate) fn graft_with_targets(
 struct Walk {
     /// The last discovered path `[s, …relays…, on-tree node]`.
     path: Vec<usize>,
-    /// Every `(peer, target)` whose adjacency row some discovery of the
-    /// pass read, with the on-tree node that discovery was locating.
-    consulted: Vec<(usize, u32)>,
+    consulted: Vec<Consulted>,
     nbuf: Vec<usize>,
 }
 
+/// What every discovery of one pass reads and none of them changes.
+#[derive(Clone, Copy)]
+struct Discovery<'a> {
+    store: &'a TopologyStore,
+    metric: MetricKind,
+    memo: Option<&'a GraftMemo<'a>>,
+}
+
 /// Discovers an overlay path from stranded member `s` to the tree into
-/// `walk.path`: `[s, …relays…, on-tree node]`, loop-free. `false` when
-/// `s`'s overlay component does not contain the tree.
+/// `walk.path`: `[s, …relays…, on-tree node]`, loop-free, heading for
+/// on-tree node `target`. `false` when `s`'s overlay component does not
+/// contain the tree.
 fn discover_path(
-    store: &TopologyStore,
+    discovery: Discovery,
     on_tree: &PeerBits,
-    index: &mut OnTreeIndex,
     s: usize,
+    target: usize,
     walk: &mut Walk,
     report: &mut GraftReport,
 ) -> bool {
-    let metric = index.metric;
-    let Some(target) = index.nearest(s) else {
-        return false;
+    let Discovery {
+        store,
+        metric,
+        memo,
+    } = discovery;
+    let consulted = |node: usize| Consulted {
+        node,
+        target: u32::try_from(target).expect("peer ids fit u32"),
+        joined: u32::try_from(s).expect("peer ids fit u32"),
     };
-    let tag = u32::try_from(target).expect("peer ids fit u32");
+    let tag = consulted(s).target;
     let tp = store.peers()[target].point();
     walk.path.clear();
     walk.path.push(s);
-    walk.consulted.push((s, tag));
+    walk.consulted.push(consulted(s));
     let mut cur = s;
 
     for round in 0..MAX_ROUTING_ROUNDS {
@@ -225,8 +418,12 @@ fn discover_path(
         // at a time, ending at the first on-tree node — only rows that
         // decide the used path are read, so only they enter the support
         // set. Every hop is strictly closer to the target than the
-        // last, so a path that never left this tier has no loop.
-        while let Some(next) = greedy_step_on_store(store, cur, tp, metric, &mut walk.nbuf) {
+        // last, so a path that never left this tier has no loop. A hop
+        // the memo recorded is the hop the row would give.
+        while let Some(next) = memo
+            .and_then(|m| m.hop(cur, tag))
+            .or_else(|| greedy_step_on_store(store, cur, tp, metric, &mut walk.nbuf))
+        {
             walk.path.push(next);
             report.route_hops += 1;
             if on_tree.contains(next) {
@@ -236,7 +433,7 @@ fn discover_path(
                 }
                 return true;
             }
-            walk.consulted.push((next, tag));
+            walk.consulted.push(consulted(next));
             cur = next;
         }
 
@@ -261,7 +458,7 @@ fn discover_path(
                 compress_loops(&mut walk.path);
                 return true;
             }
-            walk.consulted.push((hop, tag));
+            walk.consulted.push(consulted(hop));
         }
         cur = route.last();
         if !route.delivered() {
@@ -272,7 +469,7 @@ fn discover_path(
 
     // Tier 3: flood discovery (deterministic BFS) from the last stall.
     report.flood_fallbacks += 1;
-    let found = flood_to_tree(store, on_tree, walk, tag, report);
+    let found = flood_to_tree(store, on_tree, walk, consulted(s), report);
     if found {
         compress_loops(&mut walk.path);
     }
@@ -490,7 +687,7 @@ fn flood_to_tree(
     store: &TopologyStore,
     on_tree: &PeerBits,
     walk: &mut Walk,
-    tag: u32,
+    of: Consulted,
     report: &mut GraftReport,
 ) -> bool {
     let start = *walk.path.last().expect("the path starts at the member");
@@ -509,7 +706,7 @@ fn flood_to_tree(
             walk.path[from..].reverse();
             return true;
         }
-        walk.consulted.push((u, tag));
+        walk.consulted.push(Consulted { node: u, ..of });
         store.undirected_neighbors_into(u, &mut walk.nbuf);
         for &v in &walk.nbuf {
             if !seen.contains(v) {
@@ -561,12 +758,8 @@ mod tests {
     /// A diagonal line: consecutive peers are overlay neighbours, far
     /// pairs are not, so a two-ended group must graft through the
     /// middle.
-    fn diagonal(n: usize) -> TopologyStore {
-        store_from(
-            (0..n)
-                .map(|i| Point::new(vec![10.0 * i as f64, 10.0 * i as f64]).unwrap())
-                .collect(),
-        )
+    fn diagonal(n: i32) -> TopologyStore {
+        store_from(line(&(0..n).collect::<Vec<_>>()))
     }
 
     #[test]
@@ -588,9 +781,11 @@ mod tests {
         assert_eq!(support, vec![1, 2, 3, 4]);
         let mut again =
             build_group_tree_on_store(&store, 0, &members, &OrthantRectPartitioner::median());
-        let (_, same_support, targets) = graft_with_targets(&store, &mut again, MetricKind::L1);
-        assert_eq!(same_support, support);
-        assert_eq!(targets, vec![0, 0, 0, 0]);
+        let pass = graft_pass(&store, &mut again, MetricKind::L1, None);
+        assert_eq!(pass.support, support);
+        assert_eq!(pass.targets, vec![0, 0, 0, 0]);
+        assert_eq!(pass.joined, vec![4, 4, 4, 4], "one walk attached them all");
+        assert_eq!((pass.walks_replayed, pass.walks_recomputed), (0, 1));
         assert_eq!(again, build);
         // The grafted chain hangs off the root in path order.
         assert_eq!(build.tree.parent(4), Some(3));
@@ -724,6 +919,209 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// One group build the way `crate::groups` makes it — the §2 member
+    /// tree rooted at peer 0, then the graft pass, replaying `memo` if
+    /// given.
+    fn grafted(
+        store: &TopologyStore,
+        members: &[usize],
+        memo: Option<&GraftMemo>,
+    ) -> (BuildResult, GraftPass) {
+        let members: BTreeSet<usize> = members.iter().copied().collect();
+        let mut build =
+            build_group_tree_on_store(store, 0, &members, &OrthantRectPartitioner::median());
+        let pass = graft_pass(store, &mut build, MetricKind::L1, memo);
+        (build, pass)
+    }
+
+    /// Builds `members` over `store` replaying `old` — a build of the
+    /// same group over an earlier state of the store, `dirty` being the
+    /// peers whose rows changed since — and from scratch: same tree,
+    /// same relays, same support, same recorded decisions, same report.
+    /// Returns the replayed one.
+    fn replayed(
+        store: &TopologyStore,
+        members: &[usize],
+        old: &(BuildResult, GraftPass),
+        dirty: &[usize],
+    ) -> (BuildResult, GraftPass) {
+        let (old_build, old_pass) = old;
+        assert!(
+            old_pass.report.greedy_only(),
+            "only such passes are replayed"
+        );
+        let dirty: Vec<usize> = dirty
+            .iter()
+            .copied()
+            .filter(|p| old_pass.support.binary_search(p).is_ok())
+            .collect();
+        let memo = GraftMemo {
+            support: &old_pass.support,
+            targets: &old_pass.targets,
+            joined: &old_pass.joined,
+            tree: &old_build.tree,
+            dirty: &dirty,
+        };
+        let (build, pass) = grafted(store, members, Some(&memo));
+        let (scratch, reference) = grafted(store, members, None);
+        assert_eq!(build, scratch);
+        assert_eq!(pass.report, reference.report);
+        assert_eq!(pass.support, reference.support);
+        assert_eq!(pass.targets, reference.targets);
+        assert_eq!(pass.joined, reference.joined);
+        assert_eq!(
+            pass.walks_replayed + pass.walks_recomputed,
+            reference.walks_recomputed,
+            "the same walks, however their targets were found"
+        );
+        (build, pass)
+    }
+
+    /// Peers on the diagonal, `positions[id]` steps of (10, 10) from the
+    /// origin: peers at consecutive positions are overlay neighbours,
+    /// no others, so a walk runs along the line.
+    fn line(positions: &[i32]) -> Vec<Point> {
+        positions
+            .iter()
+            .map(|&at| Point::new(vec![10.0 * f64::from(at), 10.0 * f64::from(at)]).unwrap())
+            .collect()
+    }
+
+    /// The target recorded for support node `p`.
+    fn target_of(pass: &GraftPass, p: usize) -> usize {
+        pass.targets[pass.support.binary_search(&p).expect("a support node")] as usize
+    }
+
+    /// Peers 0..=9 along the line, and member 10 just off it next to
+    /// position 5: adjacent to positions 4, 5 and 6.
+    fn line_with_a_member_beside_it() -> TopologyStore {
+        let mut points = line(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        points.push(Point::new(vec![52.0, 48.0]).unwrap());
+        store_from(points)
+    }
+
+    #[test]
+    fn replay_a_new_members_path_becomes_a_later_members_target() {
+        let store = line_with_a_member_beside_it();
+        let old = grafted(&store, &[0, 10], None);
+        assert_eq!(old.1.support, vec![1, 2, 3, 4, 10]);
+        assert_eq!(target_of(&old.1, 10), 0, "the root is all there is");
+        // Member 9 subscribes at the far end and walks first (smaller
+        // id): its path 9→8→…→0 passes member 10, whose recorded target
+        // still stands but is no longer the nearest on-tree node.
+        let (build, pass) = replayed(&store, &[0, 9, 10], &old, &[]);
+        assert_eq!(target_of(&pass, 10), 5, "a relay of the new path");
+        assert_eq!(build.tree.parent(10), Some(5));
+        assert_eq!(target_of(&pass, 4), 0, "walked by 9 now, still towards 0");
+        assert_eq!((pass.walks_replayed, pass.walks_recomputed), (0, 2));
+    }
+
+    #[test]
+    fn replay_an_unsubscribed_members_path_no_longer_carries_later_walks() {
+        let store = line_with_a_member_beside_it();
+        let old = grafted(&store, &[0, 9, 10], None);
+        assert_eq!(target_of(&old.1, 10), 5);
+        // Member 9 unsubscribes: relay 5 is off the tree when member 10
+        // walks, so its recorded target cannot be taken.
+        let (build, pass) = replayed(&store, &[0, 10], &old, &[]);
+        assert_eq!(target_of(&pass, 10), 0);
+        assert_eq!(build.tree.parent(10), Some(4));
+        assert_eq!(build.relays, vec![1, 2, 3, 4]);
+        assert_eq!((pass.walks_replayed, pass.walks_recomputed), (0, 1));
+        // With nothing changed, every target is the recorded one.
+        let (_, same) = replayed(&store, &[0, 9, 10], &old, &[]);
+        assert_eq!((same.walks_replayed, same.walks_recomputed), (2, 0));
+    }
+
+    #[test]
+    fn replay_a_member_that_was_walked_through_leads_its_own_walk() {
+        // Ids in walking order: member 1 sits at the far end (position
+        // 9) and walks first, through member 6 at position 5.
+        let store = store_from(line(&[0, 9, 1, 2, 3, 4, 5, 6, 7, 8]));
+        let old = grafted(&store, &[0, 1, 6], None);
+        assert_eq!(old.1.report.grafted, 1, "member 6 was on member 1's path");
+        let at = old.1.support.binary_search(&6).unwrap();
+        assert_eq!(old.1.joined[at], 1);
+        // Member 1 unsubscribes: member 6 recorded no target of its own.
+        let (build, pass) = replayed(&store, &[0, 6], &old, &[]);
+        assert_eq!(pass.report.grafted, 1);
+        assert_eq!(pass.joined[pass.support.binary_search(&6).unwrap()], 6);
+        assert_eq!(build.tree.parent(6), Some(5), "position 4");
+        assert_eq!((pass.walks_replayed, pass.walks_recomputed), (0, 1));
+    }
+
+    #[test]
+    fn replay_routes_around_a_relay_that_departed_mid_path() {
+        // The line 0..=5 plus a detour peer beside position 2.
+        let mut points = line(&[0, 1, 2, 3, 4, 5]);
+        points.push(Point::new(vec![21.0, 19.0]).unwrap());
+        let mut store = store_from(points);
+        let old = grafted(&store, &[0, 5], None);
+        assert_eq!(old.0.relays, vec![1, 2, 3, 4]);
+        store.remove(geocast_overlay::PeerId(2));
+        let dirty = store.last_delta().to_vec();
+        assert!(dirty.contains(&3), "the departure rewires its neighbours");
+        let (build, pass) = replayed(&store, &[0, 5], &old, &dirty);
+        assert_eq!(build.relays, vec![1, 3, 4, 6]);
+        assert_eq!(build.tree.parent(4), Some(3), "a clean node's recorded hop");
+        assert_eq!(
+            build.tree.parent(3),
+            Some(6),
+            "the dirty node's hop, re-taken"
+        );
+        assert_eq!(target_of(&pass, 6), 0);
+        assert_eq!(
+            (pass.walks_replayed, pass.walks_recomputed),
+            (1, 0),
+            "the root is still the target"
+        );
+    }
+
+    #[test]
+    fn replay_retakes_the_hop_of_a_dirty_node() {
+        let mut store = store_from(line(&[0, 1, 2, 3, 4]));
+        let old = grafted(&store, &[0, 4], None);
+        // A joiner strictly closer to the root than node 4's recorded
+        // hop (position 3 is 60 away in L1, the joiner 59).
+        let joiner = store.insert(Point::new(vec![31.0, 28.0]).unwrap()).index();
+        let dirty = store.last_delta().to_vec();
+        assert!(dirty.contains(&4));
+        let (build, pass) = replayed(&store, &[0, 4], &old, &dirty);
+        assert_eq!(build.tree.parent(4), Some(joiner));
+        assert_eq!(target_of(&pass, joiner), 0);
+        assert_eq!((pass.walks_replayed, pass.walks_recomputed), (1, 0));
+    }
+
+    #[test]
+    fn replay_stops_deciding_targets_once_fresh_outgrows_its_bound() {
+        // Member `far` sits `reach` positions up the line and walks
+        // first; member `near` sits two positions down it, nearest to
+        // the root whatever attaches up there.
+        let build = |reach: i32| {
+            let mut positions = vec![0, reach];
+            positions.extend(1..reach);
+            positions.extend([-1, -2]);
+            let near = positions.len() - 1;
+            let store = store_from(line(&positions));
+            let old = grafted(&store, &[0, near], None);
+            assert_eq!(target_of(&old.1, near), 0);
+            let (_, pass) = replayed(&store, &[0, 1, near], &old, &[]);
+            assert_eq!(target_of(&pass, near), 0);
+            (pass.walks_replayed, pass.walks_recomputed)
+        };
+        let within = i32::try_from(MAX_FRESH).unwrap();
+        assert_eq!(
+            build(within),
+            (1, 1),
+            "the far member's path is all fresh, and none of it beats the root"
+        );
+        assert_eq!(
+            build(within + 2),
+            (0, 2),
+            "past the bound the target is searched for"
+        );
+    }
+
     #[test]
     fn compress_loops_splices_revisits() {
         for (walked, want) in [
@@ -815,10 +1213,15 @@ mod tests {
         walk.path.push(4);
         let on_tree = PeerBits::from_peers(store.len(), &[0]);
         let mut report = GraftReport::default();
-        assert!(flood_to_tree(&store, &on_tree, &mut walk, 0, &mut report));
+        let of = Consulted {
+            node: 4,
+            target: 0,
+            joined: 4,
+        };
+        assert!(flood_to_tree(&store, &on_tree, &mut walk, of, &mut report));
         assert_eq!(walk.path, vec![4, 3, 2, 1, 0]);
         assert_eq!(report.flood_messages, 4, "one message per discovered peer");
-        let consulted: Vec<usize> = walk.consulted.iter().map(|&(p, _)| p).collect();
+        let consulted: Vec<usize> = walk.consulted.iter().map(|c| c.node).collect();
         assert_eq!(
             consulted,
             vec![4, 3, 2, 1],
@@ -828,7 +1231,7 @@ mod tests {
         let mut walk = Walk::default();
         walk.path.push(4);
         let nowhere = PeerBits::from_peers(store.len(), std::iter::empty());
-        assert!(!flood_to_tree(&store, &nowhere, &mut walk, 0, &mut report));
+        assert!(!flood_to_tree(&store, &nowhere, &mut walk, of, &mut report));
         assert_eq!(walk.consulted.len(), 5);
         assert_eq!(walk.path, vec![4]);
     }

@@ -37,9 +37,12 @@
 //!   at [`GroupBuild::still_holds`]. Anything else (a failed
 //!   clause, a graft that used the region or flood tier, a membership
 //!   operation) goes through the one rebuild path, tearing down and
-//!   re-routing relays whose underlying peers churned. Consumers that
-//!   fall behind the log's retention window resync from the full store
-//!   state.
+//!   re-routing relays whose underlying peers churned — and that
+//!   rebuild's graft pass replays the decisions the replaced build
+//!   recorded ([`crate::graft`]), so it searches and walks only where
+//!   the change reaches; [`EngineTotals::graft_walks_replayed`] counts
+//!   it. Consumers that fall behind the log's retention window resync
+//!   from the full store state, replaying nothing.
 //! * **A batched, plan-cached data plane.** Publishing is decoupled
 //!   from tree walking ([`crate::dataplane`]): each group's delivery
 //!   edges are flattened once into a [`DeliveryPlan`] cached against
@@ -95,11 +98,11 @@ use geocast_overlay::{CursorCatchUp, DeltaCursor, PeerId, TopologyStore};
 use geocast_sim::workload::{GroupOp, MembershipPlacement};
 
 use crate::bits::PeerBits;
-use crate::builder::{build_in_zone_generic, BuildResult};
+use crate::builder::{build_in_zone_generic, BuildResult, Zones};
 use crate::dataplane::{
     eager_lazy_deliver, DeliveryPlan, EpidemicReport, PlanCache, PlanStats, PublishBatch,
 };
-use crate::graft::{graft_with_targets, GraftReport};
+use crate::graft::{graft_pass, GraftMemo, GraftReport};
 use crate::partition::ZonePartitioner;
 use crate::stability::{preferred_links_on_store, PreferredPolicy, StabilityForest};
 
@@ -231,7 +234,8 @@ impl MemberRows {
 
 /// The decisions a [`GroupBuild`] rests on, recorded in the form
 /// [`GroupEngine::sync`] re-checks them after churn (see
-/// [`GroupBuild::still_holds`]). `O(members + support)` `u32`s.
+/// [`GroupBuild::still_holds`]) and the next rebuild replays them (see
+/// [`crate::graft`]). `O(members + support)` `u32`s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairCertificate {
     /// What the §2 construction read.
@@ -240,6 +244,9 @@ pub struct RepairCertificate {
     /// support node's walk was heading for (the hop it chose is its
     /// tree parent). Empty when the graft left tier 1.
     targets: Vec<u32>,
+    /// Parallel to [`GroupBuild::support`]: the stranded member whose
+    /// walk attached the node. Empty when the graft left tier 1.
+    joined: Vec<u32>,
 }
 
 /// A group's complete delivery structure: the (grafted) tree plus the
@@ -342,6 +349,21 @@ impl GroupBuild {
         }
         true
     }
+
+    /// This build's graft decisions as the memo of the group's next
+    /// graft pass, given `dirty`: every support node whose adjacency
+    /// row may have changed since its hop was recorded or last
+    /// re-checked by [`GroupBuild::still_holds`], sorted. `None` when
+    /// the pass left tier 1 — it recorded no decisions to replay.
+    fn graft_memo<'a>(&'a self, dirty: &'a [usize]) -> Option<GraftMemo<'a>> {
+        self.graft.greedy_only().then_some(GraftMemo {
+            support: &self.support,
+            targets: &self.certificate.targets,
+            joined: &self.certificate.joined,
+            tree: &self.build.tree,
+            dirty,
+        })
+    }
 }
 
 /// The full group-build reference: the member-induced §2 construction
@@ -360,6 +382,20 @@ pub fn build_group_tree_grafted(
     members: &BTreeSet<usize>,
     partitioner: &dyn ZonePartitioner,
 ) -> GroupBuild {
+    build_group(store, root, members, partitioner, None).0
+}
+
+/// [`build_group_tree_grafted`], its graft pass optionally replaying the
+/// decisions of the group's previous build, plus how many of the pass's
+/// walks took their target from the memo and how many searched for it.
+/// The build is the same with and without a memo.
+fn build_group(
+    store: &TopologyStore,
+    root: usize,
+    members: &BTreeSet<usize>,
+    partitioner: &dyn ZonePartitioner,
+    memo: Option<&GraftMemo>,
+) -> (GroupBuild, u64, u64) {
     assert!(
         u32::try_from(store.len()).is_ok(),
         "certificates store peer ids as u32"
@@ -369,16 +405,18 @@ pub fn build_group_tree_grafted(
         member_rows.record(member, row);
     });
     member_rows.spans.sort_unstable();
-    let (graft, support, targets) = graft_with_targets(store, &mut build, GRAFT_METRIC);
-    GroupBuild {
+    let pass = graft_pass(store, &mut build, GRAFT_METRIC, memo);
+    let group_build = GroupBuild {
         build,
-        graft,
-        support,
+        graft: pass.report,
+        support: pass.support,
         certificate: RepairCertificate {
             member_rows,
-            targets,
+            targets: pass.targets,
+            joined: pass.joined,
         },
-    }
+    };
+    (group_build, pass.walks_replayed, pass.walks_recomputed)
 }
 
 /// One registered group: subscriber set, session root, current tree.
@@ -439,6 +477,11 @@ pub struct EngineTotals {
     pub payloads: u64,
     /// Full resyncs forced by delta-log truncation.
     pub full_resyncs: u64,
+    /// Graft walks, over all rebuilds, whose target was the one the
+    /// group's previous build recorded (see [`crate::graft`]).
+    pub graft_walks_replayed: u64,
+    /// Graft walks, over all rebuilds, that searched for their target.
+    pub graft_walks_recomputed: u64,
 }
 
 /// What binding one abstract [`GroupOp`] to the population did (see
@@ -821,7 +864,7 @@ impl GroupEngine {
             build: None,
             rebuilds: 0,
         });
-        self.rebuild_group(id.index());
+        self.rebuild_group(id.index(), None);
         id
     }
 
@@ -848,7 +891,8 @@ impl GroupEngine {
         let pos = ids.partition_point(|&x| x < g.0);
         ids.insert(pos, g.0);
         self.totals.membership_ops += 1;
-        self.rebuild_group(g.index());
+        // Synced just above: no row has changed under the old build.
+        self.rebuild_group(g.index(), Some(&[]));
         true
     }
 
@@ -873,7 +917,7 @@ impl GroupEngine {
         if group.root == Some(p) {
             group.root = group.members.first().copied();
         }
-        self.rebuild_group(g.index());
+        self.rebuild_group(g.index(), Some(&[]));
         true
     }
 
@@ -1466,13 +1510,20 @@ impl GroupEngine {
             ..SyncReport::default()
         };
         let mut nbuf: Vec<usize> = Vec::new();
+        let mut dirty: Vec<usize> = Vec::new();
         for of_group in hits.chunk_by(|a, b| a.0 == b.0) {
             let gi = of_group[0].0 as usize;
             let group = &self.groups[gi];
             report.affected_groups += 1;
+            dirty.clear();
+            dirty.extend(of_group.iter().map(|&(_, p)| p as usize));
             let certified = group.build.as_ref().is_some_and(|gb| {
-                let dirty = of_group.iter().map(|&(_, p)| p as usize);
-                gb.still_holds(&self.store, &group.members, dirty, &mut nbuf)
+                gb.still_holds(
+                    &self.store,
+                    &group.members,
+                    dirty.iter().copied(),
+                    &mut nbuf,
+                )
             });
             if certified {
                 report.certified_groups += 1;
@@ -1482,7 +1533,7 @@ impl GroupEngine {
                 );
             } else {
                 report.rebuilt_members += group.members.len();
-                self.rebuild_group(gi);
+                self.rebuild_group(gi, Some(&dirty));
             }
         }
         self.totals.deltas += deltas.len() as u64;
@@ -1492,7 +1543,8 @@ impl GroupEngine {
     /// The laggard path: reconcile every group against the full store
     /// state (prune departures, rebuild all trees, re-pick the forest).
     /// The repair cursor has already been advanced (and its resync
-    /// counted) by [`DeltaCursor::catch_up`].
+    /// counted) by [`DeltaCursor::catch_up`]. Nothing says which rows
+    /// changed under the old builds, so none of them is replayed.
     fn full_resync(&mut self) {
         self.member_of.resize(self.store.len(), Vec::new());
         self.relay_of.resize(self.store.len(), Vec::new());
@@ -1515,7 +1567,7 @@ impl GroupEngine {
                 }
             }
             rebuilt_members += self.groups[gi].members.len();
-            self.rebuild_group(gi);
+            self.rebuild_group(gi, None);
         }
         if let Some((policy, forest)) = &mut self.stability {
             *forest = preferred_links_on_store(&self.store, *policy);
@@ -1530,25 +1582,27 @@ impl GroupEngine {
         };
     }
 
-    fn rebuild_group(&mut self, gi: usize) {
-        // Retire the group's old relay index entries; the rebuild
-        // installs the fresh set (relays torn down here are re-routed
-        // by the graft pass below, or dropped for good). The support
-        // bbox below replaces itself wholesale. The old build is dropped
-        // here, before its replacement is allocated.
-        if let Some(gb) = self.groups[gi].build.take() {
-            for &r in &gb.build.relays {
-                let ids = &mut self.relay_of[r];
-                ids.retain(|&x| x as usize != gi);
-                if ids.is_empty() {
-                    // Release the capacity too: most ex-relays (every
-                    // departed one) never relay again.
-                    *ids = Vec::new();
-                }
-            }
+    /// Replaces group `gi`'s build with the one its current members and
+    /// the current store define. `dirty` lists the members and support
+    /// nodes of the old build whose adjacency rows may have changed
+    /// since `sync` last examined the group (sorted; empty for a
+    /// membership operation): with it the graft pass replays the old
+    /// build's decisions ([`crate::graft`]), without it (`None`: no old
+    /// build, or no record of what changed) every walk is discovered
+    /// anew. The build is the same either way.
+    fn rebuild_group(&mut self, gi: usize, dirty: Option<&[usize]>) {
+        // Old and new build coexist while the graft pass replays: keep
+        // what it (and the relay index below) reads, drop the zones and
+        // the member rows before the replacement is allocated.
+        let mut old = self.groups[gi].build.take();
+        if let Some(gb) = &mut old {
+            gb.build.zones = Zones::default();
+            gb.certificate.member_rows = MemberRows::default();
         }
+        let old_relays = old.as_ref().map_or(&[][..], |gb| &gb.build.relays);
         let group = &mut self.groups[gi];
         let Some(root) = group.root else {
+            Self::reindex_relays(&mut self.relay_of, gi, old_relays, &[]);
             if let Some(bounds) = &mut self.bounds {
                 bounds.clear(gi);
             }
@@ -1556,23 +1610,76 @@ impl GroupEngine {
             self.refresh_degraded(gi);
             return;
         };
-        let build =
-            build_group_tree_grafted(&self.store, root, &group.members, self.partitioner.as_ref());
+        let memo = old.as_ref().zip(dirty).and_then(|(gb, d)| gb.graft_memo(d));
+        let (build, replayed, recomputed) = build_group(
+            &self.store,
+            root,
+            &group.members,
+            self.partitioner.as_ref(),
+            memo.as_ref(),
+        );
+        debug_assert!(
+            memo.is_none()
+                || build
+                    == build_group_tree_grafted(
+                        &self.store,
+                        root,
+                        &group.members,
+                        self.partitioner.as_ref()
+                    ),
+            "group {gi}: the replayed build differs from its from-scratch rebuild"
+        );
+        // Relays torn down by the rebuild leave the index, the ones it
+        // re-routed through enter it.
+        Self::reindex_relays(&mut self.relay_of, gi, old_relays, &build.build.relays);
         self.index_support_bounds(gi, &build.support);
         let group = &mut self.groups[gi];
-        for &r in &build.build.relays {
-            let ids = &mut self.relay_of[r];
-            let pos = ids.partition_point(|&x| (x as usize) < gi);
-            ids.insert(pos, gi as u32);
-        }
         group.build = Some(build);
         group.rebuilds += 1;
         self.totals.tree_rebuilds += 1;
         self.totals.rebuilt_members += group.members.len() as u64;
+        self.totals.graft_walks_replayed += replayed;
+        self.totals.graft_walks_recomputed += recomputed;
         // The rebuilds bump above is exactly what invalidates this
         // group's cached delivery plan; only the degraded flag needs a
         // refresh (the root or relay set may have changed).
         self.refresh_degraded(gi);
+    }
+
+    /// Moves group `gi` from the `relay_of` lists of `old` to those of
+    /// `new` (both sorted): one merge walk that touches only the peers
+    /// on one side.
+    fn reindex_relays(relay_of: &mut [Vec<u32>], gi: usize, old: &[usize], new: &[usize]) {
+        use std::cmp::Ordering;
+        let (mut old, mut new) = (old.iter().peekable(), new.iter().peekable());
+        loop {
+            let order = match (old.peek(), new.peek()) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(retired), Some(added)) => retired.cmp(added),
+            };
+            match order {
+                Ordering::Equal => {
+                    old.next();
+                    new.next();
+                }
+                Ordering::Less => {
+                    let ids = &mut relay_of[*old.next().expect("peeked")];
+                    ids.retain(|&x| x as usize != gi);
+                    if ids.is_empty() {
+                        // Release the capacity too: most ex-relays (every
+                        // departed one) never relay again.
+                        *ids = Vec::new();
+                    }
+                }
+                Ordering::Greater => {
+                    let ids = &mut relay_of[*new.next().expect("peeked")];
+                    let pos = ids.partition_point(|&x| (x as usize) < gi);
+                    ids.insert(pos, gi as u32);
+                }
+            }
+        }
     }
 
     /// Registers group `gi`'s support bounding box — covering every
@@ -1665,10 +1772,15 @@ mod tests {
     }
 
     /// Every group's engine-maintained build — relay grafts included —
-    /// equals the from-scratch reference.
+    /// equals the from-scratch reference, and the relay index is the
+    /// reverse map of the groups' relay lists.
     fn assert_exact(engine: &GroupEngine) {
+        let mut relay_of = vec![Vec::new(); engine.relay_of.len()];
         for gi in 0..engine.group_count() {
             let g = GroupId(gi as u32);
+            for &r in engine.relays(g) {
+                relay_of[r].push(g.0);
+            }
             match engine.root(g) {
                 Some(root) => {
                     let reference = build_group_tree_grafted(
@@ -1682,6 +1794,7 @@ mod tests {
                 None => assert!(engine.tree(g).is_none(), "dormant {g} has a tree"),
             }
         }
+        assert_eq!(engine.relay_of, relay_of);
     }
 
     /// Count-based regression (no clock): what a 20-member group's
@@ -1865,6 +1978,42 @@ mod tests {
         assert!(eng.last_sync().resynced, "truncated log must force resync");
         assert!(!eng.members(g).contains(&3));
         assert_eq!(eng.totals().full_resyncs, 1);
+        assert_exact(&eng);
+    }
+
+    /// A full resync knows no dirty set — the deltas that would name it
+    /// were evicted — so none of its rebuilds replays the build it
+    /// replaces, whereas the membership operation after it does.
+    #[test]
+    fn a_full_resync_replays_nothing() {
+        let mut eng = engine(200, 23);
+        let g = eng.create_group(PeerId(0));
+        for p in [57u64, 113, 181] {
+            eng.subscribe(g, PeerId(p));
+        }
+        assert!(!eng.group_build(g).unwrap().support.is_empty());
+        eng.store_mut().set_delta_capacity(2);
+        for seed in 0..5u64 {
+            let p = uniform_points(1, 2, 1000.0, 3000 + seed).into_points();
+            eng.store_mut().insert(p.into_iter().next().unwrap());
+        }
+        let before = *eng.totals();
+        eng.sync();
+        assert!(eng.last_sync().resynced);
+        let after = *eng.totals();
+        assert_eq!(after.tree_rebuilds, before.tree_rebuilds + 1);
+        assert_eq!(after.graft_walks_replayed, before.graft_walks_replayed);
+        let walks = eng.group_build(g).unwrap().graft.grafted as u64;
+        assert!(walks > 0, "the group still needs its grafts");
+        assert_eq!(
+            after.graft_walks_recomputed,
+            before.graft_walks_recomputed + walks
+        );
+        assert_exact(&eng);
+
+        eng.subscribe(g, PeerId(150));
+        let replayed = eng.totals().graft_walks_replayed - after.graft_walks_replayed;
+        assert!(replayed > 0, "a membership rebuild replays the old build");
         assert_exact(&eng);
     }
 

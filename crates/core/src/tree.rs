@@ -15,9 +15,11 @@ use std::fmt;
 ///
 /// # Memory
 ///
-/// Only reached peers are stored (sorted by id, one slot each), so a
-/// 20-member group tree over a 20 000-peer overlay costs 20 slots, not
-/// 20 000: the many trees of [`crate::groups`] are `O(reached)` each.
+/// Only reached peers are stored (sorted by id, one slot each, the
+/// children lists packed into one array), so a 20-member group tree over
+/// a 20 000-peer overlay costs 20 slots, not 20 000: the many trees of
+/// [`crate::groups`] are `O(reached)` each, in a fixed number of
+/// allocations.
 /// The peer universe survives as a number ([`MulticastTree::len`], the
 /// population the tree was built over). Every per-peer accessor answers
 /// for *any* index — a peer outside the stored set, including one that
@@ -34,13 +36,15 @@ pub struct MulticastTree {
     root: usize,
     /// Peers the tree was built over (reached or not).
     len: usize,
-    /// Reached peers, ascending; `parent` and `children` are parallel.
+    /// Reached peers, ascending; `parent` is parallel.
     nodes: Vec<usize>,
     /// Each reached peer's parent as a **slot** of `nodes`, so walks
     /// towards the root cost one index per hop, not one search.
     parent: Vec<Option<usize>>,
-    /// Each reached peer's children as peer ids, sorted.
-    children: Vec<Vec<usize>>,
+    /// The children of the peer stored at slot `s`, as sorted peer ids,
+    /// are `child_ids[child_start[s]..child_start[s + 1]]`.
+    child_start: Vec<u32>,
+    child_ids: Vec<usize>,
 }
 
 impl PartialEq for MulticastTree {
@@ -146,24 +150,54 @@ impl MulticastTree {
     /// Resolves parent ids to slots and derives the children lists of
     /// the sorted `nodes`.
     fn assemble(root: usize, len: usize, nodes: Vec<usize>, parent: Vec<Option<usize>>) -> Self {
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
         let parent = parent
             .into_iter()
-            .zip(&nodes)
-            .map(|(p, &child)| {
-                let slot = nodes.binary_search(&p?).expect("parents are reached peers");
-                // Ascending child order leaves every list sorted.
-                children[slot].push(child);
-                Some(slot)
-            })
+            .map(|p| Some(nodes.binary_search(&p?).expect("parents are reached peers")))
             .collect();
-        MulticastTree {
+        let mut tree = MulticastTree {
             root,
             len,
             nodes,
             parent,
-            children,
+            child_start: Vec::new(),
+            child_ids: Vec::new(),
+        };
+        tree.index_children();
+        tree
+    }
+
+    /// Derives the packed children lists from the parent slots: a
+    /// counting sort by parent slot, stable over the ascending `nodes`,
+    /// so every list comes out sorted.
+    fn index_children(&mut self) {
+        let n = self.nodes.len();
+        assert!(u32::try_from(n).is_ok(), "child offsets are u32");
+        // `start[s + 2]` counts the children of slot `s`; summed up,
+        // `start[s + 1]` is where that list begins. Filling a list
+        // advances its cursor to where the next one begins, which shifts
+        // every offset into its final place, one entry earlier.
+        let mut start = vec![0u32; n + 2];
+        for &up in self.parent.iter().flatten() {
+            start[up + 2] += 1;
         }
+        for s in 2..n + 2 {
+            start[s] += start[s - 1];
+        }
+        let mut ids = vec![0usize; start[n + 1] as usize];
+        for (&child, &up) in self.nodes.iter().zip(&self.parent) {
+            if let Some(up) = up {
+                ids[start[up + 1] as usize] = child;
+                start[up + 1] += 1;
+            }
+        }
+        start.pop();
+        self.child_start = start;
+        self.child_ids = ids;
+    }
+
+    /// The children of the reached peer stored at `slot`.
+    fn children_of(&self, slot: usize) -> &[usize] {
+        &self.child_ids[self.child_start[slot] as usize..self.child_start[slot + 1] as usize]
     }
 
     /// The storage slot of reached peer `i`.
@@ -187,6 +221,9 @@ impl MulticastTree {
     /// Panics if an index is out of range, a child is already reached
     /// or linked twice, or a parent is neither reached nor a new child.
     pub(crate) fn attach_all(&mut self, mut links: Vec<(usize, usize)>) {
+        if links.is_empty() {
+            return;
+        }
         links.sort_unstable();
         assert!(
             links.last().is_none_or(|&(c, _)| c < self.len),
@@ -195,14 +232,14 @@ impl MulticastTree {
         let total = self.nodes.len() + links.len();
         let old_nodes = std::mem::replace(&mut self.nodes, Vec::with_capacity(total));
         let old_parent = std::mem::replace(&mut self.parent, Vec::with_capacity(total));
-        let mut old_children = std::mem::take(&mut self.children).into_iter();
-        self.children.reserve(total);
-        // Merge the sorted newcomers in; remember where old slots went.
+        // Merge the sorted newcomers in; remember where old slots went
+        // and where each link's child landed.
         let mut moved = Vec::with_capacity(old_nodes.len());
+        let mut landed = Vec::with_capacity(links.len());
         let mut fresh = links.iter().map(|&(c, _)| c).peekable();
         for &node in &old_nodes {
             while let Some(c) = fresh.next_if(|&c| c < node) {
-                self.push_fresh(c);
+                landed.push(self.push_fresh(c));
             }
             assert!(
                 fresh.peek() != Some(&node),
@@ -210,35 +247,31 @@ impl MulticastTree {
             );
             moved.push(self.nodes.len());
             self.nodes.push(node);
-            self.children
-                .push(old_children.next().expect("parallel arrays"));
         }
         for c in fresh {
-            self.push_fresh(c);
+            landed.push(self.push_fresh(c));
         }
         self.parent.resize(total, None);
         for (&to, p) in moved.iter().zip(old_parent) {
             self.parent[to] = p.map(|slot| moved[slot]);
         }
-        for (child, parent) in links {
-            let at = self.slot(child).expect("just merged");
+        for (&at, &(_, parent)) in landed.iter().zip(&links) {
             let up = self
                 .slot(parent)
                 .unwrap_or_else(|| panic!("parent {parent} not in the tree"));
             self.parent[at] = Some(up);
-            let list = &mut self.children[up];
-            let pos = list.partition_point(|&c| c < child);
-            list.insert(pos, child);
         }
+        self.index_children();
     }
 
-    fn push_fresh(&mut self, child: usize) {
+    /// Appends a newcomer to `nodes`; returns its slot.
+    fn push_fresh(&mut self, child: usize) -> usize {
         assert!(
             self.nodes.last().is_none_or(|&last| last < child),
             "a peer has one parent"
         );
         self.nodes.push(child);
-        self.children.push(Vec::new());
+        self.nodes.len() - 1
     }
 
     /// The session initiator.
@@ -271,7 +304,7 @@ impl MulticastTree {
     /// Tree children of `i` (sorted; empty for unreached peers).
     #[must_use]
     pub fn children(&self, i: usize) -> &[usize] {
-        self.slot(i).map_or(&[], |s| &self.children[s])
+        self.slot(i).map_or(&[], |s| self.children_of(s))
     }
 
     /// `true` if peer `i` received the construction request.
@@ -313,7 +346,7 @@ impl MulticastTree {
         let mut queue = VecDeque::from([self.root]);
         while let Some(u) = queue.pop_front() {
             let su = self.slot(u).expect("queued nodes are reached");
-            for &c in &self.children[su] {
+            for &c in self.children_of(su) {
                 let sc = self.slot(c).expect("children are reached");
                 depth[sc] = depth[su] + 1;
                 queue.push_back(c);
@@ -345,7 +378,7 @@ impl MulticastTree {
     pub fn degrees(&self) -> Vec<usize> {
         let mut degree = vec![0usize; self.len];
         for (s, &i) in self.nodes.iter().enumerate() {
-            degree[i] = self.children[s].len() + usize::from(self.parent[s].is_some());
+            degree[i] = self.children_of(s).len() + usize::from(self.parent[s].is_some());
         }
         degree
     }
@@ -354,7 +387,11 @@ impl MulticastTree {
     /// degree ≤ 2^D" claim is asserted on this).
     #[must_use]
     pub fn max_children(&self) -> usize {
-        self.children.iter().map(Vec::len).max().unwrap_or(0)
+        self.child_start
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Diameter of the reached component in hops (longest path between
@@ -381,7 +418,7 @@ impl MulticastTree {
             }
             let su = self.slot(u).expect("queued nodes are reached");
             let up = self.parent[su].map(|slot| self.nodes[slot]);
-            let neighbors = self.children[su].iter().copied().chain(up);
+            let neighbors = self.children_of(su).iter().copied().chain(up);
             for v in neighbors {
                 let sv = self.slot(v).expect("tree links join reached peers");
                 if dist[sv].is_none() {
@@ -431,7 +468,7 @@ impl MulticastTree {
     pub fn validate(&self) -> Result<(), TreeError> {
         for (s, &i) in self.nodes.iter().enumerate() {
             if let Some(up) = self.parent[s] {
-                if self.children[up].binary_search(&i).is_err() {
+                if self.children_of(up).binary_search(&i).is_err() {
                     return Err(TreeError::ParentChildMismatch { node: i });
                 }
             } else if i != self.root {
@@ -557,16 +594,18 @@ mod tests {
         let mut t = sample();
         t.parent[1] = Some(2);
         t.parent[2] = Some(1);
-        t.children[0].clear();
-        t.children[1] = vec![2, 3, 4];
-        t.children[2] = vec![1];
+        t.index_children();
+        assert!(t.children(0).is_empty());
+        assert_eq!(t.children(1), &[2, 3, 4]);
+        assert_eq!(t.children(2), &[1]);
         assert!(matches!(t.validate(), Err(TreeError::Cycle { .. })));
     }
 
     #[test]
     fn validate_detects_mismatch() {
         let mut t = sample();
-        t.children[0].retain(|&c| c != 1); // break derived invariant
+        assert_eq!(t.children(0), &[1, 2]);
+        t.child_ids[0] = 2; // break derived invariant: the root lists [2, 2]
         assert_eq!(
             t.validate(),
             Err(TreeError::ParentChildMismatch { node: 1 })

@@ -10,7 +10,11 @@
 //! rebuilt + certified = examined, and every group, whichever of the
 //! three happened to it, equals the from-scratch build. Syncs lag the
 //! store by up to three events, so certificates are checked against the
-//! union of several deltas at once.
+//! union of several deltas at once. Every rebuild of a group that has a
+//! build replays that build's graft decisions, so the same equality is
+//! the replay's exactness — checked after every operation, together with
+//! the one case in which the old decisions must not be used: a build
+//! whose graft left tier 1 recorded none.
 //!
 //! Plus the coverage theorem routing-based join buys: after every step,
 //! each live member is reached **iff** the full overlay connects it to
@@ -141,6 +145,46 @@ fn check_full_coverage(engine: &GroupEngine, ids: &[GroupId], rule: u8) {
 struct Laggard {
     epoch: u64,
     members_and_support: Vec<BTreeSet<usize>>,
+    replayable: Replayable,
+}
+
+/// Which groups hold a build the next rebuild may replay (its graft
+/// never left tier 1), and how many walks the engine has replayed so far.
+struct Replayable {
+    greedy_only: Vec<bool>,
+    walks_replayed: u64,
+}
+
+impl Replayable {
+    fn of(engine: &GroupEngine, ids: &[GroupId]) -> Self {
+        Replayable {
+            greedy_only: ids
+                .iter()
+                .map(|&g| {
+                    engine
+                        .group_build(g)
+                        .is_some_and(|gb| gb.graft.greedy_only())
+                })
+                .collect(),
+            walks_replayed: engine.totals().graft_walks_replayed,
+        }
+    }
+
+    /// Checks the rebuilds made since the snapshot — the groups whose
+    /// counter moved from `before` to `after` — and returns how many of
+    /// them had to refuse their old build: walks can only have been
+    /// replayed if some rebuilt group's old graft was greedy-only.
+    fn check_rebuilds(&self, engine: &GroupEngine, before: &[u64], after: &[u64]) -> usize {
+        let rebuilt = || (0..before.len()).filter(|&i| after[i] != before[i]);
+        if !rebuilt().any(|i| self.greedy_only[i]) {
+            assert_eq!(
+                engine.totals().graft_walks_replayed,
+                self.walks_replayed,
+                "a graft that left tier 1 recorded no decisions to replay"
+            );
+        }
+        rebuilt().filter(|&i| !self.greedy_only[i]).count()
+    }
 }
 
 impl Laggard {
@@ -155,6 +199,7 @@ impl Laggard {
                     touched
                 })
                 .collect(),
+            replayable: Replayable::of(engine, ids),
         }
     }
 
@@ -185,6 +230,7 @@ impl Laggard {
             .collect();
         let before = counts.to_vec();
         let rebuilt = check_exact_and_count_rebuilds(engine, ids, counts);
+        self.replayable.check_rebuilds(engine, &before, counts);
         for (i, &g) in ids.iter().enumerate() {
             assert!(
                 examined[i] || counts[i] == before[i],
@@ -262,6 +308,137 @@ fn churn_rebuilds_at_most_a_quarter_of_the_groups_it_examines() {
         4 * rebuilt <= examined,
         "{rebuilt} of {examined} examined groups were rebuilt"
     );
+}
+
+/// The replay's count-based locality gate (no clock): a subscribe into
+/// a scattered group of ≥ 150 members — the size of the groups the
+/// repair-bound benchmark workload rebuilds — searches for the target of
+/// at most a tenth of the group's graft walks; the rest take the target
+/// the previous build recorded. Twenty subscribes: at most a tenth of
+/// all their walks searched, and at least three in four of them held to
+/// a twentieth each. (The rest may be the subscribes that reshape the §2
+/// tree or attach a path longer than the pass's `fresh` bound, which
+/// fall back to searching by design.)
+#[test]
+fn a_subscribe_into_a_large_scattered_group_recomputes_a_tenth_of_its_walks() {
+    let n = 1_500;
+    let store = TopologyStore::from_peers(
+        PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 21)),
+        Arc::new(EmptyRectSelection),
+    );
+    let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
+    let g = engine.seed_groups(&[160], &mut 0x5ca7_7e2ed_u64)[0];
+    let subscribes = 20usize;
+    let (mut walks, mut searched, mut local) = (0u64, 0u64, 0usize);
+    for k in 0..subscribes {
+        let peer = (0..n)
+            .map(|i| (k * 73 + i * 7) % n)
+            .find(|p| !engine.members(g).contains(p))
+            .expect("a non-member");
+        let before = *engine.totals();
+        assert!(engine.subscribe(g, PeerId(peer as u64)));
+        let after = *engine.totals();
+        let replayed = after.graft_walks_replayed - before.graft_walks_replayed;
+        let recomputed = after.graft_walks_recomputed - before.graft_walks_recomputed;
+        assert!(engine.members(g).len() > 150);
+        assert!(
+            replayed + recomputed >= 100,
+            "subscribe {k}: the group must strand most of its members, {} walks",
+            replayed + recomputed
+        );
+        walks += replayed + recomputed;
+        searched += recomputed;
+        local += usize::from(20 * recomputed <= replayed + recomputed);
+        assert!(engine.matches_reference(g), "subscribe {k} diverged");
+    }
+    assert!(
+        10 * searched <= walks,
+        "{searched} of {walks} walks searched for their target"
+    );
+    assert!(
+        4 * local >= 3 * subscribes,
+        "only {local} of {subscribes} subscribes searched for under a twentieth of their walks"
+    );
+}
+
+/// The replay on both sides of its one refusal, deterministically: a
+/// long seeded interleaving of joins, leaves, subscribes and
+/// unsubscribes over 8 scattered groups, every build compared with its
+/// from-scratch reference after every operation. On the empty-rectangle
+/// rule no graft leaves tier 1, so every rebuild replays; on a sparse
+/// Hyperplanes rule tiers 2–3 engage in about two rebuilds of three, and
+/// a build they touched must be refused as a memo (and is, by the check
+/// on the replay counter) while the others replay.
+#[test]
+fn rebuilds_replay_greedy_builds_and_refuse_the_others() {
+    for rule in 0u8..2 {
+        let selection: Arc<dyn NeighborSelection + Send + Sync> = if rule == 0 {
+            Arc::new(EmptyRectSelection)
+        } else {
+            Arc::new(HyperplanesSelection::orthogonal(2, 1, MetricKind::L1))
+        };
+        let n = 150;
+        let store = TopologyStore::from_peers(
+            PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 31)),
+            selection,
+        );
+        let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
+        let mut state = 0x0dd_5eed_u64;
+        let ids = engine.seed_groups(&zipf_group_sizes(8, 2 * n, 1.0), &mut state);
+        let mut counts: Vec<u64> = ids.iter().map(|&g| engine.rebuild_count(g)).collect();
+        let mut next = move || {
+            // xorshift64: all the test needs is a fixed, mixed sequence.
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        let seeded = *engine.totals();
+        let (mut rebuilds, mut refused) = (0usize, 0usize);
+        let joins = uniform_points(120, 2, 1000.0, 32).into_points();
+        for (op, point) in joins.into_iter().enumerate() {
+            let old = Replayable::of(&engine, &ids);
+            let before = counts.clone();
+            let live: Vec<usize> = (0..engine.store().len())
+                .filter(|&i| !engine.store().is_departed(PeerId(i as u64)))
+                .collect();
+            let g = ids[next() % ids.len()];
+            match op % 4 {
+                0 => {
+                    engine.join(point);
+                }
+                1 => engine.leave(PeerId(live[next() % live.len()] as u64)),
+                2 => {
+                    let outsiders: Vec<usize> = live
+                        .iter()
+                        .copied()
+                        .filter(|p| !engine.members(g).contains(p))
+                        .collect();
+                    engine.subscribe(g, PeerId(outsiders[next() % outsiders.len()] as u64));
+                }
+                _ => {
+                    let members: Vec<usize> = engine.members(g).iter().copied().collect();
+                    if let Some(&p) = members.get(next() % members.len().max(1)) {
+                        engine.unsubscribe(g, PeerId(p as u64));
+                    }
+                }
+            }
+            rebuilds += check_exact_and_count_rebuilds(&engine, &ids, &mut counts);
+            refused += old.check_rebuilds(&engine, &before, &counts);
+        }
+        let replayed = engine.totals().graft_walks_replayed - seeded.graft_walks_replayed;
+        assert!(rebuilds >= 100, "rule {rule}: {rebuilds} rebuilds");
+        if rule == 0 {
+            assert_eq!(refused, 0, "empty-rectangle grafts never leave tier 1");
+            assert!(replayed > 0);
+        } else {
+            assert!(
+                refused >= 10,
+                "rule {rule}: only {refused} of {rebuilds} rebuilds met a fallback-tier build"
+            );
+            assert!(replayed > 0, "the greedy-only builds among them replay");
+        }
+    }
 }
 
 proptest! {
@@ -356,8 +533,10 @@ proptest! {
                         })
                         .nth(raw % engine.store().len().max(1));
                     if let Some(p) = candidate {
+                        let (old, before) = (Replayable::of(&engine, &ids), counts.clone());
                         engine.subscribe(g, PeerId(p as u64));
                         check_exact_and_count_rebuilds(&engine, &ids, &mut counts);
+                        old.check_rebuilds(&engine, &before, &counts);
                     }
                 }
                 Step::Unsubscribe(raw) => {
@@ -367,8 +546,10 @@ proptest! {
                         continue;
                     }
                     let p = members[raw % members.len()];
+                    let (old, before) = (Replayable::of(&engine, &ids), counts.clone());
                     engine.unsubscribe(g, PeerId(p as u64));
                     check_exact_and_count_rebuilds(&engine, &ids, &mut counts);
+                    old.check_rebuilds(&engine, &before, &counts);
                 }
             }
             // Post-graft coverage holds after every sync — the

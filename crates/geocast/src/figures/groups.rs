@@ -13,7 +13,9 @@
 //!
 //! * the engine's locality — groups examined per churn event, and how
 //!   many of those were certified unchanged or actually rebuilt,
-//!   against the total a naive engine would rebuild;
+//!   against the total a naive engine would rebuild — and, of the
+//!   graft walks those rebuilds made, how many took their target from
+//!   the build they replaced;
 //! * the **coverage-vs-scatter** outcome routing-based join buys: with
 //!   relay grafting every publish must deliver to every subscriber
 //!   (`stranded = 0`) even for scattered membership, at a measured
@@ -126,6 +128,10 @@ struct ScenarioStats {
     publish_relay_messages: usize,
     events_per_s: f64,
     exact: bool,
+    /// Graft walks of the replayed scenario (seeding excluded) whose
+    /// target came from the previous build's record / was searched for.
+    walks_replayed: u64,
+    walks_recomputed: u64,
 }
 
 /// Replays one scenario at `num_groups` concurrent groups; pushes the
@@ -159,6 +165,7 @@ fn run_scenario(
         cfg.vmax,
         cfg.seed ^ (num_groups as u64),
     );
+    let seeded = *engine.totals();
     let workload = GroupWorkload {
         groups: num_groups,
         exponent: cfg.exponent,
@@ -186,6 +193,8 @@ fn run_scenario(
         publish_relay_messages: 0,
         events_per_s: 0.0,
         exact: true,
+        walks_replayed: 0,
+        walks_recomputed: 0,
     };
     let absorb_publish = |stats: &mut ScenarioStats,
                           outcome: &geocast_core::groups::PublishOutcome| {
@@ -255,6 +264,9 @@ fn run_scenario(
         stats.exact &= engine.matches_reference(g);
     }
     stats.coverage_mean = coverage_sum / ids.len() as f64;
+    let totals = engine.totals();
+    stats.walks_replayed = totals.graft_walks_replayed - seeded.graft_walks_replayed;
+    stats.walks_recomputed = totals.graft_walks_recomputed - seeded.graft_walks_recomputed;
     stats
 }
 
@@ -286,6 +298,7 @@ pub fn groups_panel(cfg: &GroupsConfig) -> FigureReport {
         "relay msg/pub".into(),
         "events/s".into(),
         "== rebuild".into(),
+        "walks replayed".into(),
     ]);
     let mut trace: Vec<(f64, f64)> = Vec::new();
     let largest = cfg.group_counts.iter().copied().max().unwrap_or(0);
@@ -319,6 +332,11 @@ pub fn groups_panel(cfg: &GroupsConfig) -> FigureReport {
                 ),
                 format!("{:.0}", s.events_per_s),
                 s.exact.to_string(),
+                format!(
+                    "{}/{}",
+                    s.walks_replayed,
+                    s.walks_replayed + s.walks_recomputed
+                ),
             ]);
         }
     }
@@ -343,7 +361,9 @@ pub fn groups_panel(cfg: &GroupsConfig) -> FigureReport {
          kept their build because no recorded decision changed, \
          rebuilt μ were recomputed; naive = groups a rebuild-everything \
          engine would touch per event; every row must report \
-         '== rebuild: true'",
+         '== rebuild: true'; walks replayed = graft walks, over the \
+         rebuilds after seeding, whose target was the one the group's \
+         previous build recorded, of all walks",
     )
     .with_note(
         "coverage-vs-scatter: relay grafting must hold 'pub stranded' \
@@ -388,6 +408,18 @@ mod tests {
                 row[0], row[1]
             );
             assert_eq!(row[9], "100%", "coverage must close for {}", row[1]);
+        }
+        // Scattered rebuilds re-graft, and most walks repeat.
+        let replayed = |row: &Vec<String>| {
+            let (replayed, walks) = row[15].split_once('/').expect("replayed/walks");
+            (
+                replayed.parse::<u64>().unwrap(),
+                walks.parse::<u64>().unwrap(),
+            )
+        };
+        for row in report.table.rows().iter().filter(|r| r[1] == "scattered") {
+            let (replayed, walks) = replayed(row);
+            assert!(walks > 0 && 2 * replayed > walks, "{row:?}");
         }
         assert!(report.chart.is_some());
         // Scattered rows need relays; the sweep must show a non-zero
