@@ -43,6 +43,14 @@ pub enum CliError {
     UnknownCommand(String),
     /// An option flag without a value, or a stray positional token.
     MalformedOption(String),
+    /// An option the subcommand does not read (a typo, or an option a
+    /// later version removed): running on would silently ignore it.
+    UnknownOption {
+        /// The subcommand.
+        command: String,
+        /// The option name, without the leading dashes.
+        key: String,
+    },
     /// An option value failed to parse.
     BadValue {
         /// Option name.
@@ -95,17 +103,6 @@ pub enum CliError {
         /// Whether the topology fingerprints matched.
         fingerprints_equal: bool,
     },
-    /// `churn --runtime workers --strict` was requested and the
-    /// worker-thread replay diverged from the serial replay of the same
-    /// schedule (the CI runtime gate).
-    RuntimeGate {
-        /// Shards (= worker threads) the replay ran with.
-        shards: usize,
-        /// Whether the adjacency graphs matched.
-        graphs_equal: bool,
-        /// Whether the topology fingerprints matched.
-        fingerprints_equal: bool,
-    },
 }
 
 impl fmt::Display for CliError {
@@ -116,6 +113,10 @@ impl fmt::Display for CliError {
             CliError::MalformedOption(o) => {
                 write!(f, "malformed option `{o}` (expected --key value)")
             }
+            CliError::UnknownOption { command, key } => write!(
+                f,
+                "`{command}` has no option --{key}; try `geocast help`"
+            ),
             CliError::BadValue { key, value } => write!(f, "invalid value `{value}` for --{key}"),
             CliError::StrandedMembers {
                 stranded,
@@ -154,15 +155,6 @@ impl fmt::Display for CliError {
                 "strict sharding violated at {shards} shards: graphs equal \
                  {graphs_equal}, fingerprints equal {fingerprints_equal}"
             ),
-            CliError::RuntimeGate {
-                shards,
-                graphs_equal,
-                fingerprints_equal,
-            } => write!(
-                f,
-                "strict runtime violated at {shards} workers: graphs equal \
-                 {graphs_equal}, fingerprints equal {fingerprints_equal}"
-            ),
         }
     }
 }
@@ -187,7 +179,7 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, CliError> {
         };
         // Boolean flags (no value) are stored as "true".
         match key {
-            "full" | "csv" | "strict-coverage" | "strict" => {
+            "full" | "strict-coverage" | "strict" => {
                 options.insert(key.to_owned(), "true".to_owned());
             }
             _ => {
@@ -246,26 +238,125 @@ fn selection_for(
     })
 }
 
+/// A subcommand's body: the text to print, or why not.
+type Body = fn(&Invocation) -> Result<String, CliError>;
+
+/// A subcommand: its name, every option key it reads, and its body.
+type Command = (&'static str, &'static [&'static str], Body);
+
+/// Every subcommand but `help`. [`parse_args`] stores any `--key value`
+/// and the bodies look up only the keys they know, so the key list is
+/// what keeps a typo or a stale option from being ignored in silence.
+const COMMANDS: &[Command] = &[
+    ("overlay", &["n", "dim", "seed", "k", "method"], cmd_overlay),
+    ("tree", &["n", "dim", "seed", "root", "pick"], cmd_tree),
+    (
+        "stability",
+        &["n", "dim", "seed", "k", "policy"],
+        cmd_stability,
+    ),
+    (
+        "session",
+        &["n", "dim", "seed", "payloads", "loss"],
+        cmd_session,
+    ),
+    ("route", &["n", "dim", "seed", "from", "to"], cmd_route),
+    (
+        "churn",
+        &[
+            "n",
+            "dim",
+            "seed",
+            "events",
+            "join-rate",
+            "leave-rate",
+            "pattern",
+            "mode",
+            "shards",
+            "strict",
+        ],
+        cmd_churn,
+    ),
+    (
+        "groups",
+        &[
+            "n",
+            "dim",
+            "seed",
+            "groups",
+            "subs",
+            "zipf",
+            "events",
+            "group-events",
+            "placement",
+            "strict-coverage",
+        ],
+        cmd_groups,
+    ),
+    (
+        "publish",
+        &[
+            "n",
+            "dim",
+            "seed",
+            "groups",
+            "subs",
+            "zipf",
+            "batch",
+            "ticks",
+            "churn-every",
+            "placement",
+            "strict",
+        ],
+        cmd_publish,
+    ),
+    (
+        "detect",
+        &[
+            "n",
+            "dim",
+            "seed",
+            "groups",
+            "group-size",
+            "loss",
+            "crashes",
+            "silent",
+            "suspicion-ms",
+            "strict",
+        ],
+        cmd_detect,
+    ),
+    ("figures", &["panel", "full"], cmd_figures),
+];
+
+/// Looks the subcommand up and checks that it reads every option given.
+fn resolve(inv: &Invocation) -> Result<Body, CliError> {
+    let &(_, keys, body) = COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == inv.command)
+        .ok_or_else(|| CliError::UnknownCommand(inv.command.clone()))?;
+    // The smallest, so the key reported does not depend on hash order.
+    let unknown = inv.options.keys().filter(|k| !keys.contains(&k.as_str()));
+    match unknown.min() {
+        Some(key) => Err(CliError::UnknownOption {
+            command: inv.command.clone(),
+            key: key.clone(),
+        }),
+        None => Ok(body),
+    }
+}
+
 /// Executes a parsed invocation, returning the text to print.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] for unknown commands or invalid option values.
+/// Returns a [`CliError`] for unknown commands, options the command
+/// does not read, or invalid option values.
 pub fn run(inv: &Invocation) -> Result<String, CliError> {
-    match inv.command.as_str() {
-        "help" | "--help" | "-h" => Ok(HELP.to_owned()),
-        "overlay" => cmd_overlay(inv),
-        "tree" => cmd_tree(inv),
-        "stability" => cmd_stability(inv),
-        "session" => cmd_session(inv),
-        "route" => cmd_route(inv),
-        "churn" => cmd_churn(inv),
-        "groups" => cmd_groups(inv),
-        "publish" => cmd_publish(inv),
-        "detect" => cmd_detect(inv),
-        "figures" => cmd_figures(inv),
-        other => Err(CliError::UnknownCommand(other.to_owned())),
+    if matches!(inv.command.as_str(), "help" | "--help" | "-h") {
+        return Ok(HELP.to_owned());
     }
+    resolve(inv)?(inv)
 }
 
 const HELP: &str = "geocast — decentralized multicast trees on geometric P2P overlays
@@ -287,12 +378,8 @@ COMMANDS:
              --n 500 --dim 2 --seed 1 --pattern join-wave|leave-wave|flash-crowd|mixed
              --events 200 --join-rate 1 --leave-rate 1 --mode store|live
              --shards 0  (store mode: replay on the region-sharded engine)
-             --runtime serial|workers  (workers: one thread per shard, fed by
-                          bounded command channels; requires --shards > 0)
-             --queue 64  (workers: per-shard command channel capacity)
              [--strict]  (with --shards: fail unless the sharded replay is
-                          byte-identical to the single-shard replay; with
-                          --runtime workers the gate covers the worker replay)
+                          byte-identical to the single-shard replay)
   groups     drive N concurrent multicast groups over one shared store
              --n 500 --dim 2 --seed 1 --groups 16 --subs 1000 --zipf 1.0
              --events 200 --group-events 200 --placement clustered|scattered
@@ -592,8 +679,6 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
     let pattern_name: String = opt(inv, "pattern", "mixed".to_owned())?;
     let mode: String = opt(inv, "mode", "store".to_owned())?;
     let shards: usize = opt(inv, "shards", 0)?;
-    let runtime: String = opt(inv, "runtime", "serial".to_owned())?;
-    let queue: usize = opt(inv, "queue", 64)?;
     let strict = inv.options.contains_key("strict");
     if shards > 0 && mode != "store" {
         return Err(CliError::BadValue {
@@ -606,29 +691,6 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
             key: "strict".into(),
             value: "requires --shards > 0 (the gate compares shard engines)".into(),
         });
-    }
-    match runtime.as_str() {
-        "serial" => {}
-        "workers" => {
-            if shards == 0 || mode != "store" {
-                return Err(CliError::BadValue {
-                    key: "runtime".into(),
-                    value: "workers (requires --mode store and --shards > 0)".into(),
-                });
-            }
-            if queue == 0 {
-                return Err(CliError::BadValue {
-                    key: "queue".into(),
-                    value: "0 (worker channels need capacity)".into(),
-                });
-            }
-        }
-        other => {
-            return Err(CliError::BadValue {
-                key: "runtime".into(),
-                value: other.into(),
-            })
-        }
     }
     let pattern = match pattern_name.as_str() {
         "join-wave" => ChurnPattern::JoinWave { count: events },
@@ -691,17 +753,7 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
             };
             // lint:allow(D002, reason = "wall-clock lines in the CLI report only; no control flow reads the clock")
             let start = Instant::now();
-            let (report, runtime_stats) = if runtime == "workers" {
-                let config = geocast::overlay::RuntimeConfig {
-                    queue_capacity: queue,
-                    barrier: false,
-                };
-                let mut rt = geocast::overlay::ShardRuntime::launch(&mut store, &config);
-                let report = rt.run_schedule(&mut store, &schedule);
-                (report, Some(rt.shutdown(&mut store)))
-            } else {
-                (run_schedule_on_store(&mut store, &schedule), None)
-            };
+            let report = run_schedule_on_store(&mut store, &schedule);
             let secs = start.elapsed().as_secs_f64();
             if let Some(engine) = store.sharding() {
                 out.push_str(&format!(
@@ -733,31 +785,18 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
                 report.touched_max
             ));
             out.push_str(&format!("  live peers after  : {}\n", store.live_count()));
-            if let Some(stats) = &runtime_stats {
-                let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+            if let Some(engine) = store.sharding() {
+                let stats = engine.churn_stats();
                 out.push_str(&format!(
-                    "  runtime           : {shards} shard workers (queue {queue}, {cores} cores)\n"
-                ));
-                out.push_str(&format!(
-                    "  cross-shard       : {} escape events, {} shortlist requests \
-                     ({:.3} escape ratio)\n",
-                    stats.escape_events,
-                    stats.cross_shard_requests,
-                    stats.escape_ratio()
-                ));
-                out.push_str(&format!(
-                    "  backpressure      : {} stalls\n",
-                    stats.backpressure_stalls
-                ));
-                let critical = stats.critical_path().as_secs_f64();
-                let serial_model = stats.serial_path().as_secs_f64();
-                out.push_str(&format!(
-                    "  critical path     : {:.3}s vs {:.3}s serial model \
-                     ({:.2}x, {:.0} events/s on the model)\n",
-                    critical,
-                    serial_model,
-                    serial_model / critical.max(1e-9),
-                    stats.events() as f64 / critical.max(1e-9)
+                    "  cross-shard       : {}/{} folds escaped ({:.3}), {} foreign shortlists; \
+                     {} foreign shadow queries / {} repairs; {} certified skips\n",
+                    stats.folds_escaped,
+                    stats.folds,
+                    stats.escape_ratio(),
+                    stats.foreign_shortlists,
+                    stats.shadow_foreign_queries,
+                    stats.shadow_repairs,
+                    stats.skips_certified
                 ));
             }
             let live: Vec<usize> = (0..store.len())
@@ -778,25 +817,15 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
                 let graphs_equal = store.graph() == reference.graph();
                 let fingerprints_equal = store.fingerprint() == reference.fingerprint();
                 if !(graphs_equal && fingerprints_equal) {
-                    return Err(if runtime == "workers" {
-                        CliError::RuntimeGate {
-                            shards,
-                            graphs_equal,
-                            fingerprints_equal,
-                        }
-                    } else {
-                        CliError::ShardGate {
-                            shards,
-                            graphs_equal,
-                            fingerprints_equal,
-                        }
+                    return Err(CliError::ShardGate {
+                        shards,
+                        graphs_equal,
+                        fingerprints_equal,
                     });
                 }
-                out.push_str(if runtime == "workers" {
-                    "  strict gate       : worker replay byte-identical to single-shard serial\n"
-                } else {
-                    "  strict gate       : sharded replay byte-identical to single-shard\n"
-                });
+                out.push_str(
+                    "  strict gate       : sharded replay byte-identical to single-shard\n",
+                );
             }
         }
         "live" => {
@@ -1583,13 +1612,27 @@ mod tests {
     }
 
     #[test]
-    fn churn_worker_runtime_passes_the_strict_gate() {
+    fn churn_sharded_strict_gate_prints_the_escape_ledger() {
+        let inv = parse_args(&args(&[
+            "churn", "--n", "80", "--events", "30", "--shards", "4", "--strict",
+        ]))
+        .unwrap();
+        let out = run(&inv).unwrap();
+        assert!(out.contains("shard engine      : 4 shards"), "{out}");
+        assert!(out.contains("cross-shard       : "), "{out}");
+        assert!(out.contains(" folds escaped ("), "{out}");
+        assert!(
+            out.contains("sharded replay byte-identical to single-shard"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn options_a_command_does_not_read_are_rejected() {
+        // A script written for the removed worker runtime must not run
+        // the serial path and report that its gate passed.
         let inv = parse_args(&args(&[
             "churn",
-            "--n",
-            "80",
-            "--events",
-            "30",
             "--shards",
             "4",
             "--runtime",
@@ -1597,32 +1640,57 @@ mod tests {
             "--strict",
         ]))
         .unwrap();
-        let out = run(&inv).unwrap();
-        assert!(out.contains("runtime           : 4 shard workers"), "{out}");
-        assert!(out.contains("critical path     :"), "{out}");
-        assert!(
-            out.contains("worker replay byte-identical to single-shard serial"),
-            "{out}"
+        assert_eq!(
+            run(&inv).unwrap_err(),
+            CliError::UnknownOption {
+                command: "churn".into(),
+                key: "runtime".into()
+            }
+        );
+        // A typo of a real option, and a real option of another command.
+        let inv = parse_args(&args(&["churn", "--event", "120"])).unwrap();
+        assert_eq!(
+            run(&inv).unwrap_err(),
+            CliError::UnknownOption {
+                command: "churn".into(),
+                key: "event".into()
+            }
+        );
+        let inv = parse_args(&args(&["overlay", "--strict"])).unwrap();
+        assert!(matches!(run(&inv), Err(CliError::UnknownOption { .. })));
+        // Options are checked before values, and the report is stable.
+        let inv = parse_args(&args(&[
+            "tree", "--n", "many", "--zeta", "1", "--alpha", "2",
+        ]));
+        assert_eq!(
+            run(&inv.unwrap()).unwrap_err(),
+            CliError::UnknownOption {
+                command: "tree".into(),
+                key: "alpha".into()
+            }
         );
     }
 
     #[test]
-    fn churn_worker_runtime_requires_shards_and_store_mode() {
-        let inv = parse_args(&args(&["churn", "--runtime", "workers"])).unwrap();
-        assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
-        let inv = parse_args(&args(&[
-            "churn",
-            "--runtime",
-            "workers",
-            "--shards",
-            "4",
-            "--mode",
-            "live",
-        ]))
-        .unwrap();
-        assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
-        let inv = parse_args(&args(&["churn", "--runtime", "threads"])).unwrap();
-        assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
+    fn every_ci_invocation_names_only_known_options() {
+        // The workflow's `geocast` steps: the arguments follow
+        // `--bin geocast --`, folded over the lines after it.
+        let ci = include_str!("../../../.github/workflows/ci.yml");
+        let mut lines = ci.lines().peekable();
+        let mut checked = 0;
+        while let Some(line) = lines.next() {
+            let Some((_, rest)) = line.split_once("--bin geocast -- ") else {
+                continue;
+            };
+            let mut words = args(&rest.split_whitespace().collect::<Vec<_>>());
+            while let Some(more) = lines.next_if(|l| l.trim_start().starts_with("--")) {
+                words.extend(more.split_whitespace().map(ToString::to_string));
+            }
+            let inv = parse_args(&words).unwrap_or_else(|e| panic!("{words:?}: {e}"));
+            resolve(&inv).unwrap_or_else(|e| panic!("{words:?}: {e}"));
+            checked += 1;
+        }
+        assert!(checked >= 8, "found only {checked} geocast steps in ci.yml");
     }
 
     #[test]
@@ -1866,6 +1934,13 @@ mod tests {
             (CliError::MissingCommand, "no command"),
             (CliError::UnknownCommand("x".into()), "unknown command"),
             (CliError::MalformedOption("x".into()), "malformed"),
+            (
+                CliError::UnknownOption {
+                    command: "churn".into(),
+                    key: "runtime".into(),
+                },
+                "no option --runtime",
+            ),
             (
                 CliError::BadValue {
                     key: "k".into(),

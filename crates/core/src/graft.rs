@@ -1059,7 +1059,7 @@ mod tests {
         let old = grafted(&store, &[0, 5], None);
         assert_eq!(old.0.relays, vec![1, 2, 3, 4]);
         store.remove(geocast_overlay::PeerId(2));
-        let dirty = store.last_delta().to_vec();
+        let dirty = store.delta_log().newest().unwrap().dirty.clone();
         assert!(dirty.contains(&3), "the departure rewires its neighbours");
         let (build, pass) = replayed(&store, &[0, 5], &old, &dirty);
         assert_eq!(build.relays, vec![1, 3, 4, 6]);
@@ -1084,7 +1084,7 @@ mod tests {
         // A joiner strictly closer to the root than node 4's recorded
         // hop (position 3 is 60 away in L1, the joiner 59).
         let joiner = store.insert(Point::new(vec![31.0, 28.0]).unwrap()).index();
-        let dirty = store.last_delta().to_vec();
+        let dirty = store.delta_log().newest().unwrap().dirty.clone();
         assert!(dirty.contains(&4));
         let (build, pass) = replayed(&store, &[0, 4], &old, &dirty);
         assert_eq!(build.tree.parent(4), Some(joiner));

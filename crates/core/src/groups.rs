@@ -2389,7 +2389,7 @@ mod tests {
                 let p = uniform_points(1, 2, 1000.0, 4000 + step).into_points();
                 eng.store_mut().insert(p.into_iter().next().unwrap());
             }
-            let dirty: Vec<usize> = eng.store().last_delta().to_vec();
+            let dirty = eng.store().delta_log().newest().unwrap().dirty.clone();
             let expected: BTreeSet<usize> = snapshot
                 .iter()
                 .enumerate()

@@ -425,7 +425,8 @@ mod tests {
         // Joins: refresh after each event with that event's delta.
         for p in &points {
             store.insert(p.clone());
-            forest.refresh_on_store(&store, PreferredPolicy::MaxT, store.last_delta());
+            let dirty = &store.delta_log().newest().unwrap().dirty;
+            forest.refresh_on_store(&store, PreferredPolicy::MaxT, dirty);
             assert_eq!(
                 forest,
                 preferred_links_on_store(&store, PreferredPolicy::MaxT),
@@ -436,7 +437,8 @@ mod tests {
         // Leaves: same contract.
         for victim in [8u64, 19, 42] {
             store.remove(PeerId(victim));
-            forest.refresh_on_store(&store, PreferredPolicy::MaxT, store.last_delta());
+            let dirty = &store.delta_log().newest().unwrap().dirty;
+            forest.refresh_on_store(&store, PreferredPolicy::MaxT, dirty);
             assert_eq!(
                 forest,
                 preferred_links_on_store(&store, PreferredPolicy::MaxT),

@@ -27,6 +27,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use geocast_core::groups::{build_group_tree_grafted, GroupEngine, GroupId};
 use geocast_core::OrthantRectPartitioner;
@@ -35,7 +37,7 @@ use geocast_geom::MetricKind;
 use geocast_overlay::delta::DeltaKind;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
 use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
-use geocast_sim::workload::zipf_group_sizes;
+use geocast_sim::workload::{zipf_group_sizes, ConsumerCadence};
 
 /// One step of a churn interleaving; raw indices are bound to live
 /// peers / groups modulo the current state, so every generated sequence
@@ -792,5 +794,74 @@ proptest! {
         let healthy = engine.publish_with_failures(g, &BTreeSet::new()).unwrap();
         let plain = engine.publish(g).unwrap();
         prop_assert_eq!(healthy, plain);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A cursor consumer syncing every K-th event (with arbitrary
+    /// phase) lands on the same group state as a lock-step engine, and
+    /// when a small delta log evicts its history the full resyncs are
+    /// counted on the repair cursor — never silently absorbed.
+    #[test]
+    fn cadence_driven_engine_sync_counts_eviction_resyncs(
+        n in 10usize..40,
+        ops in 4usize..20,
+        every in 1usize..7,
+        offset in 0usize..7,
+        capacity in 1usize..6,
+        seed in 0u64..10_000,
+    ) {
+        let selection: Arc<dyn NeighborSelection + Send + Sync> = Arc::new(EmptyRectSelection);
+        let peers = PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, seed));
+        let store = TopologyStore::from_peers(peers, selection);
+        let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
+        engine.store_mut().set_delta_capacity(capacity);
+        let mut state = seed ^ 0x6361_6465;
+        let ids = engine.seed_groups(&[5, 3], &mut state);
+
+        let cadence = ConsumerCadence { every, offset };
+        let joins = uniform_points(ops, 2, 1000.0, seed ^ 0x6a6f_696e).into_points();
+        let mut joins = joins.into_iter();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for op in 0..ops {
+            let live: Vec<usize> = (0..engine.store().len())
+                .filter(|&i| !engine.store().is_departed(PeerId(i as u64)))
+                .collect();
+            if live.len() > 3 && rng.random_range(0..3) == 0 {
+                let gone = PeerId(live[rng.random_range(0..live.len())] as u64);
+                engine.store_mut().remove(gone);
+            } else {
+                let p = joins.next().expect("one point per op suffices");
+                engine.store_mut().insert(p);
+            }
+            if cadence.fires_at(op) {
+                engine.sync();
+            }
+        }
+        engine.sync();
+
+        // The laggard consumer converged to the exact store state: every
+        // group tree equals its from-scratch reference build.
+        for &g in &ids {
+            prop_assert!(
+                engine.matches_reference(g),
+                "cadence-synced group diverged from reference"
+            );
+        }
+        prop_assert_eq!(engine.repair_cursor().epoch(), engine.store().epoch());
+        // Every eviction-horizon fallback is a counted event on the
+        // repair cursor, and nothing else increments it.
+        prop_assert_eq!(
+            engine.repair_cursor().resyncs(),
+            engine.totals().full_resyncs,
+            "cursor resync count must equal the engine's full resyncs"
+        );
+        // Lock-step consumption (cadence 1, capacity ample) never
+        // resyncs; gaps wider than the log capacity must.
+        if every == 1 && offset == 0 {
+            prop_assert_eq!(engine.repair_cursor().resyncs(), 0);
+        }
     }
 }

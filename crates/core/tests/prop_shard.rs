@@ -39,9 +39,9 @@ fn assert_identical(single: &TopologyStore, sharded: &TopologyStore, what: &str)
         "{what}: fingerprint"
     );
     assert_eq!(
-        single.last_delta(),
-        sharded.last_delta(),
-        "{what}: dirty region"
+        single.delta_log().newest(),
+        sharded.delta_log().newest(),
+        "{what}: newest delta"
     );
     assert_eq!(single.epoch(), sharded.epoch(), "{what}: epoch");
     assert_eq!(single.live_count(), sharded.live_count(), "{what}: live");

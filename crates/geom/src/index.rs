@@ -1040,130 +1040,6 @@ impl GridIndex {
             }
         }
     }
-
-    /// The nearest live indexed point to `q` (an arbitrary point, not
-    /// necessarily indexed) among those the `accept` predicate admits,
-    /// under `metric`, ties broken by the smaller id — exactly the
-    /// brute-force `(distance, id)` minimum, which property tests
-    /// assert. `None` when no live point is accepted.
-    ///
-    /// Unlike the selection queries this one needs no per-dimension
-    /// distinctness (a `(distance, id)` minimum is well-defined under
-    /// collisions), so it never declines. The walk expands cell columns
-    /// outward from `q` and cuts each column once its corner bound
-    /// strictly exceeds the best accepted distance; with a selective
-    /// predicate (few accepted points) it degrades towards a full scan,
-    /// which is the honest lower bound for that workload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is non-empty and `q`'s dimensionality
-    /// disagrees, or the dimensionality exceeds [`MAX_INDEX_DIM`].
-    pub fn nearest_where<F: FnMut(usize) -> bool>(
-        &self,
-        q: &Point,
-        metric: MetricKind,
-        mut accept: F,
-    ) -> Option<usize> {
-        if self.live == 0 {
-            return None;
-        }
-        assert_eq!(q.dim(), self.dim, "query dimensionality mismatch");
-        assert!(self.dim <= MAX_INDEX_DIM, "dimensionality not indexable");
-        let qc = q.coords();
-        let q_layer: Vec<usize> = (0..self.dim).map(|d| self.layer_of(d, qc[d])).collect();
-        let mut prefix_cells = vec![0usize; self.dim];
-        let mut prefix_offs = vec![0.0f64; self.dim];
-        let mut best: Option<(f64, usize)> = None;
-        for o in 0..1usize << self.dim {
-            self.walk_nearest(
-                o,
-                0,
-                qc,
-                &q_layer,
-                &mut prefix_cells,
-                &mut prefix_offs,
-                metric,
-                &mut accept,
-                &mut best,
-            );
-        }
-        best.map(|(_, id)| id)
-    }
-
-    /// Walks the cells of direction-combination `o` (bit `d` set =
-    /// ascending layers in dimension `d`) for the nearest-accepted
-    /// query. Descending walks skip the seam layer (`t = 0`), so every
-    /// cell is scanned exactly once across the `2^D` combinations. The
-    /// column walk along each dimension stops once the corner bound
-    /// strictly exceeds the best accepted distance (a tie is not cut, so
-    /// the `(distance, id)` tie-break survives).
-    #[allow(clippy::too_many_arguments)]
-    fn walk_nearest<F: FnMut(usize) -> bool>(
-        &self,
-        o: usize,
-        depth: usize,
-        q: &[f64],
-        q_layer: &[usize],
-        prefix_cells: &mut [usize],
-        prefix_offs: &mut [f64],
-        metric: MetricKind,
-        accept: &mut F,
-        best: &mut Option<(f64, usize)>,
-    ) {
-        let d = depth;
-        let positive = o >> d & 1 == 1;
-        let innermost = depth + 1 == self.dim;
-        for t in usize::from(!positive).. {
-            let Some((cell, offmin)) = self.layer_step(d, q, q_layer, positive, t) else {
-                break;
-            };
-            prefix_cells[d] = cell;
-            prefix_offs[d] = offmin;
-            // Lower bound on the distance of any point in this column
-            // (remaining dimensions contribute nothing); monotone in `t`,
-            // and valid for clamped edge cells too (points outside the
-            // built box still lie beyond the cell's inner boundary).
-            if let Some((bd, _)) = *best {
-                if self.corner_dist(metric, prefix_offs, depth + 1) > bd {
-                    break;
-                }
-            }
-            if innermost {
-                let mut flat = 0usize;
-                for &c in prefix_cells.iter() {
-                    flat = flat * self.side + c;
-                }
-                for &entry in &self.cells[flat] {
-                    let id = entry as usize;
-                    debug_assert!(!self.removed[id], "buckets hold live points only");
-                    if !accept(id) {
-                        continue;
-                    }
-                    let dist = self.point_dist(metric, q, self.point_coords(id));
-                    let better = match *best {
-                        None => true,
-                        Some((bd, bi)) => dist < bd || (dist == bd && id < bi),
-                    };
-                    if better {
-                        *best = Some((dist, id));
-                    }
-                }
-            } else {
-                self.walk_nearest(
-                    o,
-                    depth + 1,
-                    q,
-                    q_layer,
-                    prefix_cells,
-                    prefix_offs,
-                    metric,
-                    accept,
-                    best,
-                );
-            }
-        }
-    }
 }
 
 /// The recursion state of one [`GridIndex::frontier_walk`]: everything
@@ -1783,91 +1659,5 @@ mod tests {
         let mut index = GridIndex::build(&points);
         index.remove(2);
         index.remove(2);
-    }
-
-    /// Brute-force reference for [`GridIndex::nearest_where`]: the
-    /// `(distance, id)` minimum over live accepted points.
-    fn brute_nearest(
-        points: &[Point],
-        removed: &[bool],
-        q: &Point,
-        metric: MetricKind,
-        accept: impl Fn(usize) -> bool,
-    ) -> Option<usize> {
-        points
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !removed[i] && accept(i))
-            .map(|(i, p)| (metric.dist(q, p), i))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(_, i)| i)
-    }
-
-    #[test]
-    fn nearest_where_matches_brute_force_with_filters_and_removals() {
-        for &(n, dim, seed) in &[(80usize, 2usize, 61u64), (50, 3, 62), (40, 1, 63)] {
-            let mut points = uniform_points(n, dim, 1000.0, seed).into_points();
-            let mut index = GridIndex::build(&points);
-            let mut removed = vec![false; n];
-            for &gone in &[3usize, 7, 11] {
-                index.remove(gone);
-                removed[gone] = true;
-            }
-            // A point outside the built bounding box lands in a clamped
-            // edge cell; the walk must still find it when it is nearest.
-            let far_coords: Vec<f64> = (0..dim).map(|d| 2000.0 + d as f64).collect();
-            let far = Point::new(far_coords).unwrap();
-            index.insert(&far);
-            points.push(far);
-            removed.push(false);
-
-            let queries = uniform_points(12, dim, 1500.0, seed ^ 0xa1).into_points();
-            for metric in [MetricKind::L1, MetricKind::L2, MetricKind::LInf] {
-                for q in &queries {
-                    // Unfiltered, a sparse filter, and an empty filter.
-                    for (name, accept) in [
-                        (
-                            "all",
-                            Box::new(|_: usize| true) as Box<dyn Fn(usize) -> bool>,
-                        ),
-                        ("thirds", Box::new(|i: usize| i.is_multiple_of(3))),
-                        ("none", Box::new(|_: usize| false)),
-                    ] {
-                        assert_eq!(
-                            index.nearest_where(q, metric, &*accept),
-                            brute_nearest(&points, &removed, q, metric, &*accept),
-                            "n={n} dim={dim} {metric} filter={name}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn nearest_where_breaks_distance_ties_by_smaller_id() {
-        // Four L1-equidistant points around the query; ids decide.
-        let points = vec![
-            Point::new(vec![10.0, 0.0]).unwrap(),
-            Point::new(vec![0.0, 10.0]).unwrap(),
-            Point::new(vec![-10.0, 0.0]).unwrap(),
-            Point::new(vec![0.0, -10.0]).unwrap(),
-        ];
-        let index = GridIndex::build(&points);
-        let q = Point::new(vec![0.0, 0.0]).unwrap();
-        assert_eq!(index.nearest_where(&q, MetricKind::L1, |_| true), Some(0));
-        assert_eq!(index.nearest_where(&q, MetricKind::L1, |i| i >= 2), Some(2));
-    }
-
-    #[test]
-    fn nearest_where_on_empty_population_is_none() {
-        let index = GridIndex::build::<Point>(&[]);
-        let q = Point::new(vec![1.0, 2.0]).unwrap();
-        assert_eq!(index.nearest_where(&q, MetricKind::L1, |_| true), None);
-        // Fully removed populations answer None as well.
-        let points = vec![Point::new(vec![3.0, 4.0]).unwrap()];
-        let mut index = GridIndex::build(&points);
-        index.remove(0);
-        assert_eq!(index.nearest_where(&q, MetricKind::L1, |_| true), None);
     }
 }

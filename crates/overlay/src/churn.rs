@@ -293,7 +293,7 @@ pub fn run_schedule_on_store_with(
                 report.leaves += 1;
             }
         }
-        let touched = store.last_delta().len();
+        let touched = store.delta_log().newest().map_or(0, |d| d.dirty.len());
         report.touched_total += touched;
         report.touched_max = report.touched_max.max(touched);
         observe(ei, touched);

@@ -1,15 +1,13 @@
 //! The epoch-numbered delta stream of a [`crate::TopologyStore`].
 //!
-//! PR 3's consumer contract was *pull-by-courtesy*: after every mutation
-//! the caller had to read [`crate::TopologyStore::last_delta`] before the
-//! next event overwrote it, which works for exactly one lock-step
-//! consumer. The multi-group session engine needs N independent
-//! consumers (one tree per multicast group, a stability forest, live
-//! gossip sync) that each absorb membership change *at their own pace*.
+//! The multi-group session engine has N independent consumers (one tree
+//! per multicast group, a stability forest, live gossip sync) that each
+//! absorb membership change *at their own pace*.
 //!
-//! The [`DeltaLog`] turns the dirty region into a durable, epoch-numbered
-//! stream: every [`crate::TopologyStore::insert`] / `remove` appends one
-//! [`TopologyDelta`] tagged with the store's post-mutation epoch.
+//! The [`DeltaLog`] is the one way to read a change: a durable,
+//! epoch-numbered stream to which every [`crate::TopologyStore::insert`]
+//! / `remove` appends one [`TopologyDelta`] — the event and its dirty
+//! region — tagged with the store's post-mutation epoch.
 //! Consumers remember the last epoch they absorbed and call
 //! [`DeltaLog::deltas_since`]; the log answers with exactly the missed
 //! deltas — or `None` when the consumer fell behind the log's bounded
@@ -61,8 +59,9 @@ pub struct DeltaLog {
     head: u64,
 }
 
-/// Default number of deltas a store retains; far above what the
-/// lock-step consumers need, small enough to be free at N = 100k.
+/// Default number of deltas a store retains; far above what a consumer
+/// that syncs after every event needs, small enough to be free at
+/// N = 100k.
 pub const DEFAULT_DELTA_CAPACITY: usize = 1024;
 
 impl DeltaLog {
@@ -117,6 +116,13 @@ impl DeltaLog {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.deltas.is_empty()
+    }
+
+    /// The newest retained delta — what the last mutation changed.
+    /// `None` before any mutation (or right after history was dropped).
+    #[must_use]
+    pub fn newest(&self) -> Option<&TopologyDelta> {
+        self.deltas.back()
     }
 
     /// Appends a delta, evicting the oldest beyond capacity.
@@ -296,6 +302,7 @@ mod tests {
             log.record(delta(e));
         }
         assert_eq!(log.head_epoch(), 5);
+        assert_eq!(log.newest(), Some(&delta(5)));
         let missed: Vec<u64> = log.deltas_since(2).unwrap().map(|d| d.epoch).collect();
         assert_eq!(missed, vec![3, 4, 5]);
         let all: Vec<u64> = log.deltas_since(0).unwrap().map(|d| d.epoch).collect();
@@ -309,6 +316,7 @@ mod tests {
         assert_eq!(log.deltas_since(1).unwrap().count(), 0);
         // A brand-new log is trivially up to date at epoch 0.
         assert_eq!(DeltaLog::new(4).deltas_since(0).unwrap().count(), 0);
+        assert_eq!(DeltaLog::new(4).newest(), None);
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub mod delta;
 pub mod gossip;
 pub mod oracle;
 pub mod routing;
-pub mod runtime;
 pub mod select;
 pub mod shard;
 
@@ -62,9 +61,5 @@ pub use delta::{CursorCatchUp, DeltaCursor, DeltaKind, DeltaLog, TopologyDelta};
 pub use graph::OverlayGraph;
 pub use network::{ConvergenceReport, GossipSyncReport, NetworkConfig, OverlayNetwork};
 pub use peer::{PeerAddr, PeerId, PeerInfo};
-pub use runtime::{
-    RuntimeConfig, RuntimeStats, SendOutcome, ShardCommand, ShardRuntime, ShardTransport,
-    ShardWorker, ThreadTransport, WorkerPulse, WorkerReply,
-};
-pub use shard::{ShardConfig, ShardedTopologyStore};
+pub use shard::{ShardChurnStats, ShardConfig, ShardedTopologyStore};
 pub use store::{topology_hash, TopologyStore};

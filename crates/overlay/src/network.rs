@@ -189,10 +189,8 @@ impl OverlayNetwork {
     }
 
     /// Mutable access to the shared store — the external-driver
-    /// contract: mutate (directly or through a
-    /// [`crate::runtime::ShardRuntime`]), then call
-    /// [`OverlayNetwork::sync_gossip`] to let the gossip consumer catch
-    /// up at its own cadence.
+    /// contract: mutate, then call [`OverlayNetwork::sync_gossip`] to
+    /// let the gossip consumer catch up at its own cadence.
     #[must_use]
     pub fn store_mut(&mut self) -> &mut TopologyStore {
         &mut self.store
@@ -285,8 +283,8 @@ impl OverlayNetwork {
         id
     }
 
-    /// Catches the gossip layer up with the store: the epoch-cursor
-    /// consumer that replaced the lock-step `last_delta` sync.
+    /// Catches the gossip layer up with the store through its
+    /// [`DeltaCursor`].
     ///
     /// Three steps, all idempotent:
     ///

@@ -2,13 +2,15 @@
 //!
 //! [`ShardedTopologyStore`] partitions the coordinate space into
 //! grid-aligned tiles and gives every tile its own incremental
-//! [`GridIndex`], membership tables, and epoch-numbered delta log
-//! ([`ShardDeltaLog`]). A [`crate::TopologyStore`] built through
-//! [`crate::TopologyStore::from_peers_sharded`] carries this state next
-//! to its usual global tables, so every existing consumer (group trees,
-//! detect/repair, the data plane) keeps reading the same adjacency,
-//! fingerprint and merged delta stream — only the *engine* that
-//! computes selections changes.
+//! [`GridIndex`] and membership tables. A [`crate::TopologyStore`] built
+//! through [`crate::TopologyStore::from_peers_sharded`] carries this
+//! state next to its usual global tables, so every existing consumer
+//! (group trees, detect/repair, the data plane) keeps reading the same
+//! adjacency, fingerprint and delta stream — only the *engine* that
+//! computes selections changes. The store is the shards' one owner:
+//! its [`crate::TopologyStore::insert`] and
+//! [`crate::TopologyStore::remove`] (`sharded_insert` / `sharded_remove`
+//! below) are the only way a membership event reaches them.
 //!
 //! # Halo exchange
 //!
@@ -63,7 +65,7 @@
 //! peer was blocking, on the home shard and on the foreign shards that
 //! box reaches (`crate::store`, "Why the incremental path is exact").
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 use geocast_geom::dominance::rect_dominates;
@@ -78,19 +80,18 @@ use crate::store::{topology_hash, TopologyStore};
 
 use geocast_geom::GridIndex;
 
-/// How a [`ShardedTopologyStore`] is laid out: shard count, halo band
-/// width, and per-shard delta retention.
+/// How a [`ShardedTopologyStore`] is laid out: shard count and halo
+/// band width.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     shards: usize,
     halo_width: Option<f64>,
-    shard_log_capacity: usize,
 }
 
 impl ShardConfig {
-    /// A configuration with `shards` tiles, an automatic halo width
+    /// A configuration with `shards` tiles and an automatic halo width
     /// (a few expected nearest-neighbour spacings, derived from the
-    /// bulk population), and default per-shard delta retention.
+    /// bulk population).
     ///
     /// # Panics
     ///
@@ -101,7 +102,6 @@ impl ShardConfig {
         ShardConfig {
             shards,
             halo_width: None,
-            shard_log_capacity: crate::delta::DEFAULT_DELTA_CAPACITY,
         }
     }
 
@@ -122,18 +122,6 @@ impl ShardConfig {
         self
     }
 
-    /// Overrides the per-shard delta log retention.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_shard_log_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "shard log capacity must be positive");
-        self.shard_log_capacity = capacity;
-        self
-    }
-
     /// The configured shard count.
     #[must_use]
     pub fn shards(&self) -> usize {
@@ -146,11 +134,11 @@ impl ShardConfig {
 /// bounding box. Peers outside the domain (late joins) clamp to the
 /// nearest tile; exactness never depends on where a peer is assigned.
 #[derive(Debug, Clone)]
-pub(crate) struct Tiling {
-    pub(crate) dim: usize,
+struct Tiling {
+    dim: usize,
     lo: Vec<f64>,
     tile_size: Vec<f64>,
-    pub(crate) tiles: Vec<usize>,
+    tiles: Vec<usize>,
     strides: Vec<usize>,
 }
 
@@ -182,7 +170,7 @@ impl Tiling {
     }
 
     /// The home shard of a point (clamped to the nearest tile).
-    pub(crate) fn shard_of(&self, coords: &[f64]) -> usize {
+    fn shard_of(&self, coords: &[f64]) -> usize {
         let mut idx = 0;
         for (d, &x) in coords.iter().enumerate().take(self.dim) {
             let t = if self.tile_size[d] > 0.0 {
@@ -212,7 +200,7 @@ impl Tiling {
     /// home tile plus the mirror targets. Tiles within `halo` form a
     /// contiguous per-dimension index range, so this is a small
     /// cartesian product, never a scan over all shards.
-    pub(crate) fn shards_near(&self, coords: &[f64], halo: f64) -> Vec<usize> {
+    fn shards_near(&self, coords: &[f64], halo: f64) -> Vec<usize> {
         let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(self.dim);
         for (d, &c) in coords.iter().enumerate().take(self.dim) {
             let (a, b) = if self.tile_size[d] > 0.0 {
@@ -289,33 +277,31 @@ fn factor_tiles(shards: usize, extents: &[f64]) -> Vec<usize> {
 }
 
 /// One tile's worth of state: geometric box, conservative resident
-/// bounding box (grow-only), membership tables, spatial index, and the
-/// shard-scoped delta log.
+/// bounding box (grow-only), membership tables, and spatial index.
 #[derive(Debug)]
-pub(crate) struct Shard {
-    pub(crate) tile_lo: Vec<f64>,
-    pub(crate) tile_hi: Vec<f64>,
+struct Shard {
+    tile_lo: Vec<f64>,
+    tile_hi: Vec<f64>,
     /// Grow-only bounding box of every resident ever assigned, unioned
     /// with the tile box — the conservative "where this shard's
     /// residents can be" region the skip tests subtract from.
-    pub(crate) cover_lo: Vec<f64>,
-    pub(crate) cover_hi: Vec<f64>,
+    cover_lo: Vec<f64>,
+    cover_hi: Vec<f64>,
     /// Local id → global id, ascending (insertion order is global id
     /// order, which keeps shard-local distance tie-breaks identical to
     /// global ones).
-    pub(crate) members: Vec<usize>,
+    members: Vec<usize>,
     /// Global id → local id for every member (residents and mirrors).
     // lint:allow(D001, reason = "global-id -> local-slot lookup on the shortlist hot path; queried by key only, never iterated, so hash order cannot reach replay state")
-    pub(crate) local_of: HashMap<usize, usize>,
+    local_of: HashMap<usize, usize>,
     /// Global ids of residents ever assigned, ascending (departures
     /// stay listed; the index tombstones them).
-    pub(crate) resident_ids: Vec<usize>,
-    pub(crate) index: GridIndex,
-    pub(crate) log: ShardDeltaLog,
+    resident_ids: Vec<usize>,
+    index: GridIndex,
 }
 
 impl Shard {
-    pub(crate) fn add_member(&mut self, global: usize, point: &Point, resident: bool) {
+    fn add_member(&mut self, global: usize, point: &Point, resident: bool) {
         let local = self.index.insert(point);
         debug_assert_eq!(local, self.members.len(), "index ids track member ids");
         self.members.push(global);
@@ -329,29 +315,23 @@ impl Shard {
         }
     }
 
-    /// This shard's shortlist for peer `i` at `query`: a candidate set
-    /// guaranteed to contain every globally selected neighbour among
-    /// the shard's members. Index-answered per profile; any decline
-    /// (coordinate collisions, unprofiled rules) falls back to a
-    /// per-shard brute selection, which is always a sound shortlist.
-    ///
-    /// Member infos and departure flags are supplied through accessors
-    /// over *local* ids, so the caller can back them with the global
-    /// peer tables (the serial engine) or a worker-local replica (the
-    /// thread-per-shard runtime) — one implementation for both, which
-    /// is what makes the runtime byte-identical by construction.
-    pub(crate) fn shortlist<'a>(
+    /// This shard's shortlist for peer `i`: a candidate set guaranteed
+    /// to contain every globally selected neighbour among the shard's
+    /// members. Index-answered per profile; any decline (coordinate
+    /// collisions, unprofiled rules) falls back to a per-shard brute
+    /// selection, which is always a sound shortlist.
+    fn shortlist(
         &self,
         profile: ShardProfile,
         selection: &dyn NeighborSelection,
+        peers: &[PeerInfo],
+        departed: &[bool],
         i: usize,
-        query: &PeerInfo,
-        info_of: impl Fn(usize) -> &'a PeerInfo,
-        departed_local: impl Fn(usize) -> bool,
     ) -> Vec<usize> {
         if self.index.live_len() == 0 {
             return Vec::new();
         }
+        let query = &peers[i];
         let local_skip = self.local_of.get(&i).copied();
         match profile {
             ShardProfile::EmptyRect => {
@@ -380,135 +360,18 @@ impl Shard {
             }
             ShardProfile::Generic => {}
         }
-        let cand_locals: Vec<usize> = (0..self.members.len())
-            .filter(|&l| self.members[l] != i && !departed_local(l))
+        let cands: Vec<usize> = self
+            .members
+            .iter()
+            .copied()
+            .filter(|&g| g != i && !departed[g])
             .collect();
-        let refs: Vec<&PeerInfo> = cand_locals.iter().map(|&l| info_of(l)).collect();
+        let refs: Vec<&PeerInfo> = cands.iter().map(|&g| &peers[g]).collect();
         selection
             .select(query, &refs)
             .into_iter()
-            .map(|ci| self.members[cand_locals[ci]])
+            .map(|ci| cands[ci])
             .collect()
-    }
-}
-
-/// One entry of a shard's delta stream: the shard-local epoch (gap-free
-/// per shard), the global store epoch it corresponds to, and the dirty
-/// region restricted to the shard's residents.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardDelta {
-    /// Shard-local epoch (the `n`-th mutation that touched this shard).
-    pub local_epoch: u64,
-    /// The global [`crate::TopologyStore::epoch`] of the mutation.
-    pub global_epoch: u64,
-    /// The membership event.
-    pub kind: DeltaKind,
-    /// Dirty peers that are residents of this shard, sorted ascending.
-    pub dirty: Vec<usize>,
-}
-
-/// A shard-scoped delta log: the subsequence of global mutations that
-/// touched a shard's residents, with bounded retention.
-///
-/// Shard-local epochs are gap-free *per shard*, but consumers track
-/// progress in **global** epochs (one cursor works across shards).
-/// Because a shard only records the mutations that touched it, a
-/// truncated retained suffix is indistinguishable from a sparse stream
-/// — the naive "return whatever is retained after the cursor" answer
-/// silently drops evicted deltas. This log therefore remembers the
-/// highest global epoch it ever evicted and answers `None` whenever a
-/// consumer's cursor predates it: the deterministic full-resync signal
-/// (regression-tested in `laggards_get_a_resync_signal_not_a_gap`).
-#[derive(Debug, Clone)]
-pub struct ShardDeltaLog {
-    deltas: VecDeque<ShardDelta>,
-    capacity: usize,
-    local_head: u64,
-    global_head: u64,
-    /// Highest global epoch among evicted deltas (`None` = nothing
-    /// evicted yet).
-    evicted_global: Option<u64>,
-}
-
-impl ShardDeltaLog {
-    fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "shard delta log capacity must be positive");
-        ShardDeltaLog {
-            deltas: VecDeque::with_capacity(capacity.min(64)),
-            capacity,
-            local_head: 0,
-            global_head: 0,
-            evicted_global: None,
-        }
-    }
-
-    pub(crate) fn record(&mut self, kind: DeltaKind, dirty: Vec<usize>, global_epoch: u64) {
-        assert!(global_epoch > self.global_head, "global epochs ascend");
-        self.local_head += 1;
-        self.global_head = global_epoch;
-        if self.deltas.len() == self.capacity {
-            let evicted = self.deltas.pop_front().expect("at capacity");
-            self.evicted_global = Some(evicted.global_epoch);
-        }
-        self.deltas.push_back(ShardDelta {
-            local_epoch: self.local_head,
-            global_epoch,
-            kind,
-            dirty,
-        });
-    }
-
-    /// Number of retained deltas.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.deltas.len()
-    }
-
-    /// `true` if nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.deltas.is_empty()
-    }
-
-    /// Shard-local epoch of the newest recorded delta (0 before any).
-    #[must_use]
-    pub fn local_head(&self) -> u64 {
-        self.local_head
-    }
-
-    /// Global epoch of the newest mutation that touched this shard
-    /// (0 before any).
-    #[must_use]
-    pub fn global_head(&self) -> u64 {
-        self.global_head
-    }
-
-    /// The shard deltas with global epoch strictly after
-    /// `global_epoch`, oldest first — everything a consumer whose
-    /// global cursor is `global_epoch` has missed *in this shard*.
-    ///
-    /// Returns `None` only when the answer cannot be complete: the log
-    /// has evicted a delta newer than the cursor. `None` always means
-    /// "resynchronise from full store state". A cursor beyond this
-    /// shard's [`global_head`](Self::global_head) is routine under the
-    /// one-global-cursor consumption model — an idle shard's head lags
-    /// the store epoch — and answers the empty suffix: the shard has
-    /// recorded nothing after it, so the consumer is caught up here.
-    /// Cursors that outrun the *store's* epoch are the caller's to
-    /// validate, against [`crate::TopologyStore::epoch`].
-    #[must_use]
-    pub fn deltas_since_global(&self, global_epoch: u64) -> Option<Vec<&ShardDelta>> {
-        if let Some(evicted) = self.evicted_global {
-            if global_epoch < evicted {
-                return None;
-            }
-        }
-        Some(
-            self.deltas
-                .iter()
-                .filter(|d| d.global_epoch > global_epoch)
-                .collect(),
-        )
     }
 }
 
@@ -545,34 +408,72 @@ pub struct ShardedTopologyStore {
     /// Global peer id → home shard.
     home: Vec<u32>,
     stats: ShardBuildStats,
-    /// Buffers the serial churn paths reuse from event to event.
+    /// Buffers the churn paths reuse from event to event, and the
+    /// counters they feed.
     scratch: FoldScratch,
 }
 
 /// Reusable buffers of the fold paths, so that a churn event allocates
-/// the rows it returns and little else.
+/// the rows it returns and little else — and the ledger of what those
+/// paths asked of foreign shards. The bulk build folds through
+/// throw-away scratches, so the engine's own counts churn only.
 #[derive(Debug, Default)]
-pub(crate) struct FoldScratch {
+struct FoldScratch {
     boxes: BoxScratch,
     frontier: RectFrontier,
+    churn: ShardChurnStats,
+}
+
+/// What the churn paths of a [`ShardedTopologyStore`] asked of foreign
+/// shards since the bulk build: plain event counts, always on, read
+/// through [`ShardedTopologyStore::churn_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardChurnStats {
+    /// Selection folds run (a join's own row; a leave's selector rows
+    /// outside the empty-rectangle rule, or after a declined repair).
+    pub folds: u64,
+    /// Folds that asked at least one foreign shard for a shortlist.
+    pub folds_escaped: u64,
+    /// Shortlists folds asked of foreign shards.
+    pub foreign_shortlists: u64,
+    /// Selector rows handed to the shadow repair (a declined one is
+    /// then folded, and counted there too).
+    pub shadow_repairs: u64,
+    /// Shadow queries repairs asked of foreign shards.
+    pub shadow_foreign_queries: u64,
+    /// Foreign shards a fold or repair ruled out by certificate
+    /// (`skip_certified`) after the halo band had not covered them.
+    pub skips_certified: u64,
+}
+
+impl ShardChurnStats {
+    /// Share of folds that left their home shard (0 before any fold).
+    #[must_use]
+    pub fn escape_ratio(&self) -> f64 {
+        if self.folds == 0 {
+            0.0
+        } else {
+            self.folds_escaped as f64 / self.folds as f64
+        }
+    }
 }
 
 /// The home halo band of one fold and the uncovered box of the foreign
 /// shard under test, as caller-owned buffers: the skip tests run once
 /// per foreign shard per fold and must not allocate.
 #[derive(Debug, Default)]
-pub(crate) struct BoxScratch {
+struct BoxScratch {
     band_lo: Vec<f64>,
     band_hi: Vec<f64>,
     /// The uncovered box after a `true` from [`BoxScratch::uncovered`].
-    pub(crate) ulo: Vec<f64>,
-    pub(crate) uhi: Vec<f64>,
+    ulo: Vec<f64>,
+    uhi: Vec<f64>,
 }
 
 impl BoxScratch {
     /// Fixes the home shard of the fold: its tile grown by the halo
     /// width is the band whose residents the home index mirrors.
-    pub(crate) fn set_home(&mut self, tile_lo: &[f64], tile_hi: &[f64], halo: f64) {
+    fn set_home(&mut self, tile_lo: &[f64], tile_hi: &[f64], halo: f64) {
         self.band_lo.clear();
         self.band_lo.extend(tile_lo.iter().map(|x| x - halo));
         self.band_hi.clear();
@@ -583,7 +484,7 @@ impl BoxScratch {
     /// halo band, written to `ulo`/`uhi`. `false` means the shard is
     /// entirely inside the band — every one of its residents is
     /// mirrored into the home shard.
-    pub(crate) fn uncovered(&mut self, cover_lo: &[f64], cover_hi: &[f64]) -> bool {
+    fn uncovered(&mut self, cover_lo: &[f64], cover_hi: &[f64]) -> bool {
         let (g_lo, g_hi) = (&self.band_lo, &self.band_hi);
         let mut outside =
             (0..cover_lo.len()).filter(|&d| !(g_lo[d] <= cover_lo[d] && cover_hi[d] <= g_hi[d]));
@@ -659,7 +560,6 @@ impl ShardedTopologyStore {
                 local_of: HashMap::with_capacity(assignment[s].len()),
                 resident_ids: Vec::new(),
                 index,
-                log: ShardDeltaLog::new(config.shard_log_capacity),
             };
             for (local, &(g, resident)) in assignment[s].iter().enumerate() {
                 shard.members.push(g);
@@ -783,67 +683,25 @@ impl ShardedTopologyStore {
         self.shards[s].members.len() - self.shards[s].resident_ids.len()
     }
 
-    /// Shard `s`'s scoped delta stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    #[must_use]
-    pub fn shard_log(&self, s: usize) -> &ShardDeltaLog {
-        &self.shards[s].log
-    }
-
     /// Sizes and phase timings of the bulk build.
     #[must_use]
     pub fn build_stats(&self) -> &ShardBuildStats {
         &self.stats
     }
 
+    /// What churn has asked of foreign shards since the bulk build.
+    #[must_use]
+    pub fn churn_stats(&self) -> ShardChurnStats {
+        self.scratch.churn
+    }
+
     pub(crate) fn note_finalize(&mut self, elapsed: Duration) {
         self.stats.finalize = elapsed;
     }
 
-    /// The nearest live accepted peer to `q` across every shard index,
-    /// ties broken by the smaller global id. Every live peer is in its
-    /// home shard's index, so the union of per-shard answers is
-    /// complete even though each shard's query considers only the
-    /// shard's *residents*; local ids ascend with global ids, so
-    /// per-shard tie-breaking agrees with the global rule.
-    ///
-    /// Halo mirrors are filtered out before `accept` runs, so — like
-    /// the single-store path, whose index scans each cell exactly once
-    /// — the (possibly stateful) predicate is consulted at most once
-    /// per live peer.
-    pub(crate) fn nearest_live_where(
-        &self,
-        peers: &[PeerInfo],
-        q: &Point,
-        metric: MetricKind,
-        accept: &mut dyn FnMut(usize) -> bool,
-    ) -> Option<usize> {
-        let mut best: Option<(f64, usize)> = None;
-        for (s, shard) in self.shards.iter().enumerate() {
-            if shard.index.live_len() == 0 {
-                continue;
-            }
-            let got = shard.index.nearest_where(q, metric, |local| {
-                let g = shard.members[local];
-                self.home[g] as usize == s && accept(g)
-            });
-            if let Some(local) = got {
-                let g = shard.members[local];
-                let d = metric.dist(peers[g].point(), q);
-                if best.is_none_or(|(bd, bg)| (d, g) < (bd, bg)) {
-                    best = Some((d, g));
-                }
-            }
-        }
-        best.map(|(_, g)| g)
-    }
-
     /// Peer `i`'s exact selection over the full live population,
     /// assembled from per-shard shortlists (see module docs).
-    pub(crate) fn fold_select(
+    fn fold_select(
         &self,
         peers: &[PeerInfo],
         departed: &[bool],
@@ -852,11 +710,12 @@ impl ShardedTopologyStore {
         scratch: &mut FoldScratch,
     ) -> Vec<usize> {
         let home = self.home[i] as usize;
-        let boxes = &mut scratch.boxes;
+        let FoldScratch { boxes, churn, .. } = scratch;
         // The home shortlist doubles as the skip tests' base: the pool
         // grows behind it.
-        let mut pool = self.shard_shortlist(peers, departed, selection, home, i);
+        let mut pool = self.shards[home].shortlist(self.profile, selection, peers, departed, i);
         let base_len = pool.len();
+        let mut asked = 0u64;
         let knn = match self.profile {
             ShardProfile::OrthantTopK { k, metric } => {
                 Some(orthant_stats(peers, i, &pool, k, metric))
@@ -887,10 +746,15 @@ impl ShardedTopologyStore {
                 &boxes.ulo,
                 &boxes.uhi,
             ) {
+                churn.skips_certified += 1;
                 continue;
             }
-            pool.extend(self.shard_shortlist(peers, departed, selection, s, i));
+            asked += 1;
+            pool.extend(shard.shortlist(self.profile, selection, peers, departed, i));
         }
+        churn.folds += 1;
+        churn.folds_escaped += u64::from(asked > 0);
+        churn.foreign_shortlists += asked;
         let escaped = pool.len() > base_len;
         pool.sort_unstable();
         pool.dedup();
@@ -926,7 +790,12 @@ impl ShardedTopologyStore {
         v: usize,
         scratch: &mut FoldScratch,
     ) -> Option<Vec<usize>> {
-        let FoldScratch { boxes, frontier } = scratch;
+        let FoldScratch {
+            boxes,
+            frontier,
+            churn,
+        } = scratch;
+        churn.shadow_repairs += 1;
         frontier.begin_shadow(peers[i].point(), peers[v].point());
         let mut row = Vec::with_capacity(old_row.len() + 2);
         for &r in old_row {
@@ -952,18 +821,22 @@ impl ShardedTopologyStore {
                 || shard.index.live_len() == 0
                 || !boxes.uncovered(&shard.cover_lo, &shard.cover_hi)
                 || !frontier.shadow_reaches(&boxes.ulo, &boxes.uhi)
-                || skip_certified(
-                    ShardProfile::EmptyRect,
-                    peers,
-                    i,
-                    frontier.ids(),
-                    None,
-                    &boxes.ulo,
-                    &boxes.uhi,
-                )
             {
                 continue;
             }
+            if skip_certified(
+                ShardProfile::EmptyRect,
+                peers,
+                i,
+                frontier.ids(),
+                None,
+                &boxes.ulo,
+                &boxes.uhi,
+            ) {
+                churn.skips_certified += 1;
+                continue;
+            }
+            churn.shadow_foreign_queries += 1;
             if !shadow_on(shard, frontier) {
                 return None;
             }
@@ -971,27 +844,6 @@ impl ShardedTopologyStore {
         row.extend_from_slice(frontier.ids());
         row.sort_unstable();
         Some(row)
-    }
-
-    /// Shard `s`'s shortlist for peer `i`: [`Shard::shortlist`] backed
-    /// by the global peer tables.
-    fn shard_shortlist(
-        &self,
-        peers: &[PeerInfo],
-        departed: &[bool],
-        selection: &dyn NeighborSelection,
-        s: usize,
-        i: usize,
-    ) -> Vec<usize> {
-        let shard = &self.shards[s];
-        shard.shortlist(
-            self.profile,
-            selection,
-            i,
-            &peers[i],
-            |l| &peers[shard.members[l]],
-            |l| departed[shard.members[l]],
-        )
     }
 
     /// Registers a freshly inserted peer: home assignment, resident
@@ -1019,85 +871,11 @@ impl ShardedTopologyStore {
             }
         }
     }
-
-    /// Fans the global dirty region out into the scoped shard logs:
-    /// each shard records the event iff the dirty region touches one
-    /// of its residents, with the dirty list restricted accordingly.
-    fn record_shard_deltas(&mut self, global_epoch: u64, kind: DeltaKind, dirty: &[usize]) {
-        let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &p in dirty {
-            by_shard.entry(self.home[p] as usize).or_default().push(p);
-        }
-        for (s, shard_dirty) in by_shard {
-            self.shards[s].log.record(kind, shard_dirty, global_epoch);
-        }
-    }
-
-    /// The grid tiling (for the runtime's coordinator replica).
-    pub(crate) fn tiling(&self) -> &Tiling {
-        &self.tiling
-    }
-
-    /// The selection's shard profile.
-    pub(crate) fn profile(&self) -> ShardProfile {
-        self.profile
-    }
-
-    /// Moves every [`Shard`] out of the engine — how a
-    /// [`crate::runtime::ShardRuntime`] hands each shard to its worker
-    /// thread. While detached the engine keeps the tiling and home
-    /// table (the runtime updates `home` through
-    /// [`ShardedTopologyStore::register_home`]) but cannot answer
-    /// queries; the serial mutation paths panic until
-    /// [`ShardedTopologyStore::attach_shards`] puts the shards back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is already detached.
-    pub(crate) fn detach_shards(&mut self) -> Vec<Shard> {
-        assert!(
-            !self.is_detached(),
-            "shards already detached (another runtime owns them)"
-        );
-        std::mem::take(&mut self.shards)
-    }
-
-    /// Restores shards detached by
-    /// [`ShardedTopologyStore::detach_shards`], in shard-id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is not detached or the shard count differs
-    /// from the tiling.
-    pub(crate) fn attach_shards(&mut self, shards: Vec<Shard>) {
-        assert!(self.is_detached(), "engine already holds its shards");
-        assert_eq!(
-            shards.len(),
-            self.tiling.tiles.iter().product::<usize>(),
-            "shard count must match the tiling"
-        );
-        self.shards = shards;
-    }
-
-    /// `true` while the shards live in runtime worker threads.
-    pub(crate) fn is_detached(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Registers the home shard of a freshly inserted peer without
-    /// touching shard state — the runtime's counterpart of the
-    /// assignment half of `add_peer` (membership itself travels to the
-    /// workers as commands).
-    pub(crate) fn register_home(&mut self, g: usize, h: usize) {
-        self.home.push(h as u32);
-        debug_assert_eq!(self.home.len(), g + 1, "peers register in id order");
-    }
 }
 
 /// `true` when no point of the box `[ulo, uhi]` can enter peer `i`'s
-/// selection, certified from the home shortlist alone (free-function
-/// form shared by the serial engine and the runtime coordinator).
-pub(crate) fn skip_certified(
+/// selection, certified from the home shortlist alone.
+fn skip_certified(
     profile: ShardProfile,
     peers: &[PeerInfo],
     i: usize,
@@ -1188,7 +966,7 @@ fn auto_halo(tiling: &Tiling, n: usize) -> f64 {
 /// around peer `i`. Candidates sharing a coordinate with `i` belong to
 /// on-hyperplane regions, not orthants, and are excluded — the skip
 /// test independently refuses any box that could reach such a region.
-pub(crate) fn orthant_stats(
+fn orthant_stats(
     peers: &[PeerInfo],
     i: usize,
     base: &[usize],
@@ -1231,7 +1009,7 @@ pub(crate) fn orthant_stats(
 /// to an orthant *is* that region's full top-`K` (at equilibrium), so
 /// the `K`-th distance is just the max over those members: `O(degree)`
 /// arithmetic, no selection call.
-pub(crate) fn topk_join_recheck(
+fn topk_join_recheck(
     peers: &[PeerInfo],
     out: &[Vec<usize>],
     i: usize,
@@ -1282,10 +1060,6 @@ pub(crate) fn sharded_insert(store: &mut TopologyStore, point: Point) -> PeerId 
         );
     }
     let mut engine = store.sharding.take().expect("sharded backend present");
-    assert!(
-        !engine.is_detached(),
-        "store is driven by a ShardRuntime; route mutations through it"
-    );
     let id = store.peers.len();
     store.peers.push(PeerInfo::new(PeerId(id as u64), point));
     store.departed.push(false);
@@ -1356,9 +1130,7 @@ pub(crate) fn sharded_insert(store: &mut TopologyStore, point: Point) -> PeerId 
             store.apply_out(affected[a], new_out, &mut delta);
         }
     }
-    store.last_delta = delta.into_iter().collect();
-    store.record_delta(DeltaKind::Join(id));
-    engine.record_shard_deltas(store.epoch, DeltaKind::Join(id), &store.last_delta);
+    store.record_delta(DeltaKind::Join(id), delta.into_iter().collect());
     store.sharding = Some(engine);
     PeerId(id as u64)
 }
@@ -1395,10 +1167,6 @@ pub(crate) fn sharded_remove(store: &mut TopologyStore, id: PeerId) {
     assert!(v < store.peers.len(), "peer id out of range");
     assert!(!store.departed[v], "{id} already departed");
     let mut engine = store.sharding.take().expect("sharded backend present");
-    assert!(
-        !engine.is_detached(),
-        "store is driven by a ShardRuntime; route mutations through it"
-    );
     store.departed[v] = true;
     store.live -= 1;
     engine.remove_peer(v);
@@ -1430,9 +1198,7 @@ pub(crate) fn sharded_remove(store: &mut TopologyStore, id: PeerId) {
         store.apply_out(i, new_out, &mut delta);
     }
     engine.scratch = scratch;
-    store.last_delta = delta.into_iter().collect();
-    store.record_delta(DeltaKind::Leave(v));
-    engine.record_shard_deltas(store.epoch, DeltaKind::Leave(v), &store.last_delta);
+    store.record_delta(DeltaKind::Leave(v), delta.into_iter().collect());
     store.sharding = Some(engine);
 }
 
@@ -1442,7 +1208,6 @@ mod tests {
 
     use super::*;
     use crate::select::{EmptyRectSelection, HyperplanesSelection};
-    use crate::TopologyDelta;
     use geocast_geom::gen::uniform_points;
 
     fn peers(n: usize, dim: usize, seed: u64) -> Vec<PeerInfo> {
@@ -1506,7 +1271,7 @@ mod tests {
                     selection.name()
                 );
                 assert_eq!(single.fingerprint(), sharded.fingerprint());
-                assert_eq!(single.last_delta(), sharded.last_delta());
+                assert_eq!(single.delta_log().newest(), sharded.delta_log().newest());
             }
         }
     }
@@ -1592,138 +1357,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn shard_logs_record_resident_scoped_dirty_regions() {
-        let mut store = TopologyStore::from_peers_sharded(
-            peers(50, 2, 31),
-            Arc::new(EmptyRectSelection),
-            &ShardConfig::new(4),
-        );
-        let joins = uniform_points(12, 2, 1000.0, 32).into_points();
-        for p in &joins {
-            store.insert(p.clone());
-        }
-        let engine = store.sharding().expect("sharded");
-        let mut recorded = 0usize;
-        for s in 0..engine.shard_count() {
-            let log = engine.shard_log(s);
-            recorded += log.len();
-            let mut last_global = 0;
-            for d in log.deltas_since_global(0).expect("no eviction yet") {
-                assert!(d.global_epoch > last_global, "global epochs ascend");
-                last_global = d.global_epoch;
-                assert!(!d.dirty.is_empty());
-                for &p in &d.dirty {
-                    assert_eq!(engine.home_shard(p), s, "dirty lists are resident-scoped");
-                }
-            }
-        }
-        assert!(recorded >= 12, "every join lands in at least one shard log");
-        // Cross-check: the union of shard streams at each global epoch
-        // partitions that epoch's global dirty region by home shard.
-        let global: Vec<&TopologyDelta> = store.delta_log().deltas_since(0).unwrap().collect();
-        for gd in global {
-            let mut reassembled: Vec<usize> = (0..engine.shard_count())
-                .filter_map(|s| {
-                    engine
-                        .shard_log(s)
-                        .deltas_since_global(gd.epoch - 1)
-                        .unwrap()
-                        .into_iter()
-                        .find(|d| d.global_epoch == gd.epoch)
-                        .map(|d| d.dirty.clone())
-                })
-                .flatten()
-                .collect();
-            reassembled.sort_unstable();
-            assert_eq!(reassembled, gd.dirty, "epoch {}", gd.epoch);
-        }
-    }
-
-    #[test]
-    fn laggards_get_a_resync_signal_not_a_gap() {
-        // Regression: a truncated shard log must answer `None` for any
-        // cursor that predates an evicted delta, never a silent suffix.
-        let mut store = TopologyStore::from_peers_sharded(
-            peers(40, 2, 41),
-            Arc::new(EmptyRectSelection),
-            &ShardConfig::new(1).with_shard_log_capacity(3),
-        );
-        let joins = uniform_points(10, 2, 1000.0, 42).into_points();
-        for p in &joins {
-            store.insert(p.clone());
-        }
-        let log = store.sharding().unwrap().shard_log(0);
-        assert_eq!(log.local_head(), 10);
-        assert_eq!(log.len(), 3, "capacity bounds retention");
-        // Epochs 1..=7 were evicted. A consumer at global epoch 5 is
-        // missing evicted deltas 6 and 7: deterministic resync.
-        assert!(log.deltas_since_global(5).is_none());
-        // A consumer exactly at the eviction horizon proceeds.
-        let ok = log.deltas_since_global(7).expect("retained suffix");
-        assert_eq!(ok.len(), 3);
-        assert_eq!(
-            ok.iter().map(|d| d.global_epoch).collect::<Vec<_>>(),
-            vec![8, 9, 10]
-        );
-        // A cursor past everything this shard recorded is caught up
-        // *here* — the empty suffix, not a spurious resync (one global
-        // cursor polls idle shards whose heads lag the store epoch).
-        assert!(log.deltas_since_global(11).expect("caught up").is_empty());
-        // An untouched-but-truncated log in a multi-shard store: the
-        // sparse stream still reports eviction, not an empty answer.
-        let mut sparse = TopologyStore::from_peers_sharded(
-            peers(40, 2, 43),
-            Arc::new(EmptyRectSelection),
-            &ShardConfig::new(4).with_shard_log_capacity(1),
-        );
-        for p in &joins {
-            sparse.insert(p.clone());
-        }
-        let engine = sparse.sharding().unwrap();
-        for s in 0..engine.shard_count() {
-            let log = engine.shard_log(s);
-            if log.local_head() > 1 {
-                assert!(
-                    log.deltas_since_global(0).is_none(),
-                    "shard {s} evicted history and must demand a resync"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn idle_shards_answer_caught_up_cursors_with_an_empty_suffix() {
-        // The documented consumption model is ONE global cursor across
-        // all shard logs: after catching up with the merged stream, the
-        // cursor exceeds the global head of every shard the recent
-        // mutations did not touch. Those shards must answer the empty
-        // suffix, not demand a full resync.
-        let mut store = TopologyStore::from_peers_sharded(
-            peers(40, 2, 44),
-            Arc::new(EmptyRectSelection),
-            &ShardConfig::new(4),
-        );
-        let joins = uniform_points(3, 2, 1000.0, 45).into_points();
-        for p in &joins {
-            store.insert(p.clone());
-        }
-        let cursor = store.epoch();
-        let engine = store.sharding().unwrap();
-        let mut idle = 0usize;
-        for s in 0..engine.shard_count() {
-            let log = engine.shard_log(s);
-            if log.global_head() < cursor {
-                idle += 1;
-            }
-            let got = log
-                .deltas_since_global(cursor)
-                .expect("nothing evicted: a caught-up cursor never resyncs");
-            assert!(got.is_empty(), "shard {s} has nothing after the cursor");
-        }
-        assert!(idle > 0, "some shard's head lags the store epoch");
     }
 
     #[test]
@@ -1822,27 +1455,82 @@ mod tests {
     }
 
     #[test]
-    fn nearest_live_query_matches_linear_scan() {
-        let mut store = TopologyStore::from_peers_sharded(
-            peers(70, 2, 61),
-            Arc::new(EmptyRectSelection),
-            &ShardConfig::new(9),
-        );
-        for gone in [3u64, 22, 47] {
-            store.remove(PeerId(gone));
-        }
-        let queries = uniform_points(15, 2, 1200.0, 62).into_points();
-        for q in &queries {
-            for accept in [None, Some(5usize)] {
-                let f = |i: usize| accept.is_none_or(|m| i.is_multiple_of(m));
-                let scan = (0..store.len())
-                    .filter(|&i| !store.is_departed(PeerId(i as u64)) && f(i))
-                    .map(|i| (MetricKind::L1.dist(store.peers()[i].point(), q), i))
-                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                    .map(|(_, i)| i);
-                assert_eq!(store.nearest_live_where(q, MetricKind::L1, f), scan);
+    fn a_departed_id_retains_no_reverse_list_on_any_engine() {
+        // Every engine's Leave takes the departed peer's selector list:
+        // the peer is never selected again, so the capacity goes too.
+        let selection: Arc<dyn NeighborSelection + Send + Sync> = Arc::new(EmptyRectSelection);
+        let mut classic = TopologyStore::from_peers(peers(60, 2, 7), selection.clone());
+        let mut sharded =
+            TopologyStore::from_peers_sharded(peers(60, 2, 7), selection, &ShardConfig::new(4));
+        for v in [3usize, 17, 41] {
+            assert!(
+                classic.rev[v].capacity() > 0,
+                "peer {v} is selected by someone"
+            );
+            classic.remove(PeerId(v as u64));
+            sharded.remove(PeerId(v as u64));
+            for (name, store) in [("classic", &classic), ("sharded", &sharded)] {
+                assert_eq!(store.rev[v].capacity(), 0, "{name}: rev[{v}]");
+                assert_eq!(store.out[v].capacity(), 0, "{name}: out[{v}]");
             }
         }
+        assert_eq!(classic.graph(), sharded.graph());
+    }
+
+    #[test]
+    fn churn_stats_count_what_joins_and_leaves_ask_of_foreign_shards() {
+        let joins = uniform_points(120, 2, 1000.0, 72).into_points();
+        let churned = |shards: usize| {
+            let mut store = TopologyStore::from_peers_sharded(
+                peers(2000, 2, 71),
+                Arc::new(EmptyRectSelection),
+                &ShardConfig::new(shards),
+            );
+            let built = store.sharding().unwrap().churn_stats();
+            assert_eq!(
+                built,
+                ShardChurnStats::default(),
+                "the bulk build is not churn"
+            );
+            for p in &joins {
+                store.insert(p.clone());
+            }
+            let after_joins = store.sharding().unwrap().churn_stats();
+            for v in 0..120u64 {
+                store.remove(PeerId(v * 13));
+            }
+            (after_joins, store.sharding().unwrap().churn_stats())
+        };
+
+        // One shard: there is no foreign shard to ask.
+        let (_, one) = churned(1);
+        assert_eq!(one.folds, 120, "one fold per join, every leave repaired");
+        assert!(one.shadow_repairs > 120, "each leave repairs its selectors");
+        assert_eq!(
+            (
+                one.folds_escaped,
+                one.foreign_shortlists,
+                one.shadow_foreign_queries
+            ),
+            (0, 0, 0)
+        );
+        assert_eq!(one.skips_certified, 0);
+        assert_eq!(one.escape_ratio(), 0.0);
+
+        // Sixteen shards: a join's full query folds every shard it
+        // cannot certify away; a leave's repair asks only the shards its
+        // shadow box reaches.
+        let (joined, all) = churned(16);
+        assert_eq!((joined.folds, joined.shadow_repairs), (120, 0));
+        assert_eq!(all.folds, 120, "no repair declined");
+        assert_eq!(all.foreign_shortlists, joined.foreign_shortlists);
+        assert!(joined.folds_escaped > 0 && joined.skips_certified > 0);
+        let per_fold = joined.foreign_shortlists as f64 / joined.folds as f64;
+        let per_repair = all.shadow_foreign_queries as f64 / all.shadow_repairs as f64;
+        assert!(
+            per_repair < per_fold,
+            "{per_repair:.3} foreign queries per repair vs {per_fold:.3} per fold"
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! [`TopologyStore`] owns the peer population, the incremental spatial
 //! index ([`GridIndex`]), the current equilibrium adjacency (forward
 //! **and** reverse, both sorted), per-peer topology fingerprints, and the
-//! dirty-region bookkeeping of the last membership change. It is the one
-//! engine both consumers drive:
+//! epoch-numbered [`DeltaLog`] of every membership change's dirty region.
+//! It is the one engine both consumers drive:
 //!
 //! * [`crate::oracle::equilibrium`] runs the store's **bulk path**
 //!   ([`build_shared_index`] + [`bulk_out_neighbors`]): index once,
@@ -187,7 +187,6 @@ pub struct TopologyStore {
     pub(crate) rev: Vec<Vec<usize>>,
     pub(crate) peer_hash: Vec<u64>,
     pub(crate) fingerprint: u64,
-    pub(crate) last_delta: Vec<usize>,
     pub(crate) epoch: u64,
     log: DeltaLog,
     pub(crate) selection: Arc<dyn NeighborSelection + Send + Sync>,
@@ -212,7 +211,6 @@ impl TopologyStore {
             rev: Vec::new(),
             peer_hash: Vec::new(),
             fingerprint: 0,
-            last_delta: Vec::new(),
             epoch: 0,
             log: DeltaLog::default(),
             selection,
@@ -261,7 +259,6 @@ impl TopologyStore {
             rev,
             peer_hash,
             fingerprint,
-            last_delta: (0..n).collect(),
             epoch: 0,
             log: DeltaLog::default(),
             peers,
@@ -273,8 +270,8 @@ impl TopologyStore {
     /// Builds a store over an existing dense-id population on the
     /// region-sharded engine ([`crate::shard`]): the coordinate domain
     /// is tiled into `config.shards()` shards, each with its own
-    /// incremental spatial index and scoped delta log, and both this
-    /// bulk build and subsequent churn run shard-parallel. The
+    /// incremental spatial index; this bulk build runs shard-parallel
+    /// and subsequent churn folds over the shards. The
     /// resulting topology, fingerprint and delta stream are
     /// byte-identical to [`TopologyStore::from_peers`]
     /// (property-tested in `tests/prop_shard.rs`).
@@ -331,7 +328,6 @@ impl TopologyStore {
             rev,
             peer_hash,
             fingerprint,
-            last_delta: (0..n).collect(),
             epoch: 0,
             log: DeltaLog::default(),
             peers,
@@ -464,71 +460,11 @@ impl TopologyStore {
         OverlayGraph::from_out_neighbors(self.out.clone())
     }
 
-    /// `true` while the store maintains its incremental spatial index
-    /// (built once the population supports one; permanently disabled by
-    /// un-indexable dimensionalities).
-    #[must_use]
-    pub fn has_spatial_index(&self) -> bool {
-        self.index.is_some() || self.sharding.as_ref().is_some_and(|e| !e.is_detached())
-    }
-
-    /// The nearest **live** peer to `q` among those `accept` admits,
-    /// under `metric`, ties broken by the smaller peer index — the
-    /// brute-force `(distance, index)` minimum, answered through the
-    /// incremental [`GridIndex`] when one is maintained and by a linear
-    /// scan otherwise (both paths are exact, so the answer is identical
-    /// either way). `None` when no live peer is accepted. On every
-    /// engine — linear scan, indexed, sharded — `accept` is consulted
-    /// at most once per live peer, so stateful predicates behave
-    /// identically across them.
-    ///
-    /// This is the nearest-tree-member query behind routing-based group
-    /// join (`geocast_core`'s relay grafting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store is non-empty and `q`'s dimensionality
-    /// disagrees with the population.
-    #[must_use]
-    pub fn nearest_live_where<F: FnMut(usize) -> bool>(
-        &self,
-        q: &Point,
-        metric: geocast_geom::MetricKind,
-        mut accept: F,
-    ) -> Option<usize> {
-        use geocast_geom::Metric;
-        if let Some(engine) = &self.sharding {
-            if !engine.is_detached() {
-                return engine.nearest_live_where(&self.peers, q, metric, &mut accept);
-            }
-            // The shard indexes live in runtime worker threads: fall
-            // through to the exact linear scan (index is None here).
-        }
-        match &self.index {
-            Some(ix) => ix.nearest_where(q, metric, accept),
-            None => (0..self.peers.len())
-                .filter(|&i| !self.departed[i] && accept(i))
-                .map(|i| (metric.dist(self.peers[i].point(), q), i))
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                .map(|(_, i)| i),
-        }
-    }
-
     /// Rolling 64-bit fingerprint of the whole topology: XOR of every
     /// peer's [`topology_hash`]. Changes whenever any out-list changes.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The dirty region of the last [`TopologyStore::insert`] /
-    /// [`TopologyStore::remove`]: every peer whose out-list, reverse
-    /// list, or membership changed, sorted ascending. Consumers
-    /// (stability forests, localized gossip sync) re-check exactly these
-    /// peers.
-    #[must_use]
-    pub fn last_delta(&self) -> &[usize] {
-        &self.last_delta
     }
 
     /// The store's mutation epoch: 0 at construction (whether empty or
@@ -564,14 +500,15 @@ impl TopologyStore {
         self.log = DeltaLog::anchored(capacity, self.epoch);
     }
 
-    /// Records the mutation that produced the current `last_delta` in
-    /// the delta log.
-    pub(crate) fn record_delta(&mut self, kind: DeltaKind) {
+    /// Records a mutation and its dirty region (every peer whose
+    /// out-list, reverse list, or membership changed, sorted ascending)
+    /// in the delta log.
+    pub(crate) fn record_delta(&mut self, kind: DeltaKind, dirty: Vec<usize>) {
         self.epoch += 1;
         self.log.record(TopologyDelta {
             epoch: self.epoch,
             kind,
-            dirty: self.last_delta.clone(),
+            dirty,
         });
     }
 
@@ -580,8 +517,8 @@ impl TopologyStore {
     /// are re-checked (each against its current selection plus the
     /// newcomer — see the module docs for why that is exact).
     ///
-    /// Returns the new peer's id; [`TopologyStore::last_delta`] lists
-    /// the affected peers.
+    /// Returns the new peer's id; the newest entry of
+    /// [`TopologyStore::delta_log`] lists the affected peers.
     ///
     /// # Panics
     ///
@@ -644,8 +581,7 @@ impl TopologyStore {
                 self.apply_out(i, new_out, &mut delta);
             }
         }
-        self.last_delta = delta.into_iter().collect();
-        self.record_delta(DeltaKind::Join(id));
+        self.record_delta(DeltaKind::Join(id), delta.into_iter().collect());
         PeerId(id as u64)
     }
 
@@ -696,8 +632,7 @@ impl TopologyStore {
             let new_out = self.select_full(i);
             self.apply_out(i, new_out, &mut delta);
         }
-        self.last_delta = delta.into_iter().collect();
-        self.record_delta(DeltaKind::Leave(v));
+        self.record_delta(DeltaKind::Leave(v), delta.into_iter().collect());
     }
 
     /// One peer's selection over the full live candidate set, through
@@ -904,11 +839,13 @@ mod tests {
         for p in &pts {
             store.insert(p.clone());
             previous.push(Vec::new());
-            let delta: std::collections::BTreeSet<usize> =
-                store.last_delta().iter().copied().collect();
+            let delta = &store.delta_log().newest().unwrap().dirty;
             for (i, prev) in previous.iter_mut().enumerate() {
                 if store.out_neighbors(i) != prev.as_slice() {
-                    assert!(delta.contains(&i), "changed peer {i} missing from delta");
+                    assert!(
+                        delta.binary_search(&i).is_ok(),
+                        "changed peer {i} missing from delta"
+                    );
                 }
                 *prev = store.out_neighbors(i).to_vec();
             }
@@ -995,10 +932,10 @@ mod tests {
         let mut dirty_by_epoch: Vec<Vec<usize>> = Vec::new();
         for p in &pts {
             store.insert(p.clone());
-            dirty_by_epoch.push(store.last_delta().to_vec());
+            dirty_by_epoch.push(store.delta_log().newest().unwrap().dirty.clone());
         }
         store.remove(PeerId(3));
-        dirty_by_epoch.push(store.last_delta().to_vec());
+        dirty_by_epoch.push(store.delta_log().newest().unwrap().dirty.clone());
         assert_eq!(store.epoch(), 31, "one epoch per mutation");
         assert_eq!(store.delta_log().head_epoch(), 31);
 
@@ -1024,7 +961,7 @@ mod tests {
         let d: Vec<&TopologyDelta> = store.delta_log().deltas_since(0).unwrap().collect();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].kind, DeltaKind::Join(20));
-        assert_eq!(d[0].dirty, store.last_delta());
+        assert_eq!(store.delta_log().newest(), Some(d[0]));
     }
 
     #[test]
@@ -1041,42 +978,6 @@ mod tests {
         assert_eq!(store.delta_log().deltas_since(10).unwrap().count(), 0);
         store.remove(PeerId(2));
         assert_eq!(store.delta_log().deltas_since(10).unwrap().count(), 1);
-    }
-
-    #[test]
-    fn nearest_live_where_agrees_between_index_and_scan() {
-        use geocast_geom::Metric;
-        let pts = points(60, 2, 53);
-        let mut store = TopologyStore::new(Arc::new(EmptyRectSelection));
-        for p in &pts {
-            store.insert(p.clone());
-        }
-        for gone in [4u64, 19, 33] {
-            store.remove(PeerId(gone));
-        }
-        assert!(store.has_spatial_index());
-        let scan = |q: &Point, accept: &dyn Fn(usize) -> bool| {
-            (0..store.len())
-                .filter(|&i| !store.is_departed(PeerId(i as u64)) && accept(i))
-                .map(|i| (MetricKind::L1.dist(store.peers()[i].point(), q), i))
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                .map(|(_, i)| i)
-        };
-        let queries = points(10, 2, 54);
-        for q in &queries {
-            assert_eq!(
-                store.nearest_live_where(q, MetricKind::L1, |_| true),
-                scan(q, &|_| true)
-            );
-            // A sparse subset filter (the on-tree shape of graft queries)
-            // and the removed peers must never be answered.
-            let filtered = store.nearest_live_where(q, MetricKind::L1, |i| i % 5 == 0);
-            assert_eq!(filtered, scan(q, &|i| i % 5 == 0));
-            assert_eq!(
-                store.nearest_live_where(q, MetricKind::L1, |i| i == 4),
-                None
-            );
-        }
     }
 
     #[test]

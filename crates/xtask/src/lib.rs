@@ -1,25 +1,15 @@
-//! Workspace static analysis and model checking for the geocast
-//! reproduction.
+//! Workspace static analysis for the geocast reproduction.
 //!
-//! Two engines, both reachable through the `xtask` binary:
-//!
-//! * [`lint`] — the determinism lint (`xtask lint`): a self-contained
-//!   lexer-based analyzer enforcing rules D001–D005 (hash-ordered
-//!   collections, wall-clock reads, unseeded RNG, float `partial_cmp`,
-//!   `forbid(unsafe_code)`) with inline, reason-carrying waivers.
-//! * [`interleave`] — the bounded-interleaving model checker
-//!   (`xtask interleave`): exhaustively permutes shard-worker reply
-//!   arrival orders and queue-full stalls under a deterministic
-//!   scheduler and asserts every schedule reproduces the serial
-//!   dispatcher's topology byte-for-byte.
+//! [`lint`] is the determinism lint (`xtask lint`): a self-contained
+//! lexer-based analyzer enforcing rules D001–D005 (hash-ordered
+//! collections, wall-clock reads, unseeded RNG, float `partial_cmp`,
+//! `forbid(unsafe_code)`) with inline, reason-carrying waivers.
 //!
 //! `docs/ARCHITECTURE.md` § "The determinism contract" states the rules
-//! and the waiver syntax; `docs/PERFORMANCE.md` discusses the model
-//! checker's bounds.
+//! and the waiver syntax.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod interleave;
 pub mod lexer;
 pub mod lint;

@@ -1,11 +1,10 @@
-//! The `xtask` binary: `cargo run -p xtask -- <lint|interleave> [...]`.
+//! The `xtask` binary: `cargo run -p xtask -- lint [...]`.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::interleave::{check, InterleaveConfig};
 use xtask::lint::lint_workspace;
 
 const USAGE: &str = "\
@@ -16,22 +15,12 @@ commands:
       --root <dir>       workspace root (default: .)
       --json             machine-readable report on stdout
       --deny             exit nonzero if any violation is found
-
-  interleave  bounded-interleaving model check of the shard runtime
-      --shards <K>           largest shard count checked (default 4)
-      --max-schedules <N>    exploration cap per configuration (default 200)
-      --min-schedules <N>    fail unless at least N schedules ran (default 0)
-      --peers <N>            initial population (default 10)
-      --joins <N>            workload joins (default 4)
-      --leaves <N>           workload leaves (default 3)
-      --seed <S>             workload seed (default 0xd5)
 ";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
-        Some("interleave") => run_interleave(&args[1..]),
         _ => {
             eprint!("{USAGE}");
             ExitCode::FAILURE
@@ -44,12 +33,6 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
-}
-
-fn parse_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    flag_value(args, flag)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn run_lint(args: &[String]) -> ExitCode {
@@ -81,33 +64,4 @@ fn run_lint(args: &[String]) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-fn run_interleave(args: &[String]) -> ExitCode {
-    let config = InterleaveConfig {
-        max_shards: parse_or(args, "--shards", 4),
-        max_schedules: parse_or(args, "--max-schedules", 200),
-        initial_peers: parse_or(args, "--peers", 10),
-        joins: parse_or(args, "--joins", 4),
-        leaves: parse_or(args, "--leaves", 3),
-        seed: parse_or(args, "--seed", 0xd5),
-    };
-    let min_schedules: u64 = parse_or(args, "--min-schedules", 0);
-    let report = check(&config);
-    for line in &report.lines {
-        println!("{line}");
-    }
-    println!(
-        "xtask interleave: {} schedules over {} configuration(s) ({} exhausted), \
-         {} worker steps, deepest decision vector {}, all byte-identical, 0 deadlocks",
-        report.schedules, report.configs, report.exhausted, report.steps, report.max_depth
-    );
-    if report.schedules < min_schedules {
-        eprintln!(
-            "xtask interleave: only {} schedules explored, need {min_schedules}",
-            report.schedules
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
