@@ -1,26 +1,25 @@
-//! Region-sharded store scaling: parallel shard builds, shard-local
-//! churn, and the group-bounds index, with a machine-readable summary.
+//! Tiled store engine scaling: bulk builds by tile count and the
+//! group-bounds index, with a machine-readable summary.
 //!
-//! Three axes, recorded in `crates/bench/BENCH_shard.json`:
+//! Two axes, recorded in `crates/bench/BENCH_shard.json`:
 //!
 //! 1. **Bulk build.** `TopologyStore::from_peers_sharded` at shard
-//!    counts {1, 4, 16, 64} against the single-shard baseline. Shards
-//!    build on scoped threads, so on a multi-core host the wall-clock
-//!    gain tracks the *critical path*: assign + the slowest shard's
-//!    (index + select) + finalize, read from `ShardBuildStats`. The
-//!    JSON records both wall time and the critical-path speedup along
-//!    with the core count — on a single-core runner wall time cannot
-//!    drop, and the critical path is the honest measure of what the
-//!    decomposition buys.
-//! 2. **Churn throughput.** Mixed join/leave replay on the sharded
-//!    engine versus the single store at the same N. This one is pure
-//!    wall clock: the empty-rectangle join path drops from an O(N)
-//!    re-check per event to O(degree), so the speedup is algorithmic
-//!    and holds on any core count.
-//! 3. **Group-bounds probes.** The `GroupBoundsIndex` affected-group
+//!    counts {1, 4, 16, 64}. Index builds run shard-parallel and the
+//!    selection folds peer-parallel, so wall time is what a host with
+//!    `cores` cores pays. Next to it the JSON records a *critical-path
+//!    model* — assign + the slowest shard's (index + select) + finalize,
+//!    read from `ShardBuildStats` — against the same sum at one tile
+//!    (one core's work): a diagnostic of what the decomposition would
+//!    buy with one core per shard, never a gate.
+//! 2. **Group-bounds probes.** The `GroupBoundsIndex` affected-group
 //!    lookup versus a linear scan over all group boxes at G = 10k
 //!    (100k with `GEOCAST_FULL=1`) groups — the satellite that keeps
 //!    delta-driven repair sublinear in the session count.
+//!
+//! Churn throughput by tile count is the `churn_k1` / `churn_k16` pair
+//! of the end-to-end benchmark (`benchmark/`); the classic single-index
+//! store this bench once compared against is gone (`docs/PERFORMANCE.md`,
+//! "classic-engine trial").
 //!
 //! Quick scale (default) sweeps N = 50k; `GEOCAST_FULL=1` adds the
 //! million-peer point.
@@ -46,7 +45,10 @@ struct BulkPoint {
     speedup_critical_path: f64,
 }
 
-fn bulk_sweep(n: usize, single_wall_s: f64, peers: &[PeerInfo]) -> Vec<BulkPoint> {
+fn bulk_sweep(n: usize, peers: &[PeerInfo]) -> Vec<BulkPoint> {
+    // The first point is one tile: its critical path — one core's work
+    // — is the model's baseline.
+    let mut one_tile_path_s = None;
     SHARD_COUNTS
         .iter()
         .map(|&shards| {
@@ -57,18 +59,19 @@ fn bulk_sweep(n: usize, single_wall_s: f64, peers: &[PeerInfo]) -> Vec<BulkPoint
                 &ShardConfig::new(shards),
             );
             let wall_s = start.elapsed().as_secs_f64();
-            let stats = store.sharding().expect("sharded store").build_stats();
+            let stats = store.sharding().build_stats();
             let assign_s = stats.assign.as_secs_f64();
             let max_shard_s = (0..shards)
                 .map(|s| (stats.shard_index[s] + stats.shard_select[s]).as_secs_f64())
                 .fold(0.0f64, f64::max);
             let finalize_s = stats.finalize.as_secs_f64();
             let critical_path_s = assign_s + max_shard_s + finalize_s;
+            let baseline_s = *one_tile_path_s.get_or_insert(critical_path_s);
             println!(
                 "bulk N={n} shards={shards}: wall {wall_s:.2}s, critical path \
                  {critical_path_s:.2}s ({assign_s:.2} assign + {max_shard_s:.2} \
-                 slowest shard + {finalize_s:.2} finalize) => {:.1}x vs single",
-                single_wall_s / critical_path_s
+                 slowest shard + {finalize_s:.2} finalize) => {:.1}x vs one tile",
+                baseline_s / critical_path_s
             );
             BulkPoint {
                 n,
@@ -78,77 +81,33 @@ fn bulk_sweep(n: usize, single_wall_s: f64, peers: &[PeerInfo]) -> Vec<BulkPoint
                 max_shard_s,
                 finalize_s,
                 critical_path_s,
-                speedup_critical_path: single_wall_s / critical_path_s,
+                speedup_critical_path: baseline_s / critical_path_s,
             }
         })
         .collect()
 }
 
-struct ChurnPoint {
-    n: usize,
-    shards: usize,
-    single_events_per_s: f64,
-    sharded_events_per_s: f64,
-    speedup: f64,
-}
-
-fn churn_events_per_s(store: &mut TopologyStore, n: usize, events: usize, seed: u64) -> f64 {
-    let pattern = ChurnPattern::Mixed {
-        events,
-        join_rate: 1,
-        leave_rate: 1,
-    };
-    let schedule = churn::ChurnSchedule::from_pattern(n, &pattern, 2, 1000.0, seed);
-    let start = Instant::now();
-    let report = churn::run_schedule_on_store(store, &schedule);
-    (report.joins + report.leaves) as f64 / start.elapsed().as_secs_f64().max(1e-9)
-}
-
-fn churn_sweep(n: usize, shards: usize, peers: &[PeerInfo]) -> ChurnPoint {
-    // The single store pays O(N) per join: a handful of events is a
-    // stable sample. The sharded engine pays O(degree): sample plenty.
-    let mut single = TopologyStore::from_peers(peers.to_vec(), Arc::new(EmptyRectSelection));
-    let single_events_per_s = churn_events_per_s(&mut single, n, 12, 77);
-    let mut sharded = TopologyStore::from_peers_sharded(
-        peers.to_vec(),
-        Arc::new(EmptyRectSelection),
-        &ShardConfig::new(shards),
-    );
-    let sharded_events_per_s = churn_events_per_s(&mut sharded, n, 600, 77);
-    let speedup = sharded_events_per_s / single_events_per_s;
-    println!(
-        "churn N={n} shards={shards}: single {single_events_per_s:.1} events/s, \
-         sharded {sharded_events_per_s:.0} events/s => {speedup:.1}x"
-    );
-    ChurnPoint {
-        n,
-        shards,
-        single_events_per_s,
-        sharded_events_per_s,
-        speedup,
-    }
-}
-
-/// Byte-identical cross-check at a size where the single store is
-/// cheap: the bench gate refuses to report speedups for a divergent
-/// engine (the exhaustive version lives in `prop_shard.rs`).
+/// Cross-check against the definition at a size where it is cheap: the
+/// bench refuses to report anything for a divergent engine (the
+/// exhaustive version lives in `prop_shard.rs`).
 fn exactness_check(shards: usize) -> bool {
     let peers = PeerInfo::from_point_set(&uniform_points(1_500, 2, 1000.0, 3));
-    let mut single = TopologyStore::from_peers(peers.clone(), Arc::new(EmptyRectSelection));
-    let mut sharded = TopologyStore::from_peers_sharded(
-        peers,
+    let mut store = TopologyStore::from_peers_sharded(
+        peers.clone(),
         Arc::new(EmptyRectSelection),
         &ShardConfig::new(shards),
     );
+    let built = oracle::equilibrium(&peers, &EmptyRectSelection);
+    let exact_build = store.graph() == built && store.fingerprint() == oracle::fingerprint(&built);
     let pattern = ChurnPattern::Mixed {
         events: 80,
         join_rate: 1,
         leave_rate: 1,
     };
     let schedule = churn::ChurnSchedule::from_pattern(1_500, &pattern, 2, 1000.0, 11);
-    churn::run_schedule_on_store(&mut single, &schedule);
-    churn::run_schedule_on_store(&mut sharded, &schedule);
-    single.graph() == sharded.graph() && single.fingerprint() == sharded.fingerprint()
+    churn::run_schedule_on_store(&mut store, &schedule);
+    let churned = oracle::equilibrium_live(store.peers(), store.departed(), &EmptyRectSelection);
+    exact_build && store.graph() == churned && store.fingerprint() == oracle::fingerprint(&churned)
 }
 
 struct GroupIndexPoint {
@@ -235,20 +194,14 @@ fn group_index_sweep(groups: usize, probes: usize) -> GroupIndexPoint {
     point
 }
 
-fn write_summary(
-    cores: usize,
-    bulk: &[BulkPoint],
-    churn_pts: &[ChurnPoint],
-    gi: &GroupIndexPoint,
-    exact: bool,
-) {
+fn write_summary(cores: usize, bulk: &[BulkPoint], gi: &GroupIndexPoint, exact: bool) {
     let mut json = String::from("{\n  \"bench\": \"shard_scaling\",\n  \"dim\": 2,\n");
     json.push_str(&format!("  \"cores\": {cores},\n"));
     json.push_str(
         "  \"speedup_model\": \"critical_path: assign + slowest shard (index+select) + \
-         finalize, vs single-shard wall\",\n",
+         finalize, vs the one-tile critical path\",\n",
     );
-    json.push_str(&format!("  \"exact_vs_single_shard\": {exact},\n"));
+    json.push_str(&format!("  \"exact_vs_oracle\": {exact},\n"));
     json.push_str("  \"bulk_build\": [\n");
     for (i, b) in bulk.iter().enumerate() {
         json.push_str(&format!(
@@ -265,19 +218,6 @@ fn write_summary(
             b.critical_path_s,
             b.speedup_critical_path,
             if i + 1 < bulk.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n  \"churn\": [\n");
-    for (i, c) in churn_pts.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {}, \"shards\": {}, \"single_events_per_second\": {:.1}, \
-             \"sharded_events_per_second\": {:.0}, \"speedup\": {:.1}}}{}\n",
-            c.n,
-            c.shards,
-            c.single_events_per_s,
-            c.sharded_events_per_s,
-            c.speedup,
-            if i + 1 < churn_pts.len() { "," } else { "" },
         ));
     }
     json.push_str(&format!(
@@ -297,56 +237,20 @@ fn write_summary(
 fn shard_scaling(c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let exact = exactness_check(16);
-    assert!(exact, "sharded engine diverged from the single store");
+    assert!(exact, "the tiled engine diverged from the oracle");
 
     let n = 50_000;
     let peers = PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 1));
-    let start = Instant::now();
-    let single = TopologyStore::from_peers(peers.clone(), Arc::new(EmptyRectSelection));
-    let single_wall_s = start.elapsed().as_secs_f64();
-    println!("bulk N={n} single-shard baseline: {single_wall_s:.2}s");
-    drop(single);
-
-    let mut bulk = bulk_sweep(n, single_wall_s, &peers);
-    let mut churn_pts = vec![churn_sweep(n, 16, &peers)];
+    let mut bulk = bulk_sweep(n, &peers);
     if full_scale() {
-        // The million-peer point: sharded builds only (the JSON keeps
-        // the N=50k single baseline for speedup context; a 10^6 single
-        // build is minutes of O(N log N) on one core).
         let n = 1_000_000;
         let peers = PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 2));
-        let start = Instant::now();
-        let single = TopologyStore::from_peers(peers.clone(), Arc::new(EmptyRectSelection));
-        let single_wall_s = start.elapsed().as_secs_f64();
-        println!("bulk N={n} single-shard baseline: {single_wall_s:.2}s");
-        drop(single);
-        bulk.extend(bulk_sweep(n, single_wall_s, &peers));
-        churn_pts.push(churn_sweep(100_000, 16, &peers[..100_000]));
+        bulk.extend(bulk_sweep(n, &peers));
     }
 
     let groups = if full_scale() { 100_000 } else { 10_000 };
     let gi = group_index_sweep(groups, 4_000);
-
-    // The bulk-build critical path is a model (one core per shard): a
-    // diagnostic, printed, never a gate.
-    let b16 = bulk
-        .iter()
-        .find(|b| b.shards == 16 && b.n == 50_000)
-        .expect("16-shard bulk point");
-    println!(
-        "bulk N=50000 critical-path model at 16 shards: {:.1}x on {cores} core(s)",
-        b16.speedup_critical_path
-    );
-    // The wall-clock assert: shard-local churn must clear 10x the
-    // single store's event rate at N >= 50k.
-    let c16 = &churn_pts[0];
-    assert!(
-        c16.n >= 50_000 && c16.speedup > 10.0,
-        "churn speedup at N={} fell to {:.1}x",
-        c16.n,
-        c16.speedup
-    );
-    write_summary(cores, &bulk, &churn_pts, &gi, exact);
+    write_summary(cores, &bulk, &gi, exact);
 
     // Criterion samples the sharded insert path at a modest population.
     let mut group = c.benchmark_group("shard/store_insert");

@@ -92,15 +92,15 @@ pub enum CliError {
         /// Whether the topology matched the oracle rebuild.
         converged: bool,
     },
-    /// `churn --shards K --strict` was requested and the sharded replay
-    /// diverged from the single-shard replay of the same schedule (the
-    /// CI sharding gate).
+    /// `churn --strict` was requested and the replayed store diverged
+    /// from the from-scratch definition of the topology it should hold
+    /// (the CI store gate).
     ShardGate {
         /// Shards the replay ran with.
         shards: usize,
-        /// Whether the adjacency graphs matched.
+        /// Whether the adjacency graph matched the definition's.
         graphs_equal: bool,
-        /// Whether the topology fingerprints matched.
+        /// Whether the fingerprint matched the one recomputed from it.
         fingerprints_equal: bool,
     },
 }
@@ -152,8 +152,8 @@ impl fmt::Display for CliError {
                 fingerprints_equal,
             } => write!(
                 f,
-                "strict sharding violated at {shards} shards: graphs equal \
-                 {graphs_equal}, fingerprints equal {fingerprints_equal}"
+                "strict churn violated at {shards} shards: graph equals the \
+                 definition {graphs_equal}, fingerprint {fingerprints_equal}"
             ),
         }
     }
@@ -377,9 +377,9 @@ COMMANDS:
   churn      replay a churn pattern through the incremental engine
              --n 500 --dim 2 --seed 1 --pattern join-wave|leave-wave|flash-crowd|mixed
              --events 200 --join-rate 1 --leave-rate 1 --mode store|live
-             --shards 0  (store mode: replay on the region-sharded engine)
-             [--strict]  (with --shards: fail unless the sharded replay is
-                          byte-identical to the single-shard replay)
+             --shards 1  (store mode: tiles of the store engine)
+             [--strict]  (store mode: fail unless the replayed store is
+                          byte-identical to the from-scratch definition)
   groups     drive N concurrent multicast groups over one shared store
              --n 500 --dim 2 --seed 1 --groups 16 --subs 1000 --zipf 1.0
              --events 200 --group-events 200 --placement clustered|scattered
@@ -678,19 +678,24 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
     let leave_rate: u32 = opt(inv, "leave-rate", 1)?;
     let pattern_name: String = opt(inv, "pattern", "mixed".to_owned())?;
     let mode: String = opt(inv, "mode", "store".to_owned())?;
-    let shards: usize = opt(inv, "shards", 0)?;
+    let shards: usize = opt(inv, "shards", 1)?;
     let strict = inv.options.contains_key("strict");
-    if shards > 0 && mode != "store" {
+    if shards == 0 {
         return Err(CliError::BadValue {
             key: "shards".into(),
-            value: format!("{shards} (only --mode store replays shard)"),
+            value: "0".into(),
         });
     }
-    if strict && shards == 0 {
-        return Err(CliError::BadValue {
-            key: "strict".into(),
-            value: "requires --shards > 0 (the gate compares shard engines)".into(),
-        });
+    if mode != "store" {
+        if let Some(key) = ["shards", "strict"]
+            .into_iter()
+            .find(|&key| inv.options.contains_key(key))
+        {
+            return Err(CliError::BadValue {
+                key: key.into(),
+                value: format!("given with --mode {mode} (only --mode store reads it)"),
+            });
+        }
     }
     let pattern = match pattern_name.as_str() {
         "join-wave" => ChurnPattern::JoinWave { count: events },
@@ -739,35 +744,27 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
     ));
     match mode.as_str() {
         "store" => {
-            let mut store = if shards > 0 {
-                TopologyStore::from_peers_sharded(
-                    PeerInfo::from_point_set(&points),
-                    Arc::new(EmptyRectSelection),
-                    &geocast::overlay::ShardConfig::new(shards),
-                )
-            } else {
-                TopologyStore::from_peers(
-                    PeerInfo::from_point_set(&points),
-                    Arc::new(EmptyRectSelection),
-                )
-            };
+            let mut store = TopologyStore::from_peers_sharded(
+                PeerInfo::from_point_set(&points),
+                Arc::new(EmptyRectSelection),
+                &geocast::overlay::ShardConfig::new(shards),
+            );
             // lint:allow(D002, reason = "wall-clock lines in the CLI report only; no control flow reads the clock")
             let start = Instant::now();
             let report = run_schedule_on_store(&mut store, &schedule);
             let secs = start.elapsed().as_secs_f64();
-            if let Some(engine) = store.sharding() {
-                out.push_str(&format!(
-                    "  shard engine      : {} shards ({} per dim), halo {:.1}\n",
-                    engine.shard_count(),
-                    engine
-                        .tiles_per_dim()
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("x"),
-                    engine.halo_width(),
-                ));
-            }
+            let engine = store.sharding();
+            out.push_str(&format!(
+                "  shard engine      : {} shards ({} per dim), halo {:.1}\n",
+                engine.shard_count(),
+                engine
+                    .tiles_per_dim()
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join("x"),
+                engine.halo_width(),
+            ));
             out.push_str(&format!(
                 "  events applied    : {} ({} joins, {} leaves)\n",
                 report.joins + report.leaves,
@@ -785,20 +782,18 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
                 report.touched_max
             ));
             out.push_str(&format!("  live peers after  : {}\n", store.live_count()));
-            if let Some(engine) = store.sharding() {
-                let stats = engine.churn_stats();
-                out.push_str(&format!(
-                    "  cross-shard       : {}/{} folds escaped ({:.3}), {} foreign shortlists; \
-                     {} foreign shadow queries / {} repairs; {} certified skips\n",
-                    stats.folds_escaped,
-                    stats.folds,
-                    stats.escape_ratio(),
-                    stats.foreign_shortlists,
-                    stats.shadow_foreign_queries,
-                    stats.shadow_repairs,
-                    stats.skips_certified
-                ));
-            }
+            let stats = engine.churn_stats();
+            out.push_str(&format!(
+                "  cross-shard       : {}/{} folds escaped ({:.3}), {} foreign shortlists; \
+                 {} foreign shadow queries / {} repairs; {} certified skips\n",
+                stats.folds_escaped,
+                stats.folds,
+                stats.escape_ratio(),
+                stats.foreign_shortlists,
+                stats.shadow_foreign_queries,
+                stats.shadow_repairs,
+                stats.skips_certified
+            ));
             let live: Vec<usize> = (0..store.len())
                 .filter(|&i| !store.is_departed(PeerId(i as u64)))
                 .collect();
@@ -807,15 +802,12 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
                 live_connected(&store.graph(), live)
             ));
             if strict {
-                // The CI gate: replay the identical schedule on a plain
-                // single-shard store and demand byte-identical state.
-                let mut reference = TopologyStore::from_peers(
-                    PeerInfo::from_point_set(&points),
-                    Arc::new(EmptyRectSelection),
-                );
-                run_schedule_on_store(&mut reference, &schedule);
-                let graphs_equal = store.graph() == reference.graph();
-                let fingerprints_equal = store.fingerprint() == reference.fingerprint();
+                // The CI gate: the topology the survivors define, from
+                // scratch and with no index, and the fingerprint of that.
+                let want =
+                    oracle::equilibrium_live(store.peers(), store.departed(), &EmptyRectSelection);
+                let graphs_equal = store.graph() == want;
+                let fingerprints_equal = store.fingerprint() == oracle::fingerprint(&want);
                 if !(graphs_equal && fingerprints_equal) {
                     return Err(CliError::ShardGate {
                         shards,
@@ -824,7 +816,7 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
                     });
                 }
                 out.push_str(
-                    "  strict gate       : sharded replay byte-identical to single-shard\n",
+                    "  strict gate       : byte-identical to the from-scratch definition\n",
                 );
             }
         }
@@ -1622,9 +1614,27 @@ mod tests {
         assert!(out.contains("cross-shard       : "), "{out}");
         assert!(out.contains(" folds escaped ("), "{out}");
         assert!(
-            out.contains("sharded replay byte-identical to single-shard"),
+            out.contains("byte-identical to the from-scratch definition"),
             "{out}"
         );
+        // One tile is the default, takes the same gate, and prints the
+        // same ledger; there is no engine-less store to select.
+        let inv = parse_args(&args(&["churn", "--n", "80", "--events", "30", "--strict"]));
+        let out = run(&inv.unwrap()).unwrap();
+        assert!(out.contains("shard engine      : 1 shards"), "{out}");
+        assert!(out.contains("cross-shard       : 0/"), "{out}");
+        assert!(out.contains("strict gate       : byte-identical"), "{out}");
+        for bad in [
+            &["churn", "--shards", "0"][..],
+            &["churn", "--mode", "live", "--shards", "4"],
+            &["churn", "--mode", "live", "--strict"],
+        ] {
+            let inv = parse_args(&args(bad)).unwrap();
+            assert!(
+                matches!(run(&inv), Err(CliError::BadValue { .. })),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

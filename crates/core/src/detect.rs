@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use geocast_geom::gen::uniform_points;
 use geocast_overlay::select::EmptyRectSelection;
-use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
+use geocast_overlay::{oracle, PeerId, PeerInfo, TopologyStore};
 use geocast_sim::workload::crash_wave_victims;
 use geocast_sim::{
     CoordDistanceLatency, DetectorConfig, DetectorNode, DetectorVerdict, FaultModel,
@@ -409,15 +409,17 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
         }
     }
 
-    // Referee: an oracle store fed the same evictions in the same order
-    // must be fingerprint-identical, and every group must match its
-    // from-scratch reference — detection-driven convergence, byte for
-    // byte.
-    let mut oracle = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+    // Referee: the store the verdicts wrote must hold the topology the
+    // survivors of the evictions define from scratch, and every group
+    // must match its from-scratch reference — detection-driven
+    // convergence, byte for byte.
+    let mut evicted = vec![false; peers.len()];
     for &victim in &removed {
-        oracle.remove(PeerId(victim as u64));
+        evicted[victim] = true;
     }
-    let mut converged = oracle.fingerprint() == engine.store().fingerprint();
+    let want = oracle::equilibrium_live(&peers, &evicted, &EmptyRectSelection);
+    let store = engine.store();
+    let mut converged = store.graph() == want && store.fingerprint() == oracle::fingerprint(&want);
     for &g in &ids {
         converged &= engine.matches_reference(g);
     }

@@ -1812,11 +1812,7 @@ mod tests {
         };
         for n in [2_000usize, large] {
             let peers = PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 9));
-            let store = TopologyStore::from_peers_sharded(
-                peers,
-                Arc::new(EmptyRectSelection),
-                &geocast_overlay::ShardConfig::new(1),
-            );
+            let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
             let mut eng = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
             let mut state = 0x5eed;
             for placement in [

@@ -1,13 +1,15 @@
-//! Property tests for the region-sharded topology engine.
+//! Property tests for the tiled topology engine.
 //!
-//! THE sharding guarantee: a [`TopologyStore`] built through
-//! [`TopologyStore::from_peers_sharded`] — parallel per-shard builds,
-//! halo mirroring, cross-shard shortlist folds, profile-specialised
-//! churn — holds **byte-identical** state to the plain single-shard
-//! store: same adjacency, same fingerprint, same per-event dirty
-//! regions, and identical group-tree builds over it. Across the §2
-//! empty-rectangle rule and every Hyperplanes instance, random shard
-//! counts, random halo widths, and arbitrary join/leave interleavings.
+//! THE store guarantee: a [`TopologyStore`] on any tiling — parallel
+//! bulk build, halo mirroring, cross-shard shortlist folds,
+//! profile-specialised churn — holds **byte-identical** state to the
+//! from-scratch definition ([`oracle::equilibrium_live`], no index):
+//! same adjacency, the fingerprint recomputed from it, per-event dirty
+//! regions equal to the diff of two from-scratch graphs, and identical
+//! group-tree builds over it. Across the §2 empty-rectangle rule and
+//! every Hyperplanes instance, random shard counts, random halo widths,
+//! arbitrary join/leave interleavings, and joins outside the seed
+//! population's bounding box.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -19,7 +21,9 @@ use rand::{Rng, SeedableRng};
 use geocast_geom::gen::uniform_points;
 use geocast_geom::MetricKind;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
-use geocast_overlay::{PeerId, PeerInfo, ShardConfig, TopologyStore};
+use geocast_overlay::{
+    oracle, DeltaKind, OverlayGraph, PeerId, PeerInfo, ShardConfig, TopologyDelta, TopologyStore,
+};
 
 fn selection_for(variant: usize, dim: usize, k: usize) -> Arc<dyn NeighborSelection + Send + Sync> {
     match variant {
@@ -30,28 +34,50 @@ fn selection_for(variant: usize, dim: usize, k: usize) -> Arc<dyn NeighborSelect
     }
 }
 
-/// Both stores must agree on everything an external consumer can see.
-fn assert_identical(single: &TopologyStore, sharded: &TopologyStore, what: &str) {
-    assert_eq!(single.graph(), sharded.graph(), "{what}: adjacency");
+/// Everything an external consumer can see must be what the definition
+/// says: adjacency and fingerprint from scratch, and — after `event`,
+/// which must have taken the store to `epoch` — a newest delta whose
+/// dirty region is the diff between the reference graph `before` it and
+/// the one after. Returns the latter.
+fn assert_is_definition(
+    store: &TopologyStore,
+    before: &OverlayGraph,
+    epoch: u64,
+    event: Option<DeltaKind>,
+    what: &str,
+) -> OverlayGraph {
+    let after =
+        oracle::equilibrium_live(store.peers(), store.departed(), store.selection().as_ref());
+    assert_eq!(store.graph(), after, "{what}: adjacency");
     assert_eq!(
-        single.fingerprint(),
-        sharded.fingerprint(),
+        store.fingerprint(),
+        oracle::fingerprint(&after),
         "{what}: fingerprint"
     );
+    let delta = event.map(|kind| TopologyDelta {
+        epoch,
+        kind,
+        dirty: oracle::dirty_region(before, &after, kind.peer()),
+    });
     assert_eq!(
-        single.delta_log().newest(),
-        sharded.delta_log().newest(),
+        store.delta_log().newest(),
+        delta.as_ref(),
         "{what}: newest delta"
     );
-    assert_eq!(single.epoch(), sharded.epoch(), "{what}: epoch");
-    assert_eq!(single.live_count(), sharded.live_count(), "{what}: live");
+    assert_eq!(store.epoch(), epoch, "{what}: epoch");
+    let live = store.departed().iter().filter(|&&gone| !gone).count();
+    assert_eq!(store.live_count(), live, "{what}: live");
+    after
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Sharded bulk build + arbitrary churn == the single-shard store,
-    /// event for event, for every rule family and shard geometry.
+    /// Bulk build + arbitrary churn == the definition, event for event,
+    /// for every rule family and shard geometry — with `outside` set,
+    /// joins are drawn from a range three times the seed population's,
+    /// so most land outside every tile, clamp to the nearest one and
+    /// grow its cover box.
     #[test]
     fn sharded_store_is_byte_identical_to_single_shard(
         initial in 2usize..60,
@@ -62,34 +88,41 @@ proptest! {
         shards in 1usize..24,
         halo in 0.0f64..250.0,
         use_halo in 0usize..2,
+        outside in 0usize..2,
         seed in 0u64..10_000,
     ) {
+        use geocast_geom::Point;
+
         let selection = selection_for(variant, dim, k);
         let peers = PeerInfo::from_point_set(&uniform_points(initial, dim, 1000.0, seed));
         let mut config = ShardConfig::new(shards);
         if use_halo == 1 {
             config = config.with_halo_width(halo);
         }
-        let mut single = TopologyStore::from_peers(peers.clone(), selection.clone());
-        let mut sharded = TopologyStore::from_peers_sharded(peers, selection, &config);
-        assert_identical(&single, &sharded, "bulk build");
+        let mut store = TopologyStore::from_peers_sharded(peers, selection, &config);
+        let empty = OverlayGraph::from_out_neighbors(Vec::new());
+        let mut reference = assert_is_definition(&store, &empty, 0, None, "bulk build");
 
-        let points = uniform_points(ops, dim, 1000.0, seed ^ 0x6a6f_696e).into_points();
-        let mut joins = points.into_iter();
+        let (range, shift) = if outside == 1 { (3000.0, 1000.0) } else { (1000.0, 0.0) };
+        let points = uniform_points(ops, dim, range, seed ^ 0x6a6f_696e).into_points();
+        let mut joins = points.into_iter().map(|p| {
+            Point::new(p.coords().iter().map(|x| x - shift).collect()).expect("finite")
+        });
         let mut rng = StdRng::seed_from_u64(seed);
         for op in 0..ops {
-            let live: Vec<usize> = (0..single.len())
-                .filter(|&i| !single.is_departed(PeerId(i as u64)))
+            let live: Vec<usize> = (0..store.len())
+                .filter(|&i| !store.is_departed(PeerId(i as u64)))
                 .collect();
-            if live.len() > 1 && rng.random_range(0..3) == 0 {
-                let gone = PeerId(live[rng.random_range(0..live.len())] as u64);
-                single.remove(gone);
-                sharded.remove(gone);
+            let kind = if live.len() > 1 && rng.random_range(0..3) == 0 {
+                let gone = live[rng.random_range(0..live.len())];
+                store.remove(PeerId(gone as u64));
+                DeltaKind::Leave(gone)
             } else {
                 let p = joins.next().expect("one point per op suffices");
-                prop_assert_eq!(single.insert(p.clone()), sharded.insert(p));
-            }
-            assert_identical(&single, &sharded, &format!("op {op}"));
+                DeltaKind::Join(store.insert(p).index())
+            };
+            let what = format!("op {op}");
+            reference = assert_is_definition(&store, &reference, op as u64 + 1, Some(kind), &what);
         }
     }
 
@@ -127,23 +160,23 @@ proptest! {
             .collect();
         let selection = selection_for(variant, dim, k);
         let config = ShardConfig::new(shards).with_halo_width(halo_cells as f64 * step);
-        let mut single = TopologyStore::from_peers(infos.clone(), selection.clone());
-        let mut sharded = TopologyStore::from_peers_sharded(infos, selection, &config);
-        assert_identical(&single, &sharded, "lattice bulk build");
+        let mut store = TopologyStore::from_peers_sharded(infos, selection, &config);
+        let empty = OverlayGraph::from_out_neighbors(Vec::new());
+        let mut reference = assert_is_definition(&store, &empty, 0, None, "lattice bulk build");
 
         for op in 0..ops {
-            let live: Vec<usize> = (0..single.len())
-                .filter(|&i| !single.is_departed(PeerId(i as u64)))
+            let live: Vec<usize> = (0..store.len())
+                .filter(|&i| !store.is_departed(PeerId(i as u64)))
                 .collect();
-            if live.len() > 1 && rng.random_range(0..3) == 0 {
-                let gone = PeerId(live[rng.random_range(0..live.len())] as u64);
-                single.remove(gone);
-                sharded.remove(gone);
+            let kind = if live.len() > 1 && rng.random_range(0..3) == 0 {
+                let gone = live[rng.random_range(0..live.len())];
+                store.remove(PeerId(gone as u64));
+                DeltaKind::Leave(gone)
             } else {
-                let p = lattice_point(&mut rng);
-                prop_assert_eq!(single.insert(p.clone()), sharded.insert(p));
-            }
-            assert_identical(&single, &sharded, &format!("lattice op {op}"));
+                DeltaKind::Join(store.insert(lattice_point(&mut rng)).index())
+            };
+            let what = format!("lattice op {op}");
+            reference = assert_is_definition(&store, &reference, op as u64 + 1, Some(kind), &what);
         }
     }
 
@@ -152,10 +185,10 @@ proptest! {
     /// departure repair runs instead of declining) whose tile and halo
     /// edges fall on lattice values: peers sit exactly on band edges
     /// while their selectors' shadow boxes are tested against the
-    /// foreign shards' uncovered boxes. Byte-identical to the single
-    /// store and to the from-scratch selection after every event; a
-    /// few joins deliberately reuse a coordinate to drive the decline
-    /// fallback through the same geometry.
+    /// foreign shards' uncovered boxes. Byte-identical to the
+    /// from-scratch definition after every event; a few joins
+    /// deliberately reuse a coordinate to drive the decline fallback
+    /// through the same geometry.
     #[test]
     fn remove_heavy_lattice_churn_on_band_edges_stays_byte_identical(
         initial in 10usize..40,
@@ -199,50 +232,37 @@ proptest! {
             .collect();
         let selection: Arc<dyn NeighborSelection + Send + Sync> = Arc::new(EmptyRectSelection);
         let config = ShardConfig::new(shards).with_halo_width(halo_cells as f64 * step);
-        let mut single = TopologyStore::from_peers(infos.clone(), selection.clone());
-        let mut sharded = TopologyStore::from_peers_sharded(infos, selection, &config);
-        assert_identical(&single, &sharded, "lattice bulk build");
+        let mut store = TopologyStore::from_peers_sharded(infos, selection, &config);
+        let empty = OverlayGraph::from_out_neighbors(Vec::new());
+        let mut reference = assert_is_definition(&store, &empty, 0, None, "lattice bulk build");
 
         for op in 0..ops {
-            let live: Vec<usize> = (0..single.len())
-                .filter(|&i| !single.is_departed(PeerId(i as u64)))
+            let live: Vec<usize> = (0..store.len())
+                .filter(|&i| !store.is_departed(PeerId(i as u64)))
                 .collect();
-            if live.len() > 3 && rng.random_range(0..3) != 0 {
-                let gone = PeerId(live[rng.random_range(0..live.len())] as u64);
-                single.remove(gone);
-                sharded.remove(gone);
+            let kind = if live.len() > 3 && rng.random_range(0..3) != 0 {
+                let gone = live[rng.random_range(0..live.len())];
+                store.remove(PeerId(gone as u64));
+                DeltaKind::Leave(gone)
             } else {
                 let Some(mut p) = fresh(&mut pools) else {
                     break;
                 };
                 if collide_every > 0 && op % collide_every == 0 {
                     // Share x with a live peer: its re-selections decline.
-                    let twin = single.peers()[live[rng.random_range(0..live.len())]].point();
+                    let twin = store.peers()[live[rng.random_range(0..live.len())]].point();
                     p = Point::new(vec![twin[0], p[1]]).expect("finite");
                 }
-                prop_assert_eq!(single.insert(p.clone()), sharded.insert(p));
-            }
-            assert_identical(&single, &sharded, &format!("{shards} shards, op {op}"));
-            // …and to the definition: every live row from scratch.
-            let peers = sharded.peers();
-            for &i in live.iter().filter(|&&i| !sharded.is_departed(PeerId(i as u64))) {
-                let ids: Vec<usize> = (0..peers.len())
-                    .filter(|&j| j != i && !sharded.is_departed(PeerId(j as u64)))
-                    .collect();
-                let candidates: Vec<&PeerInfo> = ids.iter().map(|&j| &peers[j]).collect();
-                let row: Vec<usize> = EmptyRectSelection
-                    .select(&peers[i], &candidates)
-                    .into_iter()
-                    .map(|ci| ids[ci])
-                    .collect();
-                prop_assert_eq!(sharded.out_neighbors(i), &row[..], "row {} after op {}", i, op);
-            }
+                DeltaKind::Join(store.insert(p).index())
+            };
+            let what = format!("{shards} shards, op {op}");
+            reference = assert_is_definition(&store, &reference, op as u64 + 1, Some(kind), &what);
         }
     }
 
-    /// Every group tree built over the sharded store equals the same
-    /// build over the single-shard store — the downstream consumers'
-    /// view of the adjacency is interchangeable.
+    /// Every group tree built over a tiled store equals the same build
+    /// over the one-tile store — the downstream consumers' view of the
+    /// adjacency does not depend on the tiling.
     #[test]
     fn group_builds_agree_across_store_engines(
         n in 8usize..50,
@@ -256,16 +276,16 @@ proptest! {
 
         let selection = selection_for(variant, 2, 2);
         let peers = PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, seed));
-        let single = TopologyStore::from_peers(peers.clone(), selection.clone());
-        let sharded = TopologyStore::from_peers_sharded(peers, selection, &ShardConfig::new(shards));
+        let one_tile = TopologyStore::from_peers(peers.clone(), selection.clone());
+        let tiled = TopologyStore::from_peers_sharded(peers, selection, &ShardConfig::new(shards));
 
         let mut rng = StdRng::seed_from_u64(seed);
         let member_set: BTreeSet<usize> =
             (0..members).map(|_| rng.random_range(0..n)).collect();
         let root = *member_set.iter().next().expect("at least one member");
         let partitioner = OrthantRectPartitioner::median();
-        let a = build_group_tree_grafted(&single, root, &member_set, &partitioner);
-        let b = build_group_tree_grafted(&sharded, root, &member_set, &partitioner);
-        prop_assert_eq!(a, b, "group build diverged between store engines");
+        let a = build_group_tree_grafted(&one_tile, root, &member_set, &partitioner);
+        let b = build_group_tree_grafted(&tiled, root, &member_set, &partitioner);
+        prop_assert_eq!(a, b, "group build diverged between tilings");
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! # The construction engine
 //!
-//! [`equilibrium`] is the hot path of every figure sweep, bench and
-//! churn scenario. It builds a [`geocast_geom::GridIndex`] over the population once
+//! [`equilibrium`] is the hot path of every figure sweep and bench. It
+//! builds a [`geocast_geom::GridIndex`] over the population once
 //! and lets each selection method answer from it through the batch
 //! [`NeighborSelection::select_in`] API — no `O(N)` candidate vector
 //! per peer, no `O(N²)` aggregate allocation — and fans the per-peer
@@ -19,20 +19,43 @@
 //! [`equilibrium_brute_force`] keeps the definitional path alive, and
 //! property tests assert graph equality between the two on every
 //! selection rule. See `docs/PERFORMANCE.md` for the numbers.
+//!
+//! # The reference for the incremental store
+//!
+//! [`crate::TopologyStore`] maintains the same topology under churn
+//! without ever recomputing it. What it must hold after any sequence of
+//! joins and leaves is defined here, from scratch and with no index:
+//! [`equilibrium_live`] (the adjacency), [`fingerprint`] (the rolling
+//! hash a store reports) and [`dirty_region`] (what one event's delta
+//! must list). They are what tests and strict gates compare a store
+//! against, never a way to run one.
 
-use geocast_geom::{Metric, MetricKind, Orthant};
+use std::collections::BTreeSet;
+
+use geocast_geom::{GridIndex, Metric, MetricKind, Orthant};
 
 use crate::graph::OverlayGraph;
 use crate::par;
 use crate::peer::PeerInfo;
 use crate::select::{ids_in_slice_order, NeighborSelection, SelectContext};
-use crate::store;
+use crate::store::topology_hash;
+
+/// Builds the shared spatial index when the population shape supports
+/// it (at least two peers, indexable dimensionality, uniform `dim`).
+fn build_shared_index(peers: &[PeerInfo]) -> Option<GridIndex> {
+    let dim = peers.first()?.point().dim();
+    if peers.len() < 2
+        || dim > geocast_geom::index::MAX_INDEX_DIM
+        || peers.iter().any(|p| p.point().dim() != dim)
+    {
+        return None;
+    }
+    Some(GridIndex::build(peers))
+}
 
 /// The equilibrium overlay: every peer applies `selection` to the full
 /// candidate set (everyone but itself), accelerated by a spatial index
-/// and per-peer parallelism. This is the [`crate::TopologyStore`] bulk
-/// path — the same engine that maintains the equilibrium incrementally
-/// under churn.
+/// and per-peer parallelism.
 ///
 /// Peer `i` of the slice becomes graph vertex `i`. Exactly equivalent
 /// to [`equilibrium_brute_force`] (property-tested).
@@ -41,9 +64,71 @@ pub fn equilibrium<S>(peers: &[PeerInfo], selection: &S) -> OverlayGraph
 where
     S: NeighborSelection + Sync + ?Sized,
 {
-    let index = store::build_shared_index(peers);
-    let out = store::bulk_out_neighbors(peers, selection, index.as_ref(), None);
-    OverlayGraph::from_out_neighbors(out)
+    let index = build_shared_index(peers);
+    let ctx = match &index {
+        Some(ix) => SelectContext::with_index(ix, ids_in_slice_order(peers)),
+        None => SelectContext::without_index(),
+    };
+    OverlayGraph::from_out_neighbors(par::map_indexed(peers.len(), |i| {
+        selection.select_in(peers, i, &ctx)
+    }))
+}
+
+/// The equilibrium of a population some of whose peers have departed,
+/// from the definition: every live peer selects among all other live
+/// peers with no index; departed peers keep their vertex, edge-less.
+/// What a [`crate::TopologyStore`] over `peers` with this `departed`
+/// mask must hold, whatever sequence of events led there.
+///
+/// # Panics
+///
+/// Panics if `departed` is shorter than `peers`.
+#[must_use]
+pub fn equilibrium_live<S>(peers: &[PeerInfo], departed: &[bool], selection: &S) -> OverlayGraph
+where
+    S: NeighborSelection + Sync + ?Sized,
+{
+    let ctx = SelectContext::without_index().masked(departed);
+    OverlayGraph::from_out_neighbors(par::map_indexed(peers.len(), |i| {
+        if departed[i] {
+            Vec::new()
+        } else {
+            selection.select_in(peers, i, &ctx)
+        }
+    }))
+}
+
+/// The fingerprint a [`crate::TopologyStore`] holding `graph` reports:
+/// XOR of every vertex's [`topology_hash`], recomputed from scratch.
+#[must_use]
+pub fn fingerprint(graph: &OverlayGraph) -> u64 {
+    (0..graph.len()).fold(0, |acc, i| acc ^ topology_hash(i, graph.out_neighbors(i)))
+}
+
+/// The dirty region of the membership event of `peer` that turned the
+/// topology `before` into `after`, by definition: the event peer, every
+/// peer whose out-list changed, and every peer whose reverse list
+/// changed (it entered or left a changed out-list), sorted ascending.
+/// A joining peer has no row in `before`; that counts as an empty one.
+#[must_use]
+pub fn dirty_region(before: &OverlayGraph, after: &OverlayGraph, peer: usize) -> Vec<usize> {
+    fn row(g: &OverlayGraph, i: usize) -> &[usize] {
+        if i < g.len() {
+            g.out_neighbors(i)
+        } else {
+            &[]
+        }
+    }
+    let mut dirty = BTreeSet::from([peer]);
+    for i in 0..before.len().max(after.len()) {
+        let (old, new) = (row(before, i), row(after, i));
+        if old != new {
+            dirty.insert(i);
+            dirty.extend(old.iter().filter(|j| !new.contains(j)));
+            dirty.extend(new.iter().filter(|j| !old.contains(j)));
+        }
+    }
+    dirty.into_iter().collect()
 }
 
 /// The definitional equilibrium: sequential, no index — each peer runs
@@ -143,7 +228,7 @@ fn ranked_orthant_groups(
 ) -> Vec<Vec<Vec<usize>>> {
     let dim = peers[0].point().dim();
     let index = if ids_in_slice_order(peers) {
-        store::build_shared_index(peers)
+        build_shared_index(peers)
     } else {
         None
     };

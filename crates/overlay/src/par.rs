@@ -68,21 +68,26 @@ where
     // while still balancing uneven per-index cost.
     let cursor = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let start = cursor.fetch_add(block, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + block).min(n);
-                let block: Vec<T> = (start..end).map(f).collect();
-                let mut slots = slots.lock().expect("result lock poisoned");
-                for (offset, value) in block.into_iter().enumerate() {
-                    slots[start + offset] = Some(value);
-                }
-            });
+    let work = || loop {
+        let start = cursor.fetch_add(block, Ordering::Relaxed);
+        if start >= n {
+            break;
         }
+        let end = (start + block).min(n);
+        let block: Vec<T> = (start..end).map(f).collect();
+        let mut slots = slots.lock().expect("result lock poisoned");
+        for (offset, value) in block.into_iter().enumerate() {
+            slots[start + offset] = Some(value);
+        }
+    };
+    // The calling thread is one of the `threads`: it would only wait
+    // otherwise, and every extra thread that allocates costs resident
+    // memory of its own (its allocator arena keeps what it freed).
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_inner()

@@ -1,16 +1,25 @@
-//! Region-sharded topology state: the million-peer scale-out path.
+//! The tiled engine every [`crate::TopologyStore`] computes on.
 //!
 //! [`ShardedTopologyStore`] partitions the coordinate space into
 //! grid-aligned tiles and gives every tile its own incremental
-//! [`GridIndex`] and membership tables. A [`crate::TopologyStore`] built
-//! through [`crate::TopologyStore::from_peers_sharded`] carries this
-//! state next to its usual global tables, so every existing consumer
-//! (group trees, detect/repair, the data plane) keeps reading the same
-//! adjacency, fingerprint and delta stream — only the *engine* that
-//! computes selections changes. The store is the shards' one owner:
-//! its [`crate::TopologyStore::insert`] and
-//! [`crate::TopologyStore::remove`] (`sharded_insert` / `sharded_remove`
-//! below) are the only way a membership event reaches them.
+//! [`GridIndex`] and membership tables. The store keeps the global
+//! tables every consumer reads (adjacency, fingerprint, delta stream)
+//! and is the shards' one owner: its [`crate::TopologyStore::insert`]
+//! and [`crate::TopologyStore::remove`] are the only way a membership
+//! event reaches them.
+//!
+//! **One tile** is the default and needs no seed population: with a
+//! single tile every point's home is tile 0 and no tile is near any
+//! other, whatever the coordinates, so the tiling carries no bounding
+//! box and the tile's index adopts its dimensionality from the first
+//! insert. **Several tiles** ([`crate::TopologyStore::from_peers_sharded`])
+//! add what the rest of this page describes — a tiling of the seed
+//! population's bounding box (a later join outside it clamps to the
+//! nearest tile and grows that tile's cover box), halo mirrors, and
+//! exact cross-shard folds — and buy a shard-parallel index build and
+//! per-tile locality. Beyond [`MAX_INDEX_DIM`] dimensions the indexes
+//! decline every query and each shard answers by brute selection over
+//! its members, which is always a sound shortlist.
 //!
 //! # Halo exchange
 //!
@@ -45,38 +54,30 @@
 //! 3. **The final merge is a selection over a superset of winners**,
 //!    and selections are stable between their own output and the full
 //!    candidate set (same monotonicity both ways), so the merged result
-//!    equals the single-store selection — byte for byte, tie-breaks
+//!    equals the definition's selection — byte for byte, tie-breaks
 //!    included, because shard-local ids are assigned in ascending
-//!    global order.
+//!    global order. With one tile the home shortlist *is* the result.
 //!
 //! # Churn
 //!
-//! Joins exploit rule structure instead of the single-store full
-//! recheck: under the empty-rectangle rule the affected set of a join
-//! is exactly the newcomer's own selection (equilibrium links are
-//! mutual, and an eviction witness is always a mutual edge), dropping
-//! the per-join cost from `O(N)` selection re-runs to `O(degree)`;
-//! per-orthant top-`K` rules prune the recheck scan with a saturation
-//! test per peer (`O(degree)` arithmetic, no selection call); other
-//! rules keep the exact full recheck. Leaves touch exactly the departed
-//! peer's selectors, as in the single store — and under the
-//! empty-rectangle rule each selector's row is *repaired* rather than
-//! re-selected: old row plus the shadow query over the box the departed
-//! peer was blocking, on the home shard and on the foreign shards that
-//! box reaches (`crate::store`, "Why the incremental path is exact").
+//! Which rows a join or leave changes, and the closed forms that update
+//! them (dominance update, saturation prune, shadow repair), are argued
+//! in `crate::store`, "Why the incremental path is exact". This module
+//! supplies the pieces that depend on the tiles: the newcomer's own row
+//! and every full re-selection are folds over the shards, and a shadow
+//! repair queries the home shard and the foreign shards the shadow box
+//! reaches.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 use geocast_geom::dominance::rect_dominates;
 use geocast_geom::index::{RectFrontier, MAX_INDEX_DIM};
 use geocast_geom::{Metric, MetricKind, Point};
 
-use crate::delta::DeltaKind;
 use crate::par;
-use crate::peer::{PeerId, PeerInfo};
+use crate::peer::PeerInfo;
 use crate::select::{NeighborSelection, ShardProfile};
-use crate::store::{topology_hash, TopologyStore};
 
 use geocast_geom::GridIndex;
 
@@ -133,6 +134,8 @@ impl ShardConfig {
 /// whose product is the shard count, over the bulk population's
 /// bounding box. Peers outside the domain (late joins) clamp to the
 /// nearest tile; exactness never depends on where a peer is assigned.
+/// Without a population there is no box and the tiling has zero
+/// dimensions: one tile, home to every point and near no other.
 #[derive(Debug, Clone)]
 struct Tiling {
     dim: usize,
@@ -144,7 +147,7 @@ struct Tiling {
 
 impl Tiling {
     fn build(peers: &[PeerInfo], shards: usize) -> Tiling {
-        let dim = peers[0].point().dim();
+        let dim = peers.first().map_or(0, |p| p.point().dim());
         let mut lo = vec![f64::INFINITY; dim];
         let mut hi = vec![f64::NEG_INFINITY; dim];
         for p in peers {
@@ -301,18 +304,28 @@ struct Shard {
 }
 
 impl Shard {
+    /// Enters `global` in the membership tables under the next local id
+    /// (the caller keeps the index in step).
+    fn register(&mut self, global: usize, point: &Point, resident: bool) {
+        self.local_of.insert(global, self.members.len());
+        self.members.push(global);
+        if resident {
+            self.resident_ids.push(global);
+            // A lone tile grown from empty has no boxes (zero
+            // dimensions) and the zip is a no-op: only a foreign
+            // shard's cover box is ever read.
+            let cover = self.cover_lo.iter_mut().zip(&mut self.cover_hi);
+            for ((lo, hi), &x) in cover.zip(point.coords()) {
+                *lo = lo.min(x);
+                *hi = hi.max(x);
+            }
+        }
+    }
+
     fn add_member(&mut self, global: usize, point: &Point, resident: bool) {
         let local = self.index.insert(point);
         debug_assert_eq!(local, self.members.len(), "index ids track member ids");
-        self.members.push(global);
-        self.local_of.insert(global, local);
-        if resident {
-            self.resident_ids.push(global);
-            for (d, &x) in point.coords().iter().enumerate() {
-                self.cover_lo[d] = self.cover_lo[d].min(x);
-                self.cover_hi[d] = self.cover_hi[d].max(x);
-            }
-        }
+        self.register(global, point, resident);
     }
 
     /// This shard's shortlist for peer `i`: a candidate set guaranteed
@@ -385,7 +398,8 @@ pub struct ShardBuildStats {
     pub assign: Duration,
     /// Per-shard index construction time.
     pub shard_index: Vec<Duration>,
-    /// Per-shard selection (fold) time over the shard's residents.
+    /// Per-shard selection (fold) time, summed over the shard's
+    /// residents (the folds themselves fan out over peers).
     pub shard_select: Vec<Duration>,
     /// Reverse lists, hashes and fingerprint (sequential epilogue).
     pub finalize: Duration,
@@ -395,10 +409,9 @@ pub struct ShardBuildStats {
     pub mirrors: Vec<usize>,
 }
 
-/// The sharded engine a [`TopologyStore`] runs on when built with
-/// [`TopologyStore::from_peers_sharded`]: the tiling, the halo width,
-/// and one [`GridIndex`]-backed shard per tile. See the module docs
-/// for the exactness argument.
+/// The engine every [`crate::TopologyStore`] computes on: the tiling,
+/// the halo width, and one [`GridIndex`]-backed shard per tile. See the
+/// module docs for the exactness argument.
 #[derive(Debug)]
 pub struct ShardedTopologyStore {
     tiling: Tiling,
@@ -511,10 +524,10 @@ impl BoxScratch {
 }
 
 impl ShardedTopologyStore {
-    /// Bulk-builds the sharded engine and every peer's selection:
-    /// membership + halo assignment, shard-parallel index builds, then
-    /// shard-parallel selection folds. Returns the engine and the
-    /// per-peer out-lists (indexed by global id).
+    /// Bulk-builds the engine and every peer's selection: membership +
+    /// halo assignment, shard-parallel index builds, then peer-parallel
+    /// selection folds. Returns the engine and the per-peer out-lists
+    /// (indexed by global id).
     pub(crate) fn build(
         peers: &[PeerInfo],
         selection: &(dyn NeighborSelection + Send + Sync),
@@ -561,16 +574,8 @@ impl ShardedTopologyStore {
                 resident_ids: Vec::new(),
                 index,
             };
-            for (local, &(g, resident)) in assignment[s].iter().enumerate() {
-                shard.members.push(g);
-                shard.local_of.insert(g, local);
-                if resident {
-                    shard.resident_ids.push(g);
-                    for (d, &x) in peers[g].point().coords().iter().enumerate() {
-                        shard.cover_lo[d] = shard.cover_lo[d].min(x);
-                        shard.cover_hi[d] = shard.cover_hi[d].max(x);
-                    }
-                }
+            for &(g, resident) in &assignment[s] {
+                shard.register(g, peers[g].point(), resident);
             }
             (shard, t.elapsed())
         });
@@ -591,34 +596,27 @@ impl ShardedTopologyStore {
             scratch: FoldScratch::default(),
         };
         let departed = vec![false; peers.len()];
-        // Per shard: each resident's (global id, folded selection), plus
-        // the shard's select-phase duration.
-        #[allow(clippy::type_complexity)]
-        let folded: Vec<(Vec<(usize, Vec<usize>)>, Duration)> = {
-            let engine = &engine;
-            let departed = &departed;
-            par::map_shards(k, |s| {
-                // lint:allow(D002, reason = "feeds ShardBuildStats phase timings only; no control flow reads the clock")
-                let t = Instant::now();
-                let mut scratch = FoldScratch::default();
-                let outs: Vec<(usize, Vec<usize>)> = engine.shards[s]
-                    .resident_ids
-                    .iter()
-                    .map(|&g| {
-                        let row = engine.fold_select(peers, departed, selection, g, &mut scratch);
-                        (g, row)
-                    })
-                    .collect();
-                (outs, t.elapsed())
-            })
-        };
+        // The select phase fans out over peers, not shards, so a single
+        // tile is built on every core too — shard by shard, so that
+        // consecutive folds walk the same indexes; each fold is booked
+        // to its peer's home shard.
+        let order: Vec<usize> = engine
+            .shards
+            .iter()
+            .flat_map(|shard| shard.resident_ids.iter().copied())
+            .collect();
+        let folded: Vec<(Vec<usize>, Duration)> = par::map_indexed(order.len(), |x| {
+            // lint:allow(D002, reason = "feeds ShardBuildStats phase timings only; no control flow reads the clock")
+            let t = Instant::now();
+            let mut scratch = FoldScratch::default();
+            let row = engine.fold_select(peers, &departed, selection, order[x], &mut scratch);
+            (row, t.elapsed())
+        });
         let mut out: Vec<Vec<usize>> = vec![Vec::new(); peers.len()];
-        let mut shard_select = Vec::with_capacity(k);
-        for (pairs, dur) in folded {
-            shard_select.push(dur);
-            for (g, o) in pairs {
-                out[g] = o;
-            }
+        let mut shard_select = vec![Duration::ZERO; k];
+        for (&g, (row, dur)) in order.iter().zip(folded) {
+            shard_select[engine.home[g] as usize] += dur;
+            out[g] = row;
         }
         engine.stats = ShardBuildStats {
             assign,
@@ -695,6 +693,11 @@ impl ShardedTopologyStore {
         self.scratch.churn
     }
 
+    /// How the store's rule lets churn be localised.
+    pub(crate) fn profile(&self) -> ShardProfile {
+        self.profile
+    }
+
     pub(crate) fn note_finalize(&mut self, elapsed: Duration) {
         self.stats.finalize = elapsed;
     }
@@ -716,8 +719,12 @@ impl ShardedTopologyStore {
         let mut pool = self.shards[home].shortlist(self.profile, selection, peers, departed, i);
         let base_len = pool.len();
         let mut asked = 0u64;
+        // What the top-K skip test certifies against — when there is a
+        // foreign shard to skip, and while its per-orthant bit tables
+        // reach: they stop at `MAX_INDEX_DIM` like the index's.
+        let certifiable = self.shards.len() > 1 && peers[i].point().dim() <= MAX_INDEX_DIM;
         let knn = match self.profile {
-            ShardProfile::OrthantTopK { k, metric } => {
+            ShardProfile::OrthantTopK { k, metric } if certifiable => {
                 Some(orthant_stats(peers, i, &pool, k, metric))
             }
             _ => None,
@@ -780,8 +787,9 @@ impl ShardedTopologyStore {
     /// foreign shards whose uncovered box reaches into the shadow and
     /// that the survivors cannot rule out, their frontiers merged as
     /// they are found. `None` when an index declines (a coordinate
-    /// collision with `i`): the caller falls back to
-    /// [`ShardedTopologyStore::fold_select`].
+    /// collision with `i`, or more than [`MAX_INDEX_DIM`] dimensions,
+    /// which the frontier's orthant tables cannot hold): the caller
+    /// falls back to [`ShardedTopologyStore::fold_select`].
     fn shadow_reselect(
         &self,
         peers: &[PeerInfo],
@@ -796,6 +804,9 @@ impl ShardedTopologyStore {
             churn,
         } = scratch;
         churn.shadow_repairs += 1;
+        if peers[i].point().dim() > MAX_INDEX_DIM {
+            return None;
+        }
         frontier.begin_shadow(peers[i].point(), peers[v].point());
         let mut row = Vec::with_capacity(old_row.len() + 2);
         for &r in old_row {
@@ -846,30 +857,66 @@ impl ShardedTopologyStore {
         Some(row)
     }
 
-    /// Registers a freshly inserted peer: home assignment, resident
-    /// bookkeeping, and halo mirrors into every shard whose band
-    /// contains it.
-    fn add_peer(&mut self, g: usize, peers: &[PeerInfo]) {
-        let point = peers[g].point();
+    /// The engine's half of a join: registers peer `id`, the newest of
+    /// `peers` — home assignment, resident bookkeeping, halo mirrors
+    /// into every shard whose band contains it — and returns its exact
+    /// row.
+    pub(crate) fn join(
+        &mut self,
+        peers: &[PeerInfo],
+        departed: &[bool],
+        selection: &dyn NeighborSelection,
+        id: usize,
+    ) -> Vec<usize> {
+        let point = peers[id].point();
         let coords = point.coords();
         let h = self.tiling.shard_of(coords);
         self.home.push(h as u32);
-        debug_assert_eq!(self.home.len(), g + 1, "peers register in id order");
-        self.shards[h].add_member(g, point, true);
+        debug_assert_eq!(self.home.len(), id + 1, "peers register in id order");
+        self.shards[h].add_member(id, point, true);
         for s in self.tiling.shards_near(coords, self.halo) {
             if s != h {
-                self.shards[s].add_member(g, point, false);
+                self.shards[s].add_member(id, point, false);
+            }
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let row = self.fold_select(peers, departed, selection, id, &mut scratch);
+        self.scratch = scratch;
+        row
+    }
+
+    /// The engine's half of a leave: tombstones peer `v` in its home
+    /// index and every mirror.
+    pub(crate) fn leave(&mut self, v: usize) {
+        for shard in &mut self.shards {
+            if let Some(&local) = shard.local_of.get(&v) {
+                shard.index.remove(local);
             }
         }
     }
 
-    /// Tombstones a departed peer in its home index and every mirror.
-    fn remove_peer(&mut self, g: usize) {
-        for shard in &mut self.shards {
-            if let Some(&local) = shard.local_of.get(&g) {
-                shard.index.remove(local);
-            }
-        }
+    /// Selector `i`'s exact row after its neighbour `v` left: repaired
+    /// from `old_row` under the empty-rectangle rule, re-selected
+    /// through the fold under every other profile and whenever the
+    /// repair declines.
+    pub(crate) fn row_after_leave(
+        &mut self,
+        peers: &[PeerInfo],
+        departed: &[bool],
+        selection: &dyn NeighborSelection,
+        old_row: &[usize],
+        i: usize,
+        v: usize,
+    ) -> Vec<usize> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let repaired = match self.profile {
+            ShardProfile::EmptyRect => self.shadow_reselect(peers, old_row, i, v, &mut scratch),
+            _ => None,
+        };
+        let row = repaired
+            .unwrap_or_else(|| self.fold_select(peers, departed, selection, i, &mut scratch));
+        self.scratch = scratch;
+        row
     }
 }
 
@@ -1009,7 +1056,7 @@ fn orthant_stats(
 /// to an orthant *is* that region's full top-`K` (at equilibrium), so
 /// the `K`-th distance is just the max over those members: `O(degree)`
 /// arithmetic, no selection call.
-fn topk_join_recheck(
+pub(crate) fn topk_join_recheck(
     peers: &[PeerInfo],
     out: &[Vec<usize>],
     i: usize,
@@ -1019,6 +1066,9 @@ fn topk_join_recheck(
 ) -> bool {
     let pc = peers[i].point().coords();
     let qc = peers[q].point().coords();
+    if pc.len() > MAX_INDEX_DIM {
+        return true; // no orthant bit tables out here: recheck
+    }
     let mut bits = 0u32;
     for d in 0..pc.len() {
         if qc[d] > pc[d] {
@@ -1048,93 +1098,6 @@ fn topk_join_recheck(
     count < k || metric.dist(peers[i].point(), peers[q].point()) < kth
 }
 
-/// The sharded [`TopologyStore::insert`] path. Global tables update
-/// exactly as on the single-store path; the affected-set computation
-/// and every selection go through the sharded engine.
-pub(crate) fn sharded_insert(store: &mut TopologyStore, point: Point) -> PeerId {
-    if let Some(first) = store.peers.first() {
-        assert_eq!(
-            point.dim(),
-            first.point().dim(),
-            "population dimensionality is fixed per overlay"
-        );
-    }
-    let mut engine = store.sharding.take().expect("sharded backend present");
-    let id = store.peers.len();
-    store.peers.push(PeerInfo::new(PeerId(id as u64), point));
-    store.departed.push(false);
-    store.live += 1;
-    store.out.push(Vec::new());
-    store.rev.push(Vec::new());
-    store.peer_hash.push(topology_hash(id, &[]));
-    store.fingerprint ^= store.peer_hash[id];
-    engine.add_peer(id, &store.peers);
-
-    let selection = store.selection.clone();
-    let mut scratch = std::mem::take(&mut engine.scratch);
-    let own = engine.fold_select(
-        &store.peers,
-        &store.departed,
-        selection.as_ref(),
-        id,
-        &mut scratch,
-    );
-    engine.scratch = scratch;
-
-    // The affected set, by rule structure (module docs): the newcomer's
-    // own selection for the empty-rectangle rule; the saturation-pruned
-    // scan for per-orthant top-K; everyone for unprofiled rules.
-    let affected: Vec<usize> = match engine.profile {
-        ShardProfile::EmptyRect => own.clone(),
-        ShardProfile::OrthantTopK { k, metric } => {
-            let peers = &store.peers;
-            let departed = &store.departed;
-            let out = &store.out;
-            par::map_indexed(id, |i| {
-                (!departed[i] && topk_join_recheck(peers, out, i, id, k, metric)).then_some(i)
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        }
-        ShardProfile::Generic => (0..id).filter(|&i| !store.departed[i]).collect(),
-    };
-    let updates: Vec<Option<Vec<usize>>> = if engine.profile == ShardProfile::EmptyRect {
-        affected
-            .iter()
-            .map(|&i| Some(join_dominance_update(&store.peers, &store.out[i], i, id)))
-            .collect()
-    } else {
-        let peers = &store.peers;
-        let out = &store.out;
-        let sel = selection.as_ref();
-        par::map_indexed(affected.len(), |a| {
-            let i = affected[a];
-            // `id` is the largest index, so appending keeps the
-            // candidate id list sorted.
-            let mut cand_ids: Vec<usize> = Vec::with_capacity(out[i].len() + 1);
-            cand_ids.extend_from_slice(&out[i]);
-            cand_ids.push(id);
-            let refs: Vec<&PeerInfo> = cand_ids.iter().map(|&j| &peers[j]).collect();
-            let picked = sel.select(&peers[i], &refs);
-            let new_out: Vec<usize> = picked.into_iter().map(|ci| cand_ids[ci]).collect();
-            (new_out != out[i]).then_some(new_out)
-        })
-    };
-
-    let mut delta = BTreeSet::new();
-    delta.insert(id);
-    store.apply_out(id, own, &mut delta);
-    for (a, update) in updates.into_iter().enumerate() {
-        if let Some(new_out) = update {
-            store.apply_out(affected[a], new_out, &mut delta);
-        }
-    }
-    store.record_delta(DeltaKind::Join(id), delta.into_iter().collect());
-    store.sharding = Some(engine);
-    PeerId(id as u64)
-}
-
 /// Peer `i`'s row after newcomer `q` entered it, under the
 /// empty-rectangle rule: `q` joins (it selected `i`, and the spanned
 /// rectangle is the same from both ends) and evicts exactly the old
@@ -1143,7 +1106,12 @@ pub(crate) fn sharded_insert(store: &mut TopologyStore, point: Point) -> PeerId 
 /// this is the rule itself restricted to the one new candidate and
 /// needs no collision fallback (`crate::store`, "Why the incremental
 /// path is exact").
-fn join_dominance_update(peers: &[PeerInfo], old_row: &[usize], i: usize, q: usize) -> Vec<usize> {
+pub(crate) fn join_dominance_update(
+    peers: &[PeerInfo],
+    old_row: &[usize],
+    i: usize,
+    q: usize,
+) -> Vec<usize> {
     let (p, newcomer) = (peers[i].point(), peers[q].point());
     let mut row = Vec::with_capacity(old_row.len() + 1);
     row.extend(
@@ -1157,57 +1125,17 @@ fn join_dominance_update(peers: &[PeerInfo], old_row: &[usize], i: usize, q: usi
     row
 }
 
-/// The sharded [`TopologyStore::remove`] path: identical affected set
-/// to the single store (the departed peer's selectors). Under the
-/// empty-rectangle rule each selector's row is repaired from its old
-/// row plus the shadow query; every other profile — and any decline —
-/// re-selects through the sharded fold.
-pub(crate) fn sharded_remove(store: &mut TopologyStore, id: PeerId) {
-    let v = id.index();
-    assert!(v < store.peers.len(), "peer id out of range");
-    assert!(!store.departed[v], "{id} already departed");
-    let mut engine = store.sharding.take().expect("sharded backend present");
-    store.departed[v] = true;
-    store.live -= 1;
-    engine.remove_peer(v);
-
-    let mut delta = BTreeSet::new();
-    delta.insert(v);
-    store.apply_out(v, Vec::new(), &mut delta);
-    // Taking the list also releases its capacity: nobody selects a
-    // departed id again.
-    let affected = std::mem::take(&mut store.rev[v]);
-    let selection = store.selection.clone();
-    let mut scratch = std::mem::take(&mut engine.scratch);
-    for i in affected {
-        let repaired = match engine.profile {
-            ShardProfile::EmptyRect => {
-                engine.shadow_reselect(&store.peers, &store.out[i], i, v, &mut scratch)
-            }
-            _ => None,
-        };
-        let new_out = repaired.unwrap_or_else(|| {
-            engine.fold_select(
-                &store.peers,
-                &store.departed,
-                selection.as_ref(),
-                i,
-                &mut scratch,
-            )
-        });
-        store.apply_out(i, new_out, &mut delta);
-    }
-    engine.scratch = scratch;
-    store.record_delta(DeltaKind::Leave(v), delta.into_iter().collect());
-    store.sharding = Some(engine);
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::delta::{DeltaKind, TopologyDelta};
+    use crate::graph::OverlayGraph;
+    use crate::oracle;
+    use crate::peer::PeerId;
     use crate::select::{EmptyRectSelection, HyperplanesSelection};
+    use crate::store::TopologyStore;
     use geocast_geom::gen::uniform_points;
 
     fn peers(n: usize, dim: usize, seed: u64) -> Vec<PeerInfo> {
@@ -1223,23 +1151,32 @@ mod tests {
         ]
     }
 
+    /// The store holds what the definition says it must — adjacency and
+    /// fingerprint from scratch, no index. Returns the reference graph.
+    fn assert_is_definition(store: &TopologyStore, what: &str) -> OverlayGraph {
+        let want =
+            oracle::equilibrium_live(store.peers(), store.departed(), store.selection().as_ref());
+        assert_eq!(store.graph(), want, "{what}: adjacency");
+        assert_eq!(
+            store.fingerprint(),
+            oracle::fingerprint(&want),
+            "{what}: fingerprint"
+        );
+        want
+    }
+
     #[test]
     fn sharded_bulk_build_matches_single_store() {
         for selection in selections() {
             for shards in [1usize, 3, 4, 16] {
-                let single = TopologyStore::from_peers(peers(90, 2, 5), selection.clone());
                 let sharded = TopologyStore::from_peers_sharded(
                     peers(90, 2, 5),
                     selection.clone(),
                     &ShardConfig::new(shards),
                 );
-                assert_eq!(
-                    single.graph(),
-                    sharded.graph(),
-                    "{} @ {shards} shards",
-                    selection.name()
-                );
-                assert_eq!(single.fingerprint(), sharded.fingerprint());
+                let what = format!("{} @ {shards} shards", selection.name());
+                assert_is_definition(&sharded, &what);
+                assert_eq!(sharded.epoch(), 0, "{what}");
             }
         }
     }
@@ -1247,31 +1184,36 @@ mod tests {
     #[test]
     fn sharded_churn_matches_single_store() {
         for selection in selections() {
-            let mut single = TopologyStore::from_peers(peers(60, 2, 9), selection.clone());
             let mut sharded = TopologyStore::from_peers_sharded(
                 peers(60, 2, 9),
                 selection.clone(),
                 &ShardConfig::new(4),
             );
+            let mut before = assert_is_definition(&sharded, "bulk build");
+            let mut epoch = 0;
+            let mut check = |sharded: &TopologyStore, kind: DeltaKind, what: &str| {
+                let after = assert_is_definition(sharded, what);
+                epoch += 1;
+                let delta = TopologyDelta {
+                    epoch,
+                    kind,
+                    dirty: oracle::dirty_region(&before, &after, kind.peer()),
+                };
+                assert_eq!(sharded.delta_log().newest(), Some(&delta), "{what}");
+                before = after;
+            };
             let joins = uniform_points(25, 2, 1000.0, 10).into_points();
             for (step, p) in joins.iter().enumerate() {
-                single.insert(p.clone());
-                sharded.insert(p.clone());
+                let what = format!("{} step {step}", selection.name());
+                let id = sharded.insert(p.clone());
+                check(&sharded, DeltaKind::Join(id.index()), &what);
                 if step % 3 == 1 {
                     let gone = PeerId((step * 7 % 60) as u64);
-                    if !single.is_departed(gone) {
-                        single.remove(gone);
+                    if !sharded.is_departed(gone) {
                         sharded.remove(gone);
+                        check(&sharded, DeltaKind::Leave(gone.index()), &what);
                     }
                 }
-                assert_eq!(
-                    single.graph(),
-                    sharded.graph(),
-                    "{} step {step}",
-                    selection.name()
-                );
-                assert_eq!(single.fingerprint(), sharded.fingerprint());
-                assert_eq!(single.delta_log().newest(), sharded.delta_log().newest());
             }
         }
     }
@@ -1294,19 +1236,15 @@ mod tests {
             .map(|(i, p)| PeerInfo::new(PeerId(i as u64), p.clone()))
             .collect();
         for selection in selections() {
-            let mut single = TopologyStore::from_peers(infos.clone(), selection.clone());
             let mut sharded = TopologyStore::from_peers_sharded(
                 infos.clone(),
                 selection.clone(),
                 &ShardConfig::new(4),
             );
-            assert_eq!(single.graph(), sharded.graph(), "{}", selection.name());
-            single.insert(Point::new(vec![200.0, 900.0]).unwrap());
+            assert_is_definition(&sharded, &selection.name());
             sharded.insert(Point::new(vec![200.0, 900.0]).unwrap());
-            single.remove(PeerId(1));
             sharded.remove(PeerId(1));
-            assert_eq!(single.graph(), sharded.graph(), "{}", selection.name());
-            assert_eq!(single.fingerprint(), sharded.fingerprint());
+            assert_is_definition(&sharded, &selection.name());
         }
     }
 
@@ -1317,9 +1255,8 @@ mod tests {
             .map(|i| PeerInfo::new(PeerId(i as u64), p.clone()))
             .collect();
         let selection: Arc<dyn NeighborSelection + Send + Sync> = Arc::new(EmptyRectSelection);
-        let single = TopologyStore::from_peers(infos.clone(), selection.clone());
         let sharded = TopologyStore::from_peers_sharded(infos, selection, &ShardConfig::new(4));
-        assert_eq!(single.graph(), sharded.graph());
+        assert_is_definition(&sharded, "identical points");
     }
 
     #[test]
@@ -1336,7 +1273,7 @@ mod tests {
                 store.remove(PeerId((step * 11 % 80) as u64));
             }
         }
-        let engine = store.sharding().expect("sharded");
+        let engine = store.sharding();
         for s in 0..engine.shard_count() {
             let shard = &engine.shards[s];
             for (g, info) in store.peers().iter().enumerate() {
@@ -1381,25 +1318,15 @@ mod tests {
             .collect();
         let config = ShardConfig::new(2).with_halo_width(500.0);
         for selection in selections() {
-            let single = TopologyStore::from_peers(infos.clone(), selection.clone());
             let sharded =
                 TopologyStore::from_peers_sharded(infos.clone(), selection.clone(), &config);
-            assert_eq!(single.graph(), sharded.graph(), "{}", selection.name());
-            assert_eq!(
-                single.fingerprint(),
-                sharded.fingerprint(),
-                "{}",
-                selection.name()
-            );
+            assert_is_definition(&sharded, &selection.name());
         }
         // A band-edge join takes the same mirror path incrementally.
-        let selection: Arc<dyn NeighborSelection + Send + Sync> = Arc::new(EmptyRectSelection);
-        let mut single = TopologyStore::from_peers(infos.clone(), selection.clone());
-        let mut sharded = TopologyStore::from_peers_sharded(infos, selection, &config);
-        single.insert(Point::new(vec![1000.0, 500.0]).unwrap());
+        let mut sharded =
+            TopologyStore::from_peers_sharded(infos, Arc::new(EmptyRectSelection), &config);
         sharded.insert(Point::new(vec![1000.0, 500.0]).unwrap());
-        assert_eq!(single.graph(), sharded.graph());
-        assert_eq!(single.fingerprint(), sharded.fingerprint());
+        assert_is_definition(&sharded, "band-edge join");
     }
 
     #[test]
@@ -1438,7 +1365,7 @@ mod tests {
             Arc::new(EmptyRectSelection),
             &ShardConfig::new(4),
         );
-        let engine = store.sharding().unwrap();
+        let engine = store.sharding();
         let stats = engine.build_stats();
         assert_eq!(stats.shard_index.len(), 4);
         assert_eq!(stats.shard_select.len(), 4);
@@ -1456,25 +1383,26 @@ mod tests {
 
     #[test]
     fn a_departed_id_retains_no_reverse_list_on_any_engine() {
-        // Every engine's Leave takes the departed peer's selector list:
-        // the peer is never selected again, so the capacity goes too.
-        let selection: Arc<dyn NeighborSelection + Send + Sync> = Arc::new(EmptyRectSelection);
-        let mut classic = TopologyStore::from_peers(peers(60, 2, 7), selection.clone());
-        let mut sharded =
-            TopologyStore::from_peers_sharded(peers(60, 2, 7), selection, &ShardConfig::new(4));
-        for v in [3usize, 17, 41] {
-            assert!(
-                classic.rev[v].capacity() > 0,
-                "peer {v} is selected by someone"
+        // A Leave takes the departed peer's selector list: the peer is
+        // never selected again, so the capacity goes too — on one tile
+        // and on several.
+        for shards in [1usize, 4] {
+            let mut store = TopologyStore::from_peers_sharded(
+                peers(60, 2, 7),
+                Arc::new(EmptyRectSelection),
+                &ShardConfig::new(shards),
             );
-            classic.remove(PeerId(v as u64));
-            sharded.remove(PeerId(v as u64));
-            for (name, store) in [("classic", &classic), ("sharded", &sharded)] {
-                assert_eq!(store.rev[v].capacity(), 0, "{name}: rev[{v}]");
-                assert_eq!(store.out[v].capacity(), 0, "{name}: out[{v}]");
+            for v in [3usize, 17, 41] {
+                assert!(
+                    store.rev[v].capacity() > 0,
+                    "peer {v} is selected by someone"
+                );
+                store.remove(PeerId(v as u64));
+                assert_eq!(store.rev[v].capacity(), 0, "{shards} shards: rev[{v}]");
+                assert_eq!(store.out[v].capacity(), 0, "{shards} shards: out[{v}]");
             }
+            assert_is_definition(&store, "after the leaves");
         }
-        assert_eq!(classic.graph(), sharded.graph());
     }
 
     #[test]
@@ -1486,7 +1414,7 @@ mod tests {
                 Arc::new(EmptyRectSelection),
                 &ShardConfig::new(shards),
             );
-            let built = store.sharding().unwrap().churn_stats();
+            let built = store.sharding().churn_stats();
             assert_eq!(
                 built,
                 ShardChurnStats::default(),
@@ -1495,11 +1423,11 @@ mod tests {
             for p in &joins {
                 store.insert(p.clone());
             }
-            let after_joins = store.sharding().unwrap().churn_stats();
+            let after_joins = store.sharding().churn_stats();
             for v in 0..120u64 {
                 store.remove(PeerId(v * 13));
             }
-            (after_joins, store.sharding().unwrap().churn_stats())
+            (after_joins, store.sharding().churn_stats())
         };
 
         // One shard: there is no foreign shard to ask.

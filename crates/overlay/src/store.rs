@@ -1,18 +1,16 @@
-//! The shared topology substrate behind the oracle and the live overlay.
+//! The shared topology substrate behind the live overlay and every
+//! multicast consumer.
 //!
-//! [`TopologyStore`] owns the peer population, the incremental spatial
-//! index ([`GridIndex`]), the current equilibrium adjacency (forward
-//! **and** reverse, both sorted), per-peer topology fingerprints, and the
-//! epoch-numbered [`DeltaLog`] of every membership change's dirty region.
-//! It is the one engine both consumers drive:
-//!
-//! * [`crate::oracle::equilibrium`] runs the store's **bulk path**
-//!   ([`build_shared_index`] + [`bulk_out_neighbors`]): index once,
-//!   batch-select every peer in parallel.
-//! * [`crate::OverlayNetwork`] keeps a store alive across churn and uses
-//!   its **incremental path**: a join or leave touches only the peers
-//!   whose candidate sets the membership change can affect, instead of
-//!   re-converging the whole overlay.
+//! [`TopologyStore`] owns the peer population, the current equilibrium
+//! adjacency (forward **and** reverse, both sorted), per-peer topology
+//! fingerprints, and the epoch-numbered [`DeltaLog`] of every membership
+//! change's dirty region. It computes on **one engine**, the tiled
+//! [`crate::shard::ShardedTopologyStore`]: one tile by default
+//! ([`TopologyStore::new`], [`TopologyStore::from_peers`]), a grid of
+//! tiles with halo mirrors through
+//! [`TopologyStore::from_peers_sharded`]. A join or leave touches only
+//! the peers whose rows the membership change can affect, and each of
+//! those rows is updated at the cost of what changes in it.
 //!
 //! # Why the incremental path is exact
 //!
@@ -27,32 +25,30 @@
 //!   `selection(i) ∪ {q}` yields exactly the selection over the full
 //!   candidate set plus `q`. For Hyperplanes rules the old selection
 //!   already holds every region's top-`K`, so the reduced re-run again
-//!   equals the full one.
-//! * **Leave of `q`.** A departure only changes the selection of peers
-//!   that had `q` selected: for empty-rectangle, if `q` was the *only*
-//!   point in some spanned rectangle of `i`, then `q`'s own rectangle
-//!   with `i` was empty — i.e. `q` ∈ selection(`i`); for Hyperplanes,
-//!   dropping a non-selected candidate leaves every top-`K` intact.
-//!   The reverse-adjacency table hands the affected set directly.
-//!
-//! On the sharded engine ([`crate::shard`]) the empty-rectangle rule
-//! goes one step further and makes each affected peer's update cost what
-//! the event changes in its row, not what a selection costs:
-//!
-//! * **Join: the dominance update.** The affected set of `q`'s join is
-//!   `q`'s own selection (links are mutual), and for `i` in it the
-//!   recheck over `selection(i) ∪ {q}` has a closed form. `q` enters —
-//!   `q` selected `i`, and the spanned rectangle is the same from both
-//!   ends. The old neighbours are pairwise non-blocking, so the only
-//!   candidate that can newly sit inside a rectangle is `q` itself:
+//!   equals the full one. Who has to re-run follows from rule structure:
+//!   everyone, for an unprofiled rule; for per-orthant top-`K`, the peers
+//!   whose region around `q` is unsaturated or whose `K`-th member is
+//!   farther than `q` (`O(degree)` arithmetic per peer, no selection
+//!   call); for the empty-rectangle rule, exactly `q`'s own selection
+//!   (links are mutual), and there the re-run has a closed form, **the
+//!   dominance update**. `q` enters — `q` selected `i`, and the spanned
+//!   rectangle is the same from both ends. The old neighbours are
+//!   pairwise non-blocking, so the only candidate that can newly sit
+//!   inside a rectangle is `q` itself:
 //!   new row = `{r ∈ selection(i) : q ∉ rect(i, r)} ∪ {q}` — `O(degree)`
 //!   strict-interior tests
-//!   ([`geocast_geom::dominance::rect_dominates`]), no selection call.
-//!   That test *is* the rule's definition, coordinate collisions
-//!   included (a point sharing a coordinate with `i` is inside no open
-//!   rectangle and has an empty one of its own), so the update needs no
-//!   fallback.
-//! * **Leave: the shadow lemma.** When `x ∈ selection(i)` departs,
+//!   ([`geocast_geom::dominance::rect_dominates`]). That test *is* the
+//!   rule's definition, coordinate collisions included (a point sharing
+//!   a coordinate with `i` is inside no open rectangle and has an empty
+//!   one of its own), so the update needs no fallback.
+//! * **Leave of `x`.** A departure only changes the selection of peers
+//!   that had `x` selected: for empty-rectangle, if `x` was the *only*
+//!   point in some spanned rectangle of `i`, then `x`'s own rectangle
+//!   with `i` was empty — i.e. `x` ∈ selection(`i`); for Hyperplanes,
+//!   dropping a non-selected candidate leaves every top-`K` intact.
+//!   The reverse-adjacency table hands the affected set directly.
+//!   Hyperplanes selectors re-select; an empty-rectangle selector's row
+//!   is repaired by **the shadow lemma**:
 //!   new row = `(selection(i) − x) ∪` Pareto-min `{live q : x ∈ rect(i, q)
 //!   and no survivor of the row is in rect(i, q)}`. Every live
 //!   non-neighbour had some neighbour in its rectangle; one with a
@@ -68,26 +64,38 @@
 //!   on the home shard and on the foreign shards that box reaches. The
 //!   lemma needs `i`'s row to be a per-orthant Pareto frontier, i.e. no
 //!   live point sharing a coordinate with `i`: exactly then the shard
-//!   index answers, and when it declines the selector re-selects from
-//!   scratch as before. A departed `x` that itself shared a coordinate
+//!   index answers, and when it declines — a collision, or more than
+//!   [`geocast_geom::index::MAX_INDEX_DIM`] dimensions — the selector
+//!   re-selects in full. A departed `x` that itself shared a coordinate
 //!   with `i` blocked nobody; the row just loses it.
 //!
-//! Property tests (`tests/prop_store.rs`) assert the incremental result
-//! equals a from-scratch rebuild for the empty-rectangle rule and all
-//! Hyperplanes instances, across random join/leave interleavings —
-//! remove-heavy ones on 1, 4 and 16 shards included; `prop_geom` pins
-//! the shadow query itself against the full query and the brute force.
+//! # The oracle
+//!
+//! The definition stays executable, as a reference and not as a way to
+//! run: [`crate::oracle::equilibrium_live`] selects every live peer's
+//! row from scratch with no index, and
+//! [`crate::oracle::fingerprint`] / [`crate::oracle::dirty_region`]
+//! derive the other two things a consumer can see from such graphs.
+//! Property tests (`tests/prop_store.rs`, `geocast-core`'s
+//! `tests/prop_shard.rs`) assert the store equals it after every event
+//! of random join/leave interleavings — every rule family, 1 to 24
+//! tiles, remove-heavy traces and joins outside the seed box included;
+//! `geocast churn --strict` and the referee of
+//! `geocast_core::detect::run_detection` compare against it too.
+//! `prop_geom` pins the shadow query itself against the full query and
+//! the brute force.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use geocast_geom::{GridIndex, Point};
+use geocast_geom::Point;
 
 use crate::delta::{DeltaKind, DeltaLog, TopologyDelta};
 use crate::graph::OverlayGraph;
 use crate::par;
 use crate::peer::{PeerId, PeerInfo};
-use crate::select::{ids_in_slice_order, NeighborSelection, SelectContext};
+use crate::select::{ids_in_slice_order, NeighborSelection, ShardProfile};
+use crate::shard::{join_dominance_update, topk_join_recheck, ShardConfig, ShardedTopologyStore};
 
 /// FNV-1a fingerprint of one peer's out-neighbour list. Mixing the peer
 /// index in keeps the XOR-of-all-peers network fingerprint collision
@@ -107,53 +115,9 @@ pub fn topology_hash(i: usize, neighbors: &[usize]) -> u64 {
     h
 }
 
-/// Builds the shared spatial index when the population shape supports
-/// it (at least two peers, indexable dimensionality, uniform `dim`).
-#[must_use]
-pub(crate) fn build_shared_index(peers: &[PeerInfo]) -> Option<GridIndex> {
-    let dim = peers.first()?.point().dim();
-    if peers.len() < 2
-        || dim > geocast_geom::index::MAX_INDEX_DIM
-        || peers.iter().any(|p| p.point().dim() != dim)
-    {
-        return None;
-    }
-    Some(GridIndex::build(peers))
-}
-
-/// The store's bulk path: every live peer's selection over the full live
-/// candidate set, fanned out across CPU cores, answered from `index`
-/// where possible. Departed peers get empty lists.
-#[must_use]
-pub(crate) fn bulk_out_neighbors<S>(
-    peers: &[PeerInfo],
-    selection: &S,
-    index: Option<&GridIndex>,
-    departed: Option<&[bool]>,
-) -> Vec<Vec<usize>>
-where
-    S: NeighborSelection + Sync + ?Sized,
-{
-    let ctx = match index {
-        Some(ix) => SelectContext::with_index(ix, ids_in_slice_order(peers)),
-        None => SelectContext::without_index(),
-    };
-    let ctx = match departed {
-        Some(mask) => ctx.masked(mask),
-        None => ctx,
-    };
-    par::map_indexed(peers.len(), |i| {
-        if departed.is_some_and(|mask| mask[i]) {
-            Vec::new()
-        } else {
-            selection.select_in(peers, i, &ctx)
-        }
-    })
-}
-
 /// The shared, incrementally-maintained overlay topology: peer
-/// population, spatial index, equilibrium adjacency, fingerprints and
-/// dirty-region tracking, behind both the oracle and the live network.
+/// population, equilibrium adjacency, fingerprints and dirty-region
+/// tracking, behind the live network and every multicast consumer.
 ///
 /// Peer ids are dense insertion indices ([`PeerId`]`(i)` for the `i`-th
 /// inserted peer); departed peers keep their vertex but contribute no
@@ -177,65 +141,81 @@ where
 /// assert_eq!(store.graph(), oracle::equilibrium(&peers, &EmptyRectSelection));
 /// ```
 pub struct TopologyStore {
-    pub(crate) peers: Vec<PeerInfo>,
-    pub(crate) departed: Vec<bool>,
-    pub(crate) live: usize,
-    index: Option<GridIndex>,
-    /// `true` once a dimensionality mix disabled indexing for good.
-    index_disabled: bool,
+    peers: Vec<PeerInfo>,
+    departed: Vec<bool>,
+    live: usize,
     pub(crate) out: Vec<Vec<usize>>,
     pub(crate) rev: Vec<Vec<usize>>,
-    pub(crate) peer_hash: Vec<u64>,
-    pub(crate) fingerprint: u64,
-    pub(crate) epoch: u64,
+    peer_hash: Vec<u64>,
+    fingerprint: u64,
+    epoch: u64,
     log: DeltaLog,
-    pub(crate) selection: Arc<dyn NeighborSelection + Send + Sync>,
-    /// The region-sharded engine, when built through
-    /// [`TopologyStore::from_peers_sharded`]; `None` runs the classic
-    /// single-index paths. Every public accessor reads the same global
-    /// tables either way.
-    pub(crate) sharding: Option<Box<crate::shard::ShardedTopologyStore>>,
+    selection: Arc<dyn NeighborSelection + Send + Sync>,
+    /// The tiles and their spatial indexes: what computes every row.
+    engine: ShardedTopologyStore,
 }
 
 impl TopologyStore {
-    /// Creates an empty store for the given selection rule.
+    /// Creates an empty store for the given selection rule, on one tile
+    /// — which needs no bounding box, so the population's dimensionality
+    /// is adopted from the first insert.
     #[must_use]
     pub fn new(selection: Arc<dyn NeighborSelection + Send + Sync>) -> Self {
-        TopologyStore {
-            peers: Vec::new(),
-            departed: Vec::new(),
-            live: 0,
-            index: None,
-            index_disabled: false,
-            out: Vec::new(),
-            rev: Vec::new(),
-            peer_hash: Vec::new(),
-            fingerprint: 0,
-            epoch: 0,
-            log: DeltaLog::default(),
-            selection,
-            sharding: None,
-        }
+        Self::from_peers(Vec::new(), selection)
     }
 
     /// Builds a store over an existing dense-id population in one bulk
-    /// pass (the oracle path), ready for incremental churn.
+    /// pass on one tile, ready for incremental churn.
     ///
     /// # Panics
     ///
-    /// Panics unless `peers[i].id().index() == i` for every `i` — the
-    /// store owns the id space.
+    /// As [`TopologyStore::from_peers_sharded`].
     #[must_use]
     pub fn from_peers(
         peers: Vec<PeerInfo>,
         selection: Arc<dyn NeighborSelection + Send + Sync>,
     ) -> Self {
+        Self::from_peers_sharded(peers, selection, &ShardConfig::new(1))
+    }
+
+    /// Builds a store over an existing dense-id population with the
+    /// coordinate domain tiled into `config.shards()` shards
+    /// ([`crate::shard`]), each with its own incremental spatial index;
+    /// the bulk build runs in parallel and subsequent churn folds over
+    /// the shards. Topology, fingerprint and delta stream do not depend
+    /// on the tiling: they are the definition's
+    /// ([`crate::oracle::equilibrium_live`]; property-tested in
+    /// `tests/prop_shard.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `peers[i].id().index() == i` for every `i` (the
+    /// store owns the id space) and all peers share one dimensionality,
+    /// or if `peers` is empty with more than one shard — tiling needs a
+    /// seed population's bounding box.
+    #[must_use]
+    pub fn from_peers_sharded(
+        peers: Vec<PeerInfo>,
+        selection: Arc<dyn NeighborSelection + Send + Sync>,
+        config: &ShardConfig,
+    ) -> Self {
         assert!(
             ids_in_slice_order(&peers),
             "TopologyStore requires dense insertion-order peer ids"
         );
-        let index = build_shared_index(&peers);
-        let out = bulk_out_neighbors(&peers, selection.as_ref(), index.as_ref(), None);
+        assert!(
+            config.shards() == 1 || !peers.is_empty(),
+            "tiling into several shards needs a seed population"
+        );
+        assert!(
+            peers
+                .windows(2)
+                .all(|w| w[0].point().dim() == w[1].point().dim()),
+            "population dimensionality is fixed per overlay"
+        );
+        let (mut engine, out) = ShardedTopologyStore::build(&peers, selection.as_ref(), config);
+        // lint:allow(D002, reason = "feeds ShardBuildStats.finalize telemetry only; no control flow reads the clock")
+        let t = std::time::Instant::now();
         let n = peers.len();
         let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, nbrs) in out.iter().enumerate() {
@@ -250,80 +230,10 @@ impl TopologyStore {
             .map(|(i, nbrs)| topology_hash(i, nbrs))
             .collect();
         let fingerprint = peer_hash.iter().fold(0, |acc, h| acc ^ h);
-        TopologyStore {
-            departed: vec![false; n],
-            live: n,
-            index,
-            index_disabled: false,
-            out,
-            rev,
-            peer_hash,
-            fingerprint,
-            epoch: 0,
-            log: DeltaLog::default(),
-            peers,
-            selection,
-            sharding: None,
-        }
-    }
-
-    /// Builds a store over an existing dense-id population on the
-    /// region-sharded engine ([`crate::shard`]): the coordinate domain
-    /// is tiled into `config.shards()` shards, each with its own
-    /// incremental spatial index; this bulk build runs shard-parallel
-    /// and subsequent churn folds over the shards. The
-    /// resulting topology, fingerprint and delta stream are
-    /// byte-identical to [`TopologyStore::from_peers`]
-    /// (property-tested in `tests/prop_shard.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `peers` is non-empty with dense insertion-order
-    /// ids and an indexable uniform dimensionality
-    /// (≤ [`geocast_geom::index::MAX_INDEX_DIM`]).
-    #[must_use]
-    pub fn from_peers_sharded(
-        peers: Vec<PeerInfo>,
-        selection: Arc<dyn NeighborSelection + Send + Sync>,
-        config: &crate::shard::ShardConfig,
-    ) -> Self {
-        assert!(
-            ids_in_slice_order(&peers),
-            "TopologyStore requires dense insertion-order peer ids"
-        );
-        assert!(!peers.is_empty(), "sharded builds need a seed population");
-        let dim = peers[0].point().dim();
-        assert!(
-            dim <= geocast_geom::index::MAX_INDEX_DIM,
-            "sharded stores require an indexable dimensionality"
-        );
-        assert!(
-            peers.iter().all(|p| p.point().dim() == dim),
-            "population dimensionality is fixed per overlay"
-        );
-        let (mut engine, out) =
-            crate::shard::ShardedTopologyStore::build(&peers, selection.as_ref(), config);
-        // lint:allow(D002, reason = "feeds ShardBuildStats.reverse_ms telemetry only; no control flow reads the clock")
-        let t = std::time::Instant::now();
-        let n = peers.len();
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, nbrs) in out.iter().enumerate() {
-            for &j in nbrs {
-                rev[j].push(i);
-            }
-        }
-        let peer_hash: Vec<u64> = out
-            .iter()
-            .enumerate()
-            .map(|(i, nbrs)| topology_hash(i, nbrs))
-            .collect();
-        let fingerprint = peer_hash.iter().fold(0, |acc, h| acc ^ h);
         engine.note_finalize(t.elapsed());
         TopologyStore {
             departed: vec![false; n],
             live: n,
-            index: None,
-            index_disabled: true, // the shards own the spatial indexes
             out,
             rev,
             peer_hash,
@@ -332,15 +242,15 @@ impl TopologyStore {
             log: DeltaLog::default(),
             peers,
             selection,
-            sharding: Some(Box::new(engine)),
+            engine,
         }
     }
 
-    /// The region-sharded engine, when this store was built with
-    /// [`TopologyStore::from_peers_sharded`].
+    /// The tiled engine: shard geometry, bulk-build timings and the
+    /// cross-shard ledger of churn.
     #[must_use]
-    pub fn sharding(&self) -> Option<&crate::shard::ShardedTopologyStore> {
-        self.sharding.as_deref()
+    pub fn sharding(&self) -> &ShardedTopologyStore {
+        &self.engine
     }
 
     /// Number of peers ever inserted (departed ones included).
@@ -375,6 +285,12 @@ impl TopologyStore {
     #[must_use]
     pub fn is_departed(&self, id: PeerId) -> bool {
         self.departed[id.index()]
+    }
+
+    /// The departed mask, indexable by [`PeerId::index`].
+    #[must_use]
+    pub fn departed(&self) -> &[bool] {
+        &self.departed
     }
 
     /// The selection rule the store maintains the equilibrium of.
@@ -503,7 +419,7 @@ impl TopologyStore {
     /// Records a mutation and its dirty region (every peer whose
     /// out-list, reverse list, or membership changed, sorted ascending)
     /// in the delta log.
-    pub(crate) fn record_delta(&mut self, kind: DeltaKind, dirty: Vec<usize>) {
+    fn record_delta(&mut self, kind: DeltaKind, dirty: Vec<usize>) {
         self.epoch += 1;
         self.log.record(TopologyDelta {
             epoch: self.epoch,
@@ -513,9 +429,9 @@ impl TopologyStore {
     }
 
     /// Inserts a new peer and incrementally re-converges the
-    /// equilibrium: only peers whose candidate sets the join can affect
-    /// are re-checked (each against its current selection plus the
-    /// newcomer — see the module docs for why that is exact).
+    /// equilibrium: the newcomer selects over the full live population,
+    /// and only peers whose rows its arrival can change are updated
+    /// (see the module docs for who they are and why that is exact).
     ///
     /// Returns the new peer's id; the newest entry of
     /// [`TopologyStore::delta_log`] lists the affected peers.
@@ -525,9 +441,6 @@ impl TopologyStore {
     /// Panics if `point`'s dimensionality disagrees with the population
     /// (the paper fixes `D` per system).
     pub fn insert(&mut self, point: Point) -> PeerId {
-        if self.sharding.is_some() {
-            return crate::shard::sharded_insert(self, point);
-        }
         if let Some(first) = self.peers.first() {
             assert_eq!(
                 point.dim(),
@@ -536,50 +449,51 @@ impl TopologyStore {
             );
         }
         let id = self.peers.len();
-        let info = PeerInfo::new(PeerId(id as u64), point);
-        self.peers.push(info);
+        self.peers.push(PeerInfo::new(PeerId(id as u64), point));
         self.departed.push(false);
         self.live += 1;
         self.out.push(Vec::new());
         self.rev.push(Vec::new());
         self.peer_hash.push(topology_hash(id, &[]));
         self.fingerprint ^= self.peer_hash[id];
-        self.maintain_index_on_insert(id);
+        let selection = self.selection.as_ref();
+        let own = self.engine.join(&self.peers, &self.departed, selection, id);
 
-        // The newcomer's own selection runs over the full live set.
-        let own = self.select_full(id);
-
-        // Localized re-check: peer i's selection can only change if the
-        // newcomer enters it, and that is decided exactly by re-running
-        // the rule on selection(i) ∪ {newcomer}.
-        let updates: Vec<Option<Vec<usize>>> = {
-            let peers = &self.peers;
-            let departed = &self.departed;
-            let out = &self.out;
-            let selection = self.selection.as_ref();
-            par::map_indexed(id, |i| {
-                if departed[i] {
-                    return None;
-                }
+        let (peers, departed, out) = (&self.peers, &self.departed, &self.out);
+        let affected: Vec<usize> = match self.engine.profile() {
+            ShardProfile::EmptyRect => own.clone(),
+            ShardProfile::OrthantTopK { k, metric } => par::map_indexed(id, |i| {
+                (!departed[i] && topk_join_recheck(peers, out, i, id, k, metric)).then_some(i)
+            })
+            .into_iter()
+            .flatten()
+            .collect(),
+            ShardProfile::Generic => (0..id).filter(|&i| !departed[i]).collect(),
+        };
+        let updates: Vec<Vec<usize>> = if self.engine.profile() == ShardProfile::EmptyRect {
+            affected
+                .iter()
+                .map(|&i| join_dominance_update(peers, &out[i], i, id))
+                .collect()
+        } else {
+            par::map_indexed(affected.len(), |a| {
+                let i = affected[a];
                 // `id` is the largest index, so appending keeps the
                 // candidate id list sorted.
                 let mut cand_ids: Vec<usize> = Vec::with_capacity(out[i].len() + 1);
                 cand_ids.extend_from_slice(&out[i]);
                 cand_ids.push(id);
-                let candidates: Vec<&PeerInfo> = cand_ids.iter().map(|&j| &peers[j]).collect();
-                let picked = selection.select(&peers[i], &candidates);
-                let new_out: Vec<usize> = picked.into_iter().map(|ci| cand_ids[ci]).collect();
-                (new_out != out[i]).then_some(new_out)
+                let refs: Vec<&PeerInfo> = cand_ids.iter().map(|&j| &peers[j]).collect();
+                let picked = selection.select(&peers[i], &refs);
+                picked.into_iter().map(|ci| cand_ids[ci]).collect()
             })
         };
 
         let mut delta = BTreeSet::new();
         delta.insert(id);
         self.apply_out(id, own, &mut delta);
-        for (i, update) in updates.into_iter().enumerate() {
-            if let Some(new_out) = update {
-                self.apply_out(i, new_out, &mut delta);
-            }
+        for (i, new_out) in affected.into_iter().zip(updates) {
+            self.apply_out(i, new_out, &mut delta);
         }
         self.record_delta(DeltaKind::Join(id), delta.into_iter().collect());
         PeerId(id as u64)
@@ -600,55 +514,44 @@ impl TopologyStore {
 
     /// Removes a peer (crash-stop) and incrementally re-converges the
     /// equilibrium: exactly the peers that had the departed peer
-    /// selected re-run their selection over the surviving population.
+    /// selected get a new row — repaired from the old one under the
+    /// empty-rectangle rule, re-selected over the survivors otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range or already departed.
     pub fn remove(&mut self, id: PeerId) {
-        if self.sharding.is_some() {
-            crate::shard::sharded_remove(self, id);
-            return;
-        }
         let v = id.index();
         assert!(v < self.peers.len(), "peer id out of range");
         assert!(!self.departed[v], "{id} already departed");
         self.departed[v] = true;
         self.live -= 1;
-        if let Some(ix) = &mut self.index {
-            ix.remove(v);
-        }
+        self.engine.leave(v);
 
         let mut delta = BTreeSet::new();
         delta.insert(v);
         // The departed peer selects nobody.
         self.apply_out(v, Vec::new(), &mut delta);
-        // Only its selectors can lose an edge; they re-select over the
-        // survivors (index-tombstoned or mask-filtered). Taking the
-        // list also releases its capacity: nobody selects a departed
-        // id again.
+        // Only its selectors can lose an edge. Taking the list also
+        // releases its capacity: nobody selects a departed id again.
         let affected = std::mem::take(&mut self.rev[v]);
         for i in affected {
-            let new_out = self.select_full(i);
+            let new_out = self.engine.row_after_leave(
+                &self.peers,
+                &self.departed,
+                self.selection.as_ref(),
+                &self.out[i],
+                i,
+                v,
+            );
             self.apply_out(i, new_out, &mut delta);
         }
         self.record_delta(DeltaKind::Leave(v), delta.into_iter().collect());
     }
 
-    /// One peer's selection over the full live candidate set, through
-    /// the index when it applies.
-    fn select_full(&self, i: usize) -> Vec<usize> {
-        let ctx = match &self.index {
-            Some(ix) => SelectContext::with_index(ix, true),
-            None => SelectContext::without_index(),
-        }
-        .masked(&self.departed);
-        self.selection.select_in(&self.peers, i, &ctx)
-    }
-
     /// Replaces `i`'s out-list, maintaining reverse lists, hashes, the
     /// rolling fingerprint, and the delta set.
-    pub(crate) fn apply_out(&mut self, i: usize, new_out: Vec<usize>, delta: &mut BTreeSet<usize>) {
+    fn apply_out(&mut self, i: usize, new_out: Vec<usize>, delta: &mut BTreeSet<usize>) {
         if self.out[i] == new_out {
             return;
         }
@@ -702,36 +605,6 @@ impl TopologyStore {
             rev.remove(pos);
         }
     }
-
-    /// Keeps the incremental index in step with an insertion: adds the
-    /// point, or builds the index once the population supports one.
-    fn maintain_index_on_insert(&mut self, id: usize) {
-        if self.index_disabled {
-            return;
-        }
-        let dim = self.peers[id].point().dim();
-        if dim > geocast_geom::index::MAX_INDEX_DIM {
-            self.index = None;
-            self.index_disabled = true;
-            return;
-        }
-        match &mut self.index {
-            Some(ix) => {
-                let got = ix.insert(self.peers[id].point());
-                debug_assert_eq!(got, id, "index ids track peer ids");
-            }
-            None if self.peers.len() >= 2 => {
-                let mut ix = GridIndex::build(&self.peers);
-                for (i, &gone) in self.departed.iter().enumerate() {
-                    if gone {
-                        ix.remove(i);
-                    }
-                }
-                self.index = Some(ix);
-            }
-            None => {}
-        }
-    }
 }
 
 impl std::fmt::Debug for TopologyStore {
@@ -750,6 +623,7 @@ mod tests {
     use super::*;
     use crate::oracle;
     use crate::select::{EmptyRectSelection, HyperplanesSelection};
+    use crate::shard::ShardConfig;
     use geocast_geom::gen::uniform_points;
     use geocast_geom::MetricKind;
 
@@ -760,16 +634,7 @@ mod tests {
     /// The definitional reference: selections of the live population
     /// computed from scratch, expressed over the store's dense ids.
     fn reference_graph(store: &TopologyStore) -> OverlayGraph {
-        let departed: Vec<bool> = (0..store.len())
-            .map(|i| store.is_departed(PeerId(i as u64)))
-            .collect();
-        let out = bulk_out_neighbors(
-            store.peers(),
-            store.selection().as_ref(),
-            None,
-            Some(&departed),
-        );
-        OverlayGraph::from_out_neighbors(out)
+        oracle::equilibrium_live(store.peers(), store.departed(), store.selection().as_ref())
     }
 
     #[test]
@@ -820,15 +685,46 @@ mod tests {
 
     #[test]
     fn bulk_build_equals_incremental_build() {
-        let pts = points(80, 2, 13);
-        let mut inc = TopologyStore::new(Arc::new(EmptyRectSelection));
-        for p in &pts {
-            inc.insert(p.clone());
+        // Grown from empty, bulk-built, and bulk-built through the
+        // tiled constructor at one tile: one engine, one state.
+        let rules: [Arc<dyn NeighborSelection + Send + Sync>; 2] = [
+            Arc::new(EmptyRectSelection),
+            Arc::new(HyperplanesSelection::orthogonal(2, 2, MetricKind::L1)),
+        ];
+        for rule in rules {
+            let mut grown = TopologyStore::new(rule.clone());
+            for p in points(80, 2, 13) {
+                grown.insert(p);
+            }
+            let peers = PeerInfo::from_point_set(&uniform_points(80, 2, 1000.0, 13));
+            let mut stores = [
+                grown,
+                TopologyStore::from_peers(peers.clone(), rule.clone()),
+                TopologyStore::from_peers_sharded(peers, rule.clone(), &ShardConfig::new(1)),
+            ];
+            for bulk in &stores[1..] {
+                assert_eq!((bulk.epoch(), bulk.delta_log().newest()), (0, None));
+                assert_eq!(stores[0].graph(), bulk.graph(), "{}", rule.name());
+                assert_eq!(stores[0].fingerprint(), bulk.fingerprint());
+            }
+            // …and they stay one state: the next events leave the same
+            // deltas behind, one epoch each.
+            let after: Vec<_> = stores
+                .iter_mut()
+                .map(|store| {
+                    let epoch = store.epoch();
+                    store.insert(Point::new(vec![431.5, 77.25]).unwrap());
+                    let join = store.delta_log().newest().unwrap().clone();
+                    store.remove(PeerId(17));
+                    let leave = store.delta_log().newest().unwrap().clone();
+                    assert_eq!((join.epoch, leave.epoch), (epoch + 1, epoch + 2));
+                    let deltas = (join.kind, join.dirty, leave.kind, leave.dirty);
+                    (deltas, store.fingerprint(), store.graph())
+                })
+                .collect();
+            assert_eq!(after[0], after[1], "{}", rule.name());
+            assert_eq!(after[0], after[2], "{}", rule.name());
         }
-        let peers = PeerInfo::from_point_set(&uniform_points(80, 2, 1000.0, 13));
-        let bulk = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
-        assert_eq!(inc.graph(), bulk.graph());
-        assert_eq!(inc.fingerprint(), bulk.fingerprint());
     }
 
     #[test]
@@ -995,6 +891,43 @@ mod tests {
         let mut store = TopologyStore::new(Arc::new(EmptyRectSelection));
         store.insert(Point::new(vec![1.0, 2.0]).unwrap());
         store.insert(Point::new(vec![1.0, 2.0, 3.0]).unwrap());
+    }
+
+    #[test]
+    fn high_dimensions_fall_back_exactly() {
+        // Beyond MAX_INDEX_DIM the shard indexes decline every query:
+        // shortlists are brute selections, a leave re-selects instead
+        // of repairing, and no skip is certified. Bulk build, growth
+        // from empty, joins and leaves equal the oracle after every
+        // event, on one tile and on several.
+        let dim = geocast_geom::index::MAX_INDEX_DIM + 1;
+        let rules: [Arc<dyn NeighborSelection + Send + Sync>; 2] = [
+            Arc::new(EmptyRectSelection),
+            Arc::new(HyperplanesSelection::orthogonal(dim, 1, MetricKind::L1)),
+        ];
+        for rule in rules {
+            let peers = PeerInfo::from_point_set(&uniform_points(14, dim, 1000.0, 53));
+            let mut grown = TopologyStore::new(rule.clone());
+            for p in points(14, dim, 53) {
+                grown.insert(p);
+                assert_eq!(grown.graph(), reference_graph(&grown), "{}", rule.name());
+            }
+            let mut stores = [
+                grown,
+                TopologyStore::from_peers(peers.clone(), rule.clone()),
+                TopologyStore::from_peers_sharded(peers, rule.clone(), &ShardConfig::new(4)),
+            ];
+            for store in &mut stores {
+                assert_eq!(store.graph(), reference_graph(store), "{}", rule.name());
+                for (step, p) in points(6, dim, 54).into_iter().enumerate() {
+                    store.insert(p);
+                    assert_eq!(store.graph(), reference_graph(store), "join {step}");
+                    store.remove(PeerId(step as u64 * 2));
+                    assert_eq!(store.graph(), reference_graph(store), "leave {step}");
+                }
+                assert_eq!(store.fingerprint(), oracle::fingerprint(&store.graph()));
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! THE churn-engine guarantee: a [`TopologyStore`] maintained through
 //! arbitrary interleavings of joins and leaves holds **exactly** the
 //! equilibrium topology a from-scratch rebuild over the surviving
-//! population would produce — for the §2 empty-rectangle rule and every
-//! Hyperplanes instance (orthogonal, signed, K-closest). The localized
-//! live-network path must track the same topology without ever running
-//! global convergence.
+//! population would produce ([`oracle::equilibrium_live`]), reports the
+//! fingerprint of that topology, and lists as each event's dirty region
+//! the diff between two such rebuilds — for the §2 empty-rectangle rule
+//! and every Hyperplanes instance (orthogonal, signed, K-closest). The
+//! localized live-network path must track the same topology without
+//! ever running global convergence.
 
 use std::sync::Arc;
 
@@ -18,7 +20,8 @@ use geocast_geom::gen::uniform_points;
 use geocast_geom::MetricKind;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
 use geocast_overlay::{
-    NetworkConfig, OverlayGraph, OverlayNetwork, PeerId, PeerInfo, ShardConfig, TopologyStore,
+    oracle, NetworkConfig, OverlayGraph, OverlayNetwork, PeerId, PeerInfo, ShardConfig,
+    TopologyStore,
 };
 
 fn selection_for(variant: usize, dim: usize, k: usize) -> Arc<dyn NeighborSelection + Send + Sync> {
@@ -34,25 +37,34 @@ fn selection_for(variant: usize, dim: usize, k: usize) -> Arc<dyn NeighborSelect
 /// plain candidate-slice selection over all other live peers. No index,
 /// no incremental state — the executable specification.
 fn from_scratch(store: &TopologyStore) -> OverlayGraph {
-    let peers = store.peers();
-    let selection = store.selection();
-    let out: Vec<Vec<usize>> = (0..peers.len())
-        .map(|i| {
-            if store.is_departed(PeerId(i as u64)) {
-                return Vec::new();
-            }
-            let cand_ids: Vec<usize> = (0..peers.len())
-                .filter(|&j| j != i && !store.is_departed(PeerId(j as u64)))
-                .collect();
-            let candidates: Vec<&PeerInfo> = cand_ids.iter().map(|&j| &peers[j]).collect();
-            selection
-                .select(&peers[i], &candidates)
-                .into_iter()
-                .map(|ci| cand_ids[ci])
-                .collect()
-        })
-        .collect();
-    OverlayGraph::from_out_neighbors(out)
+    oracle::equilibrium_live(store.peers(), store.departed(), store.selection().as_ref())
+}
+
+/// The store against the specification: adjacency, the fingerprint of
+/// it, and — when `before` is the rebuild from before the newest event
+/// — that event's dirty region. Returns the rebuild.
+fn assert_from_scratch(
+    store: &TopologyStore,
+    before: Option<&OverlayGraph>,
+    what: &str,
+) -> OverlayGraph {
+    let rebuilt = from_scratch(store);
+    assert_eq!(store.graph(), rebuilt, "{what}: adjacency");
+    assert_eq!(
+        store.fingerprint(),
+        oracle::fingerprint(&rebuilt),
+        "{what}: fingerprint"
+    );
+    if let Some(before) = before {
+        let delta = store.delta_log().newest().expect("an event was applied");
+        assert_eq!(delta.epoch, store.epoch(), "{what}: epoch");
+        assert_eq!(
+            delta.dirty,
+            oracle::dirty_region(before, &rebuilt, delta.kind.peer()),
+            "{what}: dirty region"
+        );
+    }
+    rebuilt
 }
 
 /// A reproducible churn trace: joins draw fresh points, leaves pick a
@@ -99,17 +111,14 @@ proptest! {
         for p in uniform_points(initial, dim, 1000.0, seed).into_points() {
             store.insert(p);
         }
-        prop_assert_eq!(store.graph(), from_scratch(&store), "initial build, variant {}", variant);
+        let mut rebuilt = assert_from_scratch(&store, None, &format!("initial build, variant {variant}"));
         churn_trace(&mut store, ops, dim, seed, |store, op| {
-            assert_eq!(
-                store.graph(),
-                from_scratch(store),
-                "variant {variant} diverged after op {op}"
-            );
+            let what = format!("variant {variant}, op {op}");
+            rebuilt = assert_from_scratch(store, Some(&rebuilt), &what);
         });
     }
 
-    /// Remove-heavy churn on the sharded engine — where a departure
+    /// Remove-heavy churn under the empty-rectangle rule — where a departure
     /// *repairs* each selector's row (old row + shadow query, merged
     /// across the shards the shadow reaches) instead of re-selecting —
     /// equals the from-scratch rebuild after every event, at 1, 4 and
@@ -129,7 +138,7 @@ proptest! {
             Arc::new(EmptyRectSelection),
             &ShardConfig::new(shards),
         );
-        prop_assert_eq!(store.graph(), from_scratch(&store), "bulk build");
+        let mut rebuilt = assert_from_scratch(&store, None, "bulk build");
         let points = uniform_points(ops, dim, 1000.0, seed ^ 0x6a6f_696e).into_points();
         let mut joins = points.into_iter();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -143,11 +152,8 @@ proptest! {
             } else {
                 store.insert(joins.next().expect("one point per op suffices"));
             }
-            prop_assert_eq!(
-                store.graph(),
-                from_scratch(&store),
-                "{} shards, dim {}: diverged after op {}", shards, dim, op
-            );
+            let what = format!("{shards} shards, dim {dim}, op {op}");
+            rebuilt = assert_from_scratch(&store, Some(&rebuilt), &what);
         }
     }
 
