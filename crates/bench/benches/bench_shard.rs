@@ -1,25 +1,21 @@
-//! Tiled store engine scaling: bulk builds by tile count and the
-//! group-bounds index, with a machine-readable summary.
+//! Tiled store engine scaling: bulk builds by tile count, with a
+//! machine-readable summary.
 //!
-//! Two axes, recorded in `crates/bench/BENCH_shard.json`:
-//!
-//! 1. **Bulk build.** `TopologyStore::from_peers_sharded` at shard
-//!    counts {1, 4, 16, 64}. Index builds run shard-parallel and the
-//!    selection folds peer-parallel, so wall time is what a host with
-//!    `cores` cores pays. Next to it the JSON records a *critical-path
-//!    model* — assign + the slowest shard's (index + select) + finalize,
-//!    read from `ShardBuildStats` — against the same sum at one tile
-//!    (one core's work): a diagnostic of what the decomposition would
-//!    buy with one core per shard, never a gate.
-//! 2. **Group-bounds probes.** The `GroupBoundsIndex` affected-group
-//!    lookup versus a linear scan over all group boxes at G = 10k
-//!    (100k with `GEOCAST_FULL=1`) groups — the satellite that keeps
-//!    delta-driven repair sublinear in the session count.
+//! Recorded in `crates/bench/BENCH_shard.json`:
+//! `TopologyStore::from_peers_sharded` at shard counts {1, 4, 16, 64}.
+//! Index builds run shard-parallel and the selection folds
+//! peer-parallel, so wall time is what a host with `cores` cores pays.
+//! Next to it the JSON records a *critical-path model* — assign, plus
+//! the slowest shard's (index + select), plus finalize, read from
+//! `ShardBuildStats` — against the same sum at one tile (one core's
+//! work): a diagnostic of what the decomposition would buy with one core
+//! per shard, never a gate. What the bench asserts is exactness: bulk
+//! build and churn replay against the oracle.
 //!
 //! Churn throughput by tile count is the `churn_k1` / `churn_k16` pair
 //! of the end-to-end benchmark (`benchmark/`); the classic single-index
-//! store this bench once compared against is gone (`docs/PERFORMANCE.md`,
-//! "classic-engine trial").
+//! store and the group-bounds index this bench once measured are gone
+//! (`docs/PERFORMANCE.md`, "Trials and verdicts").
 //!
 //! Quick scale (default) sweeps N = 50k; `GEOCAST_FULL=1` adds the
 //! million-peer point.
@@ -28,7 +24,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use geocast::core::bounds::GroupBoundsIndex;
 use geocast::prelude::*;
 use geocast_bench::full_scale;
 
@@ -110,91 +105,7 @@ fn exactness_check(shards: usize) -> bool {
     exact_build && store.graph() == churned && store.fingerprint() == oracle::fingerprint(&churned)
 }
 
-struct GroupIndexPoint {
-    groups: usize,
-    probes: usize,
-    index_probes_per_s: f64,
-    scan_probes_per_s: f64,
-    speedup: f64,
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn unit(state: &mut u64) -> f64 {
-    (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-fn group_index_sweep(groups: usize, probes: usize) -> GroupIndexPoint {
-    let mut state = 0x5eed_u64;
-    let boxes: Vec<(Vec<f64>, Vec<f64>)> = (0..groups)
-        .map(|_| {
-            // Cluster-shaped session footprints: ~30-unit support boxes
-            // scattered over a 1000x1000 domain.
-            let cx = unit(&mut state) * 1000.0;
-            let cy = unit(&mut state) * 1000.0;
-            let w = 10.0 + unit(&mut state) * 40.0;
-            let h = 10.0 + unit(&mut state) * 40.0;
-            (
-                vec![(cx - w).max(0.0), (cy - h).max(0.0)],
-                vec![(cx + w).min(1000.0), (cy + h).min(1000.0)],
-            )
-        })
-        .collect();
-    let mut index = GroupBoundsIndex::new(&[0.0, 0.0], &[1000.0, 1000.0]);
-    for (gi, (lo, hi)) in boxes.iter().enumerate() {
-        index.set(gi, lo.clone(), hi.clone());
-    }
-    let points: Vec<[f64; 2]> = (0..probes)
-        .map(|_| [unit(&mut state) * 1000.0, unit(&mut state) * 1000.0])
-        .collect();
-
-    let mut out = Vec::new();
-    let mut index_hits = 0usize;
-    let start = Instant::now();
-    for p in &points {
-        index.candidates(p, &mut out);
-        index_hits += out.len();
-    }
-    let index_s = start.elapsed().as_secs_f64();
-
-    let mut scan_hits = 0usize;
-    let start = Instant::now();
-    for p in &points {
-        scan_hits += boxes
-            .iter()
-            .filter(|(lo, hi)| {
-                lo.iter()
-                    .zip(hi)
-                    .zip(p.iter())
-                    .all(|((&l, &h), &x)| l <= x && x <= h)
-            })
-            .count();
-    }
-    let scan_s = start.elapsed().as_secs_f64();
-    assert_eq!(index_hits, scan_hits, "bounds index diverged from scan");
-
-    let point = GroupIndexPoint {
-        groups,
-        probes,
-        index_probes_per_s: probes as f64 / index_s.max(1e-9),
-        scan_probes_per_s: probes as f64 / scan_s.max(1e-9),
-        speedup: scan_s / index_s.max(1e-12),
-    };
-    println!(
-        "group bounds G={groups}: index {:.0} probes/s vs scan {:.0} probes/s \
-         => {:.1}x ({index_hits} hits)",
-        point.index_probes_per_s, point.scan_probes_per_s, point.speedup
-    );
-    point
-}
-
-fn write_summary(cores: usize, bulk: &[BulkPoint], gi: &GroupIndexPoint, exact: bool) {
+fn write_summary(cores: usize, bulk: &[BulkPoint], exact: bool) {
     let mut json = String::from("{\n  \"bench\": \"shard_scaling\",\n  \"dim\": 2,\n");
     json.push_str(&format!("  \"cores\": {cores},\n"));
     json.push_str(
@@ -220,12 +131,7 @@ fn write_summary(cores: usize, bulk: &[BulkPoint], gi: &GroupIndexPoint, exact: 
             if i + 1 < bulk.len() { "," } else { "" },
         ));
     }
-    json.push_str(&format!(
-        "  ],\n  \"group_bounds_index\": {{\"groups\": {}, \"probes\": {}, \
-         \"index_probes_per_second\": {:.0}, \"scan_probes_per_second\": {:.0}, \
-         \"speedup\": {:.1}}}\n}}\n",
-        gi.groups, gi.probes, gi.index_probes_per_s, gi.scan_probes_per_s, gi.speedup,
-    ));
+    json.push_str("  ]\n}\n");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_shard.json");
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),
@@ -248,9 +154,7 @@ fn shard_scaling(c: &mut Criterion) {
         bulk.extend(bulk_sweep(n, &peers));
     }
 
-    let groups = if full_scale() { 100_000 } else { 10_000 };
-    let gi = group_index_sweep(groups, 4_000);
-    write_summary(cores, &bulk, &gi, exact);
+    write_summary(cores, &bulk, exact);
 
     // Criterion samples the sharded insert path at a modest population.
     let mut group = c.benchmark_group("shard/store_insert");

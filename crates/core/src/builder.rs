@@ -1,7 +1,7 @@
 use std::collections::VecDeque;
 
 use geocast_geom::Rect;
-use geocast_overlay::{OverlayGraph, PeerInfo, TopologyStore};
+use geocast_overlay::{OverlayGraph, PeerInfo};
 
 use crate::partition::ZonePartitioner;
 use crate::tree::MulticastTree;
@@ -117,59 +117,6 @@ pub fn build_tree(
     assert!(root < peers.len(), "root out of range");
     let dim = peers[root].point().dim();
     build_in_zone(peers, overlay, root, Rect::full(dim), partitioner)
-}
-
-/// [`build_tree`] over a [`TopologyStore`]'s incrementally-maintained
-/// equilibrium: overlay neighbours are read straight from the store's
-/// forward + reverse adjacency — no [`OverlayGraph`] is materialized and
-/// no undirected closure is recomputed, so churn-then-rebuild loops pay
-/// only for the tree.
-///
-/// Departed peers contribute no edges and end up `stranded` (they are
-/// outside every live peer's neighbour lists), mirroring
-/// [`geocast_overlay::OverlayNetwork::topology`] semantics.
-///
-/// # Panics
-///
-/// Panics if `root` is out of range or departed.
-#[must_use]
-pub fn build_tree_on_store(
-    store: &TopologyStore,
-    root: usize,
-    partitioner: &dyn ZonePartitioner,
-) -> BuildResult {
-    assert!(root < store.len(), "root out of range");
-    assert!(
-        !store.is_departed(geocast_overlay::PeerId(root as u64)),
-        "root has departed"
-    );
-    let dim = store.peers()[root].point().dim();
-    build_in_zone_on_store(store, root, Rect::full(dim), partitioner)
-}
-
-/// [`build_in_zone`] over a [`TopologyStore`] (see
-/// [`build_tree_on_store`]); the machinery behind store-backed repair.
-///
-/// # Panics
-///
-/// Panics if `start` is out of range.
-#[must_use]
-pub fn build_in_zone_on_store(
-    store: &TopologyStore,
-    start: usize,
-    zone: Rect,
-    partitioner: &dyn ZonePartitioner,
-) -> BuildResult {
-    assert!(start < store.len(), "start out of range");
-    let mut result = build_in_zone_generic(
-        store.peers(),
-        |i, buf| store.undirected_neighbors_into(i, buf),
-        start,
-        zone,
-        partitioner,
-    );
-    result.stranded = result.tree.unreached();
-    result
 }
 
 /// Runs the §2 work-queue construction seeded at `(start, zone)` instead
@@ -348,53 +295,6 @@ mod tests {
         assert!(result.tree.is_spanning());
         assert_eq!(result.messages, 1);
         assert_eq!(result.tree.parent(0), Some(1));
-    }
-
-    #[test]
-    fn store_backed_build_matches_graph_backed_build() {
-        use std::sync::Arc;
-        let points = uniform_points(60, 2, 1000.0, 29);
-        let mut store = geocast_overlay::TopologyStore::new(Arc::new(EmptyRectSelection));
-        for p in points.into_points() {
-            store.insert(p);
-        }
-        let via_graph = build_tree(
-            store.peers(),
-            &store.graph(),
-            0,
-            &OrthantRectPartitioner::median(),
-        );
-        let via_store = build_tree_on_store(&store, 0, &OrthantRectPartitioner::median());
-        assert_eq!(via_graph, via_store);
-        assert!(via_store.tree.is_spanning());
-        assert_eq!(via_store.messages, store.len() - 1);
-    }
-
-    #[test]
-    fn store_backed_build_strands_departed_peers() {
-        use std::sync::Arc;
-        let points = uniform_points(30, 2, 1000.0, 31);
-        let mut store = geocast_overlay::TopologyStore::new(Arc::new(EmptyRectSelection));
-        for p in points.into_points() {
-            store.insert(p);
-        }
-        store.remove(geocast_overlay::PeerId(7));
-        let result = build_tree_on_store(&store, 0, &OrthantRectPartitioner::median());
-        assert_eq!(
-            result.stranded,
-            vec![7],
-            "departed peer must not be spanned"
-        );
-        assert_eq!(
-            result.messages,
-            store.len() - 2,
-            "one message per live child"
-        );
-        for i in 0..store.len() {
-            if i != 7 {
-                assert!(result.tree.is_reached(i), "live peer {i} lost");
-            }
-        }
     }
 
     #[test]

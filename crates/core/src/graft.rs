@@ -350,6 +350,15 @@ pub(crate) fn graft_pass(
     consulted.sort_unstable();
     consulted.dedup_by_key(|c| c.node);
     pass.support = consulted.iter().map(|c| c.node).collect();
+    // On every tier a path node's row was read by the walk that attached
+    // it: the engine finds a group's relays among its support nodes.
+    debug_assert!(
+        build
+            .relays
+            .iter()
+            .all(|r| pass.support.binary_search(r).is_ok()),
+        "a relay outside the support set"
+    );
     if pass.report.greedy_only() {
         pass.targets = consulted.iter().map(|c| c.target).collect();
         pass.joined = consulted.iter().map(|c| c.joined).collect();

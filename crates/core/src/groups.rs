@@ -25,7 +25,11 @@
 //!   and every adjacency row the discovery consulted) intersect the
 //!   event's dirty region — a group's grafted tree is a pure function of
 //!   exactly those rows plus membership and liveness, so a group
-//!   untouched by every delta is provably unchanged. An examined group
+//!   untouched by every delta is provably unchanged. Two exact reverse
+//!   relations answer "which groups does this dirty peer touch": who
+//!   subscribes (`member_of`) and whose current build read the peer's
+//!   row (`support_of`, moved by every rebuild from the old support set
+//!   to the new in one merge walk). An examined group
 //!   is rebuilt only if a **recorded decision changed**: every build
 //!   carries a [`RepairCertificate`] (the member-induced rows the §2
 //!   construction read, and the target each graft walk was heading for
@@ -566,24 +570,17 @@ pub struct GroupEngine {
     groups: Vec<Group>,
     /// Peer index → sorted group ids the peer subscribes to.
     member_of: Vec<Vec<u32>>,
-    /// Spatial index over per-group graft-**support** bounding boxes
-    /// (relays and every other consulted row). Dirtying a support peer
-    /// can reroute a relay path, so support hits trigger repair exactly
-    /// like membership hits — relay teardown rides the same delta
-    /// stream. Per dirty peer the lookup is a grid-cell probe over the
-    /// group boxes containing the peer's point, each candidate
-    /// confirmed by binary search in the group's sorted support set —
-    /// replacing the old peer→groups reverse map whose length-`N`
-    /// tables were resized on every delta and rewritten on every
-    /// rebuild. Lazily created at the first rebuild (the store may be
-    /// empty at engine construction).
-    bounds: Option<crate::bounds::GroupBoundsIndex>,
-    /// Peer index → sorted group ids whose **current tree** uses the
-    /// peer as a relay. Kept as a reverse map (relay sets are small —
-    /// unlike support sets) so suspicion processing intersects suspects
-    /// with actual relays in time linear in the suspects' own group
-    /// lists.
-    relay_of: Vec<Vec<u32>>,
+    /// Peer index → sorted ids of the groups whose **current build**
+    /// lists the peer in [`GroupBuild::support`] (relays and every other
+    /// row the graft discovery consulted). Dirtying a support peer can
+    /// reroute a relay path, so support hits trigger repair exactly like
+    /// membership hits — relay teardown rides the same delta stream.
+    /// Exact: [`GroupEngine::rebuild_group`] moves a group between the
+    /// lists of its old and new support in one merge walk, so every
+    /// entry is a true hit and `sync` reads it without confirmation.
+    /// Relays are support nodes, which makes this the suspects' lookup
+    /// too ([`GroupEngine::set_suspects`]).
+    support_of: Vec<Vec<u32>>,
     /// Live peers, ascending — the maintained list workload binding
     /// draws from (replacing the per-op O(N) departed-scan).
     live_peers: Vec<usize>,
@@ -602,7 +599,7 @@ pub struct GroupEngine {
     /// resolves (refuted, or dead → removed → re-grafted).
     suspects: BTreeSet<usize>,
     /// Per-group degraded flags, maintained incrementally from
-    /// `relay_of` on [`GroupEngine::set_suspects`] and per-group on
+    /// `support_of` on [`GroupEngine::set_suspects`] and per-group on
     /// rebuild — [`GroupEngine::is_degraded`] is an O(1) lookup instead
     /// of a per-publish relay scan.
     degraded: Vec<bool>,
@@ -625,7 +622,7 @@ impl GroupEngine {
     #[must_use]
     pub fn new(store: TopologyStore, partitioner: Arc<dyn ZonePartitioner + Send + Sync>) -> Self {
         let member_of = vec![Vec::new(); store.len()];
-        let relay_of = vec![Vec::new(); store.len()];
+        let support_of = vec![Vec::new(); store.len()];
         let live_peers: Vec<usize> = (0..store.len())
             .filter(|&i| !store.is_departed(PeerId(i as u64)))
             .collect();
@@ -636,8 +633,7 @@ impl GroupEngine {
             partitioner,
             groups: Vec::new(),
             member_of,
-            bounds: None,
-            relay_of,
+            support_of,
             live_peers,
             repair,
             flush,
@@ -1121,18 +1117,22 @@ impl GroupEngine {
     /// ([`GroupEngine::is_degraded`]) but not the topology — only a dead
     /// verdict (store removal + [`GroupEngine::sync`]) rewires trees.
     ///
-    /// Degraded flags are recomputed here by intersecting the suspects
-    /// with the maintained relay index (`relay_of`) and their rooted
-    /// groups — O(Σ suspects' group lists), not O(groups × relays) —
-    /// so the per-publish degradation check stays O(1).
+    /// Degraded flags are recomputed here from the suspects' own group
+    /// lists — a relay is a support node, so a suspect relays for the
+    /// groups of its `support_of` list whose sorted relay set holds it —
+    /// O(Σ suspects' group lists), not O(groups × relays), so the
+    /// per-publish degradation check stays O(1).
     pub fn set_suspects<I: IntoIterator<Item = usize>>(&mut self, suspects: I) {
         self.suspects = suspects.into_iter().collect();
         self.degraded.clear();
         self.degraded.resize(self.groups.len(), false);
         for &s in &self.suspects {
-            if let Some(ids) = self.relay_of.get(s) {
+            if let Some(ids) = self.support_of.get(s) {
                 for &gid in ids {
-                    self.degraded[gid as usize] = true;
+                    let build = self.groups[gid as usize].build.as_ref();
+                    if build.is_some_and(|gb| gb.build.relays.binary_search(&s).is_ok()) {
+                        self.degraded[gid as usize] = true;
+                    }
                 }
             }
             if let Some(ids) = self.member_of.get(s) {
@@ -1276,12 +1276,12 @@ impl GroupEngine {
     /// Panics if the store has no live peers or a size is zero.
     pub fn seed_groups(&mut self, sizes: &[usize], state: &mut u64) -> Vec<GroupId> {
         self.sync();
-        let live: Vec<usize> = (0..self.store.len())
-            .filter(|&i| !self.store.is_departed(PeerId(i as u64)))
-            .collect();
-        assert!(!live.is_empty(), "cannot seed groups over an empty overlay");
+        assert!(
+            !self.live_peers.is_empty(),
+            "cannot seed groups over an empty overlay"
+        );
         let mut ids = Vec::with_capacity(sizes.len());
-        let mut scratch = live.clone();
+        let mut scratch = self.live_peers.clone();
         for &size in sizes {
             assert!(size > 0, "groups start with at least one member");
             let size = size.min(scratch.len());
@@ -1310,13 +1310,14 @@ impl GroupEngine {
     pub fn seed_groups_clustered(&mut self, sizes: &[usize], state: &mut u64) -> Vec<GroupId> {
         use geocast_geom::{Metric, MetricKind};
         self.sync();
-        let live: Vec<usize> = (0..self.store.len())
-            .filter(|&i| !self.store.is_departed(PeerId(i as u64)))
-            .collect();
-        assert!(!live.is_empty(), "cannot seed groups over an empty overlay");
+        assert!(
+            !self.live_peers.is_empty(),
+            "cannot seed groups over an empty overlay"
+        );
         let mut ids = Vec::with_capacity(sizes.len());
         for &size in sizes {
             assert!(size > 0, "groups start with at least one member");
+            let live = &self.live_peers;
             let size = size.min(live.len());
             let center = live[(splitmix(state) as usize) % live.len()];
             let cp = self.store.peers()[center].point();
@@ -1442,31 +1443,16 @@ impl GroupEngine {
         // membership op syncs first, so neither relation moves while
         // deltas are replayed — except by the departures below).
         let mut hits: Vec<(u32, u32)> = Vec::new();
-        let mut candidates: Vec<u32> = Vec::new();
         for delta in &deltas {
             self.member_of.resize(self.store.len(), Vec::new());
-            self.relay_of.resize(self.store.len(), Vec::new());
+            self.support_of.resize(self.store.len(), Vec::new());
             for &p in &delta.dirty {
                 let peer = p as u32;
                 hits.extend(self.member_of[p].iter().map(|&g| (g, peer)));
-                // A dirty support node can reroute a relay path.
-                // Candidate groups come from the bbox index (every group
-                // whose support box contains the dirty peer's point);
-                // each is confirmed against the group's sorted support
-                // set, which makes the examined set identical to a full
-                // reverse-map scan at O(log G + hits) per dirty peer.
-                if let Some(bounds) = &self.bounds {
-                    bounds.candidates(self.store.peers()[p].point().coords(), &mut candidates);
-                    for &gc in &candidates {
-                        let hit = self.groups[gc as usize]
-                            .build
-                            .as_ref()
-                            .is_some_and(|gb| gb.support.binary_search(&p).is_ok());
-                        if hit {
-                            hits.push((gc, peer));
-                        }
-                    }
-                }
+                // A dirty support node can reroute a relay path. (A
+                // grafted member sits in both lists; the dedup below
+                // absorbs the repeat.)
+                hits.extend(self.support_of[p].iter().map(|&g| (g, peer)));
             }
             match delta.kind {
                 DeltaKind::Join(v) => {
@@ -1547,7 +1533,7 @@ impl GroupEngine {
     /// changed under the old builds, so none of them is replayed.
     fn full_resync(&mut self) {
         self.member_of.resize(self.store.len(), Vec::new());
-        self.relay_of.resize(self.store.len(), Vec::new());
+        self.support_of.resize(self.store.len(), Vec::new());
         self.live_peers = (0..self.store.len())
             .filter(|&i| !self.store.is_departed(PeerId(i as u64)))
             .collect();
@@ -1592,20 +1578,17 @@ impl GroupEngine {
     /// anew. The build is the same either way.
     fn rebuild_group(&mut self, gi: usize, dirty: Option<&[usize]>) {
         // Old and new build coexist while the graft pass replays: keep
-        // what it (and the relay index below) reads, drop the zones and
-        // the member rows before the replacement is allocated.
+        // what it (and the support index below) reads, drop the zones
+        // and the member rows before the replacement is allocated.
         let mut old = self.groups[gi].build.take();
         if let Some(gb) = &mut old {
             gb.build.zones = Zones::default();
             gb.certificate.member_rows = MemberRows::default();
         }
-        let old_relays = old.as_ref().map_or(&[][..], |gb| &gb.build.relays);
+        let old_support = old.as_ref().map_or(&[][..], |gb| &gb.support);
         let group = &mut self.groups[gi];
         let Some(root) = group.root else {
-            Self::reindex_relays(&mut self.relay_of, gi, old_relays, &[]);
-            if let Some(bounds) = &mut self.bounds {
-                bounds.clear(gi);
-            }
+            Self::reindex_support(&mut self.support_of, gi, old_support, &[]);
             self.plans.evict(gi);
             self.refresh_degraded(gi);
             return;
@@ -1629,10 +1612,9 @@ impl GroupEngine {
                     ),
             "group {gi}: the replayed build differs from its from-scratch rebuild"
         );
-        // Relays torn down by the rebuild leave the index, the ones it
-        // re-routed through enter it.
-        Self::reindex_relays(&mut self.relay_of, gi, old_relays, &build.build.relays);
-        self.index_support_bounds(gi, &build.support);
+        // Support nodes (relays among them) the rebuild no longer reads
+        // leave the index, the ones it re-routed through enter it.
+        Self::reindex_support(&mut self.support_of, gi, old_support, &build.support);
         let group = &mut self.groups[gi];
         group.build = Some(build);
         group.rebuilds += 1;
@@ -1646,10 +1628,10 @@ impl GroupEngine {
         self.refresh_degraded(gi);
     }
 
-    /// Moves group `gi` from the `relay_of` lists of `old` to those of
-    /// `new` (both sorted): one merge walk that touches only the peers
-    /// on one side.
-    fn reindex_relays(relay_of: &mut [Vec<u32>], gi: usize, old: &[usize], new: &[usize]) {
+    /// Moves group `gi` from the `support_of` lists of `old` to those
+    /// of `new` (both sorted): one merge walk that touches only the
+    /// peers on one side.
+    fn reindex_support(support_of: &mut [Vec<u32>], gi: usize, old: &[usize], new: &[usize]) {
         use std::cmp::Ordering;
         let (mut old, mut new) = (old.iter().peekable(), new.iter().peekable());
         loop {
@@ -1665,60 +1647,21 @@ impl GroupEngine {
                     new.next();
                 }
                 Ordering::Less => {
-                    let ids = &mut relay_of[*old.next().expect("peeked")];
+                    let ids = &mut support_of[*old.next().expect("peeked")];
                     ids.retain(|&x| x as usize != gi);
                     if ids.is_empty() {
-                        // Release the capacity too: most ex-relays (every
-                        // departed one) never relay again.
+                        // Release the capacity too: most ex-support
+                        // nodes (every departed one) never serve again.
                         *ids = Vec::new();
                     }
                 }
                 Ordering::Greater => {
-                    let ids = &mut relay_of[*new.next().expect("peeked")];
+                    let ids = &mut support_of[*new.next().expect("peeked")];
                     let pos = ids.partition_point(|&x| (x as usize) < gi);
                     ids.insert(pos, gi as u32);
                 }
             }
         }
-    }
-
-    /// Registers group `gi`'s support bounding box — covering every
-    /// peer whose adjacency row the graft discovery consulted — in the
-    /// lazily-created [`crate::bounds::GroupBoundsIndex`]. An empty
-    /// support set unregisters the group: no support peer can be dirtied.
-    fn index_support_bounds(&mut self, gi: usize, support: &[usize]) {
-        if support.is_empty() {
-            if let Some(bounds) = &mut self.bounds {
-                bounds.clear(gi);
-            }
-            return;
-        }
-        let peers = self.store.peers();
-        let dim = peers[support[0]].point().dim();
-        let mut lo = vec![f64::INFINITY; dim];
-        let mut hi = vec![f64::NEG_INFINITY; dim];
-        for &p in support {
-            for (d, &x) in peers[p].point().coords().iter().enumerate() {
-                lo[d] = lo[d].min(x);
-                hi[d] = hi[d].max(x);
-            }
-        }
-        self.bounds
-            .get_or_insert_with(|| {
-                // The grid domain is the population bounding box at
-                // first-index time; later out-of-domain points clamp
-                // onto border cells without affecting exactness.
-                let mut dlo = vec![f64::INFINITY; dim];
-                let mut dhi = vec![f64::NEG_INFINITY; dim];
-                for info in self.store.peers() {
-                    for (d, &x) in info.point().coords().iter().enumerate() {
-                        dlo[d] = dlo[d].min(x);
-                        dhi[d] = dhi[d].max(x);
-                    }
-                }
-                crate::bounds::GroupBoundsIndex::new(&dlo, &dhi)
-            })
-            .set(gi, lo, hi);
     }
 
     /// Recomputes one group's degraded flag against the current suspect
@@ -1772,14 +1715,15 @@ mod tests {
     }
 
     /// Every group's engine-maintained build — relay grafts included —
-    /// equals the from-scratch reference, and the relay index is the
-    /// reverse map of the groups' relay lists.
+    /// equals the from-scratch reference, and the support index is the
+    /// reverse map of the groups' support sets: every entry a true hit,
+    /// no hit missing, dormant groups contributing nothing.
     fn assert_exact(engine: &GroupEngine) {
-        let mut relay_of = vec![Vec::new(); engine.relay_of.len()];
+        let mut support_of = vec![Vec::new(); engine.support_of.len()];
         for gi in 0..engine.group_count() {
             let g = GroupId(gi as u32);
-            for &r in engine.relays(g) {
-                relay_of[r].push(g.0);
+            for &p in engine.group_build(g).map_or(&[][..], |gb| &gb.support) {
+                support_of[p].push(g.0);
             }
             match engine.root(g) {
                 Some(root) => {
@@ -1794,7 +1738,33 @@ mod tests {
                 None => assert!(engine.tree(g).is_none(), "dormant {g} has a tree"),
             }
         }
-        assert_eq!(engine.relay_of, relay_of);
+        assert_eq!(engine.support_of, support_of);
+    }
+
+    /// The merge walk that keeps `support_of`: peers on both sides are
+    /// left alone, old-only ones lose the group (and an emptied list its
+    /// capacity), new-only ones gain it in id order.
+    #[test]
+    fn reindex_support_moves_a_group_between_the_lists_of_two_supports() {
+        let mut support_of: Vec<Vec<u32>> = vec![Vec::new(); 6];
+        // Empty → non-empty, next to other groups' entries.
+        support_of[1] = vec![2, 9];
+        support_of[3] = vec![9];
+        GroupEngine::reindex_support(&mut support_of, 5, &[], &[1, 2, 3]);
+        assert_eq!(support_of[1], [2, 5, 9], "inserted in id order");
+        assert_eq!(support_of[2], [5]);
+        assert_eq!(support_of[3], [5, 9]);
+        // 2 is kept, 1 and 3 retire, 0 and 4 enter.
+        GroupEngine::reindex_support(&mut support_of, 5, &[1, 2, 3], &[0, 2, 4]);
+        let expected: [&[u32]; 6] = [&[5], &[2, 9], &[5], &[9], &[5], &[]];
+        assert_eq!(support_of, expected);
+        // Non-empty → empty: emptied lists release their allocation.
+        GroupEngine::reindex_support(&mut support_of, 5, &[0, 2, 4], &[]);
+        let expected: [&[u32]; 6] = [&[], &[2, 9], &[], &[9], &[], &[]];
+        assert_eq!(support_of, expected);
+        for p in [0, 2, 4] {
+            assert_eq!(support_of[p].capacity(), 0, "peer {p}");
+        }
     }
 
     /// Count-based regression (no clock): what a 20-member group's
@@ -1831,9 +1801,9 @@ mod tests {
             // A relay that departs releases its per-peer table entries.
             let g = GroupId(1);
             let relay = eng.relays(g)[0];
-            assert!(!eng.relay_of[relay].is_empty());
+            assert!(!eng.support_of[relay].is_empty());
             eng.leave(PeerId(relay as u64));
-            assert_eq!(eng.relay_of[relay].capacity(), 0);
+            assert_eq!(eng.support_of[relay].capacity(), 0);
             assert_eq!(eng.member_of[relay].capacity(), 0);
             assert!(eng.matches_reference(g));
         }
@@ -1848,8 +1818,12 @@ mod tests {
         }
         // Every peer is a member: the member-induced subgraph IS the
         // overlay, so the group tree equals the global §2 build.
-        let global =
-            crate::builder::build_tree_on_store(eng.store(), 0, &OrthantRectPartitioner::median());
+        let global = crate::builder::build_tree(
+            eng.store().peers(),
+            &eng.store().graph(),
+            0,
+            &OrthantRectPartitioner::median(),
+        );
         assert_eq!(eng.tree(g), Some(&global));
         assert_eq!(eng.coverage(g), 1.0);
         assert_eq!(eng.tree(g).unwrap().messages, 49);
@@ -2342,17 +2316,16 @@ mod tests {
         assert!(examined > 0, "some join must have touched the group");
     }
 
-    /// The satellite regression: the bbox-index affected-group lookup
-    /// ([`crate::bounds::GroupBoundsIndex`] + support confirmation)
-    /// examines exactly the groups the definitional scan over every
-    /// group's members ∪ support finds, across join and leave churn —
-    /// and rebuilds none outside them.
+    /// The affected-group lookup (`member_of` ∪ `support_of`) examines
+    /// exactly the groups the definitional scan over every group's
+    /// members ∪ support finds, across join and leave churn — and
+    /// rebuilds none outside them.
     #[test]
-    fn bbox_affected_groups_match_the_reference_scan() {
+    fn affected_groups_match_the_reference_scan() {
         let mut eng = engine(200, 49);
-        // Clustered groups (tight support boxes) plus a scattered group
-        // whose relay grafts spread support across the whole domain —
-        // the shape that exercises the oversize escape list.
+        // Clustered groups (support close to the members) plus a
+        // scattered group whose relay grafts spread support across the
+        // whole domain.
         let mut state = 11u64;
         eng.seed_groups_clustered(&[15, 10, 8], &mut state);
         let wide = eng.create_group(PeerId(2));
@@ -2750,6 +2723,46 @@ mod tests {
         assert!(!eng.is_degraded(g));
         assert!(!eng.relays(g).contains(&relay));
         assert_eq!(eng.coverage(g), 1.0, "repair must restore coverage");
+        assert_exact(&eng);
+    }
+
+    /// Suspects find their groups through `support_of`, which lists the
+    /// grafted members next to the relays that carry them: only a
+    /// support node that is a relay degrades the group.
+    #[test]
+    fn suspected_grafted_member_does_not_degrade_but_a_suspected_relay_does() {
+        // The diagonal chain plus a detour peer for the re-graft.
+        let mut eng = engine_at(&[
+            (0.0, 0.0),
+            (10.0, 10.0),
+            (20.0, 20.0),
+            (30.0, 30.0),
+            (40.0, 40.0),
+            (21.0, 19.0),
+        ]);
+        let g = eng.create_group(PeerId(0));
+        eng.subscribe(g, PeerId(4));
+        let gb = eng.group_build(g).unwrap();
+        assert!(gb.support.contains(&4) && !gb.build.relays.contains(&4));
+        eng.set_suspects([4usize]);
+        assert!(!eng.is_degraded(g), "a grafted member forwards for no one");
+        let relay = eng.relays(g)[1];
+        eng.set_suspects([4, relay]);
+        assert!(eng.is_degraded(g), "a suspected relay degrades the group");
+        // The relay's dead verdict lands while both are still suspected:
+        // the re-graft routes around it, and re-announcing the suspects
+        // finds it in no support set any more.
+        eng.store_mut().remove_if_present(PeerId(relay as u64));
+        eng.sync();
+        assert!(!eng.is_degraded(g));
+        assert!(eng.support_of[relay].is_empty());
+        eng.set_suspects([4, relay]);
+        assert!(!eng.is_degraded(g));
+        // The member's dead verdict: crash-stop unsubscribes it.
+        eng.store_mut().remove_if_present(PeerId(4));
+        eng.sync();
+        eng.set_suspects([4usize]);
+        assert!(!eng.is_degraded(g));
         assert_exact(&eng);
     }
 

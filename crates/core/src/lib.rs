@@ -59,7 +59,6 @@ mod tree;
 pub mod aggregate;
 pub mod baseline;
 mod bits;
-pub mod bounds;
 pub mod dataplane;
 pub mod detect;
 pub mod graft;
@@ -71,8 +70,6 @@ pub mod session;
 pub mod stability;
 pub mod validate;
 
-pub use builder::{
-    build_in_zone, build_in_zone_on_store, build_tree, build_tree_on_store, BuildResult, Zones,
-};
+pub use builder::{build_in_zone, build_tree, BuildResult, Zones};
 pub use partition::{OrthantRectPartitioner, PickRule, ZonePartitioner};
 pub use tree::{MulticastTree, TreeError};

@@ -28,9 +28,9 @@ use std::error::Error;
 use std::fmt;
 
 use geocast_geom::Rect;
-use geocast_overlay::{OverlayGraph, PeerId, PeerInfo, TopologyStore};
+use geocast_overlay::{OverlayGraph, PeerInfo};
 
-use crate::builder::{build_in_zone, build_in_zone_on_store, BuildResult, Zones};
+use crate::builder::{build_in_zone, BuildResult, Zones};
 use crate::partition::ZonePartitioner;
 use crate::tree::MulticastTree;
 
@@ -154,44 +154,9 @@ pub fn repair_after_departure(
     Ok(merge_repair(peers.len(), build, &sub, departed, parent))
 }
 
-/// [`repair_after_departure`] over a [`TopologyStore`] that has already
-/// absorbed the departure ([`TopologyStore::remove`]): the store's
-/// incrementally re-converged adjacency **is** the survivor overlay, so
-/// no survivor equilibrium is rebuilt and no graph is materialized —
-/// repair cost stays proportional to the orphaned zone even while the
-/// membership churns.
-///
-/// # Errors
-///
-/// [`RepairError::RootDeparted`] if `departed` is the session root,
-/// [`RepairError::NotInTree`] if it was never reached.
-///
-/// # Panics
-///
-/// Panics if sizes disagree, `departed` is out of range, or the store
-/// does not mark `departed` as departed.
-pub fn repair_after_departure_on_store(
-    store: &TopologyStore,
-    build: &BuildResult,
-    departed: usize,
-    partitioner: &dyn ZonePartitioner,
-) -> Result<RepairResult, RepairError> {
-    assert_eq!(store.len(), build.tree.len(), "peer/tree size mismatch");
-    assert!(departed < store.len(), "departed peer out of range");
-    assert!(
-        store.is_departed(PeerId(departed as u64)),
-        "store must have absorbed the departure first"
-    );
-
-    let (parent, orphan_zone) = orphan_seed(build, departed)?;
-
-    let sub = build_in_zone_on_store(store, parent, orphan_zone, partitioner);
-    Ok(merge_repair(store.len(), build, &sub, departed, parent))
-}
-
-/// Shared precondition prologue of both repair paths: the departed peer
-/// must be a reached non-root; hands back its tree parent and the
-/// orphaned responsibility zone to reseed.
+/// The precondition of a repair: the departed peer must be a reached
+/// non-root; hands back its tree parent and the orphaned responsibility
+/// zone to reseed.
 fn orphan_seed(build: &BuildResult, departed: usize) -> Result<(usize, Rect), RepairError> {
     if !build.tree.is_reached(departed) {
         return Err(RepairError::NotInTree { peer: departed });
@@ -248,7 +213,7 @@ fn merge_repair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_tree, build_tree_on_store};
+    use crate::builder::build_tree;
     use crate::partition::OrthantRectPartitioner;
     use geocast_geom::gen::uniform_points;
     use geocast_overlay::oracle;
@@ -397,81 +362,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn store_backed_repair_matches_graph_backed_repair() {
-        use std::sync::Arc;
-        let points = uniform_points(70, 2, 1000.0, 23);
-        let mut store = geocast_overlay::TopologyStore::new(Arc::new(EmptyRectSelection));
-        for p in points.into_points() {
-            store.insert(p);
-        }
-        let build = build_tree_on_store(&store, 0, &OrthantRectPartitioner::median());
-        let departed = (1..store.len())
-            .find(|&i| !build.tree.children(i).is_empty())
-            .expect("internal node exists");
-        // Absorb the departure incrementally; the store adjacency is now
-        // the survivor equilibrium.
-        store.remove(geocast_overlay::PeerId(departed as u64));
-        let via_store = repair_after_departure_on_store(
-            &store,
-            &build,
-            departed,
-            &OrthantRectPartitioner::median(),
-        )
-        .expect("repair succeeds");
-        // Reference: the classic path over the survivor overlay graph.
-        let via_graph = repair_after_departure(
-            store.peers(),
-            &store.graph(),
-            &build,
-            departed,
-            &OrthantRectPartitioner::median(),
-        )
-        .expect("repair succeeds");
-        assert_eq!(via_store, via_graph);
-        for i in 0..store.len() {
-            if i != departed {
-                assert!(via_store.tree.is_reached(i), "live peer {i} lost");
-            }
-        }
-    }
-
-    #[test]
-    fn store_backed_repair_survives_sequential_churn() {
-        use std::sync::Arc;
-        let points = uniform_points(50, 2, 1000.0, 27);
-        let mut store = geocast_overlay::TopologyStore::new(Arc::new(EmptyRectSelection));
-        for p in points.into_points() {
-            store.insert(p);
-        }
-        let mut build = build_tree_on_store(&store, 0, &OrthantRectPartitioner::median());
-        for victim in [9usize, 31, 44] {
-            if build.tree.parent(victim).is_none() {
-                continue;
-            }
-            store.remove(geocast_overlay::PeerId(victim as u64));
-            let repaired = repair_after_departure_on_store(
-                &store,
-                &build,
-                victim,
-                &OrthantRectPartitioner::median(),
-            )
-            .expect("repair succeeds");
-            for i in 0..store.len() {
-                if !store.is_departed(geocast_overlay::PeerId(i as u64)) {
-                    assert!(repaired.tree.is_reached(i), "live {i} lost after {victim}");
-                }
-            }
-            build = BuildResult {
-                tree: repaired.tree,
-                zones: repaired.zones,
-                messages: build.messages + repaired.repair_messages,
-                stranded: Vec::new(),
-                relays: Vec::new(),
-            };
         }
     }
 

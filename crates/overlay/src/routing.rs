@@ -20,15 +20,15 @@
 //! result reports where, and region multicast
 //! (`geocast_core`'s `region` module) handles that case explicitly.
 //!
-//! Every entry point exists in two flavours: over a materialized
-//! [`OverlayGraph`] (the oracle/figure path) and over a live
-//! [`TopologyStore`] (`*_on_store` — the churn-engine path, reading the
-//! store's incrementally-maintained forward + reverse adjacency without
-//! building a closure). The group layer's relay grafting
-//! (`geocast_core::graft`) routes join requests over the store
-//! variants, hop by hop through [`greedy_step_on_store`] — the one
-//! decision every walk here iterates, and the one the group engine's
-//! repair certificate re-checks when a walked peer's row changes.
+//! The routes run over a materialized [`OverlayGraph`] (the
+//! oracle/figure path). Over a live [`TopologyStore`] — the churn-engine
+//! path, reading the store's incrementally-maintained forward + reverse
+//! adjacency without building a closure — there is what the group
+//! layer's relay grafting (`geocast_core::graft`) uses: the single hop
+//! [`greedy_step_on_store`], the one decision every walk here iterates
+//! and the one the group engine's repair certificate re-checks when a
+//! walked peer's row changes, and the region route
+//! [`greedy_route_to_rect_on_store`] of its fallback tier.
 
 use geocast_geom::{Metric, MetricKind, Point, Rect};
 
@@ -140,11 +140,14 @@ fn greedy_step(
 /// store's undirected row of `from` (read into `nbuf`): the neighbour
 /// strictly closer to `target` than `from` under `metric`, nearest
 /// first, ties broken by peer index; `None` when `from` is a local
-/// minimum. [`greedy_route_on_store`] is exactly this step iterated, so
-/// a caller that walks hop by hop (relay grafting, which stops at the
-/// first on-tree node) or re-checks one recorded hop against a changed
-/// row (the group engine's repair certificate) decides what the full
-/// route would have decided.
+/// minimum. [`greedy_route`] over the store's graph is exactly this step
+/// iterated, so a caller that walks hop by hop (relay grafting, which
+/// stops at the first on-tree node) or re-checks one recorded hop
+/// against a changed row (the group engine's repair certificate) decides
+/// what the full route would have decided. Undirected rows come straight
+/// from the store's forward + reverse tables, so no closure is
+/// materialized and departed peers are unreachable by construction (they
+/// appear in no row).
 ///
 /// # Panics
 ///
@@ -231,74 +234,24 @@ pub fn greedy_route(
         target.dim(),
         "target dimensionality mismatch"
     );
-    let adj = graph.undirected_closure();
-    greedy_point_walk(
-        peers,
-        |i, buf| {
-            buf.clear();
-            buf.extend_from_slice(adj.out_neighbors(i));
-        },
-        from,
-        target,
-        metric,
-        max_hops,
-    )
-}
-
-/// [`greedy_route`] over a [`TopologyStore`]'s incrementally-maintained
-/// adjacency: undirected rows come straight from the store's forward +
-/// reverse tables, so no closure is materialized and departed peers are
-/// unreachable by construction (they appear in no row).
-///
-/// # Panics
-///
-/// Panics if `from` is out of range or departed, or the target's
-/// dimensionality differs.
-#[must_use]
-pub fn greedy_route_on_store(
-    store: &TopologyStore,
-    from: usize,
-    target: &Point,
-    metric: MetricKind,
-    max_hops: usize,
-) -> RouteResult {
-    assert!(from < store.len(), "source out of range");
-    assert!(
-        !store.is_departed(PeerId(from as u64)),
-        "source has departed"
-    );
-    assert_eq!(
-        store.peers()[from].point().dim(),
-        target.dim(),
-        "target dimensionality mismatch"
-    );
-    greedy_point_walk(
-        store.peers(),
-        |i, buf| store.undirected_neighbors_into(i, buf),
-        from,
-        target,
-        metric,
-        max_hops,
-    )
-}
-
-/// The point-target instantiation of the shared walk. A peer has
-/// arrived when its score — distance to the target — is zero, so the
-/// source-at-target edge case is a zero-hop delivery on every path
-/// through this function, `max_hops` included.
-fn greedy_point_walk(
-    peers: &[PeerInfo],
-    neighbors_into: impl FnMut(usize, &mut Vec<usize>),
-    from: usize,
-    target: &Point,
-    metric: MetricKind,
-    max_hops: usize,
-) -> RouteResult {
+    // A peer has arrived when its score — distance to the target — is
+    // zero, so the source-at-target edge case is a zero-hop delivery,
+    // `max_hops` included.
     let score = |i: usize| metric.dist(peers[i].point(), target);
     if score(from) == 0.0 {
         return RouteResult::new(vec![from], true, false);
     }
-    greedy_walk(neighbors_into, |i| score(i) == 0.0, score, from, max_hops)
+    let adj = graph.undirected_closure();
+    greedy_walk(
+        |i, buf| {
+            buf.clear();
+            buf.extend_from_slice(adj.out_neighbors(i));
+        },
+        |i| score(i) == 0.0,
+        score,
+        from,
+        max_hops,
+    )
 }
 
 /// Routes greedily from `from` towards a **region**, minimising at each
@@ -345,7 +298,7 @@ pub fn greedy_route_to_rect(
 }
 
 /// [`greedy_route_to_rect`] over a [`TopologyStore`] (see
-/// [`greedy_route_on_store`] for the adjacency semantics).
+/// [`greedy_step_on_store`] for the adjacency semantics).
 ///
 /// # Panics
 ///
@@ -437,30 +390,6 @@ pub fn route_to_peer(
     // n hops always suffice when every hop strictly progresses through
     // distinct peers.
     greedy_route(peers, graph, from, peers[to].point(), metric, peers.len())
-}
-
-/// [`route_to_peer`] over a [`TopologyStore`]. Departed peers are
-/// rejected at both ends: a departed source has no edges to route over,
-/// and a departed target is unreachable yet its stale coordinates could
-/// otherwise claim a bogus zero-hop "delivery" when `from == to` — the
-/// audited edge case this assert closes.
-///
-/// # Panics
-///
-/// Panics if either endpoint is out of range or departed.
-#[must_use]
-pub fn route_to_peer_on_store(
-    store: &TopologyStore,
-    from: usize,
-    to: usize,
-    metric: MetricKind,
-) -> RouteResult {
-    assert!(to < store.len(), "destination out of range");
-    assert!(
-        !store.is_departed(PeerId(to as u64)),
-        "destination has departed"
-    );
-    greedy_route_on_store(store, from, store.peers()[to].point(), metric, store.len())
 }
 
 #[cfg(test)]
@@ -707,29 +636,26 @@ mod tests {
         )
     }
 
+    /// [`greedy_step_on_store`] iterated from `from` to a local minimum.
+    fn step_path(store: &TopologyStore, from: usize, target: &Point) -> Vec<usize> {
+        let mut nbuf = Vec::new();
+        let mut path = vec![from];
+        while let Some(next) = greedy_step_on_store(
+            store,
+            path[path.len() - 1],
+            target,
+            MetricKind::L1,
+            &mut nbuf,
+        ) {
+            path.push(next);
+        }
+        path
+    }
+
     #[test]
     fn store_routes_match_graph_routes() {
         let store = store_setup(70, 2, 27);
         let graph = store.graph();
-        for to in [1usize, 23, 69] {
-            assert_eq!(
-                route_to_peer_on_store(&store, 0, to, MetricKind::L1),
-                route_to_peer(store.peers(), &graph, 0, to, MetricKind::L1),
-                "0 -> {to}"
-            );
-        }
-        let target = Point::new(vec![400.0, 600.0]).unwrap();
-        assert_eq!(
-            greedy_route_on_store(&store, 5, &target, MetricKind::L1, store.len()),
-            greedy_route(
-                store.peers(),
-                &graph,
-                5,
-                &target,
-                MetricKind::L1,
-                store.len()
-            ),
-        );
         use geocast_geom::Interval;
         let region = Rect::new(vec![
             Interval::new(100.0, 300.0),
@@ -752,21 +678,25 @@ mod tests {
     #[test]
     fn single_steps_iterate_to_the_full_route() {
         let store = store_setup(70, 2, 27);
-        let mut nbuf = Vec::new();
-        for to in [1usize, 23, 69] {
-            let target = store.peers()[to].point();
-            let mut path = vec![0usize];
-            while let Some(next) = greedy_step_on_store(
-                &store,
-                path[path.len() - 1],
+        let graph = store.graph();
+        let mut cases: Vec<(usize, Point)> = [1usize, 23, 69]
+            .map(|to| (0, store.peers()[to].point().clone()))
+            .into();
+        cases.push((5, Point::new(vec![400.0, 600.0]).unwrap()));
+        for &(from, ref target) in &cases {
+            let route = greedy_route(
+                store.peers(),
+                &graph,
+                from,
                 target,
                 MetricKind::L1,
-                &mut nbuf,
-            ) {
-                path.push(next);
-            }
-            let route = route_to_peer_on_store(&store, 0, to, MetricKind::L1);
-            assert_eq!(path, route.path(), "0 -> {to}");
+                store.len(),
+            );
+            assert_eq!(
+                step_path(&store, from, target),
+                route.path(),
+                "{from} -> {target:?}"
+            );
         }
     }
 
@@ -776,13 +706,24 @@ mod tests {
         for gone in [11u64, 37, 53] {
             store.remove(PeerId(gone));
         }
+        let graph = store.graph();
         for to in 0..store.len() {
             if store.is_departed(PeerId(to as u64)) {
                 continue;
             }
-            let route = route_to_peer_on_store(&store, 0, to, MetricKind::L1);
-            assert!(route.delivered(), "0 -> {to}");
-            for &hop in route.path() {
+            let target = store.peers()[to].point();
+            let path = step_path(&store, 0, target);
+            assert_eq!(path.last(), Some(&to), "0 -> {to} must deliver");
+            let route = greedy_route(
+                store.peers(),
+                &graph,
+                0,
+                target,
+                MetricKind::L1,
+                store.len(),
+            );
+            assert_eq!(path, route.path(), "0 -> {to}");
+            for &hop in &path {
                 assert!(
                     !store.is_departed(PeerId(hop as u64)),
                     "route passed through departed {hop}"
@@ -792,30 +733,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "destination has departed")]
-    fn routing_to_a_departed_target_is_rejected() {
-        let mut store = store_setup(20, 2, 31);
-        store.remove(PeerId(6));
-        let _ = route_to_peer_on_store(&store, 0, 6, MetricKind::L1);
-    }
-
-    #[test]
-    #[should_panic(expected = "destination has departed")]
-    fn departed_self_target_cannot_claim_delivery() {
-        // Before the audit, routing from a departed peer to itself
-        // reported a zero-hop "delivery" to a peer that no longer
-        // exists; both endpoint asserts now fire first.
-        let mut store = store_setup(20, 2, 33);
-        store.remove(PeerId(4));
-        let _ = route_to_peer_on_store(&store, 4, 4, MetricKind::L1);
-    }
-
-    #[test]
     #[should_panic(expected = "source has departed")]
     fn routing_from_a_departed_source_is_rejected() {
         let mut store = store_setup(20, 2, 35);
         store.remove(PeerId(3));
-        let target = Point::new(vec![1.0, 2.0]).unwrap();
-        let _ = greedy_route_on_store(&store, 3, &target, MetricKind::L1, 10);
+        let region = Rect::full(2);
+        let _ = greedy_route_to_rect_on_store(&store, 3, &region, MetricKind::L1, 10);
     }
 }

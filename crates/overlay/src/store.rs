@@ -361,14 +361,6 @@ impl TopologyStore {
         }
     }
 
-    /// The undirected closure row of peer `i` as a fresh vector.
-    #[must_use]
-    pub fn undirected_neighbors(&self, i: usize) -> Vec<usize> {
-        let mut buf = Vec::with_capacity(self.out[i].len() + self.rev[i].len());
-        self.undirected_neighbors_into(i, &mut buf);
-        buf
-    }
-
     /// The current equilibrium topology as a CSR graph (departed peers
     /// keep their vertex, edge-less).
     #[must_use]
@@ -781,12 +773,10 @@ mod tests {
         }
         store.remove(PeerId(9));
         let closure = store.graph().undirected_closure();
+        let mut row = Vec::new();
         for i in 0..store.len() {
-            assert_eq!(
-                store.undirected_neighbors(i),
-                closure.out_neighbors(i).to_vec(),
-                "row {i}"
-            );
+            store.undirected_neighbors_into(i, &mut row);
+            assert_eq!(row, closure.out_neighbors(i), "row {i}");
         }
     }
 
