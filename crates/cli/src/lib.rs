@@ -1034,6 +1034,10 @@ fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
         totals.graft_walks_replayed, totals.graft_walks_recomputed
     ));
     out.push_str(&format!(
+        "  zone splits         : {} replayed from the previous build / {} partitioned\n",
+        totals.zone_splits_replayed, totals.zone_splits_recomputed
+    ));
+    out.push_str(&format!(
         "  memberships after   : {memberships} across {num_groups} groups\n"
     ));
     out.push_str(&format!(
@@ -1738,6 +1742,7 @@ mod tests {
         assert!(out.contains("all == rebuild      : true"), "{out}");
         assert!(out.contains("affected groups"), "{out}");
         assert!(out.contains("graft walks         : "), "{out}");
+        assert!(out.contains("zone splits         : "), "{out}");
     }
 
     #[test]
@@ -1901,6 +1906,8 @@ mod tests {
         let inv = parse_args(&args(&["figures", "--panel", "groups"])).unwrap();
         let out = run(&inv).unwrap();
         assert!(out.contains("## groups"), "{out}");
+        assert!(out.contains("walks replayed"), "{out}");
+        assert!(out.contains("splits replayed"), "{out}");
         assert!(
             !out.contains("false"),
             "a group diverged from rebuild: {out}"

@@ -151,59 +151,334 @@ pub fn build_in_zone(
         start,
         zone,
         partitioner,
+        None,
     );
     result.stranded = result.tree.unreached();
     result
+}
+
+/// What an earlier run of the construction from the same start recorded,
+/// and where its inputs have changed since — handed to
+/// [`build_in_zone_generic`], which then re-runs only what the change
+/// reaches (see there).
+pub(crate) struct ZoneRecord<'a> {
+    /// The earlier tree. Every peer of `zones` is on it under the parent
+    /// the construction gave it; nodes without a zone (relay grafts
+    /// attached since) are ignored.
+    pub tree: &'a MulticastTree,
+    /// The earlier zones. The ones that still stand move into the new
+    /// table.
+    pub zones: Zones,
+    /// The peers of `zones` — no others — whose neighbour row no longer
+    /// reads as it did when the earlier run partitioned their zone.
+    /// Every other peer of `zones` still has the row it had.
+    pub suspects: &'a [usize],
 }
 
 /// The shared §2 work-queue over any undirected-neighbour source:
 /// `neighbors_into(i, buf)` fills `buf` with peer `i`'s overlay link
 /// partners (sorted or not — zone filtering does not care). Crate-wide
 /// machinery: the full-space build, zone repair and the group layer
-/// (`crate::groups`, member-filtered neighbour sources) all run on it.
+/// (`crate::member_tree`, member-filtered neighbour sources) all run on
+/// it.
 ///
 /// Time and memory are proportional to the peers *reached* (and their
 /// adjacency rows), not to `peers.len()`: a 20-member group build over
 /// a 20 000-peer overlay touches 20 peers' worth of state. For the same
 /// reason `stranded` is left **empty** — whom the build was meant to
 /// reach (everyone, or a member set) is the caller's knowledge.
+///
+/// # Replaying a record
+///
+/// What a peer delegates to whom is a function of the peer, its zone and
+/// its row, nothing else. Given a [`ZoneRecord`] of the same start and
+/// start zone, the queue therefore holds only peers whose delegation may
+/// differ, and `neighbors_into` is called for exactly the peers whose
+/// zone is partitioned anew. By induction from the start, every popped
+/// peer holds its final zone:
+///
+/// * A popped peer with its recorded zone that is no suspect delegates
+///   what it delegated. Each recorded child keeps its link and zone; a
+///   child with no suspect in its recorded subtree keeps the whole
+///   subtree (every peer in it has its recorded zone and row, so the
+///   argument repeats down to the leaves), any other child is queued
+///   with its recorded zone.
+/// * Any other popped peer — a suspect, a peer with a new zone, a peer
+///   the record does not know — is partitioned anew. A child that was
+///   its child before, with an equal zone, is *in place* and treated as
+///   above. Every other child gets a fresh link and zone and is queued
+///   to be partitioned itself; if the record has it elsewhere, that
+///   entry is dropped. A recorded child that is not in place is an
+///   orphan: zones of final peers are disjoint and every peer lies
+///   inside its own, so a peer has one delegator — another peer
+///   delegates to the orphan (and partitions it anew, keeping its
+///   recorded children that are in place), or nobody reaches it.
+///
+/// When the queue is empty the orphans nobody reached are dropped with
+/// their recorded subtrees (down to peers that were reached again),
+/// and the result is one merge of the recorded entries that stand with
+/// the fresh ones — equal to what the queue returns without a record.
 pub(crate) fn build_in_zone_generic(
     peers: &[PeerInfo],
     mut neighbors_into: impl FnMut(usize, &mut Vec<usize>),
     start: usize,
     zone: Rect,
     partitioner: &dyn ZonePartitioner,
+    record: Option<ZoneRecord>,
 ) -> BuildResult {
+    // Another start or start zone: the record says nothing about this run.
+    let mut replay = record
+        .filter(|r| r.tree.root() == start && r.zones.get(start) == Some(&zone))
+        .map(Replay::new);
+    // A zone index below `known` is a recorded zone, any other a fresh one.
+    let known = replay.as_ref().map_or(0, |r| r.zones.len());
     let mut links: Vec<(usize, usize)> = Vec::new();
-    let mut zones: Vec<(usize, Rect)> = vec![(start, zone.clone())];
-
-    let mut queue: VecDeque<(usize, Rect)> = VecDeque::new();
-    queue.push_back((start, zone));
+    let mut fresh: Vec<(usize, Rect)> = Vec::new();
+    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
+    match &replay {
+        Some(r) => queue.push_back((start, r.zone_of[r.slot(start)] as usize)),
+        None => {
+            fresh.push((start, zone));
+            queue.push_back((start, 0));
+        }
+    }
     let mut nbuf: Vec<usize> = Vec::new();
+    let mut in_zone: Vec<&PeerInfo> = Vec::new();
 
-    while let Some((p, zone)) = queue.pop_front() {
+    while let Some((p, at)) = queue.pop_front() {
+        let slot = replay.as_ref().and_then(|r| r.tree.slot(p));
+        if let (Some(r), Some(slot)) = (&replay, slot) {
+            if at < known && r.flags[at] & SUSPECT == 0 {
+                let marked = r.children(slot).filter(|c| r.flags[c.at] & MARKED != 0);
+                queue.extend(marked.map(|c| (c.peer, c.at)));
+                continue;
+            }
+        }
         neighbors_into(p, &mut nbuf);
-        let in_zone: Vec<&PeerInfo> = nbuf
-            .iter()
-            .map(|&q| &peers[q])
-            .filter(|q| zone.contains(q.point()))
-            .collect();
-        for (child_ci, child_zone) in partitioner.partition(&peers[p], &zone, &in_zone) {
+        let zone = match &replay {
+            Some(r) if at < known => &r.zones[at].1,
+            _ => &fresh[at - known].1,
+        };
+        in_zone.clear();
+        in_zone.extend(
+            nbuf.iter()
+                .map(|&q| &peers[q])
+                .filter(|q| zone.contains(q.point())),
+        );
+        for (child_ci, child_zone) in partitioner.partition(&peers[p], zone, &in_zone) {
             let child = in_zone[child_ci].id().index();
+            if let Some(r) = &mut replay {
+                if let Some(at) = r.hold(child, slot, &child_zone) {
+                    if r.flags[at] & MARKED != 0 {
+                        queue.push_back((child, at));
+                    }
+                    continue;
+                }
+            }
             // Sub-zones of disjoint zones are disjoint, so a child is
             // reached once: one link, one message.
             links.push((child, p));
-            zones.push((child, child_zone.clone()));
-            queue.push_back((child, child_zone));
+            queue.push_back((child, known + fresh.len()));
+            fresh.push((child, child_zone));
+        }
+        if let (Some(r), Some(slot)) = (&mut replay, slot) {
+            r.orphan_children_not_held(slot);
         }
     }
 
+    let (tree, zones) = match replay {
+        Some(r) => r.merge(peers.len(), links, fresh),
+        None => (
+            MulticastTree::from_links(start, peers.len(), links),
+            Zones::from_unsorted(fresh),
+        ),
+    };
     BuildResult {
-        messages: links.len(),
-        tree: MulticastTree::from_links(start, peers.len(), links),
+        messages: tree.reached_count() - 1,
+        tree,
         stranded: Vec::new(),
-        zones: Zones::from_unsorted(zones),
+        zones,
         relays: Vec::new(),
+    }
+}
+
+/// The recorded peer's row differs: its zone is partitioned anew.
+const SUSPECT: u8 = 1;
+/// A suspect, or a recorded ancestor of one: the queue descends here.
+const MARKED: u8 = 2;
+/// The recorded link and zone no longer stand.
+const DROPPED: u8 = 4;
+/// Delegated to again by its recorded parent, with its recorded zone.
+const HELD: u8 = 8;
+/// No recorded zone: a node grafted onto the recorded tree.
+const NO_ZONE: u32 = u32::MAX;
+
+/// A [`ZoneRecord`] while the construction replays it.
+struct Replay<'a> {
+    tree: &'a MulticastTree,
+    /// The recorded zones, ascending by peer; `flags` is parallel.
+    zones: Vec<(usize, Rect)>,
+    flags: Vec<u8>,
+    /// Slot of the recorded tree → index into `zones`, or [`NO_ZONE`].
+    zone_of: Vec<u32>,
+    /// Recorded peers their recorded parent no longer delegates to.
+    orphans: Vec<RecordedPeer>,
+}
+
+/// A peer of the record: where its node and its zone are.
+#[derive(Clone, Copy)]
+struct RecordedPeer {
+    peer: usize,
+    /// Its slot of the recorded tree.
+    slot: usize,
+    /// Its index into the recorded zones.
+    at: usize,
+}
+
+/// The children of the node at `slot` of `tree` that hold a zone.
+fn recorded_children<'t>(
+    tree: &'t MulticastTree,
+    zone_of: &'t [u32],
+    slot: usize,
+) -> impl Iterator<Item = RecordedPeer> + 't {
+    tree.children_of(slot).iter().filter_map(move |&peer| {
+        let slot = tree.slot(peer).expect("children are on the tree");
+        let at = zone_of[slot];
+        (at != NO_ZONE).then_some(RecordedPeer {
+            peer,
+            slot,
+            at: at as usize,
+        })
+    })
+}
+
+impl<'a> Replay<'a> {
+    fn new(record: ZoneRecord<'a>) -> Self {
+        let ZoneRecord {
+            tree,
+            zones: Zones { entries: zones },
+            suspects,
+        } = record;
+        assert!(u32::try_from(zones.len()).is_ok(), "zone indices are u32");
+        // Zones and tree slots both ascend by peer: one merge walk.
+        let mut zone_of = vec![NO_ZONE; tree.reached_count()];
+        let mut slot = 0;
+        for (at, &(peer, _)) in zones.iter().enumerate() {
+            while tree.reached()[slot] < peer {
+                slot += 1;
+            }
+            assert_eq!(tree.reached()[slot], peer, "a zone's holder is on the tree");
+            zone_of[slot] = at as u32;
+        }
+        let mut replay = Replay {
+            tree,
+            flags: vec![0; zones.len()],
+            zones,
+            zone_of,
+            orphans: Vec::new(),
+        };
+        for &s in suspects {
+            let mut slot = replay.slot(s);
+            let mut at = replay.zone_of[slot] as usize;
+            replay.flags[at] |= SUSPECT;
+            // Mark up to the first ancestor an earlier suspect marked.
+            while replay.flags[at] & MARKED == 0 {
+                replay.flags[at] |= MARKED;
+                let Some(up) = tree.parent_slot(slot) else {
+                    break;
+                };
+                slot = up;
+                at = replay.zone_of[up] as usize;
+            }
+        }
+        replay
+    }
+
+    /// The slot of a peer that is on the recorded tree.
+    fn slot(&self, peer: usize) -> usize {
+        self.tree.slot(peer).expect("a recorded peer")
+    }
+
+    /// The recorded children of the peer at `slot` that hold a zone.
+    fn children(&self, slot: usize) -> impl Iterator<Item = RecordedPeer> + '_ {
+        recorded_children(self.tree, &self.zone_of, slot)
+    }
+
+    /// Decides whether `child`, just delegated `zone` by the peer at
+    /// slot `parent` of the recorded tree (`None`: not on it), is in
+    /// place. If so its recorded entry stands, and its zone index is
+    /// returned; if not, its recorded entry (if any) is dropped.
+    fn hold(&mut self, child: usize, parent: Option<usize>, zone: &Rect) -> Option<usize> {
+        let slot = self.tree.slot(child)?;
+        let at = self.zone_of[slot];
+        if at == NO_ZONE {
+            return None;
+        }
+        let at = at as usize;
+        let in_place = self.tree.parent_slot(slot) == parent && self.zones[at].1 == *zone;
+        self.flags[at] |= if in_place { HELD } else { DROPPED };
+        in_place.then_some(at)
+    }
+
+    /// Notes the recorded children of the peer at `slot` that its new
+    /// partition did not [`Replay::hold`]: unless they are delegated to
+    /// from elsewhere before the queue runs dry, nobody reaches them.
+    fn orphan_children_not_held(&mut self, slot: usize) {
+        let let_go = |c: &RecordedPeer| self.flags[c.at] & (DROPPED | HELD) == 0;
+        self.orphans
+            .extend(recorded_children(self.tree, &self.zone_of, slot).filter(let_go));
+    }
+
+    /// Drops the recorded subtree of every orphan the finished queue
+    /// did not reach. A peer dropped earlier was delegated to from
+    /// elsewhere and has decided about its recorded children itself.
+    fn drop_unreached_orphans(&mut self) {
+        while let Some(top) = self.orphans.pop() {
+            if self.flags[top.at] & DROPPED == 0 {
+                self.flags[top.at] |= DROPPED;
+                self.orphans
+                    .extend(recorded_children(self.tree, &self.zone_of, top.slot));
+            }
+        }
+    }
+
+    /// The new tree and zones: the recorded entries that stand, merged
+    /// with the fresh ones.
+    fn merge(
+        mut self,
+        len: usize,
+        links: Vec<(usize, usize)>,
+        mut fresh: Vec<(usize, Rect)>,
+    ) -> (MulticastTree, Zones) {
+        self.drop_unreached_orphans();
+        let Replay {
+            tree,
+            zones,
+            flags,
+            zone_of,
+            ..
+        } = self;
+        let stands = |at: u32| at != NO_ZONE && flags[at as usize] & DROPPED == 0;
+        let tree = tree.patched(len, |slot| stands(zone_of[slot]), links);
+        fresh.sort_unstable_by_key(|&(i, _)| i);
+        let mut fresh = fresh.into_iter().peekable();
+        let mut entries = Vec::with_capacity(tree.reached_count());
+        for ((peer, zone), flags) in zones.into_iter().zip(&flags) {
+            if flags & DROPPED != 0 {
+                continue;
+            }
+            entries.extend(std::iter::from_fn(|| fresh.next_if(|f| f.0 < peer)));
+            entries.push((peer, zone));
+        }
+        entries.extend(fresh);
+        debug_assert!(
+            entries
+                .iter()
+                .map(|e| e.0)
+                .eq(tree.reached().iter().copied()),
+            "zones and tree disagree on who was reached"
+        );
+        (tree, Zones { entries })
     }
 }
 

@@ -42,11 +42,17 @@
 //!   clause, a graft that used the region or flood tier, a membership
 //!   operation) goes through the one rebuild path, tearing down and
 //!   re-routing relays whose underlying peers churned — and that
-//!   rebuild's graft pass replays the decisions the replaced build
-//!   recorded ([`crate::graft`]), so it searches and walks only where
-//!   the change reaches; [`EngineTotals::graft_walks_replayed`] counts
-//!   it. Consumers that fall behind the log's retention window resync
-//!   from the full store state, replaying nothing.
+//!   rebuild replays the decisions the replaced build recorded, so it
+//!   costs what the change reaches, not the group: the §2 construction
+//!   re-partitions only below the delegations whose inputs differ and
+//!   moves every other link, zone and row over from the old build
+//!   (`crate::member_tree`;
+//!   [`EngineTotals::zone_splits_replayed`] counts it), and the graft
+//!   pass searches and walks only where its on-tree set or a support
+//!   row changed ([`crate::graft`];
+//!   [`EngineTotals::graft_walks_replayed`]). Consumers that fall
+//!   behind the log's retention window resync from the full store
+//!   state, replaying nothing.
 //! * **A batched, plan-cached data plane.** Publishing is decoupled
 //!   from tree walking ([`crate::dataplane`]): each group's delivery
 //!   edges are flattened once into a [`DeliveryPlan`] cached against
@@ -95,18 +101,18 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use geocast_geom::{MetricKind, Point, Rect};
+use geocast_geom::{MetricKind, Point};
 use geocast_overlay::delta::DeltaKind;
 use geocast_overlay::routing::greedy_step_on_store;
 use geocast_overlay::{CursorCatchUp, DeltaCursor, PeerId, TopologyStore};
 use geocast_sim::workload::{GroupOp, MembershipPlacement};
 
-use crate::bits::PeerBits;
-use crate::builder::{build_in_zone_generic, BuildResult, Zones};
+use crate::builder::BuildResult;
 use crate::dataplane::{
     eager_lazy_deliver, DeliveryPlan, EpidemicReport, PlanCache, PlanStats, PublishBatch,
 };
 use crate::graft::{graft_pass, GraftMemo, GraftReport};
+use crate::member_tree::{member_tree, same_row, MemberRows, Recorded};
 use crate::partition::ZonePartitioner;
 use crate::stability::{preferred_links_on_store, PreferredPolicy, StabilityForest};
 
@@ -152,88 +158,7 @@ pub fn build_group_tree_on_store(
     members: &BTreeSet<usize>,
     partitioner: &dyn ZonePartitioner,
 ) -> BuildResult {
-    member_tree(store, root, members, partitioner, |_, _| {})
-}
-
-/// [`build_group_tree_on_store`], handing every member-induced row the
-/// construction reads — each reached member's, once — to `read`.
-fn member_tree(
-    store: &TopologyStore,
-    root: usize,
-    members: &BTreeSet<usize>,
-    partitioner: &dyn ZonePartitioner,
-    mut read: impl FnMut(usize, &[usize]),
-) -> BuildResult {
-    assert!(root < store.len(), "root out of range");
-    assert!(members.contains(&root), "root must be a member");
-    assert!(!store.is_departed(PeerId(root as u64)), "root has departed");
-    assert!(
-        members.last().is_none_or(|&m| m < store.len()),
-        "member out of range"
-    );
-    // The only state of a group build that scales with the overlay
-    // rather than the group (2.5 kB at 20 000 peers). Departed peers
-    // have no adjacency rows, so filtering neighbours by membership
-    // alone already restricts the walk to live members.
-    let member_bits = PeerBits::from_peers(store.len(), members);
-    let dim = store.peers()[root].point().dim();
-    let mut result = build_in_zone_generic(
-        store.peers(),
-        |i, buf| {
-            store.undirected_neighbors_into(i, buf);
-            buf.retain(|&j| member_bits.contains(j));
-            read(i, buf);
-        },
-        root,
-        Rect::full(dim),
-        partitioner,
-    );
-    // Unreached live *members* are the meaningful strandings of a
-    // group build; everyone else is simply not part of the session.
-    // Members and reached peers both ascend: one merge walk.
-    let mut reached = result.tree.reached().iter().copied().peekable();
-    result.stranded = members
-        .iter()
-        .copied()
-        .filter(|&m| {
-            while reached.next_if(|&r| r < m).is_some() {}
-            reached.peek() != Some(&m) && !store.is_departed(PeerId(m as u64))
-        })
-        .collect();
-    result
-}
-
-/// The member-induced adjacency rows one §2 group construction read:
-/// for every member the tree reached, its overlay neighbours that are
-/// fellow members, in row order. The construction is a function of
-/// exactly these rows (plus coordinates and the partitioner), so a
-/// later state of the overlay in which they all read the same yields
-/// the same §2 tree.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct MemberRows {
-    /// `(member, start, end)` of each row in `flat`, ascending by member.
-    spans: Vec<(u32, u32, u32)>,
-    flat: Vec<u32>,
-}
-
-impl MemberRows {
-    fn record(&mut self, member: usize, row: &[usize]) {
-        let start = self.flat.len() as u32;
-        self.flat.extend(row.iter().map(|&j| j as u32));
-        self.spans
-            .push((member as u32, start, self.flat.len() as u32));
-    }
-
-    /// The recorded row of `member`; `None` if the §2 construction did
-    /// not reach it.
-    fn row(&self, member: usize) -> Option<&[u32]> {
-        let at = self
-            .spans
-            .binary_search_by_key(&(member as u32), |&(m, _, _)| m)
-            .ok()?;
-        let (_, start, end) = self.spans[at];
-        Some(&self.flat[start as usize..end as usize])
-    }
+    member_tree(store, root, members, partitioner, None).build
 }
 
 /// The decisions a [`GroupBuild`] rests on, recorded in the form
@@ -339,7 +264,7 @@ impl GroupBuild {
             let unchanged = if let Some(row) = cert.member_rows.row(p) {
                 store.undirected_neighbors_into(p, nbuf);
                 nbuf.retain(|j| members.contains(j));
-                nbuf.iter().map(|&j| j as u32).eq(row.iter().copied())
+                same_row(row, nbuf)
             } else if let Ok(at) = self.support.binary_search(&p) {
                 let target = store.peers()[cert.targets[at] as usize].point();
                 let hop = greedy_step_on_store(store, p, target, GRAFT_METRIC, nbuf);
@@ -355,10 +280,11 @@ impl GroupBuild {
     }
 
     /// This build's graft decisions as the memo of the group's next
-    /// graft pass, given `dirty`: every support node whose adjacency
-    /// row may have changed since its hop was recorded or last
-    /// re-checked by [`GroupBuild::still_holds`], sorted. `None` when
-    /// the pass left tier 1 — it recorded no decisions to replay.
+    /// graft pass, given `dirty`: a sorted list holding every support
+    /// node whose adjacency row may have changed since its hop was
+    /// recorded or last re-checked by [`GroupBuild::still_holds`].
+    /// `None` when the pass left tier 1 — it recorded no decisions to
+    /// replay.
     fn graft_memo<'a>(&'a self, dirty: &'a [usize]) -> Option<GraftMemo<'a>> {
         self.graft.greedy_only().then_some(GraftMemo {
             support: &self.support,
@@ -386,41 +312,51 @@ pub fn build_group_tree_grafted(
     members: &BTreeSet<usize>,
     partitioner: &dyn ZonePartitioner,
 ) -> GroupBuild {
-    build_group(store, root, members, partitioner, None).0
+    build_group(store, root, members, partitioner, None, None).0
 }
 
-/// [`build_group_tree_grafted`], its graft pass optionally replaying the
-/// decisions of the group's previous build, plus how many of the pass's
-/// walks took their target from the memo and how many searched for it.
-/// The build is the same with and without a memo.
+/// How much of one group build was taken from the build it replaces.
+#[derive(Debug, Clone, Copy, Default)]
+struct Replayed {
+    splits_replayed: u64,
+    splits_recomputed: u64,
+    walks_replayed: u64,
+    walks_recomputed: u64,
+}
+
+/// [`build_group_tree_grafted`], optionally replaying the decisions of
+/// the group's previous build — the §2 delegations it `recorded`
+/// ([`crate::member_tree`]) and the graft walks of its `memo`
+/// ([`crate::graft`]) — plus how much of either it took from there. The
+/// build is the same with and without them.
 fn build_group(
     store: &TopologyStore,
     root: usize,
     members: &BTreeSet<usize>,
     partitioner: &dyn ZonePartitioner,
+    recorded: Option<Recorded>,
     memo: Option<&GraftMemo>,
-) -> (GroupBuild, u64, u64) {
-    assert!(
-        u32::try_from(store.len()).is_ok(),
-        "certificates store peer ids as u32"
-    );
-    let mut member_rows = MemberRows::default();
-    let mut build = member_tree(store, root, members, partitioner, |member, row| {
-        member_rows.record(member, row);
-    });
-    member_rows.spans.sort_unstable();
+) -> (GroupBuild, Replayed) {
+    let section2 = member_tree(store, root, members, partitioner, recorded);
+    let mut build = section2.build;
     let pass = graft_pass(store, &mut build, GRAFT_METRIC, memo);
     let group_build = GroupBuild {
         build,
         graft: pass.report,
         support: pass.support,
         certificate: RepairCertificate {
-            member_rows,
+            member_rows: section2.rows,
             targets: pass.targets,
             joined: pass.joined,
         },
     };
-    (group_build, pass.walks_replayed, pass.walks_recomputed)
+    let replayed = Replayed {
+        splits_replayed: section2.splits_replayed,
+        splits_recomputed: section2.splits_recomputed,
+        walks_replayed: pass.walks_replayed,
+        walks_recomputed: pass.walks_recomputed,
+    };
+    (group_build, replayed)
 }
 
 /// One registered group: subscriber set, session root, current tree.
@@ -486,6 +422,13 @@ pub struct EngineTotals {
     pub graft_walks_replayed: u64,
     /// Graft walks, over all rebuilds, that searched for their target.
     pub graft_walks_recomputed: u64,
+    /// §2-reached members, over all rebuilds, whose delegation was the
+    /// one the group's previous build recorded: nothing was read or
+    /// partitioned for them.
+    pub zone_splits_replayed: u64,
+    /// §2-reached members, over all rebuilds, whose zone was
+    /// partitioned.
+    pub zone_splits_recomputed: u64,
 }
 
 /// What binding one abstract [`GroupOp`] to the population did (see
@@ -887,8 +830,7 @@ impl GroupEngine {
         let pos = ids.partition_point(|&x| x < g.0);
         ids.insert(pos, g.0);
         self.totals.membership_ops += 1;
-        // Synced just above: no row has changed under the old build.
-        self.rebuild_group(g.index(), Some(&[]));
+        self.rebuild_group(g.index(), Some(&self.touched_by_membership_of(p)));
         true
     }
 
@@ -913,8 +855,20 @@ impl GroupEngine {
         if group.root == Some(p) {
             group.root = group.members.first().copied();
         }
-        self.rebuild_group(g.index(), Some(&[]));
+        self.rebuild_group(g.index(), Some(&self.touched_by_membership_of(p)));
         true
+    }
+
+    /// What a subscribe or unsubscribe of `p` touches under a group's
+    /// build (sorted): `p` and its overlay neighbours — the
+    /// member-induced rows `p` enters or leaves. The engine synced just
+    /// before, so no adjacency row has changed under any build.
+    fn touched_by_membership_of(&self, p: usize) -> Vec<usize> {
+        let mut touched = Vec::new();
+        self.store.undirected_neighbors_into(p, &mut touched);
+        let at = touched.partition_point(|&q| q < p);
+        touched.insert(at, p);
+        touched
     }
 
     /// Inserts a peer into the shared overlay and repairs the affected
@@ -1569,22 +1523,33 @@ impl GroupEngine {
     }
 
     /// Replaces group `gi`'s build with the one its current members and
-    /// the current store define. `dirty` lists the members and support
-    /// nodes of the old build whose adjacency rows may have changed
-    /// since `sync` last examined the group (sorted; empty for a
-    /// membership operation): with it the graft pass replays the old
-    /// build's decisions ([`crate::graft`]), without it (`None`: no old
-    /// build, or no record of what changed) every walk is discovered
-    /// anew. The build is the same either way.
-    fn rebuild_group(&mut self, gi: usize, dirty: Option<&[usize]>) {
-        // Old and new build coexist while the graft pass replays: keep
-        // what it (and the support index below) reads, drop the zones
-        // and the member rows before the replacement is allocated.
+    /// the current store define. `touched` lists every peer whose
+    /// adjacency row, or whose share of it among the members, may read
+    /// differently than under the old build (sorted): the group's dirty
+    /// members and support nodes since `sync` last examined it, or the
+    /// peer of a membership operation and its neighbours. With it the
+    /// §2 construction and the graft pass replay the old build's
+    /// decisions ([`crate::member_tree`], [`crate::graft`]); without it
+    /// (`None`: no record of what changed) both start from nothing. The
+    /// build is the same either way.
+    fn rebuild_group(&mut self, gi: usize, touched: Option<&[usize]>) {
+        // What coexists while the new build is made, and why. The old
+        // tree, support set and graft targets stay until the new graft
+        // pass is done: it replays them, and the support index below
+        // moves from the old set to the new. The old zones and member
+        // rows stay only while the new §2 part is assembled — zones
+        // that stand move into the new table (their rectangles are not
+        // copied), dropped ones are freed on the way, the old rows go
+        // once the new ones are laid out — and are gone before the
+        // graft pass allocates. Without `touched` neither is read: both
+        // go before anything is built.
         let mut old = self.groups[gi].build.take();
-        if let Some(gb) = &mut old {
-            gb.build.zones = Zones::default();
-            gb.certificate.member_rows = MemberRows::default();
-        }
+        let section2 = old.as_mut().map(|gb| {
+            (
+                std::mem::take(&mut gb.build.zones),
+                std::mem::take(&mut gb.certificate.member_rows),
+            )
+        });
         let old_support = old.as_ref().map_or(&[][..], |gb| &gb.support);
         let group = &mut self.groups[gi];
         let Some(root) = group.root else {
@@ -1593,16 +1558,26 @@ impl GroupEngine {
             self.refresh_degraded(gi);
             return;
         };
-        let memo = old.as_ref().zip(dirty).and_then(|(gb, d)| gb.graft_memo(d));
-        let (build, replayed, recomputed) = build_group(
+        let replay = old.as_ref().zip(touched);
+        let memo = replay.and_then(|(gb, touched)| gb.graft_memo(touched));
+        let recorded = replay
+            .zip(section2)
+            .map(|((gb, touched), (zones, rows))| Recorded {
+                tree: &gb.build.tree,
+                zones,
+                rows,
+                touched,
+            });
+        let (build, replayed) = build_group(
             &self.store,
             root,
             &group.members,
             self.partitioner.as_ref(),
+            recorded,
             memo.as_ref(),
         );
         debug_assert!(
-            memo.is_none()
+            replay.is_none()
                 || build
                     == build_group_tree_grafted(
                         &self.store,
@@ -1618,10 +1593,13 @@ impl GroupEngine {
         let group = &mut self.groups[gi];
         group.build = Some(build);
         group.rebuilds += 1;
-        self.totals.tree_rebuilds += 1;
-        self.totals.rebuilt_members += group.members.len() as u64;
-        self.totals.graft_walks_replayed += replayed;
-        self.totals.graft_walks_recomputed += recomputed;
+        let totals = &mut self.totals;
+        totals.tree_rebuilds += 1;
+        totals.rebuilt_members += group.members.len() as u64;
+        totals.graft_walks_replayed += replayed.walks_replayed;
+        totals.graft_walks_recomputed += replayed.walks_recomputed;
+        totals.zone_splits_replayed += replayed.splits_replayed;
+        totals.zone_splits_recomputed += replayed.splits_recomputed;
         // The rebuilds bump above is exactly what invalidates this
         // group's cached delivery plan; only the degraded flag needs a
         // refresh (the root or relay set may have changed).
@@ -1973,6 +1951,12 @@ mod tests {
         let after = *eng.totals();
         assert_eq!(after.tree_rebuilds, before.tree_rebuilds + 1);
         assert_eq!(after.graft_walks_replayed, before.graft_walks_replayed);
+        assert_eq!(after.zone_splits_replayed, before.zone_splits_replayed);
+        let reached = eng.group_build(g).unwrap().build.zones.len() as u64;
+        assert_eq!(
+            after.zone_splits_recomputed,
+            before.zone_splits_recomputed + reached
+        );
         let walks = eng.group_build(g).unwrap().graft.grafted as u64;
         assert!(walks > 0, "the group still needs its grafts");
         assert_eq!(
@@ -1984,6 +1968,190 @@ mod tests {
         eng.subscribe(g, PeerId(150));
         let replayed = eng.totals().graft_walks_replayed - after.graft_walks_replayed;
         assert!(replayed > 0, "a membership rebuild replays the old build");
+        assert!(eng.totals().zone_splits_replayed > after.zone_splits_replayed);
+        assert_exact(&eng);
+    }
+
+    /// How many §2 delegations the rebuilds made by `op` took from the
+    /// builds they replaced, and how many zones they partitioned.
+    fn splits(eng: &mut GroupEngine, op: impl FnOnce(&mut GroupEngine)) -> (u64, u64) {
+        let before = *eng.totals();
+        op(eng);
+        let after = eng.totals();
+        (
+            after.zone_splits_replayed - before.zone_splits_replayed,
+            after.zone_splits_recomputed - before.zone_splits_recomputed,
+        )
+    }
+
+    /// Peers `0..n` on a diagonal, `extra` after them, everyone
+    /// subscribed to one group rooted at peer 0. Consecutive diagonal
+    /// peers are each other's only diagonal neighbours, so the §2 tree
+    /// over the diagonal is the chain `0 → 1 → … → n − 1`, peer `k`
+    /// holding the zone north-east of peer `k − 1`.
+    fn subscribed_diagonal(n: u32, extra: &[(f64, f64)]) -> (GroupEngine, GroupId) {
+        let mut coords: Vec<(f64, f64)> = (0..n)
+            .map(|i| (10.0 * f64::from(i), 10.0 * f64::from(i)))
+            .collect();
+        coords.extend_from_slice(extra);
+        let mut eng = engine_at(&coords);
+        let g = eng.create_group(PeerId(0));
+        for p in 1..coords.len() {
+            eng.subscribe(g, PeerId(p as u64));
+        }
+        assert_exact(&eng);
+        (eng, g)
+    }
+
+    fn parents(eng: &GroupEngine, g: GroupId, peers: &[usize]) -> Vec<Option<usize>> {
+        let tree = &eng.tree(g).unwrap().tree;
+        peers.iter().map(|&p| tree.parent(p)).collect()
+    }
+
+    /// The root is every recorded zone's ancestor: when it changes —
+    /// the root unsubscribes or departs — nothing of the old §2 tree is
+    /// replayed, and the build is still the from-scratch one.
+    #[test]
+    fn a_changed_root_replays_no_delegation() {
+        let (mut eng, g) = subscribed_diagonal(5, &[]);
+        let counts = splits(&mut eng, |eng| {
+            eng.unsubscribe(g, PeerId(0));
+        });
+        assert_eq!(eng.root(g), Some(1));
+        assert_eq!(counts, (0, 4), "four members, four partitions");
+        assert_exact(&eng);
+        let counts = splits(&mut eng, |eng| eng.leave(PeerId(1)));
+        assert_eq!(eng.root(g), Some(2));
+        assert_eq!(counts, (0, 3));
+        assert_exact(&eng);
+    }
+
+    /// An unsubscribed interior member leaves its recorded subtree
+    /// without a delegator. Without another member link the subtree is
+    /// stranded (and grafted back through the ex-member as a relay);
+    /// with one, the subtree is delegated to from there — the peers
+    /// whose zone changed are partitioned again, and a peer that gets
+    /// its recorded zone from its recorded parent keeps what it had.
+    #[test]
+    fn unsubscribing_an_interior_member_strands_or_rehomes_its_subtree() {
+        let (mut eng, g) = subscribed_diagonal(5, &[]);
+        assert_eq!(
+            parents(&eng, g, &[1, 2, 3, 4]),
+            [Some(0), Some(1), Some(2), Some(3)]
+        );
+        let counts = splits(&mut eng, |eng| {
+            eng.unsubscribe(g, PeerId(2));
+        });
+        // 0 replays; 1 lost its only in-zone neighbour; 3 and 4 are
+        // reached by no delegation and dropped unvisited.
+        assert_eq!(counts, (1, 1));
+        let build = eng.tree(g).unwrap();
+        assert_eq!(build.zones.len(), 2, "the §2 tree ends at member 1");
+        assert_eq!(build.relays, [2]);
+        assert_exact(&eng);
+
+        // Peer 5 at (21, 19) is adjacent to 1, 2 and 3 and south-east
+        // of 2: the recorded tree is 0 → 1 → 2 → {3 → 4, 5}.
+        let (mut eng, g) = subscribed_diagonal(5, &[(21.0, 19.0)]);
+        assert_eq!(
+            parents(&eng, g, &[1, 2, 3, 4, 5]),
+            [Some(0), Some(1), Some(2), Some(3), Some(2)]
+        );
+        let old_zone_of_4 = eng.tree(g).unwrap().zones.get(4).cloned();
+        let counts = splits(&mut eng, |eng| {
+            eng.unsubscribe(g, PeerId(2));
+        });
+        // 1 now delegates to 5, 5 to 3 (a narrower zone than 2 gave
+        // it), and 3 to 4 exactly what it delegated before.
+        assert_eq!(
+            parents(&eng, g, &[1, 3, 4, 5]),
+            [Some(0), Some(5), Some(3), Some(1)]
+        );
+        assert_eq!(counts, (2, 3), "0 and 4 replay; 1, 5 and 3 partition");
+        assert_eq!(eng.tree(g).unwrap().zones.get(4).cloned(), old_zone_of_4);
+        assert_exact(&eng);
+    }
+
+    /// A subscribe that bridges a stranded component: the relay becomes
+    /// a member, and the members grafted behind it — support nodes of
+    /// the old build, on its tree without a zone — become §2-reached.
+    #[test]
+    fn a_bridging_subscribe_turns_grafted_members_into_reached_ones() {
+        let mut eng = engine_at(&[
+            (0.0, 0.0),
+            (10.0, 10.0),
+            (20.0, 20.0),
+            (30.0, 30.0),
+            (40.0, 40.0),
+        ]);
+        let g = eng.create_group(PeerId(0));
+        for p in [1u64, 3, 4] {
+            eng.subscribe(g, PeerId(p));
+        }
+        let gb = eng.group_build(g).unwrap();
+        assert_eq!(gb.build.zones.len(), 2);
+        assert_eq!(
+            (&gb.build.relays[..], &gb.support[..]),
+            (&[2][..], &[2, 3, 4][..])
+        );
+        let counts = splits(&mut eng, |eng| {
+            eng.subscribe(g, PeerId(2));
+        });
+        assert_eq!(
+            counts,
+            (1, 4),
+            "0 replays; 1 and the three newcomers partition"
+        );
+        let gb = eng.group_build(g).unwrap();
+        assert_eq!(gb.build.zones.len(), 5);
+        assert!(gb.support.is_empty() && gb.build.relays.is_empty());
+        assert_exact(&eng);
+    }
+
+    /// A join between two members cuts their link. Both are suspects;
+    /// the lower one is dropped with its recorded subtree when its
+    /// parent stops delegating to it, and is never partitioned.
+    #[test]
+    fn a_join_that_cuts_a_member_link_drops_the_subtree_below_it() {
+        use geocast_geom::Point;
+        let (mut eng, g) = subscribed_diagonal(5, &[]);
+        let counts = splits(&mut eng, |eng| {
+            eng.join(Point::new(vec![15.0, 15.0]).unwrap());
+        });
+        assert_eq!(
+            neighbors(&eng, 1),
+            vec![0, 5],
+            "1 and 2 are no longer linked"
+        );
+        assert_eq!(counts, (1, 1), "0 replays, 1 partitions, 2 is not visited");
+        let build = eng.tree(g).unwrap();
+        assert_eq!(build.zones.len(), 2);
+        assert_eq!(build.relays, [5], "the newcomer carries the rest");
+        assert_exact(&eng);
+    }
+
+    /// A departed leaf costs its parent one partition. A departed
+    /// interior member re-links its neighbours: its child is delegated
+    /// to by its grandparent with a wider zone — a suspect inside the
+    /// orphaned subtree, visited once, through the new delegation — and
+    /// the grandchild, delegated what it had, is not visited at all.
+    #[test]
+    fn a_departed_leaf_and_a_departed_interior_member() {
+        let (mut eng, g) = subscribed_diagonal(5, &[]);
+        let counts = splits(&mut eng, |eng| eng.leave(PeerId(4)));
+        assert_eq!(counts, (3, 1), "only 3 reads a different row");
+        assert_exact(&eng);
+
+        let counts = splits(&mut eng, |eng| eng.leave(PeerId(2)));
+        assert_eq!(neighbors(&eng, 1), vec![0, 3], "the store re-links 1 and 3");
+        assert_eq!(parents(&eng, g, &[1, 3]), [Some(0), Some(1)]);
+        assert_eq!(counts, (1, 2), "0 replays; 1 and 3 partition");
+        assert_exact(&eng);
+
+        let (mut eng, g) = subscribed_diagonal(5, &[]);
+        let counts = splits(&mut eng, |eng| eng.leave(PeerId(2)));
+        assert_eq!(parents(&eng, g, &[1, 3, 4]), [Some(0), Some(1), Some(3)]);
+        assert_eq!(counts, (2, 2), "0 and 4 replay; 1 and 3 partition");
         assert_exact(&eng);
     }
 

@@ -63,6 +63,7 @@ pub mod dataplane;
 pub mod detect;
 pub mod graft;
 pub mod groups;
+mod member_tree;
 pub mod protocol;
 pub mod region;
 pub mod repair;

@@ -196,7 +196,7 @@ impl MulticastTree {
     }
 
     /// The children of the reached peer stored at `slot`.
-    fn children_of(&self, slot: usize) -> &[usize] {
+    pub(crate) fn children_of(&self, slot: usize) -> &[usize] {
         &self.child_ids[self.child_start[slot] as usize..self.child_start[slot + 1] as usize]
     }
 
@@ -214,64 +214,115 @@ impl MulticastTree {
     /// each, in any order — the relay-join primitive behind
     /// `crate::graft`, which attaches every hop of every discovered
     /// relay path in one call. A parent may itself be one of the new
-    /// children. One merge pass: `O(reached + links · log)`.
+    /// children. One merge pass ([`MulticastTree::patched`] keeping
+    /// every node): `O(reached + links · log)`.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range, a child is already reached
     /// or linked twice, or a parent is neither reached nor a new child.
-    pub(crate) fn attach_all(&mut self, mut links: Vec<(usize, usize)>) {
-        if links.is_empty() {
-            return;
+    pub(crate) fn attach_all(&mut self, links: Vec<(usize, usize)>) {
+        if !links.is_empty() {
+            *self = self.patched(self.len, |_| true, links);
         }
+    }
+
+    /// The tree over a universe of `len` peers that keeps this tree's
+    /// nodes at the slots `keep` accepts, each with the parent it has
+    /// here, and adds one node per `(child, parent)` link, in any
+    /// order — the one merge behind relay grafting (keep everything,
+    /// add the paths) and behind replaying a §2 construction
+    /// (`crate::builder`: keep what the change cannot have moved, add
+    /// what was re-delegated). A link's parent may be a kept node or
+    /// another link's child; a link's child may be a node that is not
+    /// kept, and is then still the parent of the nodes kept below it.
+    /// Old slots are remapped, not searched for:
+    /// `O(reached + links · log)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the root is not kept, a kept node's parent is not, an
+    /// index is out of range, a child is a kept node or linked twice,
+    /// or a link's parent is neither.
+    pub(crate) fn patched(
+        &self,
+        len: usize,
+        keep: impl Fn(usize) -> bool,
+        mut links: Vec<(usize, usize)>,
+    ) -> MulticastTree {
+        const DROPPED: usize = usize::MAX;
         links.sort_unstable();
         assert!(
-            links.last().is_none_or(|&(c, _)| c < self.len),
+            links.last().is_none_or(|&(c, _)| c < len),
             "child out of range"
         );
         let total = self.nodes.len() + links.len();
-        let old_nodes = std::mem::replace(&mut self.nodes, Vec::with_capacity(total));
-        let old_parent = std::mem::replace(&mut self.parent, Vec::with_capacity(total));
-        // Merge the sorted newcomers in; remember where old slots went
-        // and where each link's child landed.
-        let mut moved = Vec::with_capacity(old_nodes.len());
+        let mut nodes: Vec<usize> = Vec::with_capacity(total);
+        // Merge the sorted newcomers in; remember where the kept slots
+        // went and where each link's child landed.
+        let mut moved = vec![DROPPED; self.nodes.len()];
         let mut landed = Vec::with_capacity(links.len());
         let mut fresh = links.iter().map(|&(c, _)| c).peekable();
-        for &node in &old_nodes {
-            while let Some(c) = fresh.next_if(|&c| c < node) {
-                landed.push(self.push_fresh(c));
-            }
+        let push = |nodes: &mut Vec<usize>, node: usize| {
             assert!(
-                fresh.peek() != Some(&node),
-                "child {node} already in the tree"
+                nodes.last().is_none_or(|&last| last < node),
+                "a peer has one parent"
             );
-            moved.push(self.nodes.len());
-            self.nodes.push(node);
+            nodes.push(node);
+            nodes.len() - 1
+        };
+        for (slot, &node) in self.nodes.iter().enumerate() {
+            while let Some(c) = fresh.next_if(|&c| c < node) {
+                landed.push(push(&mut nodes, c));
+            }
+            if keep(slot) {
+                assert!(
+                    fresh.peek() != Some(&node),
+                    "child {node} already in the tree"
+                );
+                moved[slot] = push(&mut nodes, node);
+            } else if fresh.next_if_eq(&node).is_some() {
+                // Linked anew: what is kept below it stays below it.
+                moved[slot] = push(&mut nodes, node);
+                landed.push(moved[slot]);
+            }
         }
         for c in fresh {
-            landed.push(self.push_fresh(c));
+            landed.push(push(&mut nodes, c));
         }
-        self.parent.resize(total, None);
-        for (&to, p) in moved.iter().zip(old_parent) {
-            self.parent[to] = p.map(|slot| moved[slot]);
+        let mut parent = vec![None; nodes.len()];
+        for (slot, &up) in self
+            .parent
+            .iter()
+            .enumerate()
+            .filter(|&(slot, _)| keep(slot))
+        {
+            assert!(
+                up.is_none_or(|up| moved[up] != DROPPED),
+                "a kept node lost its parent"
+            );
+            parent[moved[slot]] = up.map(|up| moved[up]);
         }
-        for (&at, &(_, parent)) in landed.iter().zip(&links) {
-            let up = self
-                .slot(parent)
-                .unwrap_or_else(|| panic!("parent {parent} not in the tree"));
-            self.parent[at] = Some(up);
+        for (&at, &(_, up)) in landed.iter().zip(&links) {
+            let up = nodes
+                .binary_search(&up)
+                .unwrap_or_else(|_| panic!("parent {up} not in the tree"));
+            parent[at] = Some(up);
         }
-        self.index_children();
-    }
-
-    /// Appends a newcomer to `nodes`; returns its slot.
-    fn push_fresh(&mut self, child: usize) -> usize {
         assert!(
-            self.nodes.last().is_none_or(|&last| last < child),
-            "a peer has one parent"
+            self.slot(self.root).is_some_and(|s| moved[s] != DROPPED),
+            "the root stays"
         );
-        self.nodes.push(child);
-        self.nodes.len() - 1
+        let mut tree = MulticastTree {
+            root: self.root,
+            len,
+            nodes,
+            parent,
+            child_start: Vec::new(),
+            child_ids: Vec::new(),
+        };
+        tree.index_children();
+        tree
     }
 
     /// The session initiator.
@@ -757,6 +808,38 @@ mod tests {
         assert_eq!(t, whole);
         t.attach_all(Vec::new());
         assert_eq!(t, whole, "an empty graft changes nothing");
+    }
+
+    /// The merge behind a replayed construction: nodes that are not
+    /// kept vanish, a node linked anew keeps the kept nodes below it,
+    /// and the result is the tree its links define.
+    #[test]
+    fn patched_keeps_remaps_and_relinks() {
+        //        0                      0
+        //       / \                    / \
+        //      1   2        →         5   2
+        //     / \   \                 |    \
+        //    3   4   5                1     6
+        //                             |
+        //                             3
+        let old = MulticastTree::from_links(0, 8, vec![(1, 0), (2, 0), (3, 1), (4, 1), (5, 2)]);
+        // 3 stays under 1; 1 and 5 are linked anew; 4 is gone; 6 is new.
+        let keep = |slot: usize| [0, 2, 3].contains(&old.reached()[slot]);
+        let new = old.patched(9, keep, vec![(6, 2), (1, 5), (5, 0)]);
+        let whole = MulticastTree::from_links(0, 9, vec![(5, 0), (2, 0), (1, 5), (3, 1), (6, 2)]);
+        assert_eq!(new, whole);
+        assert_eq!(new.len(), 9);
+        assert_eq!(new.children(1), &[3]);
+        assert_eq!(new.children(0), &[2, 5]);
+        assert!(!new.is_reached(4));
+        assert_eq!(new.validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "a kept node lost its parent")]
+    fn patched_rejects_a_kept_node_under_a_dropped_one() {
+        let old = MulticastTree::from_links(0, 4, vec![(1, 0), (2, 1)]);
+        let _ = old.patched(4, |slot| slot != 1, Vec::new());
     }
 
     #[test]

@@ -14,7 +14,12 @@
 //! build replays that build's graft decisions, so the same equality is
 //! the replay's exactness — checked after every operation, together with
 //! the one case in which the old decisions must not be used: a build
-//! whose graft left tier 1 recorded none.
+//! whose graft left tier 1 recorded none. The §2 part of a rebuild
+//! replays the old build's delegations the same way; the interleavings
+//! run over scattered groups (where the graft pass is most of a build)
+//! and over clustered ones (where the §2 tree is), and a count-based
+//! gate bounds how much of a large clustered group churn next to it
+//! re-partitions.
 //!
 //! Plus the coverage theorem routing-based join buys: after every step,
 //! each live member is reached **iff** the full overlay connects it to
@@ -37,7 +42,7 @@ use geocast_geom::MetricKind;
 use geocast_overlay::delta::DeltaKind;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
 use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
-use geocast_sim::workload::{zipf_group_sizes, ConsumerCadence};
+use geocast_sim::workload::{zipf_group_sizes, ConsumerCadence, MembershipPlacement};
 
 /// One step of a churn interleaving; raw indices are bound to live
 /// peers / groups modulo the current state, so every generated sequence
@@ -363,17 +368,78 @@ fn a_subscribe_into_a_large_scattered_group_recomputes_a_tenth_of_its_walks() {
     );
 }
 
+/// The §2 replay's count-based locality gate (no clock): in a clustered
+/// group of ≥ 800 members over 2 000 peers — the shape of the publish
+/// benchmark's head group, where the §2 tree is the whole build — twenty
+/// alternating joins and leaves next to the group partition at most a
+/// tenth of the zones its rebuilds hand out; the rest are the
+/// delegations the replaced build recorded. Every build exact.
+#[test]
+fn churn_next_to_a_large_clustered_group_repartitions_a_tenth_of_it() {
+    let n = 2_000;
+    let store = TopologyStore::from_peers(
+        PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 41)),
+        Arc::new(EmptyRectSelection),
+    );
+    let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
+    let g = engine.seed_groups_clustered(&[850], &mut 0xc1u64)[0];
+    let root = engine.root(g).expect("seeded groups are rooted");
+    let center = engine.store().peers()[root].point().clone();
+    let seeded = *engine.totals();
+    let mut rebuilds = 0u64;
+    for event in 0..20usize {
+        let before = engine.rebuild_count(g);
+        if event % 2 == 0 {
+            // Inside the cluster, a little off its centre each time.
+            let offset = 3.0 * (event + 1) as f64;
+            let coords = vec![center[0] + offset, center[1] - 0.7 * offset];
+            engine.join(geocast_geom::Point::new(coords).expect("finite coordinates"));
+        } else {
+            let others: Vec<usize> = (engine.members(g).iter().copied())
+                .filter(|&m| m != root)
+                .collect();
+            engine.leave(PeerId(others[event * 7919 % others.len()] as u64));
+        }
+        rebuilds += engine.rebuild_count(g) - before;
+        assert!(engine.members(g).len() >= 800);
+        assert!(engine.matches_reference(g), "event {event}: {g} diverged");
+    }
+    let totals = engine.totals();
+    let replayed = totals.zone_splits_replayed - seeded.zone_splits_replayed;
+    let recomputed = totals.zone_splits_recomputed - seeded.zone_splits_recomputed;
+    assert!(
+        rebuilds >= 10,
+        "only {rebuilds} of 20 events rebuilt the group"
+    );
+    assert!(
+        replayed + recomputed >= 800 * rebuilds,
+        "the §2 tree must reach the group: {replayed} + {recomputed} over {rebuilds} rebuilds"
+    );
+    assert!(
+        10 * recomputed <= replayed + recomputed,
+        "{recomputed} of {} reached members were partitioned again",
+        replayed + recomputed
+    );
+}
+
 /// The replay on both sides of its one refusal, deterministically: a
 /// long seeded interleaving of joins, leaves, subscribes and
-/// unsubscribes over 8 scattered groups, every build compared with its
-/// from-scratch reference after every operation. On the empty-rectangle
+/// unsubscribes over 8 scattered and over 8 clustered groups, every
+/// build compared with its from-scratch reference after every operation
+/// (and every rebuilt one inside the engine, in debug builds). On the empty-rectangle
 /// rule no graft leaves tier 1, so every rebuild replays; on a sparse
 /// Hyperplanes rule tiers 2–3 engage in about two rebuilds of three, and
 /// a build they touched must be refused as a memo (and is, by the check
 /// on the replay counter) while the others replay.
 #[test]
 fn rebuilds_replay_greedy_builds_and_refuse_the_others() {
-    for rule in 0u8..2 {
+    use MembershipPlacement::{Clustered, Scattered};
+    for (rule, placement) in [
+        (0u8, Scattered),
+        (1, Scattered),
+        (0, Clustered),
+        (1, Clustered),
+    ] {
         let selection: Arc<dyn NeighborSelection + Send + Sync> = if rule == 0 {
             Arc::new(EmptyRectSelection)
         } else {
@@ -386,7 +452,8 @@ fn rebuilds_replay_greedy_builds_and_refuse_the_others() {
         );
         let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
         let mut state = 0x0dd_5eed_u64;
-        let ids = engine.seed_groups(&zipf_group_sizes(8, 2 * n, 1.0), &mut state);
+        let sizes = zipf_group_sizes(8, 2 * n, 1.0);
+        let ids = engine.seed_groups_placed(placement, &sizes, &mut state);
         let mut counts: Vec<u64> = ids.iter().map(|&g| engine.rebuild_count(g)).collect();
         let mut next = move || {
             // xorshift64: all the test needs is a fixed, mixed sequence.
@@ -428,15 +495,25 @@ fn rebuilds_replay_greedy_builds_and_refuse_the_others() {
             rebuilds += check_exact_and_count_rebuilds(&engine, &ids, &mut counts);
             refused += old.check_rebuilds(&engine, &before, &counts);
         }
-        let replayed = engine.totals().graft_walks_replayed - seeded.graft_walks_replayed;
-        assert!(rebuilds >= 100, "rule {rule}: {rebuilds} rebuilds");
+        let totals = engine.totals();
+        let replayed = totals.graft_walks_replayed - seeded.graft_walks_replayed;
+        let case = format!("rule {rule}, {placement:?}");
+        assert!(rebuilds >= 100, "{case}: {rebuilds} rebuilds");
+        // The §2 record does not depend on the graft tiers: every
+        // rebuild of a group that kept its root replays it.
+        let splits_replayed = totals.zone_splits_replayed - seeded.zone_splits_replayed;
+        let splits_recomputed = totals.zone_splits_recomputed - seeded.zone_splits_recomputed;
+        assert!(
+            splits_replayed > splits_recomputed,
+            "{case}: {splits_replayed} delegations replayed, {splits_recomputed} zones partitioned"
+        );
         if rule == 0 {
             assert_eq!(refused, 0, "empty-rectangle grafts never leave tier 1");
             assert!(replayed > 0);
         } else {
             assert!(
                 refused >= 10,
-                "rule {rule}: only {refused} of {rebuilds} rebuilds met a fallback-tier build"
+                "{case}: only {refused} of {rebuilds} rebuilds met a fallback-tier build"
             );
             assert!(replayed > 0, "the greedy-only builds among them replay");
         }
@@ -452,6 +529,7 @@ proptest! {
         dim in 2usize..4,
         seed in 0u64..10_000,
         rule in 0u8..2,
+        clustered in 0u8..2,
         lag in 1usize..4,
         steps in proptest::collection::vec(step_strategy(), 10..18),
     ) {
@@ -465,8 +543,14 @@ proptest! {
         // ≥ 8 concurrent groups, Zipf-sized, overlapping membership.
         let mut state = seed ^ 0x5eed;
         let sizes = zipf_group_sizes(8, (2 * n).max(8), 1.0);
-        let ids = engine.seed_groups(&sizes, &mut state);
+        let placement = if clustered == 1 {
+            MembershipPlacement::Clustered
+        } else {
+            MembershipPlacement::Scattered
+        };
+        let ids = engine.seed_groups_placed(placement, &sizes, &mut state);
         prop_assert!(ids.len() >= 8);
+        let seeded = *engine.totals();
         let mut counts: Vec<u64> = ids.iter().map(|&g| engine.rebuild_count(g)).collect();
         check_exact_and_count_rebuilds(&engine, &ids, &mut counts);
         check_full_coverage(&engine, &ids, rule);
@@ -562,6 +646,17 @@ proptest! {
             engine.sync();
             before.check_sync(&engine, &ids, &mut counts);
             check_full_coverage(&engine, &ids, rule);
+        }
+
+        // A rebuild of a group that keeps its root replays the §2
+        // delegations of the build it replaces (a silently disabled
+        // record would pass every equality above).
+        if engine.totals().tree_rebuilds > seeded.tree_rebuilds {
+            prop_assert!(
+                engine.totals().zone_splits_replayed > seeded.zone_splits_replayed,
+                "{} rebuilds replayed no delegation",
+                engine.totals().tree_rebuilds - seeded.tree_rebuilds
+            );
         }
 
         // End-state structural sanity: every non-dormant tree validates

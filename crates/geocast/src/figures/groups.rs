@@ -14,8 +14,8 @@
 //! * the engine's locality — groups examined per churn event, and how
 //!   many of those were certified unchanged or actually rebuilt,
 //!   against the total a naive engine would rebuild — and, of the
-//!   graft walks those rebuilds made, how many took their target from
-//!   the build they replaced;
+//!   graft walks and of the §2 delegations those rebuilds made, how
+//!   many were taken from the build they replaced;
 //! * the **coverage-vs-scatter** outcome routing-based join buys: with
 //!   relay grafting every publish must deliver to every subscriber
 //!   (`stranded = 0`) even for scattered membership, at a measured
@@ -132,6 +132,10 @@ struct ScenarioStats {
     /// target came from the previous build's record / was searched for.
     walks_replayed: u64,
     walks_recomputed: u64,
+    /// §2-reached members of those rebuilds whose delegation came from
+    /// the previous build's record / whose zone was partitioned.
+    splits_replayed: u64,
+    splits_recomputed: u64,
 }
 
 /// Replays one scenario at `num_groups` concurrent groups; pushes the
@@ -195,6 +199,8 @@ fn run_scenario(
         exact: true,
         walks_replayed: 0,
         walks_recomputed: 0,
+        splits_replayed: 0,
+        splits_recomputed: 0,
     };
     let absorb_publish = |stats: &mut ScenarioStats,
                           outcome: &geocast_core::groups::PublishOutcome| {
@@ -267,6 +273,8 @@ fn run_scenario(
     let totals = engine.totals();
     stats.walks_replayed = totals.graft_walks_replayed - seeded.graft_walks_replayed;
     stats.walks_recomputed = totals.graft_walks_recomputed - seeded.graft_walks_recomputed;
+    stats.splits_replayed = totals.zone_splits_replayed - seeded.zone_splits_replayed;
+    stats.splits_recomputed = totals.zone_splits_recomputed - seeded.zone_splits_recomputed;
     stats
 }
 
@@ -299,6 +307,7 @@ pub fn groups_panel(cfg: &GroupsConfig) -> FigureReport {
         "events/s".into(),
         "== rebuild".into(),
         "walks replayed".into(),
+        "splits replayed".into(),
     ]);
     let mut trace: Vec<(f64, f64)> = Vec::new();
     let largest = cfg.group_counts.iter().copied().max().unwrap_or(0);
@@ -337,6 +346,11 @@ pub fn groups_panel(cfg: &GroupsConfig) -> FigureReport {
                     s.walks_replayed,
                     s.walks_replayed + s.walks_recomputed
                 ),
+                format!(
+                    "{}/{}",
+                    s.splits_replayed,
+                    s.splits_replayed + s.splits_recomputed
+                ),
             ]);
         }
     }
@@ -363,7 +377,10 @@ pub fn groups_panel(cfg: &GroupsConfig) -> FigureReport {
          engine would touch per event; every row must report \
          '== rebuild: true'; walks replayed = graft walks, over the \
          rebuilds after seeding, whose target was the one the group's \
-         previous build recorded, of all walks",
+         previous build recorded, of all walks; splits replayed = \
+         §2-reached members, over the same rebuilds, whose delegation \
+         was the recorded one, of all reached (the rest had their zone \
+         partitioned)",
     )
     .with_note(
         "coverage-vs-scatter: relay grafting must hold 'pub stranded' \
@@ -409,17 +426,22 @@ mod tests {
             );
             assert_eq!(row[9], "100%", "coverage must close for {}", row[1]);
         }
-        // Scattered rebuilds re-graft, and most walks repeat.
-        let replayed = |row: &Vec<String>| {
-            let (replayed, walks) = row[15].split_once('/').expect("replayed/walks");
+        // Scattered rebuilds re-graft, and most walks repeat; every
+        // placement rebuilds §2 trees, and most delegations repeat.
+        let replayed = |cell: &String| {
+            let (replayed, all) = cell.split_once('/').expect("replayed/all");
             (
                 replayed.parse::<u64>().unwrap(),
-                walks.parse::<u64>().unwrap(),
+                all.parse::<u64>().unwrap(),
             )
         };
-        for row in report.table.rows().iter().filter(|r| r[1] == "scattered") {
-            let (replayed, walks) = replayed(row);
-            assert!(walks > 0 && 2 * replayed > walks, "{row:?}");
+        for row in report.table.rows() {
+            let (walks_replayed, walks) = replayed(&row[15]);
+            if row[1] == "scattered" {
+                assert!(walks > 0 && 2 * walks_replayed > walks, "{row:?}");
+            }
+            let (splits_replayed, splits) = replayed(&row[16]);
+            assert!(splits > 0 && 2 * splits_replayed > splits, "{row:?}");
         }
         assert!(report.chart.is_some());
         // Scattered rows need relays; the sweep must show a non-zero
