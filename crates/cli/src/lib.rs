@@ -1304,6 +1304,10 @@ fn cmd_detect(inv: &Invocation) -> Result<String, CliError> {
         report.suspect_events, report.refute_events
     ));
     out.push_str(&format!(
+        "  probe plane       : {} simulator events, {} messages sent\n",
+        report.sim_events, report.messages_sent
+    ));
+    out.push_str(&format!(
         "  coverage          : min {:.1}% / final {:.1}%\n",
         report.min_coverage * 100.0,
         report.final_coverage * 100.0

@@ -199,6 +199,13 @@ pub struct DetectionReport {
     /// forced into during the run (0 when every verdict was absorbed
     /// incrementally from the log).
     pub repair_resyncs: u64,
+    /// Simulator events the probe plane processed (Σ
+    /// [`geocast_sim::RunOutcome::events`] over the run) — the unit of
+    /// work a wall-clock figure for this run divides by.
+    pub sim_events: u64,
+    /// Probe-plane messages submitted for sending
+    /// ([`geocast_sim::Counters::sent`]), dropped ones included.
+    pub messages_sent: u64,
 }
 
 impl DetectionReport {
@@ -307,10 +314,11 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
     let mut suspect_events = 0u64;
     let mut refute_events = 0u64;
     let mut timeline: Vec<CoverageSample> = Vec::new();
+    let mut sim_events = 0u64;
 
     let end = SimTime::ZERO + sc.run_for;
     loop {
-        sim.run_for(sc.sample_every);
+        sim_events += sim.run_for(sc.sample_every).events;
 
         if wave_at.is_none() && sim.now() >= SimTime::ZERO + sc.crash_at {
             let victims =
@@ -447,6 +455,8 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
         recovered_after,
         converged,
         repair_resyncs: engine.repair_cursor().resyncs(),
+        sim_events,
+        messages_sent: sim.counters().sent(),
     }
 }
 
@@ -526,6 +536,49 @@ mod tests {
             ..DetectionScenario::quick()
         };
         assert_eq!(run_detection(&sc), run_detection(&sc));
+    }
+
+    /// The replay contract of the simulator kernel, pinned: an FNV-1a
+    /// digest over the `Debug` text of whole reports — every verdict,
+    /// latency, timeline sample, event and message count — on fixed
+    /// default-size scenarios. A kernel change that moves one RNG draw,
+    /// one event's order or one counter moves the digest; only a change
+    /// to the protocol itself may re-pin the constant (and must say so).
+    #[test]
+    fn reports_are_the_parents() {
+        let base = DetectionScenario::default();
+        let mut scenarios: Vec<DetectionScenario> = Vec::new();
+        for (k, loss) in [0.0, 0.05, 0.10].into_iter().enumerate() {
+            for seed in 0..5u64 {
+                scenarios.push(DetectionScenario {
+                    seed: 1_000 * (k as u64 + 1) + seed,
+                    loss,
+                    ..base.clone()
+                });
+            }
+        }
+        scenarios.push(DetectionScenario {
+            seed: 4_000,
+            loss: 0.02,
+            burst: Some(GilbertElliott::new(0.02, 0.3, 0.0, 0.6)),
+            ..base.clone()
+        });
+        scenarios.push(DetectionScenario {
+            seed: 5_000,
+            loss: 0.05,
+            ..DetectionScenario::quick()
+        });
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for sc in &scenarios {
+            for byte in format!("{:?}", run_detection(sc)).bytes() {
+                digest ^= u64::from(byte);
+                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            digest, 0xd85e_f7cf_21f3_6577,
+            "a DetectionReport differs from the pinned one: {digest:#018x}"
+        );
     }
 
     #[test]
