@@ -306,6 +306,10 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
     let mut ground_truth: BTreeSet<usize> = BTreeSet::new();
     let mut wave_at: Option<SimTime> = None;
 
+    // The peers whose verdicts count: not failed by the wave, not
+    // evicted. Ascending, so verdicts drain in the order they always
+    // did; it only ever shrinks.
+    let mut observers: Vec<usize> = (0..sc.peers).collect();
     let mut cursors = vec![0usize; sc.peers];
     let mut removed_set: BTreeSet<usize> = BTreeSet::new();
     let mut removed: Vec<usize> = Vec::new();
@@ -333,6 +337,7 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
                 }
             }
             ground_truth = victims.into_iter().collect();
+            observers.retain(|i| !ground_truth.contains(i));
             wave_at = Some(sim.now());
         }
 
@@ -340,12 +345,8 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
         // detectors keep running (a silent node eventually declares the
         // whole world dead) but the connected majority is what acts.
         let mut new_dead: Vec<(usize, SimTime)> = Vec::new();
-        for i in 0..sc.peers {
+        for &i in &observers {
             let events = sim.node(NodeId(i)).events();
-            if ground_truth.contains(&i) || removed_set.contains(&i) {
-                cursors[i] = events.len();
-                continue;
-            }
             for event in &events[cursors[i]..] {
                 match event.kind {
                     DetectorVerdict::Suspect => suspect_events += 1,
@@ -355,6 +356,7 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
             }
             cursors[i] = events.len();
         }
+        let evictions = removed.len();
         for (victim, at) in new_dead {
             if !removed_set.insert(victim) {
                 continue; // Another observer got there first.
@@ -369,18 +371,17 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
             // The verdict IS the removal: detection drives repair.
             engine.store_mut().remove_if_present(PeerId(victim as u64));
         }
+        if removed.len() > evictions {
+            observers.retain(|i| !removed_set.contains(i));
+        }
         engine.sync();
 
         // The union of live observers' suspicions feeds degraded mode.
         let mut suspects: BTreeSet<usize> = BTreeSet::new();
-        for i in 0..sc.peers {
-            if ground_truth.contains(&i) || removed_set.contains(&i) {
-                continue;
-            }
+        for &i in &observers {
             suspects.extend(
                 sim.node(NodeId(i))
-                    .suspected_peers()
-                    .into_iter()
+                    .suspects()
                     .map(|p| p.index())
                     .filter(|p| !removed_set.contains(p)),
             );

@@ -1077,7 +1077,14 @@ impl GroupEngine {
     /// O(Σ suspects' group lists), not O(groups × relays), so the
     /// per-publish degradation check stays O(1).
     pub fn set_suspects<I: IntoIterator<Item = usize>>(&mut self, suspects: I) {
-        self.suspects = suspects.into_iter().collect();
+        let suspects: BTreeSet<usize> = suspects.into_iter().collect();
+        // Every rebuild refreshes its group's flag against the standing
+        // set, so the flags already are what the same set would give —
+        // and a detection plane reports ∅ after ∅ on most samples.
+        if suspects == self.suspects {
+            return;
+        }
+        self.suspects = suspects;
         self.degraded.clear();
         self.degraded.resize(self.groups.len(), false);
         for &s in &self.suspects {
@@ -1152,6 +1159,11 @@ impl GroupEngine {
             self.totals.publishes += 1;
             self.totals.payloads += 1;
             return Some(outcome);
+        }
+        if failed.is_empty() {
+            // Nothing cuts the tree: the walk below would reach what
+            // the group's cached delivery plan already counted.
+            return self.publish(g);
         }
         let group = &self.groups[g.index()];
         let build = &group.build.as_ref()?.build;
@@ -2672,8 +2684,49 @@ mod tests {
             eng.subscribe(g, PeerId(p));
         }
         let plain = eng.publish(g).unwrap();
+        let mut want = *eng.totals();
         let with = eng.publish_with_failures(g, &BTreeSet::new()).unwrap();
         assert_eq!(plain, with, "empty failure set must change nothing");
+        want.publishes += 1;
+        want.payloads += 1;
+        assert_eq!(*eng.totals(), want, "and must count as one publish");
+        // The walk over a cut tree and the cached plan agree where they
+        // meet: a failure outside the tree cuts nothing.
+        let outsider = (0..50)
+            .find(|p| !eng.group_build(g).unwrap().build.tree.is_reached(*p))
+            .expect("a 5-member tree leaves peers out");
+        let walked = eng.publish_with_failures(g, &BTreeSet::from([outsider]));
+        assert_eq!(walked, Some(plain));
+    }
+
+    #[test]
+    fn re_announcing_the_same_suspects_changes_no_flag() {
+        let mut eng = engine(60, 41);
+        let mut state = 7u64;
+        let ids = eng.seed_groups_clustered(&[10, 10, 10, 10], &mut state);
+        let flags =
+            |eng: &GroupEngine| -> Vec<bool> { ids.iter().map(|&g| eng.is_degraded(g)).collect() };
+        // A root and a relay, so both ways into degraded mode are live.
+        let root = eng.root(ids[0]).unwrap();
+        let relay = ids.iter().find_map(|&g| eng.relays(g).first().copied());
+        let suspects: BTreeSet<usize> = [root].into_iter().chain(relay).collect();
+        eng.set_suspects(suspects.iter().copied());
+        let first = flags(&eng);
+        assert!(first[0], "a suspected root degrades its group");
+        eng.set_suspects(suspects.iter().copied());
+        assert_eq!(flags(&eng), first, "same set, same flags");
+        // Across a repair too: the rebuilds refreshed their own flags,
+        // so the same set announced again finds nothing to correct —
+        // what a from-scratch recomputation (∅, then the set) confirms.
+        eng.store_mut().remove_if_present(PeerId(root as u64));
+        eng.sync();
+        let repaired = flags(&eng);
+        eng.set_suspects(suspects.iter().copied());
+        assert_eq!(flags(&eng), repaired);
+        eng.set_suspects(std::iter::empty());
+        assert!(flags(&eng).iter().all(|&d| !d));
+        eng.set_suspects(suspects.iter().copied());
+        assert_eq!(flags(&eng), repaired, "the standing flags were exact");
     }
 
     #[test]

@@ -1,4 +1,3 @@
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::fault::DropCause;
@@ -29,7 +28,11 @@ pub struct Counters {
     dropped_partition: u64,
     dropped_crashed: u64,
     timers_fired: u64,
-    by_tag: BTreeMap<&'static str, TagCounts>,
+    /// One row per distinct tag text, in first-seen order. A protocol
+    /// has a handful of message kinds and names each with one static,
+    /// so the row is found by comparing a pointer or two — twice per
+    /// message, which is why this is not an ordered map.
+    by_tag: Vec<(&'static str, TagCounts)>,
 }
 
 impl Counters {
@@ -91,31 +94,51 @@ impl Counters {
     /// Messages of the given kind submitted for sending.
     #[must_use]
     pub fn sent_with_tag(&self, tag: &str) -> u64 {
-        self.by_tag.get(tag).map_or(0, |c| c.sent)
+        self.counts(tag).map_or(0, |c| c.sent)
     }
 
     /// Messages of the given kind delivered.
     #[must_use]
     pub fn delivered_with_tag(&self, tag: &str) -> u64 {
-        self.by_tag.get(tag).map_or(0, |c| c.delivered)
+        self.counts(tag).map_or(0, |c| c.delivered)
     }
 
     /// All tags seen so far, sorted (deterministic for reporting).
     #[must_use]
     pub fn tags(&self) -> Vec<&'static str> {
-        let mut tags: Vec<&'static str> = self.by_tag.keys().copied().collect();
+        let mut tags: Vec<&'static str> = self.by_tag.iter().map(|&(t, _)| t).collect();
         tags.sort_unstable();
         tags
     }
 
+    /// Same static first (the common case, no bytes read), same text
+    /// otherwise: two statics with equal text are one tag.
+    fn position(&self, tag: &str) -> Option<usize> {
+        self.by_tag
+            .iter()
+            .position(|&(t, _)| std::ptr::eq(t, tag) || t == tag)
+    }
+
+    fn counts(&self, tag: &str) -> Option<&TagCounts> {
+        self.position(tag).map(|i| &self.by_tag[i].1)
+    }
+
+    fn counts_mut(&mut self, tag: &'static str) -> &mut TagCounts {
+        let i = self.position(tag).unwrap_or_else(|| {
+            self.by_tag.push((tag, TagCounts::default()));
+            self.by_tag.len() - 1
+        });
+        &mut self.by_tag[i].1
+    }
+
     pub(crate) fn record_sent(&mut self, tag: &'static str) {
         self.sent += 1;
-        self.by_tag.entry(tag).or_default().sent += 1;
+        self.counts_mut(tag).sent += 1;
     }
 
     pub(crate) fn record_delivered(&mut self, tag: &'static str) {
         self.delivered += 1;
-        self.by_tag.entry(tag).or_default().delivered += 1;
+        self.counts_mut(tag).delivered += 1;
     }
 
     pub(crate) fn record_dropped_fault(&mut self, cause: DropCause) {
@@ -232,6 +255,30 @@ mod tests {
         assert_eq!(c.delivered_with_tag("gossip"), 1);
         assert_eq!(c.sent_with_tag("unknown"), 0);
         assert_eq!(c.tags(), vec!["build", "gossip"]);
+    }
+
+    #[test]
+    fn equal_text_from_different_statics_is_one_tag() {
+        // Two allocations with the same text: the address differs, the
+        // tag does not.
+        let a: &'static str = Box::leak(String::from("probe").into_boxed_str());
+        let b: &'static str = Box::leak(String::from("probe").into_boxed_str());
+        assert!(!std::ptr::eq(a, b));
+        let mut c = Counters::default();
+        c.record_sent("zeta");
+        c.record_sent(a);
+        c.record_sent(b);
+        c.record_delivered(b);
+        c.record_sent("alpha");
+        assert_eq!(c.sent_with_tag("probe"), 2);
+        assert_eq!(c.delivered_with_tag("probe"), 1);
+        assert_eq!(c.sent_with_tag("prob"), 0, "a prefix is another tag");
+        assert_eq!(c.delivered_with_tag("never-seen"), 0);
+        assert_eq!(
+            c.tags(),
+            vec!["alpha", "probe", "zeta"],
+            "sorted, not first-seen"
+        );
     }
 
     #[test]

@@ -167,8 +167,10 @@ impl PeerRecord {
     }
 }
 
+/// A probe round in flight, keyed by the sequence number its acks echo.
 #[derive(Debug)]
 struct Probe {
+    seq: u64,
     target: NodeId,
 }
 
@@ -189,21 +191,33 @@ enum TimerKind {
 
 /// One participant in the failure-detection plane.
 ///
-/// All bookkeeping uses ordered maps so behaviour is a pure function of
-/// the seed — a detector run replays bit-for-bit like every other
-/// simulation in this repository.
+/// Behaviour is a pure function of the seed — a detector run replays
+/// bit-for-bit like every other simulation in this repository: peer
+/// records sit in a vector indexed by [`NodeId::index`] (ids are dense
+/// in a [`crate::Simulation`]) and are only ever walked in ascending
+/// id, in-flight probes and armed timers are found by their unique
+/// keys, and every random choice draws from the simulation RNG.
 #[derive(Debug)]
 pub struct DetectorNode {
     config: DetectorConfig,
     /// Membership view (every node in the plane; self is filtered out on
     /// start).
     peers: Vec<NodeId>,
-    records: BTreeMap<NodeId, PeerRecord>,
+    /// Indexed by [`NodeId::index`]; `None` for this node itself and
+    /// for ids outside the membership. Read on every message and up to
+    /// once per member on every probe tick.
+    records: Vec<Option<PeerRecord>>,
+    /// Records currently [`PeerStatus::Suspect`].
+    suspect_count: usize,
     cursor: usize,
     next_seq: u64,
-    probes: BTreeMap<u64, Probe>,
+    /// In-flight probe rounds: a handful at most (one starts per probe
+    /// period and lives two probe timeouts), so an unsorted vector.
+    probes: Vec<Probe>,
     relays: BTreeMap<u64, RelayProbe>,
-    timers: BTreeMap<TimerId, TimerKind>,
+    /// Armed timers, likewise a handful: the tick, a timeout per
+    /// in-flight probe, a suspicion timer per suspect.
+    timers: Vec<(TimerId, TimerKind)>,
     events: Vec<DetectorEvent>,
 }
 
@@ -215,12 +229,13 @@ impl DetectorNode {
         DetectorNode {
             config,
             peers: members,
-            records: BTreeMap::new(),
+            records: Vec::new(),
+            suspect_count: 0,
             cursor: 0,
             next_seq: 0,
-            probes: BTreeMap::new(),
+            probes: Vec::new(),
             relays: BTreeMap::new(),
-            timers: BTreeMap::new(),
+            timers: Vec::new(),
             events: Vec::new(),
         }
     }
@@ -234,9 +249,7 @@ impl DetectorNode {
     /// This node's current verdict on `peer` (`Alive` if unknown).
     #[must_use]
     pub fn status_of(&self, peer: NodeId) -> PeerStatus {
-        self.records
-            .get(&peer)
-            .map_or(PeerStatus::Alive, |r| r.status)
+        self.record(peer).map_or(PeerStatus::Alive, |r| r.status)
     }
 
     /// Every state transition this node has recorded, in order.
@@ -248,38 +261,77 @@ impl DetectorNode {
     /// Peers currently suspected (sorted).
     #[must_use]
     pub fn suspected_peers(&self) -> Vec<NodeId> {
-        self.with_status(PeerStatus::Suspect)
+        self.suspects().collect()
+    }
+
+    /// Peers currently suspected, in ascending id, without allocating.
+    /// A node that suspects nobody — the usual case — answers from its
+    /// suspect count and reads no record.
+    pub fn suspects(&self) -> impl Iterator<Item = NodeId> + '_ {
+        debug_assert_eq!(
+            self.suspect_count,
+            Self::with_status(&self.records, PeerStatus::Suspect).count()
+        );
+        let records = if self.suspect_count == 0 {
+            &[]
+        } else {
+            self.records.as_slice()
+        };
+        Self::with_status(records, PeerStatus::Suspect)
     }
 
     /// Peers declared dead (sorted).
     #[must_use]
     pub fn dead_peers(&self) -> Vec<NodeId> {
-        self.with_status(PeerStatus::Dead)
+        Self::with_status(&self.records, PeerStatus::Dead).collect()
     }
 
-    fn with_status(&self, status: PeerStatus) -> Vec<NodeId> {
-        self.records
+    fn with_status(
+        records: &[Option<PeerRecord>],
+        status: PeerStatus,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        records
             .iter()
-            .filter(|(_, r)| r.status == status)
-            .map(|(&p, _)| p)
-            .collect()
+            .enumerate()
+            .filter(move |(_, r)| r.as_ref().is_some_and(|r| r.status == status))
+            .map(|(i, _)| NodeId(i))
+    }
+
+    fn record(&self, peer: NodeId) -> Option<&PeerRecord> {
+        self.records.get(peer.index())?.as_ref()
+    }
+
+    fn record_mut(&mut self, peer: NodeId) -> Option<&mut PeerRecord> {
+        self.records.get_mut(peer.index())?.as_mut()
     }
 
     fn arm(&mut self, ctx: &mut Context<'_, DetectorMsg>, delay: SimDuration, kind: TimerKind) {
         let id = ctx.set_timer(delay);
-        self.timers.insert(id, kind);
+        self.timers.push((id, kind));
+    }
+
+    /// Forgets an armed timer, returning what it was armed for.
+    fn disarm(&mut self, timer: TimerId) -> Option<TimerKind> {
+        let at = self.timers.iter().position(|&(id, _)| id == timer)?;
+        Some(self.timers.swap_remove(at).1)
+    }
+
+    /// Ends the probe round `seq`, returning its target if it was still
+    /// in flight.
+    fn finish_probe(&mut self, seq: u64) -> Option<NodeId> {
+        let at = self.probes.iter().position(|p| p.seq == seq)?;
+        Some(self.probes.swap_remove(at).target)
     }
 
     /// Picks the next probe target: round-robin over the membership,
     /// skipping dead and backed-off peers.
     fn next_target(&mut self, now: SimTime) -> Option<NodeId> {
         let n = self.peers.len();
-        for step in 0..n {
-            let idx = (self.cursor + step) % n;
+        for idx in (self.cursor..n).chain(0..self.cursor) {
             let peer = self.peers[idx];
-            let record = self.records.get(&peer).expect("records cover membership");
+            let record = self.record(peer).expect("records cover membership");
             if record.status != PeerStatus::Dead && record.next_probe_at <= now {
-                self.cursor = (idx + 1) % n;
+                self.cursor = if idx + 1 == n { 0 } else { idx + 1 };
                 return Some(peer);
             }
         }
@@ -288,16 +340,18 @@ impl DetectorNode {
 
     /// Evidence that `peer` is alive: reset backoff, refute suspicion.
     fn confirm(&mut self, ctx: &mut Context<'_, DetectorMsg>, peer: NodeId) {
-        let Some(record) = self.records.get_mut(&peer) else {
+        let Some(record) = self.record_mut(peer) else {
             return;
         };
         record.misses = 0;
         if record.status == PeerStatus::Suspect {
             record.status = PeerStatus::Alive;
             record.next_probe_at = ctx.now();
-            if let Some(timer) = record.suspicion_timer.take() {
+            let timer = record.suspicion_timer.take();
+            self.suspect_count -= 1;
+            if let Some(timer) = timer {
                 ctx.cancel_timer(timer);
-                self.timers.remove(&timer);
+                self.disarm(timer);
             }
             self.events.push(DetectorEvent {
                 at: ctx.now(),
@@ -315,7 +369,7 @@ impl DetectorNode {
             self.config.probe_period,
             self.config.max_backoff,
         );
-        let Some(record) = self.records.get_mut(&target) else {
+        let Some(record) = self.record_mut(target) else {
             return;
         };
         if record.status == PeerStatus::Dead {
@@ -325,19 +379,17 @@ impl DetectorNode {
         let exponent = record.misses.min(max_backoff);
         record.next_probe_at = now + SimDuration::from_nanos(probe_period.as_nanos() << exponent);
         if record.status == PeerStatus::Alive {
+            let timer = ctx.set_timer(suspicion_timeout);
             record.status = PeerStatus::Suspect;
+            record.suspicion_timer = Some(timer);
+            self.suspect_count += 1;
             self.events.push(DetectorEvent {
                 at: now,
                 peer: target,
                 kind: DetectorVerdict::Suspect,
             });
-            let timer = ctx.set_timer(suspicion_timeout);
-            self.records
-                .get_mut(&target)
-                .expect("record still present")
-                .suspicion_timer = Some(timer);
             self.timers
-                .insert(timer, TimerKind::Suspicion { peer: target });
+                .push((timer, TimerKind::Suspicion { peer: target }));
         }
     }
 
@@ -368,8 +420,10 @@ impl Node for DetectorNode {
     fn on_start(&mut self, ctx: &mut Context<'_, DetectorMsg>) {
         let me = ctx.self_id();
         self.peers.retain(|&p| p != me);
+        let slots = self.peers.iter().map(|p| p.index() + 1).max().unwrap_or(0);
+        self.records.resize_with(slots, || None);
         for &p in &self.peers {
-            self.records.insert(p, PeerRecord::new());
+            self.records[p.index()] = Some(PeerRecord::new());
         }
         if self.peers.is_empty() {
             return;
@@ -391,8 +445,8 @@ impl Node for DetectorNode {
                 ctx.send(from, DetectorMsg::Ack { seq });
             }
             DetectorMsg::Ack { seq } => {
-                if let Some(probe) = self.probes.remove(&seq) {
-                    debug_assert_eq!(probe.target, from, "ack from unexpected peer");
+                if let Some(target) = self.finish_probe(seq) {
+                    debug_assert_eq!(target, from, "ack from unexpected peer");
                 } else if let Some(relay) = self.relays.remove(&seq) {
                     // We pinged on someone's behalf; report back.
                     self.confirm(ctx, relay.target);
@@ -420,13 +474,13 @@ impl Node for DetectorNode {
             }
             DetectorMsg::IndirectAck { target, seq } => {
                 self.confirm(ctx, target);
-                self.probes.remove(&seq);
+                self.finish_probe(seq);
             }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, DetectorMsg>, timer: TimerId) {
-        let Some(kind) = self.timers.remove(&timer) else {
+        let Some(kind) = self.disarm(timer) else {
             return;
         };
         match kind {
@@ -435,7 +489,7 @@ impl Node for DetectorNode {
                 if let Some(target) = self.next_target(ctx.now()) {
                     let seq = self.next_seq;
                     self.next_seq += 1;
-                    self.probes.insert(seq, Probe { target });
+                    self.probes.push(Probe { seq, target });
                     ctx.send(target, DetectorMsg::Ping { seq });
                     self.arm(
                         ctx,
@@ -445,14 +499,14 @@ impl Node for DetectorNode {
                 }
             }
             TimerKind::ProbeTimeout { seq } => {
-                let Some(probe) = self.probes.get(&seq) else {
+                let Some(probe) = self.probes.iter().find(|p| p.seq == seq) else {
                     return; // Acked in the meantime.
                 };
                 let target = probe.target;
                 let helpers = self.pick_helpers(ctx, target);
                 if helpers.is_empty() {
                     // Nobody to ask: the direct miss is the whole round.
-                    self.probes.remove(&seq);
+                    self.finish_probe(seq);
                     self.probe_round_failed(ctx, target);
                     return;
                 }
@@ -466,17 +520,18 @@ impl Node for DetectorNode {
                 );
             }
             TimerKind::IndirectTimeout { seq } => {
-                if let Some(probe) = self.probes.remove(&seq) {
-                    self.probe_round_failed(ctx, probe.target);
+                if let Some(target) = self.finish_probe(seq) {
+                    self.probe_round_failed(ctx, target);
                 }
             }
             TimerKind::Suspicion { peer } => {
-                let Some(record) = self.records.get_mut(&peer) else {
+                let Some(record) = self.record_mut(peer) else {
                     return;
                 };
                 if record.status == PeerStatus::Suspect {
                     record.status = PeerStatus::Dead;
                     record.suspicion_timer = None;
+                    self.suspect_count -= 1;
                     self.events.push(DetectorEvent {
                         at: ctx.now(),
                         peer,

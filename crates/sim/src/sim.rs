@@ -93,6 +93,7 @@ impl<N: Node> SimulationBuilder<N> {
             trace: TraceLog::new(self.trace_capacity),
             started: false,
             max_events: self.max_events,
+            actions: Vec::new(),
         }
     }
 }
@@ -116,6 +117,9 @@ pub struct Simulation<N: Node> {
     trace: TraceLog,
     started: bool,
     max_events: u64,
+    /// The one buffer every callback's [`Context`] records into; empty
+    /// between callbacks, its capacity kept.
+    actions: Vec<Action<N::Msg>>,
 }
 
 impl<N: Node> Simulation<N> {
@@ -352,12 +356,14 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Invokes `f` on one node with a fresh context, then applies the
-    /// actions it requested.
+    /// actions it requested, in the order it requested them.
     fn run_callback<F>(&mut self, id: NodeId, f: F)
     where
         F: FnOnce(&mut N, &mut Context<'_, N::Msg>),
     {
-        let mut actions: Vec<Action<N::Msg>> = Vec::new();
+        // Applying an action never runs a callback, so the buffer is
+        // out of `self` only while nobody else could want it.
+        let mut actions = std::mem::take(&mut self.actions);
         {
             let mut ctx = Context::new(
                 id,
@@ -368,7 +374,7 @@ impl<N: Node> Simulation<N> {
             );
             f(&mut self.nodes[id.index()], &mut ctx);
         }
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, msg } => self.enqueue_send(id, to, msg),
                 Action::Arm { delay, timer } => {
@@ -384,6 +390,7 @@ impl<N: Node> Simulation<N> {
                 }
             }
         }
+        self.actions = actions;
     }
 
     fn enqueue_send(&mut self, from: NodeId, to: NodeId, msg: N::Msg) {
