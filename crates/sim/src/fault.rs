@@ -139,7 +139,10 @@ impl GilbertElliott {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultModel {
     loss_probability: f64,
-    silent: BTreeSet<usize>,
+    /// `silent[i]` marks node `i`; nodes past the end are not silent.
+    /// A mask because every message asks about both endpoints. Never
+    /// ends in `false`, so equal sets are equal masks.
+    silent: Vec<bool>,
     burst: Option<GilbertElliott>,
     regions: Vec<u32>,
     partitions: BTreeSet<(u32, u32)>,
@@ -187,23 +190,35 @@ impl FaultModel {
     /// Marks or unmarks `peer` as a silent-drop peer (all its traffic,
     /// both directions, is discarded while marked).
     pub fn set_silent(&mut self, peer: NodeId, silent: bool) {
+        let i = peer.index();
         if silent {
-            self.silent.insert(peer.index());
-        } else {
-            self.silent.remove(&peer.index());
+            if self.silent.len() <= i {
+                self.silent.resize(i + 1, false);
+            }
+            self.silent[i] = true;
+        } else if let Some(mark) = self.silent.get_mut(i) {
+            *mark = false;
+            while self.silent.last() == Some(&false) {
+                self.silent.pop();
+            }
         }
     }
 
     /// `true` if `peer` is currently a silent-drop peer.
     #[must_use]
     pub fn is_silent(&self, peer: NodeId) -> bool {
-        self.silent.contains(&peer.index())
+        self.silent.get(peer.index()).copied().unwrap_or(false)
     }
 
     /// The silent-drop peers, sorted by index.
     #[must_use]
     pub fn silent_peers(&self) -> Vec<NodeId> {
-        self.silent.iter().map(|&i| NodeId(i)).collect()
+        self.silent
+            .iter()
+            .enumerate()
+            .filter(|&(_, &silent)| silent)
+            .map(|(i, _)| NodeId(i))
+            .collect()
     }
 
     /// Assigns each node (by dense index) a region label for partition
@@ -258,7 +273,7 @@ impl FaultModel {
         to: NodeId,
         rng: &mut StdRng,
     ) -> Option<DropCause> {
-        if self.silent.contains(&from.index()) || self.silent.contains(&to.index()) {
+        if self.is_silent(from) || self.is_silent(to) {
             return Some(DropCause::Silent);
         }
         if self.is_partitioned(from, to) {
@@ -281,7 +296,7 @@ impl Default for FaultModel {
     fn default() -> Self {
         FaultModel {
             loss_probability: 0.0,
-            silent: BTreeSet::new(),
+            silent: Vec::new(),
             burst: None,
             regions: Vec::new(),
             partitions: BTreeSet::new(),
@@ -391,6 +406,23 @@ mod tests {
         assert_eq!(model.drops(NodeId(1), NodeId(2), &mut rng), None);
         model.set_silent(NodeId(3), false);
         assert_eq!(model.drops(NodeId(3), NodeId(1), &mut rng), None);
+        assert_eq!(model, FaultModel::default(), "unmarking leaves no trace");
+    }
+
+    #[test]
+    fn silent_peers_are_a_set_listed_in_index_order() {
+        let mut model = FaultModel::default();
+        for i in [7, 2, 5, 2] {
+            model.set_silent(NodeId(i), true);
+        }
+        model.set_silent(NodeId(9), false); // never marked: a no-op
+        assert_eq!(model.silent_peers(), vec![NodeId(2), NodeId(5), NodeId(7)]);
+        assert!(!model.is_silent(NodeId(6)) && !model.is_silent(NodeId(100)));
+        model.set_silent(NodeId(7), false);
+        let mut other = FaultModel::default();
+        other.set_silent(NodeId(5), true);
+        other.set_silent(NodeId(2), true);
+        assert_eq!(model, other, "the same set, whatever its history");
     }
 
     #[test]

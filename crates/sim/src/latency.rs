@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use geocast_geom::{Metric, Point, L2};
+use geocast_geom::Point;
 
 use crate::node::NodeId;
 use crate::time::SimDuration;
@@ -73,7 +73,10 @@ impl LatencyModel for UniformLatency {
 /// approximate network proximity.
 #[derive(Debug, Clone)]
 pub struct CoordDistanceLatency {
-    positions: Vec<Point>,
+    /// Node `i`'s coordinates at `coords[i * dim..][..dim]`: one flat
+    /// array, because every message reads two of them.
+    coords: Vec<f64>,
+    dim: usize,
     base: SimDuration,
     per_unit: SimDuration,
 }
@@ -83,13 +86,27 @@ impl CoordDistanceLatency {
     ///
     /// `base` is added to every message; `per_unit` scales the Euclidean
     /// distance between endpoints.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the positions differ in dimensionality.
     #[must_use]
     pub fn new(positions: Vec<Point>, base: SimDuration, per_unit: SimDuration) -> Self {
+        let dim = positions.first().map_or(0, Point::dim);
+        assert!(
+            positions.iter().all(|p| p.dim() == dim),
+            "positions must share one dimensionality"
+        );
         CoordDistanceLatency {
-            positions,
+            coords: positions.iter().flat_map(Point::coords).copied().collect(),
+            dim,
             base,
             per_unit,
         }
+    }
+
+    fn coords_of(&self, node: NodeId) -> &[f64] {
+        &self.coords[node.index() * self.dim..][..self.dim]
     }
 }
 
@@ -98,9 +115,14 @@ impl LatencyModel for CoordDistanceLatency {
     ///
     /// Panics if either node has no registered position.
     fn latency(&self, from: NodeId, to: NodeId, _rng: &mut StdRng) -> SimDuration {
-        let a = &self.positions[from.index()];
-        let b = &self.positions[to.index()];
-        let d = L2.dist(a, b);
+        // `L2::dist` term for term (the sum order fixes the bits).
+        let d = self
+            .coords_of(from)
+            .iter()
+            .zip(self.coords_of(to))
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum::<f64>()
+            .sqrt();
         self.base + SimDuration::from_nanos((self.per_unit.as_nanos() as f64 * d).round() as u64)
     }
 }
@@ -170,5 +192,31 @@ mod tests {
         assert_eq!(far, SimDuration::from_millis(11)); // 1 + 2*5
         assert_eq!(near, SimDuration::from_millis(3)); // 1 + 2*1
         assert!(near < far);
+    }
+
+    #[test]
+    fn coord_distance_is_the_l2_metric_bit_for_bit() {
+        use geocast_geom::{Metric, L2};
+        let points = geocast_geom::gen::uniform_points(12, 3, 1000.0, 9).into_points();
+        let per_unit = SimDuration::from_nanos(15_000);
+        let model = CoordDistanceLatency::new(points.clone(), SimDuration::ZERO, per_unit);
+        let mut rng = StdRng::seed_from_u64(0);
+        for (i, a) in points.iter().enumerate() {
+            for (j, b) in points.iter().enumerate() {
+                let want = (per_unit.as_nanos() as f64 * L2.dist(a, b)).round() as u64;
+                let got = model.latency(NodeId(i), NodeId(j), &mut rng);
+                assert_eq!(got, SimDuration::from_nanos(want), "{i} -> {j}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one dimensionality")]
+    fn coord_distance_rejects_mixed_dimensionality() {
+        let positions = vec![
+            Point::from_validated(vec![0.0, 0.0]),
+            Point::from_validated(vec![1.0]),
+        ];
+        let _ = CoordDistanceLatency::new(positions, SimDuration::ZERO, SimDuration::ZERO);
     }
 }
