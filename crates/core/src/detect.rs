@@ -545,6 +545,8 @@ mod tests {
     /// default-size scenarios. A kernel change that moves one RNG draw,
     /// one event's order or one counter moves the digest; only a change
     /// to the protocol itself may re-pin the constant (and must say so).
+    /// Re-pinned once, from 0xd85e_f7cf_21f3_6577, when each node began
+    /// to probe in its own shuffled order.
     #[test]
     fn reports_are_the_parents() {
         let base = DetectionScenario::default();
@@ -577,7 +579,7 @@ mod tests {
             }
         }
         assert_eq!(
-            digest, 0xd85e_f7cf_21f3_6577,
+            digest, 0x9d37_1176_8906_062a,
             "a DetectionReport differs from the pinned one: {digest:#018x}"
         );
     }

@@ -7,7 +7,8 @@
 //! only writer: whatever the plane decided, the oracle replays.
 //!
 //! At zero loss the property sharpens to the strict gate: every injected
-//! failure detected, zero false positives, full final coverage.
+//! failure detected, zero false positives, full final coverage — and
+//! every verdict inside half a probe cycle plus the timeout chain.
 
 use proptest::prelude::*;
 
@@ -75,5 +76,34 @@ proptest! {
         let report = run_detection(&scenario(seed, 24, crashes, silents, 0.0));
         prop_assert!(report.strict_ok(), "strict gate failed: {report:?}");
         prop_assert_eq!(report.detected.len(), crashes + silents);
+    }
+
+    /// At zero loss every failure is convicted inside half a probe cycle
+    /// plus the timeout chain. A plane walking one shared list *averages*
+    /// half a cycle before a victim's first probe, `(n − 1) ×
+    /// probe_period / 2`; with a permutation per node each live peer's
+    /// first probe of the victim is uniform over the cycle, so all of
+    /// them miss the first half with probability 2^−(live peers).
+    #[test]
+    fn zero_loss_detection_lands_inside_half_a_probe_cycle(
+        seed in 0u64..10_000,
+        peers in 16usize..28,
+        crashes in 1usize..4,
+        silents in 0usize..3,
+    ) {
+        let sc = scenario(seed, peers, crashes, silents, 0.0);
+        let d = &sc.detector;
+        let half_cycle = d.probe_period.as_secs_f64() * (peers - 1) as f64 / 2.0;
+        let chain = 2.0 * d.probe_timeout.as_secs_f64()
+            + d.suspicion_timeout.as_secs_f64()
+            + sc.sample_every.as_secs_f64();
+        let report = run_detection(&sc);
+        prop_assert!(report.all_failures_detected(), "undetected: {report:?}");
+        prop_assert!(
+            report.max_detection_ms() < (half_cycle + chain) * 1e3,
+            "slowest verdict {} ms, bound {} ms",
+            report.max_detection_ms(),
+            (half_cycle + chain) * 1e3
+        );
     }
 }

@@ -8,8 +8,13 @@
 //! protocols use:
 //!
 //! 1. **Direct probe.** Every `probe_period` a node picks the next peer
-//!    (round-robin, skipping backed-off and dead peers) and sends a
-//!    `Ping`; the peer answers `Ack`.
+//!    (round-robin over its own random permutation of the membership,
+//!    drawn once at start; skipping backed-off and dead peers) and sends
+//!    a `Ping`; the peer answers `Ack`. The round-robin bounds how long
+//!    one prober can leave a peer unprobed (one cycle, `n − 1` periods);
+//!    the per-node permutation spreads each period's probes over the
+//!    membership, so with `n − 1` probers a failed peer's first missed
+//!    probe comes after about one period, not half a cycle.
 //! 2. **Indirect probe.** If the `Ack` misses its `probe_timeout`, the
 //!    prober asks `indirect_peers` random helpers to ping the target on
 //!    its behalf (`PingReq`); a helper that hears back forwards an
@@ -200,8 +205,8 @@ enum TimerKind {
 #[derive(Debug)]
 pub struct DetectorNode {
     config: DetectorConfig,
-    /// Membership view (every node in the plane; self is filtered out on
-    /// start).
+    /// Membership view (every node in the plane; on start self is
+    /// filtered out and the rest shuffled into this node's probe order).
     peers: Vec<NodeId>,
     /// Indexed by [`NodeId::index`]; `None` for this node itself and
     /// for ids outside the membership. Read on every message and up to
@@ -323,8 +328,8 @@ impl DetectorNode {
         Some(self.probes.swap_remove(at).target)
     }
 
-    /// Picks the next probe target: round-robin over the membership,
-    /// skipping dead and backed-off peers.
+    /// Picks the next probe target: round-robin over this node's probe
+    /// order, skipping dead and backed-off peers.
     fn next_target(&mut self, now: SimTime) -> Option<NodeId> {
         let n = self.peers.len();
         for idx in (self.cursor..n).chain(0..self.cursor) {
@@ -428,8 +433,16 @@ impl Node for DetectorNode {
         if self.peers.is_empty() {
             return;
         }
-        // Stagger first probes uniformly across one period so the plane
-        // does not probe in lockstep.
+        // Two things keep the plane from probing in lockstep. Each node
+        // walks its own permutation of the membership (Fisher–Yates,
+        // once): were the order shared, every node would probe the same
+        // peer in the same period, whatever the phase below, and a peer
+        // would go unprobed for a whole cycle between two volleys.
+        for i in (1..self.peers.len()).rev() {
+            let j = ctx.rng().random_range(0..=i);
+            self.peers.swap(i, j);
+        }
+        // And first probes are staggered uniformly across one period.
         let jitter = SimDuration::from_nanos(
             ctx.rng()
                 .random_range(0..self.config.probe_period.as_nanos()),
@@ -558,6 +571,7 @@ mod tests {
         Simulation::builder(nodes)
             .seed(7)
             .latency(ConstantLatency(SimDuration::from_millis(5)))
+            .trace_capacity(4096)
             .build()
     }
 
@@ -580,6 +594,34 @@ mod tests {
         }
         assert!(sim.counters().sent_with_tag("ping") > 0);
         assert_eq!(sim.counters().sent_with_tag("ping-req"), 0);
+    }
+
+    #[test]
+    fn one_period_of_probes_spreads_over_the_membership() {
+        // 12 nodes send 12 pings per period. Walking one shared list
+        // they would all name the same peer (its neighbour too where a
+        // node skips itself, a third where a period boundary cuts the
+        // volley): at most 3 distinct targets. With a permutation per
+        // node a period is 12 near-uniform picks: a given peer is
+        // missed with probability (10/11)^11, so about 7.8 are named.
+        let config = fast_config();
+        let mut sim = plane(12, config);
+        let period = config.probe_period.as_nanos();
+        // One full cycle of n - 1 periods after the staggered start; a
+        // ping sent in period k is delivered one latency (5 ms) later.
+        let start = period + SimDuration::from_millis(5).as_nanos();
+        sim.run_until(SimTime::from_nanos(start + 11 * period));
+        let mut named = vec![std::collections::BTreeSet::new(); 11];
+        for entry in sim.trace().entries().filter(|e| e.tag == "ping") {
+            if let Some(since) = entry.time.as_nanos().checked_sub(start) {
+                named[((since / period) as usize).min(10)].insert(entry.to);
+            }
+        }
+        let distinct: Vec<usize> = named.iter().map(std::collections::BTreeSet::len).collect();
+        // Seeds differ (5 to 11 in a period); none comes near 3.
+        assert!(distinct.iter().all(|&d| d >= 4), "per period: {distinct:?}");
+        assert!(distinct.iter().any(|&d| d >= 8), "per period: {distinct:?}");
+        assert!(distinct.iter().sum::<usize>() >= 6 * 11, "{distinct:?}");
     }
 
     #[test]
