@@ -356,7 +356,6 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
             }
             cursors[i] = events.len();
         }
-        let evictions = removed.len();
         for (victim, at) in new_dead {
             if !removed_set.insert(victim) {
                 continue; // Another observer got there first.
@@ -368,11 +367,9 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
             } else {
                 false_positives += 1;
             }
+            observers.retain(|&i| i != victim);
             // The verdict IS the removal: detection drives repair.
             engine.store_mut().remove_if_present(PeerId(victim as u64));
-        }
-        if removed.len() > evictions {
-            observers.retain(|i| !removed_set.contains(i));
         }
         engine.sync();
 
