@@ -480,6 +480,12 @@ mod tests {
             affected < 0.7 * naive,
             "examined μ {affected} vs naive {naive}: locality lost"
         );
+        let repaired: f64 = rows[1][8].parse().unwrap();
+        let members: f64 = rows[1][2].parse().unwrap();
+        assert!(
+            repaired < members / 2.0,
+            "repaired {repaired} of {members} memberships per event"
+        );
         let certified: f64 = rows[1][5].parse().unwrap();
         let rebuilt: f64 = rows[1][6].parse().unwrap();
         assert!((certified + rebuilt - affected).abs() < 0.011, "{rows:?}");

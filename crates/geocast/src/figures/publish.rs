@@ -250,8 +250,8 @@ fn suspicion_comparison(cfg: &PublishConfig, exponent: f64) -> String {
 /// delivery-plan cache, batch depth × Zipf skew.
 ///
 /// The acceptance shape: `msg/payload` must fall as batch depth grows
-/// (≥ 5× reduction at depth 64 on the Zipf-head scenario — the bench
-/// asserts it at full scale), `hit %` must stay high (only churn-
+/// (≥ 5× reduction at depth 64 on the Zipf-head scenario — this
+/// module's test asserts it), `hit %` must stay high (only churn-
 /// repaired groups recompute plans), and `stranded` must hold at 0.
 #[must_use]
 pub fn publish_panel(cfg: &PublishConfig) -> FigureReport {
@@ -340,7 +340,7 @@ mod tests {
             groups: 8,
             subscriptions: 120,
             exponents: vec![0.0, 1.5],
-            batch_sizes: vec![1, 32],
+            batch_sizes: vec![1, 32, 64],
             ticks: 12,
             churn_every: 5,
             ..PublishConfig::quick()
@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn publish_panel_reduces_messages_and_strands_nothing() {
         let report = publish_panel(&tiny());
-        assert_eq!(report.table.len(), 4, "2 exponents x 2 batch depths");
+        assert_eq!(report.table.len(), 6, "2 exponents x 3 batch depths");
         for row in report.table.rows() {
             assert_eq!(row[9], "0", "zipf={} batch={}: stranded", row[0], row[1]);
             assert_eq!(
@@ -361,18 +361,19 @@ mod tests {
         }
         // The skewed deep-batch row must show a real reduction and
         // cache hits; the batch=1 rows are the sequential baseline.
-        let deep = report
-            .table
-            .rows()
-            .iter()
-            .find(|r| r[0] == "1.5" && r[1] == "32")
-            .expect("deep skewed row")
-            .clone();
-        let reduction: f64 = deep[7].trim_end_matches('x').parse().unwrap();
-        assert!(
-            reduction >= 3.0,
-            "zipf 1.5 @ batch 32: reduction {reduction}"
-        );
+        for (batch, at_least) in [("32", 3.0), ("64", 5.0)] {
+            let deep = report
+                .table
+                .rows()
+                .iter()
+                .find(|r| r[0] == "1.5" && r[1] == batch)
+                .expect("deep skewed row");
+            let reduction: f64 = deep[7].trim_end_matches('x').parse().unwrap();
+            assert!(
+                reduction >= at_least,
+                "zipf 1.5 @ batch {batch}: reduction {reduction}"
+            );
+        }
         for row in report.table.rows().iter().filter(|r| r[1] == "1") {
             assert_eq!(row[7], "1.0x", "batch=1 must equal sequential cost");
         }

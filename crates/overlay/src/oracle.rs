@@ -322,14 +322,22 @@ mod tests {
 
     #[test]
     fn engine_equals_brute_force_on_both_rules() {
-        for &(n, dim, seed) in &[(60usize, 2usize, 21u64), (80, 3, 22), (40, 4, 23)] {
+        // The last size is the empty-rectangle rule alone, four digits
+        // of N: about what a debug build's brute force does in 2 s.
+        let both: &[usize] = &[1, 3];
+        for &(n, dim, seed, ks) in &[
+            (60usize, 2usize, 21u64, both),
+            (80, 3, 22, both),
+            (40, 4, 23, both),
+            (1000, 2, 1, &[]),
+        ] {
             let population = peers(n, dim, seed);
             assert_eq!(
                 equilibrium(&population, &EmptyRectSelection),
                 equilibrium_brute_force(&population, &EmptyRectSelection),
                 "empty-rect n={n} dim={dim}"
             );
-            for k in [1usize, 3] {
+            for &k in ks {
                 let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
                 assert_eq!(
                     equilibrium(&population, &sel),

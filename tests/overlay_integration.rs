@@ -137,6 +137,8 @@ fn departed_peer_is_forgotten_and_overlay_heals() {
         expected_nbrs.sort_unstable();
         assert_eq!(topo.out_neighbors(oi), &expected_nbrs[..], "survivor {oi}");
     }
+    // And the gossip landed on the rows the embedded store maintains.
+    assert_eq!(topo, net.reference_topology());
 }
 
 #[test]
@@ -175,6 +177,7 @@ fn churn_schedule_keeps_live_overlay_at_oracle_equilibrium() {
             "live peer {orig}"
         );
     }
+    assert_eq!(topo, net.reference_topology());
 }
 
 #[test]
