@@ -4,8 +4,7 @@
 //! rows/series the paper reports) and then times the kernel operations
 //! behind it with Criterion. By default the artifact regeneration runs
 //! at *quick* scale so `cargo bench --workspace` finishes in minutes;
-//! set `GEOCAST_FULL=1` for the paper-scale sweeps recorded in
-//! EXPERIMENTS.md.
+//! set `GEOCAST_FULL=1` for the paper-scale sweeps.
 
 #![forbid(unsafe_code)]
 

@@ -271,7 +271,6 @@ const COMMANDS: &[Command] = &[
             "join-rate",
             "leave-rate",
             "pattern",
-            "mode",
             "shards",
             "strict",
         ],
@@ -376,10 +375,10 @@ COMMANDS:
              --n 200 --dim 2 --seed 1 --from 0 --to 10
   churn      replay a churn pattern through the incremental engine
              --n 500 --dim 2 --seed 1 --pattern join-wave|leave-wave|flash-crowd|mixed
-             --events 200 --join-rate 1 --leave-rate 1 --mode store|live
-             --shards 1  (store mode: tiles of the store engine)
-             [--strict]  (store mode: fail unless the replayed store is
-                          byte-identical to the from-scratch definition)
+             --events 200 --join-rate 1 --leave-rate 1
+             --shards 1  (tiles of the store engine)
+             [--strict]  (fail unless the replayed store is byte-identical
+                          to the from-scratch definition)
   groups     drive N concurrent multicast groups over one shared store
              --n 500 --dim 2 --seed 1 --groups 16 --subs 1000 --zipf 1.0
              --events 200 --group-events 200 --placement clustered|scattered
@@ -667,7 +666,7 @@ fn cmd_route(inv: &Invocation) -> Result<String, CliError> {
 }
 
 fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
-    use geocast::overlay::churn::{run_schedule_localized, run_schedule_on_store, ChurnSchedule};
+    use geocast::overlay::churn::{run_schedule_on_store, ChurnSchedule};
     use std::time::Instant;
 
     let n: usize = opt_peers(inv, 500)?;
@@ -677,7 +676,6 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
     let join_rate: u32 = opt(inv, "join-rate", 1)?;
     let leave_rate: u32 = opt(inv, "leave-rate", 1)?;
     let pattern_name: String = opt(inv, "pattern", "mixed".to_owned())?;
-    let mode: String = opt(inv, "mode", "store".to_owned())?;
     let shards: usize = opt(inv, "shards", 1)?;
     let strict = inv.options.contains_key("strict");
     if shards == 0 {
@@ -685,17 +683,6 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
             key: "shards".into(),
             value: "0".into(),
         });
-    }
-    if mode != "store" {
-        if let Some(key) = ["shards", "strict"]
-            .into_iter()
-            .find(|&key| inv.options.contains_key(key))
-        {
-            return Err(CliError::BadValue {
-                key: key.into(),
-                value: format!("given with --mode {mode} (only --mode store reads it)"),
-            });
-        }
     }
     let pattern = match pattern_name.as_str() {
         "join-wave" => ChurnPattern::JoinWave { count: events },
@@ -727,156 +714,84 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
 
     let points = uniform_points(n, dim, 1000.0, seed);
     let schedule = ChurnSchedule::from_pattern(n, &pattern, dim, 1000.0, seed ^ 0xc4);
-    // Departed peers keep their (edge-less) vertex, so connectivity is a
-    // live-peers-only question.
-    let live_connected = |topo: &OverlayGraph, live: Vec<usize>| -> bool {
-        match live.first() {
-            None => true,
-            Some(&start) => {
-                let dist = topo.bfs_distances(start);
-                live.iter().all(|&i| dist[i].is_some())
-            }
-        }
-    };
     let mut out = String::new();
     out.push_str(&format!(
-        "churn replay: {pattern} on {n} initial peers (D={dim}, seed {seed}, mode {mode})\n\n"
+        "churn replay: {pattern} on {n} initial peers (D={dim}, seed {seed})\n\n"
     ));
-    match mode.as_str() {
-        "store" => {
-            let mut store = TopologyStore::from_peers_sharded(
-                PeerInfo::from_point_set(&points),
-                Arc::new(EmptyRectSelection),
-                &geocast::overlay::ShardConfig::new(shards),
-            );
-            // lint:allow(D002, reason = "wall-clock lines in the CLI report only; no control flow reads the clock")
-            let start = Instant::now();
-            let report = run_schedule_on_store(&mut store, &schedule);
-            let secs = start.elapsed().as_secs_f64();
-            let engine = store.sharding();
-            out.push_str(&format!(
-                "  shard engine      : {} shards ({} per dim), halo {:.1}\n",
-                engine.shard_count(),
-                engine
-                    .tiles_per_dim()
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("x"),
-                engine.halo_width(),
-            ));
-            out.push_str(&format!(
-                "  events applied    : {} ({} joins, {} leaves)\n",
-                report.joins + report.leaves,
-                report.joins,
-                report.leaves
-            ));
-            out.push_str(&format!("  elapsed           : {secs:.3}s\n"));
-            out.push_str(&format!(
-                "  events per second : {:.0}\n",
-                (report.joins + report.leaves) as f64 / secs.max(1e-9)
-            ));
-            out.push_str(&format!(
-                "  dirty region      : mean {:.1} / max {} peers\n",
-                report.touched_mean(),
-                report.touched_max
-            ));
-            out.push_str(&format!("  live peers after  : {}\n", store.live_count()));
-            let stats = engine.churn_stats();
-            out.push_str(&format!(
-                "  cross-shard       : {}/{} folds escaped ({:.3}), {} foreign shortlists; \
-                 {} foreign shadow queries / {} repairs; {} certified skips\n",
-                stats.folds_escaped,
-                stats.folds,
-                stats.escape_ratio(),
-                stats.foreign_shortlists,
-                stats.shadow_foreign_queries,
-                stats.shadow_repairs,
-                stats.skips_certified
-            ));
-            let live: Vec<usize> = (0..store.len())
-                .filter(|&i| !store.is_departed(PeerId(i as u64)))
-                .collect();
-            out.push_str(&format!(
-                "  connected         : {}\n",
-                live_connected(&store.graph(), live)
-            ));
-            if strict {
-                // The CI gate: the topology the survivors define, from
-                // scratch and with no index, and the fingerprint of that.
-                let want =
-                    oracle::equilibrium_live(store.peers(), store.departed(), &EmptyRectSelection);
-                let graphs_equal = store.graph() == want;
-                let fingerprints_equal = store.fingerprint() == oracle::fingerprint(&want);
-                if !(graphs_equal && fingerprints_equal) {
-                    return Err(CliError::ShardGate {
-                        shards,
-                        graphs_equal,
-                        fingerprints_equal,
-                    });
-                }
-                out.push_str(
-                    "  strict gate       : byte-identical to the from-scratch definition\n",
-                );
-            }
+    let mut store = TopologyStore::from_peers_sharded(
+        PeerInfo::from_point_set(&points),
+        Arc::new(EmptyRectSelection),
+        &geocast::overlay::ShardConfig::new(shards),
+    );
+    // lint:allow(D002, reason = "wall-clock lines in the CLI report only; no control flow reads the clock")
+    let start = Instant::now();
+    let report = run_schedule_on_store(&mut store, &schedule);
+    let secs = start.elapsed().as_secs_f64();
+    let engine = store.sharding();
+    out.push_str(&format!(
+        "  shard engine      : {} shards ({} per dim), halo {:.1}\n",
+        engine.shard_count(),
+        engine
+            .tiles_per_dim()
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("x"),
+        engine.halo_width(),
+    ));
+    out.push_str(&format!(
+        "  events applied    : {} ({} joins, {} leaves)\n",
+        report.joins + report.leaves,
+        report.joins,
+        report.leaves
+    ));
+    out.push_str(&format!("  elapsed           : {secs:.3}s\n"));
+    out.push_str(&format!(
+        "  events per second : {:.0}\n",
+        (report.joins + report.leaves) as f64 / secs.max(1e-9)
+    ));
+    out.push_str(&format!(
+        "  dirty region      : mean {:.1} / max {} peers\n",
+        report.touched_mean(),
+        report.touched_max
+    ));
+    out.push_str(&format!("  live peers after  : {}\n", store.live_count()));
+    let stats = engine.churn_stats();
+    out.push_str(&format!(
+        "  cross-shard       : {}/{} folds escaped ({:.3}), {} foreign shortlists; \
+         {} foreign shadow queries / {} repairs; {} certified skips\n",
+        stats.folds_escaped,
+        stats.folds,
+        stats.escape_ratio(),
+        stats.foreign_shortlists,
+        stats.shadow_foreign_queries,
+        stats.shadow_repairs,
+        stats.skips_certified
+    ));
+    // Departed peers keep their (edge-less) vertex, so connectivity is a
+    // live-peers-only question.
+    let live: Vec<usize> = (0..store.len())
+        .filter(|&i| !store.is_departed(PeerId(i as u64)))
+        .collect();
+    let connected = live.first().is_none_or(|&start| {
+        let dist = store.graph().bfs_distances(start);
+        live.iter().all(|&i| dist[i].is_some())
+    });
+    out.push_str(&format!("  connected         : {connected}\n"));
+    if strict {
+        // The CI gate: the topology the survivors define, from
+        // scratch and with no index, and the fingerprint of that.
+        let want = oracle::equilibrium_live(store.peers(), store.departed(), &EmptyRectSelection);
+        let graphs_equal = store.graph() == want;
+        let fingerprints_equal = store.fingerprint() == oracle::fingerprint(&want);
+        if !(graphs_equal && fingerprints_equal) {
+            return Err(CliError::ShardGate {
+                shards,
+                graphs_equal,
+                fingerprints_equal,
+            });
         }
-        "live" => {
-            let mut net =
-                OverlayNetwork::new(Arc::new(EmptyRectSelection), NetworkConfig::default());
-            for p in &points {
-                net.add_peer_localized(p.clone());
-            }
-            // lint:allow(D002, reason = "wall-clock lines in the CLI report only; no control flow reads the clock")
-            let start = Instant::now();
-            let report = run_schedule_localized(&mut net, &schedule);
-            let secs = start.elapsed().as_secs_f64();
-            let stats = net.churn_stats();
-            out.push_str(&format!(
-                "  events applied    : {} ({} joins, {} leaves)\n",
-                report.joins + report.leaves,
-                report.joins,
-                report.leaves
-            ));
-            out.push_str(&format!("  elapsed           : {secs:.3}s\n"));
-            out.push_str(&format!(
-                "  events per second : {:.0}\n",
-                (report.joins + report.leaves) as f64 / secs.max(1e-9)
-            ));
-            out.push_str(&format!(
-                "  locate contacts   : {} across {} localized events (build + schedule)\n",
-                stats.contacts,
-                stats.joins + stats.leaves
-            ));
-            out.push_str(&format!(
-                "  topology == store : {}\n",
-                net.topology() == net.reference_topology()
-            ));
-            let cursor = net.gossip_cursor();
-            let mut ledger = geocast::metrics::ConsumerLedger::new();
-            ledger.push(geocast::metrics::ConsumerRow::new(
-                cursor.name(),
-                cursor.epoch(),
-                cursor.absorbed(),
-                cursor.resyncs(),
-            ));
-            out.push_str("  delta consumers   :\n");
-            for line in ledger.to_table().to_markdown().lines() {
-                out.push_str(&format!("    {line}\n"));
-            }
-            let live: Vec<usize> = (0..net.len())
-                .filter(|&i| !net.has_departed(PeerId(i as u64)))
-                .collect();
-            out.push_str(&format!(
-                "  connected         : {}\n",
-                live_connected(&net.topology(), live)
-            ));
-        }
-        other => {
-            return Err(CliError::BadValue {
-                key: "mode".into(),
-                value: other.into(),
-            })
-        }
+        out.push_str("  strict gate       : byte-identical to the from-scratch definition\n");
     }
     Ok(out)
 }
@@ -1586,28 +1501,8 @@ mod tests {
     }
 
     #[test]
-    fn churn_live_mode_tracks_the_store() {
-        let inv = parse_args(&args(&[
-            "churn",
-            "--n",
-            "30",
-            "--events",
-            "10",
-            "--pattern",
-            "flash-crowd",
-            "--mode",
-            "live",
-        ]))
-        .unwrap();
-        let out = run(&inv).unwrap();
-        assert!(out.contains("topology == store : true"), "{out}");
-    }
-
-    #[test]
     fn churn_rejects_unknown_pattern_and_mode() {
         let inv = parse_args(&args(&["churn", "--pattern", "tsunami"])).unwrap();
-        assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
-        let inv = parse_args(&args(&["churn", "--mode", "dream"])).unwrap();
         assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
     }
 
@@ -1632,17 +1527,8 @@ mod tests {
         assert!(out.contains("shard engine      : 1 shards"), "{out}");
         assert!(out.contains("cross-shard       : 0/"), "{out}");
         assert!(out.contains("strict gate       : byte-identical"), "{out}");
-        for bad in [
-            &["churn", "--shards", "0"][..],
-            &["churn", "--mode", "live", "--shards", "4"],
-            &["churn", "--mode", "live", "--strict"],
-        ] {
-            let inv = parse_args(&args(bad)).unwrap();
-            assert!(
-                matches!(run(&inv), Err(CliError::BadValue { .. })),
-                "{bad:?}"
-            );
-        }
+        let inv = parse_args(&args(&["churn", "--shards", "0"])).unwrap();
+        assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
     }
 
     #[test]
@@ -1663,6 +1549,15 @@ mod tests {
             CliError::UnknownOption {
                 command: "churn".into(),
                 key: "runtime".into()
+            }
+        );
+        // Nor one written for the removed live mode.
+        let inv = parse_args(&args(&["churn", "--mode", "live"])).unwrap();
+        assert_eq!(
+            run(&inv).unwrap_err(),
+            CliError::UnknownOption {
+                command: "churn".into(),
+                key: "mode".into()
             }
         );
         // A typo of a real option, and a real option of another command.
@@ -1709,17 +1604,6 @@ mod tests {
             checked += 1;
         }
         assert!(checked >= 8, "found only {checked} geocast steps in ci.yml");
-    }
-
-    #[test]
-    fn churn_live_mode_prints_the_gossip_consumer_ledger() {
-        let inv = parse_args(&args(&[
-            "churn", "--n", "25", "--events", "8", "--mode", "live",
-        ]))
-        .unwrap();
-        let out = run(&inv).unwrap();
-        assert!(out.contains("delta consumers   :"), "{out}");
-        assert!(out.contains("| gossip |"), "{out}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! and returns a structured verdict; the `claims` benchmark and the
 //! integration suites print/assert them. Keeping the claims as library
 //! code (rather than ad-hoc test assertions) lets the benchmark harness
-//! regenerate the "claims table" of EXPERIMENTS.md.
+//! regenerate the claims table (`geocast figures --panel claims`).
 
 use geocast_overlay::{OverlayGraph, PeerInfo};
 
@@ -97,7 +97,7 @@ fn verdict_from_forest(forest: &StabilityForest, peers: &[PeerInfo]) -> Section3
 
 /// Counts, for reporting, how often the *weaker* "2D" reading of the
 /// paper's degree-bound sentence also holds (children ≤ 2·D, not just
-/// ≤ 2^D). See DESIGN.md §5 on the "bounded by 2D" ambiguity.
+/// ≤ 2^D): the sentence prints "2D", which reads either way.
 #[must_use]
 pub fn children_within_2d(tree: &MulticastTree, dim: usize) -> bool {
     tree.max_children() <= 2 * dim

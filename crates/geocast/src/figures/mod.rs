@@ -1,8 +1,7 @@
 //! Harnesses regenerating every table, figure and in-text claim of the
 //! paper's evaluation.
 //!
-//! One function per artifact (see DESIGN.md §4 for the experiment
-//! index):
+//! One function per artifact:
 //!
 //! | Paper artifact | Harness |
 //! |---|---|

@@ -16,7 +16,7 @@ pub struct FigureReport {
     pub table: Table,
     /// Optional terminal rendering of the curves.
     pub chart: Option<String>,
-    /// Parameters and observations worth recording in EXPERIMENTS.md.
+    /// Parameters and observations printed under the table.
     pub notes: Vec<String>,
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Every figure harness reduces raw measurements with [`Summary`] /
 //! [`Histogram`], arranges them in a [`Table`] (rendered as Markdown or
-//! CSV for EXPERIMENTS.md), and optionally draws an [`AsciiChart`] so a
-//! terminal run shows the same curves as the paper's Figure 1.
+//! CSV), and optionally draws an [`AsciiChart`] so a terminal run shows
+//! the same curves as the paper's Figure 1.
 //!
 //! The crate is dependency-free and knows nothing about overlays or
 //! trees — it consumes plain numbers.
@@ -22,13 +22,11 @@
 #![warn(missing_docs)]
 
 mod chart;
-mod consumer;
 mod histogram;
 mod summary;
 mod table;
 
 pub use chart::AsciiChart;
-pub use consumer::{ConsumerLedger, ConsumerRow};
 pub use histogram::Histogram;
 pub use summary::Summary;
 pub use table::Table;

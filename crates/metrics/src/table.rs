@@ -2,8 +2,8 @@ use std::fmt;
 
 /// A rectangular results table rendered as Markdown or CSV.
 ///
-/// The figure harnesses emit one `Table` per panel; EXPERIMENTS.md embeds
-/// the Markdown rendering directly.
+/// The figure harnesses emit one `Table` per panel; `geocast figures`
+/// prints the Markdown rendering.
 ///
 /// # Example
 ///

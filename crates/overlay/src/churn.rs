@@ -202,34 +202,6 @@ pub fn run_schedule(network: &mut OverlayNetwork, schedule: &ChurnSchedule) -> C
     report
 }
 
-/// Replays `schedule` against `network` through the **localized** churn
-/// path: no global re-convergence between events — the shared
-/// [`TopologyStore`] keeps the topology at the equilibrium after every
-/// event, touching only the affected neighbourhood.
-pub fn run_schedule_localized(
-    network: &mut OverlayNetwork,
-    schedule: &ChurnSchedule,
-) -> ChurnReport {
-    let mut report = ChurnReport {
-        joins: 0,
-        leaves: 0,
-        convergence_failures: 0,
-    };
-    for event in schedule.events() {
-        match event {
-            ChurnEvent::Join(point) => {
-                network.add_peer_localized(point.clone());
-                report.joins += 1;
-            }
-            ChurnEvent::Leave(id) => {
-                network.remove_peer_localized(*id);
-                report.leaves += 1;
-            }
-        }
-    }
-    report
-}
-
 /// Outcome of replaying a churn schedule directly on a
 /// [`TopologyStore`] (no simulator at all — the pure incremental
 /// equilibrium engine, the fastest way to drive large-N churn studies).
@@ -390,24 +362,6 @@ mod tests {
             }
         }
         assert_eq!(present.len(), 1);
-    }
-
-    #[test]
-    fn localized_replay_tracks_the_store_equilibrium() {
-        let mut net = OverlayNetwork::new(Arc::new(EmptyRectSelection), NetworkConfig::default());
-        for p in geocast_geom::gen::uniform_points(8, 2, 1000.0, 51).into_points() {
-            net.add_peer_localized(p);
-        }
-        let pattern = ChurnPattern::Mixed {
-            events: 12,
-            join_rate: 1,
-            leave_rate: 1,
-        };
-        let schedule = ChurnSchedule::from_pattern(8, &pattern, 2, 1000.0, 52);
-        let report = run_schedule_localized(&mut net, &schedule);
-        assert_eq!(report.joins + report.leaves, schedule.len());
-        assert_eq!(report.convergence_failures, 0);
-        assert_eq!(net.topology(), net.reference_topology());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The epoch-numbered delta stream of a [`crate::TopologyStore`].
 //!
-//! The multi-group session engine has N independent consumers (one tree
-//! per multicast group, a stability forest, live gossip sync) that each
-//! absorb membership change *at their own pace*.
+//! The multi-group session engine has independent consumers (group
+//! repair over one tree per multicast group, the data-plane flush) that
+//! each absorb membership change *at their own pace*.
 //!
 //! The [`DeltaLog`] is the one way to read a change: a durable,
 //! epoch-numbered stream to which every [`crate::TopologyStore::insert`]
@@ -12,8 +12,8 @@
 //! [`DeltaLog::deltas_since`]; the log answers with exactly the missed
 //! deltas — or `None` when the consumer fell behind the log's bounded
 //! retention, in which case it must resynchronise from the full store
-//! state (every consumer in this workspace has such a path: trees
-//! rebuild, forests re-pick, gossip re-syncs).
+//! state (every consumer in this workspace has such a path: the group
+//! engine's `full_resync`).
 
 use std::collections::VecDeque;
 
@@ -191,15 +191,15 @@ pub enum CursorCatchUp {
 /// PR 8 left every consumer tracking a bare `u64` epoch, which made the
 /// eviction-horizon fallback *silent*: a laggard rebuilt from full
 /// store state without anything counting how often. A `DeltaCursor`
-/// owns both the position and the accounting — each consumer (gossip
-/// sync, group repair, data-plane flush) advances at its own cadence
-/// and reports `absorbed` / `resyncs` per consumer.
+/// owns both the position and the accounting — each consumer (group
+/// repair, data-plane flush) advances at its own cadence and reports
+/// `absorbed` / `resyncs` per consumer.
 ///
 /// ```
 /// use geocast_overlay::delta::{CursorCatchUp, DeltaCursor, DeltaLog};
 ///
 /// let log = DeltaLog::default();
-/// let mut cursor = DeltaCursor::new("gossip");
+/// let mut cursor = DeltaCursor::new("group-repair");
 /// assert_eq!(cursor.catch_up(&log), CursorCatchUp::UpToDate);
 /// assert_eq!(cursor.resyncs(), 0);
 /// ```

@@ -108,8 +108,8 @@ pub struct GossipNode {
     /// Every peer ever heard of (host cache). Not part of the paper's
     /// protocol: used only as a **re-bootstrap fallback** when all
     /// overlay neighbours have departed, so that a peer whose entire
-    /// neighbourhood crashes can rejoin instead of staying orphaned
-    /// (cf. DESIGN.md §5). Entries here never enter `I(P)` directly.
+    /// neighbourhood crashes can rejoin instead of staying orphaned.
+    /// Entries here never enter `I(P)` directly.
     address_book: Vec<usize>,
     /// Round-robin cursor into the address book for fallback announces.
     fallback_cursor: usize,
@@ -190,31 +190,6 @@ impl GossipNode {
         self.known.contains_key(&idx)
     }
 
-    /// Hands this peer another peer's description out of band — the
-    /// driver-side locate handshake of a localized membership change
-    /// ([`crate::OverlayNetwork::add_peer_localized`]). Equivalent to
-    /// hearing an existence announcement at `now`.
-    pub(crate) fn learn(&mut self, info: PeerInfo, now: SimTime) {
-        let idx = info.id().index();
-        if self.known.insert(idx, (info, now)).is_none() && !self.address_book.contains(&idx) {
-            self.address_book.push(idx);
-        }
-    }
-
-    /// Expires a departed peer from the candidate set immediately (the
-    /// localized-leave counterpart of the `Tmax` timeout).
-    pub(crate) fn forget(&mut self, idx: usize) {
-        self.known.remove(&idx);
-        self.in_links.remove(&idx);
-    }
-
-    /// Driver-side overwrite of the selected out-neighbours (the result
-    /// of a localized re-selection); keeps the fingerprint in step.
-    pub(crate) fn set_neighbors(&mut self, neighbors: Vec<usize>) {
-        self.neighbors = neighbors;
-        self.neighbors_hash = crate::store::topology_hash(self.info.id().index(), &self.neighbors);
-    }
-
     /// All live link partners: selected out-neighbours plus unexpired
     /// incoming connections, minus any exclusions. Gossip traffic flows
     /// over these.
@@ -270,8 +245,8 @@ impl GossipNode {
         indices.sort_unstable(); // deterministic candidate order
         let candidates: Vec<&PeerInfo> = indices.iter().map(|i| &self.known[i].0).collect();
         let picked = self.selection.select(&self.info, &candidates);
-        let neighbors = picked.into_iter().map(|ci| indices[ci]).collect();
-        self.set_neighbors(neighbors);
+        self.neighbors = picked.into_iter().map(|ci| indices[ci]).collect();
+        self.neighbors_hash = crate::store::topology_hash(self.info.id().index(), &self.neighbors);
         self.reselect_timer = Some(ctx.set_timer(self.config.reselect_period));
     }
 }

@@ -59,7 +59,7 @@ pub mod shard;
 
 pub use delta::{CursorCatchUp, DeltaCursor, DeltaKind, DeltaLog, TopologyDelta};
 pub use graph::OverlayGraph;
-pub use network::{ConvergenceReport, GossipSyncReport, NetworkConfig, OverlayNetwork};
+pub use network::{ConvergenceReport, NetworkConfig, OverlayNetwork};
 pub use peer::{PeerAddr, PeerId, PeerInfo};
 pub use shard::{ShardChurnStats, ShardConfig, ShardedTopologyStore};
 pub use store::{topology_hash, TopologyStore};

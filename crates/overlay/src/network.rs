@@ -6,7 +6,6 @@ use rand::{Rng, SeedableRng};
 use geocast_geom::Point;
 use geocast_sim::{Counters, NodeId, SimDuration, Simulation};
 
-use crate::delta::{CursorCatchUp, DeltaCursor, DeltaKind, TopologyDelta};
 use crate::gossip::{GossipConfig, GossipNode};
 use crate::graph::OverlayGraph;
 use crate::peer::{PeerId, PeerInfo};
@@ -51,53 +50,17 @@ pub struct ConvergenceReport {
     pub checks: usize,
 }
 
-/// Message accounting of the localized churn path (which bypasses the
-/// simulated announcement flood, so the simulator's counters do not see
-/// its traffic).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LocalizedChurnStats {
-    /// Joins applied through [`OverlayNetwork::add_peer_localized`].
-    pub joins: usize,
-    /// Leaves applied through [`OverlayNetwork::remove_peer_localized`].
-    pub leaves: usize,
-    /// Peer-state contacts performed (one per affected peer per event —
-    /// the message cost a locate-first join/leave protocol would pay).
-    pub contacts: usize,
-}
-
-/// Outcome of one [`OverlayNetwork::sync_gossip`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GossipSyncReport {
-    /// Gossip nodes spawned for store peers that had none yet.
-    pub spawned: usize,
-    /// Topology deltas replayed onto the affected nodes.
-    pub deltas: usize,
-    /// `true` if the gossip consumer fell past the delta log's
-    /// eviction horizon and rebuilt from full store state (counted in
-    /// [`OverlayNetwork::gossip_cursor`]'s resync ledger).
-    pub resynced: bool,
-}
-
 /// A live overlay: gossip peers inside a discrete-event simulation, with
 /// the paper's experimental procedure on top (insert peers one at a time,
 /// let the topology converge after every insertion).
 ///
-/// Membership is backed by a shared [`TopologyStore`], which maintains
-/// the full-knowledge equilibrium incrementally across churn. Two churn
-/// paths exist:
-///
-/// * the **protocol path** ([`OverlayNetwork::add_peer`] /
-///   [`OverlayNetwork::remove_peer`] + [`OverlayNetwork::converge`]):
-///   the paper's procedure — random bootstrap, BR-hop announcement
-///   flooding, global re-convergence;
-/// * the **localized path** ([`OverlayNetwork::add_peer_localized`] /
-///   [`OverlayNetwork::remove_peer_localized`]): the store computes the
-///   dirty region of the membership change and only those peers'
-///   protocol state is re-synchronized (the locate-first join of
-///   Kaafar et al. played by the driver). The result is the same
-///   equilibrium the protocol path converges to — cross-validated by
-///   tests — at a per-event cost proportional to the affected
-///   neighbourhood instead of the whole network.
+/// Membership is backed by an embedded [`TopologyStore`], which keeps
+/// the full-knowledge equilibrium of the current members: the topology
+/// the gossip converges to ([`OverlayNetwork::reference_topology`]).
+/// Churn is the paper's procedure, [`OverlayNetwork::add_peer`] /
+/// [`OverlayNetwork::remove_peer`] followed by
+/// [`OverlayNetwork::converge`]: random bootstrap, BR-hop announcement
+/// flooding, global re-convergence.
 ///
 /// # Example
 ///
@@ -120,8 +83,6 @@ pub struct OverlayNetwork {
     selection: Arc<dyn NeighborSelection + Send + Sync>,
     config: NetworkConfig,
     rng: StdRng,
-    churn_stats: LocalizedChurnStats,
-    gossip_cursor: DeltaCursor,
 }
 
 impl OverlayNetwork {
@@ -135,8 +96,6 @@ impl OverlayNetwork {
             selection,
             config,
             rng: StdRng::seed_from_u64(config.seed ^ 0x0067_656f_6361_7374), // "geocast"
-            churn_stats: LocalizedChurnStats::default(),
-            gossip_cursor: DeltaCursor::new("gossip"),
         }
     }
 
@@ -174,35 +133,6 @@ impl OverlayNetwork {
         self.sim.counters()
     }
 
-    /// Accounting of the localized churn path (not visible to the
-    /// simulator's counters).
-    #[must_use]
-    pub fn churn_stats(&self) -> LocalizedChurnStats {
-        self.churn_stats
-    }
-
-    /// The shared topology store: the incrementally-maintained
-    /// full-knowledge equilibrium over the current membership.
-    #[must_use]
-    pub fn store(&self) -> &TopologyStore {
-        &self.store
-    }
-
-    /// Mutable access to the shared store — the external-driver
-    /// contract: mutate, then call [`OverlayNetwork::sync_gossip`] to
-    /// let the gossip consumer catch up at its own cadence.
-    #[must_use]
-    pub fn store_mut(&mut self) -> &mut TopologyStore {
-        &mut self.store
-    }
-
-    /// The gossip consumer's position and resync ledger in the store's
-    /// delta stream.
-    #[must_use]
-    pub fn gossip_cursor(&self) -> &DeltaCursor {
-        &self.gossip_cursor
-    }
-
     /// Adds a peer with the given identifier. Per the paper's join
     /// procedure it is handed one or more live bootstrap peers (chosen
     /// uniformly at random here); the first peer joins alone.
@@ -221,20 +151,14 @@ impl OverlayNetwork {
             vec![self.store.peers()[pick].clone()]
         };
         let id = self.store.insert(point);
-        self.spawn_gossip_node(id, bootstrap)
-    }
-
-    /// Adds a peer through the localized churn path: the shared store
-    /// computes the equilibrium delta of the join, the newcomer
-    /// bootstraps directly from its equilibrium neighbourhood
-    /// (locate-first instead of random walk), and only the affected
-    /// peers' protocol state is re-synchronized. No global
-    /// re-convergence is needed; [`OverlayNetwork::converge`] afterwards
-    /// is a no-op change-wise (tests assert the fixpoint).
-    pub fn add_peer_localized(&mut self, point: Point) -> PeerId {
-        let id = self.store.insert(point);
-        self.sync_gossip();
-        self.churn_stats.joins += 1;
+        let node = GossipNode::new(
+            self.store.peers()[id.index()].clone(),
+            bootstrap,
+            Arc::clone(&self.selection),
+            self.config.gossip,
+        );
+        let node_id = self.sim.spawn(node);
+        debug_assert_eq!(node_id.index(), id.index(), "NodeId/PeerId alignment");
         id
     }
 
@@ -251,212 +175,6 @@ impl OverlayNetwork {
         }
         self.store.remove(id);
         self.sim.crash(NodeId(id.index()));
-    }
-
-    /// Removes a peer through the localized churn path: the store hands
-    /// the exact set of peers whose selections the departure can change
-    /// (its selectors), and only their protocol state is repaired — the
-    /// departed peer is expired from their candidate sets immediately
-    /// instead of after `Tmax`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range or already departed.
-    pub fn remove_peer_localized(&mut self, id: PeerId) {
-        self.store.remove(id);
-        self.sim.crash(NodeId(id.index()));
-        self.sync_gossip();
-        self.churn_stats.leaves += 1;
-    }
-
-    /// Spawns the gossip node for a freshly-inserted store peer.
-    fn spawn_gossip_node(&mut self, id: PeerId, bootstrap: Vec<PeerInfo>) -> PeerId {
-        let info = self.store.peers()[id.index()].clone();
-        let node = GossipNode::new(
-            info,
-            bootstrap,
-            Arc::clone(&self.selection),
-            self.config.gossip,
-        );
-        let node_id = self.sim.spawn(node);
-        debug_assert_eq!(node_id.index(), id.index(), "NodeId/PeerId alignment");
-        id
-    }
-
-    /// Catches the gossip layer up with the store through its
-    /// [`DeltaCursor`].
-    ///
-    /// Three steps, all idempotent:
-    ///
-    /// 1. **Spawn** a gossip node for every store peer without one,
-    ///    bootstrapped from its equilibrium neighbourhood (locate-first
-    ///    instead of random walk).
-    /// 2. **Replay** the deltas the cursor missed, oldest first: each
-    ///    affected node learns the event peer (join) or forgets it
-    ///    (leave), learns its current selected neighbours, and adopts
-    ///    its current equilibrium out-list. At cadence 1 (the localized
-    ///    churn paths) this is exactly the old per-event sync; at any
-    ///    batched cadence it lands on the same final state, because an
-    ///    out-list only changes when its owner is in a dirty region.
-    /// 3. **Resync** instead, when the cursor fell past the delta log's
-    ///    eviction horizon: every live node re-learns its equilibrium
-    ///    state from the full store. Counted per consumer in
-    ///    [`OverlayNetwork::gossip_cursor`] — never silent.
-    pub fn sync_gossip(&mut self) -> GossipSyncReport {
-        let spawned = self.spawn_missing_nodes();
-        enum Plan {
-            Nothing,
-            Replay(Vec<TopologyDelta>),
-            Resync,
-        }
-        let plan = match self.gossip_cursor.catch_up(self.store.delta_log()) {
-            CursorCatchUp::UpToDate => Plan::Nothing,
-            CursorCatchUp::Deltas(ds) => Plan::Replay(ds),
-            CursorCatchUp::Resync => Plan::Resync,
-        };
-        match plan {
-            Plan::Nothing => GossipSyncReport {
-                spawned,
-                ..GossipSyncReport::default()
-            },
-            Plan::Replay(deltas) => {
-                for delta in &deltas {
-                    self.apply_gossip_delta(delta);
-                }
-                GossipSyncReport {
-                    spawned,
-                    deltas: deltas.len(),
-                    resynced: false,
-                }
-            }
-            Plan::Resync => {
-                self.resync_gossip();
-                GossipSyncReport {
-                    spawned,
-                    deltas: 0,
-                    resynced: true,
-                }
-            }
-        }
-    }
-
-    /// Spawns gossip nodes for store peers the simulation does not hold
-    /// yet, preserving the NodeId/PeerId alignment. Peers that joined
-    /// *and* departed between syncs still get a (crashed) node, so ids
-    /// stay dense.
-    ///
-    /// Spawn-time bootstrap can only name already-spawned nodes (the
-    /// start-of-life announcement is sent immediately), so under a
-    /// batched cadence — where a newcomer's equilibrium neighbours may
-    /// have *larger* ids — the bootstrap is filtered and a second pass
-    /// hands every new live node its full equilibrium neighbourhood
-    /// once all ids exist. At cadence 1 the filter is a no-op and the
-    /// second pass re-states the bootstrap, so the lock-step behaviour
-    /// is unchanged.
-    fn spawn_missing_nodes(&mut self) -> usize {
-        let first_new = self.sim.len();
-        while self.sim.len() < self.store.len() {
-            let i = self.sim.len();
-            let id = PeerId(i as u64);
-            let bootstrap: Vec<PeerInfo> = self
-                .store
-                .out_neighbors(i)
-                .iter()
-                .filter(|&&j| j < i)
-                .map(|&j| self.store.peers()[j].clone())
-                .collect();
-            self.spawn_gossip_node(id, bootstrap);
-            if self.store.is_departed(id) {
-                self.sim.crash(NodeId(i));
-            }
-        }
-        let now = self.sim.now();
-        for i in first_new..self.store.len() {
-            if self.store.is_departed(PeerId(i as u64)) {
-                continue;
-            }
-            let new_out = self.store.out_neighbors(i).to_vec();
-            let infos: Vec<PeerInfo> = new_out
-                .iter()
-                .map(|&j| self.store.peers()[j].clone())
-                .collect();
-            let node = self.sim.node_mut(NodeId(i));
-            for info in infos {
-                node.learn(info, now);
-            }
-            node.set_neighbors(new_out);
-        }
-        self.store.len() - first_new
-    }
-
-    /// Replays one topology delta onto the affected gossip nodes:
-    /// their candidate sets learn the event peer (join) or forget it
-    /// (leave) plus every currently selected neighbour, and their
-    /// out-neighbour lists adopt the current equilibrium selection.
-    /// One contact is counted per affected peer — the locate-first
-    /// message cost.
-    fn apply_gossip_delta(&mut self, delta: &TopologyDelta) {
-        let now = self.sim.now();
-        let changed = delta.kind.peer();
-        let departed_event = matches!(delta.kind, DeltaKind::Leave(_));
-        if departed_event && !self.sim.is_crashed(NodeId(changed)) {
-            self.sim.crash(NodeId(changed));
-        }
-        for &i in &delta.dirty {
-            if i == changed || self.store.is_departed(PeerId(i as u64)) {
-                continue;
-            }
-            let new_out = self.store.out_neighbors(i).to_vec();
-            let infos: Vec<PeerInfo> = new_out
-                .iter()
-                .map(|&j| self.store.peers()[j].clone())
-                .collect();
-            let node = self.sim.node_mut(NodeId(i));
-            if departed_event {
-                node.forget(changed);
-            } else {
-                node.learn(self.store.peers()[changed].clone(), now);
-            }
-            for info in infos {
-                node.learn(info, now);
-            }
-            node.set_neighbors(new_out);
-            self.churn_stats.contacts += 1;
-        }
-    }
-
-    /// The eviction-horizon fallback: every live node forgets every
-    /// departed peer, re-learns its equilibrium neighbourhood, and
-    /// adopts its equilibrium out-list from the full store state.
-    fn resync_gossip(&mut self) {
-        let now = self.sim.now();
-        let gone: Vec<usize> = (0..self.store.len())
-            .filter(|&i| self.store.is_departed(PeerId(i as u64)))
-            .collect();
-        for &v in &gone {
-            if !self.sim.is_crashed(NodeId(v)) {
-                self.sim.crash(NodeId(v));
-            }
-        }
-        for i in 0..self.store.len() {
-            if self.store.is_departed(PeerId(i as u64)) {
-                continue;
-            }
-            let new_out = self.store.out_neighbors(i).to_vec();
-            let infos: Vec<PeerInfo> = new_out
-                .iter()
-                .map(|&j| self.store.peers()[j].clone())
-                .collect();
-            let node = self.sim.node_mut(NodeId(i));
-            for &v in &gone {
-                node.forget(v);
-            }
-            for info in infos {
-                node.learn(info, now);
-            }
-            node.set_neighbors(new_out);
-            self.churn_stats.contacts += 1;
-        }
     }
 
     /// Runs the gossip protocol until the topology fingerprint is
@@ -552,7 +270,6 @@ impl std::fmt::Debug for OverlayNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle;
     use crate::select::EmptyRectSelection;
     use geocast_geom::gen::uniform_points;
 
@@ -644,127 +361,6 @@ mod tests {
             );
         }
         assert!(topo.out_neighbors(victim.index()).is_empty());
-    }
-
-    #[test]
-    fn localized_join_reaches_the_equilibrium_without_convergence() {
-        let mut net = network(31);
-        for p in uniform_points(12, 2, 1000.0, 31).into_points() {
-            net.add_peer_localized(p);
-        }
-        // No converge() call: the localized path must already sit at the
-        // full-knowledge equilibrium.
-        let peers = PeerInfo::from_point_set(&uniform_points(12, 2, 1000.0, 31));
-        let want = oracle::equilibrium(&peers, &EmptyRectSelection);
-        assert_eq!(net.topology(), want);
-        assert_eq!(net.reference_topology(), want);
-        assert_eq!(net.churn_stats().joins, 12);
-    }
-
-    #[test]
-    fn localized_join_is_a_gossip_fixpoint() {
-        // Running the real protocol after a localized build must not
-        // change the topology: the synced state is a fixpoint.
-        let mut net = network(37);
-        for p in uniform_points(10, 2, 1000.0, 37).into_points() {
-            net.add_peer_localized(p);
-        }
-        let before = net.topology();
-        let report = net.converge();
-        assert!(report.converged);
-        assert_eq!(net.topology(), before, "gossip rewired a localized build");
-    }
-
-    #[test]
-    fn localized_leave_expires_immediately_and_matches_reference() {
-        let mut net = network(41);
-        for p in uniform_points(14, 2, 1000.0, 41).into_points() {
-            net.add_peer_localized(p);
-        }
-        net.remove_peer_localized(PeerId(6));
-        net.remove_peer_localized(PeerId(2));
-        // Immediately — no Tmax wait — every live candidate set and the
-        // topology must have dropped the departed peers.
-        let topo = net.topology();
-        for i in 0..net.len() {
-            if net.has_departed(PeerId(i as u64)) {
-                assert!(topo.out_neighbors(i).is_empty());
-                continue;
-            }
-            for gone in [2usize, 6] {
-                assert!(
-                    !topo.out_neighbors(i).contains(&gone),
-                    "peer {i} still links to departed {gone}"
-                );
-            }
-        }
-        assert_eq!(topo, net.reference_topology());
-        assert_eq!(net.churn_stats().leaves, 2);
-        assert!(net.churn_stats().contacts > 0);
-    }
-
-    #[test]
-    fn batched_gossip_sync_lands_on_the_lockstep_state() {
-        // Driving the store directly and syncing every third event must
-        // end at exactly the per-event localized equilibrium: the
-        // cursor replay is cadence-independent.
-        let points = uniform_points(15, 2, 1000.0, 61);
-        let mut lockstep = network(61);
-        for p in points.clone().into_points() {
-            lockstep.add_peer_localized(p);
-        }
-        lockstep.remove_peer_localized(PeerId(3));
-        lockstep.remove_peer_localized(PeerId(9));
-
-        let mut batched = network(61);
-        for (i, p) in points.into_points().into_iter().enumerate() {
-            batched.store_mut().insert(p);
-            if i % 3 == 2 {
-                batched.sync_gossip();
-            }
-        }
-        batched.store_mut().remove(PeerId(3));
-        batched.store_mut().remove(PeerId(9));
-        let report = batched.sync_gossip();
-        assert!(!report.resynced);
-        assert_eq!(batched.topology(), lockstep.topology());
-        assert_eq!(batched.topology(), batched.reference_topology());
-        assert_eq!(batched.gossip_cursor().epoch(), batched.store().epoch());
-        // And the synced state is still a gossip fixpoint.
-        let before = batched.topology();
-        assert!(batched.converge().converged);
-        assert_eq!(batched.topology(), before);
-    }
-
-    #[test]
-    fn gossip_laggards_resync_with_a_counted_event() {
-        let mut net = network(67);
-        for p in uniform_points(10, 2, 1000.0, 67).into_points() {
-            net.add_peer_localized(p);
-        }
-        assert_eq!(net.gossip_cursor().resyncs(), 0);
-        // Shrink retention, then outrun it without syncing.
-        net.store_mut().set_delta_capacity(2);
-        for p in uniform_points(5, 2, 1000.0, 68).into_points() {
-            net.store_mut().insert(p);
-        }
-        net.store_mut().remove(PeerId(1));
-        let report = net.sync_gossip();
-        assert!(report.resynced, "horizon overrun must resync");
-        assert_eq!(net.gossip_cursor().resyncs(), 1);
-        // The resync is a full rebuild: the gossip layer matches the
-        // store equilibrium again, including the departed peer.
-        assert_eq!(net.topology(), net.reference_topology());
-        assert!(!net
-            .sim()
-            .node(geocast_sim::NodeId(5))
-            .knows(PeerId(1).index()));
-        // Back on the delta stream afterwards.
-        net.store_mut().insert(Point::new(vec![7.0, 8.0]).unwrap());
-        let report = net.sync_gossip();
-        assert_eq!(report.deltas, 1);
-        assert!(!report.resynced);
-        assert_eq!(net.gossip_cursor().resyncs(), 1);
     }
 
     #[test]

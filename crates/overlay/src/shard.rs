@@ -390,8 +390,8 @@ impl Shard {
 
 /// Sizes and per-phase wall times of a sharded bulk build. Per-shard
 /// vectors are indexed by shard id; on a single-core host the
-/// per-shard times still measure each shard's isolated work, which is
-/// what the critical-path speedup model in `bench_shard` consumes.
+/// per-shard times still measure each shard's isolated work. The
+/// end-to-end benchmark reports them as `overlay.shard.build_*`.
 #[derive(Debug, Clone, Default)]
 pub struct ShardBuildStats {
     /// Domain scan + membership/halo assignment (sequential prologue).

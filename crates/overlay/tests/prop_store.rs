@@ -6,9 +6,7 @@
 //! population would produce ([`oracle::equilibrium_live`]), reports the
 //! fingerprint of that topology, and lists as each event's dirty region
 //! the diff between two such rebuilds — for the §2 empty-rectangle rule
-//! and every Hyperplanes instance (orthogonal, signed, K-closest). The
-//! localized live-network path must track the same topology without
-//! ever running global convergence.
+//! and every Hyperplanes instance (orthogonal, signed, K-closest).
 
 use std::sync::Arc;
 
@@ -19,10 +17,7 @@ use rand::{Rng, SeedableRng};
 use geocast_geom::gen::uniform_points;
 use geocast_geom::MetricKind;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
-use geocast_overlay::{
-    oracle, NetworkConfig, OverlayGraph, OverlayNetwork, PeerId, PeerInfo, ShardConfig,
-    TopologyStore,
-};
+use geocast_overlay::{oracle, OverlayGraph, PeerId, PeerInfo, ShardConfig, TopologyStore};
 
 fn selection_for(variant: usize, dim: usize, k: usize) -> Arc<dyn NeighborSelection + Send + Sync> {
     match variant {
@@ -154,50 +149,6 @@ proptest! {
             }
             let what = format!("{shards} shards, dim {dim}, op {op}");
             rebuilt = assert_from_scratch(&store, Some(&rebuilt), &what);
-        }
-    }
-
-    /// The localized live-network path tracks the store's equilibrium
-    /// (and therefore the from-scratch rebuild) without any global
-    /// convergence call.
-    #[test]
-    fn localized_live_path_tracks_equilibrium(
-        initial in 1usize..12,
-        ops in 1usize..12,
-        dim in 1usize..3,
-        seed in 0u64..10_000,
-    ) {
-        let mut net = OverlayNetwork::new(
-            Arc::new(EmptyRectSelection),
-            NetworkConfig { seed, ..NetworkConfig::default() },
-        );
-        for p in uniform_points(initial, dim, 1000.0, seed).into_points() {
-            net.add_peer_localized(p);
-        }
-        // Drive the same trace through the network; its embedded store is
-        // the source of truth.
-        let points = uniform_points(ops, dim, 1000.0, seed ^ 0x6a6f_696e).into_points();
-        let mut joins = points.into_iter();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for op in 0..ops {
-            let live: Vec<usize> = (0..net.len())
-                .filter(|&i| !net.has_departed(PeerId(i as u64)))
-                .collect();
-            if live.len() > 1 && rng.random_range(0..3) == 0 {
-                net.remove_peer_localized(PeerId(live[rng.random_range(0..live.len())] as u64));
-            } else {
-                net.add_peer_localized(joins.next().expect("one point per op"));
-            }
-            prop_assert_eq!(
-                net.topology(),
-                net.reference_topology(),
-                "live topology diverged from store after op {}", op
-            );
-            prop_assert_eq!(
-                net.reference_topology(),
-                from_scratch(net.store()),
-                "store diverged from rebuild after op {}", op
-            );
         }
     }
 }
