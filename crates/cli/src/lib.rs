@@ -773,8 +773,9 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
     let live: Vec<usize> = (0..store.len())
         .filter(|&i| !store.is_departed(PeerId(i as u64)))
         .collect();
+    let graph = store.graph();
     let connected = live.first().is_none_or(|&start| {
-        let dist = store.graph().bfs_distances(start);
+        let dist = graph.bfs_distances(start);
         live.iter().all(|&i| dist[i].is_some())
     });
     out.push_str(&format!("  connected         : {connected}\n"));
@@ -782,7 +783,7 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
         // The CI gate: the topology the survivors define, from
         // scratch and with no index, and the fingerprint of that.
         let want = oracle::equilibrium_live(store.peers(), store.departed(), &EmptyRectSelection);
-        let graphs_equal = store.graph() == want;
+        let graphs_equal = graph == want;
         let fingerprints_equal = store.fingerprint() == oracle::fingerprint(&want);
         if !(graphs_equal && fingerprints_equal) {
             return Err(CliError::ShardGate {
