@@ -758,14 +758,12 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
     out.push_str(&format!("  live peers after  : {}\n", store.live_count()));
     let stats = engine.churn_stats();
     out.push_str(&format!(
-        "  cross-shard       : {}/{} folds escaped ({:.3}), {} foreign shortlists; \
-         {} foreign shadow queries / {} repairs; {} certified skips\n",
+        "  cross-shard       : {}/{} folds escaped ({:.3}), {} foreign shortlists, \
+         {} certified skips\n",
         stats.folds_escaped,
         stats.folds,
         stats.escape_ratio(),
         stats.foreign_shortlists,
-        stats.shadow_foreign_queries,
-        stats.shadow_repairs,
         stats.skips_certified
     ));
     // Departed peers keep their (edge-less) vertex, so connectivity is a

@@ -181,14 +181,14 @@ proptest! {
     }
 
     /// Remove-heavy churn over a **collision-free** integer lattice
-    /// (every coordinate value used once per dimension, so the
-    /// departure repair runs instead of declining) whose tile and halo
-    /// edges fall on lattice values: peers sit exactly on band edges
-    /// while their selectors' shadow boxes are tested against the
-    /// foreign shards' uncovered boxes. Byte-identical to the
-    /// from-scratch definition after every event; a few joins
-    /// deliberately reuse a coordinate to drive the decline fallback
-    /// through the same geometry.
+    /// (every coordinate value used once per dimension, so the indexes
+    /// answer instead of declining) whose tile and halo edges fall on
+    /// lattice values: peers sit exactly on band edges while the folds
+    /// of the joins in between test the foreign shards' uncovered
+    /// boxes, and every departure's closed-form repair has to agree
+    /// with them. Byte-identical to the from-scratch definition after
+    /// every event; a few joins deliberately reuse a coordinate to
+    /// drive the decline fallback through the same geometry.
     #[test]
     fn remove_heavy_lattice_churn_on_band_edges_stays_byte_identical(
         initial in 10usize..40,

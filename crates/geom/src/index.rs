@@ -28,42 +28,25 @@
 //! bound*: for a cell, the per-dimension minimum absolute offset from
 //! `p` to any point inside it is known from the cell boundaries.
 //!
-//! * The empty-rectangle query is **one frontier walk**
-//!   (`GridIndex::frontier_walk`) over one orthant at a time,
-//!   parameterised by a *floor* (per-dimension offsets a point must
-//!   strictly exceed to count — which also fixes the layer the walk
-//!   starts from in each dimension) and a *seed frontier*
-//!   ([`RectFrontier`]). The walk keeps a single running set: the exact
-//!   Pareto frontier of the seeds and every point scanned so far. A
-//!   scanned point that some member strictly dominates
-//!   ([`crate::dominance::rect_dominates`], as absolute offsets) is
-//!   dropped; otherwise it evicts the members it dominates and joins.
-//!   Domination is a strict partial order, so whatever a dropped or
-//!   evicted point could have dominated, a surviving member dominates
-//!   too: the running set never needs a second look, and when the walk
-//!   ends it **is** the answer — there is no candidate list and no
-//!   final sort-and-filter pass.
-//! * At every depth of the walk the *pruning corner* is
-//!   `max(cell corner, floor)` per dimension already fixed and `floor`
-//!   for the dimensions still to be walked. When a frontier member is
-//!   strictly closer to `p` than that corner in **every** dimension,
-//!   each point the walk could still reach from here is dominated, and
-//!   because the corner only grows along the walk direction the loop at
-//!   that depth ends. With a zero floor this can only fire in the
-//!   innermost dimension (the classic column break: nothing is strictly
-//!   closer than offset 0); with a positive floor it also ends the
-//!   outer dimensions early.
-//! * The **full query** ([`GridIndex::empty_rect_neighbors`]) runs the
-//!   walk once per orthant with a zero floor and no seeds. The
-//!   **shadow query** ([`GridIndex::empty_rect_shadow`]) repairs a row
-//!   after a selected neighbour `x` of `p` departed: only `x`'s orthant
-//!   changes, and there only points `x` strictly dominated can surface
-//!   (see [`RectFrontier`] for the lemma), so the walk runs over the
-//!   box strictly beyond `x` — floor `|x − p|` — seeded with `p`'s
-//!   surviving neighbours of that orthant, which bound it from the
-//!   other sides. In 2-D that is a handful of cells for a neighbour in
-//!   the middle of the staircase and a strip to the grid edge for its
-//!   two ends, against `O(side)` cells per orthant for the full query.
+//! * The empty-rectangle query ([`GridIndex::empty_rect_neighbors`]) is
+//!   **one frontier walk** (`GridIndex::frontier_walk`) per orthant.
+//!   The walk keeps a single running set: the exact Pareto frontier of
+//!   every point scanned so far. A scanned point that some member
+//!   strictly dominates ([`crate::dominance::rect_dominates`], as
+//!   absolute offsets) is dropped; otherwise it evicts the members it
+//!   dominates and joins. Domination is a strict partial order, so
+//!   whatever a dropped or evicted point could have dominated, a
+//!   surviving member dominates too: the running set never needs a
+//!   second look, and when the walk ends it **is** the answer — there
+//!   is no candidate list and no final sort-and-filter pass.
+//! * At every cell the *pruning corner* is the cell corner nearest to
+//!   `p`. When a frontier member is strictly closer to `p` than that
+//!   corner in **every** dimension, each point of this cell and of the
+//!   cells behind it in the innermost dimension is dominated, and
+//!   because the corner only grows along the walk direction that column
+//!   ends there (the column break). An outer dimension's corner has
+//!   offset 0 in the dimensions still to be walked, which nothing is
+//!   strictly closer than, so only the innermost loop is ever cut.
 //! * For the `K`-nearest query, a cell column is cut as soon as the
 //!   metric applied to the corner bound exceeds (strictly) the current
 //!   `K`-th best distance — a tie at equal distance is *not* cut, so
@@ -106,58 +89,16 @@ fn coord_bits(x: f64) -> u64 {
 }
 
 /// The running Pareto frontier of **one orthant** around a fixed
-/// position `p`: the state of one empty-rectangle (re-)selection, which
-/// [`GridIndex::empty_rect_shadow`] can carry across several indexes
-/// (the shards of a region-sharded store) so that their answers merge
-/// as they are found.
+/// position `p`, in flat storage: `offs[m * dim..][..dim]` are member
+/// `m`'s absolute offsets from `p`, `ids[m]` its id.
 ///
-/// Members are live points of the orthant, identified by caller-chosen
-/// ids, none strictly closer to `p` than another in every dimension.
-/// Offering a point the set already dominates is a no-op; offering one
-/// that dominates members evicts them. Domination is a strict partial
-/// order, so the set is at all times the exact Pareto frontier of
-/// everything offered so far, in any offering order.
-///
-/// # The shadow lemma
-///
-/// Let `row` be the exact empty-rectangle neighbours of `p` and let
-/// `x ∈ row` depart. Then, over absolute offsets from `p`,
-///
-/// > new row = (`row` − `x`) ∪ Pareto-min { live `q` : `x` strictly
-/// > dominates `q`, and no survivor of `row` dominates `q` }.
-///
-/// *Why.* Every live non-neighbour was dominated by a member of `row`
-/// (descend along dominators; the descent is finite and ends on the
-/// frontier). A point some survivor dominates stays dominated. A point
-/// only `x` dominated lies strictly beyond `x` in every dimension — in
-/// `x`'s orthant — and among those points the new neighbours are the
-/// Pareto-minimal ones: a dominator of such a point is itself beyond
-/// `x` and free of the survivors, by transitivity. No survivor is
-/// evicted, because a point beyond `x` that dominated a survivor would
-/// put `x` inside that survivor's rectangle. Points of other orthants
-/// never enter the argument, so those parts of the row are untouched.
-///
-/// [`RectFrontier::begin_shadow`] + [`RectFrontier::seed`] set that
-/// computation up — the orthant and floor of `x`, the survivors of its
-/// orthant as seeds — and the walk restricted to the box strictly
-/// beyond `x` completes it.
-#[derive(Debug, Clone, Default)]
-pub struct RectFrontier {
-    /// The reference position `p`.
-    p: Vec<f64>,
-    /// The departed neighbour `x` (shadow queries; equals `p` otherwise).
-    gone: Vec<f64>,
-    /// `|x − p|` per dimension: only points strictly beyond count. All
-    /// zero for a full query.
-    floor: Vec<f64>,
-    /// Bit `d` set = positive side of `p` in dimension `d`.
-    orthant: usize,
-    set: ParetoSet,
-}
-
-/// Flat storage of a [`RectFrontier`]'s members: `offs[m * dim..][..dim]`
-/// are member `m`'s absolute offsets from `p`, `ids[m]` its id.
-#[derive(Debug, Clone, Default)]
+/// Members are live points of the orthant, none strictly closer to `p`
+/// than another in every dimension. Offering a point the set already
+/// dominates is a no-op; offering one that dominates members evicts
+/// them. Domination is a strict partial order, so the set is at all
+/// times the exact Pareto frontier of everything offered so far, in any
+/// offering order.
+#[derive(Debug, Default)]
 struct ParetoSet {
     dim: usize,
     offs: Vec<f64>,
@@ -179,12 +120,11 @@ impl ParetoSet {
             .any(|m| m.iter().zip(bound).all(|(r, b)| r < b))
     }
 
-    /// Offers a point: dropped if a member dominates it (or it already
-    /// is a member — halo mirrors show one peer to several indexes),
-    /// else it evicts the members it dominates and joins.
+    /// Offers a point: dropped if a member dominates it, else it evicts
+    /// the members it dominates and joins.
     fn offer(&mut self, offs: &[f64], id: usize) {
         let dim = self.dim;
-        if self.ids.contains(&id) || self.dominates(offs) {
+        if self.dominates(offs) {
             return;
         }
         let mut m = 0;
@@ -202,103 +142,6 @@ impl ParetoSet {
         }
         self.offs.extend_from_slice(offs);
         self.ids.push(id);
-    }
-}
-
-impl RectFrontier {
-    /// An empty frontier; its buffers are reused across queries.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts a full-orthant selection around `p`: no floor, no seeds.
-    fn begin_orthant(&mut self, p: &[f64], orthant: usize) {
-        self.p.clear();
-        self.p.extend_from_slice(p);
-        self.gone.clear();
-        self.gone.extend_from_slice(p);
-        self.floor.clear();
-        self.floor.resize(p.len(), 0.0);
-        self.orthant = orthant;
-        self.set.reset(p.len());
-    }
-
-    /// Starts the re-selection of `p` after its neighbour `gone`
-    /// departed: fixes `gone`'s orthant and floor and empties the set.
-    /// Returns `false` when `gone` shares a coordinate with `p` — it
-    /// then lay in no orthant, dominated nobody, and the row simply
-    /// loses it: nothing is absorbed by [`RectFrontier::seed`] and
-    /// [`GridIndex::empty_rect_shadow`] adds nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimensionality mismatch.
-    pub fn begin_shadow(&mut self, p: &Point, gone: &Point) -> bool {
-        assert_eq!(p.dim(), gone.dim(), "shadow dimensionality mismatch");
-        self.begin_orthant(p.coords(), 0);
-        self.gone.clear();
-        self.gone.extend_from_slice(gone.coords());
-        for d in 0..p.dim() {
-            let delta = gone[d] - p[d];
-            self.floor[d] = delta.abs();
-            if delta > 0.0 {
-                self.orthant |= 1 << d;
-            }
-        }
-        self.has_shadow()
-    }
-
-    fn has_shadow(&self) -> bool {
-        self.floor.iter().all(|&f| f > 0.0)
-    }
-
-    /// Offers a surviving neighbour of `p` as a seed. Returns `true` if
-    /// it lies in the departed neighbour's orthant (the frontier now
-    /// accounts for it); `false` means it belongs to another part of
-    /// the row, which the departure leaves as it is.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimensionality mismatch.
-    pub fn seed(&mut self, point: &Point, id: usize) -> bool {
-        assert_eq!(point.dim(), self.p.len(), "seed dimensionality mismatch");
-        if !self.has_shadow() {
-            return false;
-        }
-        let mut offs = [0.0f64; MAX_INDEX_DIM];
-        if !offsets_in_orthant(&self.p, point.coords(), self.orthant, &mut offs) {
-            return false;
-        }
-        self.set.offer(&offs[..self.p.len()], id);
-        true
-    }
-
-    /// Ids of the current members, in no particular order.
-    #[must_use]
-    pub fn ids(&self) -> &[usize] {
-        &self.set.ids
-    }
-
-    /// `true` if the closed box `[lo, hi]` reaches into the open box
-    /// strictly beyond the departed neighbour — i.e. could hold a point
-    /// the shadow query has to see. Always `false` without a shadow.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimensionality mismatch.
-    #[must_use]
-    pub fn shadow_reaches(&self, lo: &[f64], hi: &[f64]) -> bool {
-        assert_eq!(lo.len(), self.p.len(), "box dimensionality mismatch");
-        assert_eq!(hi.len(), self.p.len(), "box dimensionality mismatch");
-        self.has_shadow()
-            && (0..self.p.len()).all(|d| {
-                if self.orthant >> d & 1 == 1 {
-                    hi[d] > self.gone[d]
-                } else {
-                    lo[d] < self.gone[d]
-                }
-            })
     }
 }
 
@@ -708,109 +551,41 @@ impl GridIndex {
         Some(self.empty_rect_walk(q.coords(), skip.unwrap_or(usize::MAX)))
     }
 
-    /// Extends `frontier` — set up by [`RectFrontier::begin_shadow`]
-    /// and seeded with the surviving neighbours — with this index's
-    /// live points strictly beyond the departed neighbour, excluding
-    /// `skip`; a newly admitted point enters as `id_of(its id here)`.
-    /// Afterwards the frontier is the exact Pareto frontier of its
-    /// seeds and every such point (see the lemma on [`RectFrontier`]).
-    ///
-    /// Returns `false` — declines, leaving the frontier as it was —
-    /// exactly when [`GridIndex::empty_rect_neighbors_at`] would return
-    /// `None` for the same position: some live point other than `skip`
-    /// shares a coordinate with it, or the dimensionality exceeds
-    /// [`MAX_INDEX_DIM`]. Callers then fall back to a full selection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is non-empty and the frontier's
-    /// dimensionality disagrees, or `skip` is out of range.
-    #[must_use]
-    pub fn empty_rect_shadow(
-        &self,
-        frontier: &mut RectFrontier,
-        skip: Option<usize>,
-        id_of: impl Fn(usize) -> usize,
-    ) -> bool {
-        if self.live == 0 {
-            return true;
-        }
-        assert_eq!(frontier.p.len(), self.dim, "query dimensionality mismatch");
-        if let Some(s) = skip {
-            assert!(s < self.len(), "skip id out of range");
-        }
-        if self.dim > MAX_INDEX_DIM || self.collides_at(&frontier.p, skip) {
-            return false;
-        }
-        if frontier.has_shadow() {
-            self.frontier_walk(frontier, skip.unwrap_or(usize::MAX), &id_of);
-        }
-        true
-    }
-
     /// The full query behind both empty-rectangle entry points: the
-    /// frontier walk once per orthant with no floor and no seeds, over
-    /// live points excluding `skip` (`usize::MAX` excludes nobody).
-    /// Collision gating is the caller's job.
+    /// frontier walk once per orthant, over live points excluding
+    /// `skip` (`usize::MAX` excludes nobody). Collision gating is the
+    /// caller's job.
     fn empty_rect_walk(&self, p: &[f64], skip: usize) -> Vec<usize> {
-        let mut frontier = RectFrontier::new();
+        let mut set = ParetoSet::default();
         let mut kept = Vec::new();
         for o in 0..1usize << self.dim {
-            frontier.begin_orthant(p, o);
-            self.frontier_walk(&mut frontier, skip, &|id| id);
-            kept.extend_from_slice(frontier.ids());
+            set.reset(self.dim);
+            self.frontier_walk(p, o, &mut set, skip);
+            kept.extend_from_slice(&set.ids);
         }
         kept.sort_unstable();
         kept
     }
 
     /// The one empty-rectangle walk (module docs, "How pruning works"):
-    /// scans the cells of the frontier's orthant that can hold a point
-    /// strictly beyond its floor, offering every such live point except
-    /// `skip` to the running set. Returns the number of cells scanned
-    /// (what the count-based regression tests assert on). Collisions
+    /// scans the cells of orthant `orthant` around `p`, offering every
+    /// live point there except `skip` to the running set. Collisions
     /// cannot occur: [`GridIndex::collides_at`] gates every caller.
-    fn frontier_walk(
-        &self,
-        frontier: &mut RectFrontier,
-        skip: usize,
-        id_of: &impl Fn(usize) -> usize,
-    ) -> usize {
-        let dim = self.dim;
-        let RectFrontier {
-            p,
-            gone,
-            floor,
-            orthant,
-            set,
-        } = frontier;
+    fn frontier_walk(&self, p: &[f64], orthant: usize, set: &mut ParetoSet, skip: usize) {
         let mut walk = FrontierWalk {
             index: self,
             p,
-            floor,
-            orthant: *orthant,
+            orthant,
             set,
             skip,
-            id_of,
             p_layer: [0; MAX_INDEX_DIM],
-            start: [0; MAX_INDEX_DIM],
             cell: [0; MAX_INDEX_DIM],
             bound: [0.0; MAX_INDEX_DIM],
-            // A zero floor in a deeper dimension makes the corner
-            // undominatable there: only check from here inwards.
-            check_from: floor.iter().rposition(|&f| f <= 0.0).unwrap_or(0),
-            cells: 0,
         };
-        for d in 0..dim {
-            walk.p_layer[d] = self.layer_of(d, p[d]);
-            // The first layer that can hold a point beyond the floor is
-            // the departed neighbour's own (layers are monotone in the
-            // coordinate); with no floor that is `p`'s layer.
-            walk.start[d] = self.layer_of(d, gone[d]).abs_diff(walk.p_layer[d]);
-            walk.bound[d] = floor[d];
+        for (d, &x) in p.iter().enumerate() {
+            walk.p_layer[d] = self.layer_of(d, x);
         }
         walk.descend(0);
-        walk.cells
     }
 
     /// The cell layer `t` steps from `p`'s layer along `d` (direction
@@ -1043,34 +818,28 @@ impl GridIndex {
 }
 
 /// The recursion state of one [`GridIndex::frontier_walk`]: everything
-/// lives on the stack or in the caller's [`RectFrontier`], so a walk
+/// lives on the stack or in the caller's [`ParetoSet`], so a walk
 /// allocates only when the frontier outgrows its buffers.
-struct FrontierWalk<'a, F> {
+struct FrontierWalk<'a> {
     index: &'a GridIndex,
     p: &'a [f64],
-    floor: &'a [f64],
     orthant: usize,
     set: &'a mut ParetoSet,
     skip: usize,
-    id_of: &'a F,
     p_layer: [usize; MAX_INDEX_DIM],
-    /// First step of the walk per dimension (layers nearer to `p` hold
-    /// nothing beyond the floor).
-    start: [usize; MAX_INDEX_DIM],
     cell: [usize; MAX_INDEX_DIM],
-    /// The pruning corner: `max(cell corner, floor)` for dimensions
-    /// already fixed, `floor` for those still to be walked.
+    /// The pruning corner: per dimension, the least absolute offset
+    /// from `p` of any point in the layer the walk is in.
     bound: [f64; MAX_INDEX_DIM],
-    check_from: usize,
-    cells: usize,
 }
 
-impl<F: Fn(usize) -> usize> FrontierWalk<'_, F> {
+impl FrontierWalk<'_> {
     fn descend(&mut self, depth: usize) {
         let dim = self.index.dim;
         let d = depth;
         let positive = self.orthant >> d & 1 == 1;
-        for t in self.start[d].. {
+        let innermost = depth + 1 == dim;
+        for t in 0.. {
             let Some((cell, offmin)) =
                 self.index
                     .layer_step(d, self.p, &self.p_layer[..dim], positive, t)
@@ -1078,25 +847,24 @@ impl<F: Fn(usize) -> usize> FrontierWalk<'_, F> {
                 break;
             };
             self.cell[d] = cell;
-            self.bound[d] = offmin.max(self.floor[d]);
-            // Everything still reachable from here is at or beyond the
-            // corner, which only grows with `t`: once dominated, done.
-            if depth >= self.check_from && self.set.dominates(&self.bound[..dim]) {
+            self.bound[d] = offmin;
+            if !innermost {
+                self.descend(depth + 1);
+                continue;
+            }
+            // Everything still reachable in this column is at or beyond
+            // the corner, which only grows with `t`: once dominated,
+            // done.
+            if self.set.dominates(&self.bound[..dim]) {
                 break;
             }
-            if depth + 1 == dim {
-                self.scan_cell();
-            } else {
-                self.descend(depth + 1);
-            }
+            self.scan_cell();
         }
-        self.bound[d] = self.floor[d];
     }
 
     fn scan_cell(&mut self) {
         let index = self.index;
         let dim = index.dim;
-        self.cells += 1;
         let flat = self.cell[..dim]
             .iter()
             .fold(0usize, |flat, &c| flat * index.side + c);
@@ -1108,10 +876,8 @@ impl<F: Fn(usize) -> usize> FrontierWalk<'_, F> {
             }
             debug_assert!(!index.removed[id], "buckets hold live points only");
             let q = index.point_coords(id);
-            if offsets_in_orthant(self.p, q, self.orthant, &mut offs)
-                && offs.iter().zip(self.floor).all(|(o, f)| o > f)
-            {
-                self.set.offer(&offs[..dim], (self.id_of)(id));
+            if offsets_in_orthant(self.p, q, self.orthant, &mut offs) {
+                self.set.offer(&offs[..dim], id);
             }
         }
     }
@@ -1465,191 +1231,6 @@ mod tests {
         // A clean external point answers.
         let q = Point::new(vec![7.0, 6.0]).unwrap();
         assert_eq!(index.empty_rect_neighbors_at(&q, None), Some(vec![0, 1]));
-    }
-
-    /// The departure repair the sharded store performs, on one index:
-    /// `p`'s row after its neighbour at `gone` left, from the old row
-    /// (without the departed id) and the shadow query. Also returns the
-    /// cells the shadow walk scanned.
-    fn reselect(
-        index: &GridIndex,
-        p: usize,
-        gone: &Point,
-        survivors: &[usize],
-    ) -> Option<(Vec<usize>, usize)> {
-        let here = Point::new(index.point_coords(p).to_vec()).unwrap();
-        let mut frontier = RectFrontier::new();
-        let mut row = Vec::new();
-        let shadow = frontier.begin_shadow(&here, gone);
-        for &r in survivors {
-            let at = Point::new(index.point_coords(r).to_vec()).unwrap();
-            if !frontier.seed(&at, r) {
-                row.push(r);
-            }
-        }
-        if index.collides(p) {
-            assert!(!index.empty_rect_shadow(&mut frontier, Some(p), |id| id));
-            return None;
-        }
-        let cells = if shadow {
-            index.frontier_walk(&mut frontier, p, &|id| id)
-        } else {
-            0
-        };
-        row.extend_from_slice(frontier.ids());
-        row.sort_unstable();
-        Some((row, cells))
-    }
-
-    #[test]
-    fn shadow_query_repairs_rows_exactly_after_departures() {
-        for &(n, dim, seed) in &[
-            (150usize, 2usize, 81u64),
-            (90, 3, 82),
-            (60, 4, 83),
-            (40, 1, 84),
-        ] {
-            let points = uniform_points(n, dim, 1000.0, seed).into_points();
-            let mut index = GridIndex::build(&points);
-            for victim in (0..n).step_by(7) {
-                // Links are mutual, so the departed peer's row names
-                // exactly the peers whose rows can change.
-                let selectors = index.empty_rect_neighbors(victim).unwrap();
-                let old_rows: Vec<Vec<usize>> = selectors
-                    .iter()
-                    .map(|&i| index.empty_rect_neighbors(i).unwrap())
-                    .collect();
-                index.remove(victim);
-                for (&i, old) in selectors.iter().zip(&old_rows) {
-                    let survivors: Vec<usize> =
-                        old.iter().copied().filter(|&r| r != victim).collect();
-                    assert_ne!(survivors.len(), old.len(), "links are mutual");
-                    let (row, _) = reselect(&index, i, &points[victim], &survivors)
-                        .expect("distinct workload");
-                    assert_eq!(
-                        Some(row),
-                        index.empty_rect_neighbors(i),
-                        "n={n} dim={dim} victim={victim} selector={i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shadow_query_declines_exactly_when_the_full_query_does() {
-        let points = vec![
-            Point::new(vec![0.0, 0.0]).unwrap(),
-            Point::new(vec![4.0, 5.0]).unwrap(), // departs
-            Point::new(vec![9.0, 0.0]).unwrap(), // shares y with point 0
-            Point::new(vec![6.0, 8.0]).unwrap(),
-        ];
-        let mut index = GridIndex::build(&points);
-        index.remove(1);
-        assert_eq!(index.empty_rect_neighbors(0), None);
-        assert_eq!(reselect(&index, 0, &points[1], &[2]), None);
-        // Without the collider both answer, and agree.
-        index.remove(2);
-        let (row, _) = reselect(&index, 0, &points[1], &[]).unwrap();
-        assert_eq!(Some(row), index.empty_rect_neighbors(0));
-    }
-
-    #[test]
-    fn a_departed_collider_casts_no_shadow() {
-        // Point 1 shares x with point 0: it lay in no orthant and
-        // dominated nobody, so the row just loses it.
-        let points = vec![
-            Point::new(vec![0.0, 0.0]).unwrap(),
-            Point::new(vec![0.0, 3.0]).unwrap(),
-            Point::new(vec![2.0, 6.0]).unwrap(),
-            Point::new(vec![5.0, 1.0]).unwrap(),
-        ];
-        let mut index = GridIndex::build(&points);
-        index.remove(1);
-        let (row, cells) = reselect(&index, 0, &points[1], &[2, 3]).unwrap();
-        assert_eq!(cells, 0, "nothing to walk");
-        assert_eq!(Some(row), index.empty_rect_neighbors(0));
-    }
-
-    #[test]
-    fn frontiers_merge_across_indexes_and_ignore_mirrored_duplicates() {
-        // Two overlapping "shards" of one population: the frontier
-        // carried through both equals the single-index answer, with the
-        // shared points admitted once.
-        let points = uniform_points(120, 2, 1000.0, 91).into_points();
-        let mut whole = GridIndex::build(&points);
-        let left: Vec<usize> = (0..120).filter(|&i| points[i][0] < 600.0).collect();
-        let right: Vec<usize> = (0..120).filter(|&i| points[i][0] > 400.0).collect();
-        let build = |ids: &[usize], skip: usize| {
-            let pts: Vec<Point> = ids
-                .iter()
-                .filter(|&&i| i != skip)
-                .map(|&i| points[i].clone())
-                .collect();
-            let map: Vec<usize> = ids.iter().copied().filter(|&i| i != skip).collect();
-            (GridIndex::build(&pts), map)
-        };
-        for p in 0..20 {
-            let old = whole.empty_rect_neighbors(p).unwrap();
-            let Some(&victim) = old.first() else { continue };
-            whole.remove(victim);
-            let (a, amap) = build(&left, victim);
-            let (b, bmap) = build(&right, victim);
-            let mut frontier = RectFrontier::new();
-            let mut row = Vec::new();
-            assert!(frontier.begin_shadow(&points[p], &points[victim]));
-            for &r in old.iter().filter(|&&r| r != victim) {
-                if !frontier.seed(&points[r], r) {
-                    row.push(r);
-                }
-            }
-            let skip = |map: &[usize]| map.iter().position(|&g| g == p);
-            assert!(a.empty_rect_shadow(&mut frontier, skip(&amap), |l| amap[l]));
-            assert!(b.empty_rect_shadow(&mut frontier, skip(&bmap), |l| bmap[l]));
-            row.extend_from_slice(frontier.ids());
-            row.sort_unstable();
-            assert_eq!(Some(row), whole.empty_rect_neighbors(p), "p={p}");
-            // Restore for the next round.
-            whole = GridIndex::build(&points);
-        }
-    }
-
-    /// Count-based regression (no clock): at N = 20k uniform 2-D the
-    /// shadow walk must scan a small fraction of the cells a full
-    /// re-selection scans — a handful for a neighbour in the middle of
-    /// the staircase, a partial strip for its two ends.
-    #[test]
-    fn shadow_walk_scans_under_a_tenth_of_the_full_query_cells() {
-        let points = uniform_points(20_000, 2, 1000.0, 97).into_points();
-        let mut index = GridIndex::build(&points);
-        let (mut shadow_cells, mut full_cells, mut reselections) = (0usize, 0usize, 0usize);
-        for victim in (0..20_000).step_by(400) {
-            let selectors = index.empty_rect_neighbors(victim).unwrap();
-            let old_rows: Vec<Vec<usize>> = selectors
-                .iter()
-                .map(|&i| index.empty_rect_neighbors(i).unwrap())
-                .collect();
-            index.remove(victim);
-            for (&i, old) in selectors.iter().zip(&old_rows) {
-                let survivors: Vec<usize> = old.iter().copied().filter(|&r| r != victim).collect();
-                let (row, cells) = reselect(&index, i, &points[victim], &survivors).unwrap();
-                assert_eq!(Some(row), index.empty_rect_neighbors(i));
-                shadow_cells += cells;
-                let mut frontier = RectFrontier::new();
-                for o in 0..4 {
-                    frontier.begin_orthant(index.point_coords(i), o);
-                    full_cells += index.frontier_walk(&mut frontier, i, &|id| id);
-                }
-                reselections += 1;
-            }
-        }
-        assert!(reselections > 1000, "a real sample: {reselections}");
-        assert!(
-            shadow_cells * 10 < full_cells,
-            "mean cells per re-selection: shadow {:.1}, full {:.1}",
-            shadow_cells as f64 / reselections as f64,
-            full_cells as f64 / reselections as f64
-        );
     }
 
     #[test]

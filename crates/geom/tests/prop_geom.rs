@@ -6,7 +6,6 @@
 //! neighbour rule and the per-orthant Pareto frontier.
 
 use geocast_geom::dominance::{empty_rect_neighbors, empty_rect_neighbors_naive, rect_dominates};
-use geocast_geom::index::RectFrontier;
 use geocast_geom::{Arrangement, GridIndex, Interval, Metric, MetricKind, Orthant, Point, Rect};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -187,14 +186,14 @@ proptest! {
         prop_assert_eq!(fast, naive);
     }
 
-    /// The departure repair: after random removals, the shadow query
-    /// (old row + the box the departed neighbour was blocking) equals a
-    /// fresh full query and the brute force, and it declines exactly
-    /// when the full query declines — over uniform, clustered and
-    /// degenerate-extent populations, points inserted outside the built
-    /// box, and an optional coordinate collider.
+    /// The full query on a churned index: after each of a few random
+    /// removals every survivor's row equals the brute force, and the
+    /// index declines exactly when a live point shares a coordinate
+    /// with the query — over uniform, clustered and degenerate-extent
+    /// populations, points inserted outside the built box, and an
+    /// optional coordinate collider.
     #[test]
-    fn shadow_query_equals_fresh_query_and_brute_force_after_removals(
+    fn full_query_equals_brute_force_after_removals(
         dim in 2usize..=4,
         shape in 0u8..3,
         outside in 0usize..4,
@@ -217,36 +216,21 @@ proptest! {
             index.insert(p);
         }
         let mut live = vec![true; points.len()];
-        let mut frontier = RectFrontier::new();
         for pick in victims {
             let alive: Vec<usize> = (0..points.len()).filter(|&i| live[i]).collect();
             if alive.len() <= 2 {
                 break;
             }
             let victim = alive[pick % alive.len()];
-            let old_rows: Vec<(usize, Vec<usize>)> = alive
-                .iter()
-                .filter(|&&i| i != victim)
-                .map(|&i| (i, brute_row(&points, &live, i)))
-                .filter(|(_, row)| row.contains(&victim))
-                .collect();
             index.remove(victim);
             live[victim] = false;
-            for (i, old) in old_rows {
-                let mut row = Vec::new();
-                frontier.begin_shadow(&points[i], &points[victim]);
-                for &r in old.iter().filter(|&&r| r != victim) {
-                    if !frontier.seed(&points[r], r) {
-                        row.push(r);
-                    }
-                }
-                let answered = index.empty_rect_shadow(&mut frontier, Some(i), |id| id);
-                let fresh = index.empty_rect_neighbors(i);
-                prop_assert_eq!(answered, fresh.is_some(), "declines differ at {}", i);
-                if let Some(fresh) = fresh {
-                    row.extend_from_slice(frontier.ids());
-                    row.sort_unstable();
-                    prop_assert_eq!(&row, &fresh, "shadow != fresh at {}", i);
+            for &i in alive.iter().filter(|&&i| i != victim) {
+                let collides = alive.iter().any(|&j| {
+                    j != i && j != victim && (0..dim).any(|d| points[j][d] == points[i][d])
+                });
+                let row = index.empty_rect_neighbors(i);
+                prop_assert_eq!(row.is_none(), collides, "decline at {}", i);
+                if let Some(row) = row {
                     prop_assert_eq!(row, brute_row(&points, &live, i), "!= brute at {}", i);
                 }
             }

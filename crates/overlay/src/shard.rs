@@ -61,18 +61,17 @@
 //! # Churn
 //!
 //! Which rows a join or leave changes, and the closed forms that update
-//! them (dominance update, saturation prune, shadow repair), are argued
-//! in `crate::store`, "Why the incremental path is exact". This module
-//! supplies the pieces that depend on the tiles: the newcomer's own row
-//! and every full re-selection are folds over the shards, and a shadow
-//! repair queries the home shard and the foreign shards the shadow box
-//! reaches.
+//! them (the join's and the leave's dominance updates, the saturation
+//! prune), are argued in `crate::store`, "Why the incremental path is
+//! exact". This module supplies the pieces that depend on the tiles —
+//! the newcomer's own row and every full re-selection are folds over
+//! the shards — and the two empty-rectangle closed forms, which read no
+//! tile at all.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
-use geocast_geom::dominance::rect_dominates;
-use geocast_geom::index::{RectFrontier, MAX_INDEX_DIM};
+use geocast_geom::index::MAX_INDEX_DIM;
 use geocast_geom::{Metric, MetricKind, Point};
 
 use crate::par;
@@ -433,7 +432,6 @@ pub struct ShardedTopologyStore {
 #[derive(Debug, Default)]
 struct FoldScratch {
     boxes: BoxScratch,
-    frontier: RectFrontier,
     churn: ShardChurnStats,
 }
 
@@ -443,18 +441,13 @@ struct FoldScratch {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardChurnStats {
     /// Selection folds run (a join's own row; a leave's selector rows
-    /// outside the empty-rectangle rule, or after a declined repair).
+    /// outside the empty-rectangle rule).
     pub folds: u64,
     /// Folds that asked at least one foreign shard for a shortlist.
     pub folds_escaped: u64,
     /// Shortlists folds asked of foreign shards.
     pub foreign_shortlists: u64,
-    /// Selector rows handed to the shadow repair (a declined one is
-    /// then folded, and counted there too).
-    pub shadow_repairs: u64,
-    /// Shadow queries repairs asked of foreign shards.
-    pub shadow_foreign_queries: u64,
-    /// Foreign shards a fold or repair ruled out by certificate
+    /// Foreign shards a fold ruled out by certificate
     /// (`skip_certified`) after the halo band had not covered them.
     pub skips_certified: u64,
 }
@@ -713,7 +706,7 @@ impl ShardedTopologyStore {
         scratch: &mut FoldScratch,
     ) -> Vec<usize> {
         let home = self.home[i] as usize;
-        let FoldScratch { boxes, churn, .. } = scratch;
+        let FoldScratch { boxes, churn } = scratch;
         // The home shortlist doubles as the skip tests' base: the pool
         // grows behind it.
         let mut pool = self.shards[home].shortlist(self.profile, selection, peers, departed, i);
@@ -780,83 +773,6 @@ impl ShardedTopologyStore {
             .collect()
     }
 
-    /// Peer `i`'s exact row after its selected neighbour `v` departed
-    /// (already tombstoned), under the empty-rectangle rule: the old
-    /// row without `v`, plus whatever `v` alone was blocking — the
-    /// shadow query ([`RectFrontier`]) on the home shard and on those
-    /// foreign shards whose uncovered box reaches into the shadow and
-    /// that the survivors cannot rule out, their frontiers merged as
-    /// they are found. `None` when an index declines (a coordinate
-    /// collision with `i`, or more than [`MAX_INDEX_DIM`] dimensions,
-    /// which the frontier's orthant tables cannot hold): the caller
-    /// falls back to [`ShardedTopologyStore::fold_select`].
-    fn shadow_reselect(
-        &self,
-        peers: &[PeerInfo],
-        old_row: &[usize],
-        i: usize,
-        v: usize,
-        scratch: &mut FoldScratch,
-    ) -> Option<Vec<usize>> {
-        let FoldScratch {
-            boxes,
-            frontier,
-            churn,
-        } = scratch;
-        churn.shadow_repairs += 1;
-        if peers[i].point().dim() > MAX_INDEX_DIM {
-            return None;
-        }
-        frontier.begin_shadow(peers[i].point(), peers[v].point());
-        let mut row = Vec::with_capacity(old_row.len() + 2);
-        for &r in old_row {
-            if r != v && !frontier.seed(peers[r].point(), r) {
-                row.push(r);
-            }
-        }
-        let shadow_on = |shard: &Shard, frontier: &mut RectFrontier| {
-            shard
-                .index
-                .empty_rect_shadow(frontier, shard.local_of.get(&i).copied(), |l| {
-                    shard.members[l]
-                })
-        };
-        let home_id = self.home[i] as usize;
-        let home = &self.shards[home_id];
-        if !shadow_on(home, frontier) {
-            return None;
-        }
-        boxes.set_home(&home.tile_lo, &home.tile_hi, self.halo);
-        for (s, shard) in self.shards.iter().enumerate() {
-            if s == home_id
-                || shard.index.live_len() == 0
-                || !boxes.uncovered(&shard.cover_lo, &shard.cover_hi)
-                || !frontier.shadow_reaches(&boxes.ulo, &boxes.uhi)
-            {
-                continue;
-            }
-            if skip_certified(
-                ShardProfile::EmptyRect,
-                peers,
-                i,
-                frontier.ids(),
-                None,
-                &boxes.ulo,
-                &boxes.uhi,
-            ) {
-                churn.skips_certified += 1;
-                continue;
-            }
-            churn.shadow_foreign_queries += 1;
-            if !shadow_on(shard, frontier) {
-                return None;
-            }
-        }
-        row.extend_from_slice(frontier.ids());
-        row.sort_unstable();
-        Some(row)
-    }
-
     /// The engine's half of a join: registers peer `id`, the newest of
     /// `peers` — home assignment, resident bookkeeping, halo mirrors
     /// into every shard whose band contains it — and returns its exact
@@ -895,28 +811,34 @@ impl ShardedTopologyStore {
         }
     }
 
-    /// Selector `i`'s exact row after its neighbour `v` left: repaired
-    /// from `old_row` under the empty-rectangle rule, re-selected
-    /// through the fold under every other profile and whenever the
-    /// repair declines.
+    /// Selector `i`'s exact row after a neighbour left (already
+    /// tombstoned), re-selected through the fold: what a leave costs
+    /// under every profile but the empty-rectangle one, which repairs
+    /// the row by [`leave_closed_form`] and asks no shard.
     pub(crate) fn row_after_leave(
         &mut self,
         peers: &[PeerInfo],
         departed: &[bool],
         selection: &dyn NeighborSelection,
-        old_row: &[usize],
         i: usize,
-        v: usize,
     ) -> Vec<usize> {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let repaired = match self.profile {
-            ShardProfile::EmptyRect => self.shadow_reselect(peers, old_row, i, v, &mut scratch),
-            _ => None,
-        };
-        let row = repaired
-            .unwrap_or_else(|| self.fold_select(peers, departed, selection, i, &mut scratch));
+        let row = self.fold_select(peers, departed, selection, i, &mut scratch);
         self.scratch = scratch;
         row
+    }
+
+    /// [`ShardedTopologyStore::row_after_leave`] on a throw-away
+    /// scratch, as the bulk build folds: the re-derivation debug builds
+    /// hold every closed-form row against, off the churn ledger.
+    pub(crate) fn row_from_scratch(
+        &self,
+        peers: &[PeerInfo],
+        departed: &[bool],
+        selection: &dyn NeighborSelection,
+        i: usize,
+    ) -> Vec<usize> {
+        self.fold_select(peers, departed, selection, i, &mut FoldScratch::default())
     }
 }
 
@@ -1098,30 +1020,116 @@ pub(crate) fn topk_join_recheck(
     count < k || metric.dist(peers[i].point(), peers[q].point()) < kth
 }
 
+/// Every peer's coordinates in one flat `id * dim` table. The two
+/// empty-rectangle closed forms below make a few thousand
+/// strict-interior tests per event and read their operands here, not
+/// through `PeerInfo → Point → Vec<f64>`.
+#[derive(Debug, Default)]
+pub(crate) struct CoordTable {
+    dim: usize,
+    flat: Vec<f64>,
+}
+
+impl CoordTable {
+    pub(crate) fn from_peers(peers: &[PeerInfo]) -> Self {
+        let mut table = CoordTable::default();
+        for p in peers {
+            table.push(p.point());
+        }
+        table
+    }
+
+    /// Appends the next id's coordinates (the store fixes one
+    /// dimensionality per population).
+    pub(crate) fn push(&mut self, point: &Point) {
+        self.dim = point.dim();
+        self.flat.extend_from_slice(point.coords());
+    }
+
+    fn of(&self, id: usize) -> &[f64] {
+        &self.flat[id * self.dim..][..self.dim]
+    }
+}
+
+/// `a` lies strictly inside the open rectangle spanned by `p` and `b`:
+/// [`geocast_geom::dominance::rect_dominates`] over coordinate slices.
+fn strictly_inside(p: &[f64], a: &[f64], b: &[f64]) -> bool {
+    p.iter()
+        .zip(a)
+        .zip(b)
+        .all(|((&p, &a), &b)| p.min(b) < a && a < p.max(b))
+}
+
 /// Peer `i`'s row after newcomer `q` entered it, under the
 /// empty-rectangle rule: `q` joins (it selected `i`, and the spanned
 /// rectangle is the same from both ends) and evicts exactly the old
 /// neighbours whose rectangle with `i` it now sits in. `O(degree)`
-/// [`rect_dominates`] tests — the definitional strict-interior test, so
-/// this is the rule itself restricted to the one new candidate and
-/// needs no collision fallback (`crate::store`, "Why the incremental
-/// path is exact").
+/// strict-interior tests — the rule's definition, so this is the rule
+/// itself restricted to the one new candidate and needs no collision
+/// fallback (`crate::store`, "Why the incremental path is exact").
 pub(crate) fn join_dominance_update(
-    peers: &[PeerInfo],
+    coords: &CoordTable,
     old_row: &[usize],
     i: usize,
     q: usize,
 ) -> Vec<usize> {
-    let (p, newcomer) = (peers[i].point(), peers[q].point());
+    let (p, newcomer) = (coords.of(i), coords.of(q));
     let mut row = Vec::with_capacity(old_row.len() + 1);
     row.extend(
         old_row
             .iter()
             .copied()
-            .filter(|&r| !rect_dominates(p, newcomer, peers[r].point())),
+            .filter(|&r| !strictly_inside(p, newcomer, coords.of(r))),
     );
     // `q` is the largest id, so appending keeps the row sorted.
     row.push(q);
+    row
+}
+
+/// Selector `i`'s row after its neighbour `v` left, under the
+/// empty-rectangle rule, from `i`'s old row and `gone`, the row `v`
+/// had: the survivors stay, and of `v`'s neighbours beyond `v` — the
+/// only peers `v` alone can have been blocking — those enter whose
+/// rectangle with `i` holds no survivor and no other such neighbour.
+/// `O(degree²)` strict-interior tests and no index: the rule itself
+/// over the only peers that can matter, collisions and any
+/// dimensionality included (`crate::store`, "Why the incremental path
+/// is exact").
+pub(crate) fn leave_closed_form(
+    coords: &CoordTable,
+    old_row: &[usize],
+    gone: &[usize],
+    i: usize,
+    v: usize,
+) -> Vec<usize> {
+    let (p, x) = (coords.of(i), coords.of(v));
+    let mut row: Vec<usize> = old_row.iter().copied().filter(|&r| r != v).collect();
+    // The candidates, then whoever could block one.
+    let mut pool: Vec<usize> = gone
+        .iter()
+        .copied()
+        .filter(|&w| w != i && strictly_inside(p, x, coords.of(w)))
+        .collect();
+    let candidates = pool.len();
+    if candidates == 0 {
+        return row;
+    }
+    // A rectangle that held `v` lies in `v`'s orthant around `i`, and
+    // so does every point inside it: the other survivors block nobody.
+    pool.extend(row.iter().copied().filter(|&s| {
+        let s = coords.of(s);
+        (0..p.len()).all(|d| s[d] != p[d] && (s[d] > p[d]) == (x[d] > p[d]))
+    }));
+    for &w in &pool[..candidates] {
+        let q = coords.of(w);
+        if !pool
+            .iter()
+            .any(|&b| b != w && strictly_inside(p, coords.of(b), q))
+        {
+            row.push(w);
+        }
+    }
+    row.sort_unstable();
     row
 }
 
@@ -1431,34 +1439,21 @@ mod tests {
         };
 
         // One shard: there is no foreign shard to ask.
-        let (_, one) = churned(1);
-        assert_eq!(one.folds, 120, "one fold per join, every leave repaired");
-        assert!(one.shadow_repairs > 120, "each leave repairs its selectors");
-        assert_eq!(
-            (
-                one.folds_escaped,
-                one.foreign_shortlists,
-                one.shadow_foreign_queries
-            ),
-            (0, 0, 0)
-        );
-        assert_eq!(one.skips_certified, 0);
-        assert_eq!(one.escape_ratio(), 0.0);
+        let (joined, all) = churned(1);
+        assert_eq!(joined.folds, 120, "one fold per join");
+        assert_eq!((joined.folds_escaped, joined.foreign_shortlists), (0, 0));
+        assert_eq!(joined.skips_certified, 0);
+        assert_eq!(joined.escape_ratio(), 0.0);
+        assert_eq!(all, joined, "a leave folds nothing");
 
         // Sixteen shards: a join's full query folds every shard it
-        // cannot certify away; a leave's repair asks only the shards its
-        // shadow box reaches.
+        // cannot certify away; a leave repairs its selectors' rows from
+        // rows the store holds and asks no shard, home or foreign.
         let (joined, all) = churned(16);
-        assert_eq!((joined.folds, joined.shadow_repairs), (120, 0));
-        assert_eq!(all.folds, 120, "no repair declined");
-        assert_eq!(all.foreign_shortlists, joined.foreign_shortlists);
+        assert_eq!(joined.folds, 120);
         assert!(joined.folds_escaped > 0 && joined.skips_certified > 0);
-        let per_fold = joined.foreign_shortlists as f64 / joined.folds as f64;
-        let per_repair = all.shadow_foreign_queries as f64 / all.shadow_repairs as f64;
-        assert!(
-            per_repair < per_fold,
-            "{per_repair:.3} foreign queries per repair vs {per_fold:.3} per fold"
-        );
+        assert!(joined.foreign_shortlists >= joined.folds_escaped);
+        assert_eq!(all, joined, "a leave folds nothing and asks no shard");
     }
 
     #[test]
@@ -1493,20 +1488,33 @@ mod tests {
         );
     }
 
-    #[test]
-    fn join_dominance_update_is_the_rule_on_the_old_row_plus_the_newcomer() {
-        // Every peer of a population in turn plays the newcomer (it has
-        // the largest id of the slice): for each peer it selects, the
-        // closed-form update must equal re-running the rule on
-        // `old row ∪ {newcomer}` — collisions included (the lattice
-        // population shares coordinates constantly).
+    /// Populations for the closed-form tests: uniform 1-D to 4-D, and
+    /// 36 points of the 6 × 7 integer lattice, which share coordinates
+    /// constantly.
+    fn closed_form_populations() -> Vec<Vec<PeerInfo>> {
         let lattice: Vec<PeerInfo> = (0..36u64)
             .map(|i| {
                 let (x, y) = ((i * 7) % 6, (i * 5) % 7);
                 PeerInfo::new(PeerId(i), Point::new(vec![x as f64, y as f64]).unwrap())
             })
             .collect();
-        for population in [peers(40, 2, 61), peers(30, 3, 62), lattice] {
+        vec![
+            peers(40, 2, 61),
+            peers(30, 3, 62),
+            peers(20, 1, 63),
+            peers(30, 4, 64),
+            lattice,
+        ]
+    }
+
+    #[test]
+    fn join_dominance_update_is_the_rule_on_the_old_row_plus_the_newcomer() {
+        // Every peer of a population in turn plays the newcomer (it has
+        // the largest id of the slice): for each peer it selects, the
+        // closed-form update must equal re-running the rule on
+        // `old row ∪ {newcomer}` — collisions included.
+        for population in closed_form_populations() {
+            let coords = CoordTable::from_peers(&population);
             let q = population.len() - 1;
             let before =
                 TopologyStore::from_peers(population[..q].to_vec(), Arc::new(EmptyRectSelection));
@@ -1521,16 +1529,47 @@ mod tests {
                     .into_iter()
                     .map(|ci| cand_ids[ci])
                     .collect();
-                assert_eq!(
-                    join_dominance_update(&population, old, i, q),
-                    want,
-                    "peer {i}"
-                );
+                assert_eq!(join_dominance_update(&coords, old, i, q), want, "peer {i}");
                 assert_eq!(
                     after.out_neighbors(i),
                     &want[..],
                     "peer {i} vs from scratch"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn leave_closed_form_is_the_rule_on_the_old_row_plus_the_departed_row() {
+        // Every peer of a population in turn plays the departed one:
+        // each of its selectors' closed-form rows must equal the rule
+        // re-run from scratch, with no index, over the survivors.
+        for population in closed_form_populations() {
+            let coords = CoordTable::from_peers(&population);
+            let n = population.len();
+            let full = TopologyStore::from_peers(population.clone(), Arc::new(EmptyRectSelection));
+            for v in 0..n {
+                for &i in full.rev_neighbors(v) {
+                    let cand_ids: Vec<usize> = (0..n).filter(|&j| j != i && j != v).collect();
+                    let refs: Vec<&PeerInfo> = cand_ids.iter().map(|&j| &population[j]).collect();
+                    let want: Vec<usize> = EmptyRectSelection
+                        .select(&population[i], &refs)
+                        .into_iter()
+                        .map(|ci| cand_ids[ci])
+                        .collect();
+                    assert_eq!(
+                        leave_closed_form(
+                            &coords,
+                            full.out_neighbors(i),
+                            full.out_neighbors(v),
+                            i,
+                            v
+                        ),
+                        want,
+                        "dim {}: {v} departs, selector {i}",
+                        population[0].point().dim()
+                    );
+                }
             }
         }
     }

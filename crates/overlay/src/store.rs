@@ -47,27 +47,27 @@
 //!   with `i` was empty — i.e. `x` ∈ selection(`i`); for Hyperplanes,
 //!   dropping a non-selected candidate leaves every top-`K` intact.
 //!   The reverse-adjacency table hands the affected set directly.
-//!   Hyperplanes selectors re-select; an empty-rectangle selector's row
-//!   is repaired by **the shadow lemma**:
-//!   new row = `(selection(i) − x) ∪` Pareto-min `{live q : x ∈ rect(i, q)
-//!   and no survivor of the row is in rect(i, q)}`. Every live
-//!   non-neighbour had some neighbour in its rectangle; one with a
-//!   survivor there stays blocked; one only `x` blocked lies strictly
-//!   beyond `x` in `x`'s orthant, and among those the unblocked ones
-//!   are the Pareto-minimal (a blocker of such a point is itself beyond
-//!   `x` and free of the survivors, by transitivity). No survivor is
-//!   evicted — a point beyond `x` inside a survivor's rectangle would
-//!   put `x` inside it too — and other orthants never enter the
-//!   argument. So the repair is the old row plus one *shadow query*
-//!   ([`geocast_geom::index::RectFrontier`]): a walk of the box
-//!   strictly beyond `x`, seeded with the survivors of `x`'s orthant,
-//!   on the home shard and on the foreign shards that box reaches. The
-//!   lemma needs `i`'s row to be a per-orthant Pareto frontier, i.e. no
-//!   live point sharing a coordinate with `i`: exactly then the shard
-//!   index answers, and when it declines — a collision, or more than
-//!   [`geocast_geom::index::MAX_INDEX_DIM`] dimensions — the selector
-//!   re-selects in full. A departed `x` that itself shared a coordinate
-//!   with `i` blocked nobody; the row just loses it.
+//!   Hyperplanes selectors re-select through the tombstoned indexes; an
+//!   empty-rectangle selector's row has a closed form again, the twin
+//!   of the dominance update, over two rows the store already holds.
+//!   With `S = selection(i) − x` and
+//!   `C = {w ∈ selection(x) − i : x ∈ rect(i, w)}`,
+//!   new row = `S ∪ {w ∈ C : no y ∈ S ∪ C, y ≠ w, in rect(i, w)}`
+//!   ([`crate::shard`]'s `leave_closed_form`). *Survivors stay:* their
+//!   rectangles were empty and nobody arrived. *Only `C` can enter:* if
+//!   `w` is new, `rect(i, w)` held exactly `x`; every point of
+//!   `rect(x, w)` lies in `rect(i, w)` and is not `x`, so `rect(x, w)`
+//!   was empty and `w` was a neighbour of `x`. *Testing against `S ∪ C`
+//!   suffices:* if `rect(i, w)` holds a live point besides `x`, take
+//!   one, `y`, with the fewest such points in its own `rect(i, y)` —
+//!   rectangles nest, so that count is zero. Either `rect(i, y)` was
+//!   empty and `y ∈ S`, or it held only `x` and `y ∈ C` by the previous
+//!   step. Every step is the strict-interior test, the rule's
+//!   definition: coordinate collisions (a departed `x` sharing a
+//!   coordinate with `i` sat in no open rectangle, `C` is empty and the
+//!   row just loses it), any dimensionality and any tiling take the
+//!   same path, with no index, no shard and no fallback. Debug builds
+//!   re-select every repaired row through the fold and compare.
 //!
 //! # The oracle
 //!
@@ -82,8 +82,6 @@
 //! tiles, remove-heavy traces and joins outside the seed box included;
 //! `geocast churn --strict` and the referee of
 //! `geocast_core::detect::run_detection` compare against it too.
-//! `prop_geom` pins the shadow query itself against the full query and
-//! the brute force.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -95,7 +93,10 @@ use crate::graph::OverlayGraph;
 use crate::par;
 use crate::peer::{PeerId, PeerInfo};
 use crate::select::{ids_in_slice_order, NeighborSelection, ShardProfile};
-use crate::shard::{join_dominance_update, topk_join_recheck, ShardConfig, ShardedTopologyStore};
+use crate::shard::{
+    join_dominance_update, leave_closed_form, topk_join_recheck, CoordTable, ShardConfig,
+    ShardedTopologyStore,
+};
 
 /// FNV-1a fingerprint of one peer's out-neighbour list. Mixing the peer
 /// index in keeps the XOR-of-all-peers network fingerprint collision
@@ -142,6 +143,8 @@ pub fn topology_hash(i: usize, neighbors: &[usize]) -> u64 {
 /// ```
 pub struct TopologyStore {
     peers: Vec<PeerInfo>,
+    /// `peers`' coordinates again, flat: what the closed forms read.
+    coords: CoordTable,
     departed: Vec<bool>,
     live: usize,
     pub(crate) out: Vec<Vec<usize>>,
@@ -232,6 +235,7 @@ impl TopologyStore {
         let fingerprint = peer_hash.iter().fold(0, |acc, h| acc ^ h);
         engine.note_finalize(t.elapsed());
         TopologyStore {
+            coords: CoordTable::from_peers(&peers),
             departed: vec![false; n],
             live: n,
             out,
@@ -441,6 +445,7 @@ impl TopologyStore {
             );
         }
         let id = self.peers.len();
+        self.coords.push(&point);
         self.peers.push(PeerInfo::new(PeerId(id as u64), point));
         self.departed.push(false);
         self.live += 1;
@@ -451,7 +456,7 @@ impl TopologyStore {
         let selection = self.selection.as_ref();
         let own = self.engine.join(&self.peers, &self.departed, selection, id);
 
-        let (peers, departed, out) = (&self.peers, &self.departed, &self.out);
+        let (peers, coords, departed, out) = (&self.peers, &self.coords, &self.departed, &self.out);
         let affected: Vec<usize> = match self.engine.profile() {
             ShardProfile::EmptyRect => own.clone(),
             ShardProfile::OrthantTopK { k, metric } => par::map_indexed(id, |i| {
@@ -465,7 +470,7 @@ impl TopologyStore {
         let updates: Vec<Vec<usize>> = if self.engine.profile() == ShardProfile::EmptyRect {
             affected
                 .iter()
-                .map(|&i| join_dominance_update(peers, &out[i], i, id))
+                .map(|&i| join_dominance_update(coords, &out[i], i, id))
                 .collect()
         } else {
             par::map_indexed(affected.len(), |a| {
@@ -506,8 +511,9 @@ impl TopologyStore {
 
     /// Removes a peer (crash-stop) and incrementally re-converges the
     /// equilibrium: exactly the peers that had the departed peer
-    /// selected get a new row — repaired from the old one under the
-    /// empty-rectangle rule, re-selected over the survivors otherwise.
+    /// selected get a new row — repaired from the old one and the
+    /// departed peer's own under the empty-rectangle rule, re-selected
+    /// over the survivors otherwise.
     ///
     /// # Panics
     ///
@@ -522,22 +528,29 @@ impl TopologyStore {
 
         let mut delta = BTreeSet::new();
         delta.insert(v);
-        // The departed peer selects nobody.
-        self.apply_out(v, Vec::new(), &mut delta);
         // Only its selectors can lose an edge. Taking the list also
         // releases its capacity: nobody selects a departed id again.
         let affected = std::mem::take(&mut self.rev[v]);
         for i in affected {
-            let new_out = self.engine.row_after_leave(
-                &self.peers,
-                &self.departed,
-                self.selection.as_ref(),
-                &self.out[i],
-                i,
-                v,
-            );
+            let selection = self.selection.as_ref();
+            let new_out = if self.engine.profile() == ShardProfile::EmptyRect {
+                let row = leave_closed_form(&self.coords, &self.out[i], &self.out[v], i, v);
+                debug_assert_eq!(
+                    row,
+                    self.engine
+                        .row_from_scratch(&self.peers, &self.departed, selection, i),
+                    "leave of {v}: selector {i}'s repaired row differs from its re-selection"
+                );
+                row
+            } else {
+                self.engine
+                    .row_after_leave(&self.peers, &self.departed, selection, i)
+            };
             self.apply_out(i, new_out, &mut delta);
         }
+        // The departed peer selects nobody — cleared last: its row is
+        // what the repairs above read.
+        self.apply_out(v, Vec::new(), &mut delta);
         self.record_delta(DeltaKind::Leave(v), delta.into_iter().collect());
     }
 
@@ -886,10 +899,11 @@ mod tests {
     #[test]
     fn high_dimensions_fall_back_exactly() {
         // Beyond MAX_INDEX_DIM the shard indexes decline every query:
-        // shortlists are brute selections, a leave re-selects instead
-        // of repairing, and no skip is certified. Bulk build, growth
-        // from empty, joins and leaves equal the oracle after every
-        // event, on one tile and on several.
+        // shortlists are brute selections and no skip is certified. An
+        // empty-rectangle leave asks no index and repairs as in any
+        // dimensionality; a Hyperplanes leave re-selects by brute
+        // force. Bulk build, growth from empty, joins and leaves equal
+        // the oracle after every event, on one tile and on several.
         let dim = geocast_geom::index::MAX_INDEX_DIM + 1;
         let rules: [Arc<dyn NeighborSelection + Send + Sync>; 2] = [
             Arc::new(EmptyRectSelection),
@@ -923,8 +937,10 @@ mod tests {
     #[test]
     fn colliding_coordinates_fall_back_exactly() {
         // A workload violating per-dimension distinctness: the index
-        // declines and the masked brute path must keep incremental ==
-        // reference.
+        // declines and a join's brute selection must keep incremental
+        // == reference. The leave removes a peer that shares a
+        // coordinate with two of its selectors; their closed-form
+        // repair is the rule's own strict test and has no fallback.
         let pts = vec![
             Point::new(vec![0.0, 0.0]).unwrap(),
             Point::new(vec![5.0, 0.0]).unwrap(), // shares y with 0
@@ -939,5 +955,51 @@ mod tests {
         }
         store.remove(PeerId(1));
         assert_eq!(store.graph(), reference_graph(&store));
+    }
+
+    #[test]
+    fn a_leave_next_to_tied_coordinates_repairs_without_a_fold() {
+        // The leave half of the collision cliff: a selector sharing a
+        // coordinate with a live peer used to make the index decline
+        // and the leave re-select it by brute force over all N. The
+        // closed form reads two rows: across these leaves the engine
+        // runs no fold at all.
+        let mut pts = points(2000, 2, 59);
+        // 1 % exact ties: twenty peers copy one coordinate of their
+        // predecessor.
+        let tied: Vec<usize> = (0..20).map(|k| 100 * k + 1).collect();
+        for (k, &t) in tied.iter().enumerate() {
+            let d = k % 2;
+            pts[t] = pts[t].with_coord(d, pts[t - 1][d]);
+        }
+        let peers: Vec<PeerInfo> = pts
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| PeerInfo::new(PeerId(i as u64), p))
+            .collect();
+        let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+        let before = store.sharding().churn_stats();
+        let in_a_tie = |v: usize| tied.contains(&v) || tied.contains(&(v + 1));
+        for &t in &tied {
+            // A neighbour of the tied peer departs, then the peer it
+            // is tied to.
+            let next_to_it = store
+                .out_neighbors(t)
+                .iter()
+                .copied()
+                .find(|&v| !in_a_tie(v));
+            store.remove(PeerId(
+                next_to_it.expect("34 neighbours, 40 tied peers") as u64
+            ));
+            store.remove(PeerId(t as u64 - 1));
+        }
+        assert_eq!(store.live_count(), 1960);
+        assert_eq!(
+            store.sharding().churn_stats().folds,
+            before.folds,
+            "a leave folds nothing, ties or not"
+        );
+        assert_eq!(store.graph(), reference_graph(&store));
+        assert_eq!(store.fingerprint(), oracle::fingerprint(&store.graph()));
     }
 }

@@ -114,8 +114,8 @@ proptest! {
     }
 
     /// Remove-heavy churn under the empty-rectangle rule — where a departure
-    /// *repairs* each selector's row (old row + shadow query, merged
-    /// across the shards the shadow reaches) instead of re-selecting —
+    /// *repairs* each selector's row (its old row + the departed peer's
+    /// row, no index and no shard asked) instead of re-selecting —
     /// equals the from-scratch rebuild after every event, at 1, 4 and
     /// 16 shards, in 2-D and 3-D.
     #[test]
