@@ -35,13 +35,23 @@ use crate::{Orthant, Point};
 /// Panics on dimensionality mismatch (debug builds).
 #[must_use]
 pub fn rect_dominates(p: &Point, a: &Point, b: &Point) -> bool {
-    debug_assert_eq!(p.dim(), a.dim());
-    debug_assert_eq!(p.dim(), b.dim());
-    (0..p.dim()).all(|d| {
-        let lo = p[d].min(b[d]);
-        let hi = p[d].max(b[d]);
-        lo < a[d] && a[d] < hi
-    })
+    rect_dominates_coords(p.coords(), a.coords(), b.coords())
+}
+
+/// [`rect_dominates`] over coordinate slices, for callers that keep
+/// coordinates in flat tables.
+///
+/// # Panics
+///
+/// Panics on dimensionality mismatch (debug builds).
+#[must_use]
+pub fn rect_dominates_coords(p: &[f64], a: &[f64], b: &[f64]) -> bool {
+    debug_assert_eq!(p.len(), a.len());
+    debug_assert_eq!(p.len(), b.len());
+    p.iter()
+        .zip(a)
+        .zip(b)
+        .all(|((&p, &a), &b)| p.min(b) < a && a < p.max(b))
 }
 
 /// Indices of the empty-rectangle neighbours of `p` among `candidates`,

@@ -71,6 +71,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
+use geocast_geom::dominance::rect_dominates_coords;
 use geocast_geom::index::MAX_INDEX_DIM;
 use geocast_geom::{Metric, MetricKind, Point};
 
@@ -795,10 +796,7 @@ impl ShardedTopologyStore {
                 self.shards[s].add_member(id, point, false);
             }
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let row = self.fold_select(peers, departed, selection, id, &mut scratch);
-        self.scratch = scratch;
-        row
+        self.reselect(peers, departed, selection, id)
     }
 
     /// The engine's half of a leave: tombstones peer `v` in its home
@@ -811,11 +809,12 @@ impl ShardedTopologyStore {
         }
     }
 
-    /// Selector `i`'s exact row after a neighbour left (already
-    /// tombstoned), re-selected through the fold: what a leave costs
-    /// under every profile but the empty-rectangle one, which repairs
-    /// the row by [`leave_closed_form`] and asks no shard.
-    pub(crate) fn row_after_leave(
+    /// Peer `i`'s exact row over the live population, re-selected
+    /// through the fold and booked in the churn ledger: a newcomer's
+    /// own row, and what a leave costs each selector under every
+    /// profile but the empty-rectangle one, which repairs the row by
+    /// [`leave_closed_form`] and asks no shard.
+    pub(crate) fn reselect(
         &mut self,
         peers: &[PeerInfo],
         departed: &[bool],
@@ -828,7 +827,7 @@ impl ShardedTopologyStore {
         row
     }
 
-    /// [`ShardedTopologyStore::row_after_leave`] on a throw-away
+    /// [`ShardedTopologyStore::reselect`] on a throw-away
     /// scratch, as the bulk build folds: the re-derivation debug builds
     /// hold every closed-form row against, off the churn ledger.
     pub(crate) fn row_from_scratch(
@@ -1051,22 +1050,13 @@ impl CoordTable {
     }
 }
 
-/// `a` lies strictly inside the open rectangle spanned by `p` and `b`:
-/// [`geocast_geom::dominance::rect_dominates`] over coordinate slices.
-fn strictly_inside(p: &[f64], a: &[f64], b: &[f64]) -> bool {
-    p.iter()
-        .zip(a)
-        .zip(b)
-        .all(|((&p, &a), &b)| p.min(b) < a && a < p.max(b))
-}
-
 /// Peer `i`'s row after newcomer `q` entered it, under the
 /// empty-rectangle rule: `q` joins (it selected `i`, and the spanned
 /// rectangle is the same from both ends) and evicts exactly the old
 /// neighbours whose rectangle with `i` it now sits in. `O(degree)`
-/// strict-interior tests — the rule's definition, so this is the rule
-/// itself restricted to the one new candidate and needs no collision
-/// fallback (`crate::store`, "Why the incremental path is exact").
+/// [`rect_dominates_coords`] tests — the definitional strict-interior
+/// test, so this is the rule itself restricted to the one new candidate
+/// and needs no collision fallback (`crate::store`, "Why the incremental path is exact").
 pub(crate) fn join_dominance_update(
     coords: &CoordTable,
     old_row: &[usize],
@@ -1079,7 +1069,7 @@ pub(crate) fn join_dominance_update(
         old_row
             .iter()
             .copied()
-            .filter(|&r| !strictly_inside(p, newcomer, coords.of(r))),
+            .filter(|&r| !rect_dominates_coords(p, newcomer, coords.of(r))),
     );
     // `q` is the largest id, so appending keeps the row sorted.
     row.push(q);
@@ -1103,12 +1093,13 @@ pub(crate) fn leave_closed_form(
     v: usize,
 ) -> Vec<usize> {
     let (p, x) = (coords.of(i), coords.of(v));
-    let mut row: Vec<usize> = old_row.iter().copied().filter(|&r| r != v).collect();
+    let mut row = Vec::with_capacity(old_row.len() + 2);
+    row.extend(old_row.iter().copied().filter(|&r| r != v));
     // The candidates, then whoever could block one.
     let mut pool: Vec<usize> = gone
         .iter()
         .copied()
-        .filter(|&w| w != i && strictly_inside(p, x, coords.of(w)))
+        .filter(|&w| w != i && rect_dominates_coords(p, x, coords.of(w)))
         .collect();
     let candidates = pool.len();
     if candidates == 0 {
@@ -1124,7 +1115,7 @@ pub(crate) fn leave_closed_form(
         let q = coords.of(w);
         if !pool
             .iter()
-            .any(|&b| b != w && strictly_inside(p, coords.of(b), q))
+            .any(|&b| b != w && rect_dominates_coords(p, coords.of(b), q))
         {
             row.push(w);
         }

@@ -544,7 +544,7 @@ impl TopologyStore {
                 row
             } else {
                 self.engine
-                    .row_after_leave(&self.peers, &self.departed, selection, i)
+                    .reselect(&self.peers, &self.departed, selection, i)
             };
             self.apply_out(i, new_out, &mut delta);
         }
