@@ -755,6 +755,14 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
         report.touched_mean(),
         report.touched_max
     ));
+    let events = (report.joins + report.leaves).max(1) as f64;
+    out.push_str(&format!(
+        "  links made / cut  : {:.2} / {:.2} per event ({} by leaves, {} by joins)\n",
+        report.links_made as f64 / events,
+        report.links_cut as f64 / events,
+        report.links_made,
+        report.links_cut
+    ));
     out.push_str(&format!("  live peers after  : {}\n", store.live_count()));
     let stats = engine.churn_stats();
     out.push_str(&format!(
@@ -1496,6 +1504,7 @@ mod tests {
         .unwrap();
         let out = run(&inv).unwrap();
         assert!(out.contains("events applied    : 20"), "{out}");
+        assert!(out.contains("links made / cut  : "), "{out}");
         assert!(out.contains("connected         : true"), "{out}");
     }
 

@@ -215,6 +215,12 @@ pub struct StoreChurnReport {
     pub touched_total: usize,
     /// Largest single-event dirty region.
     pub touched_max: usize,
+    /// Links the replay's leaves made
+    /// ([`TopologyStore::links_made_by_leaves`]).
+    pub links_made: u64,
+    /// Links the replay's joins cut
+    /// ([`TopologyStore::links_cut_by_joins`]).
+    pub links_cut: u64,
 }
 
 impl StoreChurnReport {
@@ -253,7 +259,10 @@ pub fn run_schedule_on_store_with(
         leaves: 0,
         touched_total: 0,
         touched_max: 0,
+        links_made: 0,
+        links_cut: 0,
     };
+    let (made, cut) = (store.links_made_by_leaves(), store.links_cut_by_joins());
     for (ei, event) in schedule.events().iter().enumerate() {
         match event {
             ChurnEvent::Join(point) => {
@@ -270,6 +279,8 @@ pub fn run_schedule_on_store_with(
         report.touched_max = report.touched_max.max(touched);
         observe(ei, touched);
     }
+    report.links_made = store.links_made_by_leaves() - made;
+    report.links_cut = store.links_cut_by_joins() - cut;
     report
 }
 
@@ -380,6 +391,8 @@ mod tests {
         assert_eq!(report.leaves, 5);
         assert!(report.touched_max >= 1);
         assert!(report.touched_mean() >= 1.0);
+        // Ten of fifteen peers left: whoever they stood between linked.
+        assert!(report.links_made > 0 && report.links_cut > 0);
         assert_eq!(store.live_count(), 10);
     }
 

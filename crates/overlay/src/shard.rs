@@ -60,13 +60,13 @@
 //!
 //! # Churn
 //!
-//! Which rows a join or leave changes, and the closed forms that update
-//! them (the join's and the leave's dominance updates, the saturation
-//! prune), are argued in `crate::store`, "Why the incremental path is
-//! exact". This module supplies the pieces that depend on the tiles —
-//! the newcomer's own row and every full re-selection are folds over
-//! the shards — and the two empty-rectangle closed forms, which read no
-//! tile at all.
+//! Which rows a join or leave changes, and the closed forms that decide
+//! how (the join's dominance update, the leave's pair kernel, the
+//! saturation prune), are argued in `crate::store`, "Why the incremental
+//! path is exact". This module supplies the pieces that depend on the
+//! tiles — the newcomer's own row and every full re-selection are folds
+//! over the shards — and the two empty-rectangle closed forms, which
+//! read no tile at all.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
@@ -800,20 +800,24 @@ impl ShardedTopologyStore {
     }
 
     /// The engine's half of a leave: tombstones peer `v` in its home
-    /// index and every mirror.
-    pub(crate) fn leave(&mut self, v: usize) {
-        for shard in &mut self.shards {
-            if let Some(&local) = shard.local_of.get(&v) {
-                shard.index.remove(local);
-            }
+    /// index and in every mirror — the shards the same
+    /// [`Tiling::shards_near`] call placed it in when it arrived.
+    pub(crate) fn leave(&mut self, peers: &[PeerInfo], v: usize) {
+        let h = self.home[v] as usize;
+        let near = self
+            .tiling
+            .shards_near(peers[v].point().coords(), self.halo);
+        for s in std::iter::once(h).chain(near.into_iter().filter(|&s| s != h)) {
+            let shard = &mut self.shards[s];
+            shard.index.remove(shard.local_of[&v]);
         }
     }
 
     /// Peer `i`'s exact row over the live population, re-selected
     /// through the fold and booked in the churn ledger: a newcomer's
     /// own row, and what a leave costs each selector under every
-    /// profile but the empty-rectangle one, which repairs the row by
-    /// [`leave_closed_form`] and asks no shard.
+    /// profile but the empty-rectangle one, whose leave is decided by
+    /// [`unblocked_pairs`] and asks no shard.
     pub(crate) fn reselect(
         &mut self,
         peers: &[PeerInfo],
@@ -829,7 +833,7 @@ impl ShardedTopologyStore {
 
     /// [`ShardedTopologyStore::reselect`] on a throw-away
     /// scratch, as the bulk build folds: the re-derivation debug builds
-    /// hold every closed-form row against, off the churn ledger.
+    /// hold every row a leave edited against, off the churn ledger.
     pub(crate) fn row_from_scratch(
         &self,
         peers: &[PeerInfo],
@@ -1050,13 +1054,14 @@ impl CoordTable {
     }
 }
 
-/// Peer `i`'s row after newcomer `q` entered it, under the
-/// empty-rectangle rule: `q` joins (it selected `i`, and the spanned
-/// rectangle is the same from both ends) and evicts exactly the old
-/// neighbours whose rectangle with `i` it now sits in. `O(degree)`
-/// [`rect_dominates_coords`] tests — the definitional strict-interior
-/// test, so this is the rule itself restricted to the one new candidate
-/// and needs no collision fallback (`crate::store`, "Why the incremental path is exact").
+/// The neighbours peer `i` drops when newcomer `q` enters its row,
+/// under the empty-rectangle rule: exactly the old neighbours whose
+/// rectangle with `i` the newcomer now sits in (`q` itself joins the
+/// row — it selected `i`, and the spanned rectangle is the same from
+/// both ends). `O(degree)` [`rect_dominates_coords`] tests — the
+/// definitional strict-interior test, so this is the rule itself
+/// restricted to the one new candidate and needs no collision fallback
+/// (`crate::store`, "Why the incremental path is exact").
 pub(crate) fn join_dominance_update(
     coords: &CoordTable,
     old_row: &[usize],
@@ -1064,64 +1069,45 @@ pub(crate) fn join_dominance_update(
     q: usize,
 ) -> Vec<usize> {
     let (p, newcomer) = (coords.of(i), coords.of(q));
-    let mut row = Vec::with_capacity(old_row.len() + 1);
-    row.extend(
-        old_row
-            .iter()
-            .copied()
-            .filter(|&r| !rect_dominates_coords(p, newcomer, coords.of(r))),
-    );
-    // `q` is the largest id, so appending keeps the row sorted.
-    row.push(q);
-    row
-}
-
-/// Selector `i`'s row after its neighbour `v` left, under the
-/// empty-rectangle rule, from `i`'s old row and `gone`, the row `v`
-/// had: the survivors stay, and of `v`'s neighbours beyond `v` — the
-/// only peers `v` alone can have been blocking — those enter whose
-/// rectangle with `i` holds no survivor and no other such neighbour.
-/// `O(degree²)` strict-interior tests and no index: the rule itself
-/// over the only peers that can matter, collisions and any
-/// dimensionality included (`crate::store`, "Why the incremental path
-/// is exact").
-pub(crate) fn leave_closed_form(
-    coords: &CoordTable,
-    old_row: &[usize],
-    gone: &[usize],
-    i: usize,
-    v: usize,
-) -> Vec<usize> {
-    let (p, x) = (coords.of(i), coords.of(v));
-    let mut row = Vec::with_capacity(old_row.len() + 2);
-    row.extend(old_row.iter().copied().filter(|&r| r != v));
-    // The candidates, then whoever could block one.
-    let mut pool: Vec<usize> = gone
+    old_row
         .iter()
         .copied()
-        .filter(|&w| w != i && rect_dominates_coords(p, x, coords.of(w)))
-        .collect();
-    let candidates = pool.len();
-    if candidates == 0 {
-        return row;
+        .filter(|&r| rect_dominates_coords(p, newcomer, coords.of(r)))
+        .collect()
+}
+
+/// The links the departure of `x` makes, under the empty-rectangle
+/// rule, from `row`, the row `x` had: every pair `(i, w)` of it, in row
+/// order, whose open rectangle holds `x` and no other member of the
+/// row. Only such pairs can link, and blockers outside the row need no
+/// look (`crate::store`, "Why the incremental path is exact"), so no
+/// selector's row is read. `O(degree²)` pair tests plus an early-exit
+/// blocker scan over one contiguous gather of the row's coordinates —
+/// raw coordinates, not offsets from `x`: a subtraction would round the
+/// strict tests. The rule's own test, so collisions and any
+/// dimensionality take the same path: no index, no shard, no decline.
+pub(crate) fn unblocked_pairs(coords: &CoordTable, x: usize, row: &[usize]) -> Vec<(usize, usize)> {
+    let dim = coords.dim;
+    let at = coords.of(x);
+    let mut near = Vec::with_capacity(row.len() * dim);
+    for &r in row {
+        near.extend_from_slice(coords.of(r));
     }
-    // A rectangle that held `v` lies in `v`'s orthant around `i`, and
-    // so does every point inside it: the other survivors block nobody.
-    pool.extend(row.iter().copied().filter(|&s| {
-        let s = coords.of(s);
-        (0..p.len()).all(|d| s[d] != p[d] && (s[d] > p[d]) == (x[d] > p[d]))
-    }));
-    for &w in &pool[..candidates] {
-        let q = coords.of(w);
-        if !pool
-            .iter()
-            .any(|&b| b != w && rect_dominates_coords(p, coords.of(b), q))
-        {
-            row.push(w);
+    let of = |k: usize| &near[k * dim..][..dim];
+    let mut pairs = Vec::new();
+    for a in 0..row.len() {
+        for b in a + 1..row.len() {
+            let (p, q) = (of(a), of(b));
+            // A corner of the rectangle is strictly inside it in no
+            // dimension, so the scan need not step around `a` and `b`.
+            if rect_dominates_coords(p, at, q)
+                && !(0..row.len()).any(|c| rect_dominates_coords(p, of(c), q))
+            {
+                pairs.push((row[a], row[b]));
+            }
         }
     }
-    row.sort_unstable();
-    row
+    pairs
 }
 
 #[cfg(test)]
@@ -1438,8 +1424,9 @@ mod tests {
         assert_eq!(all, joined, "a leave folds nothing");
 
         // Sixteen shards: a join's full query folds every shard it
-        // cannot certify away; a leave repairs its selectors' rows from
-        // rows the store holds and asks no shard, home or foreign.
+        // cannot certify away; a leave links the departed peer's
+        // neighbours from its row alone and asks no shard, home or
+        // foreign.
         let (joined, all) = churned(16);
         assert_eq!(joined.folds, 120);
         assert!(joined.folds_escaped > 0 && joined.skips_certified > 0);
@@ -1500,10 +1487,11 @@ mod tests {
 
     #[test]
     fn join_dominance_update_is_the_rule_on_the_old_row_plus_the_newcomer() {
-        // Every peer of a population in turn plays the newcomer (it has
+        // The last peer of each population plays the newcomer (it has
         // the largest id of the slice): for each peer it selects, the
-        // closed-form update must equal re-running the rule on
-        // `old row ∪ {newcomer}` — collisions included.
+        // old row minus the evictions plus the newcomer must equal
+        // re-running the rule on `old row ∪ {newcomer}` — collisions
+        // included.
         for population in closed_form_populations() {
             let coords = CoordTable::from_peers(&population);
             let q = population.len() - 1;
@@ -1520,7 +1508,14 @@ mod tests {
                     .into_iter()
                     .map(|ci| cand_ids[ci])
                     .collect();
-                assert_eq!(join_dominance_update(&coords, old, i, q), want, "peer {i}");
+                let evicted = join_dominance_update(&coords, old, i, q);
+                let mut got: Vec<usize> = old
+                    .iter()
+                    .copied()
+                    .filter(|r| !evicted.contains(r))
+                    .collect();
+                got.push(q);
+                assert_eq!(got, want, "peer {i}");
                 assert_eq!(
                     after.out_neighbors(i),
                     &want[..],
@@ -1531,36 +1526,34 @@ mod tests {
     }
 
     #[test]
-    fn leave_closed_form_is_the_rule_on_the_old_row_plus_the_departed_row() {
+    fn unblocked_pairs_are_the_links_a_departure_makes() {
         // Every peer of a population in turn plays the departed one:
-        // each of its selectors' closed-form rows must equal the rule
-        // re-run from scratch, with no index, over the survivors.
+        // the pairs the kernel returns from its row alone must be, as a
+        // set, the links of the topology the survivors define — from
+        // scratch, with no index — that were absent before.
         for population in closed_form_populations() {
             let coords = CoordTable::from_peers(&population);
             let n = population.len();
             let full = TopologyStore::from_peers(population.clone(), Arc::new(EmptyRectSelection));
             for v in 0..n {
-                for &i in full.rev_neighbors(v) {
-                    let cand_ids: Vec<usize> = (0..n).filter(|&j| j != i && j != v).collect();
-                    let refs: Vec<&PeerInfo> = cand_ids.iter().map(|&j| &population[j]).collect();
-                    let want: Vec<usize> = EmptyRectSelection
-                        .select(&population[i], &refs)
-                        .into_iter()
-                        .map(|ci| cand_ids[ci])
-                        .collect();
-                    assert_eq!(
-                        leave_closed_form(
-                            &coords,
-                            full.out_neighbors(i),
-                            full.out_neighbors(v),
-                            i,
-                            v
-                        ),
-                        want,
-                        "dim {}: {v} departs, selector {i}",
-                        population[0].point().dim()
-                    );
+                let mut departed = vec![false; n];
+                departed[v] = true;
+                let after = oracle::equilibrium_live(&population, &departed, &EmptyRectSelection);
+                let mut want = Vec::new();
+                for i in 0..n {
+                    for &w in after.out_neighbors(i) {
+                        if i < w && !full.out_neighbors(i).contains(&w) {
+                            want.push((i, w));
+                        }
+                    }
                 }
+                // Both lists ascend: the kernel emits pairs in row order.
+                assert_eq!(
+                    unblocked_pairs(&coords, v, full.out_neighbors(v)),
+                    want,
+                    "dim {}: {v} departs",
+                    population[0].point().dim()
+                );
             }
         }
     }

@@ -47,27 +47,39 @@
 //!   with `i` was empty — i.e. `x` ∈ selection(`i`); for Hyperplanes,
 //!   dropping a non-selected candidate leaves every top-`K` intact.
 //!   The reverse-adjacency table hands the affected set directly.
-//!   Hyperplanes selectors re-select through the tombstoned indexes; an
-//!   empty-rectangle selector's row has a closed form again, the twin
-//!   of the dominance update, over two rows the store already holds.
-//!   With `S = selection(i) − x` and
-//!   `C = {w ∈ selection(x) − i : x ∈ rect(i, w)}`,
-//!   new row = `S ∪ {w ∈ C : no y ∈ S ∪ C, y ≠ w, in rect(i, w)}`
-//!   ([`crate::shard`]'s `leave_closed_form`). *Survivors stay:* their
-//!   rectangles were empty and nobody arrived. *Only `C` can enter:* if
-//!   `w` is new, `rect(i, w)` held exactly `x`; every point of
-//!   `rect(x, w)` lies in `rect(i, w)` and is not `x`, so `rect(x, w)`
-//!   was empty and `w` was a neighbour of `x`. *Testing against `S ∪ C`
-//!   suffices:* if `rect(i, w)` holds a live point besides `x`, take
-//!   one, `y`, with the fewest such points in its own `rect(i, y)` —
-//!   rectangles nest, so that count is zero. Either `rect(i, y)` was
-//!   empty and `y ∈ S`, or it held only `x` and `y ∈ C` by the previous
-//!   step. Every step is the strict-interior test, the rule's
-//!   definition: coordinate collisions (a departed `x` sharing a
-//!   coordinate with `i` sat in no open rectangle, `C` is empty and the
-//!   row just loses it), any dimensionality and any tiling take the
-//!   same path, with no index, no shard and no fallback. Debug builds
-//!   re-select every repaired row through the fold and compare.
+//!   Hyperplanes selectors re-select through the tombstoned indexes.
+//!   Under the empty-rectangle rule nobody re-selects and no
+//!   selector's row is read: the departure is repaired by the departed
+//!   peer's neighbours among themselves, as edge edits computed from
+//!   `row(x)` alone ([`crate::shard`]'s `unblocked_pairs`). Every
+//!   member of `row(x)` loses `x` (links are mutual), no other link
+//!   goes (nobody arrived), and the link `i – w` appears iff the open
+//!   `rect(i, w)` held `x` and holds no live point now. Three steps
+//!   make that a question about `row(x)`. *Only pairs of `row(x)` can
+//!   link:* if `x` lay strictly inside `rect(i, w)`, then every point
+//!   of `rect(x, w)` lies in `rect(i, w)` and is not `x`; with
+//!   `rect(i, w)` otherwise empty, so was `rect(x, w)`, and `w` was a
+//!   neighbour of `x` — and so was `i`, by the same step from the
+//!   other corner. *Blockers inside `row(x)` suffice:* if `rect(i, w)`
+//!   holds a live `y ≠ x`, then `rect(x, y) ⊂ rect(i, w)`, since both
+//!   its corners are inside; either it is empty and `y` itself is a
+//!   neighbour of `x`, or it holds a point with a strictly smaller
+//!   rectangle of its own, and that finite descent ends on a neighbour
+//!   of `x` inside `rect(i, w)`. *Ties:* a `y` sharing a coordinate
+//!   with `x` spans no open rectangle with it and is its neighbour by
+//!   the rule's own definition, so the descent starts there too; an `x`
+//!   sharing a coordinate with `i` sat strictly inside no rectangle of
+//!   `i`'s, and `i` just loses it. So the new links are the pairs of
+//!   `row(x)` whose open rectangle holds `x` and no other member of
+//!   `row(x)` — `O(degree²)` strict-interior tests, the rule's
+//!   definition at every step: any dimensionality and any tiling take
+//!   the same path, with no index, no shard and no fallback. The rows
+//!   that change are exactly `row(x) ∪ {x}`, which is the delta. The
+//!   join's evictions are pairs inside the newcomer's row the same way:
+//!   an evicted `r` had `rect(i, r)` empty before `q` came to sit in
+//!   it, so `rect(q, r)`, a part of it, is empty, and `r ∈ row(q)`.
+//!   Debug builds re-select every row a leave edited through the fold
+//!   and compare.
 //!
 //! # The oracle
 //!
@@ -94,7 +106,7 @@ use crate::par;
 use crate::peer::{PeerId, PeerInfo};
 use crate::select::{ids_in_slice_order, NeighborSelection, ShardProfile};
 use crate::shard::{
-    join_dominance_update, leave_closed_form, topk_join_recheck, CoordTable, ShardConfig,
+    join_dominance_update, topk_join_recheck, unblocked_pairs, CoordTable, ShardConfig,
     ShardedTopologyStore,
 };
 
@@ -153,6 +165,9 @@ pub struct TopologyStore {
     fingerprint: u64,
     epoch: u64,
     log: DeltaLog,
+    /// Mutual links the empty-rectangle leaves made and its joins cut.
+    links_made: u64,
+    links_cut: u64,
     selection: Arc<dyn NeighborSelection + Send + Sync>,
     /// The tiles and their spatial indexes: what computes every row.
     engine: ShardedTopologyStore,
@@ -244,6 +259,8 @@ impl TopologyStore {
             fingerprint,
             epoch: 0,
             log: DeltaLog::default(),
+            links_made: 0,
+            links_cut: 0,
             peers,
             selection,
             engine,
@@ -255,6 +272,23 @@ impl TopologyStore {
     #[must_use]
     pub fn sharding(&self) -> &ShardedTopologyStore {
         &self.engine
+    }
+
+    /// Links that leaves have made between the departed peers' former
+    /// neighbours since construction: a plain event count, always on.
+    /// Links are counted where they are edited as mutual pairs, under
+    /// the empty-rectangle rule; the re-selecting rules count nothing.
+    #[must_use]
+    pub fn links_made_by_leaves(&self) -> u64 {
+        self.links_made
+    }
+
+    /// Links that joins have cut between the newcomers' neighbours
+    /// since construction, counted like
+    /// [`TopologyStore::links_made_by_leaves`].
+    #[must_use]
+    pub fn links_cut_by_joins(&self) -> u64 {
+        self.links_cut
     }
 
     /// Number of peers ever inserted (departed ones included).
@@ -455,36 +489,65 @@ impl TopologyStore {
         self.fingerprint ^= self.peer_hash[id];
         let selection = self.selection.as_ref();
         let own = self.engine.join(&self.peers, &self.departed, selection, id);
+        let dirty = match self.engine.profile() {
+            ShardProfile::EmptyRect => self.join_links(id, own),
+            profile => self.join_reselect(id, own, profile),
+        };
+        self.record_delta(DeltaKind::Join(id), dirty);
+        PeerId(id as u64)
+    }
 
-        let (peers, coords, departed, out) = (&self.peers, &self.coords, &self.departed, &self.out);
-        let affected: Vec<usize> = match self.engine.profile() {
-            ShardProfile::EmptyRect => own.clone(),
+    /// The empty-rectangle join as edge edits: the newcomer links with
+    /// every peer of its row `own`, and each of them drops the
+    /// neighbours the newcomer now blocks — pairs inside `own` again
+    /// (module docs), so the rows that change, and the dirty region
+    /// returned, are `own` and the newcomer's.
+    fn join_links(&mut self, id: usize, own: Vec<usize>) -> Vec<usize> {
+        for &i in &own {
+            // Found from whichever end comes first; by the time the
+            // other end's turn comes the link is gone.
+            for r in join_dominance_update(&self.coords, &self.out[i], i, id) {
+                debug_assert!(own.binary_search(&r).is_ok(), "{r} evicted outside the row");
+                self.unlink(i, r);
+                self.links_cut += 1;
+            }
+            self.link(i, id);
+        }
+        let mut dirty = own;
+        // `id` is the largest index, so appending keeps the list sorted.
+        dirty.push(id);
+        for &i in &dirty {
+            self.rehash(i);
+        }
+        dirty
+    }
+
+    /// The join of every other rule: whoever the rule's structure
+    /// cannot rule out re-runs it on `old row ∪ {newcomer}`.
+    fn join_reselect(&mut self, id: usize, own: Vec<usize>, profile: ShardProfile) -> Vec<usize> {
+        let selection = self.selection.as_ref();
+        let (peers, departed, out) = (&self.peers, &self.departed, &self.out);
+        let affected: Vec<usize> = match profile {
             ShardProfile::OrthantTopK { k, metric } => par::map_indexed(id, |i| {
                 (!departed[i] && topk_join_recheck(peers, out, i, id, k, metric)).then_some(i)
             })
             .into_iter()
             .flatten()
             .collect(),
-            ShardProfile::Generic => (0..id).filter(|&i| !departed[i]).collect(),
+            // No structure to rule anyone out by: everyone.
+            _ => (0..id).filter(|&i| !departed[i]).collect(),
         };
-        let updates: Vec<Vec<usize>> = if self.engine.profile() == ShardProfile::EmptyRect {
-            affected
-                .iter()
-                .map(|&i| join_dominance_update(coords, &out[i], i, id))
-                .collect()
-        } else {
-            par::map_indexed(affected.len(), |a| {
-                let i = affected[a];
-                // `id` is the largest index, so appending keeps the
-                // candidate id list sorted.
-                let mut cand_ids: Vec<usize> = Vec::with_capacity(out[i].len() + 1);
-                cand_ids.extend_from_slice(&out[i]);
-                cand_ids.push(id);
-                let refs: Vec<&PeerInfo> = cand_ids.iter().map(|&j| &peers[j]).collect();
-                let picked = selection.select(&peers[i], &refs);
-                picked.into_iter().map(|ci| cand_ids[ci]).collect()
-            })
-        };
+        let updates: Vec<Vec<usize>> = par::map_indexed(affected.len(), |a| {
+            let i = affected[a];
+            // `id` is the largest index, so appending keeps the
+            // candidate id list sorted.
+            let mut cand_ids: Vec<usize> = Vec::with_capacity(out[i].len() + 1);
+            cand_ids.extend_from_slice(&out[i]);
+            cand_ids.push(id);
+            let refs: Vec<&PeerInfo> = cand_ids.iter().map(|&j| &peers[j]).collect();
+            let picked = selection.select(&peers[i], &refs);
+            picked.into_iter().map(|ci| cand_ids[ci]).collect()
+        });
 
         let mut delta = BTreeSet::new();
         delta.insert(id);
@@ -492,8 +555,7 @@ impl TopologyStore {
         for (i, new_out) in affected.into_iter().zip(updates) {
             self.apply_out(i, new_out, &mut delta);
         }
-        self.record_delta(DeltaKind::Join(id), delta.into_iter().collect());
-        PeerId(id as u64)
+        delta.into_iter().collect()
     }
 
     /// Idempotent [`TopologyStore::remove`]: removes the peer if it is
@@ -511,9 +573,9 @@ impl TopologyStore {
 
     /// Removes a peer (crash-stop) and incrementally re-converges the
     /// equilibrium: exactly the peers that had the departed peer
-    /// selected get a new row — repaired from the old one and the
-    /// departed peer's own under the empty-rectangle rule, re-selected
-    /// over the survivors otherwise.
+    /// selected get a new row — they lose it and link among themselves
+    /// under the empty-rectangle rule, and re-select over the survivors
+    /// otherwise.
     ///
     /// # Panics
     ///
@@ -524,8 +586,56 @@ impl TopologyStore {
         assert!(!self.departed[v], "{id} already departed");
         self.departed[v] = true;
         self.live -= 1;
-        self.engine.leave(v);
+        self.engine.leave(&self.peers, v);
+        let dirty = match self.engine.profile() {
+            ShardProfile::EmptyRect => self.leave_links(v),
+            _ => self.leave_reselect(v),
+        };
+        self.record_delta(DeltaKind::Leave(v), dirty);
+    }
 
+    /// The empty-rectangle leave as edge edits, computed from the
+    /// departed peer's row alone: each member loses `v`, and the pairs
+    /// of the row that `v` alone kept apart link ([`unblocked_pairs`]).
+    /// The rows that change, and the dirty region returned, are that
+    /// row and `v`'s own; no other row is read.
+    fn leave_links(&mut self, v: usize) -> Vec<usize> {
+        // Taking the lists also releases their capacity: nobody selects
+        // a departed id again.
+        let row = std::mem::take(&mut self.out[v]);
+        let selectors = std::mem::take(&mut self.rev[v]);
+        debug_assert_eq!(selectors, row, "empty-rectangle links are mutual");
+        let pairs = unblocked_pairs(&self.coords, v, &row);
+        for &i in &row {
+            // `v`'s own lists are gone already; that half finds nothing.
+            self.unlink(i, v);
+        }
+        for &(i, w) in &pairs {
+            self.link(i, w);
+        }
+        self.links_made += pairs.len() as u64;
+        for &i in &row {
+            debug_assert_eq!(
+                self.out[i],
+                self.engine.row_from_scratch(
+                    &self.peers,
+                    &self.departed,
+                    self.selection.as_ref(),
+                    i
+                ),
+                "leave of {v}: peer {i}'s edited row differs from its re-selection"
+            );
+            self.rehash(i);
+        }
+        self.rehash(v);
+        let mut dirty = row;
+        dirty.insert(dirty.partition_point(|&i| i < v), v);
+        dirty
+    }
+
+    /// The leave of every other rule: the departed peer's selectors
+    /// re-select through the tombstoned indexes.
+    fn leave_reselect(&mut self, v: usize) -> Vec<usize> {
         let mut delta = BTreeSet::new();
         delta.insert(v);
         // Only its selectors can lose an edge. Taking the list also
@@ -533,25 +643,39 @@ impl TopologyStore {
         let affected = std::mem::take(&mut self.rev[v]);
         for i in affected {
             let selection = self.selection.as_ref();
-            let new_out = if self.engine.profile() == ShardProfile::EmptyRect {
-                let row = leave_closed_form(&self.coords, &self.out[i], &self.out[v], i, v);
-                debug_assert_eq!(
-                    row,
-                    self.engine
-                        .row_from_scratch(&self.peers, &self.departed, selection, i),
-                    "leave of {v}: selector {i}'s repaired row differs from its re-selection"
-                );
-                row
-            } else {
-                self.engine
-                    .reselect(&self.peers, &self.departed, selection, i)
-            };
+            let new_out = self
+                .engine
+                .reselect(&self.peers, &self.departed, selection, i);
             self.apply_out(i, new_out, &mut delta);
         }
-        // The departed peer selects nobody — cleared last: its row is
-        // what the repairs above read.
+        // The departed peer selects nobody.
         self.apply_out(v, Vec::new(), &mut delta);
-        self.record_delta(DeltaKind::Leave(v), delta.into_iter().collect());
+        delta.into_iter().collect()
+    }
+
+    /// Enters the mutual link `a – b` in both tables. Under the
+    /// empty-rectangle rule links are mutual, so `rev` mirrors `out`
+    /// and takes the same edits.
+    fn link(&mut self, a: usize, b: usize) {
+        for (i, j) in [(a, b), (b, a)] {
+            Self::row_insert(&mut self.out[i], j);
+            Self::row_insert(&mut self.rev[i], j);
+        }
+    }
+
+    /// Removes the mutual link `a – b` from both tables.
+    fn unlink(&mut self, a: usize, b: usize) {
+        for (i, j) in [(a, b), (b, a)] {
+            Self::row_remove(&mut self.out[i], j);
+            Self::row_remove(&mut self.rev[i], j);
+        }
+    }
+
+    /// Brings `i`'s hash and the rolling fingerprint up to its row.
+    fn rehash(&mut self, i: usize) {
+        let new_hash = topology_hash(i, &self.out[i]);
+        self.fingerprint ^= self.peer_hash[i] ^ new_hash;
+        self.peer_hash[i] = new_hash;
     }
 
     /// Replaces `i`'s out-list, maintaining reverse lists, hashes, the
@@ -571,43 +695,41 @@ impl TopologyStore {
                     y += 1;
                 }
                 (Some(&u), Some(&v)) if u < v => {
-                    Self::rev_remove(&mut self.rev[u], i);
+                    Self::row_remove(&mut self.rev[u], i);
                     delta.insert(u);
                     x += 1;
                 }
                 (Some(_), Some(&v)) => {
-                    Self::rev_insert(&mut self.rev[v], i);
+                    Self::row_insert(&mut self.rev[v], i);
                     delta.insert(v);
                     y += 1;
                 }
                 (Some(&u), None) => {
-                    Self::rev_remove(&mut self.rev[u], i);
+                    Self::row_remove(&mut self.rev[u], i);
                     delta.insert(u);
                     x += 1;
                 }
                 (None, Some(&v)) => {
-                    Self::rev_insert(&mut self.rev[v], i);
+                    Self::row_insert(&mut self.rev[v], i);
                     delta.insert(v);
                     y += 1;
                 }
                 (None, None) => break,
             }
         }
-        let new_hash = topology_hash(i, &self.out[i]);
-        self.fingerprint ^= self.peer_hash[i] ^ new_hash;
-        self.peer_hash[i] = new_hash;
+        self.rehash(i);
         delta.insert(i);
     }
 
-    fn rev_insert(rev: &mut Vec<usize>, i: usize) {
-        if let Err(pos) = rev.binary_search(&i) {
-            rev.insert(pos, i);
+    fn row_insert(row: &mut Vec<usize>, i: usize) {
+        if let Err(pos) = row.binary_search(&i) {
+            row.insert(pos, i);
         }
     }
 
-    fn rev_remove(rev: &mut Vec<usize>, i: usize) {
-        if let Ok(pos) = rev.binary_search(&i) {
-            rev.remove(pos);
+    fn row_remove(row: &mut Vec<usize>, i: usize) {
+        if let Ok(pos) = row.binary_search(&i) {
+            row.remove(pos);
         }
     }
 }
@@ -900,9 +1022,9 @@ mod tests {
     fn high_dimensions_fall_back_exactly() {
         // Beyond MAX_INDEX_DIM the shard indexes decline every query:
         // shortlists are brute selections and no skip is certified. An
-        // empty-rectangle leave asks no index and repairs as in any
-        // dimensionality; a Hyperplanes leave re-selects by brute
-        // force. Bulk build, growth from empty, joins and leaves equal
+        // empty-rectangle leave asks no index and links the departed
+        // peer's neighbours as in any dimensionality; a Hyperplanes
+        // leave re-selects by brute force. Bulk build, growth from empty, joins and leaves equal
         // the oracle after every event, on one tile and on several.
         let dim = geocast_geom::index::MAX_INDEX_DIM + 1;
         let rules: [Arc<dyn NeighborSelection + Send + Sync>; 2] = [
@@ -939,8 +1061,8 @@ mod tests {
         // A workload violating per-dimension distinctness: the index
         // declines and a join's brute selection must keep incremental
         // == reference. The leave removes a peer that shares a
-        // coordinate with two of its selectors; their closed-form
-        // repair is the rule's own strict test and has no fallback.
+        // coordinate with two of its selectors; the pair kernel is the
+        // rule's own strict test and has no fallback.
         let pts = vec![
             Point::new(vec![0.0, 0.0]).unwrap(),
             Point::new(vec![5.0, 0.0]).unwrap(), // shares y with 0
@@ -962,8 +1084,8 @@ mod tests {
         // The leave half of the collision cliff: a selector sharing a
         // coordinate with a live peer used to make the index decline
         // and the leave re-select it by brute force over all N. The
-        // closed form reads two rows: across these leaves the engine
-        // runs no fold at all.
+        // pair kernel reads the departed peer's row: across these
+        // leaves the engine runs no fold at all.
         let mut pts = points(2000, 2, 59);
         // 1 % exact ties: twenty peers copy one coordinate of their
         // predecessor.

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use geocast_geom::gen::uniform_points;
-use geocast_geom::MetricKind;
+use geocast_geom::{MetricKind, Point};
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
 use geocast_overlay::{oracle, OverlayGraph, PeerId, PeerInfo, ShardConfig, TopologyStore};
 
@@ -62,14 +62,54 @@ fn assert_from_scratch(
     rebuilt
 }
 
+/// Applies one event — the departure of `leave`, or else the join of
+/// the next point — and returns the moving peer's row (the one it had
+/// on a leave, the one it got on a join) plus itself, ascending.
+fn apply_event(
+    store: &mut TopologyStore,
+    leave: Option<usize>,
+    joins: &mut impl Iterator<Item = Point>,
+) -> Vec<usize> {
+    let (peer, mut moved) = match leave {
+        Some(v) => {
+            let row = store.out_neighbors(v).to_vec();
+            store.remove(PeerId(v as u64));
+            (v, row)
+        }
+        None => {
+            let id = store.insert(joins.next().expect("one point per op suffices"));
+            (id.index(), store.out_neighbors(id.index()).to_vec())
+        }
+    };
+    moved.push(peer);
+    moved.sort_unstable();
+    moved
+}
+
+/// The two facts the empty-rectangle store edits edges on: links are
+/// mutual, and an event dirties the moving peer's row and itself,
+/// nothing else.
+fn assert_mutual_and_local(store: &TopologyStore, moved: &[usize], what: &str) {
+    for i in (0..store.len()).filter(|&i| !store.is_departed(PeerId(i as u64))) {
+        assert_eq!(
+            store.rev_neighbors(i),
+            store.out_neighbors(i),
+            "{what}: peer {i}'s links are mutual"
+        );
+    }
+    let delta = store.delta_log().newest().expect("an event was applied");
+    assert_eq!(delta.dirty, moved, "{what}: dirty == the moving peer's row");
+}
+
 /// A reproducible churn trace: joins draw fresh points, leaves pick a
-/// random live peer (never emptying the population).
+/// random live peer (never emptying the population). `check` gets the
+/// store, the event's number and [`apply_event`]'s list.
 fn churn_trace(
     store: &mut TopologyStore,
     ops: usize,
     dim: usize,
     seed: u64,
-    mut check: impl FnMut(&TopologyStore, usize),
+    mut check: impl FnMut(&TopologyStore, usize, &[usize]),
 ) {
     let points = uniform_points(ops, dim, 1000.0, seed ^ 0x6a6f_696e).into_points();
     let mut joins = points.into_iter();
@@ -78,12 +118,10 @@ fn churn_trace(
         let live: Vec<usize> = (0..store.len())
             .filter(|&i| !store.is_departed(PeerId(i as u64)))
             .collect();
-        if live.len() > 1 && rng.random_range(0..3) == 0 {
-            store.remove(PeerId(live[rng.random_range(0..live.len())] as u64));
-        } else {
-            store.insert(joins.next().expect("one point per op suffices"));
-        }
-        check(store, op);
+        let leave = (live.len() > 1 && rng.random_range(0..3) == 0)
+            .then(|| live[rng.random_range(0..live.len())]);
+        let moved = apply_event(store, leave, &mut joins);
+        check(store, op, &moved);
     }
 }
 
@@ -107,17 +145,20 @@ proptest! {
             store.insert(p);
         }
         let mut rebuilt = assert_from_scratch(&store, None, &format!("initial build, variant {variant}"));
-        churn_trace(&mut store, ops, dim, seed, |store, op| {
+        churn_trace(&mut store, ops, dim, seed, |store, op, moved| {
             let what = format!("variant {variant}, op {op}");
             rebuilt = assert_from_scratch(store, Some(&rebuilt), &what);
+            if variant == 0 {
+                assert_mutual_and_local(store, moved, &what);
+            }
         });
     }
 
-    /// Remove-heavy churn under the empty-rectangle rule — where a departure
-    /// *repairs* each selector's row (its old row + the departed peer's
-    /// row, no index and no shard asked) instead of re-selecting —
-    /// equals the from-scratch rebuild after every event, at 1, 4 and
-    /// 16 shards, in 2-D and 3-D.
+    /// Remove-heavy churn under the empty-rectangle rule — where a
+    /// departure is *edge edits* computed from the departed peer's row
+    /// alone (no selector's row read, no index and no shard asked)
+    /// instead of re-selections — equals the from-scratch rebuild after
+    /// every event, at 1, 4 and 16 shards, in 2-D and 3-D.
     #[test]
     fn sharded_remove_heavy_churn_equals_from_scratch_rebuild(
         initial in 12usize..70,
@@ -142,13 +183,12 @@ proptest! {
                 .filter(|&i| !store.is_departed(PeerId(i as u64)))
                 .collect();
             // Two departures in three events.
-            if live.len() > 2 && rng.random_range(0..3) != 0 {
-                store.remove(PeerId(live[rng.random_range(0..live.len())] as u64));
-            } else {
-                store.insert(joins.next().expect("one point per op suffices"));
-            }
+            let leave = (live.len() > 2 && rng.random_range(0..3) != 0)
+                .then(|| live[rng.random_range(0..live.len())]);
+            let moved = apply_event(&mut store, leave, &mut joins);
             let what = format!("{shards} shards, dim {dim}, op {op}");
             rebuilt = assert_from_scratch(&store, Some(&rebuilt), &what);
+            assert_mutual_and_local(&store, &moved, &what);
         }
     }
 }
