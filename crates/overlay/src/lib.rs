@@ -42,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod closed_form;
 mod graph;
 mod network;
 mod par;

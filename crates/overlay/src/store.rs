@@ -51,7 +51,7 @@
 //!   Under the empty-rectangle rule nobody re-selects and no
 //!   selector's row is read: the departure is repaired by the departed
 //!   peer's neighbours among themselves, as edge edits computed from
-//!   `row(x)` alone ([`crate::shard`]'s `unblocked_pairs`). Every
+//!   `row(x)` alone (`crate::closed_form`'s `unblocked_pairs`). Every
 //!   member of `row(x)` loses `x` (links are mutual), no other link
 //!   goes (nobody arrived), and the link `i – w` appears iff the open
 //!   `rect(i, w)` held `x` and holds no live point now. Three steps
@@ -100,15 +100,13 @@ use std::sync::Arc;
 
 use geocast_geom::Point;
 
+use crate::closed_form::{join_dominance_update, topk_join_recheck, unblocked_pairs, CoordTable};
 use crate::delta::{DeltaKind, DeltaLog, TopologyDelta};
 use crate::graph::OverlayGraph;
 use crate::par;
 use crate::peer::{PeerId, PeerInfo};
 use crate::select::{ids_in_slice_order, NeighborSelection, ShardProfile};
-use crate::shard::{
-    join_dominance_update, topk_join_recheck, unblocked_pairs, CoordTable, ShardConfig,
-    ShardedTopologyStore,
-};
+use crate::shard::{ShardConfig, ShardedTopologyStore};
 
 /// FNV-1a fingerprint of one peer's out-neighbour list. Mixing the peer
 /// index in keeps the XOR-of-all-peers network fingerprint collision
