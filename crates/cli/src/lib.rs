@@ -22,6 +22,8 @@ use std::sync::Arc;
 use geocast::core::session;
 use geocast::core::stability::{non_leaf_departures, preferred_links, PreferredPolicy};
 use geocast::figures;
+use geocast::geom::arrangement::MAX_SIGNED_DIM;
+use geocast::geom::MAX_ORTHANT_DIM;
 use geocast::overlay::analysis;
 use geocast::prelude::*;
 
@@ -207,7 +209,7 @@ fn opt<T: std::str::FromStr>(inv: &Invocation, key: &str, default: T) -> Result<
 }
 
 /// Parses `--n`, rejecting empty populations the downstream passes
-/// (overlay profiling, session root placement) cannot represent.
+/// (overlay profiling, root placement) cannot represent.
 fn opt_peers(inv: &Invocation, default: usize) -> Result<usize, CliError> {
     let n: usize = opt(inv, "n", default)?;
     if n == 0 {
@@ -219,12 +221,37 @@ fn opt_peers(inv: &Invocation, default: usize) -> Result<usize, CliError> {
     Ok(n)
 }
 
+/// Parses `--dim`: an [`Orthant`] is a bit per dimension, so every
+/// command's geometry holds 1 ..= [`MAX_ORTHANT_DIM`] dimensions.
+fn opt_dim(inv: &Invocation, default: usize) -> Result<usize, CliError> {
+    let dim: usize = opt(inv, "dim", default)?;
+    if !(1..=MAX_ORTHANT_DIM).contains(&dim) {
+        return Err(CliError::BadValue {
+            key: "dim".to_owned(),
+            value: dim.to_string(),
+        });
+    }
+    Ok(dim)
+}
+
 fn selection_for(
     method: &str,
     dim: usize,
     k: usize,
 ) -> Result<Arc<dyn NeighborSelection + Send + Sync>, CliError> {
+    if k == 0 {
+        return Err(CliError::BadValue {
+            key: "k".into(),
+            value: "0".into(),
+        });
+    }
     Ok(match method {
+        "signed" if dim > MAX_SIGNED_DIM => {
+            return Err(CliError::BadValue {
+                key: "dim".into(),
+                value: dim.to_string(),
+            })
+        }
         "empty-rect" => Arc::new(EmptyRectSelection),
         "orthogonal" => Arc::new(HyperplanesSelection::orthogonal(dim, k, MetricKind::L1)),
         "signed" => Arc::new(HyperplanesSelection::signed(dim, k, MetricKind::L1)),
@@ -400,7 +427,7 @@ COMMANDS:
 
 fn cmd_overlay(inv: &Invocation) -> Result<String, CliError> {
     let n: usize = opt_peers(inv, 500)?;
-    let dim: usize = opt(inv, "dim", 2)?;
+    let dim: usize = opt_dim(inv, 2)?;
     let seed: u64 = opt(inv, "seed", 1)?;
     let k: usize = opt(inv, "k", 2)?;
     let method: String = opt(inv, "method", "empty-rect".to_owned())?;
@@ -453,8 +480,8 @@ fn cmd_overlay(inv: &Invocation) -> Result<String, CliError> {
 }
 
 fn cmd_tree(inv: &Invocation) -> Result<String, CliError> {
-    let n: usize = opt(inv, "n", 500)?;
-    let dim: usize = opt(inv, "dim", 2)?;
+    let n: usize = opt_peers(inv, 500)?;
+    let dim: usize = opt_dim(inv, 2)?;
     let seed: u64 = opt(inv, "seed", 1)?;
     let root: usize = opt(inv, "root", 0)?;
     let pick: String = opt(inv, "pick", "median".to_owned())?;
@@ -512,8 +539,8 @@ fn cmd_tree(inv: &Invocation) -> Result<String, CliError> {
 }
 
 fn cmd_stability(inv: &Invocation) -> Result<String, CliError> {
-    let n: usize = opt(inv, "n", 500)?;
-    let dim: usize = opt(inv, "dim", 3)?;
+    let n: usize = opt_peers(inv, 500)?;
+    let dim: usize = opt_dim(inv, 3)?;
     let seed: u64 = opt(inv, "seed", 1)?;
     let k: usize = opt(inv, "k", 2)?;
     let policy_name: String = opt(inv, "policy", "max-t".to_owned())?;
@@ -529,13 +556,12 @@ fn cmd_stability(inv: &Invocation) -> Result<String, CliError> {
         }
     };
 
+    let selection = selection_for("orthogonal", dim, k)?;
+
     let base = uniform_points(n, dim, 1000.0, seed);
     let times = lifetimes(n, 1000.0, seed ^ 0x57_4a);
     let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
-    let overlay = oracle::equilibrium(
-        &peers,
-        &HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
-    );
+    let overlay = oracle::equilibrium(&peers, selection.as_ref());
     let forest = preferred_links(&peers, &overlay, policy);
 
     let mut out = String::new();
@@ -571,7 +597,7 @@ fn cmd_stability(inv: &Invocation) -> Result<String, CliError> {
 
 fn cmd_session(inv: &Invocation) -> Result<String, CliError> {
     let n: usize = opt_peers(inv, 200)?;
-    let dim: usize = opt(inv, "dim", 2)?;
+    let dim: usize = opt_dim(inv, 2)?;
     let seed: u64 = opt(inv, "seed", 1)?;
     let payloads: u64 = opt(inv, "payloads", 5)?;
     let loss: f64 = opt(inv, "loss", 0.0)?;
@@ -625,8 +651,8 @@ fn cmd_session(inv: &Invocation) -> Result<String, CliError> {
 }
 
 fn cmd_route(inv: &Invocation) -> Result<String, CliError> {
-    let n: usize = opt(inv, "n", 200)?;
-    let dim: usize = opt(inv, "dim", 2)?;
+    let n: usize = opt_peers(inv, 200)?;
+    let dim: usize = opt_dim(inv, 2)?;
     let seed: u64 = opt(inv, "seed", 1)?;
     let from: usize = opt(inv, "from", 0)?;
     let to: usize = opt(inv, "to", n.saturating_sub(1))?;
@@ -670,7 +696,7 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
     use std::time::Instant;
 
     let n: usize = opt_peers(inv, 500)?;
-    let dim: usize = opt(inv, "dim", 2)?;
+    let dim: usize = opt_dim(inv, 2)?;
     let seed: u64 = opt(inv, "seed", 1)?;
     let events: usize = opt(inv, "events", 200)?;
     let join_rate: u32 = opt(inv, "join-rate", 1)?;
@@ -810,7 +836,7 @@ fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
     use std::time::Instant;
 
     let n: usize = opt_peers(inv, 500)?;
-    let dim: usize = opt(inv, "dim", 2)?;
+    let dim: usize = opt_dim(inv, 2)?;
     let seed: u64 = opt(inv, "seed", 1)?;
     let num_groups: usize = opt(inv, "groups", 16)?;
     let subs: usize = opt(inv, "subs", 2 * n)?;
@@ -993,7 +1019,7 @@ fn cmd_publish(inv: &Invocation) -> Result<String, CliError> {
     use std::time::Instant;
 
     let n: usize = opt_peers(inv, 500)?;
-    let dim: usize = opt(inv, "dim", 2)?;
+    let dim: usize = opt_dim(inv, 2)?;
     let seed: u64 = opt(inv, "seed", 1)?;
     let num_groups: usize = opt(inv, "groups", 16)?;
     let subs: usize = opt(inv, "subs", 2 * n)?;
@@ -1144,7 +1170,7 @@ fn cmd_detect(inv: &Invocation) -> Result<String, CliError> {
     // fast detector) with every knob overridable.
     let mut sc = DetectionScenario::quick();
     sc.peers = opt_peers(inv, sc.peers)?;
-    sc.dim = opt(inv, "dim", sc.dim)?;
+    sc.dim = opt_dim(inv, sc.dim)?;
     sc.seed = opt(inv, "seed", sc.seed)?;
     sc.groups = opt(inv, "groups", sc.groups)?;
     sc.group_size = opt(inv, "group-size", sc.group_size)?;
@@ -1839,6 +1865,45 @@ mod tests {
                 value: "many".into()
             }
         );
+    }
+
+    #[test]
+    fn out_of_range_dim_k_and_n_are_bad_values_on_every_command() {
+        // Each of these used to reach a library `assert!` (or, for
+        // `--n 0`, run on and blame another option).
+        let with_dim = [
+            "overlay",
+            "tree",
+            "stability",
+            "route",
+            "churn",
+            "groups",
+            "publish",
+            "detect",
+        ];
+        let mut cases: Vec<(&str, &str, &str)> = Vec::new();
+        for command in with_dim {
+            cases.push((command, "dim", "0"));
+            cases.push((command, "dim", "33"));
+            cases.push((command, "n", "0"));
+        }
+        cases.push(("overlay", "k", "0"));
+        cases.push(("stability", "k", "0"));
+        cases.push(("overlay --method signed", "dim", "13"));
+        for (command, key, value) in cases {
+            let mut words: Vec<&str> = command.split(' ').collect();
+            let flag = format!("--{key}");
+            words.extend([flag.as_str(), value]);
+            let inv = parse_args(&args(&words)).unwrap();
+            assert_eq!(
+                run(&inv),
+                Err(CliError::BadValue {
+                    key: key.into(),
+                    value: value.into()
+                }),
+                "{command} --{key} {value}"
+            );
+        }
     }
 
     #[test]

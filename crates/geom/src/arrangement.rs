@@ -109,6 +109,10 @@ impl fmt::Display for RegionKey {
     }
 }
 
+/// The largest dimensionality [`Arrangement::signed`] builds
+/// (`(3^D − 1) / 2` planes).
+pub const MAX_SIGNED_DIM: usize = 12;
+
 /// A set of hyperplanes through the origin dividing space into regions.
 ///
 /// # Example
@@ -177,13 +181,16 @@ impl Arrangement {
     ///
     /// # Panics
     ///
-    /// Panics if `dim == 0` or `dim > 12` (3^12 ≈ 531k planes is already
-    /// far past anything useful; the guard catches accidental
+    /// Panics if `dim == 0` or `dim > MAX_SIGNED_DIM` (3^12 ≈ 531k planes
+    /// is already far past anything useful; the guard catches accidental
     /// misconfiguration).
     #[must_use]
     pub fn signed(dim: usize) -> Self {
         assert!(dim > 0, "arrangements require at least one dimension");
-        assert!(dim <= 12, "signed arrangement would have 3^{dim}/2 planes");
+        assert!(
+            dim <= MAX_SIGNED_DIM,
+            "signed arrangement would have 3^{dim}/2 planes"
+        );
         let mut planes = Vec::new();
         let total = 3usize.pow(dim as u32);
         for code in 1..total {
