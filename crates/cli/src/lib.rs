@@ -6,7 +6,6 @@
 //! geocast overlay   --n 500 --dim 2 --method empty-rect        # topology profile
 //! geocast tree      --n 500 --dim 3 --root 0 --pick median     # §2 construction
 //! geocast stability --n 500 --dim 4 --k 2 --policy max-t       # §3 tree + departures
-//! geocast session   --n 200 --payloads 5 --loss 0.1            # dissemination
 //! geocast figures   --panel fig1a [--full]                     # reproduce the paper
 //! ```
 //!
@@ -19,7 +18,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use geocast::core::session;
 use geocast::core::stability::{non_leaf_departures, preferred_links, PreferredPolicy};
 use geocast::figures;
 use geocast::geom::arrangement::MAX_SIGNED_DIM;
@@ -282,11 +280,6 @@ const COMMANDS: &[Command] = &[
         &["n", "dim", "seed", "k", "policy"],
         cmd_stability,
     ),
-    (
-        "session",
-        &["n", "dim", "seed", "payloads", "loss"],
-        cmd_session,
-    ),
     ("route", &["n", "dim", "seed", "from", "to"], cmd_route),
     (
         "churn",
@@ -396,8 +389,6 @@ COMMANDS:
              --n 500 --dim 2 --seed 1 --root 0 --pick median|closest|farthest
   stability  run the §3 construction and replay all departures
              --n 500 --dim 3 --k 2 --seed 1 --policy max-t|min-higher-t|closest
-  session    build a tree and multicast payloads over the simulator
-             --n 200 --dim 2 --seed 1 --payloads 5 --loss 0.0
   route      greedy geometric routing between two peers
              --n 200 --dim 2 --seed 1 --from 0 --to 10
   churn      replay a churn pattern through the incremental engine
@@ -590,61 +581,6 @@ fn cmd_stability(inv: &Invocation) -> Result<String, CliError> {
         out.push_str(&format!(
             "  disconnecting departures (full schedule): {}\n",
             non_leaf_departures(&tree, &t)
-        ));
-    }
-    Ok(out)
-}
-
-fn cmd_session(inv: &Invocation) -> Result<String, CliError> {
-    let n: usize = opt_peers(inv, 200)?;
-    let dim: usize = opt_dim(inv, 2)?;
-    let seed: u64 = opt(inv, "seed", 1)?;
-    let payloads: u64 = opt(inv, "payloads", 5)?;
-    let loss: f64 = opt(inv, "loss", 0.0)?;
-    if !(0.0..=1.0).contains(&loss) {
-        return Err(CliError::BadValue {
-            key: "loss".into(),
-            value: loss.to_string(),
-        });
-    }
-
-    let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
-    let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-    let outcome = session::run_session(
-        &peers,
-        &overlay,
-        0,
-        Arc::new(OrthantRectPartitioner::median()),
-        payloads,
-        &[],
-        geocast::sim::UniformLatency::new(
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(20),
-        ),
-        if loss > 0.0 {
-            FaultModel::with_loss(loss)
-        } else {
-            FaultModel::default()
-        },
-        seed,
-    );
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "multicast session: {n} peers, {payloads} payloads, loss {:.0}%\n\n",
-        loss * 100.0
-    ));
-    out.push_str(&format!(
-        "  build messages : {} (N-1 = {})\n",
-        outcome.build_messages,
-        n - 1
-    ));
-    out.push_str(&format!("  data messages  : {}\n", outcome.data_messages));
-    out.push_str(&format!("  duplicates     : {}\n", outcome.duplicates));
-    for (p, count) in &outcome.delivery {
-        out.push_str(&format!(
-            "  payload {p}: delivered to {count}/{n} ({:.1}%)\n",
-            *count as f64 * 100.0 / n as f64
         ));
     }
     Ok(out)
@@ -1438,7 +1374,7 @@ mod tests {
     fn help_command_prints_usage() {
         let out = run(&parse_args(&args(&["help"])).unwrap()).unwrap();
         assert!(out.contains("USAGE"));
-        for cmd in ["overlay", "tree", "stability", "session", "figures"] {
+        for cmd in ["overlay", "tree", "stability", "route", "figures"] {
             assert!(out.contains(cmd), "help missing {cmd}");
         }
     }
@@ -1486,20 +1422,6 @@ mod tests {
             out.contains("disconnecting departures (full schedule): 0"),
             "{out}"
         );
-    }
-
-    #[test]
-    fn session_command_reports_full_delivery() {
-        let inv = parse_args(&args(&["session", "--n", "30", "--payloads", "2"])).unwrap();
-        let out = run(&inv).unwrap();
-        assert!(out.contains("delivered to 30/30"), "{out}");
-        assert!(out.contains("duplicates     : 0"), "{out}");
-    }
-
-    #[test]
-    fn session_rejects_invalid_loss() {
-        let inv = parse_args(&args(&["session", "--loss", "1.5"])).unwrap();
-        assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
     }
 
     #[test]

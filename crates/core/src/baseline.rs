@@ -168,17 +168,11 @@ mod tests {
         // Root sends deg(root); every other reached peer sends deg(v)-1.
         let g = overlay(40, 3);
         let result = flood(&g, 5);
-        let adj = g.undirected();
-        let expected: usize = adj
-            .iter()
+        let expected: usize = g
+            .undirected_degrees()
+            .into_iter()
             .enumerate()
-            .map(|(v, nbrs)| {
-                if v == 5 {
-                    nbrs.len()
-                } else {
-                    nbrs.len().saturating_sub(1)
-                }
-            })
+            .map(|(v, deg)| if v == 5 { deg } else { deg.saturating_sub(1) })
             .sum();
         assert_eq!(result.messages, expected);
     }
@@ -203,10 +197,13 @@ mod tests {
             assert!(tree.is_spanning(), "seed {seed}");
             assert_eq!(tree.validate(), Ok(()), "seed {seed}");
             // Tree edges are overlay edges.
-            let adj = g.undirected();
+            let adj = g.undirected_closure();
             for v in 0..g.len() {
                 if let Some(p) = tree.parent(v) {
-                    assert!(adj[v].contains(&p), "non-overlay edge {v}-{p}");
+                    assert!(
+                        adj.out_neighbors(v).contains(&p),
+                        "non-overlay edge {v}-{p}"
+                    );
                 }
             }
         }

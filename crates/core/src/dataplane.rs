@@ -129,19 +129,6 @@ pub struct PlanStats {
     pub misses: u64,
 }
 
-impl PlanStats {
-    /// Fraction of lookups served from cache (1.0 when no lookups).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Per-group [`DeliveryPlan`]s keyed by rebuild epoch.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
@@ -272,16 +259,6 @@ impl FlushReport {
         } else {
             self.cache_misses += 1;
         }
-    }
-
-    /// Aggregates a slice of batches.
-    #[must_use]
-    pub fn from_batches(batches: &[PublishBatch]) -> Self {
-        let mut report = FlushReport::default();
-        for b in batches {
-            report.absorb(b);
-        }
-        report
     }
 
     /// Frames per payload across the aggregate.
@@ -721,7 +698,9 @@ mod tests {
             relay_messages: 0,
             cache_hit: hit,
         };
-        let report = FlushReport::from_batches(&[batch(8, 12, false), batch(4, 12, true)]);
+        let mut report = FlushReport::default();
+        report.absorb(&batch(8, 12, false));
+        report.absorb(&batch(4, 12, true));
         assert_eq!(report.batches, 2);
         assert_eq!(report.payloads, 12);
         assert_eq!(report.messages, 24);

@@ -22,9 +22,8 @@
 //!    walk always delivers, so tiers 2–3 never engage there.
 //! 2. **Region fallback** ([`greedy_route_to_rect_on_store`]) for local
 //!    minima on sparser rules: retarget to a shrinking box around the
-//!    target — the distance-to-box walk of region multicast
-//!    ([`crate::region`]) escapes point-greedy minima because entering
-//!    the box at all halves the remaining distance.
+//!    target — the distance-to-box walk escapes point-greedy minima
+//!    because entering the box at all halves the remaining distance.
 //! 3. **Flood discovery** (bounded BFS over the overlay), the
 //!    unstructured-substrate fallback in the spirit of Ripeanu et al.'s
 //!    self-organizing graft/repair: guaranteed to find the tree

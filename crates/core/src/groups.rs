@@ -613,12 +613,6 @@ impl GroupEngine {
         &mut self.store
     }
 
-    /// Number of registered groups.
-    #[must_use]
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// A group's subscriber set (live peers only; the engine prunes
     /// departures on sync).
     ///
@@ -979,24 +973,6 @@ impl GroupEngine {
             }
         }
         batches
-    }
-
-    /// Delivers `payloads` copies to a group as one batch, bypassing
-    /// the queue. [`GroupEngine::flush_tick`] of a single enqueued
-    /// group is exactly this; a batch of 1 is exactly
-    /// [`GroupEngine::publish`] (regression-tested). Returns `None`
-    /// for dormant groups or an empty batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is unknown.
-    pub fn publish_batch(&mut self, g: GroupId, payloads: usize) -> Option<PublishBatch> {
-        self.sync();
-        assert!(g.index() < self.groups.len(), "unknown {g}");
-        if payloads == 0 {
-            return None;
-        }
-        self.deliver_batch(g.index(), payloads)
     }
 
     /// One batch delivery: plan-driven over the tree, or an eager/lazy
@@ -1710,7 +1686,7 @@ mod tests {
     /// no hit missing, dormant groups contributing nothing.
     fn assert_exact(engine: &GroupEngine) {
         let mut support_of = vec![Vec::new(); engine.support_of.len()];
-        for gi in 0..engine.group_count() {
+        for gi in 0..engine.groups.len() {
             let g = GroupId(gi as u32);
             for &p in engine.group_build(g).map_or(&[][..], |gb| &gb.support) {
                 support_of[p].push(g.0);
@@ -2515,10 +2491,10 @@ mod tests {
         for step in 0..30u64 {
             // One store event per sync keeps the engine's replay state
             // equal to the pre-sync snapshot the reference scan reads.
-            let before: Vec<u64> = (0..eng.group_count())
+            let before: Vec<u64> = (0..eng.groups.len())
                 .map(|gi| eng.rebuild_count(GroupId(gi as u32)))
                 .collect();
-            let snapshot: Vec<(BTreeSet<usize>, Vec<usize>)> = (0..eng.group_count())
+            let snapshot: Vec<(BTreeSet<usize>, Vec<usize>)> = (0..eng.groups.len())
                 .map(|gi| {
                     let g = GroupId(gi as u32);
                     (
@@ -2550,7 +2526,7 @@ mod tests {
                 .map(|(gi, _)| gi)
                 .collect();
             eng.sync();
-            let rebuilt: BTreeSet<usize> = (0..eng.group_count())
+            let rebuilt: BTreeSet<usize> = (0..eng.groups.len())
                 .filter(|&gi| eng.rebuild_count(GroupId(gi as u32)) > before[gi])
                 .collect();
             let sync = *eng.last_sync();
@@ -2824,7 +2800,8 @@ mod tests {
             eng.subscribe(g, PeerId(p));
         }
         let single = eng.publish(g).unwrap();
-        let batch = eng.publish_batch(g, 1).unwrap();
+        eng.enqueue(g, 1);
+        let batch = eng.flush_tick().pop().unwrap();
         assert_eq!(batch.delivered, single.delivered);
         assert_eq!(batch.stranded, single.stranded);
         assert_eq!(batch.messages, single.messages);
@@ -2882,7 +2859,10 @@ mod tests {
         assert_eq!(b2.messages, singles[2].messages);
         assert!(eng.flush_tick().is_empty(), "nothing left queued");
         use crate::dataplane::FlushReport;
-        let report = FlushReport::from_batches(&batches);
+        let mut report = FlushReport::default();
+        for b in &batches {
+            report.absorb(b);
+        }
         assert_eq!(report.payloads, 73);
         assert_eq!(report.batches, 2);
         assert!(report.reduction() > 10.0);

@@ -56,7 +56,6 @@ mod builder;
 mod partition;
 mod tree;
 
-pub mod aggregate;
 pub mod baseline;
 mod bits;
 pub mod dataplane;
@@ -65,9 +64,7 @@ pub mod graft;
 pub mod groups;
 mod member_tree;
 pub mod protocol;
-pub mod region;
 pub mod repair;
-pub mod session;
 pub mod stability;
 pub mod validate;
 

@@ -42,12 +42,10 @@ impl Message for BuildMsg {
     }
 }
 
-/// The §2 build-phase state a protocol participant carries: overlay
+/// A peer participating in a distributed tree construction: overlay
 /// neighbourhood, partitioner, acquired parent/children/zone, duplicate
-/// accounting. [`BuildNode`] and [`crate::session::SessionNode`] both
-/// embed one — the build-phase message handling lives here exactly
-/// once; only the message envelope differs per node type.
-pub struct BuildState {
+/// accounting.
+pub struct BuildNode {
     info: PeerInfo,
     /// Undirected overlay neighbours (connections usable both ways).
     neighbors: Vec<usize>,
@@ -61,12 +59,14 @@ pub struct BuildState {
     duplicate_requests: u32,
 }
 
-impl BuildState {
-    /// Creates the build-phase state of one participant.
+impl BuildNode {
+    /// Creates a construction participant.
     ///
     /// `neighbors` are the peer's undirected overlay neighbours (peer
     /// indices); `peers` is the shared peer directory indexed by those
-    /// values.
+    /// values. Most callers use [`build_distributed`] instead; the
+    /// constructor is public for experiments that drive the simulation
+    /// directly (e.g. crashing nodes mid-construction).
     #[must_use]
     pub fn new(
         info: PeerInfo,
@@ -74,7 +74,7 @@ impl BuildState {
         partitioner: Arc<dyn ZonePartitioner + Send + Sync>,
         peers: Arc<Vec<PeerInfo>>,
     ) -> Self {
-        BuildState {
+        BuildNode {
             info,
             neighbors,
             partitioner,
@@ -84,40 +84,6 @@ impl BuildState {
             zone: None,
             duplicate_requests: 0,
         }
-    }
-
-    /// Handles one §2 construction request: adopt the sender as parent
-    /// (first request only), split the zone among in-zone neighbours,
-    /// and emit one delegation per child through `send`. `send` wraps
-    /// the sub-zone into whatever message type the embedding node
-    /// speaks.
-    pub fn on_request(
-        &mut self,
-        self_idx: usize,
-        from: usize,
-        zone: Rect,
-        mut send: impl FnMut(usize, Rect),
-    ) {
-        if self.zone.is_some() {
-            self.duplicate_requests += 1;
-            return;
-        }
-        if from != self_idx {
-            self.parent = Some(from);
-        }
-        let in_zone: Vec<&PeerInfo> = self
-            .neighbors
-            .iter()
-            .map(|&q| &self.peers[q])
-            .filter(|q| zone.contains(q.point()))
-            .collect();
-        for (ci, child_zone) in self.partitioner.partition(&self.info, &zone, &in_zone) {
-            let child = in_zone[ci].id().index();
-            self.children.push(child);
-            send(child, child_zone);
-        }
-        self.children.sort_unstable();
-        self.zone = Some(zone);
     }
 
     /// The parent this node acquired, if any.
@@ -145,63 +111,34 @@ impl BuildState {
     }
 }
 
-/// A peer participating in a distributed tree construction.
-pub struct BuildNode {
-    state: BuildState,
-}
-
-impl BuildNode {
-    /// Creates a construction participant (see [`BuildState::new`] for
-    /// the argument contract). Most callers use [`build_distributed`]
-    /// instead; the constructor is public for experiments that drive
-    /// the simulation directly (e.g. crashing nodes mid-construction).
-    #[must_use]
-    pub fn new(
-        info: PeerInfo,
-        neighbors: Vec<usize>,
-        partitioner: Arc<dyn ZonePartitioner + Send + Sync>,
-        peers: Arc<Vec<PeerInfo>>,
-    ) -> Self {
-        BuildNode {
-            state: BuildState::new(info, neighbors, partitioner, peers),
-        }
-    }
-
-    /// The parent this node acquired, if any.
-    #[must_use]
-    pub fn parent(&self) -> Option<usize> {
-        self.state.parent()
-    }
-
-    /// The children this node delegated zones to.
-    #[must_use]
-    pub fn children(&self) -> &[usize] {
-        self.state.children()
-    }
-
-    /// `true` if this node received a construction request.
-    #[must_use]
-    pub fn is_reached(&self) -> bool {
-        self.state.is_reached()
-    }
-
-    /// Construction requests received beyond the first.
-    #[must_use]
-    pub fn duplicate_requests(&self) -> u32 {
-        self.state.duplicate_requests()
-    }
-}
-
 impl Node for BuildNode {
     type Msg = BuildMsg;
 
+    /// Handles one §2 construction request: adopt the sender as parent
+    /// (first request only), split the zone among in-zone neighbours,
+    /// and send one delegation per child.
     fn on_message(&mut self, ctx: &mut Context<'_, BuildMsg>, from: NodeId, msg: BuildMsg) {
         let BuildMsg::Request { zone } = msg;
-        let self_idx = ctx.self_id().index();
-        self.state
-            .on_request(self_idx, from.index(), zone, |child, child_zone| {
-                ctx.send(NodeId(child), BuildMsg::Request { zone: child_zone });
-            });
+        if self.zone.is_some() {
+            self.duplicate_requests += 1;
+            return;
+        }
+        if from != ctx.self_id() {
+            self.parent = Some(from.index());
+        }
+        let in_zone: Vec<&PeerInfo> = self
+            .neighbors
+            .iter()
+            .map(|&q| &self.peers[q])
+            .filter(|q| zone.contains(q.point()))
+            .collect();
+        for (ci, child_zone) in self.partitioner.partition(&self.info, &zone, &in_zone) {
+            let child = in_zone[ci].id().index();
+            self.children.push(child);
+            ctx.send(NodeId(child), BuildMsg::Request { zone: child_zone });
+        }
+        self.children.sort_unstable();
+        self.zone = Some(zone);
     }
 }
 

@@ -349,7 +349,7 @@ mod tests {
         let build = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
         let departed = 17usize;
         let live_overlay = survivor_overlay(&peers, departed);
-        let adj = live_overlay.undirected();
+        let adj = live_overlay.undirected_closure();
         for i in 0..peers.len() {
             if i == departed {
                 continue;
@@ -357,7 +357,7 @@ mod tests {
             if let Some(p) = build.tree.parent(i) {
                 if p != departed {
                     assert!(
-                        adj[i].contains(&p),
+                        adj.out_neighbors(i).contains(&p),
                         "edge {i}-{p} vanished from the survivor equilibrium"
                     );
                 }

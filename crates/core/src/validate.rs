@@ -10,7 +10,6 @@ use geocast_overlay::{OverlayGraph, PeerInfo};
 
 use crate::builder::BuildResult;
 use crate::stability::{non_leaf_departures, preferred_links, PreferredPolicy, StabilityForest};
-use crate::tree::MulticastTree;
 
 /// Verdict for the §2 claims on one construction run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,14 +94,6 @@ fn verdict_from_forest(forest: &StabilityForest, peers: &[PeerInfo]) -> Section3
     }
 }
 
-/// Counts, for reporting, how often the *weaker* "2D" reading of the
-/// paper's degree-bound sentence also holds (children ≤ 2·D, not just
-/// ≤ 2^D): the sentence prints "2D", which reads either way.
-#[must_use]
-pub fn children_within_2d(tree: &MulticastTree, dim: usize) -> bool {
-    tree.max_children() <= 2 * dim
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,19 +154,6 @@ mod tests {
         assert!(
             verdict.heap_property,
             "heap property holds vacuously per link"
-        );
-    }
-
-    #[test]
-    fn degree_bound_readings_differ_in_high_dimensions() {
-        // In D=2, 2^D == 2D == 4 so both readings agree; the helper
-        // exists to report the strict reading in higher D.
-        let peers = PeerInfo::from_point_set(&uniform_points(60, 2, 1000.0, 9));
-        let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-        let result = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
-        assert_eq!(
-            children_within_2d(&result.tree, 2),
-            result.tree.max_children() <= 4
         );
     }
 }

@@ -793,11 +793,13 @@ proptest! {
             }
 
             // Sequential reference: K identical publishes per group.
+            let mut dormant = Vec::new();
             for &g in &ids {
                 let seq: Vec<_> = (0..k).filter_map(|_| engine.publish(g)).collect();
                 if seq.is_empty() {
                     // Dormant: batching must refuse identically.
-                    prop_assert!(engine.publish_batch(g, k).is_none());
+                    engine.enqueue(g, k);
+                    dormant.push(g);
                     continue;
                 }
                 prop_assert_eq!(seq.len(), k);
@@ -810,6 +812,7 @@ proptest! {
 
             let batches = engine.flush_tick();
             for batch in batches {
+                prop_assert!(!dormant.contains(&batch.group), "a dormant group flushed");
                 let single = engine
                     .publish(batch.group)
                     .expect("flushed groups are live");

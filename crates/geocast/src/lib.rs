@@ -39,8 +39,8 @@
 //! ```
 //!
 //! See `examples/` for scenario walkthroughs (cloud lease scheduling,
-//! sensor networks, churn resilience) and `crates/bench` for the
-//! figure-regeneration benchmarks.
+//! churn resilience) and `crates/bench` for the figure-regeneration
+//! benchmarks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,7 +69,7 @@ pub mod prelude {
     };
     pub use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
     pub use geocast_geom::{Metric, MetricKind, Orthant, Point, PointSet, Rect};
-    pub use geocast_metrics::{AsciiChart, Histogram, Summary, Table};
+    pub use geocast_metrics::{AsciiChart, Summary, Table};
     pub use geocast_overlay::select::{
         EmptyRectSelection, HyperplanesSelection, NeighborSelection,
     };

@@ -18,7 +18,7 @@
 
 use std::fmt;
 
-use crate::{GeomError, Orthant, Point};
+use crate::{GeomError, Point};
 
 /// A hyperplane through the origin, `normal · x = 0`.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,7 +126,6 @@ pub const MAX_SIGNED_DIM: usize = 12;
 /// let a = Point::new(vec![1.0, 1.0])?;
 /// let b = Point::new(vec![-1.0, 1.0])?;
 /// assert_ne!(arr.classify(&p, &a), arr.classify(&p, &b));
-/// assert_eq!(arr.max_regions(), 4);
 /// # Ok(())
 /// # }
 /// ```
@@ -156,7 +155,7 @@ impl Arrangement {
     }
 
     /// The *Orthogonal Hyperplanes* arrangement: the `D` planes
-    /// `x(i) = 0`. Its regions are exactly the [`Orthant`]s.
+    /// `x(i) = 0`. Its regions are exactly the [`crate::Orthant`]s.
     ///
     /// # Panics
     ///
@@ -251,14 +250,6 @@ impl Arrangement {
         &self.planes
     }
 
-    /// Upper bound on the number of distinct region keys (`2^H`, saturating).
-    #[must_use]
-    pub fn max_regions(&self) -> usize {
-        1usize
-            .checked_shl(self.planes.len() as u32)
-            .unwrap_or(usize::MAX)
-    }
-
     /// `true` if this arrangement is exactly the orthogonal one for its
     /// dimensionality — `D` axis planes `x(i) = 0` in axis order, whose
     /// regions are the orthants. Index-accelerated selection paths use
@@ -299,17 +290,10 @@ impl Arrangement {
     }
 }
 
-/// Converts an orthant into the region key produced by the orthogonal
-/// arrangement of the same dimensionality, enabling cross-validation of
-/// the two classification paths.
-#[must_use]
-pub fn orthant_region_key(orthant: Orthant, dim: usize) -> RegionKey {
-    RegionKey(orthant.signs(dim))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Orthant;
 
     fn pt(coords: &[f64]) -> Point {
         Point::new(coords.to_vec()).expect("valid point")
@@ -339,7 +323,7 @@ mod tests {
         let p = pt(&[1.0, 2.0, 3.0]);
         let q = pt(&[0.5, 7.0, 2.0]);
         let via_arrangement = arr.classify(&p, &q);
-        let via_orthant = orthant_region_key(Orthant::classify(&p, &q).unwrap(), 3);
+        let via_orthant = RegionKey(Orthant::classify(&p, &q).unwrap().signs(3));
         assert_eq!(via_arrangement, via_orthant);
     }
 
@@ -371,7 +355,6 @@ mod tests {
     fn none_classifies_everything_together() {
         let arr = Arrangement::none(4);
         assert!(arr.is_empty());
-        assert_eq!(arr.max_regions(), 1);
         let p = pt(&[0.0, 0.0, 0.0, 0.0]);
         let a = pt(&[1.0, 2.0, 3.0, 4.0]);
         let b = pt(&[-1.0, -2.0, -3.0, -4.0]);

@@ -11,7 +11,7 @@ use std::collections::HashSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{Point, PointSet, VMAX};
+use crate::{Point, PointSet};
 
 /// Draws one coordinate that is distinct (as a bit pattern) from every
 /// value already used in its dimension.
@@ -58,13 +58,6 @@ pub fn uniform_points(n: usize, dim: usize, vmax: f64, seed: u64) -> PointSet {
         })
         .collect();
     PointSet::new(points).expect("generated points share dimensionality")
-}
-
-/// Like [`uniform_points`] with the paper's default coordinate bound
-/// [`VMAX`].
-#[must_use]
-pub fn uniform_points_default(n: usize, dim: usize, seed: u64) -> PointSet {
-    uniform_points(n, dim, VMAX, seed)
 }
 
 /// `n` points grouped around `clusters` uniformly-placed centres with the
@@ -202,6 +195,7 @@ pub fn embed_lifetimes(set: &PointSet, times: &[f64]) -> PointSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VMAX;
 
     #[test]
     fn uniform_points_are_distinct_and_in_range() {
@@ -223,14 +217,6 @@ mod tests {
         let c = uniform_points(50, 2, VMAX, 14);
         assert_eq!(a, b, "same seed must reproduce bit-for-bit");
         assert_ne!(a, c, "different seeds must differ");
-    }
-
-    #[test]
-    fn default_variant_uses_vmax() {
-        let set = uniform_points_default(10, 2, 1);
-        for p in &set {
-            assert!(p[0] < VMAX && p[1] < VMAX);
-        }
     }
 
     #[test]

@@ -444,16 +444,6 @@ impl GridIndex {
         self.live
     }
 
-    /// `true` if the point has been removed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn is_removed(&self, id: usize) -> bool {
-        self.removed[id]
-    }
-
     /// Dimensionality of the indexed space.
     #[must_use]
     pub fn dim(&self) -> usize {

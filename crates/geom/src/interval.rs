@@ -113,16 +113,6 @@ impl Interval {
     pub fn contains_interval(&self, other: Interval) -> bool {
         other.is_empty() || (self.lo <= other.lo && other.hi <= self.hi)
     }
-
-    /// Length of the interval; `0` when empty, `+∞` when unbounded.
-    #[must_use]
-    pub fn length(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.hi - self.lo
-        }
-    }
 }
 
 impl Default for Interval {
@@ -222,13 +212,6 @@ mod tests {
         assert!(a.contains_interval(Interval::EMPTY));
         assert!(Interval::unbounded().contains_interval(a));
         assert!(!a.contains_interval(Interval::unbounded()));
-    }
-
-    #[test]
-    fn length_handles_all_cases() {
-        assert_eq!(Interval::new(1.0, 4.0).length(), 3.0);
-        assert_eq!(Interval::EMPTY.length(), 0.0);
-        assert_eq!(Interval::unbounded().length(), f64::INFINITY);
     }
 
     #[test]

@@ -118,17 +118,6 @@ impl Orthant {
             .collect()
     }
 
-    /// The orthant directly opposite this one (all signs flipped).
-    #[must_use]
-    pub fn opposite(&self, dim: usize) -> Orthant {
-        let mask = if dim >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << dim) - 1
-        };
-        Orthant(!self.0 & mask)
-    }
-
     /// Index usable for dense per-orthant tables (identical to
     /// [`Orthant::bits`] as `usize`).
     #[must_use]
@@ -199,25 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn opposite_flips_every_sign() {
-        let o = Orthant::from_bits(0b011, 3).unwrap();
-        assert_eq!(o.opposite(3).bits(), 0b100);
-        assert_eq!(o.opposite(3).opposite(3), o);
-    }
-
-    #[test]
-    fn opposite_handles_full_width() {
-        let o = Orthant::from_bits(0, 32).unwrap();
-        assert_eq!(o.opposite(32).bits(), u32::MAX);
-    }
-
-    #[test]
     fn classification_is_antisymmetric() {
         let p = pt(&[0.0, 0.0]);
         let q = pt(&[1.0, -3.0]);
         let pq = Orthant::classify(&p, &q).unwrap();
         let qp = Orthant::classify(&q, &p).unwrap();
-        assert_eq!(pq.opposite(2), qp);
+        assert_eq!(pq.bits() ^ qp.bits(), 0b11, "every sign flips");
     }
 
     #[test]

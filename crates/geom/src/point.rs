@@ -79,12 +79,6 @@ impl Point {
         self.coords.get(dim).copied()
     }
 
-    /// Consumes the point, returning the raw coordinate vector.
-    #[must_use]
-    pub fn into_coords(self) -> Vec<f64> {
-        self.coords
-    }
-
     /// Returns a copy of this point with dimension `dim` replaced by
     /// `value`.
     ///
@@ -376,7 +370,7 @@ mod tests {
     #[test]
     fn try_from_round_trips() {
         let p = Point::try_from(vec![4.0, 5.0]).unwrap();
-        assert_eq!(p.into_coords(), vec![4.0, 5.0]);
+        assert_eq!(p.coords(), [4.0, 5.0]);
     }
 
     #[test]

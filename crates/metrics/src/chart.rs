@@ -50,12 +50,6 @@ impl AsciiChart {
         self.series.push((name.into(), points));
     }
 
-    /// Number of series added.
-    #[must_use]
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-
     /// Renders the chart with axes and a legend.
     #[must_use]
     pub fn render(&self) -> String {
@@ -162,7 +156,6 @@ mod tests {
         chart.add_series("b", vec![(0.0, 1.0), (1.0, 0.0)]);
         let out = chart.render();
         assert!(out.contains('*') && out.contains('o'), "{out}");
-        assert_eq!(chart.series_count(), 2);
     }
 
     #[test]

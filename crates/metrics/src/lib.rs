@@ -1,9 +1,9 @@
 //! Statistics and reporting for geocast experiments.
 //!
-//! Every figure harness reduces raw measurements with [`Summary`] /
-//! [`Histogram`], arranges them in a [`Table`] (rendered as Markdown or
-//! CSV), and optionally draws an [`AsciiChart`] so a terminal run shows
-//! the same curves as the paper's Figure 1.
+//! Every figure harness reduces raw measurements with [`Summary`],
+//! arranges them in a [`Table`] (rendered as Markdown), and optionally
+//! draws an [`AsciiChart`] so a terminal run shows the same curves as
+//! the paper's Figure 1.
 //!
 //! The crate is dependency-free and knows nothing about overlays or
 //! trees — it consumes plain numbers.
@@ -22,11 +22,9 @@
 #![warn(missing_docs)]
 
 mod chart;
-mod histogram;
 mod summary;
 mod table;
 
 pub use chart::AsciiChart;
-pub use histogram::Histogram;
 pub use summary::Summary;
 pub use table::Table;

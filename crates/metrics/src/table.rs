@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// A rectangular results table rendered as Markdown or CSV.
+/// A rectangular results table rendered as Markdown.
 ///
 /// The figure harnesses emit one `Table` per panel; `geocast figures`
 /// prints the Markdown rendering.
@@ -13,7 +13,6 @@ use std::fmt;
 /// let mut t = Table::new(vec!["D".into(), "max degree".into()]);
 /// t.push_row(vec!["2".into(), "23".into()]);
 /// assert!(t.to_markdown().contains("| 2 | 23 |"));
-/// assert_eq!(t.to_csv(), "D,max degree\n2,23\n");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Table {
@@ -39,15 +38,6 @@ impl Table {
     pub fn push_row(&mut self, row: Vec<String>) {
         assert_eq!(row.len(), self.headers.len(), "row width mismatch");
         self.rows.push(row);
-    }
-
-    /// Convenience: appends a row of displayable values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row width disagrees with the header width.
-    pub fn push_display_row<T: fmt::Display>(&mut self, row: &[T]) {
-        self.push_row(row.iter().map(ToString::to_string).collect());
     }
 
     /// The column headers.
@@ -92,34 +82,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders RFC-4180-ish CSV (fields containing commas, quotes or
-    /// newlines are quoted; quotes are doubled).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains([',', '"', '\n']) {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_owned()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| field(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| field(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -147,28 +109,6 @@ mod tests {
         assert_eq!(lines[1], "|---|---|");
         assert_eq!(lines[2], "| 1 | 2 |");
         assert_eq!(lines[3], "| 3 | 4 |");
-    }
-
-    #[test]
-    fn csv_rendering() {
-        assert_eq!(sample().to_csv(), "a,b\n1,2\n3,4\n");
-    }
-
-    #[test]
-    fn csv_quotes_special_fields() {
-        let mut t = Table::new(vec!["x".into()]);
-        t.push_row(vec!["has,comma".into()]);
-        t.push_row(vec!["has\"quote".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"has,comma\""));
-        assert!(csv.contains("\"has\"\"quote\""));
-    }
-
-    #[test]
-    fn display_rows_format_values() {
-        let mut t = Table::new(vec!["k".into(), "v".into()]);
-        t.push_display_row(&[1.5, 2.25]);
-        assert_eq!(t.rows()[0], vec!["1.5".to_owned(), "2.25".to_owned()]);
     }
 
     #[test]

@@ -178,12 +178,6 @@ impl GossipNode {
         self.neighbors_hash
     }
 
-    /// Size of the current candidate set `I(P)`.
-    #[must_use]
-    pub fn known_count(&self) -> usize {
-        self.known.len()
-    }
-
     /// `true` if `idx` is currently in this peer's candidate set `I(P)`.
     #[must_use]
     pub fn knows(&self, idx: usize) -> bool {
@@ -349,11 +343,11 @@ mod tests {
         let mut sim = star_network(6, 4);
         sim.run_until(geocast_sim::SimTime::ZERO + SimDuration::from_secs(10));
         // Everyone announced to peer 0, so peer 0 knows all 5 others.
-        assert_eq!(sim.node(NodeId(0)).known_count(), 5);
+        assert_eq!(sim.node(NodeId(0)).known.len(), 5);
         // And peer 0's re-announcements + flooding spread knowledge out.
         for i in 1..6 {
             assert!(
-                sim.node(NodeId(i)).known_count() >= 1,
+                !sim.node(NodeId(i)).known.is_empty(),
                 "peer {i} learned nothing"
             );
         }
@@ -363,7 +357,7 @@ mod tests {
     fn reselection_prunes_expired_entries() {
         let mut sim = star_network(4, 9);
         sim.run_until(geocast_sim::SimTime::ZERO + SimDuration::from_secs(8));
-        let before = sim.node(NodeId(0)).known_count();
+        let before = sim.node(NodeId(0)).known.len();
         assert!(before > 0);
         // Crash everyone else; their entries age out of I(0) after Tmax.
         for i in 1..4 {
@@ -371,7 +365,7 @@ mod tests {
         }
         sim.run_for(SimDuration::from_secs(10));
         assert_eq!(
-            sim.node(NodeId(0)).known_count(),
+            sim.node(NodeId(0)).known.len(),
             0,
             "stale entries must expire"
         );

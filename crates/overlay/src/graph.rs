@@ -155,17 +155,6 @@ impl OverlayGraph {
         OverlayGraph::from_csr(offsets, targets)
     }
 
-    /// The undirected closure as per-peer neighbour lists (compat shape;
-    /// [`OverlayGraph::undirected_closure`] avoids the per-peer
-    /// allocations).
-    #[must_use]
-    pub fn undirected(&self) -> Vec<Vec<usize>> {
-        let closure = self.undirected_closure();
-        (0..closure.len())
-            .map(|i| closure.out_neighbors(i).to_vec())
-            .collect()
-    }
-
     /// Undirected degree of every peer (the paper's "degree of a peer
     /// within the obtained P2P topology").
     #[must_use]
@@ -257,22 +246,11 @@ mod tests {
     #[test]
     fn undirected_closure_symmetrizes() {
         let g = path3();
-        let adj = g.undirected();
-        assert_eq!(adj[0], vec![1]);
-        assert_eq!(adj[1], vec![0, 2]);
-        assert_eq!(adj[2], vec![1]);
+        let adj = g.undirected_closure();
+        assert_eq!(adj.out_neighbors(0), [1]);
+        assert_eq!(adj.out_neighbors(1), [0, 2]);
+        assert_eq!(adj.out_neighbors(2), [1]);
         assert_eq!(g.undirected_degrees(), vec![1, 2, 1]);
-    }
-
-    #[test]
-    fn undirected_closure_graph_matches_lists() {
-        let g = OverlayGraph::from_out_neighbors(vec![vec![1, 2], vec![2], vec![], vec![0]]);
-        let closure = g.undirected_closure();
-        assert!(closure.is_symmetric());
-        let lists = g.undirected();
-        for (i, list) in lists.iter().enumerate() {
-            assert_eq!(closure.out_neighbors(i), &list[..], "peer {i}");
-        }
     }
 
     #[test]

@@ -17,17 +17,16 @@
 //! always progresses and delivers in finitely many hops.
 //!
 //! For non-peer targets greedy can stop early at a local minimum; the
-//! result reports where, and region multicast
-//! (`geocast_core`'s `region` module) handles that case explicitly.
+//! result reports where.
 //!
-//! The routes run over a materialized [`OverlayGraph`] (the
-//! oracle/figure path). Over a live [`TopologyStore`] — the churn-engine
-//! path, reading the store's incrementally-maintained forward + reverse
-//! adjacency without building a closure — there is what the group
-//! layer's relay grafting (`geocast_core::graft`) uses: the single hop
-//! [`greedy_step_on_store`], the one decision every walk here iterates
-//! and the one the group engine's repair certificate re-checks when a
-//! walked peer's row changes, and the region route
+//! The peer-to-peer routes run over a materialized [`OverlayGraph`]
+//! (the oracle/figure path). Over a live [`TopologyStore`] — the
+//! churn-engine path, reading the store's incrementally-maintained
+//! forward + reverse adjacency without building a closure — there is
+//! what the group layer's relay grafting (`geocast_core::graft`) uses:
+//! the single hop [`greedy_step_on_store`], the one decision every walk
+//! here iterates and the one the group engine's repair certificate
+//! re-checks when a walked peer's row changes, and the region route
 //! [`greedy_route_to_rect_on_store`] of its fallback tier.
 
 use geocast_geom::{Metric, MetricKind, Point, Rect};
@@ -75,12 +74,6 @@ impl RouteResult {
     #[must_use]
     pub fn path(&self) -> &[usize] {
         &self.path
-    }
-
-    /// Consumes the result into its visited-peer sequence.
-    #[must_use]
-    pub fn into_path(self) -> Vec<usize> {
-        self.path
     }
 
     /// `true` if the walk ended because the final peer satisfied the
@@ -254,56 +247,26 @@ pub fn greedy_route(
     )
 }
 
-/// Routes greedily from `from` towards a **region**, minimising at each
-/// hop the distance between the candidate peer and its own clamp into
-/// the region (= its distance to the box). Stops as soon as the current
-/// peer lies inside the region (`delivered` — zero hops when the source
-/// already is), at a local minimum, or after `max_hops`.
+/// Routes greedily from live peer `from` towards a **region** over a
+/// [`TopologyStore`] (see [`greedy_step_on_store`] for the adjacency
+/// semantics), minimising at each hop the distance between the
+/// candidate peer and its own clamp into the region (= its distance to
+/// the box). Stops as soon as the current peer lies inside the region
+/// (`delivered` — zero hops when the source already is), at a local
+/// minimum, or after `max_hops`.
 ///
 /// On empty-rectangle equilibria this never stalls outside a populated
 /// region: for any member `X`, the spanned rectangle between the current
 /// peer and `X` contains a frontier neighbour that is component-wise
 /// closer to the box, hence strictly closer in distance-to-region
-/// (property-tested). This is what makes decentralized region multicast
-/// total.
-///
-/// # Panics
-///
-/// Panics if sizes disagree, `from` is out of range, the region is
-/// empty, or dimensionalities differ (a zero-dimensional rectangle is
-/// unconstructible, so the dimensionality check also rules that out).
-#[must_use]
-pub fn greedy_route_to_rect(
-    peers: &[PeerInfo],
-    graph: &OverlayGraph,
-    from: usize,
-    region: &Rect,
-    metric: MetricKind,
-    max_hops: usize,
-) -> RouteResult {
-    assert_eq!(peers.len(), graph.len(), "peer/overlay size mismatch");
-    assert!(from < peers.len(), "source out of range");
-    let adj = graph.undirected_closure();
-    rect_walk(
-        peers,
-        |i, buf| {
-            buf.clear();
-            buf.extend_from_slice(adj.out_neighbors(i));
-        },
-        from,
-        region,
-        metric,
-        max_hops,
-    )
-}
-
-/// [`greedy_route_to_rect`] over a [`TopologyStore`] (see
-/// [`greedy_step_on_store`] for the adjacency semantics).
+/// (property-tested). This is the totality the graft pass's tier-2
+/// fallback rests on.
 ///
 /// # Panics
 ///
 /// Panics if `from` is out of range or departed, the region is empty,
-/// or dimensionalities differ.
+/// or dimensionalities differ (a zero-dimensional rectangle is
+/// unconstructible, so the dimensionality check also rules that out).
 #[must_use]
 pub fn greedy_route_to_rect_on_store(
     store: &TopologyStore,
@@ -317,25 +280,7 @@ pub fn greedy_route_to_rect_on_store(
         !store.is_departed(PeerId(from as u64)),
         "source has departed"
     );
-    rect_walk(
-        store.peers(),
-        |i, buf| store.undirected_neighbors_into(i, buf),
-        from,
-        region,
-        metric,
-        max_hops,
-    )
-}
-
-/// The region-target instantiation of the shared walk.
-fn rect_walk(
-    peers: &[PeerInfo],
-    neighbors_into: impl FnMut(usize, &mut Vec<usize>),
-    from: usize,
-    region: &Rect,
-    metric: MetricKind,
-    max_hops: usize,
-) -> RouteResult {
+    let peers = store.peers();
     assert!(!region.is_empty(), "region must be non-empty");
     assert_eq!(
         peers[from].point().dim(),
@@ -347,7 +292,7 @@ fn rect_walk(
         return RouteResult::new(vec![from], true, false);
     }
     greedy_walk(
-        neighbors_into,
+        |i, buf| store.undirected_neighbors_into(i, buf),
         arrived,
         |i: usize| metric.dist(peers[i].point(), &region.clamp(peers[i].point())),
         from,
@@ -597,8 +542,8 @@ mod tests {
     #[test]
     fn rect_route_source_inside_region_is_a_zero_hop_delivery() {
         use geocast_geom::Interval;
-        let (peers, graph) = setup(40, 2, 23);
-        let p = peers[7].point();
+        let store = store_setup(40, 2, 23);
+        let p = store.peers()[7].point();
         let region = Rect::new(vec![
             Interval::new(p[0] - 1.0, p[0] + 1.0),
             Interval::new(p[1] - 1.0, p[1] + 1.0),
@@ -606,7 +551,7 @@ mod tests {
         .unwrap();
         // Even with a zero hop budget: standing inside delivers.
         for max_hops in [0usize, 5] {
-            let walk = greedy_route_to_rect(&peers, &graph, 7, &region, MetricKind::L1, max_hops);
+            let walk = greedy_route_to_rect_on_store(&store, 7, &region, MetricKind::L1, max_hops);
             assert!(walk.delivered());
             assert!(!walk.local_minimum());
             assert_eq!(walk.path(), &[7]);
@@ -620,12 +565,13 @@ mod tests {
         assert!(Rect::new(Vec::new()).is_err());
         // …and a zero-extent (open, therefore empty) rectangle trips the
         // non-empty-region assert rather than producing a bogus walk.
-        let (peers, graph) = setup(10, 2, 25);
-        let degenerate = Rect::spanned_open(peers[0].point(), peers[0].point()).unwrap();
+        let store = store_setup(10, 2, 25);
+        let corner = store.peers()[0].point();
+        let degenerate = Rect::spanned_open(corner, corner).unwrap();
         assert!(degenerate.is_empty());
-        let result = std::panic::catch_unwind(|| {
-            greedy_route_to_rect(&peers, &graph, 1, &degenerate, MetricKind::L1, 10)
-        });
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            greedy_route_to_rect_on_store(&store, 1, &degenerate, MetricKind::L1, 10)
+        }));
         assert!(result.is_err(), "empty region must be rejected");
     }
 
@@ -650,29 +596,6 @@ mod tests {
             path.push(next);
         }
         path
-    }
-
-    #[test]
-    fn store_routes_match_graph_routes() {
-        let store = store_setup(70, 2, 27);
-        let graph = store.graph();
-        use geocast_geom::Interval;
-        let region = Rect::new(vec![
-            Interval::new(100.0, 300.0),
-            Interval::new(100.0, 300.0),
-        ])
-        .unwrap();
-        assert_eq!(
-            greedy_route_to_rect_on_store(&store, 5, &region, MetricKind::L1, store.len()),
-            greedy_route_to_rect(
-                store.peers(),
-                &graph,
-                5,
-                &region,
-                MetricKind::L1,
-                store.len()
-            ),
-        );
     }
 
     #[test]

@@ -644,36 +644,6 @@ impl ShardedTopologyStore {
         &self.tiling.tiles
     }
 
-    /// The home shard of a peer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is out of range.
-    #[must_use]
-    pub fn home_shard(&self, peer: usize) -> usize {
-        self.home[peer] as usize
-    }
-
-    /// Residents ever assigned to shard `s` (departures not deducted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    #[must_use]
-    pub fn resident_count(&self, s: usize) -> usize {
-        self.shards[s].resident_ids.len()
-    }
-
-    /// Halo mirrors ever assigned to shard `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    #[must_use]
-    pub fn mirror_count(&self, s: usize) -> usize {
-        self.shards[s].members.len() - self.shards[s].resident_ids.len()
-    }
-
     /// Sizes and phase timings of the bulk build.
     #[must_use]
     pub fn build_stats(&self) -> &ShardBuildStats {
@@ -1217,14 +1187,17 @@ mod tests {
         assert_eq!(stats.shard_index.len(), 4);
         assert_eq!(stats.shard_select.len(), 4);
         assert_eq!(stats.residents.iter().sum::<usize>(), 100);
+        let tables =
+            |count: fn(&Shard) -> usize| engine.shards.iter().map(count).collect::<Vec<_>>();
+        assert_eq!(stats.residents, tables(|s| s.resident_ids.len()));
         assert_eq!(
-            stats.residents,
-            (0..4).map(|s| engine.resident_count(s)).collect::<Vec<_>>()
+            stats.mirrors,
+            tables(|s| s.members.len() - s.resident_ids.len())
         );
         assert!(engine.halo_width() > 0.0);
         assert_eq!(engine.tiles_per_dim(), &[2, 2]);
         assert_eq!(engine.shard_count(), 4);
-        let mirrors: usize = (0..4).map(|s| engine.mirror_count(s)).sum();
+        let mirrors: usize = stats.mirrors.iter().sum();
         assert!(mirrors > 0, "a 2x2 tiling of 100 peers mirrors someone");
     }
 

@@ -202,12 +202,6 @@ impl TraceLog {
         }
     }
 
-    /// `true` if tracing is enabled.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// The recorded entries, oldest first.
     #[must_use]
     pub fn entries(&self) -> impl ExactSizeIterator<Item = &TraceEntry> {
@@ -334,7 +328,6 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut log = TraceLog::new(0);
-        assert!(!log.is_enabled());
         log.record(TraceEntry {
             time: SimTime::ZERO,
             from: NodeId(0),

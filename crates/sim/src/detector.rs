@@ -263,12 +263,6 @@ impl DetectorNode {
         &self.events
     }
 
-    /// Peers currently suspected (sorted).
-    #[must_use]
-    pub fn suspected_peers(&self) -> Vec<NodeId> {
-        self.suspects().collect()
-    }
-
     /// Peers currently suspected, in ascending id, without allocating.
     /// A node that suspects nobody — the usual case — answers from its
     /// suspect count and reads no record.
@@ -283,12 +277,6 @@ impl DetectorNode {
             self.records.as_slice()
         };
         Self::with_status(records, PeerStatus::Suspect)
-    }
-
-    /// Peers declared dead (sorted).
-    #[must_use]
-    pub fn dead_peers(&self) -> Vec<NodeId> {
-        Self::with_status(&self.records, PeerStatus::Dead).collect()
     }
 
     fn with_status(

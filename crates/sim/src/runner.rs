@@ -107,16 +107,6 @@ impl ParallelRunner {
             .map(|o| o.expect("every input produced an output"))
             .collect()
     }
-
-    /// Convenience: runs `f` once per seed, returning outputs in seed
-    /// order. The standard shape of a multi-trial experiment.
-    pub fn map_seeds<O, F>(&self, seeds: &[u64], f: F) -> Vec<O>
-    where
-        O: Send,
-        F: Fn(u64) -> O + Sync,
-    {
-        self.map(seeds, |&s| f(s))
-    }
 }
 
 impl Default for ParallelRunner {
@@ -166,18 +156,6 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::Relaxed), 500);
         assert_eq!(outputs, inputs);
-    }
-
-    #[test]
-    fn map_seeds_matches_sequential_run() {
-        let runner = ParallelRunner::default();
-        let seeds: Vec<u64> = (0..16).collect();
-        let parallel = runner.map_seeds(&seeds, |s| s.wrapping_mul(0x9E3779B97F4A7C15));
-        let sequential: Vec<u64> = seeds
-            .iter()
-            .map(|s| s.wrapping_mul(0x9E3779B97F4A7C15))
-            .collect();
-        assert_eq!(parallel, sequential);
     }
 
     #[test]

@@ -164,16 +164,6 @@ impl<N: Node> Simulation<N> {
         &self.nodes[id.index()]
     }
 
-    /// Mutable access to a node's state (for experiment drivers between
-    /// protocol phases; protocols themselves must use messages).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.index()]
-    }
-
     /// All nodes, indexable by [`NodeId::index`].
     #[must_use]
     pub fn nodes(&self) -> &[N] {
@@ -190,22 +180,6 @@ impl<N: Node> Simulation<N> {
     #[must_use]
     pub fn trace(&self) -> &TraceLog {
         &self.trace
-    }
-
-    /// `true` if `id` has been crashed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn is_crashed(&self, id: NodeId) -> bool {
-        self.crashed[id.index()]
-    }
-
-    /// The active fault model.
-    #[must_use]
-    pub fn fault_model(&self) -> &FaultModel {
-        &self.fault
     }
 
     /// Mutable access to the fault model, so experiments can inject
@@ -560,7 +534,6 @@ mod tests {
         sim.crash(NodeId(1));
         sim.inject(NodeId(0), TestMsg::Token(5));
         sim.run_until_quiescent();
-        assert!(sim.is_crashed(NodeId(1)));
         // Token reaches node 0, forwards to crashed node 1, dies there.
         assert_eq!(sim.counters().dropped_at_crashed(), 1);
         assert_eq!(sim.node(NodeId(1)).received.len(), 0);
@@ -649,7 +622,6 @@ mod tests {
         let mut sim = Simulation::builder(ring(2)).trace_capacity(16).build();
         sim.inject(NodeId(0), TestMsg::Token(2));
         sim.run_until_quiescent();
-        assert!(sim.trace().is_enabled());
         assert_eq!(sim.trace().len(), 3);
         let tags: Vec<&str> = sim.trace().entries().map(|e| e.tag).collect();
         assert_eq!(tags, vec!["token", "token", "token"]);

@@ -84,16 +84,6 @@ impl ChurnPattern {
         self.len() == 0
     }
 
-    /// Number of joins the pattern expands to (exact for the wave and
-    /// flash-crowd shapes; for `Mixed` it depends on the seed).
-    #[must_use]
-    pub fn join_count(&self, seed: u64) -> usize {
-        self.ops(seed)
-            .iter()
-            .filter(|op| matches!(op, ChurnOp::Join))
-            .count()
-    }
-
     /// Expands the pattern into its operation sequence, reproducibly
     /// per seed (`Mixed` draws from a seeded RNG; the other shapes are
     /// deterministic and ignore the seed).
@@ -410,12 +400,6 @@ impl PublishWorkload {
         }
         counts
     }
-
-    /// Total payloads over the whole workload.
-    #[must_use]
-    pub fn total_payloads(&self) -> usize {
-        self.ticks * self.payloads_per_tick
-    }
 }
 
 impl std::fmt::Display for PublishWorkload {
@@ -710,7 +694,6 @@ mod tests {
             ticks: 10,
             payloads_per_tick: 64,
         };
-        assert_eq!(wl.total_payloads(), 640);
         // Reproducible per (seed, tick); different ticks draw fresh.
         assert_eq!(wl.tick_payloads(7, 3), wl.tick_payloads(7, 3));
         assert_ne!(wl.tick_payloads(7, 3), wl.tick_payloads(8, 3));

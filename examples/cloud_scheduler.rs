@@ -73,7 +73,7 @@ fn main() {
     // When a new VM is leased it slots in below longer leases.
     let mut extended: Vec<PeerInfo> = peers.clone();
     let newcomer_lease = horizon_secs * 0.5;
-    let mut coords = locality[0].clone().into_coords();
+    let mut coords = locality[0].coords().to_vec();
     coords[0] = newcomer_lease;
     coords[1] += 0.5; // distinct locality
     extended.push(PeerInfo::new(

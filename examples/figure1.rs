@@ -1,11 +1,10 @@
 //! Regenerates every panel of the paper's Figure 1 plus the in-text
-//! claims, ablations and baselines, printing tables (Markdown), ASCII
-//! charts and CSV.
+//! claims, ablations and baselines, printing tables (Markdown) and
+//! ASCII charts.
 //!
 //! ```text
 //! cargo run --release --example figure1            # quick scale
 //! cargo run --release --example figure1 -- --full  # paper scale (N=1000..5000; minutes)
-//! cargo run --release --example figure1 -- --csv   # also dump CSV blocks
 //! ```
 
 use geocast::figures::{
@@ -17,7 +16,6 @@ use geocast::figures::{
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let full = args.iter().any(|a| a == "--full");
-    let csv = args.iter().any(|a| a == "--csv");
 
     let scale = if full {
         "paper scale"
@@ -92,9 +90,6 @@ fn main() {
 
     for report in &reports {
         println!("{report}");
-        if csv {
-            println!("```csv\n{}```\n", report.table.to_csv());
-        }
     }
 
     println!("---");

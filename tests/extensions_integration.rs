@@ -1,41 +1,12 @@
-//! Integration of the extension features — sessions, repair, routing,
-//! region multicast, aggregation — composed end-to-end, including over
-//! gossip-converged (not oracle) topologies.
+//! Integration of the extension features — repair, routing — composed
+//! end-to-end, including over gossip-converged (not oracle) topologies.
 
 use std::sync::Arc;
 
-use geocast::core::aggregate::{convergecast, AggregateOp};
-use geocast::core::region::multicast_region;
 use geocast::core::repair::repair_after_departure;
-use geocast::core::session::run_session_default;
-use geocast::geom::Interval;
 use geocast::overlay::gossip::GossipConfig;
 use geocast::overlay::routing::route_to_peer;
 use geocast::prelude::*;
-
-#[test]
-fn session_then_aggregate_round_trip() {
-    // Disseminate a config, then aggregate an acknowledgment count back:
-    // both directions cost exactly N-1 messages on the same tree.
-    let n = 80;
-    let peers = PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 3));
-    let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-    let outcome = run_session_default(
-        &peers,
-        &overlay,
-        0,
-        Arc::new(OrthantRectPartitioner::median()),
-        1,
-        3,
-    );
-    assert_eq!(outcome.delivery[0].1, n);
-
-    let acks = vec![1.0; n];
-    let agg = convergecast(&outcome.tree, &acks, AggregateOp::Sum);
-    assert_eq!(agg.value, n as f64);
-    assert_eq!(agg.messages, n - 1);
-    assert_eq!(outcome.data_messages, (n - 1) as u64);
-}
 
 #[test]
 fn repair_then_multicast_delivers_to_survivors() {
@@ -70,11 +41,11 @@ fn repair_then_multicast_delivers_to_survivors() {
     )
     .unwrap();
 
-    // Aggregation over the repaired tree counts exactly the survivors.
-    let ones = vec![1.0; n];
-    let agg = convergecast(&repaired.tree, &ones, AggregateOp::Count);
-    assert_eq!(agg.value, (n - 1) as f64);
-    assert_eq!(agg.messages, n - 2, "survivor count minus the root");
+    // The repaired tree reaches exactly the survivors, each over one
+    // parent link.
+    assert_eq!(repaired.tree.validate(), Ok(()));
+    assert_eq!(repaired.tree.reached_count(), n - 1);
+    assert!(!repaired.tree.is_reached(victim));
 }
 
 #[test]
@@ -104,42 +75,6 @@ fn routing_works_on_gossip_converged_topology() {
             assert!(route.delivered(), "{from} -> {to} on gossip topology");
         }
     }
-}
-
-#[test]
-fn region_multicast_composes_with_stability_overlay_peers() {
-    // Region multicast runs on the empty-rect overlay even when peers
-    // carry §3 lifetime embeddings (the first coordinate is just another
-    // coordinate to the geometry).
-    let n = 120;
-    let base = uniform_points(n, 3, 1000.0, 9);
-    let times = lifetimes(n, 1000.0, 10);
-    let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
-    let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-    // "All peers departing in the next 300 time units": a region query
-    // over the lifetime dimension.
-    let region = Rect::new(vec![
-        Interval::new(0.0, 300.0),
-        Interval::unbounded(),
-        Interval::unbounded(),
-    ])
-    .unwrap();
-    let result = multicast_region(
-        &peers,
-        &overlay,
-        0,
-        &region,
-        &OrthantRectPartitioner::median(),
-        MetricKind::L1,
-    );
-    let expected: Vec<usize> = (0..n)
-        .filter(|&i| peers[i].departure_time() < 300.0)
-        .collect();
-    assert_eq!(result.members, expected);
-    assert!(
-        result.full_coverage(),
-        "lifetime-sliced region missed members"
-    );
 }
 
 #[test]
@@ -179,9 +114,8 @@ fn repeated_repairs_keep_dissemination_exact() {
         .unwrap();
 
         // Exactly-once delivery over the repaired tree.
-        let ones = vec![1.0; n];
-        let agg = convergecast(&repaired.tree, &ones, AggregateOp::Count);
-        assert_eq!(agg.value as usize, live.len());
+        assert_eq!(repaired.tree.validate(), Ok(()));
+        assert_eq!(repaired.tree.reached_count(), live.len());
 
         build = geocast::core::BuildResult {
             tree: repaired.tree,

@@ -24,7 +24,6 @@ fn fig1a_degree_grows_with_dimension() {
     // Markdown and chart render.
     assert!(report.table.to_markdown().contains("max degree"));
     assert!(report.chart.as_deref().unwrap_or("").contains("avg degree"));
-    assert!(!report.table.to_csv().is_empty());
 }
 
 #[test]

@@ -142,7 +142,7 @@ fn crashed_subtree_is_exactly_the_lost_zone() {
         stack.extend(offline.tree.children(v).iter().copied());
     }
 
-    let adj = overlay.undirected();
+    let adj = overlay.undirected_closure();
     let shared = Arc::new(peers.clone());
     // Build via the protocol and crash the victim first.
     let partitioner: Arc<dyn ZonePartitioner + Send + Sync> =
@@ -151,7 +151,7 @@ fn crashed_subtree_is_exactly_the_lost_zone() {
         .map(|i| {
             protocol::BuildNode::new(
                 peers[i].clone(),
-                adj[i].clone(),
+                adj.out_neighbors(i).to_vec(),
                 Arc::clone(&partitioner),
                 Arc::clone(&shared),
             )
