@@ -595,6 +595,7 @@ impl GroupEngine {
     /// Maintains a §3 stability forest alongside the group trees,
     /// refreshed from the same delta stream (computed from scratch
     /// now).
+    // lint:allow(D006, reason = "ROADMAP item 6 names it: that trial decides whether the §3 forest stays in the engine")
     pub fn enable_stability(&mut self, policy: PreferredPolicy) {
         self.stability = Some((policy, preferred_links_on_store(&self.store, policy)));
     }
@@ -708,6 +709,7 @@ impl GroupEngine {
 
     /// The maintained stability forest, when enabled.
     #[must_use]
+    // lint:allow(D006, reason = "ROADMAP item 6: the reader of what enable_stability maintains; the same trial decides both")
     pub fn stability_forest(&self) -> Option<&StabilityForest> {
         self.stability.as_ref().map(|(_, forest)| forest)
     }
@@ -769,6 +771,7 @@ impl GroupEngine {
     /// # Panics
     ///
     /// Panics if `root` is out of range or departed.
+    // lint:allow(D006, reason = "the tests' handle on register_group with a chosen root and a one-member audience, the state every subscribe / unsubscribe test starts from; production seeds whole audiences through seed_groups_*")
     pub fn create_group(&mut self, root: PeerId) -> GroupId {
         self.sync();
         self.register_group(root.index(), BTreeSet::from([root.index()]))

@@ -408,6 +408,7 @@ impl MulticastTree {
 
     /// Depth of every reached peer (root = 0); `None` for unreached.
     #[must_use]
+    // lint:allow(D006, reason = "how baseline's tests see that bfs_tree depths are the overlay's hop distances: the per-peer depths that longest_root_to_leaf, the Fig. 1b metric, reduces")
     pub fn depths(&self) -> Vec<Option<usize>> {
         let mut depth = vec![None; self.len];
         for (&i, d) in self.nodes.iter().zip(self.slot_depths()) {

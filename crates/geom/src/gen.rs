@@ -73,6 +73,7 @@ pub fn uniform_points(n: usize, dim: usize, vmax: f64, seed: u64) -> PointSet {
 ///
 /// Panics if `dim == 0`, `clusters == 0`, `vmax <= 0`, or `spread < 0`.
 #[must_use]
+// lint:allow(D006, reason = "ROADMAP item 5 names it: the placement of its churn_skewed workload")
 pub fn clustered_points(
     n: usize,
     dim: usize,
@@ -117,6 +118,7 @@ pub fn clustered_points(
 ///
 /// Panics if `dim == 0`, `side == 0`, or `vmax <= 0`.
 #[must_use]
+// lint:allow(D006, reason = "ROADMAP item 5 names it: the lattice on which the index's shared-coordinate decline is to be measured")
 pub fn grid_points_jittered(side: usize, dim: usize, vmax: f64, seed: u64) -> PointSet {
     assert!(dim > 0, "points need at least one dimension");
     assert!(side > 0, "grid side must be positive");

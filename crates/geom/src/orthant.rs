@@ -112,6 +112,7 @@ impl Orthant {
 
     /// Sign vector of the orthant as `+1`/`-1` entries of length `dim`.
     #[must_use]
+    // lint:allow(D006, reason = "how tests and the crate example read which side of each axis classify put a point on")
     pub fn signs(&self, dim: usize) -> Vec<i8> {
         (0..dim)
             .map(|d| if self.is_positive(d) { 1 } else { -1 })

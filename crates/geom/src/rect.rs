@@ -111,6 +111,7 @@ impl Rect {
     ///
     /// Returns [`GeomError::DimensionMismatch`] if the points disagree on
     /// dimensionality.
+    // lint:allow(D006, reason = "the §2 rule's rectangle as a definition: what prop_overlay and prop_geom hold EmptyRectSelection and the dominance frontier against")
     pub fn spanned_open(p: &Point, q: &Point) -> Result<Self, GeomError> {
         p.check_dim(q)?;
         let sides = (0..p.dim())
@@ -223,6 +224,7 @@ impl Rect {
     ///
     /// Panics on dimensionality mismatch.
     #[must_use]
+    // lint:allow(D006, reason = "how partition's tests and prop_core see that a partitioner's sub-zones stay inside the zone it split")
     pub fn contains_rect(&self, other: &Rect) -> bool {
         assert_eq!(
             self.dim(),

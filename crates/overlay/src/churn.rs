@@ -178,6 +178,7 @@ pub struct ChurnReport {
 
 /// Replays `schedule` against `network`, converging after every event
 /// (the paper's procedure generalised to departures).
+// lint:allow(D006, reason = "ROADMAP item 7: replays a schedule through add_peer / remove_peer + converge, the protocol path that item measures")
 pub fn run_schedule(network: &mut OverlayNetwork, schedule: &ChurnSchedule) -> ChurnReport {
     let mut report = ChurnReport {
         joins: 0,

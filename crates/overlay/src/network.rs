@@ -123,6 +123,7 @@ impl OverlayNetwork {
     ///
     /// Panics if `id` is out of range.
     #[must_use]
+    // lint:allow(D006, reason = "how tests tell the survivors of a live network from the peers remove_peer crashed")
     pub fn has_departed(&self, id: PeerId) -> bool {
         self.store.is_departed(id)
     }
@@ -219,6 +220,7 @@ impl OverlayNetwork {
     /// The current topology over **live** peers: departed peers keep
     /// their vertex (so ids stay dense) but contribute no edges.
     #[must_use]
+    // lint:allow(D006, reason = "ROADMAP item 7 names it: its acceptance is that topology equals reference_topology at N = 2 000")
     pub fn topology(&self) -> OverlayGraph {
         OverlayGraph::from_out_neighbors(self.snapshot())
     }
@@ -226,6 +228,7 @@ impl OverlayNetwork {
     /// The store's incrementally-maintained equilibrium topology — the
     /// convergence target of the gossip protocol, without running it.
     #[must_use]
+    // lint:allow(D006, reason = "ROADMAP item 7 names it: its acceptance is that topology equals reference_topology at N = 2 000")
     pub fn reference_topology(&self) -> OverlayGraph {
         self.store.graph()
     }

@@ -111,6 +111,7 @@ pub fn fingerprint(graph: &OverlayGraph) -> u64 {
 /// changed (it entered or left a changed out-list), sorted ascending.
 /// A joining peer has no row in `before`; that counts as an empty one.
 #[must_use]
+// lint:allow(D006, reason = "oracle: the dirty region by definition, which prop_store and prop_shard hold every store delta against")
 pub fn dirty_region(before: &OverlayGraph, after: &OverlayGraph, peer: usize) -> Vec<usize> {
     fn row(g: &OverlayGraph, i: usize) -> &[usize] {
         if i < g.len() {
@@ -137,6 +138,7 @@ pub fn dirty_region(before: &OverlayGraph, after: &OverlayGraph, peer: usize) ->
 /// property-tested against, and as the baseline the scaling bench
 /// measures speedups over.
 #[must_use]
+// lint:allow(D006, reason = "oracle: the index-free definition prop_overlay holds the indexed engine against")
 pub fn equilibrium_brute_force(
     peers: &[PeerInfo],
     selection: &dyn NeighborSelection,
@@ -165,6 +167,7 @@ pub fn equilibrium_brute_force(
 ///
 /// Panics if any `k == 0` or peers disagree on dimensionality.
 #[must_use]
+// lint:allow(D006, reason = "the tests' handle on orthogonal_k_sweep_with, the sweep of Fig. 1d / 1e: collects what it streams")
 pub fn orthogonal_k_sweep(
     peers: &[PeerInfo],
     metric: MetricKind,

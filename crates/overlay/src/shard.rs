@@ -113,6 +113,7 @@ impl ShardConfig {
     ///
     /// Panics unless `width` is finite and non-negative.
     #[must_use]
+    // lint:allow(D006, reason = "ROADMAP item 4 decides halos; until then the tests' only handle on the band-edge class of PR 8")
     pub fn with_halo_width(mut self, width: f64) -> Self {
         assert!(
             width.is_finite() && width >= 0.0,

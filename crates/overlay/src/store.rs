@@ -353,6 +353,7 @@ impl TopologyStore {
     ///
     /// Panics if `i` is out of range.
     #[must_use]
+    // lint:allow(D006, reason = "how store's tests and prop_store see the reverse adjacency insert / remove maintain, which repair and the group engine read through undirected_neighbors_into")
     pub fn rev_neighbors(&self, i: usize) -> &[usize] {
         &self.rev[i]
     }
@@ -440,6 +441,7 @@ impl TopologyStore {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
+    // lint:allow(D006, reason = "how tests force the delta log's eviction horizon, the resync path a lagging cursor takes")
     pub fn set_delta_capacity(&mut self, capacity: usize) {
         self.log = DeltaLog::anchored(capacity, self.epoch);
     }

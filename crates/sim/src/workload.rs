@@ -451,6 +451,7 @@ pub struct ConsumerCadence {
 impl ConsumerCadence {
     /// A cadence firing on every event — lock-step consumption.
     #[must_use]
+    // lint:allow(D006, reason = "ROADMAP item 9 names ConsumerCadence: the laggard consumers of its soak")
     pub fn every_event() -> Self {
         ConsumerCadence {
             every: 1,
@@ -464,6 +465,7 @@ impl ConsumerCadence {
     ///
     /// Panics if `every == 0`.
     #[must_use]
+    // lint:allow(D006, reason = "ROADMAP item 9 names ConsumerCadence: the laggard consumers of its soak")
     pub fn every_nth(every: usize) -> Self {
         assert!(every >= 1, "cadence period must be at least 1");
         ConsumerCadence { every, offset: 0 }
@@ -478,6 +480,7 @@ impl ConsumerCadence {
 
     /// How many times the cadence fires over `events` events.
     #[must_use]
+    // lint:allow(D006, reason = "ROADMAP item 9 names ConsumerCadence: the laggard consumers of its soak")
     pub fn firings_in(&self, events: usize) -> usize {
         (0..events).filter(|&i| self.fires_at(i)).count()
     }

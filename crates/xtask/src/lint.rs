@@ -1,4 +1,5 @@
-//! The determinism lint engine: rules D001–D005 over the workspace.
+//! The workspace lint engine: determinism rules D001–D005 and the
+//! reachability rule D006.
 //!
 //! Every guarantee in this reproduction is of the form "byte-identical
 //! to the serial / from-scratch definition". The property tests check
@@ -12,6 +13,7 @@
 //! | D003 | No unseeded RNG (`thread_rng`, `from_entropy`) outside `bench`: every experiment replays from a seed. |
 //! | D004 | No `partial_cmp` on floats outside `geom`: coordinate ordering goes through the total-order comparator (`f64::total_cmp`) so NaN/tie handling cannot diverge between engines. |
 //! | D005 | Every crate root carries `#![forbid(unsafe_code)]`. |
+//! | D006 | A `pub fn` / `pub struct` / `pub enum` of a library crate (`geom`, `sim`, `overlay`, `core`, `metrics`) is named somewhere that is not a test: outside its own definition, `#[cfg(test)]` items, `tests/` and `examples/`. A name defined twice counts as reached (conservative). The waiver's reason names the production behaviour the tests observe through it, or the open ROADMAP item that names it. |
 //!
 //! A site that is deliberately exempt carries an inline waiver:
 //!
@@ -23,6 +25,7 @@
 //! trailing comment). A waiver without a reason, or one that suppresses
 //! nothing, is itself a violation (W001) — waivers must stay honest.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -36,11 +39,14 @@ pub const TIMING_EXEMPT: [&str; 1] = ["bench"];
 pub const RNG_EXEMPT: [&str; 1] = ["bench"];
 /// The crate hosting the sanctioned float total-order comparisons (D004).
 pub const FLOAT_ORD_HOME: &str = "geom";
+/// Crates whose public surface must be reached by something that is not
+/// a test (D006).
+pub const LIBRARY_CRATES: [&str; 5] = ["geom", "sim", "overlay", "core", "metrics"];
 
 /// One finding: a rule violation (or waiver-hygiene problem, W001).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule code (`D001`–`D005`, `W001`).
+    /// Rule code (`D001`–`D006`, `W001`).
     pub rule: &'static str,
     /// Path relative to the workspace root.
     pub file: String,
@@ -207,20 +213,125 @@ fn ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Lints one source file. `crate_name` is the short crate directory
-/// name (`overlay`, `core`, …, or `root` for the workspace root
-/// package); `is_crate_root` marks `src/lib.rs` / `src/main.rs`, where
-/// D005 applies.
+/// `true` for a file of integration tests or examples: nothing in it
+/// makes a name reached (D006).
+fn is_test_path(file_label: &str) -> bool {
+    Path::new(file_label)
+        .components()
+        .any(|c| matches!(c.as_os_str().to_str(), Some("tests" | "examples")))
+}
+
+/// Marks the 1-based lines of every `#[cfg(test)]` item: from the
+/// attribute to the brace that closes the item, or to its `;`.
+fn test_lines(lexed: &LexedFile) -> Vec<bool> {
+    let mut is_test = vec![false; lexed.masked.len() + 1];
+    let mut n = 1;
+    while n <= lexed.masked.len() {
+        if lexed.masked_line(n).trim() != "#[cfg(test)]" {
+            n += 1;
+            continue;
+        }
+        let mut depth = 0usize;
+        let mut opened = false;
+        'item: while n <= lexed.masked.len() {
+            is_test[n] = true;
+            for b in lexed.masked_line(n).bytes() {
+                match b {
+                    b'{' => {
+                        depth += 1;
+                        opened = true;
+                    }
+                    b'}' => depth = depth.saturating_sub(1),
+                    b';' if !opened => break 'item,
+                    _ => {}
+                }
+                if opened && depth == 0 {
+                    break 'item;
+                }
+            }
+            n += 1;
+        }
+        n += 1;
+    }
+    is_test
+}
+
+/// The whole identifiers of a masked line.
+fn identifiers(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_ascii() && ident_byte(c as u8)))
+        .filter(|t| !t.is_empty())
+}
+
+/// The name a masked line declares with `pub fn`, `pub const fn`,
+/// `pub struct` or `pub enum`.
+fn declared_name(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let rest = rest.strip_prefix("const ").unwrap_or(rest);
+    let rest = ["fn ", "struct ", "enum "]
+        .iter()
+        .find_map(|kind| rest.strip_prefix(kind))?;
+    identifiers(rest).next()
+}
+
+/// How often each identifier occurs in code that is not a test — D006's
+/// notion of "reached". A declaration counts once, so a name is reached
+/// from its second occurrence on.
+#[derive(Debug, Default)]
+pub struct NameCounts(BTreeMap<String, usize>);
+
+impl NameCounts {
+    /// Counts the identifiers of one file; files under `tests/` or
+    /// `examples/` and `#[cfg(test)]` items contribute nothing.
+    pub fn add(&mut self, file_label: &str, lexed: &LexedFile) {
+        if is_test_path(file_label) {
+            return;
+        }
+        let is_test = test_lines(lexed);
+        // A `pub use` hands a name on; it does not reach it.
+        let mut in_reexport = false;
+        for (line, _) in lexed.masked.iter().zip(&is_test[1..]).filter(|(_, &t)| !t) {
+            in_reexport |= line.trim_start().starts_with("pub use ");
+            if !in_reexport {
+                for name in identifiers(line) {
+                    *self.0.entry(name.to_string()).or_insert(0) += 1;
+                }
+            }
+            in_reexport &= !line.contains(';');
+        }
+    }
+
+    fn count(&self, name: &str) -> usize {
+        self.0.get(name).copied().unwrap_or(0)
+    }
+}
+
+/// Lints one source file without the cross-file rule D006; see
+/// [`lint_lexed`].
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn lint_source(
     crate_name: &str,
     file_label: &str,
     source: &str,
     is_crate_root: bool,
 ) -> (Vec<Violation>, usize) {
-    let lexed = lex(source);
-    let mut waivers = parse_waivers(&lexed);
+    lint_lexed(crate_name, file_label, &lex(source), is_crate_root, None)
+}
+
+/// Lints one lexed file. `crate_name` is the short crate directory
+/// name (`overlay`, `core`, …, or `root` for the workspace root
+/// package); `is_crate_root` marks `src/lib.rs` / `src/main.rs`, where
+/// D005 applies; `reached` holds the workspace's name counts, without
+/// which D006 is skipped.
+#[must_use]
+#[allow(clippy::too_many_lines)]
+pub fn lint_lexed(
+    crate_name: &str,
+    file_label: &str,
+    lexed: &LexedFile,
+    is_crate_root: bool,
+    reached: Option<&NameCounts>,
+) -> (Vec<Violation>, usize) {
+    let mut waivers = parse_waivers(lexed);
     let mut raw: Vec<Violation> = Vec::new();
 
     let replay_critical = REPLAY_CRITICAL.contains(&crate_name);
@@ -306,6 +417,30 @@ pub fn lint_source(
                                   unwrap panics): use f64::total_cmp with an id tie-break, as \
                                   geom's comparators do"
                             .to_string(),
+                    });
+                }
+            }
+        }
+    }
+
+    // D006 — public library names nothing but tests reaches.
+    if let Some(reached) = reached {
+        if LIBRARY_CRATES.contains(&crate_name) && !is_test_path(file_label) {
+            let is_test = test_lines(lexed);
+            for (idx, masked) in lexed.masked.iter().enumerate() {
+                let Some(name) = declared_name(masked).filter(|_| !is_test[idx + 1]) else {
+                    continue;
+                };
+                if reached.count(name) <= 1 {
+                    raw.push(Violation {
+                        rule: "D006",
+                        file: file_label.to_string(),
+                        line: idx + 1,
+                        message: format!(
+                            "`{name}` is named only by tests and examples: delete it, or waive \
+                             with `// lint:allow(D006, reason = \"...\")` naming the production \
+                             behaviour its tests observe or the open ROADMAP item that names it"
+                        ),
                     });
                 }
             }
@@ -419,6 +554,20 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
         units.push((name, dir));
     }
 
+    let mut sources: Vec<(String, String, bool, LexedFile)> = Vec::new();
+    let mut reached = NameCounts::default();
+    let mut read = |path: &Path| -> Result<(String, LexedFile), String> {
+        let source = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let label = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .display()
+            .to_string();
+        let lexed = lex(&source);
+        reached.add(&label, &lexed);
+        Ok((label, lexed))
+    };
     for (crate_name, dir) in units {
         let mut files = Vec::new();
         for sub in ["src", "tests", "examples", "benches"] {
@@ -427,19 +576,25 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
             rust_files(&dir.join(sub), &mut files);
         }
         for path in files {
-            let source = std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let label = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .display()
-                .to_string();
+            let (label, lexed) = read(&path)?;
             let is_crate_root = path.ends_with("src/lib.rs") || path.ends_with("src/main.rs");
-            let (violations, honored) = lint_source(&crate_name, &label, &source, is_crate_root);
-            report.files += 1;
-            report.waivers_honored += honored;
-            report.violations.extend(violations);
+            sources.push((crate_name.clone(), label, is_crate_root, lexed));
         }
+    }
+    // The end-to-end benchmark is a package of its own and is not
+    // linted, but what it imports is reached.
+    let mut harness = Vec::new();
+    rust_files(&root.join("benchmark").join("src"), &mut harness);
+    for path in harness {
+        read(&path)?;
+    }
+
+    for (crate_name, label, is_crate_root, lexed) in &sources {
+        let (violations, honored) =
+            lint_lexed(crate_name, label, lexed, *is_crate_root, Some(&reached));
+        report.files += 1;
+        report.waivers_honored += honored;
+        report.violations.extend(violations);
     }
     report
         .violations

@@ -11,7 +11,7 @@ const USAGE: &str = "\
 usage: xtask <command> [options]
 
 commands:
-  lint        run the determinism lint (rules D001-D005) over the workspace
+  lint        run the determinism and reachability lint (rules D001-D006) over the workspace
       --root <dir>       workspace root (default: .)
       --json             machine-readable report on stdout
       --deny             exit nonzero if any violation is found

@@ -1,10 +1,11 @@
-//! Fixture proofs for the determinism lint: every rule must fire on
+//! Fixture proofs for the workspace lint: every rule must fire on
 //! its known-bad snippet and stay silent on the waivered twin. The
 //! fixtures live under `tests/fixtures/`, which the workspace walker
 //! deliberately skips — they are inputs to the engine, not workspace
 //! code.
 
-use xtask::lint::{lint_source, lint_workspace};
+use xtask::lexer::lex;
+use xtask::lint::{lint_lexed, lint_source, lint_workspace, NameCounts, Violation};
 
 fn rules_of(violations: &[xtask::lint::Violation]) -> Vec<&'static str> {
     violations.iter().map(|v| v.rule).collect()
@@ -106,6 +107,66 @@ fn d005_attribute_or_waiver_passes() {
     let (violations, honored) = lint_source("core", "d005_waived.rs", src, true);
     assert!(violations.is_empty(), "{violations:?}");
     assert_eq!(honored, 1);
+}
+
+/// Lints `fixture` as `label` of crate `core`, with the names of
+/// `fixture` and of `d006_caller.rs` (counted as `caller_label`) as the
+/// workspace.
+fn d006(fixture: &str, label: &str, caller_label: &str) -> (Vec<Violation>, usize) {
+    let lexed = lex(fixture);
+    let mut reached = NameCounts::default();
+    reached.add(label, &lexed);
+    reached.add(caller_label, &lex(include_str!("fixtures/d006_caller.rs")));
+    lint_lexed("core", label, &lexed, false, Some(&reached))
+}
+
+#[test]
+fn d006_fires_on_names_only_tests_strings_and_reexports_mention() {
+    let src = include_str!("fixtures/d006_bad.rs");
+    let (violations, _) = d006(src, "crates/core/src/bad.rs", "crates/cli/src/caller.rs");
+    assert_eq!(rules_of(&violations), ["D006", "D006"]);
+    // `only_its_tests` and `OnlyReexported`; not `reached`, not the
+    // name defined twice, not the `pub fn` inside the test module.
+    assert_eq!(violations[0].line, 5);
+    assert_eq!(violations[1].line, 9);
+}
+
+#[test]
+fn d006_counts_nothing_under_tests_or_examples() {
+    let src = include_str!("fixtures/d006_bad.rs");
+    for caller in ["crates/core/tests/caller.rs", "examples/caller.rs"] {
+        let (violations, _) = d006(src, "crates/core/src/bad.rs", caller);
+        let lines: Vec<usize> = violations.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [1, 5, 9, 11], "{caller}");
+    }
+    // And a file under `tests/` declares no library surface.
+    let (violations, _) = d006(src, "crates/core/tests/bad.rs", "crates/cli/src/caller.rs");
+    assert!(violations.is_empty(), "{violations:?}");
+}
+
+#[test]
+fn d006_is_silent_without_the_workspace_and_outside_library_crates() {
+    let src = include_str!("fixtures/d006_bad.rs");
+    let (violations, _) = lint_source("core", "crates/core/src/bad.rs", src, false);
+    assert!(violations.is_empty(), "{violations:?}");
+    let lexed = lex(src);
+    let reached = NameCounts::default();
+    let (violations, _) = lint_lexed(
+        "cli",
+        "crates/cli/src/bad.rs",
+        &lexed,
+        false,
+        Some(&reached),
+    );
+    assert!(violations.is_empty(), "{violations:?}");
+}
+
+#[test]
+fn d006_waivers_with_reasons_suppress() {
+    let src = include_str!("fixtures/d006_waived.rs");
+    let (violations, honored) = d006(src, "crates/core/src/waived.rs", "crates/cli/src/caller.rs");
+    assert!(violations.is_empty(), "{violations:?}");
+    assert_eq!(honored, 2);
 }
 
 #[test]
