@@ -1793,22 +1793,14 @@ mod tests {
     fn out_of_range_dim_k_and_n_are_bad_values_on_every_command() {
         // Each of these used to reach a library `assert!` (or, for
         // `--n 0`, run on and blame another option).
-        let with_dim = [
-            "overlay",
-            "tree",
-            "stability",
-            "route",
-            "churn",
-            "groups",
-            "publish",
-            "detect",
-        ];
         let mut cases: Vec<(&str, &str, &str)> = Vec::new();
-        for command in with_dim {
+        for &(command, keys, _) in COMMANDS.iter().filter(|(_, keys, _)| keys.contains(&"dim")) {
+            assert!(keys.contains(&"n"), "{command}");
             cases.push((command, "dim", "0"));
             cases.push((command, "dim", "33"));
             cases.push((command, "n", "0"));
         }
+        assert_eq!(cases.len(), 8 * 3, "every command but `figures`");
         cases.push(("overlay", "k", "0"));
         cases.push(("stability", "k", "0"));
         cases.push(("overlay --method signed", "dim", "13"));

@@ -13,7 +13,7 @@
 //! | D003 | No unseeded RNG (`thread_rng`, `from_entropy`) outside `bench`: every experiment replays from a seed. |
 //! | D004 | No `partial_cmp` on floats outside `geom`: coordinate ordering goes through the total-order comparator (`f64::total_cmp`) so NaN/tie handling cannot diverge between engines. |
 //! | D005 | Every crate root carries `#![forbid(unsafe_code)]`. |
-//! | D006 | A `pub fn` / `pub struct` / `pub enum` of a library crate (`geom`, `sim`, `overlay`, `core`, `metrics`) is named somewhere that is not a test: outside its own definition, `#[cfg(test)]` items, `tests/` and `examples/`. A name defined twice counts as reached (conservative). The waiver's reason names the production behaviour the tests observe through it, or the open ROADMAP item that names it. |
+//! | D006 | A `pub fn` / `pub struct` / `pub enum` of a library crate (`geom`, `sim`, `overlay`, `core`, `metrics`) is named somewhere that is not a test: outside its own definition, `#[cfg(test)]` items, `tests/`, `examples/` and `pub use` re-exports. A name defined twice counts as reached (conservative). The waiver's reason names the production behaviour the tests observe through it, or the open ROADMAP item that names it. |
 //!
 //! A site that is deliberately exempt carries an inline waiver:
 //!
@@ -144,7 +144,13 @@ fn parse_waivers(lexed: &LexedFile) -> Vec<Waiver> {
         let mut rest = text.as_str();
         while let Some(pos) = rest.find("lint:allow(") {
             let inner = &rest[pos + "lint:allow(".len()..];
-            let close = inner.find(')').unwrap_or(inner.len());
+            // The waiver closes after its quoted reason, which may
+            // itself hold parentheses.
+            let close = inner
+                .find("\")")
+                .map(|quote| quote + 1)
+                .or_else(|| inner.find(')'))
+                .unwrap_or(inner.len());
             let body = &inner[..close];
             let rule = body.split(',').next().unwrap_or("").trim().to_string();
             // Only rule-shaped tokens (`D001`, `W001`, …) are waivers;
@@ -221,21 +227,22 @@ fn is_test_path(file_label: &str) -> bool {
         .any(|c| matches!(c.as_os_str().to_str(), Some("tests" | "examples")))
 }
 
-/// Marks the 1-based lines of every `#[cfg(test)]` item: from the
-/// attribute to the brace that closes the item, or to its `;`.
+/// Marks, per masked line, the lines of every `#[cfg(test)]` item: from
+/// the attribute to the brace that closes the item, or to its `;`.
 fn test_lines(lexed: &LexedFile) -> Vec<bool> {
-    let mut is_test = vec![false; lexed.masked.len() + 1];
-    let mut n = 1;
-    while n <= lexed.masked.len() {
-        if lexed.masked_line(n).trim() != "#[cfg(test)]" {
+    let lines = &lexed.masked;
+    let mut is_test = vec![false; lines.len()];
+    let mut n = 0;
+    while n < lines.len() {
+        if lines[n].trim() != "#[cfg(test)]" {
             n += 1;
             continue;
         }
         let mut depth = 0usize;
         let mut opened = false;
-        'item: while n <= lexed.masked.len() {
+        'item: while n < lines.len() {
             is_test[n] = true;
-            for b in lexed.masked_line(n).bytes() {
+            for b in lines[n].bytes() {
                 match b {
                     b'{' => {
                         depth += 1;
@@ -289,7 +296,7 @@ impl NameCounts {
         let is_test = test_lines(lexed);
         // A `pub use` hands a name on; it does not reach it.
         let mut in_reexport = false;
-        for (line, _) in lexed.masked.iter().zip(&is_test[1..]).filter(|(_, &t)| !t) {
+        for (line, _) in lexed.masked.iter().zip(&is_test).filter(|(_, &t)| !t) {
             in_reexport |= line.trim_start().starts_with("pub use ");
             if !in_reexport {
                 for name in identifiers(line) {
@@ -428,7 +435,7 @@ pub fn lint_lexed(
         if LIBRARY_CRATES.contains(&crate_name) && !is_test_path(file_label) {
             let is_test = test_lines(lexed);
             for (idx, masked) in lexed.masked.iter().enumerate() {
-                let Some(name) = declared_name(masked).filter(|_| !is_test[idx + 1]) else {
+                let Some(name) = declared_name(masked).filter(|_| !is_test[idx]) else {
                     continue;
                 };
                 if reached.count(name) <= 1 {

@@ -4,7 +4,7 @@ pub fn reached() -> u32 {
 
 /// Doc comments and attributes sit above the waiver.
 #[must_use]
-// lint:allow(D006, reason = "how the tests see the count production keeps; ROADMAP item 9 decides it")
+// lint:allow(D006, reason = "how the tests see the count production keeps (ROADMAP item 9 decides it)")
 pub fn only_its_tests() -> u32 {
     2
 }
