@@ -1,11 +1,12 @@
-//! The closed forms of a membership event: the join's dominance update,
-//! the leave's pair kernel and the top-`K` saturation prune. They read
-//! rows and coordinates only — no tile, no index — and are argued in
-//! `crate::store`, "Why the incremental path is exact".
+//! The closed forms of a membership event: the links an empty-rectangle
+//! join cuts, the links an empty-rectangle leave makes, and the top-`K`
+//! saturation prune. They read rows and coordinates only — no tile, no
+//! index — and are argued in `crate::store`, "Why the incremental path
+//! is exact".
 
 use geocast_geom::dominance::rect_dominates_coords;
 use geocast_geom::index::MAX_INDEX_DIM;
-use geocast_geom::{Metric, MetricKind, Point};
+use geocast_geom::{Metric, MetricKind, Point, MAX_ORTHANT_DIM};
 
 use crate::peer::PeerInfo;
 
@@ -60,9 +61,8 @@ pub(crate) fn topk_join_recheck(
 }
 
 /// Every peer's coordinates in one flat `id * dim` table. The two
-/// empty-rectangle closed forms below make a few thousand
-/// strict-interior tests per event and read their operands here, not
-/// through `PeerInfo → Point → Vec<f64>`.
+/// empty-rectangle closed forms below gather a row's coordinates from
+/// here once per event, not through `PeerInfo → Point → Vec<f64>`.
 #[derive(Debug, Default)]
 pub(crate) struct CoordTable {
     dim: usize,
@@ -90,25 +90,112 @@ impl CoordTable {
     }
 }
 
-/// The neighbours peer `i` drops when newcomer `q` enters its row,
-/// under the empty-rectangle rule: exactly the old neighbours whose
-/// rectangle with `i` the newcomer now sits in (`q` itself joins the
-/// row — it selected `i`, and the spanned rectangle is the same from
-/// both ends). `O(degree)` [`rect_dominates_coords`] tests — the
-/// definitional strict-interior test, so this is the rule itself
-/// restricted to the one new candidate and needs no collision fallback
-/// (`crate::store`, "Why the incremental path is exact").
-pub(crate) fn join_dominance_update(
+/// `member`'s orthant around `at` as bits — bit `d` set iff it lies
+/// above `at` in dimension `d` — from raw comparisons, with no
+/// subtraction to round them; `None` on a tie, which puts it in no
+/// orthant.
+fn orthant_code(at: &[f64], member: &[f64]) -> Option<u32> {
+    let mut code = 0u32;
+    for (d, (&x, &m)) in at.iter().zip(member).enumerate() {
+        if m > x {
+            code |= 1 << d;
+        } else if m == x {
+            return None;
+        }
+    }
+    Some(code)
+}
+
+/// The orthant code with all `dim` bits set: two codes are
+/// complementary iff they XOR to it. Written as a right shift because
+/// `1 << dim` overflows at `dim = MAX_ORTHANT_DIM`.
+fn full_code(dim: usize) -> u32 {
+    debug_assert!((1..=MAX_ORTHANT_DIM).contains(&dim), "{dim} dimensions");
+    u32::MAX >> (MAX_ORTHANT_DIM - dim)
+}
+
+/// A row gathered around the peer `x` that joins or leaves: each
+/// member's coordinates in one contiguous buffer, and its orthant code
+/// around `x`. Both empty-rectangle closed forms read only this.
+struct RowAround {
+    dim: usize,
+    near: Vec<f64>,
+    codes: Vec<Option<u32>>,
+    full: u32,
+}
+
+impl RowAround {
+    fn gather(coords: &CoordTable, x: usize, row: &[usize]) -> Self {
+        let (dim, at) = (coords.dim, coords.of(x));
+        let mut near = Vec::with_capacity(row.len() * dim);
+        let codes = row
+            .iter()
+            .map(|&r| {
+                near.extend_from_slice(coords.of(r));
+                orthant_code(at, coords.of(r))
+            })
+            .collect();
+        RowAround {
+            dim,
+            near,
+            codes,
+            full: full_code(dim),
+        }
+    }
+
+    fn of(&self, k: usize) -> &[f64] {
+        &self.near[k * self.dim..][..self.dim]
+    }
+
+    /// Every pair `(a, b)`, `a < b`, of row positions whose open
+    /// rectangle holds `x`, in row order: `x` is strictly between them
+    /// in every dimension iff neither ties it anywhere and their codes
+    /// differ in every bit.
+    fn straddling(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let codes = &self.codes;
+        codes
+            .iter()
+            .enumerate()
+            .filter_map(|(a, code)| code.map(|c| (a, Some(c ^ self.full))))
+            .flat_map(move |(a, opposite)| {
+                (a + 1..codes.len())
+                    .filter(move |&b| codes[b] == opposite)
+                    .map(move |b| (a, b))
+            })
+    }
+
+    /// `true` if another member sits strictly inside the open rectangle
+    /// of the straddling pair `(a, b)`. Members in `a`'s or `b`'s own
+    /// orthant are skipped: such a member would sit strictly inside
+    /// `rect(x, a)` or `rect(x, b)`, and then `a` or `b` would not be in
+    /// `x`'s row. A tied member has no orthant and is always tested.
+    fn blocked(&self, a: usize, b: usize) -> bool {
+        let (ca, cb) = (self.codes[a], self.codes[b]);
+        let (p, q) = (self.of(a), self.of(b));
+        self.codes
+            .iter()
+            .enumerate()
+            .any(|(c, &cc)| cc != ca && cc != cb && rect_dominates_coords(p, self.of(c), q))
+    }
+}
+
+/// The links the join of `q` cuts, under the empty-rectangle rule, from
+/// `row`, the row `q` got, and `out`, the adjacency before the join:
+/// every linked pair of `row` whose open rectangle `q` now sits in. An
+/// evicted neighbour is always in `row` (`crate::store`, "Why the
+/// incremental path is exact"), so the pairs that straddle `q` are the
+/// only candidates, and each is found once, not from both ends. A
+/// binary search in `out` per straddling pair; no rectangle test.
+pub(crate) fn straddled_links(
     coords: &CoordTable,
-    old_row: &[usize],
-    i: usize,
+    out: &[Vec<usize>],
     q: usize,
-) -> Vec<usize> {
-    let (p, newcomer) = (coords.of(i), coords.of(q));
-    old_row
-        .iter()
-        .copied()
-        .filter(|&r| rect_dominates_coords(p, newcomer, coords.of(r)))
+    row: &[usize],
+) -> Vec<(usize, usize)> {
+    RowAround::gather(coords, q, row)
+        .straddling()
+        .map(|(a, b)| (row[a], row[b]))
+        .filter(|&(i, r)| out[i].binary_search(&r).is_ok())
         .collect()
 }
 
@@ -117,33 +204,18 @@ pub(crate) fn join_dominance_update(
 /// order, whose open rectangle holds `x` and no other member of the
 /// row. Only such pairs can link, and blockers outside the row need no
 /// look (`crate::store`, "Why the incremental path is exact"), so no
-/// selector's row is read. `O(degree²)` pair tests plus an early-exit
-/// blocker scan over one contiguous gather of the row's coordinates —
-/// raw coordinates, not offsets from `x`: a subtraction would round the
+/// selector's row is read. Only the straddling pairs are tested, each
+/// against the members outside its own two orthants, over raw
+/// coordinates, not offsets from `x`: a subtraction would round the
 /// strict tests. The rule's own test, so collisions and any
 /// dimensionality take the same path: no index, no shard, no decline.
 pub(crate) fn unblocked_pairs(coords: &CoordTable, x: usize, row: &[usize]) -> Vec<(usize, usize)> {
-    let dim = coords.dim;
-    let at = coords.of(x);
-    let mut near = Vec::with_capacity(row.len() * dim);
-    for &r in row {
-        near.extend_from_slice(coords.of(r));
-    }
-    let of = |k: usize| &near[k * dim..][..dim];
-    let mut pairs = Vec::new();
-    for a in 0..row.len() {
-        for b in a + 1..row.len() {
-            let (p, q) = (of(a), of(b));
-            // A corner of the rectangle is strictly inside it in no
-            // dimension, so the scan need not step around `a` and `b`.
-            if rect_dominates_coords(p, at, q)
-                && !(0..row.len()).any(|c| rect_dominates_coords(p, of(c), q))
-            {
-                pairs.push((row[a], row[b]));
-            }
-        }
-    }
-    pairs
+    let around = RowAround::gather(coords, x, row);
+    around
+        .straddling()
+        .filter(|&(a, b)| !around.blocked(a, b))
+        .map(|(a, b)| (row[a], row[b]))
+        .collect()
 }
 
 #[cfg(test)]
@@ -181,41 +253,93 @@ mod tests {
     }
 
     #[test]
-    fn join_dominance_update_is_the_rule_on_the_old_row_plus_the_newcomer() {
-        // The last peer of each population plays the newcomer (it has
-        // the largest id of the slice): for each peer it selects, the
-        // old row minus the evictions plus the newcomer must equal
-        // re-running the rule on `old row ∪ {newcomer}` — collisions
-        // included.
+    fn straddling_pairs_are_the_pairs_whose_open_rectangle_holds_the_peer() {
+        // The orthant-code predicate against the rule's strict test, on
+        // every pair around every peer: uniform 1-D to 4-D, the lattice
+        // (ties everywhere), and `MAX_ORTHANT_DIM` dimensions, where a
+        // code uses all 32 bits — each point there has its mirror image
+        // through the centre, so that pairs straddle the centre.
+        let mut populations = closed_form_populations();
+        let mut wide = vec![Point::new(vec![500.0; MAX_ORTHANT_DIM]).unwrap()];
+        for p in uniform_points(8, MAX_ORTHANT_DIM, 1000.0, 65).into_points() {
+            let mirror = p.coords().iter().map(|&c| 1000.0 - c).collect();
+            wide.extend([p, Point::new(mirror).unwrap()]);
+        }
+        let wide: Vec<PeerInfo> = (0..wide.len() as u64)
+            .zip(wide)
+            .map(|(i, p)| PeerInfo::new(PeerId(i), p))
+            .collect();
+        populations.push(wide);
+        for population in populations {
+            let dim = population[0].point().dim();
+            let coords = CoordTable::from_peers(&population);
+            let n = population.len();
+            let mut straddles = 0;
+            for x in 0..n {
+                let row: Vec<usize> = (0..n).filter(|&r| r != x).collect();
+                let got: Vec<(usize, usize)> = RowAround::gather(&coords, x, &row)
+                    .straddling()
+                    .map(|(a, b)| (row[a], row[b]))
+                    .collect();
+                let row = &row[..];
+                let want: Vec<(usize, usize)> = (0..row.len())
+                    .flat_map(|a| (a + 1..row.len()).map(move |b| (row[a], row[b])))
+                    .filter(|&(a, b)| {
+                        rect_dominates_coords(coords.of(a), coords.of(x), coords.of(b))
+                    })
+                    .collect();
+                assert_eq!(got, want, "dim {dim}: around {x}");
+                straddles += got.len();
+            }
+            if dim == MAX_ORTHANT_DIM {
+                assert!(straddles >= 8, "the eight mirror pairs straddle the centre");
+            }
+        }
+    }
+
+    #[test]
+    fn straddled_links_are_the_links_a_join_cuts() {
+        // Every peer of a population in turn plays the newcomer, joining
+        // the peers before it (it has the largest id of the slice). For
+        // each peer it selects, the old row minus the cuts plus the
+        // newcomer must equal re-running the rule on `old row ∪
+        // {newcomer}`, and every row after the cuts must equal the
+        // from-scratch one — collisions included.
         for population in closed_form_populations() {
             let coords = CoordTable::from_peers(&population);
-            let q = population.len() - 1;
-            let before =
-                TopologyStore::from_peers(population[..q].to_vec(), Arc::new(EmptyRectSelection));
-            let after = TopologyStore::from_peers(population.clone(), Arc::new(EmptyRectSelection));
-            for &i in after.out_neighbors(q) {
-                let old = before.out_neighbors(i);
-                let mut cand_ids = old.to_vec();
-                cand_ids.push(q);
-                let refs: Vec<&PeerInfo> = cand_ids.iter().map(|&j| &population[j]).collect();
-                let want: Vec<usize> = EmptyRectSelection
-                    .select(&population[i], &refs)
-                    .into_iter()
-                    .map(|ci| cand_ids[ci])
-                    .collect();
-                let evicted = join_dominance_update(&coords, old, i, q);
-                let mut got: Vec<usize> = old
-                    .iter()
-                    .copied()
-                    .filter(|r| !evicted.contains(r))
-                    .collect();
-                got.push(q);
-                assert_eq!(got, want, "peer {i}");
-                assert_eq!(
-                    after.out_neighbors(i),
-                    &want[..],
-                    "peer {i} vs from scratch"
-                );
+            let store = |n: usize| {
+                TopologyStore::from_peers(population[..n].to_vec(), Arc::new(EmptyRectSelection))
+            };
+            for q in 1..population.len() {
+                let (before, after) = (store(q), store(q + 1));
+                let row = after.out_neighbors(q);
+                let cuts = straddled_links(&coords, &before.out, q, row);
+                for i in 0..q {
+                    let old = before.out_neighbors(i);
+                    let mut got: Vec<usize> = old
+                        .iter()
+                        .copied()
+                        .filter(|&r| !cuts.contains(&(i.min(r), i.max(r))))
+                        .collect();
+                    if row.contains(&i) {
+                        got.push(q);
+                        let mut cand_ids = old.to_vec();
+                        cand_ids.push(q);
+                        let refs: Vec<&PeerInfo> =
+                            cand_ids.iter().map(|&j| &population[j]).collect();
+                        let want: Vec<usize> = EmptyRectSelection
+                            .select(&population[i], &refs)
+                            .into_iter()
+                            .map(|ci| cand_ids[ci])
+                            .collect();
+                        assert_eq!(got, want, "{q} joins: peer {i}");
+                    }
+                    assert_eq!(
+                        after.out_neighbors(i),
+                        &got[..],
+                        "{q} joins: peer {i} vs from scratch"
+                    );
+                }
             }
         }
     }

@@ -1204,25 +1204,39 @@ mod tests {
 
     #[test]
     fn a_departed_id_retains_no_reverse_list_on_any_engine() {
-        // A Leave takes the departed peer's selector list: the peer is
-        // never selected again, so the capacity goes too — on one tile
-        // and on several.
+        // A Leave takes the departed peer's lists: the peer is never
+        // selected again, so the capacity goes too — on one tile and on
+        // several. Under the empty-rectangle rule links are mutual and
+        // `out` is the one table, so the peer's selectors are its row;
+        // a directed Hyperplanes rule keeps a reverse table, and that
+        // list goes as well.
         for shards in [1usize, 4] {
-            let mut store = TopologyStore::from_peers_sharded(
-                peers(60, 2, 7),
+            let rules: [Arc<dyn NeighborSelection + Send + Sync>; 2] = [
                 Arc::new(EmptyRectSelection),
-                &ShardConfig::new(shards),
-            );
-            for v in [3usize, 17, 41] {
-                assert!(
-                    store.rev[v].capacity() > 0,
-                    "peer {v} is selected by someone"
+                Arc::new(HyperplanesSelection::orthogonal(2, 1, MetricKind::L1)),
+            ];
+            for (mutual, rule) in [true, false].into_iter().zip(rules) {
+                let mut store = TopologyStore::from_peers_sharded(
+                    peers(60, 2, 7),
+                    rule,
+                    &ShardConfig::new(shards),
                 );
-                store.remove(PeerId(v as u64));
-                assert_eq!(store.rev[v].capacity(), 0, "{shards} shards: rev[{v}]");
-                assert_eq!(store.out[v].capacity(), 0, "{shards} shards: out[{v}]");
+                let what = format!("{shards} shards, {}", store.selection().name());
+                assert_eq!(store.rev.is_empty(), mutual, "{what}: one table or two");
+                for v in [3usize, 17, 41] {
+                    let selectors = if mutual { &store.out } else { &store.rev };
+                    assert!(
+                        selectors[v].capacity() > 0,
+                        "{what}: peer {v} is selected by someone"
+                    );
+                    store.remove(PeerId(v as u64));
+                    assert_eq!(store.out[v].capacity(), 0, "{what}: out[{v}]");
+                    if !mutual {
+                        assert_eq!(store.rev[v].capacity(), 0, "{what}: rev[{v}]");
+                    }
+                }
+                assert_is_definition(&store, &format!("{what}, after the leaves"));
             }
-            assert_is_definition(&store, "after the leaves");
         }
     }
 

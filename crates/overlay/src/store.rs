@@ -2,7 +2,9 @@
 //! multicast consumer.
 //!
 //! [`TopologyStore`] owns the peer population, the current equilibrium
-//! adjacency (forward **and** reverse, both sorted), per-peer topology
+//! adjacency (sorted rows; a reverse table too for the directed
+//! Hyperplanes rules — empty-rectangle links are mutual, so there one
+//! table holds both directions), per-peer topology
 //! fingerprints, and the epoch-numbered [`DeltaLog`] of every membership
 //! change's dirty region. It computes on **one engine**, the tiled
 //! [`crate::shard::ShardedTopologyStore`]: one tile by default
@@ -35,18 +37,25 @@
 //!   rectangle is the same from both ends. The old neighbours are
 //!   pairwise non-blocking, so the only candidate that can newly sit
 //!   inside a rectangle is `q` itself:
-//!   new row = `{r ∈ selection(i) : q ∉ rect(i, r)} ∪ {q}` — `O(degree)`
-//!   strict-interior tests
-//!   ([`geocast_geom::dominance::rect_dominates`]). That test *is* the
-//!   rule's definition, coordinate collisions included (a point sharing
-//!   a coordinate with `i` is inside no open rectangle and has an empty
-//!   one of its own), so the update needs no fallback.
+//!   new row = `{r ∈ selection(i) : q ∉ rect(i, r)} ∪ {q}`, where
+//!   `q ∈ rect(i, r)` is the strict-interior test
+//!   ([`geocast_geom::dominance::rect_dominates`]) — the rule's
+//!   definition, coordinate collisions included (a point sharing a
+//!   coordinate with `i` is inside no open rectangle and has an empty
+//!   one of its own), so the update needs no fallback. Every evicted
+//!   `r` is in `q`'s row too (below), and `q` sits strictly inside
+//!   `rect(i, r)` iff `i` and `r` lie in complementary orthants around
+//!   `q` with no tie: the store codes each member of `q`'s row by its
+//!   orthant once per event and cuts the linked complementary pairs
+//!   (`crate::closed_form`'s `straddled_links`), with no rectangle
+//!   test at all.
 //! * **Leave of `x`.** A departure only changes the selection of peers
 //!   that had `x` selected: for empty-rectangle, if `x` was the *only*
 //!   point in some spanned rectangle of `i`, then `x`'s own rectangle
 //!   with `i` was empty — i.e. `x` ∈ selection(`i`); for Hyperplanes,
 //!   dropping a non-selected candidate leaves every top-`K` intact.
-//!   The reverse-adjacency table hands the affected set directly.
+//!   The reverse-adjacency table hands the affected set directly (under
+//!   the empty-rectangle rule that is `x`'s own row).
 //!   Hyperplanes selectors re-select through the tombstoned indexes.
 //!   Under the empty-rectangle rule nobody re-selects and no
 //!   selector's row is read: the departure is repaired by the departed
@@ -71,15 +80,20 @@
 //!   sharing a coordinate with `i` sat strictly inside no rectangle of
 //!   `i`'s, and `i` just loses it. So the new links are the pairs of
 //!   `row(x)` whose open rectangle holds `x` and no other member of
-//!   `row(x)` — `O(degree²)` strict-interior tests, the rule's
-//!   definition at every step: any dimensionality and any tiling take
-//!   the same path, with no index, no shard and no fallback. The rows
-//!   that change are exactly `row(x) ∪ {x}`, which is the delta. The
-//!   join's evictions are pairs inside the newcomer's row the same way:
-//!   an evicted `r` had `rect(i, r)` empty before `q` came to sit in
-//!   it, so `rect(q, r)`, a part of it, is empty, and `r ∈ row(q)`.
-//!   Debug builds re-select every row a leave edited through the fold
-//!   and compare.
+//!   `row(x)`. The pairs that hold `x` are those in complementary
+//!   orthants around it, read off one orthant code per member; a
+//!   blocker of such a pair `(i, w)` is never in `i`'s or `w`'s own
+//!   orthant, since it would sit strictly inside `rect(x, i)` or
+//!   `rect(x, w)`, which are empty, and only the other members (tied
+//!   ones always) take the strict-interior test — the rule's definition
+//!   at every step: any dimensionality and any tiling take the same
+//!   path, with no index, no shard and no fallback. The rows that
+//!   change are exactly `row(x) ∪ {x}`, which is the delta. The join's
+//!   evictions are pairs inside the newcomer's row the same way: an
+//!   evicted `r` had `rect(i, r)` empty before `q` came to sit in it,
+//!   so `rect(q, r)`, a part of it, is empty, and `r ∈ row(q)`. Debug
+//!   builds re-select every row a join or a leave edited through the
+//!   fold and compare.
 //!
 //! # The oracle
 //!
@@ -100,7 +114,7 @@ use std::sync::Arc;
 
 use geocast_geom::Point;
 
-use crate::closed_form::{join_dominance_update, topk_join_recheck, unblocked_pairs, CoordTable};
+use crate::closed_form::{straddled_links, topk_join_recheck, unblocked_pairs, CoordTable};
 use crate::delta::{DeltaKind, DeltaLog, TopologyDelta};
 use crate::graph::OverlayGraph;
 use crate::par;
@@ -158,6 +172,8 @@ pub struct TopologyStore {
     departed: Vec<bool>,
     live: usize,
     pub(crate) out: Vec<Vec<usize>>,
+    /// Who selects each peer. Empty under the empty-rectangle rule,
+    /// whose links are mutual: there `out` holds both directions.
     pub(crate) rev: Vec<Vec<usize>>,
     peer_hash: Vec<u64>,
     fingerprint: u64,
@@ -233,13 +249,16 @@ impl TopologyStore {
         // lint:allow(D002, reason = "feeds ShardBuildStats.finalize telemetry only; no control flow reads the clock")
         let t = std::time::Instant::now();
         let n = peers.len();
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, nbrs) in out.iter().enumerate() {
-            for &j in nbrs {
-                rev[j].push(i);
+        let mut rev = Vec::new();
+        if engine.profile() != ShardProfile::EmptyRect {
+            rev.resize(n, Vec::new());
+            for (i, nbrs) in out.iter().enumerate() {
+                for &j in nbrs {
+                    rev[j].push(i);
+                }
             }
+            // Fill order is ascending in `i`, so rev lists are born sorted.
         }
-        // Fill order is ascending in `i`, so rev lists are born sorted.
         let peer_hash: Vec<u64> = out
             .iter()
             .enumerate()
@@ -347,26 +366,42 @@ impl TopologyStore {
     }
 
     /// The peers currently selecting `i` (sorted; empties out when `i`
-    /// departs).
+    /// departs). Under the empty-rectangle rule links are mutual and
+    /// this is `i`'s own row.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    // lint:allow(D006, reason = "how store's tests and prop_store see the reverse adjacency insert / remove maintain, which repair and the group engine read through undirected_neighbors_into")
+    // lint:allow(D006, reason = "how store's tests see the reverse table the re-selecting rules keep, which repair and the group engine read through undirected_neighbors_into; under the empty-rectangle rule it is out itself")
     pub fn rev_neighbors(&self, i: usize) -> &[usize] {
-        &self.rev[i]
+        if self.mutual() {
+            &self.out[i]
+        } else {
+            &self.rev[i]
+        }
+    }
+
+    /// `true` under the empty-rectangle rule, whose links are mutual:
+    /// `out` is the store's one adjacency table and `rev` stays empty.
+    fn mutual(&self) -> bool {
+        self.engine.profile() == ShardProfile::EmptyRect
     }
 
     /// Merges `i`'s out- and reverse-neighbours into `buf` (sorted,
     /// deduplicated) — the undirected closure row, without materializing
-    /// a graph. `buf` is cleared first.
+    /// a graph; under the empty-rectangle rule a copy of `i`'s row.
+    /// `buf` is cleared first.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn undirected_neighbors_into(&self, i: usize, buf: &mut Vec<usize>) {
         buf.clear();
+        if self.mutual() {
+            buf.extend_from_slice(&self.out[i]);
+            return;
+        }
         let (a, b) = (&self.out[i], &self.rev[i]);
         let (mut x, mut y) = (0usize, 0usize);
         while x < a.len() || y < b.len() {
@@ -484,7 +519,9 @@ impl TopologyStore {
         self.departed.push(false);
         self.live += 1;
         self.out.push(Vec::new());
-        self.rev.push(Vec::new());
+        if !self.mutual() {
+            self.rev.push(Vec::new());
+        }
         self.peer_hash.push(topology_hash(id, &[]));
         self.fingerprint ^= self.peer_hash[id];
         let selection = self.selection.as_ref();
@@ -498,27 +535,24 @@ impl TopologyStore {
     }
 
     /// The empty-rectangle join as edge edits: the newcomer links with
-    /// every peer of its row `own`, and each of them drops the
-    /// neighbours the newcomer now blocks — pairs inside `own` again
-    /// (module docs), so the rows that change, and the dirty region
-    /// returned, are `own` and the newcomer's.
+    /// every peer of its row `own`, and the linked pairs of `own` whose
+    /// rectangle the newcomer now sits in are cut ([`straddled_links`];
+    /// every eviction is such a pair, module docs), so the rows that
+    /// change, and the dirty region returned, are `own` and the
+    /// newcomer's.
     fn join_links(&mut self, id: usize, own: Vec<usize>) -> Vec<usize> {
+        let cuts = straddled_links(&self.coords, &self.out, id, &own);
+        for &(i, r) in &cuts {
+            self.unlink(i, r);
+        }
+        self.links_cut += cuts.len() as u64;
         for &i in &own {
-            // Found from whichever end comes first; by the time the
-            // other end's turn comes the link is gone.
-            for r in join_dominance_update(&self.coords, &self.out[i], i, id) {
-                debug_assert!(own.binary_search(&r).is_ok(), "{r} evicted outside the row");
-                self.unlink(i, r);
-                self.links_cut += 1;
-            }
             self.link(i, id);
         }
         let mut dirty = own;
         // `id` is the largest index, so appending keeps the list sorted.
         dirty.push(id);
-        for &i in &dirty {
-            self.rehash(i);
-        }
+        self.check_and_rehash(&dirty, "join", id);
         dirty
     }
 
@@ -600,21 +634,30 @@ impl TopologyStore {
     /// The rows that change, and the dirty region returned, are that
     /// row and `v`'s own; no other row is read.
     fn leave_links(&mut self, v: usize) -> Vec<usize> {
-        // Taking the lists also releases their capacity: nobody selects
-        // a departed id again.
+        // Taking the row also releases its capacity: nobody selects a
+        // departed id again.
         let row = std::mem::take(&mut self.out[v]);
-        let selectors = std::mem::take(&mut self.rev[v]);
-        debug_assert_eq!(selectors, row, "empty-rectangle links are mutual");
         let pairs = unblocked_pairs(&self.coords, v, &row);
         for &i in &row {
-            // `v`'s own lists are gone already; that half finds nothing.
+            // `v`'s own row is gone already; that half finds nothing.
             self.unlink(i, v);
         }
         for &(i, w) in &pairs {
             self.link(i, w);
         }
         self.links_made += pairs.len() as u64;
-        for &i in &row {
+        self.check_and_rehash(&row, "leave", v);
+        self.rehash(v);
+        let mut dirty = row;
+        dirty.insert(dirty.partition_point(|&i| i < v), v);
+        dirty
+    }
+
+    /// Re-hashes each row an empty-rectangle `event` of `peer` edited;
+    /// debug builds first hold it against its re-selection through the
+    /// fold.
+    fn check_and_rehash(&mut self, rows: &[usize], event: &str, peer: usize) {
+        for &i in rows {
             debug_assert_eq!(
                 self.out[i],
                 self.engine.row_from_scratch(
@@ -623,14 +666,10 @@ impl TopologyStore {
                     self.selection.as_ref(),
                     i
                 ),
-                "leave of {v}: peer {i}'s edited row differs from its re-selection"
+                "{event} of {peer}: peer {i}'s edited row differs from its re-selection"
             );
             self.rehash(i);
         }
-        self.rehash(v);
-        let mut dirty = row;
-        dirty.insert(dirty.partition_point(|&i| i < v), v);
-        dirty
     }
 
     /// The leave of every other rule: the departed peer's selectors
@@ -653,22 +692,17 @@ impl TopologyStore {
         delta.into_iter().collect()
     }
 
-    /// Enters the mutual link `a – b` in both tables. Under the
-    /// empty-rectangle rule links are mutual, so `rev` mirrors `out`
-    /// and takes the same edits.
+    /// Enters the mutual link `a – b` in both rows of the one table the
+    /// empty-rectangle rule keeps.
     fn link(&mut self, a: usize, b: usize) {
-        for (i, j) in [(a, b), (b, a)] {
-            Self::row_insert(&mut self.out[i], j);
-            Self::row_insert(&mut self.rev[i], j);
-        }
+        Self::row_insert(&mut self.out[a], b);
+        Self::row_insert(&mut self.out[b], a);
     }
 
-    /// Removes the mutual link `a – b` from both tables.
+    /// Removes the mutual link `a – b` from both rows.
     fn unlink(&mut self, a: usize, b: usize) {
-        for (i, j) in [(a, b), (b, a)] {
-            Self::row_remove(&mut self.out[i], j);
-            Self::row_remove(&mut self.rev[i], j);
-        }
+        Self::row_remove(&mut self.out[a], b);
+        Self::row_remove(&mut self.out[b], a);
     }
 
     /// Brings `i`'s hash and the rolling fingerprint up to its row.
@@ -875,43 +909,62 @@ mod tests {
         }
     }
 
+    /// The mutual rule, whose one table answers both directions, and a
+    /// directed Hyperplanes rule, which keeps a real reverse table.
+    fn one_table_and_two() -> [Arc<dyn NeighborSelection + Send + Sync>; 2] {
+        [
+            Arc::new(EmptyRectSelection),
+            Arc::new(HyperplanesSelection::orthogonal(2, 1, MetricKind::L1)),
+        ]
+    }
+
     #[test]
     fn rev_neighbors_invert_out_neighbors() {
-        let pts = points(40, 2, 19);
-        let mut store = TopologyStore::new(Arc::new(EmptyRectSelection));
-        for p in &pts {
-            store.insert(p.clone());
-        }
-        store.remove(PeerId(5));
-        for i in 0..store.len() {
-            for &j in store.out_neighbors(i) {
-                assert!(
-                    store.rev_neighbors(j).contains(&i),
-                    "edge {i}->{j} missing from reverse table"
-                );
+        for (directed, rule) in [false, true].into_iter().zip(one_table_and_two()) {
+            let mut store = TopologyStore::new(rule.clone());
+            for p in points(40, 2, 19) {
+                store.insert(p);
             }
-            for &j in store.rev_neighbors(i) {
-                assert!(
-                    store.out_neighbors(j).contains(&i),
-                    "reverse entry {j}->{i} has no forward edge"
-                );
+            store.remove(PeerId(5));
+            assert_eq!(
+                (0..store.len()).any(|i| store.rev_neighbors(i) != store.out_neighbors(i)),
+                directed,
+                "{}: only a directed rule's reverse table differs from its rows",
+                rule.name()
+            );
+            for i in 0..store.len() {
+                for &j in store.out_neighbors(i) {
+                    assert!(
+                        store.rev_neighbors(j).contains(&i),
+                        "{}: edge {i}->{j} missing from reverse table",
+                        rule.name()
+                    );
+                }
+                for &j in store.rev_neighbors(i) {
+                    assert!(
+                        store.out_neighbors(j).contains(&i),
+                        "{}: reverse entry {j}->{i} has no forward edge",
+                        rule.name()
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn undirected_rows_match_graph_closure() {
-        let pts = points(35, 2, 23);
-        let mut store = TopologyStore::new(Arc::new(EmptyRectSelection));
-        for p in &pts {
-            store.insert(p.clone());
-        }
-        store.remove(PeerId(9));
-        let closure = store.graph().undirected_closure();
-        let mut row = Vec::new();
-        for i in 0..store.len() {
-            store.undirected_neighbors_into(i, &mut row);
-            assert_eq!(row, closure.out_neighbors(i), "row {i}");
+        for rule in one_table_and_two() {
+            let mut store = TopologyStore::new(rule.clone());
+            for p in points(35, 2, 23) {
+                store.insert(p);
+            }
+            store.remove(PeerId(9));
+            let closure = store.graph().undirected_closure();
+            let mut row = Vec::new();
+            for i in 0..store.len() {
+                store.undirected_neighbors_into(i, &mut row);
+                assert_eq!(row, closure.out_neighbors(i), "{}: row {i}", rule.name());
+            }
         }
     }
 
@@ -1120,6 +1173,41 @@ mod tests {
             store.sharding().churn_stats().folds,
             before.folds,
             "a leave folds nothing, ties or not"
+        );
+        assert_eq!(store.graph(), reference_graph(&store));
+        assert_eq!(store.fingerprint(), oracle::fingerprint(&store.graph()));
+    }
+
+    #[test]
+    fn a_join_tied_to_its_row_members_cuts_exactly() {
+        // The join half: each newcomer copies one coordinate of a live
+        // peer and the other coordinate of one of that peer's
+        // neighbours. Both tie it, so both are in its row with no
+        // orthant code, and no pair through them is cut. The join's own
+        // row folds once (the index declines next to a tie and the tile
+        // answers by brute selection); the rows it edits fold nothing.
+        // Debug builds re-select every edited row after each join.
+        let peers = PeerInfo::from_point_set(&uniform_points(2000, 2, 1000.0, 67));
+        let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+        let before = store.sharding().churn_stats();
+        for k in 0..20 {
+            let t = 100 * k + 7;
+            let u = store.out_neighbors(t)[k % store.out_neighbors(t).len()];
+            let tied = store.peers()[t]
+                .point()
+                .with_coord(1, store.peers()[u].point()[1]);
+            let q = store.insert(tied);
+            assert!(
+                [t, u]
+                    .iter()
+                    .all(|w| store.out_neighbors(q.index()).contains(w)),
+                "a tied peer is always a neighbour"
+            );
+        }
+        assert_eq!(
+            store.sharding().churn_stats().folds,
+            before.folds + 20,
+            "a join folds its own row only, ties or not"
         );
         assert_eq!(store.graph(), reference_graph(&store));
         assert_eq!(store.fingerprint(), oracle::fingerprint(&store.graph()));
