@@ -131,8 +131,9 @@ impl RowAround {
         let codes = row
             .iter()
             .map(|&r| {
-                near.extend_from_slice(coords.of(r));
-                orthant_code(at, coords.of(r))
+                let member = coords.of(r);
+                near.extend_from_slice(member);
+                orthant_code(at, member)
             })
             .collect();
         RowAround {
