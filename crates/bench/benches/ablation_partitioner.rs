@@ -1,6 +1,8 @@
 //! Ablation of the §2 child-pick rule (median vs closest vs farthest).
 //! Regenerates the comparison table, then times each rule's build.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geocast::figures::{ablation_partitioner, AblationConfig};
 use geocast::prelude::*;
@@ -14,8 +16,11 @@ fn regenerate_and_time(c: &mut Criterion) {
     };
     print_report(&ablation_partitioner(&cfg));
 
-    let peers = PeerInfo::from_point_set(&uniform_points(400, 2, 1000.0, 1));
-    let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
+    let store = TopologyStore::from_peers(
+        PeerInfo::from_point_set(&uniform_points(400, 2, 1000.0, 1)),
+        Arc::new(EmptyRectSelection),
+    );
+    let (peers, overlay) = (store.peers(), store.graph());
     let mut group = c.benchmark_group("ablation/build_by_rule");
     group.sample_size(20);
     for (name, partitioner) in [
@@ -23,8 +28,12 @@ fn regenerate_and_time(c: &mut Criterion) {
         ("closest", OrthantRectPartitioner::closest()),
         ("farthest", OrthantRectPartitioner::farthest()),
     ] {
+        // §2 under every pick rule: N − 1 messages, spanning, ≤ 2^D children.
+        let verdict =
+            validate::check_section2(&build_tree(peers, &overlay, 0, &partitioner), 400, 2);
+        assert!(verdict.all_hold(), "{name}: {verdict:?}");
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
-            b.iter(|| build_tree(std::hint::black_box(&peers), &overlay, 0, &partitioner));
+            b.iter(|| build_tree(std::hint::black_box(peers), &overlay, 0, &partitioner));
         });
     }
     group.finish();

@@ -1,6 +1,8 @@
 //! Baseline: construction message cost — the §2 algorithm's N−1 versus
 //! overlay flooding (the intro's "send many messages" claim).
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geocast::figures::{baseline_messages, BaselineConfig};
 use geocast::prelude::*;
@@ -14,8 +16,15 @@ fn regenerate_and_time(c: &mut Criterion) {
     };
     print_report(&baseline_messages(&cfg));
 
-    let peers = PeerInfo::from_point_set(&uniform_points(500, 2, 1000.0, 1));
-    let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
+    let store = TopologyStore::from_peers(
+        PeerInfo::from_point_set(&uniform_points(500, 2, 1000.0, 1)),
+        Arc::new(EmptyRectSelection),
+    );
+    let (peers, overlay) = (store.peers(), store.graph());
+    // §2 on the timed input: N − 1 messages, spanning, ≤ 2^D children.
+    let ours = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let verdict = validate::check_section2(&ours, 500, 2);
+    assert!(verdict.all_hold(), "{verdict:?}");
     let mut group = c.benchmark_group("baseline/construction");
     group.sample_size(20);
     group.bench_function(
@@ -23,7 +32,7 @@ fn regenerate_and_time(c: &mut Criterion) {
         |b| {
             b.iter(|| {
                 build_tree(
-                    std::hint::black_box(&peers),
+                    std::hint::black_box(peers),
                     &overlay,
                     0,
                     &OrthantRectPartitioner::median(),

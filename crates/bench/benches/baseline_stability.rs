@@ -1,6 +1,8 @@
 //! Baseline: departure sensitivity — §3 stability tree versus BFS and
 //! random-parent trees under the full departure schedule.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geocast::core::stability::{non_leaf_departures, preferred_links, PreferredPolicy};
 use geocast::figures::{baseline_stability, BaselineConfig};
@@ -17,14 +19,15 @@ fn regenerate_and_time(c: &mut Criterion) {
 
     let base = uniform_points(500, 2, 1000.0, 1);
     let times_vec = lifetimes(500, 1000.0, 2);
-    let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times_vec));
-    let overlay = oracle::equilibrium(
-        &peers,
-        &HyperplanesSelection::orthogonal(2, 2, MetricKind::L1),
+    let store = TopologyStore::from_peers(
+        PeerInfo::from_point_set(&embed_lifetimes(&base, &times_vec)),
+        Arc::new(HyperplanesSelection::orthogonal(2, 2, MetricKind::L1)),
     );
-    let tree = preferred_links(&peers, &overlay, PreferredPolicy::MaxT)
-        .to_multicast_tree()
-        .expect("tree");
+    let (peers, overlay) = (store.peers(), store.graph());
+    // §3: the preferred links form one tree with the heap property.
+    let forest = preferred_links(peers, &overlay, PreferredPolicy::MaxT);
+    assert!(forest.is_tree() && forest.heap_property_holds(peers));
+    let tree = forest.to_multicast_tree().expect("tree");
     let t: Vec<f64> = peers
         .iter()
         .map(geocast::prelude::PeerInfo::departure_time)
@@ -36,13 +39,7 @@ fn regenerate_and_time(c: &mut Criterion) {
         b.iter(|| non_leaf_departures(std::hint::black_box(&tree), std::hint::black_box(&t)));
     });
     group.bench_function(BenchmarkId::from_parameter("preferred_links_n500"), |b| {
-        b.iter(|| {
-            preferred_links(
-                std::hint::black_box(&peers),
-                &overlay,
-                PreferredPolicy::MaxT,
-            )
-        });
+        b.iter(|| preferred_links(std::hint::black_box(peers), &overlay, PreferredPolicy::MaxT));
     });
     group.finish();
 }

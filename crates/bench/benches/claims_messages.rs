@@ -22,12 +22,19 @@ fn regenerate_and_time(c: &mut Criterion) {
     let mut group = c.benchmark_group("claims/distributed_build");
     group.sample_size(10);
     for n in [100usize, 300] {
-        let peers = PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 1));
-        let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
+        let store = TopologyStore::from_peers(
+            PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 1)),
+            Arc::new(EmptyRectSelection),
+        );
+        let (peers, overlay) = (store.peers(), store.graph());
+        // §2 on the timed input: N − 1 messages, spanning, ≤ 2^D children.
+        let offline = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let verdict = validate::check_section2(&offline, n, 2);
+        assert!(verdict.all_hold(), "n={n}: {verdict:?}");
         group.bench_function(BenchmarkId::from_parameter(n), |b| {
             b.iter(|| {
                 let result = protocol::build_distributed_default(
-                    std::hint::black_box(&peers),
+                    std::hint::black_box(peers),
                     std::hint::black_box(&overlay),
                     0,
                     Arc::new(OrthantRectPartitioner::median()),

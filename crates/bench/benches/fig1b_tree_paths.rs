@@ -1,6 +1,8 @@
 //! Fig. 1(b): root-to-leaf path lengths of the §2 multicast tree vs D.
 //! Regenerates the panel, then times single tree constructions.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geocast::figures::{fig1b, Fig1Config};
 use geocast::prelude::*;
@@ -17,13 +19,20 @@ fn regenerate_and_time(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig1b/build_tree");
     group.sample_size(20);
     for (n, dim) in [(200usize, 2usize), (500, 2), (200, 5)] {
-        let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, 1));
-        let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
+        let store = TopologyStore::from_peers(
+            PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, 1)),
+            Arc::new(EmptyRectSelection),
+        );
+        let (peers, overlay) = (store.peers(), store.graph());
         let partitioner = OrthantRectPartitioner::median();
+        // §2 on the timed input: N − 1 messages, spanning, ≤ 2^D children.
+        let verdict =
+            validate::check_section2(&build_tree(peers, &overlay, 0, &partitioner), n, dim);
+        assert!(verdict.all_hold(), "n={n} D={dim}: {verdict:?}");
         group.bench_function(BenchmarkId::from_parameter(format!("n{n}_d{dim}")), |b| {
             b.iter(|| {
                 build_tree(
-                    std::hint::black_box(&peers),
+                    std::hint::black_box(peers),
                     std::hint::black_box(&overlay),
                     0,
                     &partitioner,

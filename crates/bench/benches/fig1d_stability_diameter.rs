@@ -22,6 +22,14 @@ fn regenerate_and_time(c: &mut Criterion) {
         let times = lifetimes(300, 1000.0, 2);
         let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
         let ks: Vec<usize> = vec![1, 5, 10, 25, 50];
+        // §3 at every K: the preferred links form one tree with the heap property.
+        oracle::orthogonal_k_sweep_with(&peers, MetricKind::L1, &ks, |k, graph| {
+            let forest = preferred_links(&peers, graph, PreferredPolicy::MaxT);
+            assert!(
+                forest.is_tree() && forest.heap_property_holds(&peers),
+                "D={dim} K={k}"
+            );
+        });
         group.bench_function(
             BenchmarkId::from_parameter(format!("n300_d{dim}_5ks")),
             |b| {

@@ -1,6 +1,8 @@
 //! Fig. 1(e): maximum multicast-tree degree vs K for D = 2..10.
 //! Regenerates the panel, then times preferred-link selection alone.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geocast::core::stability::{preferred_links, PreferredPolicy};
 use geocast::figures::{fig1e, StabilityConfig};
@@ -20,15 +22,21 @@ fn regenerate_and_time(c: &mut Criterion) {
     for k in [1usize, 10, 50] {
         let base = uniform_points(400, 3, 1000.0, 1);
         let times = lifetimes(400, 1000.0, 2);
-        let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
-        let overlay = oracle::equilibrium(
-            &peers,
-            &HyperplanesSelection::orthogonal(3, k, MetricKind::L1),
+        let store = TopologyStore::from_peers(
+            PeerInfo::from_point_set(&embed_lifetimes(&base, &times)),
+            Arc::new(HyperplanesSelection::orthogonal(3, k, MetricKind::L1)),
+        );
+        let (peers, overlay) = (store.peers(), store.graph());
+        // §3: the preferred links form one tree with the heap property.
+        let forest = preferred_links(peers, &overlay, PreferredPolicy::MaxT);
+        assert!(
+            forest.is_tree() && forest.heap_property_holds(peers),
+            "K={k}"
         );
         group.bench_function(BenchmarkId::from_parameter(format!("n400_d3_k{k}")), |b| {
             b.iter(|| {
                 preferred_links(
-                    std::hint::black_box(&peers),
+                    std::hint::black_box(peers),
                     std::hint::black_box(&overlay),
                     PreferredPolicy::MaxT,
                 )

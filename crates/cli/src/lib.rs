@@ -425,10 +425,11 @@ fn cmd_overlay(inv: &Invocation) -> Result<String, CliError> {
     let selection = selection_for(&method, dim, k)?;
 
     let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
-    let graph = oracle::equilibrium(&peers, selection.as_ref());
+    let store = TopologyStore::from_peers(peers, selection);
+    let graph = store.graph();
     let profile = analysis::profile(&graph, Some(64.min(n)), seed);
     let stretch = if n >= 2 {
-        analysis::geometric_stretch(&peers, &graph, MetricKind::L1, 200, seed)
+        analysis::geometric_stretch(store.peers(), &graph, MetricKind::L1, 200, seed)
     } else {
         0.0
     };
@@ -495,8 +496,8 @@ fn cmd_tree(inv: &Invocation) -> Result<String, CliError> {
     }
 
     let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
-    let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-    let result = build_tree(&peers, &overlay, root, &partitioner);
+    let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+    let result = build_tree(store.peers(), &store.graph(), root, &partitioner);
     let verdict = validate::check_section2(&result, n, dim);
 
     let mut out = String::new();
@@ -551,9 +552,12 @@ fn cmd_stability(inv: &Invocation) -> Result<String, CliError> {
 
     let base = uniform_points(n, dim, 1000.0, seed);
     let times = lifetimes(n, 1000.0, seed ^ 0x57_4a);
-    let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
-    let overlay = oracle::equilibrium(&peers, selection.as_ref());
-    let forest = preferred_links(&peers, &overlay, policy);
+    let store = TopologyStore::from_peers(
+        PeerInfo::from_point_set(&embed_lifetimes(&base, &times)),
+        selection,
+    );
+    let (peers, overlay) = (store.peers(), store.graph());
+    let forest = preferred_links(peers, &overlay, policy);
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -562,7 +566,7 @@ fn cmd_stability(inv: &Invocation) -> Result<String, CliError> {
     out.push_str(&format!("  links form a tree : {}\n", forest.is_tree()));
     out.push_str(&format!(
         "  heap property     : {}\n",
-        forest.heap_property_holds(&peers)
+        forest.heap_property_holds(peers)
     ));
     if let Some(tree) = forest.to_multicast_tree() {
         let t: Vec<f64> = peers
@@ -606,9 +610,14 @@ fn cmd_route(inv: &Invocation) -> Result<String, CliError> {
     }
 
     let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
-    let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-    let route =
-        geocast::overlay::routing::route_to_peer(&peers, &overlay, from, to, MetricKind::L1);
+    let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+    let route = geocast::overlay::routing::route_to_peer(
+        store.peers(),
+        &store.graph(),
+        from,
+        to,
+        MetricKind::L1,
+    );
 
     let mut out = String::new();
     out.push_str(&format!(

@@ -142,11 +142,12 @@ pub fn random_parent_tree(overlay: &OverlayGraph, root: usize, seed: u64) -> Mul
 mod tests {
     use super::*;
     use geocast_geom::gen::uniform_points;
-    use geocast_overlay::{oracle, select::EmptyRectSelection, PeerInfo};
+    use geocast_overlay::{select::EmptyRectSelection, PeerInfo, TopologyStore};
+    use std::sync::Arc;
 
     fn overlay(n: usize, seed: u64) -> OverlayGraph {
         let peers = PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, seed));
-        oracle::equilibrium(&peers, &EmptyRectSelection)
+        TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection)).graph()
     }
 
     #[test]

@@ -487,19 +487,20 @@ mod tests {
     use super::*;
     use crate::partition::OrthantRectPartitioner;
     use geocast_geom::gen::uniform_points;
-    use geocast_overlay::{oracle, select::EmptyRectSelection};
+    use geocast_overlay::{select::EmptyRectSelection, TopologyStore};
+    use std::sync::Arc;
 
-    fn setup(n: usize, dim: usize, seed: u64) -> (Vec<PeerInfo>, OverlayGraph) {
+    fn setup(n: usize, dim: usize, seed: u64) -> TopologyStore {
         let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
-        let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-        (peers, overlay)
+        TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection))
     }
 
     #[test]
     fn spanning_build_sends_exactly_n_minus_one_messages() {
         for (n, dim, seed) in [(50usize, 2usize, 1u64), (80, 3, 2), (30, 4, 3)] {
-            let (peers, overlay) = setup(n, dim, seed);
-            let result = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+            let store = setup(n, dim, seed);
+            let (peers, overlay) = (store.peers(), store.graph());
+            let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
             assert!(result.tree.is_spanning(), "n={n} dim={dim}");
             assert_eq!(
                 result.messages,
@@ -513,9 +514,10 @@ mod tests {
 
     #[test]
     fn every_root_yields_a_spanning_tree() {
-        let (peers, overlay) = setup(40, 2, 7);
+        let store = setup(40, 2, 7);
+        let (peers, overlay) = (store.peers(), store.graph());
         for root in 0..peers.len() {
-            let result = build_tree(&peers, &overlay, root, &OrthantRectPartitioner::median());
+            let result = build_tree(peers, &overlay, root, &OrthantRectPartitioner::median());
             assert!(result.tree.is_spanning(), "root {root}");
             assert_eq!(result.tree.root(), root);
             assert_eq!(result.messages, peers.len() - 1);
@@ -525,8 +527,9 @@ mod tests {
     #[test]
     fn children_respect_the_orthant_bound() {
         for dim in 2..=4usize {
-            let (peers, overlay) = setup(60, dim, dim as u64);
-            let result = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+            let store = setup(60, dim, dim as u64);
+            let (peers, overlay) = (store.peers(), store.graph());
+            let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
             assert!(
                 result.tree.max_children() <= 1 << dim,
                 "tree degree exceeded 2^D for D={dim}"
@@ -536,20 +539,22 @@ mod tests {
 
     #[test]
     fn build_is_deterministic() {
-        let (peers, overlay) = setup(50, 2, 9);
-        let a = build_tree(&peers, &overlay, 3, &OrthantRectPartitioner::median());
-        let b = build_tree(&peers, &overlay, 3, &OrthantRectPartitioner::median());
+        let store = setup(50, 2, 9);
+        let (peers, overlay) = (store.peers(), store.graph());
+        let a = build_tree(peers, &overlay, 3, &OrthantRectPartitioner::median());
+        let b = build_tree(peers, &overlay, 3, &OrthantRectPartitioner::median());
         assert_eq!(a, b);
     }
 
     #[test]
     fn ablation_rules_also_span_at_equilibrium() {
-        let (peers, overlay) = setup(60, 2, 11);
+        let store = setup(60, 2, 11);
+        let (peers, overlay) = (store.peers(), store.graph());
         for partitioner in [
             OrthantRectPartitioner::closest(),
             OrthantRectPartitioner::farthest(),
         ] {
-            let result = build_tree(&peers, &overlay, 0, &partitioner);
+            let result = build_tree(peers, &overlay, 0, &partitioner);
             assert!(result.tree.is_spanning(), "{}", partitioner.name());
             assert_eq!(result.messages, peers.len() - 1);
         }
@@ -557,16 +562,18 @@ mod tests {
 
     #[test]
     fn singleton_network_builds_trivial_tree() {
-        let (peers, overlay) = setup(1, 2, 13);
-        let result = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let store = setup(1, 2, 13);
+        let (peers, overlay) = (store.peers(), store.graph());
+        let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
         assert!(result.tree.is_spanning());
         assert_eq!(result.messages, 0);
     }
 
     #[test]
     fn two_peers_one_message() {
-        let (peers, overlay) = setup(2, 3, 17);
-        let result = build_tree(&peers, &overlay, 1, &OrthantRectPartitioner::median());
+        let store = setup(2, 3, 17);
+        let (peers, overlay) = (store.peers(), store.graph());
+        let result = build_tree(peers, &overlay, 1, &OrthantRectPartitioner::median());
         assert!(result.tree.is_spanning());
         assert_eq!(result.messages, 1);
         assert_eq!(result.tree.parent(0), Some(1));

@@ -37,13 +37,15 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
 //! use geocast_core::{build_tree, OrthantRectPartitioner};
-//! use geocast_overlay::{oracle, select::EmptyRectSelection, PeerInfo};
+//! use geocast_overlay::{select::EmptyRectSelection, PeerInfo, TopologyStore};
 //! use geocast_geom::gen::uniform_points;
 //!
 //! let peers = PeerInfo::from_point_set(&uniform_points(100, 2, 1000.0, 7));
-//! let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-//! let result = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+//! let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+//! let (peers, overlay) = (store.peers(), store.graph());
+//! let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
 //!
 //! assert!(result.tree.is_spanning());            // every peer reached
 //! assert_eq!(result.messages, peers.len() - 1);  // the paper's N−1 claim

@@ -259,19 +259,19 @@ mod tests {
     use crate::builder::build_tree;
     use crate::partition::OrthantRectPartitioner;
     use geocast_geom::gen::uniform_points;
-    use geocast_overlay::{oracle, select::EmptyRectSelection};
+    use geocast_overlay::{select::EmptyRectSelection, TopologyStore};
 
-    fn setup(n: usize, dim: usize, seed: u64) -> (Vec<PeerInfo>, OverlayGraph) {
+    fn setup(n: usize, dim: usize, seed: u64) -> TopologyStore {
         let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
-        let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-        (peers, overlay)
+        TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection))
     }
 
     #[test]
     fn distributed_build_spans_with_n_minus_one_messages() {
-        let (peers, overlay) = setup(60, 2, 3);
+        let store = setup(60, 2, 3);
+        let (peers, overlay) = (store.peers(), store.graph());
         let result = build_distributed_default(
-            &peers,
+            peers,
             &overlay,
             0,
             Arc::new(OrthantRectPartitioner::median()),
@@ -286,10 +286,11 @@ mod tests {
     #[test]
     fn distributed_tree_equals_offline_tree() {
         for seed in [1u64, 5, 9] {
-            let (peers, overlay) = setup(45, 3, seed);
-            let offline = build_tree(&peers, &overlay, 2, &OrthantRectPartitioner::median());
+            let store = setup(45, 3, seed);
+            let (peers, overlay) = (store.peers(), store.graph());
+            let offline = build_tree(peers, &overlay, 2, &OrthantRectPartitioner::median());
             let dist = build_distributed_default(
-                &peers,
+                peers,
                 &overlay,
                 2,
                 Arc::new(OrthantRectPartitioner::median()),
@@ -305,10 +306,11 @@ mod tests {
         // Different seeds shuffle delivery order via the uniform latency;
         // the constructed tree must be identical because zones make the
         // construction conflict-free.
-        let (peers, overlay) = setup(50, 2, 21);
+        let store = setup(50, 2, 21);
+        let (peers, overlay) = (store.peers(), store.graph());
         let build = |seed: u64| {
             build_distributed_default(
-                &peers,
+                peers,
                 &overlay,
                 0,
                 Arc::new(OrthantRectPartitioner::median()),
@@ -324,9 +326,10 @@ mod tests {
 
     #[test]
     fn message_loss_yields_partial_tree_not_panic() {
-        let (peers, overlay) = setup(80, 2, 33);
+        let store = setup(80, 2, 33);
+        let (peers, overlay) = (store.peers(), store.graph());
         let result = build_distributed(
-            &peers,
+            peers,
             &overlay,
             0,
             Arc::new(OrthantRectPartitioner::median()),
@@ -348,10 +351,11 @@ mod tests {
 
     #[test]
     fn duplicate_free_across_many_roots() {
-        let (peers, overlay) = setup(30, 2, 55);
+        let store = setup(30, 2, 55);
+        let (peers, overlay) = (store.peers(), store.graph());
         for root in 0..peers.len() {
             let result = build_distributed_default(
-                &peers,
+                peers,
                 &overlay,
                 root,
                 Arc::new(OrthantRectPartitioner::median()),

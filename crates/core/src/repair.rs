@@ -90,7 +90,8 @@ pub struct RepairResult {
 /// `overlay` must be the **re-converged** topology of the surviving
 /// peers (the departed peer contributing no edges — exactly what
 /// [`geocast_overlay::OverlayNetwork::topology`] reports after the
-/// departure, or an oracle equilibrium over the survivors). `build` is
+/// departure, or a [`geocast_overlay::TopologyStore`] after removing
+/// it). `build` is
 /// the construction result holding the tree and zones to repair; it is
 /// not modified.
 ///
@@ -100,32 +101,23 @@ pub struct RepairResult {
 /// # Example
 ///
 /// ```
+/// use std::sync::Arc;
 /// use geocast_core::repair::repair_after_departure;
 /// use geocast_core::{build_tree, OrthantRectPartitioner};
 /// use geocast_geom::gen::uniform_points;
-/// use geocast_overlay::{oracle, select::EmptyRectSelection, OverlayGraph, PeerId, PeerInfo};
+/// use geocast_overlay::{select::EmptyRectSelection, PeerId, PeerInfo, TopologyStore};
 ///
 /// let peers = PeerInfo::from_point_set(&uniform_points(40, 2, 1000.0, 5));
-/// let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-/// let build = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+/// let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+/// let median = OrthantRectPartitioner::median();
+/// let build = build_tree(store.peers(), &store.graph(), 0, &median);
 /// let victim = (1..40).find(|&i| !build.tree.children(i).is_empty()).unwrap();
 ///
-/// // Survivor equilibrium over the original dense indices.
-/// let live: Vec<usize> = (0..40).filter(|&i| i != victim).collect();
-/// let survivors: Vec<PeerInfo> = live.iter().enumerate()
-///     .map(|(d, &o)| PeerInfo::new(PeerId(d as u64), peers[o].point().clone()))
-///     .collect();
-/// let dense = oracle::equilibrium(&survivors, &EmptyRectSelection);
-/// let mut out = vec![Vec::new(); 40];
-/// for (di, &oi) in live.iter().enumerate() {
-///     out[oi] = dense.out_neighbors(di).iter().map(|&dj| live[dj]).collect();
-/// }
-/// let live_overlay = OverlayGraph::from_out_neighbors(out);
-///
-/// let repaired = repair_after_departure(
-///     &peers, &live_overlay, &build, victim, &OrthantRectPartitioner::median(),
-/// ).unwrap();
-/// assert!(live.iter().all(|&i| repaired.tree.is_reached(i)));
+/// // The survivors' equilibrium over the original ids.
+/// store.remove(PeerId(victim as u64));
+/// let repaired =
+///     repair_after_departure(store.peers(), &store.graph(), &build, victim, &median).unwrap();
+/// assert!((0..40).filter(|&i| i != victim).all(|i| repaired.tree.is_reached(i)));
 /// ```
 ///
 /// # Errors
@@ -212,59 +204,58 @@ fn merge_repair(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::builder::build_tree;
     use crate::partition::OrthantRectPartitioner;
     use geocast_geom::gen::uniform_points;
-    use geocast_overlay::oracle;
     use geocast_overlay::select::EmptyRectSelection;
+    use geocast_overlay::{PeerId, TopologyStore};
 
-    /// The oracle equilibrium of the survivors, expressed over the
-    /// original dense indices (departed vertex edge-less).
-    fn survivor_overlay(peers: &[PeerInfo], departed: usize) -> OverlayGraph {
-        let live: Vec<usize> = (0..peers.len()).filter(|&i| i != departed).collect();
-        let live_peers: Vec<PeerInfo> = live
-            .iter()
-            .enumerate()
-            .map(|(dense, &orig)| {
-                PeerInfo::new(
-                    geocast_overlay::PeerId(dense as u64),
-                    peers[orig].point().clone(),
-                )
-            })
-            .collect();
-        let dense = oracle::equilibrium(&live_peers, &EmptyRectSelection);
-        let mut out = vec![Vec::new(); peers.len()];
-        for (di, &oi) in live.iter().enumerate() {
-            out[oi] = dense.out_neighbors(di).iter().map(|&dj| live[dj]).collect();
-        }
-        OverlayGraph::from_out_neighbors(out)
+    fn setup(n: usize, dim: usize, seed: u64) -> TopologyStore {
+        let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
+        TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection))
     }
 
-    fn setup(n: usize, dim: usize, seed: u64) -> (Vec<PeerInfo>, OverlayGraph) {
-        let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
-        let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-        (peers, overlay)
+    /// The §2 tree over `store`'s overlay, rooted at `root`.
+    fn build_over(store: &TopologyStore, root: usize) -> BuildResult {
+        build_tree(
+            store.peers(),
+            &store.graph(),
+            root,
+            &OrthantRectPartitioner::median(),
+        )
+    }
+
+    /// Removes `departed` from `store` and repairs `build` over the
+    /// survivors' equilibrium (departed vertex edge-less).
+    fn depart_and_repair(
+        store: &mut TopologyStore,
+        build: &BuildResult,
+        departed: usize,
+    ) -> Result<RepairResult, RepairError> {
+        store.remove(PeerId(departed as u64));
+        repair_after_departure(
+            store.peers(),
+            &store.graph(),
+            build,
+            departed,
+            &OrthantRectPartitioner::median(),
+        )
     }
 
     #[test]
     fn repair_readopts_exactly_the_orphaned_zone() {
-        let (peers, overlay) = setup(80, 2, 3);
-        let build = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let mut store = setup(80, 2, 3);
+        let build = build_over(&store, 0);
         // Departed: some internal node.
-        let departed = (1..peers.len())
+        let departed = (1..store.len())
             .find(|&i| !build.tree.children(i).is_empty())
             .expect("internal node exists");
         let zone = build.zones.get(departed).cloned().unwrap();
-        let live_overlay = survivor_overlay(&peers, departed);
-        let repaired = repair_after_departure(
-            &peers,
-            &live_overlay,
-            &build,
-            departed,
-            &OrthantRectPartitioner::median(),
-        )
-        .expect("repair succeeds");
+        let repaired = depart_and_repair(&mut store, &build, departed).expect("repair succeeds");
+        let peers = store.peers();
 
         // Every live peer is spanned; the departed one is not.
         assert!(!repaired.tree.is_reached(departed));
@@ -284,8 +275,9 @@ mod tests {
 
     #[test]
     fn repair_of_leaf_costs_nothing() {
-        let (peers, overlay) = setup(50, 3, 5);
-        let build = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let mut store = setup(50, 3, 5);
+        let build = build_over(&store, 0);
+        let peers = store.peers();
         let leaf = (1..peers.len())
             .find(|&i| {
                 build.tree.children(i).is_empty()
@@ -297,15 +289,7 @@ mod tests {
                     })
             })
             .expect("an exclusive leaf exists");
-        let live_overlay = survivor_overlay(&peers, leaf);
-        let repaired = repair_after_departure(
-            &peers,
-            &live_overlay,
-            &build,
-            leaf,
-            &OrthantRectPartitioner::median(),
-        )
-        .unwrap();
+        let repaired = depart_and_repair(&mut store, &build, leaf).unwrap();
         assert_eq!(repaired.repair_messages, 0);
         assert!(repaired.readopted.is_empty());
         assert!(!repaired.tree.is_reached(leaf));
@@ -314,21 +298,14 @@ mod tests {
     #[test]
     #[allow(clippy::needless_range_loop)] // index is a peer id across several tables
     fn repair_preserves_untouched_branches() {
-        let (peers, overlay) = setup(70, 2, 9);
-        let build = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
-        let departed = (1..peers.len())
+        let mut store = setup(70, 2, 9);
+        let build = build_over(&store, 0);
+        let departed = (1..store.len())
             .find(|&i| !build.tree.children(i).is_empty())
             .unwrap();
         let zone = build.zones.get(departed).cloned().unwrap();
-        let live_overlay = survivor_overlay(&peers, departed);
-        let repaired = repair_after_departure(
-            &peers,
-            &live_overlay,
-            &build,
-            departed,
-            &OrthantRectPartitioner::median(),
-        )
-        .unwrap();
+        let repaired = depart_and_repair(&mut store, &build, departed).unwrap();
+        let peers = store.peers();
         for i in 0..peers.len() {
             if i != departed && !zone.contains(peers[i].point()) {
                 assert_eq!(
@@ -341,16 +318,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // index is a peer id across several tables
     fn surviving_tree_edges_remain_overlay_edges_after_reconvergence() {
         // The monotonicity fact: removing a peer never invalidates an
         // empty-rectangle link between survivors.
-        let (peers, overlay) = setup(60, 2, 11);
-        let build = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let mut store = setup(60, 2, 11);
+        let build = build_over(&store, 0);
         let departed = 17usize;
-        let live_overlay = survivor_overlay(&peers, departed);
-        let adj = live_overlay.undirected_closure();
-        for i in 0..peers.len() {
+        store.remove(PeerId(departed as u64));
+        let adj = store.graph().undirected_closure();
+        for i in 0..store.len() {
             if i == departed {
                 continue;
             }
@@ -367,11 +343,11 @@ mod tests {
 
     #[test]
     fn root_departure_is_rejected() {
-        let (peers, overlay) = setup(20, 2, 13);
-        let build = build_tree(&peers, &overlay, 4, &OrthantRectPartitioner::median());
+        let store = setup(20, 2, 13);
+        let build = build_over(&store, 4);
         let err = repair_after_departure(
-            &peers,
-            &overlay,
+            store.peers(),
+            &store.graph(),
             &build,
             4,
             &OrthantRectPartitioner::median(),
@@ -401,39 +377,15 @@ mod tests {
     fn sequential_departures_repair_cleanly() {
         // Peers leave one at a time; after each repair the tree spans the
         // survivors.
-        let (peers, _) = setup(50, 2, 19);
-        let mut departed = vec![false; peers.len()];
-        let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-        let mut build = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let mut store = setup(50, 2, 19);
+        let mut build = build_over(&store, 0);
         for victim in [7usize, 23, 41] {
             if build.tree.parent(victim).is_none() {
                 continue; // skip the root
             }
-            departed[victim] = true;
-            // Oracle over the cumulative survivors.
-            let live: Vec<usize> = (0..peers.len()).filter(|&i| !departed[i]).collect();
-            let live_peers: Vec<PeerInfo> = live
-                .iter()
-                .enumerate()
-                .map(|(d, &o)| {
-                    PeerInfo::new(geocast_overlay::PeerId(d as u64), peers[o].point().clone())
-                })
-                .collect();
-            let dense = oracle::equilibrium(&live_peers, &EmptyRectSelection);
-            let mut out = vec![Vec::new(); peers.len()];
-            for (di, &oi) in live.iter().enumerate() {
-                out[oi] = dense.out_neighbors(di).iter().map(|&dj| live[dj]).collect();
-            }
-            let live_overlay = OverlayGraph::from_out_neighbors(out);
-            let repaired = repair_after_departure(
-                &peers,
-                &live_overlay,
-                &build,
-                victim,
-                &OrthantRectPartitioner::median(),
-            )
-            .expect("repair succeeds");
-            for &i in &live {
+            // The store's overlay over the cumulative survivors.
+            let repaired = depart_and_repair(&mut store, &build, victim).expect("repair succeeds");
+            for i in (0..store.len()).filter(|&i| !store.is_departed(PeerId(i as u64))) {
                 assert!(repaired.tree.is_reached(i), "live {i} lost after {victim}");
             }
             build = BuildResult {

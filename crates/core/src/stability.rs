@@ -302,27 +302,28 @@ pub fn non_leaf_departures(tree: &MulticastTree, times: &[f64]) -> usize {
 mod tests {
     use super::*;
     use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
-    use geocast_overlay::{oracle, select::HyperplanesSelection};
+    use geocast_overlay::select::HyperplanesSelection;
+    use std::sync::Arc;
 
     /// The §3 experimental setup: uniform coordinates, random distinct
     /// lifetimes embedded as x1, Orthogonal Hyperplanes overlay.
-    fn setup(n: usize, dim: usize, k: usize, seed: u64) -> (Vec<PeerInfo>, OverlayGraph) {
+    fn setup(n: usize, dim: usize, k: usize, seed: u64) -> TopologyStore {
         let base = uniform_points(n, dim, 1000.0, seed);
         let times = lifetimes(n, 1000.0, seed ^ 0xabcdef);
         let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
         let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
-        let overlay = oracle::equilibrium(&peers, &sel);
-        (peers, overlay)
+        TopologyStore::from_peers(peers, Arc::new(sel))
     }
 
     #[test]
     fn preferred_links_form_a_tree_with_heap_property() {
         for (dim, k) in [(2usize, 1usize), (3, 2), (5, 1), (2, 5)] {
-            let (peers, overlay) = setup(80, dim, k, dim as u64 * 31 + k as u64);
-            let forest = preferred_links(&peers, &overlay, PreferredPolicy::MaxT);
+            let store = setup(80, dim, k, dim as u64 * 31 + k as u64);
+            let (peers, overlay) = (store.peers(), store.graph());
+            let forest = preferred_links(peers, &overlay, PreferredPolicy::MaxT);
             assert!(forest.is_tree(), "D={dim} K={k}: not a tree");
             assert!(
-                forest.heap_property_holds(&peers),
+                forest.heap_property_holds(peers),
                 "D={dim} K={k}: heap violated"
             );
             let tree = forest.to_multicast_tree().expect("single tree");
@@ -333,8 +334,9 @@ mod tests {
 
     #[test]
     fn the_root_is_the_longest_lived_peer() {
-        let (peers, overlay) = setup(60, 2, 2, 7);
-        let forest = preferred_links(&peers, &overlay, PreferredPolicy::MaxT);
+        let store = setup(60, 2, 2, 7);
+        let (peers, overlay) = (store.peers(), store.graph());
+        let forest = preferred_links(peers, &overlay, PreferredPolicy::MaxT);
         let tree = forest.to_multicast_tree().unwrap();
         let max_t = (0..peers.len())
             .max_by(|&a, &b| {
@@ -353,8 +355,9 @@ mod tests {
             PreferredPolicy::MinHigherT,
             PreferredPolicy::ClosestHigherT(MetricKind::L1),
         ] {
-            let (peers, overlay) = setup(100, 3, 1, 13);
-            let forest = preferred_links(&peers, &overlay, policy);
+            let store = setup(100, 3, 1, 13);
+            let (peers, overlay) = (store.peers(), store.graph());
+            let forest = preferred_links(peers, &overlay, policy);
             assert!(forest.is_tree(), "{policy}");
             let tree = forest.to_multicast_tree().unwrap();
             let times: Vec<f64> = peers.iter().map(PeerInfo::departure_time).collect();
@@ -364,13 +367,14 @@ mod tests {
 
     #[test]
     fn alternative_policies_also_satisfy_heap_property() {
-        let (peers, overlay) = setup(70, 2, 3, 17);
+        let store = setup(70, 2, 3, 17);
+        let (peers, overlay) = (store.peers(), store.graph());
         for policy in [
             PreferredPolicy::MinHigherT,
             PreferredPolicy::ClosestHigherT(MetricKind::L2),
         ] {
-            let forest = preferred_links(&peers, &overlay, policy);
-            assert!(forest.heap_property_holds(&peers), "{policy}");
+            let forest = preferred_links(peers, &overlay, policy);
+            assert!(forest.heap_property_holds(peers), "{policy}");
         }
     }
 
@@ -380,11 +384,12 @@ mod tests {
         // straight to the maximum produces shallow stars. Not a theorem,
         // but robust on uniform workloads — treat as a smoke test of the
         // policies actually differing.
-        let (peers, overlay) = setup(150, 2, 10, 23);
-        let max_t = preferred_links(&peers, &overlay, PreferredPolicy::MaxT)
+        let store = setup(150, 2, 10, 23);
+        let (peers, overlay) = (store.peers(), store.graph());
+        let max_t = preferred_links(peers, &overlay, PreferredPolicy::MaxT)
             .to_multicast_tree()
             .unwrap();
-        let min_t = preferred_links(&peers, &overlay, PreferredPolicy::MinHigherT)
+        let min_t = preferred_links(peers, &overlay, PreferredPolicy::MinHigherT)
             .to_multicast_tree()
             .unwrap();
         assert!(

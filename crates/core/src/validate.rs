@@ -101,14 +101,16 @@ mod tests {
     use crate::partition::OrthantRectPartitioner;
     use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
     use geocast_geom::MetricKind;
-    use geocast_overlay::oracle;
     use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection};
+    use geocast_overlay::TopologyStore;
+    use std::sync::Arc;
 
     #[test]
     fn section2_claims_hold_at_equilibrium() {
         let peers = PeerInfo::from_point_set(&uniform_points(80, 3, 1000.0, 2));
-        let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-        let result = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+        let (peers, overlay) = (store.peers(), store.graph());
+        let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
         let verdict = check_section2(&result, peers.len(), 3);
         assert!(verdict.all_hold(), "{verdict:?}");
     }
@@ -133,11 +135,9 @@ mod tests {
         let base = uniform_points(90, 4, 1000.0, 5);
         let times = lifetimes(90, 1000.0, 6);
         let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
-        let overlay = oracle::equilibrium(
-            &peers,
-            &HyperplanesSelection::orthogonal(4, 2, MetricKind::L1),
-        );
-        let verdict = check_section3(&peers, &overlay, PreferredPolicy::MaxT);
+        let sel = HyperplanesSelection::orthogonal(4, 2, MetricKind::L1);
+        let store = TopologyStore::from_peers(peers, Arc::new(sel));
+        let verdict = check_section3(store.peers(), &store.graph(), PreferredPolicy::MaxT);
         assert!(verdict.all_hold(), "{verdict:?}");
     }
 

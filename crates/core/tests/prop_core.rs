@@ -3,6 +3,8 @@
 
 #![allow(clippy::needless_range_loop)] // indices are peer ids across several tables
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use geocast_core::stability::{non_leaf_departures, preferred_links, PreferredPolicy};
@@ -10,10 +12,12 @@ use geocast_core::{baseline, build_tree, OrthantRectPartitioner, PickRule, ZoneP
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
 use geocast_geom::{MetricKind, Rect};
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection};
-use geocast_overlay::{oracle, PeerInfo};
+use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
 
-fn peers(n: usize, dim: usize, seed: u64) -> Vec<PeerInfo> {
-    PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed))
+/// The store's bulk build over `n` uniform peers under the §2 rule.
+fn empty_rect_store(n: usize, dim: usize, seed: u64) -> TopologyStore {
+    let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
+    TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection))
 }
 
 proptest! {
@@ -34,11 +38,11 @@ proptest! {
             Just(PickRule::Farthest),
         ],
     ) {
-        let population = peers(n, dim, seed);
-        let overlay = oracle::equilibrium(&population, &EmptyRectSelection);
+        let store = empty_rect_store(n, dim, seed);
+        let (population, overlay) = (store.peers(), store.graph());
         let root = root_pick % n;
         let partitioner = OrthantRectPartitioner::new(pick, MetricKind::L1);
-        let result = build_tree(&population, &overlay, root, &partitioner);
+        let result = build_tree(population, &overlay, root, &partitioner);
         prop_assert!(result.tree.is_spanning());
         prop_assert_eq!(result.messages, n - 1);
         prop_assert!(result.tree.max_children() <= 1 << dim);
@@ -56,7 +60,7 @@ proptest! {
         (lo0, hi0) in (0.0f64..500.0, 500.0f64..1000.0),
         (lo1, hi1) in (0.0f64..500.0, 500.0f64..1000.0),
     ) {
-        let population = peers(n + 1, 2, seed);
+        let population = PeerInfo::from_point_set(&uniform_points(n + 1, 2, 1000.0, seed));
         let p = &population[0];
         let zone = Rect::new(vec![
             geocast_geom::Interval::new(lo0, hi0),
@@ -99,13 +103,12 @@ proptest! {
         let base = uniform_points(n, dim, 1000.0, seed);
         let times = lifetimes(n, 1000.0, seed ^ 0xf00d);
         let population = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
-        let overlay = oracle::equilibrium(
-            &population,
-            &HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
-        );
-        let forest = preferred_links(&population, &overlay, policy);
+        let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
+        let store = TopologyStore::from_peers(population, Arc::new(sel));
+        let (population, overlay) = (store.peers(), store.graph());
+        let forest = preferred_links(population, &overlay, policy);
         prop_assert!(forest.is_tree());
-        prop_assert!(forest.heap_property_holds(&population));
+        prop_assert!(forest.heap_property_holds(population));
         let tree = forest.to_multicast_tree().unwrap();
         let t: Vec<f64> = population.iter().map(geocast_overlay::PeerInfo::departure_time).collect();
         prop_assert_eq!(non_leaf_departures(&tree, &t), 0);
@@ -119,9 +122,9 @@ proptest! {
         dim in 1usize..4,
         seed in 0u64..10_000,
     ) {
-        let population = peers(n, dim, seed);
-        let overlay = oracle::equilibrium(&population, &EmptyRectSelection);
-        let tree = build_tree(&population, &overlay, 0, &OrthantRectPartitioner::median()).tree;
+        let store = empty_rect_store(n, dim, seed);
+        let (population, overlay) = (store.peers(), store.graph());
+        let tree = build_tree(population, &overlay, 0, &OrthantRectPartitioner::median()).tree;
         let degree_sum: usize = tree.degrees().iter().sum();
         prop_assert_eq!(degree_sum, 2 * (n - 1));
         prop_assert!(tree.diameter() <= 2 * tree.longest_root_to_leaf());
@@ -135,8 +138,7 @@ proptest! {
         n in 1usize..60,
         seed in 0u64..10_000,
     ) {
-        let population = peers(n, 2, seed);
-        let overlay = oracle::equilibrium(&population, &EmptyRectSelection);
+        let overlay = empty_rect_store(n, 2, seed).graph();
         let result = baseline::flood(&overlay, 0);
         prop_assert!(result.tree.is_spanning());
         prop_assert_eq!(result.duplicates, result.messages - (n - 1));
@@ -155,8 +157,7 @@ proptest! {
         seed in 0u64..10_000,
         tree_seed in 0u64..100,
     ) {
-        let population = peers(n, 2, seed);
-        let overlay = oracle::equilibrium(&population, &EmptyRectSelection);
+        let overlay = empty_rect_store(n, 2, seed).graph();
         let tree = baseline::random_parent_tree(&overlay, 0, tree_seed);
         prop_assert!(tree.is_spanning());
         let adj = overlay.undirected_closure();
@@ -178,30 +179,17 @@ proptest! {
     ) {
         use geocast_core::repair::{repair_after_departure, RepairError};
 
-        let population = peers(n, dim, seed);
-        let overlay = oracle::equilibrium(&population, &EmptyRectSelection);
-        let build = build_tree(&population, &overlay, 0, &OrthantRectPartitioner::median());
+        let mut store = empty_rect_store(n, dim, seed);
+        let build = build_tree(store.peers(), &store.graph(), 0, &OrthantRectPartitioner::median());
         let victim = 1 + victim_pick % (n - 1); // never the root
 
         // Survivor equilibrium over original indices.
+        store.remove(PeerId(victim as u64));
+        let (population, live_overlay) = (store.peers(), store.graph());
         let live: Vec<usize> = (0..n).filter(|&i| i != victim).collect();
-        let live_peers: Vec<PeerInfo> = live
-            .iter()
-            .enumerate()
-            .map(|(d, &o)| PeerInfo::new(
-                geocast_overlay::PeerId(d as u64),
-                population[o].point().clone(),
-            ))
-            .collect();
-        let dense = oracle::equilibrium(&live_peers, &EmptyRectSelection);
-        let mut out = vec![Vec::new(); n];
-        for (di, &oi) in live.iter().enumerate() {
-            out[oi] = dense.out_neighbors(di).iter().map(|&dj| live[dj]).collect();
-        }
-        let live_overlay = geocast_overlay::OverlayGraph::from_out_neighbors(out);
 
         match repair_after_departure(
-            &population,
+            population,
             &live_overlay,
             &build,
             victim,

@@ -16,7 +16,7 @@ use std::time::Instant;
 use geocast_metrics::{AsciiChart, Table};
 use geocast_overlay::churn::{run_schedule_on_store_with, ChurnSchedule};
 use geocast_overlay::select::EmptyRectSelection;
-use geocast_overlay::{oracle, OverlayGraph, PeerId, PeerInfo, TopologyStore};
+use geocast_overlay::{oracle, PeerInfo, TopologyStore};
 use geocast_sim::workload::ChurnPattern;
 
 use crate::figures::FigureReport;
@@ -75,28 +75,6 @@ impl ChurnConfig {
             vmax: 1000.0,
         }
     }
-}
-
-/// The from-scratch equilibrium over the store's live population,
-/// expressed over the store's dense ids — the reference the incremental
-/// engine must match exactly.
-fn rebuilt_reference(store: &TopologyStore) -> OverlayGraph {
-    let live: Vec<usize> = (0..store.len())
-        .filter(|&i| !store.is_departed(PeerId(i as u64)))
-        .collect();
-    let live_peers: Vec<PeerInfo> = live
-        .iter()
-        .enumerate()
-        .map(|(dense, &orig)| {
-            PeerInfo::new(PeerId(dense as u64), store.peers()[orig].point().clone())
-        })
-        .collect();
-    let dense = oracle::equilibrium(&live_peers, store.selection().as_ref());
-    let mut out = vec![Vec::new(); store.len()];
-    for (di, &oi) in live.iter().enumerate() {
-        out[oi] = dense.out_neighbors(di).iter().map(|&dj| live[dj]).collect();
-    }
-    OverlayGraph::from_out_neighbors(out)
 }
 
 /// **Churn scenario** — incremental equilibrium maintenance under the
@@ -158,7 +136,9 @@ pub fn churn_panel(cfg: &ChurnConfig) -> FigureReport {
         });
         let seconds = start.elapsed().as_secs_f64();
         let events = report.joins + report.leaves;
-        let exact = store.graph() == rebuilt_reference(&store);
+        let reference =
+            oracle::equilibrium_live(store.peers(), store.departed(), store.selection().as_ref());
+        let exact = store.graph() == reference;
         let rate = if seconds > 0.0 {
             events as f64 / seconds
         } else {

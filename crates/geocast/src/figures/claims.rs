@@ -7,7 +7,7 @@ use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
 use geocast_geom::MetricKind;
 use geocast_metrics::Table;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection};
-use geocast_overlay::{oracle, PeerInfo};
+use geocast_overlay::{PeerInfo, TopologyStore};
 use geocast_sim::runner::ParallelRunner;
 
 use crate::figures::FigureReport;
@@ -73,12 +73,15 @@ pub fn claims_section2(cfg: &ClaimsConfig) -> FigureReport {
         .collect();
     let runner = ParallelRunner::default();
     let measured = runner.map(&jobs, |&(n, dim, seed)| {
-        let peers = PeerInfo::from_point_set(&uniform_points(n, dim, cfg.vmax, seed));
-        let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-        let offline = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let store = TopologyStore::from_peers(
+            PeerInfo::from_point_set(&uniform_points(n, dim, cfg.vmax, seed)),
+            Arc::new(EmptyRectSelection),
+        );
+        let (peers, overlay) = (store.peers(), store.graph());
+        let offline = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
         let verdict = validate::check_section2(&offline, n, dim);
         let dist = protocol::build_distributed_default(
-            &peers,
+            peers,
             &overlay,
             0,
             Arc::new(OrthantRectPartitioner::median()),
@@ -151,13 +154,11 @@ pub fn claims_section3(cfg: &ClaimsConfig) -> FigureReport {
         let base = uniform_points(n, dim, cfg.vmax, seed);
         let times = lifetimes(n, cfg.vmax, seed ^ 0x3353);
         let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
-        let overlay = oracle::equilibrium(
-            &peers,
-            &HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
-        );
+        let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
+        let store = TopologyStore::from_peers(peers, Arc::new(sel));
         validate::check_section3(
-            &peers,
-            &overlay,
+            store.peers(),
+            &store.graph(),
             geocast_core::stability::PreferredPolicy::MaxT,
         )
     });

@@ -1,11 +1,13 @@
 //! Ablations and baselines beyond the paper's own figures.
 
+use std::sync::Arc;
+
 use geocast_core::{baseline, build_tree, stability, OrthantRectPartitioner};
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
 use geocast_geom::MetricKind;
 use geocast_metrics::{Summary, Table};
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection};
-use geocast_overlay::{oracle, PeerInfo};
+use geocast_overlay::{PeerInfo, TopologyStore};
 use geocast_sim::runner::ParallelRunner;
 
 use crate::figures::FigureReport;
@@ -70,8 +72,11 @@ pub fn ablation_partitioner(cfg: &AblationConfig) -> FigureReport {
     let runner = ParallelRunner::default();
     // Per job: per partitioner (avg longest path, avg diameter, spanning).
     let measured = runner.map(&jobs, |&(dim, seed)| {
-        let peers = PeerInfo::from_point_set(&uniform_points(cfg.n, dim, cfg.vmax, seed));
-        let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
+        let store = TopologyStore::from_peers(
+            PeerInfo::from_point_set(&uniform_points(cfg.n, dim, cfg.vmax, seed)),
+            Arc::new(EmptyRectSelection),
+        );
+        let (peers, overlay) = (store.peers(), store.graph());
         let stride = (cfg.n / cfg.roots.max(1)).max(1);
         let roots: Vec<usize> = (0..cfg.n).step_by(stride).take(cfg.roots).collect();
         partitioners
@@ -81,7 +86,7 @@ pub fn ablation_partitioner(cfg: &AblationConfig) -> FigureReport {
                 let mut diameters = Summary::new();
                 let mut all_span = true;
                 for &root in &roots {
-                    let result = build_tree(&peers, &overlay, root, p);
+                    let result = build_tree(peers, &overlay, root, p);
                     all_span &= result.tree.is_spanning();
                     paths.add(result.tree.longest_root_to_leaf() as f64);
                     diameters.add(result.tree.diameter() as f64);
@@ -179,10 +184,13 @@ pub fn baseline_messages(cfg: &BaselineConfig) -> FigureReport {
         .collect();
     let runner = ParallelRunner::default();
     let measured = runner.map(&jobs, |&(n, seed)| {
-        let peers = PeerInfo::from_point_set(&uniform_points(n, cfg.dim, cfg.vmax, seed));
-        let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
+        let store = TopologyStore::from_peers(
+            PeerInfo::from_point_set(&uniform_points(n, cfg.dim, cfg.vmax, seed)),
+            Arc::new(EmptyRectSelection),
+        );
+        let (peers, overlay) = (store.peers(), store.graph());
         let flood = baseline::flood(&overlay, 0);
-        let ours = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let ours = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
         (
             ours.messages as f64,
             flood.messages as f64,
@@ -237,15 +245,16 @@ pub fn baseline_stability(cfg: &BaselineConfig) -> FigureReport {
     let measured = runner.map(&jobs, |&(n, seed)| {
         let base = uniform_points(n, cfg.dim, cfg.vmax, seed);
         let times = lifetimes(n, cfg.vmax, seed ^ 0x1234_5678);
-        let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
-        let overlay = oracle::equilibrium(
-            &peers,
-            &HyperplanesSelection::orthogonal(cfg.dim, 2, MetricKind::L1),
+        let sel = HyperplanesSelection::orthogonal(cfg.dim, 2, MetricKind::L1);
+        let store = TopologyStore::from_peers(
+            PeerInfo::from_point_set(&embed_lifetimes(&base, &times)),
+            Arc::new(sel),
         );
+        let (peers, overlay) = (store.peers(), store.graph());
         let t: Vec<f64> = peers.iter().map(PeerInfo::departure_time).collect();
 
         let stability_tree =
-            stability::preferred_links(&peers, &overlay, stability::PreferredPolicy::MaxT)
+            stability::preferred_links(peers, &overlay, stability::PreferredPolicy::MaxT)
                 .to_multicast_tree()
                 .expect("equilibrium forms a tree");
         let bfs = baseline::bfs_tree(&overlay, stability_tree.root());

@@ -1,11 +1,13 @@
 //! The five panels of the paper's Figure 1.
 
+use std::sync::Arc;
+
 use geocast_core::{build_tree, stability, OrthantRectPartitioner};
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
 use geocast_geom::MetricKind;
 use geocast_metrics::{AsciiChart, Table};
 use geocast_overlay::select::EmptyRectSelection;
-use geocast_overlay::{oracle, PeerInfo};
+use geocast_overlay::{oracle, PeerInfo, TopologyStore};
 use geocast_sim::runner::ParallelRunner;
 
 use crate::figures::FigureReport;
@@ -87,7 +89,7 @@ pub fn fig1a(cfg: &Fig1Config) -> FigureReport {
     let runner = ParallelRunner::default();
     let measured = runner.map(&jobs, |&(dim, seed)| {
         let peers = PeerInfo::from_point_set(&uniform_points(cfg.n, dim, cfg.vmax, seed));
-        let graph = oracle::equilibrium(&peers, &EmptyRectSelection);
+        let graph = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection)).graph();
         let degrees = graph.undirected_degrees();
         let max = degrees.iter().copied().max().unwrap_or(0) as f64;
         let avg = mean(degrees.iter().map(|&d| d as f64));
@@ -137,8 +139,6 @@ pub fn fig1a(cfg: &Fig1Config) -> FigureReport {
 /// waits for the build to reach everyone.
 #[must_use]
 pub fn fig1b(cfg: &Fig1Config) -> FigureReport {
-    use std::sync::Arc;
-
     use geocast_core::protocol::build_distributed;
     use geocast_sim::{CoordDistanceLatency, FaultModel, SimDuration};
 
@@ -150,9 +150,12 @@ pub fn fig1b(cfg: &Fig1Config) -> FigureReport {
     let runner = ParallelRunner::default();
     let measured = runner.map(&jobs, |&(dim, seed)| {
         let point_set = uniform_points(cfg.n, dim, cfg.vmax, seed);
-        let peers = PeerInfo::from_point_set(&point_set);
+        let store = TopologyStore::from_peers(
+            PeerInfo::from_point_set(&point_set),
+            Arc::new(EmptyRectSelection),
+        );
+        let (peers, graph) = (store.peers(), store.graph());
         let positions = point_set.into_points();
-        let graph = oracle::equilibrium(&peers, &EmptyRectSelection);
         let partitioner = OrthantRectPartitioner::median();
         let roots: Vec<usize> = match cfg.roots {
             // Deterministic stride sample when not using every root.
@@ -165,7 +168,7 @@ pub fn fig1b(cfg: &Fig1Config) -> FigureReport {
         let lengths: Vec<f64> = roots
             .iter()
             .map(|&root| {
-                build_tree(&peers, &graph, root, &partitioner)
+                build_tree(peers, &graph, root, &partitioner)
                     .tree
                     .longest_root_to_leaf() as f64
             })
@@ -179,7 +182,7 @@ pub fn fig1b(cfg: &Fig1Config) -> FigureReport {
             .take(cfg.latency_roots)
             .map(|&root| {
                 build_distributed(
-                    &peers,
+                    peers,
                     &graph,
                     root,
                     Arc::clone(&shared) as _,
@@ -302,7 +305,7 @@ pub fn fig1c(cfg: &Fig1cConfig) -> FigureReport {
     let runner = ParallelRunner::default();
     let measured = runner.map(&jobs, |&(n, seed)| {
         let peers = PeerInfo::from_point_set(&uniform_points(n, cfg.dim, cfg.vmax, seed));
-        let graph = oracle::equilibrium(&peers, &EmptyRectSelection);
+        let graph = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection)).graph();
         let degrees = graph.undirected_degrees();
         let max = degrees.iter().copied().max().unwrap_or(0) as f64;
         let avg = mean(degrees.iter().map(|&d| d as f64));

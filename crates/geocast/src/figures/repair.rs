@@ -1,11 +1,13 @@
 //! Extension experiment: the cost of localized zone repair.
 
+use std::sync::Arc;
+
 use geocast_core::repair::repair_after_departure;
 use geocast_core::{build_tree, OrthantRectPartitioner};
 use geocast_geom::gen::uniform_points;
 use geocast_metrics::{Summary, Table};
 use geocast_overlay::select::EmptyRectSelection;
-use geocast_overlay::{oracle, OverlayGraph, PeerId, PeerInfo};
+use geocast_overlay::{OverlayGraph, PeerId, PeerInfo, TopologyStore};
 use geocast_sim::runner::ParallelRunner;
 
 use crate::figures::FigureReport;
@@ -53,20 +55,12 @@ impl RepairConfig {
     }
 }
 
-/// The survivor equilibrium expressed over original dense indices.
+/// The survivor equilibrium over the original ids (the departed vertex
+/// edge-less): a store over `peers` after `departed` leaves.
 fn survivor_overlay(peers: &[PeerInfo], departed: usize) -> OverlayGraph {
-    let live: Vec<usize> = (0..peers.len()).filter(|&i| i != departed).collect();
-    let live_peers: Vec<PeerInfo> = live
-        .iter()
-        .enumerate()
-        .map(|(dense, &orig)| PeerInfo::new(PeerId(dense as u64), peers[orig].point().clone()))
-        .collect();
-    let dense = oracle::equilibrium(&live_peers, &EmptyRectSelection);
-    let mut out = vec![Vec::new(); peers.len()];
-    for (di, &oi) in live.iter().enumerate() {
-        out[oi] = dense.out_neighbors(di).iter().map(|&dj| live[dj]).collect();
-    }
-    OverlayGraph::from_out_neighbors(out)
+    let mut store = TopologyStore::from_peers(peers.to_vec(), Arc::new(EmptyRectSelection));
+    store.remove(PeerId(departed as u64));
+    store.graph()
 }
 
 /// **Extension (E11)** — repair cost after a departure: messages needed
@@ -83,9 +77,12 @@ pub fn repair_cost(cfg: &RepairConfig) -> FigureReport {
     let runner = ParallelRunner::default();
     // Per job: (repair message summary, all spanned?, repairs done).
     let measured = runner.map(&jobs, |&(n, seed)| {
-        let peers = PeerInfo::from_point_set(&uniform_points(n, cfg.dim, cfg.vmax, seed));
-        let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-        let build = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let store = TopologyStore::from_peers(
+            PeerInfo::from_point_set(&uniform_points(n, cfg.dim, cfg.vmax, seed)),
+            Arc::new(EmptyRectSelection),
+        );
+        let (peers, overlay) = (store.peers(), store.graph());
+        let build = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
         let mut costs = Summary::new();
         let mut all_spanned = true;
         let mut victims: Vec<usize> = (1..n)
@@ -101,9 +98,9 @@ pub fn repair_cost(cfg: &RepairConfig) -> FigureReport {
                 .collect();
         }
         for &victim in &victims {
-            let live = survivor_overlay(&peers, victim);
+            let live = survivor_overlay(peers, victim);
             let repaired = repair_after_departure(
-                &peers,
+                peers,
                 &live,
                 &build,
                 victim,

@@ -2,16 +2,17 @@
 //! at sizes the paper's framework never reached.
 //!
 //! The paper evaluates up to `N = 5000`; the ROADMAP's north star is
-//! million-user scale. This harness measures the construction engine
-//! (spatial index + parallel batch selection, see `docs/PERFORMANCE.md`)
-//! across a size sweep in the paper's `D = 2` setting of Fig. 1(c), and
+//! million-user scale. This harness measures the one construction path,
+//! the store's bulk build (spatial index + parallel selection, see
+//! `docs/PERFORMANCE.md`), across a size sweep in the paper's `D = 2` setting of Fig. 1(c), and
 //! asserts the log-like degree growth continues to hold at scale.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use geocast_metrics::{AsciiChart, Table};
 use geocast_overlay::select::EmptyRectSelection;
-use geocast_overlay::{oracle, PeerInfo};
+use geocast_overlay::{PeerInfo, TopologyStore};
 
 use crate::figures::FigureReport;
 
@@ -57,8 +58,8 @@ impl ScalingConfig {
 /// **Scaling scenario** — empty-rectangle equilibrium construction time
 /// and topology shape as `N` grows at `D = 2`.
 ///
-/// The engine keeps the topology *exactly* equal to the brute-force
-/// definition (property-tested in `geocast-overlay`), so the measured
+/// The bulk build is *exactly* the index-free definition
+/// (property-tested in `geocast-overlay`), so the measured
 /// overlays are the same objects Fig. 1(c) reports — just built at
 /// sizes where the `O(N²)` path stops being an option.
 #[must_use]
@@ -78,7 +79,7 @@ pub fn overlay_scaling(cfg: &ScalingConfig) -> FigureReport {
         ));
         // lint:allow(D002, reason = "feeds the build_ms column of the scaling panel only; no control flow reads the clock")
         let start = Instant::now();
-        let graph = oracle::equilibrium(&peers, &EmptyRectSelection);
+        let graph = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection)).graph();
         let seconds = start.elapsed().as_secs_f64();
         let degrees = graph.undirected_degrees();
         let max = degrees.iter().copied().max().unwrap_or(0);
@@ -108,7 +109,7 @@ pub fn overlay_scaling(cfg: &ScalingConfig) -> FigureReport {
         table,
     )
     .with_chart(chart.render())
-    .with_note("engine: spatial index + parallel batch selection (docs/PERFORMANCE.md)")
+    .with_note("engine: TopologyStore::from_peers, spatial index + parallel selection (docs/PERFORMANCE.md)")
     .with_note(format!("seed: {}, sizes: {:?}", cfg.seed, cfg.ns))
 }
 

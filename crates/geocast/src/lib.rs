@@ -23,16 +23,18 @@
 //! ## Quickstart
 //!
 //! ```
+//! use std::sync::Arc;
 //! use geocast::prelude::*;
 //!
 //! // 1. A population of peers with random virtual coordinates.
 //! let peers = PeerInfo::from_point_set(&uniform_points(200, 2, 1000.0, 7));
 //!
 //! // 2. The converged overlay under the paper's §2 neighbour rule.
-//! let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
+//! let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+//! let (peers, overlay) = (store.peers(), store.graph());
 //!
 //! // 3. A multicast tree from peer 0, zones split the paper's way.
-//! let result = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+//! let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
 //!
 //! assert!(result.tree.is_spanning());
 //! assert_eq!(result.messages, peers.len() - 1); // the N−1 claim
@@ -53,7 +55,7 @@ pub use geocast_core as core;
 pub use geocast_geom as geom;
 /// Statistics, tables, charts.
 pub use geocast_metrics as metrics;
-/// Gossip overlay, neighbour selection, oracle equilibrium.
+/// Gossip overlay, neighbour selection, the topology store and its oracle.
 pub use geocast_overlay as overlay;
 /// Deterministic discrete-event simulator.
 pub use geocast_sim as sim;

@@ -219,20 +219,21 @@ pub fn geometric_stretch(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::oracle;
     use crate::select::EmptyRectSelection;
+    use crate::TopologyStore;
     use geocast_geom::gen::uniform_points;
 
-    fn overlay(n: usize, seed: u64) -> (Vec<PeerInfo>, OverlayGraph) {
+    fn overlay(n: usize, seed: u64) -> TopologyStore {
         let peers = PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, seed));
-        let graph = oracle::equilibrium(&peers, &EmptyRectSelection);
-        (peers, graph)
+        TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection))
     }
 
     #[test]
     fn profile_of_equilibrium_overlay_is_sane() {
-        let (_, graph) = overlay(80, 1);
+        let graph = overlay(80, 1).graph();
         let p = profile(&graph, None, 0);
         assert_eq!(p.peers, 80);
         assert!(p.connected);
@@ -247,7 +248,7 @@ mod tests {
 
     #[test]
     fn sampled_profile_matches_exhaustive_on_connectivity() {
-        let (_, graph) = overlay(60, 3);
+        let graph = overlay(60, 3).graph();
         let full = profile(&graph, None, 0);
         let sampled = profile(&graph, Some(10), 7);
         assert_eq!(full.connected, sampled.connected);
@@ -284,8 +285,9 @@ mod tests {
 
     #[test]
     fn stretch_is_finite_and_reasonable_on_equilibrium() {
-        let (peers, graph) = overlay(100, 5);
-        let s = geometric_stretch(&peers, &graph, MetricKind::L1, 200, 11);
+        let store = overlay(100, 5);
+        let graph = store.graph();
+        let s = geometric_stretch(store.peers(), &graph, MetricKind::L1, 200, 11);
         assert!(s.is_finite());
         // Hops should track geometry within a small constant factor on
         // the frontier overlay.
@@ -304,9 +306,10 @@ mod tests {
 
     #[test]
     fn stretch_is_seed_deterministic() {
-        let (peers, graph) = overlay(50, 9);
-        let a = geometric_stretch(&peers, &graph, MetricKind::L2, 100, 3);
-        let b = geometric_stretch(&peers, &graph, MetricKind::L2, 100, 3);
+        let store = overlay(50, 9);
+        let graph = store.graph();
+        let a = geometric_stretch(store.peers(), &graph, MetricKind::L2, 100, 3);
+        let b = geometric_stretch(store.peers(), &graph, MetricKind::L2, 100, 3);
         assert_eq!(a, b);
     }
 }

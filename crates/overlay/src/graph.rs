@@ -59,9 +59,9 @@ impl OverlayGraph {
 
     /// Builds a graph directly from validated CSR parts: `offsets` must
     /// be monotone with `offsets[0] == 0`, and every per-peer segment
-    /// sorted, deduplicated, self-loop-free and in range. Used by the
-    /// construction engine, which produces exactly that shape; debug
-    /// builds re-check the invariants.
+    /// sorted, deduplicated, self-loop-free and in range. Used by
+    /// [`OverlayGraph::undirected_closure`], which produces exactly that
+    /// shape; debug builds re-check the invariants.
     #[must_use]
     pub(crate) fn from_csr(offsets: Vec<usize>, targets: Vec<usize>) -> Self {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
@@ -167,7 +167,6 @@ impl OverlayGraph {
 
     /// `true` if every selected link is mutual (`i → j` implies `j → i`).
     #[must_use]
-    // lint:allow(D006, reason = "how tests see that empty-rectangle links are mutual, which the store's in-place link / unlink edits rest on")
     pub fn is_symmetric(&self) -> bool {
         (0..self.len()).all(|i| {
             self.out_neighbors(i)
@@ -203,7 +202,6 @@ impl OverlayGraph {
     /// `true` if the undirected closure connects all peers. The empty
     /// graph is connected.
     #[must_use]
-    // lint:allow(D006, reason = "how tests state the paper's premise that an equilibrium overlay is connected: what bfs_distances answers for geocast overlay and churn")
     pub fn is_connected_undirected(&self) -> bool {
         if self.is_empty() {
             return true;

@@ -17,26 +17,31 @@
 //! * [`OverlayNetwork`] — a driver that inserts peers one at a time into
 //!   a live simulation and runs the gossip protocol to convergence,
 //!   exactly like the paper's experimental procedure.
-//! * [`oracle`] — the *equilibrium* topology, computed directly from the
-//!   full point set (the paper's definition of convergence target:
-//!   "the one obtained when every peer P knows all the other peers").
+//! * [`TopologyStore`] — the *equilibrium* topology (the paper's
+//!   convergence target: "the one obtained when every peer P knows all
+//!   the other peers"), bulk-built from a population and maintained
+//!   incrementally under churn.
+//! * [`oracle`] — the same topology computed from the definition, with
+//!   no index: the reference every store and gossip run is checked
+//!   against.
 //! * [`OverlayGraph`] — the resulting topology in a flat CSR layout,
 //!   with the analyses the figures need (degrees, connectivity, BFS).
 //!
-//! The equilibrium construction engine (spatial index, batch selection,
-//! per-peer parallelism) and its measured scaling behaviour are
-//! documented in `docs/PERFORMANCE.md` at the repository root.
+//! The store's engine (spatial indexes, the parallel bulk build, the
+//! incremental churn path) and its measured behaviour are documented in
+//! `docs/PERFORMANCE.md` at the repository root.
 //!
 //! # Example: equilibrium topology under the empty-rectangle rule
 //!
 //! ```
+//! use std::sync::Arc;
 //! use geocast_geom::gen::uniform_points;
-//! use geocast_overlay::{oracle, select::EmptyRectSelection, PeerInfo};
+//! use geocast_overlay::{select::EmptyRectSelection, PeerInfo, TopologyStore};
 //!
 //! let points = uniform_points(64, 2, 1000.0, 42);
 //! let peers = PeerInfo::from_point_set(&points);
-//! let graph = oracle::equilibrium(&peers, &EmptyRectSelection);
-//! assert!(graph.is_connected_undirected());
+//! let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+//! assert!(store.graph().is_connected_undirected());
 //! ```
 
 #![forbid(unsafe_code)]

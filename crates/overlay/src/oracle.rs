@@ -3,22 +3,10 @@
 //! The paper defines the target of gossip convergence as the topology
 //! "obtained when every peer P knows all the other peers in the system
 //! (i.e. when I(P) contains all the peers except P)". This module
-//! computes that topology directly, which is how the figure-scale
-//! experiments stay tractable; the integration tests cross-validate it
-//! against the actual gossip protocol on small networks.
-//!
-//! # The construction engine
-//!
-//! [`equilibrium`] is the hot path of every figure sweep and bench. It
-//! builds a [`geocast_geom::GridIndex`] over the population once
-//! and lets each selection method answer from it through the batch
-//! [`NeighborSelection::select_in`] API — no `O(N)` candidate vector
-//! per peer, no `O(N²)` aggregate allocation — and fans the per-peer
-//! selection out across CPU cores (the `parallel` feature, on by
-//! default). Results are **exactly** the brute-force topology:
-//! [`equilibrium_brute_force`] keeps the definitional path alive, and
-//! property tests assert graph equality between the two on every
-//! selection rule. See `docs/PERFORMANCE.md` for the numbers.
+//! computes that topology from the definition: it is the reference the
+//! incremental store and the gossip protocol are compared against, not a
+//! way to build an overlay — [`crate::TopologyStore::from_peers`] is the
+//! one construction path.
 //!
 //! # The reference for the incremental store
 //!
@@ -40,45 +28,13 @@ use crate::peer::PeerInfo;
 use crate::select::{ids_in_slice_order, NeighborSelection, SelectContext};
 use crate::store::topology_hash;
 
-/// Builds the shared spatial index when the population shape supports
-/// it (at least two peers, indexable dimensionality, uniform `dim`).
-fn build_shared_index(peers: &[PeerInfo]) -> Option<GridIndex> {
-    let dim = peers.first()?.point().dim();
-    if peers.len() < 2
-        || dim > geocast_geom::index::MAX_INDEX_DIM
-        || peers.iter().any(|p| p.point().dim() != dim)
-    {
-        return None;
-    }
-    Some(GridIndex::build(peers))
-}
-
-/// The equilibrium overlay: every peer applies `selection` to the full
-/// candidate set (everyone but itself), accelerated by a spatial index
-/// and per-peer parallelism.
-///
-/// Peer `i` of the slice becomes graph vertex `i`. Exactly equivalent
-/// to [`equilibrium_brute_force`] (property-tested).
-#[must_use]
-pub fn equilibrium<S>(peers: &[PeerInfo], selection: &S) -> OverlayGraph
-where
-    S: NeighborSelection + Sync + ?Sized,
-{
-    let index = build_shared_index(peers);
-    let ctx = match &index {
-        Some(ix) => SelectContext::with_index(ix, ids_in_slice_order(peers)),
-        None => SelectContext::without_index(),
-    };
-    OverlayGraph::from_out_neighbors(par::map_indexed(peers.len(), |i| {
-        selection.select_in(peers, i, &ctx)
-    }))
-}
-
 /// The equilibrium of a population some of whose peers have departed,
 /// from the definition: every live peer selects among all other live
 /// peers with no index; departed peers keep their vertex, edge-less.
 /// What a [`crate::TopologyStore`] over `peers` with this `departed`
-/// mask must hold, whatever sequence of events led there.
+/// mask must hold, whatever sequence of events led there. An all-`false`
+/// mask gives the equilibrium of the whole population, and peer `i` of
+/// the slice is graph vertex `i` whatever its id.
 ///
 /// # Panics
 ///
@@ -132,24 +88,6 @@ pub fn dirty_region(before: &OverlayGraph, after: &OverlayGraph, peer: usize) ->
     dirty.into_iter().collect()
 }
 
-/// The definitional equilibrium: sequential, no index — each peer runs
-/// plain [`NeighborSelection::select`] over a materialized candidate
-/// slice. Kept as the executable specification the engine is
-/// property-tested against, and as the baseline the scaling bench
-/// measures speedups over.
-#[must_use]
-// lint:allow(D006, reason = "oracle: the index-free definition prop_overlay holds the indexed engine against")
-pub fn equilibrium_brute_force(
-    peers: &[PeerInfo],
-    selection: &dyn NeighborSelection,
-) -> OverlayGraph {
-    let ctx = SelectContext::without_index();
-    let out = (0..peers.len())
-        .map(|i| selection.select_in(peers, i, &ctx))
-        .collect();
-    OverlayGraph::from_out_neighbors(out)
-}
-
 /// Equilibrium topologies of the *Orthogonal Hyperplanes* method for a
 /// whole sweep of `K` values at once.
 ///
@@ -159,9 +97,9 @@ pub fn equilibrium_brute_force(
 /// plus `O(N·Σk)` assembly instead of 50 independent selections. The
 /// result pairs each requested `K` with its topology, in input order.
 ///
-/// Equivalence with [`equilibrium`] over
+/// Equivalence with the store's bulk build over
 /// [`crate::select::HyperplanesSelection::orthogonal`] is asserted by
-/// tests.
+/// tests, coordinate ties included.
 ///
 /// # Panics
 ///
@@ -221,20 +159,21 @@ pub fn orthogonal_k_sweep_with(
 }
 
 /// For each peer: per-orthant candidate indices ranked by
-/// `(distance, id)` ascending, truncated to the best `kmax`. Uses the
+/// `(distance, id)` ascending, truncated to the best `kmax`. Uses a
 /// spatial index when distance ties broken by id and by slice position
-/// coincide; falls back to the full ranking pass otherwise.
+/// coincide; falls back to the full ranking pass otherwise, and where
+/// the index declines (a shared coordinate, or too many dimensions).
 fn ranked_orthant_groups(
     peers: &[PeerInfo],
     metric: MetricKind,
     kmax: usize,
 ) -> Vec<Vec<Vec<usize>>> {
     let dim = peers[0].point().dim();
-    let index = if ids_in_slice_order(peers) {
-        build_shared_index(peers)
-    } else {
-        None
-    };
+    assert!(
+        peers.iter().all(|p| p.point().dim() == dim),
+        "population dimensionality is fixed per overlay"
+    );
+    let index = ids_in_slice_order(peers).then(|| GridIndex::build(peers));
     par::map_indexed(peers.len(), |i| {
         if let Some(ix) = &index {
             if let Some(groups) = ix.k_nearest_per_orthant(i, kmax, metric) {
@@ -246,7 +185,9 @@ fn ranked_orthant_groups(
 }
 
 /// The definitional ranking for one peer: classify every other peer
-/// into an orthant, sort each group by `(distance, id)`, truncate.
+/// into an orthant, sort each group by `(distance, id)`, truncate. A
+/// coordinate tie goes to the positive side, as
+/// [`geocast_geom::Arrangement::classify`] puts a point on a plane.
 fn ranked_orthant_groups_brute(
     peers: &[PeerInfo],
     i: usize,
@@ -254,20 +195,20 @@ fn ranked_orthant_groups_brute(
     metric: MetricKind,
     kmax: usize,
 ) -> Vec<Vec<usize>> {
-    let who = &peers[i];
+    let who = peers[i].point();
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); Orthant::count(dim)];
     for (j, cand) in peers.iter().enumerate() {
-        if j == i {
-            continue;
+        if j != i {
+            let orthant = (0..dim)
+                .filter(|&d| cand.point()[d] >= who[d])
+                .fold(0, |bits, d| bits | 1 << d);
+            groups[orthant].push(j);
         }
-        let o = Orthant::classify(who.point(), cand.point())
-            .expect("distinct coordinates classify totally");
-        groups[o.index()].push(j);
     }
     for group in &mut groups {
         group.sort_by(|&a, &b| {
-            let da = metric.dist(who.point(), peers[a].point());
-            let db = metric.dist(who.point(), peers[b].point());
+            let da = metric.dist(who, peers[a].point());
+            let db = metric.dist(who, peers[b].point());
             da.total_cmp(&db)
                 .then_with(|| peers[a].id().cmp(&peers[b].id()))
         });
@@ -278,18 +219,39 @@ fn ranked_orthant_groups_brute(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::peer::PeerId;
     use crate::select::{EmptyRectSelection, HyperplanesSelection};
+    use crate::TopologyStore;
     use geocast_geom::gen::uniform_points;
+    use geocast_geom::Point;
 
     fn peers(n: usize, dim: usize, seed: u64) -> Vec<PeerInfo> {
         PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed))
     }
 
+    /// The equilibrium of the whole population, from the definition.
+    fn definition<S: NeighborSelection + Sync + ?Sized>(
+        peers: &[PeerInfo],
+        selection: &S,
+    ) -> OverlayGraph {
+        equilibrium_live(peers, &vec![false; peers.len()], selection)
+    }
+
+    /// The store's bulk build over `peers` under `selection`.
+    fn bulk_build<S: NeighborSelection + Send + Sync + 'static>(
+        peers: &[PeerInfo],
+        selection: S,
+    ) -> OverlayGraph {
+        TopologyStore::from_peers(peers.to_vec(), Arc::new(selection)).graph()
+    }
+
     #[test]
     fn empty_rect_equilibrium_is_symmetric_and_connected() {
         let population = peers(120, 2, 3);
-        let g = equilibrium(&population, &EmptyRectSelection);
+        let g = definition(&population, &EmptyRectSelection);
         assert!(
             g.is_symmetric(),
             "empty-rect links are mutual at equilibrium"
@@ -308,16 +270,16 @@ mod tests {
     fn orthogonal_equilibrium_is_connected() {
         let population = peers(100, 3, 5);
         let sel = HyperplanesSelection::orthogonal(3, 1, MetricKind::L1);
-        let g = equilibrium(&population, &sel);
+        let g = definition(&population, &sel);
         assert!(g.is_connected_undirected());
     }
 
     #[test]
     fn equilibrium_indices_skip_self_correctly() {
-        // Regression guard for the self-gap re-indexing: no peer may be
-        // its own neighbour, and all indices must be valid.
+        // Regression guard for the candidate-position table: no peer may
+        // be its own neighbour, and all indices must be valid.
         let population = peers(30, 2, 9);
-        let g = equilibrium(&population, &EmptyRectSelection);
+        let g = definition(&population, &EmptyRectSelection);
         for i in 0..g.len() {
             assert!(!g.out_neighbors(i).contains(&i));
         }
@@ -325,8 +287,9 @@ mod tests {
 
     #[test]
     fn engine_equals_brute_force_on_both_rules() {
-        // The last size is the empty-rectangle rule alone, four digits
-        // of N: about what a debug build's brute force does in 2 s.
+        // The store's indexed bulk build against the definition. The
+        // last size is the empty-rectangle rule alone, four digits of
+        // N: about what a debug build's definition does in 2 s.
         let both: &[usize] = &[1, 3];
         for &(n, dim, seed, ks) in &[
             (60usize, 2usize, 21u64, both),
@@ -336,15 +299,15 @@ mod tests {
         ] {
             let population = peers(n, dim, seed);
             assert_eq!(
-                equilibrium(&population, &EmptyRectSelection),
-                equilibrium_brute_force(&population, &EmptyRectSelection),
+                bulk_build(&population, EmptyRectSelection),
+                definition(&population, &EmptyRectSelection),
                 "empty-rect n={n} dim={dim}"
             );
             for &k in ks {
                 let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
                 assert_eq!(
-                    equilibrium(&population, &sel),
-                    equilibrium_brute_force(&population, &sel),
+                    bulk_build(&population, sel.clone()),
+                    definition(&population, &sel),
                     "orthogonal K={k} n={n} dim={dim}"
                 );
             }
@@ -353,34 +316,50 @@ mod tests {
 
     #[test]
     fn engine_handles_non_dense_peer_ids() {
-        // Shuffled / sparse ids must not break the accelerated paths:
-        // the id-order gate routes Hyperplanes to the brute path while
-        // empty-rect (id-independent) still uses the index.
+        // Shuffled / sparse ids must not break the sweep: its id-order
+        // gate routes the ranking to the brute path, which breaks
+        // distance ties by peer id as the rule does.
         let mut population = peers(50, 2, 31);
         population.reverse(); // ids now descend: 49, 48, ...
-        assert_eq!(
-            equilibrium(&population, &EmptyRectSelection),
-            equilibrium_brute_force(&population, &EmptyRectSelection),
-        );
-        let sel = HyperplanesSelection::orthogonal(2, 2, MetricKind::L2);
-        assert_eq!(
-            equilibrium(&population, &sel),
-            equilibrium_brute_force(&population, &sel),
-        );
+        for (k, graph) in orthogonal_k_sweep(&population, MetricKind::L2, &[1, 2]) {
+            let sel = HyperplanesSelection::orthogonal(2, k, MetricKind::L2);
+            assert_eq!(graph, definition(&population, &sel), "K={k}");
+        }
     }
 
     #[test]
     fn k_sweep_matches_generic_equilibrium() {
         let population = peers(40, 3, 13);
         for &k in &[1usize, 2, 5, 40] {
-            let generic = equilibrium(
+            let generic = bulk_build(
                 &population,
-                &HyperplanesSelection::orthogonal(3, k, MetricKind::L1),
+                HyperplanesSelection::orthogonal(3, k, MetricKind::L1),
             );
             let swept = orthogonal_k_sweep(&population, MetricKind::L1, &[k]);
             assert_eq!(swept.len(), 1);
             assert_eq!(swept[0].0, k);
             assert_eq!(swept[0].1, generic, "K={k}");
+        }
+    }
+
+    #[test]
+    fn k_sweep_classifies_ties_like_the_rule() {
+        // A shared coordinate makes the index decline; the brute ranking
+        // then puts the tied peer on the positive side, as the
+        // orthogonal arrangement does. Three peers sharing x = 1 first,
+        // then 36 points of the 6 × 7 integer lattice.
+        let at = |i: u64, x: u64, y: u64| {
+            PeerInfo::new(PeerId(i), Point::new(vec![x as f64, y as f64]).unwrap())
+        };
+        let three = vec![at(0, 1, 1), at(1, 1, 5), at(2, 3, 2)];
+        let swept = orthogonal_k_sweep(&three, MetricKind::L1, &[1]);
+        let want: Vec<&[usize]> = vec![&[2], &[0], &[0, 1]];
+        let got: Vec<&[usize]> = (0..3).map(|i| swept[0].1.out_neighbors(i)).collect();
+        assert_eq!(got, want);
+        let lattice: Vec<PeerInfo> = (0..36).map(|i| at(i, (i * 7) % 6, (i * 5) % 7)).collect();
+        for (k, graph) in orthogonal_k_sweep(&lattice, MetricKind::L1, &[1, 2, 3]) {
+            let sel = HyperplanesSelection::orthogonal(2, k, MetricKind::L1);
+            assert_eq!(graph, bulk_build(&lattice, sel), "K={k}");
         }
     }
 
@@ -418,10 +397,10 @@ mod tests {
         // The equilibrium is a function of the point set only: permuting
         // peer order permutes the graph accordingly.
         let population = peers(25, 2, 23);
-        let g1 = equilibrium(&population, &EmptyRectSelection);
+        let g1 = definition(&population, &EmptyRectSelection);
         let mut reversed: Vec<PeerInfo> = population.clone();
         reversed.reverse();
-        let g2 = equilibrium(&reversed, &EmptyRectSelection);
+        let g2 = definition(&reversed, &EmptyRectSelection);
         let n = population.len();
         for i in 0..n {
             let mapped: Vec<usize> = g2

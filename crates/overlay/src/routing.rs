@@ -20,7 +20,7 @@
 //! result reports where.
 //!
 //! The peer-to-peer routes run over a materialized [`OverlayGraph`]
-//! (the oracle/figure path). Over a live [`TopologyStore`] — the
+//! (the figure path). Over a live [`TopologyStore`] — the
 //! churn-engine path, reading the store's incrementally-maintained
 //! forward + reverse adjacency without building a closure — there is
 //! what the group layer's relay grafting (`geocast_core::graft`) uses:
@@ -311,11 +311,12 @@ pub fn greedy_route_to_rect_on_store(
 /// use geocast_geom::gen::uniform_points;
 /// use geocast_geom::MetricKind;
 /// use geocast_overlay::routing::route_to_peer;
-/// use geocast_overlay::{oracle, select::EmptyRectSelection, PeerInfo};
+/// use geocast_overlay::{select::EmptyRectSelection, PeerInfo, TopologyStore};
+/// use std::sync::Arc;
 ///
 /// let peers = PeerInfo::from_point_set(&uniform_points(50, 2, 1000.0, 7));
-/// let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-/// let route = route_to_peer(&peers, &overlay, 0, 42, MetricKind::L1);
+/// let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+/// let route = route_to_peer(store.peers(), &store.graph(), 0, 42, MetricKind::L1);
 /// assert!(route.delivered());
 /// assert_eq!(route.last(), 42);
 /// ```
@@ -339,23 +340,19 @@ pub fn route_to_peer(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::oracle;
     use crate::select::{EmptyRectSelection, HyperplanesSelection};
     use geocast_geom::gen::uniform_points;
 
-    fn setup(n: usize, dim: usize, seed: u64) -> (Vec<PeerInfo>, OverlayGraph) {
-        let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
-        let graph = oracle::equilibrium(&peers, &EmptyRectSelection);
-        (peers, graph)
-    }
-
     #[test]
     fn greedy_always_delivers_between_peers_on_empty_rect() {
-        let (peers, graph) = setup(80, 2, 3);
+        let store = store_setup(80, 2, 3);
+        let (peers, graph) = (store.peers(), store.graph());
         for from in [0usize, 17, 42] {
             for to in 0..peers.len() {
-                let route = route_to_peer(&peers, &graph, from, to, MetricKind::L1);
+                let route = route_to_peer(peers, &graph, from, to, MetricKind::L1);
                 assert!(
                     route.delivered(),
                     "{from} -> {to} stuck at {}",
@@ -368,17 +365,19 @@ mod tests {
 
     #[test]
     fn delivery_holds_in_higher_dimensions() {
-        let (peers, graph) = setup(60, 4, 5);
+        let store = store_setup(60, 4, 5);
+        let (peers, graph) = (store.peers(), store.graph());
         for to in 0..peers.len() {
-            let route = route_to_peer(&peers, &graph, 0, to, MetricKind::L1);
+            let route = route_to_peer(peers, &graph, 0, to, MetricKind::L1);
             assert!(route.delivered(), "0 -> {to}");
         }
     }
 
     #[test]
     fn distances_strictly_decrease_along_path() {
-        let (peers, graph) = setup(70, 2, 7);
-        let route = route_to_peer(&peers, &graph, 3, 55, MetricKind::L1);
+        let store = store_setup(70, 2, 7);
+        let (peers, graph) = (store.peers(), store.graph());
+        let route = route_to_peer(peers, &graph, 3, 55, MetricKind::L1);
         let target = peers[55].point();
         let dists: Vec<f64> = route
             .path()
@@ -392,31 +391,34 @@ mod tests {
 
     #[test]
     fn route_to_self_is_trivial() {
-        let (peers, graph) = setup(10, 2, 9);
-        let route = route_to_peer(&peers, &graph, 4, 4, MetricKind::L1);
+        let store = store_setup(10, 2, 9);
+        let (peers, graph) = (store.peers(), store.graph());
+        let route = route_to_peer(peers, &graph, 4, 4, MetricKind::L1);
         assert!(route.delivered());
         assert_eq!(route.hops(), 0);
         assert_eq!(route.path(), &[4]);
         // Even with a zero hop budget, standing at the target delivers.
-        let zero = greedy_route(&peers, &graph, 4, peers[4].point(), MetricKind::L1, 0);
+        let zero = greedy_route(peers, &graph, 4, peers[4].point(), MetricKind::L1, 0);
         assert!(zero.delivered());
         assert_eq!(zero.path(), &[4]);
     }
 
     #[test]
     fn hop_count_is_bounded_by_network_size() {
-        let (peers, graph) = setup(100, 2, 11);
+        let store = store_setup(100, 2, 11);
+        let (peers, graph) = (store.peers(), store.graph());
         for to in [10usize, 50, 99] {
-            let route = route_to_peer(&peers, &graph, 0, to, MetricKind::L1);
+            let route = route_to_peer(peers, &graph, 0, to, MetricKind::L1);
             assert!(route.hops() < peers.len());
         }
     }
 
     #[test]
     fn non_peer_target_ends_at_local_minimum_near_target() {
-        let (peers, graph) = setup(120, 2, 13);
+        let store = store_setup(120, 2, 13);
+        let (peers, graph) = (store.peers(), store.graph());
         let target = Point::new(vec![500.0, 500.0]).unwrap();
-        let route = greedy_route(&peers, &graph, 0, &target, MetricKind::L1, peers.len());
+        let route = greedy_route(peers, &graph, 0, &target, MetricKind::L1, peers.len());
         assert!(route.local_minimum() || route.delivered());
         // The stopping peer is closer to the target than the source was.
         let d_end = MetricKind::L1.dist(peers[route.last()].point(), &target);
@@ -442,9 +444,10 @@ mod tests {
             ])
             .unwrap(),
         );
-        let graph = oracle::equilibrium(&peers, &EmptyRectSelection);
+        let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+        let (peers, graph) = (store.peers(), store.graph());
         let target = Point::new(vec![9.0, 9.0]).unwrap();
-        let route = greedy_route(&peers, &graph, 0, &target, MetricKind::L1, 10);
+        let route = greedy_route(peers, &graph, 0, &target, MetricKind::L1, 10);
         assert_eq!(route.path(), &[0, 1]);
         assert!(route.local_minimum(), "stall must be declared");
         assert!(!route.delivered());
@@ -457,12 +460,12 @@ mod tests {
         // declared state — delivered (coordinate collision aside,
         // impossible here) or local_minimum — never silent hop
         // exhaustion, across sources and targets.
-        let (peers, graph) = setup(90, 2, 21);
+        let store = store_setup(90, 2, 21);
+        let (peers, graph) = (store.peers(), store.graph());
         for (tx, ty) in [(500.0, 500.0), (1.0, 999.0), (250.0, 750.0), (999.0, 1.0)] {
             let target = Point::new(vec![tx, ty]).unwrap();
             for from in [0usize, 30, 60] {
-                let route =
-                    greedy_route(&peers, &graph, from, &target, MetricKind::L1, peers.len());
+                let route = greedy_route(peers, &graph, from, &target, MetricKind::L1, peers.len());
                 assert!(
                     route.local_minimum() && !route.delivered(),
                     "({tx},{ty}) from {from}: expected a declared local minimum, got {route:?}"
@@ -483,12 +486,13 @@ mod tests {
 
     #[test]
     fn max_hops_truncates_walks() {
-        let (peers, graph) = setup(100, 2, 15);
+        let store = store_setup(100, 2, 15);
+        let (peers, graph) = (store.peers(), store.graph());
         // Find a pair needing more than 2 hops.
         let (from, to) = (0usize, {
             let mut best = (0usize, 0usize);
             for to in 1..peers.len() {
-                let r = route_to_peer(&peers, &graph, 0, to, MetricKind::L1);
+                let r = route_to_peer(peers, &graph, 0, to, MetricKind::L1);
                 if r.hops() > best.1 {
                     best = (to, r.hops());
                 }
@@ -496,7 +500,7 @@ mod tests {
             assert!(best.1 > 2, "workload too small");
             best.0
         });
-        let truncated = greedy_route(&peers, &graph, from, peers[to].point(), MetricKind::L1, 2);
+        let truncated = greedy_route(peers, &graph, from, peers[to].point(), MetricKind::L1, 2);
         assert_eq!(truncated.hops(), 2);
         assert!(!truncated.delivered());
         assert!(!truncated.local_minimum());
@@ -507,14 +511,14 @@ mod tests {
         // On a K-closest overlay greedy can hit a local minimum even for
         // peer targets — documenting that the guarantee is specific to
         // the empty-rectangle rule.
-        let peers = PeerInfo::from_point_set(&uniform_points(60, 2, 1000.0, 17));
-        let graph = oracle::equilibrium(
-            &peers,
-            &HyperplanesSelection::k_closest(2, 2, MetricKind::L1),
+        let store = TopologyStore::from_peers(
+            PeerInfo::from_point_set(&uniform_points(60, 2, 1000.0, 17)),
+            Arc::new(HyperplanesSelection::k_closest(2, 2, MetricKind::L1)),
         );
+        let (peers, graph) = (store.peers(), store.graph());
         let mut stuck = 0usize;
         for to in 0..peers.len() {
-            let route = route_to_peer(&peers, &graph, 0, to, MetricKind::L1);
+            let route = route_to_peer(peers, &graph, 0, to, MetricKind::L1);
             if !route.delivered() {
                 stuck += 1;
                 assert!(route.local_minimum());
@@ -527,9 +531,10 @@ mod tests {
 
     #[test]
     fn routes_are_deterministic() {
-        let (peers, graph) = setup(50, 3, 19);
-        let a = route_to_peer(&peers, &graph, 1, 40, MetricKind::L1);
-        let b = route_to_peer(&peers, &graph, 1, 40, MetricKind::L1);
+        let store = store_setup(50, 3, 19);
+        let (peers, graph) = (store.peers(), store.graph());
+        let a = route_to_peer(peers, &graph, 1, 40, MetricKind::L1);
+        let b = route_to_peer(peers, &graph, 1, 40, MetricKind::L1);
         assert_eq!(a, b);
     }
 
@@ -578,7 +583,7 @@ mod tests {
     fn store_setup(n: usize, dim: usize, seed: u64) -> TopologyStore {
         TopologyStore::from_peers(
             PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed)),
-            std::sync::Arc::new(EmptyRectSelection),
+            Arc::new(EmptyRectSelection),
         )
     }
 

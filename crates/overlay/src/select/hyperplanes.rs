@@ -3,7 +3,7 @@ use std::collections::BTreeMap;
 use geocast_geom::{Arrangement, Metric, MetricKind, RegionKey};
 
 use crate::peer::PeerInfo;
-use crate::select::{select_in_brute, NeighborSelection, SelectContext, ShardProfile};
+use crate::select::{NeighborSelection, ShardProfile};
 
 /// The paper's generic *Hyperplanes* neighbour-selection method.
 ///
@@ -121,25 +121,6 @@ impl NeighborSelection for HyperplanesSelection {
         }
         picked.sort_unstable();
         picked
-    }
-
-    fn select_in(&self, peers: &[PeerInfo], i: usize, ctx: &SelectContext<'_>) -> Vec<usize> {
-        // The index answers per-orthant K-nearest queries, which match
-        // this method exactly when (a) the arrangement is the orthogonal
-        // one (regions = orthants), and (b) distance ties broken by peer
-        // id coincide with ties broken by slice position. The index
-        // declines (None) on coordinate collisions, where region
-        // classification and orthant classification part ways.
-        if let Some(index) = ctx.index() {
-            if ctx.ids_in_slice_order() && self.arrangement.is_orthogonal() {
-                if let Some(groups) = index.k_nearest_per_orthant(i, self.k, self.metric) {
-                    let mut picked: Vec<usize> = groups.into_iter().flatten().collect();
-                    picked.sort_unstable();
-                    return picked;
-                }
-            }
-        }
-        select_in_brute(self, peers, i, ctx)
     }
 
     fn name(&self) -> String {

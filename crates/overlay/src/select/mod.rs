@@ -62,13 +62,12 @@ pub enum ShardProfile {
 /// Shared acceleration state for batch selection over a fixed peer
 /// population ([`NeighborSelection::select_in`]).
 ///
-/// Built once per topology construction (by [`crate::oracle`]) and
-/// shared by every per-peer call; methods that cannot exploit it simply
-/// ignore it.
+/// Built once by the caller that owns the population — the definition
+/// in [`crate::oracle`] builds one with no index — and shared by every
+/// per-peer call; methods that cannot exploit it simply ignore it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SelectContext<'a> {
     index: Option<&'a GridIndex>,
-    ids_in_slice_order: bool,
     departed: Option<&'a [bool]>,
 }
 
@@ -79,7 +78,6 @@ impl<'a> SelectContext<'a> {
     pub fn without_index() -> Self {
         SelectContext {
             index: None,
-            ids_in_slice_order: false,
             departed: None,
         }
     }
@@ -87,15 +85,14 @@ impl<'a> SelectContext<'a> {
     /// A context backed by a spatial index built over exactly the peer
     /// slice handed to `select_in`, in the same order.
     ///
-    /// `ids_in_slice_order` must be `true` iff `peers[j].id().index() == j`
-    /// for every `j` (check with [`ids_in_slice_order`]); it gates
-    /// accelerated paths whose distance tie-breaking uses slice
-    /// positions in place of peer ids.
+    /// `_ids_in_slice_order` states whether `peers[j].id().index() == j`
+    /// for every `j` ([`ids_in_slice_order`]). The only index-backed
+    /// `select_in`, the empty-rectangle rule's, breaks no distance tie
+    /// by id, so nothing reads it.
     #[must_use]
-    pub fn with_index(index: &'a GridIndex, ids_in_slice_order: bool) -> Self {
+    pub fn with_index(index: &'a GridIndex, _ids_in_slice_order: bool) -> Self {
         SelectContext {
             index: Some(index),
-            ids_in_slice_order,
             departed: None,
         }
     }
@@ -121,12 +118,6 @@ impl<'a> SelectContext<'a> {
         self.index
     }
 
-    /// `true` if peer ids coincide with slice positions.
-    #[must_use]
-    pub fn ids_in_slice_order(&self) -> bool {
-        self.ids_in_slice_order
-    }
-
     /// The departed mask, if one was set.
     #[must_use]
     pub fn departed(&self) -> Option<&'a [bool]> {
@@ -143,43 +134,25 @@ pub fn ids_in_slice_order(peers: &[PeerInfo]) -> bool {
 }
 
 /// The uniform brute-force batch path: materialize the candidate slice
-/// (everyone but `i`, minus any departed-mask exclusions), run
+/// (every live peer but `i`; with no mask, every peer is live), run
 /// [`NeighborSelection::select`], and translate candidate indices back
-/// to slice positions. This is the one place the self-gap re-indexing
-/// lives.
+/// to slice positions through the table of candidate positions.
 pub(crate) fn select_in_brute<S: NeighborSelection + ?Sized>(
     selection: &S,
     peers: &[PeerInfo],
     i: usize,
     ctx: &SelectContext<'_>,
 ) -> Vec<usize> {
-    match ctx.departed() {
-        None => {
-            let candidates: Vec<&PeerInfo> = peers
-                .iter()
-                .enumerate()
-                .filter_map(|(j, p)| (j != i).then_some(p))
-                .collect();
-            selection
-                .select(&peers[i], &candidates)
-                .into_iter()
-                .map(|ci| if ci < i { ci } else { ci + 1 }) // undo the self-gap
-                .collect()
-        }
-        Some(departed) => {
-            // Masked populations have irregular gaps: carry the explicit
-            // candidate-position table instead of the self-gap dance.
-            let positions: Vec<usize> = (0..peers.len())
-                .filter(|&j| j != i && !departed[j])
-                .collect();
-            let candidates: Vec<&PeerInfo> = positions.iter().map(|&j| &peers[j]).collect();
-            selection
-                .select(&peers[i], &candidates)
-                .into_iter()
-                .map(|ci| positions[ci])
-                .collect()
-        }
-    }
+    let departed = ctx.departed();
+    let positions: Vec<usize> = (0..peers.len())
+        .filter(|&j| j != i && !departed.is_some_and(|gone| gone[j]))
+        .collect();
+    let candidates: Vec<&PeerInfo> = positions.iter().map(|&j| &peers[j]).collect();
+    selection
+        .select(&peers[i], &candidates)
+        .into_iter()
+        .map(|ci| positions[ci])
+        .collect()
 }
 
 /// A neighbour-selection method: a deterministic map from

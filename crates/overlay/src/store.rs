@@ -161,9 +161,8 @@ pub fn topology_hash(i: usize, neighbors: &[usize]) -> u64 {
 ///     store.insert(p.clone());
 /// }
 /// // The incremental equilibrium equals the from-scratch oracle.
-/// let peers = geocast_overlay::PeerInfo::from_point_set(
-///     &uniform_points(40, 2, 1000.0, 3));
-/// assert_eq!(store.graph(), oracle::equilibrium(&peers, &EmptyRectSelection));
+/// let reference = oracle::equilibrium_live(store.peers(), store.departed(), &EmptyRectSelection);
+/// assert_eq!(store.graph(), reference);
 /// ```
 pub struct TopologyStore {
     peers: Vec<PeerInfo>,
@@ -805,11 +804,7 @@ mod tests {
         for p in &pts {
             store.insert(p.clone());
         }
-        let peers = PeerInfo::from_point_set(&uniform_points(60, 2, 1000.0, 7));
-        assert_eq!(
-            store.graph(),
-            oracle::equilibrium(&peers, &EmptyRectSelection)
-        );
+        assert_eq!(store.graph(), reference_graph(&store));
     }
 
     #[test]

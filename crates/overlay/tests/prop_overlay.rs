@@ -1,5 +1,5 @@
-//! Property-based tests for neighbour selection and the oracle
-//! equilibrium, driven by seeded workloads.
+//! Property-based tests for neighbour selection and the equilibrium
+//! topology, driven by seeded workloads.
 
 use std::sync::Arc;
 
@@ -9,17 +9,30 @@ use geocast_geom::gen::uniform_points;
 use geocast_geom::{Interval, Metric, MetricKind, Orthant, Rect};
 use geocast_overlay::routing::{greedy_route_to_rect_on_store, route_to_peer};
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
-use geocast_overlay::{oracle, PeerInfo, TopologyStore};
+use geocast_overlay::{oracle, OverlayGraph, PeerInfo, TopologyStore};
 
 fn peers(n: usize, dim: usize, seed: u64) -> Vec<PeerInfo> {
     PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed))
 }
 
+/// The store's bulk build over `population` under `selection`.
+fn bulk_build<S: NeighborSelection + Send + Sync + 'static>(
+    population: &[PeerInfo],
+    selection: S,
+) -> OverlayGraph {
+    TopologyStore::from_peers(population.to_vec(), Arc::new(selection)).graph()
+}
+
+/// The equilibrium of the whole population, from the definition.
+fn definition(population: &[PeerInfo], selection: &(dyn NeighborSelection + Sync)) -> OverlayGraph {
+    oracle::equilibrium_live(population, &vec![false; population.len()], selection)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// THE engine guarantee: the spatially-indexed, parallel equilibrium
-    /// is bit-identical to the brute-force definitional path, for the
+    /// THE engine guarantee: the store's spatially-indexed, parallel
+    /// bulk build is bit-identical to the definition, for the
     /// empty-rectangle rule.
     #[test]
     fn indexed_equilibrium_equals_brute_force_empty_rect(
@@ -28,14 +41,13 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let population = peers(n, dim, seed);
-        let engine = oracle::equilibrium(&population, &EmptyRectSelection);
-        let brute = oracle::equilibrium_brute_force(&population, &EmptyRectSelection);
-        prop_assert_eq!(engine, brute);
+        let engine = bulk_build(&population, EmptyRectSelection);
+        prop_assert_eq!(engine, definition(&population, &EmptyRectSelection));
     }
 
     /// Same engine guarantee for the Hyperplanes family: orthogonal
     /// instances take the per-orthant index path, signed and K-closest
-    /// instances the fallback — all must equal the brute-force result.
+    /// instances the fallback — all must equal the definition.
     #[test]
     fn indexed_equilibrium_equals_brute_force_hyperplanes(
         n in 2usize..80,
@@ -50,9 +62,8 @@ proptest! {
             1 => HyperplanesSelection::signed(dim, k, MetricKind::L1),
             _ => HyperplanesSelection::k_closest(dim, k, MetricKind::L2),
         };
-        let engine = oracle::equilibrium(&population, &sel);
-        let brute = oracle::equilibrium_brute_force(&population, &sel);
-        prop_assert_eq!(engine, brute, "variant {}", variant);
+        let brute = definition(&population, &sel);
+        prop_assert_eq!(bulk_build(&population, sel), brute, "variant {}", variant);
     }
 
     /// The batch selection API is position-for-position the same as the
@@ -167,7 +178,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let population = peers(n, dim, seed);
-        let g = oracle::equilibrium(&population, &EmptyRectSelection);
+        let g = bulk_build(&population, EmptyRectSelection);
         prop_assert!(g.is_symmetric());
         prop_assert!(g.is_connected_undirected());
     }
@@ -224,7 +235,7 @@ proptest! {
         }
     }
 
-    /// The K-sweep oracle equals the generic equilibrium for every K.
+    /// The K-sweep equals the store's bulk build for every K.
     #[test]
     fn k_sweep_equals_generic(
         n in 2usize..40,
@@ -233,9 +244,9 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let population = peers(n, dim, seed);
-        let generic = oracle::equilibrium(
+        let generic = bulk_build(
             &population,
-            &HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
+            HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
         );
         let swept = oracle::orthogonal_k_sweep(&population, MetricKind::L1, &[k]);
         prop_assert_eq!(&swept[0].1, &generic);
@@ -269,9 +280,9 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let population = peers(n, dim, seed);
-        let g = oracle::equilibrium(
+        let g = bulk_build(
             &population,
-            &HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
+            HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
         );
         prop_assert!(g.is_connected_undirected());
     }
@@ -302,11 +313,11 @@ proptest! {
         src_pick in 0usize..1000,
         dst_pick in 0usize..1000,
     ) {
-        let population = peers(n, dim, seed);
-        let graph = oracle::equilibrium(&population, &EmptyRectSelection);
+        let store = TopologyStore::from_peers(peers(n, dim, seed), Arc::new(EmptyRectSelection));
+        let (population, graph) = (store.peers(), store.graph());
         let src = src_pick % n;
         let dst = dst_pick % n;
-        let route = route_to_peer(&population, &graph, src, dst, MetricKind::L1);
+        let route = route_to_peer(population, &graph, src, dst, MetricKind::L1);
         prop_assert!(route.delivered(), "{src} -> {dst} stuck at {}", route.last());
         prop_assert_eq!(route.last(), dst);
         let target = population[dst].point();

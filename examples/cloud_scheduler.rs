@@ -9,6 +9,8 @@
 //! cargo run --release --example cloud_scheduler
 //! ```
 
+use std::sync::Arc;
+
 use geocast::core::stability::{non_leaf_departures, preferred_links, PreferredPolicy};
 use geocast::prelude::*;
 
@@ -24,19 +26,20 @@ fn main() {
     println!("{n} tenant VMs, lease expiries within {horizon_secs}s");
 
     // The §3 overlay: Orthogonal Hyperplanes, K=2 closest per orthant.
-    let overlay = oracle::equilibrium(
-        &peers,
-        &HyperplanesSelection::orthogonal(3, 2, MetricKind::L1),
+    let mut store = TopologyStore::from_peers(
+        peers,
+        Arc::new(HyperplanesSelection::orthogonal(3, 2, MetricKind::L1)),
     );
+    let (peers, overlay) = (store.peers(), store.graph());
     println!(
         "overlay:  Orthogonal Hyperplanes (K=2), {} directed edges",
         overlay.directed_edge_count()
     );
 
     // Every tenant picks its longest-lease neighbour as preferred parent.
-    let forest = preferred_links(&peers, &overlay, PreferredPolicy::MaxT);
+    let forest = preferred_links(peers, &overlay, PreferredPolicy::MaxT);
     assert!(forest.is_tree(), "preferred links must form a tree");
-    assert!(forest.heap_property_holds(&peers));
+    assert!(forest.heap_property_holds(peers));
     let tree = forest.to_multicast_tree().expect("single tree");
     println!(
         "tree:     rooted at the longest lease (peer {}), height {}, diameter {}",
@@ -70,21 +73,16 @@ fn main() {
         "baselines show the sensitivity the paper criticises"
     );
 
-    // When a new VM is leased it slots in below longer leases.
-    let mut extended: Vec<PeerInfo> = peers.clone();
+    // When a new VM is leased it joins the store and slots in below
+    // longer leases.
     let newcomer_lease = horizon_secs * 0.5;
     let mut coords = locality[0].coords().to_vec();
     coords[0] = newcomer_lease;
     coords[1] += 0.5; // distinct locality
-    extended.push(PeerInfo::new(
-        PeerId(n as u64),
-        Point::new(coords).expect("valid point"),
-    ));
-    let overlay2 = oracle::equilibrium(
-        &extended,
-        &HyperplanesSelection::orthogonal(3, 2, MetricKind::L1),
-    );
-    let forest2 = preferred_links(&extended, &overlay2, PreferredPolicy::MaxT);
+    let newcomer = store.insert(Point::new(coords).expect("valid point"));
+    assert_eq!(newcomer, PeerId(n as u64));
+    let (extended, overlay2) = (store.peers(), store.graph());
+    let forest2 = preferred_links(extended, &overlay2, PreferredPolicy::MaxT);
     assert!(forest2.is_tree());
     let parent = forest2.preferred()[n].expect("newcomer found a parent");
     println!(

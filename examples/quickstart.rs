@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use std::sync::Arc;
+
 use geocast::prelude::*;
 
 fn main() {
@@ -16,7 +18,8 @@ fn main() {
 
     // 2. The converged overlay under the paper's empty-rectangle rule
     //    (equivalently: per-orthant Pareto frontiers).
-    let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
+    let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+    let (peers, overlay) = (store.peers(), store.graph());
     let degree_summary: Summary = overlay
         .undirected_degrees()
         .iter()
@@ -31,7 +34,7 @@ fn main() {
 
     // 3. A multicast tree rooted at peer 0, zones split per the paper
     //    (orthant regions, median-distance child).
-    let result = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
     println!(
         "multicast:  {} messages for {} peers (N-1 = {}), height {}, max children {}",
         result.messages,
@@ -45,10 +48,10 @@ fn main() {
 
     // 4. The same construction as real messages over the simulator.
     let dist = geocast::core::protocol::build_distributed_default(
-        &peers,
+        peers,
         &overlay,
         0,
-        std::sync::Arc::new(OrthantRectPartitioner::median()),
+        Arc::new(OrthantRectPartitioner::median()),
         42,
     );
     println!(

@@ -12,34 +12,17 @@ use geocast::prelude::*;
 fn repair_then_multicast_delivers_to_survivors() {
     let n = 60;
     let peers = PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 5));
-    let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-    let build = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+    let median = OrthantRectPartitioner::median();
+    let build = build_tree(store.peers(), &store.graph(), 0, &median);
     let victim = (1..n)
         .find(|&i| !build.tree.children(i).is_empty())
         .unwrap();
 
     // Survivor equilibrium.
-    let live: Vec<usize> = (0..n).filter(|&i| i != victim).collect();
-    let live_peers: Vec<PeerInfo> = live
-        .iter()
-        .enumerate()
-        .map(|(d, &o)| PeerInfo::new(PeerId(d as u64), peers[o].point().clone()))
-        .collect();
-    let dense = oracle::equilibrium(&live_peers, &EmptyRectSelection);
-    let mut out = vec![Vec::new(); n];
-    for (di, &oi) in live.iter().enumerate() {
-        out[oi] = dense.out_neighbors(di).iter().map(|&dj| live[dj]).collect();
-    }
-    let live_overlay = OverlayGraph::from_out_neighbors(out);
-
-    let repaired = repair_after_departure(
-        &peers,
-        &live_overlay,
-        &build,
-        victim,
-        &OrthantRectPartitioner::median(),
-    )
-    .unwrap();
+    store.remove(PeerId(victim as u64));
+    let repaired =
+        repair_after_departure(store.peers(), &store.graph(), &build, victim, &median).unwrap();
 
     // The repaired tree reaches exactly the survivors, each over one
     // parent link.
@@ -83,39 +66,21 @@ fn repeated_repairs_keep_dissemination_exact() {
     // session tree still reaches every survivor exactly once.
     let n = 50;
     let peers = PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 11));
-    let mut departed = vec![false; n];
-    let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-    let mut build = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+    let median = OrthantRectPartitioner::median();
+    let mut build = build_tree(store.peers(), &store.graph(), 0, &median);
 
     for victim in [9usize, 27, 33] {
-        if build.tree.parent(victim).is_none() || departed[victim] {
+        if build.tree.parent(victim).is_none() || store.is_departed(PeerId(victim as u64)) {
             continue;
         }
-        departed[victim] = true;
-        let live: Vec<usize> = (0..n).filter(|&i| !departed[i]).collect();
-        let live_peers: Vec<PeerInfo> = live
-            .iter()
-            .enumerate()
-            .map(|(d, &o)| PeerInfo::new(PeerId(d as u64), peers[o].point().clone()))
-            .collect();
-        let dense = oracle::equilibrium(&live_peers, &EmptyRectSelection);
-        let mut out = vec![Vec::new(); n];
-        for (di, &oi) in live.iter().enumerate() {
-            out[oi] = dense.out_neighbors(di).iter().map(|&dj| live[dj]).collect();
-        }
-        let live_overlay = OverlayGraph::from_out_neighbors(out);
-        let repaired = repair_after_departure(
-            &peers,
-            &live_overlay,
-            &build,
-            victim,
-            &OrthantRectPartitioner::median(),
-        )
-        .unwrap();
+        store.remove(PeerId(victim as u64));
+        let repaired =
+            repair_after_departure(store.peers(), &store.graph(), &build, victim, &median).unwrap();
 
         // Exactly-once delivery over the repaired tree.
         assert_eq!(repaired.tree.validate(), Ok(()));
-        assert_eq!(repaired.tree.reached_count(), live.len());
+        assert_eq!(repaired.tree.reached_count(), store.live_count());
 
         build = geocast::core::BuildResult {
             tree: repaired.tree,

@@ -3,13 +3,16 @@
 
 #![allow(clippy::needless_range_loop)] // indices are peer ids across several tables
 
+use std::sync::Arc;
+
 use geocast::geom::gen::{clustered_points, grid_points_jittered, uniform_points};
 use geocast::prelude::*;
 
-fn equilibrium_for(points: &PointSet) -> (Vec<PeerInfo>, OverlayGraph) {
-    let peers = PeerInfo::from_point_set(points);
-    let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-    (peers, overlay)
+fn equilibrium_for(points: &PointSet) -> TopologyStore {
+    TopologyStore::from_peers(
+        PeerInfo::from_point_set(points),
+        Arc::new(EmptyRectSelection),
+    )
 }
 
 #[test]
@@ -21,8 +24,9 @@ fn n_minus_one_messages_across_workloads() {
         ("grid", grid_points_jittered(12, 2, 1000.0, 4)),
     ];
     for (name, points) in workloads {
-        let (peers, overlay) = equilibrium_for(&points);
-        let result = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let store = equilibrium_for(&points);
+        let (peers, overlay) = (store.peers(), store.graph());
+        let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
         assert!(result.tree.is_spanning(), "{name}: not spanning");
         assert_eq!(result.messages, peers.len() - 1, "{name}: message count");
         assert_eq!(result.tree.validate(), Ok(()), "{name}: inconsistent tree");
@@ -32,10 +36,11 @@ fn n_minus_one_messages_across_workloads() {
 #[test]
 fn all_roots_produce_valid_spanning_trees_and_metrics() {
     let points = uniform_points(80, 3, 1000.0, 7);
-    let (peers, overlay) = equilibrium_for(&points);
+    let store = equilibrium_for(&points);
+    let (peers, overlay) = (store.peers(), store.graph());
     let mut path_lengths = Summary::new();
     for root in 0..peers.len() {
-        let result = build_tree(&peers, &overlay, root, &OrthantRectPartitioner::median());
+        let result = build_tree(peers, &overlay, root, &OrthantRectPartitioner::median());
         assert!(result.tree.is_spanning(), "root {root}");
         assert!(result.tree.max_children() <= 8, "root {root}: 2^3 bound");
         path_lengths.add(result.tree.longest_root_to_leaf() as f64);
@@ -55,8 +60,9 @@ fn zone_disjointness_makes_delivery_exactly_once() {
     // With disjoint zones each peer has exactly one parent (except the
     // root, which receives implicitly).
     let points = uniform_points(150, 4, 1000.0, 9);
-    let (peers, overlay) = equilibrium_for(&points);
-    let result = build_tree(&peers, &overlay, 5, &OrthantRectPartitioner::median());
+    let store = equilibrium_for(&points);
+    let (peers, overlay) = (store.peers(), store.graph());
+    let result = build_tree(peers, &overlay, 5, &OrthantRectPartitioner::median());
     let mut delivered = vec![0usize; peers.len()];
     delivered[5] += 1;
     for i in 0..peers.len() {
@@ -73,9 +79,10 @@ fn zone_disjointness_makes_delivery_exactly_once() {
 #[test]
 fn tree_edges_are_overlay_edges() {
     let points = uniform_points(100, 2, 1000.0, 11);
-    let (peers, overlay) = equilibrium_for(&points);
+    let store = equilibrium_for(&points);
+    let (peers, overlay) = (store.peers(), store.graph());
     let adj = overlay.undirected_closure();
-    let result = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
     for i in 0..peers.len() {
         if let Some(p) = result.tree.parent(i) {
             assert!(
@@ -94,7 +101,8 @@ fn deeper_dimensions_shrink_paths_but_grow_overlay_degree() {
     let mut depths = Vec::new();
     for dim in [2usize, 4] {
         let points = uniform_points(n, dim, 1000.0, 13);
-        let (peers, overlay) = equilibrium_for(&points);
+        let store = equilibrium_for(&points);
+        let (peers, overlay) = (store.peers(), store.graph());
         let degrees = overlay.undirected_degrees();
         let avg_degree = degrees.iter().sum::<usize>() as f64 / n as f64;
         assert!(
@@ -102,7 +110,7 @@ fn deeper_dimensions_shrink_paths_but_grow_overlay_degree() {
             "degree must grow with D: {avg_degree} after {prev_avg_degree}"
         );
         prev_avg_degree = avg_degree;
-        let result = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
         depths.push(result.tree.longest_root_to_leaf());
     }
     assert!(
@@ -114,9 +122,10 @@ fn deeper_dimensions_shrink_paths_but_grow_overlay_degree() {
 #[test]
 fn clustered_workloads_respect_all_section2_claims() {
     let points = clustered_points(120, 3, 1000.0, 4, 25.0, 17);
-    let (peers, overlay) = equilibrium_for(&points);
+    let store = equilibrium_for(&points);
+    let (peers, overlay) = (store.peers(), store.graph());
     for root in [0usize, 60, 119] {
-        let result = build_tree(&peers, &overlay, root, &OrthantRectPartitioner::median());
+        let result = build_tree(peers, &overlay, root, &OrthantRectPartitioner::median());
         let verdict = validate::check_section2(&result, peers.len(), 3);
         assert!(verdict.all_hold(), "root {root}: {verdict:?}");
     }
@@ -125,10 +134,11 @@ fn clustered_workloads_respect_all_section2_claims() {
 #[test]
 fn ablation_partitioners_only_change_tree_shape() {
     let points = uniform_points(130, 2, 1000.0, 19);
-    let (peers, overlay) = equilibrium_for(&points);
-    let median = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
-    let closest = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::closest());
-    let farthest = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::farthest());
+    let store = equilibrium_for(&points);
+    let (peers, overlay) = (store.peers(), store.graph());
+    let median = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let closest = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::closest());
+    let farthest = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::farthest());
     for (name, r) in [
         ("median", &median),
         ("closest", &closest),
@@ -147,8 +157,9 @@ fn ablation_partitioners_only_change_tree_shape() {
 #[test]
 fn flooding_baseline_costs_more_than_space_partitioning() {
     let points = uniform_points(200, 2, 1000.0, 23);
-    let (peers, overlay) = equilibrium_for(&points);
-    let ours = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let store = equilibrium_for(&points);
+    let (peers, overlay) = (store.peers(), store.graph());
+    let ours = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
     let flooded = baseline::flood(&overlay, 0);
     assert!(flooded.tree.is_spanning());
     assert!(
@@ -166,7 +177,6 @@ fn flooding_baseline_costs_more_than_space_partitioning() {
 #[test]
 fn build_on_gossip_converged_overlay_matches_oracle_build() {
     use geocast::overlay::gossip::GossipConfig;
-    use std::sync::Arc;
 
     // End-to-end: real protocol overlay, then the §2 construction on it.
     let points = uniform_points(12, 2, 1000.0, 29);
@@ -193,7 +203,7 @@ fn build_on_gossip_converged_overlay_matches_oracle_build() {
     );
     let oracle_build = build_tree(
         &peers,
-        &oracle::equilibrium(&peers, &EmptyRectSelection),
+        &oracle::equilibrium_live(&peers, &[false; 12], &EmptyRectSelection),
         0,
         &OrthantRectPartitioner::median(),
     );

@@ -3,8 +3,8 @@
 //! The paper defines convergence as reaching the topology "obtained when
 //! every peer P knows all the other peers". These tests drive the real
 //! message-passing protocol (geocast-sim + geocast-overlay) and check it
-//! against `oracle::equilibrium` — the central justification for using
-//! the oracle in figure-scale sweeps.
+//! against `oracle::equilibrium_live` — the same definition the store's
+//! bulk build, which the figure-scale sweeps run, is held to.
 
 use std::sync::Arc;
 
@@ -41,7 +41,7 @@ fn gossip_fixpoint_matches_oracle_for_empty_rect() {
     let points = uniform_points(12, 2, 1000.0, 3);
     let net = converged_network(Arc::new(EmptyRectSelection), &points, 3);
     let peers = PeerInfo::from_point_set(&points);
-    let expected = oracle::equilibrium(&peers, &EmptyRectSelection);
+    let expected = oracle::equilibrium_live(&peers, &[false; 12], &EmptyRectSelection);
     let actual = net.topology();
     for i in 0..peers.len() {
         assert_eq!(
@@ -58,7 +58,7 @@ fn gossip_fixpoint_matches_oracle_for_orthogonal_hyperplanes() {
     let selection = HyperplanesSelection::orthogonal(3, 1, MetricKind::L1);
     let net = converged_network(Arc::new(selection.clone()), &points, 7);
     let peers = PeerInfo::from_point_set(&points);
-    let expected = oracle::equilibrium(&peers, &selection);
+    let expected = oracle::equilibrium_live(&peers, &[false; 12], &selection);
     let actual = net.topology();
     for i in 0..peers.len() {
         assert_eq!(
@@ -75,7 +75,7 @@ fn gossip_fixpoint_matches_oracle_for_k_closest() {
     let selection = HyperplanesSelection::k_closest(2, 3, MetricKind::L2);
     let net = converged_network(Arc::new(selection.clone()), &points, 11);
     let peers = PeerInfo::from_point_set(&points);
-    let expected = oracle::equilibrium(&peers, &selection);
+    let expected = oracle::equilibrium_live(&peers, &[false; 10], &selection);
     assert_eq!(net.topology(), expected);
 }
 
@@ -85,7 +85,7 @@ fn gossip_fixpoint_matches_oracle_for_signed_hyperplanes() {
     let selection = HyperplanesSelection::signed(2, 1, MetricKind::L1);
     let net = converged_network(Arc::new(selection.clone()), &points, 13);
     let peers = PeerInfo::from_point_set(&points);
-    let expected = oracle::equilibrium(&peers, &selection);
+    let expected = oracle::equilibrium_live(&peers, &[false; 10], &selection);
     assert_eq!(net.topology(), expected);
 }
 
@@ -120,23 +120,13 @@ fn departed_peer_is_forgotten_and_overlay_heals() {
     }
     // Healed equilibrium equals the oracle over the survivors.
     let peers = PeerInfo::from_point_set(&points);
-    let survivors: Vec<PeerInfo> = peers
-        .iter()
-        .filter(|p| p.id().index() != 4)
-        .enumerate()
-        .map(|(dense, p)| PeerInfo::new(PeerId(dense as u64), p.point().clone()))
-        .collect();
-    let expected = oracle::equilibrium(&survivors, &EmptyRectSelection);
-    let original_of: Vec<usize> = (0..peers.len()).filter(|&i| i != 4).collect();
-    for (si, &oi) in original_of.iter().enumerate() {
-        let mut expected_nbrs: Vec<usize> = expected
-            .out_neighbors(si)
-            .iter()
-            .map(|&sj| original_of[sj])
-            .collect();
-        expected_nbrs.sort_unstable();
-        assert_eq!(topo.out_neighbors(oi), &expected_nbrs[..], "survivor {oi}");
-    }
+    let mut departed = [false; 12];
+    departed[4] = true;
+    let expected = oracle::equilibrium_live(&peers, &departed, &EmptyRectSelection);
+    assert_eq!(
+        topo, expected,
+        "the healed rows are the survivors' equilibrium"
+    );
     // And the gossip landed on the rows the embedded store maintains.
     assert_eq!(topo, net.reference_topology());
 }
@@ -152,31 +142,15 @@ fn churn_schedule_keeps_live_overlay_at_oracle_equilibrium() {
     assert_eq!(report.convergence_failures, 0);
 
     // The live peers' topology equals the oracle over exactly those peers.
-    let live: Vec<usize> = (0..net.len())
-        .filter(|&i| !net.has_departed(PeerId(i as u64)))
+    let departed: Vec<bool> = (0..net.len())
+        .map(|i| net.has_departed(PeerId(i as u64)))
         .collect();
-    let live_peers: Vec<PeerInfo> = live
-        .iter()
-        .enumerate()
-        .map(|(dense, &orig)| {
-            PeerInfo::new(PeerId(dense as u64), net.peers()[orig].point().clone())
-        })
-        .collect();
-    let expected = oracle::equilibrium(&live_peers, &EmptyRectSelection);
+    let expected = oracle::equilibrium_live(net.peers(), &departed, &EmptyRectSelection);
     let topo = net.topology();
-    for (dense, &orig) in live.iter().enumerate() {
-        let mut expected_nbrs: Vec<usize> = expected
-            .out_neighbors(dense)
-            .iter()
-            .map(|&dj| live[dj])
-            .collect();
-        expected_nbrs.sort_unstable();
-        assert_eq!(
-            topo.out_neighbors(orig),
-            &expected_nbrs[..],
-            "live peer {orig}"
-        );
-    }
+    assert_eq!(
+        topo, expected,
+        "the live rows are the live peers' equilibrium"
+    );
     assert_eq!(topo, net.reference_topology());
 }
 

@@ -8,20 +8,20 @@ use geocast::core::protocol::{self, BuildMsg};
 use geocast::prelude::*;
 use geocast::sim::{ConstantLatency, CoordDistanceLatency, UniformLatency};
 
-fn setup(n: usize, dim: usize, seed: u64) -> (Vec<PeerInfo>, OverlayGraph) {
+fn setup(n: usize, dim: usize, seed: u64) -> TopologyStore {
     let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
-    let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
-    (peers, overlay)
+    TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection))
 }
 
 #[test]
 fn offline_and_distributed_agree_across_latency_models() {
-    let (peers, overlay) = setup(70, 2, 1);
-    let offline = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let store = setup(70, 2, 1);
+    let (peers, overlay) = (store.peers(), store.graph());
+    let offline = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
 
     // Constant latency.
     let constant = protocol::build_distributed(
-        &peers,
+        peers,
         &overlay,
         0,
         Arc::new(OrthantRectPartitioner::median()),
@@ -33,7 +33,7 @@ fn offline_and_distributed_agree_across_latency_models() {
 
     // Heavily jittered latency (maximal reordering).
     let jittered = protocol::build_distributed(
-        &peers,
+        peers,
         &overlay,
         0,
         Arc::new(OrthantRectPartitioner::median()),
@@ -46,7 +46,7 @@ fn offline_and_distributed_agree_across_latency_models() {
     // Coordinate-distance latency (geographically realistic).
     let positions: Vec<Point> = peers.iter().map(|p| p.point().clone()).collect();
     let coord = protocol::build_distributed(
-        &peers,
+        peers,
         &overlay,
         0,
         Arc::new(OrthantRectPartitioner::median()),
@@ -66,10 +66,11 @@ fn construction_time_scales_with_tree_depth_not_size() {
     // With constant latency L, quiescence time = (longest root-leaf path
     // + 1 injection hop) × L: the construction is fully parallel along
     // branches.
-    let (peers, overlay) = setup(120, 3, 5);
-    let offline = build_tree(&peers, &overlay, 4, &OrthantRectPartitioner::median());
+    let store = setup(120, 3, 5);
+    let (peers, overlay) = (store.peers(), store.graph());
+    let offline = build_tree(peers, &overlay, 4, &OrthantRectPartitioner::median());
     let result = protocol::build_distributed(
-        &peers,
+        peers,
         &overlay,
         4,
         Arc::new(OrthantRectPartitioner::median()),
@@ -83,10 +84,11 @@ fn construction_time_scales_with_tree_depth_not_size() {
 
 #[test]
 fn loss_free_runs_are_duplicate_free_for_every_seed() {
-    let (peers, overlay) = setup(50, 4, 7);
+    let store = setup(50, 4, 7);
+    let (peers, overlay) = (store.peers(), store.graph());
     for seed in 0..8 {
         let result = protocol::build_distributed_default(
-            &peers,
+            peers,
             &overlay,
             0,
             Arc::new(OrthantRectPartitioner::median()),
@@ -99,11 +101,12 @@ fn loss_free_runs_are_duplicate_free_for_every_seed() {
 
 #[test]
 fn message_loss_degrades_coverage_gracefully() {
-    let (peers, overlay) = setup(100, 2, 9);
+    let store = setup(100, 2, 9);
+    let (peers, overlay) = (store.peers(), store.graph());
     let mut last_reached = peers.len() + 1;
     for loss in [0.0, 0.2, 0.6] {
         let result = protocol::build_distributed(
-            &peers,
+            peers,
             &overlay,
             0,
             Arc::new(OrthantRectPartitioner::median()),
@@ -128,8 +131,9 @@ fn message_loss_degrades_coverage_gracefully() {
 fn crashed_subtree_is_exactly_the_lost_zone() {
     // Crash one peer before construction: exactly the peers whose path
     // runs through it are unreached (zones are exclusive).
-    let (peers, overlay) = setup(80, 2, 13);
-    let offline = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let store = setup(80, 2, 13);
+    let (peers, overlay) = (store.peers(), store.graph());
+    let offline = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
     // Pick an internal node with a non-trivial subtree.
     let victim = (0..peers.len())
         .find(|&i| !offline.tree.children(i).is_empty() && i != 0)
@@ -143,7 +147,7 @@ fn crashed_subtree_is_exactly_the_lost_zone() {
     }
 
     let adj = overlay.undirected_closure();
-    let shared = Arc::new(peers.clone());
+    let shared = Arc::new(peers.to_vec());
     // Build via the protocol and crash the victim first.
     let partitioner: Arc<dyn ZonePartitioner + Send + Sync> =
         Arc::new(OrthantRectPartitioner::median());
@@ -180,10 +184,11 @@ fn crashed_subtree_is_exactly_the_lost_zone() {
 
 #[test]
 fn distributed_build_works_from_every_root_on_small_network() {
-    let (peers, overlay) = setup(25, 3, 17);
+    let store = setup(25, 3, 17);
+    let (peers, overlay) = (store.peers(), store.graph());
     for root in 0..peers.len() {
         let result = protocol::build_distributed_default(
-            &peers,
+            peers,
             &overlay,
             root,
             Arc::new(OrthantRectPartitioner::median()),

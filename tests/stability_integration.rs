@@ -2,6 +2,8 @@
 //! dimensions and overlay parameters, plus the baseline comparison the
 //! paper's introduction implies.
 
+use std::sync::Arc;
+
 use geocast::core::stability::{non_leaf_departures, preferred_links, PreferredPolicy};
 use geocast::prelude::*;
 
@@ -11,14 +13,22 @@ fn embedded_peers(n: usize, dim: usize, seed: u64) -> Vec<PeerInfo> {
     PeerInfo::from_point_set(&embed_lifetimes(&base, &times))
 }
 
+/// The store's bulk build over `peers` under `selection`.
+fn overlay_of(
+    peers: &[PeerInfo],
+    selection: impl NeighborSelection + Send + Sync + 'static,
+) -> OverlayGraph {
+    TopologyStore::from_peers(peers.to_vec(), Arc::new(selection)).graph()
+}
+
 #[test]
 fn paper_grid_sample_always_forms_heap_trees() {
     // A sample of the paper's (D, K) grid: D ∈ 2..10, K ∈ 1..50.
     for &(dim, k) in &[(2usize, 1usize), (2, 50), (5, 7), (7, 3), (10, 1), (10, 10)] {
         let peers = embedded_peers(120, dim, dim as u64 * 100 + k as u64);
-        let overlay = oracle::equilibrium(
+        let overlay = overlay_of(
             &peers,
-            &HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
+            HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
         );
         let forest = preferred_links(&peers, &overlay, PreferredPolicy::MaxT);
         assert!(forest.is_tree(), "D={dim} K={k}: not a tree");
@@ -45,9 +55,9 @@ fn diameter_shrinks_and_degree_grows_with_k() {
     let dim = 3;
     let peers = embedded_peers(n, dim, 5);
     let measure = |k: usize| {
-        let overlay = oracle::equilibrium(
+        let overlay = overlay_of(
             &peers,
-            &HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
+            HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
         );
         let tree = preferred_links(&peers, &overlay, PreferredPolicy::MaxT)
             .to_multicast_tree()
@@ -70,9 +80,9 @@ fn diameter_shrinks_and_degree_grows_with_k() {
 fn stability_tree_beats_baselines_under_departures() {
     let n = 150;
     let peers = embedded_peers(n, 2, 11);
-    let overlay = oracle::equilibrium(
+    let overlay = overlay_of(
         &peers,
-        &HyperplanesSelection::orthogonal(2, 2, MetricKind::L1),
+        HyperplanesSelection::orthogonal(2, 2, MetricKind::L1),
     );
     let times: Vec<f64> = peers
         .iter()
@@ -96,9 +106,9 @@ fn stability_tree_beats_baselines_under_departures() {
 #[test]
 fn all_policies_produce_leaf_only_departures() {
     let peers = embedded_peers(100, 4, 13);
-    let overlay = oracle::equilibrium(
+    let overlay = overlay_of(
         &peers,
-        &HyperplanesSelection::orthogonal(4, 3, MetricKind::L1),
+        HyperplanesSelection::orthogonal(4, 3, MetricKind::L1),
     );
     let times: Vec<f64> = peers
         .iter()
@@ -123,7 +133,7 @@ fn empty_rect_overlay_also_supports_stability_trees() {
     // empty-rectangle overlay provides it too (any higher-T peer's
     // orthant keeps a frontier member). Cross-section composition test.
     let peers = embedded_peers(150, 3, 17);
-    let overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
+    let overlay = overlay_of(&peers, EmptyRectSelection);
     let forest = preferred_links(&peers, &overlay, PreferredPolicy::MaxT);
     assert!(forest.is_tree(), "empty-rect overlay failed to support §3");
     assert!(forest.heap_property_holds(&peers));
@@ -132,15 +142,14 @@ fn empty_rect_overlay_also_supports_stability_trees() {
 #[test]
 fn departure_replay_on_live_simulation() {
     use geocast::core::protocol;
-    use std::sync::Arc;
 
     // End-to-end: build the §2 tree distributed, then crash peers in
     // T-order in the *simulator* and verify tree-age accounting matches
     // the offline replay.
     let peers = embedded_peers(60, 2, 19);
-    let overlay = oracle::equilibrium(
+    let overlay = overlay_of(
         &peers,
-        &HyperplanesSelection::orthogonal(2, 2, MetricKind::L1),
+        HyperplanesSelection::orthogonal(2, 2, MetricKind::L1),
     );
     let stable = preferred_links(&peers, &overlay, PreferredPolicy::MaxT)
         .to_multicast_tree()
@@ -173,7 +182,7 @@ fn departure_replay_on_live_simulation() {
 
     // On the §2 empty-rectangle overlay over the same peers, spanning is
     // guaranteed.
-    let er_overlay = oracle::equilibrium(&peers, &EmptyRectSelection);
+    let er_overlay = overlay_of(&peers, EmptyRectSelection);
     let er = protocol::build_distributed_default(
         &peers,
         &er_overlay,
