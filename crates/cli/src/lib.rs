@@ -735,15 +735,15 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
         report.links_cut
     ));
     out.push_str(&format!("  live peers after  : {}\n", store.live_count()));
-    let stats = engine.churn_stats();
+    let walk = store.join_walk_stats();
+    let per_join = |count: u64| count as f64 / walk.joins.max(1) as f64;
     out.push_str(&format!(
-        "  cross-shard       : {}/{} folds escaped ({:.3}), {} foreign shortlists, \
-         {} certified skips\n",
-        stats.folds_escaped,
-        stats.folds,
-        stats.escape_ratio(),
-        stats.foreign_shortlists,
-        stats.skips_certified
+        "  join walk         : {:.2} descent hops, {:.1} rows read, {:.1} peers offered \
+         per join ({} joins)\n",
+        per_join(walk.descent_hops),
+        per_join(walk.rows_read),
+        per_join(walk.offered),
+        walk.joins
     ));
     // Departed peers keep their (edge-less) vertex, so connectivity is a
     // live-peers-only question.
@@ -1472,25 +1472,25 @@ mod tests {
     }
 
     #[test]
-    fn churn_sharded_strict_gate_prints_the_escape_ledger() {
+    fn churn_sharded_strict_gate_prints_the_join_walk_counts() {
         let inv = parse_args(&args(&[
             "churn", "--n", "80", "--events", "30", "--shards", "4", "--strict",
         ]))
         .unwrap();
         let out = run(&inv).unwrap();
         assert!(out.contains("shard engine      : 4 shards"), "{out}");
-        assert!(out.contains("cross-shard       : "), "{out}");
-        assert!(out.contains(" folds escaped ("), "{out}");
+        assert!(out.contains("join walk         : "), "{out}");
+        assert!(out.contains(" rows read, "), "{out}");
         assert!(
             out.contains("byte-identical to the from-scratch definition"),
             "{out}"
         );
         // One tile is the default, takes the same gate, and prints the
-        // same ledger; there is no engine-less store to select.
+        // same counts; there is no engine-less store to select.
         let inv = parse_args(&args(&["churn", "--n", "80", "--events", "30", "--strict"]));
         let out = run(&inv.unwrap()).unwrap();
         assert!(out.contains("shard engine      : 1 shards"), "{out}");
-        assert!(out.contains("cross-shard       : 0/"), "{out}");
+        assert!(out.contains(" peers offered per join ("), "{out}");
         assert!(out.contains("strict gate       : byte-identical"), "{out}");
         let inv = parse_args(&args(&["churn", "--shards", "0"])).unwrap();
         assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));

@@ -21,8 +21,82 @@
 //! frontier point (take a candidate minimising the number of others in its
 //! spanned rectangle), so a peer always has an overlay neighbour to
 //! delegate each populated region to.
+//!
+//! [`ParetoSet`] is that frontier kept incrementally, one orthant at a
+//! time: the index's empty-rectangle query and the store's join walk both
+//! grow their answer in one.
 
 use crate::{Orthant, Point};
+
+/// The running Pareto frontier of **one orthant** around a fixed
+/// position `p`, in flat storage: `keys[m * dim..][..dim]` are member
+/// `m`'s keys, `ids[m]` its id. A key grows with the distance from `p`
+/// along its dimension — an absolute offset, or the coordinate itself
+/// with its sign flipped on the orthant's negative side, which needs no
+/// subtraction — so one member strictly smaller than another in every
+/// key lies strictly inside the open rectangle that `p` spans with it.
+///
+/// Members are never strictly smaller than one another in every key.
+/// Offering a point the set already dominates is a no-op; offering one
+/// that dominates members evicts them. Domination is a strict partial
+/// order, so the set is at all times the exact Pareto frontier of
+/// everything offered so far, in any offering order — ties in a key
+/// included, which dominate nothing.
+#[derive(Debug, Default, Clone)]
+pub struct ParetoSet {
+    dim: usize,
+    keys: Vec<f64>,
+    ids: Vec<usize>,
+}
+
+impl ParetoSet {
+    /// Empties the set for points of `dim` keys, keeping its buffers.
+    pub fn reset(&mut self, dim: usize) {
+        self.dim = dim;
+        self.keys.clear();
+        self.ids.clear();
+    }
+
+    /// `true` if some member is strictly smaller than `bound` in every
+    /// key.
+    #[must_use]
+    pub fn dominates(&self, bound: &[f64]) -> bool {
+        self.keys
+            .chunks_exact(self.dim)
+            .any(|m| m.iter().zip(bound).all(|(r, b)| r < b))
+    }
+
+    /// Offers a point: dropped if a member dominates it, else it evicts
+    /// the members it dominates and joins. Returns whether it joined.
+    pub fn offer(&mut self, keys: &[f64], id: usize) -> bool {
+        let dim = self.dim;
+        if self.dominates(keys) {
+            return false;
+        }
+        let mut m = 0;
+        while m < self.ids.len() {
+            let member = &self.keys[m * dim..(m + 1) * dim];
+            if keys.iter().zip(member).all(|(n, r)| n < r) {
+                // swap_remove on the flat layout.
+                let last = self.ids.len() - 1;
+                self.keys.copy_within(last * dim..(last + 1) * dim, m * dim);
+                self.keys.truncate(last * dim);
+                self.ids.swap_remove(m);
+            } else {
+                m += 1;
+            }
+        }
+        self.keys.extend_from_slice(keys);
+        self.ids.push(id);
+        true
+    }
+
+    /// The members' ids, in no particular order.
+    #[must_use]
+    pub fn ids(&self) -> &[usize] {
+        &self.ids
+    }
+}
 
 /// `true` if `a` *rect-dominates* `b` relative to reference `p`: `a` lies
 /// strictly inside the open rectangle spanned by `p` and `b`.
@@ -82,7 +156,9 @@ pub fn empty_rect_neighbors_naive<P: AsRef<Point>>(p: &Point, candidates: &[P]) 
 /// already-kept candidate rect-dominates it. Dominators are strictly
 /// closer in every dimension (hence in L1), and domination is transitive,
 /// so checking only kept candidates is sufficient. Complexity is
-/// `O(n log n + n · f)` where `f` is the frontier size.
+/// `O(n log n + n · f)` where `f` is the frontier size. The groups are
+/// runs of one sort by orthant, not a table of all `2^D` orthants, so
+/// the cost does not grow with `2^D`.
 ///
 /// `candidates` must not contain `p` itself and must respect the
 /// per-dimension distinctness assumption (orthant classification is then
@@ -91,34 +167,28 @@ pub fn empty_rect_neighbors_naive<P: AsRef<Point>>(p: &Point, candidates: &[P]) 
 #[must_use]
 pub fn empty_rect_neighbors<P: AsRef<Point>>(p: &Point, candidates: &[P]) -> Vec<usize> {
     let dim = p.dim();
-    let mut by_orthant: Vec<Vec<usize>> = vec![Vec::new(); Orthant::count(dim)];
+    let l1 = |q: &Point| -> f64 { (0..dim).map(|d| (q[d] - p[d]).abs()).sum() };
+    let mut order = Vec::with_capacity(candidates.len());
     for (i, q) in candidates.iter().enumerate() {
         match Orthant::classify(p, q.as_ref()) {
-            Ok(o) => by_orthant[o.index()].push(i),
+            Ok(o) => order.push((o, l1(q.as_ref()), i)),
             // Distinctness violated: fall back to the specification.
             Err(_) => return empty_rect_neighbors_naive(p, candidates),
         }
     }
-
-    let l1 = |q: &Point| -> f64 { (0..dim).map(|d| (q[d] - p[d]).abs()).sum() };
+    order.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
 
     let mut kept = Vec::new();
-    for group in &mut by_orthant {
-        group.sort_by(|&a, &b| {
-            l1(candidates[a].as_ref())
-                .total_cmp(&l1(candidates[b].as_ref()))
-                .then(a.cmp(&b))
-        });
-        let mut frontier: Vec<usize> = Vec::new();
-        for &qi in group.iter() {
-            let dominated = frontier
-                .iter()
-                .any(|&ri| rect_dominates(p, candidates[ri].as_ref(), candidates[qi].as_ref()));
+    for group in order.chunk_by(|a, b| a.0 == b.0) {
+        let start = kept.len();
+        for &(_, _, qi) in group {
+            let dominated = kept[start..].iter().any(|&ri: &usize| {
+                rect_dominates(p, candidates[ri].as_ref(), candidates[qi].as_ref())
+            });
             if !dominated {
-                frontier.push(qi);
+                kept.push(qi);
             }
         }
-        kept.extend(frontier);
     }
     kept.sort_unstable();
     kept
@@ -259,6 +329,44 @@ mod tests {
         let none: [Point; 0] = [];
         assert!(empty_rect_neighbors(&p, &none).is_empty());
         assert!(empty_rect_neighbors_naive(&p, &none).is_empty());
+    }
+
+    #[test]
+    fn fast_needs_no_table_of_all_orthants() {
+        // At `MAX_ORTHANT_DIM` a table of every orthant would take
+        // 2^32 buckets; the frontier sorts by orthant instead.
+        let dim = crate::MAX_ORTHANT_DIM;
+        let points = crate::gen::uniform_points(24, dim, 1000.0, 9).into_points();
+        let (p, cands) = points.split_first().unwrap();
+        let mut naive = empty_rect_neighbors_naive(p, cands);
+        naive.sort_unstable();
+        assert_eq!(empty_rect_neighbors(p, cands), naive);
+    }
+
+    #[test]
+    fn pareto_set_is_the_frontier_of_everything_offered_in_any_order() {
+        // Offsets in one orthant; (3, 3) ties (3, 5) in x and dominates
+        // nothing it ties, (1, 1) evicts both, (1, 4) ties (1, 1) in x.
+        let offered = [
+            ([3.0, 5.0], 0),
+            ([3.0, 3.0], 1),
+            ([6.0, 0.5], 2),
+            ([1.0, 1.0], 3),
+            ([1.0, 4.0], 4),
+            ([2.0, 2.0], 5),
+        ];
+        for rotation in 0..offered.len() {
+            let mut set = ParetoSet::default();
+            set.reset(2);
+            for (keys, id) in offered.iter().cycle().skip(rotation).take(offered.len()) {
+                let joined = set.offer(keys, *id);
+                assert_eq!(joined, set.ids().contains(id), "offer reports membership");
+            }
+            let mut kept = set.ids().to_vec();
+            kept.sort_unstable();
+            assert_eq!(kept, vec![2, 3, 4], "rotation {rotation}");
+            assert!(set.dominates(&[1.5, 1.5]) && !set.dominates(&[1.0, 5.0]));
+        }
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! * [`GridIndex::k_nearest_per_orthant`] — the per-orthant `K` closest
 //!   points, the kernel of the *Orthogonal Hyperplanes* method.
 //!
+//! A third question needs no orthant and never declines:
+//! [`GridIndex::locate`] hands back some live point near a position, the
+//! start of the store's empty-rectangle join walk.
+//!
 //! Unlike a build-once index, the population is **mutable**:
 //! [`GridIndex::insert`] and [`GridIndex::remove`] apply membership
 //! churn in `O(1)` amortized time. Removed points keep their id (so
@@ -74,6 +78,7 @@
 
 use std::collections::HashMap;
 
+use crate::dominance::ParetoSet;
 use crate::{MetricKind, Point};
 
 /// Orthant walks keep one frontier per orthant; beyond this many
@@ -86,63 +91,6 @@ pub const MAX_INDEX_DIM: usize = 16;
 /// does in the scan loops).
 fn coord_bits(x: f64) -> u64 {
     (x + 0.0).to_bits()
-}
-
-/// The running Pareto frontier of **one orthant** around a fixed
-/// position `p`, in flat storage: `offs[m * dim..][..dim]` are member
-/// `m`'s absolute offsets from `p`, `ids[m]` its id.
-///
-/// Members are live points of the orthant, none strictly closer to `p`
-/// than another in every dimension. Offering a point the set already
-/// dominates is a no-op; offering one that dominates members evicts
-/// them. Domination is a strict partial order, so the set is at all
-/// times the exact Pareto frontier of everything offered so far, in any
-/// offering order.
-#[derive(Debug, Default)]
-struct ParetoSet {
-    dim: usize,
-    offs: Vec<f64>,
-    ids: Vec<usize>,
-}
-
-impl ParetoSet {
-    fn reset(&mut self, dim: usize) {
-        self.dim = dim;
-        self.offs.clear();
-        self.ids.clear();
-    }
-
-    /// `true` if some member is strictly closer to `p` than `bound` in
-    /// every dimension.
-    fn dominates(&self, bound: &[f64]) -> bool {
-        self.offs
-            .chunks_exact(self.dim)
-            .any(|m| m.iter().zip(bound).all(|(r, b)| r < b))
-    }
-
-    /// Offers a point: dropped if a member dominates it, else it evicts
-    /// the members it dominates and joins.
-    fn offer(&mut self, offs: &[f64], id: usize) {
-        let dim = self.dim;
-        if self.dominates(offs) {
-            return;
-        }
-        let mut m = 0;
-        while m < self.ids.len() {
-            let member = &self.offs[m * dim..(m + 1) * dim];
-            if offs.iter().zip(member).all(|(n, r)| n < r) {
-                // swap_remove on the flat layout.
-                let last = self.ids.len() - 1;
-                self.offs.copy_within(last * dim..(last + 1) * dim, m * dim);
-                self.offs.truncate(last * dim);
-                self.ids.swap_remove(m);
-            } else {
-                m += 1;
-            }
-        }
-        self.offs.extend_from_slice(offs);
-        self.ids.push(id);
-    }
 }
 
 /// Writes `q`'s absolute offsets from `p` into `offs` and reports
@@ -541,6 +489,85 @@ impl GridIndex {
         Some(self.empty_rect_walk(q.coords(), skip.unwrap_or(usize::MAX)))
     }
 
+    /// Some live point near the position `q`, other than `skip`: of the
+    /// points in `q`'s cell — or, when it holds none, in the nearest
+    /// Chebyshev ring of cells around it that does — the one closest to
+    /// `q` in L1 (ties to the smaller id). `None` when no other live
+    /// point exists. It reads buckets only and classifies no point into
+    /// an orthant, so it never declines: not on a shared coordinate, and
+    /// not beyond [`MAX_INDEX_DIM`]. The start of the store's join walk,
+    /// whose answer does not depend on which point this is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q`'s dimensionality disagrees with a non-empty index,
+    /// or `skip` is out of range.
+    #[must_use]
+    pub fn locate(&self, q: &Point, skip: Option<usize>) -> Option<usize> {
+        let skip_live = skip.is_some_and(|s| {
+            assert!(s < self.len(), "skip id out of range");
+            !self.removed[s]
+        });
+        if self.live == usize::from(skip_live) {
+            return None;
+        }
+        assert_eq!(q.dim(), self.dim, "query dimensionality mismatch");
+        let (dim, side) = (self.dim, self.side);
+        let skip = skip.unwrap_or(usize::MAX);
+        let centre: Vec<usize> = (0..dim).map(|d| self.layer_of(d, q[d])).collect();
+        let mut cell = vec![0usize; dim];
+        for r in 0..side {
+            // The cube of cells within `r` of the centre, clipped to the
+            // grid; its cells at distance exactly `r` are the ring.
+            let lo: Vec<usize> = centre.iter().map(|&c| c.saturating_sub(r)).collect();
+            let hi: Vec<usize> = centre.iter().map(|&c| (c + r).min(side - 1)).collect();
+            cell.copy_from_slice(&lo);
+            let mut best: Option<(f64, usize)> = None;
+            'ring: loop {
+                if (0..dim).any(|d| cell[d].abs_diff(centre[d]) == r) {
+                    let flat = cell.iter().fold(0usize, |flat, &c| flat * side + c);
+                    for &entry in &self.cells[flat] {
+                        let id = entry as usize;
+                        if id == skip {
+                            continue;
+                        }
+                        let dist: f64 = (self.point_coords(id).iter().zip(q.coords()))
+                            .map(|(a, b)| (a - b).abs())
+                            .sum();
+                        if best.is_none_or(|near| (dist, id) < near) {
+                            best = Some((dist, id));
+                        }
+                    }
+                }
+                // The next cell of the cube, innermost dimension last.
+                // Where every outer dimension is inside the ring, the
+                // innermost cells strictly between `lo` and `hi` are too:
+                // it jumps over them.
+                let mut d = dim;
+                loop {
+                    if d == 0 {
+                        break 'ring;
+                    }
+                    d -= 1;
+                    if cell[d] < hi[d] {
+                        let inside = (0..d).all(|e| cell[e].abs_diff(centre[e]) < r);
+                        cell[d] = if d + 1 == dim && inside {
+                            hi[d]
+                        } else {
+                            cell[d] + 1
+                        };
+                        break;
+                    }
+                    cell[d] = lo[d];
+                }
+            }
+            if let Some((_, id)) = best {
+                return Some(id);
+            }
+        }
+        unreachable!("every live point is bucketed within `side` rings")
+    }
+
     /// The full query behind both empty-rectangle entry points: the
     /// frontier walk once per orthant, over live points excluding
     /// `skip` (`usize::MAX` excludes nobody). Collision gating is the
@@ -551,7 +578,7 @@ impl GridIndex {
         for o in 0..1usize << self.dim {
             set.reset(self.dim);
             self.frontier_walk(p, o, &mut set, skip);
-            kept.extend_from_slice(&set.ids);
+            kept.extend_from_slice(set.ids());
         }
         kept.sort_unstable();
         kept
@@ -1221,6 +1248,64 @@ mod tests {
         // A clean external point answers.
         let q = Point::new(vec![7.0, 6.0]).unwrap();
         assert_eq!(index.empty_rect_neighbors_at(&q, None), Some(vec![0, 1]));
+    }
+
+    /// The cell layers of a position, per dimension.
+    fn layers(index: &GridIndex, q: &[f64]) -> Vec<usize> {
+        (0..index.dim()).map(|d| index.layer_of(d, q[d])).collect()
+    }
+
+    #[test]
+    fn locate_answers_from_the_nearest_non_empty_ring() {
+        for &(n, dim, seed) in &[(300usize, 2usize, 81u64), (200, 3, 82), (60, 1, 83)] {
+            let points = uniform_points(n, dim, 1000.0, seed).into_points();
+            let mut index = GridIndex::build(&points);
+            for gone in (0..n).step_by(4) {
+                index.remove(gone);
+            }
+            let queries = uniform_points(20, dim, 1400.0, seed ^ 0x10c).into_points();
+            for (k, q) in queries.iter().enumerate() {
+                let skip = (k % 2 == 1).then_some((k * 4 + 1) % n);
+                let got = index.locate(q, skip).expect("live points remain");
+                assert!(!index.removed[got] && Some(got) != skip, "query {k}");
+                let centre = layers(&index, q.coords());
+                let ring = |id: usize| {
+                    let at = layers(&index, index.point_coords(id));
+                    (0..dim).map(|d| at[d].abs_diff(centre[d])).max().unwrap()
+                };
+                let nearest = (0..n)
+                    .filter(|&id| !index.removed[id] && Some(id) != skip)
+                    .map(ring)
+                    .min()
+                    .unwrap();
+                assert_eq!(ring(got), nearest, "n={n} dim={dim} query {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn locate_never_declines() {
+        // A shared coordinate, and more dimensions than the orthant
+        // queries serve: both queries decline, the locator answers.
+        let points = vec![
+            Point::new(vec![0.0, 5.0]).unwrap(),
+            Point::new(vec![3.0, 8.0]).unwrap(),
+        ];
+        let index = GridIndex::build(&points);
+        let tied = Point::new(vec![7.0, 5.0]).unwrap();
+        assert_eq!(index.empty_rect_neighbors_at(&tied, None), None);
+        assert!(index.locate(&tied, None).is_some());
+        assert_eq!(index.locate(&points[0], Some(0)), Some(1));
+        let wide = uniform_points(12, MAX_INDEX_DIM + 1, 1000.0, 84).into_points();
+        let mut index = GridIndex::build(&wide);
+        assert_eq!(index.empty_rect_neighbors(0), None);
+        assert!(index.locate(&wide[0], Some(0)).is_some());
+        // Nothing but the skipped point is live: nothing to hand back.
+        for id in 1..wide.len() {
+            index.remove(id);
+        }
+        assert_eq!(index.locate(&wide[0], Some(0)), None);
+        assert_eq!(index.locate(&wide[3], None), Some(0));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The closed forms of a membership event: the links an empty-rectangle
 //! join cuts, the links an empty-rectangle leave makes, and the top-`K`
-//! saturation prune. They read rows and coordinates only — no tile, no
+//! saturation prune — and the walk that finds an empty-rectangle
+//! newcomer's own row. They read rows and coordinates only — no tile, no
 //! index — and are argued in `crate::store`, "Why the incremental path
 //! is exact".
 
-use geocast_geom::dominance::rect_dominates_coords;
+use geocast_geom::dominance::{rect_dominates_coords, ParetoSet};
 use geocast_geom::index::MAX_INDEX_DIM;
 use geocast_geom::{Metric, MetricKind, Point, MAX_ORTHANT_DIM};
 
@@ -219,6 +220,176 @@ pub(crate) fn unblocked_pairs(coords: &CoordTable, x: usize, row: &[usize]) -> V
         .collect()
 }
 
+/// What the empty-rectangle join walk did since the store was built:
+/// plain counts, always on, read through
+/// [`crate::TopologyStore::join_walk_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JoinWalkStats {
+    /// Joins whose row the walk found (every empty-rectangle join with
+    /// another live peer to start from).
+    pub joins: u64,
+    /// Steps the descent took towards the newcomers.
+    pub descent_hops: u64,
+    /// Store rows read: one per descent step and one per peer the grow
+    /// expanded.
+    pub rows_read: u64,
+    /// Peers offered to the fronts, each at most once per join.
+    pub offered: u64,
+}
+
+/// The slot of a tied member in [`JoinWalk`]'s queue: in no front.
+const TIED: usize = usize::MAX;
+
+/// The empty-rectangle newcomer's own row, found over the rows the store
+/// already holds, with the buffers it reuses from join to join: a
+/// seen-stamp per peer, one [`ParetoSet`] per orthant code met (no `2^D`
+/// table, so any dimensionality up to `MAX_ORTHANT_DIM` takes this
+/// path), the tied members and the expansion queue. The steps and their
+/// proofs are in `crate::store`, "The newcomer's own row".
+#[derive(Debug, Default)]
+pub(crate) struct JoinWalk {
+    /// `seen[p] == stamp`: `p` was offered during this join.
+    seen: Vec<u32>,
+    stamp: u32,
+    /// `(orthant code, front slot)` of every orthant met in this join,
+    /// ascending by code.
+    slots: Vec<(u32, usize)>,
+    /// The fronts by slot; those past `slots.len()` are spare buffers.
+    fronts: Vec<ParetoSet>,
+    /// Members tied with the newcomer: in no orthant, always in its row.
+    tied: Vec<usize>,
+    /// Every peer pushed, with its front slot ([`TIED`] if tied), in
+    /// the order the grow pops them.
+    queue: Vec<(usize, usize)>,
+    stats: JoinWalkStats,
+}
+
+impl JoinWalk {
+    pub(crate) fn stats(&self) -> JoinWalkStats {
+        self.stats
+    }
+
+    /// The row of `x` among the peers that `out`'s rows link — every
+    /// live peer but `x` — walked from the live peer `start`: descend to
+    /// a neighbour of `x`, then grow the fronts over rows until no
+    /// member is left to expand. Sorted ascending.
+    pub(crate) fn row(
+        &mut self,
+        coords: &CoordTable,
+        out: &[Vec<usize>],
+        x: usize,
+        start: usize,
+    ) -> Vec<usize> {
+        if self.seen.len() < out.len() {
+            self.seen.resize(out.len(), 0);
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        self.slots.clear();
+        self.tied.clear();
+        self.queue.clear();
+
+        let at = coords.of(x);
+        let first = self.descend(coords, out, at, start);
+        self.seen[first] = self.stamp;
+        self.offer(coords, at, first);
+        let mut head = 0;
+        while let Some(&(v, slot)) = self.queue.get(head) {
+            head += 1;
+            // Evicted since it was pushed: dominated, not a neighbour.
+            if slot != TIED && !self.fronts[slot].ids().contains(&v) {
+                continue;
+            }
+            self.stats.rows_read += 1;
+            for &w in &out[v] {
+                if self.seen[w] != self.stamp {
+                    self.seen[w] = self.stamp;
+                    self.offer(coords, at, w);
+                }
+            }
+        }
+        let mut row = self.tied.clone();
+        for &(_, slot) in &self.slots {
+            row.extend_from_slice(self.fronts[slot].ids());
+        }
+        row.sort_unstable();
+        self.stats.joins += 1;
+        row
+    }
+
+    /// From `p`, steps to the member of `row(p)` in the closed box of
+    /// `p` and `at` that is not at `p`'s corner and leaves the smallest
+    /// box (least L1 offset from `at`), until `row(p)` has none: then
+    /// `p` is a neighbour of the newcomer at `at`. Each step shrinks the
+    /// box strictly, so no peer is visited twice.
+    fn descend(
+        &mut self,
+        coords: &CoordTable,
+        out: &[Vec<usize>],
+        at: &[f64],
+        mut p: usize,
+    ) -> usize {
+        loop {
+            let pc = coords.of(p);
+            let mut next: Option<(f64, usize)> = None;
+            for &m in &out[p] {
+                let mc = coords.of(m);
+                let in_box = (at.iter().zip(pc).zip(mc))
+                    .all(|((&a, &b), &c)| a.min(b) <= c && c <= a.max(b));
+                if in_box && mc != pc {
+                    let size: f64 = mc.iter().zip(at).map(|(c, a)| (c - a).abs()).sum();
+                    if next.is_none_or(|smallest| (size, m) < smallest) {
+                        next = Some((size, m));
+                    }
+                }
+            }
+            let Some((_, m)) = next else {
+                return p;
+            };
+            self.stats.descent_hops += 1;
+            self.stats.rows_read += 1;
+            p = m;
+        }
+    }
+
+    /// Offers `w` to the front of its orthant around `at`, keyed by its
+    /// coordinates with the sign flipped on the orthant's negative
+    /// sides — strictly smaller in every key is strictly inside the
+    /// rectangle, with no subtraction to round the test — or to the tied
+    /// set; pushes it if it joined.
+    fn offer(&mut self, coords: &CoordTable, at: &[f64], w: usize) {
+        self.stats.offered += 1;
+        let wc = coords.of(w);
+        let Some(code) = orthant_code(at, wc) else {
+            self.tied.push(w);
+            self.queue.push((w, TIED));
+            return;
+        };
+        let mut keys = [0.0f64; MAX_ORTHANT_DIM];
+        for (d, (key, &c)) in keys.iter_mut().zip(wc).enumerate() {
+            *key = if code >> d & 1 == 1 { c } else { -c };
+        }
+        let slot = match self.slots.binary_search_by_key(&code, |&(c, _)| c) {
+            Ok(i) => self.slots[i].1,
+            Err(i) => {
+                let slot = self.slots.len();
+                if slot == self.fronts.len() {
+                    self.fronts.push(ParetoSet::default());
+                }
+                self.fronts[slot].reset(wc.len());
+                self.slots.insert(i, (code, slot));
+                slot
+            }
+        };
+        if self.fronts[slot].offer(&keys[..wc.len()], w) {
+            self.queue.push((w, slot));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -343,6 +514,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_join_walk_finds_the_newcomers_row_from_any_start() {
+        // Every peer of a population in turn plays the newcomer, joining
+        // the peers before it, and every one of those peers in turn is
+        // the start: the walk must hand back the row the from-scratch
+        // store gives the newcomer — ties included — and count one join
+        // per walk.
+        let (mut walk, mut descent) = (JoinWalk::default(), JoinWalk::default());
+        let mut walks = 0;
+        for population in closed_form_populations() {
+            let coords = CoordTable::from_peers(&population);
+            let store = |n: usize| {
+                TopologyStore::from_peers(population[..n].to_vec(), Arc::new(EmptyRectSelection))
+            };
+            for q in 1..population.len() {
+                let (before, after) = (store(q), store(q + 1));
+                for start in 0..q {
+                    let row = walk.row(&coords, &before.out, q, start);
+                    assert_eq!(row, after.out_neighbors(q), "{q} joins from {start}");
+                    walks += 1;
+                    // The descent's own contract: it stops at a neighbour.
+                    let stop = descent.descend(&coords, &before.out, coords.of(q), start);
+                    assert!(row.contains(&stop), "{q} joins: descent from {start}");
+                }
+            }
+        }
+        let stats = walk.stats();
+        assert_eq!(stats.joins, walks);
+        assert!(stats.descent_hops > 0, "far starts descend before growing");
     }
 
     #[test]

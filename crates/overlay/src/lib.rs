@@ -63,6 +63,7 @@ pub mod routing;
 pub mod select;
 pub mod shard;
 
+pub use closed_form::JoinWalkStats;
 pub use delta::{CursorCatchUp, DeltaCursor, DeltaKind, DeltaLog, TopologyDelta};
 pub use graph::OverlayGraph;
 pub use network::{ConvergenceReport, NetworkConfig, OverlayNetwork};

@@ -64,9 +64,16 @@
 //! how (the join's dominance update, the leave's pair kernel, the
 //! saturation prune), are argued in `crate::store`, "Why the incremental
 //! path is exact". This module supplies the pieces that depend on the
-//! tiles — the newcomer's own row and every full re-selection are folds
-//! over the shards; the closed forms read no tile at all and live in
-//! `crate::closed_form`.
+//! tiles. A join registers the newcomer — home tile, halo mirrors, index
+//! inserts — and a leave tombstones it. Under the Hyperplanes profiles
+//! the newcomer's own row and every re-selection are folds over the
+//! shards. Under the empty-rectangle profile nothing is folded: the
+//! newcomer's row is walked over the store's rows from a start that
+//! `ShardedTopologyStore::locate` takes from the home tile's grid, so
+//! a join asks no shard for a shortlist at any `K`, and neither does a
+//! leave. The walk and the closed forms read no tile at all and live in
+//! `crate::closed_form`; debug builds still re-derive every row they
+//! edit through the fold.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
@@ -438,11 +445,13 @@ struct FoldScratch {
 
 /// What the churn paths of a [`ShardedTopologyStore`] asked of foreign
 /// shards since the bulk build: plain event counts, always on, read
-/// through [`ShardedTopologyStore::churn_stats`].
+/// through [`ShardedTopologyStore::churn_stats`]. Only the Hyperplanes
+/// profiles fold during churn; under the empty-rectangle rule every
+/// count stays 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardChurnStats {
-    /// Selection folds run (a join's own row; a leave's selector rows
-    /// outside the empty-rectangle rule).
+    /// Selection folds run (a join's own row and a leave's selector
+    /// rows, outside the empty-rectangle rule).
     pub folds: u64,
     /// Folds that asked at least one foreign shard for a shortlist.
     pub folds_escaped: u64,
@@ -653,6 +662,7 @@ impl ShardedTopologyStore {
 
     /// What churn has asked of foreign shards since the bulk build.
     #[must_use]
+    // lint:allow(D006, reason = "ROADMAP item 1(a) rebinds e2e-probes' overlay.shard.escape_ratio to it; the tests hold the Hyperplanes folds and the empty-rectangle rule's zero through it")
     pub fn churn_stats(&self) -> ShardChurnStats {
         self.scratch.churn
     }
@@ -746,15 +756,11 @@ impl ShardedTopologyStore {
 
     /// The engine's half of a join: registers peer `id`, the newest of
     /// `peers` — home assignment, resident bookkeeping, halo mirrors
-    /// into every shard whose band contains it — and returns its exact
-    /// row.
-    pub(crate) fn join(
-        &mut self,
-        peers: &[PeerInfo],
-        departed: &[bool],
-        selection: &dyn NeighborSelection,
-        id: usize,
-    ) -> Vec<usize> {
+    /// into every shard whose band contains it. Its row is the store's
+    /// to find: a fold ([`ShardedTopologyStore::reselect`]) under the
+    /// Hyperplanes profiles, a walk over rows from
+    /// [`ShardedTopologyStore::locate`] under the empty-rectangle one.
+    pub(crate) fn register(&mut self, peers: &[PeerInfo], id: usize) {
         let point = peers[id].point();
         let coords = point.coords();
         let h = self.tiling.shard_of(coords);
@@ -766,7 +772,25 @@ impl ShardedTopologyStore {
                 self.shards[s].add_member(id, point, false);
             }
         }
-        self.reselect(peers, departed, selection, id)
+    }
+
+    /// A live peer other than the registered peer `id` to start its join
+    /// walk from: one near it in its home tile's grid
+    /// ([`GridIndex::locate`], which never declines), or — when the home
+    /// tile holds no other live peer — one from the first other tile
+    /// that does. `None` when `id` is the only live peer. No shortlist
+    /// is asked for and nothing enters the churn ledger.
+    pub(crate) fn locate(&self, peers: &[PeerInfo], id: usize) -> Option<usize> {
+        let h = self.home[id] as usize;
+        let point = peers[id].point();
+        let others = self.shards.iter().enumerate().filter(|&(s, _)| s != h);
+        std::iter::once(&self.shards[h])
+            .chain(others.map(|(_, shard)| shard))
+            .find_map(|shard| {
+                let skip = shard.local_of.get(&id).copied();
+                let local = shard.index.locate(point, skip)?;
+                Some(shard.members[local])
+            })
     }
 
     /// The engine's half of a leave: tombstones peer `v` in its home
@@ -785,9 +809,10 @@ impl ShardedTopologyStore {
 
     /// Peer `i`'s exact row over the live population, re-selected
     /// through the fold and booked in the churn ledger: a newcomer's
-    /// own row, and what a leave costs each selector under every
-    /// profile but the empty-rectangle one, whose leave is decided by
-    /// [`unblocked_pairs`] and asks no shard.
+    /// own row and what a leave costs each selector, under every
+    /// profile but the empty-rectangle one, whose join walks the
+    /// store's rows and whose leave is decided by `unblocked_pairs`;
+    /// neither asks a shard for a shortlist.
     pub(crate) fn reselect(
         &mut self,
         peers: &[PeerInfo],
@@ -803,7 +828,8 @@ impl ShardedTopologyStore {
 
     /// [`ShardedTopologyStore::reselect`] on a throw-away
     /// scratch, as the bulk build folds: the re-derivation debug builds
-    /// hold every row a leave edited against, off the churn ledger.
+    /// hold every row an empty-rectangle join or leave edited against,
+    /// the newcomer's own included, off the churn ledger.
     pub(crate) fn row_from_scratch(
         &self,
         peers: &[PeerInfo],
@@ -1243,10 +1269,10 @@ mod tests {
     #[test]
     fn churn_stats_count_what_joins_and_leaves_ask_of_foreign_shards() {
         let joins = uniform_points(120, 2, 1000.0, 72).into_points();
-        let churned = |shards: usize| {
+        let churned = |rule: Arc<dyn NeighborSelection + Send + Sync>, shards: usize| {
             let mut store = TopologyStore::from_peers_sharded(
                 peers(2000, 2, 71),
-                Arc::new(EmptyRectSelection),
+                rule,
                 &ShardConfig::new(shards),
             );
             let built = store.sharding().churn_stats();
@@ -1264,24 +1290,35 @@ mod tests {
             }
             (after_joins, store.sharding().churn_stats())
         };
+        let top_k = || Arc::new(HyperplanesSelection::orthogonal(2, 2, MetricKind::L1));
 
-        // One shard: there is no foreign shard to ask.
-        let (joined, all) = churned(1);
+        // The ledger, on a rule that folds: a join folds its own row, a
+        // leave one row per selector of the departed peer. One shard:
+        // there is no foreign shard to ask.
+        let (joined, all) = churned(top_k(), 1);
         assert_eq!(joined.folds, 120, "one fold per join");
         assert_eq!((joined.folds_escaped, joined.foreign_shortlists), (0, 0));
         assert_eq!(joined.skips_certified, 0);
         assert_eq!(joined.escape_ratio(), 0.0);
-        assert_eq!(all, joined, "a leave folds nothing");
+        assert!(all.folds > joined.folds, "a leave re-selects its selectors");
+        assert_eq!((all.folds_escaped, all.foreign_shortlists), (0, 0));
 
-        // Sixteen shards: a join's full query folds every shard it
-        // cannot certify away; a leave links the departed peer's
-        // neighbours from its row alone and asks no shard, home or
-        // foreign.
-        let (joined, all) = churned(16);
+        // Sixteen shards: a fold asks every foreign shard it cannot
+        // certify away.
+        let (joined, all) = churned(top_k(), 16);
         assert_eq!(joined.folds, 120);
         assert!(joined.folds_escaped > 0 && joined.skips_certified > 0);
         assert!(joined.foreign_shortlists >= joined.folds_escaped);
-        assert_eq!(all, joined, "a leave folds nothing and asks no shard");
+        assert!(all.folds > joined.folds);
+
+        // The empty-rectangle rule folds nothing at any K: a join walks
+        // the store's rows from a start its home tile locates, and a
+        // leave links the departed peer's neighbours from its row.
+        for shards in [1, 16] {
+            let (joined, all) = churned(Arc::new(EmptyRectSelection), shards);
+            assert_eq!(joined, ShardChurnStats::default(), "{shards} shards");
+            assert_eq!(all, joined, "{shards} shards");
+        }
     }
 
     #[test]

@@ -93,7 +93,109 @@
 //!   evicted `r` had `rect(i, r)` empty before `q` came to sit in it,
 //!   so `rect(q, r)`, a part of it, is empty, and `r ∈ row(q)`. Debug
 //!   builds re-select every row a join or a leave edited through the
-//!   fold and compare.
+//!   fold and compare — the newcomer's own row included.
+//!
+//! ## The newcomer's own row
+//!
+//! Under the Hyperplanes rules a newcomer's row is a fold over the
+//! shards. Under the empty-rectangle rule it is found from the rows the
+//! store already holds, with no index query and no fold. Notation: `x`
+//! is the newcomer, `G` the graph of the live peers' rows before it
+//! arrives, and `row(x)` the live peers `p` whose open `rect(x, p)` holds
+//! no live peer. `box(a, b)` is the closed box with corners `a` and `b`,
+//! and `hull(a, b)` the closed box spanned by `x`, `a` and `b`. The walk
+//! has three steps.
+//!
+//! 1. **Locate.** The start is any live peer: the one nearest `x` in
+//!    the home tile's grid cells (`GridIndex::locate`, which reads
+//!    buckets only and so never declines on a tie), or, if the home tile
+//!    holds no other live peer, one from another tile. Nothing below
+//!    depends on which peer it is; a near one keeps the descent short.
+//! 2. **Descend.** From `p`, step to the member `m` of `row(p)` that lies
+//!    in `box(p, x)` at coordinates other than `p`'s and leaves the
+//!    smallest box; stop when `row(p)` has none. `box(m, x)` is a strict
+//!    part of `box(p, x)`, so no peer is visited twice and the walk ends.
+//!    *Lemma:* if `box(p, x)` holds a live peer `s` at coordinates other
+//!    than `p`'s, then `row(p)` holds one. If the open `rect(p, s)` holds
+//!    a peer `t`, then `t` is strictly between `p` and `s` in every
+//!    dimension: it lies in `box(p, x)`, off `p`'s coordinates, with
+//!    `box(p, t)` a strict part of `box(p, s)`. That finite descent ends
+//!    at such a peer whose open rectangle with `p` is empty, a member of
+//!    `row(p)`. So where the walk stops, `box(p, x)` holds no live peer
+//!    but `p` and its copies, the open `rect(x, p)` holds none, and
+//!    `p ∈ row(x)`.
+//! 3. **Grow.** Keep one Pareto front per orthant code around `x`
+//!    (`geocast_geom::dominance::ParetoSet`, created as orthants are met
+//!    — no `2^D` table) and a tied set for the peers that share a
+//!    coordinate with `x`, which are in no orthant and always in
+//!    `row(x)`. A front's keys are the member's coordinates with the sign
+//!    flipped on the orthant's negative sides: strictly smaller in every
+//!    key is strictly inside the rectangle, with no subtraction to round
+//!    the test. Offer the descent's end, then push every peer a front
+//!    accepts or the tied set takes; pop them in order, and when a popped
+//!    peer is still in its front (or is tied), offer every member of its
+//!    row. A seen-stamp per peer offers each peer at most once per join.
+//!    At the end the fronts and the tied set are `row(x)`.
+//!
+//! Why the grow ends with exactly `row(x)`:
+//!
+//! * **`row(x)` is connected in `G`** — within an orthant, across
+//!   orthants, and with ties. Induct on `μ(a, b)`, the number of live
+//!   peers in `hull(a, b)`, for `a, b ∈ row(x)`. If the open `rect(a, b)`
+//!   is empty, `a – b` is a link of `G`. Otherwise it holds a peer `r`,
+//!   strictly between `a` and `b` in every dimension. Some dimension has
+//!   `b` strictly beyond both `a` and `x`: if none did, `b` would lie in
+//!   `box(x, a)`, and `r`, strictly between `a` and a value between `x`
+//!   and `a` in every dimension, would lie strictly inside `rect(x, a)`,
+//!   which `a ∈ row(x)` rules out. The same holds for `a`. The finite
+//!   descent of step 2 from `r` towards `x` ends at a `q ∈ row(x)` inside
+//!   `box(x, r)`, hence inside `hull(a, b)`. In the dimension where `b`
+//!   is beyond `a` and `x`, `q` is no farther out than `r`, which is
+//!   short of `b`, so `b` is not in `hull(a, q)`: `μ(a, q) < μ(a, b)`, and
+//!   in the same way `μ(q, b) < μ(a, b)`. By induction, `a` and `q`, and
+//!   `q` and `b`, are joined by paths inside `row(x)`. Within one orthant
+//!   `O`, `hull(a, b)` is the box from `x` to the componentwise maximum
+//!   of the offsets of `a` and `b`, and `μ` counts the peers of `O` whose
+//!   offsets lie below it. Across orthants no minimal pair of orthants is
+//!   needed. The argument never puts a peer in an orthant, so peers that
+//!   share a coordinate with `x` or with each other are covered by the
+//!   proof, not only by the property tests.
+//! * **Every member of `row(x)` is offered, and stays.** A member is
+//!   strictly dominated by no live peer (that peer would sit strictly
+//!   inside its rectangle with `x`), so a front that is offered it
+//!   accepts it and never evicts it; a tied member always goes to the
+//!   tied set. So it is popped and expanded, and its row holds its links
+//!   inside `row(x)`. The descent's end is in `row(x)`, whatever the
+//!   start, so by connectivity every member of `row(x)` is offered.
+//! * **Nothing else stays.** A front holds the Pareto frontier of what it
+//!   was offered. An offered peer `s ∉ row(x)` in orthant `O` has a live
+//!   peer strictly inside `rect(x, s)`, and the finite descent from it
+//!   ends at a member of `row(x)` in `O` that strictly dominates `s`.
+//!   That member was offered too, so `s` is not in the final front.
+//! * **From any start.** The descent makes the grow cheap, not exact:
+//!   grown from a start outside `row(x)`, it still offers a member of
+//!   `row(x)` (a tied start is in it). The start's front never empties,
+//!   and every peer in a final front was expanded when popped. If all
+//!   final members are in `row(x)`, one was offered. Otherwise let `f`
+//!   be the final member outside `row(x)` with the least L1 offset from
+//!   `x`. By the lemma, `row(f)` — which was offered — holds
+//!   a peer `m` in `box(f, x)` off `f`'s coordinates. Either `m` is tied
+//!   with `x`, and so in `row(x)`; or it lies in `f`'s orthant with a
+//!   smaller L1 offset. Then `m` is a final member, or some final member
+//!   strictly dominates it with a smaller offset still; by the choice of
+//!   `f`, that member is in `row(x)`. Connectivity does the rest. So a
+//!   start from any tile is correct, and the walk does not depend on
+//!   `locate` beyond the cost.
+//!
+//! Every test is a raw comparison of coordinates, as in the rule's own
+//! definition, so the walk takes the same path at every dimensionality
+//! up to [`MAX_ORTHANT_DIM`] and at every tiling: no decline, no brute
+//! selection, no shard asked for a shortlist.
+//! `geocast_overlay`'s `prop_store` holds each newcomer's row against the
+//! definition on uniform, lattice, clustered and 17- and 32-dimensional
+//! populations. Expanding a peer reads its row, so a join reads about
+//! as many rows as its own row has members
+//! ([`TopologyStore::join_walk_stats`]).
 //!
 //! # The oracle
 //!
@@ -112,9 +214,11 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use geocast_geom::Point;
+use geocast_geom::{Point, MAX_ORTHANT_DIM};
 
-use crate::closed_form::{straddled_links, topk_join_recheck, unblocked_pairs, CoordTable};
+use crate::closed_form::{
+    straddled_links, topk_join_recheck, unblocked_pairs, CoordTable, JoinWalk, JoinWalkStats,
+};
 use crate::delta::{DeltaKind, DeltaLog, TopologyDelta};
 use crate::graph::OverlayGraph;
 use crate::par;
@@ -181,9 +285,22 @@ pub struct TopologyStore {
     /// Mutual links the empty-rectangle leaves made and its joins cut.
     links_made: u64,
     links_cut: u64,
+    /// What finds an empty-rectangle newcomer's row over `out`.
+    walk: JoinWalk,
     selection: Arc<dyn NeighborSelection + Send + Sync>,
-    /// The tiles and their spatial indexes: what computes every row.
+    /// The tiles and their spatial indexes: the bulk build, the join
+    /// walk's start, and every fold.
     engine: ShardedTopologyStore,
+}
+
+/// Every rule classifies peers by orthant codes of one bit per
+/// dimension, and so does the join walk: the store admits no more
+/// dimensions than they hold.
+fn assert_orthant_dim(dim: usize) {
+    assert!(
+        dim <= MAX_ORTHANT_DIM,
+        "dimension {dim} exceeds MAX_ORTHANT_DIM = {MAX_ORTHANT_DIM}"
+    );
 }
 
 impl TopologyStore {
@@ -222,8 +339,9 @@ impl TopologyStore {
     ///
     /// Panics unless `peers[i].id().index() == i` for every `i` (the
     /// store owns the id space) and all peers share one dimensionality,
-    /// or if `peers` is empty with more than one shard — tiling needs a
-    /// seed population's bounding box.
+    /// if `peers` is empty with more than one shard — tiling needs a
+    /// seed population's bounding box — or if the dimensionality exceeds
+    /// [`MAX_ORTHANT_DIM`].
     #[must_use]
     pub fn from_peers_sharded(
         peers: Vec<PeerInfo>,
@@ -244,6 +362,9 @@ impl TopologyStore {
                 .all(|w| w[0].point().dim() == w[1].point().dim()),
             "population dimensionality is fixed per overlay"
         );
+        if let Some(first) = peers.first() {
+            assert_orthant_dim(first.point().dim());
+        }
         let (mut engine, out) = ShardedTopologyStore::build(&peers, selection.as_ref(), config);
         // lint:allow(D002, reason = "feeds ShardBuildStats.finalize telemetry only; no control flow reads the clock")
         let t = std::time::Instant::now();
@@ -277,6 +398,7 @@ impl TopologyStore {
             log: DeltaLog::default(),
             links_made: 0,
             links_cut: 0,
+            walk: JoinWalk::default(),
             peers,
             selection,
             engine,
@@ -305,6 +427,15 @@ impl TopologyStore {
     #[must_use]
     pub fn links_cut_by_joins(&self) -> u64 {
         self.links_cut
+    }
+
+    /// What the empty-rectangle join walk did since construction —
+    /// joins walked, descent steps, rows read, peers offered — counted
+    /// like [`TopologyStore::links_made_by_leaves`]; the other rules
+    /// fold and count nothing here.
+    #[must_use]
+    pub fn join_walk_stats(&self) -> JoinWalkStats {
+        self.walk.stats()
     }
 
     /// Number of peers ever inserted (departed ones included).
@@ -493,9 +624,11 @@ impl TopologyStore {
     }
 
     /// Inserts a new peer and incrementally re-converges the
-    /// equilibrium: the newcomer selects over the full live population,
-    /// and only peers whose rows its arrival can change are updated
-    /// (see the module docs for who they are and why that is exact).
+    /// equilibrium: the newcomer gets its row over the full live
+    /// population — walked over the store's rows under the
+    /// empty-rectangle rule, folded over the shards otherwise — and only
+    /// peers whose rows its arrival can change are updated (see the
+    /// module docs for who they are and why that is exact).
     ///
     /// Returns the new peer's id; the newest entry of
     /// [`TopologyStore::delta_log`] lists the affected peers.
@@ -503,8 +636,9 @@ impl TopologyStore {
     /// # Panics
     ///
     /// Panics if `point`'s dimensionality disagrees with the population
-    /// (the paper fixes `D` per system).
+    /// (the paper fixes `D` per system) or exceeds [`MAX_ORTHANT_DIM`].
     pub fn insert(&mut self, point: Point) -> PeerId {
+        assert_orthant_dim(point.dim());
         if let Some(first) = self.peers.first() {
             assert_eq!(
                 point.dim(),
@@ -523,23 +657,33 @@ impl TopologyStore {
         }
         self.peer_hash.push(topology_hash(id, &[]));
         self.fingerprint ^= self.peer_hash[id];
-        let selection = self.selection.as_ref();
-        let own = self.engine.join(&self.peers, &self.departed, selection, id);
+        self.engine.register(&self.peers, id);
         let dirty = match self.engine.profile() {
-            ShardProfile::EmptyRect => self.join_links(id, own),
-            profile => self.join_reselect(id, own, profile),
+            ShardProfile::EmptyRect => self.join_links(id),
+            profile => {
+                let selection = self.selection.as_ref();
+                let own = self
+                    .engine
+                    .reselect(&self.peers, &self.departed, selection, id);
+                self.join_reselect(id, own, profile)
+            }
         };
         self.record_delta(DeltaKind::Join(id), dirty);
         PeerId(id as u64)
     }
 
-    /// The empty-rectangle join as edge edits: the newcomer links with
-    /// every peer of its row `own`, and the linked pairs of `own` whose
+    /// The empty-rectangle join as edge edits: the newcomer's row `own`
+    /// is walked over the rows the store holds from a start the engine
+    /// locates (module docs, "The newcomer's own row"), the newcomer
+    /// links with every peer of it, and the linked pairs of `own` whose
     /// rectangle the newcomer now sits in are cut ([`straddled_links`];
-    /// every eviction is such a pair, module docs), so the rows that
-    /// change, and the dirty region returned, are `own` and the
-    /// newcomer's.
-    fn join_links(&mut self, id: usize, own: Vec<usize>) -> Vec<usize> {
+    /// every eviction is such a pair), so the rows that change, and the
+    /// dirty region returned, are `own` and the newcomer's.
+    fn join_links(&mut self, id: usize) -> Vec<usize> {
+        let own = match self.engine.locate(&self.peers, id) {
+            Some(start) => self.walk.row(&self.coords, &self.out, id, start),
+            None => Vec::new(),
+        };
         let cuts = straddled_links(&self.coords, &self.out, id, &own);
         for &(i, r) in &cuts {
             self.unlink(i, r);
@@ -1059,6 +1203,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "dimension 33 exceeds MAX_ORTHANT_DIM")]
+    fn more_dimensions_than_orthant_codes_hold_are_rejected_up_front() {
+        // Not deep inside the bulk build's brute selection: the store
+        // refuses the population before building anything.
+        let peers = PeerInfo::from_point_set(&uniform_points(4, MAX_ORTHANT_DIM + 1, 1000.0, 3));
+        let _ = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension 33 exceeds MAX_ORTHANT_DIM")]
+    fn a_first_insert_beyond_orthant_codes_is_rejected() {
+        let mut store = TopologyStore::new(Arc::new(EmptyRectSelection));
+        store.insert(Point::new(vec![1.0; MAX_ORTHANT_DIM + 1]).unwrap());
+    }
+
+    #[test]
     #[should_panic(expected = "dimensionality")]
     fn mixed_dimensions_are_rejected() {
         let mut store = TopologyStore::new(Arc::new(EmptyRectSelection));
@@ -1069,11 +1229,13 @@ mod tests {
     #[test]
     fn high_dimensions_fall_back_exactly() {
         // Beyond MAX_INDEX_DIM the shard indexes decline every query:
-        // shortlists are brute selections and no skip is certified. An
-        // empty-rectangle leave asks no index and links the departed
-        // peer's neighbours as in any dimensionality; a Hyperplanes
-        // leave re-selects by brute force. Bulk build, growth from empty, joins and leaves equal
-        // the oracle after every event, on one tile and on several.
+        // the bulk build's shortlists and every Hyperplanes fold are
+        // brute selections, and no skip is certified. An empty-rectangle
+        // join locates its start by buckets, which never decline, and
+        // walks rows; its leave links the departed peer's neighbours —
+        // neither asks an index a query in any dimensionality. Bulk
+        // build, growth from empty, joins and leaves equal the oracle
+        // after every event, on one tile and on several.
         let dim = geocast_geom::index::MAX_INDEX_DIM + 1;
         let rules: [Arc<dyn NeighborSelection + Send + Sync>; 2] = [
             Arc::new(EmptyRectSelection),
@@ -1106,11 +1268,12 @@ mod tests {
 
     #[test]
     fn colliding_coordinates_fall_back_exactly() {
-        // A workload violating per-dimension distinctness: the index
-        // declines and a join's brute selection must keep incremental
-        // == reference. The leave removes a peer that shares a
-        // coordinate with two of its selectors; the pair kernel is the
-        // rule's own strict test and has no fallback.
+        // A workload violating per-dimension distinctness. A join's
+        // walk puts a newcomer's tied peers in its tied set and never
+        // asks the index, whose query would decline here; the leave
+        // removes a peer that shares a coordinate with two of its
+        // selectors, and the pair kernel is the rule's own strict test.
+        // Neither falls back to a brute selection.
         let pts = vec![
             Point::new(vec![0.0, 0.0]).unwrap(),
             Point::new(vec![5.0, 0.0]).unwrap(), // shares y with 0
@@ -1178,10 +1341,11 @@ mod tests {
         // The join half: each newcomer copies one coordinate of a live
         // peer and the other coordinate of one of that peer's
         // neighbours. Both tie it, so both are in its row with no
-        // orthant code, and no pair through them is cut. The join's own
-        // row folds once (the index declines next to a tie and the tile
-        // answers by brute selection); the rows it edits fold nothing.
-        // Debug builds re-select every edited row after each join.
+        // orthant code, and no pair through them is cut. The walk finds
+        // the newcomer's own row over store rows and puts the ties in its
+        // tied set, so no join folds and none runs a brute selection.
+        // Debug builds re-select every edited row, the newcomer's
+        // included, after each join.
         let peers = PeerInfo::from_point_set(&uniform_points(2000, 2, 1000.0, 67));
         let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
         let before = store.sharding().churn_stats();
@@ -1201,9 +1365,10 @@ mod tests {
         }
         assert_eq!(
             store.sharding().churn_stats().folds,
-            before.folds + 20,
-            "a join folds its own row only, ties or not"
+            before.folds,
+            "a join folds nothing, ties or not"
         );
+        assert_eq!(store.join_walk_stats().joins, 20, "every join walked");
         assert_eq!(store.graph(), reference_graph(&store));
         assert_eq!(store.fingerprint(), oracle::fingerprint(&store.graph()));
     }

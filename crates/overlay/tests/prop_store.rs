@@ -14,10 +14,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use geocast_geom::gen::uniform_points;
-use geocast_geom::{MetricKind, Point};
+use geocast_geom::gen::{clustered_points, uniform_points};
+use geocast_geom::index::MAX_INDEX_DIM;
+use geocast_geom::{MetricKind, Point, MAX_ORTHANT_DIM};
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
-use geocast_overlay::{oracle, OverlayGraph, PeerId, PeerInfo, ShardConfig, TopologyStore};
+use geocast_overlay::{
+    oracle, OverlayGraph, PeerId, PeerInfo, ShardChurnStats, ShardConfig, TopologyStore,
+};
 
 fn selection_for(variant: usize, dim: usize, k: usize) -> Arc<dyn NeighborSelection + Send + Sync> {
     match variant {
@@ -123,6 +126,122 @@ fn churn_trace(
             .then(|| live[rng.random_range(0..live.len())]);
         let moved = apply_event(store, leave, &mut joins);
         check(store, op, &moved);
+    }
+}
+
+/// The populations the empty-rectangle join walk is held to, in their
+/// insertion order, by `family`: uniform at 1 to 6 dimensions; the full
+/// integer lattice at 2 to 4, shuffled (every coordinate is shared);
+/// clustered at 2 to 4; and small ones at `MAX_INDEX_DIM + 1` and at
+/// `MAX_ORTHANT_DIM` dimensions. `pick` chooses the dimensionality.
+fn walk_population(family: usize, pick: usize, seed: u64) -> Vec<Point> {
+    match family {
+        0 => uniform_points(60, 1 + pick % 6, 1000.0, seed).into_points(),
+        1 => {
+            let (dim, side): (u32, usize) = [(2, 8), (3, 4), (4, 3)][pick % 3];
+            let mut lattice: Vec<Point> = (0..side.pow(dim))
+                .map(|mut i| {
+                    let coords = (0..dim)
+                        .map(|_| {
+                            let c = i % side;
+                            i /= side;
+                            c as f64
+                        })
+                        .collect();
+                    Point::new(coords).unwrap()
+                })
+                .collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for k in (1..lattice.len()).rev() {
+                lattice.swap(k, rng.random_range(0..=k));
+            }
+            lattice
+        }
+        2 => clustered_points(80, 2 + pick % 3, 1000.0, 3, 25.0, seed).into_points(),
+        _ => {
+            let dim = [MAX_INDEX_DIM + 1, MAX_ORTHANT_DIM][pick % 2];
+            uniform_points(20, dim, 1000.0, seed).into_points()
+        }
+    }
+}
+
+/// The definition's row of peer `x`: the rule run over every other live
+/// peer, with no index and no store row.
+fn definition_row(store: &TopologyStore, x: usize) -> Vec<usize> {
+    let live: Vec<usize> = (0..store.len())
+        .filter(|&j| j != x && !store.is_departed(PeerId(j as u64)))
+        .collect();
+    let refs: Vec<&PeerInfo> = live.iter().map(|&j| &store.peers()[j]).collect();
+    EmptyRectSelection
+        .select(&store.peers()[x], &refs)
+        .into_iter()
+        .map(|c| live[c])
+        .collect()
+}
+
+/// `store` after `ops` random events of `churn_trace`'s kind — joins of
+/// `points` in order, one leave in four — with each newcomer's row held
+/// against the definition's; returns the joins' rows' total length.
+fn grow_with_walks(store: &mut TopologyStore, points: Vec<Point>, seed: u64, what: &str) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut row_total = 0;
+    for p in points {
+        if store.live_count() > 2 && rng.random_range(0..4) == 0 {
+            let live: Vec<usize> = (0..store.len())
+                .filter(|&i| !store.is_departed(PeerId(i as u64)))
+                .collect();
+            store.remove(PeerId(live[rng.random_range(0..live.len())] as u64));
+        }
+        let x = store.insert(p).index();
+        let row = store.out_neighbors(x);
+        assert_eq!(row, definition_row(store, x), "{what}: join of {x}");
+        row_total += row.len();
+    }
+    row_total
+}
+
+#[test]
+fn join_walk_reads_about_one_row_per_neighbour() {
+    // Locality: at N = 5 000 uniform 2-D, a join reads its own row's
+    // members and hardly anything else — the descent starts from a peer
+    // of the newcomer's cell, almost always a neighbour already.
+    let peers = PeerInfo::from_point_set(&uniform_points(5000, 2, 1000.0, 91));
+    let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+    let joins = uniform_points(300, 2, 1000.0, 92).into_points();
+    let row_total = grow_with_walks(&mut store, joins, 93, "N = 5 000");
+    let walked = store.join_walk_stats();
+    assert_eq!(walked.joins, 300);
+    let rows_per_join = walked.rows_read as f64 / 300.0;
+    let row_mean = row_total as f64 / 300.0;
+    assert!(
+        rows_per_join <= 1.1 * row_mean,
+        "{rows_per_join:.2} rows read per join against rows of {row_mean:.2}"
+    );
+    assert_eq!(store.sharding().churn_stats(), ShardChurnStats::default());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The empty-rectangle join walk — locate, descend, grow over the
+    /// store's rows — finds exactly the definition's row for every
+    /// newcomer of a store grown from empty with interleaved leaves:
+    /// uniform, lattice (ties everywhere), clustered, and past both
+    /// `MAX_INDEX_DIM` and up to `MAX_ORTHANT_DIM`. No join folds, so
+    /// none declines or runs a brute selection, and the store equals
+    /// the from-scratch equilibrium at the end.
+    #[test]
+    fn join_walk_finds_the_definitions_row_on_every_population(
+        family in 0usize..4,
+        pick in 0usize..6,
+        seed in 0u64..10_000,
+    ) {
+        let points = walk_population(family, pick, seed);
+        let what = format!("family {family}, {} dimensions", points[0].dim());
+        let mut store = TopologyStore::new(Arc::new(EmptyRectSelection));
+        grow_with_walks(&mut store, points, seed, &what);
+        assert_eq!(store.sharding().churn_stats(), ShardChurnStats::default(), "{what}");
+        assert_from_scratch(&store, None, &what);
     }
 }
 
