@@ -6,10 +6,10 @@
 //! makes *publishing over them* cheap:
 //!
 //! * **[`DeliveryPlan`]** — a group's delivery structure reduced to the
-//!   numbers publish needs: the reached-member count and the sorted
-//!   list of delivery edges (the union of root→member paths, relay
-//!   hops included). Computing it walks the tree once; publishing from
-//!   it is counter math.
+//!   numbers publish needs: the reached-member count and the number of
+//!   delivery edges (the union of root→member paths, relay hops
+//!   included). Computing it walks the tree once; publishing from it
+//!   reads those counts and walks nothing.
 //! * **[`PlanCache`]** — plans keyed by the group's *rebuild epoch*
 //!   (`Group::rebuilds`). `rebuild_group` increments that counter on
 //!   exactly the events that can change a delivery path — membership
@@ -40,9 +40,9 @@ use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
 use crate::builder::BuildResult;
 use crate::groups::{GroupId, PublishOutcome};
 
-/// A group's delivery structure, precomputed: everything a publish
-/// needs to account for itself without touching the tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A group's delivery structure, precomputed as counts: everything a
+/// publish needs to account for itself without touching the tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeliveryPlan {
     /// The group's rebuild count when this plan was computed. The plan
     /// is valid exactly while the group's `rebuilds` counter still
@@ -53,10 +53,10 @@ pub struct DeliveryPlan {
     pub members: usize,
     /// Members the tree reaches (root included).
     pub delivered: usize,
-    /// Delivery edges, sorted by child endpoint: every node on the
-    /// union of root→member paths (the edge to its parent carries the
-    /// payload). `edges.len()` is the per-payload message cost.
-    pub edges: Vec<usize>,
+    /// Delivery edges: one per node on the union of root→member paths
+    /// (the edge to its parent carries the payload) — the per-payload
+    /// message cost.
+    pub messages: usize,
     /// The relay share of the edges: copies beyond the one-per-
     /// delivered-member floor.
     pub relay_messages: usize,
@@ -64,8 +64,8 @@ pub struct DeliveryPlan {
 
 impl DeliveryPlan {
     /// Walks the build once: marks the union of root→member delivery
-    /// paths and collects the edge list. This is the only place the
-    /// data plane touches the tree; everything downstream is counters.
+    /// paths and counts its edges. This is the only place the data
+    /// plane touches the tree; everything downstream is counters.
     #[must_use]
     pub fn compute(build: &BuildResult, members: &BTreeSet<usize>, epoch: u64) -> Self {
         let tree = &build.tree;
@@ -75,7 +75,7 @@ impl DeliveryPlan {
         let reached = tree.reached();
         let mut on_path = vec![false; reached.len()];
         let mut delivered = 0usize;
-        let mut edges = Vec::new();
+        let mut messages = 0usize;
         // Members and reached peers both ascend: one merge walk finds
         // every member's slot, and parents are slots already.
         let mut next = 0usize;
@@ -90,27 +90,19 @@ impl DeliveryPlan {
             let mut slot = next;
             while reached[slot] != root && !on_path[slot] {
                 on_path[slot] = true;
-                edges.push(reached[slot]);
+                messages += 1;
                 slot = tree
                     .parent_slot(slot)
                     .expect("reached non-root nodes have parents");
             }
         }
-        edges.sort_unstable();
-        let relay_messages = edges.len() - delivered.saturating_sub(1);
         DeliveryPlan {
             epoch,
             members: members.len(),
             delivered,
-            edges,
-            relay_messages,
+            messages,
+            relay_messages: messages - delivered.saturating_sub(1),
         }
-    }
-
-    /// Frames sent per delivery operation: one per delivery edge.
-    #[must_use]
-    pub fn messages(&self) -> usize {
-        self.edges.len()
     }
 
     /// Members no delivery path reaches.
@@ -176,7 +168,7 @@ impl PlanCache {
 }
 
 /// Delivery accounting of one flushed batch: K payloads over one
-/// group, every delivery edge walked **once** (each frame carries the
+/// group, **one** frame per delivery edge (each frame carries the
 /// whole batch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PublishBatch {
@@ -585,15 +577,14 @@ mod tests {
         assert_eq!(plan.delivered, delivered);
         assert_eq!(plan.members, members.len());
         assert_eq!(
-            plan.messages(),
+            plan.messages,
             gb.build.tree.delivery_messages(members.iter().copied()),
             "plan edges must equal the per-publish tree walk"
         );
         assert_eq!(
             plan.relay_messages,
-            plan.messages() - delivered.saturating_sub(1)
+            plan.messages - delivered.saturating_sub(1)
         );
-        assert!(plan.edges.windows(2).all(|w| w[0] < w[1]), "edges sorted");
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //!   state, replaying nothing.
 //! * **A batched, plan-cached data plane.** Publishing is decoupled
 //!   from tree walking ([`crate::dataplane`]): each group's delivery
-//!   edges are flattened once into a [`DeliveryPlan`] cached against
+//!   edges are counted once into a [`DeliveryPlan`] cached against
 //!   the group's rebuild counter, so steady-state [`GroupEngine::publish`]
 //!   is O(1); [`GroupEngine::enqueue`] + [`GroupEngine::flush_tick`]
 //!   batch a tick's payloads so one frame per delivery edge carries the
@@ -408,8 +408,8 @@ pub struct EngineTotals {
     /// Σ member-set sizes over all rebuilds.
     pub rebuilt_members: u64,
     /// Delivery *operations* performed: single publishes and flushed
-    /// batches each count once (a batch walks its delivery edges once,
-    /// however many payloads it carries).
+    /// batches each count once (a batch sends one frame per delivery
+    /// edge, however many payloads it carries).
     pub publishes: u64,
     /// Payload copies delivered end-to-end: a single publish adds 1, a
     /// flushed batch adds its queue depth — the throughput numerator
@@ -487,16 +487,6 @@ impl PublishOutcome {
     pub fn messages_per_payload(&self) -> f64 {
         self.messages as f64 / self.payloads.max(1) as f64
     }
-}
-
-/// Copies of the plan numbers one delivery needs — lets the borrow of
-/// the plan cache end before the totals are bumped.
-#[derive(Debug, Clone, Copy)]
-struct PlanMetrics {
-    delivered: usize,
-    stranded: usize,
-    messages: usize,
-    relay_messages: usize,
 }
 
 /// N concurrent multicast trees kept current over one shared
@@ -909,7 +899,7 @@ impl GroupEngine {
         self.totals.payloads += 1;
         Some(PublishOutcome {
             delivered: plan.delivered,
-            stranded: plan.stranded,
+            stranded: plan.stranded(),
             messages: plan.messages,
             relay_messages: plan.relay_messages,
             payloads: 1,
@@ -950,11 +940,13 @@ impl GroupEngine {
     }
 
     /// Flushes every group with queued payloads: one [`PublishBatch`]
-    /// per group, walking that group's delivery edges **once** — each
-    /// frame carries the whole batch, so messages/payload shrinks by
-    /// the queue depth. Groups flushed in ascending id order; payloads
+    /// per group, read from the group's cached [`DeliveryPlan`] counts
+    /// — one frame per delivery edge carries the whole batch, so
+    /// messages/payload shrinks by the queue depth, and a warm flush
+    /// walks no tree. Groups flushed in ascending id order; payloads
     /// queued on groups that went dormant in the meantime are dropped
-    /// (there is no audience left to deliver to).
+    /// (there is no audience left to deliver to). The queue keeps its
+    /// buffer, so a warm tick allocates only the returned list.
     pub fn flush_tick(&mut self) -> Vec<PublishBatch> {
         // The flush consumer runs at its own cadence: advance its
         // cursor first so `flush_cursor()` reports how many deltas (or
@@ -962,11 +954,10 @@ impl GroupEngine {
         // often repair ran in between.
         let _ = self.flush.catch_up(self.store.delta_log());
         self.sync();
-        let mut due = std::mem::take(&mut self.queued);
-        due.sort_unstable();
-        let mut batches = Vec::with_capacity(due.len());
-        for gid in due {
-            let gi = gid as usize;
+        self.queued.sort_unstable();
+        let mut batches = Vec::with_capacity(self.queued.len());
+        for slot in 0..self.queued.len() {
+            let gi = self.queued[slot] as usize;
             let payloads = std::mem::take(&mut self.pending[gi]);
             if payloads == 0 {
                 continue;
@@ -975,6 +966,7 @@ impl GroupEngine {
                 batches.push(batch);
             }
         }
+        self.queued.clear();
         batches
     }
 
@@ -1005,7 +997,7 @@ impl GroupEngine {
             group: g,
             payloads,
             delivered: plan.delivered,
-            stranded: plan.stranded,
+            stranded: plan.stranded(),
             messages: plan.messages,
             relay_messages: plan.relay_messages,
             cache_hit,
@@ -1013,23 +1005,15 @@ impl GroupEngine {
     }
 
     /// Plan lookup/compute for one group; `None` while dormant. The
-    /// returned metrics are copies (the plan itself stays cached).
-    fn plan_metrics(&mut self, gi: usize) -> Option<(PlanMetrics, bool)> {
+    /// returned plan is a copy, so the cache's borrow ends here.
+    fn plan_metrics(&mut self, gi: usize) -> Option<(DeliveryPlan, bool)> {
         let group = &self.groups[gi];
         let gb = group.build.as_ref()?;
         let epoch = group.rebuilds;
         let (plan, hit) = self.plans.get_or_compute(gi, epoch, || {
             DeliveryPlan::compute(&gb.build, &group.members, epoch)
         });
-        Some((
-            PlanMetrics {
-                delivered: plan.delivered,
-                stranded: plan.stranded(),
-                messages: plan.messages(),
-                relay_messages: plan.relay_messages,
-            },
-            hit,
-        ))
+        Some((*plan, hit))
     }
 
     /// Delivery-plan cache hit/miss counters.
@@ -2873,6 +2857,42 @@ mod tests {
             report.cache_hit_rate() > 0.99,
             "publishes warmed both plans"
         );
+    }
+
+    /// A warm tick drains the due list in place: its buffer survives
+    /// the flush, and the same enqueues flush to the same batches.
+    #[test]
+    fn flush_tick_keeps_the_queue_buffer_and_repeats_its_batches() {
+        let mut eng = engine(80, 47);
+        let mut state = 5u64;
+        let ids = eng.seed_groups_clustered(&[30, 12, 6, 9], &mut state);
+        let enqueue_all = |eng: &mut GroupEngine| {
+            for (k, &g) in ids.iter().enumerate().rev() {
+                eng.enqueue(g, k + 1);
+            }
+        };
+        enqueue_all(&mut eng);
+        let first = eng.flush_tick();
+        let capacity = eng.queued.capacity();
+        assert!(capacity >= ids.len(), "the due list keeps its buffer");
+        assert!(eng.queued.is_empty(), "and is drained");
+        enqueue_all(&mut eng);
+        let second = eng.flush_tick();
+        assert_eq!(
+            eng.queued.capacity(),
+            capacity,
+            "no regrowth on a warm tick"
+        );
+        assert_eq!(second.len(), ids.len());
+        assert!(second.windows(2).all(|w| w[0].group < w[1].group));
+        let cold: Vec<PublishBatch> = first
+            .into_iter()
+            .map(|b| PublishBatch {
+                cache_hit: true,
+                ..b
+            })
+            .collect();
+        assert_eq!(second, cold, "a warm tick repeats the cold one from cache");
     }
 
     /// Lazy recovery during a suspicion window: payloads published while

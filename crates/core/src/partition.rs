@@ -1,4 +1,4 @@
-use geocast_geom::{dominance, Metric, MetricKind, Orthant, Rect};
+use geocast_geom::{dominance, Metric, MetricKind, Rect};
 use geocast_overlay::PeerInfo;
 
 /// A zone-splitting policy: the heart of the §2 construction.
@@ -137,18 +137,11 @@ impl ZonePartitioner for OrthantRectPartitioner {
             in_zone.iter().all(|q| zone.contains(q.point())),
             "in_zone must be pre-filtered to the zone"
         );
-        let dim = p.point().dim();
         let (groups, colliding) = dominance::group_by_orthant(p.point(), in_zone);
         debug_assert!(colliding.is_empty(), "distinctness assumption violated");
 
-        let mut out = Vec::new();
-        for (bits, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let orthant =
-                Orthant::from_bits(bits as u32, dim).expect("bucket index is a valid orthant");
-            let mut sorted = group;
+        let mut out = Vec::with_capacity(groups.len());
+        for (orthant, mut sorted) in groups {
             sorted.sort_by(|&a, &b| {
                 let da = self.metric.dist(p.point(), in_zone[a].point());
                 let db = self.metric.dist(p.point(), in_zone[b].point());
@@ -223,6 +216,29 @@ mod tests {
                 partition_contract(p, &zone, &in_zone, pick);
             }
         }
+    }
+
+    #[test]
+    fn contract_holds_at_the_orthant_ceiling() {
+        // At D = 32 a table of every orthant would take 2^32 buckets;
+        // the partitioner groups the occupied orthants only.
+        let dim = geocast_geom::MAX_ORTHANT_DIM;
+        let population = peers(24, dim, 3);
+        let p = &population[0];
+        let zone = Rect::full(dim);
+        let in_zone: Vec<&PeerInfo> = population[1..].iter().collect();
+        for pick in [PickRule::Median, PickRule::Closest, PickRule::Farthest] {
+            partition_contract(p, &zone, &in_zone, pick);
+        }
+        let parts = OrthantRectPartitioner::median().partition(p, &zone, &in_zone);
+        let orthants: Vec<geocast_geom::Orthant> = parts
+            .iter()
+            .map(|&(c, _)| geocast_geom::Orthant::classify(p.point(), in_zone[c].point()).unwrap())
+            .collect();
+        assert!(
+            orthants.windows(2).all(|w| w[0] < w[1]),
+            "children come out in ascending orthant order"
+        );
     }
 
     #[test]

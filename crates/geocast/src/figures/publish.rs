@@ -9,8 +9,8 @@
 //! through [`GroupEngine::enqueue`] / [`GroupEngine::flush_tick`], with
 //! periodic overlay churn to exercise plan invalidation, and reports:
 //!
-//! * **messages/payload and the batching reduction** — a flush walks a
-//!   group's delivery edges once however many payloads are queued, so
+//! * **messages/payload and the batching reduction** — a flush sends one
+//!   frame per delivery edge however many payloads are queued, so
 //!   the Zipf head (which gets both the most payloads and the biggest
 //!   tree) collapses from `edges` to `edges / depth` per payload;
 //! * **delivery-plan cache hit rate** — steady-state flushes are O(1)

@@ -196,24 +196,32 @@ pub fn empty_rect_neighbors<P: AsRef<Point>>(p: &Point, candidates: &[P]) -> Vec
 
 /// Groups candidate indices by the orthant they occupy around `p`.
 ///
-/// Returns a dense table of `2^D` buckets indexed by
-/// [`Orthant::index`]. Candidates colliding with `p` in some coordinate
-/// are returned separately in the second component (they belong to no
-/// orthant; under the paper's assumptions this list is empty).
+/// Returns one `(orthant, indices)` run per **occupied** orthant, in
+/// ascending orthant order, indices ascending within a run. The runs
+/// come from one sort by orthant, not a table of all `2^D` orthants, so
+/// the cost does not grow with `2^D`. Candidates colliding with `p` in
+/// some coordinate are returned separately in the second component
+/// (they belong to no orthant; under the paper's assumptions this list
+/// is empty).
 #[must_use]
 pub fn group_by_orthant<P: AsRef<Point>>(
     p: &Point,
     candidates: &[P],
-) -> (Vec<Vec<usize>>, Vec<usize>) {
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); Orthant::count(p.dim())];
+) -> (Vec<(Orthant, Vec<usize>)>, Vec<usize>) {
+    let mut order = Vec::with_capacity(candidates.len());
     let mut colliding = Vec::new();
     for (i, q) in candidates.iter().enumerate() {
         match Orthant::classify(p, q.as_ref()) {
-            Ok(o) => buckets[o.index()].push(i),
+            Ok(o) => order.push((o, i)),
             Err(_) => colliding.push(i),
         }
     }
-    (buckets, colliding)
+    order.sort_unstable();
+    let runs = order
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| (run[0].0, run.iter().map(|&(_, i)| i).collect()))
+        .collect();
+    (runs, colliding)
 }
 
 #[cfg(test)]
@@ -306,13 +314,18 @@ mod tests {
     fn group_by_orthant_partitions_candidates() {
         let p = pt(&[0.0, 0.0]);
         let cands = vec![pt(&[1.0, 1.0]), pt(&[-1.0, 2.0]), pt(&[3.0, -4.0])];
-        let (buckets, colliding) = group_by_orthant(&p, &cands);
+        let (runs, colliding) = group_by_orthant(&p, &cands);
         assert!(colliding.is_empty());
-        let total: usize = buckets.iter().map(Vec::len).sum();
-        assert_eq!(total, 3);
-        assert_eq!(buckets[0b11], vec![0]); // (+,+)
-        assert_eq!(buckets[0b10], vec![1]); // (-,+)
-        assert_eq!(buckets[0b01], vec![2]); // (+,-)
+        let o = |bits| Orthant::from_bits(bits, 2).unwrap();
+        // Occupied orthants only, ascending; (-,-) holds nobody.
+        assert_eq!(
+            runs,
+            vec![
+                (o(0b01), vec![2]), // (+,-)
+                (o(0b10), vec![1]), // (-,+)
+                (o(0b11), vec![0]), // (+,+)
+            ]
+        );
     }
 
     #[test]

@@ -45,6 +45,7 @@ impl Orthant {
     ///
     /// Returns [`GeomError::InvalidOrthant`] if bits at or above `dim` are
     /// set, or `dim` exceeds [`MAX_ORTHANT_DIM`].
+    // lint:allow(D006, reason = "the tests name an orthant by its sign bits to check what classify and group_by_orthant (the §2 partitioner's grouping) return")
     pub fn from_bits(bits: u32, dim: usize) -> Result<Self, GeomError> {
         if dim > MAX_ORTHANT_DIM || (dim < 32 && bits >> dim != 0) {
             return Err(GeomError::InvalidOrthant { bits, dim });
