@@ -95,9 +95,7 @@ pub enum CliError {
     /// `churn --strict` was requested and the replayed store diverged
     /// from the from-scratch definition of the topology it should hold
     /// (the CI store gate).
-    ShardGate {
-        /// Shards the replay ran with.
-        shards: usize,
+    StoreGate {
         /// Whether the adjacency graph matched the definition's.
         graphs_equal: bool,
         /// Whether the fingerprint matched the one recomputed from it.
@@ -146,14 +144,13 @@ impl fmt::Display for CliError {
                  {undetected} undetected failures, recovered {recovered}, \
                  converged {converged}"
             ),
-            CliError::ShardGate {
-                shards,
+            CliError::StoreGate {
                 graphs_equal,
                 fingerprints_equal,
             } => write!(
                 f,
-                "strict churn violated at {shards} shards: graph equals the \
-                 definition {graphs_equal}, fingerprint {fingerprints_equal}"
+                "strict churn violated: graph equals the definition \
+                 {graphs_equal}, fingerprint {fingerprints_equal}"
             ),
         }
     }
@@ -291,7 +288,6 @@ const COMMANDS: &[Command] = &[
             "join-rate",
             "leave-rate",
             "pattern",
-            "shards",
             "strict",
         ],
         cmd_churn,
@@ -394,7 +390,6 @@ COMMANDS:
   churn      replay a churn pattern through the incremental engine
              --n 500 --dim 2 --seed 1 --pattern join-wave|leave-wave|flash-crowd|mixed
              --events 200 --join-rate 1 --leave-rate 1
-             --shards 1  (tiles of the store engine)
              [--strict]  (fail unless the replayed store is byte-identical
                           to the from-scratch definition)
   groups     drive N concurrent multicast groups over one shared store
@@ -647,14 +642,7 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
     let join_rate: u32 = opt(inv, "join-rate", 1)?;
     let leave_rate: u32 = opt(inv, "leave-rate", 1)?;
     let pattern_name: String = opt(inv, "pattern", "mixed".to_owned())?;
-    let shards: usize = opt(inv, "shards", 1)?;
     let strict = inv.options.contains_key("strict");
-    if shards == 0 {
-        return Err(CliError::BadValue {
-            key: "shards".into(),
-            value: "0".into(),
-        });
-    }
     let pattern = match pattern_name.as_str() {
         "join-wave" => ChurnPattern::JoinWave { count: events },
         "leave-wave" => ChurnPattern::LeaveWave { count: events },
@@ -689,27 +677,14 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
     out.push_str(&format!(
         "churn replay: {pattern} on {n} initial peers (D={dim}, seed {seed})\n\n"
     ));
-    let mut store = TopologyStore::from_peers_sharded(
+    let mut store = TopologyStore::from_peers(
         PeerInfo::from_point_set(&points),
         Arc::new(EmptyRectSelection),
-        &geocast::overlay::ShardConfig::new(shards),
     );
     // lint:allow(D002, reason = "wall-clock lines in the CLI report only; no control flow reads the clock")
     let start = Instant::now();
     let report = run_schedule_on_store(&mut store, &schedule);
     let secs = start.elapsed().as_secs_f64();
-    let engine = store.sharding();
-    out.push_str(&format!(
-        "  shard engine      : {} shards ({} per dim), halo {:.1}\n",
-        engine.shard_count(),
-        engine
-            .tiles_per_dim()
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("x"),
-        engine.halo_width(),
-    ));
     out.push_str(&format!(
         "  events applied    : {} ({} joins, {} leaves)\n",
         report.joins + report.leaves,
@@ -763,8 +738,7 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
         let graphs_equal = graph == want;
         let fingerprints_equal = store.fingerprint() == oracle::fingerprint(&want);
         if !(graphs_equal && fingerprints_equal) {
-            return Err(CliError::ShardGate {
-                shards,
+            return Err(CliError::StoreGate {
                 graphs_equal,
                 fingerprints_equal,
             });
@@ -1472,43 +1446,37 @@ mod tests {
     }
 
     #[test]
-    fn churn_sharded_strict_gate_prints_the_join_walk_counts() {
-        let inv = parse_args(&args(&[
-            "churn", "--n", "80", "--events", "30", "--shards", "4", "--strict",
-        ]))
-        .unwrap();
-        let out = run(&inv).unwrap();
-        assert!(out.contains("shard engine      : 4 shards"), "{out}");
-        assert!(out.contains("join walk         : "), "{out}");
-        assert!(out.contains(" rows read, "), "{out}");
-        assert!(
-            out.contains("byte-identical to the from-scratch definition"),
-            "{out}"
-        );
-        // One tile is the default, takes the same gate, and prints the
-        // same counts; there is no engine-less store to select.
+    fn churn_strict_gate_prints_the_join_walk_counts() {
         let inv = parse_args(&args(&["churn", "--n", "80", "--events", "30", "--strict"]));
         let out = run(&inv.unwrap()).unwrap();
-        assert!(out.contains("shard engine      : 1 shards"), "{out}");
+        assert!(out.contains("join walk         : "), "{out}");
+        assert!(out.contains(" rows read, "), "{out}");
         assert!(out.contains(" peers offered per join ("), "{out}");
-        assert!(out.contains("strict gate       : byte-identical"), "{out}");
-        let inv = parse_args(&args(&["churn", "--shards", "0"])).unwrap();
-        assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
+        assert!(
+            out.contains("strict gate       : byte-identical to the from-scratch definition"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn churn_has_no_shard_count_to_take() {
+        // A script written for the removed tiles must not pass a gate on
+        // a store it did not ask for.
+        let inv = parse_args(&args(&["churn", "--shards", "4", "--strict"])).unwrap();
+        assert_eq!(
+            run(&inv).unwrap_err(),
+            CliError::UnknownOption {
+                command: "churn".into(),
+                key: "shards".into()
+            }
+        );
     }
 
     #[test]
     fn options_a_command_does_not_read_are_rejected() {
         // A script written for the removed worker runtime must not run
         // the serial path and report that its gate passed.
-        let inv = parse_args(&args(&[
-            "churn",
-            "--shards",
-            "4",
-            "--runtime",
-            "workers",
-            "--strict",
-        ]))
-        .unwrap();
+        let inv = parse_args(&args(&["churn", "--runtime", "workers", "--strict"])).unwrap();
         assert_eq!(
             run(&inv).unwrap_err(),
             CliError::UnknownOption {

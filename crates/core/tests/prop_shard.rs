@@ -1,17 +1,15 @@
-//! Property tests for the tiled topology engine.
+//! Property tests for the store against the definition.
 //!
-//! THE store guarantee: a [`TopologyStore`] on any tiling — parallel
-//! bulk build, halo mirroring, cross-shard shortlist folds,
-//! profile-specialised churn — holds **byte-identical** state to the
-//! from-scratch definition ([`oracle::equilibrium_live`], no index):
-//! same adjacency, the fingerprint recomputed from it, per-event dirty
-//! regions equal to the diff of two from-scratch graphs, and identical
-//! group-tree builds over it. Across the §2 empty-rectangle rule and
-//! every Hyperplanes instance, random shard counts, random halo widths,
-//! arbitrary join/leave interleavings, and joins outside the seed
-//! population's bounding box.
+//! THE store guarantee: a [`TopologyStore`] — parallel bulk build on
+//! one index, profile-specialised churn — holds **byte-identical** state
+//! to the from-scratch definition ([`oracle::equilibrium_live`], no
+//! index): same adjacency, the fingerprint recomputed from it, and
+//! per-event dirty regions equal to the diff of two from-scratch graphs.
+//! Across the §2 empty-rectangle rule and every Hyperplanes instance,
+//! 1- to 3-D populations, arbitrary join/leave interleavings, joins
+//! outside the seed population's bounding box, and integer lattices
+//! with and without coordinate collisions.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -22,7 +20,7 @@ use geocast_geom::gen::uniform_points;
 use geocast_geom::MetricKind;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
 use geocast_overlay::{
-    oracle, DeltaKind, OverlayGraph, PeerId, PeerInfo, ShardConfig, TopologyDelta, TopologyStore,
+    oracle, DeltaKind, OverlayGraph, PeerId, PeerInfo, TopologyDelta, TopologyStore,
 };
 
 fn selection_for(variant: usize, dim: usize, k: usize) -> Arc<dyn NeighborSelection + Send + Sync> {
@@ -74,20 +72,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Bulk build + arbitrary churn == the definition, event for event,
-    /// for every rule family and shard geometry — with `outside` set,
-    /// joins are drawn from a range three times the seed population's,
-    /// so most land outside every tile, clamp to the nearest one and
-    /// grow its cover box.
+    /// for every rule family — with `outside` set, joins are drawn from
+    /// a range three times the seed population's, so most land outside
+    /// the box the index was built over, in its clamped edge cells.
     #[test]
-    fn sharded_store_is_byte_identical_to_single_shard(
+    fn store_is_byte_identical_to_the_definition(
         initial in 2usize..60,
         ops in 1usize..20,
         dim in 1usize..4,
         k in 1usize..4,
         variant in 0usize..4,
-        shards in 1usize..24,
-        halo in 0.0f64..250.0,
-        use_halo in 0usize..2,
         outside in 0usize..2,
         seed in 0u64..10_000,
     ) {
@@ -95,11 +89,7 @@ proptest! {
 
         let selection = selection_for(variant, dim, k);
         let peers = PeerInfo::from_point_set(&uniform_points(initial, dim, 1000.0, seed));
-        let mut config = ShardConfig::new(shards);
-        if use_halo == 1 {
-            config = config.with_halo_width(halo);
-        }
-        let mut store = TopologyStore::from_peers_sharded(peers, selection, &config);
+        let mut store = TopologyStore::from_peers(peers, selection);
         let empty = OverlayGraph::from_out_neighbors(Vec::new());
         let mut reference = assert_is_definition(&store, &empty, 0, None, "bulk build");
 
@@ -126,22 +116,19 @@ proptest! {
         }
     }
 
-    /// Integer-lattice populations with round halo widths drive exact
-    /// band-edge ties — a peer sitting precisely at `tile_hi + halo` of
-    /// a foreign tile — through the halo mirroring and skip tests.
-    /// The uniform-float generator above almost never produces that
-    /// geometry; this one hits it constantly (bbox corner peers tie at
-    /// every round halo). Regression for the closed-band boundary fix
-    /// in `Tiling::shards_near`.
+    /// Populations on a small round integer lattice: shared
+    /// coordinates and whole duplicate points everywhere. The
+    /// uniform-float generator above almost never produces that
+    /// geometry; this one hits it on nearly every event, so the index
+    /// declines and the brute selections and the walk's tied sets
+    /// answer.
     #[test]
-    fn lattice_populations_with_round_halos_stay_byte_identical(
+    fn round_lattice_populations_stay_byte_identical(
         cells in 2usize..9,
         initial in 3usize..40,
         ops in 1usize..12,
         variant in 0usize..4,
         k in 1usize..3,
-        shards in 1usize..17,
-        halo_cells in 0usize..4,
         seed in 0u64..10_000,
     ) {
         use geocast_geom::Point;
@@ -159,8 +146,7 @@ proptest! {
             .map(|i| PeerInfo::new(PeerId(i as u64), lattice_point(&mut rng)))
             .collect();
         let selection = selection_for(variant, dim, k);
-        let config = ShardConfig::new(shards).with_halo_width(halo_cells as f64 * step);
-        let mut store = TopologyStore::from_peers_sharded(infos, selection, &config);
+        let mut store = TopologyStore::from_peers(infos, selection);
         let empty = OverlayGraph::from_out_neighbors(Vec::new());
         let mut reference = assert_is_definition(&store, &empty, 0, None, "lattice bulk build");
 
@@ -181,31 +167,25 @@ proptest! {
     }
 
     /// Remove-heavy churn over a **collision-free** integer lattice
-    /// (every coordinate value used once per dimension, so the indexes
-    /// answer instead of declining) whose tile and halo edges fall on
-    /// lattice values: peers sit exactly on band edges while the folds
-    /// of the joins in between test the foreign shards' uncovered
-    /// boxes, and every departure's closed-form repair has to agree
-    /// with them. Byte-identical to the from-scratch definition after
-    /// every event; a few joins deliberately reuse a coordinate to
-    /// drive the decline fallback through the same geometry.
+    /// (every coordinate value used once per dimension, so the index
+    /// answers instead of declining): every departure's closed-form
+    /// repair and every join's walk land on round coordinates.
+    /// Byte-identical to the from-scratch definition after every event;
+    /// a few joins deliberately reuse a coordinate to drive the tied
+    /// set and the decline fallback through the same geometry.
     #[test]
-    fn remove_heavy_lattice_churn_on_band_edges_stays_byte_identical(
+    fn remove_heavy_collision_free_lattice_churn_stays_byte_identical(
         initial in 10usize..40,
         ops in 4usize..24,
-        shards_pick in 0usize..3,
-        halo_cells in 0usize..5,
         collide_every in 0usize..6,
         seed in 0u64..10_000,
     ) {
         use geocast_geom::Point;
 
-        let shards = [1usize, 4, 16][shards_pick];
         let (cells, step) = (48usize, 25.0);
         let mut rng = StdRng::seed_from_u64(seed);
         // Per dimension, a shuffled pool of unused lattice values; the
-        // two anchors pin the domain to [0, 48·step]², which 4×4 tiles
-        // cut at multiples of 12·step.
+        // two anchors pin the domain to [0, 48·step]².
         let mut pools: Vec<Vec<usize>> = (0..2)
             .map(|_| {
                 let mut pool: Vec<usize> = (1..cells).collect();
@@ -231,8 +211,7 @@ proptest! {
             .map(|(i, p)| PeerInfo::new(PeerId(i as u64), p.clone()))
             .collect();
         let selection: Arc<dyn NeighborSelection + Send + Sync> = Arc::new(EmptyRectSelection);
-        let config = ShardConfig::new(shards).with_halo_width(halo_cells as f64 * step);
-        let mut store = TopologyStore::from_peers_sharded(infos, selection, &config);
+        let mut store = TopologyStore::from_peers(infos, selection);
         let empty = OverlayGraph::from_out_neighbors(Vec::new());
         let mut reference = assert_is_definition(&store, &empty, 0, None, "lattice bulk build");
 
@@ -255,37 +234,8 @@ proptest! {
                 }
                 DeltaKind::Join(store.insert(p).index())
             };
-            let what = format!("{shards} shards, op {op}");
+            let what = format!("collision-free lattice op {op}");
             reference = assert_is_definition(&store, &reference, op as u64 + 1, Some(kind), &what);
         }
-    }
-
-    /// Every group tree built over a tiled store equals the same build
-    /// over the one-tile store — the downstream consumers' view of the
-    /// adjacency does not depend on the tiling.
-    #[test]
-    fn group_builds_agree_across_store_engines(
-        n in 8usize..50,
-        shards in 1usize..17,
-        members in 2usize..8,
-        variant in 0usize..2,
-        seed in 0u64..10_000,
-    ) {
-        use geocast_core::groups::build_group_tree_grafted;
-        use geocast_core::OrthantRectPartitioner;
-
-        let selection = selection_for(variant, 2, 2);
-        let peers = PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, seed));
-        let one_tile = TopologyStore::from_peers(peers.clone(), selection.clone());
-        let tiled = TopologyStore::from_peers_sharded(peers, selection, &ShardConfig::new(shards));
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let member_set: BTreeSet<usize> =
-            (0..members).map(|_| rng.random_range(0..n)).collect();
-        let root = *member_set.iter().next().expect("at least one member");
-        let partitioner = OrthantRectPartitioner::median();
-        let a = build_group_tree_grafted(&one_tile, root, &member_set, &partitioner);
-        let b = build_group_tree_grafted(&tiled, root, &member_set, &partitioner);
-        prop_assert_eq!(a, b, "group build diverged between tilings");
     }
 }

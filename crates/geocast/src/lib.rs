@@ -77,7 +77,7 @@ pub mod prelude {
     };
     pub use geocast_overlay::{
         churn, oracle, ConvergenceReport, NetworkConfig, OverlayGraph, OverlayNetwork, PeerId,
-        PeerInfo, ShardConfig, ShardedTopologyStore, TopologyStore,
+        PeerInfo, TopologyStore,
     };
     pub use geocast_sim::{
         runner::ParallelRunner,

@@ -386,12 +386,6 @@ impl GridIndex {
         self.removed.is_empty()
     }
 
-    /// Number of live (non-removed) points.
-    #[must_use]
-    pub fn live_len(&self) -> usize {
-        self.live
-    }
-
     /// Dimensionality of the indexed space.
     #[must_use]
     pub fn dim(&self) -> usize {
@@ -421,8 +415,8 @@ impl GridIndex {
 
     /// `true` if some live point other than `skip` shares a coordinate
     /// with the external query position `q` in any dimension. The
-    /// decline oracle of the `*_at` query variants, `O(D)` against the
-    /// multiplicity tables.
+    /// decline oracle of [`GridIndex::empty_rect_neighbors_at`], `O(D)`
+    /// against the multiplicity tables.
     fn collides_at(&self, q: &[f64], skip: Option<usize>) -> bool {
         (0..self.dim).any(|d| {
             let bits = coord_bits(q[d]);
@@ -460,10 +454,8 @@ impl GridIndex {
 
     /// [`GridIndex::empty_rect_neighbors`] for an **external** query
     /// position: the exact empty-rectangle neighbours of `q` among all
-    /// live indexed points except `skip`, sorted ascending. The
-    /// cross-shard query of the sharded topology store — a peer resident
-    /// in one shard interrogates another shard's index without being a
-    /// member of it (passing `skip` when it *is* mirrored there).
+    /// live indexed points except `skip`, sorted ascending — a position
+    /// asks an index it is not (or not yet) a point of.
     ///
     /// Returns `None` when some live point other than `skip` shares a
     /// coordinate with `q` (orthant membership would be ambiguous) or
@@ -665,50 +657,7 @@ impl GridIndex {
         if self.dim > MAX_INDEX_DIM || self.collides(i) {
             return None;
         }
-        let p = self.point_coords(i).to_vec();
-        Some(self.knn_walk(&p, k, metric, i))
-    }
-
-    /// [`GridIndex::k_nearest_per_orthant`] for an **external** query
-    /// position: the `k` nearest live points to `q` within each orthant
-    /// around `q`, excluding `skip` — the cross-shard query of the
-    /// sharded topology store.
-    ///
-    /// Returns `None` on a per-dimension coordinate collision between
-    /// `q` and any live point other than `skip`, or when the
-    /// dimensionality exceeds [`MAX_INDEX_DIM`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is non-empty and `q`'s dimensionality
-    /// disagrees, `skip` is out of range, or `k == 0`.
-    #[must_use]
-    pub fn k_nearest_per_orthant_at(
-        &self,
-        q: &Point,
-        k: usize,
-        metric: MetricKind,
-        skip: Option<usize>,
-    ) -> Option<Vec<Vec<usize>>> {
-        assert!(k > 0, "K must be at least 1");
-        if self.live == 0 {
-            let orthants = 1usize << self.dim.min(MAX_INDEX_DIM);
-            return Some(vec![Vec::new(); orthants]);
-        }
-        assert_eq!(q.dim(), self.dim, "query dimensionality mismatch");
-        if let Some(s) = skip {
-            assert!(s < self.len(), "skip id out of range");
-        }
-        if self.dim > MAX_INDEX_DIM || self.collides_at(q.coords(), skip) {
-            return None;
-        }
-        Some(self.knn_walk(q.coords(), k, metric, skip.unwrap_or(usize::MAX)))
-    }
-
-    /// The shared walk behind both per-orthant KNN entry points,
-    /// excluding `skip` (`usize::MAX` excludes nobody). Collision gating
-    /// is the caller's job.
-    fn knn_walk(&self, p: &[f64], k: usize, metric: MetricKind, skip: usize) -> Vec<Vec<usize>> {
+        let p = self.point_coords(i);
         let dim = self.dim;
         let orthants = 1usize << dim;
         let p_layer: Vec<usize> = (0..dim).map(|d| self.layer_of(d, p[d])).collect();
@@ -724,15 +673,17 @@ impl GridIndex {
                 &p_layer,
                 &mut prefix_cells,
                 &mut prefix_offs,
-                skip,
+                i,
                 k,
                 metric,
                 &mut best,
             );
         }
-        best.into_iter()
-            .map(|group| group.into_iter().map(|(_, id)| id).collect())
-            .collect()
+        Some(
+            best.into_iter()
+                .map(|group| group.into_iter().map(|(_, id)| id).collect())
+                .collect(),
+        )
     }
 
     fn corner_dist(&self, metric: MetricKind, offs: &[f64], upto: usize) -> f64 {
@@ -1082,7 +1033,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(index.live_len(), points.len());
+        assert_eq!(index.live, points.len());
     }
 
     #[test]
@@ -1095,7 +1046,7 @@ mod tests {
         for &v in &victims {
             index.remove(v);
         }
-        assert_eq!(index.live_len(), points.len() - victims.len());
+        assert_eq!(index.live, points.len() - victims.len());
         let live: Vec<usize> = (0..points.len()).filter(|i| !victims.contains(i)).collect();
         for &i in live.iter().take(10) {
             let got = index.empty_rect_neighbors(i).expect("distinct workload");
@@ -1107,6 +1058,26 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "query {i}");
             assert!(got.iter().all(|n| !victims.contains(n)));
+
+            for metric in [MetricKind::L1, MetricKind::L2, MetricKind::LInf] {
+                for k in [1usize, 3] {
+                    let got = index.k_nearest_per_orthant(i, k, metric).unwrap();
+                    let mut want: Vec<Vec<(f64, usize)>> = vec![Vec::new(); Orthant::count(2)];
+                    for &j in &cand_ids {
+                        let o = Orthant::classify(&points[i], &points[j]).unwrap();
+                        want[o.index()].push((metric.dist(&points[i], &points[j]), j));
+                    }
+                    for group in &mut want {
+                        group.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                        group.truncate(k);
+                    }
+                    let want: Vec<Vec<usize>> = want
+                        .into_iter()
+                        .map(|g| g.into_iter().map(|(_, j)| j).collect())
+                        .collect();
+                    assert_eq!(got, want, "query {i} k={k} {metric}");
+                }
+            }
         }
     }
 
@@ -1186,27 +1157,6 @@ mod tests {
                     .map(|ci| live[ci])
                     .collect();
                 assert_eq!(got, want, "n={n} dim={dim} q={q:?}");
-
-                for metric in [MetricKind::L1, MetricKind::L2, MetricKind::LInf] {
-                    for k in [1usize, 3] {
-                        let got = index.k_nearest_per_orthant_at(q, k, metric, None).unwrap();
-                        let mut want: Vec<Vec<(f64, usize)>> =
-                            vec![Vec::new(); Orthant::count(dim)];
-                        for &j in &live {
-                            let o = Orthant::classify(q, &points[j]).unwrap();
-                            want[o.index()].push((metric.dist(q, &points[j]), j));
-                        }
-                        for group in &mut want {
-                            group.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                            group.truncate(k);
-                        }
-                        let want: Vec<Vec<usize>> = want
-                            .into_iter()
-                            .map(|g| g.into_iter().map(|(_, j)| j).collect())
-                            .collect();
-                        assert_eq!(got, want, "n={n} dim={dim} k={k} {metric}");
-                    }
-                }
             }
         }
     }
@@ -1219,11 +1169,6 @@ mod tests {
             assert_eq!(
                 index.empty_rect_neighbors_at(p, Some(i)),
                 index.empty_rect_neighbors(i),
-                "query {i}"
-            );
-            assert_eq!(
-                index.k_nearest_per_orthant_at(p, 2, MetricKind::L1, Some(i)),
-                index.k_nearest_per_orthant(i, 2, MetricKind::L1),
                 "query {i}"
             );
         }
@@ -1239,11 +1184,7 @@ mod tests {
         // Shares y with live point 0: ambiguous, decline…
         let q = Point::new(vec![7.0, 5.0]).unwrap();
         assert_eq!(index.empty_rect_neighbors_at(&q, None), None);
-        assert_eq!(
-            index.k_nearest_per_orthant_at(&q, 1, MetricKind::L1, None),
-            None
-        );
-        // …unless point 0 is the one being excluded (a mirrored self).
+        // …unless point 0 is the one being excluded (the query's own slot).
         assert_eq!(index.empty_rect_neighbors_at(&q, Some(0)), Some(vec![1]));
         // A clean external point answers.
         let q = Point::new(vec![7.0, 6.0]).unwrap();

@@ -1,9 +1,9 @@
 //! The closed forms of a membership event: the links an empty-rectangle
 //! join cuts, the links an empty-rectangle leave makes, and the top-`K`
 //! saturation prune — and the walk that finds an empty-rectangle
-//! newcomer's own row. They read rows and coordinates only — no tile, no
-//! index — and are argued in `crate::store`, "Why the incremental path
-//! is exact".
+//! newcomer's own row. They read rows and coordinates only — no index —
+//! and are argued in `crate::store`, "Why the incremental path is
+//! exact".
 
 use geocast_geom::dominance::{rect_dominates_coords, ParetoSet};
 use geocast_geom::index::MAX_INDEX_DIM;
@@ -210,7 +210,7 @@ pub(crate) fn straddled_links(
 /// against the members outside its own two orthants, over raw
 /// coordinates, not offsets from `x`: a subtraction would round the
 /// strict tests. The rule's own test, so collisions and any
-/// dimensionality take the same path: no index, no shard, no decline.
+/// dimensionality take the same path: no index, no decline.
 pub(crate) fn unblocked_pairs(coords: &CoordTable, x: usize, row: &[usize]) -> Vec<(usize, usize)> {
     let around = RowAround::gather(coords, x, row);
     around

@@ -27,7 +27,7 @@
 //! * [`OverlayGraph`] — the resulting topology in a flat CSR layout,
 //!   with the analyses the figures need (degrees, connectivity, BFS).
 //!
-//! The store's engine (spatial indexes, the parallel bulk build, the
+//! The store's engine (its spatial index, the parallel bulk build, the
 //! incremental churn path) and its measured behaviour are documented in
 //! `docs/PERFORMANCE.md` at the repository root.
 //!
@@ -61,12 +61,10 @@ pub mod gossip;
 pub mod oracle;
 pub mod routing;
 pub mod select;
-pub mod shard;
 
 pub use closed_form::JoinWalkStats;
 pub use delta::{CursorCatchUp, DeltaCursor, DeltaKind, DeltaLog, TopologyDelta};
 pub use graph::OverlayGraph;
 pub use network::{ConvergenceReport, NetworkConfig, OverlayNetwork};
 pub use peer::{PeerAddr, PeerId, PeerInfo};
-pub use shard::{ShardChurnStats, ShardConfig, ShardedTopologyStore};
-pub use store::{topology_hash, TopologyStore};
+pub use store::{topology_hash, ShardConfig, TopologyStore};

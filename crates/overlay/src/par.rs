@@ -18,6 +18,12 @@
 #[cfg(feature = "parallel")]
 const PARALLEL_MIN_ITEMS: usize = 512;
 
+/// Indices a worker claims at a time: few enough claims that cursor
+/// traffic is negligible, small enough blocks to balance uneven
+/// per-index cost.
+#[cfg(feature = "parallel")]
+const BLOCK: usize = 32;
+
 /// Applies `f` to `0..n`, returning outputs in index order.
 pub(crate) fn map_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
@@ -28,35 +34,14 @@ where
     {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
         if n >= PARALLEL_MIN_ITEMS && threads > 1 && !geocast_sim::runner::in_parallel_worker() {
-            return map_parallel(n, threads.min(n), 32, &f);
-        }
-    }
-    (0..n).map(f).collect()
-}
-
-/// Applies `f` to `0..n` where each index is a *coarse* unit of work
-/// (one topology shard, not one peer): fans out whenever more than one
-/// core is available, with no minimum-size gate. Output order is index
-/// order, as for [`map_indexed`].
-pub(crate) fn map_shards<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    #[cfg(feature = "parallel")]
-    {
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        if n > 1 && threads > 1 && !geocast_sim::runner::in_parallel_worker() {
-            // Block size 1: a shard is already a coarse work unit, and
-            // uneven shard populations are the common case.
-            return map_parallel(n, threads.min(n), 1, &f);
+            return map_parallel(n, threads.min(n), &f);
         }
     }
     (0..n).map(f).collect()
 }
 
 #[cfg(feature = "parallel")]
-fn map_parallel<T, F>(n: usize, threads: usize, block: usize, f: &F) -> Vec<T>
+fn map_parallel<T, F>(n: usize, threads: usize, f: &F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -64,16 +49,14 @@ where
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    // Indices are claimed in blocks to keep cursor traffic negligible
-    // while still balancing uneven per-index cost.
     let cursor = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
     let work = || loop {
-        let start = cursor.fetch_add(block, Ordering::Relaxed);
+        let start = cursor.fetch_add(BLOCK, Ordering::Relaxed);
         if start >= n {
             break;
         }
-        let end = (start + block).min(n);
+        let end = (start + BLOCK).min(n);
         let block: Vec<T> = (start..end).map(f).collect();
         let mut slots = slots.lock().expect("result lock poisoned");
         for (offset, value) in block.into_iter().enumerate() {
@@ -117,14 +100,7 @@ mod tests {
     #[test]
     fn parallel_path_matches_sequential() {
         let seq: Vec<usize> = (0..5000).map(|i| i ^ 0xabc).collect();
-        let par = map_parallel(5000, 4, 32, &|i| i ^ 0xabc);
+        let par = map_parallel(5000, 4, &|i| i ^ 0xabc);
         assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn shard_map_preserves_index_order() {
-        let out = map_shards(16, |s| s * 7);
-        assert_eq!(out, (0..16).map(|s| s * 7).collect::<Vec<_>>());
-        assert!(map_shards(0, |s| s).is_empty());
     }
 }

@@ -3,7 +3,7 @@ use std::collections::BTreeMap;
 use geocast_geom::{Arrangement, Metric, MetricKind, RegionKey};
 
 use crate::peer::PeerInfo;
-use crate::select::{NeighborSelection, ShardProfile};
+use crate::select::{select_in_brute, NeighborSelection, SelectContext, ShardProfile};
 
 /// The paper's generic *Hyperplanes* neighbour-selection method.
 ///
@@ -123,6 +123,23 @@ impl NeighborSelection for HyperplanesSelection {
         picked
     }
 
+    fn select_in(&self, peers: &[PeerInfo], i: usize, ctx: &SelectContext<'_>) -> Vec<usize> {
+        // The orthogonal arrangement's regions are the orthants, and the
+        // index ranks each by `(distance, slot)`: the rule's
+        // `(distance, id)` order when slots are ids. It declines on a
+        // shared coordinate (an on-hyperplane region) or beyond
+        // `MAX_INDEX_DIM`, and `select_in_brute` answers.
+        let ranked_by_id = ctx.ids_in_slice_order && self.arrangement.is_orthogonal();
+        if let Some(index) = ctx.index().filter(|_| ranked_by_id) {
+            if let Some(groups) = index.k_nearest_per_orthant(i, self.k, self.metric) {
+                let mut picked: Vec<usize> = groups.into_iter().flatten().collect();
+                picked.sort_unstable();
+                return picked;
+            }
+        }
+        select_in_brute(self, peers, i, ctx)
+    }
+
     fn name(&self) -> String {
         format!(
             "hyperplanes(H={}, K={}, {})",
@@ -134,8 +151,8 @@ impl NeighborSelection for HyperplanesSelection {
 
     fn shard_profile(&self) -> ShardProfile {
         // Only the orthogonal arrangement maps regions onto orthants,
-        // which is what the per-shard KNN shortlist query answers;
-        // other arrangements fall back to the brute (but exact) path.
+        // which is what `topk_join_recheck` reasons about; a join under
+        // any other arrangement re-selects every live peer.
         if self.arrangement.is_orthogonal() {
             ShardProfile::OrthantTopK {
                 k: self.k,

@@ -30,45 +30,47 @@ use geocast_geom::{GridIndex, MetricKind};
 
 use crate::peer::PeerInfo;
 
-/// How a selection rule's geometry can be exploited by the sharded
-/// topology store ([`crate::shard`]): which per-shard shortlist query
-/// answers it and which cross-shard skip test is sound for it.
+/// How a selection rule's structure lets [`crate::TopologyStore`]
+/// localise churn: whether its links are mutual, so one adjacency table
+/// serves both directions, and which peers a join can make re-select.
 ///
-/// The profile never affects *what* is selected — only how many shard
-/// indexes a cross-shard selection has to interrogate. Rules that fit
-/// neither shape run under [`ShardProfile::Generic`], which queries
-/// every shard brute-force (still exact, no pruning).
+/// The profile never affects *what* is selected — only how much of the
+/// store a membership event reads. Rules that fit neither shape run
+/// under [`ShardProfile::Generic`] (still exact, no shortcut).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ShardProfile {
-    /// The §2 empty-rectangle rule: shard shortlists are per-orthant
-    /// Pareto frontiers, and a whole shard is skippable when one
-    /// already-collected candidate rect-dominates its entire uncovered
-    /// bounding box.
+    /// The §2 empty-rectangle rule: links are mutual, so the store keeps
+    /// no reverse table, and joins and leaves are edge edits on rows.
     EmptyRect,
     /// Per-orthant `K`-closest under `metric` (the *Orthogonal
-    /// Hyperplanes* method): shard shortlists are per-orthant KNN, and
-    /// a shard is skippable when its uncovered box lies in a single
-    /// saturated orthant strictly beyond the `K`-th collected distance.
+    /// Hyperplanes* method): directed links with a reverse table, and a
+    /// join re-selects only the peers `topk_join_recheck` cannot rule
+    /// out.
     OrthantTopK {
         /// Per-region selection budget.
         k: usize,
         /// Ranking metric.
         metric: MetricKind,
     },
-    /// No exploitable shape: every shard is queried by brute force.
+    /// No exploitable shape: directed links, and a join re-selects
+    /// every live peer.
     Generic,
 }
 
 /// Shared acceleration state for batch selection over a fixed peer
 /// population ([`NeighborSelection::select_in`]).
 ///
-/// Built once by the caller that owns the population — the definition
-/// in [`crate::oracle`] builds one with no index — and shared by every
-/// per-peer call; methods that cannot exploit it simply ignore it.
+/// Built once by the caller that owns the population — the store over
+/// its one index, the definition in [`crate::oracle`] with no index —
+/// and shared by every per-peer call; methods that cannot exploit it
+/// simply ignore it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SelectContext<'a> {
     index: Option<&'a GridIndex>,
     departed: Option<&'a [bool]>,
+    /// `peers[j].id().index() == j` for every `j`: index slot order is
+    /// id order, so the index's distance tie-breaks are the rule's.
+    ids_in_slice_order: bool,
 }
 
 impl<'a> SelectContext<'a> {
@@ -76,24 +78,23 @@ impl<'a> SelectContext<'a> {
     /// brute-force path.
     #[must_use]
     pub fn without_index() -> Self {
-        SelectContext {
-            index: None,
-            departed: None,
-        }
+        SelectContext::default()
     }
 
     /// A context backed by a spatial index built over exactly the peer
     /// slice handed to `select_in`, in the same order.
     ///
-    /// `_ids_in_slice_order` states whether `peers[j].id().index() == j`
-    /// for every `j` ([`ids_in_slice_order`]). The only index-backed
-    /// `select_in`, the empty-rectangle rule's, breaks no distance tie
-    /// by id, so nothing reads it.
+    /// `ids_in_slice_order` states whether `peers[j].id().index() == j`
+    /// for every `j` ([`ids_in_slice_order`]). The empty-rectangle rule
+    /// breaks no distance tie and ignores it; the orthogonal Hyperplanes
+    /// rule breaks ties by id, and answers from the index only when it
+    /// holds.
     #[must_use]
-    pub fn with_index(index: &'a GridIndex, _ids_in_slice_order: bool) -> Self {
+    pub fn with_index(index: &'a GridIndex, ids_in_slice_order: bool) -> Self {
         SelectContext {
             index: Some(index),
             departed: None,
+            ids_in_slice_order,
         }
     }
 
@@ -180,9 +181,9 @@ pub trait NeighborSelection {
     /// Human-readable method name for reports.
     fn name(&self) -> String;
 
-    /// How the sharded store may prune cross-shard queries for this
-    /// rule (see [`ShardProfile`]). The default claims no exploitable
-    /// shape, which is always sound.
+    /// How the store may localise churn under this rule (see
+    /// [`ShardProfile`]). The default claims no exploitable shape,
+    /// which is always sound.
     fn shard_profile(&self) -> ShardProfile {
         ShardProfile::Generic
     }

@@ -6,13 +6,13 @@
 //! Hyperplanes rules — empty-rectangle links are mutual, so there one
 //! table holds both directions), per-peer topology
 //! fingerprints, and the epoch-numbered [`DeltaLog`] of every membership
-//! change's dirty region. It computes on **one engine**, the tiled
-//! [`crate::shard::ShardedTopologyStore`]: one tile by default
-//! ([`TopologyStore::new`], [`TopologyStore::from_peers`]), a grid of
-//! tiles with halo mirrors through
-//! [`TopologyStore::from_peers_sharded`]. A join or leave touches only
-//! the peers whose rows the membership change can affect, and each of
-//! those rows is updated at the cost of what changes in it.
+//! change's dirty region. Its rows are selected on **one index**, a
+//! [`GridIndex`] over every peer ever inserted whose slot ids are peer
+//! ids (a departed peer's slot is tombstoned): the bulk build selects
+//! every row on it, a join takes its walk's start from it, and a
+//! Hyperplanes re-selection is a query on it. A join or leave touches
+//! only the peers whose rows the membership change can affect, and each
+//! of those rows is updated at the cost of what changes in it.
 //!
 //! # Why the incremental path is exact
 //!
@@ -56,7 +56,7 @@
 //!   dropping a non-selected candidate leaves every top-`K` intact.
 //!   The reverse-adjacency table hands the affected set directly (under
 //!   the empty-rectangle rule that is `x`'s own row).
-//!   Hyperplanes selectors re-select through the tombstoned indexes.
+//!   Hyperplanes selectors re-select through the tombstoned index.
 //!   Under the empty-rectangle rule nobody re-selects and no
 //!   selector's row is read: the departure is repaired by the departed
 //!   peer's neighbours among themselves, as edge edits computed from
@@ -86,20 +86,20 @@
 //!   orthant, since it would sit strictly inside `rect(x, i)` or
 //!   `rect(x, w)`, which are empty, and only the other members (tied
 //!   ones always) take the strict-interior test — the rule's definition
-//!   at every step: any dimensionality and any tiling take the same
-//!   path, with no index, no shard and no fallback. The rows that
+//!   at every step: any dimensionality takes the same path, with no
+//!   index and no fallback. The rows that
 //!   change are exactly `row(x) ∪ {x}`, which is the delta. The join's
 //!   evictions are pairs inside the newcomer's row the same way: an
 //!   evicted `r` had `rect(i, r)` empty before `q` came to sit in it,
 //!   so `rect(q, r)`, a part of it, is empty, and `r ∈ row(q)`. Debug
-//!   builds re-select every row a join or a leave edited through the
-//!   fold and compare — the newcomer's own row included.
+//!   builds re-select every row a join or a leave edited on the index
+//!   and compare — the newcomer's own row included.
 //!
 //! ## The newcomer's own row
 //!
-//! Under the Hyperplanes rules a newcomer's row is a fold over the
-//! shards. Under the empty-rectangle rule it is found from the rows the
-//! store already holds, with no index query and no fold. Notation: `x`
+//! Under the Hyperplanes rules a newcomer's row is a query on the
+//! index. Under the empty-rectangle rule it is found from the rows the
+//! store already holds, with no index query. Notation: `x`
 //! is the newcomer, `G` the graph of the live peers' rows before it
 //! arrives, and `row(x)` the live peers `p` whose open `rect(x, p)` holds
 //! no live peer. `box(a, b)` is the closed box with corners `a` and `b`,
@@ -107,10 +107,9 @@
 //! has three steps.
 //!
 //! 1. **Locate.** The start is any live peer: the one nearest `x` in
-//!    the home tile's grid cells (`GridIndex::locate`, which reads
-//!    buckets only and so never declines on a tie), or, if the home tile
-//!    holds no other live peer, one from another tile. Nothing below
-//!    depends on which peer it is; a near one keeps the descent short.
+//!    the index's grid cells (`GridIndex::locate`, which reads buckets
+//!    only and so never declines on a tie). Nothing below depends on
+//!    which peer it is; a near one keeps the descent short.
 //! 2. **Descend.** From `p`, step to the member `m` of `row(p)` that lies
 //!    in `box(p, x)` at coordinates other than `p`'s and leaves the
 //!    smallest box; stop when `row(p)` has none. `box(m, x)` is a strict
@@ -184,13 +183,13 @@
 //!   smaller L1 offset. Then `m` is a final member, or some final member
 //!   strictly dominates it with a smaller offset still; by the choice of
 //!   `f`, that member is in `row(x)`. Connectivity does the rest. So a
-//!   start from any tile is correct, and the walk does not depend on
+//!   start anywhere is correct, and the walk does not depend on
 //!   `locate` beyond the cost.
 //!
 //! Every test is a raw comparison of coordinates, as in the rule's own
 //! definition, so the walk takes the same path at every dimensionality
-//! up to [`MAX_ORTHANT_DIM`] and at every tiling: no decline, no brute
-//! selection, no shard asked for a shortlist.
+//! up to [`MAX_ORTHANT_DIM`]: no decline, no brute selection, no index
+//! query.
 //! `geocast_overlay`'s `prop_store` holds each newcomer's row against the
 //! definition on uniform, lattice, clustered and 17- and 32-dimensional
 //! populations. Expanding a peer reads its row, so a join reads about
@@ -206,15 +205,15 @@
 //! derive the other two things a consumer can see from such graphs.
 //! Property tests (`tests/prop_store.rs`, `geocast-core`'s
 //! `tests/prop_shard.rs`) assert the store equals it after every event
-//! of random join/leave interleavings — every rule family, 1 to 24
-//! tiles, remove-heavy traces and joins outside the seed box included;
+//! of random join/leave interleavings — every rule family, remove-heavy
+//! traces, lattices and joins outside the seed box included;
 //! `geocast churn --strict` and the referee of
 //! `geocast_core::detect::run_detection` compare against it too.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use geocast_geom::{Point, MAX_ORTHANT_DIM};
+use geocast_geom::{GridIndex, Point, MAX_ORTHANT_DIM};
 
 use crate::closed_form::{
     straddled_links, topk_join_recheck, unblocked_pairs, CoordTable, JoinWalk, JoinWalkStats,
@@ -223,8 +222,7 @@ use crate::delta::{DeltaKind, DeltaLog, TopologyDelta};
 use crate::graph::OverlayGraph;
 use crate::par;
 use crate::peer::{PeerId, PeerInfo};
-use crate::select::{ids_in_slice_order, NeighborSelection, ShardProfile};
-use crate::shard::{ShardConfig, ShardedTopologyStore};
+use crate::select::{ids_in_slice_order, NeighborSelection, SelectContext, ShardProfile};
 
 /// FNV-1a fingerprint of one peer's out-neighbour list. Mixing the peer
 /// index in keeps the XOR-of-all-peers network fingerprint collision
@@ -288,9 +286,33 @@ pub struct TopologyStore {
     /// What finds an empty-rectangle newcomer's row over `out`.
     walk: JoinWalk,
     selection: Arc<dyn NeighborSelection + Send + Sync>,
-    /// The tiles and their spatial indexes: the bulk build, the join
-    /// walk's start, and every fold.
-    engine: ShardedTopologyStore,
+    /// `selection`'s profile: mutual links or a reverse table, and who
+    /// a join makes re-select.
+    profile: ShardProfile,
+    /// Every peer ever inserted, slot id = peer id, departed ones
+    /// tombstoned: the bulk build, the join walk's start, and every
+    /// re-selection.
+    index: GridIndex,
+}
+
+/// What the benchmark harness still passes to
+/// [`TopologyStore::from_peers_sharded`]: a shard count, checked to be
+/// positive and read by nothing else. The store has one index at every
+/// count; ROADMAP item 1(g) deletes this shim with the harness's call.
+#[derive(Debug, Clone)]
+pub struct ShardConfig(());
+
+impl ShardConfig {
+    /// A configuration the store reads nothing of.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
+    #[must_use]
+    pub fn new(shards: usize) -> Self {
+        assert!(shards > 0, "shard count must be positive");
+        ShardConfig(())
+    }
 }
 
 /// Every rule classifies peers by orthant codes of one bit per
@@ -304,34 +326,17 @@ fn assert_orthant_dim(dim: usize) {
 }
 
 impl TopologyStore {
-    /// Creates an empty store for the given selection rule, on one tile
-    /// — which needs no bounding box, so the population's dimensionality
-    /// is adopted from the first insert.
+    /// Creates an empty store for the given selection rule; the
+    /// population's dimensionality is adopted from the first insert.
     #[must_use]
     pub fn new(selection: Arc<dyn NeighborSelection + Send + Sync>) -> Self {
         Self::from_peers(Vec::new(), selection)
     }
 
     /// Builds a store over an existing dense-id population in one bulk
-    /// pass on one tile, ready for incremental churn.
-    ///
-    /// # Panics
-    ///
-    /// As [`TopologyStore::from_peers_sharded`].
-    #[must_use]
-    pub fn from_peers(
-        peers: Vec<PeerInfo>,
-        selection: Arc<dyn NeighborSelection + Send + Sync>,
-    ) -> Self {
-        Self::from_peers_sharded(peers, selection, &ShardConfig::new(1))
-    }
-
-    /// Builds a store over an existing dense-id population with the
-    /// coordinate domain tiled into `config.shards()` shards
-    /// ([`crate::shard`]), each with its own incremental spatial index;
-    /// the bulk build runs in parallel and subsequent churn folds over
-    /// the shards. Topology, fingerprint and delta stream do not depend
-    /// on the tiling: they are the definition's
+    /// pass, ready for incremental churn: one index over the population,
+    /// and every row selected on it in parallel. Topology, fingerprint
+    /// and delta stream are the definition's
     /// ([`crate::oracle::equilibrium_live`]; property-tested in
     /// `tests/prop_shard.rs`).
     ///
@@ -339,22 +344,15 @@ impl TopologyStore {
     ///
     /// Panics unless `peers[i].id().index() == i` for every `i` (the
     /// store owns the id space) and all peers share one dimensionality,
-    /// if `peers` is empty with more than one shard — tiling needs a
-    /// seed population's bounding box — or if the dimensionality exceeds
-    /// [`MAX_ORTHANT_DIM`].
+    /// or if the dimensionality exceeds [`MAX_ORTHANT_DIM`].
     #[must_use]
-    pub fn from_peers_sharded(
+    pub fn from_peers(
         peers: Vec<PeerInfo>,
         selection: Arc<dyn NeighborSelection + Send + Sync>,
-        config: &ShardConfig,
     ) -> Self {
         assert!(
             ids_in_slice_order(&peers),
             "TopologyStore requires dense insertion-order peer ids"
-        );
-        assert!(
-            config.shards() == 1 || !peers.is_empty(),
-            "tiling into several shards needs a seed population"
         );
         assert!(
             peers
@@ -365,12 +363,14 @@ impl TopologyStore {
         if let Some(first) = peers.first() {
             assert_orthant_dim(first.point().dim());
         }
-        let (mut engine, out) = ShardedTopologyStore::build(&peers, selection.as_ref(), config);
-        // lint:allow(D002, reason = "feeds ShardBuildStats.finalize telemetry only; no control flow reads the clock")
-        let t = std::time::Instant::now();
+        let index = GridIndex::build(&peers);
         let n = peers.len();
+        let departed = vec![false; n];
+        let ctx = SelectContext::with_index(&index, true).masked(&departed);
+        let out: Vec<Vec<usize>> = par::map_indexed(n, |i| selection.select_in(&peers, i, &ctx));
+        let profile = selection.shard_profile();
         let mut rev = Vec::new();
-        if engine.profile() != ShardProfile::EmptyRect {
+        if profile != ShardProfile::EmptyRect {
             rev.resize(n, Vec::new());
             for (i, nbrs) in out.iter().enumerate() {
                 for &j in nbrs {
@@ -385,10 +385,9 @@ impl TopologyStore {
             .map(|(i, nbrs)| topology_hash(i, nbrs))
             .collect();
         let fingerprint = peer_hash.iter().fold(0, |acc, h| acc ^ h);
-        engine.note_finalize(t.elapsed());
         TopologyStore {
             coords: CoordTable::from_peers(&peers),
-            departed: vec![false; n],
+            departed,
             live: n,
             out,
             rev,
@@ -401,15 +400,25 @@ impl TopologyStore {
             walk: JoinWalk::default(),
             peers,
             selection,
-            engine,
+            profile,
+            index,
         }
     }
 
-    /// The tiled engine: shard geometry, bulk-build timings and the
-    /// cross-shard ledger of churn.
+    /// [`TopologyStore::from_peers`], under the name the benchmark
+    /// harness still calls; `config` is read by nothing (see
+    /// [`ShardConfig`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`TopologyStore::from_peers`].
     #[must_use]
-    pub fn sharding(&self) -> &ShardedTopologyStore {
-        &self.engine
+    pub fn from_peers_sharded(
+        peers: Vec<PeerInfo>,
+        selection: Arc<dyn NeighborSelection + Send + Sync>,
+        _config: &ShardConfig,
+    ) -> Self {
+        Self::from_peers(peers, selection)
     }
 
     /// Links that leaves have made between the departed peers' former
@@ -432,7 +441,7 @@ impl TopologyStore {
     /// What the empty-rectangle join walk did since construction —
     /// joins walked, descent steps, rows read, peers offered — counted
     /// like [`TopologyStore::links_made_by_leaves`]; the other rules
-    /// fold and count nothing here.
+    /// query the index and count nothing here.
     #[must_use]
     pub fn join_walk_stats(&self) -> JoinWalkStats {
         self.walk.stats()
@@ -515,7 +524,7 @@ impl TopologyStore {
     /// `true` under the empty-rectangle rule, whose links are mutual:
     /// `out` is the store's one adjacency table and `rev` stays empty.
     fn mutual(&self) -> bool {
-        self.engine.profile() == ShardProfile::EmptyRect
+        self.profile == ShardProfile::EmptyRect
     }
 
     /// Merges `i`'s out- and reverse-neighbours into `buf` (sorted,
@@ -626,7 +635,7 @@ impl TopologyStore {
     /// Inserts a new peer and incrementally re-converges the
     /// equilibrium: the newcomer gets its row over the full live
     /// population — walked over the store's rows under the
-    /// empty-rectangle rule, folded over the shards otherwise — and only
+    /// empty-rectangle rule, a query on the index otherwise — and only
     /// peers whose rows its arrival can change are updated (see the
     /// module docs for who they are and why that is exact).
     ///
@@ -648,6 +657,8 @@ impl TopologyStore {
         }
         let id = self.peers.len();
         self.coords.push(&point);
+        let slot = self.index.insert(&point);
+        debug_assert_eq!(slot, id, "index slots are peer ids");
         self.peers.push(PeerInfo::new(PeerId(id as u64), point));
         self.departed.push(false);
         self.live += 1;
@@ -657,14 +668,10 @@ impl TopologyStore {
         }
         self.peer_hash.push(topology_hash(id, &[]));
         self.fingerprint ^= self.peer_hash[id];
-        self.engine.register(&self.peers, id);
-        let dirty = match self.engine.profile() {
+        let dirty = match self.profile {
             ShardProfile::EmptyRect => self.join_links(id),
             profile => {
-                let selection = self.selection.as_ref();
-                let own = self
-                    .engine
-                    .reselect(&self.peers, &self.departed, selection, id);
+                let own = self.select_row(id);
                 self.join_reselect(id, own, profile)
             }
         };
@@ -673,14 +680,14 @@ impl TopologyStore {
     }
 
     /// The empty-rectangle join as edge edits: the newcomer's row `own`
-    /// is walked over the rows the store holds from a start the engine
+    /// is walked over the rows the store holds from a start the index
     /// locates (module docs, "The newcomer's own row"), the newcomer
     /// links with every peer of it, and the linked pairs of `own` whose
     /// rectangle the newcomer now sits in are cut ([`straddled_links`];
     /// every eviction is such a pair), so the rows that change, and the
     /// dirty region returned, are `own` and the newcomer's.
     fn join_links(&mut self, id: usize) -> Vec<usize> {
-        let own = match self.engine.locate(&self.peers, id) {
+        let own = match self.index.locate(self.peers[id].point(), Some(id)) {
             Some(start) => self.walk.row(&self.coords, &self.out, id, start),
             None => Vec::new(),
         };
@@ -763,8 +770,8 @@ impl TopologyStore {
         assert!(!self.departed[v], "{id} already departed");
         self.departed[v] = true;
         self.live -= 1;
-        self.engine.leave(&self.peers, v);
-        let dirty = match self.engine.profile() {
+        self.index.remove(v);
+        let dirty = match self.profile {
             ShardProfile::EmptyRect => self.leave_links(v),
             _ => self.leave_reselect(v),
         };
@@ -797,26 +804,28 @@ impl TopologyStore {
     }
 
     /// Re-hashes each row an empty-rectangle `event` of `peer` edited;
-    /// debug builds first hold it against its re-selection through the
-    /// fold.
+    /// debug builds first hold it against its re-selection on the index.
     fn check_and_rehash(&mut self, rows: &[usize], event: &str, peer: usize) {
         for &i in rows {
             debug_assert_eq!(
                 self.out[i],
-                self.engine.row_from_scratch(
-                    &self.peers,
-                    &self.departed,
-                    self.selection.as_ref(),
-                    i
-                ),
+                self.select_row(i),
                 "{event} of {peer}: peer {i}'s edited row differs from its re-selection"
             );
             self.rehash(i);
         }
     }
 
+    /// Peer `i`'s row over the live population, selected from scratch:
+    /// a query on the index, or the rule's brute selection where the
+    /// index declines.
+    fn select_row(&self, i: usize) -> Vec<usize> {
+        let ctx = SelectContext::with_index(&self.index, true).masked(&self.departed);
+        self.selection.select_in(&self.peers, i, &ctx)
+    }
+
     /// The leave of every other rule: the departed peer's selectors
-    /// re-select through the tombstoned indexes.
+    /// re-select through the tombstoned index.
     fn leave_reselect(&mut self, v: usize) -> Vec<usize> {
         let mut delta = BTreeSet::new();
         delta.insert(v);
@@ -824,10 +833,7 @@ impl TopologyStore {
         // releases its capacity: nobody selects a departed id again.
         let affected = std::mem::take(&mut self.rev[v]);
         for i in affected {
-            let selection = self.selection.as_ref();
-            let new_out = self
-                .engine
-                .reselect(&self.peers, &self.departed, selection, i);
+            let new_out = self.select_row(i);
             self.apply_out(i, new_out, &mut delta);
         }
         // The departed peer selects nobody.
@@ -927,7 +933,6 @@ mod tests {
     use super::*;
     use crate::oracle;
     use crate::select::{EmptyRectSelection, HyperplanesSelection};
-    use crate::shard::ShardConfig;
     use geocast_geom::gen::uniform_points;
     use geocast_geom::MetricKind;
 
@@ -939,6 +944,149 @@ mod tests {
     /// computed from scratch, expressed over the store's dense ids.
     fn reference_graph(store: &TopologyStore) -> OverlayGraph {
         oracle::equilibrium_live(store.peers(), store.departed(), store.selection().as_ref())
+    }
+
+    /// The four rule families: the empty-rectangle rule, and the
+    /// orthogonal, signed and `H = 0` Hyperplanes instances.
+    fn selections() -> Vec<Arc<dyn NeighborSelection + Send + Sync>> {
+        vec![
+            Arc::new(EmptyRectSelection),
+            Arc::new(HyperplanesSelection::orthogonal(2, 2, MetricKind::L1)),
+            Arc::new(HyperplanesSelection::signed(2, 1, MetricKind::L2)),
+            Arc::new(HyperplanesSelection::k_closest(2, 4, MetricKind::L2)),
+        ]
+    }
+
+    /// The store holds what the definition says it must — adjacency and
+    /// fingerprint from scratch, no index. Returns the reference graph.
+    fn assert_is_definition(store: &TopologyStore, what: &str) -> OverlayGraph {
+        let want = reference_graph(store);
+        assert_eq!(store.graph(), want, "{what}: adjacency");
+        assert_eq!(
+            store.fingerprint(),
+            oracle::fingerprint(&want),
+            "{what}: fingerprint"
+        );
+        want
+    }
+
+    #[test]
+    fn bulk_build_matches_the_definition_under_every_rule() {
+        for selection in selections() {
+            let store = TopologyStore::from_peers(
+                PeerInfo::from_point_set(&uniform_points(90, 2, 1000.0, 5)),
+                selection.clone(),
+            );
+            assert_is_definition(&store, &selection.name());
+            assert_eq!(store.epoch(), 0, "{}", selection.name());
+        }
+    }
+
+    #[test]
+    fn churn_matches_the_definition_under_every_rule() {
+        for selection in selections() {
+            let mut store = TopologyStore::from_peers(
+                PeerInfo::from_point_set(&uniform_points(60, 2, 1000.0, 9)),
+                selection.clone(),
+            );
+            let mut before = assert_is_definition(&store, "bulk build");
+            let mut epoch = 0;
+            let mut check = |store: &TopologyStore, kind: DeltaKind, what: &str| {
+                let after = assert_is_definition(store, what);
+                epoch += 1;
+                let delta = TopologyDelta {
+                    epoch,
+                    kind,
+                    dirty: oracle::dirty_region(&before, &after, kind.peer()),
+                };
+                assert_eq!(store.delta_log().newest(), Some(&delta), "{what}");
+                before = after;
+            };
+            for (step, p) in points(25, 2, 10).into_iter().enumerate() {
+                let what = format!("{} step {step}", selection.name());
+                let id = store.insert(p);
+                check(&store, DeltaKind::Join(id.index()), &what);
+                if step % 3 == 1 {
+                    let gone = PeerId((step * 7 % 60) as u64);
+                    if !store.is_departed(gone) {
+                        store.remove(gone);
+                        check(&store, DeltaKind::Leave(gone.index()), &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_coordinates_stay_exact_under_every_rule() {
+        // Shared coordinates make the index decline the Hyperplanes
+        // queries, which fall back to the rule's brute selection.
+        let peers: Vec<PeerInfo> = [
+            [0.0, 0.0],
+            [500.0, 0.0],
+            [200.0, 300.0],
+            [500.0, 700.0],
+            [900.0, 400.0],
+            [900.0, 900.0],
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, xy)| PeerInfo::new(PeerId(i as u64), Point::new(xy.to_vec()).unwrap()))
+        .collect();
+        for selection in selections() {
+            let mut store = TopologyStore::from_peers(peers.clone(), selection.clone());
+            assert_is_definition(&store, &selection.name());
+            store.insert(Point::new(vec![200.0, 900.0]).unwrap());
+            store.remove(PeerId(1));
+            assert_is_definition(&store, &selection.name());
+        }
+    }
+
+    #[test]
+    fn identical_points_stay_exact() {
+        let p = Point::new(vec![5.0, 5.0]).unwrap();
+        let same: Vec<PeerInfo> = (0..5)
+            .map(|i| PeerInfo::new(PeerId(i as u64), p.clone()))
+            .collect();
+        let store = TopologyStore::from_peers(same, Arc::new(EmptyRectSelection));
+        assert_is_definition(&store, "identical points");
+    }
+
+    #[test]
+    fn a_departed_id_retains_no_reverse_list() {
+        // A Leave takes the departed peer's lists: the peer is never
+        // selected again, so the capacity goes too. Under the
+        // empty-rectangle rule links are mutual and `out` is the one
+        // table, so the peer's selectors are its row; a directed
+        // Hyperplanes rule keeps a reverse table, and that list goes as
+        // well.
+        for (mutual, rule) in [true, false].into_iter().zip(one_table_and_two()) {
+            let mut store = TopologyStore::from_peers(
+                PeerInfo::from_point_set(&uniform_points(60, 2, 1000.0, 7)),
+                rule,
+            );
+            let what = store.selection().name();
+            assert_eq!(store.rev.is_empty(), mutual, "{what}: one table or two");
+            for v in [3usize, 17, 41] {
+                let selectors = if mutual { &store.out } else { &store.rev };
+                assert!(
+                    selectors[v].capacity() > 0,
+                    "{what}: peer {v} is selected by someone"
+                );
+                store.remove(PeerId(v as u64));
+                assert_eq!(store.out[v].capacity(), 0, "{what}: out[{v}]");
+                if !mutual {
+                    assert_eq!(store.rev[v].capacity(), 0, "{what}: rev[{v}]");
+                }
+            }
+            assert_is_definition(&store, &format!("{what}, after the leaves"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard count must be positive")]
+    fn the_harness_shim_keeps_its_zero_check() {
+        let _ = ShardConfig::new(0);
     }
 
     #[test]
@@ -986,7 +1134,7 @@ mod tests {
     #[test]
     fn bulk_build_equals_incremental_build() {
         // Grown from empty, bulk-built, and bulk-built through the
-        // tiled constructor at one tile: one engine, one state.
+        // harness's shim at sixteen shards: one index, one state.
         let rules: [Arc<dyn NeighborSelection + Send + Sync>; 2] = [
             Arc::new(EmptyRectSelection),
             Arc::new(HyperplanesSelection::orthogonal(2, 2, MetricKind::L1)),
@@ -1000,7 +1148,7 @@ mod tests {
             let mut stores = [
                 grown,
                 TopologyStore::from_peers(peers.clone(), rule.clone()),
-                TopologyStore::from_peers_sharded(peers, rule.clone(), &ShardConfig::new(1)),
+                TopologyStore::from_peers_sharded(peers, rule.clone(), &ShardConfig::new(16)),
             ];
             for bulk in &stores[1..] {
                 assert_eq!((bulk.epoch(), bulk.delta_log().newest()), (0, None));
@@ -1228,14 +1376,13 @@ mod tests {
 
     #[test]
     fn high_dimensions_fall_back_exactly() {
-        // Beyond MAX_INDEX_DIM the shard indexes decline every query:
-        // the bulk build's shortlists and every Hyperplanes fold are
-        // brute selections, and no skip is certified. An empty-rectangle
-        // join locates its start by buckets, which never decline, and
-        // walks rows; its leave links the departed peer's neighbours —
-        // neither asks an index a query in any dimensionality. Bulk
-        // build, growth from empty, joins and leaves equal the oracle
-        // after every event, on one tile and on several.
+        // Beyond MAX_INDEX_DIM the index declines every query: the bulk
+        // build and every Hyperplanes re-selection are brute
+        // selections. An empty-rectangle join locates its start by
+        // buckets, which never decline, and walks rows; its leave links
+        // the departed peer's neighbours — neither asks the index a
+        // query in any dimensionality. Bulk build, growth from empty,
+        // joins and leaves equal the oracle after every event.
         let dim = geocast_geom::index::MAX_INDEX_DIM + 1;
         let rules: [Arc<dyn NeighborSelection + Send + Sync>; 2] = [
             Arc::new(EmptyRectSelection),
@@ -1248,11 +1395,7 @@ mod tests {
                 grown.insert(p);
                 assert_eq!(grown.graph(), reference_graph(&grown), "{}", rule.name());
             }
-            let mut stores = [
-                grown,
-                TopologyStore::from_peers(peers.clone(), rule.clone()),
-                TopologyStore::from_peers_sharded(peers, rule.clone(), &ShardConfig::new(4)),
-            ];
+            let mut stores = [grown, TopologyStore::from_peers(peers, rule.clone())];
             for store in &mut stores {
                 assert_eq!(store.graph(), reference_graph(store), "{}", rule.name());
                 for (step, p) in points(6, dim, 54).into_iter().enumerate() {
@@ -1295,8 +1438,8 @@ mod tests {
         // The leave half of the collision cliff: a selector sharing a
         // coordinate with a live peer used to make the index decline
         // and the leave re-select it by brute force over all N. The
-        // pair kernel reads the departed peer's row: across these
-        // leaves the engine runs no fold at all.
+        // pair kernel reads the departed peer's row: none of these
+        // leaves selects a row at all.
         let mut pts = points(2000, 2, 59);
         // 1 % exact ties: twenty peers copy one coordinate of their
         // predecessor.
@@ -1311,7 +1454,6 @@ mod tests {
             .map(|(i, p)| PeerInfo::new(PeerId(i as u64), p))
             .collect();
         let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
-        let before = store.sharding().churn_stats();
         let in_a_tie = |v: usize| tied.contains(&v) || tied.contains(&(v + 1));
         for &t in &tied {
             // A neighbour of the tied peer departs, then the peer it
@@ -1327,11 +1469,6 @@ mod tests {
             store.remove(PeerId(t as u64 - 1));
         }
         assert_eq!(store.live_count(), 1960);
-        assert_eq!(
-            store.sharding().churn_stats().folds,
-            before.folds,
-            "a leave folds nothing, ties or not"
-        );
         assert_eq!(store.graph(), reference_graph(&store));
         assert_eq!(store.fingerprint(), oracle::fingerprint(&store.graph()));
     }
@@ -1343,12 +1480,11 @@ mod tests {
         // neighbours. Both tie it, so both are in its row with no
         // orthant code, and no pair through them is cut. The walk finds
         // the newcomer's own row over store rows and puts the ties in its
-        // tied set, so no join folds and none runs a brute selection.
-        // Debug builds re-select every edited row, the newcomer's
-        // included, after each join.
+        // tied set, so no join queries the index and none runs a brute
+        // selection. Debug builds re-select every edited row, the
+        // newcomer's included, after each join.
         let peers = PeerInfo::from_point_set(&uniform_points(2000, 2, 1000.0, 67));
         let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
-        let before = store.sharding().churn_stats();
         for k in 0..20 {
             let t = 100 * k + 7;
             let u = store.out_neighbors(t)[k % store.out_neighbors(t).len()];
@@ -1363,11 +1499,6 @@ mod tests {
                 "a tied peer is always a neighbour"
             );
         }
-        assert_eq!(
-            store.sharding().churn_stats().folds,
-            before.folds,
-            "a join folds nothing, ties or not"
-        );
         assert_eq!(store.join_walk_stats().joins, 20, "every join walked");
         assert_eq!(store.graph(), reference_graph(&store));
         assert_eq!(store.fingerprint(), oracle::fingerprint(&store.graph()));

@@ -18,9 +18,7 @@ use geocast_geom::gen::{clustered_points, uniform_points};
 use geocast_geom::index::MAX_INDEX_DIM;
 use geocast_geom::{MetricKind, Point, MAX_ORTHANT_DIM};
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
-use geocast_overlay::{
-    oracle, OverlayGraph, PeerId, PeerInfo, ShardChurnStats, ShardConfig, TopologyStore,
-};
+use geocast_overlay::{oracle, OverlayGraph, PeerId, PeerInfo, TopologyStore};
 
 fn selection_for(variant: usize, dim: usize, k: usize) -> Arc<dyn NeighborSelection + Send + Sync> {
     match variant {
@@ -217,7 +215,6 @@ fn join_walk_reads_about_one_row_per_neighbour() {
         rows_per_join <= 1.1 * row_mean,
         "{rows_per_join:.2} rows read per join against rows of {row_mean:.2}"
     );
-    assert_eq!(store.sharding().churn_stats(), ShardChurnStats::default());
 }
 
 proptest! {
@@ -227,9 +224,9 @@ proptest! {
     /// store's rows — finds exactly the definition's row for every
     /// newcomer of a store grown from empty with interleaved leaves:
     /// uniform, lattice (ties everywhere), clustered, and past both
-    /// `MAX_INDEX_DIM` and up to `MAX_ORTHANT_DIM`. No join folds, so
-    /// none declines or runs a brute selection, and the store equals
-    /// the from-scratch equilibrium at the end.
+    /// `MAX_INDEX_DIM` and up to `MAX_ORTHANT_DIM`. No join queries the
+    /// index, so none declines or runs a brute selection, and the store
+    /// equals the from-scratch equilibrium at the end.
     #[test]
     fn join_walk_finds_the_definitions_row_on_every_population(
         family in 0usize..4,
@@ -240,7 +237,6 @@ proptest! {
         let what = format!("family {family}, {} dimensions", points[0].dim());
         let mut store = TopologyStore::new(Arc::new(EmptyRectSelection));
         grow_with_walks(&mut store, points, seed, &what);
-        assert_eq!(store.sharding().churn_stats(), ShardChurnStats::default(), "{what}");
         assert_from_scratch(&store, None, &what);
     }
 }
@@ -276,24 +272,18 @@ proptest! {
 
     /// Remove-heavy churn under the empty-rectangle rule — where a
     /// departure is *edge edits* computed from the departed peer's row
-    /// alone (no selector's row read, no index and no shard asked)
-    /// instead of re-selections — equals the from-scratch rebuild after
-    /// every event, at 1, 4 and 16 shards, in 2-D and 3-D.
+    /// alone (no selector's row read, no index asked) instead of
+    /// re-selections — equals the from-scratch rebuild after every
+    /// event, in 2-D and 3-D.
     #[test]
-    fn sharded_remove_heavy_churn_equals_from_scratch_rebuild(
+    fn remove_heavy_churn_equals_from_scratch_rebuild(
         initial in 12usize..70,
         ops in 4usize..30,
         dim in 2usize..4,
-        shards_pick in 0usize..3,
         seed in 0u64..10_000,
     ) {
-        let shards = [1usize, 4, 16][shards_pick];
         let peers = PeerInfo::from_point_set(&uniform_points(initial, dim, 1000.0, seed));
-        let mut store = TopologyStore::from_peers_sharded(
-            peers,
-            Arc::new(EmptyRectSelection),
-            &ShardConfig::new(shards),
-        );
+        let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
         let mut rebuilt = assert_from_scratch(&store, None, "bulk build");
         let points = uniform_points(ops, dim, 1000.0, seed ^ 0x6a6f_696e).into_points();
         let mut joins = points.into_iter();
@@ -306,7 +296,7 @@ proptest! {
             let leave = (live.len() > 2 && rng.random_range(0..3) != 0)
                 .then(|| live[rng.random_range(0..live.len())]);
             let moved = apply_event(&mut store, leave, &mut joins);
-            let what = format!("{shards} shards, dim {dim}, op {op}");
+            let what = format!("dim {dim}, op {op}");
             rebuilt = assert_from_scratch(&store, Some(&rebuilt), &what);
             assert_mutual_and_local(&store, &moved, &what);
         }
