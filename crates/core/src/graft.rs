@@ -34,26 +34,29 @@
 //! Every discovery is a pure function of (a) the on-tree set and peer
 //! coordinates and (b) the undirected adjacency rows of the nodes it
 //! *consulted* (walked path nodes and BFS-expanded nodes). The consulted
-//! set is returned as the graft's **support**, and for a pass that
-//! never left tier 1 each support node's row was read for exactly one
-//! decision — the greedy hop towards its walk's target, which became
-//! its tree parent. The pass returns those targets next to the support
-//! set, together with the stranded member whose walk attached each
-//! support node; the incremental engine keeps a group's build across a
-//! churn delta exactly when every dirtied support node still takes the
-//! same hop (the repair certificate of [`crate::groups`], where the
-//! induction is written out), and re-grafts otherwise — which keeps the
-//! maintained tree byte-identical to a from-scratch rebuild
-//! (property-tested in `tests/prop_groups.rs`).
+//! set is returned as the graft's **support**. For a pass that never
+//! left tier 1 each support node's row was read for exactly one
+//! decision — the greedy hop towards its walk's target, which became its
+//! tree parent — and the pass also returns its walks as a `WalkLog`:
+//! per walk, in pass order, the stranded member, its target and its
+//! path, with the walk of each support node next to the support set.
+//! The incremental engine keeps a group's build across a churn delta
+//! exactly when every dirtied support node still takes the same hop (the
+//! repair certificate of [`crate::groups`], where the induction is
+//! written out), and re-grafts otherwise — which keeps the maintained
+//! tree byte-identical to a from-scratch rebuild (property-tested in
+//! `tests/prop_groups.rs`).
 //!
-//! A re-graft costs what changed, not the group: the same pass, handed
-//! the previous build's recorded decisions as a `GraftMemo`, takes a
-//! walk's target from the record whenever the recorded target is still
-//! on the tree and nothing the old pass did not have there is nearer,
-//! and takes a hop from the old tree whenever the node's row has not
-//! changed since — and searches or steps as above otherwise. It returns
-//! exactly what it returns without a memo; `GraftMemo` carries the
-//! argument.
+//! A re-graft costs the walks that changed, not the group. The same
+//! pass, handed the previous build's log as a `GraftMemo`, takes a
+//! walk's target from the log whenever the logged target is still on
+//! the tree and nothing the old pass did not have there is nearer. It
+//! then copies the walk's logged path whole when no node of it is dirty,
+//! none is on the tree yet and its logged terminal is: one bit test per
+//! node. A walk that fails a check follows its logged path up to where
+//! it diverges and steps greedily from there, and a walk whose target
+//! was searched for steps greedily throughout. The pass returns exactly
+//! what it returns without a memo; `GraftMemo` carries the argument.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -122,49 +125,131 @@ pub fn graft_stranded_members(
     (pass.report, pass.support)
 }
 
+/// A peer id, or a walk index (walks are never more than peers), in the
+/// compact form the log and the certificate keep.
+fn id(p: usize) -> u32 {
+    u32::try_from(p).expect("peer ids fit u32")
+}
+
+/// The walks of one graft pass in pass order, which is ascending
+/// stranded member: each with the on-tree node it headed for and its
+/// path `[member, …relays…, terminal]` as one contiguous run of
+/// `nodes`. Every node of a path but the terminal joined the tree under
+/// the node after it, so the log holds the pass's links; for a
+/// greedy-only pass it also holds every row the pass read and the one
+/// decision each row was read for.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct WalkLog {
+    walks: Vec<LoggedWalk>,
+    nodes: Vec<u32>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LoggedWalk {
+    member: u32,
+    target: u32,
+    /// One past the walk's last node in [`WalkLog::nodes`].
+    end: u32,
+}
+
+impl WalkLog {
+    fn push(&mut self, member: usize, target: usize, path: &[usize]) {
+        self.nodes.extend(path.iter().map(|&p| id(p)));
+        self.walks.push(LoggedWalk {
+            member: id(member),
+            target: id(target),
+            end: id(self.nodes.len()),
+        });
+    }
+
+    fn len(&self) -> usize {
+        self.walks.len()
+    }
+
+    /// The stranded member walk `w` started from.
+    fn member(&self, w: usize) -> usize {
+        self.walks[w].member as usize
+    }
+
+    /// The on-tree node walk `w` headed for.
+    pub(crate) fn target(&self, w: usize) -> usize {
+        self.walks[w].target as usize
+    }
+
+    /// Where walk `w`'s path starts in `nodes`.
+    fn start(&self, w: usize) -> usize {
+        w.checked_sub(1).map_or(0, |v| self.walks[v].end as usize)
+    }
+
+    /// Walk `w`'s path, `[member, …relays…, terminal]`.
+    fn path(&self, w: usize) -> &[u32] {
+        &self.nodes[self.start(w)..self.walks[w].end as usize]
+    }
+
+    /// The places in `nodes` of every node that walks `from..` attached
+    /// (all but the terminals), walk by walk.
+    fn attached(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
+        (from..self.len()).flat_map(|w| self.start(w)..self.walks[w].end as usize - 1)
+    }
+
+    /// The walk of every place in `nodes`.
+    fn walk_at(&self) -> Vec<u32> {
+        let mut walk_at = Vec::with_capacity(self.nodes.len());
+        for (w, walk) in self.walks.iter().enumerate() {
+            walk_at.resize(walk.end as usize, id(w));
+        }
+        walk_at
+    }
+}
+
 /// What one graft pass returns besides the grafted `build`.
 #[derive(Default)]
 pub(crate) struct GraftPass {
     pub report: GraftReport,
     /// Every peer whose adjacency row the pass consulted, sorted.
     pub support: Vec<usize>,
-    /// Parallel to `support`: the on-tree node each support node's walk
-    /// was heading for when its row was read. Empty, like `joined`,
-    /// unless the pass was [`GraftReport::greedy_only`] (a fallback tier
-    /// reads rows for other decisions than a hop towards one target).
-    pub targets: Vec<u32>,
-    /// Parallel to `support`: the stranded member whose walk attached
-    /// the node (itself, for a member that led its own walk).
-    pub joined: Vec<u32>,
-    /// Walks whose target was the memo's recorded one.
+    /// Parallel to `support`: the walk of `log` that attached each
+    /// support node. Empty, like `log`, unless the pass was
+    /// [`GraftReport::greedy_only`] (a fallback tier reads rows for other
+    /// decisions than a hop towards one target).
+    pub walk_of: Vec<u32>,
+    pub log: WalkLog,
+    /// Walks whose target was the memo's logged one.
     pub walks_replayed: u64,
     /// Walks whose target was searched for ([`OnTreeIndex::nearest`]).
     pub walks_recomputed: u64,
+    /// Walks copied whole from the memo's log: some of `walks_replayed`.
+    pub walks_spliced: u64,
 }
 
-/// The decisions the previous, greedy-only pass over the same group
-/// recorded, in the form the next pass replays them. A pass given a memo
-/// returns exactly what it returns without one; the memo only tells it
-/// which answers it need not search for:
+/// The previous greedy-only pass over the same group, in the form the
+/// next pass replays it. A pass given a memo returns exactly what it
+/// returns without one; the memo only tells it which answers it need not
+/// search or step for:
 ///
-/// * **A hop.** A greedy hop is a function of one adjacency row and one
-///   target point. A support node that is not `dirty` has the row it had
-///   when its hop was last taken or re-checked, so towards its recorded
-///   target it takes the hop it took — its parent in the old tree.
 /// * **A target.** The target of stranded member `s` is the
 ///   `(distance, index)` minimum over the nodes on the tree when the
 ///   pass reaches `s`. Split that set into the nodes the old pass also
-///   had on its tree at that point and the rest (`fresh`). If `s` led
-///   its own walk last time, its recorded target was the minimum over
-///   the whole old set, so once it is seen to be on the tree now it is
-///   the minimum over the shared part — and the new target is the
-///   better of it and the best `fresh` node.
+///   had on its tree at that point and the rest (`fresh`). If the log
+///   holds a walk of `s`, its target was the minimum over the whole old
+///   set, so once it is seen to be on the tree now it is the minimum
+///   over the shared part — and the new target is the better of it and
+///   the best `fresh` node.
+/// * **A walk.** A greedy hop is a function of one adjacency row and one
+///   target point, and a walk ends at the first on-tree node it meets.
+///   Let `s`'s target be the logged one. A node of the logged path that
+///   is not `dirty` has the row it had when its hop was last taken or
+///   re-checked, so it takes the hop it took: to the next node of the
+///   path. So the walk is the logged path up to the first node that is
+///   dirty, that is on the tree now, or that is the logged terminal —
+///   and it is the logged path, whole, exactly when that node is the
+///   terminal and the terminal is on the tree.
 pub(crate) struct GraftMemo<'a> {
-    /// The old pass's support set, sorted; `targets` and `joined` are
-    /// parallel to it.
+    /// The old pass's support set, sorted; `walk_of` is parallel to it.
     pub support: &'a [usize],
-    pub targets: &'a [u32],
-    pub joined: &'a [u32],
+    /// The walk of `log` that attached each support node.
+    pub walk_of: &'a [u32],
+    pub log: &'a WalkLog,
     /// The old grafted tree.
     pub tree: &'a MulticastTree,
     /// Every old support node whose adjacency row may have changed
@@ -173,30 +258,16 @@ pub(crate) struct GraftMemo<'a> {
 }
 
 impl GraftMemo<'_> {
-    fn slot(&self, p: usize) -> Option<usize> {
-        self.support.binary_search(&p).ok()
-    }
-
     /// `true` if `p` was on the old tree once the old pass was done
     /// with stranded member `after` — before any walk, for `None`. (A
     /// greedy-only pass attaches every node it consults, so the walks'
     /// share of the old tree is its support and the rest of it is what
     /// the old §2 construction reached.)
     fn on_tree_after(&self, p: usize, after: Option<usize>) -> bool {
-        match self.slot(p) {
-            Some(at) => after.is_some_and(|s| self.joined[at] as usize <= s),
-            None => self.tree.is_reached(p),
+        match self.support.binary_search(&p) {
+            Ok(at) => after.is_some_and(|s| self.log.member(self.walk_of[at] as usize) <= s),
+            Err(_) => self.tree.is_reached(p),
         }
-    }
-
-    /// The recorded hop of `p` towards `target`, if `p` recorded one
-    /// and its row still reads as it did then.
-    fn hop(&self, p: usize, target: u32) -> Option<usize> {
-        let at = self.slot(p)?;
-        if self.targets[at] != target || self.dirty.binary_search(&p).is_ok() {
-            return None;
-        }
-        self.tree.parent(p)
     }
 }
 
@@ -209,35 +280,62 @@ const MAX_FRESH: usize = 32;
 /// pass did not have there at the same point.
 struct Replay<'a> {
     memo: &'a GraftMemo<'a>,
+    /// `memo.dirty`, one bit per peer.
+    dirty: PeerBits,
+    /// The first walk of the memo's log whose member the pass has not
+    /// passed yet.
+    next: usize,
     fresh: Vec<usize>,
 }
 
-impl Replay<'_> {
+impl<'a> Replay<'a> {
+    /// Starts replaying `memo` in a pass over `n` peers that finds
+    /// `reached` on the tree.
+    fn new(memo: &'a GraftMemo<'a>, n: usize, reached: &[usize]) -> Self {
+        let mut replay = Replay {
+            memo,
+            dirty: PeerBits::from_peers(n, memo.dirty),
+            next: 0,
+            fresh: Vec::new(),
+        };
+        for &p in reached {
+            replay.note_on_tree(p, None);
+        }
+        replay
+    }
+
     /// Notes that `p` is on the tree from now on — the pass is about to
     /// walk (`after == None`, §2-reached nodes) or has just attached a
     /// path of stranded member `after`.
     fn note_on_tree(&mut self, p: usize, after: Option<usize>) {
-        if !self.memo.on_tree_after(p, after) && self.fresh.len() <= MAX_FRESH {
+        if self.fresh.len() <= MAX_FRESH && !self.memo.on_tree_after(p, after) {
             self.fresh.push(p);
         }
     }
 
-    /// The target of stranded member `s`, when the memo decides it.
+    /// The logged walk of stranded member `s` and its target, when the
+    /// memo decides that target. The pass asks in ascending `s`.
     fn target(
-        &self,
+        &mut self,
         peers: &[PeerInfo],
         metric: MetricKind,
         on_tree: &PeerBits,
         s: usize,
-    ) -> Option<usize> {
-        let memo = self.memo;
-        if self.fresh.len() > MAX_FRESH {
+    ) -> Option<(usize, usize)> {
+        let log = self.memo.log;
+        while self.next < log.len() && log.member(self.next) < s {
+            self.next += 1;
+        }
+        let w = self.next;
+        if self.fresh.len() > MAX_FRESH || w == log.len() || log.member(w) != s {
             return None;
         }
-        let at = memo.slot(s).filter(|&at| memo.joined[at] as usize == s)?;
-        let recorded = memo.targets[at] as usize;
+        let recorded = log.target(w);
         if !on_tree.contains(recorded) {
             return None;
+        }
+        if self.fresh.is_empty() {
+            return Some((w, recorded));
         }
         let sp = peers[s].point();
         let best = metric.dist(peers[recorded].point(), sp);
@@ -245,13 +343,58 @@ impl Replay<'_> {
             let dist = metric.dist(peers[f].point(), sp);
             dist < best || (dist == best && f < recorded)
         });
-        (!beaten).then_some(recorded)
+        (!beaten).then_some((w, recorded))
     }
+
+    /// Walks logged walk `w`, whose target the pass has just taken, as
+    /// far as the log decides it: appends each hop to `path`, which
+    /// holds the walk's member.
+    fn follow(
+        &self,
+        w: usize,
+        on_tree: &PeerBits,
+        path: &mut Vec<usize>,
+        report: &mut GraftReport,
+    ) -> Followed {
+        let logged = self.memo.log.path(w);
+        for (at, hop) in logged.windows(2).enumerate() {
+            if self.dirty.contains(hop[0] as usize) {
+                return Followed::Diverged;
+            }
+            let next = hop[1] as usize;
+            path.push(next);
+            report.route_hops += 1;
+            if on_tree.contains(next) {
+                return if at + 2 == logged.len() {
+                    Followed::Whole
+                } else {
+                    Followed::Sooner
+                };
+            }
+        }
+        // The logged terminal has left the tree: its own row, which the
+        // old pass never read, decides the next hop.
+        Followed::Diverged
+    }
+}
+
+/// How far a logged walk carried the running pass's walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Followed {
+    /// To its logged terminal, on the tree: the logged walk, whole.
+    Whole,
+    /// To an earlier node of its path that has joined the tree since:
+    /// the walk ends there.
+    Sooner,
+    /// To a node whose hop the log does not decide — a dirty one, or the
+    /// logged terminal, now off the tree — or nowhere, for a walk the
+    /// log does not hold: the walk steps on from there.
+    Diverged,
 }
 
 /// The one graft pass: [`graft_stranded_members`] plus what the
 /// incremental engine records about it, optionally replaying the
-/// decisions of the group's previous pass (see [`GraftMemo`]).
+/// walks of the group's previous pass (see [`GraftMemo`]).
 pub(crate) fn graft_pass(
     store: &TopologyStore,
     build: &mut BuildResult,
@@ -264,31 +407,19 @@ pub(crate) fn graft_pass(
         return pass;
     }
 
-    // The on-tree set while paths are being discovered: a grid (for the
-    // nearest-node query) and a bit mask (for the per-hop tests), both
-    // growing as paths are found. The tree itself absorbs every
-    // discovered link in one merge at the end.
+    // The on-tree set while paths are being discovered: a bit mask for
+    // the per-hop tests, growing as paths are found, and a grid for the
+    // nearest-node query, built at the first walk that searches for its
+    // target and brought up to date with the log's walks (the second
+    // field counts them) at each search. The tree itself absorbs the
+    // log's links in one merge at the end.
     let stranded = std::mem::take(&mut build.stranded);
-    let mut index = OnTreeIndex::new(store.peers(), metric, build.tree.reached(), &stranded);
-    let mut on_tree = PeerBits::from_peers(store.len(), build.tree.reached());
-    let mut replay = memo.map(|memo| {
-        let mut replay = Replay {
-            memo,
-            fresh: Vec::new(),
-        };
-        for &p in build.tree.reached() {
-            replay.note_on_tree(p, None);
-        }
-        replay
-    });
-    let mut links: Vec<(usize, usize)> = Vec::new();
-    let mut relays: Vec<usize> = Vec::new();
+    let reached = build.tree.reached();
+    let mut on_tree = PeerBits::from_peers(store.len(), reached);
+    let mut index: Option<(OnTreeIndex, usize)> = None;
+    let mut replay = memo.map(|memo| Replay::new(memo, store.len(), reached));
+    let mut log = WalkLog::default();
     let mut walk = Walk::default();
-    let discovery = Discovery {
-        store,
-        metric,
-        memo,
-    };
     let report = &mut pass.report;
 
     for &s in &stranded {
@@ -296,59 +427,111 @@ pub(crate) fn graft_pass(
             // An earlier graft path already routed through this member.
             continue;
         }
-        let target = match replay
-            .as_ref()
-            .and_then(|r| r.target(store.peers(), metric, &on_tree, s))
-        {
-            Some(recorded) => {
-                pass.walks_replayed += 1;
-                Some(recorded)
+        let logged = replay
+            .as_mut()
+            .and_then(|r| r.target(store.peers(), metric, &on_tree, s));
+        let target = if let Some((_, recorded)) = logged {
+            pass.walks_replayed += 1;
+            Some(recorded)
+        } else {
+            pass.walks_recomputed += 1;
+            let (index, indexed) = index.get_or_insert_with(|| {
+                let index = OnTreeIndex::new(store.peers(), metric, reached, &stranded);
+                (index, 0)
+            });
+            for at in log.attached(*indexed) {
+                index.insert(log.nodes[at] as usize);
             }
-            None => {
-                pass.walks_recomputed += 1;
-                index.nearest(s)
-            }
+            *indexed = log.len();
+            index.nearest(s)
         };
-        let found = target
-            .is_some_and(|target| discover_path(discovery, &on_tree, s, target, &mut walk, report));
+        let Some(target) = target else {
+            report.unreachable += 1;
+            continue;
+        };
+        walk.path.clear();
+        walk.path.push(s);
+        let followed = match (logged, &replay) {
+            (Some((w, _)), Some(replay)) => replay.follow(w, &on_tree, &mut walk.path, report),
+            _ => Followed::Diverged,
+        };
+        let found = match followed {
+            Followed::Whole => {
+                pass.walks_spliced += 1;
+                true
+            }
+            Followed::Sooner => true,
+            Followed::Diverged => discover_path(store, metric, &on_tree, target, &mut walk, report),
+        };
         if !found {
             report.unreachable += 1;
             continue;
         }
         // path[0] = s, path[last] on-tree; everything before it is new.
-        // A new node that is not itself a stranded member (the list is
-        // sorted) only forwards: a relay.
-        for hop in walk.path.windows(2) {
-            links.push((hop[0], hop[1]));
-            on_tree.insert(hop[0]);
-            index.insert(hop[0]);
-            if let Some(replay) = &mut replay {
-                replay.note_on_tree(hop[0], Some(s));
-            }
-            if stranded.binary_search(&hop[0]).is_err() {
-                relays.push(hop[0]);
+        let grafted = &walk.path[..walk.path.len() - 1];
+        for &p in grafted {
+            on_tree.insert(p);
+        }
+        if let (Followed::Diverged, Some(replay)) = (followed, &mut replay) {
+            // A node of `s`'s logged path was on the old tree after `s`
+            // too; only a stepped one can be fresh.
+            for &p in grafted {
+                replay.note_on_tree(p, Some(s));
             }
         }
+        log.push(s, target, &walk.path);
         report.grafted += 1;
     }
 
-    build.tree.attach_all(links);
+    // Every attached node, keyed `node << 32 | its place in the log`
+    // and sorted: the tree's new nodes and, each with the node after it
+    // on its path, the tree's new links in child order.
+    let mut attached: Vec<u64> = Vec::with_capacity(log.nodes.len() - log.len());
+    attached.extend(
+        log.attached(0)
+            .map(|at| u64::from(log.nodes[at]) << 32 | at as u64),
+    );
+    attached.sort_unstable();
+    let node = |key: u64| (key >> 32) as usize;
+    let at = |key: u64| key as u32 as usize;
+    build.tree.attach_all(
+        (attached.iter())
+            .map(|&key| (node(key), log.nodes[at(key) + 1] as usize))
+            .collect(),
+    );
+    // Each path node joins the tree once. One that is not itself a
+    // stranded member (the list is sorted) only forwards: a relay.
+    let mut members = stranded.iter().copied().peekable();
+    build.relays = (attached.iter().map(|&key| node(key)))
+        .filter(|&p| {
+            while members.next_if(|&m| m < p).is_some() {}
+            members.peek() != Some(&p)
+        })
+        .collect();
+    report.relays = build.relays.len();
     build.stranded = stranded
         .into_iter()
         .filter(|&m| !on_tree.contains(m))
         .collect();
-    // Each path node joins the tree once, so the relays are distinct.
-    relays.sort_unstable();
-    report.relays = relays.len();
-    build.relays = relays;
 
-    // A greedy-only pass reads each row once (a walk stops at the first
-    // on-tree node and everything it walked is on-tree afterwards); the
-    // fallback tiers can revisit.
-    let mut consulted = walk.consulted;
-    consulted.sort_unstable();
-    consulted.dedup_by_key(|c| c.node);
-    pass.support = consulted.iter().map(|c| c.node).collect();
+    if pass.report.greedy_only() {
+        // Tier 1 reads the row of each node it attaches, once (a walk
+        // stops at the first on-tree node, and everything it walked is
+        // on the tree afterwards), and no other row.
+        debug_assert!(attached.windows(2).all(|w| node(w[0]) < node(w[1])));
+        let walk_at = log.walk_at();
+        pass.support = attached.iter().map(|&key| node(key)).collect();
+        pass.walk_of = attached.iter().map(|&key| walk_at[at(key)]).collect();
+        pass.log = log;
+    } else {
+        // The fallback tiers read rows off the final paths too, and may
+        // read one twice.
+        let mut consulted = walk.consulted;
+        consulted.extend(attached.iter().map(|&key| node(key)));
+        consulted.sort_unstable();
+        consulted.dedup();
+        pass.support = consulted;
+    }
     // On every tier a path node's row was read by the walk that attached
     // it: the engine finds a group's relays among its support nodes.
     debug_assert!(
@@ -358,90 +541,63 @@ pub(crate) fn graft_pass(
             .all(|r| pass.support.binary_search(r).is_ok()),
         "a relay outside the support set"
     );
-    if pass.report.greedy_only() {
-        pass.targets = consulted.iter().map(|c| c.target).collect();
-        pass.joined = consulted.iter().map(|c| c.joined).collect();
-    }
     pass
-}
-
-/// One adjacency row some discovery of the pass read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Consulted {
-    node: usize,
-    /// The on-tree node that discovery was locating.
-    target: u32,
-    /// The stranded member that discovery started from.
-    joined: u32,
 }
 
 /// Scratch and output of the discoveries of one graft pass.
 #[derive(Default)]
 struct Walk {
-    /// The last discovered path `[s, …relays…, on-tree node]`.
+    /// The walk under way: `[s, …relays…, on-tree node]` once it is done.
     path: Vec<usize>,
-    consulted: Vec<Consulted>,
+    /// Rows the fallback tiers read, over the whole pass (tier 1 reads
+    /// only the rows of the path it attaches).
+    consulted: Vec<usize>,
     nbuf: Vec<usize>,
 }
 
-/// What every discovery of one pass reads and none of them changes.
-#[derive(Clone, Copy)]
-struct Discovery<'a> {
-    store: &'a TopologyStore,
-    metric: MetricKind,
-    memo: Option<&'a GraftMemo<'a>>,
+impl Walk {
+    /// Ends a walk that reached the tree after a fallback: the row of
+    /// every node before the terminal was read, loops included, and then
+    /// the loops are spliced out.
+    fn settle(&mut self) {
+        let read = &self.path[..self.path.len() - 1];
+        self.consulted.extend_from_slice(read);
+        compress_loops(&mut self.path);
+    }
 }
 
-/// Discovers an overlay path from stranded member `s` to the tree into
-/// `walk.path`: `[s, …relays…, on-tree node]`, loop-free, heading for
-/// on-tree node `target`. `false` when `s`'s overlay component does not
-/// contain the tree.
+/// Continues the walk in `walk.path` — stranded member `path[0]` and the
+/// hops it has taken so far, none of them on the tree — on to the tree,
+/// heading for on-tree node `target`: `[s, …relays…, on-tree node]`,
+/// loop-free. `false` when `s`'s overlay component does not contain the
+/// tree.
 fn discover_path(
-    discovery: Discovery,
+    store: &TopologyStore,
+    metric: MetricKind,
     on_tree: &PeerBits,
-    s: usize,
     target: usize,
     walk: &mut Walk,
     report: &mut GraftReport,
 ) -> bool {
-    let Discovery {
-        store,
-        metric,
-        memo,
-    } = discovery;
-    let consulted = |node: usize| Consulted {
-        node,
-        target: u32::try_from(target).expect("peer ids fit u32"),
-        joined: u32::try_from(s).expect("peer ids fit u32"),
-    };
-    let tag = consulted(s).target;
     let tp = store.peers()[target].point();
-    walk.path.clear();
-    walk.path.push(s);
-    walk.consulted.push(consulted(s));
-    let mut cur = s;
+    let mut cur = *walk.path.last().expect("a walk starts at its member");
 
     for round in 0..MAX_ROUTING_ROUNDS {
         // Tier 1: greedy point routing towards the target peer, one hop
         // at a time, ending at the first on-tree node — only rows that
         // decide the used path are read, so only they enter the support
         // set. Every hop is strictly closer to the target than the
-        // last, so a path that never left this tier has no loop. A hop
-        // the memo recorded is the hop the row would give.
-        while let Some(next) = memo
-            .and_then(|m| m.hop(cur, tag))
-            .or_else(|| greedy_step_on_store(store, cur, tp, metric, &mut walk.nbuf))
-        {
+        // last, so a path that never left this tier has no loop.
+        while let Some(next) = greedy_step_on_store(store, cur, tp, metric, &mut walk.nbuf) {
             walk.path.push(next);
             report.route_hops += 1;
             if on_tree.contains(next) {
                 // The terminal's own row was never read; it stays out.
                 if round > 0 {
-                    compress_loops(&mut walk.path);
+                    walk.settle();
                 }
                 return true;
             }
-            walk.consulted.push(consulted(next));
             cur = next;
         }
 
@@ -463,10 +619,9 @@ fn discover_path(
             walk.path.push(hop);
             report.route_hops += 1;
             if on_tree.contains(hop) {
-                compress_loops(&mut walk.path);
+                walk.settle();
                 return true;
             }
-            walk.consulted.push(consulted(hop));
         }
         cur = route.last();
         if !route.delivered() {
@@ -475,9 +630,11 @@ fn discover_path(
         }
     }
 
-    // Tier 3: flood discovery (deterministic BFS) from the last stall.
+    // Tier 3: flood discovery (deterministic BFS) from the last stall,
+    // every node walked so far having been read.
     report.flood_fallbacks += 1;
-    let found = flood_to_tree(store, on_tree, walk, consulted(s), report);
+    walk.consulted.extend_from_slice(&walk.path);
+    let found = flood_to_tree(store, on_tree, walk, report);
     if found {
         compress_loops(&mut walk.path);
     }
@@ -695,7 +852,6 @@ fn flood_to_tree(
     store: &TopologyStore,
     on_tree: &PeerBits,
     walk: &mut Walk,
-    of: Consulted,
     report: &mut GraftReport,
 ) -> bool {
     let start = *walk.path.last().expect("the path starts at the member");
@@ -714,7 +870,7 @@ fn flood_to_tree(
             walk.path[from..].reverse();
             return true;
         }
-        walk.consulted.push(Consulted { node: u, ..of });
+        walk.consulted.push(u);
         store.undirected_neighbors_into(u, &mut walk.nbuf);
         for &v in &walk.nbuf {
             if !seen.contains(v) {
@@ -791,8 +947,10 @@ mod tests {
             build_group_tree_on_store(&store, 0, &members, &OrthantRectPartitioner::median());
         let pass = graft_pass(&store, &mut again, MetricKind::L1, None);
         assert_eq!(pass.support, support);
-        assert_eq!(pass.targets, vec![0, 0, 0, 0]);
-        assert_eq!(pass.joined, vec![4, 4, 4, 4], "one walk attached them all");
+        assert_eq!(pass.walk_of, vec![0, 0, 0, 0], "one walk attached them all");
+        assert_eq!(pass.log.len(), 1);
+        assert_eq!((pass.log.member(0), pass.log.target(0)), (4, 0));
+        assert_eq!(pass.log.path(0), &[4, 3, 2, 1, 0]);
         assert_eq!((pass.walks_replayed, pass.walks_recomputed), (0, 1));
         assert_eq!(again, build);
         // The grafted chain hangs off the root in path order.
@@ -965,8 +1123,8 @@ mod tests {
             .collect();
         let memo = GraftMemo {
             support: &old_pass.support,
-            targets: &old_pass.targets,
-            joined: &old_pass.joined,
+            walk_of: &old_pass.walk_of,
+            log: &old_pass.log,
             tree: &old_build.tree,
             dirty: &dirty,
         };
@@ -975,13 +1133,14 @@ mod tests {
         assert_eq!(build, scratch);
         assert_eq!(pass.report, reference.report);
         assert_eq!(pass.support, reference.support);
-        assert_eq!(pass.targets, reference.targets);
-        assert_eq!(pass.joined, reference.joined);
+        assert_eq!(pass.walk_of, reference.walk_of);
+        assert_eq!(pass.log, reference.log);
         assert_eq!(
             pass.walks_replayed + pass.walks_recomputed,
             reference.walks_recomputed,
             "the same walks, however their targets were found"
         );
+        assert!(pass.walks_spliced <= pass.walks_replayed);
         (build, pass)
     }
 
@@ -995,9 +1154,19 @@ mod tests {
             .collect()
     }
 
+    /// The walk that attached support node `p`.
+    fn walk_of(pass: &GraftPass, p: usize) -> usize {
+        pass.walk_of[pass.support.binary_search(&p).expect("a support node")] as usize
+    }
+
     /// The target recorded for support node `p`.
     fn target_of(pass: &GraftPass, p: usize) -> usize {
-        pass.targets[pass.support.binary_search(&p).expect("a support node")] as usize
+        pass.log.target(walk_of(pass, p))
+    }
+
+    /// The stranded member whose walk attached support node `p`.
+    fn joined(pass: &GraftPass, p: usize) -> usize {
+        pass.log.member(walk_of(pass, p))
     }
 
     /// Peers 0..=9 along the line, and member 10 just off it next to
@@ -1036,9 +1205,16 @@ mod tests {
         assert_eq!(build.tree.parent(10), Some(4));
         assert_eq!(build.relays, vec![1, 2, 3, 4]);
         assert_eq!((pass.walks_replayed, pass.walks_recomputed), (0, 1));
-        // With nothing changed, every target is the recorded one.
+        // With nothing changed, every walk is the logged one, whole.
         let (_, same) = replayed(&store, &[0, 9, 10], &old, &[]);
-        assert_eq!((same.walks_replayed, same.walks_recomputed), (2, 0));
+        assert_eq!(
+            (
+                same.walks_replayed,
+                same.walks_recomputed,
+                same.walks_spliced
+            ),
+            (2, 0, 2)
+        );
     }
 
     #[test]
@@ -1048,12 +1224,11 @@ mod tests {
         let store = store_from(line(&[0, 9, 1, 2, 3, 4, 5, 6, 7, 8]));
         let old = grafted(&store, &[0, 1, 6], None);
         assert_eq!(old.1.report.grafted, 1, "member 6 was on member 1's path");
-        let at = old.1.support.binary_search(&6).unwrap();
-        assert_eq!(old.1.joined[at], 1);
+        assert_eq!(joined(&old.1, 6), 1);
         // Member 1 unsubscribes: member 6 recorded no target of its own.
         let (build, pass) = replayed(&store, &[0, 6], &old, &[]);
         assert_eq!(pass.report.grafted, 1);
-        assert_eq!(pass.joined[pass.support.binary_search(&6).unwrap()], 6);
+        assert_eq!(joined(&pass, 6), 6);
         assert_eq!(build.tree.parent(6), Some(5), "position 4");
         assert_eq!((pass.walks_replayed, pass.walks_recomputed), (0, 1));
     }
@@ -1079,9 +1254,13 @@ mod tests {
         );
         assert_eq!(target_of(&pass, 6), 0);
         assert_eq!(
-            (pass.walks_replayed, pass.walks_recomputed),
-            (1, 0),
-            "the root is still the target"
+            (
+                pass.walks_replayed,
+                pass.walks_recomputed,
+                pass.walks_spliced
+            ),
+            (1, 0, 0),
+            "the root is still the target, and the path runs through dirty nodes"
         );
     }
 
@@ -1097,7 +1276,14 @@ mod tests {
         let (build, pass) = replayed(&store, &[0, 4], &old, &dirty);
         assert_eq!(build.tree.parent(4), Some(joiner));
         assert_eq!(target_of(&pass, joiner), 0);
-        assert_eq!((pass.walks_replayed, pass.walks_recomputed), (1, 0));
+        assert_eq!(
+            (
+                pass.walks_replayed,
+                pass.walks_recomputed,
+                pass.walks_spliced
+            ),
+            (1, 0, 0)
+        );
     }
 
     #[test]
@@ -1115,19 +1301,102 @@ mod tests {
             assert_eq!(target_of(&old.1, near), 0);
             let (_, pass) = replayed(&store, &[0, 1, near], &old, &[]);
             assert_eq!(target_of(&pass, near), 0);
-            (pass.walks_replayed, pass.walks_recomputed)
+            (
+                pass.walks_replayed,
+                pass.walks_recomputed,
+                pass.walks_spliced,
+            )
         };
         let within = i32::try_from(MAX_FRESH).unwrap();
         assert_eq!(
             build(within),
-            (1, 1),
+            (1, 1, 1),
             "the far member's path is all fresh, and none of it beats the root"
         );
         assert_eq!(
             build(within + 2),
-            (0, 2),
-            "past the bound the target is searched for"
+            (0, 2, 0),
+            "past the bound the target is searched for, and the walk stepped"
         );
+    }
+
+    /// Seven peers where a walk curves away from its member. From member
+    /// 2 at the origin the greedy hop towards the root at (10, 10) is
+    /// peer 3 at (15, 6): 21 from the member, where the root is 20, so a
+    /// path through peer 3 does not make it member 2's target. Member 1
+    /// at (25, 2) walks 1→3→0, and member 6 at (6, 30) walks 6→4→0
+    /// through peer 4 at (2, 8), away from both.
+    fn a_walk_that_curves_away() -> TopologyStore {
+        let coords = [
+            (10.0, 10.0),
+            (25.0, 2.0),
+            (0.0, 0.0),
+            (15.0, 6.0),
+            (2.0, 8.0),
+            (8.0, 20.0),
+            (6.0, 30.0),
+        ];
+        store_from(
+            coords
+                .iter()
+                .map(|&(x, y)| Point::new(vec![x, y]).unwrap())
+                .collect(),
+        )
+    }
+
+    /// `(replayed, searched, spliced)` walks of a pass.
+    fn walks(pass: &GraftPass) -> (u64, u64, u64) {
+        (
+            pass.walks_replayed,
+            pass.walks_recomputed,
+            pass.walks_spliced,
+        )
+    }
+
+    #[test]
+    fn splice_refuses_a_walk_through_a_dirty_node() {
+        let store = a_walk_that_curves_away();
+        let old = grafted(&store, &[0, 2, 6], None);
+        assert_eq!(old.1.log.path(0), &[2, 3, 0]);
+        assert_eq!(old.1.log.path(1), &[6, 4, 0]);
+        let (_, pass) = replayed(&store, &[0, 2, 6], &old, &[]);
+        assert_eq!(walks(&pass), (2, 0, 2), "nothing changed");
+        // Peer 4's row may have changed (it has not): member 6's walk
+        // steps on from there, member 2's is copied whole.
+        let (_, pass) = replayed(&store, &[0, 2, 6], &old, &[4]);
+        assert_eq!(walks(&pass), (2, 0, 1));
+        assert_eq!(pass.report.route_hops, 4);
+    }
+
+    #[test]
+    fn splice_refuses_a_walk_an_earlier_path_now_crosses() {
+        let store = a_walk_that_curves_away();
+        let old = grafted(&store, &[0, 2, 6], None);
+        // Member 1 subscribes and walks first. Peer 3 is on the tree
+        // when member 2's turn comes, yet the root stays its target: the
+        // logged walk stops at peer 3, one hop short of its terminal.
+        let (build, pass) = replayed(&store, &[0, 1, 2, 6], &old, &[]);
+        assert_eq!(pass.log.path(0), &[1, 3, 0]);
+        assert_eq!((pass.log.path(1), pass.log.target(1)), (&[2, 3][..], 0));
+        assert_eq!(build.tree.parent(2), Some(3));
+        assert_eq!(
+            walks(&pass),
+            (2, 1, 1),
+            "member 1 searched, member 6 spliced"
+        );
+    }
+
+    #[test]
+    fn splice_refuses_a_walk_whose_terminal_left_the_tree() {
+        let store = a_walk_that_curves_away();
+        let old = grafted(&store, &[0, 1, 2, 6], None);
+        assert_eq!(old.1.log.path(1), &[2, 3], "it ended on member 1's path");
+        // Member 1 unsubscribes: peer 3, the logged terminal of member
+        // 2's walk, is off the tree, and the walk steps on from it.
+        let (build, pass) = replayed(&store, &[0, 2, 6], &old, &[]);
+        assert_eq!(pass.log.path(0), &[2, 3, 0]);
+        assert_eq!(build.relays, vec![3, 4]);
+        assert_eq!(walks(&pass), (2, 0, 1));
     }
 
     #[test]
@@ -1221,17 +1490,11 @@ mod tests {
         walk.path.push(4);
         let on_tree = PeerBits::from_peers(store.len(), &[0]);
         let mut report = GraftReport::default();
-        let of = Consulted {
-            node: 4,
-            target: 0,
-            joined: 4,
-        };
-        assert!(flood_to_tree(&store, &on_tree, &mut walk, of, &mut report));
+        assert!(flood_to_tree(&store, &on_tree, &mut walk, &mut report));
         assert_eq!(walk.path, vec![4, 3, 2, 1, 0]);
         assert_eq!(report.flood_messages, 4, "one message per discovered peer");
-        let consulted: Vec<usize> = walk.consulted.iter().map(|c| c.node).collect();
         assert_eq!(
-            consulted,
+            walk.consulted,
             vec![4, 3, 2, 1],
             "the terminal's row is not read"
         );
@@ -1239,7 +1502,7 @@ mod tests {
         let mut walk = Walk::default();
         walk.path.push(4);
         let nowhere = PeerBits::from_peers(store.len(), std::iter::empty());
-        assert!(!flood_to_tree(&store, &nowhere, &mut walk, of, &mut report));
+        assert!(!flood_to_tree(&store, &nowhere, &mut walk, &mut report));
         assert_eq!(walk.consulted.len(), 5);
         assert_eq!(walk.path, vec![4]);
     }

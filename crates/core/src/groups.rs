@@ -48,9 +48,10 @@
 //!   moves every other link, zone and row over from the old build
 //!   (`crate::member_tree`;
 //!   [`EngineTotals::zone_splits_replayed`] counts it), and the graft
-//!   pass searches and walks only where its on-tree set or a support
-//!   row changed ([`crate::graft`];
-//!   [`EngineTotals::graft_walks_replayed`]). Consumers that fall
+//!   pass searches only where its on-tree set changed and steps only
+//!   where a logged walk diverges, copying every other walk whole from
+//!   the old build's walk log ([`crate::graft`];
+//!   [`EngineTotals::graft_walks_spliced`]). Consumers that fall
 //!   behind the log's retention window resync from the full store
 //!   state, replaying nothing.
 //! * **A batched, plan-cached data plane.** Publishing is decoupled
@@ -111,7 +112,7 @@ use crate::builder::BuildResult;
 use crate::dataplane::{
     eager_lazy_deliver, DeliveryPlan, EpidemicReport, PlanCache, PlanStats, PublishBatch,
 };
-use crate::graft::{graft_pass, GraftMemo, GraftReport};
+use crate::graft::{graft_pass, GraftMemo, GraftReport, WalkLog};
 use crate::member_tree::{member_tree, same_row, MemberRows, Recorded};
 use crate::partition::ZonePartitioner;
 use crate::stability::{preferred_links_on_store, PreferredPolicy, StabilityForest};
@@ -169,13 +170,14 @@ pub fn build_group_tree_on_store(
 pub struct RepairCertificate {
     /// What the §2 construction read.
     member_rows: MemberRows,
-    /// Parallel to [`GroupBuild::support`]: the on-tree node each
-    /// support node's walk was heading for (the hop it chose is its
-    /// tree parent). Empty when the graft left tier 1.
-    targets: Vec<u32>,
-    /// Parallel to [`GroupBuild::support`]: the stranded member whose
-    /// walk attached the node. Empty when the graft left tier 1.
-    joined: Vec<u32>,
+    /// Parallel to [`GroupBuild::support`]: the walk of `walks` that
+    /// attached each support node, heading for that walk's target (the
+    /// hop it chose is its tree parent). Empty when the graft left
+    /// tier 1.
+    walk_of: Vec<u32>,
+    /// The graft's walks in pass order: member, target, path. Empty
+    /// when the graft left tier 1.
+    walks: WalkLog,
 }
 
 /// A group's complete delivery structure: the (grafted) tree plus the
@@ -266,7 +268,8 @@ impl GroupBuild {
                 nbuf.retain(|j| members.contains(j));
                 same_row(row, nbuf)
             } else if let Ok(at) = self.support.binary_search(&p) {
-                let target = store.peers()[cert.targets[at] as usize].point();
+                let target = cert.walks.target(cert.walk_of[at] as usize);
+                let target = store.peers()[target].point();
                 let hop = greedy_step_on_store(store, p, target, GRAFT_METRIC, nbuf);
                 hop.is_some() && hop == self.build.tree.parent(p)
             } else {
@@ -279,17 +282,16 @@ impl GroupBuild {
         true
     }
 
-    /// This build's graft decisions as the memo of the group's next
-    /// graft pass, given `dirty`: a sorted list holding every support
-    /// node whose adjacency row may have changed since its hop was
-    /// recorded or last re-checked by [`GroupBuild::still_holds`].
-    /// `None` when the pass left tier 1 — it recorded no decisions to
-    /// replay.
+    /// This build's graft walks as the memo of the group's next graft
+    /// pass, given `dirty`: a sorted list holding every support node
+    /// whose adjacency row may have changed since its hop was recorded
+    /// or last re-checked by [`GroupBuild::still_holds`]. `None` when
+    /// the pass left tier 1 — it logged no walks to replay.
     fn graft_memo<'a>(&'a self, dirty: &'a [usize]) -> Option<GraftMemo<'a>> {
         self.graft.greedy_only().then_some(GraftMemo {
             support: &self.support,
-            targets: &self.certificate.targets,
-            joined: &self.certificate.joined,
+            walk_of: &self.certificate.walk_of,
+            log: &self.certificate.walks,
             tree: &self.build.tree,
             dirty,
         })
@@ -322,6 +324,7 @@ struct Replayed {
     splits_recomputed: u64,
     walks_replayed: u64,
     walks_recomputed: u64,
+    walks_spliced: u64,
 }
 
 /// [`build_group_tree_grafted`], optionally replaying the decisions of
@@ -346,8 +349,8 @@ fn build_group(
         support: pass.support,
         certificate: RepairCertificate {
             member_rows: section2.rows,
-            targets: pass.targets,
-            joined: pass.joined,
+            walk_of: pass.walk_of,
+            walks: pass.log,
         },
     };
     let replayed = Replayed {
@@ -355,6 +358,7 @@ fn build_group(
         splits_recomputed: section2.splits_recomputed,
         walks_replayed: pass.walks_replayed,
         walks_recomputed: pass.walks_recomputed,
+        walks_spliced: pass.walks_spliced,
     };
     (group_build, replayed)
 }
@@ -422,6 +426,10 @@ pub struct EngineTotals {
     pub graft_walks_replayed: u64,
     /// Graft walks, over all rebuilds, that searched for their target.
     pub graft_walks_recomputed: u64,
+    /// Graft walks, over all rebuilds, copied whole from the walk log
+    /// of the group's previous build: no hop was taken for them. A
+    /// subset of [`EngineTotals::graft_walks_replayed`].
+    pub graft_walks_spliced: u64,
     /// §2-reached members, over all rebuilds, whose delegation was the
     /// one the group's previous build recorded: nothing was read or
     /// partitioned for them.
@@ -1509,7 +1517,7 @@ impl GroupEngine {
     /// build is the same either way.
     fn rebuild_group(&mut self, gi: usize, touched: Option<&[usize]>) {
         // What coexists while the new build is made, and why. The old
-        // tree, support set and graft targets stay until the new graft
+        // tree, support set and walk log stay until the new graft
         // pass is done: it replays them, and the support index below
         // moves from the old set to the new. The old zones and member
         // rows stay only while the new §2 part is assembled — zones
@@ -1573,6 +1581,7 @@ impl GroupEngine {
         totals.rebuilt_members += group.members.len() as u64;
         totals.graft_walks_replayed += replayed.walks_replayed;
         totals.graft_walks_recomputed += replayed.walks_recomputed;
+        totals.graft_walks_spliced += replayed.walks_spliced;
         totals.zone_splits_replayed += replayed.splits_replayed;
         totals.zone_splits_recomputed += replayed.splits_recomputed;
         // The rebuilds bump above is exactly what invalidates this
@@ -2279,8 +2288,16 @@ mod tests {
         eng.subscribe(g, PeerId(4));
         let gb = eng.group_build(g).unwrap();
         assert_eq!(gb.support, vec![1, 2, 3, 4]);
-        assert_eq!(gb.certificate.targets, vec![0, 0, 0, 0]);
+        assert_eq!(targets(gb), vec![0, 0, 0, 0]);
         (eng, g)
+    }
+
+    /// The target each support node of `gb` was recorded heading for.
+    fn targets(gb: &GroupBuild) -> Vec<usize> {
+        let cert = &gb.certificate;
+        (cert.walk_of.iter())
+            .map(|&w| cert.walks.target(w as usize))
+            .collect()
     }
 
     fn neighbors(eng: &GroupEngine, p: usize) -> Vec<usize> {
@@ -2354,7 +2371,7 @@ mod tests {
         eng.subscribe(g, PeerId(1));
         let gb = eng.group_build(g).unwrap();
         assert_eq!(
-            (&gb.support[..], &gb.certificate.targets[..]),
+            (&gb.support[..], &targets(gb)[..]),
             (&[2, 3, 4][..], &[1, 1, 1][..])
         );
         assert_eq!(gb.build.tree.parent(2), Some(1));
@@ -2381,10 +2398,7 @@ mod tests {
         eng.subscribe(g, PeerId(2));
         eng.subscribe(g, PeerId(3));
         let old = eng.group_build(g).unwrap().clone();
-        assert_eq!(
-            (&old.support[..], &old.certificate.targets[..]),
-            (&[2][..], &[3][..])
-        );
+        assert_eq!((&old.support[..], &targets(&old)[..]), (&[2][..], &[3][..]));
         assert_eq!(old.certificate.member_rows.row(0), Some(&[3u32][..]));
         assert_eq!(
             old.certificate.member_rows.row(2),
@@ -2439,7 +2453,7 @@ mod tests {
         eng.subscribe(g, PeerId(5));
         let gb = eng.group_build(g).unwrap();
         assert!(gb.graft.flood_fallbacks > 0 && !gb.graft.greedy_only());
-        assert!(gb.certificate.targets.is_empty());
+        assert!(gb.certificate.walk_of.is_empty());
         assert!(!gb.still_holds(
             eng.store(),
             eng.members(g),

@@ -214,8 +214,9 @@ impl MulticastTree {
     /// each, in any order — the relay-join primitive behind
     /// `crate::graft`, which attaches every hop of every discovered
     /// relay path in one call. A parent may itself be one of the new
-    /// children. One merge pass ([`MulticastTree::patched`] keeping
-    /// every node): `O(reached + links · log)`.
+    /// children. One merge ([`MulticastTree::patched`] keeping every
+    /// node) places the new children and one more resolves their
+    /// parents, with no search per link: `O(reached + links · log)`.
     ///
     /// # Panics
     ///
@@ -236,8 +237,9 @@ impl MulticastTree {
     /// what was re-delegated). A link's parent may be a kept node or
     /// another link's child; a link's child may be a node that is not
     /// kept, and is then still the parent of the nodes kept below it.
-    /// Old slots are remapped, not searched for:
-    /// `O(reached + links · log)`.
+    /// Old slots are remapped and the links' parents merged in, neither
+    /// searched for: `O(reached + links · log)`, the log for sorting the
+    /// links.
     ///
     /// # Panics
     ///
@@ -303,11 +305,23 @@ impl MulticastTree {
             );
             parent[moved[slot]] = up.map(|up| moved[up]);
         }
-        for (&at, &(_, up)) in landed.iter().zip(&links) {
-            let up = nodes
-                .binary_search(&up)
-                .unwrap_or_else(|_| panic!("parent {up} not in the tree"));
-            parent[at] = Some(up);
+        // The links' parents, keyed `parent << 32 | child's slot` and
+        // sorted, meet the sorted nodes in one merge.
+        let mut ups: Vec<u64> = (links.iter().zip(landed))
+            .map(|(&(_, up), at)| {
+                let up = u32::try_from(up).expect("peer ids fit u32");
+                u64::from(up) << 32 | at as u64
+            })
+            .collect();
+        ups.sort_unstable();
+        let mut slot = 0;
+        for key in ups {
+            let (up, at) = ((key >> 32) as usize, key as u32 as usize);
+            while nodes.get(slot).is_some_and(|&node| node < up) {
+                slot += 1;
+            }
+            assert!(nodes.get(slot) == Some(&up), "parent {up} not in the tree");
+            parent[at] = Some(slot);
         }
         assert!(
             self.slot(self.root).is_some_and(|s| moved[s] != DROPPED),

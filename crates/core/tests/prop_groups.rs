@@ -325,7 +325,8 @@ fn churn_rebuilds_at_most_a_quarter_of_the_groups_it_examines() {
 /// all their walks searched, and at least three in four of them held to
 /// a twentieth each. (The rest may be the subscribes that reshape the §2
 /// tree or attach a path longer than the pass's `fresh` bound, which
-/// fall back to searching by design.)
+/// fall back to searching by design.) And at least three in four of all
+/// their walks are copied whole from the walk log, with no hop taken.
 #[test]
 fn a_subscribe_into_a_large_scattered_group_recomputes_a_tenth_of_its_walks() {
     let n = 1_500;
@@ -336,7 +337,7 @@ fn a_subscribe_into_a_large_scattered_group_recomputes_a_tenth_of_its_walks() {
     let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
     let g = engine.seed_groups(&[160], &mut 0x5ca7_7e2ed_u64)[0];
     let subscribes = 20usize;
-    let (mut walks, mut searched, mut local) = (0u64, 0u64, 0usize);
+    let (mut walks, mut searched, mut spliced, mut local) = (0u64, 0u64, 0u64, 0usize);
     for k in 0..subscribes {
         let peer = (0..n)
             .map(|i| (k * 73 + i * 7) % n)
@@ -347,6 +348,7 @@ fn a_subscribe_into_a_large_scattered_group_recomputes_a_tenth_of_its_walks() {
         let after = *engine.totals();
         let replayed = after.graft_walks_replayed - before.graft_walks_replayed;
         let recomputed = after.graft_walks_recomputed - before.graft_walks_recomputed;
+        spliced += after.graft_walks_spliced - before.graft_walks_spliced;
         assert!(engine.members(g).len() > 150);
         assert!(
             replayed + recomputed >= 100,
@@ -365,6 +367,10 @@ fn a_subscribe_into_a_large_scattered_group_recomputes_a_tenth_of_its_walks() {
     assert!(
         4 * local >= 3 * subscribes,
         "only {local} of {subscribes} subscribes searched for under a twentieth of their walks"
+    );
+    assert!(
+        4 * spliced >= 3 * walks,
+        "only {spliced} of {walks} walks were spliced whole"
     );
 }
 

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeSet;
 
-use geocast_geom::{GridIndex, Metric, MetricKind, Orthant};
+use geocast_geom::{GridIndex, Metric, MetricKind};
 
 use crate::graph::OverlayGraph;
 use crate::par;
@@ -159,7 +159,8 @@ pub fn orthogonal_k_sweep_with(
 }
 
 /// For each peer: per-orthant candidate indices ranked by
-/// `(distance, id)` ascending, truncated to the best `kmax`. Uses a
+/// `(distance, id)` ascending, truncated to the best `kmax`, orthants in
+/// ascending order (the flattened rows are what the sweep reads). Uses a
 /// spatial index when distance ties broken by id and by slice position
 /// coincide; falls back to the full ranking pass otherwise, and where
 /// the index declines (a shared coordinate, or too many dimensions).
@@ -185,9 +186,12 @@ fn ranked_orthant_groups(
 }
 
 /// The definitional ranking for one peer: classify every other peer
-/// into an orthant, sort each group by `(distance, id)`, truncate. A
-/// coordinate tie goes to the positive side, as
+/// into an orthant, sort by orthant and then `(distance, id)`, truncate
+/// each orthant's run. A coordinate tie goes to the positive side, as
 /// [`geocast_geom::Arrangement::classify`] puts a point on a plane.
+/// Only occupied orthants are returned, in ascending order, from one
+/// sort — as [`geocast_geom::dominance::group_by_orthant`] does — so
+/// the cost does not grow with `2^D`.
 fn ranked_orthant_groups_brute(
     peers: &[PeerInfo],
     i: usize,
@@ -196,25 +200,25 @@ fn ranked_orthant_groups_brute(
     kmax: usize,
 ) -> Vec<Vec<usize>> {
     let who = peers[i].point();
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); Orthant::count(dim)];
-    for (j, cand) in peers.iter().enumerate() {
-        if j != i {
+    let mut order: Vec<(u64, f64, usize)> = (peers.iter().enumerate())
+        .filter(|&(j, _)| j != i)
+        .map(|(j, cand)| {
             let orthant = (0..dim)
                 .filter(|&d| cand.point()[d] >= who[d])
-                .fold(0, |bits, d| bits | 1 << d);
-            groups[orthant].push(j);
-        }
-    }
-    for group in &mut groups {
-        group.sort_by(|&a, &b| {
-            let da = metric.dist(who, peers[a].point());
-            let db = metric.dist(who, peers[b].point());
-            da.total_cmp(&db)
-                .then_with(|| peers[a].id().cmp(&peers[b].id()))
-        });
-        group.truncate(kmax);
-    }
-    groups
+                .fold(0u64, |bits, d| bits | 1 << d);
+            (orthant, metric.dist(who, cand.point()), j)
+        })
+        .collect();
+    order.sort_unstable_by(|a, b| {
+        (a.0.cmp(&b.0))
+            .then(a.1.total_cmp(&b.1))
+            .then_with(|| peers[a.2].id().cmp(&peers[b.2].id()))
+            .then(a.2.cmp(&b.2))
+    });
+    order
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| run.iter().take(kmax).map(|&(_, _, j)| j).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -360,6 +364,66 @@ mod tests {
         for (k, graph) in orthogonal_k_sweep(&lattice, MetricKind::L1, &[1, 2, 3]) {
             let sel = HyperplanesSelection::orthogonal(2, k, MetricKind::L1);
             assert_eq!(graph, bulk_build(&lattice, sel), "K={k}");
+        }
+    }
+
+    /// Where the index declines for dimensionality the ranking still
+    /// answers, without a table of `2^D` orthants: a 32-D sweep at small N
+    /// (2^32 vectors per peer before), held against the definition.
+    #[test]
+    fn k_sweep_runs_at_the_dimension_ceiling() {
+        let dim = geocast_geom::MAX_ORTHANT_DIM;
+        let population = peers(24, dim, 29);
+        for (k, graph) in orthogonal_k_sweep(&population, MetricKind::L1, &[1, 2]) {
+            let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
+            assert_eq!(graph, definition(&population, &sel), "K={k}");
+        }
+    }
+
+    /// The one-sort ranking returns occupied orthants only, ascending,
+    /// and where the index answers (a peer that shares no coordinate)
+    /// its flattened rows are the index's: a tie lattice plus uniform
+    /// points, D = 1..=5, every K up to 3.
+    #[test]
+    fn brute_ranking_matches_the_index_on_a_tie_lattice() {
+        for dim in 1..=5usize {
+            let side = 3u64;
+            let lattice = (0..side.pow(dim as u32)).map(|i| {
+                let coords = (0..dim)
+                    .map(|d| 100.0 * ((i / side.pow(d as u32)) % side) as f64)
+                    .collect();
+                Point::new(coords).unwrap()
+            });
+            let uniform = uniform_points(40, dim, 300.0, 37).into_points();
+            let population: Vec<PeerInfo> = (lattice.chain(uniform).enumerate())
+                .map(|(i, p)| PeerInfo::new(PeerId(i as u64), p))
+                .collect();
+            let index = GridIndex::build(&population);
+            let mut answered = 0;
+            for k in 1..=3 {
+                for i in 0..population.len() {
+                    let brute = ranked_orthant_groups_brute(&population, i, dim, MetricKind::L1, k);
+                    assert!(brute.iter().all(|group| !group.is_empty()));
+                    let orthant = |j: usize| {
+                        (0..dim)
+                            .filter(|&d| population[j].point()[d] >= population[i].point()[d])
+                            .fold(0u64, |bits, d| bits | 1 << d)
+                    };
+                    assert!(brute
+                        .windows(2)
+                        .all(|w| orthant(w[0][0]) < orthant(w[1][0])));
+                    if let Some(groups) = index.k_nearest_per_orthant(i, k, MetricKind::L1) {
+                        answered += 1;
+                        let flat = |g: Vec<Vec<usize>>| g.into_iter().flatten().collect::<Vec<_>>();
+                        assert_eq!(flat(brute), flat(groups), "dim={dim} K={k} peer {i}");
+                    }
+                }
+            }
+            assert!(answered > 0, "dim={dim}: the index must answer somewhere");
+            for (k, graph) in orthogonal_k_sweep(&population, MetricKind::L1, &[1, 3]) {
+                let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
+                assert_eq!(graph, definition(&population, &sel), "dim={dim} K={k}");
+            }
         }
     }
 
