@@ -893,8 +893,8 @@ fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
         (affected_sum - certified_sum) as f64 / churn
     ));
     out.push_str(&format!(
-        "  tree rebuilds       : {}\n",
-        totals.tree_rebuilds
+        "  tree rebuilds       : {} ({} tree nodes touched)\n",
+        totals.tree_rebuilds, totals.tree_nodes_touched
     ));
     out.push_str(&format!(
         "  graft walks         : {} replayed from the previous build ({} spliced whole) / {} searched\n",
@@ -1564,6 +1564,7 @@ mod tests {
         assert!(out.contains("affected groups"), "{out}");
         assert!(out.contains("graft walks         : "), "{out}");
         assert!(out.contains("zone splits         : "), "{out}");
+        assert!(out.contains(" tree nodes touched)"), "{out}");
     }
 
     #[test]

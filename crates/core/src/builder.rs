@@ -4,7 +4,7 @@ use geocast_geom::Rect;
 use geocast_overlay::{OverlayGraph, PeerInfo};
 
 use crate::partition::ZonePartitioner;
-use crate::tree::MulticastTree;
+use crate::tree::{MulticastTree, TreeEdit};
 
 /// Responsibility zones of a construction, for the reached peers only
 /// (sorted by peer id) — like [`MulticastTree`], `O(reached)` however
@@ -50,6 +50,11 @@ impl Zones {
     /// Forgets peer `i`'s zone, returning it.
     pub fn remove(&mut self, i: usize) -> Option<Rect> {
         self.position(i).ok().map(|at| self.entries.remove(at).1)
+    }
+
+    /// The peers holding a zone, ascending.
+    pub(crate) fn peers(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.entries.iter().map(|&(i, _)| i)
     }
 
     /// Number of peers holding a zone.
@@ -142,7 +147,7 @@ pub fn build_in_zone(
     assert!(start < peers.len(), "start out of range");
     // CSR closure: one shared flat adjacency, no per-peer list allocations.
     let adj = overlay.undirected_closure();
-    let mut result = build_in_zone_generic(
+    let run = build_in_zone_generic(
         peers,
         |i, buf| {
             buf.clear();
@@ -153,8 +158,14 @@ pub fn build_in_zone(
         partitioner,
         None,
     );
-    result.stranded = result.tree.unreached();
-    result
+    let tree = MulticastTree::from_links(start, peers.len(), run.edit.links);
+    BuildResult {
+        messages: tree.reached_count() - 1,
+        stranded: tree.unreached(),
+        tree,
+        zones: run.zones,
+        relays: Vec::new(),
+    }
 }
 
 /// What an earlier run of the construction from the same start recorded,
@@ -163,8 +174,8 @@ pub fn build_in_zone(
 /// reaches (see there).
 pub(crate) struct ZoneRecord<'a> {
     /// The earlier tree. Every peer of `zones` is on it under the parent
-    /// the construction gave it; nodes without a zone (relay grafts
-    /// attached since) are ignored.
+    /// the construction gave it; the nodes without a zone are relay
+    /// grafts attached since.
     pub tree: &'a MulticastTree,
     /// The earlier zones. The ones that still stand move into the new
     /// table.
@@ -173,6 +184,21 @@ pub(crate) struct ZoneRecord<'a> {
     /// reads as it did when the earlier run partitioned their zone.
     /// Every other peer of `zones` still has the row it had.
     pub suspects: &'a [usize],
+    /// `true` leaves the grafts on the tree, for the caller to keep or
+    /// drop; `false` drops them with the entries that no longer stand.
+    pub grafts_stay: bool,
+}
+
+/// What one run of the §2 work-queue delegated
+/// ([`build_in_zone_generic`]).
+pub(crate) struct Delegations {
+    /// The zone of every peer the run reached, its start's included.
+    pub zones: Zones,
+    /// The run's tree as an edit: of the record's tree when the run
+    /// replayed one (`replayed`), else of the start alone — every link,
+    /// nothing dropped.
+    pub edit: TreeEdit,
+    pub replayed: bool,
 }
 
 /// The shared §2 work-queue over any undirected-neighbour source:
@@ -185,8 +211,9 @@ pub(crate) struct ZoneRecord<'a> {
 /// Time and memory are proportional to the peers *reached* (and their
 /// adjacency rows), not to `peers.len()`: a 20-member group build over
 /// a 20 000-peer overlay touches 20 peers' worth of state. For the same
-/// reason `stranded` is left **empty** — whom the build was meant to
-/// reach (everyone, or a member set) is the caller's knowledge.
+/// reason the run says nothing of whom it did not reach — whom the build
+/// was meant to reach (everyone, or a member set) is the caller's
+/// knowledge.
 ///
 /// # Replaying a record
 ///
@@ -215,9 +242,11 @@ pub(crate) struct ZoneRecord<'a> {
 ///   recorded children that are in place), or nobody reaches it.
 ///
 /// When the queue is empty the orphans nobody reached are dropped with
-/// their recorded subtrees (down to peers that were reached again),
-/// and the result is one merge of the recorded entries that stand with
-/// the fresh ones — equal to what the queue returns without a record.
+/// their recorded subtrees (down to peers that were reached again). The
+/// zones are the recorded entries that stand merged with the fresh ones,
+/// and the tree is an edit of the recorded one: the entries that no
+/// longer stand dropped, the fresh links added. Applied, it is what the
+/// queue returns without a record.
 pub(crate) fn build_in_zone_generic(
     peers: &[PeerInfo],
     mut neighbors_into: impl FnMut(usize, &mut Vec<usize>),
@@ -225,7 +254,7 @@ pub(crate) fn build_in_zone_generic(
     zone: Rect,
     partitioner: &dyn ZonePartitioner,
     record: Option<ZoneRecord>,
-) -> BuildResult {
+) -> Delegations {
     // Another start or start zone: the record says nothing about this run.
     let mut replay = record
         .filter(|r| r.tree.root() == start && r.zones.get(start) == Some(&zone))
@@ -286,19 +315,21 @@ pub(crate) fn build_in_zone_generic(
         }
     }
 
-    let (tree, zones) = match replay {
-        Some(r) => r.merge(peers.len(), links, fresh),
+    let replayed = replay.is_some();
+    let (zones, edit) = match replay {
+        Some(r) => r.finish(links, fresh),
         None => (
-            MulticastTree::from_links(start, peers.len(), links),
             Zones::from_unsorted(fresh),
+            TreeEdit {
+                dropped: Vec::new(),
+                links,
+            },
         ),
     };
-    BuildResult {
-        messages: tree.reached_count() - 1,
-        tree,
-        stranded: Vec::new(),
+    Delegations {
         zones,
-        relays: Vec::new(),
+        edit,
+        replayed,
     }
 }
 
@@ -323,6 +354,7 @@ struct Replay<'a> {
     zone_of: Vec<u32>,
     /// Recorded peers their recorded parent no longer delegates to.
     orphans: Vec<RecordedPeer>,
+    grafts_stay: bool,
 }
 
 /// A peer of the record: where its node and its zone are.
@@ -358,6 +390,7 @@ impl<'a> Replay<'a> {
             tree,
             zones: Zones { entries: zones },
             suspects,
+            grafts_stay,
         } = record;
         assert!(u32::try_from(zones.len()).is_ok(), "zone indices are u32");
         // Zones and tree slots both ascend by peer: one merge walk.
@@ -376,6 +409,7 @@ impl<'a> Replay<'a> {
             zones,
             zone_of,
             orphans: Vec::new(),
+            grafts_stay,
         };
         for &s in suspects {
             let mut slot = replay.slot(s);
@@ -442,27 +476,38 @@ impl<'a> Replay<'a> {
         }
     }
 
-    /// The new tree and zones: the recorded entries that stand, merged
-    /// with the fresh ones.
-    fn merge(
+    /// The new zones — the recorded entries that stand, merged with the
+    /// fresh ones — and the edit that turns the recorded tree into the
+    /// new one: the recorded entries that no longer stand dropped (the
+    /// grafts too, unless they stay), the fresh links added.
+    fn finish(
         mut self,
-        len: usize,
         links: Vec<(usize, usize)>,
         mut fresh: Vec<(usize, Rect)>,
-    ) -> (MulticastTree, Zones) {
+    ) -> (Zones, TreeEdit) {
         self.drop_unreached_orphans();
         let Replay {
             tree,
             zones,
             flags,
             zone_of,
+            grafts_stay,
             ..
         } = self;
-        let stands = |at: u32| at != NO_ZONE && flags[at as usize] & DROPPED == 0;
-        let tree = tree.patched(len, |slot| stands(zone_of[slot]), links);
+        let dropped = if grafts_stay {
+            (zones.iter().zip(&flags))
+                .filter(|&(_, &f)| f & DROPPED != 0)
+                .map(|(&(peer, _), _)| peer)
+                .collect()
+        } else {
+            (tree.reached().iter().zip(&zone_of))
+                .filter(|&(_, &at)| at == NO_ZONE || flags[at as usize] & DROPPED != 0)
+                .map(|(&peer, _)| peer)
+                .collect()
+        };
         fresh.sort_unstable_by_key(|&(i, _)| i);
         let mut fresh = fresh.into_iter().peekable();
-        let mut entries = Vec::with_capacity(tree.reached_count());
+        let mut entries = Vec::with_capacity(zones.len() + fresh.len());
         for ((peer, zone), flags) in zones.into_iter().zip(&flags) {
             if flags & DROPPED != 0 {
                 continue;
@@ -471,14 +516,7 @@ impl<'a> Replay<'a> {
             entries.push((peer, zone));
         }
         entries.extend(fresh);
-        debug_assert!(
-            entries
-                .iter()
-                .map(|e| e.0)
-                .eq(tree.reached().iter().copied()),
-            "zones and tree disagree on who was reached"
-        );
-        (tree, Zones { entries })
+        (Zones { entries }, TreeEdit { dropped, links })
     }
 }
 

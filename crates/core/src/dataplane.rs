@@ -8,8 +8,10 @@
 //! * **[`DeliveryPlan`]** — a group's delivery structure reduced to the
 //!   numbers publish needs: the reached-member count and the number of
 //!   delivery edges (the union of root→member paths, relay hops
-//!   included). Computing it walks the tree once; publishing from it
-//!   reads those counts and walks nothing.
+//!   included). The engine reads them off counts its build already
+//!   holds (members less the stranded, reached nodes less the root);
+//!   [`DeliveryPlan::compute`], one walk of the tree, is their
+//!   definition. Publishing from a plan walks nothing.
 //! * **[`PlanCache`]** — plans keyed by the group's *rebuild epoch*
 //!   (`Group::rebuilds`). `rebuild_group` increments that counter on
 //!   exactly the events that can change a delivery path — membership
@@ -63,9 +65,26 @@ pub struct DeliveryPlan {
 }
 
 impl DeliveryPlan {
-    /// Walks the build once: marks the union of root→member delivery
-    /// paths and counts its edges. This is the only place the data
-    /// plane touches the tree; everything downstream is counters.
+    /// The plan of a group build from counts the build already holds:
+    /// every member it does not strand is delivered to, and every
+    /// reached node but the root carries the payload, since a relay is
+    /// on the path of the member it was grafted for. What
+    /// [`DeliveryPlan::compute`] walks the tree for, on every build of
+    /// [`crate::groups::GroupEngine`]; debug builds assert the two equal.
+    pub(crate) fn counted(build: &BuildResult, members: usize, epoch: u64) -> Self {
+        let delivered = members - build.stranded.len();
+        let messages = build.tree.reached_count() - 1;
+        DeliveryPlan {
+            epoch,
+            members,
+            delivered,
+            messages,
+            relay_messages: messages - delivered.saturating_sub(1),
+        }
+    }
+
+    /// The definition of a plan: walks the build once, marks the union
+    /// of root→member delivery paths and counts its edges.
     #[must_use]
     pub fn compute(build: &BuildResult, members: &BTreeSet<usize>, epoch: u64) -> Self {
         let tree = &build.tree;
@@ -585,6 +604,7 @@ mod tests {
             plan.relay_messages,
             plan.messages - delivered.saturating_sub(1)
         );
+        assert_eq!(DeliveryPlan::counted(&gb.build, members.len(), 7), plan);
     }
 
     #[test]

@@ -57,6 +57,16 @@
 //! it diverges and steps greedily from there, and a walk whose target
 //! was searched for steps greedily throughout. The pass returns exactly
 //! what it returns without a memo; `GraftMemo` carries the argument.
+//!
+//! Nor does a re-graft rebuild the tree. The pass grafts onto the §2
+//! construction's tree in the same `MulticastTree::edited` that makes
+//! it; when that edit starts from the group's previous tree with its
+//! grafts kept, a walk copied whole is on it already. Then only the
+//! nodes of the logged walks the pass did not copy are dropped and only
+//! the paths it stepped or searched are added, and one merge of those
+//! with the previous support set gives the new support, relays and walk
+//! keys. A support node is keyed by the member whose walk attached it,
+//! which names the same walk in every pass.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -66,7 +76,8 @@ use geocast_overlay::{PeerInfo, TopologyStore};
 
 use crate::bits::PeerBits;
 use crate::builder::BuildResult;
-use crate::tree::MulticastTree;
+use crate::member_tree::Section2;
+use crate::tree::{MulticastTree, TreeEdit};
 
 /// Rounds of tier-1/tier-2 alternation before flood discovery takes
 /// over. Each successful round at least halves the distance to the
@@ -103,12 +114,13 @@ impl GraftReport {
     }
 }
 
-/// Grafts every stranded member of `build` into its tree via relay
-/// paths over `store`'s full overlay. Mutates `build` in place —
-/// attaching relay chains, filling [`BuildResult::relays`], and
-/// shrinking [`BuildResult::stranded`] to the provably unreachable
-/// members — and returns the report plus the **support set**: every
-/// peer whose adjacency row the discovery consulted, sorted.
+/// Grafts every stranded member of `build`, a §2 construction (whose
+/// zones name its tree's nodes), into its tree via relay paths over
+/// `store`'s full overlay. Mutates `build` in place — attaching relay
+/// chains, filling [`BuildResult::relays`], and shrinking
+/// [`BuildResult::stranded`] to the provably unreachable members — and
+/// returns the report plus the **support set**: every peer whose
+/// adjacency row the discovery consulted, sorted.
 ///
 /// Deterministic: stranded members are processed in ascending order and
 /// every tier breaks ties by peer index.
@@ -121,7 +133,17 @@ pub fn graft_stranded_members(
     build: &mut BuildResult,
     metric: MetricKind,
 ) -> (GraftReport, Vec<usize>) {
-    let pass = graft_pass(store, build, metric, None);
+    let section2 = Section2 {
+        root: build.tree.root(),
+        len: build.tree.len(),
+        base: Some(&build.tree),
+        edit: TreeEdit::default(),
+        grafts: false,
+        zones: std::mem::take(&mut build.zones),
+        stranded: std::mem::take(&mut build.stranded),
+    };
+    let (grafted, pass) = graft_pass(store, section2, metric, None);
+    *build = grafted;
     (pass.report, pass.support)
 }
 
@@ -172,8 +194,18 @@ impl WalkLog {
     }
 
     /// The on-tree node walk `w` headed for.
-    pub(crate) fn target(&self, w: usize) -> usize {
+    fn target(&self, w: usize) -> usize {
         self.walks[w].target as usize
+    }
+
+    /// The on-tree node the walk of stranded member `m` headed for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the log holds no walk of `m`.
+    pub(crate) fn target_of(&self, m: usize) -> usize {
+        let w = self.walks.binary_search_by_key(&id(m), |walk| walk.member);
+        self.target(w.expect("a logged walk's member"))
     }
 
     /// Where walk `w`'s path starts in `nodes`.
@@ -191,29 +223,30 @@ impl WalkLog {
     fn attached(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
         (from..self.len()).flat_map(|w| self.start(w)..self.walks[w].end as usize - 1)
     }
-
-    /// The walk of every place in `nodes`.
-    fn walk_at(&self) -> Vec<u32> {
-        let mut walk_at = Vec::with_capacity(self.nodes.len());
-        for (w, walk) in self.walks.iter().enumerate() {
-            walk_at.resize(walk.end as usize, id(w));
-        }
-        walk_at
-    }
 }
 
-/// What one graft pass returns besides the grafted `build`.
+/// What one graft pass returns besides the grafted build.
 #[derive(Default)]
 pub(crate) struct GraftPass {
     pub report: GraftReport,
     /// Every peer whose adjacency row the pass consulted, sorted.
     pub support: Vec<usize>,
-    /// Parallel to `support`: the walk of `log` that attached each
-    /// support node. Empty, like `log`, unless the pass was
-    /// [`GraftReport::greedy_only`] (a fallback tier reads rows for other
-    /// decisions than a hop towards one target).
+    /// Parallel to `support`: the stranded member whose walk of `log`
+    /// attached each support node — a key that names the same walk in
+    /// the next pass, wherever it falls in that pass's log. Empty, like
+    /// `log`, unless the pass was [`GraftReport::greedy_only`] (a
+    /// fallback tier reads rows for other decisions than a hop towards
+    /// one target).
     pub walk_of: Vec<u32>,
     pub log: WalkLog,
+    /// The support nodes that left the memo's support set and those that
+    /// entered it, both sorted, when the pass edited a tree that kept the
+    /// memo's grafts and stayed greedy-only; `None` leaves the comparison
+    /// to the caller.
+    pub support_change: Option<(Vec<usize>, Vec<usize>)>,
+    /// Tree nodes the build's edit touched ([`MulticastTree::edited`]);
+    /// every node when the tree was built up from its root.
+    pub touched: usize,
     /// Walks whose target was the memo's logged one.
     pub walks_replayed: u64,
     /// Walks whose target was searched for ([`OnTreeIndex::nearest`]).
@@ -247,7 +280,8 @@ pub(crate) struct GraftPass {
 pub(crate) struct GraftMemo<'a> {
     /// The old pass's support set, sorted; `walk_of` is parallel to it.
     pub support: &'a [usize],
-    /// The walk of `log` that attached each support node.
+    /// The stranded member whose walk of `log` attached each support
+    /// node.
     pub walk_of: &'a [u32],
     pub log: &'a WalkLog,
     /// The old grafted tree.
@@ -265,7 +299,7 @@ impl GraftMemo<'_> {
     /// the old §2 construction reached.)
     fn on_tree_after(&self, p: usize, after: Option<usize>) -> bool {
         match self.support.binary_search(&p) {
-            Ok(at) => after.is_some_and(|s| self.log.member(self.walk_of[at] as usize) <= s),
+            Ok(at) => after.is_some_and(|s| self.walk_of[at] as usize <= s),
             Err(_) => self.tree.is_reached(p),
         }
     }
@@ -394,31 +428,50 @@ enum Followed {
 
 /// The one graft pass: [`graft_stranded_members`] plus what the
 /// incremental engine records about it, optionally replaying the
-/// walks of the group's previous pass (see [`GraftMemo`]).
+/// walks of the group's previous pass (see [`GraftMemo`]). It grafts in
+/// the edit that makes `section2`'s tree; when that edit starts from
+/// the previous tree with its grafts kept ([`Section2::grafts`]), only
+/// what the walks changed is dropped and added.
 pub(crate) fn graft_pass(
     store: &TopologyStore,
-    build: &mut BuildResult,
+    section2: Section2,
     metric: MetricKind,
     memo: Option<&GraftMemo>,
-) -> GraftPass {
-    assert_eq!(store.len(), build.tree.len(), "store/tree size mismatch");
+) -> (BuildResult, GraftPass) {
+    let Section2 {
+        root,
+        len,
+        base,
+        mut edit,
+        grafts,
+        zones,
+        stranded,
+    } = section2;
+    assert_eq!(store.len(), len, "store/tree size mismatch");
+    debug_assert!(
+        !grafts || memo.is_some(),
+        "a base keeps the grafts of the walks it replays"
+    );
     let mut pass = GraftPass::default();
-    if build.stranded.is_empty() {
-        return pass;
-    }
 
     // The on-tree set while paths are being discovered: a bit mask for
     // the per-hop tests, growing as paths are found, and a grid for the
     // nearest-node query, built at the first walk that searches for its
     // target and brought up to date with the log's walks (the second
-    // field counts them) at each search. The tree itself absorbs the
-    // log's links in one merge at the end.
-    let stranded = std::mem::take(&mut build.stranded);
-    let reached = build.tree.reached();
-    let mut on_tree = PeerBits::from_peers(store.len(), reached);
+    // field counts them) at each search. It starts as the §2 tree's
+    // nodes, the peers holding a zone; the tree takes the log's links in
+    // one edit at the end.
+    let reached: Vec<usize> = zones.peers().collect();
+    let mut on_tree = PeerBits::from_peers(store.len(), &reached);
     let mut index: Option<(OnTreeIndex, usize)> = None;
-    let mut replay = memo.map(|memo| Replay::new(memo, store.len(), reached));
+    let mut replay = memo
+        .filter(|_| !stranded.is_empty())
+        .map(|memo| Replay::new(memo, store.len(), &reached));
     let mut log = WalkLog::default();
+    // Per walk of `log`: copied whole from the memo's log. Per walk of
+    // the memo's log: copied whole into `log`.
+    let mut whole: Vec<bool> = Vec::new();
+    let mut spliced = vec![false; memo.map_or(0, |memo| memo.log.len())];
     let mut walk = Walk::default();
     let report = &mut pass.report;
 
@@ -436,7 +489,7 @@ pub(crate) fn graft_pass(
         } else {
             pass.walks_recomputed += 1;
             let (index, indexed) = index.get_or_insert_with(|| {
-                let index = OnTreeIndex::new(store.peers(), metric, reached, &stranded);
+                let index = OnTreeIndex::new(store.peers(), metric, &reached, &stranded);
                 (index, 0)
             });
             for at in log.attached(*indexed) {
@@ -457,6 +510,8 @@ pub(crate) fn graft_pass(
         };
         let found = match followed {
             Followed::Whole => {
+                let (w, _) = logged.expect("a walk copied from the log was logged");
+                spliced[w] = true;
                 pass.walks_spliced += 1;
                 true
             }
@@ -480,58 +535,80 @@ pub(crate) fn graft_pass(
             }
         }
         log.push(s, target, &walk.path);
+        whole.push(followed == Followed::Whole);
         report.grafted += 1;
     }
 
-    // Every attached node, keyed `node << 32 | its place in the log`
-    // and sorted: the tree's new nodes and, each with the node after it
-    // on its path, the tree's new links in child order.
-    let mut attached: Vec<u64> = Vec::with_capacity(log.nodes.len() - log.len());
-    attached.extend(
-        log.attached(0)
-            .map(|at| u64::from(log.nodes[at]) << 32 | at as u64),
+    // The grafts join the tree in one edit of the base, with the §2
+    // construction's changes. A base that keeps the memo's grafts holds
+    // every walk copied whole already, and loses the nodes of the memo's
+    // other walks; any other base takes every walk. Each added node is
+    // keyed by id, with its walk's member and its parent, the node after
+    // it on its path.
+    let prior = memo.filter(|_| grafts);
+    let mut added: Vec<(u32, u32, u32)> = Vec::new();
+    for w in (0..log.len()).filter(|&w| prior.is_none() || !whole[w]) {
+        let member = id(log.member(w));
+        added.extend(log.path(w).windows(2).map(|hop| (hop[0], member, hop[1])));
+    }
+    added.sort_unstable();
+    let refused: Vec<u32> = prior.map_or_else(Vec::new, |memo| {
+        (0..memo.log.len())
+            .filter(|&w| !spliced[w])
+            .map(|w| id(memo.log.member(w)))
+            .collect()
+    });
+    let (kept, kept_walk_of) =
+        prior.map_or((&[][..], &[][..]), |memo| (memo.support, memo.walk_of));
+    let merged = Merged::of(kept, kept_walk_of, &refused, &added, &stranded);
+    pass.report.relays = merged.relays.len();
+    edit.links.extend(
+        added
+            .iter()
+            .map(|&(node, _, up)| (node as usize, up as usize)),
     );
-    attached.sort_unstable();
-    let node = |key: u64| (key >> 32) as usize;
-    let at = |key: u64| key as u32 as usize;
-    build.tree.attach_all(
-        (attached.iter())
-            .map(|&key| (node(key), log.nodes[at(key) + 1] as usize))
-            .collect(),
-    );
-    // Each path node joins the tree once. One that is not itself a
-    // stranded member (the list is sorted) only forwards: a relay.
-    let mut members = stranded.iter().copied().peekable();
-    build.relays = (attached.iter().map(|&key| node(key)))
-        .filter(|&p| {
-            while members.next_if(|&m| m < p).is_some() {}
-            members.peek() != Some(&p)
-        })
-        .collect();
-    report.relays = build.relays.len();
-    build.stranded = stranded
-        .into_iter()
-        .filter(|&m| !on_tree.contains(m))
-        .collect();
+    if !merged.dropped.is_empty() {
+        edit.dropped.extend_from_slice(&merged.dropped);
+        edit.dropped.sort_unstable();
+    }
+    let (tree, touched) = match base {
+        Some(base) => base.edited(len, edit),
+        None => {
+            let tree = MulticastTree::from_links(root, len, edit.links);
+            let touched = tree.reached_count();
+            (tree, touched)
+        }
+    };
+    pass.touched = touched;
 
     if pass.report.greedy_only() {
         // Tier 1 reads the row of each node it attaches, once (a walk
         // stops at the first on-tree node, and everything it walked is
         // on the tree afterwards), and no other row.
-        debug_assert!(attached.windows(2).all(|w| node(w[0]) < node(w[1])));
-        let walk_at = log.walk_at();
-        pass.support = attached.iter().map(|&key| node(key)).collect();
-        pass.walk_of = attached.iter().map(|&key| walk_at[at(key)]).collect();
+        pass.support = merged.support;
+        pass.walk_of = merged.walk_of;
         pass.log = log;
+        if prior.is_some() {
+            pass.support_change = Some((merged.retired, merged.entered));
+        }
     } else {
         // The fallback tiers read rows off the final paths too, and may
         // read one twice.
         let mut consulted = walk.consulted;
-        consulted.extend(attached.iter().map(|&key| node(key)));
+        consulted.extend_from_slice(&merged.support);
         consulted.sort_unstable();
         consulted.dedup();
         pass.support = consulted;
     }
+    let build = BuildResult {
+        messages: zones.len() - 1,
+        tree,
+        stranded: (stranded.into_iter())
+            .filter(|&m| !on_tree.contains(m))
+            .collect(),
+        zones,
+        relays: merged.relays,
+    };
     // On every tier a path node's row was read by the walk that attached
     // it: the engine finds a group's relays among its support nodes.
     debug_assert!(
@@ -541,7 +618,95 @@ pub(crate) fn graft_pass(
             .all(|r| pass.support.binary_search(r).is_ok()),
         "a relay outside the support set"
     );
-    pass
+    (build, pass)
+}
+
+/// A pass's grafts merged with those its base tree keeps: one walk over
+/// both sorted lists.
+#[derive(Default)]
+struct Merged {
+    /// Every node on a graft path but the terminals, ascending, and,
+    /// parallel, the member whose walk attached it.
+    support: Vec<usize>,
+    walk_of: Vec<u32>,
+    /// Those that are no stranded member: they only forward.
+    relays: Vec<usize>,
+    /// Kept nodes whose walk the pass did not copy: they leave the tree
+    /// or are linked anew.
+    dropped: Vec<usize>,
+    /// The dropped nodes no walk attached again, and the added nodes
+    /// that were not kept: what leaves the support set and what enters.
+    retired: Vec<usize>,
+    entered: Vec<usize>,
+}
+
+impl Merged {
+    /// Merges `kept` — the grafts the base tree holds, ascending, each
+    /// with the member of its walk in `kept_walk_of` — with `added`,
+    /// sorted by node. A kept node of a `refused` member's walk is
+    /// dropped, every other one stays; `stranded` tells members from
+    /// relays.
+    fn of(
+        kept: &[usize],
+        kept_walk_of: &[u32],
+        refused: &[u32],
+        added: &[(u32, u32, u32)],
+        stranded: &[usize],
+    ) -> Self {
+        let capacity = kept.len() + added.len();
+        let mut merged = Merged {
+            support: Vec::with_capacity(capacity),
+            walk_of: Vec::with_capacity(capacity),
+            relays: Vec::with_capacity(capacity),
+            ..Merged::default()
+        };
+        let mut old = kept
+            .iter()
+            .copied()
+            .zip(kept_walk_of.iter().copied())
+            .peekable();
+        let mut new = (added.iter())
+            .map(|&(node, member, _)| (node as usize, member))
+            .peekable();
+        let mut members = stranded.iter().copied().peekable();
+        loop {
+            let from_old = match (old.peek(), new.peek()) {
+                (None, None) => break,
+                (Some(o), Some(n)) => o.0 <= n.0,
+                (o, _) => o.is_some(),
+            };
+            let (node, member) = if from_old {
+                let (node, member) = old.next().expect("peeked");
+                if refused.binary_search(&member).is_err() {
+                    debug_assert!(
+                        new.peek().is_none_or(|n| n.0 != node),
+                        "a kept graft attached again"
+                    );
+                    (node, member)
+                } else {
+                    merged.dropped.push(node);
+                    match new.next_if(|n| n.0 == node) {
+                        Some(again) => again,
+                        None => {
+                            merged.retired.push(node);
+                            continue;
+                        }
+                    }
+                }
+            } else {
+                let fresh = new.next().expect("peeked");
+                merged.entered.push(fresh.0);
+                fresh
+            };
+            merged.support.push(node);
+            merged.walk_of.push(member);
+            while members.next_if(|&m| m < node).is_some() {}
+            if members.peek() != Some(&node) {
+                merged.relays.push(node);
+            }
+        }
+        merged
+    }
 }
 
 /// Scratch and output of the discoveries of one graft pass.
@@ -904,6 +1069,7 @@ fn compress_loops(path: &mut Vec<usize>) {
 mod tests {
     use super::*;
     use crate::groups::{build_group_tree_on_store, splitmix as next};
+    use crate::member_tree::{member_tree, MemberRows, Recorded};
     use crate::partition::OrthantRectPartitioner;
     use geocast_geom::gen::uniform_points;
     use geocast_geom::Point;
@@ -943,15 +1109,22 @@ mod tests {
         // The consulted rows: the walked path (member + relays), each
         // read for the hop towards the one on-tree node.
         assert_eq!(support, vec![1, 2, 3, 4]);
-        let mut again =
-            build_group_tree_on_store(&store, 0, &members, &OrthantRectPartitioner::median());
-        let pass = graft_pass(&store, &mut again, MetricKind::L1, None);
+        let (again, pass, _) = grafted(&store, &[0, 4], None);
         assert_eq!(pass.support, support);
-        assert_eq!(pass.walk_of, vec![0, 0, 0, 0], "one walk attached them all");
+        assert_eq!(
+            pass.walk_of,
+            vec![4, 4, 4, 4],
+            "member 4's walk attached them all"
+        );
         assert_eq!(pass.log.len(), 1);
         assert_eq!((pass.log.member(0), pass.log.target(0)), (4, 0));
+        assert_eq!(pass.log.target_of(4), 0);
         assert_eq!(pass.log.path(0), &[4, 3, 2, 1, 0]);
         assert_eq!((pass.walks_replayed, pass.walks_recomputed), (0, 1));
+        assert_eq!(
+            pass.touched, 5,
+            "a tree built from its root touches every node"
+        );
         assert_eq!(again, build);
         // The grafted chain hangs off the root in path order.
         assert_eq!(build.tree.parent(4), Some(3));
@@ -1085,19 +1258,39 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// A group build, its graft pass and the member rows its §2 part
+    /// read.
+    type Built = (BuildResult, GraftPass, MemberRows);
+
     /// One group build the way `crate::groups` makes it — the §2 member
-    /// tree rooted at peer 0, then the graft pass, replaying `memo` if
-    /// given.
+    /// tree rooted at peer 0, then the graft pass — from scratch, or
+    /// replaying `old`, a build of the same group over an earlier state
+    /// of the store: its §2 record with every peer touched, and the
+    /// memo of its walks, whose grafts its tree keeps for the pass.
     fn grafted(
         store: &TopologyStore,
         members: &[usize],
-        memo: Option<&GraftMemo>,
-    ) -> (BuildResult, GraftPass) {
+        old: Option<(&Built, &GraftMemo)>,
+    ) -> Built {
         let members: BTreeSet<usize> = members.iter().copied().collect();
-        let mut build =
-            build_group_tree_on_store(store, 0, &members, &OrthantRectPartitioner::median());
-        let pass = graft_pass(store, &mut build, MetricKind::L1, memo);
-        (build, pass)
+        let touched: Vec<usize> = (0..store.len()).collect();
+        let recorded = old.map(|(built, _)| Recorded {
+            tree: &built.0.tree,
+            zones: built.0.zones.clone(),
+            rows: built.2.clone(),
+            touched: &touched,
+            grafts_stay: true,
+        });
+        let section2 = member_tree(
+            store,
+            0,
+            &members,
+            &OrthantRectPartitioner::median(),
+            recorded,
+        );
+        let memo = old.map(|(_, memo)| memo);
+        let (build, pass) = graft_pass(store, section2.section2, MetricKind::L1, memo);
+        (build, pass, section2.rows)
     }
 
     /// Builds `members` over `store` replaying `old` — a build of the
@@ -1108,10 +1301,10 @@ mod tests {
     fn replayed(
         store: &TopologyStore,
         members: &[usize],
-        old: &(BuildResult, GraftPass),
+        old: &Built,
         dirty: &[usize],
     ) -> (BuildResult, GraftPass) {
-        let (old_build, old_pass) = old;
+        let (old_build, old_pass, _) = old;
         assert!(
             old_pass.report.greedy_only(),
             "only such passes are replayed"
@@ -1128,9 +1321,23 @@ mod tests {
             tree: &old_build.tree,
             dirty: &dirty,
         };
-        let (build, pass) = grafted(store, members, Some(&memo));
-        let (scratch, reference) = grafted(store, members, None);
+        let (build, pass, _) = grafted(store, members, Some((old, &memo)));
+        let (scratch, reference, _) = grafted(store, members, None);
         assert_eq!(build, scratch);
+        // What the edit says left and entered the support set is the
+        // difference of the two sets.
+        if let Some((retired, entered)) = &pass.support_change {
+            let before: BTreeSet<usize> = old_pass.support.iter().copied().collect();
+            let after: BTreeSet<usize> = pass.support.iter().copied().collect();
+            assert!(retired
+                .iter()
+                .copied()
+                .eq(before.difference(&after).copied()));
+            assert!(entered
+                .iter()
+                .copied()
+                .eq(after.difference(&before).copied()));
+        }
         assert_eq!(pass.report, reference.report);
         assert_eq!(pass.support, reference.support);
         assert_eq!(pass.walk_of, reference.walk_of);
@@ -1154,19 +1361,14 @@ mod tests {
             .collect()
     }
 
-    /// The walk that attached support node `p`.
-    fn walk_of(pass: &GraftPass, p: usize) -> usize {
+    /// The stranded member whose walk attached support node `p`.
+    fn joined(pass: &GraftPass, p: usize) -> usize {
         pass.walk_of[pass.support.binary_search(&p).expect("a support node")] as usize
     }
 
     /// The target recorded for support node `p`.
     fn target_of(pass: &GraftPass, p: usize) -> usize {
-        pass.log.target(walk_of(pass, p))
-    }
-
-    /// The stranded member whose walk attached support node `p`.
-    fn joined(pass: &GraftPass, p: usize) -> usize {
-        pass.log.member(walk_of(pass, p))
+        pass.log.target_of(joined(pass, p))
     }
 
     /// Peers 0..=9 along the line, and member 10 just off it next to
@@ -1205,7 +1407,8 @@ mod tests {
         assert_eq!(build.tree.parent(10), Some(4));
         assert_eq!(build.relays, vec![1, 2, 3, 4]);
         assert_eq!((pass.walks_replayed, pass.walks_recomputed), (0, 1));
-        // With nothing changed, every walk is the logged one, whole.
+        // With nothing changed, every walk is the logged one, whole, and
+        // the tree is not touched.
         let (_, same) = replayed(&store, &[0, 9, 10], &old, &[]);
         assert_eq!(
             (
@@ -1215,6 +1418,8 @@ mod tests {
             ),
             (2, 0, 2)
         );
+        assert_eq!(same.touched, 0);
+        assert_eq!(same.support_change, Some((Vec::new(), Vec::new())));
     }
 
     #[test]

@@ -51,13 +51,16 @@
 //!   pass searches only where its on-tree set changed and steps only
 //!   where a logged walk diverges, copying every other walk whole from
 //!   the old build's walk log ([`crate::graft`];
-//!   [`EngineTotals::graft_walks_spliced`]). Consumers that fall
+//!   [`EngineTotals::graft_walks_spliced`]). Neither part builds a new
+//!   tree: the old one is edited, the delegations and walks that
+//!   changed dropped and what replaced them added
+//!   ([`EngineTotals::tree_nodes_touched`]). Consumers that fall
 //!   behind the log's retention window resync from the full store
 //!   state, replaying nothing.
 //! * **A batched, plan-cached data plane.** Publishing is decoupled
 //!   from tree walking ([`crate::dataplane`]): each group's delivery
-//!   edges are counted once into a [`DeliveryPlan`] cached against
-//!   the group's rebuild counter, so steady-state [`GroupEngine::publish`]
+//!   counts are read once off its build into a [`DeliveryPlan`] cached
+//!   against the group's rebuild counter, so steady-state [`GroupEngine::publish`]
 //!   is O(1); [`GroupEngine::enqueue`] + [`GroupEngine::flush_tick`]
 //!   batch a tick's payloads so one frame per delivery edge carries the
 //!   whole batch; and while a group's root or relay is merely
@@ -159,7 +162,9 @@ pub fn build_group_tree_on_store(
     members: &BTreeSet<usize>,
     partitioner: &dyn ZonePartitioner,
 ) -> BuildResult {
-    member_tree(store, root, members, partitioner, None).build
+    member_tree(store, root, members, partitioner, None)
+        .section2
+        .into_build()
 }
 
 /// The decisions a [`GroupBuild`] rests on, recorded in the form
@@ -170,10 +175,10 @@ pub fn build_group_tree_on_store(
 pub struct RepairCertificate {
     /// What the §2 construction read.
     member_rows: MemberRows,
-    /// Parallel to [`GroupBuild::support`]: the walk of `walks` that
-    /// attached each support node, heading for that walk's target (the
-    /// hop it chose is its tree parent). Empty when the graft left
-    /// tier 1.
+    /// Parallel to [`GroupBuild::support`]: the stranded member whose
+    /// walk of `walks` attached each support node, heading for that
+    /// walk's target (the hop it chose is its tree parent). Empty when
+    /// the graft left tier 1.
     walk_of: Vec<u32>,
     /// The graft's walks in pass order: member, target, path. Empty
     /// when the graft left tier 1.
@@ -268,7 +273,7 @@ impl GroupBuild {
                 nbuf.retain(|j| members.contains(j));
                 same_row(row, nbuf)
             } else if let Ok(at) = self.support.binary_search(&p) {
-                let target = cert.walks.target(cert.walk_of[at] as usize);
+                let target = cert.walks.target_of(cert.walk_of[at] as usize);
                 let target = store.peers()[target].point();
                 let hop = greedy_step_on_store(store, p, target, GRAFT_METRIC, nbuf);
                 hop.is_some() && hop == self.build.tree.parent(p)
@@ -317,21 +322,45 @@ pub fn build_group_tree_grafted(
     build_group(store, root, members, partitioner, None, None).0
 }
 
-/// How much of one group build was taken from the build it replaces.
-#[derive(Debug, Clone, Copy, Default)]
+/// How much of one group build was taken from the build it replaces,
+/// and what it changed of it.
+#[derive(Debug, Default)]
 struct Replayed {
     splits_replayed: u64,
     splits_recomputed: u64,
     walks_replayed: u64,
     walks_recomputed: u64,
     walks_spliced: u64,
+    tree_nodes_touched: u64,
+    /// The peers that left the support set and those that entered it,
+    /// when the graft pass knows them (`GraftPass::support_change`).
+    support_change: Option<(Vec<usize>, Vec<usize>)>,
+}
+
+/// What may read differently under a group's build than when it was
+/// made: what a rebuild replays that build around.
+#[derive(Clone, Copy)]
+struct Changed<'a> {
+    /// Every peer whose adjacency row, or whose share of it among the
+    /// members, may read differently (sorted): the group's dirty members
+    /// and support nodes since `sync` last examined it, or the peer of a
+    /// membership operation and its neighbours. The §2 replay re-reads
+    /// their rows.
+    touched: &'a [usize],
+    /// Every support node whose adjacency row may have changed since its
+    /// hop was recorded or last re-checked (sorted): the graft replay
+    /// copies no walk through one. After churn these are the dirty
+    /// peers; after a membership operation none, since it changes no
+    /// row and the `sync` before it re-checked every recorded hop.
+    dirty: &'a [usize],
 }
 
 /// [`build_group_tree_grafted`], optionally replaying the decisions of
 /// the group's previous build — the §2 delegations it `recorded`
 /// ([`crate::member_tree`]) and the graft walks of its `memo`
-/// ([`crate::graft`]) — plus how much of either it took from there. The
-/// build is the same with and without them.
+/// ([`crate::graft`]), editing its tree where both replay it — plus how
+/// much of either it took from there. The build is the same with and
+/// without them.
 fn build_group(
     store: &TopologyStore,
     root: usize,
@@ -340,25 +369,26 @@ fn build_group(
     recorded: Option<Recorded>,
     memo: Option<&GraftMemo>,
 ) -> (GroupBuild, Replayed) {
-    let section2 = member_tree(store, root, members, partitioner, recorded);
-    let mut build = section2.build;
-    let pass = graft_pass(store, &mut build, GRAFT_METRIC, memo);
+    let built = member_tree(store, root, members, partitioner, recorded);
+    let (build, pass) = graft_pass(store, built.section2, GRAFT_METRIC, memo);
     let group_build = GroupBuild {
         build,
         graft: pass.report,
         support: pass.support,
         certificate: RepairCertificate {
-            member_rows: section2.rows,
+            member_rows: built.rows,
             walk_of: pass.walk_of,
             walks: pass.log,
         },
     };
     let replayed = Replayed {
-        splits_replayed: section2.splits_replayed,
-        splits_recomputed: section2.splits_recomputed,
+        splits_replayed: built.splits_replayed,
+        splits_recomputed: built.splits_recomputed,
         walks_replayed: pass.walks_replayed,
         walks_recomputed: pass.walks_recomputed,
         walks_spliced: pass.walks_spliced,
+        tree_nodes_touched: pass.touched as u64,
+        support_change: pass.support_change,
     };
     (group_build, replayed)
 }
@@ -437,6 +467,10 @@ pub struct EngineTotals {
     /// §2-reached members, over all rebuilds, whose zone was
     /// partitioned.
     pub zone_splits_recomputed: u64,
+    /// Tree nodes the rebuilds touched: nodes that left a group's tree,
+    /// joined it or were linked anew, summed over all rebuilds — every
+    /// node of the tree for a rebuild that replayed no old tree.
+    pub tree_nodes_touched: u64,
 }
 
 /// What binding one abstract [`GroupOp`] to the population did (see
@@ -825,7 +859,7 @@ impl GroupEngine {
         let pos = ids.partition_point(|&x| x < g.0);
         ids.insert(pos, g.0);
         self.totals.membership_ops += 1;
-        self.rebuild_group(g.index(), Some(&self.touched_by_membership_of(p)));
+        self.rebuild_after_membership_of(g.index(), p);
         true
     }
 
@@ -850,20 +884,25 @@ impl GroupEngine {
         if group.root == Some(p) {
             group.root = group.members.first().copied();
         }
-        self.rebuild_group(g.index(), Some(&self.touched_by_membership_of(p)));
+        self.rebuild_after_membership_of(g.index(), p);
         true
     }
 
-    /// What a subscribe or unsubscribe of `p` touches under a group's
-    /// build (sorted): `p` and its overlay neighbours — the
-    /// member-induced rows `p` enters or leaves. The engine synced just
-    /// before, so no adjacency row has changed under any build.
-    fn touched_by_membership_of(&self, p: usize) -> Vec<usize> {
+    /// Rebuilds group `gi` after `p` subscribed to it or unsubscribed.
+    /// That touches `p` and its overlay neighbours — the member-induced
+    /// rows `p` enters or leaves — and dirties no support node: the
+    /// engine synced just before, so no adjacency row has changed under
+    /// any build, and every recorded graft hop stands.
+    fn rebuild_after_membership_of(&mut self, gi: usize, p: usize) {
         let mut touched = Vec::new();
         self.store.undirected_neighbors_into(p, &mut touched);
         let at = touched.partition_point(|&q| q < p);
         touched.insert(at, p);
-        touched
+        let changed = Changed {
+            touched: &touched,
+            dirty: &[],
+        };
+        self.rebuild_group(gi, Some(changed));
     }
 
     /// Inserts a peer into the shared overlay and repairs the affected
@@ -892,10 +931,11 @@ impl GroupEngine {
     ///
     /// Message cost is the number of tree edges the payload actually
     /// traverses — the union of root→member paths, relay hops included
-    /// — read from the group's epoch-keyed [`DeliveryPlan`]: the tree
-    /// is walked only when the plan is stale (the group was repaired
-    /// since), so steady-state publish is an O(1) lookup plus counter
-    /// math however hot the group is.
+    /// — read from the group's epoch-keyed [`DeliveryPlan`]. A stale
+    /// plan (the group was repaired since) is read off counts the build
+    /// already holds, its reached nodes and stranded members, so no
+    /// publish walks the tree, and steady-state publish is an O(1)
+    /// lookup plus counter math however hot the group is.
     ///
     /// # Panics
     ///
@@ -1012,14 +1052,22 @@ impl GroupEngine {
         })
     }
 
-    /// Plan lookup/compute for one group; `None` while dormant. The
-    /// returned plan is a copy, so the cache's borrow ends here.
+    /// Plan lookup for one group; `None` while dormant. A miss reads the
+    /// plan off the build's counts, which debug builds check against the
+    /// definitional walk. The returned plan is a copy, so the cache's
+    /// borrow ends here.
     fn plan_metrics(&mut self, gi: usize) -> Option<(DeliveryPlan, bool)> {
         let group = &self.groups[gi];
         let gb = group.build.as_ref()?;
         let epoch = group.rebuilds;
         let (plan, hit) = self.plans.get_or_compute(gi, epoch, || {
-            DeliveryPlan::compute(&gb.build, &group.members, epoch)
+            let plan = DeliveryPlan::counted(&gb.build, group.members.len(), epoch);
+            debug_assert_eq!(
+                plan,
+                DeliveryPlan::compute(&gb.build, &group.members, epoch),
+                "group {gi}: the build's counts are not its delivery plan"
+            );
+            plan
         });
         Some((*plan, hit))
     }
@@ -1456,7 +1504,11 @@ impl GroupEngine {
                 );
             } else {
                 report.rebuilt_members += group.members.len();
-                self.rebuild_group(gi, Some(&dirty));
+                let changed = Changed {
+                    touched: &dirty,
+                    dirty: &dirty,
+                };
+                self.rebuild_group(gi, Some(changed));
             }
         }
         self.totals.deltas += deltas.len() as u64;
@@ -1506,16 +1558,12 @@ impl GroupEngine {
     }
 
     /// Replaces group `gi`'s build with the one its current members and
-    /// the current store define. `touched` lists every peer whose
-    /// adjacency row, or whose share of it among the members, may read
-    /// differently than under the old build (sorted): the group's dirty
-    /// members and support nodes since `sync` last examined it, or the
-    /// peer of a membership operation and its neighbours. With it the
-    /// §2 construction and the graft pass replay the old build's
-    /// decisions ([`crate::member_tree`], [`crate::graft`]); without it
-    /// (`None`: no record of what changed) both start from nothing. The
-    /// build is the same either way.
-    fn rebuild_group(&mut self, gi: usize, touched: Option<&[usize]>) {
+    /// the current store define. With `changed` (see [`Changed`]) the §2
+    /// construction and the graft pass replay the old build's decisions
+    /// ([`crate::member_tree`], [`crate::graft`]) and edit its tree;
+    /// without it (`None`: no record of what changed) both start from
+    /// nothing. The build is the same either way.
+    fn rebuild_group(&mut self, gi: usize, changed: Option<Changed>) {
         // What coexists while the new build is made, and why. The old
         // tree, support set and walk log stay until the new graft
         // pass is done: it replays them, and the support index below
@@ -1524,7 +1572,7 @@ impl GroupEngine {
         // that stand move into the new table (their rectangles are not
         // copied), dropped ones are freed on the way, the old rows go
         // once the new ones are laid out — and are gone before the
-        // graft pass allocates. Without `touched` neither is read: both
+        // graft pass allocates. Without `changed` neither is read: both
         // go before anything is built.
         let mut old = self.groups[gi].build.take();
         let section2 = old.as_mut().map(|gb| {
@@ -1541,15 +1589,16 @@ impl GroupEngine {
             self.refresh_degraded(gi);
             return;
         };
-        let replay = old.as_ref().zip(touched);
-        let memo = replay.and_then(|(gb, touched)| gb.graft_memo(touched));
+        let replay = old.as_ref().zip(changed);
+        let memo = replay.and_then(|(gb, changed)| gb.graft_memo(changed.dirty));
         let recorded = replay
             .zip(section2)
-            .map(|((gb, touched), (zones, rows))| Recorded {
+            .map(|((gb, changed), (zones, rows))| Recorded {
                 tree: &gb.build.tree,
                 zones,
                 rows,
-                touched,
+                touched: changed.touched,
+                grafts_stay: memo.is_some(),
             });
         let (build, replayed) = build_group(
             &self.store,
@@ -1572,7 +1621,9 @@ impl GroupEngine {
         );
         // Support nodes (relays among them) the rebuild no longer reads
         // leave the index, the ones it re-routed through enter it.
-        Self::reindex_support(&mut self.support_of, gi, old_support, &build.support);
+        let (retired, entered) = (replayed.support_change)
+            .unwrap_or_else(|| sorted_difference(old_support, &build.support));
+        Self::reindex_support(&mut self.support_of, gi, &retired, &entered);
         let group = &mut self.groups[gi];
         group.build = Some(build);
         group.rebuilds += 1;
@@ -1584,45 +1635,35 @@ impl GroupEngine {
         totals.graft_walks_spliced += replayed.walks_spliced;
         totals.zone_splits_replayed += replayed.splits_replayed;
         totals.zone_splits_recomputed += replayed.splits_recomputed;
+        totals.tree_nodes_touched += replayed.tree_nodes_touched;
         // The rebuilds bump above is exactly what invalidates this
         // group's cached delivery plan; only the degraded flag needs a
         // refresh (the root or relay set may have changed).
         self.refresh_degraded(gi);
     }
 
-    /// Moves group `gi` from the `support_of` lists of `old` to those
-    /// of `new` (both sorted): one merge walk that touches only the
-    /// peers on one side.
-    fn reindex_support(support_of: &mut [Vec<u32>], gi: usize, old: &[usize], new: &[usize]) {
-        use std::cmp::Ordering;
-        let (mut old, mut new) = (old.iter().peekable(), new.iter().peekable());
-        loop {
-            let order = match (old.peek(), new.peek()) {
-                (None, None) => break,
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                (Some(retired), Some(added)) => retired.cmp(added),
-            };
-            match order {
-                Ordering::Equal => {
-                    old.next();
-                    new.next();
-                }
-                Ordering::Less => {
-                    let ids = &mut support_of[*old.next().expect("peeked")];
-                    ids.retain(|&x| x as usize != gi);
-                    if ids.is_empty() {
-                        // Release the capacity too: most ex-support
-                        // nodes (every departed one) never serve again.
-                        *ids = Vec::new();
-                    }
-                }
-                Ordering::Greater => {
-                    let ids = &mut support_of[*new.next().expect("peeked")];
-                    let pos = ids.partition_point(|&x| (x as usize) < gi);
-                    ids.insert(pos, gi as u32);
-                }
+    /// Takes group `gi` off the `support_of` lists of the `retired`
+    /// peers and puts it on those of the `entered` ones: only the peers
+    /// whose place in the group's support changed are touched.
+    fn reindex_support(
+        support_of: &mut [Vec<u32>],
+        gi: usize,
+        retired: &[usize],
+        entered: &[usize],
+    ) {
+        for &p in retired {
+            let ids = &mut support_of[p];
+            ids.retain(|&x| x as usize != gi);
+            if ids.is_empty() {
+                // Release the capacity too: most ex-support nodes
+                // (every departed one) never serve again.
+                *ids = Vec::new();
             }
+        }
+        for &p in entered {
+            let ids = &mut support_of[p];
+            let pos = ids.partition_point(|&x| (x as usize) < gi);
+            ids.insert(pos, gi as u32);
         }
     }
 
@@ -1648,6 +1689,31 @@ impl GroupEngine {
             None => false,
         };
     }
+}
+
+/// The peers of sorted `old` that sorted `new` lacks, and those of `new`
+/// that `old` lacks: one merge walk.
+fn sorted_difference(old: &[usize], new: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let (mut gone, mut came) = (Vec::new(), Vec::new());
+    let (mut old, mut new) = (
+        old.iter().copied().peekable(),
+        new.iter().copied().peekable(),
+    );
+    loop {
+        match (old.peek(), new.peek()) {
+            (None, None) => break,
+            (Some(o), Some(n)) if o == n => {
+                old.next();
+                new.next();
+            }
+            (Some(&o), n) if n.is_none_or(|&n| o < n) => {
+                gone.push(o);
+                old.next();
+            }
+            _ => came.extend(new.next()),
+        }
+    }
+    (gone, came)
 }
 
 impl std::fmt::Debug for GroupEngine {
@@ -1703,7 +1769,7 @@ mod tests {
         assert_eq!(engine.support_of, support_of);
     }
 
-    /// The merge walk that keeps `support_of`: peers on both sides are
+    /// What keeps `support_of`: peers on both sides of a rebuild are
     /// left alone, old-only ones lose the group (and an emptied list its
     /// capacity), new-only ones gain it in id order.
     #[test]
@@ -1717,7 +1783,9 @@ mod tests {
         assert_eq!(support_of[2], [5]);
         assert_eq!(support_of[3], [5, 9]);
         // 2 is kept, 1 and 3 retire, 0 and 4 enter.
-        GroupEngine::reindex_support(&mut support_of, 5, &[1, 2, 3], &[0, 2, 4]);
+        let (retired, entered) = sorted_difference(&[1, 2, 3], &[0, 2, 4]);
+        assert_eq!((&retired[..], &entered[..]), (&[1, 3][..], &[0, 4][..]));
+        GroupEngine::reindex_support(&mut support_of, 5, &retired, &entered);
         let expected: [&[u32]; 6] = [&[5], &[2, 9], &[5], &[9], &[5], &[]];
         assert_eq!(support_of, expected);
         // Non-empty → empty: emptied lists release their allocation.
@@ -2296,7 +2364,7 @@ mod tests {
     fn targets(gb: &GroupBuild) -> Vec<usize> {
         let cert = &gb.certificate;
         (cert.walk_of.iter())
-            .map(|&w| cert.walks.target(w as usize))
+            .map(|&m| cert.walks.target_of(m as usize))
             .collect()
     }
 

@@ -20,7 +20,7 @@ use geocast_overlay::{PeerId, TopologyStore};
 use crate::bits::PeerBits;
 use crate::builder::{build_in_zone_generic, BuildResult, ZoneRecord, Zones};
 use crate::partition::ZonePartitioner;
-use crate::tree::MulticastTree;
+use crate::tree::{MulticastTree, TreeEdit};
 
 /// The member-induced adjacency rows one §2 group construction read:
 /// for every member the tree reached, its overlay neighbours that are
@@ -59,7 +59,11 @@ impl MemberRows {
     /// The rows of a construction that reached `reached` (ascending):
     /// the row it read where it read one (`read`, in reading order),
     /// the `recorded` row everywhere else.
-    fn of(reached: &[usize], mut read: MemberRows, recorded: &MemberRows) -> MemberRows {
+    fn of(
+        reached: impl ExactSizeIterator<Item = usize>,
+        mut read: MemberRows,
+        recorded: &MemberRows,
+    ) -> MemberRows {
         read.spans.sort_unstable();
         let mut rows = MemberRows {
             spans: Vec::with_capacity(reached.len()),
@@ -67,7 +71,7 @@ impl MemberRows {
         };
         let (mut read_spans, mut kept_spans) =
             (read.spans.iter().peekable(), recorded.spans.iter());
-        for &m in reached {
+        for m in reached {
             let m = m as u32;
             let (from, &(_, start, end)) = match read_spans.next_if(|span| span.0 == m) {
                 Some(span) => (&read.flat, span),
@@ -104,13 +108,15 @@ pub(crate) struct Recorded<'a> {
     /// after a subscribe or unsubscribe the peer and its overlay
     /// neighbours (the rows the peer appears in or vanishes from).
     pub touched: &'a [usize],
+    /// `true` leaves the previous tree's grafts (relays, grafted
+    /// members) for the graft pass, which replays the walks that made
+    /// them, to keep or drop; `false` drops them.
+    pub grafts_stay: bool,
 }
 
 /// One group's §2 tree and what building it read.
-pub(crate) struct MemberTree {
-    /// The tree over the reached members; `stranded` lists the live
-    /// members it did not reach.
-    pub build: BuildResult,
+pub(crate) struct MemberTree<'a> {
+    pub section2: Section2<'a>,
     pub rows: MemberRows,
     /// Reached members whose delegation was taken from the record.
     pub splits_replayed: u64,
@@ -118,16 +124,62 @@ pub(crate) struct MemberTree {
     pub splits_recomputed: u64,
 }
 
+/// A group's §2 construction in the form the graft pass takes it over:
+/// its zones, the members it strands, and its tree as an edit of `base`.
+pub(crate) struct Section2<'a> {
+    pub root: usize,
+    /// Peers the tree is built over.
+    pub len: usize,
+    /// The tree `edit` applies to: the previous build's, when the
+    /// construction replayed its record, or (`None`) the root alone.
+    pub base: Option<&'a MulticastTree>,
+    pub edit: TreeEdit,
+    /// `true` when `base` keeps the grafts of the previous build: the
+    /// edit leaves them to the graft pass, which replays their walks.
+    pub grafts: bool,
+    /// The zone of every member the construction reached: the peers of
+    /// `zones` are the §2 tree's nodes.
+    pub zones: Zones,
+    /// Live members the construction did not reach, ascending.
+    pub stranded: Vec<usize>,
+}
+
+impl Section2<'_> {
+    /// The §2 tree and zones as a build, with no graft.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` keeps grafts: they are the graft pass's to keep
+    /// or drop.
+    pub(crate) fn into_build(self) -> BuildResult {
+        assert!(
+            !self.grafts,
+            "a replayed tree's grafts await the graft pass"
+        );
+        let tree = match self.base {
+            Some(base) => base.edited(self.len, self.edit).0,
+            None => MulticastTree::from_links(self.root, self.len, self.edit.links),
+        };
+        BuildResult {
+            messages: tree.reached_count() - 1,
+            tree,
+            stranded: self.stranded,
+            zones: self.zones,
+            relays: Vec::new(),
+        }
+    }
+}
+
 /// Builds one group's §2 tree (see
 /// [`crate::groups::build_group_tree_on_store`]), re-partitioning only
 /// what differs from `recorded` when given one. Same result either way.
-pub(crate) fn member_tree(
+pub(crate) fn member_tree<'a>(
     store: &TopologyStore,
     root: usize,
     members: &BTreeSet<usize>,
     partitioner: &dyn ZonePartitioner,
-    recorded: Option<Recorded>,
-) -> MemberTree {
+    recorded: Option<Recorded<'a>>,
+) -> MemberTree<'a> {
     assert!(root < store.len(), "root out of range");
     assert!(members.contains(&root), "root must be a member");
     assert!(!store.is_departed(PeerId(root as u64)), "root has departed");
@@ -166,9 +218,15 @@ pub(crate) fn member_tree(
             }
         }
     }
+    let base = recorded.as_ref().map(|r| r.tree);
+    let grafts_stay = recorded.as_ref().is_some_and(|r| r.grafts_stay);
     let (record, recorded_rows) = match recorded {
         Some(Recorded {
-            tree, zones, rows, ..
+            tree,
+            zones,
+            rows,
+            grafts_stay,
+            ..
         }) => {
             let suspects = &suspects;
             (
@@ -176,6 +234,7 @@ pub(crate) fn member_tree(
                     tree,
                     zones,
                     suspects,
+                    grafts_stay,
                 }),
                 rows,
             )
@@ -185,7 +244,7 @@ pub(crate) fn member_tree(
 
     let mut read = MemberRows::default();
     let dim = store.peers()[root].point().dim();
-    let mut build = build_in_zone_generic(
+    let run = build_in_zone_generic(
         store.peers(),
         |i, buf| {
             member_row_into(i, buf);
@@ -197,24 +256,34 @@ pub(crate) fn member_tree(
         record,
     );
     let splits_recomputed = read.spans.len() as u64;
-    let rows = MemberRows::of(build.tree.reached(), read, &recorded_rows);
+    let rows = MemberRows::of(run.zones.peers(), read, &recorded_rows);
 
     // Unreached live *members* are the meaningful strandings of a
     // group build; everyone else is simply not part of the session.
     // Members and reached peers both ascend: one merge walk.
-    let mut reached = build.tree.reached().iter().copied().peekable();
-    build.stranded = members
-        .iter()
-        .copied()
-        .filter(|&m| {
-            while reached.next_if(|&r| r < m).is_some() {}
-            reached.peek() != Some(&m) && !store.is_departed(PeerId(m as u64))
-        })
-        .collect();
+    let stranded = {
+        let mut reached = run.zones.peers().peekable();
+        members
+            .iter()
+            .copied()
+            .filter(|&m| {
+                while reached.next_if(|&r| r < m).is_some() {}
+                reached.peek() != Some(&m) && !store.is_departed(PeerId(m as u64))
+            })
+            .collect()
+    };
     MemberTree {
-        splits_replayed: build.tree.reached_count() as u64 - splits_recomputed,
+        splits_replayed: run.zones.len() as u64 - splits_recomputed,
         splits_recomputed,
-        build,
+        section2: Section2 {
+            root,
+            len: store.len(),
+            base: base.filter(|_| run.replayed),
+            edit: run.edit,
+            grafts: run.replayed && grafts_stay,
+            zones: run.zones,
+            stranded,
+        },
         rows,
     }
 }
@@ -241,10 +310,10 @@ mod tests {
             }
             read
         };
-        let reached = [2usize, 5, 7, 9];
+        let reached = || [2usize, 5, 7, 9].into_iter();
         let nothing = MemberRows::default();
-        let ascending = MemberRows::of(&reached, read_in(&[0, 1, 2, 3]), &nothing);
-        let breadth_first = MemberRows::of(&reached, read_in(&[2, 0, 3, 1]), &nothing);
+        let ascending = MemberRows::of(reached(), read_in(&[0, 1, 2, 3]), &nothing);
+        let breadth_first = MemberRows::of(reached(), read_in(&[2, 0, 3, 1]), &nothing);
         assert_eq!(ascending, breadth_first);
         assert_eq!(breadth_first.row(9), Some(&[2u32, 7][..]));
         assert_eq!(breadth_first.row(7), Some(&[][..]));
@@ -253,7 +322,7 @@ mod tests {
         // a row of a member no longer reached.
         let mut recorded = read_in(&[1, 2]);
         recorded.push(8, [5u32].into_iter());
-        let patched = MemberRows::of(&reached, read_in(&[3, 0]), &recorded);
+        let patched = MemberRows::of(reached(), read_in(&[3, 0]), &recorded);
         assert_eq!(patched, ascending);
     }
 
@@ -266,10 +335,11 @@ mod tests {
         let partitioner = OrthantRectPartitioner::median();
         let mut members: BTreeSet<usize> = (0..120).filter(|i| i % 4 != 3).collect();
         let old = member_tree(&store, 0, &members, &partitioner, None);
+        let old_build = old.section2.into_build();
         assert_eq!(old.splits_replayed, 0);
-        assert_eq!(old.splits_recomputed, old.build.tree.reached_count() as u64);
+        assert_eq!(old.splits_recomputed, old_build.tree.reached_count() as u64);
 
-        let leaver = *old.build.tree.reached().last().expect("a reached member");
+        let leaver = *old_build.tree.reached().last().expect("a reached member");
         members.remove(&leaver);
         let mut touched = vec![leaver];
         let mut row = Vec::new();
@@ -277,14 +347,14 @@ mod tests {
         touched.extend(&row);
         touched.sort_unstable();
         let recorded = Recorded {
-            tree: &old.build.tree,
-            zones: old.build.zones.clone(),
+            tree: &old_build.tree,
+            zones: old_build.zones.clone(),
             rows: old.rows.clone(),
             touched: &touched,
+            grafts_stay: false,
         };
         let replayed = member_tree(&store, 0, &members, &partitioner, Some(recorded));
         let scratch = member_tree(&store, 0, &members, &partitioner, None);
-        assert_eq!(replayed.build, scratch.build);
         assert_eq!(replayed.rows, scratch.rows);
         assert!(
             (1..=touched.len() as u64).contains(&replayed.splits_recomputed),
@@ -295,6 +365,10 @@ mod tests {
         assert_eq!(
             replayed.splits_replayed + replayed.splits_recomputed,
             scratch.splits_recomputed
+        );
+        assert_eq!(
+            replayed.section2.into_build(),
+            scratch.section2.into_build()
         );
     }
 }

@@ -57,6 +57,17 @@ impl PartialEq for MulticastTree {
 
 impl Eq for MulticastTree {}
 
+/// What turns one [`MulticastTree`] into another
+/// ([`MulticastTree::edited`]): the nodes whose link goes, and the links
+/// that come.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct TreeEdit {
+    /// Nodes whose link to their parent goes, ascending.
+    pub dropped: Vec<usize>,
+    /// `(child, parent)` links that come, in any order.
+    pub links: Vec<(usize, usize)>,
+}
+
 /// Structural defects detected by [`MulticastTree::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TreeError {
@@ -210,123 +221,118 @@ impl MulticastTree {
         self.parent[slot]
     }
 
-    /// Grafts unreached peers into the tree, one `(child, parent)` link
-    /// each, in any order — the relay-join primitive behind
-    /// `crate::graft`, which attaches every hop of every discovered
-    /// relay path in one call. A parent may itself be one of the new
-    /// children. One merge ([`MulticastTree::patched`] keeping every
-    /// node) places the new children and one more resolves their
-    /// parents, with no search per link: `O(reached + links · log)`.
+    /// The tree over a universe of `len` peers that this tree becomes
+    /// under `edit`, and how many nodes the edit touched: the one tree
+    /// edit behind every group build (`crate::graft`). Relay grafting
+    /// adds its paths to a §2 tree; a replayed rebuild drops from the
+    /// tree it replaces what changed and adds what replaces it.
+    ///
+    /// Every node keeps its parent unless `edit.dropped` names it. A
+    /// dropped node that is also a link's child is linked anew and keeps
+    /// the nodes kept below it; any other dropped node leaves the tree.
+    /// Every other link's child joins it. A link's parent may be a kept
+    /// node or another link's child. The touched nodes are those that
+    /// left, joined or were linked anew.
+    ///
+    /// Only the links are sorted: one merge places their children among
+    /// the kept nodes, one pass remaps the kept nodes' parents to their
+    /// new slots, and a search per link finds its parent's slot:
+    /// `O(reached + links · log reached)`.
     ///
     /// # Panics
     ///
-    /// Panics if an index is out of range, a child is already reached
-    /// or linked twice, or a parent is neither reached nor a new child.
-    pub(crate) fn attach_all(&mut self, links: Vec<(usize, usize)>) {
-        if !links.is_empty() {
-            *self = self.patched(self.len, |_| true, links);
+    /// Panics if a dropped node is the root or not on the tree, a kept
+    /// node's parent left, an index is out of range, a child is a kept
+    /// node or linked twice, or a link's parent is not on the result.
+    pub(crate) fn edited(&self, len: usize, edit: TreeEdit) -> (MulticastTree, usize) {
+        const LEFT: usize = usize::MAX;
+        let TreeEdit { dropped, mut links } = edit;
+        if dropped.is_empty() && links.is_empty() {
+            return (
+                MulticastTree {
+                    len,
+                    ..self.clone()
+                },
+                0,
+            );
         }
-    }
-
-    /// The tree over a universe of `len` peers that keeps this tree's
-    /// nodes at the slots `keep` accepts, each with the parent it has
-    /// here, and adds one node per `(child, parent)` link, in any
-    /// order — the one merge behind relay grafting (keep everything,
-    /// add the paths) and behind replaying a §2 construction
-    /// (`crate::builder`: keep what the change cannot have moved, add
-    /// what was re-delegated). A link's parent may be a kept node or
-    /// another link's child; a link's child may be a node that is not
-    /// kept, and is then still the parent of the nodes kept below it.
-    /// Old slots are remapped and the links' parents merged in, neither
-    /// searched for: `O(reached + links · log)`, the log for sorting the
-    /// links.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the root is not kept, a kept node's parent is not, an
-    /// index is out of range, a child is a kept node or linked twice,
-    /// or a link's parent is neither.
-    pub(crate) fn patched(
-        &self,
-        len: usize,
-        keep: impl Fn(usize) -> bool,
-        mut links: Vec<(usize, usize)>,
-    ) -> MulticastTree {
-        const DROPPED: usize = usize::MAX;
         links.sort_unstable();
         assert!(
             links.last().is_none_or(|&(c, _)| c < len),
             "child out of range"
         );
-        let total = self.nodes.len() + links.len();
+        assert!(dropped.binary_search(&self.root).is_err(), "the root stays");
+        let old = &self.nodes;
+        let total = old.len() + links.len();
         let mut nodes: Vec<usize> = Vec::with_capacity(total);
-        // Merge the sorted newcomers in; remember where the kept slots
-        // went and where each link's child landed.
-        let mut moved = vec![DROPPED; self.nodes.len()];
-        let mut landed = Vec::with_capacity(links.len());
-        let mut fresh = links.iter().map(|&(c, _)| c).peekable();
-        let push = |nodes: &mut Vec<usize>, node: usize| {
-            assert!(
-                nodes.last().is_none_or(|&last| last < node),
-                "a peer has one parent"
-            );
-            nodes.push(node);
-            nodes.len() - 1
-        };
-        for (slot, &node) in self.nodes.iter().enumerate() {
-            while let Some(c) = fresh.next_if(|&c| c < node) {
-                landed.push(push(&mut nodes, c));
-            }
-            if keep(slot) {
-                assert!(
-                    fresh.peek() != Some(&node),
-                    "child {node} already in the tree"
-                );
-                moved[slot] = push(&mut nodes, node);
-            } else if fresh.next_if_eq(&node).is_some() {
-                // Linked anew: what is kept below it stays below it.
-                moved[slot] = push(&mut nodes, node);
-                landed.push(moved[slot]);
-            }
-        }
-        for c in fresh {
-            landed.push(push(&mut nodes, c));
-        }
-        let mut parent = vec![None; nodes.len()];
-        for (slot, &up) in self
-            .parent
-            .iter()
-            .enumerate()
-            .filter(|&(slot, _)| keep(slot))
-        {
-            assert!(
-                up.is_none_or(|up| moved[up] != DROPPED),
-                "a kept node lost its parent"
-            );
-            parent[moved[slot]] = up.map(|up| moved[up]);
-        }
-        // The links' parents, keyed `parent << 32 | child's slot` and
-        // sorted, meet the sorted nodes in one merge.
-        let mut ups: Vec<u64> = (links.iter().zip(landed))
-            .map(|(&(_, up), at)| {
-                let up = u32::try_from(up).expect("peer ids fit u32");
-                u64::from(up) << 32 | at as u64
-            })
-            .collect();
-        ups.sort_unstable();
+        let mut parent: Vec<Option<usize>> = Vec::with_capacity(total);
+        // Merge the sorted changes in and remember where the kept slots
+        // went: the kept nodes between two changes are copied as one run.
+        // A link's parent stays a peer id until the merge is done.
+        let mut moved = vec![LEFT; old.len()];
+        let mut fresh = links.into_iter().peekable();
+        let mut gone = dropped.iter().copied().peekable();
+        let mut touched = 0;
         let mut slot = 0;
-        for key in ups {
-            let (up, at) = ((key >> 32) as usize, key as u32 as usize);
-            while nodes.get(slot).is_some_and(|&node| node < up) {
-                slot += 1;
+        loop {
+            let next = match (gone.peek(), fresh.peek()) {
+                (Some(&d), Some(&(c, _))) => Some(d.min(c)),
+                (d, c) => d.copied().or(c.map(|&(c, _)| c)),
+            };
+            let end = next.map_or(old.len(), |next| {
+                slot + old[slot..].partition_point(|&node| node < next)
+            });
+            let base = nodes.len();
+            nodes.extend_from_slice(&old[slot..end]);
+            parent.resize(nodes.len(), None);
+            for (k, at) in moved[slot..end].iter_mut().enumerate() {
+                *at = base + k;
             }
-            assert!(nodes.get(slot) == Some(&up), "parent {up} not in the tree");
-            parent[at] = Some(slot);
+            slot = end;
+            let Some(next) = next else {
+                break;
+            };
+            let linked = fresh.next_if(|&(c, _)| c == next).map(|(_, up)| up);
+            touched += 1;
+            if gone.next_if_eq(&next).is_some() {
+                assert!(
+                    old.get(slot) == Some(&next),
+                    "a dropped node is not on the tree"
+                );
+                if linked.is_some() {
+                    // Linked anew: what is kept below it stays below it.
+                    moved[slot] = nodes.len();
+                    nodes.push(next);
+                    parent.push(linked);
+                }
+                slot += 1;
+            } else {
+                assert!(
+                    old.get(slot) != Some(&next),
+                    "child {next} already in the tree"
+                );
+                assert!(
+                    nodes.last().is_none_or(|&last| last < next),
+                    "a peer has one parent"
+                );
+                nodes.push(next);
+                parent.push(linked);
+            }
         }
-        assert!(
-            self.slot(self.root).is_some_and(|s| moved[s] != DROPPED),
-            "the root stays"
-        );
+        for up in parent.iter_mut().flatten() {
+            let id = *up;
+            *up = (nodes.binary_search(&id))
+                .unwrap_or_else(|_| panic!("parent {id} not in the tree"));
+        }
+        for (slot, &up) in self.parent.iter().enumerate() {
+            let at = moved[slot];
+            if at != LEFT && parent[at].is_none() {
+                parent[at] = up.map(|up| {
+                    assert!(moved[up] != LEFT, "a kept node lost its parent");
+                    moved[up]
+                });
+            }
+        }
         let mut tree = MulticastTree {
             root: self.root,
             len,
@@ -336,7 +342,7 @@ impl MulticastTree {
             child_ids: Vec::new(),
         };
         tree.index_children();
-        tree
+        (tree, touched)
     }
 
     /// The session initiator.
@@ -694,10 +700,18 @@ mod tests {
         let _ = MulticastTree::from_parents(0, vec![None], vec![false]);
     }
 
+    /// `t` with `links` grafted on and nothing dropped.
+    fn grafted(t: &MulticastTree, links: Vec<(usize, usize)>) -> MulticastTree {
+        let edit = TreeEdit {
+            dropped: Vec::new(),
+            links,
+        };
+        t.edited(t.len(), edit).0
+    }
+
     #[test]
     fn attach_grafts_and_keeps_children_sorted() {
-        let mut t = sample();
-        t.attach_all(vec![(5, 1)]);
+        let t = grafted(&sample(), vec![(5, 1)]);
         assert!(t.is_reached(5));
         assert_eq!(t.parent(5), Some(1));
         assert_eq!(t.children(1), &[3, 4, 5]);
@@ -708,15 +722,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "already in the tree")]
     fn attach_rejects_reached_children() {
-        sample().attach_all(vec![(3, 0)]);
+        let _ = grafted(&sample(), vec![(3, 0)]);
     }
 
     #[test]
     #[should_panic(expected = "not in the tree")]
     fn attach_rejects_unreached_parents() {
-        let mut t =
-            MulticastTree::from_parents(0, vec![None, None, None], vec![true, false, false]);
-        t.attach_all(vec![(2, 1)]);
+        let t = MulticastTree::from_parents(0, vec![None, None, None], vec![true, false, false]);
+        let _ = grafted(&t, vec![(2, 1)]);
     }
 
     /// The satellite regression: a hand-built tree with relay interior
@@ -803,10 +816,9 @@ mod tests {
 
     #[test]
     fn sparse_attach_merges_in_id_order() {
-        let mut t = sparse();
         // A relay chain 9998 → 3 → 4000 (its parent is a fellow
         // newcomer) and a lone graft under the root, in one call.
-        t.attach_all(vec![(9998, 3), (5, 17), (3, 4000)]);
+        let t = grafted(&sparse(), vec![(9998, 3), (5, 17), (3, 4000)]);
         assert_eq!(t.reached(), &[3, 5, 17, 4000, 9998, 9999]);
         assert_eq!(t.children(4000), &[3, 9999]);
         assert_eq!(t.children(17), &[5, 4000]);
@@ -821,15 +833,18 @@ mod tests {
             vec![(9999, 4000), (3, 4000), (4000, 17), (9998, 3), (5, 17)],
         );
         assert_eq!(t, whole);
-        t.attach_all(Vec::new());
-        assert_eq!(t, whole, "an empty graft changes nothing");
+        assert_eq!(
+            grafted(&t, Vec::new()),
+            whole,
+            "an empty graft changes nothing"
+        );
     }
 
-    /// The merge behind a replayed construction: nodes that are not
-    /// kept vanish, a node linked anew keeps the kept nodes below it,
-    /// and the result is the tree its links define.
+    /// The edit behind a replayed rebuild: a dropped node that is not
+    /// linked again leaves, a node linked anew keeps the kept nodes
+    /// below it, and the result is the tree its links define.
     #[test]
-    fn patched_keeps_remaps_and_relinks() {
+    fn edit_keeps_remaps_and_relinks() {
         //        0                      0
         //       / \                    / \
         //      1   2        →         5   2
@@ -839,10 +854,14 @@ mod tests {
         //                             3
         let old = MulticastTree::from_links(0, 8, vec![(1, 0), (2, 0), (3, 1), (4, 1), (5, 2)]);
         // 3 stays under 1; 1 and 5 are linked anew; 4 is gone; 6 is new.
-        let keep = |slot: usize| [0, 2, 3].contains(&old.reached()[slot]);
-        let new = old.patched(9, keep, vec![(6, 2), (1, 5), (5, 0)]);
+        let edit = TreeEdit {
+            dropped: vec![1, 4, 5],
+            links: vec![(6, 2), (1, 5), (5, 0)],
+        };
+        let (new, touched) = old.edited(9, edit);
         let whole = MulticastTree::from_links(0, 9, vec![(5, 0), (2, 0), (1, 5), (3, 1), (6, 2)]);
         assert_eq!(new, whole);
+        assert_eq!(touched, 4, "4 left, 6 joined, 1 and 5 were linked anew");
         assert_eq!(new.len(), 9);
         assert_eq!(new.children(1), &[3]);
         assert_eq!(new.children(0), &[2, 5]);
@@ -852,9 +871,125 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "a kept node lost its parent")]
-    fn patched_rejects_a_kept_node_under_a_dropped_one() {
+    fn edit_rejects_a_kept_node_under_a_dropped_one() {
         let old = MulticastTree::from_links(0, 4, vec![(1, 0), (2, 1)]);
-        let _ = old.patched(4, |slot| slot != 1, Vec::new());
+        let edit = TreeEdit {
+            dropped: vec![1],
+            links: Vec::new(),
+        };
+        let _ = old.edited(4, edit);
+    }
+
+    /// A relay chain `1 → 2 → 3` between the root and member 4 loses its
+    /// middle: 2 and 3 go and 4 is linked to 1 directly, or 2 alone goes
+    /// and 3 is linked to 1 with 4 still below it. The root's other
+    /// branch is not touched either way.
+    #[test]
+    fn edit_drops_a_relay_chain_from_the_middle() {
+        let old =
+            MulticastTree::from_links(0, 7, vec![(1, 0), (2, 1), (3, 2), (4, 3), (5, 0), (6, 5)]);
+        for (dropped, links, left, touched) in [
+            (
+                vec![2, 3, 4],
+                vec![(4, 1)],
+                vec![(1, 0), (4, 1), (5, 0), (6, 5)],
+                3,
+            ),
+            (
+                vec![2, 3],
+                vec![(3, 1)],
+                vec![(1, 0), (3, 1), (4, 3), (5, 0), (6, 5)],
+                2,
+            ),
+        ] {
+            let (new, count) = old.edited(7, TreeEdit { dropped, links });
+            assert_eq!(new, MulticastTree::from_links(0, 7, left));
+            assert_eq!(count, touched);
+            assert_eq!(new.children(5), &[6]);
+            assert_eq!(new.validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn an_empty_edit_is_the_identity() {
+        for t in [sample(), sparse()] {
+            let (same, touched) = t.edited(t.len(), TreeEdit::default());
+            assert_eq!(touched, 0);
+            assert_eq!(same, t);
+            assert_eq!(same.children(t.root()), t.children(t.root()));
+        }
+    }
+
+    /// On random trees an edit is `from_links` of the link set it leaves.
+    /// An old and a new tree over one root share most links: over one
+    /// random order of the peers each node's parent comes before it on
+    /// both sides, so both are trees, and most nodes keep their parent
+    /// where it stays. The edit between them drops every node whose link
+    /// changed or went and adds every link that is new, so kept subtrees
+    /// hang below relinked nodes, chains lose their middles, and nodes
+    /// leave and join.
+    #[test]
+    fn an_edit_is_from_links_of_the_link_set_it_leaves() {
+        use crate::groups::splitmix as next;
+        // Per peer: `None` off the tree, `Some(None)` the root,
+        // `Some(Some(p))` linked to `p`.
+        type Links = Vec<Option<Option<usize>>>;
+        let mut state = 0x7ee_ed17_u64;
+        for case in 0..300 {
+            let len = 2 + (next(&mut state) % 40) as usize;
+            let mut order: Vec<usize> = (0..len).collect();
+            for k in 0..len {
+                let j = k + (next(&mut state) as usize) % (len - k);
+                order.swap(k, j);
+            }
+            let mut draw = |like: Option<&Links>| -> Links {
+                let mut links: Links = vec![None; len];
+                links[order[0]] = Some(None);
+                let mut on = vec![order[0]];
+                for &v in &order[1..] {
+                    let roll = next(&mut state) % 10;
+                    if roll < 2 {
+                        continue;
+                    }
+                    let kept = (like.and_then(|l| l[v]).flatten()).filter(|&p| links[p].is_some());
+                    let up = match kept {
+                        Some(p) if roll < 9 => p,
+                        _ => on[(next(&mut state) as usize) % on.len()],
+                    };
+                    links[v] = Some(Some(up));
+                    on.push(v);
+                }
+                links
+            };
+            let old = draw(None);
+            let new = draw(Some(&old));
+            let tree = |links: &Links| {
+                let pairs = (0..len)
+                    .filter_map(|v| links[v].flatten().map(|p| (v, p)))
+                    .collect();
+                MulticastTree::from_links(order[0], len, pairs)
+            };
+            let differ: Vec<usize> = (0..len).filter(|&v| old[v] != new[v]).collect();
+            let edit = TreeEdit {
+                dropped: differ
+                    .iter()
+                    .copied()
+                    .filter(|&v| old[v].is_some())
+                    .collect(),
+                links: (differ.iter())
+                    .filter_map(|&v| new[v].flatten().map(|p| (v, p)))
+                    .collect(),
+            };
+            let (edited, touched) = tree(&old).edited(len + 3, edit);
+            let want = tree(&new);
+            assert_eq!(edited, want, "case {case}");
+            assert_eq!(touched, differ.len(), "case {case}");
+            assert_eq!(edited.len(), len + 3);
+            assert_eq!(edited.validate(), Ok(()), "case {case}");
+            for &v in want.reached() {
+                assert_eq!(edited.children(v), want.children(v), "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -35,10 +35,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use geocast_core::dataplane::DeliveryPlan;
 use geocast_core::groups::{build_group_tree_grafted, GroupEngine, GroupId};
 use geocast_core::OrthantRectPartitioner;
 use geocast_geom::gen::uniform_points;
-use geocast_geom::MetricKind;
+use geocast_geom::{MetricKind, Point};
 use geocast_overlay::delta::DeltaKind;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
 use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
@@ -142,6 +143,36 @@ fn check_full_coverage(engine: &GroupEngine, ids: &[GroupId], rule: u8) {
                 "{g}: departed relay {r} still grafted"
             );
         }
+    }
+}
+
+/// The delivery plan the engine publishes by, for every rooted group, is
+/// the definitional tree walk's and the build's own counts: every member
+/// the build does not strand is delivered to, and every reached node but
+/// the root carries the payload. (Publishing syncs, so call this only
+/// on a synced engine.)
+fn check_plans(engine: &mut GroupEngine, ids: &[GroupId]) {
+    for &g in ids {
+        let Some(outcome) = engine.publish(g) else {
+            continue;
+        };
+        let members = engine.members(g);
+        let build = engine.tree(g).expect("a publishing group has a tree");
+        let plan = DeliveryPlan::compute(build, members, 0);
+        let counts = (
+            members.len() - build.stranded.len(),
+            build.tree.reached_count() - 1,
+        );
+        assert_eq!(
+            (outcome.delivered, outcome.messages, outcome.relay_messages),
+            (plan.delivered, plan.messages, plan.relay_messages),
+            "{g}: the plan is not the tree walk's"
+        );
+        assert_eq!(
+            (outcome.delivered, outcome.messages),
+            counts,
+            "{g}: the plan is not the build's counts"
+        );
     }
 }
 
@@ -326,7 +357,9 @@ fn churn_rebuilds_at_most_a_quarter_of_the_groups_it_examines() {
 /// a twentieth each. (The rest may be the subscribes that reshape the §2
 /// tree or attach a path longer than the pass's `fresh` bound, which
 /// fall back to searching by design.) And at least three in four of all
-/// their walks are copied whole from the walk log, with no hop taken.
+/// their walks are copied whole from the walk log, with no hop taken,
+/// and the rebuilds edit their trees: the nodes they touch are at most a
+/// quarter of the nodes of the trees they leave.
 #[test]
 fn a_subscribe_into_a_large_scattered_group_recomputes_a_tenth_of_its_walks() {
     let n = 1_500;
@@ -338,6 +371,7 @@ fn a_subscribe_into_a_large_scattered_group_recomputes_a_tenth_of_its_walks() {
     let g = engine.seed_groups(&[160], &mut 0x5ca7_7e2ed_u64)[0];
     let subscribes = 20usize;
     let (mut walks, mut searched, mut spliced, mut local) = (0u64, 0u64, 0u64, 0usize);
+    let (mut touched, mut reached) = (0u64, 0u64);
     for k in 0..subscribes {
         let peer = (0..n)
             .map(|i| (k * 73 + i * 7) % n)
@@ -349,6 +383,8 @@ fn a_subscribe_into_a_large_scattered_group_recomputes_a_tenth_of_its_walks() {
         let replayed = after.graft_walks_replayed - before.graft_walks_replayed;
         let recomputed = after.graft_walks_recomputed - before.graft_walks_recomputed;
         spliced += after.graft_walks_spliced - before.graft_walks_spliced;
+        touched += after.tree_nodes_touched - before.tree_nodes_touched;
+        reached += engine.tree(g).expect("a rooted group").tree.reached_count() as u64;
         assert!(engine.members(g).len() > 150);
         assert!(
             replayed + recomputed >= 100,
@@ -372,6 +408,48 @@ fn a_subscribe_into_a_large_scattered_group_recomputes_a_tenth_of_its_walks() {
         4 * spliced >= 3 * walks,
         "only {spliced} of {walks} walks were spliced whole"
     );
+    assert!(
+        4 * touched <= reached,
+        "{touched} tree nodes touched, over trees of {reached} nodes"
+    );
+}
+
+/// A membership operation changes no overlay row, and the sync before it
+/// re-checked every recorded hop, so its rebuild copies every walk whose
+/// target stands — even one through the neighbours of the peer it moved.
+/// Member 9's walk runs down the diagonal `0..=9` past member 10, which
+/// sits beside position 5 and unsubscribes: the walk is spliced whole,
+/// and member 10 leaving is all the rebuild changes of the tree.
+#[test]
+fn an_unsubscribe_next_to_a_relay_path_splices_that_paths_walk() {
+    let mut store = TopologyStore::new(Arc::new(EmptyRectSelection));
+    for i in 0..10 {
+        let at = 10.0 * f64::from(i);
+        store.insert(Point::new(vec![at, at]).expect("finite coordinates"));
+    }
+    store.insert(Point::new(vec![52.0, 48.0]).expect("finite coordinates"));
+    let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
+    let g = engine.create_group(PeerId(0));
+    for p in [9u64, 10] {
+        engine.subscribe(g, PeerId(p));
+    }
+    assert_eq!(engine.relays(g), &[1, 2, 3, 4, 5, 6, 7, 8]);
+    assert_eq!(engine.tree(g).expect("rooted").tree.parent(10), Some(5));
+    let before = *engine.totals();
+    assert!(engine.unsubscribe(g, PeerId(10)));
+    let after = *engine.totals();
+    assert_eq!(
+        (
+            after.graft_walks_replayed - before.graft_walks_replayed,
+            after.graft_walks_spliced - before.graft_walks_spliced,
+        ),
+        (1, 1),
+        "member 9's walk is copied whole"
+    );
+    assert_eq!(after.tree_nodes_touched - before.tree_nodes_touched, 1);
+    assert_eq!(engine.relays(g), &[1, 2, 3, 4, 5, 6, 7, 8]);
+    assert!(!engine.tree(g).expect("rooted").tree.is_reached(10));
+    assert!(engine.matches_reference(g));
 }
 
 /// The §2 replay's count-based locality gate (no clock): in a clustered
@@ -645,13 +723,16 @@ proptest! {
                 }
             }
             // Post-graft coverage holds after every sync — the
-            // relay-teardown/re-route path included.
+            // relay-teardown/re-route path included — and so does the
+            // plan every publish reads.
             check_full_coverage(&engine, &ids, rule);
+            check_plans(&mut engine, &ids);
         }
         if let Some(before) = pending.take() {
             engine.sync();
             before.check_sync(&engine, &ids, &mut counts);
             check_full_coverage(&engine, &ids, rule);
+            check_plans(&mut engine, &ids);
         }
 
         // A rebuild of a group that keeps its root replays the §2
