@@ -60,7 +60,7 @@ impl Eq for MulticastTree {}
 /// What turns one [`MulticastTree`] into another
 /// ([`MulticastTree::edited`]): the nodes whose link goes, and the links
 /// that come.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub(crate) struct TreeEdit {
     /// Nodes whose link to their parent goes, ascending.
     pub dropped: Vec<usize>,
