@@ -897,8 +897,11 @@ fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
         totals.tree_rebuilds, totals.tree_nodes_touched
     ));
     out.push_str(&format!(
-        "  graft walks         : {} replayed from the previous build ({} spliced whole) / {} searched\n",
-        totals.graft_walks_replayed, totals.graft_walks_spliced, totals.graft_walks_recomputed
+        "  graft walks         : {} replayed from the previous build ({} spliced whole) / {} searched; {} examined\n",
+        totals.graft_walks_replayed,
+        totals.graft_walks_spliced,
+        totals.graft_walks_recomputed,
+        totals.graft_walks_examined
     ));
     out.push_str(&format!(
         "  zone splits         : {} replayed from the previous build / {} partitioned\n",

@@ -15,11 +15,13 @@
 //! 1. **Greedy point routing** ([`greedy_step_on_store`], hop by hop)
 //!    towards the nearest on-tree node, stopping at the first on-tree
 //!    node the walk meets. The target is the exact `(distance, index)`
-//!    minimum over the on-tree set, answered by a grid that holds only
-//!    the on-tree nodes and grows as paths attach (`OnTreeIndex`), so
-//!    a query costs the few cells around the member whatever the
-//!    population around the tree is. On empty-rectangle equilibria the
-//!    walk always delivers, so tiers 2–3 never engage there.
+//!    minimum over the on-tree set: a scan of the on-tree nodes for the
+//!    first few searches of a pass, and for a pass that keeps searching
+//!    a grid that holds only the on-tree nodes and grows as paths attach
+//!    (`OnTreeIndex`), so a query costs the few cells around the member
+//!    whatever the population around the tree is. On empty-rectangle
+//!    equilibria the walk always delivers, so tiers 2–3 never engage
+//!    there.
 //! 2. **Region fallback** ([`greedy_route_to_rect_on_store`]) for local
 //!    minima on sparser rules: retarget to a shrinking box around the
 //!    target — the distance-to-box walk escapes point-greedy minima
@@ -58,6 +60,18 @@
 //! was searched for steps greedily throughout. The pass returns exactly
 //! what it returns without a memo; `GraftMemo` carries the argument.
 //!
+//! Nor does a re-graft look at the walks its change cannot reach. The
+//! old pass's on-tree set and the new one start equal up to what the §2
+//! edit changed, and a walk copied whole puts the same nodes on both, so
+//! a logged walk can only differ where the change reaches it: its
+//! member's stranding changed, a node of its path is dirty, its target
+//! or terminal left the tree, a node of its path joined the tree before
+//! its turn, or a fresh node beats its target (`GraftMemo` states the
+//! rules). The pass finds those walks from the change — the §2 part's
+//! stranding change, the support index, an index of the walks by their
+//! ends — and visits them in ascending member order; every other walk
+//! is carried over from the log as part of a run, unvisited.
+//!
 //! Nor does a re-graft rebuild the tree. The pass grafts onto the §2
 //! construction's tree in the same `MulticastTree::edited` that makes
 //! it; when that edit starts from the group's previous tree with its
@@ -68,15 +82,17 @@
 //! keys. A support node is keyed by the member whose walk attached it,
 //! which names the same walk in every pass.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::ops::Range;
 
 use geocast_geom::{Interval, Metric, MetricKind, Rect};
 use geocast_overlay::routing::{greedy_route_to_rect_on_store, greedy_step_on_store};
-use geocast_overlay::{PeerInfo, TopologyStore};
+use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
 
 use crate::bits::PeerBits;
-use crate::builder::BuildResult;
-use crate::member_tree::Section2;
+use crate::builder::{BuildResult, Zones};
+use crate::member_tree::{Section2, Stranded};
 use crate::tree::{MulticastTree, TreeEdit};
 
 /// Rounds of tier-1/tier-2 alternation before flood discovery takes
@@ -133,6 +149,7 @@ pub fn graft_stranded_members(
     build: &mut BuildResult,
     metric: MetricKind,
 ) -> (GraftReport, Vec<usize>) {
+    let stranded = std::mem::take(&mut build.stranded);
     let section2 = Section2 {
         root: build.tree.root(),
         len: build.tree.len(),
@@ -140,7 +157,10 @@ pub fn graft_stranded_members(
         edit: TreeEdit::default(),
         grafts: false,
         zones: std::mem::take(&mut build.zones),
-        stranded: std::mem::take(&mut build.stranded),
+        // A path node off the §2 tree is a member exactly when it is
+        // stranded.
+        members: PeerBits::from_peers(store.len(), &stranded),
+        stranded: Stranded::All(stranded),
     };
     let (grafted, pass) = graft_pass(store, section2, metric, None);
     *build = grafted;
@@ -184,6 +204,23 @@ impl WalkLog {
         });
     }
 
+    /// Appends walks `walks` of `from`, paths and all, as one run.
+    fn extend_from(&mut self, from: &WalkLog, walks: Range<usize>) {
+        let Some(last) = walks.end.checked_sub(1) else {
+            return;
+        };
+        let start = from.start(walks.start);
+        let base = id(self.nodes.len());
+        self.nodes
+            .extend_from_slice(&from.nodes[start..from.walks[last].end as usize]);
+        let start = id(start);
+        self.walks
+            .extend(from.walks[walks].iter().map(|walk| LoggedWalk {
+                end: walk.end - start + base,
+                ..*walk
+            }));
+    }
+
     fn len(&self) -> usize {
         self.walks.len()
     }
@@ -198,14 +235,20 @@ impl WalkLog {
         self.walks[w].target as usize
     }
 
+    /// The walk of stranded member `m`, if the log holds one.
+    fn walk(&self, m: usize) -> Option<usize> {
+        (self.walks)
+            .binary_search_by_key(&id(m), |walk| walk.member)
+            .ok()
+    }
+
     /// The on-tree node the walk of stranded member `m` headed for.
     ///
     /// # Panics
     ///
     /// Panics if the log holds no walk of `m`.
     pub(crate) fn target_of(&self, m: usize) -> usize {
-        let w = self.walks.binary_search_by_key(&id(m), |walk| walk.member);
-        self.target(w.expect("a logged walk's member"))
+        self.target(self.walk(m).expect("a logged walk's member"))
     }
 
     /// Where walk `w`'s path starts in `nodes`.
@@ -216,6 +259,16 @@ impl WalkLog {
     /// Walk `w`'s path, `[member, …relays…, terminal]`.
     fn path(&self, w: usize) -> &[u32] {
         &self.nodes[self.start(w)..self.walks[w].end as usize]
+    }
+
+    /// Walk `w`'s ends as entries of the index of walks by end: `(node,
+    /// member)` for its target and for its terminal, once when they are
+    /// the same node.
+    fn ends(&self, w: usize) -> impl Iterator<Item = (u32, u32)> {
+        let walk = self.walks[w];
+        let terminal = self.nodes[walk.end as usize - 1];
+        let (a, b) = (walk.target.min(terminal), walk.target.max(terminal));
+        std::iter::once((a, walk.member)).chain((a != b).then_some((b, walk.member)))
     }
 
     /// The places in `nodes` of every node that walks `from..` attached
@@ -234,11 +287,15 @@ pub(crate) struct GraftPass {
     /// Parallel to `support`: the stranded member whose walk of `log`
     /// attached each support node — a key that names the same walk in
     /// the next pass, wherever it falls in that pass's log. Empty, like
-    /// `log`, unless the pass was [`GraftReport::greedy_only`] (a
-    /// fallback tier reads rows for other decisions than a hop towards
-    /// one target).
+    /// `log` and `ends`, unless the pass was
+    /// [`GraftReport::greedy_only`] (a fallback tier reads rows for other
+    /// decisions than a hop towards one target).
     pub walk_of: Vec<u32>,
     pub log: WalkLog,
+    /// The walks of `log` by their ends: `(node, member)` for each
+    /// walk's target and terminal, sorted — the walks a node that leaves
+    /// the tree can change in the next pass.
+    pub ends: Vec<(u32, u32)>,
     /// The support nodes that left the memo's support set and those that
     /// entered it, both sorted, when the pass edited a tree that kept the
     /// memo's grafts and stayed greedy-only; `None` leaves the comparison
@@ -249,10 +306,18 @@ pub(crate) struct GraftPass {
     pub touched: usize,
     /// Walks whose target was the memo's logged one.
     pub walks_replayed: u64,
-    /// Walks whose target was searched for ([`OnTreeIndex::nearest`]).
+    /// Walks whose target was not the memo's logged one: searched for
+    /// over the on-tree set, or a node fresh on the tree that beats it.
     pub walks_recomputed: u64,
     /// Walks copied whole from the memo's log: some of `walks_replayed`.
     pub walks_spliced: u64,
+    /// Walks the pass stepped through, deciding their target: the rest
+    /// of `walks_replayed` and `walks_recomputed` were carried over from
+    /// the memo's log whole, unvisited.
+    pub walks_examined: u64,
+    /// The members of those walks, in pass order.
+    #[cfg(test)]
+    pub examined: Vec<usize>,
 }
 
 /// The previous greedy-only pass over the same group, in the form the
@@ -277,6 +342,38 @@ pub(crate) struct GraftPass {
 ///   dirty, that is on the tree now, or that is the logged terminal —
 ///   and it is the logged path, whole, exactly when that node is the
 ///   terminal and the terminal is on the tree.
+///
+/// **Which walks a pass visits.** When the pass edits a tree that keeps
+/// the memo's grafts, it does not step through the log: a logged walk
+/// is copied whole, unvisited, unless the change reaches it. Both sets
+/// start equal — the old pass's tree and the new one, before any walk,
+/// are the two §2 trees — and a walk copied whole puts the same nodes on
+/// both, so they differ only by what the §2 edit changed and by the
+/// walks the pass visited. A logged walk of `s` can therefore be other
+/// than the one above only if
+///
+/// 1. `s` became or stopped being stranded (the §2 construction names
+///    these members), or is on the tree before its turn — which rule 4
+///    finds, `s` being a support node of its own walk;
+/// 2. a node of its path is `dirty` (its support entry names the walk);
+/// 3. its target or terminal left the tree: a §2 node the edit dropped,
+///    or a node of a visited walk's logged path that its new walk did
+///    not take again — the walks by end (`ends`) name every walk such a
+///    node can reach;
+/// 4. a node of its path joined the tree before its turn: a `fresh`
+///    node, from the §2 edit or from a walk visited earlier in the same
+///    pass, that is a support node of the walk;
+/// 5. a `fresh` node beats its target, which is tested for every walk
+///    while `fresh` is non-empty, and every walk is visited once `fresh`
+///    outgrows its bound.
+///
+/// A stranded member without a logged walk of its own — one that became
+/// stranded, or one an old walk ran through that is off the tree at its
+/// turn (rule 3 names it with the node) — is visited too. Every rule
+/// names a later member, so one ascending pass over the memo's log and
+/// the members named as it goes visits all of them; the log's other
+/// walks, their support entries, their links and their entries by end
+/// are carried over as runs.
 pub(crate) struct GraftMemo<'a> {
     /// The old pass's support set, sorted; `walk_of` is parallel to it.
     pub support: &'a [usize],
@@ -284,6 +381,8 @@ pub(crate) struct GraftMemo<'a> {
     /// node.
     pub walk_of: &'a [u32],
     pub log: &'a WalkLog,
+    /// The walks of `log` by their ends (`GraftPass::ends`).
+    pub ends: &'a [(u32, u32)],
     /// The old grafted tree.
     pub tree: &'a MulticastTree,
     /// Every old support node whose adjacency row may have changed
@@ -291,24 +390,22 @@ pub(crate) struct GraftMemo<'a> {
     pub dirty: &'a [usize],
 }
 
-impl GraftMemo<'_> {
-    /// `true` if `p` was on the old tree once the old pass was done
-    /// with stranded member `after` — before any walk, for `None`. (A
-    /// greedy-only pass attaches every node it consults, so the walks'
-    /// share of the old tree is its support and the rest of it is what
-    /// the old §2 construction reached.)
-    fn on_tree_after(&self, p: usize, after: Option<usize>) -> bool {
-        match self.support.binary_search(&p) {
-            Ok(at) => after.is_some_and(|s| self.walk_of[at] as usize <= s),
-            Err(_) => self.tree.is_reached(p),
-        }
-    }
-}
-
 /// Past this many `fresh` nodes a pass stops replaying targets: each
 /// replayed target costs one distance per fresh node, a searched one a
-/// few grid cells.
+/// scan of the on-tree nodes or a few grid cells.
 const MAX_FRESH: usize = 32;
+
+/// How the running pass takes the target of a walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Target {
+    /// The memo's logged target.
+    Logged(usize),
+    /// A fresh node that beats the logged target: the nearest on-tree
+    /// node, since no node the old pass had on its tree does.
+    Fresh(usize),
+    /// Nothing the memo decides: the on-tree set is searched.
+    Search,
+}
 
 /// A memo plus what the running pass has put on its tree that the old
 /// pass did not have there at the same point.
@@ -316,68 +413,115 @@ struct Replay<'a> {
     memo: &'a GraftMemo<'a>,
     /// `memo.dirty`, one bit per peer.
     dirty: PeerBits,
-    /// The first walk of the memo's log whose member the pass has not
-    /// passed yet.
-    next: usize,
     fresh: Vec<usize>,
+    /// `true` when the pass carries the memo's walks the change does not
+    /// reach; then `pending` holds the members whose walks it must visit
+    /// that the pass has not reached yet.
+    carry: bool,
+    pending: BinaryHeap<Reverse<usize>>,
 }
 
 impl<'a> Replay<'a> {
-    /// Starts replaying `memo` in a pass over `n` peers that finds
-    /// `reached` on the tree.
-    fn new(memo: &'a GraftMemo<'a>, n: usize, reached: &[usize]) -> Self {
-        let mut replay = Replay {
+    fn new(memo: &'a GraftMemo<'a>, n: usize, carry: bool) -> Self {
+        Replay {
             memo,
             dirty: PeerBits::from_peers(n, memo.dirty),
-            next: 0,
             fresh: Vec::new(),
-        };
-        for &p in reached {
-            replay.note_on_tree(p, None);
+            carry,
+            pending: BinaryHeap::new(),
         }
-        replay
     }
 
-    /// Notes that `p` is on the tree from now on — the pass is about to
-    /// walk (`after == None`, §2-reached nodes) or has just attached a
-    /// path of stranded member `after`.
+    /// Notes that `p` is on the tree from now on — from the start
+    /// (`after == None`, §2 nodes) or since the walk of stranded member
+    /// `after`. It is fresh unless the old tree had it there too: a
+    /// greedy-only pass attaches every node it consults, so the walks'
+    /// share of the old tree is its support and the rest of it is what
+    /// the old §2 construction reached. A fresh support node crosses the
+    /// walk that attached it, which is to come: rule 4.
     fn note_on_tree(&mut self, p: usize, after: Option<usize>) {
-        if self.fresh.len() <= MAX_FRESH && !self.memo.on_tree_after(p, after) {
+        let crossed = match self.memo.support.binary_search(&p) {
+            Ok(at) => {
+                let walk = self.memo.walk_of[at] as usize;
+                if after.is_some_and(|s| walk <= s) {
+                    return;
+                }
+                Some(walk)
+            }
+            Err(_) if self.memo.tree.is_reached(p) => return,
+            Err(_) => None,
+        };
+        if self.fresh.len() <= MAX_FRESH {
             self.fresh.push(p);
         }
+        if let Some(walk) = crossed.filter(|_| self.carry) {
+            self.pending.push(Reverse(walk));
+        }
     }
 
-    /// The logged walk of stranded member `s` and its target, when the
-    /// memo decides that target. The pass asks in ascending `s`.
+    /// Notes that `p`, on the old tree since the walk of `after` (or
+    /// from the start), is not on the new one now: rule 3. The walks it
+    /// ended are to be visited, and so is `p` when it is a stranded
+    /// member the old pass walked through.
+    fn note_gone(&mut self, p: usize, after: Option<usize>, stranded: bool) {
+        let ends = self.memo.ends;
+        let from = ends.partition_point(|&(node, _)| node < id(p));
+        let reached = ends[from..].iter().take_while(|&&(node, _)| node == id(p));
+        for &(_, m) in reached {
+            let m = m as usize;
+            if after.is_none_or(|s| m > s) {
+                self.pending.push(Reverse(m));
+            }
+        }
+        if stranded && after.is_some_and(|s| p > s) {
+            self.pending.push(Reverse(p));
+        }
+    }
+
+    /// How stranded member `s`, whose logged walk is `w` if the log holds
+    /// one, takes its target. The logged target stands when it is on the
+    /// tree and no fresh node beats it (see [`Replay::beating`]).
     fn target(
-        &mut self,
+        &self,
         peers: &[PeerInfo],
         metric: MetricKind,
         on_tree: &PeerBits,
+        w: Option<usize>,
         s: usize,
-    ) -> Option<(usize, usize)> {
-        let log = self.memo.log;
-        while self.next < log.len() && log.member(self.next) < s {
-            self.next += 1;
-        }
-        let w = self.next;
-        if self.fresh.len() > MAX_FRESH || w == log.len() || log.member(w) != s {
-            return None;
-        }
-        let recorded = log.target(w);
+    ) -> Target {
+        let Some(w) = w.filter(|_| self.fresh.len() <= MAX_FRESH) else {
+            return Target::Search;
+        };
+        let recorded = self.memo.log.target(w);
         if !on_tree.contains(recorded) {
-            return None;
+            return Target::Search;
         }
+        match self.beating(peers, metric, recorded, s) {
+            Some(fresh) => Target::Fresh(fresh),
+            None => Target::Logged(recorded),
+        }
+    }
+
+    /// The fresh node nearest to `s` if it beats `recorded`, the logged
+    /// target of `s`'s walk, which is on the tree: then it is the
+    /// target. A stale fresh node — on the old tree by now too — never
+    /// beats the logged target, the minimum over that tree.
+    fn beating(
+        &self,
+        peers: &[PeerInfo],
+        metric: MetricKind,
+        recorded: usize,
+        s: usize,
+    ) -> Option<usize> {
         if self.fresh.is_empty() {
-            return Some((w, recorded));
+            return None;
         }
         let sp = peers[s].point();
-        let best = metric.dist(peers[recorded].point(), sp);
-        let beaten = self.fresh.iter().any(|&f| {
-            let dist = metric.dist(peers[f].point(), sp);
-            dist < best || (dist == best && f < recorded)
-        });
-        (!beaten).then_some((w, recorded))
+        let logged = (metric.dist(peers[recorded].point(), sp), recorded);
+        let best = (self.fresh.iter())
+            .map(|&f| (metric.dist(peers[f].point(), sp), f))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))?;
+        (best < logged).then_some(best.1)
     }
 
     /// Walks logged walk `w`, whose target the pass has just taken, as
@@ -430,8 +574,9 @@ enum Followed {
 /// incremental engine records about it, optionally replaying the
 /// walks of the group's previous pass (see [`GraftMemo`]). It grafts in
 /// the edit that makes `section2`'s tree; when that edit starts from
-/// the previous tree with its grafts kept ([`Section2::grafts`]), only
-/// what the walks changed is dropped and added.
+/// the previous tree with its grafts kept ([`Section2::grafts`]), the
+/// pass visits only the walks the change reaches and only what they
+/// changed is dropped and added.
 pub(crate) fn graft_pass(
     store: &TopologyStore,
     section2: Section2,
@@ -445,130 +590,110 @@ pub(crate) fn graft_pass(
         mut edit,
         grafts,
         zones,
+        members,
         stranded,
     } = section2;
     assert_eq!(store.len(), len, "store/tree size mismatch");
+    let carry = matches!(stranded, Stranded::Changed(_));
     debug_assert!(
-        !grafts || memo.is_some(),
-        "a base keeps the grafts of the walks it replays"
+        grafts == carry && (!grafts || memo.is_some()),
+        "a base keeps the grafts of the walks it replays, and only then is the stranding a change"
     );
-    let mut pass = GraftPass::default();
+    let prior = memo.filter(|_| grafts);
 
-    // The on-tree set while paths are being discovered: a bit mask for
-    // the per-hop tests, growing as paths are found, and a grid for the
-    // nearest-node query, built at the first walk that searches for its
-    // target and brought up to date with the log's walks (the second
-    // field counts them) at each search. It starts as the §2 tree's
+    // The on-tree set while paths are being discovered, one bit per
+    // peer, growing as paths are found. It starts as the §2 tree's
     // nodes, the peers holding a zone; the tree takes the log's links in
     // one edit at the end.
-    let reached: Vec<usize> = zones.peers().collect();
-    let mut on_tree = PeerBits::from_peers(store.len(), &reached);
-    let mut index: Option<(OnTreeIndex, usize)> = None;
-    let mut replay = memo
-        .filter(|_| !stranded.is_empty())
-        .map(|memo| Replay::new(memo, store.len(), &reached));
-    let mut log = WalkLog::default();
-    // Per walk of `log`: copied whole from the memo's log. Per walk of
-    // the memo's log: copied whole into `log`.
-    let mut whole: Vec<bool> = Vec::new();
-    let mut spliced = vec![false; memo.map_or(0, |memo| memo.log.len())];
-    let mut walk = Walk::default();
-    let report = &mut pass.report;
-
-    for &s in &stranded {
-        if on_tree.contains(s) {
-            // An earlier graft path already routed through this member.
-            continue;
-        }
-        let logged = replay
-            .as_mut()
-            .and_then(|r| r.target(store.peers(), metric, &on_tree, s));
-        let target = if let Some((_, recorded)) = logged {
-            pass.walks_replayed += 1;
-            Some(recorded)
-        } else {
-            pass.walks_recomputed += 1;
-            let (index, indexed) = index.get_or_insert_with(|| {
-                let index = OnTreeIndex::new(store.peers(), metric, &reached, &stranded);
-                (index, 0)
-            });
-            for at in log.attached(*indexed) {
-                index.insert(log.nodes[at] as usize);
-            }
-            *indexed = log.len();
-            index.nearest(s)
-        };
-        let Some(target) = target else {
-            report.unreachable += 1;
-            continue;
-        };
-        walk.path.clear();
-        walk.path.push(s);
-        let followed = match (logged, &replay) {
-            (Some((w, _)), Some(replay)) => replay.follow(w, &on_tree, &mut walk.path, report),
-            _ => Followed::Diverged,
-        };
-        let found = match followed {
-            Followed::Whole => {
-                let (w, _) = logged.expect("a walk copied from the log was logged");
-                spliced[w] = true;
-                pass.walks_spliced += 1;
-                true
-            }
-            Followed::Sooner => true,
-            Followed::Diverged => discover_path(store, metric, &on_tree, target, &mut walk, report),
-        };
-        if !found {
-            report.unreachable += 1;
-            continue;
-        }
-        // path[0] = s, path[last] on-tree; everything before it is new.
-        let grafted = &walk.path[..walk.path.len() - 1];
-        for &p in grafted {
-            on_tree.insert(p);
-        }
-        if let (Followed::Diverged, Some(replay)) = (followed, &mut replay) {
-            // A node of `s`'s logged path was on the old tree after `s`
-            // too; only a stepped one can be fresh.
-            for &p in grafted {
-                replay.note_on_tree(p, Some(s));
-            }
-        }
-        log.push(s, target, &walk.path);
-        whole.push(followed == Followed::Whole);
-        report.grafted += 1;
+    let mut on_tree = PeerBits::from_peers(store.len(), std::iter::empty());
+    for p in zones.peers() {
+        on_tree.insert(p);
     }
+    let (changed, stranded) = match stranded {
+        Stranded::Changed(changed) => (Some(changed), Vec::new()),
+        Stranded::All(stranded) => (None, stranded),
+    };
+    let mut pass = Pass {
+        store,
+        metric,
+        zones: &zones,
+        section2: on_tree.clone(),
+        on_tree,
+        replay: memo.map(|memo| Replay::new(memo, store.len(), carry)),
+        // About the memo's walks again, as a rule.
+        log: memo.map_or_else(WalkLog::default, |memo| WalkLog {
+            walks: Vec::with_capacity(memo.log.walks.len() + 8),
+            nodes: Vec::with_capacity(memo.log.nodes.len() + 32),
+        }),
+        added: Vec::new(),
+        added_ends: Vec::new(),
+        carry,
+        walk: Walk::default(),
+        unreachable: Vec::new(),
+        searches: 0,
+        index: None,
+        joining: &stranded,
+        out: GraftPass::default(),
+    };
+    let refused = match (changed, prior) {
+        (Some(changed), Some(memo)) => pass.replay_reached(memo, &edit, &members, changed),
+        (None, _) => {
+            if let Some(replay) = &mut pass.replay {
+                for p in zones.peers() {
+                    replay.note_on_tree(p, None);
+                }
+            }
+            for &s in &stranded {
+                let w = memo.and_then(|memo| memo.log.walk(s));
+                pass.visit(s, w);
+            }
+            Vec::new()
+        }
+        (Some(_), None) => unreachable!("a stranding change comes with a memo"),
+    };
+    let Pass {
+        log,
+        mut added,
+        added_ends,
+        walk,
+        unreachable,
+        out: mut pass,
+        ..
+    } = pass;
 
     // The grafts join the tree in one edit of the base, with the §2
     // construction's changes. A base that keeps the memo's grafts holds
-    // every walk copied whole already, and loses the nodes of the memo's
-    // other walks; any other base takes every walk. Each added node is
-    // keyed by id, with its walk's member and its parent, the node after
-    // it on its path.
-    let prior = memo.filter(|_| grafts);
-    let mut added: Vec<(u32, u32, u32)> = Vec::new();
-    for w in (0..log.len()).filter(|&w| prior.is_none() || !whole[w]) {
-        let member = id(log.member(w));
-        added.extend(log.path(w).windows(2).map(|hop| (hop[0], member, hop[1])));
-    }
+    // every walk the pass did not refuse already, and loses the nodes of
+    // the memo's walks it refused; any other base takes every walk. Each
+    // added node is keyed by id, with its walk's member and its parent,
+    // the node after it on its path.
     added.sort_unstable();
-    let refused: Vec<u32> = prior.map_or_else(Vec::new, |memo| {
-        (0..memo.log.len())
-            .filter(|&w| !spliced[w])
-            .map(|w| id(memo.log.member(w)))
-            .collect()
-    });
-    let (kept, kept_walk_of) =
-        prior.map_or((&[][..], &[][..]), |memo| (memo.support, memo.walk_of));
-    let merged = Merged::of(kept, kept_walk_of, &refused, &added, &stranded);
-    pass.report.relays = merged.relays.len();
+    let (kept, kept_walk_of, dropped) = match prior {
+        Some(memo) => {
+            let mut dropped: Vec<usize> = (refused.iter())
+                .flat_map(|&w| {
+                    let path = memo.log.path(w);
+                    path[..path.len() - 1].iter().map(|&p| p as usize)
+                })
+                .collect();
+            dropped.sort_unstable();
+            (memo.support, memo.walk_of, dropped)
+        }
+        None => (&[][..], &[][..], Vec::new()),
+    };
+    let merged = Merged::of(kept, kept_walk_of, &dropped, &added);
+    // A support node holds no zone, so it is a relay unless it is a
+    // member.
+    let mut relays = Vec::with_capacity(merged.support.len());
+    relays.extend((merged.support.iter().copied()).filter(|&p| !members.contains(p)));
+    pass.report.relays = relays.len();
     edit.links.extend(
         added
             .iter()
             .map(|&(node, _, up)| (node as usize, up as usize)),
     );
-    if !merged.dropped.is_empty() {
-        edit.dropped.extend_from_slice(&merged.dropped);
+    if !dropped.is_empty() {
+        edit.dropped.extend_from_slice(&dropped);
         edit.dropped.sort_unstable();
     }
     let (tree, touched) = match base {
@@ -585,6 +710,21 @@ pub(crate) fn graft_pass(
         // Tier 1 reads the row of each node it attaches, once (a walk
         // stops at the first on-tree node, and everything it walked is
         // on the tree afterwards), and no other row.
+        pass.ends = match prior {
+            Some(memo) => {
+                let mut gone: Vec<(u32, u32)> =
+                    refused.iter().flat_map(|&w| memo.log.ends(w)).collect();
+                gone.sort_unstable();
+                let mut came = added_ends;
+                came.sort_unstable();
+                splice_sorted(memo.ends, &gone, &came)
+            }
+            None => {
+                let mut ends: Vec<(u32, u32)> = (0..log.len()).flat_map(|w| log.ends(w)).collect();
+                ends.sort_unstable();
+                ends
+            }
+        };
         pass.support = merged.support;
         pass.walk_of = merged.walk_of;
         pass.log = log;
@@ -603,11 +743,9 @@ pub(crate) fn graft_pass(
     let build = BuildResult {
         messages: zones.len() - 1,
         tree,
-        stranded: (stranded.into_iter())
-            .filter(|&m| !on_tree.contains(m))
-            .collect(),
+        stranded: unreachable,
         zones,
-        relays: merged.relays,
+        relays,
     };
     // On every tier a path node's row was read by the walk that attached
     // it: the engine finds a group's relays among its support nodes.
@@ -621,19 +759,338 @@ pub(crate) fn graft_pass(
     (build, pass)
 }
 
-/// A pass's grafts merged with those its base tree keeps: one walk over
-/// both sorted lists.
+/// One graft pass under way.
+struct Pass<'a> {
+    store: &'a TopologyStore,
+    metric: MetricKind,
+    /// The §2 construction's zones: their peers are its tree's nodes.
+    zones: &'a Zones,
+    on_tree: PeerBits,
+    /// The §2 tree's nodes: `on_tree` before any walk.
+    section2: PeerBits,
+    replay: Option<Replay<'a>>,
+    log: WalkLog,
+    /// `(node, member, parent)` of every link the pass adds to its base.
+    added: Vec<(u32, u32, u32)>,
+    /// The entries by end of the walks whose links those are.
+    added_ends: Vec<(u32, u32)>,
+    /// `true` when the base keeps the memo's grafts: a walk copied whole
+    /// adds nothing.
+    carry: bool,
+    walk: Walk,
+    /// Stranded members with no overlay path to the tree, ascending.
+    unreachable: Vec<usize>,
+    /// Target searches so far, and the grid of the on-tree nodes once
+    /// they are many, with the number of `log`'s walks it holds.
+    searches: usize,
+    index: Option<(OnTreeIndex<'a>, usize)>,
+    /// The stranded members, when the pass is handed them all: the grid
+    /// is sized for them to join it.
+    joining: &'a [usize],
+    out: GraftPass,
+}
+
+impl Pass<'_> {
+    /// Walks stranded member `s` to the tree as the pass without a memo
+    /// does, taking its target and as much of its path as the memo
+    /// decides from `s`'s logged walk `w`, if the log holds one. Returns
+    /// how far the logged walk carried it; `None` when no walk was made:
+    /// `s` was on the tree already (an earlier graft path routed through
+    /// it), or cannot reach it.
+    fn visit(&mut self, s: usize, w: Option<usize>) -> Option<Followed> {
+        if self.on_tree.contains(s) {
+            return None;
+        }
+        let peers = self.store.peers();
+        let decided = (self.replay.as_ref()).map_or(Target::Search, |r| {
+            r.target(peers, self.metric, &self.on_tree, w, s)
+        });
+        self.out.walks_examined += 1;
+        #[cfg(test)]
+        self.out.examined.push(s);
+        let target = match decided {
+            Target::Logged(target) => {
+                self.out.walks_replayed += 1;
+                Some(target)
+            }
+            Target::Fresh(target) => {
+                self.out.walks_recomputed += 1;
+                Some(target)
+            }
+            Target::Search => {
+                self.out.walks_recomputed += 1;
+                self.nearest(s)
+            }
+        };
+        let Some(target) = target else {
+            self.out.report.unreachable += 1;
+            self.unreachable.push(s);
+            return None;
+        };
+        let walk = &mut self.walk;
+        walk.path.clear();
+        walk.path.push(s);
+        let followed = match (decided, &self.replay, w) {
+            (Target::Logged(_), Some(replay), Some(w)) => {
+                replay.follow(w, &self.on_tree, &mut walk.path, &mut self.out.report)
+            }
+            _ => Followed::Diverged,
+        };
+        let found = match followed {
+            Followed::Whole => {
+                self.out.walks_spliced += 1;
+                true
+            }
+            Followed::Sooner => true,
+            Followed::Diverged => {
+                let report = &mut self.out.report;
+                discover_path(self.store, self.metric, &self.on_tree, target, walk, report)
+            }
+        };
+        if !found {
+            self.out.report.unreachable += 1;
+            self.unreachable.push(s);
+            return None;
+        }
+        // path[0] = s, path[last] on-tree; everything before it is new.
+        let grafted = &walk.path[..walk.path.len() - 1];
+        for &p in grafted {
+            self.on_tree.insert(p);
+        }
+        if let (Followed::Diverged, Some(replay)) = (followed, &mut self.replay) {
+            // A node of `s`'s logged path was on the old tree after `s`
+            // too; only a stepped one can be fresh.
+            for &p in grafted {
+                replay.note_on_tree(p, Some(s));
+            }
+        }
+        self.log.push(s, target, &walk.path);
+        if !(self.carry && followed == Followed::Whole) {
+            let member = id(s);
+            (self.added).extend(
+                walk.path
+                    .windows(2)
+                    .map(|hop| (id(hop[0]), member, id(hop[1]))),
+            );
+            self.added_ends.extend(self.log.ends(self.log.len() - 1));
+        }
+        self.out.report.grafted += 1;
+        Some(followed)
+    }
+
+    /// Copies walks `walks` of `from`, none of which the change reaches,
+    /// whole: their nodes join the tree, and the walks the log.
+    fn carry(&mut self, from: &WalkLog, walks: Range<usize>) {
+        if walks.is_empty() {
+            return;
+        }
+        let nodes = from.start(walks.start)..from.walks[walks.end - 1].end as usize;
+        if cfg!(debug_assertions) {
+            let replay = self.replay.as_ref().expect("a memo to replay");
+            for w in walks.clone() {
+                let (attached, terminal) = from.path(w).split_at(from.path(w).len() - 1);
+                let on_tree = &mut self.on_tree;
+                assert!(
+                    on_tree.contains(from.target(w))
+                        && on_tree.contains(terminal[0] as usize)
+                        && (attached.iter()).all(|&p| {
+                            !on_tree.contains(p as usize) && !replay.dirty.contains(p as usize)
+                        }),
+                    "walk of {} carried whole, yet the change reaches it",
+                    from.member(w)
+                );
+                for &p in attached {
+                    on_tree.insert(p as usize);
+                }
+            }
+        }
+        for &p in &from.nodes[nodes.clone()] {
+            self.on_tree.insert(p as usize);
+        }
+        let count = walks.len();
+        self.out.report.grafted += count;
+        self.out.report.route_hops += nodes.len() - count;
+        self.out.walks_replayed += count as u64;
+        self.out.walks_spliced += count as u64;
+        self.log.extend_from(from, walks);
+    }
+
+    /// The pass over a base that keeps `memo`'s grafts: every walk the
+    /// change reaches visited, in ascending member order, every other
+    /// one carried whole (see [`GraftMemo`]). `edit` is the §2
+    /// construction's, `changed` the members whose stranding it changed.
+    /// Returns the memo's walks the pass refused, ascending.
+    fn replay_reached(
+        &mut self,
+        memo: &GraftMemo,
+        edit: &TreeEdit,
+        members: &PeerBits,
+        changed: Vec<usize>,
+    ) -> Vec<usize> {
+        let replay = self.replay.as_mut().expect("a memo to replay");
+        // Rule 1: the members whose stranding changed.
+        replay.pending.extend(changed.into_iter().map(Reverse));
+        // Rule 2: walks through a dirty node.
+        for &d in memo.dirty {
+            if let Ok(at) = memo.support.binary_search(&d) {
+                replay.pending.push(Reverse(memo.walk_of[at] as usize));
+            }
+        }
+        // The §2 edit. A node it links is new on the §2 tree or relinked
+        // on it: only a new one can be fresh (rules 4, 5). A node it
+        // drops and does not link again has left the tree (rule 3); were
+        // it a stranded member now, it would be among `changed`.
+        for &(c, _) in &edit.links {
+            replay.note_on_tree(c, None);
+        }
+        for &p in &edit.dropped {
+            if !self.section2.contains(p) {
+                replay.note_gone(p, None, false);
+            }
+        }
+
+        let log = memo.log;
+        let mut refused = Vec::new();
+        let mut w = 0;
+        loop {
+            let replay = self.replay.as_ref().expect("a memo to replay");
+            let bound = replay.pending.peek().map_or(usize::MAX, |&Reverse(m)| m);
+            debug_assert!(
+                w == 0 || log.member(w - 1) < bound,
+                "every rule names a member the pass has yet to reach"
+            );
+            let from = w;
+            if replay.fresh.is_empty() {
+                w += log.walks[w..].partition_point(|walk| (walk.member as usize) < bound);
+            } else {
+                while w < log.len() && log.member(w) < bound && self.carries(w) {
+                    w += 1;
+                }
+            }
+            self.carry(log, from..w);
+            let s = match (w < log.len()).then(|| log.member(w)) {
+                Some(m) if m < bound => m,
+                _ if bound == usize::MAX => break,
+                _ => bound,
+            };
+            let replay = self.replay.as_mut().expect("a memo to replay");
+            while replay.pending.peek() == Some(&Reverse(s)) {
+                replay.pending.pop();
+            }
+            let at = (w < log.len() && log.member(w) == s).then(|| {
+                w += 1;
+                w - 1
+            });
+            let stranded = members.contains(s)
+                && !self.section2.contains(s)
+                && !self.store.is_departed(PeerId(s as u64));
+            let followed = if stranded { self.visit(s, at) } else { None };
+            let Some(at) = at.filter(|_| followed != Some(Followed::Whole)) else {
+                continue;
+            };
+            refused.push(at);
+            let path = log.path(at);
+            let replay = self.replay.as_mut().expect("a memo to replay");
+            for &p in &path[..path.len() - 1] {
+                let p = p as usize;
+                if !self.on_tree.contains(p) {
+                    let stranded = members.contains(p) && !self.store.is_departed(PeerId(p as u64));
+                    replay.note_gone(p, Some(s), stranded);
+                }
+            }
+        }
+        refused
+    }
+
+    /// `true` if logged walk `w`, which no other rule names, is copied
+    /// whole: `fresh` is within its bound and none of it beats the
+    /// walk's target (rule 5).
+    fn carries(&self, w: usize) -> bool {
+        let replay = self.replay.as_ref().expect("a memo to replay");
+        let log = replay.memo.log;
+        replay.fresh.len() <= MAX_FRESH
+            && (replay.beating(
+                self.store.peers(),
+                self.metric,
+                log.target(w),
+                log.member(w),
+            ))
+            .is_none()
+    }
+
+    /// The target of stranded member `s`'s walk, searched for: the
+    /// on-tree node nearest to it by `(distance, index)`. The first few
+    /// searches of a pass scan the on-tree nodes; a pass that keeps
+    /// searching — one that replays nothing, as a rule — builds a grid of
+    /// them once ([`OnTreeIndex`]) and brings it up to date with the
+    /// log's walks at each search after.
+    fn nearest(&mut self, s: usize) -> Option<usize> {
+        let peers = self.store.peers();
+        self.searches += 1;
+        if self.index.is_none() && self.searches <= SCANNED_SEARCHES {
+            // A terminal is on the tree, so listed twice: no matter.
+            let sp = peers[s].point();
+            let nodes = (self.zones.peers()).chain(self.log.nodes.iter().map(|&p| p as usize));
+            return nodes
+                .map(|p| (self.metric.dist(peers[p].point(), sp), p))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                .map(|(_, p)| p);
+        }
+        let (index, indexed) = self.index.get_or_insert_with(|| {
+            let reached: Vec<usize> = self.zones.peers().collect();
+            let index = OnTreeIndex::new(peers, self.metric, &reached, self.joining);
+            (index, 0)
+        });
+        for at in self.log.attached(*indexed) {
+            index.insert(self.log.nodes[at] as usize);
+        }
+        *indexed = self.log.len();
+        index.nearest(s)
+    }
+}
+
+/// Searches a pass makes by scanning its on-tree nodes before it builds
+/// a grid of them: a scan costs a distance per node, the grid about as
+/// much as this many scans, and a search in it a few cells.
+const SCANNED_SEARCHES: usize = 8;
+
+/// `old`, sorted, without the entries of `gone` (sorted, each in `old`)
+/// and with those of `came` (sorted, none in what stays), merged: the
+/// runs of `old` between two changes are copied whole.
+fn splice_sorted<T: Ord + Copy>(old: &[T], gone: &[T], came: &[T]) -> Vec<T> {
+    let mut out = Vec::with_capacity(old.len() + came.len() - gone.len().min(old.len()));
+    let (mut gone, mut came) = (gone.iter().peekable(), came.iter().peekable());
+    let mut slot = 0;
+    loop {
+        let next = match (gone.peek(), came.peek()) {
+            (Some(&&g), Some(&&c)) => Some(g.min(c)),
+            (g, c) => g.or(c).copied().copied(),
+        };
+        let end = next.map_or(old.len(), |next| {
+            slot + old[slot..].partition_point(|&e| e < next)
+        });
+        out.extend_from_slice(&old[slot..end]);
+        slot = end;
+        let Some(next) = next else {
+            return out;
+        };
+        if gone.next_if(|&&g| g == next).is_some() {
+            debug_assert!(old.get(slot) == Some(&next), "a gone entry is not there");
+            slot += 1;
+        }
+        if let Some(&c) = came.next_if(|&&c| c == next) {
+            out.push(c);
+        }
+    }
+}
+
+/// A pass's grafts merged with those its base tree keeps.
 #[derive(Default)]
 struct Merged {
     /// Every node on a graft path but the terminals, ascending, and,
     /// parallel, the member whose walk attached it.
     support: Vec<usize>,
     walk_of: Vec<u32>,
-    /// Those that are no stranded member: they only forward.
-    relays: Vec<usize>,
-    /// Kept nodes whose walk the pass did not copy: they leave the tree
-    /// or are linked anew.
-    dropped: Vec<usize>,
     /// The dropped nodes no walk attached again, and the added nodes
     /// that were not kept: what leaves the support set and what enters.
     retired: Vec<usize>,
@@ -642,70 +1099,58 @@ struct Merged {
 
 impl Merged {
     /// Merges `kept` — the grafts the base tree holds, ascending, each
-    /// with the member of its walk in `kept_walk_of` — with `added`,
-    /// sorted by node. A kept node of a `refused` member's walk is
-    /// dropped, every other one stays; `stranded` tells members from
-    /// relays.
+    /// with the member of its walk in `kept_walk_of` — less `dropped`
+    /// (sorted, each kept) with `added`, sorted by node: the runs of kept
+    /// entries between two changes are copied whole.
     fn of(
         kept: &[usize],
         kept_walk_of: &[u32],
-        refused: &[u32],
+        dropped: &[usize],
         added: &[(u32, u32, u32)],
-        stranded: &[usize],
     ) -> Self {
         let capacity = kept.len() + added.len();
         let mut merged = Merged {
             support: Vec::with_capacity(capacity),
             walk_of: Vec::with_capacity(capacity),
-            relays: Vec::with_capacity(capacity),
             ..Merged::default()
         };
-        let mut old = kept
-            .iter()
-            .copied()
-            .zip(kept_walk_of.iter().copied())
-            .peekable();
+        let mut gone = dropped.iter().copied().peekable();
         let mut new = (added.iter())
             .map(|&(node, member, _)| (node as usize, member))
             .peekable();
-        let mut members = stranded.iter().copied().peekable();
+        let mut slot = 0;
         loop {
-            let from_old = match (old.peek(), new.peek()) {
-                (None, None) => break,
-                (Some(o), Some(n)) => o.0 <= n.0,
-                (o, _) => o.is_some(),
+            let next = match (gone.peek(), new.peek()) {
+                (Some(&g), Some(&(n, _))) => Some(g.min(n)),
+                (g, n) => g.copied().or(n.map(|&(n, _)| n)),
             };
-            let (node, member) = if from_old {
-                let (node, member) = old.next().expect("peeked");
-                if refused.binary_search(&member).is_err() {
-                    debug_assert!(
-                        new.peek().is_none_or(|n| n.0 != node),
-                        "a kept graft attached again"
-                    );
-                    (node, member)
-                } else {
-                    merged.dropped.push(node);
-                    match new.next_if(|n| n.0 == node) {
-                        Some(again) => again,
-                        None => {
-                            merged.retired.push(node);
-                            continue;
-                        }
-                    }
-                }
+            let end = next.map_or(kept.len(), |next| {
+                slot + kept[slot..].partition_point(|&k| k < next)
+            });
+            merged.support.extend_from_slice(&kept[slot..end]);
+            merged.walk_of.extend_from_slice(&kept_walk_of[slot..end]);
+            slot = end;
+            let Some(next) = next else {
+                return merged;
+            };
+            let was = gone.next_if_eq(&next).is_some();
+            if was {
+                debug_assert!(kept.get(slot) == Some(&next), "a dropped node is not kept");
+                slot += 1;
             } else {
-                let fresh = new.next().expect("peeked");
-                merged.entered.push(fresh.0);
-                fresh
-            };
-            merged.support.push(node);
-            merged.walk_of.push(member);
-            while members.next_if(|&m| m < node).is_some() {}
-            if members.peek() != Some(&node) {
-                merged.relays.push(node);
+                debug_assert!(kept.get(slot) != Some(&next), "a kept graft attached again");
+            }
+            match new.next_if(|&(n, _)| n == next) {
+                Some((node, member)) => {
+                    if !was {
+                        merged.entered.push(node);
+                    }
+                    merged.support.push(node);
+                    merged.walk_of.push(member);
+                }
+                None => merged.retired.push(next),
             }
         }
-        merged
     }
 }
 
@@ -1280,6 +1725,8 @@ mod tests {
             rows: built.2.clone(),
             touched: &touched,
             grafts_stay: true,
+            support: &built.1.support,
+            relays: &built.0.relays,
         });
         let section2 = member_tree(
             store,
@@ -1318,6 +1765,7 @@ mod tests {
             support: &old_pass.support,
             walk_of: &old_pass.walk_of,
             log: &old_pass.log,
+            ends: &old_pass.ends,
             tree: &old_build.tree,
             dirty: &dirty,
         };
@@ -1602,6 +2050,102 @@ mod tests {
         assert_eq!(pass.log.path(0), &[2, 3, 0]);
         assert_eq!(build.relays, vec![3, 4]);
         assert_eq!(walks(&pass), (2, 0, 1));
+    }
+
+    /// `(spliced, examined members)` of a replayed pass.
+    fn reached(pass: &GraftPass) -> (u64, &[usize]) {
+        (pass.walks_spliced, &pass.examined)
+    }
+
+    #[test]
+    fn reach_a_dirty_path_node_visits_its_walk_alone() {
+        let store = a_walk_that_curves_away();
+        let old = grafted(&store, &[0, 2, 6], None);
+        assert_eq!(old.1.log.path(1), &[6, 4, 0]);
+        let (_, pass) = replayed(&store, &[0, 2, 6], &old, &[4]);
+        assert_eq!(reached(&pass), (1, &[6][..]), "member 2's walk carried");
+    }
+
+    #[test]
+    fn reach_a_terminal_the_section2_edit_dropped() {
+        let store = line_with_a_member_beside_it();
+        // Members 0, 1 and 2 form the §2 tree; member 9 walks down the
+        // line to 2, member 10 from beside position 5 onto that path.
+        let old = grafted(&store, &[0, 1, 2, 9, 10], None);
+        assert_eq!(old.0.relays, vec![3, 4, 5, 6, 7, 8]);
+        assert_eq!(old.1.log.path(0), &[9, 8, 7, 6, 5, 4, 3, 2]);
+        assert_eq!(old.1.log.path(1), &[10, 5]);
+        // Member 2 unsubscribes: the §2 edit drops the terminal of
+        // member 9's walk, which steps on to 1; member 10's walk stands.
+        let (build, pass) = replayed(&store, &[0, 1, 9, 10], &old, &[]);
+        assert_eq!(pass.log.path(0), &[9, 8, 7, 6, 5, 4, 3, 2, 1]);
+        assert_eq!(build.relays, vec![2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(reached(&pass), (1, &[9][..]));
+    }
+
+    #[test]
+    fn reach_a_target_that_left_the_tree() {
+        let store = line_with_a_member_beside_it();
+        let old = grafted(&store, &[0, 9, 10], None);
+        assert_eq!(old.1.log.path(1), &[10, 5]);
+        // Member 9 unsubscribes: its walk goes, and with it position 5,
+        // the target and terminal of member 10's walk. Member 9 is
+        // visited without a walk to decide.
+        let (_, pass) = replayed(&store, &[0, 10], &old, &[]);
+        assert_eq!(reached(&pass), (0, &[10][..]));
+    }
+
+    #[test]
+    fn reach_the_walks_an_earlier_walk_crosses() {
+        let store = a_walk_that_curves_away();
+        let old = grafted(&store, &[0, 2, 6], None);
+        // Member 1 subscribes; its walk 1→3→0 puts peer 3, a node of
+        // member 2's walk, on the tree first. Member 2's walk ends there
+        // now; member 6's, whose target no fresh node beats, is carried.
+        let (_, pass) = replayed(&store, &[0, 1, 2, 6], &old, &[]);
+        assert_eq!(pass.log.path(1), &[2, 3]);
+        assert_eq!(reached(&pass), (1, &[1, 2][..]));
+    }
+
+    #[test]
+    fn reach_a_member_that_is_no_longer_stranded() {
+        // Member 6 unsubscribes: only its own change names its walk,
+        // which goes with nothing to step; member 2's walk is carried.
+        let store = a_walk_that_curves_away();
+        let old = grafted(&store, &[0, 2, 6], None);
+        let (build, pass) = replayed(&store, &[0, 2], &old, &[]);
+        assert_eq!(build.relays, vec![3]);
+        assert_eq!(pass.support_change, Some((vec![4, 6], Vec::new())));
+        assert_eq!(reached(&pass), (1, &[][..]));
+
+        let store = store_from(line(&[0, 1, 2, 3, 4, 5, 6]));
+        let old = grafted(&store, &[0, 2, 6], None);
+        assert_eq!(old.1.log.path(0), &[2, 1, 0]);
+        assert_eq!(old.1.log.path(1), &[6, 5, 4, 3, 2]);
+        // Member 1 subscribes and bridges member 2 onto the §2 tree: the
+        // walk of member 2 goes, nothing is stepped, and member 6's walk,
+        // which ends at 2, is carried.
+        let (build, pass) = replayed(&store, &[0, 1, 2, 6], &old, &[]);
+        assert_eq!(build.relays, vec![3, 4, 5]);
+        assert_eq!(pass.log.len(), 1);
+        assert_eq!(reached(&pass), (1, &[][..]));
+    }
+
+    #[test]
+    fn reach_a_later_walk_whose_target_a_fresh_node_beats() {
+        let store = store_from(uniform_points(14, 2, 100.0, 0).into_points());
+        let members = [0, 3, 5, 7, 8, 9, 11];
+        let old = grafted(&store, &members, None);
+        assert_eq!(old.1.log.path(0), &[8, 5]);
+        assert_eq!(old.1.log.path(1), &[11, 7]);
+        // Peer 2 subscribes and walks to 5. Fresh on the tree, it is
+        // nearer to member 8 than 8's logged target 5, which still
+        // stands, and it crosses no logged walk; member 11's target it
+        // does not beat.
+        let (_, pass) = replayed(&store, &[0, 2, 3, 5, 7, 8, 9, 11], &old, &[]);
+        assert_eq!(pass.log.path(0), &[2, 5]);
+        assert_eq!((pass.log.path(1), pass.log.target(1)), (&[8, 2][..], 2));
+        assert_eq!(reached(&pass), (1, &[2, 8][..]));
     }
 
     #[test]

@@ -51,7 +51,9 @@
 //!   pass searches only where its on-tree set changed and steps only
 //!   where a logged walk diverges, copying every other walk whole from
 //!   the old build's walk log ([`crate::graft`];
-//!   [`EngineTotals::graft_walks_spliced`]). Neither part builds a new
+//!   [`EngineTotals::graft_walks_spliced`]) — and it visits only the
+//!   walks the change reaches, carrying the rest over unvisited
+//!   ([`EngineTotals::graft_walks_examined`]). Neither part builds a new
 //!   tree: the old one is edited, the delegations and walks that
 //!   changed dropped and what replaced them added
 //!   ([`EngineTotals::tree_nodes_touched`]). Consumers that fall
@@ -183,6 +185,10 @@ pub struct RepairCertificate {
     /// The graft's walks in pass order: member, target, path. Empty
     /// when the graft left tier 1.
     walks: WalkLog,
+    /// The walks by their ends: `(node, member)` for each walk's target
+    /// and terminal, sorted — the walks a node that leaves the tree can
+    /// reach. Empty when the graft left tier 1.
+    ends: Vec<(u32, u32)>,
 }
 
 /// A group's complete delivery structure: the (grafted) tree plus the
@@ -297,6 +303,7 @@ impl GroupBuild {
             support: &self.support,
             walk_of: &self.certificate.walk_of,
             log: &self.certificate.walks,
+            ends: &self.certificate.ends,
             tree: &self.build.tree,
             dirty,
         })
@@ -331,6 +338,7 @@ struct Replayed {
     walks_replayed: u64,
     walks_recomputed: u64,
     walks_spliced: u64,
+    walks_examined: u64,
     tree_nodes_touched: u64,
     /// The peers that left the support set and those that entered it,
     /// when the graft pass knows them (`GraftPass::support_change`).
@@ -379,6 +387,7 @@ fn build_group(
             member_rows: built.rows,
             walk_of: pass.walk_of,
             walks: pass.log,
+            ends: pass.ends,
         },
     };
     let replayed = Replayed {
@@ -387,6 +396,7 @@ fn build_group(
         walks_replayed: pass.walks_replayed,
         walks_recomputed: pass.walks_recomputed,
         walks_spliced: pass.walks_spliced,
+        walks_examined: pass.walks_examined,
         tree_nodes_touched: pass.touched as u64,
         support_change: pass.support_change,
     };
@@ -460,6 +470,13 @@ pub struct EngineTotals {
     /// of the group's previous build: no hop was taken for them. A
     /// subset of [`EngineTotals::graft_walks_replayed`].
     pub graft_walks_spliced: u64,
+    /// Graft walks, over all rebuilds, that a pass stepped through to
+    /// decide their target — every walk of a rebuild that replayed
+    /// nothing, and of a replayed one only the walks its change reaches;
+    /// the others are copied over whole, unvisited. A subset of
+    /// [`EngineTotals::graft_walks_replayed`] plus
+    /// [`EngineTotals::graft_walks_recomputed`].
+    pub graft_walks_examined: u64,
     /// §2-reached members, over all rebuilds, whose delegation was the
     /// one the group's previous build recorded: nothing was read or
     /// partitioned for them.
@@ -1599,6 +1616,8 @@ impl GroupEngine {
                 rows,
                 touched: changed.touched,
                 grafts_stay: memo.is_some(),
+                support: &gb.support,
+                relays: &gb.build.relays,
             });
         let (build, replayed) = build_group(
             &self.store,
@@ -1633,6 +1652,7 @@ impl GroupEngine {
         totals.graft_walks_replayed += replayed.walks_replayed;
         totals.graft_walks_recomputed += replayed.walks_recomputed;
         totals.graft_walks_spliced += replayed.walks_spliced;
+        totals.graft_walks_examined += replayed.walks_examined;
         totals.zone_splits_replayed += replayed.splits_replayed;
         totals.zone_splits_recomputed += replayed.splits_recomputed;
         totals.tree_nodes_touched += replayed.tree_nodes_touched;

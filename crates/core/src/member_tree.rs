@@ -112,6 +112,11 @@ pub(crate) struct Recorded<'a> {
     /// members) for the graft pass, which replays the walks that made
     /// them, to keep or drop; `false` drops them.
     pub grafts_stay: bool,
+    /// The previous build's graft support set and relays, both sorted,
+    /// when its grafts stay: its stranded members are the support nodes
+    /// that are no relays.
+    pub support: &'a [usize],
+    pub relays: &'a [usize],
 }
 
 /// One group's §2 tree and what building it read.
@@ -140,8 +145,21 @@ pub(crate) struct Section2<'a> {
     /// The zone of every member the construction reached: the peers of
     /// `zones` are the §2 tree's nodes.
     pub zones: Zones,
-    /// Live members the construction did not reach, ascending.
-    pub stranded: Vec<usize>,
+    /// The group's members — at least its stranded ones: a graft path
+    /// node holds no zone, so it is a member exactly when it is stranded.
+    pub members: PeerBits,
+    pub stranded: Stranded,
+}
+
+/// The members a §2 construction strands, as the graft pass takes them.
+pub(crate) enum Stranded {
+    /// Every live member the construction did not reach, ascending.
+    All(Vec<usize>),
+    /// The members whose stranding changed against the record's —
+    /// those that became stranded and those that no longer are,
+    /// ascending — when the construction replayed a record whose grafts
+    /// stay: the graft pass carries every other walk of the record's.
+    Changed(Vec<usize>),
 }
 
 impl Section2<'_> {
@@ -154,11 +172,14 @@ impl Section2<'_> {
     /// a tree whose grafts are the graft pass's to keep or drop.
     pub(crate) fn into_build(self) -> BuildResult {
         assert!(self.base.is_none(), "a replayed construction is an edit");
+        let Stranded::All(stranded) = self.stranded else {
+            unreachable!("a construction from scratch strands its members anew")
+        };
         let tree = MulticastTree::from_links(self.root, self.len, self.edit.links);
         BuildResult {
             messages: tree.reached_count() - 1,
             tree,
-            stranded: self.stranded,
+            stranded,
             zones: self.zones,
             relays: Vec::new(),
         }
@@ -215,6 +236,9 @@ pub(crate) fn member_tree<'a>(
     }
     let base = recorded.as_ref().map(|r| r.tree);
     let grafts_stay = recorded.as_ref().is_some_and(|r| r.grafts_stay);
+    let (touched, support, relays) = recorded.as_ref().map_or((&[][..], &[][..], &[][..]), |r| {
+        (r.touched, r.support, r.relays)
+    });
     let (record, recorded_rows) = match recorded {
         Some(Recorded {
             tree,
@@ -255,17 +279,36 @@ pub(crate) fn member_tree<'a>(
 
     // Unreached live *members* are the meaningful strandings of a
     // group build; everyone else is simply not part of the session.
-    // Members and reached peers both ascend: one merge walk.
-    let stranded = {
+    let stranded = if run.replayed && grafts_stay {
+        // A member's stranding changes only with its membership (a
+        // touched peer) or with its place on the §2 tree (a node the
+        // edit drops or links); the record's stranded members are its
+        // graft support nodes that are no relays.
+        let mut candidates: Vec<usize> = (run.edit.links.iter())
+            .map(|&(child, _)| child)
+            .chain(run.edit.dropped.iter().copied())
+            .chain(touched.iter().copied())
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates.retain(|&p| {
+            let was = support.binary_search(&p).is_ok() && relays.binary_search(&p).is_err();
+            let is = member_bits.contains(p)
+                && run.zones.get(p).is_none()
+                && !store.is_departed(PeerId(p as u64));
+            was != is
+        });
+        Stranded::Changed(candidates)
+    } else {
+        // Members and reached peers both ascend: one merge walk.
         let mut reached = run.zones.peers().peekable();
-        members
-            .iter()
-            .copied()
+        let all = (members.iter().copied())
             .filter(|&m| {
                 while reached.next_if(|&r| r < m).is_some() {}
                 reached.peek() != Some(&m) && !store.is_departed(PeerId(m as u64))
             })
-            .collect()
+            .collect();
+        Stranded::All(all)
     };
     MemberTree {
         splits_replayed: run.zones.len() as u64 - splits_recomputed,
@@ -277,6 +320,7 @@ pub(crate) fn member_tree<'a>(
             edit: run.edit,
             grafts: run.replayed && grafts_stay,
             zones: run.zones,
+            members: member_bits,
             stranded,
         },
         rows,
@@ -347,6 +391,8 @@ mod tests {
             rows: old.rows.clone(),
             touched: &touched,
             grafts_stay: false,
+            support: &[],
+            relays: &[],
         };
         let replayed = member_tree(&store, 0, &members, &partitioner, Some(recorded));
         let scratch = member_tree(&store, 0, &members, &partitioner, None);
@@ -370,6 +416,9 @@ mod tests {
         let scratch = scratch.section2.into_build();
         assert_eq!(tree, scratch.tree);
         assert_eq!(section2.zones, scratch.zones);
-        assert_eq!(section2.stranded, scratch.stranded);
+        let Stranded::All(stranded) = section2.stranded else {
+            panic!("a record without grafts strands its members anew");
+        };
+        assert_eq!(stranded, scratch.stranded);
     }
 }

@@ -414,6 +414,64 @@ fn a_subscribe_into_a_large_scattered_group_recomputes_a_tenth_of_its_walks() {
     );
 }
 
+/// The re-graft's count-based reach gate (no clock): a churn event that
+/// rebuilds a scattered group of ≥ 150 members steps through at most a
+/// tenth of the graft walks it replays; the rest are copied over from
+/// the previous build's walk log whole, unvisited. Twenty joins and
+/// leaves next to the group's relay paths, every build exact: at most a
+/// tenth of all the walks their rebuilds replay examined, and at least
+/// three in four of the rebuilding events held to a tenth each.
+#[test]
+fn churn_next_to_a_large_scattered_group_examines_a_tenth_of_its_walks() {
+    let n = 1_500;
+    let store = TopologyStore::from_peers(
+        PeerInfo::from_point_set(&uniform_points(n, 2, 1000.0, 23)),
+        Arc::new(EmptyRectSelection),
+    );
+    let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
+    let g = engine.seed_groups(&[160], &mut 0x5ca7_7e2ed_u64)[0];
+    let (mut replayed, mut examined, mut events, mut local) = (0u64, 0u64, 0usize, 0usize);
+    for event in 0..20usize {
+        let relays = engine.relays(g).to_vec();
+        let before = *engine.totals();
+        let rebuilds = engine.rebuild_count(g);
+        if event % 2 == 0 {
+            // Next to a relay, a little off it each time.
+            let relay = engine.store().peers()[relays[event * 37 % relays.len()]].point();
+            let offset = 1.0 + event as f64;
+            let coords = vec![relay[0] + offset, relay[1] - 0.6 * offset];
+            engine.join(Point::new(coords).expect("finite coordinates"));
+        } else {
+            engine.leave(PeerId(relays[event * 53 % relays.len()] as u64));
+        }
+        assert!(engine.members(g).len() > 150);
+        assert!(engine.matches_reference(g), "event {event}: {g} diverged");
+        if engine.rebuild_count(g) == rebuilds {
+            continue;
+        }
+        let after = *engine.totals();
+        let walks = after.graft_walks_replayed - before.graft_walks_replayed;
+        let stepped = after.graft_walks_examined - before.graft_walks_examined;
+        assert!(
+            walks >= 100,
+            "event {event}: the group must strand most of its members, {walks} walks replayed"
+        );
+        events += 1;
+        local += usize::from(10 * stepped <= walks);
+        replayed += walks;
+        examined += stepped;
+    }
+    assert!(events >= 10, "only {events} of 20 events rebuilt the group");
+    assert!(
+        10 * examined <= replayed,
+        "{examined} of {replayed} replayed walks examined"
+    );
+    assert!(
+        4 * local >= 3 * events,
+        "only {local} of {events} rebuilding events examined under a tenth of their walks"
+    );
+}
+
 /// A membership operation changes no overlay row, and the sync before it
 /// re-checked every recorded hop, so its rebuild copies every walk whose
 /// target stands — even one through the neighbours of the peer it moved.

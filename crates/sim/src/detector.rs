@@ -184,6 +184,8 @@ struct RelayProbe {
     requester: NodeId,
     original_seq: u64,
     target: NodeId,
+    /// When the relayed ping went out.
+    made: SimTime,
 }
 
 #[derive(Debug)]
@@ -219,6 +221,10 @@ pub struct DetectorNode {
     /// In-flight probe rounds: a handful at most (one starts per probe
     /// period and lives two probe timeouts), so an unsorted vector.
     probes: Vec<Probe>,
+    /// Pings relayed on a requester's behalf, by their sequence number —
+    /// which is also the order they went out in. An entry leaves when
+    /// its ack comes back, or, once it is older than a probe timeout, at
+    /// the next `PingReq`: the requester has given up on it by then.
     relays: BTreeMap<u64, RelayProbe>,
     /// Armed timers, likewise a handful: the tick, a timeout per
     /// in-flight probe, a suspicion timer per suspect.
@@ -461,6 +467,16 @@ impl Node for DetectorNode {
                 }
             }
             DetectorMsg::PingReq { target, seq } => {
+                // A relayed ping lost on the way, or its ack, leaves its
+                // entry behind; drop the ones a probe timeout old, oldest
+                // first, so they cannot pile up under loss.
+                let now = ctx.now();
+                while let Some(oldest) = self.relays.first_entry() {
+                    if now.since(oldest.get().made) <= self.config.probe_timeout {
+                        break;
+                    }
+                    oldest.remove();
+                }
                 let relay_seq = self.next_seq;
                 self.next_seq += 1;
                 self.relays.insert(
@@ -469,6 +485,7 @@ impl Node for DetectorNode {
                         requester: from,
                         original_seq: seq,
                         target,
+                        made: now,
                     },
                 );
                 ctx.send(target, DetectorMsg::Ping { seq: relay_seq });
@@ -718,6 +735,32 @@ mod tests {
                 "node {i}"
             );
         }
+    }
+
+    /// Under heavy loss many relayed pings, or their acks, never come
+    /// back. Every helper keeps at most the relays of one probe timeout:
+    /// a handful, however long the plane runs.
+    #[test]
+    fn a_helper_whose_relayed_pings_are_lost_stays_bounded() {
+        let members: Vec<NodeId> = (0..8).map(NodeId).collect();
+        let nodes = (0..8)
+            .map(|_| DetectorNode::new(members.clone(), fast_config()))
+            .collect();
+        let mut sim = Simulation::builder(nodes)
+            .seed(5)
+            .latency(ConstantLatency(SimDuration::from_millis(5)))
+            .fault(FaultModel::with_loss(0.3))
+            .build();
+        let mut most = 0;
+        for _ in 0..600 {
+            sim.run_for(SimDuration::from_millis(100));
+            most = most.max(sim.nodes().iter().map(|n| n.relays.len()).max().unwrap());
+        }
+        let relayed = sim.counters().sent_with_tag("ping-req");
+        assert!(relayed > 500, "only {relayed} relay requests in a minute");
+        // At most 7 requesters ask for at most 2 relays a probe period
+        // (100 ms); an entry lives a probe timeout (30 ms).
+        assert!(most <= 14, "a helper held {most} relays");
     }
 
     #[test]
