@@ -1,6 +1,7 @@
 //! Baseline: construction message cost — the §2 algorithm's N−1 versus
 //! overlay flooding (the intro's "send many messages" claim).
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -20,9 +21,11 @@ fn regenerate_and_time(c: &mut Criterion) {
         PeerInfo::from_point_set(&uniform_points(500, 2, 1000.0, 1)),
         Arc::new(EmptyRectSelection),
     );
-    let (peers, overlay) = (store.peers(), store.graph());
+    let overlay = store.graph();
+    let everyone: BTreeSet<usize> = (0..500).collect();
+    let median = OrthantRectPartitioner::median();
     // §2 on the timed input: N − 1 messages, spanning, ≤ 2^D children.
-    let ours = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let ours = build_group_tree_on_store(&store, 0, &everyone, &median);
     let verdict = validate::check_section2(&ours, 500, 2);
     assert!(verdict.all_hold(), "{verdict:?}");
     let mut group = c.benchmark_group("baseline/construction");
@@ -31,12 +34,7 @@ fn regenerate_and_time(c: &mut Criterion) {
         BenchmarkId::from_parameter("space_partitioning_n500"),
         |b| {
             b.iter(|| {
-                build_tree(
-                    std::hint::black_box(peers),
-                    &overlay,
-                    0,
-                    &OrthantRectPartitioner::median(),
-                )
+                build_group_tree_on_store(std::hint::black_box(&store), 0, &everyone, &median)
             });
         },
     );

@@ -28,7 +28,9 @@ fn regenerate_and_time(c: &mut Criterion) {
         );
         let (peers, overlay) = (store.peers(), store.graph());
         // §2 on the timed input: N − 1 messages, spanning, ≤ 2^D children.
-        let offline = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let everyone = (0..n).collect();
+        let median = OrthantRectPartitioner::median();
+        let offline = build_group_tree_on_store(&store, 0, &everyone, &median);
         let verdict = validate::check_section2(&offline, n, 2);
         assert!(verdict.all_hold(), "n={n}: {verdict:?}");
         group.bench_function(BenchmarkId::from_parameter(n), |b| {

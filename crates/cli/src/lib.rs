@@ -492,7 +492,8 @@ fn cmd_tree(inv: &Invocation) -> Result<String, CliError> {
 
     let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
     let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
-    let result = build_tree(store.peers(), &store.graph(), root, &partitioner);
+    let everyone = (0..n).collect();
+    let result = build_group_tree_on_store(&store, root, &everyone, &partitioner);
     let verdict = validate::check_section2(&result, n, dim);
 
     let mut out = String::new();

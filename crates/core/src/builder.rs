@@ -1,7 +1,7 @@
 use std::collections::VecDeque;
 
 use geocast_geom::Rect;
-use geocast_overlay::{OverlayGraph, PeerInfo};
+use geocast_overlay::PeerInfo;
 
 use crate::partition::ZonePartitioner;
 use crate::tree::{MulticastTree, TreeEdit};
@@ -36,22 +36,6 @@ impl Zones {
         self.position(i).ok().map(|at| &self.entries[at].1)
     }
 
-    /// Records peer `i`'s zone, returning the one it replaces.
-    pub fn insert(&mut self, i: usize, zone: Rect) -> Option<Rect> {
-        match self.position(i) {
-            Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, zone)),
-            Err(at) => {
-                self.entries.insert(at, (i, zone));
-                None
-            }
-        }
-    }
-
-    /// Forgets peer `i`'s zone, returning it.
-    pub fn remove(&mut self, i: usize) -> Option<Rect> {
-        self.position(i).ok().map(|at| self.entries.remove(at).1)
-    }
-
     /// The peers holding a zone, ascending.
     pub(crate) fn peers(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
         self.entries.iter().map(|&(i, _)| i)
@@ -83,8 +67,8 @@ pub struct BuildResult {
     /// provably unreachable for this topology. Empty at equilibrium.
     pub stranded: Vec<usize>,
     /// The responsibility zone each reached peer received.
-    /// `zones.get(root)` is the full space. Used by [`crate::repair`] to
-    /// rebuild orphaned zones after departures.
+    /// `zones.get(root)` is the full space. A rebuild replays the zones
+    /// that still stand (`crate::member_tree`).
     pub zones: Zones,
     /// **Relay** nodes (sorted): peers grafted into the tree purely to
     /// forward traffic — they carry payloads but are not part of the
@@ -92,80 +76,6 @@ pub struct BuildResult {
     /// for the plain §2 construction; populated by the group layer's
     /// routing-based join (`crate::graft`).
     pub relays: Vec<usize>,
-}
-
-/// Constructs a multicast tree offline, running the §2 algorithm as a
-/// deterministic work-queue instead of simulator messages.
-///
-/// Semantically identical to [`crate::protocol::build_distributed`] (an
-/// integration test asserts tree equality); this version is what the
-/// figure-scale sweeps use. Overlay neighbours are taken from the
-/// **undirected closure** of `overlay` — links are connections, usable in
-/// both directions, matching the protocol version.
-///
-/// `root` receives the whole coordinate space as its responsibility zone
-/// and the queue processes delegations breadth-first. Per the paper, a
-/// peer delegates only to neighbours *strictly inside* its zone; every
-/// delegation is one message.
-///
-/// # Panics
-///
-/// Panics if `root` is out of range or `peers`/`overlay` sizes disagree.
-#[must_use]
-pub fn build_tree(
-    peers: &[PeerInfo],
-    overlay: &OverlayGraph,
-    root: usize,
-    partitioner: &dyn ZonePartitioner,
-) -> BuildResult {
-    assert_eq!(peers.len(), overlay.len(), "peer/overlay size mismatch");
-    assert!(root < peers.len(), "root out of range");
-    let dim = peers[root].point().dim();
-    build_in_zone(peers, overlay, root, Rect::full(dim), partitioner)
-}
-
-/// Runs the §2 work-queue construction seeded at `(start, zone)` instead
-/// of `(root, full space)` — the machinery behind both [`build_tree`]
-/// and zone repair ([`crate::repair`]).
-///
-/// `start` delegates `zone` among its overlay neighbours; `start` itself
-/// becomes the root of the resulting (sub)tree and need not lie inside
-/// `zone`.
-///
-/// # Panics
-///
-/// Panics if `start` is out of range or sizes disagree.
-#[must_use]
-pub fn build_in_zone(
-    peers: &[PeerInfo],
-    overlay: &OverlayGraph,
-    start: usize,
-    zone: Rect,
-    partitioner: &dyn ZonePartitioner,
-) -> BuildResult {
-    assert_eq!(peers.len(), overlay.len(), "peer/overlay size mismatch");
-    assert!(start < peers.len(), "start out of range");
-    // CSR closure: one shared flat adjacency, no per-peer list allocations.
-    let adj = overlay.undirected_closure();
-    let run = build_in_zone_generic(
-        peers,
-        |i, buf| {
-            buf.clear();
-            buf.extend_from_slice(adj.out_neighbors(i));
-        },
-        start,
-        zone,
-        partitioner,
-        None,
-    );
-    let tree = MulticastTree::from_links(start, peers.len(), run.edit.links);
-    BuildResult {
-        messages: tree.reached_count() - 1,
-        stranded: tree.unreached(),
-        tree,
-        zones: run.zones,
-        relays: Vec::new(),
-    }
 }
 
 /// What an earlier run of the construction from the same start recorded,
@@ -201,12 +111,11 @@ pub(crate) struct Delegations {
     pub replayed: bool,
 }
 
-/// The shared §2 work-queue over any undirected-neighbour source:
-/// `neighbors_into(i, buf)` fills `buf` with peer `i`'s overlay link
-/// partners (sorted or not — zone filtering does not care). Crate-wide
-/// machinery: the full-space build, zone repair and the group layer
-/// (`crate::member_tree`, member-filtered neighbour sources) all run on
-/// it.
+/// The §2 work-queue from `start`, whose zone is the whole space, over
+/// any undirected-neighbour source: `neighbors_into(i, buf)` fills `buf`
+/// with peer `i`'s overlay link partners (sorted or not — zone filtering
+/// does not care). `crate::member_tree` runs it over a group's
+/// member-filtered rows.
 ///
 /// Time and memory are proportional to the peers *reached* (and their
 /// adjacency rows), not to `peers.len()`: a 20-member group build over
@@ -218,8 +127,8 @@ pub(crate) struct Delegations {
 /// # Replaying a record
 ///
 /// What a peer delegates to whom is a function of the peer, its zone and
-/// its row, nothing else. Given a [`ZoneRecord`] of the same start and
-/// start zone, the queue therefore holds only peers whose delegation may
+/// its row, nothing else. Given a [`ZoneRecord`] of the same start, the
+/// queue therefore holds only peers whose delegation may
 /// differ, and `neighbors_into` is called for exactly the peers whose
 /// zone is partitioned anew. By induction from the start, every popped
 /// peer holds its final zone:
@@ -251,14 +160,11 @@ pub(crate) fn build_in_zone_generic(
     peers: &[PeerInfo],
     mut neighbors_into: impl FnMut(usize, &mut Vec<usize>),
     start: usize,
-    zone: Rect,
     partitioner: &dyn ZonePartitioner,
     record: Option<ZoneRecord>,
 ) -> Delegations {
-    // Another start or start zone: the record says nothing about this run.
-    let mut replay = record
-        .filter(|r| r.tree.root() == start && r.zones.get(start) == Some(&zone))
-        .map(Replay::new);
+    // Another start: the record says nothing about this run.
+    let mut replay = record.filter(|r| r.tree.root() == start).map(Replay::new);
     // A zone index below `known` is a recorded zone, any other a fresh one.
     let known = replay.as_ref().map_or(0, |r| r.zones.len());
     let mut links: Vec<(usize, usize)> = Vec::new();
@@ -267,7 +173,7 @@ pub(crate) fn build_in_zone_generic(
     match &replay {
         Some(r) => queue.push_back((start, r.zone_of[r.slot(start)] as usize)),
         None => {
-            fresh.push((start, zone));
+            fresh.push((start, Rect::full(peers[start].point().dim())));
             queue.push_back((start, 0));
         }
     }
@@ -522,23 +428,36 @@ impl<'a> Replay<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::partition::OrthantRectPartitioner;
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+
     use geocast_geom::gen::uniform_points;
     use geocast_overlay::{select::EmptyRectSelection, TopologyStore};
-    use std::sync::Arc;
+
+    use super::*;
+    use crate::groups::build_group_tree_on_store;
+    use crate::partition::OrthantRectPartitioner;
 
     fn setup(n: usize, dim: usize, seed: u64) -> TopologyStore {
         let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
         TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection))
     }
 
+    /// The §2 construction with every peer of `store` a member.
+    fn build(
+        store: &TopologyStore,
+        root: usize,
+        partitioner: &OrthantRectPartitioner,
+    ) -> BuildResult {
+        let everyone: BTreeSet<usize> = (0..store.len()).collect();
+        build_group_tree_on_store(store, root, &everyone, partitioner)
+    }
+
     #[test]
     fn spanning_build_sends_exactly_n_minus_one_messages() {
         for (n, dim, seed) in [(50usize, 2usize, 1u64), (80, 3, 2), (30, 4, 3)] {
             let store = setup(n, dim, seed);
-            let (peers, overlay) = (store.peers(), store.graph());
-            let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+            let result = build(&store, 0, &OrthantRectPartitioner::median());
             assert!(result.tree.is_spanning(), "n={n} dim={dim}");
             assert_eq!(
                 result.messages,
@@ -553,12 +472,11 @@ mod tests {
     #[test]
     fn every_root_yields_a_spanning_tree() {
         let store = setup(40, 2, 7);
-        let (peers, overlay) = (store.peers(), store.graph());
-        for root in 0..peers.len() {
-            let result = build_tree(peers, &overlay, root, &OrthantRectPartitioner::median());
+        for root in 0..store.len() {
+            let result = build(&store, root, &OrthantRectPartitioner::median());
             assert!(result.tree.is_spanning(), "root {root}");
             assert_eq!(result.tree.root(), root);
-            assert_eq!(result.messages, peers.len() - 1);
+            assert_eq!(result.messages, store.len() - 1);
         }
     }
 
@@ -566,8 +484,7 @@ mod tests {
     fn children_respect_the_orthant_bound() {
         for dim in 2..=4usize {
             let store = setup(60, dim, dim as u64);
-            let (peers, overlay) = (store.peers(), store.graph());
-            let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+            let result = build(&store, 0, &OrthantRectPartitioner::median());
             assert!(
                 result.tree.max_children() <= 1 << dim,
                 "tree degree exceeded 2^D for D={dim}"
@@ -578,31 +495,28 @@ mod tests {
     #[test]
     fn build_is_deterministic() {
         let store = setup(50, 2, 9);
-        let (peers, overlay) = (store.peers(), store.graph());
-        let a = build_tree(peers, &overlay, 3, &OrthantRectPartitioner::median());
-        let b = build_tree(peers, &overlay, 3, &OrthantRectPartitioner::median());
+        let a = build(&store, 3, &OrthantRectPartitioner::median());
+        let b = build(&store, 3, &OrthantRectPartitioner::median());
         assert_eq!(a, b);
     }
 
     #[test]
     fn ablation_rules_also_span_at_equilibrium() {
         let store = setup(60, 2, 11);
-        let (peers, overlay) = (store.peers(), store.graph());
         for partitioner in [
             OrthantRectPartitioner::closest(),
             OrthantRectPartitioner::farthest(),
         ] {
-            let result = build_tree(peers, &overlay, 0, &partitioner);
+            let result = build(&store, 0, &partitioner);
             assert!(result.tree.is_spanning(), "{}", partitioner.name());
-            assert_eq!(result.messages, peers.len() - 1);
+            assert_eq!(result.messages, store.len() - 1);
         }
     }
 
     #[test]
     fn singleton_network_builds_trivial_tree() {
         let store = setup(1, 2, 13);
-        let (peers, overlay) = (store.peers(), store.graph());
-        let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let result = build(&store, 0, &OrthantRectPartitioner::median());
         assert!(result.tree.is_spanning());
         assert_eq!(result.messages, 0);
     }
@@ -610,24 +524,38 @@ mod tests {
     #[test]
     fn two_peers_one_message() {
         let store = setup(2, 3, 17);
-        let (peers, overlay) = (store.peers(), store.graph());
-        let result = build_tree(peers, &overlay, 1, &OrthantRectPartitioner::median());
+        let result = build(&store, 1, &OrthantRectPartitioner::median());
         assert!(result.tree.is_spanning());
         assert_eq!(result.messages, 1);
         assert_eq!(result.tree.parent(0), Some(1));
     }
 
     #[test]
-    fn sparse_overlay_strands_unreachable_peers() {
-        // A deliberately broken overlay: peer 0 sees only peer 1; peers
-        // 2.. are unreachable, and the builder must report them stranded
-        // rather than invent links.
-        let peers = PeerInfo::from_point_set(&uniform_points(5, 2, 1000.0, 19));
-        let overlay =
-            OverlayGraph::from_out_neighbors(vec![vec![1], vec![0], vec![], vec![], vec![]]);
-        let result = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
-        assert!(!result.tree.is_spanning());
-        assert_eq!(result.stranded, vec![2, 3, 4]);
+    fn a_sparse_member_subgraph_strands_the_unreachable_members() {
+        // Root 0, one overlay neighbour of it, and members adjacent to
+        // neither nor to each other: their induced subgraph is one edge,
+        // and the builder must report the rest stranded rather than
+        // invent links.
+        let store = setup(60, 2, 19);
+        let row = |i: usize| {
+            let mut row = Vec::new();
+            store.undirected_neighbors_into(i, &mut row);
+            row
+        };
+        let near = row(0)[0];
+        let mut members: BTreeSet<usize> = [0, near].into();
+        let mut far = Vec::new();
+        for p in 1..store.len() {
+            if far.len() < 3 && members.iter().chain(&far).all(|&m| !row(m).contains(&p)) {
+                far.push(p);
+            }
+        }
+        assert_eq!(far.len(), 3, "three peers apart from each other");
+        members.extend(&far);
+        let result =
+            build_group_tree_on_store(&store, 0, &members, &OrthantRectPartitioner::median());
+        assert_eq!(result.tree.reached(), &[0, near][..]);
+        assert_eq!(result.stranded, far);
         assert_eq!(result.messages, 1);
     }
 }

@@ -1868,10 +1868,10 @@ mod tests {
         }
         // Every peer is a member: the member-induced subgraph IS the
         // overlay, so the group tree equals the global §2 build.
-        let global = crate::builder::build_tree(
-            eng.store().peers(),
-            &eng.store().graph(),
+        let global = build_group_tree_on_store(
+            eng.store(),
             0,
+            &(0..50).collect(),
             &OrthantRectPartitioner::median(),
         );
         assert_eq!(eng.tree(g), Some(&global));

@@ -14,8 +14,10 @@
 //!   construct the tree. The zone-splitting policy is pluggable
 //!   ([`ZonePartitioner`]); the paper's instance (orthant split, median
 //!   L1 neighbour) is [`OrthantRectPartitioner::median`], with
-//!   closest/farthest variants for ablations. Both an offline builder
-//!   ([`build_tree`]) and a message-passing protocol over the simulator
+//!   closest/farthest variants for ablations. Both a work-queue build
+//!   over a [`geocast_overlay::TopologyStore`]
+//!   ([`groups::build_group_tree_on_store`], every peer a member for the
+//!   paper's tree) and a message-passing protocol over the simulator
 //!   ([`protocol::build_distributed`]) are provided and cross-validated.
 //!
 //! * **§3 — stability trees.** When every peer knows its departure time
@@ -38,17 +40,18 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use geocast_core::{build_tree, OrthantRectPartitioner};
+//! use geocast_core::{groups::build_group_tree_on_store, OrthantRectPartitioner};
 //! use geocast_overlay::{select::EmptyRectSelection, PeerInfo, TopologyStore};
 //! use geocast_geom::gen::uniform_points;
 //!
 //! let peers = PeerInfo::from_point_set(&uniform_points(100, 2, 1000.0, 7));
 //! let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
-//! let (peers, overlay) = (store.peers(), store.graph());
-//! let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+//! let everyone = (0..store.len()).collect();
+//! let result =
+//!     build_group_tree_on_store(&store, 0, &everyone, &OrthantRectPartitioner::median());
 //!
 //! assert!(result.tree.is_spanning());            // every peer reached
-//! assert_eq!(result.messages, peers.len() - 1);  // the paper's N−1 claim
+//! assert_eq!(result.messages, store.len() - 1);  // the paper's N−1 claim
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,10 +69,9 @@ pub mod graft;
 pub mod groups;
 mod member_tree;
 pub mod protocol;
-pub mod repair;
 pub mod stability;
 pub mod validate;
 
-pub use builder::{build_in_zone, build_tree, BuildResult, Zones};
+pub use builder::{BuildResult, Zones};
 pub use partition::{OrthantRectPartitioner, PickRule, ZonePartitioner};
 pub use tree::{MulticastTree, TreeError};

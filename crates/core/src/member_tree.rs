@@ -14,7 +14,6 @@
 
 use std::collections::BTreeSet;
 
-use geocast_geom::Rect;
 use geocast_overlay::{PeerId, TopologyStore};
 
 use crate::bits::PeerBits;
@@ -262,7 +261,6 @@ pub(crate) fn member_tree<'a>(
     };
 
     let mut read = MemberRows::default();
-    let dim = store.peers()[root].point().dim();
     let run = build_in_zone_generic(
         store.peers(),
         |i, buf| {
@@ -270,7 +268,6 @@ pub(crate) fn member_tree<'a>(
             read.push(i as u32, buf.iter().map(|&j| j as u32));
         },
         root,
-        Rect::full(dim),
         partitioner,
         record,
     );

@@ -8,10 +8,11 @@
 //! simulation quiesces, per-node parent/children state is assembled into
 //! a [`MulticastTree`].
 //!
-//! The offline [`crate::build_tree`] runs the same logic without a
-//! simulator; integration tests assert both produce identical trees,
-//! which is the evidence that the fast offline sweeps measure the real
-//! protocol.
+//! The work-queue build over a store
+//! ([`crate::groups::build_group_tree_on_store`], every peer a member)
+//! runs the same logic without a simulator; integration tests assert
+//! both produce identical trees, which is the evidence that the fast
+//! offline sweeps measure the real protocol.
 
 use std::sync::Arc;
 
@@ -256,7 +257,7 @@ pub fn build_distributed_default(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::build_tree;
+    use crate::groups::build_group_tree_on_store;
     use crate::partition::OrthantRectPartitioner;
     use geocast_geom::gen::uniform_points;
     use geocast_overlay::{select::EmptyRectSelection, TopologyStore};
@@ -288,7 +289,9 @@ mod tests {
         for seed in [1u64, 5, 9] {
             let store = setup(45, 3, seed);
             let (peers, overlay) = (store.peers(), store.graph());
-            let offline = build_tree(peers, &overlay, 2, &OrthantRectPartitioner::median());
+            let everyone = (0..store.len()).collect();
+            let median = OrthantRectPartitioner::median();
+            let offline = build_group_tree_on_store(&store, 2, &everyone, &median);
             let dist = build_distributed_default(
                 peers,
                 &overlay,

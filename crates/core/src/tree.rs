@@ -402,15 +402,6 @@ impl MulticastTree {
         self.nodes.len() == self.len
     }
 
-    /// Indices of unreached peers (empty when spanning).
-    #[must_use]
-    pub fn unreached(&self) -> Vec<usize> {
-        let mut reached = self.nodes.iter().copied().peekable();
-        (0..self.len)
-            .filter(|&i| reached.next_if_eq(&i).is_none())
-            .collect()
-    }
-
     /// Depth of every reached peer by storage slot (root = 0).
     fn slot_depths(&self) -> Vec<usize> {
         let mut depth = vec![0usize; self.nodes.len()];
@@ -609,7 +600,6 @@ mod tests {
         let t = sample();
         assert_eq!(t.reached_count(), 5);
         assert!(!t.is_spanning());
-        assert_eq!(t.unreached(), vec![5]);
         assert!(t.is_reached(4));
         assert!(!t.is_reached(5));
     }
@@ -786,7 +776,6 @@ mod tests {
         assert_eq!(t.reached(), &[17, 4000, 9999]);
         assert_eq!(t.reached_count(), 3);
         assert!(!t.is_spanning());
-        assert_eq!(t.unreached().len(), 9_997);
         assert_eq!(t.validate(), Ok(()));
         assert_eq!(t.longest_root_to_leaf(), 2);
         assert_eq!(t.diameter(), 2);

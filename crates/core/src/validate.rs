@@ -97,7 +97,7 @@ fn verdict_from_forest(forest: &StabilityForest, peers: &[PeerInfo]) -> Section3
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::build_tree;
+    use crate::groups::build_group_tree_on_store;
     use crate::partition::OrthantRectPartitioner;
     use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
     use geocast_geom::MetricKind;
@@ -109,18 +109,23 @@ mod tests {
     fn section2_claims_hold_at_equilibrium() {
         let peers = PeerInfo::from_point_set(&uniform_points(80, 3, 1000.0, 2));
         let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
-        let (peers, overlay) = (store.peers(), store.graph());
-        let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
-        let verdict = check_section2(&result, peers.len(), 3);
+        let everyone = (0..store.len()).collect();
+        let median = OrthantRectPartitioner::median();
+        let result = build_group_tree_on_store(&store, 0, &everyone, &median);
+        let verdict = check_section2(&result, store.len(), 3);
         assert!(verdict.all_hold(), "{verdict:?}");
     }
 
     #[test]
     fn section2_verdict_detects_partial_delivery() {
-        let peers = PeerInfo::from_point_set(&uniform_points(4, 2, 1000.0, 3));
-        let overlay = OverlayGraph::from_out_neighbors(vec![vec![1], vec![0], vec![], vec![]]);
-        let result = build_tree(&peers, &overlay, 0, &OrthantRectPartitioner::median());
-        let verdict = check_section2(&result, peers.len(), 2);
+        // A tree over the root and one neighbour of it, of 40 peers.
+        let peers = PeerInfo::from_point_set(&uniform_points(40, 2, 1000.0, 3));
+        let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+        let pair = [0, store.out_neighbors(0)[0]].into();
+        let median = OrthantRectPartitioner::median();
+        let result = build_group_tree_on_store(&store, 0, &pair, &median);
+        assert_eq!(result.messages, 1);
+        let verdict = check_section2(&result, store.len(), 2);
         assert!(!verdict.all_hold());
         assert!(!verdict.all_peers_reached);
         assert!(!verdict.messages_are_n_minus_one);

@@ -3,12 +3,14 @@
 
 #![allow(clippy::needless_range_loop)] // indices are peer ids across several tables
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use geocast_core::groups::build_group_tree_on_store;
 use geocast_core::stability::{non_leaf_departures, preferred_links, PreferredPolicy};
-use geocast_core::{baseline, build_tree, OrthantRectPartitioner, PickRule, ZonePartitioner};
+use geocast_core::{baseline, BuildResult, OrthantRectPartitioner, PickRule, ZonePartitioner};
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
 use geocast_geom::{MetricKind, Rect};
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection};
@@ -18,6 +20,15 @@ use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
 fn empty_rect_store(n: usize, dim: usize, seed: u64) -> TopologyStore {
     let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
     TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection))
+}
+
+/// The §2 construction from `root` with every live peer of `store` a
+/// member.
+fn build_all(store: &TopologyStore, root: usize, partitioner: &dyn ZonePartitioner) -> BuildResult {
+    let live: BTreeSet<usize> = (0..store.len())
+        .filter(|&i| !store.is_departed(PeerId(i as u64)))
+        .collect();
+    build_group_tree_on_store(store, root, &live, partitioner)
 }
 
 proptest! {
@@ -39,10 +50,9 @@ proptest! {
         ],
     ) {
         let store = empty_rect_store(n, dim, seed);
-        let (population, overlay) = (store.peers(), store.graph());
         let root = root_pick % n;
         let partitioner = OrthantRectPartitioner::new(pick, MetricKind::L1);
-        let result = build_tree(population, &overlay, root, &partitioner);
+        let result = build_all(&store, root, &partitioner);
         prop_assert!(result.tree.is_spanning());
         prop_assert_eq!(result.messages, n - 1);
         prop_assert!(result.tree.max_children() <= 1 << dim);
@@ -123,8 +133,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let store = empty_rect_store(n, dim, seed);
-        let (population, overlay) = (store.peers(), store.graph());
-        let tree = build_tree(population, &overlay, 0, &OrthantRectPartitioner::median()).tree;
+        let tree = build_all(&store, 0, &OrthantRectPartitioner::median()).tree;
         let degree_sum: usize = tree.degrees().iter().sum();
         prop_assert_eq!(degree_sum, 2 * (n - 1));
         prop_assert!(tree.diameter() <= 2 * tree.longest_root_to_leaf());
@@ -168,46 +177,26 @@ proptest! {
         }
     }
 
-    /// Repair after any single non-root departure re-spans the survivors
-    /// at cost = live members of the orphaned zone.
+    /// After any departure, the §2 construction over the survivors'
+    /// store with every survivor a member spans exactly the survivors,
+    /// from any surviving root, at one message each.
     #[test]
-    fn repair_is_total_and_local(
-        n in 3usize..50,
-        dim in 1usize..4,
+    fn the_all_member_build_spans_every_survivor_of_a_departure(
+        n in 2usize..50,
+        dim in 1usize..5,
         seed in 0u64..10_000,
         victim_pick in 0usize..1000,
+        root_pick in 0usize..1000,
     ) {
-        use geocast_core::repair::{repair_after_departure, RepairError};
-
         let mut store = empty_rect_store(n, dim, seed);
-        let build = build_tree(store.peers(), &store.graph(), 0, &OrthantRectPartitioner::median());
-        let victim = 1 + victim_pick % (n - 1); // never the root
-
-        // Survivor equilibrium over original indices.
+        let victim = victim_pick % n;
         store.remove(PeerId(victim as u64));
-        let (population, live_overlay) = (store.peers(), store.graph());
         let live: Vec<usize> = (0..n).filter(|&i| i != victim).collect();
-
-        match repair_after_departure(
-            population,
-            &live_overlay,
-            &build,
-            victim,
-            &OrthantRectPartitioner::median(),
-        ) {
-            Ok(repaired) => {
-                for &i in &live {
-                    prop_assert!(repaired.tree.is_reached(i), "live {} lost", i);
-                }
-                prop_assert!(!repaired.tree.is_reached(victim));
-                prop_assert_eq!(repaired.tree.validate(), Ok(()));
-                let zone = build.zones.get(victim).unwrap();
-                let zone_members =
-                    live.iter().filter(|&&i| zone.contains(population[i].point())).count();
-                prop_assert_eq!(repaired.repair_messages, zone_members);
-            }
-            Err(RepairError::RootDeparted { .. }) => prop_assert!(false, "victim is not root"),
-            Err(e) => prop_assert!(false, "unexpected error {e}"),
-        }
+        let root = live[root_pick % live.len()];
+        let result = build_all(&store, root, &OrthantRectPartitioner::median());
+        prop_assert_eq!(result.tree.reached(), &live[..]);
+        prop_assert!(result.stranded.is_empty());
+        prop_assert_eq!(result.messages, live.len() - 1);
+        prop_assert_eq!(result.tree.validate(), Ok(()));
     }
 }

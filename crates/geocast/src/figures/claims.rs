@@ -2,7 +2,8 @@
 
 use std::sync::Arc;
 
-use geocast_core::{build_tree, protocol, validate, OrthantRectPartitioner};
+use geocast_core::groups::build_group_tree_on_store;
+use geocast_core::{protocol, validate, OrthantRectPartitioner};
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
 use geocast_geom::MetricKind;
 use geocast_metrics::Table;
@@ -78,7 +79,9 @@ pub fn claims_section2(cfg: &ClaimsConfig) -> FigureReport {
             Arc::new(EmptyRectSelection),
         );
         let (peers, overlay) = (store.peers(), store.graph());
-        let offline = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let everyone = (0..n).collect();
+        let median = OrthantRectPartitioner::median();
+        let offline = build_group_tree_on_store(&store, 0, &everyone, &median);
         let verdict = validate::check_section2(&offline, n, dim);
         let dist = protocol::build_distributed_default(
             peers,

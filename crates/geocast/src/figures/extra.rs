@@ -1,8 +1,10 @@
 //! Ablations and baselines beyond the paper's own figures.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use geocast_core::{baseline, build_tree, stability, OrthantRectPartitioner};
+use geocast_core::groups::build_group_tree_on_store;
+use geocast_core::{baseline, stability, OrthantRectPartitioner};
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
 use geocast_geom::MetricKind;
 use geocast_metrics::{Summary, Table};
@@ -76,7 +78,7 @@ pub fn ablation_partitioner(cfg: &AblationConfig) -> FigureReport {
             PeerInfo::from_point_set(&uniform_points(cfg.n, dim, cfg.vmax, seed)),
             Arc::new(EmptyRectSelection),
         );
-        let (peers, overlay) = (store.peers(), store.graph());
+        let everyone: BTreeSet<usize> = (0..cfg.n).collect();
         let stride = (cfg.n / cfg.roots.max(1)).max(1);
         let roots: Vec<usize> = (0..cfg.n).step_by(stride).take(cfg.roots).collect();
         partitioners
@@ -86,7 +88,7 @@ pub fn ablation_partitioner(cfg: &AblationConfig) -> FigureReport {
                 let mut diameters = Summary::new();
                 let mut all_span = true;
                 for &root in &roots {
-                    let result = build_tree(peers, &overlay, root, p);
+                    let result = build_group_tree_on_store(&store, root, &everyone, p);
                     all_span &= result.tree.is_spanning();
                     paths.add(result.tree.longest_root_to_leaf() as f64);
                     diameters.add(result.tree.diameter() as f64);
@@ -188,9 +190,10 @@ pub fn baseline_messages(cfg: &BaselineConfig) -> FigureReport {
             PeerInfo::from_point_set(&uniform_points(n, cfg.dim, cfg.vmax, seed)),
             Arc::new(EmptyRectSelection),
         );
-        let (peers, overlay) = (store.peers(), store.graph());
-        let flood = baseline::flood(&overlay, 0);
-        let ours = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let flood = baseline::flood(&store.graph(), 0);
+        let everyone = (0..n).collect();
+        let median = OrthantRectPartitioner::median();
+        let ours = build_group_tree_on_store(&store, 0, &everyone, &median);
         (
             ours.messages as f64,
             flood.messages as f64,

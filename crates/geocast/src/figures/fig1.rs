@@ -1,8 +1,10 @@
 //! The five panels of the paper's Figure 1.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use geocast_core::{build_tree, stability, OrthantRectPartitioner};
+use geocast_core::groups::build_group_tree_on_store;
+use geocast_core::{stability, OrthantRectPartitioner};
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
 use geocast_geom::MetricKind;
 use geocast_metrics::{AsciiChart, Table};
@@ -155,6 +157,7 @@ pub fn fig1b(cfg: &Fig1Config) -> FigureReport {
             Arc::new(EmptyRectSelection),
         );
         let (peers, graph) = (store.peers(), store.graph());
+        let everyone: BTreeSet<usize> = (0..cfg.n).collect();
         let positions = point_set.into_points();
         let partitioner = OrthantRectPartitioner::median();
         let roots: Vec<usize> = match cfg.roots {
@@ -168,7 +171,7 @@ pub fn fig1b(cfg: &Fig1Config) -> FigureReport {
         let lengths: Vec<f64> = roots
             .iter()
             .map(|&root| {
-                build_tree(peers, &graph, root, &partitioner)
+                build_group_tree_on_store(&store, root, &everyone, &partitioner)
                     .tree
                     .longest_root_to_leaf() as f64
             })

@@ -31,13 +31,15 @@
 //!
 //! // 2. The converged overlay under the paper's §2 neighbour rule.
 //! let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
-//! let (peers, overlay) = (store.peers(), store.graph());
 //!
-//! // 3. A multicast tree from peer 0, zones split the paper's way.
-//! let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+//! // 3. A multicast tree from peer 0 to every peer, zones split the
+//! //    paper's way.
+//! let everyone = (0..store.len()).collect();
+//! let result =
+//!     build_group_tree_on_store(&store, 0, &everyone, &OrthantRectPartitioner::median());
 //!
 //! assert!(result.tree.is_spanning());
-//! assert_eq!(result.messages, peers.len() - 1); // the N−1 claim
+//! assert_eq!(result.messages, store.len() - 1); // the N−1 claim
 //! ```
 //!
 //! See `examples/` for scenario walkthroughs (cloud lease scheduling,
@@ -66,7 +68,7 @@ pub mod prelude {
         build_group_tree_grafted, build_group_tree_on_store, GroupBuild, GroupEngine, GroupId,
     };
     pub use geocast_core::{
-        baseline, build_tree, protocol, stability, validate, BuildResult, MulticastTree,
+        baseline, protocol, stability, validate, BuildResult, MulticastTree,
         OrthantRectPartitioner, PickRule, ZonePartitioner,
     };
     pub use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};

@@ -512,7 +512,7 @@ impl TopologyStore {
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    // lint:allow(D006, reason = "how store's tests see the reverse table the re-selecting rules keep, which repair and the group engine read through undirected_neighbors_into; under the empty-rectangle rule it is out itself")
+    // lint:allow(D006, reason = "how store's tests see the reverse table the re-selecting rules keep, which the group engine and the graft pass read through undirected_neighbors_into; under the empty-rectangle rule it is out itself")
     pub fn rev_neighbors(&self, i: usize) -> &[usize] {
         if self.mutual() {
             &self.out[i]

@@ -301,4 +301,40 @@ proptest! {
             assert_mutual_and_local(&store, &moved, &what);
         }
     }
+
+    /// A departure removes no empty-rectangle link between two
+    /// survivors: a rectangle that held no third peer cannot gain one
+    /// when a peer leaves. So every link of a §2 tree between two
+    /// survivors is still an overlay link after the departure.
+    #[test]
+    fn a_departure_removes_no_link_between_two_survivors(
+        initial in 2usize..60,
+        departures in 1usize..6,
+        dim in 1usize..5,
+        seed in 0u64..10_000,
+    ) {
+        let peers = PeerInfo::from_point_set(&uniform_points(initial, dim, 1000.0, seed));
+        let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut row = Vec::new();
+        for _ in 0..departures.min(initial - 1) {
+            let live: Vec<usize> = (0..store.len())
+                .filter(|&i| !store.is_departed(PeerId(i as u64)))
+                .collect();
+            let before: Vec<Vec<usize>> = (0..store.len())
+                .map(|i| {
+                    store.undirected_neighbors_into(i, &mut row);
+                    row.clone()
+                })
+                .collect();
+            let leaver = live[rng.random_range(0..live.len())];
+            store.remove(PeerId(leaver as u64));
+            for &i in live.iter().filter(|&&i| i != leaver) {
+                store.undirected_neighbors_into(i, &mut row);
+                for &j in before[i].iter().filter(|&&j| j != leaver) {
+                    prop_assert!(row.contains(&j), "link {}-{} cut by the departure of {}", i, j, leaver);
+                }
+            }
+        }
+    }
 }

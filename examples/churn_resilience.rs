@@ -1,12 +1,14 @@
 //! Churn walkthrough on the *live* protocol stack: peers join and leave
 //! a running gossip overlay (no oracle shortcuts), and after every
-//! membership event the §2 construction is re-run on the converged
-//! topology to measure delivery.
+//! membership event the overlay is checked to have converged to the
+//! survivors' equilibrium — held in a store that takes the same events —
+//! and the §2 construction is re-run over it to measure delivery.
 //!
 //! ```text
 //! cargo run --release --example churn_resilience
 //! ```
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use geocast::overlay::churn::{ChurnEvent, ChurnSchedule};
@@ -25,9 +27,11 @@ fn main() {
         ..NetworkConfig::default()
     };
     let mut net = OverlayNetwork::new(Arc::new(EmptyRectSelection), config);
+    let mut store = TopologyStore::new(Arc::new(EmptyRectSelection));
 
     println!("bootstrapping {initial} peers one at a time (converging after each)...");
     for p in uniform_points(initial, 2, 1000.0, 5).into_points() {
+        store.insert(p.clone());
         net.add_peer(p);
         assert!(net.converge().converged);
     }
@@ -55,20 +59,27 @@ fn main() {
     for (i, event) in schedule.events().iter().enumerate() {
         match event {
             ChurnEvent::Join(p) => {
-                net.add_peer(p.clone());
+                assert_eq!(store.insert(p.clone()), net.add_peer(p.clone()));
             }
-            ChurnEvent::Leave(id) => net.remove_peer(*id),
+            ChurnEvent::Leave(id) => {
+                store.remove(*id);
+                net.remove_peer(*id);
+            }
         }
         assert!(net.converge().converged, "event {i} failed to re-converge");
+        assert_eq!(
+            net.topology(),
+            store.graph(),
+            "event {i}: the gossip settled off the equilibrium"
+        );
 
         // Rebuild the dissemination tree from the oldest live peer.
-        let live: Vec<usize> = (0..net.len())
+        let live: BTreeSet<usize> = (0..net.len())
             .filter(|&j| !net.has_departed(PeerId(j as u64)))
             .collect();
-        let root = live[0];
-        let peers = net.peers().to_vec();
-        let topo = net.topology();
-        let result = build_tree(&peers, &topo, root, &OrthantRectPartitioner::median());
+        let root = *live.first().expect("a live peer");
+        let median = OrthantRectPartitioner::median();
+        let result = build_group_tree_on_store(&store, root, &live, &median);
         let covered = live.iter().filter(|&&j| result.tree.is_reached(j)).count();
         println!(
             "{:<8} {:<22} {:>6} {:>10} {:>9}/{}",

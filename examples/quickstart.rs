@@ -32,9 +32,10 @@ fn main() {
     );
     assert!(overlay.is_connected_undirected());
 
-    // 3. A multicast tree rooted at peer 0, zones split per the paper
-    //    (orthant regions, median-distance child).
-    let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+    // 3. A multicast tree rooted at peer 0 reaching every peer, zones
+    //    split per the paper (orthant regions, median-distance child).
+    let everyone = (0..n).collect();
+    let result = build_group_tree_on_store(&store, 0, &everyone, &OrthantRectPartitioner::median());
     println!(
         "multicast:  {} messages for {} peers (N-1 = {}), height {}, max children {}",
         result.messages,

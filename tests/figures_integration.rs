@@ -142,53 +142,3 @@ fn reports_render_to_markdown_and_display() {
     assert!(shown.contains("## fig1a"));
     assert!(shown.contains("| D |"));
 }
-
-/// The offline builder over the store's graph and the store-native
-/// group construction with every peer a member are the same §2 tree on
-/// the inputs the figure panels run: every root `fig1b` and the
-/// ablation sample, every partitioner, the claims' and baselines' sizes.
-#[test]
-fn the_store_construction_equals_the_offline_builder_on_the_figures_inputs() {
-    use std::collections::BTreeSet;
-    use std::sync::Arc;
-
-    use geocast::core::groups::build_group_tree_on_store;
-    use geocast::core::{build_tree, OrthantRectPartitioner};
-    use geocast::geom::gen::uniform_points;
-    use geocast::overlay::select::EmptyRectSelection;
-    use geocast::overlay::{PeerInfo, TopologyStore};
-
-    let partitioners = [
-        OrthantRectPartitioner::median(),
-        OrthantRectPartitioner::closest(),
-        OrthantRectPartitioner::farthest(),
-    ];
-    // (N, D, seed, roots sampled) of fig1b, claims, ablation, baselines.
-    let inputs = [
-        (150, 2, 1, 40),
-        (150, 3, 1, 40),
-        (150, 4, 1, 40),
-        (40, 2, 1, 1),
-        (40, 3, 1, 1),
-        (120, 2, 1, 20),
-        (120, 3, 1, 20),
-        (60, 2, 1, 1),
-    ];
-    for (n, dim, seed, roots) in inputs {
-        let store = TopologyStore::from_peers(
-            PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed)),
-            Arc::new(EmptyRectSelection),
-        );
-        let graph = store.graph();
-        let everyone: BTreeSet<usize> = (0..n).collect();
-        for root in (0..n).step_by(n / roots).take(roots) {
-            for partitioner in &partitioners {
-                assert_eq!(
-                    build_tree(store.peers(), &graph, root, partitioner),
-                    build_group_tree_on_store(&store, root, &everyone, partitioner),
-                    "N={n} D={dim} seed={seed} root={root}"
-                );
-            }
-        }
-    }
-}

@@ -15,6 +15,16 @@ fn equilibrium_for(points: &PointSet) -> TopologyStore {
     )
 }
 
+/// The §2 construction from `root` with every peer a member.
+fn build_tree(
+    store: &TopologyStore,
+    root: usize,
+    partitioner: &dyn ZonePartitioner,
+) -> BuildResult {
+    let everyone = (0..store.len()).collect();
+    build_group_tree_on_store(store, root, &everyone, partitioner)
+}
+
 #[test]
 fn n_minus_one_messages_across_workloads() {
     let workloads: Vec<(&str, PointSet)> = vec![
@@ -25,8 +35,8 @@ fn n_minus_one_messages_across_workloads() {
     ];
     for (name, points) in workloads {
         let store = equilibrium_for(&points);
-        let (peers, overlay) = (store.peers(), store.graph());
-        let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let peers = store.peers();
+        let result = build_tree(&store, 0, &OrthantRectPartitioner::median());
         assert!(result.tree.is_spanning(), "{name}: not spanning");
         assert_eq!(result.messages, peers.len() - 1, "{name}: message count");
         assert_eq!(result.tree.validate(), Ok(()), "{name}: inconsistent tree");
@@ -37,10 +47,10 @@ fn n_minus_one_messages_across_workloads() {
 fn all_roots_produce_valid_spanning_trees_and_metrics() {
     let points = uniform_points(80, 3, 1000.0, 7);
     let store = equilibrium_for(&points);
-    let (peers, overlay) = (store.peers(), store.graph());
+    let peers = store.peers();
     let mut path_lengths = Summary::new();
     for root in 0..peers.len() {
-        let result = build_tree(peers, &overlay, root, &OrthantRectPartitioner::median());
+        let result = build_tree(&store, root, &OrthantRectPartitioner::median());
         assert!(result.tree.is_spanning(), "root {root}");
         assert!(result.tree.max_children() <= 8, "root {root}: 2^3 bound");
         path_lengths.add(result.tree.longest_root_to_leaf() as f64);
@@ -61,8 +71,8 @@ fn zone_disjointness_makes_delivery_exactly_once() {
     // root, which receives implicitly).
     let points = uniform_points(150, 4, 1000.0, 9);
     let store = equilibrium_for(&points);
-    let (peers, overlay) = (store.peers(), store.graph());
-    let result = build_tree(peers, &overlay, 5, &OrthantRectPartitioner::median());
+    let peers = store.peers();
+    let result = build_tree(&store, 5, &OrthantRectPartitioner::median());
     let mut delivered = vec![0usize; peers.len()];
     delivered[5] += 1;
     for i in 0..peers.len() {
@@ -82,7 +92,7 @@ fn tree_edges_are_overlay_edges() {
     let store = equilibrium_for(&points);
     let (peers, overlay) = (store.peers(), store.graph());
     let adj = overlay.undirected_closure();
-    let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let result = build_tree(&store, 0, &OrthantRectPartitioner::median());
     for i in 0..peers.len() {
         if let Some(p) = result.tree.parent(i) {
             assert!(
@@ -102,7 +112,7 @@ fn deeper_dimensions_shrink_paths_but_grow_overlay_degree() {
     for dim in [2usize, 4] {
         let points = uniform_points(n, dim, 1000.0, 13);
         let store = equilibrium_for(&points);
-        let (peers, overlay) = (store.peers(), store.graph());
+        let overlay = store.graph();
         let degrees = overlay.undirected_degrees();
         let avg_degree = degrees.iter().sum::<usize>() as f64 / n as f64;
         assert!(
@@ -110,7 +120,7 @@ fn deeper_dimensions_shrink_paths_but_grow_overlay_degree() {
             "degree must grow with D: {avg_degree} after {prev_avg_degree}"
         );
         prev_avg_degree = avg_degree;
-        let result = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+        let result = build_tree(&store, 0, &OrthantRectPartitioner::median());
         depths.push(result.tree.longest_root_to_leaf());
     }
     assert!(
@@ -123,9 +133,9 @@ fn deeper_dimensions_shrink_paths_but_grow_overlay_degree() {
 fn clustered_workloads_respect_all_section2_claims() {
     let points = clustered_points(120, 3, 1000.0, 4, 25.0, 17);
     let store = equilibrium_for(&points);
-    let (peers, overlay) = (store.peers(), store.graph());
+    let peers = store.peers();
     for root in [0usize, 60, 119] {
-        let result = build_tree(peers, &overlay, root, &OrthantRectPartitioner::median());
+        let result = build_tree(&store, root, &OrthantRectPartitioner::median());
         let verdict = validate::check_section2(&result, peers.len(), 3);
         assert!(verdict.all_hold(), "root {root}: {verdict:?}");
     }
@@ -135,10 +145,10 @@ fn clustered_workloads_respect_all_section2_claims() {
 fn ablation_partitioners_only_change_tree_shape() {
     let points = uniform_points(130, 2, 1000.0, 19);
     let store = equilibrium_for(&points);
-    let (peers, overlay) = (store.peers(), store.graph());
-    let median = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
-    let closest = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::closest());
-    let farthest = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::farthest());
+    let peers = store.peers();
+    let median = build_tree(&store, 0, &OrthantRectPartitioner::median());
+    let closest = build_tree(&store, 0, &OrthantRectPartitioner::closest());
+    let farthest = build_tree(&store, 0, &OrthantRectPartitioner::farthest());
     for (name, r) in [
         ("median", &median),
         ("closest", &closest),
@@ -159,7 +169,7 @@ fn flooding_baseline_costs_more_than_space_partitioning() {
     let points = uniform_points(200, 2, 1000.0, 23);
     let store = equilibrium_for(&points);
     let (peers, overlay) = (store.peers(), store.graph());
-    let ours = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let ours = build_tree(&store, 0, &OrthantRectPartitioner::median());
     let flooded = baseline::flood(&overlay, 0);
     assert!(flooded.tree.is_spanning());
     assert!(
@@ -194,19 +204,18 @@ fn build_on_gossip_converged_overlay_matches_oracle_build() {
         net.add_peer(p.clone());
         net.converge();
     }
+    // The gossip settles on the oracle's equilibrium, and the §2
+    // construction reads nothing but the overlay: the build over it is
+    // the oracle build.
     let peers = PeerInfo::from_point_set(&points);
-    let gossip_build = build_tree(
-        &peers,
-        &net.topology(),
-        0,
-        &OrthantRectPartitioner::median(),
+    assert_eq!(
+        net.topology(),
+        oracle::equilibrium_live(&peers, &[false; 12], &EmptyRectSelection)
     );
     let oracle_build = build_tree(
-        &peers,
-        &oracle::equilibrium_live(&peers, &[false; 12], &EmptyRectSelection),
+        &equilibrium_for(&points),
         0,
         &OrthantRectPartitioner::median(),
     );
-    assert_eq!(gossip_build.tree, oracle_build.tree);
-    assert!(gossip_build.tree.is_spanning());
+    assert!(oracle_build.tree.is_spanning());
 }

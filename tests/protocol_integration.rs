@@ -17,7 +17,9 @@ fn setup(n: usize, dim: usize, seed: u64) -> TopologyStore {
 fn offline_and_distributed_agree_across_latency_models() {
     let store = setup(70, 2, 1);
     let (peers, overlay) = (store.peers(), store.graph());
-    let offline = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let everyone = (0..store.len()).collect();
+    let offline =
+        build_group_tree_on_store(&store, 0, &everyone, &OrthantRectPartitioner::median());
 
     // Constant latency.
     let constant = protocol::build_distributed(
@@ -68,7 +70,9 @@ fn construction_time_scales_with_tree_depth_not_size() {
     // branches.
     let store = setup(120, 3, 5);
     let (peers, overlay) = (store.peers(), store.graph());
-    let offline = build_tree(peers, &overlay, 4, &OrthantRectPartitioner::median());
+    let everyone = (0..store.len()).collect();
+    let offline =
+        build_group_tree_on_store(&store, 4, &everyone, &OrthantRectPartitioner::median());
     let result = protocol::build_distributed(
         peers,
         &overlay,
@@ -133,7 +137,9 @@ fn crashed_subtree_is_exactly_the_lost_zone() {
     // runs through it are unreached (zones are exclusive).
     let store = setup(80, 2, 13);
     let (peers, overlay) = (store.peers(), store.graph());
-    let offline = build_tree(peers, &overlay, 0, &OrthantRectPartitioner::median());
+    let everyone = (0..store.len()).collect();
+    let offline =
+        build_group_tree_on_store(&store, 0, &everyone, &OrthantRectPartitioner::median());
     // Pick an internal node with a non-trivial subtree.
     let victim = (0..peers.len())
         .find(|&i| !offline.tree.children(i).is_empty() && i != 0)
