@@ -343,9 +343,9 @@ pub(crate) struct GraftPass {
 ///   and it is the logged path, whole, exactly when that node is the
 ///   terminal and the terminal is on the tree.
 ///
-/// **Which walks a pass visits.** When the pass edits a tree that keeps
-/// the memo's grafts, it does not step through the log: a logged walk
-/// is copied whole, unvisited, unless the change reaches it. Both sets
+/// **Which walks a pass visits.** A pass given a memo edits a tree that
+/// keeps the memo's grafts, so it does not step through the log: a
+/// logged walk is copied whole, unvisited, unless the change reaches it. Both sets
 /// start equal — the old pass's tree and the new one, before any walk,
 /// are the two §2 trees — and a walk copied whole puts the same nodes on
 /// both, so they differ only by what the §2 edit changed and by the
@@ -414,20 +414,17 @@ struct Replay<'a> {
     /// `memo.dirty`, one bit per peer.
     dirty: PeerBits,
     fresh: Vec<usize>,
-    /// `true` when the pass carries the memo's walks the change does not
-    /// reach; then `pending` holds the members whose walks it must visit
-    /// that the pass has not reached yet.
-    carry: bool,
+    /// The members whose walks the pass must visit that it has not
+    /// reached yet; it carries the memo's other walks over.
     pending: BinaryHeap<Reverse<usize>>,
 }
 
 impl<'a> Replay<'a> {
-    fn new(memo: &'a GraftMemo<'a>, n: usize, carry: bool) -> Self {
+    fn new(memo: &'a GraftMemo<'a>, n: usize) -> Self {
         Replay {
             memo,
             dirty: PeerBits::from_peers(n, memo.dirty),
             fresh: Vec::new(),
-            carry,
             pending: BinaryHeap::new(),
         }
     }
@@ -454,7 +451,7 @@ impl<'a> Replay<'a> {
         if self.fresh.len() <= MAX_FRESH {
             self.fresh.push(p);
         }
-        if let Some(walk) = crossed.filter(|_| self.carry) {
+        if let Some(walk) = crossed {
             self.pending.push(Reverse(walk));
         }
     }
@@ -573,10 +570,11 @@ enum Followed {
 /// The one graft pass: [`graft_stranded_members`] plus what the
 /// incremental engine records about it, optionally replaying the
 /// walks of the group's previous pass (see [`GraftMemo`]). It grafts in
-/// the edit that makes `section2`'s tree; when that edit starts from
-/// the previous tree with its grafts kept ([`Section2::grafts`]), the
-/// pass visits only the walks the change reaches and only what they
-/// changed is dropped and added.
+/// the edit that makes `section2`'s tree. A memo comes exactly when that
+/// edit starts from the previous tree with its grafts kept
+/// ([`Section2::grafts`]): the pass then visits only the walks the
+/// change reaches, and only what they changed is dropped and added.
+/// Without one it walks every stranded member.
 pub(crate) fn graft_pass(
     store: &TopologyStore,
     section2: Section2,
@@ -594,12 +592,10 @@ pub(crate) fn graft_pass(
         stranded,
     } = section2;
     assert_eq!(store.len(), len, "store/tree size mismatch");
-    let carry = matches!(stranded, Stranded::Changed(_));
     debug_assert!(
-        grafts == carry && (!grafts || memo.is_some()),
-        "a base keeps the grafts of the walks it replays, and only then is the stranding a change"
+        grafts == memo.is_some() && grafts == matches!(stranded, Stranded::Changed(_)),
+        "a base keeps the grafts of the walks a memo replays, and only then is the stranding a change"
     );
-    let prior = memo.filter(|_| grafts);
 
     // The on-tree set while paths are being discovered, one bit per
     // peer, growing as paths are found. It starts as the §2 tree's
@@ -619,7 +615,7 @@ pub(crate) fn graft_pass(
         zones: &zones,
         section2: on_tree.clone(),
         on_tree,
-        replay: memo.map(|memo| Replay::new(memo, store.len(), carry)),
+        replay: memo.map(|memo| Replay::new(memo, store.len())),
         // About the memo's walks again, as a rule.
         log: memo.map_or_else(WalkLog::default, |memo| WalkLog {
             walks: Vec::with_capacity(memo.log.walks.len() + 8),
@@ -627,7 +623,6 @@ pub(crate) fn graft_pass(
         }),
         added: Vec::new(),
         added_ends: Vec::new(),
-        carry,
         walk: Walk::default(),
         unreachable: Vec::new(),
         searches: 0,
@@ -635,21 +630,15 @@ pub(crate) fn graft_pass(
         joining: &stranded,
         out: GraftPass::default(),
     };
-    let refused = match (changed, prior) {
+    let refused = match (changed, memo) {
         (Some(changed), Some(memo)) => pass.replay_reached(memo, &edit, &members, changed),
-        (None, _) => {
-            if let Some(replay) = &mut pass.replay {
-                for p in zones.peers() {
-                    replay.note_on_tree(p, None);
-                }
-            }
+        (None, None) => {
             for &s in &stranded {
-                let w = memo.and_then(|memo| memo.log.walk(s));
-                pass.visit(s, w);
+                pass.visit(s, None);
             }
             Vec::new()
         }
-        (Some(_), None) => unreachable!("a stranding change comes with a memo"),
+        _ => unreachable!("a stranding change comes with a memo, and only it"),
     };
     let Pass {
         log,
@@ -668,7 +657,7 @@ pub(crate) fn graft_pass(
     // added node is keyed by id, with its walk's member and its parent,
     // the node after it on its path.
     added.sort_unstable();
-    let (kept, kept_walk_of, dropped) = match prior {
+    let (kept, kept_walk_of, dropped) = match memo {
         Some(memo) => {
             let mut dropped: Vec<usize> = (refused.iter())
                 .flat_map(|&w| {
@@ -710,7 +699,7 @@ pub(crate) fn graft_pass(
         // Tier 1 reads the row of each node it attaches, once (a walk
         // stops at the first on-tree node, and everything it walked is
         // on the tree afterwards), and no other row.
-        pass.ends = match prior {
+        pass.ends = match memo {
             Some(memo) => {
                 let mut gone: Vec<(u32, u32)> =
                     refused.iter().flat_map(|&w| memo.log.ends(w)).collect();
@@ -728,7 +717,7 @@ pub(crate) fn graft_pass(
         pass.support = merged.support;
         pass.walk_of = merged.walk_of;
         pass.log = log;
-        if prior.is_some() {
+        if memo.is_some() {
             pass.support_change = Some((merged.retired, merged.entered));
         }
     } else {
@@ -771,12 +760,10 @@ struct Pass<'a> {
     replay: Option<Replay<'a>>,
     log: WalkLog,
     /// `(node, member, parent)` of every link the pass adds to its base.
+    /// A walk copied whole adds none: the base keeps the memo's grafts.
     added: Vec<(u32, u32, u32)>,
     /// The entries by end of the walks whose links those are.
     added_ends: Vec<(u32, u32)>,
-    /// `true` when the base keeps the memo's grafts: a walk copied whole
-    /// adds nothing.
-    carry: bool,
     walk: Walk,
     /// Stranded members with no overlay path to the tree, ascending.
     unreachable: Vec<usize>,
@@ -865,7 +852,7 @@ impl Pass<'_> {
             }
         }
         self.log.push(s, target, &walk.path);
-        if !(self.carry && followed == Followed::Whole) {
+        if followed != Followed::Whole {
             let member = id(s);
             (self.added).extend(
                 walk.path
@@ -1735,7 +1722,9 @@ mod tests {
             &OrthantRectPartitioner::median(),
             recorded,
         );
-        let memo = old.map(|(_, memo)| memo);
+        let memo = old
+            .map(|(_, memo)| memo)
+            .filter(|_| section2.section2.grafts);
         let (build, pass) = graft_pass(store, section2.section2, MetricKind::L1, memo);
         (build, pass, section2.rows)
     }

@@ -378,6 +378,8 @@ fn build_group(
     memo: Option<&GraftMemo>,
 ) -> (GroupBuild, Replayed) {
     let built = member_tree(store, root, members, partitioner, recorded);
+    // A §2 part that replayed no record (a new root) grafts from scratch.
+    let memo = memo.filter(|_| built.section2.grafts);
     let (build, pass) = graft_pass(store, built.section2, GRAFT_METRIC, memo);
     let group_build = GroupBuild {
         build,
