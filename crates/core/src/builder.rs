@@ -128,9 +128,9 @@ pub(crate) struct Delegations {
 ///
 /// What a peer delegates to whom is a function of the peer, its zone and
 /// its row, nothing else. Given a [`ZoneRecord`] of the same start, the
-/// queue therefore holds only peers whose delegation may
-/// differ, and `neighbors_into` is called for exactly the peers whose
-/// zone is partitioned anew. By induction from the start, every popped
+/// queue therefore holds only peers whose delegation may differ, and
+/// `neighbors_into` is called for exactly the peers whose zone is
+/// partitioned anew. By induction from the start, every popped
 /// peer holds its final zone:
 ///
 /// * A popped peer with its recorded zone that is no suspect delegates

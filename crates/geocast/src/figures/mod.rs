@@ -16,6 +16,7 @@
 //! | Baseline: flooding message cost | [`baseline_messages`] |
 //! | Baseline: departure sensitivity | [`baseline_stability`] |
 //! | Beyond the paper: construction scaling to `N = 50_000` | [`overlay_scaling`] |
+//! | Beyond the paper: what one departure changes of the §2 tree | [`repair_cost`] |
 //! | Beyond the paper: incremental churn engine (waves, flash crowds, mixed rates) | [`churn_panel`] |
 //! | Beyond the paper: multi-group session engine (N trees, one store, Zipf groups) | [`groups_panel`] |
 //! | Beyond the paper: failure-detection plane (detection latency, coverage recovery) | [`detection_panel`] |

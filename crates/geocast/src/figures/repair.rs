@@ -167,7 +167,7 @@ pub fn repair_cost(cfg: &RepairConfig) -> FigureReport {
     )
     .with_note("both trees are the definition's: every live peer a member, root 0, before and after the store removes the departed peer")
     .with_note("links changed: peers whose tree parent differs, the departed one included; zones re-delegated: peers whose parent or zone differs, the nodes the engine's replayed rebuild touches")
-    .with_note("the change is proportional to the departed peer's subtree, not to N")
+    .with_note("full rebuild (N-1): the requests a construction from scratch sends")
 }
 
 #[cfg(test)]

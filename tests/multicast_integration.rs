@@ -16,7 +16,7 @@ fn equilibrium_for(points: &PointSet) -> TopologyStore {
 }
 
 /// The §2 construction from `root` with every peer a member.
-fn build_tree(
+fn spanning_build(
     store: &TopologyStore,
     root: usize,
     partitioner: &dyn ZonePartitioner,
@@ -36,7 +36,7 @@ fn n_minus_one_messages_across_workloads() {
     for (name, points) in workloads {
         let store = equilibrium_for(&points);
         let peers = store.peers();
-        let result = build_tree(&store, 0, &OrthantRectPartitioner::median());
+        let result = spanning_build(&store, 0, &OrthantRectPartitioner::median());
         assert!(result.tree.is_spanning(), "{name}: not spanning");
         assert_eq!(result.messages, peers.len() - 1, "{name}: message count");
         assert_eq!(result.tree.validate(), Ok(()), "{name}: inconsistent tree");
@@ -50,7 +50,7 @@ fn all_roots_produce_valid_spanning_trees_and_metrics() {
     let peers = store.peers();
     let mut path_lengths = Summary::new();
     for root in 0..peers.len() {
-        let result = build_tree(&store, root, &OrthantRectPartitioner::median());
+        let result = spanning_build(&store, root, &OrthantRectPartitioner::median());
         assert!(result.tree.is_spanning(), "root {root}");
         assert!(result.tree.max_children() <= 8, "root {root}: 2^3 bound");
         path_lengths.add(result.tree.longest_root_to_leaf() as f64);
@@ -72,7 +72,7 @@ fn zone_disjointness_makes_delivery_exactly_once() {
     let points = uniform_points(150, 4, 1000.0, 9);
     let store = equilibrium_for(&points);
     let peers = store.peers();
-    let result = build_tree(&store, 5, &OrthantRectPartitioner::median());
+    let result = spanning_build(&store, 5, &OrthantRectPartitioner::median());
     let mut delivered = vec![0usize; peers.len()];
     delivered[5] += 1;
     for i in 0..peers.len() {
@@ -92,7 +92,7 @@ fn tree_edges_are_overlay_edges() {
     let store = equilibrium_for(&points);
     let (peers, overlay) = (store.peers(), store.graph());
     let adj = overlay.undirected_closure();
-    let result = build_tree(&store, 0, &OrthantRectPartitioner::median());
+    let result = spanning_build(&store, 0, &OrthantRectPartitioner::median());
     for i in 0..peers.len() {
         if let Some(p) = result.tree.parent(i) {
             assert!(
@@ -120,7 +120,7 @@ fn deeper_dimensions_shrink_paths_but_grow_overlay_degree() {
             "degree must grow with D: {avg_degree} after {prev_avg_degree}"
         );
         prev_avg_degree = avg_degree;
-        let result = build_tree(&store, 0, &OrthantRectPartitioner::median());
+        let result = spanning_build(&store, 0, &OrthantRectPartitioner::median());
         depths.push(result.tree.longest_root_to_leaf());
     }
     assert!(
@@ -135,7 +135,7 @@ fn clustered_workloads_respect_all_section2_claims() {
     let store = equilibrium_for(&points);
     let peers = store.peers();
     for root in [0usize, 60, 119] {
-        let result = build_tree(&store, root, &OrthantRectPartitioner::median());
+        let result = spanning_build(&store, root, &OrthantRectPartitioner::median());
         let verdict = validate::check_section2(&result, peers.len(), 3);
         assert!(verdict.all_hold(), "root {root}: {verdict:?}");
     }
@@ -146,9 +146,9 @@ fn ablation_partitioners_only_change_tree_shape() {
     let points = uniform_points(130, 2, 1000.0, 19);
     let store = equilibrium_for(&points);
     let peers = store.peers();
-    let median = build_tree(&store, 0, &OrthantRectPartitioner::median());
-    let closest = build_tree(&store, 0, &OrthantRectPartitioner::closest());
-    let farthest = build_tree(&store, 0, &OrthantRectPartitioner::farthest());
+    let median = spanning_build(&store, 0, &OrthantRectPartitioner::median());
+    let closest = spanning_build(&store, 0, &OrthantRectPartitioner::closest());
+    let farthest = spanning_build(&store, 0, &OrthantRectPartitioner::farthest());
     for (name, r) in [
         ("median", &median),
         ("closest", &closest),
@@ -169,7 +169,7 @@ fn flooding_baseline_costs_more_than_space_partitioning() {
     let points = uniform_points(200, 2, 1000.0, 23);
     let store = equilibrium_for(&points);
     let (peers, overlay) = (store.peers(), store.graph());
-    let ours = build_tree(&store, 0, &OrthantRectPartitioner::median());
+    let ours = spanning_build(&store, 0, &OrthantRectPartitioner::median());
     let flooded = baseline::flood(&overlay, 0);
     assert!(flooded.tree.is_spanning());
     assert!(
@@ -212,7 +212,7 @@ fn build_on_gossip_converged_overlay_matches_oracle_build() {
         net.topology(),
         oracle::equilibrium_live(&peers, &[false; 12], &EmptyRectSelection)
     );
-    let oracle_build = build_tree(
+    let oracle_build = spanning_build(
         &equilibrium_for(&points),
         0,
         &OrthantRectPartitioner::median(),
