@@ -107,13 +107,30 @@ mod tests {
 
     #[test]
     fn section2_claims_hold_at_equilibrium() {
-        let peers = PeerInfo::from_point_set(&uniform_points(80, 3, 1000.0, 2));
-        let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
-        let everyone = (0..store.len()).collect();
-        let median = OrthantRectPartitioner::median();
-        let result = build_group_tree_on_store(&store, 0, &everyone, &median);
-        let verdict = check_section2(&result, store.len(), 3);
-        assert!(verdict.all_hold(), "{verdict:?}");
+        // (N, D, seed): the last seven are the sizes the paper's Fig. 1(b),
+        // §2 claims, flooding baseline and child-pick ablation build at.
+        for (n, dim, seed) in [
+            (80usize, 3usize, 2u64),
+            (200, 2, 1),
+            (500, 2, 1),
+            (200, 5, 1),
+            (100, 2, 1),
+            (300, 2, 1),
+            (400, 2, 1),
+        ] {
+            let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
+            let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+            let everyone = (0..store.len()).collect();
+            for partitioner in [
+                OrthantRectPartitioner::median(),
+                OrthantRectPartitioner::closest(),
+                OrthantRectPartitioner::farthest(),
+            ] {
+                let result = build_group_tree_on_store(&store, 0, &everyone, &partitioner);
+                let verdict = check_section2(&result, n, dim);
+                assert!(verdict.all_hold(), "N={n} D={dim}: {verdict:?}");
+            }
+        }
     }
 
     #[test]

@@ -254,13 +254,19 @@ mod tests {
 
     #[test]
     fn empty_rect_equilibrium_is_symmetric_and_connected() {
-        let population = peers(120, 2, 3);
-        let g = definition(&population, &EmptyRectSelection);
-        assert!(
-            g.is_symmetric(),
-            "empty-rect links are mutual at equilibrium"
-        );
-        assert!(g.is_connected_undirected());
+        let mut graphs = vec![definition(&peers(120, 2, 3), &EmptyRectSelection)];
+        // The store's bulk build at the sizes of the paper's Fig. 1(a)
+        // and Fig. 1(c) sweeps.
+        for (n, dim) in [(200, 2), (200, 4), (500, 2), (100, 2), (250, 2), (1000, 2)] {
+            graphs.push(bulk_build(&peers(n, dim, 1), EmptyRectSelection));
+        }
+        for g in &graphs {
+            assert!(
+                g.is_symmetric(),
+                "empty-rect links are mutual at equilibrium"
+            );
+            assert!(g.is_connected_undirected());
+        }
     }
 
     #[test]

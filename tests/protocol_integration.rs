@@ -88,18 +88,26 @@ fn construction_time_scales_with_tree_depth_not_size() {
 
 #[test]
 fn loss_free_runs_are_duplicate_free_for_every_seed() {
-    let store = setup(50, 4, 7);
-    let (peers, overlay) = (store.peers(), store.graph());
-    for seed in 0..8 {
-        let result = protocol::build_distributed_default(
-            peers,
-            &overlay,
-            0,
-            Arc::new(OrthantRectPartitioner::median()),
-            seed,
-        );
-        assert_eq!(result.duplicates, 0, "seed {seed}");
-        assert_eq!(result.messages as usize, peers.len() - 1, "seed {seed}");
+    // (N, D, population seed, run seeds): the last two populations are
+    // the §2 claims' message-count sizes.
+    for (n, dim, population, runs) in [
+        (50usize, 4usize, 7u64, 0..8u64),
+        (100, 2, 1, 7..8),
+        (300, 2, 1, 7..8),
+    ] {
+        let store = setup(n, dim, population);
+        let (peers, overlay) = (store.peers(), store.graph());
+        for seed in runs {
+            let result = protocol::build_distributed_default(
+                peers,
+                &overlay,
+                0,
+                Arc::new(OrthantRectPartitioner::median()),
+                seed,
+            );
+            assert_eq!(result.duplicates, 0, "N={n} seed {seed}");
+            assert_eq!(result.messages as usize, n - 1, "N={n} seed {seed}");
+        }
     }
 }
 

@@ -44,6 +44,25 @@ fn paper_grid_sample_always_forms_heap_trees() {
             .collect();
         assert_eq!(non_leaf_departures(&tree, &times), 0, "D={dim} K={k}");
     }
+    // The populations of the paper's Fig. 1(d) and 1(e) sweeps and of
+    // the departure baseline: (N, D, the K values).
+    for (n, dim, ks) in [
+        (300usize, 2usize, &[1usize, 5, 10, 25, 50][..]),
+        (300, 5, &[1, 5, 10, 25, 50]),
+        (400, 3, &[1, 10, 50]),
+        (500, 2, &[2]),
+    ] {
+        let base = uniform_points(n, dim, 1000.0, 1);
+        let times = lifetimes(n, 1000.0, 2);
+        let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
+        oracle::orthogonal_k_sweep_with(&peers, MetricKind::L1, ks, |k, overlay| {
+            let forest = preferred_links(&peers, overlay, PreferredPolicy::MaxT);
+            assert!(
+                forest.is_tree() && forest.heap_property_holds(&peers),
+                "N={n} D={dim} K={k}"
+            );
+        });
+    }
 }
 
 #[test]
