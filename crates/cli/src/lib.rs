@@ -607,13 +607,7 @@ fn cmd_route(inv: &Invocation) -> Result<String, CliError> {
 
     let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
     let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
-    let route = geocast::overlay::routing::route_to_peer(
-        store.peers(),
-        &store.graph(),
-        from,
-        to,
-        MetricKind::L1,
-    );
+    let route = geocast::overlay::routing::route_to_peer(&store, from, to, MetricKind::L1);
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -750,11 +744,6 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
 }
 
 fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
-    use geocast::core::groups::{AppliedOp, GroupEngine};
-    use geocast::overlay::churn::{ChurnEvent, ChurnSchedule};
-    use geocast::sim::workload::zipf_group_sizes;
-    use std::time::Instant;
-
     let n: usize = opt_peers(inv, 500)?;
     let dim: usize = opt_dim(inv, 2)?;
     let seed: u64 = opt(inv, "seed", 1)?;
@@ -788,110 +777,47 @@ fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
         });
     }
 
-    let points = uniform_points(n, dim, 1000.0, seed);
-    let store = TopologyStore::from_peers(
-        PeerInfo::from_point_set(&points),
-        Arc::new(EmptyRectSelection),
-    );
-    let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
-    let mut state = seed ^ 0x6772_6f75_7073; // "groups"
-    let sizes = zipf_group_sizes(num_groups, subs.max(num_groups), zipf);
-    let ids = engine.seed_groups_placed(placement, &sizes, &mut state);
-
-    let schedule = ChurnSchedule::from_pattern(
-        n,
-        &ChurnPattern::Mixed {
-            events: churn_events,
-            join_rate: 1,
-            leave_rate: 1,
-        },
-        dim,
-        1000.0,
-        seed ^ 0xc9,
-    );
-    let workload = GroupWorkload {
-        groups: num_groups,
+    let cfg = figures::GroupsConfig {
+        initial: n,
+        group_counts: vec![num_groups],
+        placements: vec![placement],
+        subscriptions: subs,
         exponent: zipf,
-        events: group_events,
-        subscribe_weight: 2,
-        unsubscribe_weight: 1,
-        publish_weight: 2,
+        churn_events,
+        group_events,
+        dim,
+        seed,
+        vmax: 1000.0,
     };
-
-    // lint:allow(D002, reason = "wall-clock lines in the CLI report only; no control flow reads the clock")
-    let start = Instant::now();
-    let mut affected_sum = 0usize;
-    let mut affected_max = 0usize;
-    let mut certified_sum = 0usize;
-    for event in schedule.events() {
-        match event {
-            ChurnEvent::Join(p) => {
-                engine.join(p.clone());
-            }
-            ChurnEvent::Leave(id) => engine.leave(*id),
-        }
-        let sync = engine.last_sync();
-        affected_sum += sync.affected_groups;
-        affected_max = affected_max.max(sync.affected_groups);
-        certified_sum += sync.certified_groups;
-    }
-    // Workload publishes plus one final publish per group (so every
-    // group's coverage is measured even when the Zipf tail drew no
-    // publish op).
-    let mut outcomes: Vec<geocast::core::groups::PublishOutcome> = Vec::new();
-    for op in workload.ops(seed ^ 0x09) {
-        if let AppliedOp::Published(_, outcome) = engine.apply_workload_op(op, &mut state) {
-            outcomes.push(outcome);
-        }
-    }
-    // events/s covers the churn + workload replay only; snapshot the
-    // clock before the out-of-band coverage sweep below.
-    let secs = start.elapsed().as_secs_f64();
-    for &g in &ids {
-        outcomes.extend(engine.publish(g));
-    }
-    let publishes = outcomes.len();
-    let publish_stranded: usize = outcomes.iter().map(|o| o.stranded).sum();
-    let publish_messages: usize = outcomes.iter().map(|o| o.messages).sum();
-    let publish_relay_messages: usize = outcomes.iter().map(|o| o.relay_messages).sum();
-
-    let mut exact = true;
-    let mut coverage_sum = 0.0;
-    let mut memberships = 0usize;
-    let mut relays = 0usize;
-    for &g in &ids {
-        memberships += engine.members(g).len();
-        relays += engine.relays(g).len();
-        coverage_sum += engine.coverage(g);
-        exact &= engine.matches_reference(g);
-    }
-    let events = schedule.len() + group_events;
-    let totals = *engine.totals();
+    let s = figures::groups_scenario(&cfg, num_groups, placement);
+    let churn = s.examined.len();
+    let examined: usize = s.examined.iter().sum();
+    let secs = s.seconds;
+    let totals = &s.totals;
 
     let mut out = String::new();
     out.push_str(&format!(
         "multi-group sessions: {num_groups} groups over {n} peers (D={dim}, seed {seed}, zipf {zipf:.1}, {placement_name})\n\n"
     ));
     out.push_str(&format!(
-        "  events applied      : {} churn + {} group ops\n",
-        schedule.len(),
-        group_events
+        "  events applied      : {churn} churn + {} group ops\n",
+        s.group_events
     ));
     out.push_str(&format!("  elapsed             : {secs:.3}s\n"));
     out.push_str(&format!(
         "  events per second   : {:.0}\n",
-        events as f64 / secs.max(1e-9)
+        (churn + s.group_events) as f64 / secs.max(1e-9)
     ));
-    let churn = schedule.len().max(1) as f64;
+    let per_event = |sum: usize| sum as f64 / churn.max(1) as f64;
     out.push_str(&format!(
         "  affected groups     : mean {:.2} / max {} examined per churn event (naive engine: {num_groups})\n",
-        affected_sum as f64 / churn,
-        affected_max
+        per_event(examined),
+        s.examined.iter().max().unwrap_or(&0)
     ));
     out.push_str(&format!(
         "  certified / rebuilt : mean {:.2} / {:.2} per churn event\n",
-        certified_sum as f64 / churn,
-        (affected_sum - certified_sum) as f64 / churn
+        per_event(s.certified),
+        per_event(examined - s.certified)
     ));
     out.push_str(&format!(
         "  tree rebuilds       : {} ({} tree nodes touched)\n",
@@ -909,37 +835,32 @@ fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
         totals.zone_splits_replayed, totals.zone_splits_recomputed
     ));
     out.push_str(&format!(
-        "  memberships after   : {memberships} across {num_groups} groups\n"
+        "  memberships after   : {} across {num_groups} groups\n",
+        s.memberships
     ));
     out.push_str(&format!(
         "  mean coverage       : {:.0}%\n",
-        coverage_sum * 100.0 / ids.len() as f64
+        s.coverage_mean * 100.0
     ));
-    out.push_str(&format!("  relay nodes         : {relays}\n"));
+    out.push_str(&format!("  relay nodes         : {}\n", s.relays));
     out.push_str(&format!(
-        "  publishes           : {publishes} ({publish_messages} data messages, {publish_relay_messages} over relays)\n"
+        "  publishes           : {} ({} data messages, {} over relays)\n",
+        s.publishes, s.publish_messages, s.publish_relay_messages
     ));
-    out.push_str(&format!("  publish stranded    : {publish_stranded}\n"));
-    out.push_str(&format!(
-        "  live peers after    : {}\n",
-        engine.store().live_count()
-    ));
-    out.push_str(&format!("  all == rebuild      : {exact}\n"));
-    if strict_coverage && publish_stranded > 0 {
+    out.push_str(&format!("  publish stranded    : {}\n", s.publish_stranded));
+    out.push_str(&format!("  live peers after    : {}\n", s.live));
+    out.push_str(&format!("  all == rebuild      : {}\n", s.exact));
+    if strict_coverage && s.publish_stranded > 0 {
         return Err(CliError::StrandedMembers {
-            stranded: publish_stranded,
-            publishes,
+            stranded: s.publish_stranded,
+            publishes: s.publishes,
         });
     }
     Ok(out)
 }
 
 fn cmd_publish(inv: &Invocation) -> Result<String, CliError> {
-    use geocast::core::dataplane::FlushReport;
-    use geocast::core::groups::GroupEngine;
-    use geocast::overlay::churn::{ChurnEvent, ChurnSchedule};
-    use geocast::sim::workload::{zipf_group_sizes, PublishWorkload};
-    use std::time::Instant;
+    use geocast::sim::workload::PublishWorkload;
 
     let n: usize = opt_peers(inv, 500)?;
     let dim: usize = opt_dim(inv, 2)?;
@@ -981,62 +902,27 @@ fn cmd_publish(inv: &Invocation) -> Result<String, CliError> {
         });
     }
 
-    let points = uniform_points(n, dim, 1000.0, seed);
-    let store = TopologyStore::from_peers(
-        PeerInfo::from_point_set(&points),
-        Arc::new(EmptyRectSelection),
-    );
-    let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
-    let mut state = seed ^ 0x0070_7562_6c69_7368; // "publish"
-    let sizes = zipf_group_sizes(num_groups, subs.max(num_groups), zipf.max(1.0));
-    let ids = engine.seed_groups_placed(placement, &sizes, &mut state);
-
-    let churn_events = ticks.checked_div(churn_every).unwrap_or(0);
-    let schedule = ChurnSchedule::from_pattern(
-        n,
-        &ChurnPattern::Mixed {
-            events: churn_events,
-            join_rate: 1,
-            leave_rate: 1,
-        },
+    let cfg = figures::PublishConfig {
+        initial: n,
+        groups: num_groups,
+        subscriptions: subs,
+        placement,
+        exponents: vec![zipf],
+        batch_sizes: vec![batch],
+        ticks,
+        churn_every,
         dim,
-        1000.0,
-        seed ^ 0xda7a,
-    );
-    let mut churn_it = schedule.events().iter();
+        seed,
+        vmax: 1000.0,
+    };
+    let s = figures::publish_scenario(&cfg, zipf, batch);
+    let (report, converged) = (&s.report, s.exact);
     let workload = PublishWorkload {
         groups: num_groups,
         exponent: zipf,
         ticks,
         payloads_per_tick: batch,
     };
-
-    let mut report = FlushReport::default();
-    let mut flush_seconds = 0.0f64;
-    for tick in 0..ticks {
-        if churn_every > 0 && tick % churn_every == churn_every - 1 {
-            match churn_it.next() {
-                Some(ChurnEvent::Join(p)) => {
-                    engine.join(p.clone());
-                }
-                Some(ChurnEvent::Leave(id)) => engine.leave(*id),
-                None => {}
-            }
-        }
-        let counts = workload.tick_payloads(seed, tick);
-        // lint:allow(D002, reason = "wall-clock lines in the CLI report only; no control flow reads the clock")
-        let start = Instant::now();
-        for (gi, &payloads) in counts.iter().enumerate() {
-            if payloads > 0 {
-                engine.enqueue(ids[gi], payloads);
-            }
-        }
-        for b in engine.flush_tick() {
-            report.absorb(&b);
-        }
-        flush_seconds += start.elapsed().as_secs_f64();
-    }
-    let converged = ids.iter().all(|&g| engine.matches_reference(g));
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -1073,7 +959,7 @@ fn cmd_publish(inv: &Invocation) -> Result<String, CliError> {
     ));
     out.push_str(&format!(
         "  flush throughput    : {:.2e} payloads/s\n",
-        report.payloads as f64 / flush_seconds.max(1e-9)
+        s.payloads_per_s
     ));
     out.push_str(&format!("  all == rebuild      : {converged}\n"));
     if strict && (report.payload_strandings > 0 || report.cache_hits == 0 || !converged) {
@@ -1737,6 +1623,53 @@ mod tests {
         assert!(
             !out.contains("false"),
             "a group diverged from rebuild: {out}"
+        );
+    }
+
+    #[test]
+    fn groups_command_runs_the_panels_scenario() {
+        // The 16-group scattered cell of the quick groups panel, through
+        // `geocast groups`: the same driver, so the same per-event means.
+        let cfg = figures::GroupsConfig::quick();
+        let (n, subs) = (cfg.initial.to_string(), cfg.subscriptions.to_string());
+        let (churn, ops) = (cfg.churn_events.to_string(), cfg.group_events.to_string());
+        let zipf = cfg.exponent.to_string();
+        let inv = parse_args(&args(&[
+            "groups",
+            "--n",
+            &n,
+            "--groups",
+            "16",
+            "--subs",
+            &subs,
+            "--zipf",
+            &zipf,
+            "--events",
+            &churn,
+            "--group-events",
+            &ops,
+            "--placement",
+            "scattered",
+        ]))
+        .unwrap();
+        let out = run(&inv).unwrap();
+        let panel = run(&parse_args(&args(&["figures", "--panel", "groups"])).unwrap()).unwrap();
+        let row: Vec<&str> = panel
+            .lines()
+            .find(|l| l.starts_with("| 16 | scattered |"))
+            .expect("the 16-group scattered row")
+            .split('|')
+            .map(str::trim)
+            .collect();
+        // Cells 5 and 6 of the split row: examined μ, certified μ.
+        let (examined, certified) = (row[5], row[6]);
+        assert!(
+            out.contains(&format!("affected groups     : mean {examined} / max")),
+            "{out}\n{panel}"
+        );
+        assert!(
+            out.contains(&format!("certified / rebuilt : mean {certified} / ")),
+            "{out}\n{panel}"
         );
     }
 

@@ -28,7 +28,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use geocast_core::groups::{AppliedOp, GroupEngine};
+use geocast_core::groups::{AppliedOp, EngineTotals, GroupEngine, PublishOutcome};
 use geocast_core::OrthantRectPartitioner;
 use geocast_metrics::{AsciiChart, Table};
 use geocast_overlay::churn::{ChurnEvent, ChurnSchedule};
@@ -110,44 +110,72 @@ impl GroupsConfig {
     }
 }
 
-/// Per-scenario accounting the table reports.
-struct ScenarioStats {
-    groups: usize,
-    placement: MembershipPlacement,
-    memberships: usize,
-    affected_sum: usize,
-    certified_sum: usize,
-    repaired_members_sum: usize,
-    churn_events: usize,
-    group_events: usize,
-    coverage_mean: f64,
-    relays: usize,
-    publishes: usize,
-    publish_stranded: usize,
-    publish_messages: usize,
-    publish_relay_messages: usize,
-    events_per_s: f64,
-    exact: bool,
-    /// Graft walks of the replayed scenario (seeding excluded) whose
-    /// target came from the previous build's record / was searched for.
-    walks_replayed: u64,
-    walks_recomputed: u64,
-    /// §2-reached members of those rebuilds whose delegation came from
-    /// the previous build's record / whose zone was partitioned.
-    splits_replayed: u64,
-    splits_recomputed: u64,
+/// What one replayed scenario measured: a row of [`groups_panel`], and
+/// every line `geocast groups` prints.
+#[derive(Debug, Clone)]
+pub struct GroupsScenario {
+    /// Memberships across the groups at the end.
+    pub memberships: usize,
+    /// Groups each churn event examined, in replay order.
+    pub examined: Vec<usize>,
+    /// Σ groups the churn events certified unchanged.
+    pub certified: usize,
+    /// Σ members of the groups the churn events rebuilt.
+    pub repaired_members: usize,
+    /// Group-workload operations applied.
+    pub group_events: usize,
+    /// Mean delivery coverage over the groups at the end.
+    pub coverage_mean: f64,
+    /// Relay nodes across the groups at the end.
+    pub relays: usize,
+    /// Publishes: the workload's, then one final publish per group.
+    pub publishes: usize,
+    /// Σ members those publishes failed to reach.
+    pub publish_stranded: usize,
+    /// Σ data messages of those publishes.
+    pub publish_messages: usize,
+    /// Σ data messages of those publishes sent over relays.
+    pub publish_relay_messages: usize,
+    /// Wall-clock seconds of the replay, final publishes included.
+    pub seconds: f64,
+    /// Every group equals its from-scratch grafted rebuild at the end.
+    pub exact: bool,
+    /// The engine's totals counted from after seeding.
+    pub totals: EngineTotals,
+    /// Live peers at the end.
+    pub live: usize,
 }
 
-/// Replays one scenario at `num_groups` concurrent groups; pushes the
-/// per-churn-event affected-group trace into `trace` when `chart` is
-/// set.
-fn run_scenario(
+/// `now - seeded`, field by field: what the replay after seeding did.
+fn since(now: &EngineTotals, seeded: &EngineTotals) -> EngineTotals {
+    EngineTotals {
+        deltas: now.deltas - seeded.deltas,
+        membership_ops: now.membership_ops - seeded.membership_ops,
+        tree_rebuilds: now.tree_rebuilds - seeded.tree_rebuilds,
+        rebuilt_members: now.rebuilt_members - seeded.rebuilt_members,
+        publishes: now.publishes - seeded.publishes,
+        payloads: now.payloads - seeded.payloads,
+        full_resyncs: now.full_resyncs - seeded.full_resyncs,
+        graft_walks_replayed: now.graft_walks_replayed - seeded.graft_walks_replayed,
+        graft_walks_recomputed: now.graft_walks_recomputed - seeded.graft_walks_recomputed,
+        graft_walks_spliced: now.graft_walks_spliced - seeded.graft_walks_spliced,
+        graft_walks_examined: now.graft_walks_examined - seeded.graft_walks_examined,
+        zone_splits_replayed: now.zone_splits_replayed - seeded.zone_splits_replayed,
+        zone_splits_recomputed: now.zone_splits_recomputed - seeded.zone_splits_recomputed,
+        tree_nodes_touched: now.tree_nodes_touched - seeded.tree_nodes_touched,
+    }
+}
+
+/// Replays one scenario at `num_groups` concurrent groups under
+/// `placement`: seeds the Zipf groups, then interleaves the churn
+/// schedule and the group workload round-robin, then publishes once
+/// per group.
+#[must_use]
+pub fn groups_scenario(
     cfg: &GroupsConfig,
     num_groups: usize,
     placement: MembershipPlacement,
-    chart: bool,
-    trace: &mut Vec<(f64, f64)>,
-) -> ScenarioStats {
+) -> GroupsScenario {
     let base = geocast_geom::gen::uniform_points(cfg.initial, cfg.dim, cfg.vmax, cfg.seed);
     let store = TopologyStore::from_peers(
         PeerInfo::from_point_set(&base),
@@ -180,38 +208,12 @@ fn run_scenario(
     };
     let group_ops = workload.ops(cfg.seed ^ 0x67 ^ (num_groups as u64));
 
-    let mut stats = ScenarioStats {
-        groups: num_groups,
-        placement,
-        memberships: 0,
-        affected_sum: 0,
-        certified_sum: 0,
-        repaired_members_sum: 0,
-        churn_events: 0,
-        group_events: 0,
-        coverage_mean: 0.0,
-        relays: 0,
-        publishes: 0,
-        publish_stranded: 0,
-        publish_messages: 0,
-        publish_relay_messages: 0,
-        events_per_s: 0.0,
-        exact: true,
-        walks_replayed: 0,
-        walks_recomputed: 0,
-        splits_replayed: 0,
-        splits_recomputed: 0,
-    };
-    let absorb_publish = |stats: &mut ScenarioStats,
-                          outcome: &geocast_core::groups::PublishOutcome| {
-        stats.publishes += 1;
-        stats.publish_stranded += outcome.stranded;
-        stats.publish_messages += outcome.messages;
-        stats.publish_relay_messages += outcome.relay_messages;
-    };
+    let mut examined = Vec::with_capacity(churn.len());
+    let (mut certified, mut repaired_members, mut group_events) = (0, 0, 0);
+    let mut outcomes: Vec<PublishOutcome> = Vec::new();
 
     // Interleave overlay churn with the group workload, round-robin.
-    // lint:allow(D002, reason = "feeds the wall-clock column of the groups panel only; no control flow reads the clock")
+    // lint:allow(D002, reason = "feeds the wall-clock column of the groups panel and the CLI's elapsed line only; no control flow reads the clock")
     let start = Instant::now();
     let mut churn_it = churn.events().iter();
     let mut ops_it = group_ops.into_iter();
@@ -225,20 +227,16 @@ fn run_scenario(
                 ChurnEvent::Leave(id) => engine.leave(*id),
             }
             let sync = *engine.last_sync();
-            stats.churn_events += 1;
-            stats.affected_sum += sync.affected_groups;
-            stats.certified_sum += sync.certified_groups;
-            stats.repaired_members_sum += sync.rebuilt_members;
-            if chart {
-                trace.push((stats.churn_events as f64, sync.affected_groups as f64));
-            }
+            examined.push(sync.affected_groups);
+            certified += sync.certified_groups;
+            repaired_members += sync.rebuilt_members;
             progressed = true;
         }
         if let Some(op) = ops_it.next() {
             if let AppliedOp::Published(_, outcome) = engine.apply_workload_op(op, &mut state) {
-                absorb_publish(&mut stats, &outcome);
+                outcomes.push(outcome);
             }
-            stats.group_events += 1;
+            group_events += 1;
             progressed = true;
         }
         if !progressed {
@@ -248,34 +246,37 @@ fn run_scenario(
     // Final publish sweep: every group delivers once more so rows with
     // few workload publishes still report coverage at full confidence.
     for &g in &ids {
-        if let Some(outcome) = engine.publish(g) {
-            absorb_publish(&mut stats, &outcome);
-        }
+        outcomes.extend(engine.publish(g));
     }
     let seconds = start.elapsed().as_secs_f64();
-    let total_events = stats.churn_events + stats.group_events;
-    stats.events_per_s = if seconds > 0.0 {
-        total_events as f64 / seconds
-    } else {
-        f64::INFINITY
-    };
 
     // Final-state audit: memberships, coverage, relays, and exactness
     // against the from-scratch grafted reference.
     let mut coverage_sum = 0.0;
+    let (mut memberships, mut relays, mut exact) = (0, 0, true);
     for &g in &ids {
-        stats.memberships += engine.members(g).len();
-        stats.relays += engine.relays(g).len();
+        memberships += engine.members(g).len();
+        relays += engine.relays(g).len();
         coverage_sum += engine.coverage(g);
-        stats.exact &= engine.matches_reference(g);
+        exact &= engine.matches_reference(g);
     }
-    stats.coverage_mean = coverage_sum / ids.len() as f64;
-    let totals = engine.totals();
-    stats.walks_replayed = totals.graft_walks_replayed - seeded.graft_walks_replayed;
-    stats.walks_recomputed = totals.graft_walks_recomputed - seeded.graft_walks_recomputed;
-    stats.splits_replayed = totals.zone_splits_replayed - seeded.zone_splits_replayed;
-    stats.splits_recomputed = totals.zone_splits_recomputed - seeded.zone_splits_recomputed;
-    stats
+    GroupsScenario {
+        memberships,
+        examined,
+        certified,
+        repaired_members,
+        group_events,
+        coverage_mean: coverage_sum / ids.len() as f64,
+        relays,
+        publishes: outcomes.len(),
+        publish_stranded: outcomes.iter().map(|o| o.stranded).sum(),
+        publish_messages: outcomes.iter().map(|o| o.messages).sum(),
+        publish_relay_messages: outcomes.iter().map(|o| o.relay_messages).sum(),
+        seconds,
+        exact,
+        totals: since(engine.totals(), &seeded),
+        live: engine.store().live_count(),
+    }
 }
 
 /// **Multi-group scenario** — N concurrent group trees over one shared
@@ -313,25 +314,35 @@ pub fn groups_panel(cfg: &GroupsConfig) -> FigureReport {
     let largest = cfg.group_counts.iter().copied().max().unwrap_or(0);
     for &placement in &cfg.placements {
         for &num_groups in &cfg.group_counts {
-            let chart_this = num_groups == largest && placement == MembershipPlacement::Scattered;
-            if chart_this {
-                trace.clear();
+            let s = groups_scenario(cfg, num_groups, placement);
+            if num_groups == largest && placement == MembershipPlacement::Scattered {
+                trace = s
+                    .examined
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &a)| ((i + 1) as f64, a as f64))
+                    .collect();
             }
-            let s = run_scenario(cfg, num_groups, placement, chart_this, &mut trace);
-            let churn = s.churn_events.max(1);
+            let churn = s.examined.len();
+            let examined: usize = s.examined.iter().sum();
+            let per_event = |sum: usize| format!("{:.2}", sum as f64 / churn.max(1) as f64);
+            let events = churn + s.group_events;
+            let events_per_s = if s.seconds > 0.0 {
+                events as f64 / s.seconds
+            } else {
+                f64::INFINITY
+            };
+            let t = &s.totals;
             table.push_row(vec![
-                s.groups.to_string(),
-                s.placement.to_string(),
+                num_groups.to_string(),
+                placement.to_string(),
                 s.memberships.to_string(),
-                format!("{}+{}", s.churn_events, s.group_events),
-                format!("{:.2}", s.affected_sum as f64 / churn as f64),
-                format!("{:.2}", s.certified_sum as f64 / churn as f64),
-                format!(
-                    "{:.2}",
-                    (s.affected_sum - s.certified_sum) as f64 / churn as f64
-                ),
-                s.groups.to_string(),
-                format!("{:.1}", s.repaired_members_sum as f64 / churn as f64),
+                format!("{churn}+{}", s.group_events),
+                per_event(examined),
+                per_event(s.certified),
+                per_event(examined - s.certified),
+                num_groups.to_string(),
+                format!("{:.1}", s.repaired_members as f64 / churn.max(1) as f64),
                 format!("{:.0}%", s.coverage_mean * 100.0),
                 s.relays.to_string(),
                 s.publish_stranded.to_string(),
@@ -339,17 +350,17 @@ pub fn groups_panel(cfg: &GroupsConfig) -> FigureReport {
                     "{:.1}",
                     s.publish_relay_messages as f64 / s.publishes.max(1) as f64
                 ),
-                format!("{:.0}", s.events_per_s),
+                format!("{events_per_s:.0}"),
                 s.exact.to_string(),
                 format!(
                     "{}/{}",
-                    s.walks_replayed,
-                    s.walks_replayed + s.walks_recomputed
+                    t.graft_walks_replayed,
+                    t.graft_walks_replayed + t.graft_walks_recomputed
                 ),
                 format!(
                     "{}/{}",
-                    s.splits_replayed,
-                    s.splits_replayed + s.splits_recomputed
+                    t.zone_splits_replayed,
+                    t.zone_splits_replayed + t.zone_splits_recomputed
                 ),
             ]);
         }

@@ -48,8 +48,8 @@ pub use fig1::{
     fig1a, fig1b, fig1c, fig1d, fig1e, stability_sweep, Fig1Config, Fig1cConfig, StabilityConfig,
     StabilityRow, StabilitySweep,
 };
-pub use groups::{groups_panel, GroupsConfig};
-pub use publish::{publish_panel, PublishConfig};
+pub use groups::{groups_panel, groups_scenario, GroupsConfig, GroupsScenario};
+pub use publish::{publish_panel, publish_scenario, PublishConfig, PublishScenario};
 pub use repair::{repair_cost, RepairConfig};
 pub use report::FigureReport;
 pub use scaling::{overlay_scaling, ScalingConfig};

@@ -105,23 +105,29 @@ impl PublishConfig {
     }
 }
 
-/// One (exponent, batch) cell of the sweep.
-pub(crate) struct ScenarioStats {
-    pub(crate) exponent: f64,
-    pub(crate) batch: usize,
-    pub(crate) report: FlushReport,
+/// One (exponent, batch) cell of the sweep: a row of [`publish_panel`],
+/// and every line `geocast publish` prints.
+#[derive(Debug, Clone)]
+pub struct PublishScenario {
+    /// Zipf skew of the payloads.
+    pub exponent: f64,
+    /// Payloads per tick.
+    pub batch: usize,
+    /// Every flushed batch, absorbed.
+    pub report: FlushReport,
     /// Payloads per second through the enqueue+flush path (churn
     /// application excluded — that cost belongs to the churn panels).
-    pub(crate) payloads_per_s: f64,
+    pub payloads_per_s: f64,
     /// Every group byte-identical to its from-scratch reference at the
     /// end.
-    pub(crate) exact: bool,
+    pub exact: bool,
 }
 
 /// Drives one scenario: `ticks` rounds of `batch` Zipf-skewed payloads
 /// through the flush engine, churning the overlay every
 /// `cfg.churn_every` ticks.
-pub(crate) fn run_scenario(cfg: &PublishConfig, exponent: f64, batch: usize) -> ScenarioStats {
+#[must_use]
+pub fn publish_scenario(cfg: &PublishConfig, exponent: f64, batch: usize) -> PublishScenario {
     let base = geocast_geom::gen::uniform_points(cfg.initial, cfg.dim, cfg.vmax, cfg.seed);
     let store = TopologyStore::from_peers(
         PeerInfo::from_point_set(&base),
@@ -170,7 +176,7 @@ pub(crate) fn run_scenario(cfg: &PublishConfig, exponent: f64, batch: usize) -> 
             }
         }
         let counts = workload.tick_payloads(cfg.seed, tick);
-        // lint:allow(D002, reason = "feeds the wall-clock column of the publish panel only; no control flow reads the clock")
+        // lint:allow(D002, reason = "feeds the wall-clock column of the publish panel and the CLI's throughput line only; no control flow reads the clock")
         let start = Instant::now();
         for (gi, &payloads) in counts.iter().enumerate() {
             if payloads > 0 {
@@ -189,7 +195,7 @@ pub(crate) fn run_scenario(cfg: &PublishConfig, exponent: f64, batch: usize) -> 
         f64::INFINITY
     };
     let exact = ids.iter().all(|&g| engine.matches_reference(g));
-    ScenarioStats {
+    PublishScenario {
         exponent,
         batch,
         report,
@@ -273,7 +279,7 @@ pub fn publish_panel(cfg: &PublishConfig) -> FigureReport {
     for &exponent in &cfg.exponents {
         let mut trace: Vec<(f64, f64)> = Vec::new();
         for &batch in &cfg.batch_sizes {
-            let s = run_scenario(cfg, exponent, batch);
+            let s = publish_scenario(cfg, exponent, batch);
             let r = &s.report;
             trace.push((batch as f64, r.messages_per_payload()));
             table.push_row(vec![
@@ -389,7 +395,7 @@ mod tests {
             churn_every: 0,
             ..tiny()
         };
-        let s = run_scenario(&cfg, 1.5, 32);
+        let s = publish_scenario(&cfg, 1.5, 32);
         assert!(s.exact);
         assert_eq!(s.report.payload_strandings, 0);
         // No churn: every flush after a group's first is a cache hit.

@@ -43,8 +43,8 @@
 //! ```
 //!
 //! See `examples/` for scenario walkthroughs (cloud lease scheduling,
-//! churn resilience) and `crates/bench` for the figure-regeneration
-//! benchmarks.
+//! churn resilience); `geocast figures --panel P [--full]` regenerates
+//! each of the paper's artifacts from [`figures`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

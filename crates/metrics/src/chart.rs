@@ -3,8 +3,8 @@ use std::fmt;
 /// A multi-series ASCII line chart for terminal figure output.
 ///
 /// Each figure harness draws the same curves as the paper's Figure 1
-/// panels, so a `cargo bench` (or `examples/figure1`) run shows the
-/// reproduced shapes directly in the terminal.
+/// panels, so a `geocast figures` run shows the reproduced shapes
+/// directly in the terminal.
 ///
 /// Series are plotted over a shared x/y range; each series is drawn with
 /// its own glyph and listed in a legend.

@@ -1,11 +1,9 @@
 //! Deterministic data-parallel map for per-peer computations.
 //!
-//! With the `parallel` feature (default), [`map_indexed`] fans `f` out
-//! across CPU cores on scoped `std::thread`s with a dynamic work
-//! cursor; results land in per-index slots, so the output is identical
-//! to the sequential run — parallelism never changes a topology, only
-//! how fast it is computed. Without the feature, it is a plain
-//! sequential map.
+//! [`map_indexed`] fans `f` out across CPU cores on scoped
+//! `std::thread`s with a dynamic work cursor; results land in per-index
+//! slots, so the output is identical to the sequential run —
+//! parallelism never changes a topology, only how fast it is computed.
 //!
 //! On a [`geocast_sim::runner::ParallelRunner`] worker thread the map
 //! always runs sequentially: the cores are already saturated one level
@@ -13,15 +11,13 @@
 //! nested `available_parallelism` fan-out per job would oversubscribe
 //! the CPU quadratically.
 
-/// Inputs below this size run sequentially even with `parallel` on:
-/// thread start-up would dominate the work.
-#[cfg(feature = "parallel")]
+/// Inputs below this size run sequentially: thread start-up would
+/// dominate the work.
 const PARALLEL_MIN_ITEMS: usize = 512;
 
 /// Indices a worker claims at a time: few enough claims that cursor
 /// traffic is negligible, small enough blocks to balance uneven
 /// per-index cost.
-#[cfg(feature = "parallel")]
 const BLOCK: usize = 32;
 
 /// Applies `f` to `0..n`, returning outputs in index order.
@@ -30,17 +26,13 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        if n >= PARALLEL_MIN_ITEMS && threads > 1 && !geocast_sim::runner::in_parallel_worker() {
-            return map_parallel(n, threads.min(n), &f);
-        }
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    if n >= PARALLEL_MIN_ITEMS && threads > 1 && !geocast_sim::runner::in_parallel_worker() {
+        return map_parallel(n, threads.min(n), &f);
     }
     (0..n).map(f).collect()
 }
 
-#[cfg(feature = "parallel")]
 fn map_parallel<T, F>(n: usize, threads: usize, f: &F) -> Vec<T>
 where
     T: Send,
@@ -96,7 +88,6 @@ mod tests {
         assert_eq!(map_indexed(3, |i| i + 1), vec![1, 2, 3]);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_path_matches_sequential() {
         let seq: Vec<usize> = (0..5000).map(|i| i ^ 0xabc).collect();

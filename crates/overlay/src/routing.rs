@@ -19,20 +19,18 @@
 //! For non-peer targets greedy can stop early at a local minimum; the
 //! result reports where.
 //!
-//! The peer-to-peer routes run over a materialized [`OverlayGraph`]
-//! (the figure path). Over a live [`TopologyStore`] — the
-//! churn-engine path, reading the store's incrementally-maintained
-//! forward + reverse adjacency without building a closure — there is
-//! what the group layer's relay grafting (`geocast_core::graft`) uses:
-//! the single hop [`greedy_step_on_store`], the one decision every walk
-//! here iterates and the one the group engine's repair certificate
-//! re-checks when a walked peer's row changes, and the region route
-//! [`greedy_route_to_rect_on_store`] of its fallback tier.
+//! Every walk here reads a live [`TopologyStore`]'s forward + reverse
+//! adjacency without building a closure, so departed peers are
+//! unreachable by construction. The group layer's relay grafting
+//! (`geocast_core::graft`) uses the single hop [`greedy_step_on_store`],
+//! the one decision every walk here iterates and the one the group
+//! engine's repair certificate re-checks when a walked peer's row
+//! changes, and the region route [`greedy_route_to_rect_on_store`] of
+//! its fallback tier.
 
 use geocast_geom::{Metric, MetricKind, Point, Rect};
 
-use crate::graph::OverlayGraph;
-use crate::peer::{PeerId, PeerInfo};
+use crate::peer::PeerId;
 use crate::store::TopologyStore;
 
 /// Outcome of a greedy route.
@@ -133,14 +131,13 @@ fn greedy_step(
 /// store's undirected row of `from` (read into `nbuf`): the neighbour
 /// strictly closer to `target` than `from` under `metric`, nearest
 /// first, ties broken by peer index; `None` when `from` is a local
-/// minimum. [`greedy_route`] over the store's graph is exactly this step
-/// iterated, so a caller that walks hop by hop (relay grafting, which
-/// stops at the first on-tree node) or re-checks one recorded hop
-/// against a changed row (the group engine's repair certificate) decides
-/// what the full route would have decided. Undirected rows come straight
-/// from the store's forward + reverse tables, so no closure is
-/// materialized and departed peers are unreachable by construction (they
-/// appear in no row).
+/// minimum. [`greedy_route`] is exactly this step iterated, so a caller
+/// that walks hop by hop (relay grafting, which stops at the first
+/// on-tree node) or re-checks one recorded hop against a changed row
+/// (the group engine's repair certificate) decides what the full route
+/// would have decided. Undirected rows come straight from the store's
+/// forward + reverse tables, so no closure is materialized and departed
+/// peers are unreachable by construction (they appear in no row).
 ///
 /// # Panics
 ///
@@ -159,14 +156,13 @@ pub fn greedy_step_on_store(
     greedy_step(nbuf, score, score(from)).map(|(next, _)| next)
 }
 
-/// The shared greedy walk: iterate [`greedy_step`] (nearest strictly
-/// improving neighbour, ties broken by peer index), stop on
-/// `score == 0` (delivery), at a local minimum, or after `max_hops`.
-/// `neighbors_into(i, buf)` fills `buf` with peer `i`'s undirected
-/// overlay partners — the graph-closure and store-adjacency flavours
-/// share everything else.
+/// The shared greedy walk over the store's undirected rows: iterate
+/// [`greedy_step`] (nearest strictly improving neighbour, ties broken
+/// by peer index), stop once `arrived`, at a local minimum, or after
+/// `max_hops`. The peer and the region routes differ only in `arrived`
+/// and `score`.
 fn greedy_walk(
-    mut neighbors_into: impl FnMut(usize, &mut Vec<usize>),
+    store: &TopologyStore,
     mut arrived: impl FnMut(usize) -> bool,
     mut score: impl FnMut(usize) -> f64,
     from: usize,
@@ -181,7 +177,7 @@ fn greedy_walk(
         if arrived(current) {
             return RouteResult::new(path, true, false);
         }
-        neighbors_into(current, &mut nbuf);
+        store.undirected_neighbors_into(current, &mut nbuf);
         match greedy_step(&nbuf, &mut score, current_score) {
             Some((nbr, d)) => {
                 path.push(nbr);
@@ -209,18 +205,17 @@ fn greedy_walk(
 ///
 /// # Panics
 ///
-/// Panics if sizes disagree, `from` is out of range, or the target's
-/// dimensionality differs.
+/// Panics if `from` is out of range or the target's dimensionality
+/// differs.
 #[must_use]
 pub fn greedy_route(
-    peers: &[PeerInfo],
-    graph: &OverlayGraph,
+    store: &TopologyStore,
     from: usize,
     target: &Point,
     metric: MetricKind,
     max_hops: usize,
 ) -> RouteResult {
-    assert_eq!(peers.len(), graph.len(), "peer/overlay size mismatch");
+    let peers = store.peers();
     assert!(from < peers.len(), "source out of range");
     assert_eq!(
         peers[from].point().dim(),
@@ -234,17 +229,7 @@ pub fn greedy_route(
     if score(from) == 0.0 {
         return RouteResult::new(vec![from], true, false);
     }
-    let adj = graph.undirected_closure();
-    greedy_walk(
-        |i, buf| {
-            buf.clear();
-            buf.extend_from_slice(adj.out_neighbors(i));
-        },
-        |i| score(i) == 0.0,
-        score,
-        from,
-        max_hops,
-    )
+    greedy_walk(store, |i| score(i) == 0.0, score, from, max_hops)
 }
 
 /// Routes greedily from live peer `from` towards a **region** over a
@@ -292,7 +277,7 @@ pub fn greedy_route_to_rect_on_store(
         return RouteResult::new(vec![from], true, false);
     }
     greedy_walk(
-        |i, buf| store.undirected_neighbors_into(i, buf),
+        store,
         arrived,
         |i: usize| metric.dist(peers[i].point(), &region.clamp(peers[i].point())),
         from,
@@ -316,26 +301,25 @@ pub fn greedy_route_to_rect_on_store(
 ///
 /// let peers = PeerInfo::from_point_set(&uniform_points(50, 2, 1000.0, 7));
 /// let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
-/// let route = route_to_peer(store.peers(), &store.graph(), 0, 42, MetricKind::L1);
+/// let route = route_to_peer(&store, 0, 42, MetricKind::L1);
 /// assert!(route.delivered());
 /// assert_eq!(route.last(), 42);
 /// ```
 ///
 /// # Panics
 ///
-/// Panics if indices are out of range or sizes disagree.
+/// Panics if indices are out of range.
 #[must_use]
 pub fn route_to_peer(
-    peers: &[PeerInfo],
-    graph: &OverlayGraph,
+    store: &TopologyStore,
     from: usize,
     to: usize,
     metric: MetricKind,
 ) -> RouteResult {
-    assert!(to < peers.len(), "destination out of range");
+    assert!(to < store.len(), "destination out of range");
     // n hops always suffice when every hop strictly progresses through
     // distinct peers.
-    greedy_route(peers, graph, from, peers[to].point(), metric, peers.len())
+    greedy_route(store, from, store.peers()[to].point(), metric, store.len())
 }
 
 #[cfg(test)]
@@ -343,16 +327,17 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::peer::PeerInfo;
     use crate::select::{EmptyRectSelection, HyperplanesSelection};
     use geocast_geom::gen::uniform_points;
 
     #[test]
     fn greedy_always_delivers_between_peers_on_empty_rect() {
         let store = store_setup(80, 2, 3);
-        let (peers, graph) = (store.peers(), store.graph());
+        let peers = store.peers();
         for from in [0usize, 17, 42] {
             for to in 0..peers.len() {
-                let route = route_to_peer(peers, &graph, from, to, MetricKind::L1);
+                let route = route_to_peer(&store, from, to, MetricKind::L1);
                 assert!(
                     route.delivered(),
                     "{from} -> {to} stuck at {}",
@@ -366,9 +351,9 @@ mod tests {
     #[test]
     fn delivery_holds_in_higher_dimensions() {
         let store = store_setup(60, 4, 5);
-        let (peers, graph) = (store.peers(), store.graph());
+        let peers = store.peers();
         for to in 0..peers.len() {
-            let route = route_to_peer(peers, &graph, 0, to, MetricKind::L1);
+            let route = route_to_peer(&store, 0, to, MetricKind::L1);
             assert!(route.delivered(), "0 -> {to}");
         }
     }
@@ -376,8 +361,8 @@ mod tests {
     #[test]
     fn distances_strictly_decrease_along_path() {
         let store = store_setup(70, 2, 7);
-        let (peers, graph) = (store.peers(), store.graph());
-        let route = route_to_peer(peers, &graph, 3, 55, MetricKind::L1);
+        let peers = store.peers();
+        let route = route_to_peer(&store, 3, 55, MetricKind::L1);
         let target = peers[55].point();
         let dists: Vec<f64> = route
             .path()
@@ -392,13 +377,13 @@ mod tests {
     #[test]
     fn route_to_self_is_trivial() {
         let store = store_setup(10, 2, 9);
-        let (peers, graph) = (store.peers(), store.graph());
-        let route = route_to_peer(peers, &graph, 4, 4, MetricKind::L1);
+        let peers = store.peers();
+        let route = route_to_peer(&store, 4, 4, MetricKind::L1);
         assert!(route.delivered());
         assert_eq!(route.hops(), 0);
         assert_eq!(route.path(), &[4]);
         // Even with a zero hop budget, standing at the target delivers.
-        let zero = greedy_route(peers, &graph, 4, peers[4].point(), MetricKind::L1, 0);
+        let zero = greedy_route(&store, 4, peers[4].point(), MetricKind::L1, 0);
         assert!(zero.delivered());
         assert_eq!(zero.path(), &[4]);
     }
@@ -406,9 +391,9 @@ mod tests {
     #[test]
     fn hop_count_is_bounded_by_network_size() {
         let store = store_setup(100, 2, 11);
-        let (peers, graph) = (store.peers(), store.graph());
+        let peers = store.peers();
         for to in [10usize, 50, 99] {
-            let route = route_to_peer(peers, &graph, 0, to, MetricKind::L1);
+            let route = route_to_peer(&store, 0, to, MetricKind::L1);
             assert!(route.hops() < peers.len());
         }
     }
@@ -416,9 +401,9 @@ mod tests {
     #[test]
     fn non_peer_target_ends_at_local_minimum_near_target() {
         let store = store_setup(120, 2, 13);
-        let (peers, graph) = (store.peers(), store.graph());
+        let peers = store.peers();
         let target = Point::new(vec![500.0, 500.0]).unwrap();
-        let route = greedy_route(peers, &graph, 0, &target, MetricKind::L1, peers.len());
+        let route = greedy_route(&store, 0, &target, MetricKind::L1, peers.len());
         assert!(route.local_minimum() || route.delivered());
         // The stopping peer is closer to the target than the source was.
         let d_end = MetricKind::L1.dist(peers[route.last()].point(), &target);
@@ -445,9 +430,8 @@ mod tests {
             .unwrap(),
         );
         let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
-        let (peers, graph) = (store.peers(), store.graph());
         let target = Point::new(vec![9.0, 9.0]).unwrap();
-        let route = greedy_route(peers, &graph, 0, &target, MetricKind::L1, 10);
+        let route = greedy_route(&store, 0, &target, MetricKind::L1, 10);
         assert_eq!(route.path(), &[0, 1]);
         assert!(route.local_minimum(), "stall must be declared");
         assert!(!route.delivered());
@@ -461,11 +445,11 @@ mod tests {
         // impossible here) or local_minimum — never silent hop
         // exhaustion, across sources and targets.
         let store = store_setup(90, 2, 21);
-        let (peers, graph) = (store.peers(), store.graph());
+        let peers = store.peers();
         for (tx, ty) in [(500.0, 500.0), (1.0, 999.0), (250.0, 750.0), (999.0, 1.0)] {
             let target = Point::new(vec![tx, ty]).unwrap();
             for from in [0usize, 30, 60] {
-                let route = greedy_route(peers, &graph, from, &target, MetricKind::L1, peers.len());
+                let route = greedy_route(&store, from, &target, MetricKind::L1, peers.len());
                 assert!(
                     route.local_minimum() && !route.delivered(),
                     "({tx},{ty}) from {from}: expected a declared local minimum, got {route:?}"
@@ -474,7 +458,9 @@ mod tests {
                 // neighbour improves on it.
                 let last = route.last();
                 let d_last = MetricKind::L1.dist(peers[last].point(), &target);
-                for &nbr in graph.undirected_closure().out_neighbors(last) {
+                let mut nbrs = Vec::new();
+                store.undirected_neighbors_into(last, &mut nbrs);
+                for &nbr in &nbrs {
                     assert!(
                         MetricKind::L1.dist(peers[nbr].point(), &target) >= d_last,
                         "neighbour {nbr} of {last} disproves the minimum"
@@ -487,12 +473,12 @@ mod tests {
     #[test]
     fn max_hops_truncates_walks() {
         let store = store_setup(100, 2, 15);
-        let (peers, graph) = (store.peers(), store.graph());
+        let peers = store.peers();
         // Find a pair needing more than 2 hops.
         let (from, to) = (0usize, {
             let mut best = (0usize, 0usize);
             for to in 1..peers.len() {
-                let r = route_to_peer(peers, &graph, 0, to, MetricKind::L1);
+                let r = route_to_peer(&store, 0, to, MetricKind::L1);
                 if r.hops() > best.1 {
                     best = (to, r.hops());
                 }
@@ -500,7 +486,7 @@ mod tests {
             assert!(best.1 > 2, "workload too small");
             best.0
         });
-        let truncated = greedy_route(peers, &graph, from, peers[to].point(), MetricKind::L1, 2);
+        let truncated = greedy_route(&store, from, peers[to].point(), MetricKind::L1, 2);
         assert_eq!(truncated.hops(), 2);
         assert!(!truncated.delivered());
         assert!(!truncated.local_minimum());
@@ -515,10 +501,10 @@ mod tests {
             PeerInfo::from_point_set(&uniform_points(60, 2, 1000.0, 17)),
             Arc::new(HyperplanesSelection::k_closest(2, 2, MetricKind::L1)),
         );
-        let (peers, graph) = (store.peers(), store.graph());
+        let peers = store.peers();
         let mut stuck = 0usize;
         for to in 0..peers.len() {
-            let route = route_to_peer(peers, &graph, 0, to, MetricKind::L1);
+            let route = route_to_peer(&store, 0, to, MetricKind::L1);
             if !route.delivered() {
                 stuck += 1;
                 assert!(route.local_minimum());
@@ -532,9 +518,8 @@ mod tests {
     #[test]
     fn routes_are_deterministic() {
         let store = store_setup(50, 3, 19);
-        let (peers, graph) = (store.peers(), store.graph());
-        let a = route_to_peer(peers, &graph, 1, 40, MetricKind::L1);
-        let b = route_to_peer(peers, &graph, 1, 40, MetricKind::L1);
+        let a = route_to_peer(&store, 1, 40, MetricKind::L1);
+        let b = route_to_peer(&store, 1, 40, MetricKind::L1);
         assert_eq!(a, b);
     }
 
@@ -606,20 +591,12 @@ mod tests {
     #[test]
     fn single_steps_iterate_to_the_full_route() {
         let store = store_setup(70, 2, 27);
-        let graph = store.graph();
         let mut cases: Vec<(usize, Point)> = [1usize, 23, 69]
             .map(|to| (0, store.peers()[to].point().clone()))
             .into();
         cases.push((5, Point::new(vec![400.0, 600.0]).unwrap()));
         for &(from, ref target) in &cases {
-            let route = greedy_route(
-                store.peers(),
-                &graph,
-                from,
-                target,
-                MetricKind::L1,
-                store.len(),
-            );
+            let route = greedy_route(&store, from, target, MetricKind::L1, store.len());
             assert_eq!(
                 step_path(&store, from, target),
                 route.path(),
@@ -634,7 +611,6 @@ mod tests {
         for gone in [11u64, 37, 53] {
             store.remove(PeerId(gone));
         }
-        let graph = store.graph();
         for to in 0..store.len() {
             if store.is_departed(PeerId(to as u64)) {
                 continue;
@@ -642,14 +618,7 @@ mod tests {
             let target = store.peers()[to].point();
             let path = step_path(&store, 0, target);
             assert_eq!(path.last(), Some(&to), "0 -> {to} must deliver");
-            let route = greedy_route(
-                store.peers(),
-                &graph,
-                0,
-                target,
-                MetricKind::L1,
-                store.len(),
-            );
+            let route = greedy_route(&store, 0, target, MetricKind::L1, store.len());
             assert_eq!(path, route.path(), "0 -> {to}");
             for &hop in &path {
                 assert!(

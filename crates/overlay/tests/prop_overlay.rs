@@ -314,10 +314,10 @@ proptest! {
         dst_pick in 0usize..1000,
     ) {
         let store = TopologyStore::from_peers(peers(n, dim, seed), Arc::new(EmptyRectSelection));
-        let (population, graph) = (store.peers(), store.graph());
+        let population = store.peers();
         let src = src_pick % n;
         let dst = dst_pick % n;
-        let route = route_to_peer(population, &graph, src, dst, MetricKind::L1);
+        let route = route_to_peer(&store, src, dst, MetricKind::L1);
         prop_assert!(route.delivered(), "{src} -> {dst} stuck at {}", route.last());
         prop_assert_eq!(route.last(), dst);
         let target = population[dst].point();

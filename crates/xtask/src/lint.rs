@@ -10,7 +10,7 @@
 //! |------|----------|
 //! | D001 | No `HashMap`/`HashSet` state in replay-critical crates (`overlay`, `core`, `sim`, `geom`): hash iteration order is seeded per process, so any map/set that reaches a fold, a delta stream, or a fingerprint must be a `BTreeMap`/`BTreeSet`. |
 //! | D002 | No `Instant::now`/`SystemTime` outside telemetry: wall-clock reads may feed stats columns, never control flow. |
-//! | D003 | No unseeded RNG (`thread_rng`, `from_entropy`) outside `bench`: every experiment replays from a seed. |
+//! | D003 | No unseeded RNG (`thread_rng`, `from_entropy`) in any crate: every experiment replays from a seed. |
 //! | D004 | No `partial_cmp` on floats outside `geom`: coordinate ordering goes through the total-order comparator (`f64::total_cmp`) so NaN/tie handling cannot diverge between engines. |
 //! | D005 | Every crate root carries `#![forbid(unsafe_code)]`. |
 //! | D006 | A `pub fn` / `pub struct` / `pub enum` of a library crate (`geom`, `sim`, `overlay`, `core`, `metrics`) is named somewhere that is not a test: outside its own definition, `#[cfg(test)]` items, `tests/`, `examples/` and `pub use` re-exports. A name defined twice counts as reached (conservative). The waiver's reason names the production behaviour the tests observe through it, or the open ROADMAP item that names it. |
@@ -33,10 +33,6 @@ use crate::lexer::{lex, LexedFile};
 
 /// Crates whose state feeds replay/fingerprint comparisons (D001).
 pub const REPLAY_CRITICAL: [&str; 4] = ["overlay", "core", "sim", "geom"];
-/// Crates allowed to read wall clocks freely (D002).
-pub const TIMING_EXEMPT: [&str; 1] = ["bench"];
-/// Crates allowed entropy-seeded RNG (D003).
-pub const RNG_EXEMPT: [&str; 1] = ["bench"];
 /// The crate hosting the sanctioned float total-order comparisons (D004).
 pub const FLOAT_ORD_HOME: &str = "geom";
 /// Crates whose public surface must be reached by something that is not
@@ -342,8 +338,6 @@ pub fn lint_lexed(
     let mut raw: Vec<Violation> = Vec::new();
 
     let replay_critical = REPLAY_CRITICAL.contains(&crate_name);
-    let timing_exempt = TIMING_EXEMPT.contains(&crate_name);
-    let rng_exempt = RNG_EXEMPT.contains(&crate_name);
 
     for (idx, masked) in lexed.masked.iter().enumerate() {
         let line = idx + 1;
@@ -370,45 +364,41 @@ pub fn lint_lexed(
             }
         }
         // D002 — wall-clock reads outside telemetry.
-        if !timing_exempt {
-            for pat in ["Instant", "SystemTime"] {
-                if let Some(pos) = token_at(masked, pat) {
-                    // `Instant` only matters when the clock is read or
-                    // a value is stored; type-position uses (fn args,
-                    // struct fields of telemetry) are covered by the
-                    // read sites. Flag reads: `Instant::now`,
-                    // `SystemTime::now`, `SystemTime::UNIX_EPOCH`.
-                    let after = &masked[pos..];
-                    if pat == "SystemTime" || after.starts_with("Instant::now") {
-                        raw.push(Violation {
-                            rule: "D002",
-                            file: file_label.to_string(),
-                            line,
-                            message: format!(
-                                "{pat} read outside a telemetry context: wall-clock values may \
-                                 feed stats columns only, never control flow; waive with \
-                                 `// lint:allow(D002, reason = \"feeds <stat>; no control flow \
-                                 reads the clock\")`"
-                            ),
-                        });
-                    }
+        for pat in ["Instant", "SystemTime"] {
+            if let Some(pos) = token_at(masked, pat) {
+                // `Instant` only matters when the clock is read or a
+                // value is stored; type-position uses (fn args, struct
+                // fields of telemetry) are covered by the read sites.
+                // Flag reads: `Instant::now`, `SystemTime::now`,
+                // `SystemTime::UNIX_EPOCH`.
+                let after = &masked[pos..];
+                if pat == "SystemTime" || after.starts_with("Instant::now") {
+                    raw.push(Violation {
+                        rule: "D002",
+                        file: file_label.to_string(),
+                        line,
+                        message: format!(
+                            "{pat} read outside a telemetry context: wall-clock values may \
+                             feed stats columns only, never control flow; waive with \
+                             `// lint:allow(D002, reason = \"feeds <stat>; no control flow \
+                             reads the clock\")`"
+                        ),
+                    });
                 }
             }
         }
         // D003 — unseeded RNG.
-        if !rng_exempt {
-            for token in ["thread_rng", "from_entropy"] {
-                if has_token(masked, token) {
-                    raw.push(Violation {
-                        rule: "D003",
-                        file: file_label.to_string(),
-                        line,
-                        message: format!(
-                            "{token} draws process entropy: every experiment must replay from \
-                             a seed (StdRng::seed_from_u64); entropy is allowed only in `bench`"
-                        ),
-                    });
-                }
+        for token in ["thread_rng", "from_entropy"] {
+            if has_token(masked, token) {
+                raw.push(Violation {
+                    rule: "D003",
+                    file: file_label.to_string(),
+                    line,
+                    message: format!(
+                        "{token} draws process entropy: every experiment must replay from \
+                         a seed (StdRng::seed_from_u64)"
+                    ),
+                });
             }
         }
         // D004 — float ordering outside the sanctioned comparator.

@@ -54,12 +54,10 @@ fn d002_waiver_naming_the_stat_suppresses() {
 }
 
 #[test]
-fn d003_fires_outside_bench_and_not_inside() {
+fn d003_fires_in_every_crate() {
     let src = include_str!("fixtures/d003_bad.rs");
     let (violations, _) = lint_source("sim", "d003_bad.rs", src, false);
     assert_eq!(rules_of(&violations), ["D003"]);
-    let (violations, _) = lint_source("bench", "d003_bad.rs", src, false);
-    assert!(violations.is_empty(), "{violations:?}");
 }
 
 #[test]
@@ -208,7 +206,7 @@ fn real_workspace_is_clean() {
         .join("..")
         .join("..");
     let report = lint_workspace(&root).expect("workspace readable");
-    assert!(report.files > 100, "walker found the workspace");
+    assert!(report.files > 90, "walker found the workspace");
     assert!(
         report.violations.is_empty(),
         "determinism lint must be clean:\n{}",

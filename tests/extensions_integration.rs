@@ -26,11 +26,15 @@ fn routing_works_on_gossip_converged_topology() {
         net.add_peer(p.clone());
         net.converge();
     }
-    let peers = PeerInfo::from_point_set(&points);
-    let topo = net.topology();
-    for from in 0..peers.len() {
-        for to in 0..peers.len() {
-            let route = route_to_peer(&peers, &topo, from, to, MetricKind::L1);
+    // Greedy routing reads the store; the gossip converged to its topology.
+    let store = TopologyStore::from_peers(
+        PeerInfo::from_point_set(&points),
+        Arc::new(EmptyRectSelection),
+    );
+    assert_eq!(net.topology(), store.graph());
+    for from in 0..store.len() {
+        for to in 0..store.len() {
+            let route = route_to_peer(&store, from, to, MetricKind::L1);
             assert!(route.delivered(), "{from} -> {to} on gossip topology");
         }
     }
