@@ -21,7 +21,7 @@ use std::sync::Arc;
 use geocast::core::stability::{non_leaf_departures, preferred_links, PreferredPolicy};
 use geocast::figures;
 use geocast::geom::arrangement::MAX_SIGNED_DIM;
-use geocast::geom::MAX_ORTHANT_DIM;
+use geocast::geom::{MAX_ORTHANT_DIM, VMAX};
 use geocast::overlay::analysis;
 use geocast::prelude::*;
 
@@ -62,9 +62,9 @@ pub enum CliError {
     /// failed to reach every subscriber (the CI coverage gate).
     StrandedMembers {
         /// Total stranded deliveries across the run's publishes.
-        stranded: usize,
+        stranded: u64,
         /// Publishes performed.
-        publishes: usize,
+        publishes: u64,
     },
     /// `publish --strict` was requested and the data-plane gate failed:
     /// a flushed payload stranded a subscriber, the delivery-plan cache
@@ -407,7 +407,7 @@ COMMANDS:
              [--strict]  (fail on false positives, missed failures,
                           unrecovered coverage, or oracle divergence)
   figures    regenerate the paper's artifacts
-             --panel fig1a|fig1b|fig1c|fig1d|fig1e|claims|ablation|baselines|repair|scaling|churn|groups|detection|publish|all [--full]
+             --panel fig1a|fig1b|fig1c|fig1d|fig1e|claims|ablation|baselines|repair|churn|groups|detection|publish|all [--full]
   help       this text
 ";
 
@@ -419,7 +419,7 @@ fn cmd_overlay(inv: &Invocation) -> Result<String, CliError> {
     let method: String = opt(inv, "method", "empty-rect".to_owned())?;
     let selection = selection_for(&method, dim, k)?;
 
-    let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
+    let peers = PeerInfo::from_point_set(&uniform_points(n, dim, VMAX, seed));
     let store = TopologyStore::from_peers(peers, selection);
     let graph = store.graph();
     let profile = analysis::profile(&graph, Some(64.min(n)), seed);
@@ -490,7 +490,7 @@ fn cmd_tree(inv: &Invocation) -> Result<String, CliError> {
         });
     }
 
-    let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
+    let peers = PeerInfo::from_point_set(&uniform_points(n, dim, VMAX, seed));
     let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
     let everyone = (0..n).collect();
     let result = build_group_tree_on_store(&store, root, &everyone, &partitioner);
@@ -546,8 +546,8 @@ fn cmd_stability(inv: &Invocation) -> Result<String, CliError> {
 
     let selection = selection_for("orthogonal", dim, k)?;
 
-    let base = uniform_points(n, dim, 1000.0, seed);
-    let times = lifetimes(n, 1000.0, seed ^ 0x57_4a);
+    let base = uniform_points(n, dim, VMAX, seed);
+    let times = lifetimes(n, VMAX, seed ^ 0x57_4a);
     let store = TopologyStore::from_peers(
         PeerInfo::from_point_set(&embed_lifetimes(&base, &times)),
         selection,
@@ -605,7 +605,7 @@ fn cmd_route(inv: &Invocation) -> Result<String, CliError> {
         });
     }
 
-    let peers = PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed));
+    let peers = PeerInfo::from_point_set(&uniform_points(n, dim, VMAX, seed));
     let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
     let route = geocast::overlay::routing::route_to_peer(&store, from, to, MetricKind::L1);
 
@@ -666,8 +666,8 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
         }
     };
 
-    let points = uniform_points(n, dim, 1000.0, seed);
-    let schedule = ChurnSchedule::from_pattern(n, &pattern, dim, 1000.0, seed ^ 0xc4);
+    let points = uniform_points(n, dim, VMAX, seed);
+    let schedule = ChurnSchedule::from_pattern(n, &pattern, dim, VMAX, seed ^ 0xc4);
     let mut out = String::new();
     out.push_str(&format!(
         "churn replay: {pattern} on {n} initial peers (D={dim}, seed {seed})\n\n"
@@ -787,13 +787,12 @@ fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
         group_events,
         dim,
         seed,
-        vmax: 1000.0,
     };
     let s = figures::groups_scenario(&cfg, num_groups, placement);
     let churn = s.examined.len();
     let examined: usize = s.examined.iter().sum();
     let secs = s.seconds;
-    let totals = &s.totals;
+    let (totals, published) = (&s.totals, &s.published);
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -845,15 +844,18 @@ fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
     out.push_str(&format!("  relay nodes         : {}\n", s.relays));
     out.push_str(&format!(
         "  publishes           : {} ({} data messages, {} over relays)\n",
-        s.publishes, s.publish_messages, s.publish_relay_messages
+        published.batches, published.messages, published.relay_messages
     ));
-    out.push_str(&format!("  publish stranded    : {}\n", s.publish_stranded));
+    out.push_str(&format!(
+        "  publish stranded    : {}\n",
+        published.payload_strandings
+    ));
     out.push_str(&format!("  live peers after    : {}\n", s.live));
     out.push_str(&format!("  all == rebuild      : {}\n", s.exact));
-    if strict_coverage && s.publish_stranded > 0 {
+    if strict_coverage && published.payload_strandings > 0 {
         return Err(CliError::StrandedMembers {
-            stranded: s.publish_stranded,
-            publishes: s.publishes,
+            stranded: published.payload_strandings,
+            publishes: published.batches,
         });
     }
     Ok(out)
@@ -913,7 +915,6 @@ fn cmd_publish(inv: &Invocation) -> Result<String, CliError> {
         churn_every,
         dim,
         seed,
-        vmax: 1000.0,
     };
     let s = figures::publish_scenario(&cfg, zipf, batch);
     let (report, converged) = (&s.report, s.exact);
@@ -1126,11 +1127,6 @@ fn cmd_figures(inv: &Invocation) -> Result<String, CliError> {
     } else {
         figures::RepairConfig::quick()
     };
-    let scaling = if full {
-        figures::ScalingConfig::default()
-    } else {
-        figures::ScalingConfig::quick()
-    };
     let churn = if full {
         figures::ChurnConfig::default()
     } else {
@@ -1169,7 +1165,6 @@ fn cmd_figures(inv: &Invocation) -> Result<String, CliError> {
             reports.push(figures::baseline_stability(&base));
         }
         "repair" => reports.push(figures::repair_cost(&repair)),
-        "scaling" => reports.push(figures::overlay_scaling(&scaling)),
         "churn" => reports.push(figures::churn_panel(&churn)),
         "groups" => reports.push(figures::groups_panel(&groups)),
         "detection" => reports.push(figures::detection_panel(&detection)),
@@ -1187,7 +1182,6 @@ fn cmd_figures(inv: &Invocation) -> Result<String, CliError> {
             reports.push(figures::baseline_messages(&base));
             reports.push(figures::baseline_stability(&base));
             reports.push(figures::repair_cost(&repair));
-            reports.push(figures::overlay_scaling(&scaling));
             reports.push(figures::churn_panel(&churn));
             reports.push(figures::groups_panel(&groups));
             reports.push(figures::detection_panel(&detection));

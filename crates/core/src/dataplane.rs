@@ -18,13 +18,12 @@
 //!   change, churn repair, relay re-route — so a plan is valid iff its
 //!   stored epoch still matches, and steady-state publish is an O(1)
 //!   lookup. No explicit invalidation hooks to forget.
-//! * **[`PublishBatch`]** — per-group payload queues flushed per tick.
-//!   A flush sends **one frame per delivery edge carrying all K queued
-//!   payloads**, so `messages` stays at the plan's edge count while
-//!   `payloads` scales with the batch: messages/payload drops by the
-//!   batch factor. Delivery semantics are byte-identical to K
-//!   sequential [`crate::groups::GroupEngine::publish`] calls
-//!   (property-tested).
+//! * **[`PublishBatch`]** — the one delivery record. A flush sends
+//!   **one frame per delivery edge carrying all K queued payloads**, so
+//!   `messages` stays at the plan's edge count while `payloads` scales
+//!   with the batch: messages/payload drops by the batch factor. A
+//!   single [`crate::groups::GroupEngine::publish`] is a batch of one
+//!   through the same delivery path.
 //! * **[`eager_lazy_deliver`]** — the Plumtree-shaped degraded mode.
 //!   The grafted tree is the *eager* push path; overlay links among
 //!   peers in the member region carry *lazy* IHAVE digests; nodes the
@@ -40,7 +39,7 @@ use geocast_geom::{Interval, Rect};
 use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
 
 use crate::builder::BuildResult;
-use crate::groups::{GroupId, PublishOutcome};
+use crate::groups::GroupId;
 
 /// A group's delivery structure, precomputed as counts: everything a
 /// publish needs to account for itself without touching the tree.
@@ -59,9 +58,6 @@ pub struct DeliveryPlan {
     /// (the edge to its parent carries the payload) — the per-payload
     /// message cost.
     pub messages: usize,
-    /// The relay share of the edges: copies beyond the one-per-
-    /// delivered-member floor.
-    pub relay_messages: usize,
 }
 
 impl DeliveryPlan {
@@ -72,14 +68,11 @@ impl DeliveryPlan {
     /// [`DeliveryPlan::compute`] walks the tree for, on every build of
     /// [`crate::groups::GroupEngine`]; debug builds assert the two equal.
     pub(crate) fn counted(build: &BuildResult, members: usize, epoch: u64) -> Self {
-        let delivered = members - build.stranded.len();
-        let messages = build.tree.reached_count() - 1;
         DeliveryPlan {
             epoch,
             members,
-            delivered,
-            messages,
-            relay_messages: messages - delivered.saturating_sub(1),
+            delivered: members - build.stranded.len(),
+            messages: build.tree.reached_count() - 1,
         }
     }
 
@@ -120,14 +113,7 @@ impl DeliveryPlan {
             members: members.len(),
             delivered,
             messages,
-            relay_messages: messages - delivered.saturating_sub(1),
         }
-    }
-
-    /// Members no delivery path reaches.
-    #[must_use]
-    pub fn stranded(&self) -> usize {
-        self.members - self.delivered
     }
 }
 
@@ -186,12 +172,23 @@ impl PlanCache {
     }
 }
 
-/// Delivery accounting of one flushed batch: K payloads over one
-/// group, **one** frame per delivery edge (each frame carries the
-/// whole batch).
+/// What one delivery reached and what it sent — the counts every
+/// delivery mode computes, which the engine wraps into a
+/// [`PublishBatch`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Delivery {
+    /// Members the payload reached (root included).
+    pub delivered: usize,
+    /// Payload-carrying messages sent.
+    pub messages: usize,
+}
+
+/// Delivery accounting of K payloads over one group — a flushed batch,
+/// or a single publish with K = 1: **one** frame per delivery edge
+/// (each frame carries the whole batch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PublishBatch {
-    /// The group flushed.
+    /// The group delivered to.
     pub group: GroupId,
     /// Payloads the batch carried.
     pub payloads: usize,
@@ -200,21 +197,39 @@ pub struct PublishBatch {
     pub delivered: usize,
     /// Members no payload reached.
     pub stranded: usize,
-    /// Frames sent: the plan's delivery-edge count (or the epidemic
-    /// payload messages in a suspicion window) — **not** multiplied by
-    /// the batch size.
+    /// Frames sent: the plan's delivery-edge count (the epidemic's
+    /// payload messages in a suspicion window, the surviving paths'
+    /// edges under undetected failures) — **not** multiplied by the
+    /// batch size.
     pub messages: usize,
-    /// The relay share of `messages`.
+    /// The relay share of `messages`: copies beyond the one-per-
+    /// delivered-member floor.
     pub relay_messages: usize,
     /// `true` when the delivery plan came from the cache.
     pub cache_hit: bool,
 }
 
 impl PublishBatch {
-    /// Frames per payload: `messages / payloads` — the batching win.
-    #[must_use]
-    pub fn messages_per_payload(&self) -> f64 {
-        self.messages as f64 / self.payloads.max(1) as f64
+    /// `payloads` payloads over `group`, whose `members` members the
+    /// delivery `reach` reports on.
+    pub(crate) fn new(
+        group: GroupId,
+        payloads: usize,
+        members: usize,
+        reach: Delivery,
+        cache_hit: bool,
+    ) -> Self {
+        PublishBatch {
+            group,
+            payloads,
+            delivered: reach.delivered,
+            stranded: members - reach.delivered,
+            messages: reach.messages,
+            relay_messages: reach
+                .messages
+                .saturating_sub(reach.delivered.saturating_sub(1)),
+            cache_hit,
+        }
     }
 
     /// Member-payload deliveries this batch completed.
@@ -302,7 +317,7 @@ impl FlushReport {
 }
 
 /// Control-plane accounting of one [`eager_lazy_deliver`] run; the
-/// payload-carrying accounting lands in the [`PublishOutcome`].
+/// payload-carrying accounting is the [`Delivery`] it returns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpidemicReport {
     /// Payload copies pushed along trusted tree edges (the eager path).
@@ -312,7 +327,7 @@ pub struct EpidemicReport {
     pub ihave_digests: usize,
     /// IWANT pulls answered — each recovers the payload at one node
     /// the eager push missed (one control request + the one payload
-    /// copy counted in `PublishOutcome::messages`).
+    /// copy counted in [`Delivery::messages`]).
     pub iwant_pulls: usize,
     /// Members that held the payload only thanks to a lazy pull.
     pub recovered_members: usize,
@@ -369,7 +384,7 @@ pub fn member_region(peers: &[PeerInfo], members: &BTreeSet<usize>) -> Rect {
 /// phase: pulls are receiver-driven, so a slow-but-alive suspect only
 /// adds latency, never a delivery hole.
 ///
-/// The returned [`PublishOutcome::messages`] counts payload-carrying
+/// The returned [`Delivery::messages`] counts payload-carrying
 /// messages only (eager pushes + answered pulls); digests and pull
 /// requests are control traffic, reported in the [`EpidemicReport`].
 #[must_use]
@@ -380,26 +395,14 @@ pub fn eager_lazy_deliver(
     root: usize,
     suspects: &BTreeSet<usize>,
     failed: &BTreeSet<usize>,
-) -> (PublishOutcome, EpidemicReport) {
+) -> (Delivery, EpidemicReport) {
     let tree = &build.tree;
     let n = store.len();
     let peers = store.peers();
     debug_assert_eq!(tree.root(), root, "epidemic seeds at the group root");
 
-    let all_stranded = || {
-        (
-            PublishOutcome {
-                delivered: 0,
-                stranded: members.len(),
-                messages: 0,
-                relay_messages: 0,
-                payloads: 1,
-            },
-            EpidemicReport::default(),
-        )
-    };
     if members.is_empty() {
-        return all_stranded();
+        return Default::default();
     }
 
     let region = member_region(peers, members);
@@ -437,7 +440,7 @@ pub fn eager_lazy_deliver(
         // layer); everything spreads lazily from there.
         match members.iter().copied().find(|m| !failed.contains(m)) {
             Some(seed) => holder[seed] = true,
-            None => return all_stranded(),
+            None => return Default::default(),
         }
     } else {
         // Eager push down the tree, cut at failures, parked at suspects.
@@ -491,12 +494,9 @@ pub fn eager_lazy_deliver(
     let delivered = members.iter().filter(|&&m| holder[m]).count();
     let messages = report.eager_messages + iwant_pulls;
     (
-        PublishOutcome {
+        Delivery {
             delivered,
-            stranded: members.len() - delivered,
             messages,
-            relay_messages: messages.saturating_sub(delivered.saturating_sub(1)),
-            payloads: 1,
         },
         report,
     )
@@ -514,23 +514,16 @@ pub fn flood_deliver(
     members: &BTreeSet<usize>,
     root: Option<usize>,
     failed: &BTreeSet<usize>,
-) -> PublishOutcome {
-    let all_stranded = PublishOutcome {
-        delivered: 0,
-        stranded: members.len(),
-        messages: 0,
-        relay_messages: 0,
-        payloads: 1,
-    };
+) -> Delivery {
     if members.is_empty() {
-        return all_stranded;
+        return Delivery::default();
     }
-    let seed = match root.filter(|r| !failed.contains(r)) {
-        Some(r) => r,
-        None => match members.iter().copied().find(|m| !failed.contains(m)) {
-            Some(m) => m,
-            None => return all_stranded,
-        },
+    let alive = |m: &usize| !failed.contains(m);
+    let Some(seed) = root
+        .filter(alive)
+        .or_else(|| members.iter().copied().find(alive))
+    else {
+        return Delivery::default();
     };
     let peers = store.peers();
     let region = member_region(peers, members);
@@ -559,13 +552,9 @@ pub fn flood_deliver(
             }
         }
     }
-    let delivered = members.iter().filter(|&&m| visited[m]).count();
-    PublishOutcome {
-        delivered,
-        stranded: members.len() - delivered,
+    Delivery {
+        delivered: members.iter().filter(|&&m| visited[m]).count(),
         messages,
-        relay_messages: messages - delivered.saturating_sub(1),
-        payloads: 1,
     }
 }
 
@@ -599,10 +588,6 @@ mod tests {
             plan.messages,
             gb.build.tree.delivery_messages(members.iter().copied()),
             "plan edges must equal the per-publish tree walk"
-        );
-        assert_eq!(
-            plan.relay_messages,
-            plan.messages - delivered.saturating_sub(1)
         );
         assert_eq!(DeliveryPlan::counted(&gb.build, members.len(), 7), plan);
     }
@@ -669,7 +654,6 @@ mod tests {
             outcome.delivered, 79,
             "everyone but the crashed node is recovered"
         );
-        assert_eq!(outcome.stranded, 1);
         assert!(
             report.recovered_members > 0,
             "the cut subtree must come back via IWANT pulls"
@@ -690,7 +674,6 @@ mod tests {
             &BTreeSet::from([0usize]),
         );
         assert_eq!(outcome.delivered, 39, "a surviving member re-seeds");
-        assert_eq!(outcome.stranded, 1);
         assert_eq!(report.eager_messages, 0, "no eager phase without the root");
         let everyone: BTreeSet<usize> = (0..40).collect();
         let (outcome, _) =

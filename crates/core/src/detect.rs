@@ -21,7 +21,7 @@
 //!    from-scratch oracle rebuild, byte for byte.
 //! 3. **Suspicion degrades gracefully.** While a group's root or relay
 //!    is merely suspected, the group publishes via the eager/lazy
-//!    epidemic ([`GroupEngine::publish_with_failures`] over
+//!    epidemic ([`GroupEngine::publish`] over
 //!    [`crate::dataplane::eager_lazy_deliver`]) instead of trusting the
 //!    compromised tree — the tree still eager-pushes where it can, and
 //!    IHAVE/IWANT pulls over the member region recover the rest, so
@@ -394,8 +394,8 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
             if engine.is_degraded(g) {
                 degraded += 1;
             }
-            if let Some(outcome) = engine.publish_with_failures(g, &pending) {
-                delivered += outcome.delivered;
+            if let Some(batch) = engine.publish(g, &pending) {
+                delivered += batch.delivered;
             }
         }
         let coverage = if total == 0 {

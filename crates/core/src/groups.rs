@@ -62,10 +62,11 @@
 //! * **A batched, plan-cached data plane.** Publishing is decoupled
 //!   from tree walking ([`crate::dataplane`]): each group's delivery
 //!   counts are read once off its build into a [`DeliveryPlan`] cached
-//!   against the group's rebuild counter, so steady-state [`GroupEngine::publish`]
-//!   is O(1); [`GroupEngine::enqueue`] + [`GroupEngine::flush_tick`]
+//!   against the group's rebuild counter, so steady-state delivery is
+//!   O(1); [`GroupEngine::enqueue`] + [`GroupEngine::flush_tick`]
 //!   batch a tick's payloads so one frame per delivery edge carries the
-//!   whole batch; and while a group's root or relay is merely
+//!   whole batch, and [`GroupEngine::publish`] is a batch of one down
+//!   the same path; and while a group's root or relay is merely
 //!   *suspected* ([`GroupEngine::set_suspects`]) delivery degrades to a
 //!   Plumtree-style eager/lazy epidemic — tree pushes plus IHAVE/IWANT
 //!   recovery over the member region — with the same reachable set as
@@ -104,7 +105,7 @@
 //! assert!(engine.tree(g).is_some());
 //! ```
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use geocast_geom::{MetricKind, Point};
@@ -115,7 +116,7 @@ use geocast_sim::workload::{GroupOp, MembershipPlacement};
 
 use crate::builder::BuildResult;
 use crate::dataplane::{
-    eager_lazy_deliver, DeliveryPlan, EpidemicReport, PlanCache, PlanStats, PublishBatch,
+    eager_lazy_deliver, Delivery, DeliveryPlan, EpidemicReport, PlanCache, PlanStats, PublishBatch,
 };
 use crate::graft::{graft_pass, GraftMemo, GraftReport, WalkLog};
 use crate::member_tree::{member_tree, same_row, MemberRows, Recorded};
@@ -500,8 +501,8 @@ pub enum AppliedOp {
     Subscribed(GroupId, PeerId),
     /// A member was unsubscribed.
     Unsubscribed(GroupId, PeerId),
-    /// A payload was published.
-    Published(GroupId, PublishOutcome),
+    /// A payload was published: a batch of one.
+    Published(PublishBatch),
     /// The op had no valid binding (no candidate peer, dormant group).
     Skipped(GroupId),
 }
@@ -514,40 +515,6 @@ pub(crate) fn splitmix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Delivery accounting of one published payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PublishOutcome {
-    /// Members the tree delivered to (root included).
-    pub delivered: usize,
-    /// Surviving members no overlay path could reach (0 whenever the
-    /// members share the root's overlay component — relay grafting
-    /// covers everything else).
-    pub stranded: usize,
-    /// Data messages actually sent: tree edges traversed on the union
-    /// of root→member delivery paths, **relay hops included** (the old
-    /// `delivered − 1` accounting undercounted every payload that rode
-    /// a relay).
-    pub messages: usize,
-    /// The relay share of `messages`: extra edges beyond the one-per-
-    /// delivered-member floor — the per-payload overhead of 100%
-    /// coverage.
-    pub relay_messages: usize,
-    /// Payloads this outcome accounts for. Always 1 on the sequential
-    /// paths ([`GroupEngine::publish`] and friends); batched delivery
-    /// reports through [`crate::dataplane::PublishBatch`] instead, and
-    /// this field is what keeps the two accountings comparable.
-    pub payloads: usize,
-}
-
-impl PublishOutcome {
-    /// Data messages per payload carried — 1:1 on sequential publishes,
-    /// the batching win otherwise.
-    #[must_use]
-    pub fn messages_per_payload(&self) -> f64 {
-        self.messages as f64 / self.payloads.max(1) as f64
-    }
 }
 
 /// N concurrent multicast trees kept current over one shared
@@ -945,32 +912,31 @@ impl GroupEngine {
         self.sync();
     }
 
-    /// Publishes one payload over a group's tree and reports delivery.
-    /// Returns `None` for dormant (member-less) groups.
+    /// Publishes one payload over a group's tree: a batch of one through
+    /// the delivery path every flushed batch takes (see
+    /// [`GroupEngine::flush_tick`]). Returns `None` for dormant
+    /// (member-less) groups.
     ///
-    /// Message cost is the number of tree edges the payload actually
-    /// traverses — the union of root→member paths, relay hops included
-    /// — read from the group's epoch-keyed [`DeliveryPlan`]. A stale
-    /// plan (the group was repaired since) is read off counts the build
-    /// already holds, its reached nodes and stranded members, so no
-    /// publish walks the tree, and steady-state publish is an O(1)
-    /// lookup plus counter math however hot the group is.
+    /// `failed` is ground truth the engine has *not* yet absorbed: its
+    /// peers neither receive nor forward, so payloads die at crashed
+    /// interior nodes exactly as they would on the wire, `delivered`
+    /// counts surviving members only and members in `failed` count as
+    /// stranded until the detection plane removes them. A group in
+    /// degraded mode ([`GroupEngine::is_degraded`]) switches to the
+    /// eager/lazy epidemic ([`crate::dataplane::eager_lazy_deliver`])
+    /// instead of trusting the compromised tree: the tree stays the
+    /// eager path, and members it misses recover the payload via IWANT
+    /// pulls over member-region overlay links. A healthy group with
+    /// nothing failed sends by its epoch-keyed [`DeliveryPlan`] — the
+    /// union of root→member paths, relay hops included — so
+    /// steady-state publish walks no tree.
     ///
     /// # Panics
     ///
     /// Panics if `g` is unknown.
-    pub fn publish(&mut self, g: GroupId) -> Option<PublishOutcome> {
+    pub fn publish(&mut self, g: GroupId, failed: &BTreeSet<usize>) -> Option<PublishBatch> {
         self.sync();
-        let (plan, _hit) = self.plan_metrics(g.index())?;
-        self.totals.publishes += 1;
-        self.totals.payloads += 1;
-        Some(PublishOutcome {
-            delivered: plan.delivered,
-            stranded: plan.stranded(),
-            messages: plan.messages,
-            relay_messages: plan.relay_messages,
-            payloads: 1,
-        })
+        self.deliver(g.index(), 1, failed)
     }
 
     /// Queues `payloads` copies on a group's per-tick queue; the next
@@ -1007,10 +973,11 @@ impl GroupEngine {
     }
 
     /// Flushes every group with queued payloads: one [`PublishBatch`]
-    /// per group, read from the group's cached [`DeliveryPlan`] counts
-    /// — one frame per delivery edge carries the whole batch, so
-    /// messages/payload shrinks by the queue depth, and a warm flush
-    /// walks no tree. Groups flushed in ascending id order; payloads
+    /// per group, down the path [`GroupEngine::publish`] takes with
+    /// nothing failed — the group's cached [`DeliveryPlan`] counts, or
+    /// the epidemic while it is degraded. One frame per delivery edge
+    /// carries the whole batch, so messages/payload shrinks by the
+    /// queue depth, and a warm flush walks no tree. Groups flushed in ascending id order; payloads
     /// queued on groups that went dormant in the meantime are dropped
     /// (there is no audience left to deliver to). The queue keeps its
     /// buffer, so a warm tick allocates only the returned list.
@@ -1022,6 +989,7 @@ impl GroupEngine {
         let _ = self.flush.catch_up(self.store.delta_log());
         self.sync();
         self.queued.sort_unstable();
+        let none = BTreeSet::new();
         let mut batches = Vec::with_capacity(self.queued.len());
         for slot in 0..self.queued.len() {
             let gi = self.queued[slot] as usize;
@@ -1029,7 +997,7 @@ impl GroupEngine {
             if payloads == 0 {
                 continue;
             }
-            if let Some(batch) = self.deliver_batch(gi, payloads) {
+            if let Some(batch) = self.deliver(gi, payloads, &none) {
                 batches.push(batch);
             }
         }
@@ -1037,45 +1005,83 @@ impl GroupEngine {
         batches
     }
 
-    /// One batch delivery: plan-driven over the tree, or an eager/lazy
-    /// epidemic while the group is degraded (the frames still carry
-    /// the whole batch either way).
-    fn deliver_batch(&mut self, gi: usize, payloads: usize) -> Option<PublishBatch> {
+    /// The one delivery path: `payloads` payloads over group `gi` as one
+    /// batch. A degraded group runs the eager/lazy epidemic; a healthy
+    /// one with nothing in `failed` sends by its cached plan; otherwise
+    /// the payload walks the tree through the survivors. `None` while
+    /// the group is dormant.
+    // `inline(always)`, with the two rare branches kept out of line:
+    // inlined into the flush, `failed` is known empty and the healthy
+    // path is the plan lookup alone (≈ 30 ns a batch). Left out of line,
+    // `publish_steady` read 18–34 % fewer payloads/s (four 4 s pairs on
+    // a 2-core host).
+    #[inline(always)]
+    fn deliver(
+        &mut self,
+        gi: usize,
+        payloads: usize,
+        failed: &BTreeSet<usize>,
+    ) -> Option<PublishBatch> {
         let g = GroupId(gi as u32);
-        if self.is_degraded(g) {
-            let (outcome, report) = self.epidemic_outcome(gi, &BTreeSet::new())?;
-            self.last_epidemic = Some(report);
-            self.totals.publishes += 1;
-            self.totals.payloads += payloads as u64;
-            return Some(PublishBatch {
-                group: g,
-                payloads,
-                delivered: outcome.delivered,
-                stranded: outcome.stranded,
-                messages: outcome.messages,
-                relay_messages: outcome.relay_messages,
-                cache_hit: false,
-            });
-        }
-        let (plan, cache_hit) = self.plan_metrics(gi)?;
+        let (reach, cache_hit) = if self.is_degraded(g) {
+            (self.deliver_epidemic(gi, failed)?, false)
+        } else if failed.is_empty() {
+            self.deliver_by_plan(gi)?
+        } else {
+            (self.deliver_cut(gi, failed)?, false)
+        };
         self.totals.publishes += 1;
         self.totals.payloads += payloads as u64;
-        Some(PublishBatch {
-            group: g,
-            payloads,
-            delivered: plan.delivered,
-            stranded: plan.stranded(),
-            messages: plan.messages,
-            relay_messages: plan.relay_messages,
-            cache_hit,
+        let members = self.groups[gi].members.len();
+        Some(PublishBatch::new(g, payloads, members, reach, cache_hit))
+    }
+
+    /// Degraded delivery: the Plumtree-shaped eager/lazy epidemic over
+    /// the member region ([`crate::dataplane::eager_lazy_deliver`]),
+    /// recorded as [`GroupEngine::last_epidemic`].
+    // Out of line: see `deliver`.
+    #[inline(never)]
+    fn deliver_epidemic(&mut self, gi: usize, failed: &BTreeSet<usize>) -> Option<Delivery> {
+        let group = &self.groups[gi];
+        let (reach, report) = eager_lazy_deliver(
+            &self.store,
+            &group.build.as_ref()?.build,
+            &group.members,
+            group.root?,
+            &self.suspects,
+            failed,
+        );
+        self.last_epidemic = Some(report);
+        Some(reach)
+    }
+
+    /// Delivery over a tree cut at `failed`: forwarding stops at failed
+    /// nodes, so the payload reaches the members on surviving paths
+    /// from the root — none when the root itself failed.
+    // Out of line: see `deliver`.
+    #[inline(never)]
+    fn deliver_cut(&self, gi: usize, failed: &BTreeSet<usize>) -> Option<Delivery> {
+        let group = &self.groups[gi];
+        let tree = &group.build.as_ref()?.build.tree;
+        let alive = |p: &usize| !failed.contains(p);
+        let mut stack: Vec<usize> = group.root.into_iter().filter(alive).collect();
+        let mut live = Vec::new();
+        while let Some(u) = stack.pop() {
+            if group.members.contains(&u) {
+                live.push(u);
+            }
+            stack.extend(tree.children(u).iter().copied().filter(alive));
+        }
+        Some(Delivery {
+            delivered: live.len(),
+            messages: tree.delivery_messages(live),
         })
     }
 
-    /// Plan lookup for one group; `None` while dormant. A miss reads the
-    /// plan off the build's counts, which debug builds check against the
-    /// definitional walk. The returned plan is a copy, so the cache's
-    /// borrow ends here.
-    fn plan_metrics(&mut self, gi: usize) -> Option<(DeliveryPlan, bool)> {
+    /// Delivery by the group's cached plan, and whether the cache held
+    /// it; `None` while dormant. A miss reads the plan off the build's
+    /// counts, which debug builds check against the definitional walk.
+    fn deliver_by_plan(&mut self, gi: usize) -> Option<(Delivery, bool)> {
         let group = &self.groups[gi];
         let gb = group.build.as_ref()?;
         let epoch = group.rebuilds;
@@ -1088,7 +1094,11 @@ impl GroupEngine {
             );
             plan
         });
-        Some((*plan, hit))
+        let reach = Delivery {
+            delivered: plan.delivered,
+            messages: plan.messages,
+        };
+        Some((reach, hit))
     }
 
     /// Delivery-plan cache hit/miss counters.
@@ -1163,109 +1173,6 @@ impl GroupEngine {
     pub fn is_degraded(&self, g: GroupId) -> bool {
         assert!(g.index() < self.groups.len(), "unknown {g}");
         self.degraded.get(g.index()).copied().unwrap_or(false)
-    }
-
-    /// Publishes like [`GroupEngine::publish`], but measured against
-    /// ground truth the engine has *not* yet absorbed: peers in `failed`
-    /// neither receive nor forward, so payloads die at crashed interior
-    /// nodes exactly as they would on the wire. Groups in degraded mode
-    /// ([`GroupEngine::is_degraded`]) switch to the eager/lazy epidemic
-    /// ([`crate::dataplane::eager_lazy_deliver`]) instead of trusting
-    /// the compromised tree: the tree stays the eager path, and members
-    /// it misses recover the payload via IWANT pulls over member-region
-    /// overlay links.
-    ///
-    /// `delivered` counts surviving members only; members in `failed`
-    /// count as stranded until the detection plane removes them.
-    /// `messages` counts payload-carrying edges that actually succeed.
-    ///
-    /// With an empty `failed` set and no suspects this is exactly
-    /// [`GroupEngine::publish`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is unknown.
-    pub fn publish_with_failures(
-        &mut self,
-        g: GroupId,
-        failed: &BTreeSet<usize>,
-    ) -> Option<PublishOutcome> {
-        self.sync();
-        if self.is_degraded(g) {
-            let (outcome, report) = self.epidemic_outcome(g.index(), failed)?;
-            self.last_epidemic = Some(report);
-            self.totals.publishes += 1;
-            self.totals.payloads += 1;
-            return Some(outcome);
-        }
-        if failed.is_empty() {
-            // Nothing cuts the tree: the walk below would reach what
-            // the group's cached delivery plan already counted.
-            return self.publish(g);
-        }
-        let group = &self.groups[g.index()];
-        let build = &group.build.as_ref()?.build;
-        self.totals.publishes += 1;
-        self.totals.payloads += 1;
-        let root = group.root?;
-        if failed.contains(&root) {
-            // The publisher itself is down: nothing leaves the root.
-            return Some(PublishOutcome {
-                delivered: 0,
-                stranded: group.members.len(),
-                messages: 0,
-                relay_messages: 0,
-                payloads: 1,
-            });
-        }
-        // Forwarding stops at failed nodes: walk the tree from the root
-        // through surviving nodes only.
-        let tree = &build.tree;
-        let mut alive_reach = BTreeSet::from([root]);
-        let mut queue = VecDeque::from([root]);
-        while let Some(u) = queue.pop_front() {
-            for &c in tree.children(u) {
-                if !failed.contains(&c) {
-                    alive_reach.insert(c);
-                    queue.push_back(c);
-                }
-            }
-        }
-        let live_targets: Vec<usize> = group.members.intersection(&alive_reach).copied().collect();
-        let delivered = live_targets.len();
-        let messages = tree.delivery_messages(live_targets);
-        Some(PublishOutcome {
-            delivered,
-            stranded: group.members.len() - delivered,
-            messages,
-            relay_messages: messages - delivered.saturating_sub(1),
-            payloads: 1,
-        })
-    }
-
-    /// Degraded delivery: the Plumtree-shaped eager/lazy epidemic over
-    /// the member region ([`crate::dataplane::eager_lazy_deliver`]).
-    /// Returns `None` for dormant groups; counters are the caller's
-    /// job (batch vs single accounting differs).
-    fn epidemic_outcome(
-        &self,
-        gi: usize,
-        failed: &BTreeSet<usize>,
-    ) -> Option<(PublishOutcome, EpidemicReport)> {
-        let group = &self.groups[gi];
-        if group.members.is_empty() {
-            return None;
-        }
-        let gb = group.build.as_ref()?;
-        let root = group.root?;
-        Some(eager_lazy_deliver(
-            &self.store,
-            &gb.build,
-            &group.members,
-            root,
-            &self.suspects,
-            failed,
-        ))
     }
 
     /// Registers `sizes.len()` groups with Zipf-shaped sizes (see
@@ -1416,8 +1323,8 @@ impl GroupEngine {
                 self.unsubscribe(g, PeerId(peer as u64));
                 AppliedOp::Unsubscribed(g, PeerId(peer as u64))
             }
-            GroupOp::Publish { .. } => match self.publish(g) {
-                Some(outcome) => AppliedOp::Published(g, outcome),
+            GroupOp::Publish { .. } => match self.publish(g, &BTreeSet::new()) {
+                Some(batch) => AppliedOp::Published(batch),
                 None => AppliedOp::Skipped(g),
             },
         }
@@ -1947,7 +1854,7 @@ mod tests {
         assert_eq!(eng.root(g), None);
         assert!(eng.tree(g).is_none());
         assert_eq!(eng.coverage(g), 1.0);
-        assert!(eng.publish(g).is_none());
+        assert!(eng.publish(g, &BTreeSet::new()).is_none());
         // Revival: the first new subscriber roots the group.
         assert!(eng.subscribe(g, PeerId(4)));
         assert_eq!(eng.root(g), Some(4));
@@ -2236,7 +2143,7 @@ mod tests {
         for p in 1..60u64 {
             eng.subscribe(g, PeerId(p));
         }
-        let outcome = eng.publish(g).unwrap();
+        let outcome = eng.publish(g, &BTreeSet::new()).unwrap();
         assert_eq!(outcome.delivered, 60);
         assert_eq!(outcome.stranded, 0);
         assert_eq!(outcome.messages, 59);
@@ -2284,7 +2191,7 @@ mod tests {
         for &r in eng.relays(g) {
             assert!(!eng.members(g).contains(&r), "relays are non-members");
         }
-        let outcome = eng.publish(g).unwrap();
+        let outcome = eng.publish(g, &BTreeSet::new()).unwrap();
         assert_eq!(outcome.delivered, 4);
         assert_eq!(outcome.stranded, 0);
         assert!(
@@ -2313,7 +2220,7 @@ mod tests {
         let g = eng.create_group(PeerId(0));
         eng.subscribe(g, PeerId(4));
         assert_eq!(eng.relays(g), &[1, 2, 3]);
-        let outcome = eng.publish(g).unwrap();
+        let outcome = eng.publish(g, &BTreeSet::new()).unwrap();
         assert_eq!(outcome.delivered, 2);
         assert_eq!(outcome.stranded, 0);
         // Pinned: 4 edges (0-1, 1-2, 2-3, 3-4) carry the payload; the
@@ -2408,7 +2315,7 @@ mod tests {
         // Recorded hop of node 4 is node 3 at (30, 30): 60 from the
         // target in L1. (32, 28) is 60 away too; (31, 28) is 59.
         let (mut eng, g) = two_ended_diagonal();
-        eng.publish(g).unwrap();
+        eng.publish(g, &BTreeSet::new()).unwrap();
         let (rebuilds, misses) = (eng.rebuild_count(g), eng.plan_stats().misses);
         let tie = eng.join(Point::new(vec![32.0, 28.0]).unwrap()).index();
         assert!(
@@ -2420,7 +2327,7 @@ mod tests {
         assert_eq!(sync.rebuilt_members, 0);
         assert_eq!(eng.rebuild_count(g), rebuilds);
         assert_eq!(eng.tree(g).unwrap().tree.parent(4), Some(3));
-        eng.publish(g).unwrap();
+        eng.publish(g, &BTreeSet::new()).unwrap();
         assert_eq!(
             eng.plan_stats().misses,
             misses,
@@ -2743,27 +2650,35 @@ mod tests {
         assert_exact(&eng2);
     }
 
+    /// The walk over a cut tree and the cached plan agree where they
+    /// meet: a failure outside the tree cuts nothing, and only the
+    /// plan's record says it came from the cache.
     #[test]
-    fn publish_with_failures_degenerates_to_publish_when_healthy() {
+    fn a_failure_off_the_tree_cuts_nothing() {
         let mut eng = engine(50, 37);
         let g = eng.create_group(PeerId(0));
         for p in [5u64, 12, 33, 44] {
             eng.subscribe(g, PeerId(p));
         }
-        let plain = eng.publish(g).unwrap();
-        let mut want = *eng.totals();
-        let with = eng.publish_with_failures(g, &BTreeSet::new()).unwrap();
-        assert_eq!(plain, with, "empty failure set must change nothing");
-        want.publishes += 1;
-        want.payloads += 1;
-        assert_eq!(*eng.totals(), want, "and must count as one publish");
-        // The walk over a cut tree and the cached plan agree where they
-        // meet: a failure outside the tree cuts nothing.
+        let plain = eng.publish(g, &BTreeSet::new()).unwrap();
         let outsider = (0..50)
             .find(|p| !eng.group_build(g).unwrap().build.tree.is_reached(*p))
             .expect("a 5-member tree leaves peers out");
-        let walked = eng.publish_with_failures(g, &BTreeSet::from([outsider]));
-        assert_eq!(walked, Some(plain));
+        let mut want = *eng.totals();
+        let walked = eng.publish(g, &BTreeSet::from([outsider])).unwrap();
+        assert_eq!(walked, plain, "the cold plan and the walk both miss");
+        want.publishes += 1;
+        want.payloads += 1;
+        assert_eq!(*eng.totals(), want, "the walk counts as one publish");
+        let warm = eng.publish(g, &BTreeSet::new()).unwrap();
+        assert_eq!(
+            warm,
+            PublishBatch {
+                cache_hit: true,
+                ..walked
+            }
+        );
+        assert_eq!(eng.plan_stats(), PlanStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -2810,11 +2725,11 @@ mod tests {
         let g = eng.create_group(PeerId(0));
         eng.subscribe(g, PeerId(4));
         assert_eq!(eng.relays(g), &[1, 2, 3]);
-        let outcome = eng.publish_with_failures(g, &BTreeSet::from([2])).unwrap();
+        let outcome = eng.publish(g, &BTreeSet::from([2])).unwrap();
         assert_eq!(outcome.delivered, 1, "only the root still hears itself");
         assert_eq!(outcome.stranded, 1, "the far member is cut off");
         // A failed *root* delivers nothing at all.
-        let outcome = eng.publish_with_failures(g, &BTreeSet::from([0])).unwrap();
+        let outcome = eng.publish(g, &BTreeSet::from([0])).unwrap();
         assert_eq!((outcome.delivered, outcome.messages), (0, 0));
         assert_eq!(outcome.stranded, 2);
     }
@@ -2833,7 +2748,7 @@ mod tests {
         // parks immediately and lazy IWANT pulls must carry everyone —
         // full coverage at one payload copy per member, far below the
         // old region flood's every-eligible-edge cost.
-        let outcome = eng.publish_with_failures(g, &BTreeSet::new()).unwrap();
+        let outcome = eng.publish(g, &BTreeSet::new()).unwrap();
         assert_eq!(outcome.delivered, 40);
         assert_eq!(outcome.stranded, 0);
         let report = *eng
@@ -2854,7 +2769,7 @@ mod tests {
         // Refutation clears the flag and restores tree publishing.
         eng.set_suspects(std::iter::empty());
         assert!(!eng.is_degraded(g));
-        let outcome = eng.publish_with_failures(g, &BTreeSet::new()).unwrap();
+        let outcome = eng.publish(g, &BTreeSet::new()).unwrap();
         assert_eq!(outcome.messages, 39);
     }
 
@@ -2869,7 +2784,7 @@ mod tests {
         // it suspected but not yet declared dead.
         eng.set_suspects([0usize]);
         let failed = BTreeSet::from([0]);
-        let outcome = eng.publish_with_failures(g, &failed).unwrap();
+        let outcome = eng.publish(g, &failed).unwrap();
         assert_eq!(
             outcome.delivered, 39,
             "the epidemic re-seeds at a surviving member"
@@ -2877,12 +2792,12 @@ mod tests {
         assert_eq!(outcome.stranded, 1, "only the dead root is missing");
         // All members down: nothing can be published.
         let everyone: BTreeSet<usize> = (0..40).collect();
-        let outcome = eng.publish_with_failures(g, &everyone).unwrap();
+        let outcome = eng.publish(g, &everyone).unwrap();
         assert_eq!((outcome.delivered, outcome.messages), (0, 0));
     }
 
-    /// The satellite regression: a batch of one is byte-identical to a
-    /// plain publish, and the plan cache serves steady-state repeats.
+    /// A publish is a flushed batch of one, and the plan cache serves
+    /// steady-state repeats.
     #[test]
     fn batch_of_one_equals_publish_and_the_plan_cache_serves_repeats() {
         let mut eng = engine(60, 45);
@@ -2890,29 +2805,31 @@ mod tests {
         for p in (1..60u64).step_by(2) {
             eng.subscribe(g, PeerId(p));
         }
-        let single = eng.publish(g).unwrap();
+        let single = eng.publish(g, &BTreeSet::new()).unwrap();
+        assert!(!single.cache_hit, "the first lookup computes the plan");
         eng.enqueue(g, 1);
         let batch = eng.flush_tick().pop().unwrap();
-        assert_eq!(batch.delivered, single.delivered);
-        assert_eq!(batch.stranded, single.stranded);
-        assert_eq!(batch.messages, single.messages);
-        assert_eq!(batch.relay_messages, single.relay_messages);
-        assert_eq!(batch.payloads, single.payloads);
-        assert!((batch.messages_per_payload() - single.messages_per_payload()).abs() < 1e-12);
-        assert!(batch.cache_hit, "the publish above warmed the plan");
+        assert_eq!(
+            batch,
+            PublishBatch {
+                cache_hit: true,
+                ..single
+            },
+            "the publish above warmed the plan"
+        );
         // Steady state: no churn between publishes → only the first
         // lookup computes.
         let stats = eng.plan_stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
         for _ in 0..10 {
-            eng.publish(g).unwrap();
+            eng.publish(g, &BTreeSet::new()).unwrap();
         }
         assert_eq!(eng.plan_stats().hits, 11);
         // A repair invalidates: the next publish recomputes, and its
         // numbers match the definitional tree walk.
         eng.subscribe(g, PeerId(2));
-        let fresh = eng.publish(g).unwrap();
+        let fresh = eng.publish(g, &BTreeSet::new()).unwrap();
         assert_eq!(eng.plan_stats().misses, 2);
         let build = eng.tree(g).unwrap();
         assert_eq!(
@@ -2924,6 +2841,31 @@ mod tests {
         assert_eq!(eng.totals().payloads, 13);
     }
 
+    /// Under a suspected root a publish runs the epidemic, exactly as a
+    /// flushed batch of one does; the plan would have charged a
+    /// different count.
+    #[test]
+    fn a_publish_under_a_suspected_root_is_an_epidemic_batch_of_one() {
+        let mut eng = engine(120, 5);
+        let mut state = 77u64;
+        let g = eng.seed_groups_clustered(&[12], &mut state)[0];
+        let plan = eng.publish(g, &BTreeSet::new()).unwrap();
+        eng.set_suspects([eng.root(g).unwrap()]);
+        let published = eng.publish(g, &BTreeSet::new()).unwrap();
+        let report = *eng
+            .last_epidemic()
+            .expect("a degraded publish runs the epidemic");
+        eng.enqueue(g, 1);
+        assert_eq!(eng.flush_tick(), [published]);
+        assert_eq!(eng.last_epidemic(), Some(&report));
+        assert!(!published.cache_hit, "the epidemic bypasses the plan");
+        assert_eq!(
+            published.messages,
+            report.eager_messages + report.iwant_pulls
+        );
+        assert_ne!(published.messages, plan.messages);
+    }
+
     #[test]
     fn flush_tick_batches_queued_payloads_per_group() {
         let mut eng = engine(80, 47);
@@ -2933,7 +2875,10 @@ mod tests {
         eng.enqueue(ids[2], 3);
         eng.enqueue(ids[0], 6); // coalesces with the earlier 64
         assert_eq!(eng.pending(ids[0]), 70);
-        let singles: Vec<PublishOutcome> = ids.iter().map(|&g| eng.publish(g).unwrap()).collect();
+        let singles: Vec<PublishBatch> = ids
+            .iter()
+            .map(|&g| eng.publish(g, &BTreeSet::new()).unwrap())
+            .collect();
         let batches = eng.flush_tick();
         assert_eq!(batches.len(), 2, "only queued groups flush");
         assert_eq!(eng.pending(ids[0]), 0, "flushing drains the queue");
@@ -2941,10 +2886,6 @@ mod tests {
         assert_eq!(b0.payloads, 70);
         assert_eq!(b0.delivered, singles[0].delivered, "same member set");
         assert_eq!(b0.messages, singles[0].messages, "edges walked once");
-        assert!(
-            b0.messages_per_payload() < singles[0].messages_per_payload() / 50.0,
-            "a 70-deep batch must collapse messages/payload"
-        );
         let b2 = batches.iter().find(|b| b.group == ids[2]).unwrap();
         assert_eq!(b2.payloads, 3);
         assert_eq!(b2.messages, singles[2].messages);

@@ -13,6 +13,7 @@
 
 use std::time::Instant;
 
+use geocast_geom::VMAX;
 use geocast_metrics::{AsciiChart, Table};
 use geocast_overlay::churn::{run_schedule_on_store_with, ChurnSchedule};
 use geocast_overlay::select::EmptyRectSelection;
@@ -39,8 +40,6 @@ pub struct ChurnConfig {
     pub dim: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Coordinate bound.
-    pub vmax: f64,
 }
 
 impl Default for ChurnConfig {
@@ -55,7 +54,6 @@ impl Default for ChurnConfig {
             leave_rate: 1,
             dim: 2,
             seed: 1,
-            vmax: 1000.0,
         }
     }
 }
@@ -72,7 +70,6 @@ impl ChurnConfig {
             leave_rate: 1,
             dim: 2,
             seed: 1,
-            vmax: 1000.0,
         }
     }
 }
@@ -112,7 +109,7 @@ pub fn churn_panel(cfg: &ChurnConfig) -> FigureReport {
     let mut mixed_series: Vec<(f64, f64)> = Vec::new();
 
     for (si, pattern) in scenarios.iter().enumerate() {
-        let base = geocast_geom::gen::uniform_points(cfg.initial, cfg.dim, cfg.vmax, cfg.seed);
+        let base = geocast_geom::gen::uniform_points(cfg.initial, cfg.dim, VMAX, cfg.seed);
         let mut store = TopologyStore::from_peers(
             PeerInfo::from_point_set(&base),
             std::sync::Arc::new(EmptyRectSelection),
@@ -121,7 +118,7 @@ pub fn churn_panel(cfg: &ChurnConfig) -> FigureReport {
             cfg.initial,
             pattern,
             cfg.dim,
-            cfg.vmax,
+            VMAX,
             cfg.seed ^ (si as u64 + 1),
         );
         // lint:allow(D002, reason = "feeds the wall-clock column of the churn panel only; no control flow reads the clock")

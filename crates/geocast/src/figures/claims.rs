@@ -5,7 +5,7 @@ use std::sync::Arc;
 use geocast_core::groups::build_group_tree_on_store;
 use geocast_core::{protocol, validate, OrthantRectPartitioner};
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
-use geocast_geom::MetricKind;
+use geocast_geom::{MetricKind, VMAX};
 use geocast_metrics::Table;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection};
 use geocast_overlay::{PeerInfo, TopologyStore};
@@ -22,8 +22,6 @@ pub struct ClaimsConfig {
     pub dims: Vec<usize>,
     /// Trials.
     pub seeds: Vec<u64>,
-    /// Coordinate bound.
-    pub vmax: f64,
     /// §3: the `K` values of the Orthogonal-Hyperplanes overlay.
     pub ks: Vec<usize>,
 }
@@ -34,7 +32,6 @@ impl Default for ClaimsConfig {
             ns: vec![100, 500, 1000],
             dims: vec![2, 3, 4, 5],
             seeds: vec![1, 2, 3],
-            vmax: 1000.0,
             ks: vec![1, 5, 25, 50],
         }
     }
@@ -48,7 +45,6 @@ impl ClaimsConfig {
             ns: vec![40, 120],
             dims: vec![2, 3],
             seeds: vec![1],
-            vmax: 1000.0,
             ks: vec![1, 5],
         }
     }
@@ -75,7 +71,7 @@ pub fn claims_section2(cfg: &ClaimsConfig) -> FigureReport {
     let runner = ParallelRunner::default();
     let measured = runner.map(&jobs, |&(n, dim, seed)| {
         let store = TopologyStore::from_peers(
-            PeerInfo::from_point_set(&uniform_points(n, dim, cfg.vmax, seed)),
+            PeerInfo::from_point_set(&uniform_points(n, dim, VMAX, seed)),
             Arc::new(EmptyRectSelection),
         );
         let (peers, overlay) = (store.peers(), store.graph());
@@ -154,8 +150,8 @@ pub fn claims_section3(cfg: &ClaimsConfig) -> FigureReport {
         .collect();
     let runner = ParallelRunner::default();
     let measured = runner.map(&jobs, |&(dim, k, seed)| {
-        let base = uniform_points(n, dim, cfg.vmax, seed);
-        let times = lifetimes(n, cfg.vmax, seed ^ 0x3353);
+        let base = uniform_points(n, dim, VMAX, seed);
+        let times = lifetimes(n, VMAX, seed ^ 0x3353);
         let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
         let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
         let store = TopologyStore::from_peers(peers, Arc::new(sel));

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use geocast_core::groups::build_group_tree_on_store;
 use geocast_core::{baseline, stability, OrthantRectPartitioner};
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
-use geocast_geom::MetricKind;
+use geocast_geom::{MetricKind, VMAX};
 use geocast_metrics::{Summary, Table};
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection};
 use geocast_overlay::{PeerInfo, TopologyStore};
@@ -23,8 +23,6 @@ pub struct AblationConfig {
     pub dims: Vec<usize>,
     /// Trials.
     pub seeds: Vec<u64>,
-    /// Coordinate bound.
-    pub vmax: f64,
     /// Roots sampled per trial.
     pub roots: usize,
 }
@@ -35,7 +33,6 @@ impl Default for AblationConfig {
             n: 1000,
             dims: vec![2, 3, 4, 5],
             seeds: vec![1, 2, 3],
-            vmax: 1000.0,
             roots: 100,
         }
     }
@@ -49,7 +46,6 @@ impl AblationConfig {
             n: 120,
             dims: vec![2, 3],
             seeds: vec![1],
-            vmax: 1000.0,
             roots: 20,
         }
     }
@@ -75,7 +71,7 @@ pub fn ablation_partitioner(cfg: &AblationConfig) -> FigureReport {
     // Per job: per partitioner (avg longest path, avg diameter, spanning).
     let measured = runner.map(&jobs, |&(dim, seed)| {
         let store = TopologyStore::from_peers(
-            PeerInfo::from_point_set(&uniform_points(cfg.n, dim, cfg.vmax, seed)),
+            PeerInfo::from_point_set(&uniform_points(cfg.n, dim, VMAX, seed)),
             Arc::new(EmptyRectSelection),
         );
         let everyone: BTreeSet<usize> = (0..cfg.n).collect();
@@ -145,8 +141,6 @@ pub struct BaselineConfig {
     pub dim: usize,
     /// Trials.
     pub seeds: Vec<u64>,
-    /// Coordinate bound / lifetime horizon.
-    pub vmax: f64,
 }
 
 impl Default for BaselineConfig {
@@ -155,7 +149,6 @@ impl Default for BaselineConfig {
             ns: vec![100, 500, 1000, 2000],
             dim: 2,
             seeds: vec![1, 2, 3],
-            vmax: 1000.0,
         }
     }
 }
@@ -168,7 +161,6 @@ impl BaselineConfig {
             ns: vec![60, 150],
             dim: 2,
             seeds: vec![1],
-            vmax: 1000.0,
         }
     }
 }
@@ -187,7 +179,7 @@ pub fn baseline_messages(cfg: &BaselineConfig) -> FigureReport {
     let runner = ParallelRunner::default();
     let measured = runner.map(&jobs, |&(n, seed)| {
         let store = TopologyStore::from_peers(
-            PeerInfo::from_point_set(&uniform_points(n, cfg.dim, cfg.vmax, seed)),
+            PeerInfo::from_point_set(&uniform_points(n, cfg.dim, VMAX, seed)),
             Arc::new(EmptyRectSelection),
         );
         let flood = baseline::flood(&store.graph(), 0);
@@ -246,8 +238,8 @@ pub fn baseline_stability(cfg: &BaselineConfig) -> FigureReport {
         .collect();
     let runner = ParallelRunner::default();
     let measured = runner.map(&jobs, |&(n, seed)| {
-        let base = uniform_points(n, cfg.dim, cfg.vmax, seed);
-        let times = lifetimes(n, cfg.vmax, seed ^ 0x1234_5678);
+        let base = uniform_points(n, cfg.dim, VMAX, seed);
+        let times = lifetimes(n, VMAX, seed ^ 0x1234_5678);
         let sel = HyperplanesSelection::orthogonal(cfg.dim, 2, MetricKind::L1);
         let store = TopologyStore::from_peers(
             PeerInfo::from_point_set(&embed_lifetimes(&base, &times)),

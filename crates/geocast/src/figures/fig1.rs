@@ -6,7 +6,7 @@ use std::sync::Arc;
 use geocast_core::groups::build_group_tree_on_store;
 use geocast_core::{stability, OrthantRectPartitioner};
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
-use geocast_geom::MetricKind;
+use geocast_geom::{MetricKind, VMAX};
 use geocast_metrics::{AsciiChart, Table};
 use geocast_overlay::select::EmptyRectSelection;
 use geocast_overlay::{oracle, PeerInfo, TopologyStore};
@@ -34,8 +34,6 @@ pub struct Fig1Config {
     /// Trials; results are averaged across seeds (the paper averaged
     /// "multiple tests" without reporting the count).
     pub seeds: Vec<u64>,
-    /// Coordinate bound `VMAX`.
-    pub vmax: f64,
     /// For Fig. 1(b): construct a tree from every peer (the paper's
     /// procedure) or from a sample of this many roots.
     pub roots: Option<usize>,
@@ -53,7 +51,6 @@ impl Default for Fig1Config {
             n: 1000,
             dims: (2..=5).collect(),
             seeds: vec![1, 2, 3],
-            vmax: 1000.0,
             roots: None,
             latency_roots: 5,
         }
@@ -68,7 +65,6 @@ impl Fig1Config {
             n: 150,
             dims: (2..=4).collect(),
             seeds: vec![1],
-            vmax: 1000.0,
             roots: Some(40),
             latency_roots: 3,
         }
@@ -90,7 +86,7 @@ pub fn fig1a(cfg: &Fig1Config) -> FigureReport {
         .collect();
     let runner = ParallelRunner::default();
     let measured = runner.map(&jobs, |&(dim, seed)| {
-        let peers = PeerInfo::from_point_set(&uniform_points(cfg.n, dim, cfg.vmax, seed));
+        let peers = PeerInfo::from_point_set(&uniform_points(cfg.n, dim, VMAX, seed));
         let graph = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection)).graph();
         let degrees = graph.undirected_degrees();
         let max = degrees.iter().copied().max().unwrap_or(0) as f64;
@@ -151,7 +147,7 @@ pub fn fig1b(cfg: &Fig1Config) -> FigureReport {
         .collect();
     let runner = ParallelRunner::default();
     let measured = runner.map(&jobs, |&(dim, seed)| {
-        let point_set = uniform_points(cfg.n, dim, cfg.vmax, seed);
+        let point_set = uniform_points(cfg.n, dim, VMAX, seed);
         let store = TopologyStore::from_peers(
             PeerInfo::from_point_set(&point_set),
             Arc::new(EmptyRectSelection),
@@ -267,8 +263,6 @@ pub struct Fig1cConfig {
     pub dim: usize,
     /// Trials per size.
     pub seeds: Vec<u64>,
-    /// Coordinate bound.
-    pub vmax: f64,
 }
 
 impl Default for Fig1cConfig {
@@ -277,7 +271,6 @@ impl Default for Fig1cConfig {
             ns: vec![100, 250, 400, 700, 1000, 2000, 4000, 5000],
             dim: 2,
             seeds: vec![1, 2, 3],
-            vmax: 1000.0,
         }
     }
 }
@@ -290,7 +283,6 @@ impl Fig1cConfig {
             ns: vec![50, 100, 200, 400],
             dim: 2,
             seeds: vec![1],
-            vmax: 1000.0,
         }
     }
 }
@@ -307,7 +299,7 @@ pub fn fig1c(cfg: &Fig1cConfig) -> FigureReport {
         .collect();
     let runner = ParallelRunner::default();
     let measured = runner.map(&jobs, |&(n, seed)| {
-        let peers = PeerInfo::from_point_set(&uniform_points(n, cfg.dim, cfg.vmax, seed));
+        let peers = PeerInfo::from_point_set(&uniform_points(n, cfg.dim, VMAX, seed));
         let graph = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection)).graph();
         let degrees = graph.undirected_degrees();
         let max = degrees.iter().copied().max().unwrap_or(0) as f64;
@@ -368,8 +360,6 @@ pub struct StabilityConfig {
     pub ks: Vec<usize>,
     /// Trials.
     pub seeds: Vec<u64>,
-    /// Coordinate bound; also the lifetime horizon.
-    pub vmax: f64,
     /// Distance function for the overlay's per-orthant ranking.
     pub metric: MetricKind,
 }
@@ -381,7 +371,6 @@ impl Default for StabilityConfig {
             dims: (2..=10).collect(),
             ks: (1..=50).collect(),
             seeds: vec![1],
-            vmax: 1000.0,
             metric: MetricKind::L1,
         }
     }
@@ -396,7 +385,6 @@ impl StabilityConfig {
             dims: vec![2, 3, 5],
             ks: vec![1, 2, 5, 10],
             seeds: vec![1],
-            vmax: 1000.0,
             metric: MetricKind::L1,
         }
     }
@@ -443,8 +431,8 @@ pub fn stability_sweep(cfg: &StabilityConfig) -> StabilitySweep {
     let runner = ParallelRunner::default();
     // Per job: one row per K, in cfg.ks order.
     let measured: Vec<Vec<(f64, f64, bool, bool)>> = runner.map(&jobs, |&(dim, seed)| {
-        let base = uniform_points(cfg.n, dim, cfg.vmax, seed);
-        let times = lifetimes(cfg.n, cfg.vmax, seed ^ 0x5747_4142);
+        let base = uniform_points(cfg.n, dim, VMAX, seed);
+        let times = lifetimes(cfg.n, VMAX, seed ^ 0x5747_4142);
         let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
         let mut rows = Vec::with_capacity(cfg.ks.len());
         oracle::orthogonal_k_sweep_with(&peers, cfg.metric, &cfg.ks, |_k, graph| {
@@ -630,7 +618,6 @@ mod tests {
             seeds: vec![1],
             roots: Some(8),
             latency_roots: 0,
-            ..Fig1Config::quick()
         };
         let report = fig1b(&cfg);
         assert_eq!(report.table.rows()[0][3], "0.0", "no sampled builds");
@@ -639,14 +626,20 @@ mod tests {
     #[test]
     fn fig1c_quick_includes_reference_curve() {
         let cfg = Fig1cConfig {
-            ns: vec![50, 100],
+            ns: vec![50, 100, 300],
             seeds: vec![1],
             ..Fig1cConfig::quick()
         };
         let report = fig1c(&cfg);
-        assert_eq!(report.table.len(), 2);
+        assert_eq!(report.table.len(), 3);
         let reference: f64 = report.table.rows()[1][3].parse().unwrap();
         assert!((reference - 20.0).abs() < 1e-9, "10*log10(100) = 20");
+        // Average degree stays in the log-like band the paper reports.
+        let avg: f64 = report.table.rows()[2][2].parse().unwrap();
+        assert!(
+            avg > 2.0 && avg < 60.0,
+            "avg degree {avg} out of the expected band"
+        );
     }
 
     #[test]

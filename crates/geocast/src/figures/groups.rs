@@ -25,11 +25,14 @@
 //! from-scratch [`geocast_core::groups::build_group_tree_grafted`]
 //! rebuild — the engine is exact, not approximate.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use geocast_core::groups::{AppliedOp, EngineTotals, GroupEngine, PublishOutcome};
+use geocast_core::dataplane::FlushReport;
+use geocast_core::groups::{AppliedOp, EngineTotals, GroupEngine};
 use geocast_core::OrthantRectPartitioner;
+use geocast_geom::VMAX;
 use geocast_metrics::{AsciiChart, Table};
 use geocast_overlay::churn::{ChurnEvent, ChurnSchedule};
 use geocast_overlay::select::EmptyRectSelection;
@@ -62,8 +65,6 @@ pub struct GroupsConfig {
     pub dim: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Coordinate bound.
-    pub vmax: f64,
 }
 
 impl Default for GroupsConfig {
@@ -83,7 +84,6 @@ impl Default for GroupsConfig {
             group_events: 300,
             dim: 2,
             seed: 1,
-            vmax: 1000.0,
         }
     }
 }
@@ -105,7 +105,6 @@ impl GroupsConfig {
             group_events: 50,
             dim: 2,
             seed: 1,
-            vmax: 1000.0,
         }
     }
 }
@@ -128,14 +127,9 @@ pub struct GroupsScenario {
     pub coverage_mean: f64,
     /// Relay nodes across the groups at the end.
     pub relays: usize,
-    /// Publishes: the workload's, then one final publish per group.
-    pub publishes: usize,
-    /// Σ members those publishes failed to reach.
-    pub publish_stranded: usize,
-    /// Σ data messages of those publishes.
-    pub publish_messages: usize,
-    /// Σ data messages of those publishes sent over relays.
-    pub publish_relay_messages: usize,
+    /// Every publish, absorbed: the workload's, then one final publish
+    /// per group (each a batch of one).
+    pub published: FlushReport,
     /// Wall-clock seconds of the replay, final publishes included.
     pub seconds: f64,
     /// Every group equals its from-scratch grafted rebuild at the end.
@@ -176,7 +170,7 @@ pub fn groups_scenario(
     num_groups: usize,
     placement: MembershipPlacement,
 ) -> GroupsScenario {
-    let base = geocast_geom::gen::uniform_points(cfg.initial, cfg.dim, cfg.vmax, cfg.seed);
+    let base = geocast_geom::gen::uniform_points(cfg.initial, cfg.dim, VMAX, cfg.seed);
     let store = TopologyStore::from_peers(
         PeerInfo::from_point_set(&base),
         Arc::new(EmptyRectSelection),
@@ -194,7 +188,7 @@ pub fn groups_scenario(
             leave_rate: 1,
         },
         cfg.dim,
-        cfg.vmax,
+        VMAX,
         cfg.seed ^ (num_groups as u64),
     );
     let seeded = *engine.totals();
@@ -210,7 +204,7 @@ pub fn groups_scenario(
 
     let mut examined = Vec::with_capacity(churn.len());
     let (mut certified, mut repaired_members, mut group_events) = (0, 0, 0);
-    let mut outcomes: Vec<PublishOutcome> = Vec::new();
+    let mut published = FlushReport::default();
 
     // Interleave overlay churn with the group workload, round-robin.
     // lint:allow(D002, reason = "feeds the wall-clock column of the groups panel and the CLI's elapsed line only; no control flow reads the clock")
@@ -233,8 +227,8 @@ pub fn groups_scenario(
             progressed = true;
         }
         if let Some(op) = ops_it.next() {
-            if let AppliedOp::Published(_, outcome) = engine.apply_workload_op(op, &mut state) {
-                outcomes.push(outcome);
+            if let AppliedOp::Published(batch) = engine.apply_workload_op(op, &mut state) {
+                published.absorb(&batch);
             }
             group_events += 1;
             progressed = true;
@@ -246,7 +240,9 @@ pub fn groups_scenario(
     // Final publish sweep: every group delivers once more so rows with
     // few workload publishes still report coverage at full confidence.
     for &g in &ids {
-        outcomes.extend(engine.publish(g));
+        if let Some(batch) = engine.publish(g, &BTreeSet::new()) {
+            published.absorb(&batch);
+        }
     }
     let seconds = start.elapsed().as_secs_f64();
 
@@ -268,10 +264,7 @@ pub fn groups_scenario(
         group_events,
         coverage_mean: coverage_sum / ids.len() as f64,
         relays,
-        publishes: outcomes.len(),
-        publish_stranded: outcomes.iter().map(|o| o.stranded).sum(),
-        publish_messages: outcomes.iter().map(|o| o.messages).sum(),
-        publish_relay_messages: outcomes.iter().map(|o| o.relay_messages).sum(),
+        published,
         seconds,
         exact,
         totals: since(engine.totals(), &seeded),
@@ -345,10 +338,10 @@ pub fn groups_panel(cfg: &GroupsConfig) -> FigureReport {
                 format!("{:.1}", s.repaired_members as f64 / churn.max(1) as f64),
                 format!("{:.0}%", s.coverage_mean * 100.0),
                 s.relays.to_string(),
-                s.publish_stranded.to_string(),
+                s.published.payload_strandings.to_string(),
                 format!(
                     "{:.1}",
-                    s.publish_relay_messages as f64 / s.publishes.max(1) as f64
+                    s.published.relay_messages as f64 / s.published.batches.max(1) as f64
                 ),
                 format!("{events_per_s:.0}"),
                 s.exact.to_string(),

@@ -15,7 +15,6 @@
 //! | Ablation: median vs closest vs farthest child pick | [`ablation_partitioner`] |
 //! | Baseline: flooding message cost | [`baseline_messages`] |
 //! | Baseline: departure sensitivity | [`baseline_stability`] |
-//! | Beyond the paper: construction scaling to `N = 50_000` | [`overlay_scaling`] |
 //! | Beyond the paper: what one departure changes of the §2 tree | [`repair_cost`] |
 //! | Beyond the paper: incremental churn engine (waves, flash crowds, mixed rates) | [`churn_panel`] |
 //! | Beyond the paper: multi-group session engine (N trees, one store, Zipf groups) | [`groups_panel`] |
@@ -36,7 +35,6 @@ mod groups;
 mod publish;
 mod repair;
 mod report;
-mod scaling;
 
 pub use churn::{churn_panel, ChurnConfig};
 pub use claims::{claims_section2, claims_section3, ClaimsConfig};
@@ -52,4 +50,3 @@ pub use groups::{groups_panel, groups_scenario, GroupsConfig, GroupsScenario};
 pub use publish::{publish_panel, publish_scenario, PublishConfig, PublishScenario};
 pub use repair::{repair_cost, RepairConfig};
 pub use report::FigureReport;
-pub use scaling::{overlay_scaling, ScalingConfig};

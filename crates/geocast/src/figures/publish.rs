@@ -28,6 +28,7 @@ use std::time::Instant;
 use geocast_core::dataplane::{flood_deliver, FlushReport};
 use geocast_core::groups::GroupEngine;
 use geocast_core::OrthantRectPartitioner;
+use geocast_geom::VMAX;
 use geocast_metrics::{AsciiChart, Table};
 use geocast_overlay::churn::{ChurnEvent, ChurnSchedule};
 use geocast_overlay::select::EmptyRectSelection;
@@ -61,8 +62,6 @@ pub struct PublishConfig {
     pub dim: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Coordinate bound.
-    pub vmax: f64,
 }
 
 impl Default for PublishConfig {
@@ -80,7 +79,6 @@ impl Default for PublishConfig {
             churn_every: 25,
             dim: 2,
             seed: 1,
-            vmax: 1000.0,
         }
     }
 }
@@ -100,7 +98,6 @@ impl PublishConfig {
             churn_every: 10,
             dim: 2,
             seed: 1,
-            vmax: 1000.0,
         }
     }
 }
@@ -128,7 +125,7 @@ pub struct PublishScenario {
 /// `cfg.churn_every` ticks.
 #[must_use]
 pub fn publish_scenario(cfg: &PublishConfig, exponent: f64, batch: usize) -> PublishScenario {
-    let base = geocast_geom::gen::uniform_points(cfg.initial, cfg.dim, cfg.vmax, cfg.seed);
+    let base = geocast_geom::gen::uniform_points(cfg.initial, cfg.dim, VMAX, cfg.seed);
     let store = TopologyStore::from_peers(
         PeerInfo::from_point_set(&base),
         Arc::new(EmptyRectSelection),
@@ -151,7 +148,7 @@ pub fn publish_scenario(cfg: &PublishConfig, exponent: f64, batch: usize) -> Pub
             leave_rate: 1,
         },
         cfg.dim,
-        cfg.vmax,
+        VMAX,
         cfg.seed ^ (batch as u64),
     );
     let mut churn_it = churn.events().iter();
@@ -208,7 +205,7 @@ pub fn publish_scenario(cfg: &PublishConfig, exponent: f64, batch: usize) -> Pub
 /// the Zipf-head group's root, publish once, and weigh eager/lazy
 /// payload copies against the old flood-within-region cost.
 fn suspicion_comparison(cfg: &PublishConfig, exponent: f64) -> String {
-    let base = geocast_geom::gen::uniform_points(cfg.initial, cfg.dim, cfg.vmax, cfg.seed);
+    let base = geocast_geom::gen::uniform_points(cfg.initial, cfg.dim, VMAX, cfg.seed);
     let store = TopologyStore::from_peers(
         PeerInfo::from_point_set(&base),
         Arc::new(EmptyRectSelection),
@@ -225,7 +222,7 @@ fn suspicion_comparison(cfg: &PublishConfig, exponent: f64) -> String {
     let root = engine.root(head).expect("seeded group is rooted");
     engine.set_suspects([root]);
     let outcome = engine
-        .publish_with_failures(head, &BTreeSet::new())
+        .publish(head, &BTreeSet::new())
         .expect("head group publishes");
     let epidemic = *engine
         .last_epidemic()

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use geocast_core::groups::build_group_tree_on_store;
 use geocast_core::{BuildResult, OrthantRectPartitioner};
 use geocast_geom::gen::uniform_points;
+use geocast_geom::VMAX;
 use geocast_metrics::{Summary, Table};
 use geocast_overlay::select::EmptyRectSelection;
 use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
@@ -23,8 +24,6 @@ pub struct RepairConfig {
     /// Trials (seed per trial; each trial samples interior peers of the
     /// intact tree to depart).
     pub seeds: Vec<u64>,
-    /// Coordinate bound.
-    pub vmax: f64,
     /// Maximum departures sampled per trial (departures are independent
     /// — each starts from the intact tree).
     pub departures: usize,
@@ -36,7 +35,6 @@ impl Default for RepairConfig {
             ns: vec![100, 500, 1000],
             dim: 2,
             seeds: vec![1, 2, 3],
-            vmax: 1000.0,
             departures: 50,
         }
     }
@@ -50,7 +48,6 @@ impl RepairConfig {
             ns: vec![50, 120],
             dim: 2,
             seeds: vec![1],
-            vmax: 1000.0,
             departures: 10,
         }
     }
@@ -89,7 +86,7 @@ pub fn repair_cost(cfg: &RepairConfig) -> FigureReport {
     // Per job: (links changed, zones re-delegated) per departure, and
     // whether every tree after one spans the survivors.
     let measured = runner.map(&jobs, |&(n, seed)| {
-        let peers = PeerInfo::from_point_set(&uniform_points(n, cfg.dim, cfg.vmax, seed));
+        let peers = PeerInfo::from_point_set(&uniform_points(n, cfg.dim, VMAX, seed));
         let store = TopologyStore::from_peers(peers.clone(), Arc::new(EmptyRectSelection));
         let everyone: BTreeSet<usize> = (0..n).collect();
         let before = build_group_tree_on_store(&store, 0, &everyone, &median);

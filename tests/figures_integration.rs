@@ -134,7 +134,6 @@ fn reports_render_to_markdown_and_display() {
         n: 40,
         dims: vec![2],
         seeds: vec![1],
-        vmax: 1000.0,
         roots: Some(5),
         latency_roots: 2,
     });
