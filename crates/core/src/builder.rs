@@ -85,7 +85,8 @@ pub struct BuildResult {
 pub(crate) struct ZoneRecord<'a> {
     /// The earlier tree. Every peer of `zones` is on it under the parent
     /// the construction gave it; the nodes without a zone are relay
-    /// grafts attached since.
+    /// grafts attached since, which the run leaves on the tree for the
+    /// caller to keep or drop.
     pub tree: &'a MulticastTree,
     /// The earlier zones. The ones that still stand move into the new
     /// table.
@@ -94,9 +95,6 @@ pub(crate) struct ZoneRecord<'a> {
     /// reads as it did when the earlier run partitioned their zone.
     /// Every other peer of `zones` still has the row it had.
     pub suspects: &'a [usize],
-    /// `true` leaves the grafts on the tree, for the caller to keep or
-    /// drop; `false` drops them with the entries that no longer stand.
-    pub grafts_stay: bool,
 }
 
 /// What one run of the §2 work-queue delegated
@@ -260,7 +258,6 @@ struct Replay<'a> {
     zone_of: Vec<u32>,
     /// Recorded peers their recorded parent no longer delegates to.
     orphans: Vec<RecordedPeer>,
-    grafts_stay: bool,
 }
 
 /// A peer of the record: where its node and its zone are.
@@ -296,7 +293,6 @@ impl<'a> Replay<'a> {
             tree,
             zones: Zones { entries: zones },
             suspects,
-            grafts_stay,
         } = record;
         assert!(u32::try_from(zones.len()).is_ok(), "zone indices are u32");
         // Zones and tree slots both ascend by peer: one merge walk.
@@ -315,7 +311,6 @@ impl<'a> Replay<'a> {
             zones,
             zone_of,
             orphans: Vec::new(),
-            grafts_stay,
         };
         for &s in suspects {
             let mut slot = replay.slot(s);
@@ -385,32 +380,18 @@ impl<'a> Replay<'a> {
     /// The new zones — the recorded entries that stand, merged with the
     /// fresh ones — and the edit that turns the recorded tree into the
     /// new one: the recorded entries that no longer stand dropped (the
-    /// grafts too, unless they stay), the fresh links added.
+    /// grafts stay), the fresh links added.
     fn finish(
         mut self,
         links: Vec<(usize, usize)>,
         mut fresh: Vec<(usize, Rect)>,
     ) -> (Zones, TreeEdit) {
         self.drop_unreached_orphans();
-        let Replay {
-            tree,
-            zones,
-            flags,
-            zone_of,
-            grafts_stay,
-            ..
-        } = self;
-        let dropped = if grafts_stay {
-            (zones.iter().zip(&flags))
-                .filter(|&(_, &f)| f & DROPPED != 0)
-                .map(|(&(peer, _), _)| peer)
-                .collect()
-        } else {
-            (tree.reached().iter().zip(&zone_of))
-                .filter(|&(_, &at)| at == NO_ZONE || flags[at as usize] & DROPPED != 0)
-                .map(|(&peer, _)| peer)
-                .collect()
-        };
+        let Replay { zones, flags, .. } = self;
+        let dropped = (zones.iter().zip(&flags))
+            .filter(|&(_, &f)| f & DROPPED != 0)
+            .map(|(&(peer, _), _)| peer)
+            .collect();
         fresh.sort_unstable_by_key(|&(i, _)| i);
         let mut fresh = fresh.into_iter().peekable();
         let mut entries = Vec::with_capacity(zones.len() + fresh.len());

@@ -33,54 +33,47 @@
 //!    only stays stranded when it is overlay-disconnected from the
 //!    root — provably undeliverable.
 //!
-//! Every discovery is a pure function of (a) the on-tree set and peer
-//! coordinates and (b) the undirected adjacency rows of the nodes it
-//! *consulted* (walked path nodes and BFS-expanded nodes). The consulted
-//! set is returned as the graft's **support**. For a pass that never
-//! left tier 1 each support node's row was read for exactly one
-//! decision — the greedy hop towards its walk's target, which became its
-//! tree parent — and the pass also returns its walks as a `WalkLog`:
-//! per walk, in pass order, the stranded member, its target and its
-//! path, with the walk of each support node next to the support set.
-//! The incremental engine keeps a group's build across a churn delta
-//! exactly when every dirtied support node still takes the same hop (the
-//! repair certificate of [`crate::groups`], where the induction is
-//! written out), and re-grafts otherwise — which keeps the maintained
-//! tree byte-identical to a from-scratch rebuild (property-tested in
-//! `tests/prop_groups.rs`).
+//! # One replay rule
 //!
-//! A re-graft costs the walks that changed, not the group. The same
-//! pass, handed the previous build's log as a `GraftMemo`, takes a
-//! walk's target from the log whenever the logged target is still on
-//! the tree and nothing the old pass did not have there is nearer. It
-//! then copies the walk's logged path whole when no node of it is dirty,
-//! none is on the tree yet and its logged terminal is: one bit test per
-//! node. A walk that fails a check follows its logged path up to where
-//! it diverges and steps greedily from there, and a walk whose target
-//! was searched for steps greedily throughout. The pass returns exactly
-//! what it returns without a memo; `GraftMemo` carries the argument.
+//! A walk is one step of its group's build, and a pure function of what
+//! it read:
 //!
-//! Nor does a re-graft look at the walks its change cannot reach. The
-//! old pass's on-tree set and the new one start equal up to what the §2
-//! edit changed, and a walk copied whole puts the same nodes on both, so
-//! a logged walk can only differ where the change reaches it: its
-//! member's stranding changed, a node of its path is dirty, its target
-//! or terminal left the tree, a node of its path joined the tree before
-//! its turn, or a fresh node beats its target (`GraftMemo` states the
-//! rules). The pass finds those walks from the change — the §2 part's
-//! stranding change, the support index, an index of the walks by their
-//! ends — and visits them in ascending member order; every other walk
-//! is carried over from the log as part of a run, unvisited.
+//! * the rows of the nodes it stepped from — its path but the terminal,
+//!   and for a fallback walk also the rows its region and flood tiers
+//!   read off that path;
+//! * the on-tree state of every node it touched: its path nodes were off
+//!   the tree at its turn, its terminal and its target on it;
+//! * the **ball** its target bounds. The target is the `(distance,
+//!   index)` minimum over the on-tree set, so it stands while it is on
+//!   the tree and no node that joined the tree since the walk was made
+//!   lies nearer. This is the one read no peer names, and `Replay` is
+//!   the one place that checks it: against the nodes on the tree now
+//!   that were not at the same point of the previous pass (`fresh`, a
+//!   list bounded by `MAX_FRESH`, past which every target is searched
+//!   for).
+//!
+//! A region or flood walk tests the on-tree state of every node it
+//! expands, so it counts as having read everything before it in its
+//! pass: it stands only while nothing earlier in the pass changed.
+//!
+//! The pass records every walk with its reads (`WalkLog`). Handed the
+//! group's previous log and the walks that read a row that may have
+//! changed since (`Previous`), it goes through the stranded members in
+//! ascending order as it does from scratch — which replays an empty
+//! log — and re-runs a walk only when one of its reads changed; every
+//! other walk is carried over from the log, unvisited. A re-run greedy
+//! walk follows its logged path for as long as each hop it re-takes
+//! lands on the logged next node, and a re-run walk whose path comes
+//! out as logged changes nothing for the walks after it (early cutoff,
+//! as in Acar's self-adjusting computation): the on-tree set they read
+//! is the one they read before. So the pass returns exactly what it
+//! returns without a log, at the cost of the walks whose reads changed.
+//! The engine applies the same rule one level up ([`crate::groups`]).
 //!
 //! Nor does a re-graft rebuild the tree. The pass grafts onto the §2
 //! construction's tree in the same `MulticastTree::edited` that makes
-//! it; when that edit starts from the group's previous tree with its
-//! grafts kept, a walk copied whole is on it already. Then only the
-//! nodes of the logged walks the pass did not copy are dropped and only
-//! the paths it stepped or searched are added, and one merge of those
-//! with the previous support set gives the new support, relays and walk
-//! keys. A support node is keyed by the member whose walk attached it,
-//! which names the same walk in every pass.
+//! it; a replayed construction keeps the previous build's grafts, so
+//! only the paths of the walks that changed are dropped and added.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -92,7 +85,7 @@ use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
 
 use crate::bits::PeerBits;
 use crate::builder::{BuildResult, Zones};
-use crate::member_tree::{Section2, Stranded};
+use crate::member_tree::Section2;
 use crate::tree::{MulticastTree, TreeEdit};
 
 /// Rounds of tier-1/tier-2 alternation before flood discovery takes
@@ -117,17 +110,6 @@ pub struct GraftReport {
     pub flood_messages: usize,
     /// Members with no overlay path to the tree at all (still stranded).
     pub unreachable: usize,
-}
-
-impl GraftReport {
-    /// `true` when every discovery of the pass was a plain greedy walk:
-    /// no region fallback, no flood. Only then is each support node's
-    /// row read for one hop decision, which is what a repair
-    /// certificate can re-check.
-    #[must_use]
-    pub fn greedy_only(&self) -> bool {
-        self.rect_fallbacks == 0 && self.flood_fallbacks == 0
-    }
 }
 
 /// Grafts every stranded member of `build`, a §2 construction (whose
@@ -155,126 +137,183 @@ pub fn graft_stranded_members(
         len: build.tree.len(),
         base: Some(&build.tree),
         edit: TreeEdit::default(),
-        grafts: false,
         zones: std::mem::take(&mut build.zones),
         // A path node off the §2 tree is a member exactly when it is
         // stranded.
         members: PeerBits::from_peers(store.len(), &stranded),
-        stranded: Stranded::All(stranded),
+        stranded,
     };
     let (grafted, pass) = graft_pass(store, section2, metric, None);
     *build = grafted;
     (pass.report, pass.support)
 }
 
-/// A peer id, or a walk index (walks are never more than peers), in the
-/// compact form the log and the certificate keep.
+/// A peer id in the compact form the log keeps.
 fn id(p: usize) -> u32 {
     u32::try_from(p).expect("peer ids fit u32")
 }
 
+/// One walk's share of its pass's report: its route hops, region
+/// fallbacks, floods and flood messages.
+type Tally = [u32; 4];
+
+fn tally_of(report: &GraftReport) -> Tally {
+    let counts = [
+        report.route_hops,
+        report.rect_fallbacks,
+        report.flood_fallbacks,
+        report.flood_messages,
+    ];
+    counts.map(|n| u32::try_from(n).expect("a walk's counts fit u32"))
+}
+
+fn add_tally(report: &mut GraftReport, tally: Tally) {
+    report.route_hops += tally[0] as usize;
+    report.rect_fallbacks += tally[1] as usize;
+    report.flood_fallbacks += tally[2] as usize;
+    report.flood_messages += tally[3] as usize;
+}
+
 /// The walks of one graft pass in pass order, which is ascending
-/// stranded member: each with the on-tree node it headed for and its
-/// path `[member, …relays…, terminal]` as one contiguous run of
-/// `nodes`. Every node of a path but the terminal joined the tree under
-/// the node after it, so the log holds the pass's links; for a
-/// greedy-only pass it also holds every row the pass read and the one
-/// decision each row was read for.
+/// stranded member, each with what it read (see the module doc): its
+/// target, its path `[member, …relays…, terminal]` — empty for a member
+/// the flood proved unreachable — and, for a fallback walk, the rows it
+/// read off that path and its share of the report. Every node of a path
+/// but the terminal joined the tree under the node after it, so the log
+/// holds the pass's links too.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct WalkLog {
     walks: Vec<LoggedWalk>,
+    /// Per walk, back to back: its path, then for a fallback walk the
+    /// peers off it whose rows it read, ascending, and its `Tally`.
     nodes: Vec<u32>,
+    /// How many of the walks are fallback walks.
+    fallbacks: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LoggedWalk {
     member: u32,
     target: u32,
-    /// One past the walk's last node in [`WalkLog::nodes`].
+    /// One past the walk's path in [`WalkLog::nodes`].
+    path_end: u32,
+    /// One past the walk's last node.
     end: u32,
 }
 
+/// The words of a fallback walk's tally at the end of its nodes.
+const TALLY_WORDS: usize = 4;
+
 impl WalkLog {
-    fn push(&mut self, member: usize, target: usize, path: &[usize]) {
+    fn push(
+        &mut self,
+        member: usize,
+        target: usize,
+        path: &[usize],
+        off_path: &[usize],
+        tally: Tally,
+    ) {
         self.nodes.extend(path.iter().map(|&p| id(p)));
+        let path_end = id(self.nodes.len());
+        if tally[1] + tally[2] > 0 {
+            self.nodes.extend(off_path.iter().map(|&p| id(p)));
+            self.nodes.extend(tally);
+            self.fallbacks += 1;
+        }
         self.walks.push(LoggedWalk {
             member: id(member),
             target: id(target),
+            path_end,
             end: id(self.nodes.len()),
         });
     }
 
-    /// Appends walks `walks` of `from`, paths and all, as one run.
-    fn extend_from(&mut self, from: &WalkLog, walks: Range<usize>) {
-        let Some(last) = walks.end.checked_sub(1) else {
-            return;
-        };
-        let start = from.start(walks.start);
-        let base = id(self.nodes.len());
-        self.nodes
-            .extend_from_slice(&from.nodes[start..from.walks[last].end as usize]);
-        let start = id(start);
-        self.walks
-            .extend(from.walks[walks].iter().map(|walk| LoggedWalk {
-                end: walk.end - start + base,
-                ..*walk
-            }));
+    /// Walk `w`'s share of its pass's report: a greedy walk's is its
+    /// hops.
+    fn tally(&self, w: usize) -> Tally {
+        if !self.fallback(w) {
+            return [id(self.path(w).len() - 1), 0, 0, 0];
+        }
+        let end = self.walks[w].end as usize;
+        let words = &self.nodes[end - TALLY_WORDS..end];
+        words.try_into().expect("a fallback walk's tally")
     }
 
-    fn len(&self) -> usize {
+    /// Appends walks `walks` of `from` as they are, in one run.
+    fn extend_from(&mut self, from: &WalkLog, walks: Range<usize>) {
+        let Some(last) = walks.end.checked_sub(1).filter(|_| !walks.is_empty()) else {
+            return;
+        };
+        let (start, end) = (from.start(walks.start), from.walks[last].end as usize);
+        let (start_id, base) = (id(start), id(self.nodes.len()));
+        self.walks
+            .extend(from.walks[walks.clone()].iter().map(|walk| LoggedWalk {
+                path_end: walk.path_end - start_id + base,
+                end: walk.end - start_id + base,
+                ..*walk
+            }));
+        self.nodes.extend_from_slice(&from.nodes[start..end]);
+        if from.fallbacks > 0 {
+            self.fallbacks += walks.filter(|&w| from.fallback(w)).count();
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
         self.walks.len()
     }
 
     /// The stranded member walk `w` started from.
-    fn member(&self, w: usize) -> usize {
+    pub(crate) fn member(&self, w: usize) -> usize {
         self.walks[w].member as usize
     }
 
     /// The on-tree node walk `w` headed for.
-    fn target(&self, w: usize) -> usize {
+    pub(crate) fn target(&self, w: usize) -> usize {
         self.walks[w].target as usize
     }
 
     /// The walk of stranded member `m`, if the log holds one.
-    fn walk(&self, m: usize) -> Option<usize> {
+    pub(crate) fn walk(&self, m: usize) -> Option<usize> {
         (self.walks)
             .binary_search_by_key(&id(m), |walk| walk.member)
             .ok()
     }
 
-    /// The on-tree node the walk of stranded member `m` headed for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the log holds no walk of `m`.
-    pub(crate) fn target_of(&self, m: usize) -> usize {
-        self.target(self.walk(m).expect("a logged walk's member"))
+    /// `true` if walk `w` left tier 1: it read what its pass put on the
+    /// tree before it.
+    pub(crate) fn fallback(&self, w: usize) -> bool {
+        self.walks[w].end > self.walks[w].path_end
     }
 
-    /// Where walk `w`'s path starts in `nodes`.
     fn start(&self, w: usize) -> usize {
         w.checked_sub(1).map_or(0, |v| self.walks[v].end as usize)
     }
 
     /// Walk `w`'s path, `[member, …relays…, terminal]`.
     fn path(&self, w: usize) -> &[u32] {
-        &self.nodes[self.start(w)..self.walks[w].end as usize]
+        &self.nodes[self.start(w)..self.walks[w].path_end as usize]
     }
 
-    /// Walk `w`'s ends as entries of the index of walks by end: `(node,
-    /// member)` for its target and for its terminal, once when they are
-    /// the same node.
-    fn ends(&self, w: usize) -> impl Iterator<Item = (u32, u32)> {
+    /// The nodes walk `w` attached: its path but the terminal.
+    fn attached(&self, w: usize) -> &[u32] {
+        self.path(w)
+            .split_last()
+            .map_or(&[], |(_, attached)| attached)
+    }
+
+    /// The peers whose rows walk `w` read off its path.
+    fn off_path(&self, w: usize) -> &[u32] {
         let walk = self.walks[w];
-        let terminal = self.nodes[walk.end as usize - 1];
-        let (a, b) = (walk.target.min(terminal), walk.target.max(terminal));
-        std::iter::once((a, walk.member)).chain((a != b).then_some((b, walk.member)))
+        let end = (walk.end as usize).saturating_sub(TALLY_WORDS);
+        self.nodes.get(walk.path_end as usize..end).unwrap_or(&[])
     }
 
-    /// The places in `nodes` of every node that walks `from..` attached
-    /// (all but the terminals), walk by walk.
-    fn attached(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
-        (from..self.len()).flat_map(|w| self.start(w)..self.walks[w].end as usize - 1)
+    /// Every peer whose row walk `w` read: its attached nodes, then the
+    /// rows it read off its path.
+    pub(crate) fn reads(&self, w: usize) -> impl Iterator<Item = usize> + '_ {
+        (self.attached(w).iter())
+            .chain(self.off_path(w))
+            .map(|&p| p as usize)
     }
 }
 
@@ -284,110 +323,40 @@ pub(crate) struct GraftPass {
     pub report: GraftReport,
     /// Every peer whose adjacency row the pass consulted, sorted.
     pub support: Vec<usize>,
-    /// Parallel to `support`: the stranded member whose walk of `log`
-    /// attached each support node — a key that names the same walk in
-    /// the next pass, wherever it falls in that pass's log. Empty, like
-    /// `log` and `ends`, unless the pass was
-    /// [`GraftReport::greedy_only`] (a fallback tier reads rows for other
-    /// decisions than a hop towards one target).
-    pub walk_of: Vec<u32>,
     pub log: WalkLog,
-    /// The walks of `log` by their ends: `(node, member)` for each
-    /// walk's target and terminal, sorted — the walks a node that leaves
-    /// the tree can change in the next pass.
-    pub ends: Vec<(u32, u32)>,
-    /// The support nodes that left the memo's support set and those that
-    /// entered it, both sorted, when the pass edited a tree that kept the
-    /// memo's grafts and stayed greedy-only; `None` leaves the comparison
-    /// to the caller.
-    pub support_change: Option<(Vec<usize>, Vec<usize>)>,
+    /// The previous log's walks whose reads the pass did not carry over
+    /// as they were, and the walks of `log` it recorded with new reads:
+    /// the steps the engine's reverse index moves. Without a previous
+    /// log every walk is new.
+    pub retired: Vec<usize>,
+    pub entered: Vec<usize>,
     /// Tree nodes the build's edit touched ([`MulticastTree::edited`]);
     /// every node when the tree was built up from its root.
     pub touched: usize,
-    /// Walks whose target was the memo's logged one.
+    /// Walks whose target was the previous log's.
     pub walks_replayed: u64,
-    /// Walks whose target was not the memo's logged one: searched for
-    /// over the on-tree set, or a node fresh on the tree that beats it.
+    /// Walks whose target was not the previous log's: searched for over
+    /// the on-tree set, or a fresh node that beats it.
     pub walks_recomputed: u64,
-    /// Walks copied whole from the memo's log: some of `walks_replayed`.
+    /// Walks whose path came out as logged, with no hop stepped for
+    /// them: some of `walks_replayed`.
     pub walks_spliced: u64,
-    /// Walks the pass stepped through, deciding their target: the rest
-    /// of `walks_replayed` and `walks_recomputed` were carried over from
-    /// the memo's log whole, unvisited.
+    /// Walks the pass re-ran: the rest of `walks_replayed` and
+    /// `walks_recomputed` were carried over from the log, unvisited.
     pub walks_examined: u64,
-    /// The members of those walks, in pass order.
-    #[cfg(test)]
-    pub examined: Vec<usize>,
 }
 
-/// The previous greedy-only pass over the same group, in the form the
-/// next pass replays it. A pass given a memo returns exactly what it
-/// returns without one; the memo only tells it which answers it need not
-/// search or step for:
-///
-/// * **A target.** The target of stranded member `s` is the
-///   `(distance, index)` minimum over the nodes on the tree when the
-///   pass reaches `s`. Split that set into the nodes the old pass also
-///   had on its tree at that point and the rest (`fresh`). If the log
-///   holds a walk of `s`, its target was the minimum over the whole old
-///   set, so once it is seen to be on the tree now it is the minimum
-///   over the shared part — and the new target is the better of it and
-///   the best `fresh` node.
-/// * **A walk.** A greedy hop is a function of one adjacency row and one
-///   target point, and a walk ends at the first on-tree node it meets.
-///   Let `s`'s target be the logged one. A node of the logged path that
-///   is not `dirty` has the row it had when its hop was last taken or
-///   re-checked, so it takes the hop it took: to the next node of the
-///   path. So the walk is the logged path up to the first node that is
-///   dirty, that is on the tree now, or that is the logged terminal —
-///   and it is the logged path, whole, exactly when that node is the
-///   terminal and the terminal is on the tree.
-///
-/// **Which walks a pass visits.** A pass given a memo edits a tree that
-/// keeps the memo's grafts, so it does not step through the log: a
-/// logged walk is copied whole, unvisited, unless the change reaches it. Both sets
-/// start equal — the old pass's tree and the new one, before any walk,
-/// are the two §2 trees — and a walk copied whole puts the same nodes on
-/// both, so they differ only by what the §2 edit changed and by the
-/// walks the pass visited. A logged walk of `s` can therefore be other
-/// than the one above only if
-///
-/// 1. `s` became or stopped being stranded (the §2 construction names
-///    these members), or is on the tree before its turn — which rule 4
-///    finds, `s` being a support node of its own walk;
-/// 2. a node of its path is `dirty` (its support entry names the walk);
-/// 3. its target or terminal left the tree: a §2 node the edit dropped,
-///    or a node of a visited walk's logged path that its new walk did
-///    not take again — the walks by end (`ends`) name every walk such a
-///    node can reach;
-/// 4. a node of its path joined the tree before its turn: a `fresh`
-///    node, from the §2 edit or from a walk visited earlier in the same
-///    pass, that is a support node of the walk;
-/// 5. a `fresh` node beats its target, which is tested for every walk
-///    while `fresh` is non-empty, and every walk is visited once `fresh`
-///    outgrows its bound.
-///
-/// A stranded member without a logged walk of its own — one that became
-/// stranded, or one an old walk ran through that is off the tree at its
-/// turn (rule 3 names it with the node) — is visited too. Every rule
-/// names a later member, so one ascending pass over the memo's log and
-/// the members named as it goes visits all of them; the log's other
-/// walks, their support entries, their links and their entries by end
-/// are carried over as runs.
-pub(crate) struct GraftMemo<'a> {
-    /// The old pass's support set, sorted; `walk_of` is parallel to it.
-    pub support: &'a [usize],
-    /// The stranded member whose walk of `log` attached each support
-    /// node.
-    pub walk_of: &'a [u32],
+/// The group's previous graft pass, as the next one replays it. A pass
+/// from scratch replays an empty one.
+pub(crate) struct Previous<'a> {
     pub log: &'a WalkLog,
-    /// The walks of `log` by their ends (`GraftPass::ends`).
-    pub ends: &'a [(u32, u32)],
-    /// The old grafted tree.
-    pub tree: &'a MulticastTree,
-    /// Every old support node whose adjacency row may have changed
-    /// since its recorded hop was last known to stand, sorted.
+    /// Every peer whose row may have changed since the log read it, or
+    /// since its hop was last re-taken — sorted, and read only for the
+    /// walks of `dirty_walks`, the logged walks that read such a row.
     pub dirty: &'a [usize],
+    pub dirty_walks: &'a [usize],
+    /// Its support set.
+    pub support: &'a [usize],
 }
 
 /// Past this many `fresh` nodes a pass stops replaying targets: each
@@ -395,292 +364,217 @@ pub(crate) struct GraftMemo<'a> {
 /// scan of the on-tree nodes or a few grid cells.
 const MAX_FRESH: usize = 32;
 
-/// How the running pass takes the target of a walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Target {
-    /// The memo's logged target.
-    Logged(usize),
-    /// A fresh node that beats the logged target: the nearest on-tree
-    /// node, since no node the old pass had on its tree does.
-    Fresh(usize),
-    /// Nothing the memo decides: the on-tree set is searched.
-    Search,
-}
-
-/// A memo plus what the running pass has put on its tree that the old
-/// pass did not have there at the same point.
+/// A previous pass while the running one replays it.
 struct Replay<'a> {
-    memo: &'a GraftMemo<'a>,
-    /// `memo.dirty`, one bit per peer.
-    dirty: PeerBits,
+    log: &'a WalkLog,
+    dirty: &'a [usize],
+    dirty_walks: &'a [usize],
+    support: &'a [usize],
+    /// The nodes the previous pass had on its tree that the running one
+    /// dropped so far: the §2 nodes the edit dropped, and the nodes of
+    /// the previous walks it refused.
+    gone: PeerBits,
+    /// Nodes the running pass put on its tree that the previous one did
+    /// not have there at the same point (entries it has since caught up
+    /// with are harmless: they never beat a logged target).
     fresh: Vec<usize>,
-    /// The members whose walks the pass must visit that it has not
-    /// reached yet; it carries the memo's other walks over.
-    pending: BinaryHeap<Reverse<usize>>,
+    /// Something before the current walk changed what it put on the tree.
+    changed: bool,
+    /// The next previous walk.
+    next: usize,
 }
 
 impl<'a> Replay<'a> {
-    fn new(memo: &'a GraftMemo<'a>, n: usize) -> Self {
-        Replay {
-            memo,
-            dirty: PeerBits::from_peers(n, memo.dirty),
+    /// The replay of `previous` by a pass grafting onto a §2 tree of `n`
+    /// peers whose zones are `zones`, reached from the previous one by
+    /// `edit`.
+    fn new(previous: Previous<'a>, n: usize, edit: &TreeEdit, zones: &Zones) -> Self {
+        let mut replay = Replay {
+            log: previous.log,
+            dirty: previous.dirty,
+            dirty_walks: previous.dirty_walks,
+            support: previous.support,
+            gone: PeerBits::from_peers(n, &edit.dropped),
             fresh: Vec::new(),
-            pending: BinaryHeap::new(),
-        }
-    }
-
-    /// Notes that `p` is on the tree from now on — from the start
-    /// (`after == None`, §2 nodes) or since the walk of stranded member
-    /// `after`. It is fresh unless the old tree had it there too: a
-    /// greedy-only pass attaches every node it consults, so the walks'
-    /// share of the old tree is its support and the rest of it is what
-    /// the old §2 construction reached. A fresh support node crosses the
-    /// walk that attached it, which is to come: rule 4.
-    fn note_on_tree(&mut self, p: usize, after: Option<usize>) {
-        let crossed = match self.memo.support.binary_search(&p) {
-            Ok(at) => {
-                let walk = self.memo.walk_of[at] as usize;
-                if after.is_some_and(|s| walk <= s) {
-                    return;
-                }
-                Some(walk)
-            }
-            Err(_) if self.memo.tree.is_reached(p) => return,
-            Err(_) => None,
+            changed: false,
+            next: 0,
         };
-        if self.fresh.len() <= MAX_FRESH {
-            self.fresh.push(p);
+        // A node the edit links was on the previous §2 tree exactly when
+        // the edit drops its recorded zone; a node it drops has left the
+        // tree unless it is linked again.
+        for &(c, _) in &edit.links {
+            replay.note_on_tree(c);
         }
-        if let Some(walk) = crossed {
-            self.pending.push(Reverse(walk));
-        }
+        replay.changed |= edit.dropped.iter().any(|&p| zones.get(p).is_none());
+        replay
     }
 
-    /// Notes that `p`, on the old tree since the walk of `after` (or
-    /// from the start), is not on the new one now: rule 3. The walks it
-    /// ended are to be visited, and so is `p` when it is a stranded
-    /// member the old pass walked through.
-    fn note_gone(&mut self, p: usize, after: Option<usize>, stranded: bool) {
-        let ends = self.memo.ends;
-        let from = ends.partition_point(|&(node, _)| node < id(p));
-        let reached = ends[from..].iter().take_while(|&&(node, _)| node == id(p));
-        for &(_, m) in reached {
-            let m = m as usize;
-            if after.is_none_or(|s| m > s) {
-                self.pending.push(Reverse(m));
+    /// Notes that `p`, off the running pass's tree so far, is on it from
+    /// now on: fresh unless the previous pass had it there at this point.
+    /// It had, exactly when the running pass dropped it: a node that was
+    /// on the previous tree and is off the running one here left it with
+    /// a dropped §2 node or a refused walk, which the running pass has
+    /// gone past; any other was attached by a previous walk yet to come.
+    fn note_on_tree(&mut self, p: usize) {
+        if !self.gone.contains(p) {
+            self.changed = true;
+            if self.fresh.len() <= MAX_FRESH {
+                self.fresh.push(p);
             }
         }
-        if stranded && after.is_some_and(|s| p > s) {
-            self.pending.push(Reverse(p));
-        }
     }
 
-    /// How stranded member `s`, whose logged walk is `w` if the log holds
-    /// one, takes its target. The logged target stands when it is on the
-    /// tree and no fresh node beats it (see [`Replay::beating`]).
+    /// The target of stranded member `s`, whose logged walk is `w`, when
+    /// the log decides it: the logged one while it is on the tree and no
+    /// fresh node beats it, else the fresh node that does — the nearest
+    /// on-tree node, since no node the previous pass had does.
     fn target(
         &self,
         peers: &[PeerInfo],
         metric: MetricKind,
         on_tree: &PeerBits,
-        w: Option<usize>,
+        w: usize,
         s: usize,
-    ) -> Target {
-        let Some(w) = w.filter(|_| self.fresh.len() <= MAX_FRESH) else {
-            return Target::Search;
-        };
-        let recorded = self.memo.log.target(w);
-        if !on_tree.contains(recorded) {
-            return Target::Search;
-        }
-        match self.beating(peers, metric, recorded, s) {
-            Some(fresh) => Target::Fresh(fresh),
-            None => Target::Logged(recorded),
-        }
+    ) -> Option<usize> {
+        let logged = self.log.target(w);
+        (self.fresh.len() <= MAX_FRESH && on_tree.contains(logged))
+            .then(|| self.beating(peers, metric, logged, s).unwrap_or(logged))
     }
 
-    /// The fresh node nearest to `s` if it beats `recorded`, the logged
-    /// target of `s`'s walk, which is on the tree: then it is the
-    /// target. A stale fresh node — on the old tree by now too — never
-    /// beats the logged target, the minimum over that tree.
+    /// The ball read: the fresh node nearest to `s` if it beats
+    /// `logged`, `s`'s logged target, which is on the tree.
     fn beating(
         &self,
         peers: &[PeerInfo],
         metric: MetricKind,
-        recorded: usize,
+        logged: usize,
         s: usize,
     ) -> Option<usize> {
-        if self.fresh.is_empty() {
-            return None;
-        }
         let sp = peers[s].point();
-        let logged = (metric.dist(peers[recorded].point(), sp), recorded);
+        let logged = (metric.dist(peers[logged].point(), sp), logged);
         let best = (self.fresh.iter())
             .map(|&f| (metric.dist(peers[f].point(), sp), f))
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))?;
         (best < logged).then_some(best.1)
     }
 
-    /// Walks logged walk `w`, whose target the pass has just taken, as
-    /// far as the log decides it: appends each hop to `path`, which
-    /// holds the walk's member.
+    /// Walks greedy logged walk `w`, whose target the pass has just
+    /// taken, as far as the log decides it, re-taking the hop of each
+    /// dirty node when the walk read a dirty row (`retake`): appends each
+    /// hop to `walk.path`,
+    /// which holds the walk's member. `Some(true)` when it reaches the
+    /// logged terminal, on the tree — the logged walk, whole; `Some(false)`
+    /// when an earlier node of the path has joined the tree since, where
+    /// the walk ends; `None` at a node whose hop the log does not decide
+    /// (a dirty one whose hop changed, or the logged terminal, now off the
+    /// tree), from which the walk steps on.
     fn follow(
         &self,
+        store: &TopologyStore,
+        metric: MetricKind,
         w: usize,
+        retake: bool,
         on_tree: &PeerBits,
-        path: &mut Vec<usize>,
-        report: &mut GraftReport,
-    ) -> Followed {
-        let logged = self.memo.log.path(w);
+        walk: &mut Walk,
+    ) -> Option<bool> {
+        let logged = self.log.path(w);
+        let target = store.peers()[self.log.target(w)].point();
         for (at, hop) in logged.windows(2).enumerate() {
-            if self.dirty.contains(hop[0] as usize) {
-                return Followed::Diverged;
+            let (from, next) = (hop[0] as usize, hop[1] as usize);
+            let dirty = retake && self.dirty.binary_search(&from).is_ok();
+            if dirty
+                && greedy_step_on_store(store, from, target, metric, &mut walk.nbuf) != Some(next)
+            {
+                return None;
             }
-            let next = hop[1] as usize;
-            path.push(next);
-            report.route_hops += 1;
+            walk.path.push(next);
             if on_tree.contains(next) {
-                return if at + 2 == logged.len() {
-                    Followed::Whole
-                } else {
-                    Followed::Sooner
-                };
+                return Some(at + 2 == logged.len());
             }
         }
-        // The logged terminal has left the tree: its own row, which the
-        // old pass never read, decides the next hop.
-        Followed::Diverged
+        None
     }
 }
 
-/// How far a logged walk carried the running pass's walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Followed {
-    /// To its logged terminal, on the tree: the logged walk, whole.
-    Whole,
-    /// To an earlier node of its path that has joined the tree since:
-    /// the walk ends there.
-    Sooner,
-    /// To a node whose hop the log does not decide — a dirty one, or the
-    /// logged terminal, now off the tree — or nowhere, for a walk the
-    /// log does not hold: the walk steps on from there.
-    Diverged,
-}
-
-/// The one graft pass: [`graft_stranded_members`] plus what the
-/// incremental engine records about it, optionally replaying the
-/// walks of the group's previous pass (see [`GraftMemo`]). It grafts in
-/// the edit that makes `section2`'s tree. A memo comes exactly when that
-/// edit starts from the previous tree with its grafts kept
-/// ([`Section2::grafts`]): the pass then visits only the walks the
-/// change reaches, and only what they changed is dropped and added.
-/// Without one it walks every stranded member.
+/// The one graft pass: [`graft_stranded_members`] plus what the engine
+/// records about it, replaying the group's `previous` pass (see the
+/// module doc). It grafts in the edit that makes `section2`'s tree,
+/// whose base keeps the previous pass's grafts, if it had any. From
+/// scratch it replays an empty pass: `section2` strands every member it
+/// names, and no walk is logged.
 pub(crate) fn graft_pass(
     store: &TopologyStore,
     section2: Section2,
     metric: MetricKind,
-    memo: Option<&GraftMemo>,
+    previous: Option<Previous>,
 ) -> (BuildResult, GraftPass) {
+    let nothing = WalkLog::default();
+    let (log, dirty, dirty_walks, support) = (&nothing, &[][..], &[][..], &[][..]);
+    let previous = previous.unwrap_or(Previous {
+        log,
+        dirty,
+        dirty_walks,
+        support,
+    });
     let Section2 {
         root,
         len,
         base,
         mut edit,
-        grafts,
         zones,
         members,
         stranded,
     } = section2;
     assert_eq!(store.len(), len, "store/tree size mismatch");
-    debug_assert!(
-        grafts == memo.is_some() && grafts == matches!(stranded, Stranded::Changed(_)),
-        "a base keeps the grafts of the walks a memo replays, and only then is the stranding a change"
-    );
 
     // The on-tree set while paths are being discovered, one bit per
     // peer, growing as paths are found. It starts as the §2 tree's
-    // nodes, the peers holding a zone; the tree takes the log's links in
-    // one edit at the end.
+    // nodes, the peers holding a zone; the tree takes the pass's links
+    // in one edit at the end.
     let mut on_tree = PeerBits::from_peers(store.len(), std::iter::empty());
     for p in zones.peers() {
         on_tree.insert(p);
     }
-    let (changed, stranded) = match stranded {
-        Stranded::Changed(changed) => (Some(changed), Vec::new()),
-        Stranded::All(stranded) => (None, stranded),
-    };
+    let replay = Replay::new(previous, store.len(), &edit, &zones);
     let mut pass = Pass {
         store,
         metric,
         zones: &zones,
-        section2: on_tree.clone(),
         on_tree,
-        replay: memo.map(|memo| Replay::new(memo, store.len())),
-        // About the memo's walks again, as a rule.
-        log: memo.map_or_else(WalkLog::default, |memo| WalkLog {
-            walks: Vec::with_capacity(memo.log.walks.len() + 8),
-            nodes: Vec::with_capacity(memo.log.nodes.len() + 32),
-        }),
-        added: Vec::new(),
-        added_ends: Vec::new(),
+        // About the previous walks again, as a rule.
+        log: WalkLog {
+            walks: Vec::with_capacity(replay.log.walks.len() + 8),
+            nodes: Vec::with_capacity(replay.log.nodes.len() + 32),
+            fallbacks: 0,
+        },
+        replay,
+        links: Vec::new(),
+        dropped: Vec::new(),
         walk: Walk::default(),
         unreachable: Vec::new(),
         searches: 0,
         index: None,
         joining: &stranded,
+        members: &members,
+        pending: BinaryHeap::new(),
         out: GraftPass::default(),
     };
-    let refused = match (changed, memo) {
-        (Some(changed), Some(memo)) => pass.replay_reached(memo, &edit, &members, changed),
-        (None, None) => {
-            for &s in &stranded {
-                pass.visit(s, None);
-            }
-            Vec::new()
-        }
-        _ => unreachable!("a stranding change comes with a memo, and only it"),
-    };
+    pass.replay_walks(&stranded, pass.replay.dirty_walks);
+    let (old_log, old_support) = (pass.replay.log, pass.replay.support);
     let Pass {
+        on_tree,
         log,
-        mut added,
-        added_ends,
-        walk,
+        links,
+        mut dropped,
         unreachable,
-        out: mut pass,
+        mut out,
         ..
     } = pass;
 
-    // The grafts join the tree in one edit of the base, with the §2
-    // construction's changes. A base that keeps the memo's grafts holds
-    // every walk the pass did not refuse already, and loses the nodes of
-    // the memo's walks it refused; any other base takes every walk. Each
-    // added node is keyed by id, with its walk's member and its parent,
-    // the node after it on its path.
-    added.sort_unstable();
-    let (kept, kept_walk_of, dropped) = match memo {
-        Some(memo) => {
-            let mut dropped: Vec<usize> = (refused.iter())
-                .flat_map(|&w| {
-                    let path = memo.log.path(w);
-                    path[..path.len() - 1].iter().map(|&p| p as usize)
-                })
-                .collect();
-            dropped.sort_unstable();
-            (memo.support, memo.walk_of, dropped)
-        }
-        None => (&[][..], &[][..], Vec::new()),
-    };
-    let merged = Merged::of(kept, kept_walk_of, &dropped, &added);
-    // A support node holds no zone, so it is a relay unless it is a
-    // member.
-    let mut relays = Vec::with_capacity(merged.support.len());
-    relays.extend((merged.support.iter().copied()).filter(|&p| !members.contains(p)));
-    pass.report.relays = relays.len();
-    edit.links.extend(
-        added
-            .iter()
-            .map(|&(node, _, up)| (node as usize, up as usize)),
-    );
+    dropped.sort_unstable();
+    let mut came: Vec<usize> = links.iter().map(|&(child, _)| child).collect();
+    came.sort_unstable();
+    edit.links.extend(links);
     if !dropped.is_empty() {
         edit.dropped.extend_from_slice(&dropped);
         edit.dropped.sort_unstable();
@@ -693,42 +587,31 @@ pub(crate) fn graft_pass(
             (tree, touched)
         }
     };
-    pass.touched = touched;
-
-    if pass.report.greedy_only() {
-        // Tier 1 reads the row of each node it attaches, once (a walk
-        // stops at the first on-tree node, and everything it walked is
-        // on the tree afterwards), and no other row.
-        pass.ends = match memo {
-            Some(memo) => {
-                let mut gone: Vec<(u32, u32)> =
-                    refused.iter().flat_map(|&w| memo.log.ends(w)).collect();
-                gone.sort_unstable();
-                let mut came = added_ends;
-                came.sort_unstable();
-                splice_sorted(memo.ends, &gone, &came)
-            }
-            None => {
-                let mut ends: Vec<(u32, u32)> = (0..log.len()).flat_map(|w| log.ends(w)).collect();
-                ends.sort_unstable();
-                ends
-            }
-        };
-        pass.support = merged.support;
-        pass.walk_of = merged.walk_of;
-        pass.log = log;
-        if memo.is_some() {
-            pass.support_change = Some((merged.retired, merged.entered));
-        }
+    out.touched = touched;
+    // A relay is an attached node that is no member. Without fallback
+    // walks the support is the attached nodes: the previous support less
+    // the nodes of the paths that went, plus those of the paths that
+    // came. Otherwise it is the tree's nodes off the §2 tree (both
+    // ascend: one merge walk) and the rows fallback walks read off
+    // their paths.
+    if old_log.fallbacks + log.fallbacks == 0 {
+        out.support = merged(old_support, &dropped, &came);
     } else {
-        // The fallback tiers read rows off the final paths too, and may
-        // read one twice.
-        let mut consulted = walk.consulted;
-        consulted.extend_from_slice(&merged.support);
-        consulted.sort_unstable();
-        consulted.dedup();
-        pass.support = consulted;
+        let mut on_section2 = zones.peers().peekable();
+        let attached =
+            (tree.reached().iter().copied()).filter(|&p| on_section2.next_if_eq(&p).is_none());
+        let off_path = (0..log.len()).flat_map(|w| log.off_path(w).iter().map(|&p| p as usize));
+        out.support = attached.chain(off_path).collect();
+        out.support.sort_unstable();
+        out.support.dedup();
     }
+    // A support node is off the §2 tree, and on the tree only if a walk
+    // attached it.
+    let relays: Vec<usize> = (out.support.iter().copied())
+        .filter(|&p| !members.contains(p) && on_tree.contains(p))
+        .collect();
+    out.report.relays = relays.len();
+    out.log = log;
     let build = BuildResult {
         messages: zones.len() - 1,
         tree,
@@ -736,16 +619,7 @@ pub(crate) fn graft_pass(
         zones,
         relays,
     };
-    // On every tier a path node's row was read by the walk that attached
-    // it: the engine finds a group's relays among its support nodes.
-    debug_assert!(
-        build
-            .relays
-            .iter()
-            .all(|r| pass.support.binary_search(r).is_ok()),
-        "a relay outside the support set"
-    );
-    (build, pass)
+    (build, out)
 }
 
 /// One graft pass under way.
@@ -755,15 +629,12 @@ struct Pass<'a> {
     /// The §2 construction's zones: their peers are its tree's nodes.
     zones: &'a Zones,
     on_tree: PeerBits,
-    /// The §2 tree's nodes: `on_tree` before any walk.
-    section2: PeerBits,
-    replay: Option<Replay<'a>>,
+    replay: Replay<'a>,
     log: WalkLog,
-    /// `(node, member, parent)` of every link the pass adds to its base.
-    /// A walk copied whole adds none: the base keeps the memo's grafts.
-    added: Vec<(u32, u32, u32)>,
-    /// The entries by end of the walks whose links those are.
-    added_ends: Vec<(u32, u32)>,
+    /// `(child, parent)` of every link the pass adds to its base.
+    links: Vec<(usize, usize)>,
+    /// The nodes of previous walks the pass did not keep.
+    dropped: Vec<usize>,
     walk: Walk,
     /// Stranded members with no overlay path to the tree, ascending.
     unreachable: Vec<usize>,
@@ -771,238 +642,236 @@ struct Pass<'a> {
     /// they are many, with the number of `log`'s walks it holds.
     searches: usize,
     index: Option<(OnTreeIndex<'a>, usize)>,
-    /// The stranded members, when the pass is handed them all: the grid
-    /// is sized for them to join it.
+    /// The stranded members: the grid is sized for them to join it.
     joining: &'a [usize],
+    members: &'a PeerBits,
+    /// The members the replay is to decide one by one that it has not
+    /// reached yet.
+    pending: BinaryHeap<Reverse<usize>>,
     out: GraftPass,
 }
 
 impl Pass<'_> {
-    /// Walks stranded member `s` to the tree as the pass without a memo
-    /// does, taking its target and as much of its path as the memo
-    /// decides from `s`'s logged walk `w`, if the log holds one. Returns
-    /// how far the logged walk carried it; `None` when no walk was made:
-    /// `s` was on the tree already (an earlier graft path routed through
-    /// it), or cannot reach it.
-    fn visit(&mut self, s: usize, w: Option<usize>) -> Option<Followed> {
-        if self.on_tree.contains(s) {
-            return None;
-        }
-        let peers = self.store.peers();
-        let decided = (self.replay.as_ref()).map_or(Target::Search, |r| {
-            r.target(peers, self.metric, &self.on_tree, w, s)
-        });
-        self.out.walks_examined += 1;
-        #[cfg(test)]
-        self.out.examined.push(s);
-        let target = match decided {
-            Target::Logged(target) => {
-                self.out.walks_replayed += 1;
-                Some(target)
-            }
-            Target::Fresh(target) => {
-                self.out.walks_recomputed += 1;
-                Some(target)
-            }
-            Target::Search => {
-                self.out.walks_recomputed += 1;
-                self.nearest(s)
-            }
-        };
-        let Some(target) = target else {
-            self.out.report.unreachable += 1;
-            self.unreachable.push(s);
-            return None;
-        };
-        let walk = &mut self.walk;
-        walk.path.clear();
-        walk.path.push(s);
-        let followed = match (decided, &self.replay, w) {
-            (Target::Logged(_), Some(replay), Some(w)) => {
-                replay.follow(w, &self.on_tree, &mut walk.path, &mut self.out.report)
-            }
-            _ => Followed::Diverged,
-        };
-        let found = match followed {
-            Followed::Whole => {
-                self.out.walks_spliced += 1;
-                true
-            }
-            Followed::Sooner => true,
-            Followed::Diverged => {
-                let report = &mut self.out.report;
-                discover_path(self.store, self.metric, &self.on_tree, target, walk, report)
-            }
-        };
-        if !found {
-            self.out.report.unreachable += 1;
-            self.unreachable.push(s);
-            return None;
-        }
-        // path[0] = s, path[last] on-tree; everything before it is new.
-        let grafted = &walk.path[..walk.path.len() - 1];
-        for &p in grafted {
-            self.on_tree.insert(p);
-        }
-        if let (Followed::Diverged, Some(replay)) = (followed, &mut self.replay) {
-            // A node of `s`'s logged path was on the old tree after `s`
-            // too; only a stepped one can be fresh.
-            for &p in grafted {
-                replay.note_on_tree(p, Some(s));
-            }
-        }
-        self.log.push(s, target, &walk.path);
-        if followed != Followed::Whole {
-            let member = id(s);
-            (self.added).extend(
-                walk.path
-                    .windows(2)
-                    .map(|hop| (id(hop[0]), member, id(hop[1]))),
-            );
-            self.added_ends.extend(self.log.ends(self.log.len() - 1));
-        }
-        self.out.report.grafted += 1;
-        Some(followed)
-    }
-
-    /// Copies walks `walks` of `from`, none of which the change reaches,
-    /// whole: their nodes join the tree, and the walks the log.
-    fn carry(&mut self, from: &WalkLog, walks: Range<usize>) {
-        if walks.is_empty() {
-            return;
-        }
-        let nodes = from.start(walks.start)..from.walks[walks.end - 1].end as usize;
-        if cfg!(debug_assertions) {
-            let replay = self.replay.as_ref().expect("a memo to replay");
-            for w in walks.clone() {
-                let (attached, terminal) = from.path(w).split_at(from.path(w).len() - 1);
-                let on_tree = &mut self.on_tree;
-                assert!(
-                    on_tree.contains(from.target(w))
-                        && on_tree.contains(terminal[0] as usize)
-                        && (attached.iter()).all(|&p| {
-                            !on_tree.contains(p as usize) && !replay.dirty.contains(p as usize)
-                        }),
-                    "walk of {} carried whole, yet the change reaches it",
-                    from.member(w)
-                );
-                for &p in attached {
-                    on_tree.insert(p as usize);
-                }
-            }
-        }
-        for &p in &from.nodes[nodes.clone()] {
-            self.on_tree.insert(p as usize);
-        }
-        let count = walks.len();
-        self.out.report.grafted += count;
-        self.out.report.route_hops += nodes.len() - count;
-        self.out.walks_replayed += count as u64;
-        self.out.walks_spliced += count as u64;
-        self.log.extend_from(from, walks);
-    }
-
-    /// The pass over a base that keeps `memo`'s grafts: every walk the
-    /// change reaches visited, in ascending member order, every other
-    /// one carried whole (see [`GraftMemo`]). `edit` is the §2
-    /// construction's, `changed` the members whose stranding it changed.
-    /// Returns the memo's walks the pass refused, ascending.
-    fn replay_reached(
-        &mut self,
-        memo: &GraftMemo,
-        edit: &TreeEdit,
-        members: &PeerBits,
-        changed: Vec<usize>,
-    ) -> Vec<usize> {
-        let replay = self.replay.as_mut().expect("a memo to replay");
-        // Rule 1: the members whose stranding changed.
-        replay.pending.extend(changed.into_iter().map(Reverse));
-        // Rule 2: walks through a dirty node.
-        for &d in memo.dirty {
-            if let Ok(at) = memo.support.binary_search(&d) {
-                replay.pending.push(Reverse(memo.walk_of[at] as usize));
-            }
-        }
-        // The §2 edit. A node it links is new on the §2 tree or relinked
-        // on it: only a new one can be fresh (rules 4, 5). A node it
-        // drops and does not link again has left the tree (rule 3); were
-        // it a stranded member now, it would be among `changed`.
-        for &(c, _) in &edit.links {
-            replay.note_on_tree(c, None);
-        }
-        for &p in &edit.dropped {
-            if !self.section2.contains(p) {
-                replay.note_gone(p, None, false);
-            }
-        }
-
-        let log = memo.log;
-        let mut refused = Vec::new();
-        let mut w = 0;
+    /// The pass over a previous one. Its walks are carried over in
+    /// order, unvisited, up to the next member whose stranding may have
+    /// changed (`candidates`, and the members a dropped path exposes) or
+    /// whose walk read a dirty row (`dirty_walks`); the pass decides
+    /// those one by one, and once something before a walk changed, the
+    /// walk too (see [`Pass::stands`]).
+    fn replay_walks(&mut self, candidates: &[usize], dirty_walks: &[usize]) {
+        // A candidate neither stranded now nor walked from before has
+        // nothing to decide.
+        let log = self.replay.log;
+        let decided = (candidates.iter().copied())
+            .filter(|&c| self.is_stranded(c) || log.walk(c).is_some())
+            .map(Reverse)
+            .collect::<Vec<_>>();
+        self.pending.extend(decided);
+        let mut dirty_walks = dirty_walks.iter().copied().peekable();
         loop {
-            let replay = self.replay.as_ref().expect("a memo to replay");
-            let bound = replay.pending.peek().map_or(usize::MAX, |&Reverse(m)| m);
-            debug_assert!(
-                w == 0 || log.member(w - 1) < bound,
-                "every rule names a member the pass has yet to reach"
-            );
-            let from = w;
-            if replay.fresh.is_empty() {
+            let r = &self.replay;
+            let log = r.log;
+            let pending = self.pending.peek().map_or(usize::MAX, |&Reverse(m)| m);
+            let bound = pending.min(dirty_walks.peek().copied().unwrap_or(usize::MAX));
+            let mut w = r.next;
+            if !r.changed {
+                // The tree is the previous pass's: every walk below the
+                // bound stands.
                 w += log.walks[w..].partition_point(|walk| (walk.member as usize) < bound);
-            } else {
-                while w < log.len() && log.member(w) < bound && self.carries(w) {
-                    w += 1;
-                }
+                self.carry(r.next..w, true);
             }
-            self.carry(log, from..w);
+            let from = w;
+            while w < log.len() && log.member(w) < bound && self.stands(w) {
+                // Its terminal is on the tree already.
+                for &p in log.attached(w) {
+                    self.on_tree.insert(p as usize);
+                }
+                w += 1;
+            }
+            self.carry(from..w, false);
             let s = match (w < log.len()).then(|| log.member(w)) {
                 Some(m) if m < bound => m,
                 _ if bound == usize::MAX => break,
                 _ => bound,
             };
-            let replay = self.replay.as_mut().expect("a memo to replay");
-            while replay.pending.peek() == Some(&Reverse(s)) {
-                replay.pending.pop();
+            while self.pending.peek() == Some(&Reverse(s)) {
+                self.pending.pop();
             }
-            let at = (w < log.len() && log.member(w) == s).then(|| {
-                w += 1;
-                w - 1
-            });
-            let stranded = members.contains(s)
-                && !self.section2.contains(s)
-                && !self.store.is_departed(PeerId(s as u64));
-            let followed = if stranded { self.visit(s, at) } else { None };
-            let Some(at) = at.filter(|_| followed != Some(Followed::Whole)) else {
-                continue;
-            };
-            refused.push(at);
-            let path = log.path(at);
-            let replay = self.replay.as_mut().expect("a memo to replay");
-            for &p in &path[..path.len() - 1] {
-                let p = p as usize;
-                if !self.on_tree.contains(p) {
-                    let stranded = members.contains(p) && !self.store.is_departed(PeerId(p as u64));
-                    replay.note_gone(p, Some(s), stranded);
+            let dirty = dirty_walks.next_if_eq(&s).is_some();
+            let logged = (w < log.len() && log.member(w) == s).then_some(w);
+            self.replay.next = w + usize::from(logged.is_some());
+            let stranded = self.is_stranded(s) && !self.on_tree.contains(s);
+            match logged {
+                Some(w) if !stranded => self.refuse(w),
+                Some(w) if !dirty && self.stands(w) => self.carry(w..w + 1, true),
+                _ if stranded => self.visit(s, logged, dirty),
+                _ => {}
+            }
+        }
+    }
+
+    /// `true` if `s` is a live member off the §2 tree.
+    fn is_stranded(&self, s: usize) -> bool {
+        self.members.contains(s)
+            && self.zones.get(s).is_none()
+            && !self.store.is_departed(PeerId(s as u64))
+    }
+
+    /// Drops previous walk `w`'s path: its nodes leave the tree unless a
+    /// walk attaches them again, and a stranded member among them that
+    /// its walk went through takes a turn of its own.
+    fn refuse(&mut self, w: usize) {
+        let attached = self.replay.log.attached(w);
+        self.replay.changed |= !attached.is_empty();
+        for &p in attached {
+            self.replay.gone.insert(p as usize);
+            self.dropped.push(p as usize);
+        }
+        for &p in attached.iter().skip(1) {
+            if self.is_stranded(p as usize) {
+                self.pending.push(Reverse(p as usize));
+            }
+        }
+        self.out.retired.push(w);
+    }
+
+    /// `true` if previous walk `w`, none of whose rows is dirty, read
+    /// nothing that changed (see the module doc): while nothing before
+    /// it changed, trivially; after, a fallback walk never, and a greedy
+    /// one when its terminal and target are on the tree and — once some
+    /// node is on it that was not at this point of the previous pass —
+    /// its path nodes are off it and no such node beats its target.
+    fn stands(&self, w: usize) -> bool {
+        let r = &self.replay;
+        let log = r.log;
+        if !r.changed {
+            return true;
+        }
+        if log.fallback(w) || r.fresh.len() > MAX_FRESH {
+            return false;
+        }
+        let Some((&terminal, attached)) = log.path(w).split_last() else {
+            unreachable!("a walk that stayed in tier 1 reached the tree");
+        };
+        let target = log.target(w);
+        self.on_tree.contains(terminal as usize)
+            && self.on_tree.contains(target)
+            && (r.fresh.is_empty()
+                || (attached.iter()).all(|&p| !self.on_tree.contains(p as usize))
+                    && (r.beating(self.store.peers(), self.metric, target, log.member(w)))
+                        .is_none())
+    }
+
+    /// Carries previous walks `walks` over as they are, in one copy: their
+    /// nodes join the tree, unless `put` is off (they are on it already).
+    fn carry(&mut self, walks: Range<usize>, put: bool) {
+        let log = self.replay.log;
+        if walks.is_empty() {
+            return;
+        }
+        if put && log.fallbacks == 0 {
+            let nodes = log.start(walks.start)..log.walks[walks.end - 1].end as usize;
+            for &p in &log.nodes[nodes] {
+                self.on_tree.insert(p as usize);
+            }
+        } else if put {
+            for w in walks.clone() {
+                for &p in log.path(w) {
+                    self.on_tree.insert(p as usize);
                 }
             }
         }
-        refused
+        if log.fallbacks > 0 {
+            for w in walks.clone() {
+                self.count(log.member(w), log.path(w).is_empty(), log.tally(w));
+            }
+        } else {
+            // Greedy walks: their nodes are their paths, back to back.
+            let nodes = log.start(walks.start)..log.walks[walks.end - 1].end as usize;
+            self.out.report.grafted += walks.len();
+            self.out.report.route_hops += nodes.len() - walks.len();
+        }
+        self.out.walks_replayed += walks.len() as u64;
+        self.out.walks_spliced += walks.len() as u64;
+        self.log.extend_from(log, walks);
     }
 
-    /// `true` if logged walk `w`, which no other rule names, is copied
-    /// whole: `fresh` is within its bound and none of it beats the
-    /// walk's target (rule 5).
-    fn carries(&self, w: usize) -> bool {
-        let replay = self.replay.as_ref().expect("a memo to replay");
-        let log = replay.memo.log;
-        replay.fresh.len() <= MAX_FRESH
-            && (replay.beating(
-                self.store.peers(),
-                self.metric,
-                log.target(w),
-                log.member(w),
-            ))
-            .is_none()
+    /// Adds a walk of `s` to the report.
+    fn count(&mut self, s: usize, unreachable: bool, tally: Tally) {
+        add_tally(&mut self.out.report, tally);
+        if unreachable {
+            self.out.report.unreachable += 1;
+            self.unreachable.push(s);
+        } else {
+            self.out.report.grafted += 1;
+        }
+    }
+
+    /// Re-runs the walk of stranded member `s`, whose previous walk is
+    /// `logged` (`dirty` when it read a dirty row), taking its target and
+    /// as much of its path as the log decides.
+    fn visit(&mut self, s: usize, logged: Option<usize>, dirty: bool) {
+        let (store, metric) = (self.store, self.metric);
+        let r = &self.replay;
+        let decided = logged.and_then(|w| r.target(store.peers(), metric, &self.on_tree, w, s));
+        let kept = logged.filter(|&w| decided == Some(r.log.target(w)));
+        self.out.walks_examined += 1;
+        self.out.walks_replayed += u64::from(kept.is_some());
+        self.out.walks_recomputed += u64::from(kept.is_none());
+        let target = (decided.or_else(|| self.nearest(s))).expect("the root is on the tree");
+        let mut report = GraftReport::default();
+        let walk = &mut self.walk;
+        walk.path.clear();
+        walk.consulted.clear();
+        walk.path.push(s);
+        let r = &self.replay;
+        let followed = match kept {
+            Some(w) if !r.log.fallback(w) => r.follow(store, metric, w, dirty, &self.on_tree, walk),
+            _ => None,
+        };
+        report.route_hops = walk.path.len() - 1;
+        let found = followed.is_some()
+            || discover_path(store, metric, &self.on_tree, target, walk, &mut report);
+        if !found {
+            walk.path.clear();
+        }
+        // path[0] = s, path[last] on-tree; everything before it is new.
+        let attached = walk.path.len().saturating_sub(1);
+        for &p in &walk.path[..attached] {
+            self.on_tree.insert(p);
+        }
+        // Every other row the walk read was off the tree, and still is.
+        walk.consulted.retain(|&p| !self.on_tree.contains(p));
+        walk.consulted.sort_unstable();
+        walk.consulted.dedup();
+        let tally = tally_of(&report);
+        self.log.push(s, target, &walk.path, &walk.consulted, tally);
+        self.count(s, !found, tally);
+        if followed == Some(true) {
+            self.out.walks_spliced += 1;
+        }
+        let new = self.log.len() - 1;
+
+        // Early cutoff: a walk whose path comes out as logged changes
+        // nothing the walks after it read.
+        let old = self.replay.log;
+        if let Some(w) = logged.filter(|&w| old.path(w) == self.log.path(new)) {
+            if !old.reads(w).eq(self.log.reads(new)) || old.tally(w) != tally {
+                self.out.retired.push(w);
+                self.out.entered.push(new);
+            }
+            return;
+        }
+        if let Some(w) = logged {
+            self.refuse(w);
+        }
+        self.out.entered.push(new);
+        let path = &self.walk.path;
+        self.links
+            .extend(path.windows(2).map(|hop| (hop[0], hop[1])));
+        for &p in &path[..attached] {
+            self.replay.note_on_tree(p);
+        }
     }
 
     /// The target of stranded member `s`'s walk, searched for: the
@@ -1014,26 +883,59 @@ impl Pass<'_> {
     fn nearest(&mut self, s: usize) -> Option<usize> {
         let peers = self.store.peers();
         self.searches += 1;
+        let log = &self.log;
         if self.index.is_none() && self.searches <= SCANNED_SEARCHES {
-            // A terminal is on the tree, so listed twice: no matter.
+            // A terminal is on the tree, so listed twice: no matter. A
+            // log of greedy walks holds nothing but their paths.
             let sp = peers[s].point();
-            let nodes = (self.zones.peers()).chain(self.log.nodes.iter().map(|&p| p as usize));
-            return nodes
-                .map(|p| (self.metric.dist(peers[p].point(), sp), p))
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                .map(|(_, p)| p);
+            let paths = (0..log.len()).filter(|_| log.fallbacks > 0);
+            let paths = paths.flat_map(|w| log.path(w));
+            let nodes = log.nodes.iter().filter(|_| log.fallbacks == 0);
+            return (self
+                .zones
+                .peers()
+                .chain(paths.chain(nodes).map(|&p| p as usize)))
+            .map(|p| (self.metric.dist(peers[p].point(), sp), p))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .map(|(_, p)| p);
         }
         let (index, indexed) = self.index.get_or_insert_with(|| {
             let reached: Vec<usize> = self.zones.peers().collect();
             let index = OnTreeIndex::new(peers, self.metric, &reached, self.joining);
             (index, 0)
         });
-        for at in self.log.attached(*indexed) {
-            index.insert(self.log.nodes[at] as usize);
+        for w in *indexed..log.len() {
+            for &p in log.attached(w) {
+                index.insert(p as usize);
+            }
         }
-        *indexed = self.log.len();
+        *indexed = log.len();
         index.nearest(s)
     }
+}
+
+/// `old`, sorted, without `gone` and with `came` (both sorted; a node in
+/// both stays): the runs of `old` between two changes are copied whole.
+fn merged(old: &[usize], gone: &[usize], came: &[usize]) -> Vec<usize> {
+    let mut out = Vec::with_capacity(old.len() + came.len());
+    let (mut gone, mut came) = (
+        gone.iter().copied().peekable(),
+        came.iter().copied().peekable(),
+    );
+    let mut at = 0;
+    while let Some(next) = [gone.peek(), came.peek()]
+        .into_iter()
+        .flatten()
+        .min()
+        .copied()
+    {
+        let end = at + old[at..].partition_point(|&p| p < next);
+        out.extend_from_slice(&old[at..end]);
+        at = end + usize::from(gone.next_if_eq(&next).is_some());
+        out.extend(came.next_if_eq(&next));
+    }
+    out.extend_from_slice(&old[at..]);
+    out
 }
 
 /// Searches a pass makes by scanning its on-tree nodes before it builds
@@ -1041,113 +943,13 @@ impl Pass<'_> {
 /// much as this many scans, and a search in it a few cells.
 const SCANNED_SEARCHES: usize = 8;
 
-/// `old`, sorted, without the entries of `gone` (sorted, each in `old`)
-/// and with those of `came` (sorted, none in what stays), merged: the
-/// runs of `old` between two changes are copied whole.
-fn splice_sorted<T: Ord + Copy>(old: &[T], gone: &[T], came: &[T]) -> Vec<T> {
-    let mut out = Vec::with_capacity(old.len() + came.len() - gone.len().min(old.len()));
-    let (mut gone, mut came) = (gone.iter().peekable(), came.iter().peekable());
-    let mut slot = 0;
-    loop {
-        let next = match (gone.peek(), came.peek()) {
-            (Some(&&g), Some(&&c)) => Some(g.min(c)),
-            (g, c) => g.or(c).copied().copied(),
-        };
-        let end = next.map_or(old.len(), |next| {
-            slot + old[slot..].partition_point(|&e| e < next)
-        });
-        out.extend_from_slice(&old[slot..end]);
-        slot = end;
-        let Some(next) = next else {
-            return out;
-        };
-        if gone.next_if(|&&g| g == next).is_some() {
-            debug_assert!(old.get(slot) == Some(&next), "a gone entry is not there");
-            slot += 1;
-        }
-        if let Some(&c) = came.next_if(|&&c| c == next) {
-            out.push(c);
-        }
-    }
-}
-
-/// A pass's grafts merged with those its base tree keeps.
-#[derive(Default)]
-struct Merged {
-    /// Every node on a graft path but the terminals, ascending, and,
-    /// parallel, the member whose walk attached it.
-    support: Vec<usize>,
-    walk_of: Vec<u32>,
-    /// The dropped nodes no walk attached again, and the added nodes
-    /// that were not kept: what leaves the support set and what enters.
-    retired: Vec<usize>,
-    entered: Vec<usize>,
-}
-
-impl Merged {
-    /// Merges `kept` — the grafts the base tree holds, ascending, each
-    /// with the member of its walk in `kept_walk_of` — less `dropped`
-    /// (sorted, each kept) with `added`, sorted by node: the runs of kept
-    /// entries between two changes are copied whole.
-    fn of(
-        kept: &[usize],
-        kept_walk_of: &[u32],
-        dropped: &[usize],
-        added: &[(u32, u32, u32)],
-    ) -> Self {
-        let capacity = kept.len() + added.len();
-        let mut merged = Merged {
-            support: Vec::with_capacity(capacity),
-            walk_of: Vec::with_capacity(capacity),
-            ..Merged::default()
-        };
-        let mut gone = dropped.iter().copied().peekable();
-        let mut new = (added.iter())
-            .map(|&(node, member, _)| (node as usize, member))
-            .peekable();
-        let mut slot = 0;
-        loop {
-            let next = match (gone.peek(), new.peek()) {
-                (Some(&g), Some(&(n, _))) => Some(g.min(n)),
-                (g, n) => g.copied().or(n.map(|&(n, _)| n)),
-            };
-            let end = next.map_or(kept.len(), |next| {
-                slot + kept[slot..].partition_point(|&k| k < next)
-            });
-            merged.support.extend_from_slice(&kept[slot..end]);
-            merged.walk_of.extend_from_slice(&kept_walk_of[slot..end]);
-            slot = end;
-            let Some(next) = next else {
-                return merged;
-            };
-            let was = gone.next_if_eq(&next).is_some();
-            if was {
-                debug_assert!(kept.get(slot) == Some(&next), "a dropped node is not kept");
-                slot += 1;
-            } else {
-                debug_assert!(kept.get(slot) != Some(&next), "a kept graft attached again");
-            }
-            match new.next_if(|&(n, _)| n == next) {
-                Some((node, member)) => {
-                    if !was {
-                        merged.entered.push(node);
-                    }
-                    merged.support.push(node);
-                    merged.walk_of.push(member);
-                }
-                None => merged.retired.push(next),
-            }
-        }
-    }
-}
-
-/// Scratch and output of the discoveries of one graft pass.
+/// Scratch and output of the discovery of one walk.
 #[derive(Default)]
 struct Walk {
     /// The walk under way: `[s, …relays…, on-tree node]` once it is done.
     path: Vec<usize>,
-    /// Rows the fallback tiers read, over the whole pass (tier 1 reads
-    /// only the rows of the path it attaches).
+    /// Rows the fallback tiers read (tier 1 reads only the rows of the
+    /// path it attaches).
     consulted: Vec<usize>,
     nbuf: Vec<usize>,
 }
@@ -1543,15 +1345,11 @@ mod tests {
         assert_eq!(support, vec![1, 2, 3, 4]);
         let (again, pass, _) = grafted(&store, &[0, 4], None);
         assert_eq!(pass.support, support);
-        assert_eq!(
-            pass.walk_of,
-            vec![4, 4, 4, 4],
-            "member 4's walk attached them all"
-        );
         assert_eq!(pass.log.len(), 1);
         assert_eq!((pass.log.member(0), pass.log.target(0)), (4, 0));
-        assert_eq!(pass.log.target_of(4), 0);
+        assert_eq!(pass.log.walk(4), Some(0));
         assert_eq!(pass.log.path(0), &[4, 3, 2, 1, 0]);
+        assert_eq!(pass.log.reads(0).collect::<Vec<_>>(), [4, 3, 2, 1]);
         assert_eq!((pass.walks_replayed, pass.walks_recomputed), (0, 1));
         assert_eq!(
             pass.touched, 5,
@@ -1697,95 +1495,59 @@ mod tests {
     /// One group build the way `crate::groups` makes it — the §2 member
     /// tree rooted at peer 0, then the graft pass — from scratch, or
     /// replaying `old`, a build of the same group over an earlier state
-    /// of the store: its §2 record with every peer touched, and the
-    /// memo of its walks, whose grafts its tree keeps for the pass.
-    fn grafted(
-        store: &TopologyStore,
-        members: &[usize],
-        old: Option<(&Built, &GraftMemo)>,
-    ) -> Built {
+    /// of the store, every peer touched and the `dirty` ones' rows
+    /// changed since.
+    fn grafted(store: &TopologyStore, members: &[usize], old: Option<(&Built, &[usize])>) -> Built {
         let members: BTreeSet<usize> = members.iter().copied().collect();
         let touched: Vec<usize> = (0..store.len()).collect();
-        let recorded = old.map(|(built, _)| Recorded {
-            tree: &built.0.tree,
-            zones: built.0.zones.clone(),
-            rows: built.2.clone(),
+        let recorded = old.map(|((build, _, rows), _)| Recorded {
+            tree: &build.tree,
+            zones: build.zones.clone(),
+            rows: rows.clone(),
             touched: &touched,
-            grafts_stay: true,
-            support: &built.1.support,
-            relays: &built.0.relays,
         });
-        let section2 = member_tree(
-            store,
-            0,
-            &members,
-            &OrthantRectPartitioner::median(),
-            recorded,
-        );
-        let memo = old
-            .map(|(_, memo)| memo)
-            .filter(|_| section2.section2.grafts);
-        let (build, pass) = graft_pass(store, section2.section2, MetricKind::L1, memo);
-        (build, pass, section2.rows)
+        let partitioner = OrthantRectPartitioner::median();
+        let built = member_tree(store, 0, &members, &partitioner, recorded);
+        let dirty_walks: Vec<usize> = old.map_or(Vec::new(), |((_, pass, _), dirty)| {
+            let log = &pass.log;
+            (0..log.len())
+                .filter(|&w| log.reads(w).any(|p| dirty.contains(&p)))
+                .map(|w| log.member(w))
+                .collect()
+        });
+        let previous =
+            (old.filter(|_| built.section2.base.is_some())).map(|((_, pass, _), dirty)| Previous {
+                log: &pass.log,
+                dirty,
+                dirty_walks: &dirty_walks,
+                support: &pass.support,
+            });
+        let (build, pass) = graft_pass(store, built.section2, MetricKind::L1, previous);
+        (build, pass, built.rows)
     }
 
-    /// Builds `members` over `store` replaying `old` — a build of the
-    /// same group over an earlier state of the store, `dirty` being the
-    /// peers whose rows changed since — and from scratch: same tree,
-    /// same relays, same support, same recorded decisions, same report.
-    /// Returns the replayed one.
+    /// Builds `members` over `store` replaying `old` with `dirty` rows
+    /// and from scratch: the same tree, relays, support, log and report.
+    /// Returns the replayed pass.
     fn replayed(
         store: &TopologyStore,
         members: &[usize],
         old: &Built,
         dirty: &[usize],
-    ) -> (BuildResult, GraftPass) {
-        let (old_build, old_pass, _) = old;
-        assert!(
-            old_pass.report.greedy_only(),
-            "only such passes are replayed"
-        );
-        let dirty: Vec<usize> = dirty
-            .iter()
-            .copied()
-            .filter(|p| old_pass.support.binary_search(p).is_ok())
-            .collect();
-        let memo = GraftMemo {
-            support: &old_pass.support,
-            walk_of: &old_pass.walk_of,
-            log: &old_pass.log,
-            ends: &old_pass.ends,
-            tree: &old_build.tree,
-            dirty: &dirty,
-        };
-        let (build, pass, _) = grafted(store, members, Some((old, &memo)));
+    ) -> GraftPass {
+        let (build, pass, _) = grafted(store, members, Some((old, dirty)));
         let (scratch, reference, _) = grafted(store, members, None);
         assert_eq!(build, scratch);
-        // What the edit says left and entered the support set is the
-        // difference of the two sets.
-        if let Some((retired, entered)) = &pass.support_change {
-            let before: BTreeSet<usize> = old_pass.support.iter().copied().collect();
-            let after: BTreeSet<usize> = pass.support.iter().copied().collect();
-            assert!(retired
-                .iter()
-                .copied()
-                .eq(before.difference(&after).copied()));
-            assert!(entered
-                .iter()
-                .copied()
-                .eq(after.difference(&before).copied()));
-        }
-        assert_eq!(pass.report, reference.report);
-        assert_eq!(pass.support, reference.support);
-        assert_eq!(pass.walk_of, reference.walk_of);
-        assert_eq!(pass.log, reference.log);
+        assert_eq!(
+            (pass.report, &pass.support, &pass.log),
+            (reference.report, &reference.support, &reference.log)
+        );
         assert_eq!(
             pass.walks_replayed + pass.walks_recomputed,
             reference.walks_recomputed,
             "the same walks, however their targets were found"
         );
-        assert!(pass.walks_spliced <= pass.walks_replayed);
-        (build, pass)
+        pass
     }
 
     /// Peers on the diagonal, `positions[id]` steps of (10, 10) from the
@@ -1798,168 +1560,12 @@ mod tests {
             .collect()
     }
 
-    /// The stranded member whose walk attached support node `p`.
-    fn joined(pass: &GraftPass, p: usize) -> usize {
-        pass.walk_of[pass.support.binary_search(&p).expect("a support node")] as usize
-    }
-
-    /// The target recorded for support node `p`.
-    fn target_of(pass: &GraftPass, p: usize) -> usize {
-        pass.log.target_of(joined(pass, p))
-    }
-
     /// Peers 0..=9 along the line, and member 10 just off it next to
     /// position 5: adjacent to positions 4, 5 and 6.
     fn line_with_a_member_beside_it() -> TopologyStore {
         let mut points = line(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
         points.push(Point::new(vec![52.0, 48.0]).unwrap());
         store_from(points)
-    }
-
-    #[test]
-    fn replay_a_new_members_path_becomes_a_later_members_target() {
-        let store = line_with_a_member_beside_it();
-        let old = grafted(&store, &[0, 10], None);
-        assert_eq!(old.1.support, vec![1, 2, 3, 4, 10]);
-        assert_eq!(target_of(&old.1, 10), 0, "the root is all there is");
-        // Member 9 subscribes at the far end and walks first (smaller
-        // id): its path 9→8→…→0 passes member 10, whose recorded target
-        // still stands but is no longer the nearest on-tree node.
-        let (build, pass) = replayed(&store, &[0, 9, 10], &old, &[]);
-        assert_eq!(target_of(&pass, 10), 5, "a relay of the new path");
-        assert_eq!(build.tree.parent(10), Some(5));
-        assert_eq!(target_of(&pass, 4), 0, "walked by 9 now, still towards 0");
-        assert_eq!((pass.walks_replayed, pass.walks_recomputed), (0, 2));
-    }
-
-    #[test]
-    fn replay_an_unsubscribed_members_path_no_longer_carries_later_walks() {
-        let store = line_with_a_member_beside_it();
-        let old = grafted(&store, &[0, 9, 10], None);
-        assert_eq!(target_of(&old.1, 10), 5);
-        // Member 9 unsubscribes: relay 5 is off the tree when member 10
-        // walks, so its recorded target cannot be taken.
-        let (build, pass) = replayed(&store, &[0, 10], &old, &[]);
-        assert_eq!(target_of(&pass, 10), 0);
-        assert_eq!(build.tree.parent(10), Some(4));
-        assert_eq!(build.relays, vec![1, 2, 3, 4]);
-        assert_eq!((pass.walks_replayed, pass.walks_recomputed), (0, 1));
-        // With nothing changed, every walk is the logged one, whole, and
-        // the tree is not touched.
-        let (_, same) = replayed(&store, &[0, 9, 10], &old, &[]);
-        assert_eq!(
-            (
-                same.walks_replayed,
-                same.walks_recomputed,
-                same.walks_spliced
-            ),
-            (2, 0, 2)
-        );
-        assert_eq!(same.touched, 0);
-        assert_eq!(same.support_change, Some((Vec::new(), Vec::new())));
-    }
-
-    #[test]
-    fn replay_a_member_that_was_walked_through_leads_its_own_walk() {
-        // Ids in walking order: member 1 sits at the far end (position
-        // 9) and walks first, through member 6 at position 5.
-        let store = store_from(line(&[0, 9, 1, 2, 3, 4, 5, 6, 7, 8]));
-        let old = grafted(&store, &[0, 1, 6], None);
-        assert_eq!(old.1.report.grafted, 1, "member 6 was on member 1's path");
-        assert_eq!(joined(&old.1, 6), 1);
-        // Member 1 unsubscribes: member 6 recorded no target of its own.
-        let (build, pass) = replayed(&store, &[0, 6], &old, &[]);
-        assert_eq!(pass.report.grafted, 1);
-        assert_eq!(joined(&pass, 6), 6);
-        assert_eq!(build.tree.parent(6), Some(5), "position 4");
-        assert_eq!((pass.walks_replayed, pass.walks_recomputed), (0, 1));
-    }
-
-    #[test]
-    fn replay_routes_around_a_relay_that_departed_mid_path() {
-        // The line 0..=5 plus a detour peer beside position 2.
-        let mut points = line(&[0, 1, 2, 3, 4, 5]);
-        points.push(Point::new(vec![21.0, 19.0]).unwrap());
-        let mut store = store_from(points);
-        let old = grafted(&store, &[0, 5], None);
-        assert_eq!(old.0.relays, vec![1, 2, 3, 4]);
-        store.remove(geocast_overlay::PeerId(2));
-        let dirty = store.delta_log().newest().unwrap().dirty.clone();
-        assert!(dirty.contains(&3), "the departure rewires its neighbours");
-        let (build, pass) = replayed(&store, &[0, 5], &old, &dirty);
-        assert_eq!(build.relays, vec![1, 3, 4, 6]);
-        assert_eq!(build.tree.parent(4), Some(3), "a clean node's recorded hop");
-        assert_eq!(
-            build.tree.parent(3),
-            Some(6),
-            "the dirty node's hop, re-taken"
-        );
-        assert_eq!(target_of(&pass, 6), 0);
-        assert_eq!(
-            (
-                pass.walks_replayed,
-                pass.walks_recomputed,
-                pass.walks_spliced
-            ),
-            (1, 0, 0),
-            "the root is still the target, and the path runs through dirty nodes"
-        );
-    }
-
-    #[test]
-    fn replay_retakes_the_hop_of_a_dirty_node() {
-        let mut store = store_from(line(&[0, 1, 2, 3, 4]));
-        let old = grafted(&store, &[0, 4], None);
-        // A joiner strictly closer to the root than node 4's recorded
-        // hop (position 3 is 60 away in L1, the joiner 59).
-        let joiner = store.insert(Point::new(vec![31.0, 28.0]).unwrap()).index();
-        let dirty = store.delta_log().newest().unwrap().dirty.clone();
-        assert!(dirty.contains(&4));
-        let (build, pass) = replayed(&store, &[0, 4], &old, &dirty);
-        assert_eq!(build.tree.parent(4), Some(joiner));
-        assert_eq!(target_of(&pass, joiner), 0);
-        assert_eq!(
-            (
-                pass.walks_replayed,
-                pass.walks_recomputed,
-                pass.walks_spliced
-            ),
-            (1, 0, 0)
-        );
-    }
-
-    #[test]
-    fn replay_stops_deciding_targets_once_fresh_outgrows_its_bound() {
-        // Member `far` sits `reach` positions up the line and walks
-        // first; member `near` sits two positions down it, nearest to
-        // the root whatever attaches up there.
-        let build = |reach: i32| {
-            let mut positions = vec![0, reach];
-            positions.extend(1..reach);
-            positions.extend([-1, -2]);
-            let near = positions.len() - 1;
-            let store = store_from(line(&positions));
-            let old = grafted(&store, &[0, near], None);
-            assert_eq!(target_of(&old.1, near), 0);
-            let (_, pass) = replayed(&store, &[0, 1, near], &old, &[]);
-            assert_eq!(target_of(&pass, near), 0);
-            (
-                pass.walks_replayed,
-                pass.walks_recomputed,
-                pass.walks_spliced,
-            )
-        };
-        let within = i32::try_from(MAX_FRESH).unwrap();
-        assert_eq!(
-            build(within),
-            (1, 1, 1),
-            "the far member's path is all fresh, and none of it beats the root"
-        );
-        assert_eq!(
-            build(within + 2),
-            (0, 2, 0),
-            "past the bound the target is searched for, and the walk stepped"
-        );
     }
 
     /// Seven peers where a walk curves away from its member. From member
@@ -1978,163 +1584,198 @@ mod tests {
             (8.0, 20.0),
             (6.0, 30.0),
         ];
-        store_from(
-            coords
-                .iter()
-                .map(|&(x, y)| Point::new(vec![x, y]).unwrap())
-                .collect(),
-        )
+        let points = coords.iter().map(|&(x, y)| Point::new(vec![x, y]).unwrap());
+        store_from(points.collect())
     }
 
-    /// `(replayed, searched, spliced)` walks of a pass.
-    fn walks(pass: &GraftPass) -> (u64, u64, u64) {
-        (
-            pass.walks_replayed,
-            pass.walks_recomputed,
-            pass.walks_spliced,
-        )
+    /// A line whose far member 1 walks first and attaches `reach` fresh
+    /// nodes before the turn of the near member, `reach + 2`, which the
+    /// root still targets.
+    fn a_far_member_then_a_near_one(reach: usize) -> TopologyStore {
+        let reach = i32::try_from(reach).unwrap();
+        let mut positions = vec![0, reach];
+        positions.extend(1..reach);
+        positions.extend([-1, -2]);
+        store_from(line(&positions))
     }
 
+    /// A membership change as an input to the replay's exactness check:
+    /// the build of `before` over `store`, replayed for `after` (see
+    /// `replayed`), and for `before` again, which re-runs nothing and
+    /// leaves the tree untouched. Returns the pass for `after`.
+    fn replays(store: &TopologyStore, before: &[usize], after: &[usize]) -> GraftPass {
+        let old = grafted(store, before, None);
+        let same = replayed(store, before, &old, &[]);
+        assert_eq!((same.walks_examined, same.touched), (0, 0));
+        replayed(store, after, &old, &[])
+    }
+
+    /// Membership changes as inputs to the replay's exactness check, one
+    /// test per way a change reaches a logged walk: `name: store, members
+    /// before => members after, |pass| what the scenario exercises`.
+    macro_rules! replays_exactly {
+        ($($name:ident: $store:expr, $before:expr => $after:expr, |$pass:ident| $check:expr;)*) => {$(
+            #[test]
+            fn $name() {
+                let $pass = replays(&$store, &$before, &$after);
+                $check;
+            }
+        )*};
+    }
+
+    replays_exactly! {
+        // Member 9's new path puts relay 5 nearer to member 10 than 0.
+        replay_a_new_members_path_becomes_a_later_members_target:
+            line_with_a_member_beside_it(), [0, 10] => [0, 9, 10],
+            |pass| assert_eq!(pass.log.target(1), 5);
+        replay_an_unsubscribed_members_path_no_longer_carries_later_walks:
+            line_with_a_member_beside_it(), [0, 9, 10] => [0, 10],
+            |pass| assert_eq!(pass.log.target(0), 0);
+        // Member 1 walked through member 6, which now walks itself.
+        replay_a_member_that_was_walked_through_leads_its_own_walk:
+            store_from(line(&[0, 9, 1, 2, 3, 4, 5, 6, 7, 8])), [0, 1, 6] => [0, 6],
+            |pass| assert_eq!(pass.log.path(0), [6, 5, 4, 3, 2, 0]);
+        // Member 1's walk puts peer 3 of member 2's path on the tree.
+        splice_refuses_a_walk_an_earlier_path_now_crosses:
+            a_walk_that_curves_away(), [0, 2, 6] => [0, 1, 2, 6],
+            |pass| assert_eq!((pass.log.path(1), pass.log.target(1)), (&[2, 3][..], 0));
+        splice_refuses_a_walk_whose_terminal_left_the_tree:
+            a_walk_that_curves_away(), [0, 1, 2, 6] => [0, 2, 6],
+            |pass| assert_eq!(pass.log.path(0), [2, 3, 0]);
+        reach_a_terminal_the_section2_edit_dropped:
+            line_with_a_member_beside_it(), [0, 1, 2, 9, 10] => [0, 1, 9, 10],
+            |pass| assert_eq!(pass.log.path(0), [9, 8, 7, 6, 5, 4, 3, 2, 1]);
+        reach_a_target_that_left_the_tree:
+            line_with_a_member_beside_it(), [0, 9, 10] => [0, 10],
+            |pass| assert_eq!(pass.walks_examined, 1);
+        reach_the_walks_an_earlier_walk_crosses:
+            a_walk_that_curves_away(), [0, 2, 6] => [0, 1, 2, 6],
+            |pass| assert_eq!((pass.walks_examined, pass.walks_spliced), (2, 1));
+        // Member 6's walk goes alone; member 1 bridges member 2 onto the
+        // §2 tree, and member 2's walk goes.
+        reach_a_member_that_is_no_longer_stranded:
+            a_walk_that_curves_away(), [0, 2, 6] => [0, 2],
+            |pass| assert_eq!((pass.walks_examined, pass.walks_spliced), (0, 1));
+        reach_a_member_that_is_bridged_onto_the_section2_tree:
+            store_from(line(&[0, 1, 2, 3, 4, 5, 6])), [0, 2, 6] => [0, 1, 2, 6],
+            |pass| assert_eq!((pass.log.len(), pass.walks_examined), (1, 0));
+        // Peer 2's new path is nearer to member 8 than 8's logged target.
+        reach_a_later_walk_whose_target_a_fresh_node_beats:
+            store_from(uniform_points(14, 2, 100.0, 0).into_points()),
+            [0, 3, 5, 7, 8, 9, 11] => [0, 2, 3, 5, 7, 8, 9, 11],
+            |pass| assert_eq!((pass.log.path(1), pass.log.target(1)), (&[8, 2][..], 2));
+        // A membership change reads no row: member 9's walk down the
+        // line runs past member 10, which unsubscribes, and is carried.
+        replay_carries_a_walk_past_an_unsubscribed_neighbour:
+            line_with_a_member_beside_it(), [0, 9, 10] => [0, 9],
+            |pass| assert_eq!((pass.walks_examined, pass.walks_spliced, pass.touched), (0, 1, 1));
+        // Past the bound on fresh nodes the near member's target is
+        // searched for; within it, the logged one is kept.
+        replay_stops_deciding_targets_once_fresh_outgrows_its_bound:
+            a_far_member_then_a_near_one(MAX_FRESH + 2),
+            [0, MAX_FRESH + 4] => [0, 1, MAX_FRESH + 4],
+            |pass| assert_eq!(pass.walks_recomputed, 2);
+        replay_keeps_deciding_targets_within_the_bound_on_fresh_nodes:
+            a_far_member_then_a_near_one(MAX_FRESH), [0, MAX_FRESH + 2] => [0, 1, MAX_FRESH + 2],
+            |pass| assert_eq!(pass.walks_recomputed, 1);
+    }
+
+    #[test]
+    fn replay_routes_around_a_relay_that_departed_mid_path() {
+        // The line 0..=5 plus a detour peer beside position 2.
+        let mut points = line(&[0, 1, 2, 3, 4, 5]);
+        points.push(Point::new(vec![21.0, 19.0]).unwrap());
+        let mut store = store_from(points);
+        let old = grafted(&store, &[0, 5], None);
+        assert_eq!(old.0.relays, vec![1, 2, 3, 4]);
+        store.remove(geocast_overlay::PeerId(2));
+        let dirty = store.delta_log().newest().unwrap().dirty.clone();
+        let pass = replayed(&store, &[0, 5], &old, &dirty);
+        assert_eq!((pass.walks_replayed, pass.walks_recomputed), (1, 0));
+    }
+
+    #[test]
+    fn replay_retakes_the_hop_of_a_dirty_node() {
+        let mut store = store_from(line(&[0, 1, 2, 3, 4]));
+        let old = grafted(&store, &[0, 4], None);
+        // A joiner strictly closer to the root than node 4's recorded
+        // hop (position 3 is 60 away in L1, the joiner 59).
+        let joiner = store.insert(Point::new(vec![31.0, 28.0]).unwrap()).index();
+        let dirty = store.delta_log().newest().unwrap().dirty.clone();
+        let pass = replayed(&store, &[0, 4], &old, &dirty);
+        assert_eq!(pass.log.path(0)[..2], [4, joiner as u32]);
+    }
+
+    /// A dirty node whose re-taken hop stands: its walk comes out as
+    /// logged, and nothing after it is re-run.
     #[test]
     fn splice_refuses_a_walk_through_a_dirty_node() {
         let store = a_walk_that_curves_away();
         let old = grafted(&store, &[0, 2, 6], None);
-        assert_eq!(old.1.log.path(0), &[2, 3, 0]);
         assert_eq!(old.1.log.path(1), &[6, 4, 0]);
-        let (_, pass) = replayed(&store, &[0, 2, 6], &old, &[]);
-        assert_eq!(walks(&pass), (2, 0, 2), "nothing changed");
-        // Peer 4's row may have changed (it has not): member 6's walk
-        // steps on from there, member 2's is copied whole.
-        let (_, pass) = replayed(&store, &[0, 2, 6], &old, &[4]);
-        assert_eq!(walks(&pass), (2, 0, 1));
-        assert_eq!(pass.report.route_hops, 4);
-    }
-
-    #[test]
-    fn splice_refuses_a_walk_an_earlier_path_now_crosses() {
-        let store = a_walk_that_curves_away();
-        let old = grafted(&store, &[0, 2, 6], None);
-        // Member 1 subscribes and walks first. Peer 3 is on the tree
-        // when member 2's turn comes, yet the root stays its target: the
-        // logged walk stops at peer 3, one hop short of its terminal.
-        let (build, pass) = replayed(&store, &[0, 1, 2, 6], &old, &[]);
-        assert_eq!(pass.log.path(0), &[1, 3, 0]);
-        assert_eq!((pass.log.path(1), pass.log.target(1)), (&[2, 3][..], 0));
-        assert_eq!(build.tree.parent(2), Some(3));
+        let pass = replayed(&store, &[0, 2, 6], &old, &[4]);
         assert_eq!(
-            walks(&pass),
-            (2, 1, 1),
-            "member 1 searched, member 6 spliced"
+            (pass.walks_examined, pass.walks_spliced, pass.touched),
+            (1, 2, 0)
         );
-    }
-
-    #[test]
-    fn splice_refuses_a_walk_whose_terminal_left_the_tree() {
-        let store = a_walk_that_curves_away();
-        let old = grafted(&store, &[0, 1, 2, 6], None);
-        assert_eq!(old.1.log.path(1), &[2, 3], "it ended on member 1's path");
-        // Member 1 unsubscribes: peer 3, the logged terminal of member
-        // 2's walk, is off the tree, and the walk steps on from it.
-        let (build, pass) = replayed(&store, &[0, 2, 6], &old, &[]);
-        assert_eq!(pass.log.path(0), &[2, 3, 0]);
-        assert_eq!(build.relays, vec![3, 4]);
-        assert_eq!(walks(&pass), (2, 0, 1));
-    }
-
-    /// `(spliced, examined members)` of a replayed pass.
-    fn reached(pass: &GraftPass) -> (u64, &[usize]) {
-        (pass.walks_spliced, &pass.examined)
     }
 
     #[test]
     fn reach_a_dirty_path_node_visits_its_walk_alone() {
         let store = a_walk_that_curves_away();
         let old = grafted(&store, &[0, 2, 6], None);
-        assert_eq!(old.1.log.path(1), &[6, 4, 0]);
-        let (_, pass) = replayed(&store, &[0, 2, 6], &old, &[4]);
-        assert_eq!(reached(&pass), (1, &[6][..]), "member 2's walk carried");
+        let pass = replayed(&store, &[0, 2, 6], &old, &[3, 4]);
+        assert_eq!(pass.walks_examined, 2, "each walk through a dirty node");
     }
 
+    /// Fallback walks follow the same rule: on a sparse rule whose grafts
+    /// take the region and flood tiers, membership and row changes
+    /// replay exactly, and a change after which nothing earlier in the
+    /// pass differs carries the fallback walks over.
     #[test]
-    fn reach_a_terminal_the_section2_edit_dropped() {
-        let store = line_with_a_member_beside_it();
-        // Members 0, 1 and 2 form the §2 tree; member 9 walks down the
-        // line to 2, member 10 from beside position 5 onto that path.
-        let old = grafted(&store, &[0, 1, 2, 9, 10], None);
-        assert_eq!(old.0.relays, vec![3, 4, 5, 6, 7, 8]);
-        assert_eq!(old.1.log.path(0), &[9, 8, 7, 6, 5, 4, 3, 2]);
-        assert_eq!(old.1.log.path(1), &[10, 5]);
-        // Member 2 unsubscribes: the §2 edit drops the terminal of
-        // member 9's walk, which steps on to 1; member 10's walk stands.
-        let (build, pass) = replayed(&store, &[0, 1, 9, 10], &old, &[]);
-        assert_eq!(pass.log.path(0), &[9, 8, 7, 6, 5, 4, 3, 2, 1]);
-        assert_eq!(build.relays, vec![2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(reached(&pass), (1, &[9][..]));
-    }
-
-    #[test]
-    fn reach_a_target_that_left_the_tree() {
-        let store = line_with_a_member_beside_it();
-        let old = grafted(&store, &[0, 9, 10], None);
-        assert_eq!(old.1.log.path(1), &[10, 5]);
-        // Member 9 unsubscribes: its walk goes, and with it position 5,
-        // the target and terminal of member 10's walk. Member 9 is
-        // visited without a walk to decide.
-        let (_, pass) = replayed(&store, &[0, 10], &old, &[]);
-        assert_eq!(reached(&pass), (0, &[10][..]));
-    }
-
-    #[test]
-    fn reach_the_walks_an_earlier_walk_crosses() {
-        let store = a_walk_that_curves_away();
-        let old = grafted(&store, &[0, 2, 6], None);
-        // Member 1 subscribes; its walk 1→3→0 puts peer 3, a node of
-        // member 2's walk, on the tree first. Member 2's walk ends there
-        // now; member 6's, whose target no fresh node beats, is carried.
-        let (_, pass) = replayed(&store, &[0, 1, 2, 6], &old, &[]);
-        assert_eq!(pass.log.path(1), &[2, 3]);
-        assert_eq!(reached(&pass), (1, &[1, 2][..]));
-    }
-
-    #[test]
-    fn reach_a_member_that_is_no_longer_stranded() {
-        // Member 6 unsubscribes: only its own change names its walk,
-        // which goes with nothing to step; member 2's walk is carried.
-        let store = a_walk_that_curves_away();
-        let old = grafted(&store, &[0, 2, 6], None);
-        let (build, pass) = replayed(&store, &[0, 2], &old, &[]);
-        assert_eq!(build.relays, vec![3]);
-        assert_eq!(pass.support_change, Some((vec![4, 6], Vec::new())));
-        assert_eq!(reached(&pass), (1, &[][..]));
-
-        let store = store_from(line(&[0, 1, 2, 3, 4, 5, 6]));
-        let old = grafted(&store, &[0, 2, 6], None);
-        assert_eq!(old.1.log.path(0), &[2, 1, 0]);
-        assert_eq!(old.1.log.path(1), &[6, 5, 4, 3, 2]);
-        // Member 1 subscribes and bridges member 2 onto the §2 tree: the
-        // walk of member 2 goes, nothing is stepped, and member 6's walk,
-        // which ends at 2, is carried.
-        let (build, pass) = replayed(&store, &[0, 1, 2, 6], &old, &[]);
-        assert_eq!(build.relays, vec![3, 4, 5]);
-        assert_eq!(pass.log.len(), 1);
-        assert_eq!(reached(&pass), (1, &[][..]));
-    }
-
-    #[test]
-    fn reach_a_later_walk_whose_target_a_fresh_node_beats() {
-        let store = store_from(uniform_points(14, 2, 100.0, 0).into_points());
-        let members = [0, 3, 5, 7, 8, 9, 11];
+    fn a_replayed_pass_equals_the_pass_from_scratch_on_fallback_walks() {
+        let peers = PeerInfo::from_point_set(&uniform_points(120, 2, 1000.0, 11));
+        let mut store = TopologyStore::from_peers(
+            peers,
+            Arc::new(HyperplanesSelection::k_closest(2, 2, MetricKind::L1)),
+        );
+        let members: Vec<usize> = (0..120).step_by(11).collect();
         let old = grafted(&store, &members, None);
-        assert_eq!(old.1.log.path(0), &[8, 5]);
-        assert_eq!(old.1.log.path(1), &[11, 7]);
-        // Peer 2 subscribes and walks to 5. Fresh on the tree, it is
-        // nearer to member 8 than 8's logged target 5, which still
-        // stands, and it crosses no logged walk; member 11's target it
-        // does not beat.
-        let (_, pass) = replayed(&store, &[0, 2, 3, 5, 7, 8, 9, 11], &old, &[]);
-        assert_eq!(pass.log.path(0), &[2, 5]);
-        assert_eq!((pass.log.path(1), pass.log.target(1)), (&[8, 2][..], 2));
-        assert_eq!(reached(&pass), (1, &[2, 8][..]));
+        assert!(old.1.report.rect_fallbacks + old.1.report.flood_fallbacks > 0);
+        let last = *members.last().unwrap();
+        let fewer: Vec<usize> = members.iter().copied().filter(|&m| m != last).collect();
+        let pass = replayed(&store, &fewer, &old, &[]);
+        assert!(
+            pass.walks_spliced > 0,
+            "the walks before the change are carried"
+        );
+        let more: Vec<usize> = members.iter().copied().chain([119]).collect();
+        replayed(&store, &more, &old, &[]);
+        let relay = old.0.relays[old.0.relays.len() / 2];
+        store.remove(geocast_overlay::PeerId(relay as u64));
+        let dirty = store.delta_log().newest().unwrap().dirty.clone();
+        replayed(&store, &members, &old, &dirty);
+
+        // Two clusters far apart under a 1-closest rule: only the flood
+        // tells that member 5 is unreachable. A join inside its cluster
+        // dirties the rows the flood read.
+        let mut store = TopologyStore::new(Arc::new(HyperplanesSelection::k_closest(
+            2,
+            1,
+            MetricKind::L1,
+        )));
+        for (base, count) in [(10.0, 4), (5000.0, 3)] {
+            for i in 0..count {
+                store.insert(
+                    Point::new(vec![base + f64::from(i), base + 2.0 * f64::from(i)]).unwrap(),
+                );
+            }
+        }
+        let old = grafted(&store, &[0, 5], None);
+        assert_eq!((old.1.report.unreachable, old.1.log.len()), (1, 1));
+        store.insert(Point::new(vec![5001.5, 5003.0]).unwrap());
+        let dirty = store.delta_log().newest().unwrap().dirty.clone();
+        replayed(&store, &[0, 5], &old, &dirty);
     }
 
     #[test]

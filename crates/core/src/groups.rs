@@ -18,47 +18,35 @@
 //!   discovered path joins the tree as non-member relay nodes
 //!   ([`build_group_tree_grafted`]). Only members overlay-disconnected
 //!   from the root remain stranded — provably undeliverable.
-//! * **Delta-driven repair, certificate-gated.** The engine is a
+//! * **Delta-driven repair: one replay rule.** The engine is a
 //!   registered consumer of the store's epoch-numbered delta stream
-//!   ([`geocast_overlay::DeltaLog`]). Per churn event it *examines* only
-//!   the groups whose members **or graft-support nodes** (relay paths
-//!   and every adjacency row the discovery consulted) intersect the
-//!   event's dirty region — a group's grafted tree is a pure function of
-//!   exactly those rows plus membership and liveness, so a group
-//!   untouched by every delta is provably unchanged. Two exact reverse
-//!   relations answer "which groups does this dirty peer touch": who
-//!   subscribes (`member_of`) and whose current build read the peer's
-//!   row (`support_of`, moved by every rebuild from the old support set
-//!   to the new in one merge walk). An examined group
-//!   is rebuilt only if a **recorded decision changed**: every build
-//!   carries a [`RepairCertificate`] (the member-induced rows the §2
-//!   construction read, and the target each graft walk was heading for
-//!   at each support node), and the group keeps its build, its rebuild
-//!   counter and its cached delivery plan when no member or support
-//!   node departed, every dirtied reached member's member-induced row
-//!   reads as recorded, and every dirtied support node still takes the
-//!   same greedy hop — the induction that makes this exact is written
-//!   at [`GroupBuild::still_holds`]. Anything else (a failed
-//!   clause, a graft that used the region or flood tier, a membership
-//!   operation) goes through the one rebuild path, tearing down and
-//!   re-routing relays whose underlying peers churned — and that
-//!   rebuild replays the decisions the replaced build recorded, so it
-//!   costs what the change reaches, not the group: the §2 construction
-//!   re-partitions only below the delegations whose inputs differ and
-//!   moves every other link, zone and row over from the old build
-//!   (`crate::member_tree`;
-//!   [`EngineTotals::zone_splits_replayed`] counts it), and the graft
-//!   pass searches only where its on-tree set changed and steps only
-//!   where a logged walk diverges, copying every other walk whole from
-//!   the old build's walk log ([`crate::graft`];
-//!   [`EngineTotals::graft_walks_spliced`]) — and it visits only the
-//!   walks the change reaches, carrying the rest over unvisited
-//!   ([`EngineTotals::graft_walks_examined`]). Neither part builds a new
-//!   tree: the old one is edited, the delegations and walks that
-//!   changed dropped and what replaced them added
-//!   ([`EngineTotals::tree_nodes_touched`]). Consumers that fall
-//!   behind the log's retention window resync from the full store
-//!   state, replaying nothing.
+//!   ([`geocast_overlay::DeltaLog`]). Every step of a group build
+//!   records what it read: a §2 delegation its member-induced row and
+//!   its zone (`crate::member_tree`), a graft walk the rows it stepped
+//!   from, the on-tree state of the nodes it touched and the ball its
+//!   target bounds ([`crate::graft`], where the one argument is
+//!   written out). A step re-runs only when one of its reads changed,
+//!   and a re-run step whose output comes out as recorded changes
+//!   nothing after it. One reverse index, `read_by`, names the graft
+//!   walks that read each peer's row; `member_of` names the groups a
+//!   peer subscribes to, whose §2 steps read its member-induced row.
+//!   Per churn event the engine *examines* exactly the groups the dirty
+//!   peers name there, and re-runs the named steps in place — a §2 row
+//!   re-read, a greedy hop re-taken; a fallback walk, which counts as
+//!   having read everything before it, is not re-run in place — and a
+//!   group whose re-run steps all come out as recorded keeps its build,
+//!   its rebuild counter and its cached delivery plan, at
+//!   `O(|dirty| × degree)`. Any other examined group, and every group a
+//!   membership operation changes, is rebuilt by the same rule: the §2
+//!   construction re-partitions only below the delegations whose reads
+//!   changed and moves every other link, zone and row over
+//!   ([`EngineTotals::zone_splits_replayed`]), and the graft pass
+//!   re-runs only the walks whose reads changed, carrying the others
+//!   over unvisited ([`EngineTotals::graft_walks_examined`]). Neither
+//!   part builds a new tree: the old one is edited
+//!   ([`EngineTotals::tree_nodes_touched`]). Consumers that fall behind
+//!   the log's retention window resync from the full store state,
+//!   replaying nothing.
 //! * **A batched, plan-cached data plane.** Publishing is decoupled
 //!   from tree walking ([`crate::dataplane`]): each group's delivery
 //!   counts are read once off its build into a [`DeliveryPlan`] cached
@@ -76,10 +64,9 @@
 //! tested (`tests/prop_groups.rs`): after any churn interleaving, every
 //! registered group's build — relay grafts included — is byte-identical
 //! to a from-scratch [`build_group_tree_grafted`] rebuild on the
-//! surviving members — whether the engine rebuilt it, certified it
-//! unchanged or never looked at it — while the engine pays a full
-//! rebuild only for delta-affected groups in which a recorded decision
-//! changed.
+//! surviving members — whether the engine rebuilt it, kept it or never
+//! looked at it — while the engine rebuilds only the delta-affected
+//! groups in which a re-run step came out differently.
 //!
 //! # Example
 //!
@@ -118,8 +105,8 @@ use crate::builder::BuildResult;
 use crate::dataplane::{
     eager_lazy_deliver, Delivery, DeliveryPlan, EpidemicReport, PlanCache, PlanStats, PublishBatch,
 };
-use crate::graft::{graft_pass, GraftMemo, GraftReport, WalkLog};
-use crate::member_tree::{member_tree, same_row, MemberRows, Recorded};
+use crate::graft::{graft_pass, GraftPass, GraftReport, Previous, WalkLog};
+use crate::member_tree::{member_tree, MemberRows, Recorded};
 use crate::partition::ZonePartitioner;
 use crate::stability::{preferred_links_on_store, PreferredPolicy, StabilityForest};
 
@@ -170,27 +157,20 @@ pub fn build_group_tree_on_store(
         .into_build()
 }
 
-/// The decisions a [`GroupBuild`] rests on, recorded in the form
-/// [`GroupEngine::sync`] re-checks them after churn (see
-/// [`GroupBuild::still_holds`]) and the next rebuild replays them (see
-/// [`crate::graft`]). `O(members + support)` `u32`s.
+/// What the steps of a [`GroupBuild`] read, in the form the engine
+/// re-runs them: `O(members + support)` `u32`s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RepairCertificate {
-    /// What the §2 construction read.
+pub struct BuildReads {
+    /// What the §2 delegations read.
     member_rows: MemberRows,
-    /// Parallel to [`GroupBuild::support`]: the stranded member whose
-    /// walk of `walks` attached each support node, heading for that
-    /// walk's target (the hop it chose is its tree parent). Empty when
-    /// the graft left tier 1.
-    walk_of: Vec<u32>,
-    /// The graft's walks in pass order: member, target, path. Empty
-    /// when the graft left tier 1.
+    /// The graft walks, with what each read.
     walks: WalkLog,
-    /// The walks by their ends: `(node, member)` for each walk's target
-    /// and terminal, sorted — the walks a node that leaves the tree can
-    /// reach. Empty when the graft left tier 1.
-    ends: Vec<(u32, u32)>,
 }
+
+/// The step of an index entry that is a §2 delegation, which reads the
+/// member-induced row of the peer itself; any other step is the graft
+/// walk of the member it names.
+const DELEGATION: u32 = u32::MAX;
 
 /// A group's complete delivery structure: the (grafted) tree plus the
 /// graft bookkeeping the incremental engine repairs by.
@@ -204,109 +184,52 @@ pub struct GroupBuild {
     pub graft: GraftReport,
     /// Every peer whose adjacency row the graft discovery consulted —
     /// relays, flood-expanded nodes, and the stranded members the walks
-    /// started from — sorted. A churn delta dirtying any of these can
-    /// reroute a relay path, so the engine treats support nodes exactly
-    /// like members when deciding which groups to examine — this is
-    /// what tears relays down and re-routes them when their underlying
-    /// peers churn.
+    /// started from — sorted: the peers the engine's `read_by` index
+    /// names this group's walks under.
     pub support: Vec<usize>,
-    /// What the build read and decided, so that a dirtied member or
-    /// support node can be shown not to have changed it.
-    pub certificate: RepairCertificate,
+    /// What the build's steps read.
+    pub reads: BuildReads,
 }
 
 impl GroupBuild {
-    /// Decides, without rebuilding, whether this build — made for
-    /// `members` over an earlier state of `store` — is still what
-    /// [`build_group_tree_grafted`] returns now, given `dirty`: every
-    /// member or support node of the group whose adjacency row (or
-    /// liveness) may have changed since, the member set itself being
-    /// unchanged. `true` is a proof; `false` only means "rebuild to
-    /// find out". Costs `O(|dirty| × degree)`.
+    /// Re-runs, without rebuilding, the steps of this build — made for
+    /// `members` over an earlier state of `store` — that read a row of a
+    /// dirty peer: `(peer, step)` pairs as the engine's indexes name
+    /// them, the member set itself being unchanged. `true` when every
+    /// re-run step comes out as recorded, which makes this build what
+    /// [`build_group_tree_grafted`] returns now (the graft module's
+    /// argument: no output changed, so no later read did); `false` only
+    /// means "rebuild to find out". Costs `O(|dirty| × degree)`.
     ///
-    /// The three clauses, and why they suffice:
-    ///
-    /// 1. *No dirty peer has departed.* Then `members` is the live
-    ///    member set the old build saw, and every recorded target is
-    ///    still a live peer.
-    /// 2. *Every dirty §2-reached member's member-induced row reads as
-    ///    recorded.* The §2 work-queue pops the root, reads its row,
-    ///    partitions, enqueues children, and repeats; if every row it
-    ///    reads is unchanged (clean rows are, dirty ones by this
-    ///    clause) each pop makes the same delegation, so by induction
-    ///    over the queue it reaches the same members with the same
-    ///    zones, and strands the same ones. An unreached member whose
-    ///    links changed is visible here from the other end: the reached
-    ///    member it now touches has a dirty, different row.
-    /// 3. *Every dirty support node's greedy hop over its new row
-    ///    towards its recorded target is still its tree parent.* The
-    ///    graft pass handles the stranded members in ascending order.
-    ///    Assume the on-tree set before member `s` is what it was. Its
-    ///    target — the `(distance, index)`-nearest on-tree node — is a
-    ///    function of that set and of coordinates, so it is the
-    ///    recorded one. The walk from `s` reads the row of each node it
-    ///    stands on for one decision, the hop towards that target, and
-    ///    ends at the first on-tree node: every node it stood on is a
-    ///    support node recorded with this target, so each hop is the
-    ///    old hop (clean row, or this clause), the path is the old
-    ///    path, and the on-tree set after `s` is what it was. By
-    ///    induction over the stranded members the whole pass — links,
-    ///    relays, support, report — repeats.
-    ///
-    /// A graft that used the region or flood tier read rows for other
-    /// decisions than one hop; it is never certified. A dirty peer that
-    /// is neither a recorded member nor a support node cannot occur for
-    /// a greedy-only graft (an unreached member is either grafted, and
-    /// then walked from or through, or unreachable, which takes the
-    /// flood tier to establish) and is refused all the same.
-    #[must_use]
-    pub fn still_holds(
+    /// A departed peer changes the member set or a path, so it never
+    /// stands. A delegation re-reads its member-induced row and stands
+    /// when it reads as recorded (a member without a recorded row was
+    /// not reached: its stranding is its walk's). A greedy walk re-takes
+    /// the hop from the peer towards its target and stands when that is
+    /// still the peer's tree parent. A fallback walk is not re-run here.
+    fn steps_stand(
         &self,
         store: &TopologyStore,
         members: &BTreeSet<usize>,
-        dirty: impl Iterator<Item = usize>,
+        mut dirty: impl Iterator<Item = (usize, u32)>,
         nbuf: &mut Vec<usize>,
     ) -> bool {
-        if !self.graft.greedy_only() {
-            return false;
-        }
-        let cert = &self.certificate;
-        for p in dirty {
+        let walks = &self.reads.walks;
+        dirty.all(|(p, step)| {
             if store.is_departed(PeerId(p as u64)) {
                 return false;
             }
-            let unchanged = if let Some(row) = cert.member_rows.row(p) {
-                store.undirected_neighbors_into(p, nbuf);
-                nbuf.retain(|j| members.contains(j));
-                same_row(row, nbuf)
-            } else if let Ok(at) = self.support.binary_search(&p) {
-                let target = cert.walks.target_of(cert.walk_of[at] as usize);
-                let target = store.peers()[target].point();
-                let hop = greedy_step_on_store(store, p, target, GRAFT_METRIC, nbuf);
-                hop.is_some() && hop == self.build.tree.parent(p)
-            } else {
-                false
-            };
-            if !unchanged {
-                return false;
+            if step == DELEGATION {
+                let member = |j| members.contains(&j);
+                return self.reads.member_rows.stands(store, p, member, nbuf);
             }
-        }
-        true
-    }
-
-    /// This build's graft walks as the memo of the group's next graft
-    /// pass, given `dirty`: a sorted list holding every support node
-    /// whose adjacency row may have changed since its hop was recorded
-    /// or last re-checked by [`GroupBuild::still_holds`]. `None` when
-    /// the pass left tier 1 — it logged no walks to replay.
-    fn graft_memo<'a>(&'a self, dirty: &'a [usize]) -> Option<GraftMemo<'a>> {
-        self.graft.greedy_only().then_some(GraftMemo {
-            support: &self.support,
-            walk_of: &self.certificate.walk_of,
-            log: &self.certificate.walks,
-            ends: &self.certificate.ends,
-            tree: &self.build.tree,
-            dirty,
+            let w = walks
+                .walk(step as usize)
+                .expect("an indexed walk is logged");
+            let target = store.peers()[walks.target(w)].point();
+            let next = self.build.tree.parent(p);
+            let hop = greedy_step_on_store(store, p, target, GRAFT_METRIC, nbuf);
+            !walks.fallback(w) && hop.is_some() && hop == next
         })
     }
 }
@@ -330,22 +253,6 @@ pub fn build_group_tree_grafted(
     build_group(store, root, members, partitioner, None, None).0
 }
 
-/// How much of one group build was taken from the build it replaces,
-/// and what it changed of it.
-#[derive(Debug, Default)]
-struct Replayed {
-    splits_replayed: u64,
-    splits_recomputed: u64,
-    walks_replayed: u64,
-    walks_recomputed: u64,
-    walks_spliced: u64,
-    walks_examined: u64,
-    tree_nodes_touched: u64,
-    /// The peers that left the support set and those that entered it,
-    /// when the graft pass knows them (`GraftPass::support_change`).
-    support_change: Option<(Vec<usize>, Vec<usize>)>,
-}
-
 /// What may read differently under a group's build than when it was
 /// made: what a rebuild replays that build around.
 #[derive(Clone, Copy)]
@@ -356,54 +263,51 @@ struct Changed<'a> {
     /// membership operation and its neighbours. The §2 replay re-reads
     /// their rows.
     touched: &'a [usize],
-    /// Every support node whose adjacency row may have changed since its
-    /// hop was recorded or last re-checked (sorted): the graft replay
-    /// copies no walk through one. After churn these are the dirty
-    /// peers; after a membership operation none, since it changes no
-    /// row and the `sync` before it re-checked every recorded hop.
-    dirty: &'a [usize],
+    /// The members of the graft walks that read a row that may have
+    /// changed since they read it or last re-took its hop, sorted: after
+    /// churn the walks the `read_by` index names for the dirty peers,
+    /// whose rows are `touched`; after a membership operation none,
+    /// since it changes no row and the `sync` before it re-ran every
+    /// indexed read.
+    dirty_walks: &'a [usize],
 }
 
-/// [`build_group_tree_grafted`], optionally replaying the decisions of
-/// the group's previous build — the §2 delegations it `recorded`
-/// ([`crate::member_tree`]) and the graft walks of its `memo`
-/// ([`crate::graft`]), editing its tree where both replay it — plus how
-/// much of either it took from there. The build is the same with and
-/// without them.
+/// [`build_group_tree_grafted`], optionally replaying the group's
+/// previous build — the §2 delegations it `recorded`
+/// ([`crate::member_tree`]) and its graft walks (`previous`,
+/// [`crate::graft`]), editing its tree — plus how much of either it
+/// took from there: the §2-reached members whose delegation was
+/// replayed and recomputed, and the graft pass's counts and the walks
+/// whose reads moved. The build is the same with and without them.
 fn build_group(
     store: &TopologyStore,
     root: usize,
     members: &BTreeSet<usize>,
     partitioner: &dyn ZonePartitioner,
     recorded: Option<Recorded>,
-    memo: Option<&GraftMemo>,
-) -> (GroupBuild, Replayed) {
+    previous: Option<Previous>,
+) -> (GroupBuild, (u64, u64), GraftPass) {
     let built = member_tree(store, root, members, partitioner, recorded);
-    // A §2 part that replayed no record (a new root) grafts from scratch.
-    let memo = memo.filter(|_| built.section2.grafts);
-    let (build, pass) = graft_pass(store, built.section2, GRAFT_METRIC, memo);
+    // A §2 part that replayed no record (a new root, or none handed
+    // over) grafts from scratch, and retires every previous walk.
+    let walks_before = previous.as_ref().map_or(0, |p| p.log.len());
+    let previous = previous.filter(|_| built.section2.base.is_some());
+    let replays = previous.is_some();
+    let (build, mut pass) = graft_pass(store, built.section2, GRAFT_METRIC, previous);
+    if !replays {
+        pass.retired = (0..walks_before).collect();
+    }
     let group_build = GroupBuild {
         build,
         graft: pass.report,
-        support: pass.support,
-        certificate: RepairCertificate {
+        support: std::mem::take(&mut pass.support),
+        reads: BuildReads {
             member_rows: built.rows,
-            walk_of: pass.walk_of,
-            walks: pass.log,
-            ends: pass.ends,
+            walks: std::mem::take(&mut pass.log),
         },
     };
-    let replayed = Replayed {
-        splits_replayed: built.splits_replayed,
-        splits_recomputed: built.splits_recomputed,
-        walks_replayed: pass.walks_replayed,
-        walks_recomputed: pass.walks_recomputed,
-        walks_spliced: pass.walks_spliced,
-        walks_examined: pass.walks_examined,
-        tree_nodes_touched: pass.touched as u64,
-        support_change: pass.support_change,
-    };
-    (group_build, replayed)
+    let splits = (built.splits_replayed, built.splits_recomputed);
+    (group_build, splits, pass)
 }
 
 /// One registered group: subscriber set, session root, current tree.
@@ -428,11 +332,12 @@ pub struct SyncReport {
     /// Deltas replayed from the store's log.
     pub deltas: usize,
     /// Groups examined: those whose members or graft-support nodes
-    /// intersected some dirty region. Each was either certified
-    /// unchanged or rebuilt exactly once.
+    /// intersected some dirty region. Each kept its build, was rebuilt
+    /// exactly once, or — its last member departed — lost its tree.
     pub affected_groups: usize,
     /// Of which kept their build, rebuild counter and cached delivery
-    /// plan because their repair certificate still held.
+    /// plan because every step that read a dirty row came out as
+    /// recorded when re-run.
     pub certified_groups: usize,
     /// Σ member-set sizes over the groups actually rebuilt
     /// (`affected_groups − certified_groups` of them) — the work paid,
@@ -469,16 +374,16 @@ pub struct EngineTotals {
     pub graft_walks_replayed: u64,
     /// Graft walks, over all rebuilds, that searched for their target.
     pub graft_walks_recomputed: u64,
-    /// Graft walks, over all rebuilds, copied whole from the walk log
-    /// of the group's previous build: no hop was taken for them. A
-    /// subset of [`EngineTotals::graft_walks_replayed`].
+    /// Graft walks, over all rebuilds, whose path came out as the
+    /// previous build's walk log has it, no hop stepped for them: the
+    /// walks carried over and the re-run walks cut off. A subset of
+    /// [`EngineTotals::graft_walks_replayed`].
     pub graft_walks_spliced: u64,
-    /// Graft walks, over all rebuilds, that a pass stepped through to
-    /// decide their target — every walk of a rebuild that replayed
-    /// nothing, and of a replayed one only the walks its change reaches;
-    /// the others are copied over whole, unvisited. A subset of
-    /// [`EngineTotals::graft_walks_replayed`] plus
-    /// [`EngineTotals::graft_walks_recomputed`].
+    /// Graft walks, over all rebuilds, that a pass re-ran — every walk
+    /// of a rebuild that replayed nothing, and of a replayed one only
+    /// the walks whose reads changed; the others are carried over,
+    /// unvisited. A subset of [`EngineTotals::graft_walks_replayed`]
+    /// plus [`EngineTotals::graft_walks_recomputed`].
     pub graft_walks_examined: u64,
     /// §2-reached members, over all rebuilds, whose delegation was the
     /// one the group's previous build recorded: nothing was read or
@@ -531,17 +436,15 @@ pub struct GroupEngine {
     groups: Vec<Group>,
     /// Peer index → sorted group ids the peer subscribes to.
     member_of: Vec<Vec<u32>>,
-    /// Peer index → sorted ids of the groups whose **current build**
-    /// lists the peer in [`GroupBuild::support`] (relays and every other
-    /// row the graft discovery consulted). Dirtying a support peer can
-    /// reroute a relay path, so support hits trigger repair exactly like
-    /// membership hits — relay teardown rides the same delta stream.
-    /// Exact: [`GroupEngine::rebuild_group`] moves a group between the
-    /// lists of its old and new support in one merge walk, so every
-    /// entry is a true hit and `sync` reads it without confirmation.
-    /// Relays are support nodes, which makes this the suspects' lookup
-    /// too ([`GroupEngine::set_suspects`]).
-    support_of: Vec<Vec<u32>>,
+    /// Peer index → `(group, walk)` for every graft walk of a group's
+    /// **current build** that read the peer's row (the walk named by its
+    /// member): the reverse index of the steps' reads that `sync` re-runs
+    /// by, next to `member_of` for the delegations. Exact: a rebuild
+    /// takes out the walks it did not carry over and puts in the ones it
+    /// recorded anew, so every entry is a true read. Relays are read by
+    /// the walks that attached them, which makes this the suspects'
+    /// lookup too ([`GroupEngine::set_suspects`]).
+    read_by: Vec<Vec<(u32, u32)>>,
     /// Live peers, ascending — the maintained list workload binding
     /// draws from (replacing the per-op O(N) departed-scan).
     live_peers: Vec<usize>,
@@ -560,7 +463,7 @@ pub struct GroupEngine {
     /// resolves (refuted, or dead → removed → re-grafted).
     suspects: BTreeSet<usize>,
     /// Per-group degraded flags, maintained incrementally from
-    /// `support_of` on [`GroupEngine::set_suspects`] and per-group on
+    /// `read_by` on [`GroupEngine::set_suspects`] and per-group on
     /// rebuild — [`GroupEngine::is_degraded`] is an O(1) lookup instead
     /// of a per-publish relay scan.
     degraded: Vec<bool>,
@@ -583,7 +486,7 @@ impl GroupEngine {
     #[must_use]
     pub fn new(store: TopologyStore, partitioner: Arc<dyn ZonePartitioner + Send + Sync>) -> Self {
         let member_of = vec![Vec::new(); store.len()];
-        let support_of = vec![Vec::new(); store.len()];
+        let read_by = vec![Vec::new(); store.len()];
         let live_peers: Vec<usize> = (0..store.len())
             .filter(|&i| !store.is_departed(PeerId(i as u64)))
             .collect();
@@ -594,7 +497,7 @@ impl GroupEngine {
             partitioner,
             groups: Vec::new(),
             member_of,
-            support_of,
+            read_by,
             live_peers,
             repair,
             flush,
@@ -876,9 +779,9 @@ impl GroupEngine {
 
     /// Rebuilds group `gi` after `p` subscribed to it or unsubscribed.
     /// That touches `p` and its overlay neighbours — the member-induced
-    /// rows `p` enters or leaves — and dirties no support node: the
-    /// engine synced just before, so no adjacency row has changed under
-    /// any build, and every recorded graft hop stands.
+    /// rows `p` enters or leaves — and dirties no row a graft walk read:
+    /// the engine synced just before, so no adjacency row has changed
+    /// under any build.
     fn rebuild_after_membership_of(&mut self, gi: usize, p: usize) {
         let mut touched = Vec::new();
         self.store.undirected_neighbors_into(p, &mut touched);
@@ -886,7 +789,7 @@ impl GroupEngine {
         touched.insert(at, p);
         let changed = Changed {
             touched: &touched,
-            dirty: &[],
+            dirty_walks: &[],
         };
         self.rebuild_group(gi, Some(changed));
     }
@@ -1120,8 +1023,9 @@ impl GroupEngine {
     /// verdict (store removal + [`GroupEngine::sync`]) rewires trees.
     ///
     /// Degraded flags are recomputed here from the suspects' own group
-    /// lists — a relay is a support node, so a suspect relays for the
-    /// groups of its `support_of` list whose sorted relay set holds it —
+    /// lists — a relay is read by the walk that attached it, so a suspect
+    /// relays for the groups of its `read_by` list whose sorted relay
+    /// set holds it —
     /// O(Σ suspects' group lists), not O(groups × relays), so the
     /// per-publish degradation check stays O(1).
     pub fn set_suspects<I: IntoIterator<Item = usize>>(&mut self, suspects: I) {
@@ -1136,8 +1040,8 @@ impl GroupEngine {
         self.degraded.clear();
         self.degraded.resize(self.groups.len(), false);
         for &s in &self.suspects {
-            if let Some(ids) = self.support_of.get(s) {
-                for &gid in ids {
+            if let Some(ids) = self.read_by.get(s) {
+                for &(gid, _) in ids {
                     let build = self.groups[gid as usize].build.as_ref();
                     if build.is_some_and(|gb| gb.build.relays.binary_search(&s).is_ok()) {
                         self.degraded[gid as usize] = true;
@@ -1334,8 +1238,9 @@ impl GroupEngine {
     /// recorded since the engine's last absorbed epoch, prunes departed
     /// members, examines exactly the groups whose members or graft
     /// support intersect the union of dirty regions, and rebuilds those
-    /// of them whose [`RepairCertificate`] no longer holds. Falls back
-    /// to a full resync when the log has evicted a needed delta.
+    /// of them in which a step that read a dirty row comes out
+    /// differently when re-run. Falls back to a full resync when the log
+    /// has evicted a needed delta.
     ///
     /// Idempotent; called automatically by every mutating engine entry
     /// point.
@@ -1349,21 +1254,19 @@ impl GroupEngine {
             CursorCatchUp::Deltas(deltas) => deltas,
         };
 
-        // Every (group, dirty peer) pair where the peer is a member or a
-        // graft-support node of the group, as of the last sync (a
-        // membership op syncs first, so neither relation moves while
-        // deltas are replayed — except by the departures below).
-        let mut hits: Vec<(u32, u32)> = Vec::new();
+        // Every (group, dirty peer, step) where the step read the peer's
+        // row, as of the last sync (a membership op syncs first, so
+        // neither index moves while deltas are replayed — except by the
+        // departures below).
+        let mut hits: Vec<(u32, u32, u32)> = Vec::new();
         for delta in &deltas {
             self.member_of.resize(self.store.len(), Vec::new());
-            self.support_of.resize(self.store.len(), Vec::new());
+            self.read_by.resize(self.store.len(), Vec::new());
             for &p in &delta.dirty {
                 let peer = p as u32;
-                hits.extend(self.member_of[p].iter().map(|&g| (g, peer)));
-                // A dirty support node can reroute a relay path. (A
-                // grafted member sits in both lists; the dedup below
-                // absorbs the repeat.)
-                hits.extend(self.support_of[p].iter().map(|&g| (g, peer)));
+                let delegation = |&g: &u32| (g, peer, DELEGATION);
+                hits.extend(self.member_of[p].iter().map(delegation));
+                hits.extend(self.read_by[p].iter().map(|&(g, walk)| (g, peer, walk)));
             }
             match delta.kind {
                 DeltaKind::Join(v) => {
@@ -1396,10 +1299,10 @@ impl GroupEngine {
         // Joins grow the peer universe, but a cached build stores only
         // the peers it reached and answers "unreached" for everyone
         // else, so untouched groups need no upkeep at all. An examined
-        // group is rebuilt unless its certificate shows, from the dirty
-        // peers' current rows alone, that the rebuild would return the
-        // build it already has; a certified group keeps its rebuild
-        // counter, and with it its cached delivery plan.
+        // group re-runs the steps that read a dirty row; it keeps its
+        // build, its rebuild counter and with it its cached delivery
+        // plan when all of them come out as recorded, and is rebuilt
+        // otherwise.
         hits.sort_unstable();
         hits.dedup();
         let mut report = SyncReport {
@@ -1407,32 +1310,33 @@ impl GroupEngine {
             ..SyncReport::default()
         };
         let mut nbuf: Vec<usize> = Vec::new();
-        let mut dirty: Vec<usize> = Vec::new();
+        let (mut dirty, mut dirty_walks) = (Vec::new(), Vec::new());
         for of_group in hits.chunk_by(|a, b| a.0 == b.0) {
             let gi = of_group[0].0 as usize;
             let group = &self.groups[gi];
             report.affected_groups += 1;
-            dirty.clear();
-            dirty.extend(of_group.iter().map(|&(_, p)| p as usize));
-            let certified = group.build.as_ref().is_some_and(|gb| {
-                gb.still_holds(
-                    &self.store,
-                    &group.members,
-                    dirty.iter().copied(),
-                    &mut nbuf,
-                )
-            });
-            if certified {
+            let steps = of_group.iter().map(|&(_, p, step)| (p as usize, step));
+            let kept = (group.build.as_ref())
+                .is_some_and(|gb| gb.steps_stand(&self.store, &group.members, steps, &mut nbuf));
+            if kept {
                 report.certified_groups += 1;
                 debug_assert!(
                     self.matches_reference(GroupId(gi as u32)),
-                    "group {gi}: certified, yet its from-scratch rebuild differs"
+                    "group {gi}: kept, yet its from-scratch rebuild differs"
                 );
             } else {
                 report.rebuilt_members += group.members.len();
+                dirty.clear();
+                dirty.extend(of_group.iter().map(|&(_, p, _)| p as usize));
+                dirty.dedup();
+                dirty_walks.clear();
+                let walks = of_group.iter().filter(|&&(_, _, step)| step != DELEGATION);
+                dirty_walks.extend(walks.map(|&(_, _, step)| step as usize));
+                dirty_walks.sort_unstable();
+                dirty_walks.dedup();
                 let changed = Changed {
                     touched: &dirty,
-                    dirty: &dirty,
+                    dirty_walks: &dirty_walks,
                 };
                 self.rebuild_group(gi, Some(changed));
             }
@@ -1448,7 +1352,7 @@ impl GroupEngine {
     /// changed under the old builds, so none of them is replayed.
     fn full_resync(&mut self) {
         self.member_of.resize(self.store.len(), Vec::new());
-        self.support_of.resize(self.store.len(), Vec::new());
+        self.read_by.resize(self.store.len(), Vec::new());
         self.live_peers = (0..self.store.len())
             .filter(|&i| !self.store.is_departed(PeerId(i as u64)))
             .collect();
@@ -1485,38 +1389,38 @@ impl GroupEngine {
 
     /// Replaces group `gi`'s build with the one its current members and
     /// the current store define. With `changed` (see [`Changed`]) the §2
-    /// construction and the graft pass replay the old build's decisions
+    /// construction and the graft pass replay the old build's steps
     /// ([`crate::member_tree`], [`crate::graft`]) and edit its tree;
     /// without it (`None`: no record of what changed) both start from
     /// nothing. The build is the same either way.
     fn rebuild_group(&mut self, gi: usize, changed: Option<Changed>) {
         // What coexists while the new build is made, and why. The old
-        // tree, support set and walk log stay until the new graft
-        // pass is done: it replays them, and the support index below
-        // moves from the old set to the new. The old zones and member
-        // rows stay only while the new §2 part is assembled — zones
-        // that stand move into the new table (their rectangles are not
-        // copied), dropped ones are freed on the way, the old rows go
-        // once the new ones are laid out — and are gone before the
-        // graft pass allocates. Without `changed` neither is read: both
-        // go before anything is built.
+        // tree and walk log stay until the new graft pass is done: it
+        // replays them, and the `read_by` index moves from the old walks
+        // to the new. The old zones and member rows stay only while the
+        // new §2 part is assembled — zones that stand move into the new
+        // table (their rectangles are not copied), dropped ones are
+        // freed on the way, the old rows go once the new ones are laid
+        // out — and are gone before the graft pass allocates. Without
+        // `changed` neither is read: both go before anything is built.
         let mut old = self.groups[gi].build.take();
         let section2 = old.as_mut().map(|gb| {
             (
                 std::mem::take(&mut gb.build.zones),
-                std::mem::take(&mut gb.certificate.member_rows),
+                std::mem::take(&mut gb.reads.member_rows),
             )
         });
-        let old_support = old.as_ref().map_or(&[][..], |gb| &gb.support);
         let group = &mut self.groups[gi];
         let Some(root) = group.root else {
-            Self::reindex_support(&mut self.support_of, gi, old_support, &[]);
+            if let Some(gb) = &old {
+                let log = &gb.reads.walks;
+                Self::index_walks(&mut self.read_by, gi, log, 0..log.len(), false);
+            }
             self.plans.evict(gi);
             self.refresh_degraded(gi);
             return;
         };
         let replay = old.as_ref().zip(changed);
-        let memo = replay.and_then(|(gb, changed)| gb.graft_memo(changed.dirty));
         let recorded = replay
             .zip(section2)
             .map(|((gb, changed), (zones, rows))| Recorded {
@@ -1524,17 +1428,20 @@ impl GroupEngine {
                 zones,
                 rows,
                 touched: changed.touched,
-                grafts_stay: memo.is_some(),
-                support: &gb.support,
-                relays: &gb.build.relays,
             });
-        let (build, replayed) = build_group(
+        let previous = old.as_ref().map(|gb| Previous {
+            log: &gb.reads.walks,
+            dirty: changed.map_or(&[], |changed| changed.touched),
+            dirty_walks: changed.map_or(&[], |changed| changed.dirty_walks),
+            support: &gb.support,
+        });
+        let (build, splits, pass) = build_group(
             &self.store,
             root,
             &group.members,
             self.partitioner.as_ref(),
             recorded,
-            memo.as_ref(),
+            previous,
         );
         debug_assert!(
             replay.is_none()
@@ -1547,52 +1454,64 @@ impl GroupEngine {
                     ),
             "group {gi}: the replayed build differs from its from-scratch rebuild"
         );
-        // Support nodes (relays among them) the rebuild no longer reads
-        // leave the index, the ones it re-routed through enter it.
-        let (retired, entered) = (replayed.support_change)
-            .unwrap_or_else(|| sorted_difference(old_support, &build.support));
-        Self::reindex_support(&mut self.support_of, gi, &retired, &entered);
+        // The walks the rebuild did not carry over leave the index, the
+        // ones it recorded anew enter it.
+        if let Some(gb) = &old {
+            let retired = pass.retired.iter().copied();
+            Self::index_walks(&mut self.read_by, gi, &gb.reads.walks, retired, false);
+        }
+        let log = &build.reads.walks;
+        Self::index_walks(
+            &mut self.read_by,
+            gi,
+            log,
+            pass.entered.iter().copied(),
+            true,
+        );
         let group = &mut self.groups[gi];
         group.build = Some(build);
         group.rebuilds += 1;
         let totals = &mut self.totals;
         totals.tree_rebuilds += 1;
         totals.rebuilt_members += group.members.len() as u64;
-        totals.graft_walks_replayed += replayed.walks_replayed;
-        totals.graft_walks_recomputed += replayed.walks_recomputed;
-        totals.graft_walks_spliced += replayed.walks_spliced;
-        totals.graft_walks_examined += replayed.walks_examined;
-        totals.zone_splits_replayed += replayed.splits_replayed;
-        totals.zone_splits_recomputed += replayed.splits_recomputed;
-        totals.tree_nodes_touched += replayed.tree_nodes_touched;
+        totals.graft_walks_replayed += pass.walks_replayed;
+        totals.graft_walks_recomputed += pass.walks_recomputed;
+        totals.graft_walks_spliced += pass.walks_spliced;
+        totals.graft_walks_examined += pass.walks_examined;
+        totals.zone_splits_replayed += splits.0;
+        totals.zone_splits_recomputed += splits.1;
+        totals.tree_nodes_touched += pass.touched as u64;
         // The rebuilds bump above is exactly what invalidates this
         // group's cached delivery plan; only the degraded flag needs a
         // refresh (the root or relay set may have changed).
         self.refresh_degraded(gi);
     }
 
-    /// Takes group `gi` off the `support_of` lists of the `retired`
-    /// peers and puts it on those of the `entered` ones: only the peers
-    /// whose place in the group's support changed are touched.
-    fn reindex_support(
-        support_of: &mut [Vec<u32>],
+    /// Puts the reads of walks `walks` of group `gi`'s `log` into the
+    /// `read_by` index (`enter`), or takes them out.
+    fn index_walks(
+        read_by: &mut [Vec<(u32, u32)>],
         gi: usize,
-        retired: &[usize],
-        entered: &[usize],
+        log: &WalkLog,
+        walks: impl Iterator<Item = usize>,
+        enter: bool,
     ) {
-        for &p in retired {
-            let ids = &mut support_of[p];
-            ids.retain(|&x| x as usize != gi);
-            if ids.is_empty() {
-                // Release the capacity too: most ex-support nodes
-                // (every departed one) never serve again.
-                *ids = Vec::new();
+        for w in walks {
+            let entry = (gi as u32, log.member(w) as u32);
+            for p in log.reads(w) {
+                let ids = &mut read_by[p];
+                if enter {
+                    ids.push(entry);
+                    continue;
+                }
+                let at = (ids.iter().position(|&e| e == entry)).expect("an indexed read");
+                ids.swap_remove(at);
+                if ids.is_empty() {
+                    // Release the capacity too: most peers a walk stops
+                    // reading (every departed one) are read by no other.
+                    *ids = Vec::new();
+                }
             }
-        }
-        for &p in entered {
-            let ids = &mut support_of[p];
-            let pos = ids.partition_point(|&x| (x as usize) < gi);
-            ids.insert(pos, gi as u32);
         }
     }
 
@@ -1618,31 +1537,6 @@ impl GroupEngine {
             None => false,
         };
     }
-}
-
-/// The peers of sorted `old` that sorted `new` lacks, and those of `new`
-/// that `old` lacks: one merge walk.
-fn sorted_difference(old: &[usize], new: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    let (mut gone, mut came) = (Vec::new(), Vec::new());
-    let (mut old, mut new) = (
-        old.iter().copied().peekable(),
-        new.iter().copied().peekable(),
-    );
-    loop {
-        match (old.peek(), new.peek()) {
-            (None, None) => break,
-            (Some(o), Some(n)) if o == n => {
-                old.next();
-                new.next();
-            }
-            (Some(&o), n) if n.is_none_or(|&n| o < n) => {
-                gone.push(o);
-                old.next();
-            }
-            _ => came.extend(new.next()),
-        }
-    }
-    (gone, came)
 }
 
 impl std::fmt::Debug for GroupEngine {
@@ -1672,15 +1566,20 @@ mod tests {
     }
 
     /// Every group's engine-maintained build — relay grafts included —
-    /// equals the from-scratch reference, and the support index is the
-    /// reverse map of the groups' support sets: every entry a true hit,
-    /// no hit missing, dormant groups contributing nothing.
+    /// equals the from-scratch reference, and the `read_by` index is the
+    /// reverse map of the groups' walk reads: every entry a true read, no
+    /// read missing, dormant groups contributing nothing.
     fn assert_exact(engine: &GroupEngine) {
-        let mut support_of = vec![Vec::new(); engine.support_of.len()];
+        let mut read_by = vec![Vec::new(); engine.read_by.len()];
         for gi in 0..engine.groups.len() {
             let g = GroupId(gi as u32);
-            for &p in engine.group_build(g).map_or(&[][..], |gb| &gb.support) {
-                support_of[p].push(g.0);
+            if let Some(gb) = engine.group_build(g) {
+                let log = &gb.reads.walks;
+                for w in 0..log.len() {
+                    for p in log.reads(w) {
+                        read_by[p].push((g.0, log.member(w) as u32));
+                    }
+                }
             }
             match engine.root(g) {
                 Some(root) => {
@@ -1695,35 +1594,9 @@ mod tests {
                 None => assert!(engine.tree(g).is_none(), "dormant {g} has a tree"),
             }
         }
-        assert_eq!(engine.support_of, support_of);
-    }
-
-    /// What keeps `support_of`: peers on both sides of a rebuild are
-    /// left alone, old-only ones lose the group (and an emptied list its
-    /// capacity), new-only ones gain it in id order.
-    #[test]
-    fn reindex_support_moves_a_group_between_the_lists_of_two_supports() {
-        let mut support_of: Vec<Vec<u32>> = vec![Vec::new(); 6];
-        // Empty → non-empty, next to other groups' entries.
-        support_of[1] = vec![2, 9];
-        support_of[3] = vec![9];
-        GroupEngine::reindex_support(&mut support_of, 5, &[], &[1, 2, 3]);
-        assert_eq!(support_of[1], [2, 5, 9], "inserted in id order");
-        assert_eq!(support_of[2], [5]);
-        assert_eq!(support_of[3], [5, 9]);
-        // 2 is kept, 1 and 3 retire, 0 and 4 enter.
-        let (retired, entered) = sorted_difference(&[1, 2, 3], &[0, 2, 4]);
-        assert_eq!((&retired[..], &entered[..]), (&[1, 3][..], &[0, 4][..]));
-        GroupEngine::reindex_support(&mut support_of, 5, &retired, &entered);
-        let expected: [&[u32]; 6] = [&[5], &[2, 9], &[5], &[9], &[5], &[]];
-        assert_eq!(support_of, expected);
-        // Non-empty → empty: emptied lists release their allocation.
-        GroupEngine::reindex_support(&mut support_of, 5, &[0, 2, 4], &[]);
-        let expected: [&[u32]; 6] = [&[], &[2, 9], &[], &[9], &[], &[]];
-        assert_eq!(support_of, expected);
-        for p in [0, 2, 4] {
-            assert_eq!(support_of[p].capacity(), 0, "peer {p}");
-        }
+        let mut indexed = engine.read_by.clone();
+        indexed.iter_mut().for_each(|ids| ids.sort_unstable());
+        assert_eq!(indexed, read_by);
     }
 
     /// Count-based regression (no clock): what a 20-member group's
@@ -1760,9 +1633,9 @@ mod tests {
             // A relay that departs releases its per-peer table entries.
             let g = GroupId(1);
             let relay = eng.relays(g)[0];
-            assert!(!eng.support_of[relay].is_empty());
+            assert!(!eng.read_by[relay].is_empty());
             eng.leave(PeerId(relay as u64));
-            assert_eq!(eng.support_of[relay].capacity(), 0);
+            assert_eq!(eng.read_by[relay].capacity(), 0);
             assert_eq!(eng.member_of[relay].capacity(), 0);
             assert!(eng.matches_reference(g));
         }
@@ -2273,9 +2146,15 @@ mod tests {
         GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()))
     }
 
+    fn neighbors(eng: &GroupEngine, p: usize) -> Vec<usize> {
+        let mut row = Vec::new();
+        eng.store().undirected_neighbors_into(p, &mut row);
+        row
+    }
+
     /// `0 —1—2—3— 4` on a diagonal (consecutive peers are overlay
-    /// neighbours, no others) with members `{0, 4}`: member 4's join
-    /// walks `4→3→2→1→0`, every hop heading for on-tree node 0.
+    /// neighbours, no others) with members `{0, 4}`: member 4's walk is
+    /// `4→3→2→1→0`.
     fn two_ended_diagonal() -> (GroupEngine, GroupId) {
         let coords: Vec<(f64, f64)> = (0..5)
             .map(|i| (10.0 * f64::from(i), 10.0 * f64::from(i)))
@@ -2283,104 +2162,60 @@ mod tests {
         let mut eng = engine_at(&coords);
         let g = eng.create_group(PeerId(0));
         eng.subscribe(g, PeerId(4));
-        let gb = eng.group_build(g).unwrap();
-        assert_eq!(gb.support, vec![1, 2, 3, 4]);
-        assert_eq!(targets(gb), vec![0, 0, 0, 0]);
+        assert_eq!(eng.group_build(g).unwrap().support, vec![1, 2, 3, 4]);
         (eng, g)
     }
 
-    /// The target each support node of `gb` was recorded heading for.
-    fn targets(gb: &GroupBuild) -> Vec<usize> {
-        let cert = &gb.certificate;
-        (cert.walk_of.iter())
-            .map(|&m| cert.walks.target_of(m as usize))
-            .collect()
-    }
-
-    fn neighbors(eng: &GroupEngine, p: usize) -> Vec<usize> {
-        let mut row = Vec::new();
-        eng.store().undirected_neighbors_into(p, &mut row);
-        row
-    }
-
-    /// Certificate clause 3, both sides of it. A joiner that becomes a
-    /// neighbour of a support node changes that node's row; the group
-    /// keeps its build, its rebuild counter and its cached plan when the
-    /// recorded hop still wins — including on a distance tie, which the
-    /// smaller index (never the newcomer) takes — and is re-grafted
-    /// through the joiner when the joiner is strictly closer.
+    /// A churned group re-runs the hop of a walk whose row changed, and
+    /// keeps its build, its rebuild counter and its cached plan exactly
+    /// when the hop stands: a joiner as far from the target as node 4's
+    /// recorded hop 3 (a tie the smaller index takes) leaves it standing,
+    /// one strictly closer takes it over.
     #[test]
     fn a_joiner_next_to_a_support_node_regrafts_only_if_it_wins_the_hop() {
         use geocast_geom::Point;
-        // Recorded hop of node 4 is node 3 at (30, 30): 60 from the
-        // target in L1. (32, 28) is 60 away too; (31, 28) is 59.
-        let (mut eng, g) = two_ended_diagonal();
-        eng.publish(g, &BTreeSet::new()).unwrap();
-        let (rebuilds, misses) = (eng.rebuild_count(g), eng.plan_stats().misses);
-        let tie = eng.join(Point::new(vec![32.0, 28.0]).unwrap()).index();
-        assert!(
-            neighbors(&eng, 4).contains(&tie),
-            "the joiner must dirty node 4"
-        );
-        let sync = *eng.last_sync();
-        assert_eq!((sync.affected_groups, sync.certified_groups), (1, 1));
-        assert_eq!(sync.rebuilt_members, 0);
-        assert_eq!(eng.rebuild_count(g), rebuilds);
-        assert_eq!(eng.tree(g).unwrap().tree.parent(4), Some(3));
-        eng.publish(g, &BTreeSet::new()).unwrap();
-        assert_eq!(
-            eng.plan_stats().misses,
-            misses,
-            "a certified group keeps its plan"
-        );
-        assert_exact(&eng);
-
-        let (mut eng, g) = two_ended_diagonal();
-        let rebuilds = eng.rebuild_count(g);
-        let closer = eng.join(Point::new(vec![31.0, 28.0]).unwrap()).index();
-        assert!(neighbors(&eng, 4).contains(&closer));
-        let sync = *eng.last_sync();
-        assert_eq!((sync.affected_groups, sync.certified_groups), (1, 0));
-        assert_eq!(sync.rebuilt_members, 2);
-        assert_eq!(eng.rebuild_count(g), rebuilds + 1);
-        assert_eq!(eng.tree(g).unwrap().tree.parent(4), Some(closer));
-        assert_exact(&eng);
+        // Node 3 is 60 from the target in L1, (32, 28) is 60 away too,
+        // (31, 28) is 59.
+        for (at, kept) in [((32.0, 28.0), true), ((31.0, 28.0), false)] {
+            let (mut eng, g) = two_ended_diagonal();
+            eng.publish(g, &BTreeSet::new()).unwrap();
+            let (rebuilds, misses) = (eng.rebuild_count(g), eng.plan_stats().misses);
+            let joiner = eng.join(Point::new(vec![at.0, at.1]).unwrap()).index();
+            assert!(neighbors(&eng, 4).contains(&joiner), "the joiner dirties 4");
+            let sync = *eng.last_sync();
+            assert_eq!(
+                (sync.affected_groups, sync.certified_groups),
+                (1, usize::from(kept))
+            );
+            assert_eq!(eng.rebuild_count(g), rebuilds + u64::from(!kept));
+            let parent = if kept { 3 } else { joiner };
+            assert_eq!(eng.tree(g).unwrap().tree.parent(4), Some(parent));
+            eng.publish(g, &BTreeSet::new()).unwrap();
+            assert_eq!(eng.plan_stats().misses, misses + u64::from(!kept));
+            assert_exact(&eng);
+        }
     }
 
-    /// Certificate clause 1: a departed member or support node is never
-    /// certified around — whether it was a relay in the middle of a
-    /// path or the on-tree member a path ended at.
+    /// A departed member or support node never stands — whether it was a
+    /// relay in the middle of a path or the on-tree member a path ended
+    /// at (with member 1 on the tree, 4 walks 4→3→2→1).
     #[test]
     fn a_departed_hop_or_support_node_always_regrafts() {
-        // A support node (relay 2) departs.
-        let (mut eng, g) = two_ended_diagonal();
-        let rebuilds = eng.rebuild_count(g);
-        eng.leave(PeerId(2));
-        let sync = *eng.last_sync();
-        assert_eq!((sync.affected_groups, sync.certified_groups), (1, 0));
-        assert_eq!(eng.rebuild_count(g), rebuilds + 1);
-        assert_eq!(eng.relays(g), &[1, 3]);
-        assert_exact(&eng);
-
-        // The next hop that departs is the member the walk ended at:
-        // with member 1 on the tree, 4 walks 4→3→2→1.
-        let (mut eng, g) = two_ended_diagonal();
-        eng.subscribe(g, PeerId(1));
-        let gb = eng.group_build(g).unwrap();
-        assert_eq!(
-            (&gb.support[..], &targets(gb)[..]),
-            (&[2, 3, 4][..], &[1, 1, 1][..])
-        );
-        assert_eq!(gb.build.tree.parent(2), Some(1));
-        let rebuilds = eng.rebuild_count(g);
-        eng.leave(PeerId(1));
-        assert_eq!(eng.last_sync().certified_groups, 0);
-        assert_eq!(eng.rebuild_count(g), rebuilds + 1);
-        assert_eq!(eng.tree(g).unwrap().tree.parent(2), Some(0));
-        assert_exact(&eng);
+        for (subscriber, leaver, parent_of_2) in [(None, 2, None), (Some(1), 1, Some(0))] {
+            let (mut eng, g) = two_ended_diagonal();
+            if let Some(p) = subscriber {
+                eng.subscribe(g, PeerId(p));
+            }
+            let rebuilds = eng.rebuild_count(g);
+            eng.leave(PeerId(leaver));
+            assert_eq!(eng.last_sync().certified_groups, 0);
+            assert_eq!(eng.rebuild_count(g), rebuilds + 1);
+            assert_eq!(eng.tree(g).unwrap().tree.parent(2), parent_of_2);
+            assert_exact(&eng);
+        }
     }
 
-    /// Certificate clause 2: a departure elsewhere makes the store
+    /// A delegation's row, re-read: a departure elsewhere makes the store
     /// re-select two members into adjacency. No member or support node
     /// departed and every graft hop still stands, yet the §2
     /// construction now reaches the member directly.
@@ -2395,31 +2230,24 @@ mod tests {
         eng.subscribe(g, PeerId(2));
         eng.subscribe(g, PeerId(3));
         let old = eng.group_build(g).unwrap().clone();
-        assert_eq!((&old.support[..], &targets(&old)[..]), (&[2][..], &[3][..]));
-        assert_eq!(old.certificate.member_rows.row(0), Some(&[3u32][..]));
-        assert_eq!(
-            old.certificate.member_rows.row(2),
-            None,
-            "B was not reached"
-        );
-        let rebuilds = eng.rebuild_count(g);
-
+        assert_eq!(old.support, [2]);
+        assert_eq!(old.reads.member_rows.row(0), Some(&[3u32][..]));
         eng.store_mut().remove(PeerId(1));
         assert_eq!(neighbors(&eng, 0), vec![2, 3], "A and B are now linked");
-        let holds = |dirty: &[usize]| {
-            old.still_holds(
-                eng.store(),
-                eng.members(g),
-                dirty.iter().copied(),
-                &mut Vec::new(),
-            )
+        let stand = |dirty: &[(usize, u32)]| {
+            let dirty = dirty.iter().copied();
+            old.steps_stand(eng.store(), eng.members(g), dirty, &mut Vec::new())
         };
-        assert!(holds(&[2, 3]), "B's hop and C's row stand");
-        assert!(!holds(&[0]), "A's member-induced row gained B");
+        assert!(
+            stand(&[(2, 2), (3, DELEGATION)]),
+            "B's hop and C's row stand"
+        );
+        assert!(
+            !stand(&[(0, DELEGATION)]),
+            "A's member-induced row gained B"
+        );
         eng.sync();
-        let sync = *eng.last_sync();
-        assert_eq!((sync.affected_groups, sync.certified_groups), (1, 0));
-        assert_eq!(eng.rebuild_count(g), rebuilds + 1);
+        assert_eq!(eng.last_sync().certified_groups, 0);
         assert!(
             eng.group_build(g).unwrap().support.is_empty(),
             "no graft needed"
@@ -2427,50 +2255,7 @@ mod tests {
         assert_exact(&eng);
     }
 
-    /// A graft that left tier 1 read rows for other decisions than one
-    /// greedy hop: its build is never certified, whatever is dirty.
-    #[test]
-    fn a_graft_that_used_a_fallback_tier_is_never_certified() {
-        use geocast_geom::{Point, PointSet};
-        use geocast_overlay::select::HyperplanesSelection;
-        // Two clusters far apart under a 1-closest rule: the far member
-        // is overlay-disconnected, which only the flood tier can tell.
-        let mut points: Vec<Point> = (0..4)
-            .map(|i| Point::new(vec![10.0 + f64::from(i), 10.0 + 2.0 * f64::from(i)]).unwrap())
-            .collect();
-        points.extend((0..3).map(|i| {
-            Point::new(vec![5000.0 + f64::from(i), 5000.0 + 2.0 * f64::from(i)]).unwrap()
-        }));
-        let store = TopologyStore::from_peers(
-            PeerInfo::from_point_set(&PointSet::new(points).unwrap()),
-            Arc::new(HyperplanesSelection::k_closest(2, 1, MetricKind::L1)),
-        );
-        let mut eng = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
-        let g = eng.create_group(PeerId(0));
-        eng.subscribe(g, PeerId(5));
-        let gb = eng.group_build(g).unwrap();
-        assert!(gb.graft.flood_fallbacks > 0 && !gb.graft.greedy_only());
-        assert!(gb.certificate.walk_of.is_empty());
-        assert!(!gb.still_holds(
-            eng.store(),
-            eng.members(g),
-            std::iter::empty(),
-            &mut Vec::new(),
-        ));
-        // Through the engine: every sync that examines the group
-        // rebuilds it.
-        let mut examined = 0;
-        for i in 0..6 {
-            let near = Point::new(vec![12.5 + f64::from(i), 11.0 + 3.0 * f64::from(i)]).unwrap();
-            eng.join(near);
-            examined += eng.last_sync().affected_groups;
-            assert_eq!(eng.last_sync().certified_groups, 0);
-            assert_exact(&eng);
-        }
-        assert!(examined > 0, "some join must have touched the group");
-    }
-
-    /// The affected-group lookup (`member_of` ∪ `support_of`) examines
+    /// The affected-group lookup (`member_of` ∪ `read_by`) examines
     /// exactly the groups the definitional scan over every group's
     /// members ∪ support finds, across join and leave churn — and
     /// rebuilds none outside them.
@@ -2995,7 +2780,7 @@ mod tests {
         assert_exact(&eng);
     }
 
-    /// Suspects find their groups through `support_of`, which lists the
+    /// Suspects find their groups through `read_by`, which lists the
     /// grafted members next to the relays that carry them: only a
     /// support node that is a relay degrades the group.
     #[test]
@@ -3024,7 +2809,7 @@ mod tests {
         eng.store_mut().remove_if_present(PeerId(relay as u64));
         eng.sync();
         assert!(!eng.is_degraded(g));
-        assert!(eng.support_of[relay].is_empty());
+        assert!(eng.read_by[relay].is_empty());
         eng.set_suspects([4, relay]);
         assert!(!eng.is_degraded(g));
         // The member's dead verdict: crash-stop unsubscribes it.

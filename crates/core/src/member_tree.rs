@@ -2,15 +2,18 @@
 //! over the **member-induced subgraph** of a [`TopologyStore`], from
 //! scratch or replaying what the group's previous build recorded.
 //!
-//! A member's delegation is a function of its zone, its coordinates and
-//! its member-induced row (its overlay neighbours that are fellow
-//! members) — so between two builds of one group it can only differ
-//! where a row differs or a zone above it moved. [`member_tree`] handed a
-//! [`Recorded`] build compares the rows of the `touched` members with
-//! the recorded ones, and the work-queue (`crate::builder`, where the
-//! induction is written out) re-partitions only below the delegations
-//! that changed; everything else — links, zones, rows — moves over from
-//! the record. The result is the from-scratch one either way.
+//! A delegation is one step of the build under the engine's one replay
+//! rule ([`crate::graft`] states it): it reads its zone and its member's
+//! member-induced row (the member's overlay neighbours that are fellow
+//! members), and re-runs only when one of those reads changed.
+//! [`member_tree`] handed a [`Recorded`] build compares the rows of the
+//! `touched` members with the recorded ones — a row that reads
+//! differently counts as changed, whatever part of it the partition
+//! reads — and the work-queue (`crate::builder`, where the induction is
+//! written out) re-partitions only below the delegations that changed,
+//! cutting off at every child whose link and zone come out as recorded;
+//! everything else — links, zones, rows — moves over from the record.
+//! The result is the from-scratch one either way.
 
 use std::collections::BTreeSet;
 
@@ -88,15 +91,30 @@ impl MemberRows {
     }
 }
 
-/// `true` if a member-induced row recorded as `then` reads `now`.
-pub(crate) fn same_row(then: &[u32], now: &[usize]) -> bool {
-    now.iter().map(|&j| j as u32).eq(then.iter().copied())
+impl MemberRows {
+    /// Re-runs the read of `p`'s §2 delegation: `false` when `p`'s row
+    /// was recorded and its member-induced row — its store row filtered
+    /// by `member` — reads differently now.
+    pub(crate) fn stands(
+        &self,
+        store: &TopologyStore,
+        p: usize,
+        member: impl Fn(usize) -> bool,
+        buf: &mut Vec<usize>,
+    ) -> bool {
+        self.row(p).is_none_or(|then| {
+            store.undirected_neighbors_into(p, buf);
+            buf.retain(|&j| member(j));
+            buf.iter().map(|&j| j as u32).eq(then.iter().copied())
+        })
+    }
 }
 
 /// What a group's previous build recorded of its §2 construction, and
 /// where the inputs of that construction may have changed since.
 pub(crate) struct Recorded<'a> {
-    /// The previous (grafted) tree.
+    /// The previous (grafted) tree, whose grafts the construction leaves
+    /// for the graft pass to keep or drop.
     pub tree: &'a MulticastTree,
     /// The previous zones: one per member the §2 construction reached.
     pub zones: Zones,
@@ -107,15 +125,6 @@ pub(crate) struct Recorded<'a> {
     /// after a subscribe or unsubscribe the peer and its overlay
     /// neighbours (the rows the peer appears in or vanishes from).
     pub touched: &'a [usize],
-    /// `true` leaves the previous tree's grafts (relays, grafted
-    /// members) for the graft pass, which replays the walks that made
-    /// them, to keep or drop; `false` drops them.
-    pub grafts_stay: bool,
-    /// The previous build's graft support set and relays, both sorted,
-    /// when its grafts stay: its stranded members are the support nodes
-    /// that are no relays.
-    pub support: &'a [usize],
-    pub relays: &'a [usize],
 }
 
 /// One group's §2 tree and what building it read.
@@ -134,31 +143,22 @@ pub(crate) struct Section2<'a> {
     pub root: usize,
     /// Peers the tree is built over.
     pub len: usize,
-    /// The tree `edit` applies to: the previous build's, when the
-    /// construction replayed its record, or (`None`) the root alone.
+    /// The tree `edit` applies to: the previous build's, grafts and all,
+    /// when the construction replayed its record, or (`None`) the root
+    /// alone.
     pub base: Option<&'a MulticastTree>,
     pub edit: TreeEdit,
-    /// `true` when `base` keeps the grafts of the previous build: the
-    /// edit leaves them to the graft pass, which replays their walks.
-    pub grafts: bool,
     /// The zone of every member the construction reached: the peers of
     /// `zones` are the §2 tree's nodes.
     pub zones: Zones,
     /// The group's members — at least its stranded ones: a graft path
     /// node holds no zone, so it is a member exactly when it is stranded.
     pub members: PeerBits,
-    pub stranded: Stranded,
-}
-
-/// The members a §2 construction strands, as the graft pass takes them.
-pub(crate) enum Stranded {
-    /// Every live member the construction did not reach, ascending.
-    All(Vec<usize>),
-    /// The members whose stranding changed against the record's —
-    /// those that became stranded and those that no longer are,
-    /// ascending — when the construction replayed a record whose grafts
-    /// stay: the graft pass carries every other walk of the record's.
-    Changed(Vec<usize>),
+    /// Every live member the construction did not reach, ascending — or,
+    /// when it replayed a record, every peer whose stranding may differ
+    /// from the record's, ascending: the record's other stranded members
+    /// are stranded still.
+    pub stranded: Vec<usize>,
 }
 
 impl Section2<'_> {
@@ -171,14 +171,11 @@ impl Section2<'_> {
     /// a tree whose grafts are the graft pass's to keep or drop.
     pub(crate) fn into_build(self) -> BuildResult {
         assert!(self.base.is_none(), "a replayed construction is an edit");
-        let Stranded::All(stranded) = self.stranded else {
-            unreachable!("a construction from scratch strands its members anew")
-        };
         let tree = MulticastTree::from_links(self.root, self.len, self.edit.links);
         BuildResult {
             messages: tree.reached_count() - 1,
             tree,
-            stranded,
+            stranded: self.stranded,
             zones: self.zones,
             relays: Vec::new(),
         }
@@ -221,30 +218,18 @@ pub(crate) fn member_tree<'a>(
     // zone: a difference outside it costs one partition that changes
     // nothing. One that is no longer a member is none: it is reached by
     // nobody, and the row of its recorded parent lost it.
-    let mut suspects: Vec<usize> = Vec::new();
-    if let Some(recorded) = &recorded {
-        let mut row = Vec::new();
-        for &p in recorded.touched {
-            if let Some(then) = recorded.rows.row(p).filter(|_| member_bits.contains(p)) {
-                member_row_into(p, &mut row);
-                if !same_row(then, &row) {
-                    suspects.push(p);
-                }
-            }
-        }
-    }
-    let base = recorded.as_ref().map(|r| r.tree);
-    let grafts_stay = recorded.as_ref().is_some_and(|r| r.grafts_stay);
-    let (touched, support, relays) = recorded.as_ref().map_or((&[][..], &[][..], &[][..]), |r| {
-        (r.touched, r.support, r.relays)
+    let mut row = Vec::new();
+    let suspects: Vec<usize> = recorded.as_ref().map_or(Vec::new(), |recorded| {
+        let member = |j| member_bits.contains(j);
+        (recorded.touched.iter().copied())
+            .filter(|&p| member(p) && !recorded.rows.stands(store, p, member, &mut row))
+            .collect()
     });
+    let base = recorded.as_ref().map(|r| r.tree);
+    let touched = recorded.as_ref().map_or(&[][..], |r| r.touched);
     let (record, recorded_rows) = match recorded {
         Some(Recorded {
-            tree,
-            zones,
-            rows,
-            grafts_stay,
-            ..
+            tree, zones, rows, ..
         }) => {
             let suspects = &suspects;
             (
@@ -252,7 +237,6 @@ pub(crate) fn member_tree<'a>(
                     tree,
                     zones,
                     suspects,
-                    grafts_stay,
                 }),
                 rows,
             )
@@ -276,11 +260,10 @@ pub(crate) fn member_tree<'a>(
 
     // Unreached live *members* are the meaningful strandings of a
     // group build; everyone else is simply not part of the session.
-    let stranded = if run.replayed && grafts_stay {
+    let stranded = if run.replayed {
         // A member's stranding changes only with its membership (a
         // touched peer) or with its place on the §2 tree (a node the
-        // edit drops or links); the record's stranded members are its
-        // graft support nodes that are no relays.
+        // edit drops or links).
         let mut candidates: Vec<usize> = (run.edit.links.iter())
             .map(|&(child, _)| child)
             .chain(run.edit.dropped.iter().copied())
@@ -288,24 +271,16 @@ pub(crate) fn member_tree<'a>(
             .collect();
         candidates.sort_unstable();
         candidates.dedup();
-        candidates.retain(|&p| {
-            let was = support.binary_search(&p).is_ok() && relays.binary_search(&p).is_err();
-            let is = member_bits.contains(p)
-                && run.zones.get(p).is_none()
-                && !store.is_departed(PeerId(p as u64));
-            was != is
-        });
-        Stranded::Changed(candidates)
+        candidates
     } else {
         // Members and reached peers both ascend: one merge walk.
         let mut reached = run.zones.peers().peekable();
-        let all = (members.iter().copied())
+        (members.iter().copied())
             .filter(|&m| {
                 while reached.next_if(|&r| r < m).is_some() {}
                 reached.peek() != Some(&m) && !store.is_departed(PeerId(m as u64))
             })
-            .collect();
-        Stranded::All(all)
+            .collect()
     };
     MemberTree {
         splits_replayed: run.zones.len() as u64 - splits_recomputed,
@@ -315,7 +290,6 @@ pub(crate) fn member_tree<'a>(
             len: store.len(),
             base: base.filter(|_| run.replayed),
             edit: run.edit,
-            grafts: run.replayed && grafts_stay,
             zones: run.zones,
             members: member_bits,
             stranded,
@@ -387,9 +361,6 @@ mod tests {
             zones: old_build.zones.clone(),
             rows: old.rows.clone(),
             touched: &touched,
-            grafts_stay: false,
-            support: &[],
-            relays: &[],
         };
         let replayed = member_tree(&store, 0, &members, &partitioner, Some(recorded));
         let scratch = member_tree(&store, 0, &members, &partitioner, None);
@@ -408,14 +379,9 @@ mod tests {
         // replayed tree.
         let section2 = replayed.section2;
         let base = section2.base.expect("the record was replayed");
-        assert!(!section2.grafts);
         let tree = base.edited(section2.len, section2.edit).0;
         let scratch = scratch.section2.into_build();
         assert_eq!(tree, scratch.tree);
         assert_eq!(section2.zones, scratch.zones);
-        let Stranded::All(stranded) = section2.stranded else {
-            panic!("a record without grafts strands its members anew");
-        };
-        assert_eq!(stranded, scratch.stranded);
     }
 }

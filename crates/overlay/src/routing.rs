@@ -24,8 +24,7 @@
 //! unreachable by construction. The group layer's relay grafting
 //! (`geocast_core::graft`) uses the single hop [`greedy_step_on_store`],
 //! the one decision every walk here iterates and the one the group
-//! engine's repair certificate re-checks when a walked peer's row
-//! changes, and the region route [`greedy_route_to_rect_on_store`] of
+//! engine re-runs when a walked peer's row changes, and the region route [`greedy_route_to_rect_on_store`] of
 //! its fallback tier.
 
 use geocast_geom::{Metric, MetricKind, Point, Rect};
@@ -133,8 +132,8 @@ fn greedy_step(
 /// first, ties broken by peer index; `None` when `from` is a local
 /// minimum. [`greedy_route`] is exactly this step iterated, so a caller
 /// that walks hop by hop (relay grafting, which stops at the first
-/// on-tree node) or re-checks one recorded hop against a changed row
-/// (the group engine's repair certificate) decides what the full route
+/// on-tree node) or re-runs one recorded hop against a changed row
+/// (the group engine's replay of a graft walk) decides what the full route
 /// would have decided. Undirected rows come straight from the store's
 /// forward + reverse tables, so no closure is materialized and departed
 /// peers are unreachable by construction (they appear in no row).
