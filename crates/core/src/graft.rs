@@ -184,11 +184,11 @@ fn add_tally(report: &mut GraftReport, tally: Tally) {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct WalkLog {
     walks: Vec<LoggedWalk>,
-    /// Per walk, back to back: its path, then for a fallback walk the
-    /// peers off it whose rows it read, ascending, and its `Tally`.
+    /// The walks' paths, back to back.
     nodes: Vec<u32>,
-    /// How many of the walks are fallback walks.
-    fallbacks: usize,
+    /// Per fallback walk, back to back: the peers off its path whose
+    /// rows it read, ascending, and its `Tally`.
+    fallen: Vec<u32>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,11 +197,11 @@ struct LoggedWalk {
     target: u32,
     /// One past the walk's path in [`WalkLog::nodes`].
     path_end: u32,
-    /// One past the walk's last node.
-    end: u32,
+    /// One past the walk's reads off its path in [`WalkLog::fallen`].
+    fallen_end: u32,
 }
 
-/// The words of a fallback walk's tally at the end of its nodes.
+/// The words of a fallback walk's tally at the end of its `fallen` run.
 const TALLY_WORDS: usize = 4;
 
 impl WalkLog {
@@ -214,52 +214,50 @@ impl WalkLog {
         tally: Tally,
     ) {
         self.nodes.extend(path.iter().map(|&p| id(p)));
-        let path_end = id(self.nodes.len());
         if tally[1] + tally[2] > 0 {
-            self.nodes.extend(off_path.iter().map(|&p| id(p)));
-            self.nodes.extend(tally);
-            self.fallbacks += 1;
+            self.fallen.extend(off_path.iter().map(|&p| id(p)));
+            self.fallen.extend(tally);
         }
         self.walks.push(LoggedWalk {
             member: id(member),
             target: id(target),
-            path_end,
-            end: id(self.nodes.len()),
+            path_end: id(self.nodes.len()),
+            fallen_end: id(self.fallen.len()),
         });
     }
 
     /// Walk `w`'s share of its pass's report: a greedy walk's is its
     /// hops.
     fn tally(&self, w: usize) -> Tally {
-        if !self.fallback(w) {
-            return [id(self.path(w).len() - 1), 0, 0, 0];
+        let fallen = self.fallen_run(w);
+        match fallen.len().checked_sub(TALLY_WORDS) {
+            Some(at) => fallen[at..].try_into().expect("a fallback walk's tally"),
+            None => [id(self.path(w).len() - 1), 0, 0, 0],
         }
-        let end = self.walks[w].end as usize;
-        let words = &self.nodes[end - TALLY_WORDS..end];
-        words.try_into().expect("a fallback walk's tally")
     }
 
     /// Appends walks `walks` of `from` as they are, in one run.
     fn extend_from(&mut self, from: &WalkLog, walks: Range<usize>) {
-        let Some(last) = walks.end.checked_sub(1).filter(|_| !walks.is_empty()) else {
-            return;
-        };
-        let (start, end) = (from.start(walks.start), from.walks[last].end as usize);
-        let (start_id, base) = (id(start), id(self.nodes.len()));
+        let (start, fallen_start) = from.starts(walks.start);
+        let (end, fallen_end) = from.starts(walks.end);
+        let (base, fallen_base) = (self.nodes.len(), self.fallen.len());
         self.walks
-            .extend(from.walks[walks.clone()].iter().map(|walk| LoggedWalk {
-                path_end: walk.path_end - start_id + base,
-                end: walk.end - start_id + base,
+            .extend(from.walks[walks].iter().map(|walk| LoggedWalk {
+                path_end: walk.path_end - id(start) + id(base),
+                fallen_end: walk.fallen_end - id(fallen_start) + id(fallen_base),
                 ..*walk
             }));
         self.nodes.extend_from_slice(&from.nodes[start..end]);
-        if from.fallbacks > 0 {
-            self.fallbacks += walks.filter(|&w| from.fallback(w)).count();
-        }
+        (self.fallen).extend_from_slice(&from.fallen[fallen_start..fallen_end]);
     }
 
     pub(crate) fn len(&self) -> usize {
         self.walks.len()
+    }
+
+    /// `true` if some walk of the log left tier 1.
+    fn has_fallbacks(&self) -> bool {
+        !self.fallen.is_empty()
     }
 
     /// The stranded member walk `w` started from.
@@ -282,16 +280,31 @@ impl WalkLog {
     /// `true` if walk `w` left tier 1: it read what its pass put on the
     /// tree before it.
     pub(crate) fn fallback(&self, w: usize) -> bool {
-        self.walks[w].end > self.walks[w].path_end
+        !self.fallen_run(w).is_empty()
     }
 
-    fn start(&self, w: usize) -> usize {
-        w.checked_sub(1).map_or(0, |v| self.walks[v].end as usize)
+    /// Where walk `w`'s path and `fallen` run start: where walk `w - 1`'s
+    /// end.
+    fn starts(&self, w: usize) -> (usize, usize) {
+        w.checked_sub(1).map_or((0, 0), |v| {
+            let walk = self.walks[v];
+            (walk.path_end as usize, walk.fallen_end as usize)
+        })
     }
 
     /// Walk `w`'s path, `[member, …relays…, terminal]`.
     fn path(&self, w: usize) -> &[u32] {
-        &self.nodes[self.start(w)..self.walks[w].path_end as usize]
+        self.paths(w..w + 1)
+    }
+
+    /// The paths of walks `walks`, back to back.
+    fn paths(&self, walks: Range<usize>) -> &[u32] {
+        &self.nodes[self.starts(walks.start).0..self.starts(walks.end).0]
+    }
+
+    /// Walk `w`'s run of `fallen`: empty for a greedy walk.
+    fn fallen_run(&self, w: usize) -> &[u32] {
+        &self.fallen[self.starts(w).1..self.walks[w].fallen_end as usize]
     }
 
     /// The nodes walk `w` attached: its path but the terminal.
@@ -303,9 +316,8 @@ impl WalkLog {
 
     /// The peers whose rows walk `w` read off its path.
     fn off_path(&self, w: usize) -> &[u32] {
-        let walk = self.walks[w];
-        let end = (walk.end as usize).saturating_sub(TALLY_WORDS);
-        self.nodes.get(walk.path_end as usize..end).unwrap_or(&[])
+        let fallen = self.fallen_run(w);
+        &fallen[..fallen.len().saturating_sub(TALLY_WORDS)]
     }
 
     /// Every peer whose row walk `w` read: its attached nodes, then the
@@ -545,7 +557,7 @@ pub(crate) fn graft_pass(
         log: WalkLog {
             walks: Vec::with_capacity(replay.log.walks.len() + 8),
             nodes: Vec::with_capacity(replay.log.nodes.len() + 32),
-            fallbacks: 0,
+            fallen: Vec::new(),
         },
         replay,
         links: Vec::new(),
@@ -594,7 +606,7 @@ pub(crate) fn graft_pass(
     // came. Otherwise it is the tree's nodes off the §2 tree (both
     // ascend: one merge walk) and the rows fallback walks read off
     // their paths.
-    if old_log.fallbacks + log.fallbacks == 0 {
+    if !old_log.has_fallbacks() && !log.has_fallbacks() {
         out.support = merged(old_support, &dropped, &came);
     } else {
         let mut on_section2 = zones.peers().peekable();
@@ -766,30 +778,13 @@ impl Pass<'_> {
     /// nodes join the tree, unless `put` is off (they are on it already).
     fn carry(&mut self, walks: Range<usize>, put: bool) {
         let log = self.replay.log;
-        if walks.is_empty() {
-            return;
-        }
-        if put && log.fallbacks == 0 {
-            let nodes = log.start(walks.start)..log.walks[walks.end - 1].end as usize;
-            for &p in &log.nodes[nodes] {
+        if put {
+            for &p in log.paths(walks.clone()) {
                 self.on_tree.insert(p as usize);
             }
-        } else if put {
-            for w in walks.clone() {
-                for &p in log.path(w) {
-                    self.on_tree.insert(p as usize);
-                }
-            }
         }
-        if log.fallbacks > 0 {
-            for w in walks.clone() {
-                self.count(log.member(w), log.path(w).is_empty(), log.tally(w));
-            }
-        } else {
-            // Greedy walks: their nodes are their paths, back to back.
-            let nodes = log.start(walks.start)..log.walks[walks.end - 1].end as usize;
-            self.out.report.grafted += walks.len();
-            self.out.report.route_hops += nodes.len() - walks.len();
+        for w in walks.clone() {
+            self.count(log.member(w), log.path(w).is_empty(), log.tally(w));
         }
         self.out.walks_replayed += walks.len() as u64;
         self.out.walks_spliced += walks.len() as u64;
@@ -885,19 +880,13 @@ impl Pass<'_> {
         self.searches += 1;
         let log = &self.log;
         if self.index.is_none() && self.searches <= SCANNED_SEARCHES {
-            // A terminal is on the tree, so listed twice: no matter. A
-            // log of greedy walks holds nothing but their paths.
+            // A terminal is on the tree, so listed twice: no matter.
             let sp = peers[s].point();
-            let paths = (0..log.len()).filter(|_| log.fallbacks > 0);
-            let paths = paths.flat_map(|w| log.path(w));
-            let nodes = log.nodes.iter().filter(|_| log.fallbacks == 0);
-            return (self
-                .zones
-                .peers()
-                .chain(paths.chain(nodes).map(|&p| p as usize)))
-            .map(|p| (self.metric.dist(peers[p].point(), sp), p))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(_, p)| p);
+            return (self.zones.peers())
+                .chain(log.nodes.iter().map(|&p| p as usize))
+                .map(|p| (self.metric.dist(peers[p].point(), sp), p))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                .map(|(_, p)| p);
         }
         let (index, indexed) = self.index.get_or_insert_with(|| {
             let reached: Vec<usize> = self.zones.peers().collect();

@@ -226,10 +226,11 @@ impl GroupBuild {
             let w = walks
                 .walk(step as usize)
                 .expect("an indexed walk is logged");
-            let target = store.peers()[walks.target(w)].point();
-            let next = self.build.tree.parent(p);
-            let hop = greedy_step_on_store(store, p, target, GRAFT_METRIC, nbuf);
-            !walks.fallback(w) && hop.is_some() && hop == next
+            !walks.fallback(w) && {
+                let target = store.peers()[walks.target(w)].point();
+                let hop = greedy_step_on_store(store, p, target, GRAFT_METRIC, nbuf);
+                hop.is_some() && hop == self.build.tree.parent(p)
+            }
         })
     }
 }
