@@ -38,7 +38,7 @@ use rand::{Rng, SeedableRng};
 use geocast_core::dataplane::{DeliveryPlan, PublishBatch};
 use geocast_core::groups::{build_group_tree_grafted, GroupEngine, GroupId};
 use geocast_core::OrthantRectPartitioner;
-use geocast_geom::gen::uniform_points;
+use geocast_geom::gen::{chain, cross, hub, uniform_points};
 use geocast_geom::{MetricKind, Point};
 use geocast_overlay::delta::DeltaKind;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
@@ -487,53 +487,46 @@ fn churn_next_to_a_large_clustered_group_repartitions_a_tenth_of_it() {
     );
 }
 
-/// A chain of `n` peers on an anti-diagonal, coordinates distinct per
-/// axis: under the empty-rectangle rule each peer neighbours the two next
-/// to it and no other, so a §2 tree over the chain is about as deep as
-/// the chain is long.
-fn chain(n: usize) -> Vec<Point> {
-    (0..n)
-        .map(|i| {
-            let at = 5.0 * i as f64;
-            Point::new(vec![1.0 + at, 1000.0 - at]).expect("finite coordinates")
-        })
-        .collect()
-}
-
-/// The hostile families of "an operation costs what it changes" as
-/// referee inputs: a chain of 200 peers (degree 2, §2 trees about 195
-/// deep) and a hub (the same chain plus one peer below and left of all
-/// of it, which neighbours every chain peer; it leaves mid-run), each
-/// with scattered and with clustered groups. A seeded interleaving of
-/// joins on the chain, leaves, subscribes and unsubscribes; after every
+/// The hostile families of "an operation costs what it changes"
+/// (`geocast_geom::gen`) as referee inputs: a chain of 200 peers
+/// (degree 2, §2 trees about 195 deep); a hub (the same chain plus one
+/// peer below and left of all of it, which neighbours every chain
+/// peer); and a cross (two opposite arms of 48 peers, a blocker per four
+/// arm positions in each of the other two quadrants, and a centre that
+/// neighbours all of them). The hub and the centre leave mid-run. Each
+/// family runs with scattered and with clustered groups: a seeded
+/// interleaving of joins between two neighbours on the chain or the
+/// first arm, leaves, subscribes and unsubscribes; after every
 /// operation every group equals its from-scratch grafted rebuild.
 #[test]
 fn hostile_chain_and_hub_builds_equal_from_scratch_after_every_op() {
     use MembershipPlacement::{Clustered, Scattered};
-    let n = 200;
-    for hub in [false, true] {
+    for (family, set, line, offset) in [
+        (0u64, chain(200), 200, 0.5),
+        (1, hub(200), 200, 0.5),
+        (2, cross(48, 4), 48, 0.25),
+    ] {
+        // The hub and the centre are the last id, and neighbour every
+        // other peer.
+        let hostile = family > 0;
+        let last = set.len() - 1;
         for placement in [Scattered, Clustered] {
-            let mut points = chain(n);
-            if hub {
-                points.push(Point::new(vec![0.0, 0.0]).expect("finite coordinates"));
-            }
-            let set = geocast_geom::PointSet::new(points).expect("one dimension");
             let store = TopologyStore::from_peers(
                 PeerInfo::from_point_set(&set),
                 Arc::new(EmptyRectSelection),
             );
-            if hub {
+            if hostile {
                 let mut row = Vec::new();
-                store.undirected_neighbors_into(n, &mut row);
-                assert_eq!(row.len(), n, "the hub neighbours every chain peer");
+                store.undirected_neighbors_into(last, &mut row);
+                assert_eq!(row.len(), last, "the hub neighbours every other peer");
             }
             let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
-            let mut state = 0xc4a1_u64 + u64::from(hub);
-            let ids =
-                engine.seed_groups_placed(placement, &zipf_group_sizes(8, n, 1.0), &mut state);
+            let mut state = 0xc4a1_u64 + family;
+            let sizes = zipf_group_sizes(8, set.len() - usize::from(hostile), 1.0);
+            let ids = engine.seed_groups_placed(placement, &sizes, &mut state);
             let mut counts: Vec<u64> = ids.iter().map(|&g| engine.rebuild_count(g)).collect();
             check_exact_and_count_rebuilds(&engine, &ids, &mut counts);
-            let case = format!("hub {hub}, {placement:?}");
+            let case = format!("family {family}, {placement:?}");
             for op in 0..48usize {
                 let live: Vec<usize> = (0..engine.store().len())
                     .filter(|&i| !engine.store().is_departed(PeerId(i as u64)))
@@ -541,12 +534,14 @@ fn hostile_chain_and_hub_builds_equal_from_scratch_after_every_op() {
                 let g = ids[op * 5 % ids.len()];
                 match op % 4 {
                     0 => {
-                        // Between two chain peers: the chain stays a chain.
-                        let at = 5.0 * ((op / 4 * 37) % (n - 1)) as f64 + 2.5;
-                        let p = Point::new(vec![1.0 + at, 1000.0 - at]).expect("finite");
-                        engine.join(p);
+                        // Between two neighbours on the line: the chain
+                        // stays a chain, the arm an arm.
+                        let i = (op / 4 * 37) % (line - 1);
+                        let (a, b) = (set[i].coords(), set[i + 1].coords());
+                        let p = a.iter().zip(b).map(|(&a, &b)| a + (b - a) * offset);
+                        engine.join(Point::new(p.collect()).expect("finite"));
                     }
-                    1 if hub && op == 21 => engine.leave(PeerId(n as u64)),
+                    1 if hostile && op == 21 => engine.leave(PeerId(last as u64)),
                     1 => engine.leave(PeerId(live[op * 7919 % live.len()] as u64)),
                     2 => {
                         let outsiders: Vec<usize> = (live.iter().copied())
@@ -562,9 +557,9 @@ fn hostile_chain_and_hub_builds_equal_from_scratch_after_every_op() {
                     }
                 }
                 check_exact_and_count_rebuilds(&engine, &ids, &mut counts);
-                if hub && op >= 21 {
+                if hostile && op >= 21 {
                     assert!(
-                        engine.store().is_departed(PeerId(n as u64)),
+                        engine.store().is_departed(PeerId(last as u64)),
                         "{case}: the hub left"
                     );
                 }

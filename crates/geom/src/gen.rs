@@ -194,10 +194,78 @@ pub fn embed_lifetimes(set: &PointSet, times: &[f64]) -> PointSet {
     PointSet::new(points).expect("embedding preserves dimensionality")
 }
 
+/// A chain of `n` peers on an anti-diagonal of the plane, `(1 + 5i,
+/// 5(n − i))` for `i < n`, coordinates distinct per axis: under the
+/// empty-rectangle rule each peer neighbours the two next to it and no
+/// other, so a §2 tree over the chain is about as deep as the chain is
+/// long.
+#[must_use]
+pub fn chain(n: usize) -> PointSet {
+    let points = (0..n)
+        .map(|i| Point::from_validated(vec![1.0 + 5.0 * i as f64, 5.0 * (n - i) as f64]))
+        .collect();
+    PointSet::new(points).expect("one dimensionality")
+}
+
+/// The [`chain`] of `n` peers and, last (id `n`), a hub below and left
+/// of all of it: under the empty-rectangle rule the hub neighbours every
+/// chain peer, its row lies in one orthant, and its departure rewires
+/// `n` rows.
+#[must_use]
+// lint:allow(D006, reason = "ROADMAP item 18 (i) names it: the hub family, an input of the hostile-row gates")
+pub fn hub(n: usize) -> PointSet {
+    let mut points = chain(n).into_points();
+    points.push(Point::from_validated(vec![0.0, 0.0]));
+    PointSet::new(points).expect("one dimensionality")
+}
+
+/// A cross in the plane whose centre, last, neighbours every other
+/// peer: two arms of `arm` peers on anti-diagonals in opposite quadrants
+/// around it (below-left, then above-right), then one blocker per `gap`
+/// arm positions on anti-diagonals in each of the other two quadrants.
+/// Every pair of the two arms straddles the centre, and a blocker
+/// closes the pairs whose arm positions `i`, `j` have a multiple of
+/// `gap` between them (inclusive), so the centre's departure tests
+/// `arm²` pairs and links those whose positions share a gap, about
+/// `arm · gap` of them. Coordinates are integers and halves, distinct
+/// per axis.
+///
+/// # Panics
+///
+/// Panics if `gap == 0`.
+#[must_use]
+// lint:allow(D006, reason = "ROADMAP item 18 names it: the cross family, a row of opposite orthants for the leave kernel's hostile-row gate")
+pub fn cross(arm: usize, gap: usize) -> PointSet {
+    assert!(gap > 0, "one blocker per gap positions");
+    let centre = arm as f64 + 1.0;
+    let at = |dx: f64, dy: f64| Point::from_validated(vec![centre + dx, centre + dy]);
+    let far = arm as f64;
+    let mut points: Vec<Point> = (0..arm)
+        .map(|i| at(-(i as f64 + 1.0), -(far - i as f64)))
+        .collect();
+    points.extend((0..arm).map(|j| at(j as f64 + 1.0, far - j as f64)));
+    for flip in [1.0, -1.0] {
+        let blockers = (0..arm).step_by(gap).map(|l| l as f64 + 0.5);
+        points.extend(blockers.map(|l| at(flip * l, -flip * (far - l))));
+    }
+    points.push(at(0.0, 0.0));
+    PointSet::new(points).expect("one dimensionality")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::VMAX;
+
+    #[test]
+    fn hostile_families_are_distinct_per_axis() {
+        for set in [chain(50), hub(50), cross(30, 4), cross(1, 1)] {
+            set.ensure_distinct().unwrap();
+        }
+        assert_eq!(hub(50).len(), 51);
+        // Two arms of 30, and blockers at positions 0, 4, …, 28 on each side.
+        assert_eq!(cross(30, 4).len(), 2 * 30 + 2 * 8 + 1);
+    }
 
     #[test]
     fn uniform_points_are_distinct_and_in_range() {

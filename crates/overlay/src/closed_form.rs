@@ -5,6 +5,8 @@
 //! and are argued in `crate::store`, "Why the incremental path is
 //! exact".
 
+use std::ops::Range;
+
 use geocast_geom::dominance::{rect_dominates_coords, ParetoSet};
 use geocast_geom::index::MAX_INDEX_DIM;
 use geocast_geom::{Metric, MetricKind, Point, MAX_ORTHANT_DIM};
@@ -115,109 +117,297 @@ fn full_code(dim: usize) -> u32 {
     u32::MAX >> (MAX_ORTHANT_DIM - dim)
 }
 
-/// A row gathered around the peer `x` that joins or leaves: each
-/// member's coordinates in one contiguous buffer, and its orthant code
-/// around `x`. Both empty-rectangle closed forms read only this.
-struct RowAround {
+/// A row gathered around the peer `x` that joins or leaves, in runs: the
+/// members of each orthant code around `x`, codes ascending and row
+/// order inside a run, from one sort. Every member of a run carries its
+/// keys — its coordinates with the sign flipped on the orthant's
+/// negative sides — so a smaller key is nearer `x`, and strictly
+/// smaller is the rule's strict test with no subtraction to round it.
+/// A member tied with `x` in some coordinate is in no orthant and no
+/// run. Both empty-rectangle closed forms read only this.
+struct RowRuns<'a> {
+    coords: &'a CoordTable,
+    row: &'a [usize],
     dim: usize,
-    near: Vec<f64>,
-    codes: Vec<Option<u32>>,
-    full: u32,
+    /// `(orthant code, row position)` of every untied member, ascending.
+    members: Vec<(u32, usize)>,
+    /// `dim` keys per entry of `members`.
+    keys: Vec<f64>,
+    /// Each run's code and its range of `members`, ascending by code.
+    runs: Vec<(u32, Range<usize>)>,
+    /// Row positions of the members tied with `x`.
+    tied: Vec<usize>,
 }
 
-impl RowAround {
-    fn gather(coords: &CoordTable, x: usize, row: &[usize]) -> Self {
+impl<'a> RowRuns<'a> {
+    fn gather(coords: &'a CoordTable, x: usize, row: &'a [usize]) -> Self {
         let (dim, at) = (coords.dim, coords.of(x));
-        let mut near = Vec::with_capacity(row.len() * dim);
-        let codes = row
-            .iter()
-            .map(|&r| {
-                let member = coords.of(r);
-                near.extend_from_slice(member);
-                orthant_code(at, member)
-            })
-            .collect();
-        RowAround {
+        let mut members = Vec::with_capacity(row.len());
+        let mut tied = Vec::new();
+        for (k, &r) in row.iter().enumerate() {
+            match orthant_code(at, coords.of(r)) {
+                Some(code) => members.push((code, k)),
+                None => tied.push(k),
+            }
+        }
+        members.sort_unstable();
+        let mut keys = Vec::with_capacity(members.len() * dim);
+        for &(code, k) in &members {
+            let member = coords.of(row[k]).iter().enumerate();
+            keys.extend(member.map(|(d, &c)| if code >> d & 1 == 1 { c } else { -c }));
+        }
+        let mut runs = Vec::new();
+        let mut start = 0;
+        for run in members.chunk_by(|a, b| a.0 == b.0) {
+            runs.push((run[0].0, start..start + run.len()));
+            start += run.len();
+        }
+        RowRuns {
+            coords,
+            row,
             dim,
-            near,
-            codes,
-            full: full_code(dim),
+            members,
+            keys,
+            runs,
+            tied,
         }
     }
 
-    fn of(&self, k: usize) -> &[f64] {
-        &self.near[k * self.dim..][..self.dim]
+    fn key(&self, m: usize) -> &[f64] {
+        &self.keys[m * self.dim..][..self.dim]
     }
 
-    /// Every pair `(a, b)`, `a < b`, of row positions whose open
-    /// rectangle holds `x`, in row order: `x` is strictly between them
-    /// in every dimension iff neither ties it anywhere and their codes
-    /// differ in every bit.
-    fn straddling(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let codes = &self.codes;
-        codes
+    /// Member `m`'s peer id.
+    fn id(&self, m: usize) -> usize {
+        self.row[self.members[m].1]
+    }
+
+    /// The pair of members `a` and `b` as peer ids, smaller first.
+    fn ids(&self, a: usize, b: usize) -> (usize, usize) {
+        let (i, w) = (self.id(a), self.id(b));
+        (i.min(w), i.max(w))
+    }
+
+    /// Every pair of runs `(r, s)`, by index, whose codes differ in
+    /// every bit, `r`'s code the smaller. `x` is strictly inside the open
+    /// rectangle of two members iff neither ties it anywhere and they
+    /// are in such a pair of runs, so the pairs that straddle `x` are
+    /// exactly the cross products of these.
+    fn opposite_runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let full = full_code(self.dim);
+        self.runs
             .iter()
             .enumerate()
-            .filter_map(|(a, code)| code.map(|c| (a, Some(c ^ self.full))))
-            .flat_map(move |(a, opposite)| {
-                (a + 1..codes.len())
-                    .filter(move |&b| codes[b] == opposite)
-                    .map(move |b| (a, b))
+            .filter(move |(_, (code, _))| *code < code ^ full)
+            .filter_map(move |(r, (code, _))| {
+                let opposite = self.runs.binary_search_by_key(&(code ^ full), |run| run.0);
+                opposite.ok().map(|s| (r, s))
             })
     }
 
-    /// `true` if another member sits strictly inside the open rectangle
-    /// of the straddling pair `(a, b)`. Members in `a`'s or `b`'s own
-    /// orthant are skipped: such a member would sit strictly inside
-    /// `rect(x, a)` or `rect(x, b)`, and then `a` or `b` would not be in
-    /// `x`'s row. A tied member has no orthant and is always tested.
-    fn blocked(&self, a: usize, b: usize) -> bool {
-        let (ca, cb) = (self.codes[a], self.codes[b]);
-        let (p, q) = (self.of(a), self.of(b));
-        self.codes
-            .iter()
-            .enumerate()
-            .any(|(c, &cc)| cc != ca && cc != cb && rect_dominates_coords(p, self.of(c), q))
+    /// Every pair that straddles `x`, as peer ids, smaller first, in no
+    /// particular order.
+    fn straddling_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.opposite_runs().flat_map(move |(r, s)| {
+            let across = self.runs[s].1.clone();
+            (self.runs[r].1.clone()).flat_map(move |a| across.clone().map(move |b| self.ids(a, b)))
+        })
+    }
+
+    /// The pairs that straddle `x` and whose open rectangle holds no
+    /// other member, as peer ids, ascending. A member `y` of another run
+    /// sits strictly inside the open rectangle of `a` and `b` iff it is
+    /// strictly nearer `x` than `a` in every coordinate where its run
+    /// lies on `a`'s side, and than `b` in the others; there `y` shares
+    /// that end's sign flip, so each test is a key against a key. For
+    /// each pair of opposite runs — `a` from the first, `b` from the
+    /// second — every other run is reduced once into thresholds, one
+    /// per end and coordinate:
+    /// - a run on `b`'s side in one coordinate `j` lowers `a`'s
+    ///   threshold in `j` to the least key `j` among its members nearer
+    ///   than `a` on `a`'s sides, and so blocks `(a, b)` iff that
+    ///   threshold is below `b`'s key `j`;
+    /// - a run on `a`'s side in one coordinate does the same from `b`;
+    /// - a run with two or more coordinates on each side (`D ≥ 4`) is
+    ///   scanned per pair.
+    ///
+    /// So a pair costs at most one comparison per blocker run; the tied
+    /// members take the rule's strict test.
+    fn unblocked_pairs(&self) -> Vec<(usize, usize)> {
+        let (dim, full) = (self.dim, full_code(self.dim));
+        let mut links = Vec::new();
+        let (mut thresholds_a, mut thresholds_b) = (Vec::new(), Vec::new());
+        let (mut dims_a, mut dims_b) = (Vec::new(), Vec::new());
+        let (mut scans, mut sorted) = (Vec::new(), Vec::new());
+        for (r, s) in self.opposite_runs() {
+            let (code, ends_a) = (self.runs[r].0, self.runs[r].1.clone());
+            let ends_b = self.runs[s].1.clone();
+            thresholds_a.clear();
+            thresholds_a.resize(ends_a.len() * dim, f64::INFINITY);
+            thresholds_b.clear();
+            thresholds_b.resize(ends_b.len() * dim, f64::INFINITY);
+            let (mut barred_a, mut barred_b) = (0u32, 0u32);
+            scans.clear();
+            for (o, (blocker, run)) in self.runs.iter().enumerate() {
+                let toward_b = code ^ blocker;
+                let toward_a = full & !toward_b;
+                if o == r || o == s {
+                    continue;
+                } else if toward_b.count_ones() == 1 {
+                    barred_a |= toward_b;
+                    let (ends, run) = (ends_a.clone(), run.clone());
+                    self.lower(
+                        &mut thresholds_a,
+                        ends,
+                        toward_a,
+                        toward_b,
+                        run,
+                        &mut sorted,
+                    );
+                } else if toward_a.count_ones() == 1 {
+                    barred_b |= toward_a;
+                    let (ends, run) = (ends_b.clone(), run.clone());
+                    self.lower(
+                        &mut thresholds_b,
+                        ends,
+                        toward_b,
+                        toward_a,
+                        run,
+                        &mut sorted,
+                    );
+                } else {
+                    scans.push((toward_b, run.clone()));
+                }
+            }
+            dims_a.clear();
+            dims_a.extend((0..dim).filter(|&d| barred_a >> d & 1 == 1));
+            dims_b.clear();
+            dims_b.extend((0..dim).filter(|&d| barred_b >> d & 1 == 1));
+            for (a, below_a) in ends_a.zip(thresholds_a.chunks_exact(dim)) {
+                let key_a = self.key(a);
+                for (b, below_b) in ends_b.clone().zip(thresholds_b.chunks_exact(dim)) {
+                    let key_b = self.key(b);
+                    let blocked = dims_a.iter().any(|&j| below_a[j] < key_b[j])
+                        || dims_b.iter().any(|&i| below_b[i] < key_a[i])
+                        || (scans.iter())
+                            .any(|(toward_b, run)| self.scan(*toward_b, run.clone(), key_a, key_b))
+                        || self.tie_blocks(a, b);
+                    if !blocked {
+                        links.push(self.ids(a, b));
+                    }
+                }
+            }
+        }
+        links.sort_unstable();
+        links
+    }
+
+    /// Lowers each end's threshold in the one coordinate of `across` to
+    /// the least key there among the members of `run` strictly nearer
+    /// `x` than the end in every coordinate of `side`. With one
+    /// coordinate in `side` the run is sorted by it once, with prefix
+    /// minima, and each end takes a binary search; with more, each end
+    /// scans the run.
+    fn lower(
+        &self,
+        thresholds: &mut [f64],
+        ends: Range<usize>,
+        side: u32,
+        across: u32,
+        run: Range<usize>,
+        sorted: &mut Vec<(f64, f64)>,
+    ) {
+        let (dim, j) = (self.dim, across.trailing_zeros() as usize);
+        let ends = ends.zip(thresholds.chunks_exact_mut(dim));
+        if side.count_ones() == 1 {
+            let d = side.trailing_zeros() as usize;
+            sorted.clear();
+            sorted.extend(run.map(|y| (self.key(y)[d], self.key(y)[j])));
+            sorted.sort_unstable_by(|p, q| p.0.total_cmp(&q.0));
+            let mut least = f64::INFINITY;
+            for entry in sorted.iter_mut() {
+                least = least.min(entry.1);
+                entry.1 = least;
+            }
+            for (e, threshold) in ends {
+                let nearer = sorted.partition_point(|&(key, _)| key < self.key(e)[d]);
+                if let Some(&(_, least)) = nearer.checked_sub(1).map(|last| &sorted[last]) {
+                    threshold[j] = threshold[j].min(least);
+                }
+            }
+        } else {
+            for (e, threshold) in ends {
+                let end = self.key(e);
+                for y in run.clone() {
+                    let key = self.key(y);
+                    let nearer = (0..dim).all(|d| side >> d & 1 == 0 || key[d] < end[d]);
+                    if nearer && key[j] < threshold[j] {
+                        threshold[j] = key[j];
+                    }
+                }
+            }
+        }
+    }
+
+    /// `true` if a member of `run` — on `b`'s side of `x` in the
+    /// coordinates of `toward_b`, on `a`'s in the others — is strictly
+    /// nearer `x` than `a` on `a`'s sides and than `b` on `b`'s.
+    fn scan(&self, toward_b: u32, run: Range<usize>, key_a: &[f64], key_b: &[f64]) -> bool {
+        run.into_iter().any(|y| {
+            let key = self.key(y);
+            (0..self.dim).all(|d| {
+                let end = if toward_b >> d & 1 == 1 { key_b } else { key_a };
+                key[d] < end[d]
+            })
+        })
+    }
+
+    /// `true` if a tied member sits strictly inside the open rectangle
+    /// of members `a` and `b`.
+    fn tie_blocks(&self, a: usize, b: usize) -> bool {
+        if self.tied.is_empty() {
+            return false;
+        }
+        let (p, q) = (self.coords.of(self.id(a)), self.coords.of(self.id(b)));
+        (self.tied.iter()).any(|&t| rect_dominates_coords(p, self.coords.of(self.row[t]), q))
     }
 }
 
 /// The links the join of `q` cuts, under the empty-rectangle rule, from
 /// `row`, the row `q` got, and `out`, the adjacency before the join:
-/// every linked pair of `row` whose open rectangle `q` now sits in. An
-/// evicted neighbour is always in `row` (`crate::store`, "Why the
-/// incremental path is exact"), so the pairs that straddle `q` are the
-/// only candidates, and each is found once, not from both ends. A
-/// binary search in `out` per straddling pair; no rectangle test.
+/// every linked pair of `row` whose open rectangle `q` now sits in,
+/// ascending. An evicted neighbour is always in `row` (`crate::store`,
+/// "Why the incremental path is exact"), so the pairs that straddle `q`
+/// — the cross products of opposite runs — are the only candidates,
+/// and each is found once, not from both ends. A binary search in `out`
+/// per straddling pair; no rectangle test.
 pub(crate) fn straddled_links(
     coords: &CoordTable,
     out: &[Vec<usize>],
     q: usize,
     row: &[usize],
 ) -> Vec<(usize, usize)> {
-    RowAround::gather(coords, q, row)
-        .straddling()
-        .map(|(a, b)| (row[a], row[b]))
+    let mut cuts: Vec<(usize, usize)> = RowRuns::gather(coords, q, row)
+        .straddling_pairs()
         .filter(|&(i, r)| out[i].binary_search(&r).is_ok())
-        .collect()
+        .collect();
+    cuts.sort_unstable();
+    cuts
 }
 
 /// The links the departure of `x` makes, under the empty-rectangle
-/// rule, from `row`, the row `x` had: every pair `(i, w)` of it, in row
-/// order, whose open rectangle holds `x` and no other member of the
+/// rule, from `row`, the row `x` had: every pair `(i, w)` of it,
+/// ascending, whose open rectangle holds `x` and no other member of the
 /// row. Only such pairs can link, and blockers outside the row need no
 /// look (`crate::store`, "Why the incremental path is exact"), so no
-/// selector's row is read. Only the straddling pairs are tested, each
-/// against the members outside its own two orthants, over raw
-/// coordinates, not offsets from `x`: a subtraction would round the
-/// strict tests. The rule's own test, so collisions and any
-/// dimensionality take the same path: no index, no decline.
+/// selector's row is read. The pairs that hold `x` are the cross
+/// products of opposite runs, and each is tested against the other runs
+/// through their thresholds, over raw coordinates, not offsets from `x`:
+/// a subtraction would round the strict tests. The rule's own test, so
+/// collisions and any dimensionality take the same path: no index, no
+/// decline.
 pub(crate) fn unblocked_pairs(coords: &CoordTable, x: usize, row: &[usize]) -> Vec<(usize, usize)> {
-    let around = RowAround::gather(coords, x, row);
-    around
-        .straddling()
-        .filter(|&(a, b)| !around.blocked(a, b))
-        .map(|(a, b)| (row[a], row[b]))
-        .collect()
+    RowRuns::gather(coords, x, row).unblocked_pairs()
 }
 
 /// What the empty-rectangle join walk did since the store was built:
@@ -399,39 +589,29 @@ mod tests {
     use crate::peer::PeerId;
     use crate::select::{EmptyRectSelection, NeighborSelection};
     use crate::store::TopologyStore;
-    use geocast_geom::gen::uniform_points;
+    use geocast_geom::gen::{cross, hub, uniform_points};
 
     fn peers(n: usize, dim: usize, seed: u64) -> Vec<PeerInfo> {
         PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed))
     }
 
-    /// Populations for the closed-form tests: uniform 1-D to 4-D, and
-    /// 36 points of the 6 × 7 integer lattice, which share coordinates
-    /// constantly.
+    /// Populations for the closed-form tests: uniform 1-D to 6-D; 36
+    /// points of the 6 × 7 integer lattice, and 40 of a 5 × 6 × 7 and of
+    /// a 3 × 4 × 5 × 7 one, which share coordinates constantly; `MAX_ORTHANT_DIM` dimensions, where a code uses all 32
+    /// bits — a centre and eight points each with its mirror image
+    /// through it, so that pairs straddle the centre; a hub whose row of
+    /// 400 lies in one orthant; and a cross, whose centre's row is two
+    /// opposite arms with blockers in the other two orthants.
     fn closed_form_populations() -> Vec<Vec<PeerInfo>> {
-        let lattice: Vec<PeerInfo> = (0..36u64)
-            .map(|i| {
-                let (x, y) = ((i * 7) % 6, (i * 5) % 7);
-                PeerInfo::new(PeerId(i), Point::new(vec![x as f64, y as f64]).unwrap())
-            })
-            .collect();
-        vec![
-            peers(40, 2, 61),
-            peers(30, 3, 62),
-            peers(20, 1, 63),
-            peers(30, 4, 64),
-            lattice,
-        ]
-    }
-
-    #[test]
-    fn straddling_pairs_are_the_pairs_whose_open_rectangle_holds_the_peer() {
-        // The orthant-code predicate against the rule's strict test, on
-        // every pair around every peer: uniform 1-D to 4-D, the lattice
-        // (ties everywhere), and `MAX_ORTHANT_DIM` dimensions, where a
-        // code uses all 32 bits — each point there has its mirror image
-        // through the centre, so that pairs straddle the centre.
-        let mut populations = closed_form_populations();
+        // Point `i` has coordinate `i · step mod modulus` on each axis.
+        let lattice = |n: u64, axes: &[(u64, u64)]| -> Vec<PeerInfo> {
+            (0..n)
+                .map(|i| {
+                    let coords = axes.iter().map(|&(step, m)| (i * step % m) as f64);
+                    PeerInfo::new(PeerId(i), Point::new(coords.collect()).unwrap())
+                })
+                .collect()
+        };
         let mut wide = vec![Point::new(vec![500.0; MAX_ORTHANT_DIM]).unwrap()];
         for p in uniform_points(8, MAX_ORTHANT_DIM, 1000.0, 65).into_points() {
             let mirror = p.coords().iter().map(|&c| 1000.0 - c).collect();
@@ -441,18 +621,43 @@ mod tests {
             .zip(wide)
             .map(|(i, p)| PeerInfo::new(PeerId(i), p))
             .collect();
-        populations.push(wide);
-        for population in populations {
+        vec![
+            peers(40, 2, 61),
+            peers(30, 3, 62),
+            peers(20, 1, 63),
+            peers(30, 4, 64),
+            peers(24, 5, 66),
+            peers(24, 6, 67),
+            lattice(36, &[(7, 6), (5, 7)]),
+            lattice(40, &[(7, 5), (5, 6), (3, 7)]),
+            lattice(40, &[(7, 3), (5, 4), (3, 5), (1, 7)]),
+            wide,
+            PeerInfo::from_point_set(&hub(400)),
+            PeerInfo::from_point_set(&cross(24, 4)),
+        ]
+    }
+
+    /// The peers that take turns to move in a population of `n`: all of
+    /// them, or in the hub's the hub (last) and every 50th chain peer.
+    fn movers(n: usize) -> impl Iterator<Item = usize> {
+        (0..n).filter(move |&x| n < 400 || x % 50 == 0 || x == n - 1)
+    }
+
+    #[test]
+    fn straddling_pairs_are_the_pairs_whose_open_rectangle_holds_the_peer() {
+        // The run enumeration against the rule's strict test, on every
+        // pair around each mover of every population.
+        for population in closed_form_populations() {
             let dim = population[0].point().dim();
             let coords = CoordTable::from_peers(&population);
             let n = population.len();
             let mut straddles = 0;
-            for x in 0..n {
+            for x in movers(n) {
                 let row: Vec<usize> = (0..n).filter(|&r| r != x).collect();
-                let got: Vec<(usize, usize)> = RowAround::gather(&coords, x, &row)
-                    .straddling()
-                    .map(|(a, b)| (row[a], row[b]))
+                let mut got: Vec<(usize, usize)> = RowRuns::gather(&coords, x, &row)
+                    .straddling_pairs()
                     .collect();
+                got.sort_unstable();
                 let row = &row[..];
                 let want: Vec<(usize, usize)> = (0..row.len())
                     .flat_map(|a| (a + 1..row.len()).map(move |b| (row[a], row[b])))
@@ -471,7 +676,7 @@ mod tests {
 
     #[test]
     fn straddled_links_are_the_links_a_join_cuts() {
-        // Every peer of a population in turn plays the newcomer, joining
+        // Each mover of a population in turn plays the newcomer, joining
         // the peers before it (it has the largest id of the slice). For
         // each peer it selects, the old row minus the cuts plus the
         // newcomer must equal re-running the rule on `old row ∪
@@ -482,7 +687,7 @@ mod tests {
             let store = |n: usize| {
                 TopologyStore::from_peers(population[..n].to_vec(), Arc::new(EmptyRectSelection))
             };
-            for q in 1..population.len() {
+            for q in movers(population.len()).filter(|&q| q > 0) {
                 let (before, after) = (store(q), store(q + 1));
                 let row = after.out_neighbors(q);
                 let cuts = straddled_links(&coords, &before.out, q, row);
@@ -518,9 +723,9 @@ mod tests {
 
     #[test]
     fn the_join_walk_finds_the_newcomers_row_from_any_start() {
-        // Every peer of a population in turn plays the newcomer, joining
-        // the peers before it, and every one of those peers in turn is
-        // the start: the walk must hand back the row the from-scratch
+        // Each mover of a population in turn plays the newcomer, joining
+        // the peers before it, and each mover among those in turn is the
+        // start: the walk must hand back the row the from-scratch
         // store gives the newcomer — ties included — and count one join
         // per walk.
         let (mut walk, mut descent) = (JoinWalk::default(), JoinWalk::default());
@@ -530,9 +735,9 @@ mod tests {
             let store = |n: usize| {
                 TopologyStore::from_peers(population[..n].to_vec(), Arc::new(EmptyRectSelection))
             };
-            for q in 1..population.len() {
+            for q in movers(population.len()).filter(|&q| q > 0) {
                 let (before, after) = (store(q), store(q + 1));
-                for start in 0..q {
+                for start in movers(q) {
                     let row = walk.row(&coords, &before.out, q, start);
                     assert_eq!(row, after.out_neighbors(q), "{q} joins from {start}");
                     walks += 1;
@@ -549,7 +754,7 @@ mod tests {
 
     #[test]
     fn unblocked_pairs_are_the_links_a_departure_makes() {
-        // Every peer of a population in turn plays the departed one:
+        // Each mover of a population in turn plays the departed one:
         // the pairs the kernel returns from its row alone must be, as a
         // set, the links of the topology the survivors define — from
         // scratch, with no index — that were absent before.
@@ -557,7 +762,7 @@ mod tests {
             let coords = CoordTable::from_peers(&population);
             let n = population.len();
             let full = TopologyStore::from_peers(population.clone(), Arc::new(EmptyRectSelection));
-            for v in 0..n {
+            for v in movers(n) {
                 let mut departed = vec![false; n];
                 departed[v] = true;
                 let after = oracle::equilibrium_live(&population, &departed, &EmptyRectSelection);

@@ -45,8 +45,9 @@
 //!   one of its own), so the update needs no fallback. Every evicted
 //!   `r` is in `q`'s row too (below), and `q` sits strictly inside
 //!   `rect(i, r)` iff `i` and `r` lie in complementary orthants around
-//!   `q` with no tie: the store codes each member of `q`'s row by its
-//!   orthant once per event and cuts the linked complementary pairs
+//!   `q` with no tie: the store groups `q`'s row into runs by orthant
+//!   code once per event (one sort, below) and cuts the linked pairs of
+//!   the cross products of complementary runs
 //!   (`crate::closed_form`'s `straddled_links`), with no rectangle
 //!   test at all.
 //! * **Leave of `x`.** A departure only changes the selection of peers
@@ -80,13 +81,34 @@
 //!   sharing a coordinate with `i` sat strictly inside no rectangle of
 //!   `i`'s, and `i` just loses it. So the new links are the pairs of
 //!   `row(x)` whose open rectangle holds `x` and no other member of
-//!   `row(x)`. The pairs that hold `x` are those in complementary
-//!   orthants around it, read off one orthant code per member; a
-//!   blocker of such a pair `(i, w)` is never in `i`'s or `w`'s own
-//!   orthant, since it would sit strictly inside `rect(x, i)` or
-//!   `rect(x, w)`, which are empty, and only the other members (tied
-//!   ones always) take the strict-interior test — the rule's definition
-//!   at every step: any dimensionality takes the same path, with no
+//!   `row(x)`. *The runs:* one sort groups the members of `row(x)` by
+//!   their orthant code around `x`; the tied members are in no run.
+//!   Each member in a run is keyed by its coordinates with the sign
+//!   flipped where its orthant lies below `x` (`v` above, `−v` below),
+//!   so a smaller key is nearer `x` and every comparison below is a
+//!   comparison of raw coordinates — no subtraction rounds it. The
+//!   pairs that hold `x` are the cross products of two runs whose codes
+//!   differ in every bit. *The blockers:* a member `y` of a run whose
+//!   code is `i`'s or `w`'s is no blocker of `(i, w)`: it would sit
+//!   strictly inside `rect(x, i)` or `rect(x, w)`, which are empty. A
+//!   member `y` of any other run `o` sits strictly inside `rect(i, w)`
+//!   iff it is strictly nearer `x` than `i` in every coordinate where
+//!   `o` lies on `i`'s side, and than `w` in the others — and in each
+//!   coordinate `y` shares that end's sign flip, so the test is one key
+//!   against one key. *The thresholds:* for one pair of opposite runs,
+//!   each other run `o` is reduced once. Where `o` lies on `w`'s side in
+//!   a single coordinate `j`, each `i` gets the least `j` key among the
+//!   members of `o` nearer than it on its sides, and `(i, w)` is blocked
+//!   by `o` iff that threshold is below `w`'s `j` key: one comparison
+//!   per pair. Where `i`'s side is a single coordinate too (all of
+//!   `D = 2`), the run is sorted by that coordinate once, with prefix
+//!   minima, and each end takes a binary search; otherwise each end
+//!   scans the run. The mirror case keys the thresholds by `w`. Only
+//!   where both sides hold two or more coordinates (`D ≥ 4`) is the run
+//!   scanned per pair. The tied members take the strict-interior test
+//!   itself. So at `D = 2` a leave costs `O(k log k + straddling
+//!   pairs)` for a row of `k`, and every step is the rule's definition:
+//!   any dimensionality and any tie take the same path, with no
 //!   index and no fallback. The rows that
 //!   change are exactly `row(x) ∪ {x}`, which is the delta. The join's
 //!   evictions are pairs inside the newcomer's row the same way: an

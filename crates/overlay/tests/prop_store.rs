@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use geocast_geom::gen::{clustered_points, uniform_points};
+use geocast_geom::gen::{clustered_points, cross, hub, uniform_points};
 use geocast_geom::index::MAX_INDEX_DIM;
 use geocast_geom::{MetricKind, Point, MAX_ORTHANT_DIM};
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
@@ -215,6 +215,49 @@ fn join_walk_reads_about_one_row_per_neighbour() {
         rows_per_join <= 1.1 * row_mean,
         "{rows_per_join:.2} rows read per join against rows of {row_mean:.2}"
     );
+}
+
+/// The leave kernel's hostile rows: a hub leaves a chain of 19 999
+/// peers, its whole row in one orthant, so no pair straddles it; and
+/// the centre of a cross leaves, its row of 2 026 two opposite arms of
+/// 900 with 113 blockers in each of the other two orthants, so 822 769
+/// pairs straddle it and a blocker closes all but 5 610. After each
+/// departure of that last id, every row and the fingerprint equal the
+/// bulk build over the survivors, the departed peer keeping its
+/// edge-less vertex. Debug builds run a tenth of each (they also
+/// re-select every edited row on the index); CI runs the full size in
+/// release.
+#[test]
+fn a_hostile_row_departs_into_the_bulk_build_over_the_survivors() {
+    let (chain, arm) = if cfg!(debug_assertions) {
+        (1_999, 90)
+    } else {
+        (19_999, 900)
+    };
+    for (what, points) in [("hub", hub(chain)), ("cross", cross(arm, 8))] {
+        let peers = PeerInfo::from_point_set(&points);
+        let last = peers.len() - 1;
+        let survivors =
+            TopologyStore::from_peers(peers[..last].to_vec(), Arc::new(EmptyRectSelection));
+        let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+        assert_eq!(
+            store.out_neighbors(last).len(),
+            last,
+            "{what}: the departing peer neighbours every other"
+        );
+        store.remove(PeerId(last as u64));
+        let mut rows: Vec<Vec<usize>> = (0..last)
+            .map(|i| survivors.out_neighbors(i).to_vec())
+            .collect();
+        rows.push(Vec::new());
+        let want = OverlayGraph::from_out_neighbors(rows);
+        assert_eq!(store.graph(), want, "{what}: adjacency");
+        assert_eq!(
+            store.fingerprint(),
+            oracle::fingerprint(&want),
+            "{what}: fingerprint"
+        );
+    }
 }
 
 proptest! {
