@@ -238,7 +238,7 @@ impl<'a> RowRuns<'a> {
         let mut links = Vec::new();
         let (mut thresholds_a, mut thresholds_b) = (Vec::new(), Vec::new());
         let (mut dims_a, mut dims_b) = (Vec::new(), Vec::new());
-        let (mut scans, mut sorted) = (Vec::new(), Vec::new());
+        let mut scans = Vec::new();
         for (r, s) in self.opposite_runs() {
             let (code, ends_a) = (self.runs[r].0, self.runs[r].1.clone());
             let ends_b = self.runs[s].1.clone();
@@ -255,26 +255,10 @@ impl<'a> RowRuns<'a> {
                     continue;
                 } else if toward_b.count_ones() == 1 {
                     barred_a |= toward_b;
-                    let (ends, run) = (ends_a.clone(), run.clone());
-                    self.lower(
-                        &mut thresholds_a,
-                        ends,
-                        toward_a,
-                        toward_b,
-                        run,
-                        &mut sorted,
-                    );
+                    self.lower(&mut thresholds_a, ends_a.clone(), toward_a, toward_b, run);
                 } else if toward_a.count_ones() == 1 {
                     barred_b |= toward_a;
-                    let (ends, run) = (ends_b.clone(), run.clone());
-                    self.lower(
-                        &mut thresholds_b,
-                        ends,
-                        toward_b,
-                        toward_a,
-                        run,
-                        &mut sorted,
-                    );
+                    self.lower(&mut thresholds_b, ends_b.clone(), toward_b, toward_a, run);
                 } else {
                     scans.push((toward_b, run.clone()));
                 }
@@ -314,18 +298,19 @@ impl<'a> RowRuns<'a> {
         ends: Range<usize>,
         side: u32,
         across: u32,
-        run: Range<usize>,
-        sorted: &mut Vec<(f64, f64)>,
+        run: &Range<usize>,
     ) {
         let (dim, j) = (self.dim, across.trailing_zeros() as usize);
         let ends = ends.zip(thresholds.chunks_exact_mut(dim));
         if side.count_ones() == 1 {
             let d = side.trailing_zeros() as usize;
-            sorted.clear();
-            sorted.extend(run.map(|y| (self.key(y)[d], self.key(y)[j])));
+            let mut sorted: Vec<(f64, f64)> = run
+                .clone()
+                .map(|y| (self.key(y)[d], self.key(y)[j]))
+                .collect();
             sorted.sort_unstable_by(|p, q| p.0.total_cmp(&q.0));
             let mut least = f64::INFINITY;
-            for entry in sorted.iter_mut() {
+            for entry in &mut sorted {
                 least = least.min(entry.1);
                 entry.1 = least;
             }
@@ -597,9 +582,10 @@ mod tests {
 
     /// Populations for the closed-form tests: uniform 1-D to 6-D; 36
     /// points of the 6 × 7 integer lattice, and 40 of a 5 × 6 × 7 and of
-    /// a 3 × 4 × 5 × 7 one, which share coordinates constantly; `MAX_ORTHANT_DIM` dimensions, where a code uses all 32
-    /// bits — a centre and eight points each with its mirror image
-    /// through it, so that pairs straddle the centre; a hub whose row of
+    /// a 3 × 4 × 5 × 7 one, which share coordinates constantly;
+    /// `MAX_ORTHANT_DIM` dimensions, where a code uses all 32 bits — a
+    /// centre and eight points each with its mirror image through it, so
+    /// that pairs straddle the centre; a hub whose row of
     /// 400 lies in one orthant; and a cross, whose centre's row is two
     /// opposite arms with blockers in the other two orthants.
     fn closed_form_populations() -> Vec<Vec<PeerInfo>> {
