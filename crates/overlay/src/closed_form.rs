@@ -221,58 +221,46 @@ impl<'a> RowRuns<'a> {
     /// lies on `a`'s side, and than `b` in the others; there `y` shares
     /// that end's sign flip, so each test is a key against a key. For
     /// each pair of opposite runs — `a` from the first, `b` from the
-    /// second — every other run is reduced once into thresholds, one
-    /// per end and coordinate:
-    /// - a run on `b`'s side in one coordinate `j` lowers `a`'s
-    ///   threshold in `j` to the least key `j` among its members nearer
-    ///   than `a` on `a`'s sides, and so blocks `(a, b)` iff that
-    ///   threshold is below `b`'s key `j`;
-    /// - a run on `a`'s side in one coordinate does the same from `b`;
-    /// - a run with two or more coordinates on each side (`D ≥ 4`) is
-    ///   scanned per pair.
-    ///
-    /// So a pair costs at most one comparison per blocker run; the tied
-    /// members take the rule's strict test.
+    /// second — a run on each end's side in one coordinate (every
+    /// blocker run at `D = 2`) is reduced once into thresholds: in `b`'s
+    /// coordinate `j`, `a`'s threshold is the least key `j` among the
+    /// run's members nearer than `a` in `a`'s coordinate, and the run
+    /// blocks `(a, b)` iff that threshold is below `b`'s key `j`. Every
+    /// other run is scanned per pair. So at `D = 2` a pair costs one
+    /// comparison per blocker run; the tied members take the rule's
+    /// strict test.
     fn unblocked_pairs(&self) -> Vec<(usize, usize)> {
         let (dim, full) = (self.dim, full_code(self.dim));
         let mut links = Vec::new();
-        let (mut thresholds_a, mut thresholds_b) = (Vec::new(), Vec::new());
-        let (mut dims_a, mut dims_b) = (Vec::new(), Vec::new());
-        let mut scans = Vec::new();
+        let (mut thresholds, mut barred, mut scans) = (Vec::new(), Vec::new(), Vec::new());
         for (r, s) in self.opposite_runs() {
             let (code, ends_a) = (self.runs[r].0, self.runs[r].1.clone());
             let ends_b = self.runs[s].1.clone();
-            thresholds_a.clear();
-            thresholds_a.resize(ends_a.len() * dim, f64::INFINITY);
-            thresholds_b.clear();
-            thresholds_b.resize(ends_b.len() * dim, f64::INFINITY);
-            let (mut barred_a, mut barred_b) = (0u32, 0u32);
+            thresholds.clear();
+            thresholds.resize(ends_a.len() * dim, f64::INFINITY);
+            barred.clear();
             scans.clear();
             for (o, (blocker, run)) in self.runs.iter().enumerate() {
                 let toward_b = code ^ blocker;
                 let toward_a = full & !toward_b;
                 if o == r || o == s {
                     continue;
-                } else if toward_b.count_ones() == 1 {
-                    barred_a |= toward_b;
-                    self.lower(&mut thresholds_a, ends_a.clone(), toward_a, toward_b, run);
-                } else if toward_a.count_ones() == 1 {
-                    barred_b |= toward_a;
-                    self.lower(&mut thresholds_b, ends_b.clone(), toward_b, toward_a, run);
+                } else if toward_b.count_ones() == 1 && toward_a.count_ones() == 1 {
+                    let (d, j) = (
+                        toward_a.trailing_zeros() as usize,
+                        toward_b.trailing_zeros() as usize,
+                    );
+                    self.lower(&mut thresholds, ends_a.clone(), d, j, run);
+                    barred.push(j);
                 } else {
                     scans.push((toward_b, run.clone()));
                 }
             }
-            dims_a.clear();
-            dims_a.extend((0..dim).filter(|&d| barred_a >> d & 1 == 1));
-            dims_b.clear();
-            dims_b.extend((0..dim).filter(|&d| barred_b >> d & 1 == 1));
-            for (a, below_a) in ends_a.zip(thresholds_a.chunks_exact(dim)) {
+            for (a, below) in ends_a.zip(thresholds.chunks_exact(dim)) {
                 let key_a = self.key(a);
-                for (b, below_b) in ends_b.clone().zip(thresholds_b.chunks_exact(dim)) {
+                for b in ends_b.clone() {
                     let key_b = self.key(b);
-                    let blocked = dims_a.iter().any(|&j| below_a[j] < key_b[j])
-                        || dims_b.iter().any(|&i| below_b[i] < key_a[i])
+                    let blocked = barred.iter().any(|&j| below[j] < key_b[j])
                         || (scans.iter())
                             .any(|(toward_b, run)| self.scan(*toward_b, run.clone(), key_a, key_b))
                         || self.tie_blocks(a, b);
@@ -286,50 +274,32 @@ impl<'a> RowRuns<'a> {
         links
     }
 
-    /// Lowers each end's threshold in the one coordinate of `across` to
-    /// the least key there among the members of `run` strictly nearer
-    /// `x` than the end in every coordinate of `side`. With one
-    /// coordinate in `side` the run is sorted by it once, with prefix
-    /// minima, and each end takes a binary search; with more, each end
-    /// scans the run.
+    /// Lowers each end's threshold in coordinate `j` to the least key
+    /// `j` among the members of `run` strictly nearer `x` than the end
+    /// in coordinate `d`: the run is sorted by key `d` once, with prefix
+    /// minima of key `j`, and each end takes a binary search.
     fn lower(
         &self,
         thresholds: &mut [f64],
         ends: Range<usize>,
-        side: u32,
-        across: u32,
+        d: usize,
+        j: usize,
         run: &Range<usize>,
     ) {
-        let (dim, j) = (self.dim, across.trailing_zeros() as usize);
-        let ends = ends.zip(thresholds.chunks_exact_mut(dim));
-        if side.count_ones() == 1 {
-            let d = side.trailing_zeros() as usize;
-            let mut sorted: Vec<(f64, f64)> = run
-                .clone()
-                .map(|y| (self.key(y)[d], self.key(y)[j]))
-                .collect();
-            sorted.sort_unstable_by(|p, q| p.0.total_cmp(&q.0));
-            let mut least = f64::INFINITY;
-            for entry in &mut sorted {
-                least = least.min(entry.1);
-                entry.1 = least;
-            }
-            for (e, threshold) in ends {
-                let nearer = sorted.partition_point(|&(key, _)| key < self.key(e)[d]);
-                if let Some(&(_, least)) = nearer.checked_sub(1).map(|last| &sorted[last]) {
-                    threshold[j] = threshold[j].min(least);
-                }
-            }
-        } else {
-            for (e, threshold) in ends {
-                let end = self.key(e);
-                for y in run.clone() {
-                    let key = self.key(y);
-                    let nearer = (0..dim).all(|d| side >> d & 1 == 0 || key[d] < end[d]);
-                    if nearer && key[j] < threshold[j] {
-                        threshold[j] = key[j];
-                    }
-                }
+        let mut sorted: Vec<(f64, f64)> = run
+            .clone()
+            .map(|y| (self.key(y)[d], self.key(y)[j]))
+            .collect();
+        sorted.sort_unstable_by(|p, q| p.0.total_cmp(&q.0));
+        let mut least = f64::INFINITY;
+        for entry in &mut sorted {
+            least = least.min(entry.1);
+            entry.1 = least;
+        }
+        for (e, threshold) in ends.zip(thresholds.chunks_exact_mut(self.dim)) {
+            let nearer = sorted.partition_point(|&(key, _)| key < self.key(e)[d]);
+            if let Some(&(_, least)) = nearer.checked_sub(1).map(|last| &sorted[last]) {
+                threshold[j] = threshold[j].min(least);
             }
         }
     }
@@ -580,15 +550,16 @@ mod tests {
         PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed))
     }
 
-    /// Populations for the closed-form tests: uniform 1-D to 6-D; 36
+    /// Populations for the closed-form tests, each with the stride of its
+    /// movers (1 unless said): uniform 1-D to 6-D; 36
     /// points of the 6 × 7 integer lattice, and 40 of a 5 × 6 × 7 and of
     /// a 3 × 4 × 5 × 7 one, which share coordinates constantly;
     /// `MAX_ORTHANT_DIM` dimensions, where a code uses all 32 bits — a
     /// centre and eight points each with its mirror image through it, so
     /// that pairs straddle the centre; a hub whose row of
-    /// 400 lies in one orthant; and a cross, whose centre's row is two
+    /// 400 lies in one orthant, stride 50; and a cross, whose centre's row is two
     /// opposite arms with blockers in the other two orthants.
-    fn closed_form_populations() -> Vec<Vec<PeerInfo>> {
+    fn closed_form_populations() -> Vec<(Vec<PeerInfo>, usize)> {
         // Point `i` has coordinate `i · step mod modulus` on each axis.
         let lattice = |n: u64, axes: &[(u64, u64)]| -> Vec<PeerInfo> {
             (0..n)
@@ -608,37 +579,37 @@ mod tests {
             .map(|(i, p)| PeerInfo::new(PeerId(i), p))
             .collect();
         vec![
-            peers(40, 2, 61),
-            peers(30, 3, 62),
-            peers(20, 1, 63),
-            peers(30, 4, 64),
-            peers(24, 5, 66),
-            peers(24, 6, 67),
-            lattice(36, &[(7, 6), (5, 7)]),
-            lattice(40, &[(7, 5), (5, 6), (3, 7)]),
-            lattice(40, &[(7, 3), (5, 4), (3, 5), (1, 7)]),
-            wide,
-            PeerInfo::from_point_set(&hub(400)),
-            PeerInfo::from_point_set(&cross(24, 4)),
+            (peers(40, 2, 61), 1),
+            (peers(30, 3, 62), 1),
+            (peers(20, 1, 63), 1),
+            (peers(30, 4, 64), 1),
+            (peers(24, 5, 66), 1),
+            (peers(24, 6, 67), 1),
+            (lattice(36, &[(7, 6), (5, 7)]), 1),
+            (lattice(40, &[(7, 5), (5, 6), (3, 7)]), 1),
+            (lattice(40, &[(7, 3), (5, 4), (3, 5), (1, 7)]), 1),
+            (wide, 1),
+            (PeerInfo::from_point_set(&hub(400)), 50),
+            (PeerInfo::from_point_set(&cross(24, 4)), 1),
         ]
     }
 
-    /// The peers that take turns to move in a population of `n`: all of
-    /// them, or in the hub's the hub (last) and every 50th chain peer.
-    fn movers(n: usize) -> impl Iterator<Item = usize> {
-        (0..n).filter(move |&x| n < 400 || x % 50 == 0 || x == n - 1)
+    /// The peers that take turns to move in a population of `n`: every
+    /// `stride`-th and the last (the hub's hub).
+    fn movers(n: usize, stride: usize) -> impl Iterator<Item = usize> {
+        (0..n).filter(move |&x| x % stride == 0 || x == n - 1)
     }
 
     #[test]
     fn straddling_pairs_are_the_pairs_whose_open_rectangle_holds_the_peer() {
         // The run enumeration against the rule's strict test, on every
         // pair around each mover of every population.
-        for population in closed_form_populations() {
+        for (population, stride) in closed_form_populations() {
             let dim = population[0].point().dim();
             let coords = CoordTable::from_peers(&population);
             let n = population.len();
             let mut straddles = 0;
-            for x in movers(n) {
+            for x in movers(n, stride) {
                 let row: Vec<usize> = (0..n).filter(|&r| r != x).collect();
                 let mut got: Vec<(usize, usize)> = RowRuns::gather(&coords, x, &row)
                     .straddling_pairs()
@@ -668,12 +639,12 @@ mod tests {
         // newcomer must equal re-running the rule on `old row ∪
         // {newcomer}`, and every row after the cuts must equal the
         // from-scratch one — collisions included.
-        for population in closed_form_populations() {
+        for (population, stride) in closed_form_populations() {
             let coords = CoordTable::from_peers(&population);
             let store = |n: usize| {
                 TopologyStore::from_peers(population[..n].to_vec(), Arc::new(EmptyRectSelection))
             };
-            for q in movers(population.len()).filter(|&q| q > 0) {
+            for q in movers(population.len(), stride).filter(|&q| q > 0) {
                 let (before, after) = (store(q), store(q + 1));
                 let row = after.out_neighbors(q);
                 let cuts = straddled_links(&coords, &before.out, q, row);
@@ -710,20 +681,19 @@ mod tests {
     #[test]
     fn the_join_walk_finds_the_newcomers_row_from_any_start() {
         // Each mover of a population in turn plays the newcomer, joining
-        // the peers before it, and each mover among those in turn is the
-        // start: the walk must hand back the row the from-scratch
+        // the peers before it, and each of those in turn is the start: the walk must hand back the row the from-scratch
         // store gives the newcomer — ties included — and count one join
         // per walk.
         let (mut walk, mut descent) = (JoinWalk::default(), JoinWalk::default());
         let mut walks = 0;
-        for population in closed_form_populations() {
+        for (population, stride) in closed_form_populations() {
             let coords = CoordTable::from_peers(&population);
             let store = |n: usize| {
                 TopologyStore::from_peers(population[..n].to_vec(), Arc::new(EmptyRectSelection))
             };
-            for q in movers(population.len()).filter(|&q| q > 0) {
+            for q in movers(population.len(), stride).filter(|&q| q > 0) {
                 let (before, after) = (store(q), store(q + 1));
-                for start in movers(q) {
+                for start in 0..q {
                     let row = walk.row(&coords, &before.out, q, start);
                     assert_eq!(row, after.out_neighbors(q), "{q} joins from {start}");
                     walks += 1;
@@ -744,11 +714,11 @@ mod tests {
         // the pairs the kernel returns from its row alone must be, as a
         // set, the links of the topology the survivors define — from
         // scratch, with no index — that were absent before.
-        for population in closed_form_populations() {
+        for (population, stride) in closed_form_populations() {
             let coords = CoordTable::from_peers(&population);
             let n = population.len();
             let full = TopologyStore::from_peers(population.clone(), Arc::new(EmptyRectSelection));
-            for v in movers(n) {
+            for v in movers(n, stride) {
                 let mut departed = vec![false; n];
                 departed[v] = true;
                 let after = oracle::equilibrium_live(&population, &departed, &EmptyRectSelection);
@@ -760,7 +730,7 @@ mod tests {
                         }
                     }
                 }
-                // Both lists ascend: the kernel emits pairs in row order.
+                // Both lists ascend: the kernel sorts its pairs.
                 assert_eq!(
                     unblocked_pairs(&coords, v, full.out_neighbors(v)),
                     want,

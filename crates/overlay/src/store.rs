@@ -96,16 +96,14 @@
 //!   `o` lies on `i`'s side, and than `w` in the others — and in each
 //!   coordinate `y` shares that end's sign flip, so the test is one key
 //!   against one key. *The thresholds:* for one pair of opposite runs,
-//!   each other run `o` is reduced once. Where `o` lies on `w`'s side in
-//!   a single coordinate `j`, each `i` gets the least `j` key among the
-//!   members of `o` nearer than it on its sides, and `(i, w)` is blocked
-//!   by `o` iff that threshold is below `w`'s `j` key: one comparison
-//!   per pair. Where `i`'s side is a single coordinate too (all of
-//!   `D = 2`), the run is sorted by that coordinate once, with prefix
-//!   minima, and each end takes a binary search; otherwise each end
-//!   scans the run. The mirror case keys the thresholds by `w`. Only
-//!   where both sides hold two or more coordinates (`D ≥ 4`) is the run
-//!   scanned per pair. The tied members take the strict-interior test
+//!   each other run `o` that lies on `w`'s side in one coordinate `j`
+//!   and on `i`'s in one coordinate `d` — every blocker run at
+//!   `D = 2` — is reduced once: sorted by its `d` key, with prefix
+//!   minima of its `j` key, so each `i` gets by one binary search the
+//!   least `j` key among the members of `o` nearer than it in `d`, and
+//!   `(i, w)` is blocked by `o` iff that threshold is below `w`'s `j`
+//!   key: one comparison per pair. Every other run (`D ≥ 3`) is scanned
+//!   per pair. The tied members take the strict-interior test
 //!   itself. So at `D = 2` a leave costs `O(k log k + straddling
 //!   pairs)` for a row of `k`, and every step is the rule's definition:
 //!   any dimensionality and any tie take the same path, with no
