@@ -319,10 +319,17 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
     let mut refute_events = 0u64;
     let mut timeline: Vec<CoverageSample> = Vec::new();
     let mut sim_events = 0u64;
+    // Per-sample scratch, reused: the verdicts drained, the union of the
+    // live observers' suspicions, and the failures not yet evicted (which
+    // change only with the wave or an eviction).
+    let mut new_dead: Vec<(usize, SimTime)> = Vec::new();
+    let mut suspects: Vec<usize> = Vec::new();
+    let mut pending: BTreeSet<usize> = BTreeSet::new();
 
     let end = SimTime::ZERO + sc.run_for;
     loop {
         sim_events += sim.run_for(sc.sample_every).events;
+        let mut evictions_changed = false;
 
         if wave_at.is_none() && sim.now() >= SimTime::ZERO + sc.crash_at {
             let victims =
@@ -339,12 +346,12 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
             ground_truth = victims.into_iter().collect();
             observers.retain(|i| !ground_truth.contains(i));
             wave_at = Some(sim.now());
+            evictions_changed = true;
         }
 
         // Drain verdicts from *live* observers only — failed peers'
         // detectors keep running (a silent node eventually declares the
         // whole world dead) but the connected majority is what acts.
-        let mut new_dead: Vec<(usize, SimTime)> = Vec::new();
         for &i in &observers {
             let events = sim.node(NodeId(i)).events();
             for event in &events[cursors[i]..] {
@@ -356,10 +363,11 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
             }
             cursors[i] = events.len();
         }
-        for (victim, at) in new_dead {
+        for (victim, at) in new_dead.drain(..) {
             if !removed_set.insert(victim) {
                 continue; // Another observer got there first.
             }
+            evictions_changed = true;
             removed.push(victim);
             if ground_truth.contains(&victim) {
                 let since = at.since(wave_at.unwrap_or(SimTime::ZERO));
@@ -373,8 +381,9 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
         }
         engine.sync();
 
-        // The union of live observers' suspicions feeds degraded mode.
-        let mut suspects: BTreeSet<usize> = BTreeSet::new();
+        // The union of live observers' suspicions feeds degraded mode;
+        // the engine hears of it only when it changed.
+        suspects.clear();
         for &i in &observers {
             suspects.extend(
                 sim.node(NodeId(i))
@@ -383,11 +392,17 @@ pub fn run_detection(sc: &DetectionScenario) -> DetectionReport {
                     .filter(|p| !removed_set.contains(p)),
             );
         }
-        engine.set_suspects(suspects);
+        suspects.sort_unstable();
+        suspects.dedup();
+        if !suspects.iter().eq(engine.suspects()) {
+            engine.set_suspects(suspects.iter().copied());
+        }
 
         // Payload coverage against ground truth the engine has not yet
         // absorbed: undetected failures strand their members.
-        let pending: BTreeSet<usize> = ground_truth.difference(&removed_set).copied().collect();
+        if evictions_changed {
+            pending = ground_truth.difference(&removed_set).copied().collect();
+        }
         let (mut delivered, mut total, mut degraded) = (0usize, 0usize, 0usize);
         for &g in &ids {
             total += engine.members(g).len();

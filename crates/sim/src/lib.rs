@@ -11,6 +11,22 @@
 //! (topology shape, message counts) do not depend on wall-clock
 //! interleavings.
 //!
+//! # Event order
+//!
+//! Every event — a delivery, a timer, an injection — fires in ascending
+//! `(time, sequence number)` order, where the sequence number is the
+//! order in which the simulation scheduled it: a callback's sends and
+//! timers in the order the callback requested them, callbacks in the
+//! order they ran. Events due at the same instant therefore fire first
+//! in, first out, however many share it. Lazily cancelled timers still
+//! take their place in that order (and count as processed events) but
+//! run no callback. The queue behind the order is a timing wheel —
+//! power-of-two time buckets found through an occupancy bitmap, event
+//! bodies in a reused slab, a heap of small keys for events past the
+//! wheel's span — whose pops are exactly those of one binary heap over
+//! `(time, sequence number)`; `tests/prop_sim.rs` checks it against a
+//! sorted reference.
+//!
 //! Multi-threading is preserved where it matters for throughput: the
 //! [`runner::ParallelRunner`] fans independent seeded simulations out
 //! across CPU cores.

@@ -1,11 +1,11 @@
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::context::{Action, Context};
 use crate::counters::{Counters, TraceEntry, TraceLog};
-use crate::event::{Event, EventKind, TimerId};
+use crate::event::{EventKind, EventQueue, TimerId};
 use crate::fault::FaultModel;
 use crate::latency::{ConstantLatency, LatencyModel};
 use crate::node::{Message, Node, NodeId};
@@ -81,9 +81,8 @@ impl<N: Node> SimulationBuilder<N> {
         Simulation {
             nodes: self.nodes,
             crashed: vec![false; n],
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
-            seq: 0,
             next_timer_id: 0,
             cancelled: BTreeSet::new(),
             rng: StdRng::seed_from_u64(self.seed),
@@ -105,9 +104,8 @@ impl<N: Node> SimulationBuilder<N> {
 pub struct Simulation<N: Node> {
     nodes: Vec<N>,
     crashed: Vec<bool>,
-    queue: BinaryHeap<Event<N::Msg>>,
+    queue: EventQueue<N::Msg>,
     now: SimTime,
-    seq: u64,
     next_timer_id: u64,
     cancelled: BTreeSet<TimerId>,
     rng: StdRng,
@@ -202,8 +200,10 @@ impl<N: Node> Simulation<N> {
 
     /// Adds a node to a (possibly running) simulation, invoking its
     /// `on_start` immediately at the current virtual time. Returns the
-    /// new node's id.
+    /// new node's id. Spawning into a simulation that has not run yet
+    /// first starts the nodes it already has, so every node starts once.
     pub fn spawn(&mut self, node: N) -> NodeId {
+        self.start();
         let id = NodeId(self.nodes.len());
         self.nodes.push(node);
         self.crashed.push(false);
@@ -223,12 +223,8 @@ impl<N: Node> Simulation<N> {
         );
         self.counters.record_sent(msg.tag());
         let delay = self.latency.latency(to, to, &mut self.rng);
-        let time = self.now + delay;
-        self.push_event(Event {
-            time,
-            seq: 0,
-            kind: EventKind::Deliver { from: to, to, msg },
-        });
+        self.queue
+            .push(self.now + delay, EventKind::Deliver { from: to, to, msg });
     }
 
     /// Runs every node's `on_start` if not yet started. Called implicitly
@@ -246,12 +242,17 @@ impl<N: Node> Simulation<N> {
     /// Processes a single event. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
         self.start();
-        let Some(event) = self.queue.pop() else {
+        self.step_until(SimTime::from_nanos(u64::MAX))
+    }
+
+    /// Processes the earliest event if it is due at or before `deadline`.
+    fn step_until(&mut self, deadline: SimTime) -> bool {
+        let Some((time, kind)) = self.queue.pop_until(deadline) else {
             return false;
         };
-        debug_assert!(event.time >= self.now, "time must be monotone");
-        self.now = event.time;
-        match event.kind {
+        debug_assert!(time >= self.now, "time must be monotone");
+        self.now = time;
+        match kind {
             EventKind::Deliver { from, to, msg } => {
                 if self.crashed[to.index()] {
                     self.counters.record_dropped_crashed();
@@ -268,7 +269,8 @@ impl<N: Node> Simulation<N> {
                 }
             }
             EventKind::Timer { node, timer } => {
-                if self.cancelled.remove(&timer) || self.crashed[node.index()] {
+                let cancelled = !self.cancelled.is_empty() && self.cancelled.remove(&timer);
+                if cancelled || self.crashed[node.index()] {
                     // Lazily-cancelled or owned by a crashed node.
                 } else {
                     self.counters.record_timer();
@@ -300,20 +302,16 @@ impl<N: Node> Simulation<N> {
     }
 
     /// Processes all events scheduled at or before `deadline`, then
-    /// advances the clock to `deadline`.
+    /// advances the clock to `deadline`. A call stopped by the event cap
+    /// with such events still queued leaves the clock at the last event
+    /// it processed.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         self.start();
         let mut events = 0u64;
-        while events < self.max_events {
-            match self.queue.peek() {
-                Some(e) if e.time <= deadline => {
-                    self.step();
-                    events += 1;
-                }
-                _ => break,
-            }
+        while events < self.max_events && self.step_until(deadline) {
+            events += 1;
         }
-        if self.now < deadline {
+        if self.now < deadline && !self.queue.has_until(deadline) {
             self.now = deadline;
         }
         RunOutcome {
@@ -352,12 +350,8 @@ impl<N: Node> Simulation<N> {
             match action {
                 Action::Send { to, msg } => self.enqueue_send(id, to, msg),
                 Action::Arm { delay, timer } => {
-                    let time = self.now + delay;
-                    self.push_event(Event {
-                        time,
-                        seq: 0,
-                        kind: EventKind::Timer { node: id, timer },
-                    });
+                    self.queue
+                        .push(self.now + delay, EventKind::Timer { node: id, timer });
                 }
                 Action::Cancel { timer } => {
                     self.cancelled.insert(timer);
@@ -378,18 +372,8 @@ impl<N: Node> Simulation<N> {
             return;
         }
         let delay = self.latency.latency(from, to, &mut self.rng);
-        let time = self.now + delay;
-        self.push_event(Event {
-            time,
-            seq: 0,
-            kind: EventKind::Deliver { from, to, msg },
-        });
-    }
-
-    fn push_event(&mut self, mut event: Event<N::Msg>) {
-        event.seq = self.seq;
-        self.seq += 1;
-        self.queue.push(event);
+        self.queue
+            .push(self.now + delay, EventKind::Deliver { from, to, msg });
     }
 }
 
@@ -615,6 +599,51 @@ mod tests {
         let outcome = sim.run_until_quiescent();
         assert!(!outcome.quiescent);
         assert_eq!(outcome.events, 1000);
+    }
+
+    #[test]
+    fn every_node_starts_once() {
+        struct Starter {
+            starts: u32,
+        }
+        impl Node for Starter {
+            type Msg = TestMsg;
+            fn on_start(&mut self, _: &mut Context<'_, TestMsg>) {
+                self.starts += 1;
+            }
+            fn on_message(&mut self, _: &mut Context<'_, TestMsg>, _: NodeId, _: TestMsg) {}
+        }
+        // One node from the builder, two spawned before the first run,
+        // one spawned into the running simulation.
+        let mut sim = Simulation::builder(vec![Starter { starts: 0 }]).build();
+        sim.spawn(Starter { starts: 0 });
+        sim.spawn(Starter { starts: 0 });
+        sim.run_until_quiescent();
+        sim.spawn(Starter { starts: 0 });
+        sim.step();
+        let starts: Vec<u32> = sim.nodes().iter().map(|n| n.starts).collect();
+        assert_eq!(starts, vec![1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn a_capped_run_until_leaves_the_clock_at_its_last_event() {
+        let mut nodes = ring(1);
+        nodes[0].periodic = true;
+        let mut sim = Simulation::builder(nodes).max_events(3).build();
+        let second = SimTime::ZERO + SimDuration::from_secs(1);
+        let outcome = sim.run_until(second);
+        assert_eq!(outcome.events, 3);
+        // Three 100 ms ticks ran; the fourth is due before the deadline.
+        assert_eq!(outcome.now, SimTime::ZERO + SimDuration::from_millis(300));
+        assert!(sim.step(), "the next tick is still queued");
+        assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_millis(400));
+        // Three ticks (500, 600, 700 ms) use the cap up, and none is due
+        // by the deadline after them: the clock reaches it.
+        let deadline = SimTime::ZERO + SimDuration::from_millis(750);
+        let outcome = sim.run_until(deadline);
+        assert_eq!(outcome.events, 3);
+        assert_eq!(outcome.now, deadline);
+        assert_eq!(sim.node(NodeId(0)).timer_fired, 7);
     }
 
     #[test]
