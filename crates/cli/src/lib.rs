@@ -983,7 +983,9 @@ fn cmd_detect(inv: &Invocation) -> Result<String, CliError> {
     sc.dim = opt_dim(inv, sc.dim)?;
     sc.seed = opt(inv, "seed", sc.seed)?;
     sc.groups = opt(inv, "groups", sc.groups)?;
-    sc.group_size = opt(inv, "group-size", sc.group_size)?;
+    // The default group fits the population; an explicit larger one is
+    // refused below.
+    sc.group_size = opt(inv, "group-size", sc.group_size.min(sc.peers))?;
     sc.loss = opt(inv, "loss", sc.loss)?;
     sc.crash_count = opt(inv, "crashes", sc.crash_count)?;
     sc.silent_count = opt(inv, "silent", sc.silent_count)?;
@@ -1011,6 +1013,12 @@ fn cmd_detect(inv: &Invocation) -> Result<String, CliError> {
         return Err(CliError::BadValue {
             key: "groups".into(),
             value: "0".into(),
+        });
+    }
+    if sc.group_size > sc.peers {
+        return Err(CliError::BadValue {
+            key: "group-size".into(),
+            value: format!("{} over {} peers", sc.group_size, sc.peers),
         });
     }
     if sc.crash_count + sc.silent_count >= sc.peers {
@@ -1048,11 +1056,17 @@ fn cmd_detect(inv: &Invocation) -> Result<String, CliError> {
         report.detected.len(),
         report.crashed.len() + report.silent.len()
     ));
-    out.push_str(&format!(
-        "  detection latency : mean {:.0} ms / max {:.0} ms\n",
-        report.mean_detection_ms(),
-        report.max_detection_ms()
-    ));
+    // No verdict, no latency: "-" as the detection panel prints it.
+    let latency = if report.detected.is_empty() {
+        "-".to_owned()
+    } else {
+        format!(
+            "mean {:.0} ms / max {:.0} ms",
+            report.mean_detection_ms(),
+            report.max_detection_ms()
+        )
+    };
+    out.push_str(&format!("  detection latency : {latency}\n"));
     out.push_str(&format!(
         "  false positives   : {}\n",
         report.false_positives
@@ -1597,6 +1611,27 @@ mod tests {
         assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
         let inv = parse_args(&args(&["detect", "--suspicion-ms", "0"])).unwrap();
         assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
+        // The engine caps a group at the population; a larger request is
+        // refused rather than reported as granted.
+        let inv = parse_args(&args(&["detect", "--n", "5", "--group-size", "10"])).unwrap();
+        assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
+    }
+
+    #[test]
+    fn detect_without_failures_prints_no_latency() {
+        let inv = parse_args(&args(&[
+            "detect",
+            "--n",
+            "6",
+            "--crashes",
+            "0",
+            "--silent",
+            "0",
+        ]))
+        .unwrap();
+        let out = run(&inv).unwrap();
+        assert!(out.contains("detection latency : -\n"), "{out}");
+        assert!(!out.contains("NaN"), "{out}");
     }
 
     #[test]
