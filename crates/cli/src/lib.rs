@@ -248,9 +248,9 @@ fn selection_for(
             })
         }
         "empty-rect" => Arc::new(EmptyRectSelection),
-        "orthogonal" => Arc::new(HyperplanesSelection::orthogonal(dim, k, MetricKind::L1)),
-        "signed" => Arc::new(HyperplanesSelection::signed(dim, k, MetricKind::L1)),
-        "k-closest" => Arc::new(HyperplanesSelection::k_closest(dim, k, MetricKind::L1)),
+        "orthogonal" => Arc::new(HyperplanesSelection::orthogonal(dim, k)),
+        "signed" => Arc::new(HyperplanesSelection::signed(dim, k)),
+        "k-closest" => Arc::new(HyperplanesSelection::k_closest(dim, k)),
         other => {
             return Err(CliError::BadValue {
                 key: "method".into(),
@@ -424,7 +424,7 @@ fn cmd_overlay(inv: &Invocation) -> Result<String, CliError> {
     let graph = store.graph();
     let profile = analysis::profile(&graph, Some(64.min(n)), seed);
     let stretch = if n >= 2 {
-        analysis::geometric_stretch(store.peers(), &graph, MetricKind::L1, 200, seed)
+        analysis::geometric_stretch(store.peers(), &graph, 200, seed)
     } else {
         0.0
     };
@@ -535,7 +535,7 @@ fn cmd_stability(inv: &Invocation) -> Result<String, CliError> {
     let policy = match policy_name.as_str() {
         "max-t" => PreferredPolicy::MaxT,
         "min-higher-t" => PreferredPolicy::MinHigherT,
-        "closest" => PreferredPolicy::ClosestHigherT(MetricKind::L1),
+        "closest" => PreferredPolicy::ClosestHigherT,
         other => {
             return Err(CliError::BadValue {
                 key: "policy".into(),
@@ -607,7 +607,7 @@ fn cmd_route(inv: &Invocation) -> Result<String, CliError> {
 
     let peers = PeerInfo::from_point_set(&uniform_points(n, dim, VMAX, seed));
     let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
-    let route = geocast::overlay::routing::route_to_peer(&store, from, to, MetricKind::L1);
+    let route = geocast::overlay::routing::route_to_peer(&store, from, to);
 
     let mut out = String::new();
     out.push_str(&format!(

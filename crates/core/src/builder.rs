@@ -3,7 +3,7 @@ use std::collections::VecDeque;
 use geocast_geom::Rect;
 use geocast_overlay::PeerInfo;
 
-use crate::partition::ZonePartitioner;
+use crate::partition::OrthantRectPartitioner;
 use crate::tree::{MulticastTree, TreeEdit};
 
 /// Responsibility zones of a construction, for the reached peers only
@@ -158,7 +158,7 @@ pub(crate) fn build_in_zone_generic(
     peers: &[PeerInfo],
     mut neighbors_into: impl FnMut(usize, &mut Vec<usize>),
     start: usize,
-    partitioner: &dyn ZonePartitioner,
+    partitioner: &OrthantRectPartitioner,
     record: Option<ZoneRecord>,
 ) -> Delegations {
     // Another start: the record says nothing about this run.

@@ -95,7 +95,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use geocast_geom::{MetricKind, Point};
+use geocast_geom::Point;
 use geocast_overlay::delta::DeltaKind;
 use geocast_overlay::routing::greedy_step_on_store;
 use geocast_overlay::{CursorCatchUp, DeltaCursor, PeerId, TopologyStore};
@@ -107,11 +107,8 @@ use crate::dataplane::{
 };
 use crate::graft::{graft_pass, GraftPass, GraftReport, Previous, WalkLog};
 use crate::member_tree::{member_tree, MemberRows, Recorded};
-use crate::partition::ZonePartitioner;
+use crate::partition::OrthantRectPartitioner;
 use crate::stability::{preferred_links_on_store, PreferredPolicy, StabilityForest};
-
-/// The metric relay grafting routes under — the paper's §2 choice.
-const GRAFT_METRIC: MetricKind = MetricKind::L1;
 
 /// Identifier of a multicast group (dense creation index within one
 /// engine).
@@ -150,7 +147,7 @@ pub fn build_group_tree_on_store(
     store: &TopologyStore,
     root: usize,
     members: &BTreeSet<usize>,
-    partitioner: &dyn ZonePartitioner,
+    partitioner: &OrthantRectPartitioner,
 ) -> BuildResult {
     member_tree(store, root, members, partitioner, None)
         .section2
@@ -228,7 +225,7 @@ impl GroupBuild {
                 .expect("an indexed walk is logged");
             !walks.fallback(w) && {
                 let target = store.peers()[walks.target(w)].point();
-                let hop = greedy_step_on_store(store, p, target, GRAFT_METRIC, nbuf);
+                let hop = greedy_step_on_store(store, p, target, nbuf);
                 hop.is_some() && hop == self.build.tree.parent(p)
             }
         })
@@ -249,7 +246,7 @@ pub fn build_group_tree_grafted(
     store: &TopologyStore,
     root: usize,
     members: &BTreeSet<usize>,
-    partitioner: &dyn ZonePartitioner,
+    partitioner: &OrthantRectPartitioner,
 ) -> GroupBuild {
     build_group(store, root, members, partitioner, None, None).0
 }
@@ -284,7 +281,7 @@ fn build_group(
     store: &TopologyStore,
     root: usize,
     members: &BTreeSet<usize>,
-    partitioner: &dyn ZonePartitioner,
+    partitioner: &OrthantRectPartitioner,
     recorded: Option<Recorded>,
     previous: Option<Previous>,
 ) -> (GroupBuild, (u64, u64), GraftPass) {
@@ -294,7 +291,7 @@ fn build_group(
     let walks_before = previous.as_ref().map_or(0, |p| p.log.len());
     let previous = previous.filter(|_| built.section2.base.is_some());
     let replays = previous.is_some();
-    let (build, mut pass) = graft_pass(store, built.section2, GRAFT_METRIC, previous);
+    let (build, mut pass) = graft_pass(store, built.section2, previous);
     if !replays {
         pass.retired = (0..walks_before).collect();
     }
@@ -433,7 +430,7 @@ pub(crate) fn splitmix(state: &mut u64) -> u64 {
 /// absorbed dirty regions.
 pub struct GroupEngine {
     store: TopologyStore,
-    partitioner: Arc<dyn ZonePartitioner + Send + Sync>,
+    partitioner: OrthantRectPartitioner,
     groups: Vec<Group>,
     /// Peer index → sorted group ids the peer subscribes to.
     member_of: Vec<Vec<u32>>,
@@ -484,8 +481,12 @@ pub struct GroupEngine {
 
 impl GroupEngine {
     /// Adopts a store (empty or populated) as the shared substrate.
+    ///
+    /// The partitioner comes in an `Arc` because the benchmark harness
+    /// still passes one; the engine keeps it by value, and ROADMAP item
+    /// 1(a) retires the wrapper with the harness's call.
     #[must_use]
-    pub fn new(store: TopologyStore, partitioner: Arc<dyn ZonePartitioner + Send + Sync>) -> Self {
+    pub fn new(store: TopologyStore, partitioner: Arc<OrthantRectPartitioner>) -> Self {
         let member_of = vec![Vec::new(); store.len()];
         let read_by = vec![Vec::new(); store.len()];
         let live_peers: Vec<usize> = (0..store.len())
@@ -495,7 +496,7 @@ impl GroupEngine {
         let flush = DeltaCursor::at("dataplane-flush", store.epoch());
         GroupEngine {
             store,
-            partitioner,
+            partitioner: *partitioner,
             groups: Vec::new(),
             member_of,
             read_by,
@@ -650,12 +651,8 @@ impl GroupEngine {
         let group = &self.groups[g.index()];
         match group.root {
             Some(root) => {
-                let reference = build_group_tree_grafted(
-                    &self.store,
-                    root,
-                    &group.members,
-                    self.partitioner.as_ref(),
-                );
+                let reference =
+                    build_group_tree_grafted(&self.store, root, &group.members, &self.partitioner);
                 group.build.as_ref() == Some(&reference)
             }
             None => group.build.is_none(),
@@ -1124,7 +1121,7 @@ impl GroupEngine {
     ///
     /// Panics if the store has no live peers or a size is zero.
     pub fn seed_groups_clustered(&mut self, sizes: &[usize], state: &mut u64) -> Vec<GroupId> {
-        use geocast_geom::{Metric, MetricKind};
+        use geocast_geom::l1;
         self.sync();
         assert!(
             !self.live_peers.is_empty(),
@@ -1141,7 +1138,7 @@ impl GroupEngine {
             // a sort — only the set matters.
             let mut by_dist: Vec<(f64, usize)> = live
                 .iter()
-                .map(|&i| (MetricKind::L1.dist(self.store.peers()[i].point(), cp), i))
+                .map(|&i| (l1(self.store.peers()[i].point().coords(), cp.coords()), i))
                 .collect();
             if size < by_dist.len() {
                 by_dist
@@ -1440,7 +1437,7 @@ impl GroupEngine {
             &self.store,
             root,
             &group.members,
-            self.partitioner.as_ref(),
+            &self.partitioner,
             recorded,
             previous,
         );
@@ -1451,7 +1448,7 @@ impl GroupEngine {
                         &self.store,
                         root,
                         &group.members,
-                        self.partitioner.as_ref()
+                        &self.partitioner
                     ),
             "group {gi}: the replayed build differs from its from-scratch rebuild"
         );

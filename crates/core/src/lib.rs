@@ -11,9 +11,9 @@
 //!   every peer `P` receiving a construction request for zone `Z(P)`
 //!   delegates disjoint sub-zones of `Z(P)` to a subset of its overlay
 //!   neighbours inside `Z(P)` and forwards the request; `N − 1` messages
-//!   construct the tree. The zone-splitting policy is pluggable
-//!   ([`ZonePartitioner`]); the paper's instance (orthant split, median
-//!   L1 neighbour) is [`OrthantRectPartitioner::median`], with
+//!   construct the tree. The zone-splitting policy is the paper's
+//!   orthant split ([`OrthantRectPartitioner`]): the median L1
+//!   neighbour per orthant ([`OrthantRectPartitioner::median`]), with
 //!   closest/farthest variants for ablations. Both a work-queue build
 //!   over a [`geocast_overlay::TopologyStore`]
 //!   ([`groups::build_group_tree_on_store`], every peer a member for the
@@ -73,5 +73,5 @@ pub mod stability;
 pub mod validate;
 
 pub use builder::{BuildResult, Zones};
-pub use partition::{OrthantRectPartitioner, PickRule, ZonePartitioner};
+pub use partition::{OrthantRectPartitioner, PickRule};
 pub use tree::{MulticastTree, TreeError};

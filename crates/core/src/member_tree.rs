@@ -21,7 +21,7 @@ use geocast_overlay::{PeerId, TopologyStore};
 
 use crate::bits::PeerBits;
 use crate::builder::{build_in_zone_generic, BuildResult, ZoneRecord, Zones};
-use crate::partition::ZonePartitioner;
+use crate::partition::OrthantRectPartitioner;
 use crate::tree::{MulticastTree, TreeEdit};
 
 /// The member-induced adjacency rows one §2 group construction read:
@@ -189,7 +189,7 @@ pub(crate) fn member_tree<'a>(
     store: &TopologyStore,
     root: usize,
     members: &BTreeSet<usize>,
-    partitioner: &dyn ZonePartitioner,
+    partitioner: &OrthantRectPartitioner,
     recorded: Option<Recorded<'a>>,
 ) -> MemberTree<'a> {
     assert!(root < store.len(), "root out of range");

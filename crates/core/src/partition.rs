@@ -1,30 +1,5 @@
-use geocast_geom::{dominance, Metric, MetricKind, Rect};
+use geocast_geom::{dominance, l1, Rect};
 use geocast_overlay::PeerInfo;
-
-/// A zone-splitting policy: the heart of the §2 construction.
-///
-/// Given a peer `p` responsible for `zone` and its overlay neighbours
-/// located strictly inside `zone`, choose the tree children and assign
-/// each a sub-zone. Implementations must uphold the paper's contract:
-///
-/// * each child lies inside its own sub-zone,
-/// * sub-zones are pairwise disjoint,
-/// * sub-zones lie inside `zone` and exclude `p`,
-/// * jointly, the sub-zones cover every peer of `zone` that can still be
-///   reached (for the orthant policies: every populated orthant with an
-///   in-zone neighbour is delegated).
-///
-/// These invariants are what make the construction send exactly `N − 1`
-/// messages: no peer is covered twice (no duplicates) and none is left
-/// out (full delivery).
-pub trait ZonePartitioner {
-    /// Chooses `(child, sub-zone)` pairs. `in_zone` holds the neighbours
-    /// of `p` strictly inside `zone`; returned indices point into it.
-    fn partition(&self, p: &PeerInfo, zone: &Rect, in_zone: &[&PeerInfo]) -> Vec<(usize, Rect)>;
-
-    /// Human-readable policy name for reports.
-    fn name(&self) -> String;
-}
 
 /// Which neighbour to delegate an orthant to, among the in-zone
 /// neighbours of that orthant sorted by distance.
@@ -52,17 +27,30 @@ impl PickRule {
     }
 }
 
-/// The paper's §2 partitioner: classify in-zone neighbours into the
-/// `2^D` orthants around `p` (as in the Orthogonal Hyperplanes method),
-/// sort each orthant's neighbours by distance (L1 in the paper), pick one
-/// per [`PickRule`], and delegate the orthant's slice of the zone —
-/// `Z(Q) = Z(P) ∩ HR(orthant)` where `HR`'s side in dimension `i` is
-/// `(-∞, x(P,i))` or `(x(P,i), +∞)`.
+/// The paper's §2 partitioner, the heart of the construction: classify
+/// in-zone neighbours into the `2^D` orthants around `p` (as in the
+/// Orthogonal Hyperplanes method), sort each orthant's neighbours by L1
+/// distance, pick one per [`PickRule`], and delegate the orthant's slice
+/// of the zone — `Z(Q) = Z(P) ∩ HR(orthant)` where `HR`'s side in
+/// dimension `i` is `(-∞, x(P,i))` or `(x(P,i), +∞)`.
+///
+/// [`OrthantRectPartitioner::partition`] upholds the paper's contract:
+///
+/// * each child lies inside its own sub-zone,
+/// * sub-zones are pairwise disjoint,
+/// * sub-zones lie inside `zone` and exclude `p`,
+/// * jointly, the sub-zones cover every peer of `zone` that can still be
+///   reached: every populated orthant with an in-zone neighbour is
+///   delegated.
+///
+/// These invariants are what make the construction send exactly `N − 1`
+/// messages: no peer is covered twice (no duplicates) and none is left
+/// out (full delivery).
 ///
 /// # Example
 ///
 /// ```
-/// use geocast_core::{OrthantRectPartitioner, ZonePartitioner};
+/// use geocast_core::OrthantRectPartitioner;
 /// use geocast_overlay::{PeerId, PeerInfo};
 /// use geocast_geom::{Point, Rect};
 ///
@@ -81,16 +69,14 @@ impl PickRule {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrthantRectPartitioner {
     pick: PickRule,
-    metric: MetricKind,
 }
 
 impl OrthantRectPartitioner {
-    /// The paper's configuration: median pick, L1 distance.
+    /// The paper's configuration: median pick.
     #[must_use]
     pub fn median() -> Self {
         OrthantRectPartitioner {
             pick: PickRule::Median,
-            metric: MetricKind::L1,
         }
     }
 
@@ -99,7 +85,6 @@ impl OrthantRectPartitioner {
     pub fn closest() -> Self {
         OrthantRectPartitioner {
             pick: PickRule::Closest,
-            metric: MetricKind::L1,
         }
     }
 
@@ -108,14 +93,7 @@ impl OrthantRectPartitioner {
     pub fn farthest() -> Self {
         OrthantRectPartitioner {
             pick: PickRule::Farthest,
-            metric: MetricKind::L1,
         }
-    }
-
-    /// Fully custom configuration.
-    #[must_use]
-    pub fn new(pick: PickRule, metric: MetricKind) -> Self {
-        OrthantRectPartitioner { pick, metric }
     }
 
     /// The configured pick rule.
@@ -124,15 +102,15 @@ impl OrthantRectPartitioner {
         self.pick
     }
 
-    /// The configured distance function.
+    /// Chooses `(child, sub-zone)` pairs. `in_zone` holds the neighbours
+    /// of `p` strictly inside `zone`; returned indices point into it.
     #[must_use]
-    pub fn metric(&self) -> MetricKind {
-        self.metric
-    }
-}
-
-impl ZonePartitioner for OrthantRectPartitioner {
-    fn partition(&self, p: &PeerInfo, zone: &Rect, in_zone: &[&PeerInfo]) -> Vec<(usize, Rect)> {
+    pub fn partition(
+        &self,
+        p: &PeerInfo,
+        zone: &Rect,
+        in_zone: &[&PeerInfo],
+    ) -> Vec<(usize, Rect)> {
         debug_assert!(
             in_zone.iter().all(|q| zone.contains(q.point())),
             "in_zone must be pre-filtered to the zone"
@@ -140,11 +118,12 @@ impl ZonePartitioner for OrthantRectPartitioner {
         let (groups, colliding) = dominance::group_by_orthant(p.point(), in_zone);
         debug_assert!(colliding.is_empty(), "distinctness assumption violated");
 
+        let pc = p.point().coords();
         let mut out = Vec::with_capacity(groups.len());
         for (orthant, mut sorted) in groups {
             sorted.sort_by(|&a, &b| {
-                let da = self.metric.dist(p.point(), in_zone[a].point());
-                let db = self.metric.dist(p.point(), in_zone[b].point());
+                let da = l1(pc, in_zone[a].point().coords());
+                let db = l1(pc, in_zone[b].point().coords());
                 da.total_cmp(&db)
                     .then_with(|| in_zone[a].id().cmp(&in_zone[b].id()))
             });
@@ -156,13 +135,15 @@ impl ZonePartitioner for OrthantRectPartitioner {
         out
     }
 
-    fn name(&self) -> String {
+    /// Human-readable policy name for reports.
+    #[must_use]
+    pub fn name(&self) -> String {
         let pick = match self.pick {
             PickRule::Median => "median",
             PickRule::Closest => "closest",
             PickRule::Farthest => "farthest",
         };
-        format!("orthant-rect({pick}, {})", self.metric)
+        format!("orthant-rect({pick})")
     }
 }
 
@@ -176,8 +157,16 @@ mod tests {
         PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed))
     }
 
+    fn partitioner(pick: PickRule) -> OrthantRectPartitioner {
+        match pick {
+            PickRule::Median => OrthantRectPartitioner::median(),
+            PickRule::Closest => OrthantRectPartitioner::closest(),
+            PickRule::Farthest => OrthantRectPartitioner::farthest(),
+        }
+    }
+
     fn partition_contract(p: &PeerInfo, zone: &Rect, in_zone: &[&PeerInfo], pick: PickRule) {
-        let partitioner = OrthantRectPartitioner::new(pick, MetricKind::L1);
+        let partitioner = partitioner(pick);
         let parts = partitioner.partition(p, zone, in_zone);
         // Children are distinct.
         let mut seen = std::collections::BTreeSet::new();
@@ -316,11 +305,11 @@ mod tests {
     fn name_reflects_configuration() {
         assert_eq!(
             OrthantRectPartitioner::median().name(),
-            "orthant-rect(median, L1)"
+            "orthant-rect(median)"
         );
         assert_eq!(
-            OrthantRectPartitioner::new(PickRule::Closest, MetricKind::L2).name(),
-            "orthant-rect(closest, L2)"
+            OrthantRectPartitioner::closest().name(),
+            "orthant-rect(closest)"
         );
     }
 
@@ -328,6 +317,5 @@ mod tests {
     fn accessors_expose_configuration() {
         let p = OrthantRectPartitioner::farthest();
         assert_eq!(p.pick(), PickRule::Farthest);
-        assert_eq!(p.metric(), MetricKind::L1);
     }
 }

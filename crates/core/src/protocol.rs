@@ -3,8 +3,8 @@
 //! [`build_distributed`] runs the space-partitioning algorithm as
 //! messages over the discrete-event simulator: the root injects a
 //! construction request carrying the full coordinate space as its zone;
-//! every peer receiving a request selects children via the configured
-//! [`ZonePartitioner`] and forwards sub-zone requests. When the
+//! every peer receiving a request selects children via the
+//! [`OrthantRectPartitioner`] and forwards sub-zone requests. When the
 //! simulation quiesces, per-node parent/children state is assembled into
 //! a [`MulticastTree`].
 //!
@@ -22,7 +22,7 @@ use geocast_sim::{
     Context, FaultModel, LatencyModel, Message, Node, NodeId, Simulation, UniformLatency,
 };
 
-use crate::partition::ZonePartitioner;
+use crate::partition::OrthantRectPartitioner;
 use crate::tree::MulticastTree;
 
 /// Multicast-construction traffic.
@@ -50,7 +50,7 @@ pub struct BuildNode {
     info: PeerInfo,
     /// Undirected overlay neighbours (connections usable both ways).
     neighbors: Vec<usize>,
-    partitioner: Arc<dyn ZonePartitioner + Send + Sync>,
+    partitioner: OrthantRectPartitioner,
     peers: Arc<Vec<PeerInfo>>,
     parent: Option<usize>,
     children: Vec<usize>,
@@ -72,7 +72,7 @@ impl BuildNode {
     pub fn new(
         info: PeerInfo,
         neighbors: Vec<usize>,
-        partitioner: Arc<dyn ZonePartitioner + Send + Sync>,
+        partitioner: OrthantRectPartitioner,
         peers: Arc<Vec<PeerInfo>>,
     ) -> Self {
         BuildNode {
@@ -173,7 +173,7 @@ pub fn build_distributed(
     peers: &[PeerInfo],
     overlay: &OverlayGraph,
     root: usize,
-    partitioner: Arc<dyn ZonePartitioner + Send + Sync>,
+    partitioner: OrthantRectPartitioner,
     latency: impl LatencyModel + 'static,
     fault: FaultModel,
     seed: u64,
@@ -191,7 +191,7 @@ pub fn build_distributed(
             BuildNode::new(
                 info.clone(),
                 adj.out_neighbors(i).to_vec(),
-                Arc::clone(&partitioner),
+                partitioner,
                 Arc::clone(&shared_peers),
             )
         })
@@ -237,7 +237,7 @@ pub fn build_distributed_default(
     peers: &[PeerInfo],
     overlay: &OverlayGraph,
     root: usize,
-    partitioner: Arc<dyn ZonePartitioner + Send + Sync>,
+    partitioner: OrthantRectPartitioner,
     seed: u64,
 ) -> DistBuildResult {
     build_distributed(
@@ -271,13 +271,8 @@ mod tests {
     fn distributed_build_spans_with_n_minus_one_messages() {
         let store = setup(60, 2, 3);
         let (peers, overlay) = (store.peers(), store.graph());
-        let result = build_distributed_default(
-            peers,
-            &overlay,
-            0,
-            Arc::new(OrthantRectPartitioner::median()),
-            42,
-        );
+        let result =
+            build_distributed_default(peers, &overlay, 0, OrthantRectPartitioner::median(), 42);
         assert!(result.tree.is_spanning());
         assert_eq!(result.messages, 59);
         assert_eq!(result.duplicates, 0, "§2: no duplicate deliveries");
@@ -296,7 +291,7 @@ mod tests {
                 peers,
                 &overlay,
                 2,
-                Arc::new(OrthantRectPartitioner::median()),
+                OrthantRectPartitioner::median(),
                 seed,
             );
             assert_eq!(dist.tree, offline.tree, "seed {seed}");
@@ -312,14 +307,8 @@ mod tests {
         let store = setup(50, 2, 21);
         let (peers, overlay) = (store.peers(), store.graph());
         let build = |seed: u64| {
-            build_distributed_default(
-                peers,
-                &overlay,
-                0,
-                Arc::new(OrthantRectPartitioner::median()),
-                seed,
-            )
-            .tree
+            build_distributed_default(peers, &overlay, 0, OrthantRectPartitioner::median(), seed)
+                .tree
         };
         let reference = build(0);
         for seed in 1..6 {
@@ -335,7 +324,7 @@ mod tests {
             peers,
             &overlay,
             0,
-            Arc::new(OrthantRectPartitioner::median()),
+            OrthantRectPartitioner::median(),
             UniformLatency::new(
                 geocast_sim::SimDuration::from_millis(5),
                 geocast_sim::SimDuration::from_millis(20),
@@ -361,7 +350,7 @@ mod tests {
                 peers,
                 &overlay,
                 root,
-                Arc::new(OrthantRectPartitioner::median()),
+                OrthantRectPartitioner::median(),
                 root as u64,
             );
             assert_eq!(result.duplicates, 0, "root {root}");

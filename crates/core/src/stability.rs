@@ -26,7 +26,7 @@
 //! peers with larger `T` occupy orthants positive in dimension 1, and
 //! every populated orthant contributes at least one selected neighbour.
 
-use geocast_geom::{Metric, MetricKind};
+use geocast_geom::l1;
 use geocast_overlay::{OverlayGraph, PeerId, PeerInfo, TopologyStore};
 
 use crate::tree::MulticastTree;
@@ -43,9 +43,8 @@ pub enum PreferredPolicy {
     /// (a "secondary selection criteria" instance; yields deeper,
     /// thinner trees).
     MinHigherT,
-    /// The geometrically closest higher-`T` neighbour under the given
-    /// metric (ties by peer id).
-    ClosestHigherT(MetricKind),
+    /// The closest higher-`T` neighbour in L1 (ties by peer id).
+    ClosestHigherT,
 }
 
 impl PreferredPolicy {
@@ -72,13 +71,12 @@ impl PreferredPolicy {
                         .then_with(|| a.id().cmp(&b.id()))
                 })
                 .map(|(i, _)| i),
-            PreferredPolicy::ClosestHigherT(metric) => candidates
+            PreferredPolicy::ClosestHigherT => candidates
                 .iter()
                 .enumerate()
                 .min_by(|(_, a), (_, b)| {
-                    metric
-                        .dist(who.point(), a.point())
-                        .total_cmp(&metric.dist(who.point(), b.point()))
+                    let da = l1(who.point().coords(), a.point().coords());
+                    da.total_cmp(&l1(who.point().coords(), b.point().coords()))
                         .then_with(|| a.id().cmp(&b.id()))
                 })
                 .map(|(i, _)| i),
@@ -92,7 +90,7 @@ impl std::fmt::Display for PreferredPolicy {
         match self {
             PreferredPolicy::MaxT => write!(f, "max-T"),
             PreferredPolicy::MinHigherT => write!(f, "min-higher-T"),
-            PreferredPolicy::ClosestHigherT(m) => write!(f, "closest-higher-T({m})"),
+            PreferredPolicy::ClosestHigherT => write!(f, "closest-higher-T"),
         }
     }
 }
@@ -311,7 +309,7 @@ mod tests {
         let base = uniform_points(n, dim, 1000.0, seed);
         let times = lifetimes(n, 1000.0, seed ^ 0xabcdef);
         let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
-        let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
+        let sel = HyperplanesSelection::orthogonal(dim, k);
         TopologyStore::from_peers(peers, Arc::new(sel))
     }
 
@@ -353,7 +351,7 @@ mod tests {
         for policy in [
             PreferredPolicy::MaxT,
             PreferredPolicy::MinHigherT,
-            PreferredPolicy::ClosestHigherT(MetricKind::L1),
+            PreferredPolicy::ClosestHigherT,
         ] {
             let store = setup(100, 3, 1, 13);
             let (peers, overlay) = (store.peers(), store.graph());
@@ -369,10 +367,7 @@ mod tests {
     fn alternative_policies_also_satisfy_heap_property() {
         let store = setup(70, 2, 3, 17);
         let (peers, overlay) = (store.peers(), store.graph());
-        for policy in [
-            PreferredPolicy::MinHigherT,
-            PreferredPolicy::ClosestHigherT(MetricKind::L2),
-        ] {
+        for policy in [PreferredPolicy::MinHigherT, PreferredPolicy::ClosestHigherT] {
             let forest = preferred_links(peers, &overlay, policy);
             assert!(forest.heap_property_holds(peers), "{policy}");
         }
@@ -406,7 +401,7 @@ mod tests {
         let base = uniform_points(60, 3, 1000.0, 33);
         let times = lifetimes(60, 1000.0, 34);
         let points = embed_lifetimes(&base, &times);
-        let sel = Arc::new(HyperplanesSelection::orthogonal(3, 2, MetricKind::L1));
+        let sel = Arc::new(HyperplanesSelection::orthogonal(3, 2));
         let mut store = TopologyStore::new(sel);
         for p in points.into_points() {
             store.insert(p);
@@ -424,7 +419,7 @@ mod tests {
         let base = uniform_points(50, 2, 1000.0, 35);
         let times = lifetimes(50, 1000.0, 36);
         let points = embed_lifetimes(&base, &times).into_points();
-        let sel = Arc::new(HyperplanesSelection::orthogonal(2, 1, MetricKind::L1));
+        let sel = Arc::new(HyperplanesSelection::orthogonal(2, 1));
         let mut store = TopologyStore::new(Arc::clone(&sel) as _);
         let mut forest = preferred_links_on_store(&store, PreferredPolicy::MaxT);
         // Joins: refresh after each event with that event's delta.
@@ -502,8 +497,8 @@ mod tests {
         assert_eq!(PreferredPolicy::MaxT.to_string(), "max-T");
         assert_eq!(PreferredPolicy::MinHigherT.to_string(), "min-higher-T");
         assert_eq!(
-            PreferredPolicy::ClosestHigherT(MetricKind::L1).to_string(),
-            "closest-higher-T(L1)"
+            PreferredPolicy::ClosestHigherT.to_string(),
+            "closest-higher-T"
         );
     }
 }

@@ -100,7 +100,6 @@ mod tests {
     use crate::groups::build_group_tree_on_store;
     use crate::partition::OrthantRectPartitioner;
     use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
-    use geocast_geom::MetricKind;
     use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection};
     use geocast_overlay::TopologyStore;
     use std::sync::Arc;
@@ -157,7 +156,7 @@ mod tests {
         let base = uniform_points(90, 4, 1000.0, 5);
         let times = lifetimes(90, 1000.0, 6);
         let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
-        let sel = HyperplanesSelection::orthogonal(4, 2, MetricKind::L1);
+        let sel = HyperplanesSelection::orthogonal(4, 2);
         let store = TopologyStore::from_peers(peers, Arc::new(sel));
         let verdict = check_section3(store.peers(), &store.graph(), PreferredPolicy::MaxT);
         assert!(verdict.all_hold(), "{verdict:?}");

@@ -10,9 +10,9 @@ use proptest::prelude::*;
 
 use geocast_core::groups::build_group_tree_on_store;
 use geocast_core::stability::{non_leaf_departures, preferred_links, PreferredPolicy};
-use geocast_core::{baseline, BuildResult, OrthantRectPartitioner, PickRule, ZonePartitioner};
+use geocast_core::{baseline, BuildResult, OrthantRectPartitioner, PickRule};
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
-use geocast_geom::{MetricKind, Rect};
+use geocast_geom::Rect;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection};
 use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
 
@@ -24,7 +24,11 @@ fn empty_rect_store(n: usize, dim: usize, seed: u64) -> TopologyStore {
 
 /// The §2 construction from `root` with every live peer of `store` a
 /// member.
-fn build_all(store: &TopologyStore, root: usize, partitioner: &dyn ZonePartitioner) -> BuildResult {
+fn build_all(
+    store: &TopologyStore,
+    root: usize,
+    partitioner: &OrthantRectPartitioner,
+) -> BuildResult {
     let live: BTreeSet<usize> = (0..store.len())
         .filter(|&i| !store.is_departed(PeerId(i as u64)))
         .collect();
@@ -51,7 +55,11 @@ proptest! {
     ) {
         let store = empty_rect_store(n, dim, seed);
         let root = root_pick % n;
-        let partitioner = OrthantRectPartitioner::new(pick, MetricKind::L1);
+        let partitioner = match pick {
+            PickRule::Median => OrthantRectPartitioner::median(),
+            PickRule::Closest => OrthantRectPartitioner::closest(),
+            PickRule::Farthest => OrthantRectPartitioner::farthest(),
+        };
         let result = build_all(&store, root, &partitioner);
         prop_assert!(result.tree.is_spanning());
         prop_assert_eq!(result.messages, n - 1);
@@ -107,13 +115,13 @@ proptest! {
         policy in prop_oneof![
             Just(PreferredPolicy::MaxT),
             Just(PreferredPolicy::MinHigherT),
-            Just(PreferredPolicy::ClosestHigherT(MetricKind::L1)),
+            Just(PreferredPolicy::ClosestHigherT),
         ],
     ) {
         let base = uniform_points(n, dim, 1000.0, seed);
         let times = lifetimes(n, 1000.0, seed ^ 0xf00d);
         let population = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
-        let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
+        let sel = HyperplanesSelection::orthogonal(dim, k);
         let store = TopologyStore::from_peers(population, Arc::new(sel));
         let (population, overlay) = (store.peers(), store.graph());
         let forest = preferred_links(population, &overlay, policy);

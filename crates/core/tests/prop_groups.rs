@@ -39,7 +39,7 @@ use geocast_core::dataplane::{DeliveryPlan, PublishBatch};
 use geocast_core::groups::{build_group_tree_grafted, GroupEngine, GroupId};
 use geocast_core::OrthantRectPartitioner;
 use geocast_geom::gen::{chain, cross, hub, uniform_points};
-use geocast_geom::{MetricKind, Point};
+use geocast_geom::Point;
 use geocast_overlay::delta::DeltaKind;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
 use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
@@ -71,8 +71,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 fn selection_for(rule: u8, dim: usize) -> Arc<dyn NeighborSelection + Send + Sync> {
     match rule {
         0 => Arc::new(EmptyRectSelection),
-        1 => Arc::new(HyperplanesSelection::orthogonal(dim, 2, MetricKind::L1)),
-        _ => Arc::new(HyperplanesSelection::orthogonal(dim, 1, MetricKind::L1)),
+        1 => Arc::new(HyperplanesSelection::orthogonal(dim, 2)),
+        _ => Arc::new(HyperplanesSelection::orthogonal(dim, 1)),
     }
 }
 
@@ -593,7 +593,7 @@ fn churn_on_the_section3_profile_examines_a_quarter_of_its_walks() {
     };
     let store = TopologyStore::from_peers(
         PeerInfo::from_point_set(&with_lifetimes(n, 11)),
-        Arc::new(HyperplanesSelection::orthogonal(3, 2, MetricKind::L1)),
+        Arc::new(HyperplanesSelection::orthogonal(3, 2)),
     );
     let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
     let ids = engine.seed_groups(&zipf_group_sizes(64, 2 * n, 1.0), &mut 2);

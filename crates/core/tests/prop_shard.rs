@@ -17,7 +17,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use geocast_geom::gen::uniform_points;
-use geocast_geom::MetricKind;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
 use geocast_overlay::{
     oracle, DeltaKind, OverlayGraph, PeerId, PeerInfo, TopologyDelta, TopologyStore,
@@ -26,9 +25,9 @@ use geocast_overlay::{
 fn selection_for(variant: usize, dim: usize, k: usize) -> Arc<dyn NeighborSelection + Send + Sync> {
     match variant {
         0 => Arc::new(EmptyRectSelection),
-        1 => Arc::new(HyperplanesSelection::orthogonal(dim, k, MetricKind::L1)),
-        2 => Arc::new(HyperplanesSelection::signed(dim, k, MetricKind::L1)),
-        _ => Arc::new(HyperplanesSelection::k_closest(dim, k, MetricKind::L2)),
+        1 => Arc::new(HyperplanesSelection::orthogonal(dim, k)),
+        2 => Arc::new(HyperplanesSelection::signed(dim, k)),
+        _ => Arc::new(HyperplanesSelection::k_closest(dim, k)),
     }
 }
 

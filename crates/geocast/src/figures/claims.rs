@@ -5,7 +5,7 @@ use std::sync::Arc;
 use geocast_core::groups::build_group_tree_on_store;
 use geocast_core::{protocol, validate, OrthantRectPartitioner};
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
-use geocast_geom::{MetricKind, VMAX};
+use geocast_geom::VMAX;
 use geocast_metrics::Table;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection};
 use geocast_overlay::{PeerInfo, TopologyStore};
@@ -83,7 +83,7 @@ pub fn claims_section2(cfg: &ClaimsConfig) -> FigureReport {
             peers,
             &overlay,
             0,
-            Arc::new(OrthantRectPartitioner::median()),
+            OrthantRectPartitioner::median(),
             seed,
         );
         (
@@ -153,7 +153,7 @@ pub fn claims_section3(cfg: &ClaimsConfig) -> FigureReport {
         let base = uniform_points(n, dim, VMAX, seed);
         let times = lifetimes(n, VMAX, seed ^ 0x3353);
         let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
-        let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
+        let sel = HyperplanesSelection::orthogonal(dim, k);
         let store = TopologyStore::from_peers(peers, Arc::new(sel));
         validate::check_section3(
             store.peers(),

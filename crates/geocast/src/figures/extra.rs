@@ -6,7 +6,7 @@ use std::sync::Arc;
 use geocast_core::groups::build_group_tree_on_store;
 use geocast_core::{baseline, stability, OrthantRectPartitioner};
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
-use geocast_geom::{MetricKind, VMAX};
+use geocast_geom::VMAX;
 use geocast_metrics::{Summary, Table};
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection};
 use geocast_overlay::{PeerInfo, TopologyStore};
@@ -240,7 +240,7 @@ pub fn baseline_stability(cfg: &BaselineConfig) -> FigureReport {
     let measured = runner.map(&jobs, |&(n, seed)| {
         let base = uniform_points(n, cfg.dim, VMAX, seed);
         let times = lifetimes(n, VMAX, seed ^ 0x1234_5678);
-        let sel = HyperplanesSelection::orthogonal(cfg.dim, 2, MetricKind::L1);
+        let sel = HyperplanesSelection::orthogonal(cfg.dim, 2);
         let store = TopologyStore::from_peers(
             PeerInfo::from_point_set(&embed_lifetimes(&base, &times)),
             Arc::new(sel),

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use geocast_core::groups::build_group_tree_on_store;
 use geocast_core::{stability, OrthantRectPartitioner};
 use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
-use geocast_geom::{MetricKind, VMAX};
+use geocast_geom::VMAX;
 use geocast_metrics::{AsciiChart, Table};
 use geocast_overlay::select::EmptyRectSelection;
 use geocast_overlay::{oracle, PeerInfo, TopologyStore};
@@ -175,7 +175,6 @@ pub fn fig1b(cfg: &Fig1Config) -> FigureReport {
         let max = lengths.iter().copied().fold(0.0, f64::max);
         // Wall-clock: message-passing builds over the coordinate-derived
         // network for a sample of roots (virtual ms, deterministic).
-        let shared = Arc::new(OrthantRectPartitioner::median());
         let clock_ms: Vec<f64> = roots
             .iter()
             .take(cfg.latency_roots)
@@ -184,7 +183,7 @@ pub fn fig1b(cfg: &Fig1Config) -> FigureReport {
                     peers,
                     &graph,
                     root,
-                    Arc::clone(&shared) as _,
+                    partitioner,
                     CoordDistanceLatency::new(
                         positions.clone(),
                         SimDuration::from_millis(2),
@@ -360,8 +359,6 @@ pub struct StabilityConfig {
     pub ks: Vec<usize>,
     /// Trials.
     pub seeds: Vec<u64>,
-    /// Distance function for the overlay's per-orthant ranking.
-    pub metric: MetricKind,
 }
 
 impl Default for StabilityConfig {
@@ -371,7 +368,6 @@ impl Default for StabilityConfig {
             dims: (2..=10).collect(),
             ks: (1..=50).collect(),
             seeds: vec![1],
-            metric: MetricKind::L1,
         }
     }
 }
@@ -385,7 +381,6 @@ impl StabilityConfig {
             dims: vec![2, 3, 5],
             ks: vec![1, 2, 5, 10],
             seeds: vec![1],
-            metric: MetricKind::L1,
         }
     }
 }
@@ -435,7 +430,7 @@ pub fn stability_sweep(cfg: &StabilityConfig) -> StabilitySweep {
         let times = lifetimes(cfg.n, VMAX, seed ^ 0x5747_4142);
         let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
         let mut rows = Vec::with_capacity(cfg.ks.len());
-        oracle::orthogonal_k_sweep_with(&peers, cfg.metric, &cfg.ks, |_k, graph| {
+        oracle::orthogonal_k_sweep_with(&peers, &cfg.ks, |_k, graph| {
             let forest =
                 stability::preferred_links(&peers, graph, stability::PreferredPolicy::MaxT);
             let tree_ok = forest.is_tree();
@@ -517,10 +512,7 @@ impl StabilitySweep {
             .with_note(format!(
                 "preferred links formed a tree with the heap property in all cases: {all_trees}"
             ))
-            .with_note(format!(
-                "metric: {}, seeds: {:?}, y = {value_name}",
-                cfg.metric, cfg.seeds
-            ))
+            .with_note(format!("seeds: {:?}, y = {value_name}", cfg.seeds))
     }
 
     /// Formats the Fig. 1(d) panel (tree diameter vs `K`).
@@ -649,7 +641,6 @@ mod tests {
             dims: vec![2, 4],
             ks: vec![1, 3],
             seeds: vec![1, 2],
-            ..StabilityConfig::quick()
         };
         let sweep = stability_sweep(&cfg);
         assert_eq!(sweep.rows.len(), 4);
@@ -673,7 +664,6 @@ mod tests {
             dims: vec![2],
             ks: vec![1, 2],
             seeds: vec![7],
-            ..StabilityConfig::quick()
         };
         let sweep = stability_sweep(&cfg);
         assert_eq!(fig1d(&cfg).table, sweep.fig1d_report().table);

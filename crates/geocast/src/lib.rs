@@ -53,7 +53,7 @@ pub mod figures;
 
 /// Multicast tree construction, stability trees, baselines.
 pub use geocast_core as core;
-/// Geometry substrate: points, zones, orthants, metrics, generators.
+/// Geometry substrate: points, zones, orthants, the L1 distance, generators.
 pub use geocast_geom as geom;
 /// Statistics, tables, charts.
 pub use geocast_metrics as metrics;
@@ -69,10 +69,10 @@ pub mod prelude {
     };
     pub use geocast_core::{
         baseline, protocol, stability, validate, BuildResult, MulticastTree,
-        OrthantRectPartitioner, PickRule, ZonePartitioner,
+        OrthantRectPartitioner, PickRule,
     };
     pub use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
-    pub use geocast_geom::{Metric, MetricKind, Orthant, Point, PointSet, Rect};
+    pub use geocast_geom::{Orthant, Point, PointSet, Rect};
     pub use geocast_metrics::{AsciiChart, Summary, Table};
     pub use geocast_overlay::select::{
         EmptyRectSelection, HyperplanesSelection, NeighborSelection,

@@ -52,7 +52,7 @@
 //!   offset 0 in the dimensions still to be walked, which nothing is
 //!   strictly closer than, so only the innermost loop is ever cut.
 //! * For the `K`-nearest query, a cell column is cut as soon as the
-//!   metric applied to the corner bound exceeds (strictly) the current
+//!   L1 norm of the corner bound exceeds (strictly) the current
 //!   `K`-th best distance — a tie at equal distance is *not* cut, so
 //!   the `(distance, tie-key)` order of the brute-force selection is
 //!   reproduced exactly.
@@ -79,7 +79,7 @@
 use std::collections::HashMap;
 
 use crate::dominance::ParetoSet;
-use crate::{MetricKind, Point};
+use crate::{l1, Point};
 
 /// Orthant walks keep one frontier per orthant; beyond this many
 /// dimensions the `2^D` tables would dwarf the point set and a linear
@@ -632,7 +632,7 @@ impl GridIndex {
     }
 
     /// The `k` nearest live indexed points to point `i` within each
-    /// orthant around it, under `metric`, each orthant sorted by
+    /// orthant around it, under the L1 distance, each orthant sorted by
     /// `(distance, index)` ascending — exactly the per-orthant ranking
     /// of the *Orthogonal Hyperplanes* selection when point indices are
     /// the tie-break key.
@@ -645,12 +645,7 @@ impl GridIndex {
     ///
     /// Panics if `i` is out of range, removed, or `k == 0`.
     #[must_use]
-    pub fn k_nearest_per_orthant(
-        &self,
-        i: usize,
-        k: usize,
-        metric: MetricKind,
-    ) -> Option<Vec<Vec<usize>>> {
+    pub fn k_nearest_per_orthant(&self, i: usize, k: usize) -> Option<Vec<Vec<usize>>> {
         assert!(i < self.len(), "point index out of range");
         assert!(!self.removed[i], "query point {i} was removed");
         assert!(k > 0, "K must be at least 1");
@@ -675,7 +670,6 @@ impl GridIndex {
                 &mut prefix_offs,
                 i,
                 k,
-                metric,
                 &mut best,
             );
         }
@@ -684,14 +678,6 @@ impl GridIndex {
                 .map(|group| group.into_iter().map(|(_, id)| id).collect())
                 .collect(),
         )
-    }
-
-    fn corner_dist(&self, metric: MetricKind, offs: &[f64], upto: usize) -> f64 {
-        metric.norm(&offs[..upto])
-    }
-
-    fn point_dist(&self, metric: MetricKind, p: &[f64], q: &[f64]) -> f64 {
-        metric.dist_coords(p, q)
     }
 
     /// Walks orthant `o` cells for the `k`-nearest query. The column
@@ -710,7 +696,6 @@ impl GridIndex {
         prefix_offs: &mut [f64],
         skip: usize,
         k: usize,
-        metric: MetricKind,
         best: &mut [Vec<(f64, usize)>],
     ) {
         let d = depth;
@@ -725,7 +710,8 @@ impl GridIndex {
             // Lower bound on the distance of any point in this column
             // (remaining dimensions contribute nothing); monotone in `t`.
             if best[o].len() == k {
-                let bound = self.corner_dist(metric, prefix_offs, depth + 1);
+                // The offsets are non-negative: their L1 norm is their sum.
+                let bound: f64 = prefix_offs[..=depth].iter().sum();
                 if bound > best[o][k - 1].0 {
                     break;
                 }
@@ -754,7 +740,7 @@ impl GridIndex {
                     if !in_orthant {
                         continue;
                     }
-                    let dist = self.point_dist(metric, p, q);
+                    let dist = l1(p, q);
                     let entry = (dist, id);
                     let group = &mut best[o];
                     if group.len() == k {
@@ -777,7 +763,6 @@ impl GridIndex {
                     prefix_offs,
                     skip,
                     k,
-                    metric,
                     best,
                 );
             }
@@ -856,7 +841,7 @@ mod tests {
     use super::*;
     use crate::dominance::empty_rect_neighbors;
     use crate::gen::uniform_points;
-    use crate::{Metric, Orthant};
+    use crate::Orthant;
 
     fn reindexed_brute(points: &[Point], i: usize) -> Vec<usize> {
         let candidates: Vec<&Point> = points
@@ -914,31 +899,28 @@ mod tests {
         ] {
             let points = uniform_points(n, dim, 1000.0, seed).into_points();
             let index = GridIndex::build(&points);
-            for metric in [MetricKind::L1, MetricKind::L2, MetricKind::LInf] {
-                for k in [1usize, 2, 5, 64] {
-                    for i in 0..n.min(12) {
-                        let got = index.k_nearest_per_orthant(i, k, metric).unwrap();
-                        // Reference: group all others by orthant, sort by
-                        // (distance, index), truncate to k.
-                        let mut want: Vec<Vec<(f64, usize)>> =
-                            vec![Vec::new(); Orthant::count(dim)];
-                        for (j, q) in points.iter().enumerate() {
-                            if j == i {
-                                continue;
-                            }
-                            let o = Orthant::classify(&points[i], q).unwrap();
-                            want[o.index()].push((metric.dist(&points[i], q), j));
+            for k in [1usize, 2, 5, 64] {
+                for i in 0..n.min(12) {
+                    let got = index.k_nearest_per_orthant(i, k).unwrap();
+                    // Reference: group all others by orthant, sort by
+                    // (distance, index), truncate to k.
+                    let mut want: Vec<Vec<(f64, usize)>> = vec![Vec::new(); Orthant::count(dim)];
+                    for (j, q) in points.iter().enumerate() {
+                        if j == i {
+                            continue;
                         }
-                        for group in &mut want {
-                            group.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                            group.truncate(k);
-                        }
-                        let want: Vec<Vec<usize>> = want
-                            .into_iter()
-                            .map(|g| g.into_iter().map(|(_, j)| j).collect())
-                            .collect();
-                        assert_eq!(got, want, "n={n} dim={dim} k={k} {metric} i={i}");
+                        let o = Orthant::classify(&points[i], q).unwrap();
+                        want[o.index()].push((l1(points[i].coords(), q.coords()), j));
                     }
+                    for group in &mut want {
+                        group.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                        group.truncate(k);
+                    }
+                    let want: Vec<Vec<usize>> = want
+                        .into_iter()
+                        .map(|g| g.into_iter().map(|(_, j)| j).collect())
+                        .collect();
+                    assert_eq!(got, want, "n={n} dim={dim} k={k} i={i}");
                 }
             }
         }
@@ -951,7 +933,7 @@ mod tests {
             Point::new(vec![3.0, 5.0]).unwrap(),
         ];
         let index = GridIndex::build(&points);
-        assert_eq!(index.k_nearest_per_orthant(0, 1, MetricKind::L1), None);
+        assert_eq!(index.k_nearest_per_orthant(0, 1), None);
     }
 
     #[test]
@@ -964,10 +946,7 @@ mod tests {
         let index = GridIndex::build(&one);
         assert_eq!(index.len(), 1);
         assert_eq!(index.empty_rect_neighbors(0), Some(vec![]));
-        assert_eq!(
-            index.k_nearest_per_orthant(0, 3, MetricKind::L1),
-            Some(vec![vec![]; 4])
-        );
+        assert_eq!(index.k_nearest_per_orthant(0, 3), Some(vec![vec![]; 4]));
     }
 
     #[test]
@@ -1027,8 +1006,8 @@ mod tests {
                     "after inserting {next}, query {i}"
                 );
                 assert_eq!(
-                    index.k_nearest_per_orthant(i, 2, MetricKind::L1),
-                    fresh.k_nearest_per_orthant(i, 2, MetricKind::L1),
+                    index.k_nearest_per_orthant(i, 2),
+                    fresh.k_nearest_per_orthant(i, 2),
                     "after inserting {next}, query {i}"
                 );
             }
@@ -1059,24 +1038,22 @@ mod tests {
             assert_eq!(got, want, "query {i}");
             assert!(got.iter().all(|n| !victims.contains(n)));
 
-            for metric in [MetricKind::L1, MetricKind::L2, MetricKind::LInf] {
-                for k in [1usize, 3] {
-                    let got = index.k_nearest_per_orthant(i, k, metric).unwrap();
-                    let mut want: Vec<Vec<(f64, usize)>> = vec![Vec::new(); Orthant::count(2)];
-                    for &j in &cand_ids {
-                        let o = Orthant::classify(&points[i], &points[j]).unwrap();
-                        want[o.index()].push((metric.dist(&points[i], &points[j]), j));
-                    }
-                    for group in &mut want {
-                        group.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                        group.truncate(k);
-                    }
-                    let want: Vec<Vec<usize>> = want
-                        .into_iter()
-                        .map(|g| g.into_iter().map(|(_, j)| j).collect())
-                        .collect();
-                    assert_eq!(got, want, "query {i} k={k} {metric}");
+            for k in [1usize, 3] {
+                let got = index.k_nearest_per_orthant(i, k).unwrap();
+                let mut want: Vec<Vec<(f64, usize)>> = vec![Vec::new(); Orthant::count(2)];
+                for &j in &cand_ids {
+                    let o = Orthant::classify(&points[i], &points[j]).unwrap();
+                    want[o.index()].push((l1(points[i].coords(), points[j].coords()), j));
                 }
+                for group in &mut want {
+                    group.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                    group.truncate(k);
+                }
+                let want: Vec<Vec<usize>> = want
+                    .into_iter()
+                    .map(|g| g.into_iter().map(|(_, j)| j).collect())
+                    .collect();
+                assert_eq!(got, want, "query {i} k={k}");
             }
         }
     }
@@ -1114,7 +1091,7 @@ mod tests {
         index.remove(1);
         assert_eq!(index.empty_rect_neighbors(0), Some(vec![2]));
         assert_eq!(
-            index.k_nearest_per_orthant(0, 1, MetricKind::L1),
+            index.k_nearest_per_orthant(0, 1),
             Some(vec![vec![], vec![], vec![], vec![2]])
         );
     }

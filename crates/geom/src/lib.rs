@@ -18,7 +18,9 @@
 //!   partitioner.
 //! * [`Arrangement`] — general hyperplane arrangements through the origin
 //!   (the paper's generic "Hyperplanes" neighbour-selection method).
-//! * [`Metric`] — pluggable distance functions (L1 is the paper's choice).
+//! * [`l1`] — the one distance: §2 sorts neighbours by L1, and the paper
+//!   leaves the Hyperplanes method's distance open, so every ranking
+//!   reads L1.
 //! * [`dominance`] — per-orthant Pareto frontiers, the efficient
 //!   characterisation of the paper's empty-rectangle neighbour rule.
 //! * [`index::GridIndex`] — a uniform-grid spatial index answering the
@@ -30,7 +32,7 @@
 //! # Example
 //!
 //! ```
-//! use geocast_geom::{Point, Rect, Orthant, metric::{Metric, L1}};
+//! use geocast_geom::{l1, Point, Rect, Orthant};
 //!
 //! # fn main() -> Result<(), geocast_geom::GeomError> {
 //! let p = Point::new(vec![2.0, 3.0])?;
@@ -45,7 +47,7 @@
 //! assert!(zone.contains(&q));
 //! assert!(!zone.contains(&p));
 //!
-//! assert_eq!(L1.dist(&p, &q), 5.0);
+//! assert_eq!(l1(p.coords(), q.coords()), 5.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -69,7 +71,7 @@ pub use arrangement::{Arrangement, RegionKey};
 pub use error::GeomError;
 pub use index::GridIndex;
 pub use interval::Interval;
-pub use metric::{LInf, Metric, MetricKind, L1, L2};
+pub use metric::{l1, MetricKind};
 pub use orthant::{Orthant, MAX_ORTHANT_DIM};
 pub use point::{Point, PointSet};
 pub use rect::Rect;

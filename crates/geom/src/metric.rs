@@ -1,250 +1,70 @@
-//! Distance functions over virtual coordinates.
+//! The one distance over virtual coordinates: **L1**.
 //!
-//! The paper's Hyperplanes neighbour-selection method ranks candidates per
-//! region "using a distance function"; the §2 simulation sorts neighbours
-//! by **L1** distance. The [`Metric`] trait keeps the choice pluggable;
-//! [`MetricKind`] is a plain-data configuration handle for experiment
-//! configs.
+//! The §2 construction sorts a zone's neighbours by L1 distance, and the
+//! paper leaves the distance of its Hyperplanes neighbour selection open
+//! ("using a distance function"). Every ranking in this workspace — the
+//! Hyperplanes selection, the §2 pick, greedy routing and the §3
+//! closest-higher-`T` policy — therefore reads [`l1`].
 
-use std::fmt;
-
-use crate::Point;
-
-/// A distance function over same-dimensional points.
-///
-/// Implementations must be symmetric and non-negative; the selection
-/// algorithms additionally rely on `dist(p, p) == 0`.
+/// The L1 (Manhattan) distance between two same-dimensional coordinate
+/// slices.
 ///
 /// # Example
 ///
 /// ```
-/// use geocast_geom::{Point, metric::{Metric, L1, L2, LInf}};
+/// use geocast_geom::{l1, Point};
 ///
 /// # fn main() -> Result<(), geocast_geom::GeomError> {
 /// let a = Point::new(vec![0.0, 0.0])?;
-/// let b = Point::new(vec![3.0, 4.0])?;
-/// assert_eq!(L1.dist(&a, &b), 7.0);
-/// assert_eq!(L2.dist(&a, &b), 5.0);
-/// assert_eq!(LInf.dist(&a, &b), 4.0);
+/// let b = Point::new(vec![3.0, -4.0])?;
+/// assert_eq!(l1(a.coords(), b.coords()), 7.0);
 /// # Ok(())
 /// # }
 /// ```
-pub trait Metric {
-    /// The distance between `a` and `b`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic on dimensionality mismatch; callers in
-    /// this workspace always pass validated same-dimensional points.
-    fn dist(&self, a: &Point, b: &Point) -> f64;
+///
+/// # Panics
+///
+/// Panics (in debug builds) on length mismatch.
+#[must_use]
+pub fn l1(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
 }
 
-/// Manhattan distance (the paper's choice for sorting neighbours in §2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct L1;
-
-impl Metric for L1 {
-    fn dist(&self, a: &Point, b: &Point) -> f64 {
-        debug_assert_eq!(a.dim(), b.dim());
-        a.coords()
-            .iter()
-            .zip(b.coords())
-            .map(|(x, y)| (x - y).abs())
-            .sum()
-    }
-}
-
-/// Euclidean distance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct L2;
-
-impl Metric for L2 {
-    fn dist(&self, a: &Point, b: &Point) -> f64 {
-        debug_assert_eq!(a.dim(), b.dim());
-        a.coords()
-            .iter()
-            .zip(b.coords())
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt()
-    }
-}
-
-/// Chebyshev (maximum-coordinate) distance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LInf;
-
-impl Metric for LInf {
-    fn dist(&self, a: &Point, b: &Point) -> f64 {
-        debug_assert_eq!(a.dim(), b.dim());
-        a.coords()
-            .iter()
-            .zip(b.coords())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
-    }
-}
-
-/// Plain-data selector for a metric, convenient in experiment configs.
+/// What the benchmark harness still passes as the third argument of
+/// `geocast_core::graft::graft_stranded_members`: the one distance,
+/// read by nothing. ROADMAP item 1(a) deletes this shim with the
+/// harness's call.
 ///
 /// # Example
 ///
 /// ```
-/// use geocast_geom::{Point, MetricKind, Metric};
+/// use geocast_geom::MetricKind;
 ///
-/// # fn main() -> Result<(), geocast_geom::GeomError> {
-/// let a = Point::new(vec![0.0])?;
-/// let b = Point::new(vec![2.0])?;
-/// assert_eq!(MetricKind::L1.dist(&a, &b), 2.0);
-/// # Ok(())
-/// # }
+/// // One variant: the pattern is irrefutable.
+/// let MetricKind::L1 = MetricKind::L1;
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
-    /// Manhattan distance (paper default).
-    #[default]
+    /// The L1 distance, [`l1`].
     L1,
-    /// Euclidean distance.
-    L2,
-    /// Chebyshev distance.
-    LInf,
-}
-
-impl Metric for MetricKind {
-    fn dist(&self, a: &Point, b: &Point) -> f64 {
-        match self {
-            MetricKind::L1 => L1.dist(a, b),
-            MetricKind::L2 => L2.dist(a, b),
-            MetricKind::LInf => LInf.dist(a, b),
-        }
-    }
-}
-
-impl MetricKind {
-    /// The metric's norm of a raw offset vector — `dist(0, offsets)`
-    /// without building points. Spatial-index pruning bounds are
-    /// per-dimension gap vectors, not point pairs, so they need the norm
-    /// directly.
-    #[must_use]
-    pub fn norm(&self, offsets: &[f64]) -> f64 {
-        match self {
-            MetricKind::L1 => offsets.iter().map(|x| x.abs()).sum(),
-            MetricKind::L2 => offsets.iter().map(|x| x * x).sum::<f64>().sqrt(),
-            MetricKind::LInf => offsets.iter().map(|x| x.abs()).fold(0.0, f64::max),
-        }
-    }
-
-    /// The norm of the offset vector between two raw coordinate slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) on length mismatch.
-    #[must_use]
-    pub fn dist_coords(&self, a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        match self {
-            MetricKind::L1 => a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum(),
-            MetricKind::L2 => a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum::<f64>()
-                .sqrt(),
-            MetricKind::LInf => a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max),
-        }
-    }
-}
-
-impl fmt::Display for MetricKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MetricKind::L1 => write!(f, "L1"),
-            MetricKind::L2 => write!(f, "L2"),
-            MetricKind::LInf => write!(f, "Linf"),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn pt(coords: &[f64]) -> Point {
-        Point::new(coords.to_vec()).expect("valid point")
-    }
-
     #[test]
     fn l1_sums_absolute_differences() {
-        assert_eq!(L1.dist(&pt(&[1.0, 2.0]), &pt(&[4.0, -2.0])), 7.0);
-    }
-
-    #[test]
-    fn l2_is_euclidean() {
-        assert_eq!(L2.dist(&pt(&[0.0, 0.0]), &pt(&[3.0, 4.0])), 5.0);
-    }
-
-    #[test]
-    fn linf_takes_max_component() {
-        assert_eq!(LInf.dist(&pt(&[0.0, 0.0]), &pt(&[3.0, -4.0])), 4.0);
+        assert_eq!(l1(&[1.0, 2.0], &[4.0, -2.0]), 7.0);
+        assert_eq!(l1(&[], &[]), 0.0);
     }
 
     #[test]
     fn all_metrics_are_symmetric_and_zero_on_identity() {
-        let a = pt(&[1.5, -2.5, 3.0]);
-        let b = pt(&[0.0, 4.0, -1.0]);
-        for kind in [MetricKind::L1, MetricKind::L2, MetricKind::LInf] {
-            assert_eq!(kind.dist(&a, &b), kind.dist(&b, &a), "{kind} not symmetric");
-            assert_eq!(kind.dist(&a, &a), 0.0, "{kind} not zero on identity");
-        }
-    }
-
-    #[test]
-    fn metric_ordering_l1_ge_l2_ge_linf() {
-        let a = pt(&[0.2, -0.7, 1.1]);
-        let b = pt(&[-1.0, 0.3, 2.2]);
-        let l1 = MetricKind::L1.dist(&a, &b);
-        let l2 = MetricKind::L2.dist(&a, &b);
-        let li = MetricKind::LInf.dist(&a, &b);
-        assert!(
-            l1 >= l2 && l2 >= li,
-            "norm ordering violated: {l1} {l2} {li}"
-        );
-    }
-
-    #[test]
-    fn kind_display_names() {
-        assert_eq!(MetricKind::L1.to_string(), "L1");
-        assert_eq!(MetricKind::L2.to_string(), "L2");
-        assert_eq!(MetricKind::LInf.to_string(), "Linf");
-    }
-
-    #[test]
-    fn default_kind_is_l1() {
-        assert_eq!(MetricKind::default(), MetricKind::L1);
-    }
-
-    #[test]
-    fn norm_and_dist_coords_agree_with_dist() {
-        let a = pt(&[1.5, -2.5, 3.0]);
-        let b = pt(&[0.0, 4.0, -1.0]);
-        let offsets: Vec<f64> = a
-            .coords()
-            .iter()
-            .zip(b.coords())
-            .map(|(x, y)| x - y)
-            .collect();
-        for kind in [MetricKind::L1, MetricKind::L2, MetricKind::LInf] {
-            assert_eq!(kind.norm(&offsets), kind.dist(&a, &b), "{kind} norm");
-            assert_eq!(
-                kind.dist_coords(a.coords(), b.coords()),
-                kind.dist(&a, &b),
-                "{kind} dist_coords"
-            );
-        }
-        assert_eq!(MetricKind::L1.norm(&[]), 0.0);
+        let a = [1.5, -2.5, 3.0];
+        let b = [0.0, 4.0, -1.0];
+        assert_eq!(l1(&a, &b), l1(&b, &a));
+        assert_eq!(l1(&a, &a), 0.0);
     }
 }

@@ -13,7 +13,7 @@
 //! walked, which this test pins down.
 
 use geocast_geom::index::GridIndex;
-use geocast_geom::{MetricKind, Point};
+use geocast_geom::Point;
 
 /// Builds the repro workload: a query point at the origin surrounded by
 /// one close candidate per orthant, a diagonal streak of filler points
@@ -45,7 +45,7 @@ fn knn_declines_on_collision_beyond_prune_horizon() {
         "repro needs a multi-cell grid (prune horizon must exist), side={}",
         index.side()
     );
-    let got = index.k_nearest_per_orthant(0, 1, MetricKind::L1);
+    let got = index.k_nearest_per_orthant(0, 1);
     assert_eq!(
         got, None,
         "point 17 at (100, 0) shares y == 0.0 with the query point at the \

@@ -1,12 +1,12 @@
 //! Property-based tests for the geometry substrate.
 //!
 //! These pin down the invariants the overlay and partitioner lean on:
-//! orthant totality, zone algebra closure, metric axioms, and — most
+//! orthant totality, zone algebra closure, the L1 distance's axioms, and — most
 //! importantly — the equivalence between the paper's empty-rectangle
 //! neighbour rule and the per-orthant Pareto frontier.
 
 use geocast_geom::dominance::{empty_rect_neighbors, empty_rect_neighbors_naive, rect_dominates};
-use geocast_geom::{Arrangement, GridIndex, Interval, Metric, MetricKind, Orthant, Point, Rect};
+use geocast_geom::{l1, Arrangement, GridIndex, Interval, Orthant, Point, Rect};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -157,17 +157,13 @@ proptest! {
     ) {
         let project = |p: &Point| Point::from_validated(p.coords()[..dim].to_vec());
         let (a, b, c) = (project(&pts[0]), project(&pts[1]), project(&pts[2]));
-        for kind in [MetricKind::L1, MetricKind::L2, MetricKind::LInf] {
-            let dab = kind.dist(&a, &b);
-            let dba = kind.dist(&b, &a);
-            let dac = kind.dist(&a, &c);
-            let dcb = kind.dist(&c, &b);
-            prop_assert!(dab >= 0.0);
-            prop_assert_eq!(dab, dba, "{} symmetry", kind);
-            prop_assert_eq!(kind.dist(&a, &a), 0.0);
-            // Triangle inequality with an epsilon for float rounding.
-            prop_assert!(dab <= dac + dcb + 1e-9, "{} triangle", kind);
-        }
+        let dist = |p: &Point, q: &Point| l1(p.coords(), q.coords());
+        let dab = dist(&a, &b);
+        prop_assert!(dab >= 0.0);
+        prop_assert_eq!(dab, dist(&b, &a), "symmetry");
+        prop_assert_eq!(dist(&a, &a), 0.0);
+        // Triangle inequality with an epsilon for float rounding.
+        prop_assert!(dab <= dist(&a, &c) + dist(&c, &b) + 1e-9, "triangle");
     }
 
     /// THE load-bearing equivalence: empty-rectangle rule == per-orthant

@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use geocast_geom::{Metric, MetricKind};
+use geocast_geom::l1;
 
 use crate::graph::OverlayGraph;
 use crate::peer::PeerInfo;
@@ -156,7 +156,7 @@ pub fn profile(graph: &OverlayGraph, sample_sources: Option<usize>, seed: u64) -
 }
 
 /// Geometric stretch: for sampled peer pairs, the ratio between the
-/// overlay hop distance and the (normalised) geometric distance —
+/// overlay hop distance and the (normalised) L1 distance —
 /// quantifying how well hops track the virtual coordinates. Returns the
 /// mean ratio of hop distance to `dist / mean_link_length` (values near
 /// 1 mean hops are geometrically efficient).
@@ -165,13 +165,7 @@ pub fn profile(graph: &OverlayGraph, sample_sources: Option<usize>, seed: u64) -
 ///
 /// Panics if sizes disagree or fewer than 2 peers exist.
 #[must_use]
-pub fn geometric_stretch(
-    peers: &[PeerInfo],
-    graph: &OverlayGraph,
-    metric: MetricKind,
-    pairs: usize,
-    seed: u64,
-) -> f64 {
+pub fn geometric_stretch(peers: &[PeerInfo], graph: &OverlayGraph, pairs: usize, seed: u64) -> f64 {
     assert_eq!(peers.len(), graph.len(), "peer/overlay size mismatch");
     assert!(peers.len() >= 2, "stretch needs at least two peers");
     let adj = graph.undirected_closure();
@@ -182,7 +176,7 @@ pub fn geometric_stretch(
     for i in 0..peers.len() {
         for &j in adj.out_neighbors(i) {
             if j > i {
-                link_len_sum += metric.dist(peers[i].point(), peers[j].point());
+                link_len_sum += l1(peers[i].point().coords(), peers[j].point().coords());
                 link_count += 1;
             }
         }
@@ -204,7 +198,7 @@ pub fn geometric_stretch(
         let Some(hops) = graph.bfs_distances(a)[b] else {
             continue;
         };
-        let geo = metric.dist(peers[a].point(), peers[b].point());
+        let geo = l1(peers[a].point().coords(), peers[b].point().coords());
         if geo > 0.0 {
             ratio_sum += hops as f64 / (geo / mean_link);
             measured += 1;
@@ -287,7 +281,7 @@ mod tests {
     fn stretch_is_finite_and_reasonable_on_equilibrium() {
         let store = overlay(100, 5);
         let graph = store.graph();
-        let s = geometric_stretch(store.peers(), &graph, MetricKind::L1, 200, 11);
+        let s = geometric_stretch(store.peers(), &graph, 200, 11);
         assert!(s.is_finite());
         // Hops should track geometry within a small constant factor on
         // the frontier overlay.
@@ -298,18 +292,15 @@ mod tests {
     fn stretch_of_linkless_graph_is_infinite() {
         let peers = PeerInfo::from_point_set(&uniform_points(3, 2, 100.0, 7));
         let graph = OverlayGraph::from_out_neighbors(vec![vec![], vec![], vec![]]);
-        assert_eq!(
-            geometric_stretch(&peers, &graph, MetricKind::L1, 10, 0),
-            f64::INFINITY
-        );
+        assert_eq!(geometric_stretch(&peers, &graph, 10, 0), f64::INFINITY);
     }
 
     #[test]
     fn stretch_is_seed_deterministic() {
         let store = overlay(50, 9);
         let graph = store.graph();
-        let a = geometric_stretch(store.peers(), &graph, MetricKind::L2, 100, 3);
-        let b = geometric_stretch(store.peers(), &graph, MetricKind::L2, 100, 3);
+        let a = geometric_stretch(store.peers(), &graph, 100, 3);
+        let b = geometric_stretch(store.peers(), &graph, 100, 3);
         assert_eq!(a, b);
     }
 }

@@ -9,7 +9,7 @@ use std::ops::Range;
 
 use geocast_geom::dominance::{rect_dominates_coords, ParetoSet};
 use geocast_geom::index::MAX_INDEX_DIM;
-use geocast_geom::{Metric, MetricKind, Point, MAX_ORTHANT_DIM};
+use geocast_geom::{l1, Point, MAX_ORTHANT_DIM};
 
 use crate::peer::PeerInfo;
 
@@ -27,7 +27,6 @@ pub(crate) fn topk_join_recheck(
     i: usize,
     q: usize,
     k: usize,
-    metric: MetricKind,
 ) -> bool {
     let pc = peers[i].point().coords();
     let qc = peers[q].point().coords();
@@ -57,10 +56,10 @@ pub(crate) fn topk_join_recheck(
         }
         if jb == bits {
             count += 1;
-            kth = kth.max(metric.dist(peers[i].point(), peers[j].point()));
+            kth = kth.max(l1(pc, jc));
         }
     }
-    count < k || metric.dist(peers[i].point(), peers[q].point()) < kth
+    count < k || l1(pc, qc) < kth
 }
 
 /// Every peer's coordinates in one flat `id * dim` table. The two

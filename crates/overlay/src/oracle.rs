@@ -20,7 +20,7 @@
 
 use std::collections::BTreeSet;
 
-use geocast_geom::{GridIndex, Metric, MetricKind};
+use geocast_geom::{l1, GridIndex};
 
 use crate::graph::OverlayGraph;
 use crate::par;
@@ -106,13 +106,9 @@ pub fn dirty_region(before: &OverlayGraph, after: &OverlayGraph, peer: usize) ->
 /// Panics if any `k == 0` or peers disagree on dimensionality.
 #[must_use]
 // lint:allow(D006, reason = "the tests' handle on orthogonal_k_sweep_with, the sweep of Fig. 1d / 1e: collects what it streams")
-pub fn orthogonal_k_sweep(
-    peers: &[PeerInfo],
-    metric: MetricKind,
-    ks: &[usize],
-) -> Vec<(usize, OverlayGraph)> {
+pub fn orthogonal_k_sweep(peers: &[PeerInfo], ks: &[usize]) -> Vec<(usize, OverlayGraph)> {
     let mut out = Vec::with_capacity(ks.len());
-    orthogonal_k_sweep_with(peers, metric, ks, |k, graph| out.push((k, graph.clone())));
+    orthogonal_k_sweep_with(peers, ks, |k, graph| out.push((k, graph.clone())));
     out
 }
 
@@ -126,7 +122,6 @@ pub fn orthogonal_k_sweep(
 /// Panics if any `k == 0` or peers disagree on dimensionality.
 pub fn orthogonal_k_sweep_with(
     peers: &[PeerInfo],
-    metric: MetricKind,
     ks: &[usize],
     mut visit: impl FnMut(usize, &OverlayGraph),
 ) {
@@ -141,7 +136,7 @@ pub fn orthogonal_k_sweep_with(
     let Some(kmax) = ks.iter().copied().max() else {
         return; // an empty sweep visits nothing
     };
-    let sorted_groups = ranked_orthant_groups(peers, metric, kmax);
+    let sorted_groups = ranked_orthant_groups(peers, kmax);
 
     for &k in ks {
         let out: Vec<Vec<usize>> = sorted_groups
@@ -164,11 +159,7 @@ pub fn orthogonal_k_sweep_with(
 /// spatial index when distance ties broken by id and by slice position
 /// coincide; falls back to the full ranking pass otherwise, and where
 /// the index declines (a shared coordinate, or too many dimensions).
-fn ranked_orthant_groups(
-    peers: &[PeerInfo],
-    metric: MetricKind,
-    kmax: usize,
-) -> Vec<Vec<Vec<usize>>> {
+fn ranked_orthant_groups(peers: &[PeerInfo], kmax: usize) -> Vec<Vec<Vec<usize>>> {
     let dim = peers[0].point().dim();
     assert!(
         peers.iter().all(|p| p.point().dim() == dim),
@@ -177,11 +168,11 @@ fn ranked_orthant_groups(
     let index = ids_in_slice_order(peers).then(|| GridIndex::build(peers));
     par::map_indexed(peers.len(), |i| {
         if let Some(ix) = &index {
-            if let Some(groups) = ix.k_nearest_per_orthant(i, kmax, metric) {
+            if let Some(groups) = ix.k_nearest_per_orthant(i, kmax) {
                 return groups;
             }
         }
-        ranked_orthant_groups_brute(peers, i, dim, metric, kmax)
+        ranked_orthant_groups_brute(peers, i, dim, kmax)
     })
 }
 
@@ -196,7 +187,6 @@ fn ranked_orthant_groups_brute(
     peers: &[PeerInfo],
     i: usize,
     dim: usize,
-    metric: MetricKind,
     kmax: usize,
 ) -> Vec<Vec<usize>> {
     let who = peers[i].point();
@@ -206,7 +196,7 @@ fn ranked_orthant_groups_brute(
             let orthant = (0..dim)
                 .filter(|&d| cand.point()[d] >= who[d])
                 .fold(0u64, |bits, d| bits | 1 << d);
-            (orthant, metric.dist(who, cand.point()), j)
+            (orthant, l1(who.coords(), cand.point().coords()), j)
         })
         .collect();
     order.sort_unstable_by(|a, b| {
@@ -272,14 +262,14 @@ mod tests {
     #[test]
     fn empty_k_sweep_is_a_no_op() {
         let population = peers(20, 2, 3);
-        assert!(orthogonal_k_sweep(&population, MetricKind::L1, &[]).is_empty());
-        assert!(orthogonal_k_sweep(&[], MetricKind::L1, &[]).is_empty());
+        assert!(orthogonal_k_sweep(&population, &[]).is_empty());
+        assert!(orthogonal_k_sweep(&[], &[]).is_empty());
     }
 
     #[test]
     fn orthogonal_equilibrium_is_connected() {
         let population = peers(100, 3, 5);
-        let sel = HyperplanesSelection::orthogonal(3, 1, MetricKind::L1);
+        let sel = HyperplanesSelection::orthogonal(3, 1);
         let g = definition(&population, &sel);
         assert!(g.is_connected_undirected());
     }
@@ -314,7 +304,7 @@ mod tests {
                 "empty-rect n={n} dim={dim}"
             );
             for &k in ks {
-                let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
+                let sel = HyperplanesSelection::orthogonal(dim, k);
                 assert_eq!(
                     bulk_build(&population, sel.clone()),
                     definition(&population, &sel),
@@ -331,8 +321,8 @@ mod tests {
         // distance ties by peer id as the rule does.
         let mut population = peers(50, 2, 31);
         population.reverse(); // ids now descend: 49, 48, ...
-        for (k, graph) in orthogonal_k_sweep(&population, MetricKind::L2, &[1, 2]) {
-            let sel = HyperplanesSelection::orthogonal(2, k, MetricKind::L2);
+        for (k, graph) in orthogonal_k_sweep(&population, &[1, 2]) {
+            let sel = HyperplanesSelection::orthogonal(2, k);
             assert_eq!(graph, definition(&population, &sel), "K={k}");
         }
     }
@@ -341,11 +331,8 @@ mod tests {
     fn k_sweep_matches_generic_equilibrium() {
         let population = peers(40, 3, 13);
         for &k in &[1usize, 2, 5, 40] {
-            let generic = bulk_build(
-                &population,
-                HyperplanesSelection::orthogonal(3, k, MetricKind::L1),
-            );
-            let swept = orthogonal_k_sweep(&population, MetricKind::L1, &[k]);
+            let generic = bulk_build(&population, HyperplanesSelection::orthogonal(3, k));
+            let swept = orthogonal_k_sweep(&population, &[k]);
             assert_eq!(swept.len(), 1);
             assert_eq!(swept[0].0, k);
             assert_eq!(swept[0].1, generic, "K={k}");
@@ -362,13 +349,13 @@ mod tests {
             PeerInfo::new(PeerId(i), Point::new(vec![x as f64, y as f64]).unwrap())
         };
         let three = vec![at(0, 1, 1), at(1, 1, 5), at(2, 3, 2)];
-        let swept = orthogonal_k_sweep(&three, MetricKind::L1, &[1]);
+        let swept = orthogonal_k_sweep(&three, &[1]);
         let want: Vec<&[usize]> = vec![&[2], &[0], &[0, 1]];
         let got: Vec<&[usize]> = (0..3).map(|i| swept[0].1.out_neighbors(i)).collect();
         assert_eq!(got, want);
         let lattice: Vec<PeerInfo> = (0..36).map(|i| at(i, (i * 7) % 6, (i * 5) % 7)).collect();
-        for (k, graph) in orthogonal_k_sweep(&lattice, MetricKind::L1, &[1, 2, 3]) {
-            let sel = HyperplanesSelection::orthogonal(2, k, MetricKind::L1);
+        for (k, graph) in orthogonal_k_sweep(&lattice, &[1, 2, 3]) {
+            let sel = HyperplanesSelection::orthogonal(2, k);
             assert_eq!(graph, bulk_build(&lattice, sel), "K={k}");
         }
     }
@@ -380,8 +367,8 @@ mod tests {
     fn k_sweep_runs_at_the_dimension_ceiling() {
         let dim = geocast_geom::MAX_ORTHANT_DIM;
         let population = peers(24, dim, 29);
-        for (k, graph) in orthogonal_k_sweep(&population, MetricKind::L1, &[1, 2]) {
-            let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
+        for (k, graph) in orthogonal_k_sweep(&population, &[1, 2]) {
+            let sel = HyperplanesSelection::orthogonal(dim, k);
             assert_eq!(graph, definition(&population, &sel), "K={k}");
         }
     }
@@ -408,7 +395,7 @@ mod tests {
             let mut answered = 0;
             for k in 1..=3 {
                 for i in 0..population.len() {
-                    let brute = ranked_orthant_groups_brute(&population, i, dim, MetricKind::L1, k);
+                    let brute = ranked_orthant_groups_brute(&population, i, dim, k);
                     assert!(brute.iter().all(|group| !group.is_empty()));
                     let orthant = |j: usize| {
                         (0..dim)
@@ -418,7 +405,7 @@ mod tests {
                     assert!(brute
                         .windows(2)
                         .all(|w| orthant(w[0][0]) < orthant(w[1][0])));
-                    if let Some(groups) = index.k_nearest_per_orthant(i, k, MetricKind::L1) {
+                    if let Some(groups) = index.k_nearest_per_orthant(i, k) {
                         answered += 1;
                         let flat = |g: Vec<Vec<usize>>| g.into_iter().flatten().collect::<Vec<_>>();
                         assert_eq!(flat(brute), flat(groups), "dim={dim} K={k} peer {i}");
@@ -426,8 +413,8 @@ mod tests {
                 }
             }
             assert!(answered > 0, "dim={dim}: the index must answer somewhere");
-            for (k, graph) in orthogonal_k_sweep(&population, MetricKind::L1, &[1, 3]) {
-                let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
+            for (k, graph) in orthogonal_k_sweep(&population, &[1, 3]) {
+                let sel = HyperplanesSelection::orthogonal(dim, k);
                 assert_eq!(graph, definition(&population, &sel), "dim={dim} K={k}");
             }
         }
@@ -437,7 +424,7 @@ mod tests {
     fn k_sweep_returns_requested_ks_in_order() {
         let population = peers(20, 2, 17);
         let ks = [3usize, 1, 2];
-        let swept = orthogonal_k_sweep(&population, MetricKind::L1, &ks);
+        let swept = orthogonal_k_sweep(&population, &ks);
         let got: Vec<usize> = swept.iter().map(|(k, _)| *k).collect();
         assert_eq!(got, ks);
     }
@@ -446,7 +433,7 @@ mod tests {
     fn k_sweep_monotone_in_k() {
         // Larger K can only add neighbours.
         let population = peers(50, 2, 19);
-        let swept = orthogonal_k_sweep(&population, MetricKind::L1, &[1, 3, 10]);
+        let swept = orthogonal_k_sweep(&population, &[1, 3, 10]);
         for i in 0..population.len() {
             let d1 = swept[0].1.out_neighbors(i).len();
             let d3 = swept[1].1.out_neighbors(i).len();
@@ -457,7 +444,7 @@ mod tests {
 
     #[test]
     fn k_sweep_handles_empty_population() {
-        let swept = orthogonal_k_sweep(&[], MetricKind::L1, &[1, 2]);
+        let swept = orthogonal_k_sweep(&[], &[1, 2]);
         assert_eq!(swept.len(), 2);
         assert!(swept[0].1.is_empty());
     }

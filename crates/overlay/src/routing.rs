@@ -13,7 +13,7 @@
 //! is `P`'s neighbour (empty-rectangle rule). Otherwise pick the peer
 //! `X` inside it with the fewest blockers: `X` is a frontier neighbour
 //! of `P`, and being strictly between `P` and `T` in every dimension it
-//! is strictly closer to `T` (in any `L_p` metric). Greedy therefore
+//! is strictly closer to `T` (in L1, as in any `L_p` distance). Greedy therefore
 //! always progresses and delivers in finitely many hops.
 //!
 //! For non-peer targets greedy can stop early at a local minimum; the
@@ -27,7 +27,7 @@
 //! engine re-runs when a walked peer's row changes, and the region route [`greedy_route_to_rect_on_store`] of
 //! its fallback tier.
 
-use geocast_geom::{Metric, MetricKind, Point, Rect};
+use geocast_geom::{l1, Point, Rect};
 
 use crate::peer::PeerId;
 use crate::store::TopologyStore;
@@ -128,7 +128,7 @@ fn greedy_step(
 
 /// The single greedy hop from live peer `from` towards `target` over the
 /// store's undirected row of `from` (read into `nbuf`): the neighbour
-/// strictly closer to `target` than `from` under `metric`, nearest
+/// strictly closer to `target` than `from` (L1), nearest
 /// first, ties broken by peer index; `None` when `from` is a local
 /// minimum. [`greedy_route`] is exactly this step iterated, so a caller
 /// that walks hop by hop (relay grafting, which stops at the first
@@ -146,11 +146,10 @@ pub fn greedy_step_on_store(
     store: &TopologyStore,
     from: usize,
     target: &Point,
-    metric: MetricKind,
     nbuf: &mut Vec<usize>,
 ) -> Option<usize> {
     let peers = store.peers();
-    let score = |i: usize| metric.dist(peers[i].point(), target);
+    let score = |i: usize| l1(peers[i].point().coords(), target.coords());
     store.undirected_neighbors_into(from, nbuf);
     greedy_step(nbuf, score, score(from)).map(|(next, _)| next)
 }
@@ -194,7 +193,7 @@ fn greedy_walk(
 }
 
 /// Routes greedily from `from` towards `target`, taking at each step the
-/// neighbour strictly closest to `target` under `metric` (ties broken by
+/// neighbour strictly closest to `target` in L1 (ties broken by
 /// peer index for determinism).
 ///
 /// Stops on exact arrival (`delivered`), at a local minimum, or after
@@ -211,7 +210,6 @@ pub fn greedy_route(
     store: &TopologyStore,
     from: usize,
     target: &Point,
-    metric: MetricKind,
     max_hops: usize,
 ) -> RouteResult {
     let peers = store.peers();
@@ -224,7 +222,7 @@ pub fn greedy_route(
     // A peer has arrived when its score — distance to the target — is
     // zero, so the source-at-target edge case is a zero-hop delivery,
     // `max_hops` included.
-    let score = |i: usize| metric.dist(peers[i].point(), target);
+    let score = |i: usize| l1(peers[i].point().coords(), target.coords());
     if score(from) == 0.0 {
         return RouteResult::new(vec![from], true, false);
     }
@@ -256,7 +254,6 @@ pub fn greedy_route_to_rect_on_store(
     store: &TopologyStore,
     from: usize,
     region: &Rect,
-    metric: MetricKind,
     max_hops: usize,
 ) -> RouteResult {
     assert!(from < store.len(), "source out of range");
@@ -278,7 +275,10 @@ pub fn greedy_route_to_rect_on_store(
     greedy_walk(
         store,
         arrived,
-        |i: usize| metric.dist(peers[i].point(), &region.clamp(peers[i].point())),
+        |i: usize| {
+            let p = peers[i].point();
+            l1(p.coords(), region.clamp(p).coords())
+        },
         from,
         max_hops,
     )
@@ -293,14 +293,13 @@ pub fn greedy_route_to_rect_on_store(
 ///
 /// ```
 /// use geocast_geom::gen::uniform_points;
-/// use geocast_geom::MetricKind;
 /// use geocast_overlay::routing::route_to_peer;
 /// use geocast_overlay::{select::EmptyRectSelection, PeerInfo, TopologyStore};
 /// use std::sync::Arc;
 ///
 /// let peers = PeerInfo::from_point_set(&uniform_points(50, 2, 1000.0, 7));
 /// let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
-/// let route = route_to_peer(&store, 0, 42, MetricKind::L1);
+/// let route = route_to_peer(&store, 0, 42);
 /// assert!(route.delivered());
 /// assert_eq!(route.last(), 42);
 /// ```
@@ -309,16 +308,11 @@ pub fn greedy_route_to_rect_on_store(
 ///
 /// Panics if indices are out of range.
 #[must_use]
-pub fn route_to_peer(
-    store: &TopologyStore,
-    from: usize,
-    to: usize,
-    metric: MetricKind,
-) -> RouteResult {
+pub fn route_to_peer(store: &TopologyStore, from: usize, to: usize) -> RouteResult {
     assert!(to < store.len(), "destination out of range");
     // n hops always suffice when every hop strictly progresses through
     // distinct peers.
-    greedy_route(store, from, store.peers()[to].point(), metric, store.len())
+    greedy_route(store, from, store.peers()[to].point(), store.len())
 }
 
 #[cfg(test)]
@@ -336,7 +330,7 @@ mod tests {
         let peers = store.peers();
         for from in [0usize, 17, 42] {
             for to in 0..peers.len() {
-                let route = route_to_peer(&store, from, to, MetricKind::L1);
+                let route = route_to_peer(&store, from, to);
                 assert!(
                     route.delivered(),
                     "{from} -> {to} stuck at {}",
@@ -352,7 +346,7 @@ mod tests {
         let store = store_setup(60, 4, 5);
         let peers = store.peers();
         for to in 0..peers.len() {
-            let route = route_to_peer(&store, 0, to, MetricKind::L1);
+            let route = route_to_peer(&store, 0, to);
             assert!(route.delivered(), "0 -> {to}");
         }
     }
@@ -361,12 +355,12 @@ mod tests {
     fn distances_strictly_decrease_along_path() {
         let store = store_setup(70, 2, 7);
         let peers = store.peers();
-        let route = route_to_peer(&store, 3, 55, MetricKind::L1);
+        let route = route_to_peer(&store, 3, 55);
         let target = peers[55].point();
         let dists: Vec<f64> = route
             .path()
             .iter()
-            .map(|&i| MetricKind::L1.dist(peers[i].point(), target))
+            .map(|&i| l1(peers[i].point().coords(), target.coords()))
             .collect();
         for w in dists.windows(2) {
             assert!(w[1] < w[0], "non-decreasing step: {dists:?}");
@@ -377,12 +371,12 @@ mod tests {
     fn route_to_self_is_trivial() {
         let store = store_setup(10, 2, 9);
         let peers = store.peers();
-        let route = route_to_peer(&store, 4, 4, MetricKind::L1);
+        let route = route_to_peer(&store, 4, 4);
         assert!(route.delivered());
         assert_eq!(route.hops(), 0);
         assert_eq!(route.path(), &[4]);
         // Even with a zero hop budget, standing at the target delivers.
-        let zero = greedy_route(&store, 4, peers[4].point(), MetricKind::L1, 0);
+        let zero = greedy_route(&store, 4, peers[4].point(), 0);
         assert!(zero.delivered());
         assert_eq!(zero.path(), &[4]);
     }
@@ -392,7 +386,7 @@ mod tests {
         let store = store_setup(100, 2, 11);
         let peers = store.peers();
         for to in [10usize, 50, 99] {
-            let route = route_to_peer(&store, 0, to, MetricKind::L1);
+            let route = route_to_peer(&store, 0, to);
             assert!(route.hops() < peers.len());
         }
     }
@@ -402,11 +396,11 @@ mod tests {
         let store = store_setup(120, 2, 13);
         let peers = store.peers();
         let target = Point::new(vec![500.0, 500.0]).unwrap();
-        let route = greedy_route(&store, 0, &target, MetricKind::L1, peers.len());
+        let route = greedy_route(&store, 0, &target, peers.len());
         assert!(route.local_minimum() || route.delivered());
         // The stopping peer is closer to the target than the source was.
-        let d_end = MetricKind::L1.dist(peers[route.last()].point(), &target);
-        let d_start = MetricKind::L1.dist(peers[0].point(), &target);
+        let d_end = l1(peers[route.last()].point().coords(), target.coords());
+        let d_start = l1(peers[0].point().coords(), target.coords());
         assert!(d_end <= d_start);
         // And reasonably close in absolute terms for a 120-peer overlay
         // over a 1000x1000 space (mean spacing ~90 units).
@@ -430,7 +424,7 @@ mod tests {
         );
         let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
         let target = Point::new(vec![9.0, 9.0]).unwrap();
-        let route = greedy_route(&store, 0, &target, MetricKind::L1, 10);
+        let route = greedy_route(&store, 0, &target, 10);
         assert_eq!(route.path(), &[0, 1]);
         assert!(route.local_minimum(), "stall must be declared");
         assert!(!route.delivered());
@@ -448,7 +442,7 @@ mod tests {
         for (tx, ty) in [(500.0, 500.0), (1.0, 999.0), (250.0, 750.0), (999.0, 1.0)] {
             let target = Point::new(vec![tx, ty]).unwrap();
             for from in [0usize, 30, 60] {
-                let route = greedy_route(&store, from, &target, MetricKind::L1, peers.len());
+                let route = greedy_route(&store, from, &target, peers.len());
                 assert!(
                     route.local_minimum() && !route.delivered(),
                     "({tx},{ty}) from {from}: expected a declared local minimum, got {route:?}"
@@ -456,12 +450,12 @@ mod tests {
                 // The verdict peer is a true local minimum: no overlay
                 // neighbour improves on it.
                 let last = route.last();
-                let d_last = MetricKind::L1.dist(peers[last].point(), &target);
+                let d_last = l1(peers[last].point().coords(), target.coords());
                 let mut nbrs = Vec::new();
                 store.undirected_neighbors_into(last, &mut nbrs);
                 for &nbr in &nbrs {
                     assert!(
-                        MetricKind::L1.dist(peers[nbr].point(), &target) >= d_last,
+                        l1(peers[nbr].point().coords(), target.coords()) >= d_last,
                         "neighbour {nbr} of {last} disproves the minimum"
                     );
                 }
@@ -477,7 +471,7 @@ mod tests {
         let (from, to) = (0usize, {
             let mut best = (0usize, 0usize);
             for to in 1..peers.len() {
-                let r = route_to_peer(&store, 0, to, MetricKind::L1);
+                let r = route_to_peer(&store, 0, to);
                 if r.hops() > best.1 {
                     best = (to, r.hops());
                 }
@@ -485,7 +479,7 @@ mod tests {
             assert!(best.1 > 2, "workload too small");
             best.0
         });
-        let truncated = greedy_route(&store, from, peers[to].point(), MetricKind::L1, 2);
+        let truncated = greedy_route(&store, from, peers[to].point(), 2);
         assert_eq!(truncated.hops(), 2);
         assert!(!truncated.delivered());
         assert!(!truncated.local_minimum());
@@ -498,12 +492,12 @@ mod tests {
         // the empty-rectangle rule.
         let store = TopologyStore::from_peers(
             PeerInfo::from_point_set(&uniform_points(60, 2, 1000.0, 17)),
-            Arc::new(HyperplanesSelection::k_closest(2, 2, MetricKind::L1)),
+            Arc::new(HyperplanesSelection::k_closest(2, 2)),
         );
         let peers = store.peers();
         let mut stuck = 0usize;
         for to in 0..peers.len() {
-            let route = route_to_peer(&store, 0, to, MetricKind::L1);
+            let route = route_to_peer(&store, 0, to);
             if !route.delivered() {
                 stuck += 1;
                 assert!(route.local_minimum());
@@ -517,8 +511,8 @@ mod tests {
     #[test]
     fn routes_are_deterministic() {
         let store = store_setup(50, 3, 19);
-        let a = route_to_peer(&store, 1, 40, MetricKind::L1);
-        let b = route_to_peer(&store, 1, 40, MetricKind::L1);
+        let a = route_to_peer(&store, 1, 40);
+        let b = route_to_peer(&store, 1, 40);
         assert_eq!(a, b);
     }
 
@@ -540,7 +534,7 @@ mod tests {
         .unwrap();
         // Even with a zero hop budget: standing inside delivers.
         for max_hops in [0usize, 5] {
-            let walk = greedy_route_to_rect_on_store(&store, 7, &region, MetricKind::L1, max_hops);
+            let walk = greedy_route_to_rect_on_store(&store, 7, &region, max_hops);
             assert!(walk.delivered());
             assert!(!walk.local_minimum());
             assert_eq!(walk.path(), &[7]);
@@ -559,7 +553,7 @@ mod tests {
         let degenerate = Rect::spanned_open(corner, corner).unwrap();
         assert!(degenerate.is_empty());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            greedy_route_to_rect_on_store(&store, 1, &degenerate, MetricKind::L1, 10)
+            greedy_route_to_rect_on_store(&store, 1, &degenerate, 10)
         }));
         assert!(result.is_err(), "empty region must be rejected");
     }
@@ -575,13 +569,8 @@ mod tests {
     fn step_path(store: &TopologyStore, from: usize, target: &Point) -> Vec<usize> {
         let mut nbuf = Vec::new();
         let mut path = vec![from];
-        while let Some(next) = greedy_step_on_store(
-            store,
-            path[path.len() - 1],
-            target,
-            MetricKind::L1,
-            &mut nbuf,
-        ) {
+        while let Some(next) = greedy_step_on_store(store, path[path.len() - 1], target, &mut nbuf)
+        {
             path.push(next);
         }
         path
@@ -595,7 +584,7 @@ mod tests {
             .into();
         cases.push((5, Point::new(vec![400.0, 600.0]).unwrap()));
         for &(from, ref target) in &cases {
-            let route = greedy_route(&store, from, target, MetricKind::L1, store.len());
+            let route = greedy_route(&store, from, target, store.len());
             assert_eq!(
                 step_path(&store, from, target),
                 route.path(),
@@ -617,7 +606,7 @@ mod tests {
             let target = store.peers()[to].point();
             let path = step_path(&store, 0, target);
             assert_eq!(path.last(), Some(&to), "0 -> {to} must deliver");
-            let route = greedy_route(&store, 0, target, MetricKind::L1, store.len());
+            let route = greedy_route(&store, 0, target, store.len());
             assert_eq!(path, route.path(), "0 -> {to}");
             for &hop in &path {
                 assert!(
@@ -634,6 +623,6 @@ mod tests {
         let mut store = store_setup(20, 2, 35);
         store.remove(PeerId(3));
         let region = Rect::full(2);
-        let _ = greedy_route_to_rect_on_store(&store, 3, &region, MetricKind::L1, 10);
+        let _ = greedy_route_to_rect_on_store(&store, 3, &region, 10);
     }
 }

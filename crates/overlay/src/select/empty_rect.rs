@@ -1,7 +1,7 @@
 use geocast_geom::dominance;
 
 use crate::peer::PeerInfo;
-use crate::select::{select_in_brute, NeighborSelection, SelectContext, ShardProfile};
+use crate::select::{select_in_brute, ChurnShape, NeighborSelection, SelectContext};
 
 /// The §2 neighbour-selection rule: `Q ∈ I(P)` becomes a neighbour iff
 /// the axis-aligned hyper-rectangle having `P` and `Q` as corners
@@ -58,8 +58,8 @@ impl NeighborSelection for EmptyRectSelection {
         "empty-rect".to_owned()
     }
 
-    fn shard_profile(&self) -> ShardProfile {
-        ShardProfile::EmptyRect
+    fn churn_shape(&self) -> ChurnShape {
+        ChurnShape::EmptyRect
     }
 }
 

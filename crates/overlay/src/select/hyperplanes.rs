@@ -1,17 +1,17 @@
 use std::collections::BTreeMap;
 
-use geocast_geom::{Arrangement, Metric, MetricKind, RegionKey};
+use geocast_geom::{l1, Arrangement, RegionKey};
 
 use crate::peer::PeerInfo;
-use crate::select::{select_in_brute, NeighborSelection, SelectContext, ShardProfile};
+use crate::select::{select_in_brute, ChurnShape, NeighborSelection, SelectContext};
 
 /// The paper's generic *Hyperplanes* neighbour-selection method.
 ///
 /// A set of `H` hyperplanes, all containing the (translated) origin,
 /// divides the space around peer `P` into regions; `P` keeps the `K`
-/// closest candidates from each region under a configurable distance
-/// function. Ties in distance are broken by peer id, keeping selection
-/// deterministic.
+/// closest candidates from each region. The paper leaves the distance
+/// function open; this method ranks by L1, the distance of §2. Ties in
+/// distance are broken by peer id, keeping selection deterministic.
 ///
 /// The three instances named in the paper:
 ///
@@ -28,10 +28,10 @@ use crate::select::{select_in_brute, NeighborSelection, SelectContext, ShardProf
 /// ```
 /// use geocast_overlay::select::{HyperplanesSelection, NeighborSelection};
 /// use geocast_overlay::{PeerId, PeerInfo};
-/// use geocast_geom::{MetricKind, Point};
+/// use geocast_geom::Point;
 ///
 /// # fn main() -> Result<(), geocast_geom::GeomError> {
-/// let sel = HyperplanesSelection::orthogonal(2, 1, MetricKind::L1);
+/// let sel = HyperplanesSelection::orthogonal(2, 1);
 /// let p = PeerInfo::new(PeerId(0), Point::new(vec![0.0, 0.0])?);
 /// let ne = PeerInfo::new(PeerId(1), Point::new(vec![1.0, 1.0])?);
 /// let ne_far = PeerInfo::new(PeerId(2), Point::new(vec![5.0, 5.0])?);
@@ -45,7 +45,6 @@ use crate::select::{select_in_brute, NeighborSelection, SelectContext, ShardProf
 pub struct HyperplanesSelection {
     arrangement: Arrangement,
     k: usize,
-    metric: MetricKind,
 }
 
 impl HyperplanesSelection {
@@ -56,43 +55,33 @@ impl HyperplanesSelection {
     /// Panics if `k == 0` (a method that selects nothing cannot form an
     /// overlay).
     #[must_use]
-    pub fn new(arrangement: Arrangement, k: usize, metric: MetricKind) -> Self {
+    pub fn new(arrangement: Arrangement, k: usize) -> Self {
         assert!(k > 0, "K must be at least 1");
-        HyperplanesSelection {
-            arrangement,
-            k,
-            metric,
-        }
+        HyperplanesSelection { arrangement, k }
     }
 
     /// Instance 1: the *Orthogonal Hyperplanes* method.
     #[must_use]
-    pub fn orthogonal(dim: usize, k: usize, metric: MetricKind) -> Self {
-        Self::new(Arrangement::orthogonal(dim), k, metric)
+    pub fn orthogonal(dim: usize, k: usize) -> Self {
+        Self::new(Arrangement::orthogonal(dim), k)
     }
 
     /// Instance 2: coefficients in `{-1, 0, +1}`.
     #[must_use]
-    pub fn signed(dim: usize, k: usize, metric: MetricKind) -> Self {
-        Self::new(Arrangement::signed(dim), k, metric)
+    pub fn signed(dim: usize, k: usize) -> Self {
+        Self::new(Arrangement::signed(dim), k)
     }
 
     /// Instance 3: `H = 0`, the *K-closest* method.
     #[must_use]
-    pub fn k_closest(dim: usize, k: usize, metric: MetricKind) -> Self {
-        Self::new(Arrangement::none(dim), k, metric)
+    pub fn k_closest(dim: usize, k: usize) -> Self {
+        Self::new(Arrangement::none(dim), k)
     }
 
     /// The per-region selection budget `K`.
     #[must_use]
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// The distance function used for ranking.
-    #[must_use]
-    pub fn metric(&self) -> MetricKind {
-        self.metric
     }
 
     /// The underlying arrangement.
@@ -112,8 +101,8 @@ impl NeighborSelection for HyperplanesSelection {
         let mut picked = Vec::new();
         for group in regions.values_mut() {
             group.sort_by(|&a, &b| {
-                let da = self.metric.dist(who.point(), candidates[a].point());
-                let db = self.metric.dist(who.point(), candidates[b].point());
+                let da = l1(who.point().coords(), candidates[a].point().coords());
+                let db = l1(who.point().coords(), candidates[b].point().coords());
                 da.total_cmp(&db)
                     .then_with(|| candidates[a].id().cmp(&candidates[b].id()))
             });
@@ -131,7 +120,7 @@ impl NeighborSelection for HyperplanesSelection {
         // `MAX_INDEX_DIM`, and `select_in_brute` answers.
         let ranked_by_id = ctx.ids_in_slice_order && self.arrangement.is_orthogonal();
         if let Some(index) = ctx.index().filter(|_| ranked_by_id) {
-            if let Some(groups) = index.k_nearest_per_orthant(i, self.k, self.metric) {
+            if let Some(groups) = index.k_nearest_per_orthant(i, self.k) {
                 let mut picked: Vec<usize> = groups.into_iter().flatten().collect();
                 picked.sort_unstable();
                 return picked;
@@ -141,25 +130,17 @@ impl NeighborSelection for HyperplanesSelection {
     }
 
     fn name(&self) -> String {
-        format!(
-            "hyperplanes(H={}, K={}, {})",
-            self.arrangement.len(),
-            self.k,
-            self.metric
-        )
+        format!("hyperplanes(H={}, K={})", self.arrangement.len(), self.k)
     }
 
-    fn shard_profile(&self) -> ShardProfile {
+    fn churn_shape(&self) -> ChurnShape {
         // Only the orthogonal arrangement maps regions onto orthants,
         // which is what `topk_join_recheck` reasons about; a join under
         // any other arrangement re-selects every live peer.
         if self.arrangement.is_orthogonal() {
-            ShardProfile::OrthantTopK {
-                k: self.k,
-                metric: self.metric,
-            }
+            ChurnShape::OrthantTopK { k: self.k }
         } else {
-            ShardProfile::Generic
+            ChurnShape::Generic
         }
     }
 }
@@ -176,7 +157,7 @@ mod tests {
         let who = &population[0];
         let cands = candidates_excluding(&population, 0);
         for k in [1usize, 2, 5] {
-            let sel = HyperplanesSelection::orthogonal(3, k, MetricKind::L1);
+            let sel = HyperplanesSelection::orthogonal(3, k);
             let picked = sel.select(who, &cands);
             let mut per_orthant: BTreeMap<u32, usize> = BTreeMap::new();
             for &ci in &picked {
@@ -192,19 +173,19 @@ mod tests {
         let population = peers(50, 2, 23);
         let who = &population[0];
         let cands = candidates_excluding(&population, 0);
-        let sel = HyperplanesSelection::orthogonal(2, 1, MetricKind::L1);
+        let sel = HyperplanesSelection::orthogonal(2, 1);
         let picked = sel.select(who, &cands);
         // For every picked candidate, nothing in its orthant is closer.
         for &ci in &picked {
             let o = Orthant::classify(who.point(), cands[ci].point()).unwrap();
-            let d = MetricKind::L1.dist(who.point(), cands[ci].point());
+            let d = l1(who.point().coords(), cands[ci].point().coords());
             for (oi, other) in cands.iter().enumerate() {
                 if oi == ci {
                     continue;
                 }
                 if Orthant::classify(who.point(), other.point()).unwrap() == o {
                     assert!(
-                        MetricKind::L1.dist(who.point(), other.point()) >= d,
+                        l1(who.point().coords(), other.point().coords()) >= d,
                         "picked candidate is not the orthant minimum"
                     );
                 }
@@ -217,7 +198,7 @@ mod tests {
         let population = peers(80, 2, 31);
         let who = &population[5];
         let cands = candidates_excluding(&population, 5);
-        let sel = HyperplanesSelection::orthogonal(2, 1, MetricKind::L2);
+        let sel = HyperplanesSelection::orthogonal(2, 1);
         let picked = sel.select(who, &cands);
         let populated: std::collections::BTreeSet<u32> = cands
             .iter()
@@ -239,14 +220,13 @@ mod tests {
         let population = peers(40, 4, 41);
         let who = &population[0];
         let cands = candidates_excluding(&population, 0);
-        let sel = HyperplanesSelection::k_closest(4, 7, MetricKind::L1);
+        let sel = HyperplanesSelection::k_closest(4, 7);
         let picked = sel.select(who, &cands);
         assert_eq!(picked.len(), 7);
         let mut order: Vec<usize> = (0..cands.len()).collect();
         order.sort_by(|&a, &b| {
-            MetricKind::L1
-                .dist(who.point(), cands[a].point())
-                .total_cmp(&MetricKind::L1.dist(who.point(), cands[b].point()))
+            let da = l1(who.point().coords(), cands[a].point().coords());
+            da.total_cmp(&l1(who.point().coords(), cands[b].point().coords()))
         });
         let mut expected: Vec<usize> = order[..7].to_vec();
         expected.sort_unstable();
@@ -258,7 +238,7 @@ mod tests {
         let population = peers(4, 2, 2);
         let who = &population[0];
         let cands = candidates_excluding(&population, 0);
-        let sel = HyperplanesSelection::k_closest(2, 50, MetricKind::L1);
+        let sel = HyperplanesSelection::k_closest(2, 50);
         assert_eq!(sel.select(who, &cands), vec![0, 1, 2]);
     }
 
@@ -270,8 +250,8 @@ mod tests {
         let population = peers(100, 2, 53);
         let who = &population[0];
         let cands = candidates_excluding(&population, 0);
-        let orth = HyperplanesSelection::orthogonal(2, 1, MetricKind::L1).select(who, &cands);
-        let signed = HyperplanesSelection::signed(2, 1, MetricKind::L1).select(who, &cands);
+        let orth = HyperplanesSelection::orthogonal(2, 1).select(who, &cands);
+        let signed = HyperplanesSelection::signed(2, 1).select(who, &cands);
         assert!(signed.len() >= orth.len());
     }
 
@@ -280,27 +260,26 @@ mod tests {
         let population = peers(30, 3, 60);
         let who = &population[0];
         let cands = candidates_excluding(&population, 0);
-        let sel = HyperplanesSelection::orthogonal(3, 2, MetricKind::L1);
+        let sel = HyperplanesSelection::orthogonal(3, 2);
         assert_eq!(sel.select(who, &cands), sel.select(who, &cands));
     }
 
     #[test]
     #[should_panic(expected = "K must be at least 1")]
     fn zero_k_rejected() {
-        let _ = HyperplanesSelection::orthogonal(2, 0, MetricKind::L1);
+        let _ = HyperplanesSelection::orthogonal(2, 0);
     }
 
     #[test]
     fn name_reports_parameters() {
-        let sel = HyperplanesSelection::orthogonal(3, 2, MetricKind::L1);
-        assert_eq!(sel.name(), "hyperplanes(H=3, K=2, L1)");
+        let sel = HyperplanesSelection::orthogonal(3, 2);
+        assert_eq!(sel.name(), "hyperplanes(H=3, K=2)");
     }
 
     #[test]
     fn accessors_expose_configuration() {
-        let sel = HyperplanesSelection::signed(2, 3, MetricKind::L2);
+        let sel = HyperplanesSelection::signed(2, 3);
         assert_eq!(sel.k(), 3);
-        assert_eq!(sel.metric(), MetricKind::L2);
         assert_eq!(sel.arrangement().len(), 4);
     }
 }

@@ -26,31 +26,29 @@ mod hyperplanes;
 pub use empty_rect::EmptyRectSelection;
 pub use hyperplanes::HyperplanesSelection;
 
-use geocast_geom::{GridIndex, MetricKind};
+use geocast_geom::GridIndex;
 
 use crate::peer::PeerInfo;
 
 /// How a selection rule's structure lets [`crate::TopologyStore`]
 /// localise churn: whether its links are mutual, so one adjacency table
-/// serves both directions, and which peers a join can make re-select.
+/// serves both directions, or directed with a reverse table, and which
+/// peers a join can make re-select.
 ///
-/// The profile never affects *what* is selected — only how much of the
+/// The shape never affects *what* is selected — only how much of the
 /// store a membership event reads. Rules that fit neither shape run
-/// under [`ShardProfile::Generic`] (still exact, no shortcut).
+/// under [`ChurnShape::Generic`] (still exact, no shortcut).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ShardProfile {
+pub enum ChurnShape {
     /// The §2 empty-rectangle rule: links are mutual, so the store keeps
     /// no reverse table, and joins and leaves are edge edits on rows.
     EmptyRect,
-    /// Per-orthant `K`-closest under `metric` (the *Orthogonal
-    /// Hyperplanes* method): directed links with a reverse table, and a
-    /// join re-selects only the peers `topk_join_recheck` cannot rule
-    /// out.
+    /// Per-orthant `K`-closest (the *Orthogonal Hyperplanes* method):
+    /// directed links with a reverse table, and a join re-selects only
+    /// the peers `topk_join_recheck` cannot rule out.
     OrthantTopK {
         /// Per-region selection budget.
         k: usize,
-        /// Ranking metric.
-        metric: MetricKind,
     },
     /// No exploitable shape: directed links, and a join re-selects
     /// every live peer.
@@ -182,10 +180,10 @@ pub trait NeighborSelection {
     fn name(&self) -> String;
 
     /// How the store may localise churn under this rule (see
-    /// [`ShardProfile`]). The default claims no exploitable shape,
+    /// [`ChurnShape`]). The default claims no exploitable shape,
     /// which is always sound.
-    fn shard_profile(&self) -> ShardProfile {
-        ShardProfile::Generic
+    fn churn_shape(&self) -> ChurnShape {
+        ChurnShape::Generic
     }
 }
 

@@ -28,7 +28,7 @@
 //!   candidate set plus `q`. For Hyperplanes rules the old selection
 //!   already holds every region's top-`K`, so the reduced re-run again
 //!   equals the full one. Who has to re-run follows from rule structure:
-//!   everyone, for an unprofiled rule; for per-orthant top-`K`, the peers
+//!   everyone, for a rule of no known shape; for per-orthant top-`K`, the peers
 //!   whose region around `q` is unsaturated or whose `K`-th member is
 //!   farther than `q` (`O(degree)` arithmetic per peer, no selection
 //!   call); for the empty-rectangle rule, exactly `q`'s own selection
@@ -242,7 +242,7 @@ use crate::delta::{DeltaKind, DeltaLog, TopologyDelta};
 use crate::graph::OverlayGraph;
 use crate::par;
 use crate::peer::{PeerId, PeerInfo};
-use crate::select::{ids_in_slice_order, NeighborSelection, SelectContext, ShardProfile};
+use crate::select::{ids_in_slice_order, ChurnShape, NeighborSelection, SelectContext};
 
 /// FNV-1a fingerprint of one peer's out-neighbour list. Mixing the peer
 /// index in keeps the XOR-of-all-peers network fingerprint collision
@@ -306,9 +306,9 @@ pub struct TopologyStore {
     /// What finds an empty-rectangle newcomer's row over `out`.
     walk: JoinWalk,
     selection: Arc<dyn NeighborSelection + Send + Sync>,
-    /// `selection`'s profile: mutual links or a reverse table, and who
-    /// a join makes re-select.
-    profile: ShardProfile,
+    /// `selection`'s churn shape: mutual links or a reverse table, and
+    /// who a join makes re-select.
+    shape: ChurnShape,
     /// Every peer ever inserted, slot id = peer id, departed ones
     /// tombstoned: the bulk build, the join walk's start, and every
     /// re-selection.
@@ -388,9 +388,9 @@ impl TopologyStore {
         let departed = vec![false; n];
         let ctx = SelectContext::with_index(&index, true).masked(&departed);
         let out: Vec<Vec<usize>> = par::map_indexed(n, |i| selection.select_in(&peers, i, &ctx));
-        let profile = selection.shard_profile();
+        let shape = selection.churn_shape();
         let mut rev = Vec::new();
-        if profile != ShardProfile::EmptyRect {
+        if shape != ChurnShape::EmptyRect {
             rev.resize(n, Vec::new());
             for (i, nbrs) in out.iter().enumerate() {
                 for &j in nbrs {
@@ -420,7 +420,7 @@ impl TopologyStore {
             walk: JoinWalk::default(),
             peers,
             selection,
-            profile,
+            shape,
             index,
         }
     }
@@ -544,7 +544,7 @@ impl TopologyStore {
     /// `true` under the empty-rectangle rule, whose links are mutual:
     /// `out` is the store's one adjacency table and `rev` stays empty.
     fn mutual(&self) -> bool {
-        self.profile == ShardProfile::EmptyRect
+        self.shape == ChurnShape::EmptyRect
     }
 
     /// Merges `i`'s out- and reverse-neighbours into `buf` (sorted,
@@ -688,11 +688,11 @@ impl TopologyStore {
         }
         self.peer_hash.push(topology_hash(id, &[]));
         self.fingerprint ^= self.peer_hash[id];
-        let dirty = match self.profile {
-            ShardProfile::EmptyRect => self.join_links(id),
-            profile => {
+        let dirty = match self.shape {
+            ChurnShape::EmptyRect => self.join_links(id),
+            shape => {
                 let own = self.select_row(id);
-                self.join_reselect(id, own, profile)
+                self.join_reselect(id, own, shape)
             }
         };
         self.record_delta(DeltaKind::Join(id), dirty);
@@ -728,12 +728,12 @@ impl TopologyStore {
 
     /// The join of every other rule: whoever the rule's structure
     /// cannot rule out re-runs it on `old row ∪ {newcomer}`.
-    fn join_reselect(&mut self, id: usize, own: Vec<usize>, profile: ShardProfile) -> Vec<usize> {
+    fn join_reselect(&mut self, id: usize, own: Vec<usize>, shape: ChurnShape) -> Vec<usize> {
         let selection = self.selection.as_ref();
         let (peers, departed, out) = (&self.peers, &self.departed, &self.out);
-        let affected: Vec<usize> = match profile {
-            ShardProfile::OrthantTopK { k, metric } => par::map_indexed(id, |i| {
-                (!departed[i] && topk_join_recheck(peers, out, i, id, k, metric)).then_some(i)
+        let affected: Vec<usize> = match shape {
+            ChurnShape::OrthantTopK { k } => par::map_indexed(id, |i| {
+                (!departed[i] && topk_join_recheck(peers, out, i, id, k)).then_some(i)
             })
             .into_iter()
             .flatten()
@@ -791,8 +791,8 @@ impl TopologyStore {
         self.departed[v] = true;
         self.live -= 1;
         self.index.remove(v);
-        let dirty = match self.profile {
-            ShardProfile::EmptyRect => self.leave_links(v),
+        let dirty = match self.shape {
+            ChurnShape::EmptyRect => self.leave_links(v),
             _ => self.leave_reselect(v),
         };
         self.record_delta(DeltaKind::Leave(v), dirty);
@@ -954,7 +954,6 @@ mod tests {
     use crate::oracle;
     use crate::select::{EmptyRectSelection, HyperplanesSelection};
     use geocast_geom::gen::uniform_points;
-    use geocast_geom::MetricKind;
 
     fn points(n: usize, dim: usize, seed: u64) -> Vec<Point> {
         uniform_points(n, dim, 1000.0, seed).into_points()
@@ -971,9 +970,9 @@ mod tests {
     fn selections() -> Vec<Arc<dyn NeighborSelection + Send + Sync>> {
         vec![
             Arc::new(EmptyRectSelection),
-            Arc::new(HyperplanesSelection::orthogonal(2, 2, MetricKind::L1)),
-            Arc::new(HyperplanesSelection::signed(2, 1, MetricKind::L2)),
-            Arc::new(HyperplanesSelection::k_closest(2, 4, MetricKind::L2)),
+            Arc::new(HyperplanesSelection::orthogonal(2, 2)),
+            Arc::new(HyperplanesSelection::signed(2, 1)),
+            Arc::new(HyperplanesSelection::k_closest(2, 4)),
         ]
     }
 
@@ -1122,7 +1121,7 @@ mod tests {
     #[test]
     fn insert_then_remove_matches_reference_for_hyperplanes() {
         let pts = points(50, 3, 11);
-        let sel = Arc::new(HyperplanesSelection::orthogonal(3, 2, MetricKind::L1));
+        let sel = Arc::new(HyperplanesSelection::orthogonal(3, 2));
         let mut store = TopologyStore::new(sel);
         for p in &pts {
             store.insert(p.clone());
@@ -1157,7 +1156,7 @@ mod tests {
         // harness's shim at sixteen shards: one index, one state.
         let rules: [Arc<dyn NeighborSelection + Send + Sync>; 2] = [
             Arc::new(EmptyRectSelection),
-            Arc::new(HyperplanesSelection::orthogonal(2, 2, MetricKind::L1)),
+            Arc::new(HyperplanesSelection::orthogonal(2, 2)),
         ];
         for rule in rules {
             let mut grown = TopologyStore::new(rule.clone());
@@ -1221,7 +1220,7 @@ mod tests {
     fn one_table_and_two() -> [Arc<dyn NeighborSelection + Send + Sync>; 2] {
         [
             Arc::new(EmptyRectSelection),
-            Arc::new(HyperplanesSelection::orthogonal(2, 1, MetricKind::L1)),
+            Arc::new(HyperplanesSelection::orthogonal(2, 1)),
         ]
     }
 
@@ -1406,7 +1405,7 @@ mod tests {
         let dim = geocast_geom::index::MAX_INDEX_DIM + 1;
         let rules: [Arc<dyn NeighborSelection + Send + Sync>; 2] = [
             Arc::new(EmptyRectSelection),
-            Arc::new(HyperplanesSelection::orthogonal(dim, 1, MetricKind::L1)),
+            Arc::new(HyperplanesSelection::orthogonal(dim, 1)),
         ];
         for rule in rules {
             let peers = PeerInfo::from_point_set(&uniform_points(14, dim, 1000.0, 53));

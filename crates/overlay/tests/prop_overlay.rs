@@ -6,7 +6,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use geocast_geom::gen::uniform_points;
-use geocast_geom::{Interval, Metric, MetricKind, Orthant, Rect};
+use geocast_geom::{l1, Interval, Orthant, Rect};
 use geocast_overlay::routing::{greedy_route_to_rect_on_store, route_to_peer};
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
 use geocast_overlay::{oracle, OverlayGraph, PeerInfo, TopologyStore};
@@ -58,9 +58,9 @@ proptest! {
     ) {
         let population = peers(n, dim, seed);
         let sel = match variant {
-            0 => HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
-            1 => HyperplanesSelection::signed(dim, k, MetricKind::L1),
-            _ => HyperplanesSelection::k_closest(dim, k, MetricKind::L2),
+            0 => HyperplanesSelection::orthogonal(dim, k),
+            1 => HyperplanesSelection::signed(dim, k),
+            _ => HyperplanesSelection::k_closest(dim, k),
         };
         let brute = definition(&population, &sel);
         prop_assert_eq!(bulk_build(&population, sel), brute, "variant {}", variant);
@@ -86,7 +86,7 @@ proptest! {
         let ctx = SelectContext::without_index();
         for sel in [
             Box::new(EmptyRectSelection) as Box<dyn NeighborSelection>,
-            Box::new(HyperplanesSelection::orthogonal(dim, 2, MetricKind::L1)),
+            Box::new(HyperplanesSelection::orthogonal(dim, 2)),
         ] {
             let direct: Vec<usize> = sel
                 .select(&population[i], &cands)
@@ -214,7 +214,7 @@ proptest! {
     ) {
         let population = peers(n, dim, seed);
         let cands: Vec<&PeerInfo> = population[1..].iter().collect();
-        let sel = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
+        let sel = HyperplanesSelection::orthogonal(dim, k);
         let picked = sel.select(&population[0], &cands);
         let mut per_orthant = vec![0usize; Orthant::count(dim)];
         for &ci in &picked {
@@ -246,9 +246,9 @@ proptest! {
         let population = peers(n, dim, seed);
         let generic = bulk_build(
             &population,
-            HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
+            HyperplanesSelection::orthogonal(dim, k),
         );
-        let swept = oracle::orthogonal_k_sweep(&population, MetricKind::L1, &[k]);
+        let swept = oracle::orthogonal_k_sweep(&population, &[k]);
         prop_assert_eq!(&swept[0].1, &generic);
     }
 
@@ -260,7 +260,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let population = peers(n, dim, seed);
-        let sweep = oracle::orthogonal_k_sweep(&population, MetricKind::L1, &[1, 2, 4]);
+        let sweep = oracle::orthogonal_k_sweep(&population, &[1, 2, 4]);
         for i in 0..n {
             let a = sweep[0].1.out_neighbors(i);
             let b = sweep[1].1.out_neighbors(i);
@@ -282,7 +282,7 @@ proptest! {
         let population = peers(n, dim, seed);
         let g = bulk_build(
             &population,
-            HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
+            HyperplanesSelection::orthogonal(dim, k),
         );
         prop_assert!(g.is_connected_undirected());
     }
@@ -296,9 +296,9 @@ proptest! {
     ) {
         let population = peers(n, 2, seed);
         let cands: Vec<&PeerInfo> = population[1..].iter().collect();
-        let orth = HyperplanesSelection::orthogonal(2, 1, MetricKind::L1)
+        let orth = HyperplanesSelection::orthogonal(2, 1)
             .select(&population[0], &cands);
-        let signed = HyperplanesSelection::signed(2, 1, MetricKind::L1)
+        let signed = HyperplanesSelection::signed(2, 1)
             .select(&population[0], &cands);
         prop_assert!(signed.len() >= orth.len());
     }
@@ -317,14 +317,14 @@ proptest! {
         let population = store.peers();
         let src = src_pick % n;
         let dst = dst_pick % n;
-        let route = route_to_peer(&store, src, dst, MetricKind::L1);
+        let route = route_to_peer(&store, src, dst);
         prop_assert!(route.delivered(), "{src} -> {dst} stuck at {}", route.last());
         prop_assert_eq!(route.last(), dst);
         let target = population[dst].point();
         let dists: Vec<f64> = route
             .path()
             .iter()
-            .map(|&i| MetricKind::L1.dist(population[i].point(), target))
+            .map(|&i| l1(population[i].point().coords(), target.coords()))
             .collect();
         prop_assert!(dists.windows(2).all(|w| w[1] < w[0]));
     }
@@ -351,7 +351,7 @@ proptest! {
             Interval::new(c[1] - half_width, c[1] + half_width),
         ]).unwrap();
         let store = TopologyStore::from_peers(population, Arc::new(EmptyRectSelection));
-        let walk = greedy_route_to_rect_on_store(&store, src, &region, MetricKind::L1, n);
+        let walk = greedy_route_to_rect_on_store(&store, src, &region, n);
         prop_assert!(
             walk.delivered(),
             "stuck at {} outside a region containing peer {member}",

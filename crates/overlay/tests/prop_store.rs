@@ -16,16 +16,16 @@ use rand::{Rng, SeedableRng};
 
 use geocast_geom::gen::{clustered_points, cross, hub, uniform_points};
 use geocast_geom::index::MAX_INDEX_DIM;
-use geocast_geom::{MetricKind, Point, MAX_ORTHANT_DIM};
+use geocast_geom::{Point, MAX_ORTHANT_DIM};
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
 use geocast_overlay::{oracle, OverlayGraph, PeerId, PeerInfo, TopologyStore};
 
 fn selection_for(variant: usize, dim: usize, k: usize) -> Arc<dyn NeighborSelection + Send + Sync> {
     match variant {
         0 => Arc::new(EmptyRectSelection),
-        1 => Arc::new(HyperplanesSelection::orthogonal(dim, k, MetricKind::L1)),
-        2 => Arc::new(HyperplanesSelection::signed(dim, k, MetricKind::L1)),
-        _ => Arc::new(HyperplanesSelection::k_closest(dim, k, MetricKind::L2)),
+        1 => Arc::new(HyperplanesSelection::orthogonal(dim, k)),
+        2 => Arc::new(HyperplanesSelection::signed(dim, k)),
+        _ => Arc::new(HyperplanesSelection::k_closest(dim, k)),
     }
 }
 

@@ -115,7 +115,8 @@ impl LatencyModel for CoordDistanceLatency {
     ///
     /// Panics if either node has no registered position.
     fn latency(&self, from: NodeId, to: NodeId, _rng: &mut StdRng) -> SimDuration {
-        // `L2::dist` term for term (the sum order fixes the bits).
+        // The Euclidean distance, summed in coordinate order (the sum
+        // order fixes the bits).
         let d = self
             .coords_of(from)
             .iter()
@@ -196,14 +197,20 @@ mod tests {
 
     #[test]
     fn coord_distance_is_the_l2_metric_bit_for_bit() {
-        use geocast_geom::{Metric, L2};
+        // Euclidean, summed in coordinate order.
+        let l2 = |a: &geocast_geom::Point, b: &geocast_geom::Point| {
+            (a.coords().iter().zip(b.coords()))
+                .map(|(x, y)| (x - y) * (x - y))
+                .sum::<f64>()
+                .sqrt()
+        };
         let points = geocast_geom::gen::uniform_points(12, 3, 1000.0, 9).into_points();
         let per_unit = SimDuration::from_nanos(15_000);
         let model = CoordDistanceLatency::new(points.clone(), SimDuration::ZERO, per_unit);
         let mut rng = StdRng::seed_from_u64(0);
         for (i, a) in points.iter().enumerate() {
             for (j, b) in points.iter().enumerate() {
-                let want = (per_unit.as_nanos() as f64 * L2.dist(a, b)).round() as u64;
+                let want = (per_unit.as_nanos() as f64 * l2(a, b)).round() as u64;
                 let got = model.latency(NodeId(i), NodeId(j), &mut rng);
                 assert_eq!(got, SimDuration::from_nanos(want), "{i} -> {j}");
             }

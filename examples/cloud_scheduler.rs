@@ -26,10 +26,8 @@ fn main() {
     println!("{n} tenant VMs, lease expiries within {horizon_secs}s");
 
     // The §3 overlay: Orthogonal Hyperplanes, K=2 closest per orthant.
-    let mut store = TopologyStore::from_peers(
-        peers,
-        Arc::new(HyperplanesSelection::orthogonal(3, 2, MetricKind::L1)),
-    );
+    let mut store =
+        TopologyStore::from_peers(peers, Arc::new(HyperplanesSelection::orthogonal(3, 2)));
     let (peers, overlay) = (store.peers(), store.graph());
     println!(
         "overlay:  Orthogonal Hyperplanes (K=2), {} directed edges",

@@ -52,7 +52,7 @@ fn main() {
         peers,
         &overlay,
         0,
-        Arc::new(OrthantRectPartitioner::median()),
+        OrthantRectPartitioner::median(),
         42,
     );
     println!(

@@ -34,7 +34,7 @@ fn routing_works_on_gossip_converged_topology() {
     assert_eq!(net.topology(), store.graph());
     for from in 0..store.len() {
         for to in 0..store.len() {
-            let route = route_to_peer(&store, from, to, MetricKind::L1);
+            let route = route_to_peer(&store, from, to);
             assert!(route.delivered(), "{from} -> {to} on gossip topology");
         }
     }

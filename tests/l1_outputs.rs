@@ -101,7 +101,7 @@ fn empty_rect_store(n: usize, dim: usize, seed: u64) -> TopologyStore {
 }
 
 fn orthogonal_store(n: usize, dim: usize, k: usize, seed: u64) -> TopologyStore {
-    let selection = HyperplanesSelection::orthogonal(dim, k, MetricKind::L1);
+    let selection = HyperplanesSelection::orthogonal(dim, k);
     TopologyStore::from_peers(peers(n, dim, seed), Arc::new(selection))
 }
 
@@ -152,7 +152,7 @@ fn routes_are_the_pinned_ones() {
     for store in [empty_rect_store(200, 2, 5), orthogonal_store(200, 3, 1, 6)] {
         for from in [0usize, 37, 111, 199] {
             for to in 0..store.len() {
-                let route = route_to_peer(&store, from, to, MetricKind::L1);
+                let route = route_to_peer(&store, from, to);
                 d.ids(route.path());
                 d.word(u64::from(route.delivered()));
                 d.word(u64::from(route.local_minimum()));
@@ -173,13 +173,8 @@ fn distributed_builds_are_the_pinned_ones() {
         OrthantRectPartitioner::farthest(),
     ] {
         for root in [0usize, 74, 149] {
-            let built = protocol::build_distributed_default(
-                store.peers(),
-                &graph,
-                root,
-                Arc::new(partitioner),
-                13,
-            );
+            let built =
+                protocol::build_distributed_default(store.peers(), &graph, root, partitioner, 13);
             d.tree(&built.tree);
             d.word(built.messages);
             d.word(built.duplicates);
@@ -192,7 +187,7 @@ fn distributed_builds_are_the_pinned_ones() {
 #[test]
 fn scattered_group_builds_are_the_pinned_ones() {
     let mut d = Digest::new();
-    let sparse = HyperplanesSelection::k_closest(2, 2, MetricKind::L1);
+    let sparse = HyperplanesSelection::k_closest(2, 2);
     for store in [
         empty_rect_store(400, 2, 17),
         orthogonal_store(400, 3, 1, 18),
@@ -223,23 +218,17 @@ fn preferred_links_and_stretch_are_the_pinned_ones() {
     let mut d = Digest::new();
     let base = uniform_points(120, 3, VMAX, 41);
     let times = lifetimes(120, VMAX, 42);
-    let selection = HyperplanesSelection::orthogonal(3, 2, MetricKind::L1);
+    let selection = HyperplanesSelection::orthogonal(3, 2);
     let store = TopologyStore::from_peers(
         PeerInfo::from_point_set(&embed_lifetimes(&base, &times)),
         Arc::new(selection),
     );
-    let forest = preferred_links_on_store(&store, PreferredPolicy::ClosestHigherT(MetricKind::L1));
+    let forest = preferred_links_on_store(&store, PreferredPolicy::ClosestHigherT);
     for &p in forest.preferred() {
         d.opt(p);
     }
     let graph = store.graph();
-    d.num(geometric_stretch(
-        store.peers(),
-        &graph,
-        MetricKind::L1,
-        300,
-        43,
-    ));
+    d.num(geometric_stretch(store.peers(), &graph, 300, 43));
     assert_pinned(
         &d,
         0x861d_97f7_d645_b867,

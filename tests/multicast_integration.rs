@@ -19,7 +19,7 @@ fn equilibrium_for(points: &PointSet) -> TopologyStore {
 fn spanning_build(
     store: &TopologyStore,
     root: usize,
-    partitioner: &dyn ZonePartitioner,
+    partitioner: &OrthantRectPartitioner,
 ) -> BuildResult {
     let everyone = (0..store.len()).collect();
     build_group_tree_on_store(store, root, &everyone, partitioner)

@@ -55,7 +55,7 @@ fn gossip_fixpoint_matches_oracle_for_empty_rect() {
 #[test]
 fn gossip_fixpoint_matches_oracle_for_orthogonal_hyperplanes() {
     let points = uniform_points(12, 3, 1000.0, 7);
-    let selection = HyperplanesSelection::orthogonal(3, 1, MetricKind::L1);
+    let selection = HyperplanesSelection::orthogonal(3, 1);
     let net = converged_network(Arc::new(selection.clone()), &points, 7);
     let peers = PeerInfo::from_point_set(&points);
     let expected = oracle::equilibrium_live(&peers, &[false; 12], &selection);
@@ -72,7 +72,7 @@ fn gossip_fixpoint_matches_oracle_for_orthogonal_hyperplanes() {
 #[test]
 fn gossip_fixpoint_matches_oracle_for_k_closest() {
     let points = uniform_points(10, 2, 1000.0, 11);
-    let selection = HyperplanesSelection::k_closest(2, 3, MetricKind::L2);
+    let selection = HyperplanesSelection::k_closest(2, 3);
     let net = converged_network(Arc::new(selection.clone()), &points, 11);
     let peers = PeerInfo::from_point_set(&points);
     let expected = oracle::equilibrium_live(&peers, &[false; 10], &selection);
@@ -82,7 +82,7 @@ fn gossip_fixpoint_matches_oracle_for_k_closest() {
 #[test]
 fn gossip_fixpoint_matches_oracle_for_signed_hyperplanes() {
     let points = uniform_points(10, 2, 1000.0, 13);
-    let selection = HyperplanesSelection::signed(2, 1, MetricKind::L1);
+    let selection = HyperplanesSelection::signed(2, 1);
     let net = converged_network(Arc::new(selection.clone()), &points, 13);
     let peers = PeerInfo::from_point_set(&points);
     let expected = oracle::equilibrium_live(&peers, &[false; 10], &selection);

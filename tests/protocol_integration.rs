@@ -26,7 +26,7 @@ fn offline_and_distributed_agree_across_latency_models() {
         peers,
         &overlay,
         0,
-        Arc::new(OrthantRectPartitioner::median()),
+        OrthantRectPartitioner::median(),
         ConstantLatency(SimDuration::from_millis(5)),
         FaultModel::default(),
         1,
@@ -38,7 +38,7 @@ fn offline_and_distributed_agree_across_latency_models() {
         peers,
         &overlay,
         0,
-        Arc::new(OrthantRectPartitioner::median()),
+        OrthantRectPartitioner::median(),
         UniformLatency::new(SimDuration::from_millis(1), SimDuration::from_millis(500)),
         FaultModel::default(),
         2,
@@ -51,7 +51,7 @@ fn offline_and_distributed_agree_across_latency_models() {
         peers,
         &overlay,
         0,
-        Arc::new(OrthantRectPartitioner::median()),
+        OrthantRectPartitioner::median(),
         CoordDistanceLatency::new(
             positions,
             SimDuration::from_millis(1),
@@ -77,7 +77,7 @@ fn construction_time_scales_with_tree_depth_not_size() {
         peers,
         &overlay,
         4,
-        Arc::new(OrthantRectPartitioner::median()),
+        OrthantRectPartitioner::median(),
         ConstantLatency(SimDuration::from_millis(10)),
         FaultModel::default(),
         5,
@@ -102,7 +102,7 @@ fn loss_free_runs_are_duplicate_free_for_every_seed() {
                 peers,
                 &overlay,
                 0,
-                Arc::new(OrthantRectPartitioner::median()),
+                OrthantRectPartitioner::median(),
                 seed,
             );
             assert_eq!(result.duplicates, 0, "N={n} seed {seed}");
@@ -121,7 +121,7 @@ fn message_loss_degrades_coverage_gracefully() {
             peers,
             &overlay,
             0,
-            Arc::new(OrthantRectPartitioner::median()),
+            OrthantRectPartitioner::median(),
             ConstantLatency(SimDuration::from_millis(5)),
             FaultModel::with_loss(loss),
             11,
@@ -163,14 +163,13 @@ fn crashed_subtree_is_exactly_the_lost_zone() {
     let adj = overlay.undirected_closure();
     let shared = Arc::new(peers.to_vec());
     // Build via the protocol and crash the victim first.
-    let partitioner: Arc<dyn ZonePartitioner + Send + Sync> =
-        Arc::new(OrthantRectPartitioner::median());
+    let partitioner = OrthantRectPartitioner::median();
     let build_nodes: Vec<protocol::BuildNode> = (0..peers.len())
         .map(|i| {
             protocol::BuildNode::new(
                 peers[i].clone(),
                 adj.out_neighbors(i).to_vec(),
-                Arc::clone(&partitioner),
+                partitioner,
                 Arc::clone(&shared),
             )
         })
@@ -205,7 +204,7 @@ fn distributed_build_works_from_every_root_on_small_network() {
             peers,
             &overlay,
             root,
-            Arc::new(OrthantRectPartitioner::median()),
+            OrthantRectPartitioner::median(),
             root as u64,
         );
         assert!(result.tree.is_spanning(), "root {root}");

@@ -26,10 +26,7 @@ fn paper_grid_sample_always_forms_heap_trees() {
     // A sample of the paper's (D, K) grid: D ∈ 2..10, K ∈ 1..50.
     for &(dim, k) in &[(2usize, 1usize), (2, 50), (5, 7), (7, 3), (10, 1), (10, 10)] {
         let peers = embedded_peers(120, dim, dim as u64 * 100 + k as u64);
-        let overlay = overlay_of(
-            &peers,
-            HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
-        );
+        let overlay = overlay_of(&peers, HyperplanesSelection::orthogonal(dim, k));
         let forest = preferred_links(&peers, &overlay, PreferredPolicy::MaxT);
         assert!(forest.is_tree(), "D={dim} K={k}: not a tree");
         assert!(
@@ -55,7 +52,7 @@ fn paper_grid_sample_always_forms_heap_trees() {
         let base = uniform_points(n, dim, 1000.0, 1);
         let times = lifetimes(n, 1000.0, 2);
         let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));
-        oracle::orthogonal_k_sweep_with(&peers, MetricKind::L1, ks, |k, overlay| {
+        oracle::orthogonal_k_sweep_with(&peers, ks, |k, overlay| {
             let forest = preferred_links(&peers, overlay, PreferredPolicy::MaxT);
             assert!(
                 forest.is_tree() && forest.heap_property_holds(&peers),
@@ -74,10 +71,7 @@ fn diameter_shrinks_and_degree_grows_with_k() {
     let dim = 3;
     let peers = embedded_peers(n, dim, 5);
     let measure = |k: usize| {
-        let overlay = overlay_of(
-            &peers,
-            HyperplanesSelection::orthogonal(dim, k, MetricKind::L1),
-        );
+        let overlay = overlay_of(&peers, HyperplanesSelection::orthogonal(dim, k));
         let tree = preferred_links(&peers, &overlay, PreferredPolicy::MaxT)
             .to_multicast_tree()
             .unwrap();
@@ -99,10 +93,7 @@ fn diameter_shrinks_and_degree_grows_with_k() {
 fn stability_tree_beats_baselines_under_departures() {
     let n = 150;
     let peers = embedded_peers(n, 2, 11);
-    let overlay = overlay_of(
-        &peers,
-        HyperplanesSelection::orthogonal(2, 2, MetricKind::L1),
-    );
+    let overlay = overlay_of(&peers, HyperplanesSelection::orthogonal(2, 2));
     let times: Vec<f64> = peers
         .iter()
         .map(geocast::prelude::PeerInfo::departure_time)
@@ -125,10 +116,7 @@ fn stability_tree_beats_baselines_under_departures() {
 #[test]
 fn all_policies_produce_leaf_only_departures() {
     let peers = embedded_peers(100, 4, 13);
-    let overlay = overlay_of(
-        &peers,
-        HyperplanesSelection::orthogonal(4, 3, MetricKind::L1),
-    );
+    let overlay = overlay_of(&peers, HyperplanesSelection::orthogonal(4, 3));
     let times: Vec<f64> = peers
         .iter()
         .map(geocast::prelude::PeerInfo::departure_time)
@@ -136,8 +124,7 @@ fn all_policies_produce_leaf_only_departures() {
     for policy in [
         PreferredPolicy::MaxT,
         PreferredPolicy::MinHigherT,
-        PreferredPolicy::ClosestHigherT(MetricKind::L1),
-        PreferredPolicy::ClosestHigherT(MetricKind::L2),
+        PreferredPolicy::ClosestHigherT,
     ] {
         let forest = preferred_links(&peers, &overlay, policy);
         assert!(forest.is_tree(), "{policy}");
@@ -166,10 +153,7 @@ fn departure_replay_on_live_simulation() {
     // T-order in the *simulator* and verify tree-age accounting matches
     // the offline replay.
     let peers = embedded_peers(60, 2, 19);
-    let overlay = overlay_of(
-        &peers,
-        HyperplanesSelection::orthogonal(2, 2, MetricKind::L1),
-    );
+    let overlay = overlay_of(&peers, HyperplanesSelection::orthogonal(2, 2));
     let stable = preferred_links(&peers, &overlay, PreferredPolicy::MaxT)
         .to_multicast_tree()
         .unwrap();
@@ -189,7 +173,7 @@ fn departure_replay_on_live_simulation() {
         &peers,
         &overlay,
         stable.root(),
-        Arc::new(OrthantRectPartitioner::median()),
+        OrthantRectPartitioner::median(),
         19,
     );
     assert_eq!(dist.duplicates, 0);
@@ -206,7 +190,7 @@ fn departure_replay_on_live_simulation() {
         &peers,
         &er_overlay,
         stable.root(),
-        Arc::new(OrthantRectPartitioner::median()),
+        OrthantRectPartitioner::median(),
         19,
     );
     assert!(er.tree.is_spanning());
