@@ -38,8 +38,8 @@ use std::collections::{BTreeSet, VecDeque};
 use geocast_geom::{Interval, Rect};
 use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
 
-use crate::builder::BuildResult;
 use crate::groups::GroupId;
+use crate::member_tree::BuildResult;
 
 /// A group's delivery structure, precomputed as counts: everything a
 /// publish needs to account for itself without touching the tree.

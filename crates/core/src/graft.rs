@@ -84,8 +84,7 @@ use geocast_overlay::routing::{greedy_route_to_rect_on_store, greedy_step_on_sto
 use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
 
 use crate::bits::PeerBits;
-use crate::builder::{BuildResult, Zones};
-use crate::member_tree::Section2;
+use crate::member_tree::{BuildResult, Section2, Zones};
 use crate::tree::{MulticastTree, TreeEdit};
 
 /// Rounds of tier-1/tier-2 alternation before flood discovery takes

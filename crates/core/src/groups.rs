@@ -101,12 +101,11 @@ use geocast_overlay::routing::greedy_step_on_store;
 use geocast_overlay::{CursorCatchUp, DeltaCursor, PeerId, TopologyStore};
 use geocast_sim::workload::{GroupOp, MembershipPlacement};
 
-use crate::builder::BuildResult;
 use crate::dataplane::{
     eager_lazy_deliver, Delivery, DeliveryPlan, EpidemicReport, PlanCache, PlanStats, PublishBatch,
 };
 use crate::graft::{graft_pass, GraftPass, GraftReport, Previous, WalkLog};
-use crate::member_tree::{member_tree, MemberRows, Recorded};
+use crate::member_tree::{member_tree, BuildResult, MemberRows, Recorded};
 use crate::partition::OrthantRectPartitioner;
 use crate::stability::{preferred_links_on_store, PreferredPolicy, StabilityForest};
 

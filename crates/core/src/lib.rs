@@ -57,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod builder;
 mod partition;
 mod tree;
 
@@ -72,6 +71,6 @@ pub mod protocol;
 pub mod stability;
 pub mod validate;
 
-pub use builder::{BuildResult, Zones};
+pub use member_tree::{BuildResult, Zones};
 pub use partition::{OrthantRectPartitioner, PickRule};
 pub use tree::{MulticastTree, TreeError};

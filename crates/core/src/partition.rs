@@ -96,12 +96,6 @@ impl OrthantRectPartitioner {
         }
     }
 
-    /// The configured pick rule.
-    #[must_use]
-    pub fn pick(&self) -> PickRule {
-        self.pick
-    }
-
     /// Chooses `(child, sub-zone)` pairs. `in_zone` holds the neighbours
     /// of `p` strictly inside `zone`; returned indices point into it.
     #[must_use]
@@ -311,11 +305,5 @@ mod tests {
             OrthantRectPartitioner::closest().name(),
             "orthant-rect(closest)"
         );
-    }
-
-    #[test]
-    fn accessors_expose_configuration() {
-        let p = OrthantRectPartitioner::farthest();
-        assert_eq!(p.pick(), PickRule::Farthest);
     }
 }

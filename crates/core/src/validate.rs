@@ -8,7 +8,7 @@
 
 use geocast_overlay::{OverlayGraph, PeerInfo};
 
-use crate::builder::BuildResult;
+use crate::member_tree::BuildResult;
 use crate::stability::{non_leaf_departures, preferred_links, PreferredPolicy, StabilityForest};
 
 /// Verdict for the §2 claims on one construction run.
