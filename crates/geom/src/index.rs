@@ -398,7 +398,30 @@ impl GridIndex {
         self.side
     }
 
-    fn point_coords(&self, id: usize) -> &[f64] {
+    /// Number of live (not removed) points.
+    #[must_use]
+    #[inline]
+    pub fn live_count(&self) -> usize {
+        self.live
+    }
+
+    /// The tombstones, indexable by id: `removed()[id]` is `true` once
+    /// [`GridIndex::remove`] took point `id` out of every query.
+    #[must_use]
+    #[inline]
+    pub fn removed(&self) -> &[bool] {
+        &self.removed
+    }
+
+    /// Point `id`'s coordinates, removed points' included: the table
+    /// keeps every id's row, so id arithmetic never shifts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    #[must_use]
+    #[inline]
+    pub fn point_coords(&self, id: usize) -> &[f64] {
         &self.coords[id * self.dim..(id + 1) * self.dim]
     }
 

@@ -1,15 +1,16 @@
 //! The closed forms of a membership event: the links an empty-rectangle
 //! join cuts, the links an empty-rectangle leave makes, and the top-`K`
 //! saturation prune — and the walk that finds an empty-rectangle
-//! newcomer's own row. They read rows and coordinates only — no index —
-//! and are argued in `crate::store`, "Why the incremental path is
-//! exact".
+//! newcomer's own row. They read rows, and coordinates from the store's
+//! [`GridIndex`] (which keeps a departed peer's too), but put no query
+//! to the index; they are argued in `crate::store`, "Why the
+//! incremental path is exact".
 
 use std::ops::Range;
 
 use geocast_geom::dominance::{rect_dominates_coords, ParetoSet};
 use geocast_geom::index::MAX_INDEX_DIM;
-use geocast_geom::{l1, Point, MAX_ORTHANT_DIM};
+use geocast_geom::{l1, GridIndex, MAX_ORTHANT_DIM};
 
 use crate::peer::PeerInfo;
 
@@ -62,36 +63,6 @@ pub(crate) fn topk_join_recheck(
     count < k || l1(pc, qc) < kth
 }
 
-/// Every peer's coordinates in one flat `id * dim` table. The two
-/// empty-rectangle closed forms below gather a row's coordinates from
-/// here once per event, not through `PeerInfo → Point → Vec<f64>`.
-#[derive(Debug, Default)]
-pub(crate) struct CoordTable {
-    dim: usize,
-    flat: Vec<f64>,
-}
-
-impl CoordTable {
-    pub(crate) fn from_peers(peers: &[PeerInfo]) -> Self {
-        let mut table = CoordTable::default();
-        for p in peers {
-            table.push(p.point());
-        }
-        table
-    }
-
-    /// Appends the next id's coordinates (the store fixes one
-    /// dimensionality per population).
-    pub(crate) fn push(&mut self, point: &Point) {
-        self.dim = point.dim();
-        self.flat.extend_from_slice(point.coords());
-    }
-
-    fn of(&self, id: usize) -> &[f64] {
-        &self.flat[id * self.dim..][..self.dim]
-    }
-}
-
 /// `member`'s orthant around `at` as bits — bit `d` set iff it lies
 /// above `at` in dimension `d` — from raw comparisons, with no
 /// subtraction to round them; `None` on a tie, which puts it in no
@@ -125,7 +96,7 @@ fn full_code(dim: usize) -> u32 {
 /// A member tied with `x` in some coordinate is in no orthant and no
 /// run. Both empty-rectangle closed forms read only this.
 struct RowRuns<'a> {
-    coords: &'a CoordTable,
+    index: &'a GridIndex,
     row: &'a [usize],
     dim: usize,
     /// `(orthant code, row position)` of every untied member, ascending.
@@ -139,12 +110,12 @@ struct RowRuns<'a> {
 }
 
 impl<'a> RowRuns<'a> {
-    fn gather(coords: &'a CoordTable, x: usize, row: &'a [usize]) -> Self {
-        let (dim, at) = (coords.dim, coords.of(x));
+    fn gather(index: &'a GridIndex, x: usize, row: &'a [usize]) -> Self {
+        let (dim, at) = (index.dim(), index.point_coords(x));
         let mut members = Vec::with_capacity(row.len());
         let mut tied = Vec::new();
         for (k, &r) in row.iter().enumerate() {
-            match orthant_code(at, coords.of(r)) {
+            match orthant_code(at, index.point_coords(r)) {
                 Some(code) => members.push((code, k)),
                 None => tied.push(k),
             }
@@ -152,7 +123,7 @@ impl<'a> RowRuns<'a> {
         members.sort_unstable();
         let mut keys = Vec::with_capacity(members.len() * dim);
         for &(code, k) in &members {
-            let member = coords.of(row[k]).iter().enumerate();
+            let member = index.point_coords(row[k]).iter().enumerate();
             keys.extend(member.map(|(d, &c)| if code >> d & 1 == 1 { c } else { -c }));
         }
         let mut runs = Vec::new();
@@ -162,7 +133,7 @@ impl<'a> RowRuns<'a> {
             start += run.len();
         }
         RowRuns {
-            coords,
+            index,
             row,
             dim,
             members,
@@ -322,8 +293,12 @@ impl<'a> RowRuns<'a> {
         if self.tied.is_empty() {
             return false;
         }
-        let (p, q) = (self.coords.of(self.id(a)), self.coords.of(self.id(b)));
-        (self.tied.iter()).any(|&t| rect_dominates_coords(p, self.coords.of(self.row[t]), q))
+        let (p, q) = (
+            self.index.point_coords(self.id(a)),
+            self.index.point_coords(self.id(b)),
+        );
+        (self.tied.iter())
+            .any(|&t| rect_dominates_coords(p, self.index.point_coords(self.row[t]), q))
     }
 }
 
@@ -336,12 +311,12 @@ impl<'a> RowRuns<'a> {
 /// and each is found once, not from both ends. A binary search in `out`
 /// per straddling pair; no rectangle test.
 pub(crate) fn straddled_links(
-    coords: &CoordTable,
+    index: &GridIndex,
     out: &[Vec<usize>],
     q: usize,
     row: &[usize],
 ) -> Vec<(usize, usize)> {
-    let mut cuts: Vec<(usize, usize)> = RowRuns::gather(coords, q, row)
+    let mut cuts: Vec<(usize, usize)> = RowRuns::gather(index, q, row)
         .straddling_pairs()
         .filter(|&(i, r)| out[i].binary_search(&r).is_ok())
         .collect();
@@ -358,10 +333,10 @@ pub(crate) fn straddled_links(
 /// products of opposite runs, and each is tested against the other runs
 /// through their thresholds, over raw coordinates, not offsets from `x`:
 /// a subtraction would round the strict tests. The rule's own test, so
-/// collisions and any dimensionality take the same path: no index, no
-/// decline.
-pub(crate) fn unblocked_pairs(coords: &CoordTable, x: usize, row: &[usize]) -> Vec<(usize, usize)> {
-    RowRuns::gather(coords, x, row).unblocked_pairs()
+/// collisions and any dimensionality take the same path: no index
+/// query, no decline.
+pub(crate) fn unblocked_pairs(index: &GridIndex, x: usize, row: &[usize]) -> Vec<(usize, usize)> {
+    RowRuns::gather(index, x, row).unblocked_pairs()
 }
 
 /// What the empty-rectangle join walk did since the store was built:
@@ -419,7 +394,7 @@ impl JoinWalk {
     /// member is left to expand. Sorted ascending.
     pub(crate) fn row(
         &mut self,
-        coords: &CoordTable,
+        index: &GridIndex,
         out: &[Vec<usize>],
         x: usize,
         start: usize,
@@ -436,10 +411,10 @@ impl JoinWalk {
         self.tied.clear();
         self.queue.clear();
 
-        let at = coords.of(x);
-        let first = self.descend(coords, out, at, start);
+        let at = index.point_coords(x);
+        let first = self.descend(index, out, at, start);
         self.seen[first] = self.stamp;
-        self.offer(coords, at, first);
+        self.offer(index, at, first);
         let mut head = 0;
         while let Some(&(v, slot)) = self.queue.get(head) {
             head += 1;
@@ -451,7 +426,7 @@ impl JoinWalk {
             for &w in &out[v] {
                 if self.seen[w] != self.stamp {
                     self.seen[w] = self.stamp;
-                    self.offer(coords, at, w);
+                    self.offer(index, at, w);
                 }
             }
         }
@@ -471,16 +446,16 @@ impl JoinWalk {
     /// box strictly, so no peer is visited twice.
     fn descend(
         &mut self,
-        coords: &CoordTable,
+        index: &GridIndex,
         out: &[Vec<usize>],
         at: &[f64],
         mut p: usize,
     ) -> usize {
         loop {
-            let pc = coords.of(p);
+            let pc = index.point_coords(p);
             let mut next: Option<(f64, usize)> = None;
             for &m in &out[p] {
-                let mc = coords.of(m);
+                let mc = index.point_coords(m);
                 let in_box = (at.iter().zip(pc).zip(mc))
                     .all(|((&a, &b), &c)| a.min(b) <= c && c <= a.max(b));
                 if in_box && mc != pc {
@@ -504,9 +479,9 @@ impl JoinWalk {
     /// sides — strictly smaller in every key is strictly inside the
     /// rectangle, with no subtraction to round the test — or to the tied
     /// set; pushes it if it joined.
-    fn offer(&mut self, coords: &CoordTable, at: &[f64], w: usize) {
+    fn offer(&mut self, index: &GridIndex, at: &[f64], w: usize) {
         self.stats.offered += 1;
-        let wc = coords.of(w);
+        let wc = index.point_coords(w);
         let Some(code) = orthant_code(at, wc) else {
             self.tied.push(w);
             self.queue.push((w, TIED));
@@ -544,6 +519,7 @@ mod tests {
     use crate::select::{EmptyRectSelection, NeighborSelection};
     use crate::store::TopologyStore;
     use geocast_geom::gen::{cross, hub, uniform_points};
+    use geocast_geom::Point;
 
     fn peers(n: usize, dim: usize, seed: u64) -> Vec<PeerInfo> {
         PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed))
@@ -605,12 +581,12 @@ mod tests {
         // pair around each mover of every population.
         for (population, stride) in closed_form_populations() {
             let dim = population[0].point().dim();
-            let coords = CoordTable::from_peers(&population);
+            let index = GridIndex::build(&population);
             let n = population.len();
             let mut straddles = 0;
             for x in movers(n, stride) {
                 let row: Vec<usize> = (0..n).filter(|&r| r != x).collect();
-                let mut got: Vec<(usize, usize)> = RowRuns::gather(&coords, x, &row)
+                let mut got: Vec<(usize, usize)> = RowRuns::gather(&index, x, &row)
                     .straddling_pairs()
                     .collect();
                 got.sort_unstable();
@@ -618,7 +594,11 @@ mod tests {
                 let want: Vec<(usize, usize)> = (0..row.len())
                     .flat_map(|a| (a + 1..row.len()).map(move |b| (row[a], row[b])))
                     .filter(|&(a, b)| {
-                        rect_dominates_coords(coords.of(a), coords.of(x), coords.of(b))
+                        rect_dominates_coords(
+                            index.point_coords(a),
+                            index.point_coords(x),
+                            index.point_coords(b),
+                        )
                     })
                     .collect();
                 assert_eq!(got, want, "dim {dim}: around {x}");
@@ -639,14 +619,14 @@ mod tests {
         // {newcomer}`, and every row after the cuts must equal the
         // from-scratch one — collisions included.
         for (population, stride) in closed_form_populations() {
-            let coords = CoordTable::from_peers(&population);
+            let index = GridIndex::build(&population);
             let store = |n: usize| {
                 TopologyStore::from_peers(population[..n].to_vec(), Arc::new(EmptyRectSelection))
             };
             for q in movers(population.len(), stride).filter(|&q| q > 0) {
                 let (before, after) = (store(q), store(q + 1));
                 let row = after.out_neighbors(q);
-                let cuts = straddled_links(&coords, &before.out, q, row);
+                let cuts = straddled_links(&index, &before.out, q, row);
                 for i in 0..q {
                     let old = before.out_neighbors(i);
                     let mut got: Vec<usize> = old
@@ -686,18 +666,18 @@ mod tests {
         let (mut walk, mut descent) = (JoinWalk::default(), JoinWalk::default());
         let mut walks = 0;
         for (population, stride) in closed_form_populations() {
-            let coords = CoordTable::from_peers(&population);
+            let index = GridIndex::build(&population);
             let store = |n: usize| {
                 TopologyStore::from_peers(population[..n].to_vec(), Arc::new(EmptyRectSelection))
             };
             for q in movers(population.len(), stride).filter(|&q| q > 0) {
                 let (before, after) = (store(q), store(q + 1));
                 for start in 0..q {
-                    let row = walk.row(&coords, &before.out, q, start);
+                    let row = walk.row(&index, &before.out, q, start);
                     assert_eq!(row, after.out_neighbors(q), "{q} joins from {start}");
                     walks += 1;
                     // The descent's own contract: it stops at a neighbour.
-                    let stop = descent.descend(&coords, &before.out, coords.of(q), start);
+                    let stop = descent.descend(&index, &before.out, index.point_coords(q), start);
                     assert!(row.contains(&stop), "{q} joins: descent from {start}");
                 }
             }
@@ -714,7 +694,7 @@ mod tests {
         // set, the links of the topology the survivors define — from
         // scratch, with no index — that were absent before.
         for (population, stride) in closed_form_populations() {
-            let coords = CoordTable::from_peers(&population);
+            let index = GridIndex::build(&population);
             let n = population.len();
             let full = TopologyStore::from_peers(population.clone(), Arc::new(EmptyRectSelection));
             for v in movers(n, stride) {
@@ -731,7 +711,7 @@ mod tests {
                 }
                 // Both lists ascend: the kernel sorts its pairs.
                 assert_eq!(
-                    unblocked_pairs(&coords, v, full.out_neighbors(v)),
+                    unblocked_pairs(&index, v, full.out_neighbors(v)),
                     want,
                     "dim {}: {v} departs",
                     population[0].point().dim()

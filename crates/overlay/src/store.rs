@@ -236,7 +236,7 @@ use std::sync::Arc;
 use geocast_geom::{GridIndex, Point, MAX_ORTHANT_DIM};
 
 use crate::closed_form::{
-    straddled_links, topk_join_recheck, unblocked_pairs, CoordTable, JoinWalk, JoinWalkStats,
+    straddled_links, topk_join_recheck, unblocked_pairs, JoinWalk, JoinWalkStats,
 };
 use crate::delta::{DeltaKind, DeltaLog, TopologyDelta};
 use crate::graph::OverlayGraph;
@@ -288,10 +288,6 @@ pub fn topology_hash(i: usize, neighbors: &[usize]) -> u64 {
 /// ```
 pub struct TopologyStore {
     peers: Vec<PeerInfo>,
-    /// `peers`' coordinates again, flat: what the closed forms read.
-    coords: CoordTable,
-    departed: Vec<bool>,
-    live: usize,
     pub(crate) out: Vec<Vec<usize>>,
     /// Who selects each peer. Empty under the empty-rectangle rule,
     /// whose links are mutual: there `out` holds both directions.
@@ -311,7 +307,9 @@ pub struct TopologyStore {
     shape: ChurnShape,
     /// Every peer ever inserted, slot id = peer id, departed ones
     /// tombstoned: the bulk build, the join walk's start, and every
-    /// re-selection.
+    /// re-selection. Its tombstones are the departed mask and its
+    /// coordinate table, a departed peer's row included, is what the
+    /// closed forms read.
     index: GridIndex,
 }
 
@@ -385,8 +383,7 @@ impl TopologyStore {
         }
         let index = GridIndex::build(&peers);
         let n = peers.len();
-        let departed = vec![false; n];
-        let ctx = SelectContext::with_index(&index, true).masked(&departed);
+        let ctx = SelectContext::with_index(&index, true).masked(index.removed());
         let out: Vec<Vec<usize>> = par::map_indexed(n, |i| selection.select_in(&peers, i, &ctx));
         let shape = selection.churn_shape();
         let mut rev = Vec::new();
@@ -406,9 +403,6 @@ impl TopologyStore {
             .collect();
         let fingerprint = peer_hash.iter().fold(0, |acc, h| acc ^ h);
         TopologyStore {
-            coords: CoordTable::from_peers(&peers),
-            departed,
-            live: n,
             out,
             rev,
             peer_hash,
@@ -482,7 +476,7 @@ impl TopologyStore {
     /// Number of live (non-departed) peers.
     #[must_use]
     pub fn live_count(&self) -> usize {
-        self.live
+        self.index.live_count()
     }
 
     /// All peer descriptions, indexable by [`PeerId::index`].
@@ -498,13 +492,13 @@ impl TopologyStore {
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn is_departed(&self, id: PeerId) -> bool {
-        self.departed[id.index()]
+        self.departed()[id.index()]
     }
 
     /// The departed mask, indexable by [`PeerId::index`].
     #[must_use]
     pub fn departed(&self) -> &[bool] {
-        &self.departed
+        self.index.removed()
     }
 
     /// The selection rule the store maintains the equilibrium of.
@@ -676,12 +670,9 @@ impl TopologyStore {
             );
         }
         let id = self.peers.len();
-        self.coords.push(&point);
         let slot = self.index.insert(&point);
         debug_assert_eq!(slot, id, "index slots are peer ids");
         self.peers.push(PeerInfo::new(PeerId(id as u64), point));
-        self.departed.push(false);
-        self.live += 1;
         self.out.push(Vec::new());
         if !self.mutual() {
             self.rev.push(Vec::new());
@@ -708,10 +699,10 @@ impl TopologyStore {
     /// dirty region returned, are `own` and the newcomer's.
     fn join_links(&mut self, id: usize) -> Vec<usize> {
         let own = match self.index.locate(self.peers[id].point(), Some(id)) {
-            Some(start) => self.walk.row(&self.coords, &self.out, id, start),
+            Some(start) => self.walk.row(&self.index, &self.out, id, start),
             None => Vec::new(),
         };
-        let cuts = straddled_links(&self.coords, &self.out, id, &own);
+        let cuts = straddled_links(&self.index, &self.out, id, &own);
         for &(i, r) in &cuts {
             self.unlink(i, r);
         }
@@ -730,7 +721,7 @@ impl TopologyStore {
     /// cannot rule out re-runs it on `old row ∪ {newcomer}`.
     fn join_reselect(&mut self, id: usize, own: Vec<usize>, shape: ChurnShape) -> Vec<usize> {
         let selection = self.selection.as_ref();
-        let (peers, departed, out) = (&self.peers, &self.departed, &self.out);
+        let (peers, departed, out) = (&self.peers, self.index.removed(), &self.out);
         let affected: Vec<usize> = match shape {
             ChurnShape::OrthantTopK { k } => par::map_indexed(id, |i| {
                 (!departed[i] && topk_join_recheck(peers, out, i, id, k)).then_some(i)
@@ -768,7 +759,7 @@ impl TopologyStore {
     /// same dead verdict independently and only the first may mutate.
     pub fn remove_if_present(&mut self, id: PeerId) -> bool {
         let v = id.index();
-        if v >= self.peers.len() || self.departed[v] {
+        if v >= self.peers.len() || self.is_departed(id) {
             return false;
         }
         self.remove(id);
@@ -787,9 +778,7 @@ impl TopologyStore {
     pub fn remove(&mut self, id: PeerId) {
         let v = id.index();
         assert!(v < self.peers.len(), "peer id out of range");
-        assert!(!self.departed[v], "{id} already departed");
-        self.departed[v] = true;
-        self.live -= 1;
+        assert!(!self.is_departed(id), "{id} already departed");
         self.index.remove(v);
         let dirty = match self.shape {
             ChurnShape::EmptyRect => self.leave_links(v),
@@ -807,7 +796,7 @@ impl TopologyStore {
         // Taking the row also releases its capacity: nobody selects a
         // departed id again.
         let row = std::mem::take(&mut self.out[v]);
-        let pairs = unblocked_pairs(&self.coords, v, &row);
+        let pairs = unblocked_pairs(&self.index, v, &row);
         for &i in &row {
             // `v`'s own row is gone already; that half finds nothing.
             self.unlink(i, v);
@@ -840,7 +829,7 @@ impl TopologyStore {
     /// a query on the index, or the rule's brute selection where the
     /// index declines.
     fn select_row(&self, i: usize) -> Vec<usize> {
-        let ctx = SelectContext::with_index(&self.index, true).masked(&self.departed);
+        let ctx = SelectContext::with_index(&self.index, true).masked(self.index.removed());
         self.selection.select_in(&self.peers, i, &ctx)
     }
 
@@ -941,7 +930,7 @@ impl std::fmt::Debug for TopologyStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TopologyStore")
             .field("peers", &self.peers.len())
-            .field("live", &self.live)
+            .field("live", &self.index.live_count())
             .field("selection", &self.selection.name())
             .field("fingerprint", &self.fingerprint)
             .finish()
