@@ -386,9 +386,9 @@ COMMANDS:
   stability  run the §3 construction and replay all departures
              --n 500 --dim 3 --k 2 --seed 1 --policy max-t|min-higher-t|closest
   route      greedy geometric routing between two peers
-             --n 200 --dim 2 --seed 1 --from 0 --to 10
+             --n 200 --dim 2 --seed 1 --from 0 --to 199  (--to defaults to n − 1)
   churn      replay a churn pattern through the incremental engine
-             --n 500 --dim 2 --seed 1 --pattern join-wave|leave-wave|flash-crowd|mixed
+             --n 500 --dim 2 --seed 1 --pattern mixed|join-wave|leave-wave|flash-crowd
              --events 200 --join-rate 1 --leave-rate 1
              [--strict]  (fail unless the replayed store is byte-identical
                           to the from-scratch definition)
@@ -402,7 +402,7 @@ COMMANDS:
              [--strict]  (fail on stranded payloads, a cold plan cache,
                           or oracle divergence)
   detect     run the SWIM failure-detection plane through a crash wave
-             --n 24 --dim 2 --seed 1 --groups 2 --group-size 8 --loss 0.0
+             --n 24 --dim 2 --seed 42 --groups 2 --group-size 8 --loss 0.0
              --crashes 2 --silent 1 --suspicion-ms 400
              [--strict]  (fail on false positives, missed failures,
                           unrecovered coverage, or oracle divergence)
@@ -894,6 +894,12 @@ fn cmd_publish(inv: &Invocation) -> Result<String, CliError> {
     if batch == 0 {
         return Err(CliError::BadValue {
             key: "batch".into(),
+            value: "0".into(),
+        });
+    }
+    if ticks == 0 {
+        return Err(CliError::BadValue {
+            key: "ticks".into(),
             value: "0".into(),
         });
     }
@@ -1561,10 +1567,46 @@ mod tests {
         assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
         let inv = parse_args(&args(&["publish", "--batch", "0"])).unwrap();
         assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
+        // No tick, no flush: nothing to report a hit rate or a
+        // throughput of.
+        let inv = parse_args(&args(&["publish", "--ticks", "0"])).unwrap();
+        assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
         let inv = parse_args(&args(&["publish", "--zipf", "-0.5"])).unwrap();
         assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
         let inv = parse_args(&args(&["publish", "--placement", "orbital"])).unwrap();
         assert!(matches!(run(&inv), Err(CliError::BadValue { .. })));
+    }
+
+    /// The invocation `help` lists for `command`: its `--key value`
+    /// pairs, each `a|b|c` choice at its first alternative.
+    fn listed_invocation(command: &str) -> Vec<String> {
+        let mut lines = HELP
+            .lines()
+            .skip_while(|line| !line.starts_with(&format!("  {command} ")));
+        lines.next().expect("help lists the command");
+        let mut listed = vec![command.to_owned()];
+        for line in lines.take_while(|line| line.trim_start().starts_with("--")) {
+            let mut words = line.split_whitespace();
+            while let Some(word) = words.next() {
+                if word.starts_with("--") {
+                    let value = words.next().expect("a listed option has a value");
+                    let first = value.split('|').next().unwrap_or(value);
+                    listed.extend([word.to_owned(), first.to_owned()]);
+                }
+            }
+        }
+        listed
+    }
+
+    #[test]
+    fn help_lists_the_defaults_the_commands_run() {
+        for command in ["overlay", "tree", "stability", "route", "detect"] {
+            let listed = listed_invocation(command);
+            assert!(listed.len() > 1, "{command}: help lists no option");
+            let bare = run(&parse_args(&args(&[command])).unwrap()).unwrap();
+            let explicit = run(&parse_args(&listed).unwrap()).unwrap();
+            assert_eq!(bare, explicit, "`geocast {}`", listed.join(" "));
+        }
     }
 
     #[test]

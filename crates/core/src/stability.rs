@@ -204,7 +204,9 @@ fn pick_on_store(
         .map(|&j| &peers[j])
         .filter(|q| q.departure_time() > who.departure_time())
         .collect();
-    policy.choose(who, &higher).map(|ci| higher[ci].id().index())
+    policy
+        .choose(who, &higher)
+        .map(|ci| higher[ci].id().index())
 }
 
 /// Runs the §3 selection: every peer picks a preferred tree neighbour
@@ -231,7 +233,9 @@ pub fn preferred_links(
                 .map(|&j| &peers[j])
                 .filter(|q| q.departure_time() > who.departure_time())
                 .collect();
-            policy.choose(who, &higher).map(|ci| higher[ci].id().index())
+            policy
+                .choose(who, &higher)
+                .map(|ci| higher[ci].id().index())
         })
         .collect();
     StabilityForest { preferred }
