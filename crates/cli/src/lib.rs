@@ -1580,19 +1580,17 @@ mod tests {
     /// The invocation `help` lists for `command`: its `--key value`
     /// pairs, each `a|b|c` choice at its first alternative.
     fn listed_invocation(command: &str) -> Vec<String> {
-        let mut lines = HELP
-            .lines()
-            .skip_while(|line| !line.starts_with(&format!("  {command} ")));
-        lines.next().expect("help lists the command");
+        let title = format!("  {command} ");
+        let lines = HELP.lines().skip_while(|line| !line.starts_with(&title));
+        let options = lines
+            .skip(1)
+            .take_while(|line| line.trim_start().starts_with("--"));
+        let mut words = options.flat_map(str::split_whitespace);
         let mut listed = vec![command.to_owned()];
-        for line in lines.take_while(|line| line.trim_start().starts_with("--")) {
-            let mut words = line.split_whitespace();
-            while let Some(word) = words.next() {
-                if word.starts_with("--") {
-                    let value = words.next().expect("a listed option has a value");
-                    let first = value.split('|').next().unwrap_or(value);
-                    listed.extend([word.to_owned(), first.to_owned()]);
-                }
+        while let Some(word) = words.next() {
+            if word.starts_with("--") {
+                let value = words.next().expect("a listed option has a value");
+                listed.extend([word, value.split('|').next().unwrap_or(value)].map(str::to_owned));
             }
         }
         listed

@@ -79,15 +79,12 @@ impl Zones {
         Zones { entries }
     }
 
-    fn position(&self, i: usize) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&i, |&(peer, _)| peer)
-    }
-
     /// The zone peer `i` received (`None` for unreached peers and
     /// relays).
     #[must_use]
     pub fn get(&self, i: usize) -> Option<&Rect> {
-        self.position(i).ok().map(|at| &self.entries[at].1)
+        let at = self.entries.binary_search_by_key(&i, |&(peer, _)| peer);
+        at.ok().map(|at| &self.entries[at].1)
     }
 
     /// The peers holding a zone, ascending.
@@ -197,9 +194,7 @@ impl MemberRows {
         }
         rows
     }
-}
 
-impl MemberRows {
     /// Re-runs the read of `p`'s §2 delegation: `false` when `p`'s row
     /// was recorded and its member-induced row — its store row filtered
     /// by `member` — reads differently now.
@@ -361,7 +356,8 @@ pub(crate) fn member_tree<'a>(
         let slot = replay.as_ref().and_then(|r| r.tree.slot(p));
         if let (Some(r), Some(slot)) = (&replay, slot) {
             if at < known && r.flags[at] & SUSPECT == 0 {
-                let marked = r.children(slot).filter(|c| r.flags[c.at] & MARKED != 0);
+                let children = recorded_children(r.tree, &r.zone_of, slot);
+                let marked = children.filter(|c| r.flags[c.at] & MARKED != 0);
                 queue.extend(marked.map(|c| (c.peer, c.at)));
                 continue;
             }
@@ -547,11 +543,6 @@ impl<'a> Replay<'a> {
     /// The slot of a peer that is on the recorded tree.
     fn slot(&self, peer: usize) -> usize {
         self.tree.slot(peer).expect("a recorded peer")
-    }
-
-    /// The recorded children of the peer at `slot` that hold a zone.
-    fn children(&self, slot: usize) -> impl Iterator<Item = RecordedPeer> + '_ {
-        recorded_children(self.tree, &self.zone_of, slot)
     }
 
     /// Decides whether `child`, just delegated `zone` by the peer at

@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 
-use geocast::core::groups::EngineTotals;
 use geocast::prelude::*;
 
 /// splitmix64: the script's own deterministic picker.
@@ -22,32 +21,23 @@ fn next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The counters pinned for one script: the engine's repair work, then
-/// the store's join walk (joins, descent hops, rows read, peers
-/// offered) and the links leaves made and joins cut.
+/// The counters pinned for one script: the engine's rebuilds, zone
+/// splits (replayed, recomputed), tree nodes touched and graft walks
+/// (replayed, recomputed, spliced, examined), then the store's join walk
+/// (joins, descent hops, rows read, peers offered) and the links leaves
+/// made and joins cut.
 fn work(engine: &GroupEngine) -> [u64; 14] {
-    let EngineTotals {
-        tree_rebuilds,
-        zone_splits_replayed,
-        zone_splits_recomputed,
-        tree_nodes_touched,
-        graft_walks_replayed,
-        graft_walks_recomputed,
-        graft_walks_spliced,
-        graft_walks_examined,
-        ..
-    } = *engine.totals();
-    let store = engine.store();
+    let (t, store) = (engine.totals(), engine.store());
     let walk = store.join_walk_stats();
     [
-        tree_rebuilds,
-        zone_splits_replayed,
-        zone_splits_recomputed,
-        tree_nodes_touched,
-        graft_walks_replayed,
-        graft_walks_recomputed,
-        graft_walks_spliced,
-        graft_walks_examined,
+        t.tree_rebuilds,
+        t.zone_splits_replayed,
+        t.zone_splits_recomputed,
+        t.tree_nodes_touched,
+        t.graft_walks_replayed,
+        t.graft_walks_recomputed,
+        t.graft_walks_spliced,
+        t.graft_walks_examined,
         walk.joins,
         walk.descent_hops,
         walk.rows_read,
@@ -74,25 +64,22 @@ fn run_script(clustered: bool) -> [u64; 14] {
     } else {
         engine.seed_groups(&sizes, &mut state)
     };
-    for step in 0..120u64 {
-        let g = groups[(next(&mut state) % groups.len() as u64) as usize];
-        let live: Vec<usize> = (0..engine.store().len())
-            .filter(|&i| !engine.store().departed()[i])
-            .collect();
-        let any_live = live[(next(&mut state) % live.len() as u64) as usize];
+    for step in 0..120 {
+        let g = groups[next(&mut state) as usize % groups.len()];
+        let (store, pick) = (engine.store(), next(&mut state) as usize);
+        let mut live = (0..store.len()).filter(|&i| !store.departed()[i]);
+        let any_live = PeerId(live.nth(pick % store.live_count()).expect("a live peer") as u64);
         match step % 4 {
             0 => {
                 let at = [next(&mut state), next(&mut state)].map(|r| (r % 1_000_000) as f64 / 1e3);
                 engine.join(Point::new(at.to_vec()).expect("a 2-D point"));
             }
-            1 => engine.leave(PeerId(any_live as u64)),
-            2 => {
-                engine.subscribe(g, PeerId(any_live as u64));
-            }
+            1 => engine.leave(any_live),
+            2 => _ = engine.subscribe(g, any_live),
             _ => {
                 let members = engine.members(g);
                 if !members.is_empty() {
-                    let pick = (next(&mut state) % members.len() as u64) as usize;
+                    let pick = next(&mut state) as usize % members.len();
                     let member = *members.iter().nth(pick).expect("a member");
                     engine.unsubscribe(g, PeerId(member as u64));
                 }
