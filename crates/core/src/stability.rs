@@ -48,7 +48,7 @@ pub enum PreferredPolicy {
 }
 
 impl PreferredPolicy {
-    fn choose(&self, who: &PeerInfo, candidates: &[&PeerInfo]) -> Option<usize> {
+    fn pick(&self, who: &PeerInfo, candidates: &[&PeerInfo]) -> Option<usize> {
         if candidates.is_empty() {
             return None;
         }
@@ -204,9 +204,7 @@ fn pick_on_store(
         .map(|&j| &peers[j])
         .filter(|q| q.departure_time() > who.departure_time())
         .collect();
-    policy
-        .choose(who, &higher)
-        .map(|ci| higher[ci].id().index())
+    policy.pick(who, &higher).map(|ci| higher[ci].id().index())
 }
 
 /// Runs the §3 selection: every peer picks a preferred tree neighbour
@@ -233,9 +231,7 @@ pub fn preferred_links(
                 .map(|&j| &peers[j])
                 .filter(|q| q.departure_time() > who.departure_time())
                 .collect();
-            policy
-                .choose(who, &higher)
-                .map(|ci| higher[ci].id().index())
+            policy.pick(who, &higher).map(|ci| higher[ci].id().index())
         })
         .collect();
     StabilityForest { preferred }
