@@ -293,12 +293,9 @@ impl<'a> RowRuns<'a> {
         if self.tied.is_empty() {
             return false;
         }
-        let (p, q) = (
-            self.index.point_coords(self.id(a)),
-            self.index.point_coords(self.id(b)),
-        );
-        (self.tied.iter())
-            .any(|&t| rect_dominates_coords(p, self.index.point_coords(self.row[t]), q))
+        let of = |i| self.index.point_coords(i);
+        let (p, q) = (of(self.id(a)), of(self.id(b)));
+        (self.tied.iter()).any(|&t| rect_dominates_coords(p, of(self.row[t]), q))
     }
 }
 
@@ -582,6 +579,7 @@ mod tests {
         for (population, stride) in closed_form_populations() {
             let dim = population[0].point().dim();
             let index = GridIndex::build(&population);
+            let of = |i| index.point_coords(i);
             let n = population.len();
             let mut straddles = 0;
             for x in movers(n, stride) {
@@ -593,13 +591,7 @@ mod tests {
                 let row = &row[..];
                 let want: Vec<(usize, usize)> = (0..row.len())
                     .flat_map(|a| (a + 1..row.len()).map(move |b| (row[a], row[b])))
-                    .filter(|&(a, b)| {
-                        rect_dominates_coords(
-                            index.point_coords(a),
-                            index.point_coords(x),
-                            index.point_coords(b),
-                        )
-                    })
+                    .filter(|&(a, b)| rect_dominates_coords(of(a), of(x), of(b)))
                     .collect();
                 assert_eq!(got, want, "dim {dim}: around {x}");
                 straddles += got.len();
