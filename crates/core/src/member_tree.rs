@@ -138,6 +138,8 @@ pub struct BuildResult {
 ///
 /// Rows lie in `flat` back to back in ascending member order, whatever
 /// order the construction read them in: equal contents are equal values.
+/// Peer ids are `u32`, the width the store keeps its own rows at: it
+/// admits no population whose ids do not fit.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct MemberRows {
     /// `(member, start, end)` of each row in `flat`, ascending by member.
@@ -302,10 +304,6 @@ pub(crate) fn member_tree<'a>(
     assert!(
         members.last().is_none_or(|&m| m < store.len()),
         "member out of range"
-    );
-    assert!(
-        u32::try_from(store.len()).is_ok(),
-        "member rows store peer ids as u32"
     );
     // The only state of a group build that scales with the overlay
     // rather than the group (2.5 kB at 20 000 peers). Departed peers

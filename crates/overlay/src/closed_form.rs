@@ -24,7 +24,7 @@ use crate::peer::PeerInfo;
 /// arithmetic, no selection call.
 pub(crate) fn topk_join_recheck(
     peers: &[PeerInfo],
-    out: &[Vec<usize>],
+    out: &[Vec<u32>],
     i: usize,
     q: usize,
     k: usize,
@@ -46,7 +46,7 @@ pub(crate) fn topk_join_recheck(
     let mut count = 0usize;
     let mut kth = f64::NEG_INFINITY;
     'nbr: for &j in &out[i] {
-        let jc = peers[j].point().coords();
+        let jc = peers[j as usize].point().coords();
         let mut jb = 0u32;
         for d in 0..pc.len() {
             if jc[d] > pc[d] {
@@ -97,7 +97,7 @@ fn full_code(dim: usize) -> u32 {
 /// run. Both empty-rectangle closed forms read only this.
 struct RowRuns<'a> {
     index: &'a GridIndex,
-    row: &'a [usize],
+    row: &'a [u32],
     dim: usize,
     /// `(orthant code, row position)` of every untied member, ascending.
     members: Vec<(u32, usize)>,
@@ -110,12 +110,12 @@ struct RowRuns<'a> {
 }
 
 impl<'a> RowRuns<'a> {
-    fn gather(index: &'a GridIndex, x: usize, row: &'a [usize]) -> Self {
+    fn gather(index: &'a GridIndex, x: usize, row: &'a [u32]) -> Self {
         let (dim, at) = (index.dim(), index.point_coords(x));
         let mut members = Vec::with_capacity(row.len());
         let mut tied = Vec::new();
         for (k, &r) in row.iter().enumerate() {
-            match orthant_code(at, index.point_coords(r)) {
+            match orthant_code(at, index.point_coords(r as usize)) {
                 Some(code) => members.push((code, k)),
                 None => tied.push(k),
             }
@@ -123,7 +123,7 @@ impl<'a> RowRuns<'a> {
         members.sort_unstable();
         let mut keys = Vec::with_capacity(members.len() * dim);
         for &(code, k) in &members {
-            let member = index.point_coords(row[k]).iter().enumerate();
+            let member = index.point_coords(row[k] as usize).iter().enumerate();
             keys.extend(member.map(|(d, &c)| if code >> d & 1 == 1 { c } else { -c }));
         }
         let mut runs = Vec::new();
@@ -149,7 +149,7 @@ impl<'a> RowRuns<'a> {
 
     /// Member `m`'s peer id.
     fn id(&self, m: usize) -> usize {
-        self.row[self.members[m].1]
+        self.row[self.members[m].1] as usize
     }
 
     /// The pair of members `a` and `b` as peer ids, smaller first.
@@ -295,7 +295,7 @@ impl<'a> RowRuns<'a> {
         }
         let of = |i| self.index.point_coords(i);
         let (p, q) = (of(self.id(a)), of(self.id(b)));
-        (self.tied.iter()).any(|&t| rect_dominates_coords(p, of(self.row[t]), q))
+        (self.tied.iter()).any(|&t| rect_dominates_coords(p, of(self.row[t] as usize), q))
     }
 }
 
@@ -309,13 +309,13 @@ impl<'a> RowRuns<'a> {
 /// per straddling pair; no rectangle test.
 pub(crate) fn straddled_links(
     index: &GridIndex,
-    out: &[Vec<usize>],
+    out: &[Vec<u32>],
     q: usize,
-    row: &[usize],
+    row: &[u32],
 ) -> Vec<(usize, usize)> {
     let mut cuts: Vec<(usize, usize)> = RowRuns::gather(index, q, row)
         .straddling_pairs()
-        .filter(|&(i, r)| out[i].binary_search(&r).is_ok())
+        .filter(|&(i, r)| out[i].binary_search(&(r as u32)).is_ok())
         .collect();
     cuts.sort_unstable();
     cuts
@@ -332,7 +332,7 @@ pub(crate) fn straddled_links(
 /// a subtraction would round the strict tests. The rule's own test, so
 /// collisions and any dimensionality take the same path: no index
 /// query, no decline.
-pub(crate) fn unblocked_pairs(index: &GridIndex, x: usize, row: &[usize]) -> Vec<(usize, usize)> {
+pub(crate) fn unblocked_pairs(index: &GridIndex, x: usize, row: &[u32]) -> Vec<(usize, usize)> {
     RowRuns::gather(index, x, row).unblocked_pairs()
 }
 
@@ -388,14 +388,15 @@ impl JoinWalk {
     /// The row of `x` among the peers that `out`'s rows link — every
     /// live peer but `x` — walked from the live peer `start`: descend to
     /// a neighbour of `x`, then grow the fronts over rows until no
-    /// member is left to expand. Sorted ascending.
+    /// member is left to expand. Sorted ascending, at the store's row
+    /// width.
     pub(crate) fn row(
         &mut self,
         index: &GridIndex,
-        out: &[Vec<usize>],
+        out: &[Vec<u32>],
         x: usize,
         start: usize,
-    ) -> Vec<usize> {
+    ) -> Vec<u32> {
         if self.seen.len() < out.len() {
             self.seen.resize(out.len(), 0);
         }
@@ -421,15 +422,18 @@ impl JoinWalk {
             }
             self.stats.rows_read += 1;
             for &w in &out[v] {
+                let w = w as usize;
                 if self.seen[w] != self.stamp {
                     self.seen[w] = self.stamp;
                     self.offer(index, at, w);
                 }
             }
         }
-        let mut row = self.tied.clone();
-        for &(_, slot) in &self.slots {
-            row.extend_from_slice(self.fronts[slot].ids());
+        let fronts = self.slots.iter().map(|&(_, slot)| self.fronts[slot].ids());
+        let size = self.tied.len() + fronts.clone().map(<[usize]>::len).sum::<usize>();
+        let mut row = Vec::with_capacity(size);
+        for ids in fronts.chain([&self.tied[..]]) {
+            row.extend(ids.iter().map(|&j| j as u32));
         }
         row.sort_unstable();
         self.stats.joins += 1;
@@ -441,17 +445,12 @@ impl JoinWalk {
     /// box (least L1 offset from `at`), until `row(p)` has none: then
     /// `p` is a neighbour of the newcomer at `at`. Each step shrinks the
     /// box strictly, so no peer is visited twice.
-    fn descend(
-        &mut self,
-        index: &GridIndex,
-        out: &[Vec<usize>],
-        at: &[f64],
-        mut p: usize,
-    ) -> usize {
+    fn descend(&mut self, index: &GridIndex, out: &[Vec<u32>], at: &[f64], mut p: usize) -> usize {
         loop {
             let pc = index.point_coords(p);
             let mut next: Option<(f64, usize)> = None;
             for &m in &out[p] {
+                let m = m as usize;
                 let mc = index.point_coords(m);
                 let in_box = (at.iter().zip(pc).zip(mc))
                     .all(|((&a, &b), &c)| a.min(b) <= c && c <= a.max(b));
@@ -583,12 +582,13 @@ mod tests {
             let n = population.len();
             let mut straddles = 0;
             for x in movers(n, stride) {
-                let row: Vec<usize> = (0..n).filter(|&r| r != x).collect();
+                let row: Vec<u32> = (0..n as u32).filter(|&r| r as usize != x).collect();
                 let mut got: Vec<(usize, usize)> = RowRuns::gather(&index, x, &row)
                     .straddling_pairs()
                     .collect();
                 got.sort_unstable();
-                let row = &row[..];
+                let ids: Vec<usize> = row.iter().map(|&r| r as usize).collect();
+                let row = &ids[..];
                 let want: Vec<(usize, usize)> = (0..row.len())
                     .flat_map(|a| (a + 1..row.len()).map(move |b| (row[a], row[b])))
                     .filter(|&(a, b)| rect_dominates_coords(of(a), of(x), of(b)))
@@ -618,7 +618,7 @@ mod tests {
             for q in movers(population.len(), stride).filter(|&q| q > 0) {
                 let (before, after) = (store(q), store(q + 1));
                 let row = after.out_neighbors(q);
-                let cuts = straddled_links(&index, &before.out, q, row);
+                let cuts = straddled_links(&index, &before.out, q, after.row(q));
                 for i in 0..q {
                     let old = before.out_neighbors(i);
                     let mut got: Vec<usize> = old
@@ -666,11 +666,14 @@ mod tests {
                 let (before, after) = (store(q), store(q + 1));
                 for start in 0..q {
                     let row = walk.row(&index, &before.out, q, start);
-                    assert_eq!(row, after.out_neighbors(q), "{q} joins from {start}");
+                    assert_eq!(row, after.row(q), "{q} joins from {start}");
                     walks += 1;
                     // The descent's own contract: it stops at a neighbour.
                     let stop = descent.descend(&index, &before.out, index.point_coords(q), start);
-                    assert!(row.contains(&stop), "{q} joins: descent from {start}");
+                    assert!(
+                        row.contains(&(stop as u32)),
+                        "{q} joins: descent from {start}"
+                    );
                 }
             }
         }
@@ -703,7 +706,7 @@ mod tests {
                 }
                 // Both lists ascend: the kernel sorts its pairs.
                 assert_eq!(
-                    unblocked_pairs(&index, v, full.out_neighbors(v)),
+                    unblocked_pairs(&index, v, full.row(v)),
                     want,
                     "dim {}: {v} departs",
                     population[0].point().dim()

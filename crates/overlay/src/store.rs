@@ -249,17 +249,41 @@ use crate::select::{ids_in_slice_order, ChurnShape, NeighborSelection, SelectCon
 /// resistant against permuted-but-equal lists.
 #[must_use]
 pub fn topology_hash(i: usize, neighbors: &[usize]) -> u64 {
+    fnv_row(i, neighbors.len(), neighbors.iter().map(|&j| j as u64))
+}
+
+/// [`topology_hash`] of a stored row: the same fold over the same ids,
+/// read at the store's width.
+fn row_hash(i: usize, row: &[u32]) -> u64 {
+    fnv_row(i, row.len(), row.iter().map(|&j| u64::from(j)))
+}
+
+/// The one fold behind [`topology_hash`], whatever width the ids are
+/// held at.
+fn fnv_row(i: usize, len: usize, ids: impl Iterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |v: u64| {
         h ^= v;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     };
     mix(i as u64 ^ 0x9e37_79b9_7f4a_7c15);
-    mix(neighbors.len() as u64);
-    for &j in neighbors {
-        mix(j as u64 + 1);
+    mix(len as u64);
+    for j in ids {
+        mix(j + 1);
     }
     h
+}
+
+/// A stored adjacency row: sorted peer ids at half the width of
+/// `usize`. Every id fits, since the store admits no more than
+/// `u32::MAX` peers ([`assert_id_width`]).
+type Row = Vec<u32>;
+
+/// A row selected over [`PeerInfo`]s, at the store's width: one row at
+/// a time, so no full-size `usize` table is ever held beside the
+/// store's.
+fn to_row(ids: &[usize]) -> Row {
+    ids.iter().map(|&j| j as u32).collect()
 }
 
 /// The shared, incrementally-maintained overlay topology: peer
@@ -288,10 +312,10 @@ pub fn topology_hash(i: usize, neighbors: &[usize]) -> u64 {
 /// ```
 pub struct TopologyStore {
     peers: Vec<PeerInfo>,
-    pub(crate) out: Vec<Vec<usize>>,
+    pub(crate) out: Vec<Row>,
     /// Who selects each peer. Empty under the empty-rectangle rule,
     /// whose links are mutual: there `out` holds both directions.
-    pub(crate) rev: Vec<Vec<usize>>,
+    pub(crate) rev: Vec<Row>,
     peer_hash: Vec<u64>,
     fingerprint: u64,
     epoch: u64,
@@ -343,6 +367,16 @@ fn assert_orthant_dim(dim: usize) {
     );
 }
 
+/// Rows hold peer ids as `u32`: the store admits a population of `len`
+/// peers only if every id below it fits. Checked where peers enter, so
+/// no kernel that reads a row checks again.
+fn assert_id_width(len: usize) {
+    assert!(
+        u32::try_from(len).is_ok(),
+        "{len} peers: the store keeps peer ids as u32"
+    );
+}
+
 impl TopologyStore {
     /// Creates an empty store for the given selection rule; the
     /// population's dimensionality is adopted from the first insert.
@@ -362,7 +396,8 @@ impl TopologyStore {
     ///
     /// Panics unless `peers[i].id().index() == i` for every `i` (the
     /// store owns the id space) and all peers share one dimensionality,
-    /// or if the dimensionality exceeds [`MAX_ORTHANT_DIM`].
+    /// if the dimensionality exceeds [`MAX_ORTHANT_DIM`], or if there
+    /// are more than `u32::MAX` peers.
     #[must_use]
     pub fn from_peers(
         peers: Vec<PeerInfo>,
@@ -381,17 +416,18 @@ impl TopologyStore {
         if let Some(first) = peers.first() {
             assert_orthant_dim(first.point().dim());
         }
+        assert_id_width(peers.len());
         let index = GridIndex::build(&peers);
         let n = peers.len();
         let ctx = SelectContext::with_index(&index, true).masked(index.removed());
-        let out: Vec<Vec<usize>> = par::map_indexed(n, |i| selection.select_in(&peers, i, &ctx));
+        let out: Vec<Row> = par::map_indexed(n, |i| to_row(&selection.select_in(&peers, i, &ctx)));
         let shape = selection.churn_shape();
         let mut rev = Vec::new();
         if shape != ChurnShape::EmptyRect {
             rev.resize(n, Vec::new());
             for (i, nbrs) in out.iter().enumerate() {
                 for &j in nbrs {
-                    rev[j].push(i);
+                    rev[j as usize].push(i as u32);
                 }
             }
             // Fill order is ascending in `i`, so rev lists are born sorted.
@@ -399,7 +435,7 @@ impl TopologyStore {
         let peer_hash: Vec<u64> = out
             .iter()
             .enumerate()
-            .map(|(i, nbrs)| topology_hash(i, nbrs))
+            .map(|(i, nbrs)| row_hash(i, nbrs))
             .collect();
         let fingerprint = peer_hash.iter().fold(0, |acc, h| acc ^ h);
         TopologyStore {
@@ -508,31 +544,51 @@ impl TopologyStore {
     }
 
     /// The equilibrium out-neighbours of peer `i` (sorted; empty for
-    /// departed peers).
+    /// departed peers), as a copy at `usize` width: the store holds its
+    /// rows as `u32` ids, and what reads them inside the library reads
+    /// the stored row itself ([`TopologyStore::row`],
+    /// [`TopologyStore::undirected_neighbors_into`]).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn out_neighbors(&self, i: usize) -> &[usize] {
+    pub fn out_neighbors(&self, i: usize) -> Vec<usize> {
+        widen(self.row(i))
+    }
+
+    /// Peer `i`'s stored row: its out-neighbours as `u32` ids, sorted.
+    pub(crate) fn row(&self, i: usize) -> &[u32] {
         &self.out[i]
     }
 
     /// The peers currently selecting `i` (sorted; empties out when `i`
-    /// departs). Under the empty-rectangle rule links are mutual and
-    /// this is `i`'s own row.
+    /// departs), copied like [`TopologyStore::out_neighbors`]. Under the
+    /// empty-rectangle rule links are mutual and this is `i`'s own row.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[must_use]
     // lint:allow(D006, reason = "how store's tests see the reverse table the re-selecting rules keep, which the group engine and the graft pass read through undirected_neighbors_into; under the empty-rectangle rule it is out itself")
-    pub fn rev_neighbors(&self, i: usize) -> &[usize] {
-        if self.mutual() {
-            &self.out[i]
+    pub fn rev_neighbors(&self, i: usize) -> Vec<usize> {
+        widen(if self.mutual() {
+            self.row(i)
         } else {
             &self.rev[i]
-        }
+        })
+    }
+
+    /// Heap bytes the adjacency tables hold, capacity included: each
+    /// table's row headers and every row's id buffer, the reverse table
+    /// too where the rule keeps one.
+    #[must_use]
+    pub fn row_bytes(&self) -> usize {
+        let table = |rows: &Vec<Row>| {
+            rows.capacity() * std::mem::size_of::<Row>()
+                + rows.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<u32>()
+        };
+        table(&self.out) + table(&self.rev)
     }
 
     /// `true` under the empty-rectangle rule, whose links are mutual:
@@ -552,10 +608,10 @@ impl TopologyStore {
     pub fn undirected_neighbors_into(&self, i: usize, buf: &mut Vec<usize>) {
         buf.clear();
         if self.mutual() {
-            buf.extend_from_slice(&self.out[i]);
+            buf.extend(self.row(i).iter().map(|&j| j as usize));
             return;
         }
-        let (a, b) = (&self.out[i], &self.rev[i]);
+        let (a, b) = (self.row(i), &self.rev[i]);
         let (mut x, mut y) = (0usize, 0usize);
         while x < a.len() || y < b.len() {
             let next = match (a.get(x), b.get(y)) {
@@ -582,7 +638,7 @@ impl TopologyStore {
                 }
                 (None, None) => unreachable!("loop condition"),
             };
-            buf.push(next);
+            buf.push(next as usize);
         }
     }
 
@@ -590,7 +646,16 @@ impl TopologyStore {
     /// keep their vertex, edge-less).
     #[must_use]
     pub fn graph(&self) -> OverlayGraph {
-        OverlayGraph::from_out_neighbors(self.out.clone())
+        let mut offsets = Vec::with_capacity(self.out.len() + 1);
+        offsets.push(0);
+        let mut targets = Vec::new();
+        for row in &self.out {
+            targets.extend(row.iter().map(|&j| j as usize));
+            offsets.push(targets.len());
+        }
+        // Stored rows are sorted, duplicate-free and never hold their
+        // own peer: CSR parts as they are.
+        OverlayGraph::from_csr(offsets, targets)
     }
 
     /// Rolling 64-bit fingerprint of the whole topology: XOR of every
@@ -659,9 +724,11 @@ impl TopologyStore {
     /// # Panics
     ///
     /// Panics if `point`'s dimensionality disagrees with the population
-    /// (the paper fixes `D` per system) or exceeds [`MAX_ORTHANT_DIM`].
+    /// (the paper fixes `D` per system) or exceeds [`MAX_ORTHANT_DIM`],
+    /// or if the store already holds `u32::MAX` peers.
     pub fn insert(&mut self, point: Point) -> PeerId {
         assert_orthant_dim(point.dim());
+        assert_id_width(self.peers.len() + 1);
         if let Some(first) = self.peers.first() {
             assert_eq!(
                 point.dim(),
@@ -677,7 +744,7 @@ impl TopologyStore {
         if !self.mutual() {
             self.rev.push(Vec::new());
         }
-        self.peer_hash.push(topology_hash(id, &[]));
+        self.peer_hash.push(row_hash(id, &[]));
         self.fingerprint ^= self.peer_hash[id];
         let dirty = match self.shape {
             ChurnShape::EmptyRect => self.join_links(id),
@@ -707,19 +774,23 @@ impl TopologyStore {
             self.unlink(i, r);
         }
         self.links_cut += cuts.len() as u64;
+        let mut dirty = Vec::with_capacity(own.len() + 1);
         for &i in &own {
-            self.link(i, id);
+            // `id` is the largest index, so pushing keeps each row, and
+            // the dirty list, sorted.
+            self.out[i as usize].push(id as u32);
+            dirty.push(i as usize);
         }
-        let mut dirty = own;
-        // `id` is the largest index, so appending keeps the list sorted.
         dirty.push(id);
+        // Links are mutual: the walked row is the newcomer's own.
+        self.out[id] = own;
         self.check_and_rehash(&dirty, "join", id);
         dirty
     }
 
     /// The join of every other rule: whoever the rule's structure
     /// cannot rule out re-runs it on `old row ∪ {newcomer}`.
-    fn join_reselect(&mut self, id: usize, own: Vec<usize>, shape: ChurnShape) -> Vec<usize> {
+    fn join_reselect(&mut self, id: usize, own: Row, shape: ChurnShape) -> Vec<usize> {
         let selection = self.selection.as_ref();
         let (peers, departed, out) = (&self.peers, self.index.removed(), &self.out);
         let affected: Vec<usize> = match shape {
@@ -732,14 +803,14 @@ impl TopologyStore {
             // No structure to rule anyone out by: everyone.
             _ => (0..id).filter(|&i| !departed[i]).collect(),
         };
-        let updates: Vec<Vec<usize>> = par::map_indexed(affected.len(), |a| {
+        let updates: Vec<Row> = par::map_indexed(affected.len(), |a| {
             let i = affected[a];
             // `id` is the largest index, so appending keeps the
             // candidate id list sorted.
-            let mut cand_ids: Vec<usize> = Vec::with_capacity(out[i].len() + 1);
+            let mut cand_ids: Row = Vec::with_capacity(out[i].len() + 1);
             cand_ids.extend_from_slice(&out[i]);
-            cand_ids.push(id);
-            let refs: Vec<&PeerInfo> = cand_ids.iter().map(|&j| &peers[j]).collect();
+            cand_ids.push(id as u32);
+            let refs: Vec<&PeerInfo> = cand_ids.iter().map(|&j| &peers[j as usize]).collect();
             let picked = selection.select(&peers[i], &refs);
             picked.into_iter().map(|ci| cand_ids[ci]).collect()
         });
@@ -798,29 +869,35 @@ impl TopologyStore {
         let row = std::mem::take(&mut self.out[v]);
         let pairs = unblocked_pairs(&self.index, v, &row);
         for &i in &row {
-            // `v`'s own row is gone already; that half finds nothing.
-            self.unlink(i, v);
+            // `v`'s own row is gone already: one half to unlink.
+            Self::row_remove(&mut self.out[i as usize], v as u32);
         }
         for &(i, w) in &pairs {
             self.link(i, w);
         }
         self.links_made += pairs.len() as u64;
-        self.check_and_rehash(&row, "leave", v);
-        self.rehash(v);
-        let mut dirty = row;
+        let mut dirty = widen(&row);
         dirty.insert(dirty.partition_point(|&i| i < v), v);
+        self.check_and_rehash(&dirty, "leave", v);
         dirty
     }
 
     /// Re-hashes each row an empty-rectangle `event` of `peer` edited;
-    /// debug builds first hold it against its re-selection on the index.
+    /// debug builds first hold it against its re-selection on the index
+    /// (a departed peer's is empty).
     fn check_and_rehash(&mut self, rows: &[usize], event: &str, peer: usize) {
         for &i in rows {
-            debug_assert_eq!(
-                self.out[i],
-                self.select_row(i),
-                "{event} of {peer}: peer {i}'s edited row differs from its re-selection"
-            );
+            if cfg!(debug_assertions) {
+                let want = if self.departed()[i] {
+                    Vec::new()
+                } else {
+                    self.select_row(i)
+                };
+                assert_eq!(
+                    self.out[i], want,
+                    "{event} of {peer}: peer {i}'s edited row differs from its re-selection"
+                );
+            }
             self.rehash(i);
         }
     }
@@ -828,9 +905,9 @@ impl TopologyStore {
     /// Peer `i`'s row over the live population, selected from scratch:
     /// a query on the index, or the rule's brute selection where the
     /// index declines.
-    fn select_row(&self, i: usize) -> Vec<usize> {
+    fn select_row(&self, i: usize) -> Row {
         let ctx = SelectContext::with_index(&self.index, true).masked(self.index.removed());
-        self.selection.select_in(&self.peers, i, &ctx)
+        to_row(&self.selection.select_in(&self.peers, i, &ctx))
     }
 
     /// The leave of every other rule: the departed peer's selectors
@@ -842,6 +919,7 @@ impl TopologyStore {
         // releases its capacity: nobody selects a departed id again.
         let affected = std::mem::take(&mut self.rev[v]);
         for i in affected {
+            let i = i as usize;
             let new_out = self.select_row(i);
             self.apply_out(i, new_out, &mut delta);
         }
@@ -853,26 +931,26 @@ impl TopologyStore {
     /// Enters the mutual link `a – b` in both rows of the one table the
     /// empty-rectangle rule keeps.
     fn link(&mut self, a: usize, b: usize) {
-        Self::row_insert(&mut self.out[a], b);
-        Self::row_insert(&mut self.out[b], a);
+        Self::row_insert(&mut self.out[a], b as u32);
+        Self::row_insert(&mut self.out[b], a as u32);
     }
 
     /// Removes the mutual link `a – b` from both rows.
     fn unlink(&mut self, a: usize, b: usize) {
-        Self::row_remove(&mut self.out[a], b);
-        Self::row_remove(&mut self.out[b], a);
+        Self::row_remove(&mut self.out[a], b as u32);
+        Self::row_remove(&mut self.out[b], a as u32);
     }
 
     /// Brings `i`'s hash and the rolling fingerprint up to its row.
     fn rehash(&mut self, i: usize) {
-        let new_hash = topology_hash(i, &self.out[i]);
+        let new_hash = row_hash(i, &self.out[i]);
         self.fingerprint ^= self.peer_hash[i] ^ new_hash;
         self.peer_hash[i] = new_hash;
     }
 
     /// Replaces `i`'s out-list, maintaining reverse lists, hashes, the
     /// rolling fingerprint, and the delta set.
-    fn apply_out(&mut self, i: usize, new_out: Vec<usize>, delta: &mut BTreeSet<usize>) {
+    fn apply_out(&mut self, i: usize, new_out: Row, delta: &mut BTreeSet<usize>) {
         if self.out[i] == new_out {
             return;
         }
@@ -880,6 +958,7 @@ impl TopologyStore {
         // Symmetric difference updates the reverse lists; both lists are
         // sorted, so a merge walk finds the diffs.
         let (mut x, mut y) = (0usize, 0usize);
+        let selector = i as u32;
         loop {
             match (old_out.get(x), self.out[i].get(y)) {
                 (Some(&u), Some(&v)) if u == v => {
@@ -887,23 +966,23 @@ impl TopologyStore {
                     y += 1;
                 }
                 (Some(&u), Some(&v)) if u < v => {
-                    Self::row_remove(&mut self.rev[u], i);
-                    delta.insert(u);
+                    Self::row_remove(&mut self.rev[u as usize], selector);
+                    delta.insert(u as usize);
                     x += 1;
                 }
                 (Some(_), Some(&v)) => {
-                    Self::row_insert(&mut self.rev[v], i);
-                    delta.insert(v);
+                    Self::row_insert(&mut self.rev[v as usize], selector);
+                    delta.insert(v as usize);
                     y += 1;
                 }
                 (Some(&u), None) => {
-                    Self::row_remove(&mut self.rev[u], i);
-                    delta.insert(u);
+                    Self::row_remove(&mut self.rev[u as usize], selector);
+                    delta.insert(u as usize);
                     x += 1;
                 }
                 (None, Some(&v)) => {
-                    Self::row_insert(&mut self.rev[v], i);
-                    delta.insert(v);
+                    Self::row_insert(&mut self.rev[v as usize], selector);
+                    delta.insert(v as usize);
                     y += 1;
                 }
                 (None, None) => break,
@@ -913,17 +992,22 @@ impl TopologyStore {
         delta.insert(i);
     }
 
-    fn row_insert(row: &mut Vec<usize>, i: usize) {
+    fn row_insert(row: &mut Row, i: u32) {
         if let Err(pos) = row.binary_search(&i) {
             row.insert(pos, i);
         }
     }
 
-    fn row_remove(row: &mut Vec<usize>, i: usize) {
+    fn row_remove(row: &mut Row, i: u32) {
         if let Ok(pos) = row.binary_search(&i) {
             row.remove(pos);
         }
     }
+}
+
+/// A stored row at `usize` width.
+fn widen(row: &[u32]) -> Vec<usize> {
+    row.iter().map(|&j| j as usize).collect()
 }
 
 impl std::fmt::Debug for TopologyStore {
@@ -1199,7 +1283,7 @@ mod tests {
                         "changed peer {i} missing from delta"
                     );
                 }
-                *prev = store.out_neighbors(i).to_vec();
+                *prev = store.out_neighbors(i);
             }
         }
     }
@@ -1228,14 +1312,14 @@ mod tests {
                 rule.name()
             );
             for i in 0..store.len() {
-                for &j in store.out_neighbors(i) {
+                for j in store.out_neighbors(i) {
                     assert!(
                         store.rev_neighbors(j).contains(&i),
                         "{}: edge {i}->{j} missing from reverse table",
                         rule.name()
                     );
                 }
-                for &j in store.rev_neighbors(i) {
+                for j in store.rev_neighbors(i) {
                     assert!(
                         store.out_neighbors(j).contains(&i),
                         "{}: reverse entry {j}->{i} has no forward edge",

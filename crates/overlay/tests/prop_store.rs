@@ -73,13 +73,13 @@ fn apply_event(
 ) -> Vec<usize> {
     let (peer, mut moved) = match leave {
         Some(v) => {
-            let row = store.out_neighbors(v).to_vec();
+            let row = store.out_neighbors(v);
             store.remove(PeerId(v as u64));
             (v, row)
         }
         None => {
             let id = store.insert(joins.next().expect("one point per op suffices"));
-            (id.index(), store.out_neighbors(id.index()).to_vec())
+            (id.index(), store.out_neighbors(id.index()))
         }
     };
     moved.push(peer);
@@ -92,7 +92,7 @@ fn apply_event(
 /// dirties the moving peer's row and itself, nothing else.
 fn assert_mutual_and_local(store: &TopologyStore, moved: &[usize], what: &str) {
     for i in 0..store.len() {
-        for &j in store.out_neighbors(i) {
+        for j in store.out_neighbors(i) {
             assert!(
                 store.out_neighbors(j).contains(&i),
                 "{what}: link {i} -> {j} is not mutual"
@@ -246,9 +246,7 @@ fn a_hostile_row_departs_into_the_bulk_build_over_the_survivors() {
             "{what}: the departing peer neighbours every other"
         );
         store.remove(PeerId(last as u64));
-        let mut rows: Vec<Vec<usize>> = (0..last)
-            .map(|i| survivors.out_neighbors(i).to_vec())
-            .collect();
+        let mut rows: Vec<Vec<usize>> = (0..last).map(|i| survivors.out_neighbors(i)).collect();
         rows.push(Vec::new());
         let want = OverlayGraph::from_out_neighbors(rows);
         assert_eq!(store.graph(), want, "{what}: adjacency");
