@@ -105,6 +105,7 @@ use crate::dataplane::{
     eager_lazy_deliver, Delivery, DeliveryPlan, EpidemicReport, PlanCache, PlanStats, PublishBatch,
 };
 use crate::graft::{graft_pass, GraftPass, GraftReport, Previous, WalkLog};
+use crate::live::LivePeers;
 use crate::member_tree::{member_tree, BuildResult, MemberRows, Recorded};
 use crate::partition::OrthantRectPartitioner;
 use crate::stability::{preferred_links_on_store, PreferredPolicy, StabilityForest};
@@ -442,9 +443,9 @@ pub struct GroupEngine {
     /// the walks that attached them, which makes this the suspects'
     /// lookup too ([`GroupEngine::set_suspects`]).
     read_by: Vec<Vec<(u32, u32)>>,
-    /// Live peers, ascending — the maintained list workload binding
-    /// draws from (replacing the per-op O(N) departed-scan).
-    live_peers: Vec<usize>,
+    /// Live peers as an order-statistics set — what workload binding
+    /// draws from, by rank and select in `O(log N)`.
+    live_peers: LivePeers,
     /// Repair consumer: cursor over the store's delta log tracking the
     /// last epoch this engine's group/tree state absorbed.
     repair: DeltaCursor,
@@ -488,9 +489,7 @@ impl GroupEngine {
     pub fn new(store: TopologyStore, partitioner: Arc<OrthantRectPartitioner>) -> Self {
         let member_of = vec![Vec::new(); store.len()];
         let read_by = vec![Vec::new(); store.len()];
-        let live_peers: Vec<usize> = (0..store.len())
-            .filter(|&i| !store.is_departed(PeerId(i as u64)))
-            .collect();
+        let live_peers = LivePeers::from_departed(store.departed());
         let repair = DeltaCursor::at("group-repair", store.epoch());
         let flush = DeltaCursor::at("dataplane-flush", store.epoch());
         GroupEngine {
@@ -1093,7 +1092,7 @@ impl GroupEngine {
             "cannot seed groups over an empty overlay"
         );
         let mut ids = Vec::with_capacity(sizes.len());
-        let mut scratch = self.live_peers.clone();
+        let mut scratch: Vec<usize> = self.live_peers.iter().collect();
         for &size in sizes {
             assert!(size > 0, "groups start with at least one member");
             let size = size.min(scratch.len());
@@ -1131,13 +1130,13 @@ impl GroupEngine {
             assert!(size > 0, "groups start with at least one member");
             let live = &self.live_peers;
             let size = size.min(live.len());
-            let center = live[(splitmix(state) as usize) % live.len()];
+            let center = live.select((splitmix(state) as usize) % live.len());
             let cp = self.store.peers()[center].point();
             // The `size` nearest by (distance, index): a selection, not
             // a sort — only the set matters.
             let mut by_dist: Vec<(f64, usize)> = live
                 .iter()
-                .map(|&i| (l1(self.store.peers()[i].point().coords(), cp.coords()), i))
+                .map(|i| (l1(self.store.peers()[i].point().coords(), cp.coords()), i))
                 .collect();
             if size < by_dist.len() {
                 by_dist
@@ -1191,25 +1190,24 @@ impl GroupEngine {
                     return AppliedOp::Skipped(g);
                 }
                 let pick = (splitmix(state) as usize) % candidates;
-                // Order-statistics over the maintained live list: the
-                // pick-th live non-member is live[pick + k] where k
+                // Order statistics over the live set: the pick-th live
+                // non-member is the (pick + k)-th live peer, where k
                 // counts the members at or below the answer. Members are
-                // ascending and always live, so one pass with binary
-                // ranks computes it in O(|members| log live) — replacing
-                // the old O(N) full-store departed-scan per op while
-                // binding byte-identically (asserted by a regression
-                // test).
+                // ascending and always live, so one pass of ranks
+                // computes it in O(|members| log N) — binding
+                // byte-identically to an O(N) departed-scan (asserted by
+                // a regression test).
                 let mut idx = pick;
                 for &m in members {
-                    let rank = self.live_peers.partition_point(|&x| x < m);
-                    debug_assert_eq!(self.live_peers.get(rank), Some(&m), "members stay live");
+                    let rank = self.live_peers.rank(m);
                     if rank <= idx {
                         idx += 1;
                     } else {
                         break;
                     }
                 }
-                let peer = self.live_peers[idx];
+                let peer = self.live_peers.select(idx);
+                debug_assert!(!members.contains(&peer), "the pick is a non-member");
                 self.subscribe(g, PeerId(peer as u64));
                 AppliedOp::Subscribed(g, PeerId(peer as u64))
             }
@@ -1266,18 +1264,13 @@ impl GroupEngine {
                 hits.extend(self.read_by[p].iter().map(|&(g, walk)| (g, peer, walk)));
             }
             match delta.kind {
-                DeltaKind::Join(v) => {
-                    debug_assert!(self.live_peers.last().is_none_or(|&l| l < v));
-                    self.live_peers.push(v);
-                }
+                DeltaKind::Join(v) => self.live_peers.join(v),
                 DeltaKind::Leave(v) => {
                     debug_assert!(
                         delta.dirty.binary_search(&v).is_ok(),
                         "a departure dirties the departed peer itself"
                     );
-                    if let Ok(pos) = self.live_peers.binary_search(&v) {
-                        self.live_peers.remove(pos);
-                    }
+                    self.live_peers.leave(v);
                     // Crash-stop implies unsubscription from everything.
                     for gi in std::mem::take(&mut self.member_of[v]) {
                         let group = &mut self.groups[gi as usize];
@@ -1350,9 +1343,7 @@ impl GroupEngine {
     fn full_resync(&mut self) {
         self.member_of.resize(self.store.len(), Vec::new());
         self.read_by.resize(self.store.len(), Vec::new());
-        self.live_peers = (0..self.store.len())
-            .filter(|&i| !self.store.is_departed(PeerId(i as u64)))
-            .collect();
+        self.live_peers = LivePeers::from_departed(self.store.departed());
         let mut rebuilt_members = 0usize;
         for gi in 0..self.groups.len() {
             let departed: Vec<usize> = self.groups[gi]

@@ -66,6 +66,7 @@ pub mod dataplane;
 pub mod detect;
 pub mod graft;
 pub mod groups;
+mod live;
 mod member_tree;
 pub mod protocol;
 pub mod stability;
