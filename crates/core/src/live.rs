@@ -2,7 +2,7 @@
 //! draws from, with rank and select in `O(log N)` and a departure that
 //! moves nothing.
 
-/// The live peers among the dense ids `0..universe()`: a flag per id
+/// The live peers among the dense ids seen so far: a flag per id
 /// and a Fenwick tree over the flags, so the rank of an id, the `r`-th
 /// live id, a join and a departure each walk `O(log N)` tree nodes.
 #[derive(Debug, Clone, Default)]
@@ -37,7 +37,7 @@ impl LivePeers {
         self.count == 0
     }
 
-    /// Adds the next id, `universe()`, live or departed.
+    /// Adds the next dense id, live or departed.
     fn push(&mut self, live: bool) {
         let k = self.tree.len() + 1;
         // The new node covers `(k - lowbit(k), k]`: its own flag plus
