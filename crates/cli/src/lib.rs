@@ -705,6 +705,11 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
         report.links_cut
     ));
     out.push_str(&format!("  live peers after  : {}\n", store.live_count()));
+    out.push_str(&format!(
+        "  row bytes         : {:.1} per live peer ({} in the adjacency tables)\n",
+        store.row_bytes() as f64 / store.live_count().max(1) as f64,
+        store.row_bytes()
+    ));
     let walk = store.join_walk_stats();
     let per_join = |count: u64| count as f64 / walk.joins.max(1) as f64;
     out.push_str(&format!(
@@ -1341,6 +1346,25 @@ mod tests {
         assert!(out.contains("events applied    : 20"), "{out}");
         assert!(out.contains("links made / cut  : "), "{out}");
         assert!(out.contains("connected         : true"), "{out}");
+    }
+
+    #[test]
+    fn churn_prints_the_row_bytes_per_live_peer() {
+        let inv = parse_args(&args(&["churn", "--n", "80", "--events", "30"])).unwrap();
+        let out = run(&inv).unwrap();
+        let line = (out.lines())
+            .find_map(|l| l.strip_prefix("  row bytes         : "))
+            .unwrap_or_else(|| panic!("no row bytes line: {out}"));
+        let (per_peer, total) = line
+            .split_once(" per live peer (")
+            .unwrap_or_else(|| panic!("{line}"));
+        let per_peer: f64 = per_peer.parse().unwrap();
+        let total: usize = (total.strip_suffix(" in the adjacency tables)"))
+            .and_then(|t| t.parse().ok())
+            .unwrap_or_else(|| panic!("{line}"));
+        // A row header and at least one 4-byte id per live peer.
+        assert!(per_peer >= 28.0, "{line}");
+        assert!(total > 80 * 28, "{line}");
     }
 
     #[test]

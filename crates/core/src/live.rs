@@ -125,7 +125,7 @@ mod tests {
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1);
             let roll = (state >> 33) as usize;
-            if roll % 3 == 0 || list.is_empty() {
+            if roll.is_multiple_of(3) || list.is_empty() {
                 let id = set.live.len();
                 set.join(id);
                 list.push(id);

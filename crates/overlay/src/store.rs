@@ -2,7 +2,7 @@
 //! multicast consumer.
 //!
 //! [`TopologyStore`] owns the peer population, the current equilibrium
-//! adjacency (sorted rows; a reverse table too for the directed
+//! adjacency (sorted rows of `u32` peer ids; a reverse table too for the directed
 //! Hyperplanes rules — empty-rectangle links are mutual, so there one
 //! table holds both directions), per-peer topology
 //! fingerprints, and the epoch-numbered [`DeltaLog`] of every membership
@@ -545,9 +545,10 @@ impl TopologyStore {
 
     /// The equilibrium out-neighbours of peer `i` (sorted; empty for
     /// departed peers), as a copy at `usize` width: the store holds its
-    /// rows as `u32` ids, and what reads them inside the library reads
-    /// the stored row itself ([`TopologyStore::row`],
-    /// [`TopologyStore::undirected_neighbors_into`]).
+    /// rows as `u32` ids. The library's hot paths read the stored row
+    /// itself (the crate-visible `row`, and
+    /// [`TopologyStore::undirected_neighbors_into`], which fills a
+    /// caller's `usize` buffer).
     ///
     /// # Panics
     ///
@@ -876,7 +877,8 @@ impl TopologyStore {
             self.link(i, w);
         }
         self.links_made += pairs.len() as u64;
-        let mut dirty = widen(&row);
+        let mut dirty = Vec::with_capacity(row.len() + 1);
+        dirty.extend(row.iter().map(|&i| i as usize));
         dirty.insert(dirty.partition_point(|&i| i < v), v);
         self.check_and_rehash(&dirty, "leave", v);
         dirty
@@ -1332,19 +1334,66 @@ mod tests {
 
     #[test]
     fn undirected_rows_match_graph_closure() {
-        for rule in one_table_and_two() {
-            let mut store = TopologyStore::new(rule.clone());
-            for p in points(35, 2, 23) {
-                store.insert(p);
-            }
-            store.remove(PeerId(9));
-            let closure = store.graph().undirected_closure();
+        // `out_neighbors`, `undirected_neighbors_into` and `graph()` read
+        // the same stored rows: under the mutual rule and under directed
+        // ones (Hyperplanes K = 1, D = 2 and K = 2, D = 3) they agree row
+        // by row after each join and each leave.
+        let [mutual, directed] = one_table_and_two();
+        let rules: [(Arc<dyn NeighborSelection + Send + Sync>, usize); 3] = [
+            (mutual, 2),
+            (directed, 2),
+            (Arc::new(HyperplanesSelection::orthogonal(3, 2)), 3),
+        ];
+        for (rule, dim) in rules {
+            let peers = PeerInfo::from_point_set(&uniform_points(80, dim, 1000.0, 71));
+            let mut store = TopologyStore::from_peers(peers, rule.clone());
             let mut row = Vec::new();
-            for i in 0..store.len() {
-                store.undirected_neighbors_into(i, &mut row);
-                assert_eq!(row, closure.out_neighbors(i), "{}: row {i}", rule.name());
+            let mut check = |store: &TopologyStore, what: &str| {
+                let graph = store.graph();
+                let closure = graph.undirected_closure();
+                for i in 0..store.len() {
+                    assert_eq!(
+                        store.out_neighbors(i),
+                        graph.out_neighbors(i),
+                        "{what}: {i}"
+                    );
+                    store.undirected_neighbors_into(i, &mut row);
+                    assert_eq!(row, closure.out_neighbors(i), "{what}: {i}, undirected");
+                }
+            };
+            for (step, p) in points(30, dim, 72).into_iter().enumerate() {
+                let what = format!("{} step {step}", rule.name());
+                store.insert(p);
+                check(&store, &format!("{what}, join"));
+                if store.remove_if_present(PeerId((step * 13 % 80) as u64)) {
+                    check(&store, &format!("{what}, leave"));
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_stored_row_hashes_as_its_ids_at_usize_width() {
+        // The fingerprint's values do not move with the row width: the
+        // stored `u32` row and the `usize` ids hash alike, the empty row
+        // and ids past `u16::MAX` included, at values the `usize` fold
+        // gave before rows narrowed.
+        let ids = [0, 1, 7, 65_535, 65_536, 70_000, u32::MAX as usize - 1];
+        for i in [0, 3, 65_536, 1 << 40] {
+            for len in 0..=ids.len() {
+                let wide = &ids[..len];
+                assert_eq!(
+                    row_hash(i, &to_row(wide)),
+                    topology_hash(i, wide),
+                    "{i}: {wide:?}"
+                );
+            }
+        }
+        assert_eq!(topology_hash(0, &[]), 0xb54d_28cb_8e7e_ceb0);
+        assert_eq!(
+            row_hash(3, &[1, 65_535, 65_536, 70_000]),
+            0x99f5_f837_ec98_b1ff
+        );
     }
 
     #[test]
@@ -1456,6 +1505,15 @@ mod tests {
     fn a_first_insert_beyond_orthant_codes_is_rejected() {
         let mut store = TopologyStore::new(Arc::new(EmptyRectSelection));
         store.insert(Point::new(vec![1.0; MAX_ORTHANT_DIM + 1]).unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967296 peers: the store keeps peer ids as u32")]
+    fn a_population_past_u32_ids_is_rejected() {
+        // The check `from_peers` and `insert` make before a peer enters;
+        // a population that size is not built to show it.
+        assert_id_width(u32::MAX as usize);
+        assert_id_width(u32::MAX as usize + 1);
     }
 
     #[test]

@@ -183,5 +183,5 @@ fn a_store_leave_allocates_its_budget() {
     let mut warm = Warm::new();
     let id = warm.live_peer();
     let ((), allocs) = allocations(|| warm.engine.store_mut().remove(id));
-    assert_eq!(allocs, 24, "one empty-rectangle leave on the store");
+    assert_eq!(allocs, 23, "one empty-rectangle leave on the store");
 }
