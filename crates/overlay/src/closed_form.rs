@@ -429,6 +429,7 @@ impl JoinWalk {
                 }
             }
         }
+        // Sized once: the row becomes the newcomer's stored row.
         let fronts = self.slots.iter().map(|&(_, slot)| self.fronts[slot].ids());
         let size = self.tied.len() + fronts.clone().map(<[usize]>::len).sum::<usize>();
         let mut row = Vec::with_capacity(size);
