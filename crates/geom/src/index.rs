@@ -529,14 +529,30 @@ impl GridIndex {
         assert_eq!(q.dim(), self.dim, "query dimensionality mismatch");
         let (dim, side) = (self.dim, self.side);
         let skip = skip.unwrap_or(usize::MAX);
-        let centre: Vec<usize> = (0..dim).map(|d| self.layer_of(d, q[d])).collect();
-        let mut cell = vec![0usize; dim];
+        // Four layer vectors — centre, cell, and the ring's cube — on the
+        // stack up to `MAX_INDEX_DIM` dimensions, so a join's start
+        // allocates nothing; one buffer beyond.
+        let mut stack = [0usize; 4 * MAX_INDEX_DIM];
+        let mut heap = Vec::new();
+        let layers = if dim <= MAX_INDEX_DIM {
+            &mut stack[..4 * dim]
+        } else {
+            heap.resize(4 * dim, 0);
+            &mut heap[..]
+        };
+        let (centre, layers) = layers.split_at_mut(dim);
+        let (cell, layers) = layers.split_at_mut(dim);
+        let (lo, hi) = layers.split_at_mut(dim);
+        for (d, c) in centre.iter_mut().enumerate() {
+            *c = self.layer_of(d, q[d]);
+        }
         for r in 0..side {
             // The cube of cells within `r` of the centre, clipped to the
             // grid; its cells at distance exactly `r` are the ring.
-            let lo: Vec<usize> = centre.iter().map(|&c| c.saturating_sub(r)).collect();
-            let hi: Vec<usize> = centre.iter().map(|&c| (c + r).min(side - 1)).collect();
-            cell.copy_from_slice(&lo);
+            for ((l, h), &c) in lo.iter_mut().zip(hi.iter_mut()).zip(&*centre) {
+                (*l, *h) = (c.saturating_sub(r), (c + r).min(side - 1));
+            }
+            cell.copy_from_slice(lo);
             let mut best: Option<(f64, usize)> = None;
             'ring: loop {
                 if (0..dim).any(|d| cell[d].abs_diff(centre[d]) == r) {

@@ -236,7 +236,7 @@ use std::sync::Arc;
 use geocast_geom::{GridIndex, Point, MAX_ORTHANT_DIM};
 
 use crate::closed_form::{
-    straddled_links, topk_join_recheck, unblocked_pairs, JoinWalk, JoinWalkStats,
+    straddled_links, sweep_rows, topk_join_recheck, unblocked_pairs, JoinWalk, JoinWalkStats,
 };
 use crate::delta::{DeltaKind, DeltaLog, TopologyDelta};
 use crate::graph::OverlayGraph;
@@ -387,7 +387,11 @@ impl TopologyStore {
 
     /// Builds a store over an existing dense-id population in one bulk
     /// pass, ready for incremental churn: one index over the population,
-    /// and every row selected on it in parallel. Topology, fingerprint
+    /// and every row selected on it in parallel — or, under the
+    /// empty-rectangle rule on a 2-D population whose coordinates are
+    /// distinct per axis, every row from one serial plane sweep over the
+    /// index's coordinates (`crate::closed_form`, "The plane sweep"),
+    /// held to the selection by tests. Topology, fingerprint
     /// and delta stream are the definition's
     /// ([`crate::oracle::equilibrium_live`]; property-tested in
     /// `tests/prop_shard.rs`).
@@ -419,9 +423,16 @@ impl TopologyStore {
         assert_id_width(peers.len());
         let index = GridIndex::build(&peers);
         let n = peers.len();
-        let ctx = SelectContext::with_index(&index, true).masked(index.removed());
-        let out: Vec<Row> = par::map_indexed(n, |i| to_row(&selection.select_in(&peers, i, &ctx)));
         let shape = selection.churn_shape();
+        let swept = if shape == ChurnShape::EmptyRect {
+            sweep_rows(&index)
+        } else {
+            None
+        };
+        let out: Vec<Row> = swept.unwrap_or_else(|| {
+            let ctx = SelectContext::with_index(&index, true).masked(index.removed());
+            par::map_indexed(n, |i| to_row(&selection.select_in(&peers, i, &ctx)))
+        });
         let mut rev = Vec::new();
         if shape != ChurnShape::EmptyRect {
             rev.resize(n, Vec::new());

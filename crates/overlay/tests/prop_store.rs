@@ -14,10 +14,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use geocast_geom::gen::{clustered_points, cross, hub, uniform_points};
+use geocast_geom::gen::{chain, clustered_points, cross, hub, uniform_points};
 use geocast_geom::index::MAX_INDEX_DIM;
-use geocast_geom::{Point, MAX_ORTHANT_DIM};
-use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection, NeighborSelection};
+use geocast_geom::{GridIndex, Point, PointSet, MAX_ORTHANT_DIM};
+use geocast_overlay::select::{
+    EmptyRectSelection, HyperplanesSelection, NeighborSelection, SelectContext,
+};
 use geocast_overlay::{oracle, OverlayGraph, PeerId, PeerInfo, TopologyStore};
 
 fn selection_for(variant: usize, dim: usize, k: usize) -> Arc<dyn NeighborSelection + Send + Sync> {
@@ -255,6 +257,88 @@ fn a_hostile_row_departs_into_the_bulk_build_over_the_survivors() {
             oracle::fingerprint(&want),
             "{what}: fingerprint"
         );
+    }
+}
+
+/// The bulk build's plane sweep against one selection per peer on the
+/// index — the path a bulk build takes when the sweep declines — on
+/// 2-D populations with coordinates distinct per axis, where it does
+/// not: uniform, clustered, a chain (rows of two), a hub (one row of
+/// everyone) and a cross (one row of two opposite arms). Rows and the
+/// fingerprint must be equal. Release runs N up to 20 000 (CI does);
+/// debug builds a tenth.
+#[test]
+fn the_bulk_build_sweep_equals_one_selection_per_peer() {
+    let n = if cfg!(debug_assertions) {
+        2_000
+    } else {
+        20_000
+    };
+    let families: [(&str, PointSet); 5] = [
+        ("uniform", uniform_points(n, 2, 1000.0, 101)),
+        ("clustered", clustered_points(n, 2, 1000.0, 12, 30.0, 102)),
+        ("chain", chain(n)),
+        ("hub", hub(n - 1)),
+        ("cross", cross(2 * n / 5, 8)),
+    ];
+    for (what, points) in families {
+        assert!(
+            points.ensure_distinct().is_ok(),
+            "{what}: the sweep's input"
+        );
+        let peers = PeerInfo::from_point_set(&points);
+        let store = TopologyStore::from_peers(peers.clone(), Arc::new(EmptyRectSelection));
+        let index = GridIndex::build(&peers);
+        let ctx = SelectContext::with_index(&index, true);
+        let rows = (0..peers.len()).map(|i| EmptyRectSelection.select_in(&peers, i, &ctx));
+        let want = OverlayGraph::from_out_neighbors(rows.collect());
+        assert_eq!(store.graph(), want, "{what}: adjacency");
+        assert_eq!(
+            store.fingerprint(),
+            oracle::fingerprint(&want),
+            "{what}: fingerprint"
+        );
+    }
+}
+
+/// A 2-D population of `n` for the bulk-build property, by `grid`:
+/// uniform reals (distinct per axis, so the sweep builds it); integers
+/// below `n / 2` on both axes; or integer `x` and real `y`. The two
+/// integer kinds share coordinates almost always, so the sweep declines
+/// and every row is selected on its own.
+fn plane_population(n: usize, grid: usize, seed: u64) -> Vec<PeerInfo> {
+    let reals = uniform_points(n, 2, 1000.0, seed).into_points();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut integer = || f64::from(rng.random_range(0..(n as u32 / 2).max(1)));
+    let points: Vec<Point> = reals
+        .into_iter()
+        .map(|p| match grid {
+            0 => p,
+            1 => Point::new(vec![integer(), integer()]).unwrap(),
+            _ => Point::new(vec![integer(), p.coords()[1]]).unwrap(),
+        })
+        .collect();
+    (0..n as u64)
+        .zip(points)
+        .map(|(i, p)| PeerInfo::new(PeerId(i), p))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A bulk build on the plane equals the definition, rows and
+    /// fingerprint, whichever path builds it: the sweep on distinct
+    /// coordinates, one selection per peer on shared ones.
+    #[test]
+    fn a_bulk_build_on_the_plane_equals_the_definition(
+        n in 1usize..90,
+        grid in 0usize..3,
+        seed in 0u64..10_000,
+    ) {
+        let peers = plane_population(n, grid, seed);
+        let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+        assert_from_scratch(&store, None, &format!("N = {n}, population {grid}"));
     }
 }
 

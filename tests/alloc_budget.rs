@@ -2,9 +2,11 @@
 //! like the `churn_k1` benchmark workload (20 000 uniform 2-D peers under
 //! the empty-rectangle rule, eight clustered groups of twenty): a warm
 //! data-plane tick, one `sync` after a churn event next to a group, one
-//! store join and one store leave. An allocation count is exact and needs no quiet
-//! host, so each budget is pinned at its measured value with no slack:
-//! a change that lowers one re-pins it, and none raises one to pass.
+//! store join and one store leave; and, cold, the bulk build of that
+//! store and one wave of the `crash_wave` workload. An allocation count
+//! is exact and needs no quiet host, so each budget is pinned at its
+//! measured value with no slack: a change that lowers one re-pins it,
+//! and none raises one to pass.
 //!
 //! The counts are of release builds. Debug builds re-select every row a
 //! store event edits and rebuild every kept group from scratch, which
@@ -18,6 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use geocast::core::detect::{run_detection, DetectionScenario};
 use geocast::geom::VMAX;
 use geocast::prelude::*;
 
@@ -174,7 +177,7 @@ fn a_store_join_allocates_its_budget() {
     let mut warm = Warm::new();
     let point = warm.newcomer();
     let (_, allocs) = allocations(|| warm.engine.store_mut().insert(point));
-    assert_eq!(allocs, 24, "one empty-rectangle join on the store");
+    assert_eq!(allocs, 20, "one empty-rectangle join on the store");
 }
 
 #[test]
@@ -184,4 +187,44 @@ fn a_store_leave_allocates_its_budget() {
     let id = warm.live_peer();
     let ((), allocs) = allocations(|| warm.engine.store_mut().remove(id));
     assert_eq!(allocs, 23, "one empty-rectangle leave on the store");
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "budgets are of release builds")]
+fn a_bulk_build_allocates_its_budget() {
+    // The store `Warm` starts from, built by the plane sweep: serial, so
+    // every allocation is on this thread, and each row is allocated
+    // once, at its exact length.
+    let peers = PeerInfo::from_point_set(&uniform_points(20_000, 2, VMAX, 1));
+    let rule = Arc::new(EmptyRectSelection);
+    let (store, allocs) = allocations(|| TopologyStore::from_peers(peers, rule));
+    let links: usize = (0..store.len()).map(|i| store.out_neighbors(i).len()).sum();
+    assert_eq!(
+        store.row_bytes(),
+        store.len() * size_of::<Vec<u32>>() + links * size_of::<u32>(),
+        "every row at exact capacity"
+    );
+    assert_eq!(allocs, 32_685, "one bulk build of 20 000 peers");
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "budgets are of release builds")]
+fn a_crash_wave_allocates_its_budget() {
+    // One `crash_wave` operation: a whole `run_detection` on the
+    // workload's scenario shape (60 peers, 4 clustered groups, 5 % loss),
+    // at a fixed seed.
+    let scenario = DetectionScenario {
+        seed: 7,
+        loss: 0.05,
+        groups: 4,
+        ..DetectionScenario::default()
+    };
+    assert_eq!(scenario.peers, 60);
+    let (report, allocs) = allocations(|| run_detection(&scenario));
+    assert_eq!(
+        report.crashed.len() + report.silent.len(),
+        6,
+        "the wave fired"
+    );
+    assert_eq!(allocs, 7_843, "one crash_wave wave");
 }
