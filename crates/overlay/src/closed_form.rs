@@ -383,7 +383,8 @@ pub(crate) fn unblocked_pairs(index: &GridIndex, x: usize, row: &[u32]) -> Vec<(
 /// capacity. `None` — the caller selects row by row — unless the points
 /// are 2-D with every `x` and every `y` distinct. A shared coordinate
 /// shows up as two equal neighbours in one of the two sort orders.
-/// `index` must be fresh, with no point removed: the bulk build's.
+/// `index` must be fresh, with no point removed: the bulk build's, whose
+/// population the store has already checked to fit `u32` ids.
 pub(crate) fn sweep_rows(index: &GridIndex) -> Option<Vec<Vec<u32>>> {
     if index.dim() != 2 {
         return None;
@@ -395,19 +396,18 @@ pub(crate) fn sweep_rows(index: &GridIndex) -> Option<Vec<Vec<u32>>> {
     );
     let n = index.len();
     let coord = |i: u32, d: usize| index.point_coords(i as usize)[d];
-    let mut by_x: Vec<u32> = (0..n as u32).collect();
-    by_x.sort_unstable_by(|&a, &b| coord(a, 1).total_cmp(&coord(b, 1)));
-    if by_x.windows(2).any(|w| coord(w[0], 1) == coord(w[1], 1)) {
-        return None;
-    }
+    let sorted_by = |d: usize| {
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        ids.sort_unstable_by(|&a, &b| coord(a, d).total_cmp(&coord(b, d)));
+        let distinct = ids.windows(2).all(|w| coord(w[0], d) != coord(w[1], d));
+        distinct.then_some(ids)
+    };
+    let by_y = sorted_by(1)?;
     let mut rank = vec![0u32; n];
-    for (r, &i) in by_x.iter().enumerate() {
+    for (r, &i) in by_y.iter().enumerate() {
         rank[i as usize] = r as u32;
     }
-    by_x.sort_unstable_by(|&a, &b| coord(a, 0).total_cmp(&coord(b, 0)));
-    if by_x.windows(2).any(|w| coord(w[0], 0) == coord(w[1], 0)) {
-        return None;
-    }
+    let by_x = sorted_by(0)?;
 
     let mut staircase = Staircase::new(n);
     let mut degree = vec![0u32; n];
@@ -685,10 +685,10 @@ mod tests {
     use super::*;
     use crate::oracle;
     use crate::peer::PeerId;
-    use crate::select::{EmptyRectSelection, NeighborSelection, SelectContext};
+    use crate::select::{EmptyRectSelection, NeighborSelection};
     use crate::store::TopologyStore;
-    use geocast_geom::gen::{chain, cross, hub, uniform_points};
-    use geocast_geom::{Point, PointSet};
+    use geocast_geom::gen::{cross, hub, uniform_points};
+    use geocast_geom::Point;
 
     fn peers(n: usize, dim: usize, seed: u64) -> Vec<PeerInfo> {
         PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed))
@@ -853,35 +853,6 @@ mod tests {
         let stats = walk.stats();
         assert_eq!(stats.joins, walks);
         assert!(stats.descent_hops > 0, "far starts descend before growing");
-    }
-
-    #[test]
-    fn the_sweep_finds_the_rows_one_selection_per_peer_finds() {
-        // Every 2-D population of the closed-form tests with coordinates
-        // distinct per axis — uniform, the hub, the cross — and a chain:
-        // the sweep must not decline, and each row must be the one the
-        // selection picks on the index, at exact capacity.
-        let distinct = |population: &[PeerInfo]| {
-            let points = population.iter().map(|p| p.point().clone()).collect();
-            PointSet::new(points).unwrap().ensure_distinct().is_ok()
-        };
-        let mut populations: Vec<Vec<PeerInfo>> = closed_form_populations()
-            .into_iter()
-            .map(|(population, _)| population)
-            .filter(|population| population[0].point().dim() == 2 && distinct(population))
-            .collect();
-        populations.push(PeerInfo::from_point_set(&chain(300)));
-        assert_eq!(populations.len(), 4, "uniform, hub, cross, chain");
-        for population in populations {
-            let index = GridIndex::build(&population);
-            let ctx = SelectContext::with_index(&index, true);
-            let rows = sweep_rows(&index).expect("distinct coordinates: no decline");
-            for (i, row) in rows.iter().enumerate() {
-                let want = EmptyRectSelection.select_in(&population, i, &ctx);
-                assert_eq!(row.iter().map(|&j| j as usize).collect::<Vec<_>>(), want);
-                assert_eq!(row.capacity(), row.len(), "row {i} at exact capacity");
-            }
-        }
     }
 
     #[test]

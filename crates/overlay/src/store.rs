@@ -9,10 +9,13 @@
 //! change's dirty region. Its rows are selected on **one index**, a
 //! [`GridIndex`] over every peer ever inserted whose slot ids are peer
 //! ids (a departed peer's slot is tombstoned): the bulk build selects
-//! every row on it, a join takes its walk's start from it, and a
-//! Hyperplanes re-selection is a query on it. A join or leave touches
-//! only the peers whose rows the membership change can affect, and each
-//! of those rows is updated at the cost of what changes in it.
+//! every row on it — or, under the empty-rectangle rule at `D = 2` with
+//! coordinates distinct per axis, sweeps its coordinate table once
+//! (`crate::closed_form`, "The plane sweep") — a join takes its walk's
+//! start from it, and a Hyperplanes re-selection is a query on it. A
+//! join or leave touches only the peers whose rows the membership
+//! change can affect, and each of those rows is updated at the cost of
+//! what changes in it.
 //!
 //! # Why the incremental path is exact
 //!
