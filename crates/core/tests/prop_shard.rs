@@ -118,9 +118,8 @@ proptest! {
     /// Populations on a small round integer lattice: shared
     /// coordinates and whole duplicate points everywhere. The
     /// uniform-float generator above almost never produces that
-    /// geometry; this one hits it on nearly every event, so the index
-    /// declines and the brute selections and the walk's tied sets
-    /// answer.
+    /// geometry; this one hits it on nearly every event, so the index's
+    /// tied answers and the walk's tied sets are on every path.
     #[test]
     fn round_lattice_populations_stay_byte_identical(
         cells in 2usize..9,
@@ -166,12 +165,11 @@ proptest! {
     }
 
     /// Remove-heavy churn over a **collision-free** integer lattice
-    /// (every coordinate value used once per dimension, so the index
-    /// answers instead of declining): every departure's closed-form
+    /// (every coordinate value used once per dimension): every departure's closed-form
     /// repair and every join's walk land on round coordinates.
     /// Byte-identical to the from-scratch definition after every event;
     /// a few joins deliberately reuse a coordinate to drive the tied
-    /// set and the decline fallback through the same geometry.
+    /// set and the index's tied answers through the same geometry.
     #[test]
     fn remove_heavy_collision_free_lattice_churn_stays_byte_identical(
         initial in 10usize..40,
@@ -227,7 +225,7 @@ proptest! {
                     break;
                 };
                 if collide_every > 0 && op % collide_every == 0 {
-                    // Share x with a live peer: its re-selections decline.
+                    // Share x with a live peer: its re-selections are ties.
                     let twin = store.peers()[live[rng.random_range(0..live.len())]].point();
                     p = Point::new(vec![twin[0], p[1]]).expect("finite");
                 }

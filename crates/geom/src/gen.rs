@@ -118,7 +118,7 @@ pub fn clustered_points(
 ///
 /// Panics if `dim == 0`, `side == 0`, or `vmax <= 0`.
 #[must_use]
-// lint:allow(D006, reason = "ROADMAP item 5 names it: the lattice on which the index's shared-coordinate decline is to be measured")
+// lint:allow(D006, reason = "ROADMAP item 5's off-uniform workloads: a lattice whose coordinates stay distinct per axis")
 pub fn grid_points_jittered(side: usize, dim: usize, vmax: f64, seed: u64) -> PointSet {
     assert!(dim > 0, "points need at least one dimension");
     assert!(side > 0, "grid side must be positive");

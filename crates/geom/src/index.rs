@@ -12,9 +12,11 @@
 //! * [`GridIndex::k_nearest_per_orthant`] — the per-orthant `K` closest
 //!   points, the kernel of the *Orthogonal Hyperplanes* method.
 //!
-//! A third question needs no orthant and never declines:
-//! [`GridIndex::locate`] hands back some live point near a position, the
-//! start of the store's empty-rectangle join walk.
+//! A third question needs no orthant: [`GridIndex::locate`] hands back
+//! some live point near a position, the start of the store's
+//! empty-rectangle join walk. None assumes coordinates distinct per
+//! dimension; the two orthant queries decline only beyond
+//! [`MAX_INDEX_DIM`].
 //!
 //! Unlike a build-once index, the population is **mutable**:
 //! [`GridIndex::insert`] and [`GridIndex::remove`] apply membership
@@ -33,7 +35,7 @@
 //! `p` to any point inside it is known from the cell boundaries.
 //!
 //! * The empty-rectangle query ([`GridIndex::empty_rect_neighbors`]) is
-//!   **one frontier walk** (`GridIndex::frontier_walk`) per orthant.
+//!   **one frontier walk** (`FrontierWalk`) per orthant.
 //!   The walk keeps a single running set: the exact Pareto frontier of
 //!   every point scanned so far. A scanned point that some member
 //!   strictly dominates ([`crate::dominance::rect_dominates`], as
@@ -56,6 +58,14 @@
 //!   `K`-th best distance — a tie at equal distance is *not* cut, so
 //!   the `(distance, tie-key)` order of the brute-force selection is
 //!   reproduced exactly.
+//! * A point sharing a coordinate with `p` lies in `p`'s own layer of
+//!   that dimension, where the corner's offset is 0, which nothing is
+//!   strictly closer than: the column break never cuts it. Its
+//!   rectangle with `p` is flat, so it is an empty-rectangle neighbour
+//!   that blocks nobody; the frontier walk adds it to the answer, not to
+//!   the running set, from the one orthant whose bits read
+//!   `delta >= 0`. The `K`-nearest walk ranks it on that side too, as
+//!   the *Orthogonal Hyperplanes* rule puts a point on a plane.
 //!
 //! Points inserted outside the built bounding box land in clamped edge
 //! cells; the corner bound stays a valid *lower* bound for them, so
@@ -66,18 +76,6 @@
 //! instead of all `N` points, which turns the `O(N²)`-per-topology
 //! equilibrium construction into roughly `O(N^1.5)` in 2-D.
 //!
-//! Per-dimension coordinate collisions with the reference point make
-//! orthant membership ambiguous (the paper's standing distinctness
-//! assumption is violated); queries then return `None` and callers fall
-//! back to their brute-force paths, matching the fallback semantics of
-//! [`crate::dominance::empty_rect_neighbors`]. Collisions are detected
-//! from per-dimension coordinate multiplicity tables maintained on
-//! every insert/remove — **before** any cell is walked — so a collision
-//! beyond the prune horizon declines exactly like a nearby one (the
-//! regression `grid_collision_regression.rs` guards this).
-
-use std::collections::HashMap;
-
 use crate::dominance::ParetoSet;
 use crate::{l1, Point};
 
@@ -86,20 +84,18 @@ use crate::{l1, Point};
 /// scan wins anyway, so queries decline (return `None`).
 pub const MAX_INDEX_DIM: usize = 16;
 
-/// Canonical bit pattern of a coordinate for the per-dimension
-/// multiplicity tables (`-0.0` and `+0.0` collide, like `delta == 0.0`
-/// does in the scan loops).
-fn coord_bits(x: f64) -> u64 {
-    (x + 0.0).to_bits()
+/// `true` if an offset `delta` along dimension `d` lies on orthant
+/// `o`'s side: a zero offset counts as positive.
+fn on_side(delta: f64, o: usize, d: usize) -> bool {
+    (delta >= 0.0) == (o >> d & 1 == 1)
 }
 
 /// Writes `q`'s absolute offsets from `p` into `offs` and reports
-/// whether `q` lies in orthant `o` around `p` (a zero offset lies in
-/// none).
+/// whether `q` lies on orthant `o`'s side of `p` in every dimension.
 fn offsets_in_orthant(p: &[f64], q: &[f64], o: usize, offs: &mut [f64; MAX_INDEX_DIM]) -> bool {
     for d in 0..p.len() {
         let delta = q[d] - p[d];
-        if delta == 0.0 || (delta > 0.0) != (o >> d & 1 == 1) {
+        if !on_side(delta, o, d) {
             return false;
         }
         offs[d] = delta.abs();
@@ -155,10 +151,6 @@ pub struct GridIndex {
     /// Live count when the grid geometry was last computed; drifting a
     /// factor of 2 away from it triggers a re-bucketing.
     built_live: usize,
-    /// Per-dimension multiplicity of each live coordinate value — the
-    /// `O(D)` collision oracle behind the decline contract.
-    // lint:allow(D001, reason = "per-dimension coordinate multiset on the hot incremental insert path; accessed by key only, never iterated")
-    coord_counts: Vec<HashMap<u64, u32>>,
 }
 
 impl GridIndex {
@@ -184,14 +176,6 @@ impl GridIndex {
             coords.extend_from_slice(p.coords());
         }
 
-        // lint:allow(D001, reason = "per-dimension coordinate multiset on the hot incremental insert path; accessed by key only, never iterated")
-        let mut coord_counts = vec![HashMap::new(); dim];
-        for id in 0..n {
-            for (d, counts) in coord_counts.iter_mut().enumerate() {
-                *counts.entry(coord_bits(coords[id * dim + d])).or_insert(0) += 1;
-            }
-        }
-
         let mut index = GridIndex {
             dim,
             side: 1,
@@ -202,7 +186,6 @@ impl GridIndex {
             removed: vec![false; n],
             live: n,
             built_live: n,
-            coord_counts,
         };
         index.regrid();
         index
@@ -281,8 +264,6 @@ impl GridIndex {
         let adopting = self.coords.is_empty();
         if adopting {
             self.dim = point.dim();
-            // lint:allow(D001, reason = "per-dimension coordinate multiset on the hot incremental insert path; accessed by key only, never iterated")
-            self.coord_counts = vec![HashMap::new(); self.dim];
         }
         assert_eq!(
             point.dim(),
@@ -293,9 +274,6 @@ impl GridIndex {
         self.coords.extend_from_slice(point.coords());
         self.removed.push(false);
         self.live += 1;
-        for (d, counts) in self.coord_counts.iter_mut().enumerate() {
-            *counts.entry(coord_bits(point[d])).or_insert(0) += 1;
-        }
 
         if adopting {
             // The empty-built geometry (lo/cell_size) may not even have
@@ -318,7 +296,7 @@ impl GridIndex {
     }
 
     /// Removes a point: it keeps its id (no other id shifts) but stops
-    /// contributing to every query, including collision detection.
+    /// contributing to every query.
     ///
     /// # Panics
     ///
@@ -328,14 +306,6 @@ impl GridIndex {
         assert!(!self.removed[id], "point {id} already removed");
         self.removed[id] = true;
         self.live -= 1;
-        for (d, counts) in self.coord_counts.iter_mut().enumerate() {
-            let bits = coord_bits(self.coords[id * self.dim + d]);
-            let slot = counts.get_mut(&bits).expect("live coordinate counted");
-            *slot -= 1;
-            if *slot == 0 {
-                counts.remove(&bits);
-            }
-        }
         let c = self.cell_of(id);
         let pos = self.cells[c]
             .iter()
@@ -429,37 +399,13 @@ impl GridIndex {
         Self::layer_raw(x, self.lo[d], self.cell_size[d], self.side)
     }
 
-    /// `true` if some *other* live point shares a coordinate with point
-    /// `i` in any dimension — the exact condition under which queries
-    /// must decline. `O(D)` against the multiplicity tables.
-    fn collides(&self, i: usize) -> bool {
-        self.collides_at(self.point_coords(i), Some(i))
-    }
-
-    /// `true` if some live point other than `skip` shares a coordinate
-    /// with the external query position `q` in any dimension. The
-    /// decline oracle of [`GridIndex::empty_rect_neighbors_at`], `O(D)`
-    /// against the multiplicity tables.
-    fn collides_at(&self, q: &[f64], skip: Option<usize>) -> bool {
-        (0..self.dim).any(|d| {
-            let bits = coord_bits(q[d]);
-            let mut count = self.coord_counts[d].get(&bits).copied().unwrap_or(0);
-            if let Some(s) = skip {
-                if !self.removed[s] && coord_bits(self.coords[s * self.dim + d]) == bits {
-                    count -= 1;
-                }
-            }
-            count >= 1
-        })
-    }
-
     /// The indices of the exact empty-rectangle neighbours of point `i`
-    /// among all other live indexed points, sorted ascending.
+    /// among all other live indexed points, sorted ascending. A point
+    /// sharing a coordinate with point `i` is always one.
     ///
-    /// Returns `None` when some other live point shares a coordinate
-    /// with point `i` (per-dimension distinctness violated) or the
-    /// dimensionality exceeds [`MAX_INDEX_DIM`]; callers then fall back
-    /// to [`crate::dominance::empty_rect_neighbors`].
+    /// Returns `None` only when the dimensionality exceeds
+    /// [`MAX_INDEX_DIM`]; callers then fall back to
+    /// [`crate::dominance::empty_rect_neighbors`].
     ///
     /// # Panics
     ///
@@ -468,11 +414,10 @@ impl GridIndex {
     pub fn empty_rect_neighbors(&self, i: usize) -> Option<Vec<usize>> {
         assert!(i < self.len(), "point index out of range");
         assert!(!self.removed[i], "query point {i} was removed");
-        if self.dim > MAX_INDEX_DIM || self.collides(i) {
+        if self.dim > MAX_INDEX_DIM {
             return None;
         }
-        let p = self.point_coords(i).to_vec();
-        Some(self.empty_rect_walk(&p, i))
+        Some(self.empty_rect_walk(self.point_coords(i), i))
     }
 
     /// [`GridIndex::empty_rect_neighbors`] for an **external** query
@@ -480,10 +425,8 @@ impl GridIndex {
     /// live indexed points except `skip`, sorted ascending — a position
     /// asks an index it is not (or not yet) a point of.
     ///
-    /// Returns `None` when some live point other than `skip` shares a
-    /// coordinate with `q` (orthant membership would be ambiguous) or
-    /// the dimensionality exceeds [`MAX_INDEX_DIM`]; callers fall back
-    /// to their brute-force paths.
+    /// Returns `None` only when the dimensionality exceeds
+    /// [`MAX_INDEX_DIM`]; callers fall back to their brute-force paths.
     ///
     /// # Panics
     ///
@@ -498,7 +441,7 @@ impl GridIndex {
         if let Some(s) = skip {
             assert!(s < self.len(), "skip id out of range");
         }
-        if self.dim > MAX_INDEX_DIM || self.collides_at(q.coords(), skip) {
+        if self.dim > MAX_INDEX_DIM {
             return None;
         }
         Some(self.empty_rect_walk(q.coords(), skip.unwrap_or(usize::MAX)))
@@ -509,8 +452,8 @@ impl GridIndex {
     /// Chebyshev ring of cells around it that does — the one closest to
     /// `q` in L1 (ties to the smaller id). `None` when no other live
     /// point exists. It reads buckets only and classifies no point into
-    /// an orthant, so it never declines: not on a shared coordinate, and
-    /// not beyond [`MAX_INDEX_DIM`]. The start of the store's join walk,
+    /// an orthant, so it never declines, not even beyond
+    /// [`MAX_INDEX_DIM`]. The start of the store's join walk,
     /// whose answer does not depend on which point this is.
     ///
     /// # Panics
@@ -600,31 +543,15 @@ impl GridIndex {
     }
 
     /// The full query behind both empty-rectangle entry points: the
-    /// frontier walk once per orthant, over live points excluding
-    /// `skip` (`usize::MAX` excludes nobody). Collision gating is the
-    /// caller's job.
+    /// frontier walk (module docs, "How pruning works") once per orthant,
+    /// over live points excluding `skip` (`usize::MAX` excludes nobody).
     fn empty_rect_walk(&self, p: &[f64], skip: usize) -> Vec<usize> {
-        let mut set = ParetoSet::default();
-        let mut kept = Vec::new();
-        for o in 0..1usize << self.dim {
-            set.reset(self.dim);
-            self.frontier_walk(p, o, &mut set, skip);
-            kept.extend_from_slice(set.ids());
-        }
-        kept.sort_unstable();
-        kept
-    }
-
-    /// The one empty-rectangle walk (module docs, "How pruning works"):
-    /// scans the cells of orthant `orthant` around `p`, offering every
-    /// live point there except `skip` to the running set. Collisions
-    /// cannot occur: [`GridIndex::collides_at`] gates every caller.
-    fn frontier_walk(&self, p: &[f64], orthant: usize, set: &mut ParetoSet, skip: usize) {
         let mut walk = FrontierWalk {
             index: self,
             p,
-            orthant,
-            set,
+            orthant: 0,
+            set: ParetoSet::default(),
+            kept: Vec::new(),
             skip,
             p_layer: [0; MAX_INDEX_DIM],
             cell: [0; MAX_INDEX_DIM],
@@ -633,7 +560,14 @@ impl GridIndex {
         for (d, &x) in p.iter().enumerate() {
             walk.p_layer[d] = self.layer_of(d, x);
         }
-        walk.descend(0);
+        for o in 0..1usize << self.dim {
+            walk.orthant = o;
+            walk.set.reset(self.dim);
+            walk.descend(0);
+            walk.kept.extend_from_slice(walk.set.ids());
+        }
+        walk.kept.sort_unstable();
+        walk.kept
     }
 
     /// The cell layer `t` steps from `p`'s layer along `d` (direction
@@ -674,10 +608,11 @@ impl GridIndex {
     /// orthant around it, under the L1 distance, each orthant sorted by
     /// `(distance, index)` ascending — exactly the per-orthant ranking
     /// of the *Orthogonal Hyperplanes* selection when point indices are
-    /// the tie-break key.
+    /// the tie-break key. A point sharing a coordinate with point `i`
+    /// ranks on the positive side of that dimension, as the rule's
+    /// arrangement puts a point on a plane.
     ///
-    /// Returns `None` on a per-dimension coordinate collision with any
-    /// other live point or when the dimensionality exceeds
+    /// Returns `None` only when the dimensionality exceeds
     /// [`MAX_INDEX_DIM`].
     ///
     /// # Panics
@@ -688,7 +623,7 @@ impl GridIndex {
         assert!(i < self.len(), "point index out of range");
         assert!(!self.removed[i], "query point {i} was removed");
         assert!(k > 0, "K must be at least 1");
-        if self.dim > MAX_INDEX_DIM || self.collides(i) {
+        if self.dim > MAX_INDEX_DIM {
             return None;
         }
         let p = self.point_coords(i);
@@ -722,8 +657,7 @@ impl GridIndex {
     /// Walks orthant `o` cells for the `k`-nearest query. The column
     /// walk along each dimension stops once the corner bound (remaining
     /// dimensions at zero offset) strictly exceeds the current `k`-th
-    /// best distance. Collisions cannot occur: [`GridIndex::collides`]
-    /// gates the walk.
+    /// best distance.
     #[allow(clippy::too_many_arguments)]
     fn walk_knn(
         &self,
@@ -767,16 +701,7 @@ impl GridIndex {
                     }
                     debug_assert!(!self.removed[id], "buckets hold live points only");
                     let q = self.point_coords(id);
-                    let mut in_orthant = true;
-                    for dd in 0..self.dim {
-                        let delta = q[dd] - p[dd];
-                        debug_assert!(delta != 0.0, "collides() must gate the walk");
-                        if (delta > 0.0) != (o >> dd & 1 == 1) {
-                            in_orthant = false;
-                            break;
-                        }
-                    }
-                    if !in_orthant {
+                    if !(0..self.dim).all(|dd| on_side(q[dd] - p[dd], o, dd)) {
                         continue;
                     }
                     let dist = l1(p, q);
@@ -809,14 +734,18 @@ impl GridIndex {
     }
 }
 
-/// The recursion state of one [`GridIndex::frontier_walk`]: everything
-/// lives on the stack or in the caller's [`ParetoSet`], so a walk
-/// allocates only when the frontier outgrows its buffers.
+/// The state of one empty-rectangle query's frontier walks, one orthant
+/// at a time: everything but the running set and the answer lives on
+/// the stack, and those two keep their buffers from orthant to orthant.
 struct FrontierWalk<'a> {
     index: &'a GridIndex,
     p: &'a [f64],
     orthant: usize,
-    set: &'a mut ParetoSet,
+    /// The running set of the orthant being walked.
+    set: ParetoSet,
+    /// The answer so far: every earlier orthant's set, and every point
+    /// tied with `p`.
+    kept: Vec<usize>,
     skip: usize,
     p_layer: [usize; MAX_INDEX_DIM],
     cell: [usize; MAX_INDEX_DIM],
@@ -868,7 +797,12 @@ impl FrontierWalk<'_> {
             }
             debug_assert!(!index.removed[id], "buckets hold live points only");
             let q = index.point_coords(id);
-            if offsets_in_orthant(self.p, q, self.orthant, &mut offs) {
+            if !offsets_in_orthant(self.p, q, self.orthant, &mut offs) {
+                continue;
+            }
+            if offs[..dim].contains(&0.0) {
+                self.kept.push(id);
+            } else {
                 self.set.offer(&offs[..dim], id);
             }
         }
@@ -878,9 +812,20 @@ impl FrontierWalk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dominance::empty_rect_neighbors;
+    use crate::dominance::{empty_rect_neighbors, empty_rect_neighbors_naive};
     use crate::gen::uniform_points;
     use crate::Orthant;
+
+    /// The definition's row of position `q` over the points `ids`, by the
+    /// naive rectangle test: on tied inputs the walk under test is held
+    /// against the rule itself, not a second fast path.
+    fn naive_row(points: &[Point], q: &Point, ids: &[usize]) -> Vec<usize> {
+        let candidates: Vec<&Point> = ids.iter().map(|&j| &points[j]).collect();
+        empty_rect_neighbors_naive(q, &candidates)
+            .into_iter()
+            .map(|ci| ids[ci])
+            .collect()
+    }
 
     fn reindexed_brute(points: &[Point], i: usize) -> Vec<usize> {
         let candidates: Vec<&Point> = points
@@ -919,13 +864,18 @@ mod tests {
 
     #[test]
     fn empty_rect_detects_collisions_and_declines() {
+        // A point sharing y with point 0 is its neighbour and blocks
+        // nobody behind it: the index answers with the definition's row.
         let points = vec![
             Point::new(vec![0.0, 0.0]).unwrap(),
             Point::new(vec![1.0, 0.0]).unwrap(), // shares y with point 0
             Point::new(vec![2.0, 3.0]).unwrap(),
         ];
         let index = GridIndex::build(&points);
-        assert_eq!(index.empty_rect_neighbors(0), None);
+        assert_eq!(
+            index.empty_rect_neighbors(0),
+            Some(naive_row(&points, &points[0], &[1, 2]))
+        );
     }
 
     #[test]
@@ -967,12 +917,16 @@ mod tests {
 
     #[test]
     fn knn_declines_on_collision() {
+        // A shared y ranks on the positive side: point 1 is in (+, +).
         let points = vec![
             Point::new(vec![0.0, 5.0]).unwrap(),
             Point::new(vec![3.0, 5.0]).unwrap(),
         ];
         let index = GridIndex::build(&points);
-        assert_eq!(index.k_nearest_per_orthant(0, 1), None);
+        assert_eq!(
+            index.k_nearest_per_orthant(0, 1),
+            Some(vec![vec![], vec![], vec![], vec![1]])
+        );
     }
 
     #[test]
@@ -1118,15 +1072,18 @@ mod tests {
 
     #[test]
     fn removing_a_colliding_point_restores_index_answers() {
-        // Points 0 and 1 share y: both decline. Removing point 1 makes
-        // point 0's queries answer again.
+        // Points 0 and 1 share y: point 0's row holds both others. Once
+        // point 1 is removed it holds point 2 alone.
         let points = vec![
             Point::new(vec![0.0, 5.0]).unwrap(),
             Point::new(vec![90.0, 5.0]).unwrap(),
             Point::new(vec![3.0, 8.0]).unwrap(),
         ];
         let mut index = GridIndex::build(&points);
-        assert_eq!(index.empty_rect_neighbors(0), None);
+        assert_eq!(
+            index.empty_rect_neighbors(0),
+            Some(naive_row(&points, &points[0], &[1, 2]))
+        );
         index.remove(1);
         assert_eq!(index.empty_rect_neighbors(0), Some(vec![2]));
         assert_eq!(
@@ -1197,11 +1154,17 @@ mod tests {
             Point::new(vec![3.0, 8.0]).unwrap(),
         ];
         let index = GridIndex::build(&points);
-        // Shares y with live point 0: ambiguous, decline…
+        // Shares y with live point 0, which is a neighbour…
         let q = Point::new(vec![7.0, 5.0]).unwrap();
-        assert_eq!(index.empty_rect_neighbors_at(&q, None), None);
+        assert_eq!(
+            index.empty_rect_neighbors_at(&q, None),
+            Some(naive_row(&points, &q, &[0, 1]))
+        );
         // …unless point 0 is the one being excluded (the query's own slot).
-        assert_eq!(index.empty_rect_neighbors_at(&q, Some(0)), Some(vec![1]));
+        assert_eq!(
+            index.empty_rect_neighbors_at(&q, Some(0)),
+            Some(naive_row(&points, &q, &[1]))
+        );
         // A clean external point answers.
         let q = Point::new(vec![7.0, 6.0]).unwrap();
         assert_eq!(index.empty_rect_neighbors_at(&q, None), Some(vec![0, 1]));
@@ -1242,15 +1205,19 @@ mod tests {
 
     #[test]
     fn locate_never_declines() {
-        // A shared coordinate, and more dimensions than the orthant
-        // queries serve: both queries decline, the locator answers.
+        // A shared coordinate, which the orthant queries answer, and more
+        // dimensions than they serve, where they decline: the locator
+        // answers both.
         let points = vec![
             Point::new(vec![0.0, 5.0]).unwrap(),
             Point::new(vec![3.0, 8.0]).unwrap(),
         ];
         let index = GridIndex::build(&points);
         let tied = Point::new(vec![7.0, 5.0]).unwrap();
-        assert_eq!(index.empty_rect_neighbors_at(&tied, None), None);
+        assert_eq!(
+            index.empty_rect_neighbors_at(&tied, None),
+            Some(naive_row(&points, &tied, &[0, 1]))
+        );
         assert!(index.locate(&tied, None).is_some());
         assert_eq!(index.locate(&points[0], Some(0)), Some(1));
         let wide = uniform_points(12, MAX_INDEX_DIM + 1, 1000.0, 84).into_points();

@@ -1,19 +1,19 @@
-//! Regression guard for the index's collision-decline contract.
+//! Regression guard for the index's answers on a shared coordinate.
 //!
-//! `GridIndex` queries must return `None` whenever another live point
-//! shares a coordinate with the reference point in any dimension (the
-//! paper's per-dimension distinctness assumption is violated and
-//! callers must fall back to the brute-force rule). The original
-//! implementation only noticed collisions while *scanning* a cell, so a
-//! colliding point sitting beyond the k-NN prune horizon — every orthant
-//! already saturated with closer candidates, its cell column cut by the
-//! corner bound — was silently ignored and the query answered as if the
-//! workload were distinct. Collisions are now detected from
-//! per-dimension coordinate multiplicity tables before any cell is
-//! walked, which this test pins down.
+//! The paper assumes coordinates distinct in every dimension; the index
+//! does not. A point sharing a coordinate with the query point lies in
+//! the query's own cell layer of that dimension, where the pruning
+//! corner's offset is 0, so the walks scan it even when it sits far
+//! beyond the k-NN prune horizon — every orthant already saturated with
+//! closer candidates. The empty-rectangle walk must list it (its
+//! rectangle with the query is flat, hence empty), and the k-nearest
+//! walk must rank it on the positive side of the shared dimension. The
+//! original implementation noticed such a point only while scanning a
+//! cell, which this workload was built to catch.
 
+use geocast_geom::dominance::empty_rect_neighbors_naive;
 use geocast_geom::index::GridIndex;
-use geocast_geom::Point;
+use geocast_geom::{l1, Point};
 
 /// Builds the repro workload: a query point at the origin surrounded by
 /// one close candidate per orthant, a diagonal streak of filler points
@@ -45,25 +45,46 @@ fn knn_declines_on_collision_beyond_prune_horizon() {
         "repro needs a multi-cell grid (prune horizon must exist), side={}",
         index.side()
     );
-    let got = index.k_nearest_per_orthant(0, 1);
-    assert_eq!(
-        got, None,
-        "point 17 at (100, 0) shares y == 0.0 with the query point at the \
-         origin; with K=1 every orthant already holds a closer candidate, so \
-         the corner bound cuts its cell column before it is scanned — the \
-         collision must still make the query decline"
-    );
+    let p = &pts[0];
+    for k in [1, 2, 4, pts.len()] {
+        // The definition: each orthant's best `k` by `(distance, id)`, a
+        // shared coordinate on the positive side.
+        let mut want = vec![Vec::new(); 4];
+        for (j, q) in pts.iter().enumerate().skip(1) {
+            let o = usize::from(q[0] >= p[0]) | usize::from(q[1] >= p[1]) << 1;
+            want[o].push((l1(p.coords(), q.coords()), j));
+        }
+        let want: Vec<Vec<usize>> = (want.into_iter())
+            .map(|mut g| {
+                g.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                g.into_iter().take(k).map(|(_, j)| j).collect()
+            })
+            .collect();
+        assert_eq!(
+            index.k_nearest_per_orthant(0, k),
+            Some(want),
+            "K={k}: point 16 at (100, 0) shares y == 0.0 with the query point \
+             at the origin and ranks in (+, +); with K=1 that orthant already \
+             holds a closer candidate, so the corner bound cuts its cell \
+             column before it is scanned"
+        );
+    }
 }
 
 #[test]
 fn empty_rect_declines_on_the_same_far_collision() {
     let pts = colliding_workload();
     let index = GridIndex::build(&pts);
+    let far = pts.len() - 1;
+    let want: Vec<usize> = empty_rect_neighbors_naive(&pts[0], &pts[1..])
+        .into_iter()
+        .map(|ci| ci + 1)
+        .collect();
+    assert!(want.contains(&far));
     assert_eq!(
         index.empty_rect_neighbors(0),
-        None,
-        "the empty-rectangle query shares the decline contract: a far \
-         coordinate collision (pruned or not) voids per-dimension \
-         distinctness for point 0"
+        Some(want),
+        "the far point sharing y == 0.0 with point 0 spans a flat, empty \
+         rectangle with it: a neighbour however far it lies"
     );
 }

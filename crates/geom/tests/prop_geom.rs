@@ -73,15 +73,66 @@ fn reshape(points: Vec<Point>, shape: u8, outside: usize) -> Vec<Point> {
         .collect()
 }
 
-/// `p`'s empty-rectangle row over the live points, by the dominance
-/// module's brute force (which falls back to the naive rule on
-/// coordinate collisions — the store's reference semantics).
+/// `p`'s empty-rectangle row over the live points, by the rule's naive
+/// rectangle test (the definition, ties included).
 fn brute_row(points: &[Point], live: &[bool], p: usize) -> Vec<usize> {
     let ids: Vec<usize> = (0..points.len()).filter(|&j| j != p && live[j]).collect();
     let candidates: Vec<&Point> = ids.iter().map(|&j| &points[j]).collect();
-    empty_rect_neighbors(&points[p], &candidates)
+    empty_rect_neighbors_naive(&points[p], &candidates)
         .into_iter()
         .map(|ci| ids[ci])
+        .collect()
+}
+
+/// `p`'s best `k` live points per orthant (all `2^D`), by `(distance,
+/// id)`; a coordinate shared with `p` counts on the positive side, as
+/// the *Orthogonal Hyperplanes* rule puts a point on a plane.
+fn ranked_row(points: &[Point], live: &[bool], p: usize, k: usize) -> Vec<Vec<usize>> {
+    let who = &points[p];
+    let mut groups: Vec<Vec<(f64, usize)>> = vec![Vec::new(); 1 << who.dim()];
+    for j in (0..points.len()).filter(|&j| j != p && live[j]) {
+        let o = (0..who.dim())
+            .filter(|&d| points[j][d] >= who[d])
+            .fold(0, |bits, d| bits | 1 << d);
+        groups[o].push((l1(who.coords(), points[j].coords()), j));
+    }
+    (groups.into_iter())
+        .map(|mut g| {
+            g.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            g.into_iter().take(k).map(|(_, j)| j).collect()
+        })
+        .collect()
+}
+
+/// A population that breaks the paper's distinctness assumption: family
+/// 0 is the integer lattice `0..6` in every dimension (dense ties, some
+/// duplicate points), family 1 spreads coordinates exponentially (`±2^e`,
+/// `e < 20`), so most points share a grid cell and many share a
+/// coordinate. The last `outside` points are moved out of everyone
+/// else's box along one dimension, keeping their other coordinates, so
+/// that — inserted after the build — they land in clamped edge cells and
+/// still tie with points inside.
+fn tied_points(dim: usize, family: u8, raw: &[Vec<u8>], outside: usize) -> Vec<Point> {
+    let n = raw.len();
+    (raw.iter().enumerate())
+        .map(|(i, c)| {
+            let coords = (0..dim)
+                .map(|d| {
+                    let x = if family == 0 {
+                        f64::from(c[d] % 6)
+                    } else {
+                        let sign = if c[d] % 40 < 20 { 1.0 } else { -1.0 };
+                        sign * 2f64.powi(i32::from(c[d] % 20))
+                    };
+                    if i + outside >= n && d == i % dim {
+                        x + 1e7 * if i % 2 == 0 { 1.0 } else { -1.0 }
+                    } else {
+                        x
+                    }
+                })
+                .collect();
+            Point::from_validated(coords)
+        })
         .collect()
 }
 
@@ -183,11 +234,10 @@ proptest! {
     }
 
     /// The full query on a churned index: after each of a few random
-    /// removals every survivor's row equals the brute force, and the
-    /// index declines exactly when a live point shares a coordinate
-    /// with the query — over uniform, clustered and degenerate-extent
-    /// populations, points inserted outside the built box, and an
-    /// optional coordinate collider.
+    /// removals every survivor's row equals the definition — over
+    /// uniform, clustered and degenerate-extent populations, points
+    /// inserted outside the built box, and an optional coordinate
+    /// collider.
     #[test]
     fn full_query_equals_brute_force_after_removals(
         dim in 2usize..=4,
@@ -221,14 +271,65 @@ proptest! {
             index.remove(victim);
             live[victim] = false;
             for &i in alive.iter().filter(|&&i| i != victim) {
-                let collides = alive.iter().any(|&j| {
-                    j != i && j != victim && (0..dim).any(|d| points[j][d] == points[i][d])
-                });
                 let row = index.empty_rect_neighbors(i);
-                prop_assert_eq!(row.is_none(), collides, "decline at {}", i);
-                if let Some(row) = row {
-                    prop_assert_eq!(row, brute_row(&points, &live, i), "!= brute at {}", i);
+                prop_assert_eq!(row, Some(brute_row(&points, &live, i)), "!= brute at {}", i);
+            }
+        }
+    }
+
+    /// Shared coordinates, answered: on integer lattices (D = 1–4) and
+    /// exponentially spread coordinates, half the points inserted after
+    /// the build (some outside its box) and a few random removals, every
+    /// live point's empty-rectangle row — by id, by position, and by the
+    /// dominance module's frontier — equals the naive rectangle test, and
+    /// its per-orthant `k` nearest equal the `>=`-sided `(distance, id)`
+    /// ranking.
+    #[test]
+    fn tied_coordinates_are_answered_exactly(
+        dim in 1usize..=4,
+        family in 0u8..2,
+        raw in vec(vec(0u8..40, 4), 4..40),
+        outside in 0usize..4,
+        k in 1usize..4,
+        victims in vec(0usize..1000, 0..6),
+    ) {
+        let points = tied_points(dim, family, &raw, outside);
+        let built = points.len() / 2;
+        let mut index = GridIndex::build(&points[..built]);
+        for p in &points[built..] {
+            index.insert(p);
+        }
+        let mut live = vec![true; points.len()];
+        for step in 0..=victims.len() {
+            if step > 0 {
+                let alive: Vec<usize> = (0..points.len()).filter(|&i| live[i]).collect();
+                if alive.len() <= 2 {
+                    break;
                 }
+                let victim = alive[victims[step - 1] % alive.len()];
+                index.remove(victim);
+                live[victim] = false;
+            }
+            for i in (0..points.len()).filter(|&i| live[i]) {
+                let want = brute_row(&points, &live, i);
+                prop_assert_eq!(index.empty_rect_neighbors(i), Some(want.clone()), "by id, {}", i);
+                prop_assert_eq!(
+                    index.empty_rect_neighbors_at(&points[i], Some(i)),
+                    Some(want.clone()),
+                    "by position, {}", i
+                );
+                let ids: Vec<usize> = (0..points.len()).filter(|&j| j != i && live[j]).collect();
+                let candidates: Vec<&Point> = ids.iter().map(|&j| &points[j]).collect();
+                let frontier: Vec<usize> = empty_rect_neighbors(&points[i], &candidates)
+                    .into_iter()
+                    .map(|ci| ids[ci])
+                    .collect();
+                prop_assert_eq!(frontier, want, "frontier, {}", i);
+                prop_assert_eq!(
+                    index.k_nearest_per_orthant(i, k),
+                    Some(ranked_row(&points, &live, i, k)),
+                    "k nearest, {}", i
+                );
             }
         }
     }

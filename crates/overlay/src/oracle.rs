@@ -157,8 +157,9 @@ pub fn orthogonal_k_sweep_with(
 /// `(distance, id)` ascending, truncated to the best `kmax`, orthants in
 /// ascending order (the flattened rows are what the sweep reads). Uses a
 /// spatial index when distance ties broken by id and by slice position
-/// coincide; falls back to the full ranking pass otherwise, and where
-/// the index declines (a shared coordinate, or too many dimensions).
+/// coincide — it ranks a shared coordinate on the positive side, as the
+/// brute ranking does; falls back to the full ranking pass otherwise,
+/// and where the index declines (beyond `MAX_INDEX_DIM`).
 fn ranked_orthant_groups(peers: &[PeerInfo], kmax: usize) -> Vec<Vec<Vec<usize>>> {
     let dim = peers[0].point().dim();
     assert!(
@@ -341,9 +342,8 @@ mod tests {
 
     #[test]
     fn k_sweep_classifies_ties_like_the_rule() {
-        // A shared coordinate makes the index decline; the brute ranking
-        // then puts the tied peer on the positive side, as the
-        // orthogonal arrangement does. Three peers sharing x = 1 first,
+        // The index and the brute ranking both put a tied peer on the
+        // positive side, as the orthogonal arrangement does. Three peers sharing x = 1 first,
         // then 36 points of the 6 × 7 integer lattice.
         let at = |i: u64, x: u64, y: u64| {
             PeerInfo::new(PeerId(i), Point::new(vec![x as f64, y as f64]).unwrap())
@@ -374,8 +374,8 @@ mod tests {
     }
 
     /// The one-sort ranking returns occupied orthants only, ascending,
-    /// and where the index answers (a peer that shares no coordinate)
-    /// its flattened rows are the index's: a tie lattice plus uniform
+    /// and its flattened rows are the index's (which answers a peer that
+    /// shares a coordinate too): a tie lattice plus uniform
     /// points, D = 1..=5, every K up to 3.
     #[test]
     fn brute_ranking_matches_the_index_on_a_tie_lattice() {

@@ -43,9 +43,8 @@ impl NeighborSelection for EmptyRectSelection {
     fn select_in(&self, peers: &[PeerInfo], i: usize, ctx: &SelectContext<'_>) -> Vec<usize> {
         // The frontier is a function of coordinates only (no id
         // tie-breaking), so the index path applies whenever an index
-        // exists; it declines (None) on coordinate collisions, exactly
-        // when `dominance::empty_rect_neighbors` would fall back to the
-        // naive rule, which `select_in_brute` then reproduces.
+        // exists, shared coordinates included; it declines (None) only
+        // beyond `MAX_INDEX_DIM`, where `select_in_brute` answers.
         if let Some(index) = ctx.index() {
             if let Some(picked) = index.empty_rect_neighbors(i) {
                 return picked;

@@ -115,9 +115,10 @@ impl NeighborSelection for HyperplanesSelection {
     fn select_in(&self, peers: &[PeerInfo], i: usize, ctx: &SelectContext<'_>) -> Vec<usize> {
         // The orthogonal arrangement's regions are the orthants, and the
         // index ranks each by `(distance, slot)`: the rule's
-        // `(distance, id)` order when slots are ids. It declines on a
-        // shared coordinate (an on-hyperplane region) or beyond
-        // `MAX_INDEX_DIM`, and `select_in_brute` answers.
+        // `(distance, id)` order when slots are ids. A shared coordinate
+        // ranks on the plane's positive side, as `classify` puts it. The
+        // index declines only beyond `MAX_INDEX_DIM`, and
+        // `select_in_brute` answers.
         let ranked_by_id = ctx.ids_in_slice_order && self.arrangement.is_orthogonal();
         if let Some(index) = ctx.index().filter(|_| ranked_by_id) {
             if let Some(groups) = index.k_nearest_per_orthant(i, self.k) {

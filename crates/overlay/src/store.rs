@@ -920,7 +920,8 @@ impl TopologyStore {
 
     /// Peer `i`'s row over the live population, selected from scratch:
     /// a query on the index, or the rule's brute selection where the
-    /// index declines.
+    /// index has no query for it (beyond `MAX_INDEX_DIM`, or a rule
+    /// other than the two the index serves).
     fn select_row(&self, i: usize) -> Row {
         let ctx = SelectContext::with_index(&self.index, true).masked(self.index.removed());
         to_row(&self.selection.select_in(&self.peers, i, &ctx))
@@ -1127,8 +1128,9 @@ mod tests {
 
     #[test]
     fn colliding_coordinates_stay_exact_under_every_rule() {
-        // Shared coordinates make the index decline the Hyperplanes
-        // queries, which fall back to the rule's brute selection.
+        // Shared coordinates: the index answers the empty-rectangle and
+        // orthogonal rules under their own tie semantics; the other two
+        // select by brute force, ties or not.
         let peers: Vec<PeerInfo> = [
             [0.0, 0.0],
             [500.0, 0.0],
@@ -1574,13 +1576,12 @@ mod tests {
     }
 
     #[test]
-    fn colliding_coordinates_fall_back_exactly() {
+    fn colliding_coordinates_join_and_leave_exactly() {
         // A workload violating per-dimension distinctness. A join's
         // walk puts a newcomer's tied peers in its tied set and never
-        // asks the index, whose query would decline here; the leave
-        // removes a peer that shares a coordinate with two of its
-        // selectors, and the pair kernel is the rule's own strict test.
-        // Neither falls back to a brute selection.
+        // asks the index; the leave removes a peer that shares a
+        // coordinate with two of its selectors, and the pair kernel is
+        // the rule's own strict test. Neither runs a brute selection.
         let pts = vec![
             Point::new(vec![0.0, 0.0]).unwrap(),
             Point::new(vec![5.0, 0.0]).unwrap(), // shares y with 0
