@@ -165,8 +165,9 @@ proptest! {
     }
 
     /// Remove-heavy churn over a **collision-free** integer lattice
-    /// (every coordinate value used once per dimension): every departure's closed-form
-    /// repair and every join's walk land on round coordinates.
+    /// (every coordinate value used once per dimension): every
+    /// departure's closed-form repair and every join's walk land on round
+    /// coordinates.
     /// Byte-identical to the from-scratch definition after every event;
     /// a few joins deliberately reuse a coordinate to drive the tied
     /// set and the index's tied answers through the same geometry.

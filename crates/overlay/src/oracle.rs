@@ -343,8 +343,9 @@ mod tests {
     #[test]
     fn k_sweep_classifies_ties_like_the_rule() {
         // The index and the brute ranking both put a tied peer on the
-        // positive side, as the orthogonal arrangement does. Three peers sharing x = 1 first,
-        // then 36 points of the 6 × 7 integer lattice.
+        // positive side, as the orthogonal arrangement does. Three peers
+        // sharing x = 1 first, then 36 points of the 6 × 7 integer
+        // lattice.
         let at = |i: u64, x: u64, y: u64| {
             PeerInfo::new(PeerId(i), Point::new(vec![x as f64, y as f64]).unwrap())
         };
