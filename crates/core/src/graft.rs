@@ -17,8 +17,9 @@
 //!    node the walk meets. The target is the exact `(distance, index)`
 //!    minimum over the on-tree set: a scan of the on-tree nodes for the
 //!    first few searches of a pass, and for a pass that keeps searching
-//!    a grid that holds only the on-tree nodes and grows as paths attach
-//!    (`OnTreeIndex`), so a query costs the few cells around the member
+//!    a [`GridIndex`] that holds only the on-tree nodes and grows as
+//!    paths attach, asked for [`GridIndex::nearest`] with each slot's
+//!    peer as its rank, so a query costs the few cells around the member
 //!    whatever the population around the tree is. On empty-rectangle
 //!    equilibria the walk always delivers, so tiers 2–3 never engage
 //!    there.
@@ -79,7 +80,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::ops::Range;
 
-use geocast_geom::{l1, Interval, MetricKind, Rect};
+use geocast_geom::{l1, GridIndex, Interval, MetricKind, Rect};
 use geocast_overlay::routing::{greedy_route_to_rect_on_store, greedy_step_on_store};
 use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
 
@@ -549,7 +550,6 @@ pub(crate) fn graft_pass(
         unreachable: Vec::new(),
         searches: 0,
         index: None,
-        joining: &stranded,
         members: &members,
         pending: BinaryHeap::new(),
         out: GraftPass::default(),
@@ -632,12 +632,11 @@ struct Pass<'a> {
     walk: Walk,
     /// Stranded members with no overlay path to the tree, ascending.
     unreachable: Vec<usize>,
-    /// Target searches so far, and the grid of the on-tree nodes once
-    /// they are many, with the number of `log`'s walks it holds.
+    /// Target searches so far, and once they are many a grid of the
+    /// on-tree nodes, with the peer in each of its slots and the number
+    /// of `log`'s walks it holds.
     searches: usize,
-    index: Option<(OnTreeIndex<'a>, usize)>,
-    /// The stranded members: the grid is sized for them to join it.
-    joining: &'a [usize],
+    index: Option<(GridIndex, Vec<usize>, usize)>,
     members: &'a PeerBits,
     /// The members the replay is to decide one by one that it has not
     /// reached yet.
@@ -854,8 +853,8 @@ impl Pass<'_> {
     /// on-tree node nearest to it by `(distance, index)`. The first few
     /// searches of a pass scan the on-tree nodes; a pass that keeps
     /// searching — one that replays nothing, as a rule — builds a grid of
-    /// them once ([`OnTreeIndex`]) and brings it up to date with the
-    /// log's walks at each search after.
+    /// them once ([`GridIndex::nearest`], the peers as ranks) and brings
+    /// it up to date with the log's walks at each search after.
     fn nearest(&mut self, s: usize) -> Option<usize> {
         let peers = self.store.peers();
         self.searches += 1;
@@ -869,18 +868,20 @@ impl Pass<'_> {
                 .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
                 .map(|(_, p)| p);
         }
-        let (index, indexed) = self.index.get_or_insert_with(|| {
-            let reached: Vec<usize> = self.zones.peers().collect();
-            let index = OnTreeIndex::new(peers, &reached, self.joining);
-            (index, 0)
+        let (index, slots, indexed) = self.index.get_or_insert_with(|| {
+            let slots: Vec<usize> = self.zones.peers().collect();
+            let points: Vec<&PeerInfo> = slots.iter().map(|&p| &peers[p]).collect();
+            (GridIndex::build(&points), slots, 0)
         });
         for w in *indexed..log.len() {
             for &p in log.attached(w) {
-                index.insert(p as usize);
+                index.insert(peers[p as usize].point());
+                slots.push(p as usize);
             }
         }
         *indexed = log.len();
-        index.nearest(s)
+        let slot = index.nearest(peers[s].point(), |slot| slots[slot])?;
+        Some(slots[slot])
     }
 }
 
@@ -1009,201 +1010,6 @@ fn discover_path(
     found
 }
 
-/// The on-tree nodes of one graft pass, bucketed on a uniform grid so
-/// the nearest one to a stranded member is found from the few cells
-/// around it.
-///
-/// The store's own spatial index answers the same question by ranking
-/// the **whole population** and filtering: on-tree nodes are sparse
-/// among `N` peers, so most of its work is rejected candidates. This
-/// grid holds only what can be the answer. It is built per pass over
-/// the bounding box of everything that starts on the tree or wants to
-/// join it (cells sized for about two such peers each), grows by one
-/// entry per attached path node, and dies with the pass; path nodes
-/// outside the box clamp onto border cells.
-///
-/// [`OnTreeIndex::nearest`] is exact: it scans the cells ring by ring
-/// outwards from the query's cell and stops once the best candidate is
-/// closer than any face of the scanned block that still has cells
-/// beyond it — every unscanned node lies beyond such a face, and an L1
-/// distance is at least the offset along one axis. Ties go to the
-/// smaller peer index wherever the tied nodes sit, because a tie is
-/// never closer than the face bound.
-struct OnTreeIndex<'a> {
-    peers: &'a [PeerInfo],
-    /// Cells per dimension.
-    side: usize,
-    lo: Vec<f64>,
-    cell: Vec<f64>,
-    /// Absolute slack on the face bound: cell assignment divides where
-    /// the face positions multiply, so the two can disagree by a few
-    /// ulps of the extent.
-    slack: f64,
-    /// Per cell (row-major, dimension 0 outermost): its newest entry.
-    head: Vec<u32>,
-    /// `(peer, older entry of the same cell)` per indexed node.
-    entries: Vec<(u32, u32)>,
-    /// The query's cell coordinates (scratch).
-    center: Vec<usize>,
-}
-
-/// End of a cell's entry chain.
-const NO_ENTRY: u32 = u32::MAX;
-
-impl<'a> OnTreeIndex<'a> {
-    /// Indexes `on_tree` over a grid sized for `on_tree` and `joining`
-    /// together (the latter, and relays between them, arrive through
-    /// [`OnTreeIndex::insert`] as their paths attach).
-    fn new(peers: &'a [PeerInfo], on_tree: &[usize], joining: &[usize]) -> Self {
-        let dim = peers[on_tree[0]].point().dim();
-        let mut lo = vec![f64::INFINITY; dim];
-        let mut hi = vec![f64::NEG_INFINITY; dim];
-        for &p in on_tree.iter().chain(joining) {
-            for (d, &x) in peers[p].point().coords().iter().enumerate() {
-                lo[d] = lo[d].min(x);
-                hi[d] = hi[d].max(x);
-            }
-        }
-        let expected = on_tree.len() + joining.len();
-        let side = ((expected as f64 / 2.0).powf(1.0 / dim as f64).floor() as usize).max(1);
-        let cell: Vec<f64> = (0..dim)
-            .map(|d| {
-                let span = hi[d] - lo[d];
-                if span > 0.0 {
-                    span / side as f64
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        let extent = (0..dim).map(|d| hi[d] - lo[d]).fold(1.0, f64::max);
-        let mut index = OnTreeIndex {
-            peers,
-            side,
-            lo,
-            cell,
-            slack: extent * 1e-9,
-            head: vec![NO_ENTRY; side.pow(dim as u32)],
-            entries: Vec::with_capacity(expected),
-            center: vec![0; dim],
-        };
-        for &p in on_tree {
-            index.insert(p);
-        }
-        index
-    }
-
-    /// The cell coordinate of `x` along dimension `d`, clamped onto the
-    /// grid (monotone in `x`, which is all exactness needs).
-    fn cell_coord(&self, d: usize, x: f64) -> usize {
-        // Negative quotients saturate to cell 0.
-        (((x - self.lo[d]) / self.cell[d]).floor() as usize).min(self.side - 1)
-    }
-
-    fn insert(&mut self, peer: usize) {
-        let flat = self.peers[peer]
-            .point()
-            .coords()
-            .iter()
-            .enumerate()
-            .fold(0, |flat, (d, &x)| flat * self.side + self.cell_coord(d, x));
-        let entry = u32::try_from(self.entries.len()).expect("entry count fits u32");
-        let peer = u32::try_from(peer).expect("peer ids fit u32");
-        self.entries.push((peer, self.head[flat]));
-        self.head[flat] = entry;
-    }
-
-    /// The indexed node nearest to peer `s` by `(distance, index)`;
-    /// `None` when nothing is indexed.
-    fn nearest(&mut self, s: usize) -> Option<usize> {
-        let peers = self.peers;
-        let q = peers[s].point().coords();
-        for (d, &x) in q.iter().enumerate() {
-            self.center[d] = self.cell_coord(d, x);
-        }
-        let mut best: Option<(f64, usize)> = None;
-        for ring in 0..self.side {
-            self.scan_ring(0, ring, 0, false, s, &mut best);
-            let clearance = self.clearance(q, ring);
-            if best.is_some_and(|(dist, _)| dist < clearance - self.slack)
-                || clearance == f64::INFINITY
-            {
-                break;
-            }
-        }
-        best.map(|(_, peer)| peer)
-    }
-
-    /// Distance from `q` to the nearest face of the block of cells
-    /// within `ring` rings of its cell, among the faces with cells
-    /// beyond them — a lower bound on the distance of every node in a
-    /// farther ring. Infinite when the block covers the grid.
-    fn clearance(&self, q: &[f64], ring: usize) -> f64 {
-        let mut nearest = f64::INFINITY;
-        for (d, &x) in q.iter().enumerate() {
-            let c = self.center[d];
-            if c > ring {
-                nearest = nearest.min(x - (self.lo[d] + (c - ring) as f64 * self.cell[d]));
-            }
-            if c + ring + 1 < self.side {
-                nearest = nearest.min(self.lo[d] + (c + ring + 1) as f64 * self.cell[d] - x);
-            }
-        }
-        nearest
-    }
-
-    /// Scans the cells exactly `ring` rings from the query's cell:
-    /// dimension by dimension, a prefix that already sits `ring` cells
-    /// out in some dimension ranges over the whole block in the rest,
-    /// any other prefix only reaches the shell through the last
-    /// dimension's two extreme layers.
-    fn scan_ring(
-        &self,
-        d: usize,
-        ring: usize,
-        flat: usize,
-        on_shell: bool,
-        s: usize,
-        best: &mut Option<(f64, usize)>,
-    ) {
-        if d == self.center.len() {
-            self.scan_cell(flat, s, best);
-            return;
-        }
-        let c = self.center[d];
-        let below = c.checked_sub(ring);
-        let above = Some(c + ring).filter(|&i| i < self.side);
-        if d + 1 == self.center.len() && !on_shell {
-            for i in [below, above.filter(|_| ring > 0)].into_iter().flatten() {
-                self.scan_ring(d + 1, ring, flat * self.side + i, true, s, best);
-            }
-            return;
-        }
-        for i in below.unwrap_or(0)..=above.unwrap_or(self.side - 1) {
-            let shell = on_shell || Some(i) == below || Some(i) == above;
-            self.scan_ring(d + 1, ring, flat * self.side + i, shell, s, best);
-        }
-    }
-
-    fn scan_cell(&self, flat: usize, s: usize, best: &mut Option<(f64, usize)>) {
-        let sp = self.peers[s].point();
-        let mut entry = self.head[flat];
-        while entry != NO_ENTRY {
-            let (peer, older) = self.entries[entry as usize];
-            let peer = peer as usize;
-            let dist = l1(self.peers[peer].point().coords(), sp.coords());
-            let better = match *best {
-                None => true,
-                Some((bd, bi)) => dist < bd || (dist == bd && peer < bi),
-            };
-            if better {
-                *best = Some((dist, peer));
-            }
-            entry = older;
-        }
-    }
-}
-
 /// Deterministic BFS from the end of `walk.path` to the first on-tree
 /// node (FIFO over sorted adjacency rows ⇒ unique answer), appended to
 /// the path. Expanded nodes' rows are consulted, so they all enter the
@@ -1264,7 +1070,7 @@ fn compress_loops(path: &mut Vec<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::groups::{build_group_tree_on_store, splitmix as next};
+    use crate::groups::build_group_tree_on_store;
     use crate::member_tree::{member_tree, MemberRows, Recorded};
     use crate::partition::OrthantRectPartitioner;
     use geocast_geom::gen::uniform_points;
@@ -1740,69 +1546,6 @@ mod tests {
             let mut path = walked;
             compress_loops(&mut path);
             assert_eq!(path, want);
-        }
-    }
-
-    /// The graft-local nearest is the exhaustive `(distance, index)`
-    /// minimum over whatever is on the tree: random on-tree sets of
-    /// every density, grown by inserts (some outside the box the grid
-    /// was sized for), queried from inside and outside that box — on an
-    /// integer lattice, where equal distances and shared coordinates
-    /// are the rule, and on uniform points.
-    #[test]
-    fn on_tree_nearest_matches_the_exhaustive_scan() {
-        let lattice = |dim: usize, side: usize| -> Vec<PeerInfo> {
-            let points = (0..side.pow(dim as u32))
-                .map(|i| {
-                    let coords = (0..dim)
-                        .map(|d| (i / side.pow(d as u32) % side) as f64)
-                        .collect();
-                    Point::new(coords).unwrap()
-                })
-                .collect();
-            PeerInfo::from_point_set(&geocast_geom::PointSet::new(points).unwrap())
-        };
-        let populations = [
-            lattice(2, 12),
-            lattice(3, 5),
-            lattice(1, 40),
-            PeerInfo::from_point_set(&uniform_points(300, 2, 1000.0, 5)),
-            PeerInfo::from_point_set(&uniform_points(200, 4, 1000.0, 6)),
-        ];
-        let mut state = 0x0dd_ba11u64;
-        for peers in &populations {
-            let n = peers.len();
-            for on_tree_count in [1usize, 2, 7, n / 4, n / 2] {
-                // Shuffled ids: a prefix starts on the tree, the next
-                // stretch sizes the grid as joiners, the tail only
-                // ever arrives through insert or as a query.
-                let mut ids: Vec<usize> = (0..n).collect();
-                for k in 0..n {
-                    let j = k + (next(&mut state) as usize) % (n - k);
-                    ids.swap(k, j);
-                }
-                let joiners = on_tree_count + (next(&mut state) as usize) % (n / 4);
-                let mut on_tree = ids[..on_tree_count].to_vec();
-                on_tree.sort_unstable();
-                let mut index = OnTreeIndex::new(peers, &on_tree, &ids[on_tree_count..joiners]);
-                for (step, &q) in ids[on_tree_count..].iter().enumerate() {
-                    let want = on_tree
-                        .iter()
-                        .map(|&j| (l1(peers[j].point().coords(), peers[q].point().coords()), j))
-                        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                        .map(|(_, j)| j);
-                    assert_eq!(
-                        index.nearest(q),
-                        want,
-                        "n={n} on-tree {} query {q}",
-                        on_tree.len()
-                    );
-                    if step % 3 == 0 {
-                        index.insert(q);
-                        on_tree.push(q);
-                    }
-                }
-            }
         }
     }
 

@@ -12,11 +12,11 @@
 //! * [`GridIndex::k_nearest_per_orthant`] — the per-orthant `K` closest
 //!   points, the kernel of the *Orthogonal Hyperplanes* method.
 //!
-//! A third question needs no orthant: [`GridIndex::locate`] hands back
-//! some live point near a position, the start of the store's
-//! empty-rectangle join walk. None assumes coordinates distinct per
-//! dimension; the two orthant queries decline only beyond
-//! [`MAX_INDEX_DIM`].
+//! Two more need no orthant: [`GridIndex::locate`] hands back some live
+//! point near a position, the start of the store's empty-rectangle join
+//! walk, and [`GridIndex::nearest`] the nearest one exactly, the target
+//! of a graft walk. None assumes coordinates distinct per dimension; the
+//! two orthant queries decline only beyond [`MAX_INDEX_DIM`].
 //!
 //! Unlike a build-once index, the population is **mutable**:
 //! [`GridIndex::insert`] and [`GridIndex::remove`] apply membership
@@ -84,6 +84,9 @@ use crate::{l1, Point};
 /// scan wins anyway, so queries decline (return `None`).
 pub const MAX_INDEX_DIM: usize = 16;
 
+/// The end of a cell's chain of ids.
+const END: u32 = u32::MAX;
+
 /// `true` if an offset `delta` along dimension `d` lies on orthant
 /// `o`'s side: a zero offset counts as positive.
 fn on_side(delta: f64, o: usize, d: usize) -> bool {
@@ -123,7 +126,7 @@ fn offsets_in_orthant(p: &[f64], q: &[f64], o: usize, offs: &mut [f64; MAX_INDEX
 /// let index = GridIndex::build(&points);
 ///
 /// // Exactly the brute-force empty-rectangle neighbours of point 3.
-/// let fast = index.empty_rect_neighbors(3).expect("distinct coords");
+/// let fast = index.empty_rect_neighbors(3).expect("at most MAX_INDEX_DIM dimensions");
 /// let candidates: Vec<_> =
 ///     points.iter().enumerate().filter(|&(j, _)| j != 3).map(|(_, p)| p).collect();
 /// let slow: Vec<usize> = empty_rect_neighbors(&points[3], &candidates)
@@ -138,9 +141,12 @@ pub struct GridIndex {
     side: usize,
     lo: Vec<f64>,
     cell_size: Vec<f64>,
-    /// Per-cell buckets of live point ids (removal-friendly, unlike the
-    /// original CSR layout).
-    cells: Vec<Vec<u32>>,
+    /// Per cell (row-major, dimension 0 outermost): the first live id of
+    /// its bucket, a chain threaded through `next`; [`END`] when empty.
+    head: Vec<u32>,
+    /// Per id: the next live id of its bucket, [`END`] at the chain's
+    /// end (stale for removed ids). No cell owns an allocation.
+    next: Vec<u32>,
     /// Flattened coordinates, `coords[id * dim..][..dim]`; kept for
     /// removed ids too so id arithmetic never shifts.
     coords: Vec<f64>,
@@ -181,7 +187,8 @@ impl GridIndex {
             side: 1,
             lo: vec![0.0; dim],
             cell_size: vec![1.0; dim],
-            cells: vec![Vec::new()],
+            head: Vec::new(),
+            next: vec![END; n],
             coords,
             removed: vec![false; n],
             live: n,
@@ -241,14 +248,27 @@ impl GridIndex {
         self.lo = lo;
         self.cell_size = cell_size;
         self.built_live = n;
-        let cells = Self::cell_count(side, dim);
-        self.cells = vec![Vec::new(); cells];
-        for id in 0..self.removed.len() {
+        self.head.clear();
+        self.head.resize(Self::cell_count(side, dim), END);
+        // Backwards, so that each chain reads its ids ascending.
+        for id in (0..self.removed.len()).rev() {
             if !self.removed[id] {
-                let c = self.cell_of(id);
-                self.cells[c].push(id as u32);
+                self.link(id);
             }
         }
+    }
+
+    /// Puts live point `id` at the front of its cell's chain.
+    fn link(&mut self, id: usize) {
+        let c = self.cell_of(id);
+        self.next[id] = self.head[c];
+        self.head[c] = id as u32;
+    }
+
+    /// The live ids of cell `flat`, along its chain.
+    fn bucket(&self, flat: usize) -> impl Iterator<Item = usize> + '_ {
+        let live = |id: u32| (id != END).then_some(id as usize);
+        std::iter::successors(live(self.head[flat]), move |&id| live(self.next[id]))
     }
 
     /// Adds a point to the population, returning its id (the next dense
@@ -273,6 +293,7 @@ impl GridIndex {
         let id = self.removed.len();
         self.coords.extend_from_slice(point.coords());
         self.removed.push(false);
+        self.next.push(END);
         self.live += 1;
 
         if adopting {
@@ -289,8 +310,7 @@ impl GridIndex {
         if grown || (escaped && self.live > self.built_live + self.built_live / 8) {
             self.regrid();
         } else {
-            let c = self.cell_of(id);
-            self.cells[c].push(id as u32);
+            self.link(id);
         }
         id
     }
@@ -307,11 +327,16 @@ impl GridIndex {
         self.removed[id] = true;
         self.live -= 1;
         let c = self.cell_of(id);
-        let pos = self.cells[c]
-            .iter()
-            .position(|&e| e as usize == id)
-            .expect("live point bucketed");
-        self.cells[c].swap_remove(pos);
+        if self.head[c] as usize == id {
+            self.head[c] = self.next[id];
+        } else {
+            let mut at = self.head[c] as usize;
+            while self.next[at] as usize != id {
+                at = self.next[at] as usize;
+                assert!(at != END as usize, "live point bucketed");
+            }
+            self.next[at] = self.next[id];
+        }
         if self.live * 2 < self.built_live && self.built_live > 32 {
             self.regrid();
         }
@@ -470,8 +495,74 @@ impl GridIndex {
             return None;
         }
         assert_eq!(q.dim(), self.dim, "query dimensionality mismatch");
-        let (dim, side) = (self.dim, self.side);
         let skip = skip.unwrap_or(usize::MAX);
+        self.ring_walk(q.coords(), skip, |id| id, |_, _, _| true)
+    }
+
+    /// The live point nearest to the position `q` in L1, ties to the
+    /// least `rank(id)` (give distinct ids distinct ranks). Exact: the
+    /// ring walk of [`GridIndex::locate`] goes on until the best point
+    /// is nearer than every face of the scanned block that has cells
+    /// beyond it — every unscanned point lies beyond such a face, and an
+    /// L1 distance is at least the offset along one axis — so a point
+    /// tied with the answer is never left unscanned. `None` when no
+    /// point is live; like `locate`, it never declines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q`'s dimensionality disagrees with a non-empty index.
+    #[must_use]
+    pub fn nearest(&self, q: &Point, rank: impl Fn(usize) -> usize) -> Option<usize> {
+        if self.live == 0 {
+            return None;
+        }
+        assert_eq!(q.dim(), self.dim, "query dimensionality mismatch");
+        let q = q.coords();
+        // A cell is found by dividing where a face is found by
+        // multiplying, so the two can disagree by a few ulps of the
+        // coordinates' magnitude: the face bound keeps that much slack.
+        let magnitude = (0..self.dim)
+            .map(|d| self.lo[d].abs() + self.side as f64 * self.cell_size[d])
+            .fold(1.0, f64::max);
+        let slack = magnitude * 1e-9;
+        self.ring_walk(q, usize::MAX, rank, |ring, centre, best| {
+            let clearance = self.clearance(q, centre, ring);
+            clearance == f64::INFINITY || best < clearance - slack
+        })
+    }
+
+    /// Distance from `q` to the nearest face of the block of cells within
+    /// `ring` rings of its cell `centre`, among the faces with cells
+    /// beyond them: a lower bound on the distance of every point in a
+    /// farther ring. Infinite once the block covers the grid.
+    fn clearance(&self, q: &[f64], centre: &[usize], ring: usize) -> f64 {
+        let mut nearest = f64::INFINITY;
+        for (d, (&x, &c)) in q.iter().zip(centre).enumerate() {
+            if c > ring {
+                nearest = nearest.min(x - (self.lo[d] + (c - ring) as f64 * self.cell_size[d]));
+            }
+            if c + ring + 1 < self.side {
+                nearest = nearest.min(self.lo[d] + (c + ring + 1) as f64 * self.cell_size[d] - x);
+            }
+        }
+        nearest
+    }
+
+    /// The walk behind [`GridIndex::locate`] and [`GridIndex::nearest`]:
+    /// the Chebyshev rings of cells around `q`'s cell, outwards, keeping
+    /// the live point other than `skip` least by `(L1 distance,
+    /// rank)`. After each ring that leaves a best point, `stop(ring,
+    /// centre, distance)` decides whether the walk ends there; it ends
+    /// anyway once the rings cover the grid. The caller makes sure some
+    /// point other than `skip` is live.
+    fn ring_walk(
+        &self,
+        q: &[f64],
+        skip: usize,
+        rank: impl Fn(usize) -> usize,
+        stop: impl Fn(usize, &[usize], f64) -> bool,
+    ) -> Option<usize> {
+        let (dim, side) = (self.dim, self.side);
         // Four layer vectors — centre, cell, and the ring's cube — on the
         // stack up to `MAX_INDEX_DIM` dimensions, so a join's start
         // allocates nothing; one buffer beyond.
@@ -489,6 +580,7 @@ impl GridIndex {
         for (d, c) in centre.iter_mut().enumerate() {
             *c = self.layer_of(d, q[d]);
         }
+        let mut best: Option<(f64, usize, usize)> = None;
         for r in 0..side {
             // The cube of cells within `r` of the centre, clipped to the
             // grid; its cells at distance exactly `r` are the ring.
@@ -496,20 +588,16 @@ impl GridIndex {
                 (*l, *h) = (c.saturating_sub(r), (c + r).min(side - 1));
             }
             cell.copy_from_slice(lo);
-            let mut best: Option<(f64, usize)> = None;
             'ring: loop {
                 if (0..dim).any(|d| cell[d].abs_diff(centre[d]) == r) {
                     let flat = cell.iter().fold(0usize, |flat, &c| flat * side + c);
-                    for &entry in &self.cells[flat] {
-                        let id = entry as usize;
+                    for id in self.bucket(flat) {
                         if id == skip {
                             continue;
                         }
-                        let dist: f64 = (self.point_coords(id).iter().zip(q.coords()))
-                            .map(|(a, b)| (a - b).abs())
-                            .sum();
-                        if best.is_none_or(|near| (dist, id) < near) {
-                            best = Some((dist, id));
+                        let dist = l1(self.point_coords(id), q);
+                        if best.is_none_or(|(bd, br, _)| (dist, rank(id)) < (bd, br)) {
+                            best = Some((dist, rank(id), id));
                         }
                     }
                 }
@@ -535,11 +623,13 @@ impl GridIndex {
                     cell[d] = lo[d];
                 }
             }
-            if let Some((_, id)) = best {
-                return Some(id);
+            if let Some((dist, _, id)) = best {
+                if stop(r, centre, dist) {
+                    return Some(id);
+                }
             }
         }
-        unreachable!("every live point is bucketed within `side` rings")
+        best.map(|(_, _, id)| id)
     }
 
     /// The full query behind both empty-rectangle entry points: the
@@ -694,8 +784,7 @@ impl GridIndex {
                 for &c in prefix_cells.iter() {
                     flat = flat * self.side + c;
                 }
-                for &entry in &self.cells[flat] {
-                    let id = entry as usize;
+                for id in self.bucket(flat) {
                     if id == skip {
                         continue;
                     }
@@ -790,8 +879,7 @@ impl FrontierWalk<'_> {
             .iter()
             .fold(0usize, |flat, &c| flat * index.side + c);
         let mut offs = [0.0f64; MAX_INDEX_DIM];
-        for &entry in &index.cells[flat] {
-            let id = entry as usize;
+        for id in index.bucket(flat) {
             if id == self.skip {
                 continue;
             }
@@ -863,7 +951,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_rect_detects_collisions_and_declines() {
+    fn empty_rect_answers_a_shared_coordinate() {
         // A point sharing y with point 0 is its neighbour and blocks
         // nobody behind it: the index answers with the definition's row.
         let points = vec![
@@ -916,7 +1004,7 @@ mod tests {
     }
 
     #[test]
-    fn knn_declines_on_collision() {
+    fn knn_ranks_a_shared_coordinate_on_the_positive_side() {
         // A shared y ranks on the positive side: point 1 is in (+, +).
         let points = vec![
             Point::new(vec![0.0, 5.0]).unwrap(),
@@ -1148,7 +1236,7 @@ mod tests {
     }
 
     #[test]
-    fn at_queries_decline_on_external_collision_unless_skipped() {
+    fn at_queries_answer_an_external_collision_skipped_or_not() {
         let points = vec![
             Point::new(vec![0.0, 5.0]).unwrap(),
             Point::new(vec![3.0, 8.0]).unwrap(),
@@ -1230,6 +1318,35 @@ mod tests {
         }
         assert_eq!(index.locate(&wide[0], Some(0)), None);
         assert_eq!(index.locate(&wide[3], None), Some(0));
+    }
+
+    #[test]
+    fn nearest_scans_a_tie_beyond_the_far_face() {
+        // A 5 × 5 grid of unit cells over the lattice `0..=5`: point 0 at
+        // (2, 0) and point 1 at (1, 1) tie at distance 2 from the origin,
+        // and every other point lies farther. After ring 1 the best is
+        // point 1, exactly as far as the block's far faces at 2, beyond
+        // which point 0 lies in ring 2: a tie there still outranks it.
+        let mut points = vec![
+            Point::new(vec![2.0, 0.0]).unwrap(),
+            Point::new(vec![1.0, 1.0]).unwrap(),
+        ];
+        for x in 0..=5 {
+            for y in (0..=5).filter(|&y| x + y >= 4) {
+                points.push(Point::new(vec![f64::from(x), f64::from(y)]).unwrap());
+            }
+        }
+        let index = GridIndex::build(&points);
+        assert_eq!(index.side(), 5);
+        assert_eq!(index.cell_size, [1.0, 1.0]);
+        let origin = Point::new(vec![0.0, 0.0]).unwrap();
+        assert_eq!(
+            index.locate(&origin, None),
+            Some(1),
+            "the first ring's best"
+        );
+        assert_eq!(index.nearest(&origin, |id| id), Some(0));
+        assert_eq!(index.nearest(&origin, |id| usize::from(id == 0)), Some(1));
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn colliding_workload() -> Vec<Point> {
 }
 
 #[test]
-fn knn_declines_on_collision_beyond_prune_horizon() {
+fn knn_answers_a_collision_beyond_prune_horizon() {
     let pts = colliding_workload();
     let index = GridIndex::build(&pts);
     assert!(
@@ -72,7 +72,7 @@ fn knn_declines_on_collision_beyond_prune_horizon() {
 }
 
 #[test]
-fn empty_rect_declines_on_the_same_far_collision() {
+fn empty_rect_answers_the_same_far_collision() {
     let pts = colliding_workload();
     let index = GridIndex::build(&pts);
     let far = pts.len() - 1;

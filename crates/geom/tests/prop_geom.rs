@@ -108,7 +108,9 @@ fn ranked_row(points: &[Point], live: &[bool], p: usize, k: usize) -> Vec<Vec<us
 /// 0 is the integer lattice `0..6` in every dimension (dense ties, some
 /// duplicate points), family 1 spreads coordinates exponentially (`±2^e`,
 /// `e < 20`), so most points share a grid cell and many share a
-/// coordinate. The last `outside` points are moved out of everyone
+/// coordinate. Family 2 keeps to the assumption as a rule: coordinates
+/// spread uniformly over `[0, 1000)`, with few ties. The last `outside`
+/// points are moved out of everyone
 /// else's box along one dimension, keeping their other coordinates, so
 /// that — inserted after the build — they land in clamped edge cells and
 /// still tie with points inside.
@@ -118,11 +120,13 @@ fn tied_points(dim: usize, family: u8, raw: &[Vec<u8>], outside: usize) -> Vec<P
         .map(|(i, c)| {
             let coords = (0..dim)
                 .map(|d| {
-                    let x = if family == 0 {
-                        f64::from(c[d] % 6)
-                    } else {
-                        let sign = if c[d] % 40 < 20 { 1.0 } else { -1.0 };
-                        sign * 2f64.powi(i32::from(c[d] % 20))
+                    let x = match family {
+                        0 => f64::from(c[d] % 6),
+                        1 => {
+                            let sign = if c[d] % 40 < 20 { 1.0 } else { -1.0 };
+                            sign * 2f64.powi(i32::from(c[d] % 20))
+                        }
+                        _ => f64::from(c[d]) * 25.0 + ((i * 31 + d * 17) % 97) as f64 / 97.0,
                     };
                     if i + outside >= n && d == i % dim {
                         x + 1e7 * if i % 2 == 0 { 1.0 } else { -1.0 }
@@ -330,6 +334,57 @@ proptest! {
                     Some(ranked_row(&points, &live, i, k)),
                     "k nearest, {}", i
                 );
+            }
+        }
+    }
+
+    /// The nearest query is exact: on integer lattices, exponentially
+    /// spread and uniform coordinates at D = 1–4, built whole or half
+    /// inserted after the build (some points outside its box), through
+    /// removals down to no live point, the answer for every indexed
+    /// point and for outside positions is the exhaustive `(distance,
+    /// rank)` minimum over the live points, under ranks that are not the
+    /// ids' order.
+    #[test]
+    fn nearest_is_the_exhaustive_distance_rank_minimum(
+        dim in 1usize..=4,
+        family in 0u8..3,
+        raw in vec(vec(0u8..40, 4), 4..60),
+        outside in 0usize..4,
+        late in 0u8..2,
+        asked in vec(vec(0u8..40, 4), 1..6),
+        victims in vec(0usize..1000, 0..8),
+        salt in 0u64..1 << 62,
+    ) {
+        let points = tied_points(dim, family, &raw, outside);
+        let n = points.len();
+        let built = if late == 1 { n / 2 } else { n - outside };
+        let mut index = GridIndex::build(&points[..built]);
+        for p in &points[built..] {
+            index.insert(p);
+        }
+        let rank: Vec<usize> = (0..n as u64)
+            .map(|id| ((id ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15)) as usize)
+            .collect();
+        let queries: Vec<Point> = tied_points(dim, family, &asked, 1).into_iter().chain(points.iter().cloned()).collect();
+        let mut live = vec![true; n];
+        for step in 0..=victims.len() {
+            if step > 0 {
+                let alive: Vec<usize> = (0..n).filter(|&i| live[i]).collect();
+                if alive.is_empty() {
+                    break;
+                }
+                let victim = alive[victims[step - 1] % alive.len()];
+                index.remove(victim);
+                live[victim] = false;
+            }
+            for q in &queries {
+                let want = (0..n)
+                    .filter(|&j| live[j])
+                    .map(|j| (l1(points[j].coords(), q.coords()), rank[j], j))
+                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                    .map(|(_, _, j)| j);
+                prop_assert_eq!(index.nearest(q, |id| rank[id]), want, "{:?}", q);
             }
         }
     }

@@ -1,9 +1,11 @@
 //! Allocation budgets of the hot paths, counted on a warm engine shaped
 //! like the `churn_k1` benchmark workload (20 000 uniform 2-D peers under
 //! the empty-rectangle rule, eight clustered groups of twenty): a warm
-//! data-plane tick, one `sync` after a churn event next to a group, one
-//! store join and one store leave; and, cold, the bulk build of that
-//! store and one wave of the `crash_wave` workload. An allocation count
+//! data-plane tick, two `sync`s after a churn event next to a group (one
+//! re-runs a single step, the other several), one store join and one
+//! store leave; and, cold, the bulk build of that store, a from-scratch
+//! build of a group scattered over a smaller store, and one wave of the
+//! `crash_wave` workload. An allocation count
 //! is exact and needs no quiet host, so each budget is pinned at its
 //! measured value with no slack: a change that lowers one re-pins it,
 //! and none raises one to pass.
@@ -18,6 +20,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use geocast::core::detect::{run_detection, DetectionScenario};
@@ -173,6 +176,55 @@ fn a_sync_that_keeps_an_examined_group_allocates_its_budget() {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "budgets are of release builds")]
+fn a_sync_that_reruns_several_steps_allocates_its_budget() {
+    // An outsider next to a group's root and to more of its members
+    // departs: the group is examined, the step of each of those members
+    // re-runs — each reading a row into the sync's one neighbour buffer —
+    // and stands, and the group is kept.
+    let mut warm = Warm::new();
+    let engine = &warm.engine;
+    let mut row = Vec::new();
+    let outsider = (warm.groups.iter())
+        .find_map(|&g| {
+            let root = engine.root(g).expect("a live group");
+            let members = engine.members(g);
+            let outsiders = engine.store().out_neighbors(root).into_iter();
+            outsiders.filter(|j| !members.contains(j)).find(|&x| {
+                engine.store().undirected_neighbors_into(x, &mut row);
+                row.iter().filter(|j| members.contains(j)).count() >= 3
+            })
+        })
+        .expect("an outsider next to a root and two more members");
+    warm.engine.store_mut().remove(PeerId(outsider as u64));
+    let ((), allocs) = allocations(|| warm.engine.sync());
+    let sync = warm.engine.last_sync();
+    assert_eq!((sync.affected_groups, sync.certified_groups), (1, 1));
+    assert_eq!(allocs, 6, "one sync that re-runs several steps");
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "budgets are of release builds")]
+fn a_scattered_group_build_allocates_its_budget() {
+    // A from-scratch build of a group scattered over a `groups_scattered`-
+    // sized store: most members are stranded, and the graft pass searches
+    // for so many walk targets that it builds its grid of the on-tree
+    // nodes.
+    let peers = PeerInfo::from_point_set(&uniform_points(3_000, 2, VMAX, 5));
+    let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+    let mut state = 17u64;
+    let members: BTreeSet<usize> = (0..120)
+        .map(|_| next(&mut state) as usize % store.len())
+        .collect();
+    let root = *members.first().expect("members");
+    let partitioner = OrthantRectPartitioner::median();
+    let (build, allocs) =
+        allocations(|| build_group_tree_grafted(&store, root, &members, &partitioner));
+    assert!(build.graft.grafted > 8, "the pass searches its grid");
+    assert_eq!(allocs, 167, "one scattered group build");
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "budgets are of release builds")]
 fn a_store_join_allocates_its_budget() {
     let mut warm = Warm::new();
     let point = warm.newcomer();
@@ -204,7 +256,7 @@ fn a_bulk_build_allocates_its_budget() {
         store.len() * size_of::<Vec<u32>>() + links * size_of::<u32>(),
         "every row at exact capacity"
     );
-    assert_eq!(allocs, 32_657, "one bulk build of 20 000 peers");
+    assert_eq!(allocs, 20_017, "one bulk build of 20 000 peers");
 }
 
 #[test]
@@ -226,5 +278,5 @@ fn a_crash_wave_allocates_its_budget() {
         6,
         "the wave fired"
     );
-    assert_eq!(allocs, 7_831, "one crash_wave wave");
+    assert_eq!(allocs, 7_794, "one crash_wave wave");
 }
