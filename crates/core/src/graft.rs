@@ -880,8 +880,8 @@ impl Pass<'_> {
             }
         }
         *indexed = log.len();
-        let slot = index.nearest(peers[s].point(), |slot| slots[slot])?;
-        Some(slots[slot])
+        let rank = |slot: usize| slots[slot];
+        index.nearest(peers[s].point(), rank).map(rank)
     }
 }
 

@@ -204,23 +204,6 @@ impl GridIndex {
     fn regrid(&mut self) {
         let n = self.live;
         let dim = self.dim;
-        let mut lo = vec![0.0f64; dim];
-        let mut hi = vec![0.0f64; dim];
-        for d in 0..dim {
-            let mut mn = f64::INFINITY;
-            let mut mx = f64::NEG_INFINITY;
-            for id in 0..self.removed.len() {
-                if self.removed[id] {
-                    continue;
-                }
-                let v = self.coords[id * dim + d];
-                mn = mn.min(v);
-                mx = mx.max(v);
-            }
-            lo[d] = if mn.is_finite() { mn } else { 0.0 };
-            hi[d] = if mx.is_finite() { mx } else { 0.0 };
-        }
-
         // ~1 point per cell on uniform data, capped so the cell table
         // never dwarfs the point set.
         let mut side = if n == 0 {
@@ -233,20 +216,28 @@ impl GridIndex {
             side -= 1;
         }
 
-        let cell_size: Vec<f64> = (0..dim)
-            .map(|d| {
-                let span = hi[d] - lo[d];
-                if span > 0.0 {
-                    span / side as f64
-                } else {
-                    1.0
+        // In place: a growing grid re-buckets often, and allocates for
+        // nothing but its cell table.
+        self.lo.resize(dim, 0.0);
+        self.cell_size.resize(dim, 1.0);
+        for d in 0..dim {
+            let mut mn = f64::INFINITY;
+            let mut mx = f64::NEG_INFINITY;
+            for id in 0..self.removed.len() {
+                if self.removed[id] {
+                    continue;
                 }
-            })
-            .collect();
+                let v = self.coords[id * dim + d];
+                mn = mn.min(v);
+                mx = mx.max(v);
+            }
+            let (lo, hi) = if mn.is_finite() { (mn, mx) } else { (0.0, 0.0) };
+            let span = hi - lo;
+            self.lo[d] = lo;
+            self.cell_size[d] = if span > 0.0 { span / side as f64 } else { 1.0 };
+        }
 
         self.side = side;
-        self.lo = lo;
-        self.cell_size = cell_size;
         self.built_live = n;
         self.head.clear();
         self.head.resize(Self::cell_count(side, dim), END);
