@@ -110,10 +110,9 @@ fn ranked_row(points: &[Point], live: &[bool], p: usize, k: usize) -> Vec<Vec<us
 /// `e < 20`), so most points share a grid cell and many share a
 /// coordinate. Family 2 keeps to the assumption as a rule: coordinates
 /// spread uniformly over `[0, 1000)`, with few ties. The last `outside`
-/// points are moved out of everyone
-/// else's box along one dimension, keeping their other coordinates, so
-/// that — inserted after the build — they land in clamped edge cells and
-/// still tie with points inside.
+/// points are moved out of everyone else's box along one dimension,
+/// keeping their other coordinates, so that — inserted after the build —
+/// they land in clamped edge cells and still tie with points inside.
 fn tied_points(dim: usize, family: u8, raw: &[Vec<u8>], outside: usize) -> Vec<Point> {
     let n = raw.len();
     (raw.iter().enumerate())
@@ -366,7 +365,9 @@ proptest! {
         let rank: Vec<usize> = (0..n as u64)
             .map(|id| ((id ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15)) as usize)
             .collect();
-        let queries: Vec<Point> = tied_points(dim, family, &asked, 1).into_iter().chain(points.iter().cloned()).collect();
+        let queries: Vec<Point> = (tied_points(dim, family, &asked, 1).into_iter())
+            .chain(points.iter().cloned())
+            .collect();
         let mut live = vec![true; n];
         for step in 0..=victims.len() {
             if step > 0 {
