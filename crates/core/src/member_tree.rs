@@ -371,7 +371,7 @@ pub(crate) fn member_tree<'a>(
         in_zone.extend(
             row.iter()
                 .map(|&q| &peers[q])
-                .filter(|q| zone.contains(q.point())),
+                .filter(|q| zone.contains_id(q.point(), q.id().index())),
         );
         for (child_ci, child_zone) in partitioner.partition(&peers[p], zone, &in_zone) {
             let child = in_zone[child_ci].id().index();

@@ -28,11 +28,13 @@ impl PickRule {
 }
 
 /// The paper's §2 partitioner, the heart of the construction: classify
-/// in-zone neighbours into the `2^D` orthants around `p` (as in the
-/// Orthogonal Hyperplanes method), sort each orthant's neighbours by L1
-/// distance, pick one per [`PickRule`], and delegate the orthant's slice
-/// of the zone — `Z(Q) = Z(P) ∩ HR(orthant)` where `HR`'s side in
-/// dimension `i` is `(-∞, x(P,i))` or `(x(P,i), +∞)`.
+/// in-zone neighbours into the `2^D` orthants around `p`, sort each
+/// orthant's neighbours by L1 distance, pick one per [`PickRule`], and
+/// delegate the orthant's slice of the zone — `Z(Q) = Z(P) ∩
+/// HR(orthant)` where `HR`'s side in dimension `i` is everything below
+/// or everything above `P`. Both read a coordinate shared with `P` by
+/// peer id ([`geocast_geom::above`]), so every neighbour lies in exactly
+/// one orthant and one sub-zone ([`Rect::contains_id`]).
 ///
 /// [`OrthantRectPartitioner::partition`] upholds the paper's contract:
 ///
@@ -61,8 +63,8 @@ impl PickRule {
 /// assert_eq!(parts.len(), 1);
 /// let (child, zone) = &parts[0];
 /// assert_eq!(*child, 0);
-/// assert!(zone.contains(q.point()));
-/// assert!(!zone.contains(p.point()));
+/// assert!(zone.contains_id(q.point(), 1));
+/// assert!(!zone.contains_id(p.point(), 0));
 /// # Ok(())
 /// # }
 /// ```
@@ -97,7 +99,8 @@ impl OrthantRectPartitioner {
     }
 
     /// Chooses `(child, sub-zone)` pairs. `in_zone` holds the neighbours
-    /// of `p` strictly inside `zone`; returned indices point into it.
+    /// of `p` inside `zone` ([`Rect::contains_id`]); returned indices
+    /// point into it.
     #[must_use]
     pub fn partition(
         &self,
@@ -106,11 +109,14 @@ impl OrthantRectPartitioner {
         in_zone: &[&PeerInfo],
     ) -> Vec<(usize, Rect)> {
         debug_assert!(
-            in_zone.iter().all(|q| zone.contains(q.point())),
+            in_zone
+                .iter()
+                .all(|q| zone.contains_id(q.point(), q.id().index())),
             "in_zone must be pre-filtered to the zone"
         );
-        let (groups, colliding) = dominance::group_by_orthant(p.point(), in_zone);
-        debug_assert!(colliding.is_empty(), "distinctness assumption violated");
+        let p_id = p.id().index();
+        let groups =
+            dominance::group_by_orthant(p.point(), p_id, in_zone, |c| in_zone[c].id().index());
 
         let pc = p.point().coords();
         let mut out = Vec::with_capacity(groups.len());
@@ -122,8 +128,10 @@ impl OrthantRectPartitioner {
                     .then_with(|| in_zone[a].id().cmp(&in_zone[b].id()))
             });
             let chosen = sorted[self.pick.index(sorted.len())];
-            let sub_zone = zone.intersect(&Rect::orthant_of(p.point(), orthant));
-            debug_assert!(sub_zone.contains(in_zone[chosen].point()));
+            let sub_zone = zone.intersect(&Rect::orthant_of(p.point(), p_id, orthant));
+            debug_assert!(
+                sub_zone.contains_id(in_zone[chosen].point(), in_zone[chosen].id().index())
+            );
             out.push((chosen, sub_zone));
         }
         out
@@ -167,12 +175,10 @@ mod tests {
         for (c, _) in &parts {
             assert!(seen.insert(*c), "child selected twice");
         }
+        let inside = |z: &Rect, q: &PeerInfo| z.contains_id(q.point(), q.id().index());
         for (c, z) in &parts {
-            assert!(z.contains(in_zone[*c].point()), "child outside its zone");
-            assert!(
-                !z.contains(p.point()),
-                "zone must exclude the delegating peer"
-            );
+            assert!(inside(z, in_zone[*c]), "child outside its zone");
+            assert!(!inside(z, p), "zone must exclude the delegating peer");
             assert!(zone.contains_rect(z), "sub-zone escapes the parent zone");
         }
         for i in 0..parts.len() {
@@ -183,7 +189,7 @@ mod tests {
         // Every in-zone neighbour is covered by exactly one sub-zone or is
         // in the orthant of a chosen sibling.
         for q in in_zone {
-            let covering = parts.iter().filter(|(_, z)| z.contains(q.point())).count();
+            let covering = parts.iter().filter(|(_, z)| inside(z, q)).count();
             assert_eq!(covering, 1, "in-zone neighbour covered {covering} times");
         }
     }
@@ -216,7 +222,10 @@ mod tests {
         let parts = OrthantRectPartitioner::median().partition(p, &zone, &in_zone);
         let orthants: Vec<geocast_geom::Orthant> = parts
             .iter()
-            .map(|&(c, _)| geocast_geom::Orthant::classify(p.point(), in_zone[c].point()).unwrap())
+            .map(|&(c, _)| {
+                let q = in_zone[c];
+                geocast_geom::Orthant::classify(p.point(), 0, q.point(), q.id().index()).unwrap()
+            })
             .collect();
         assert!(
             orthants.windows(2).all(|w| w[0] < w[1]),
@@ -240,7 +249,7 @@ mod tests {
         }
         let in_zone: Vec<&PeerInfo> = population[1..]
             .iter()
-            .filter(|q| zone.contains(q.point()))
+            .filter(|q| zone.contains_id(q.point(), q.id().index()))
             .collect();
         partition_contract(p, &zone, &in_zone, PickRule::Median);
     }
@@ -269,6 +278,27 @@ mod tests {
         assert_eq!(closest[0].0, 0);
         let farthest = OrthantRectPartitioner::farthest().partition(&p, &Rect::full(2), &refs);
         assert_eq!(farthest[0].0, 4);
+    }
+
+    #[test]
+    fn contract_holds_on_a_lattice_sharing_coordinates() {
+        // A 4 × 4 integer lattice: every neighbour shares a coordinate
+        // with many others, and the corner and centre peers with some.
+        let lattice: Vec<PeerInfo> = (0..16u64)
+            .map(|i| {
+                let point = geocast_geom::Point::new(vec![(i % 4) as f64, (i / 4) as f64]);
+                PeerInfo::new(PeerId(i), point.unwrap())
+            })
+            .collect();
+        for p in [0, 5, 10] {
+            let in_zone: Vec<&PeerInfo> = lattice
+                .iter()
+                .filter(|q| q.id() != lattice[p].id())
+                .collect();
+            for pick in [PickRule::Median, PickRule::Closest, PickRule::Farthest] {
+                partition_contract(&lattice[p], &Rect::full(2), &in_zone, pick);
+            }
+        }
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl Node for BuildNode {
             .neighbors
             .iter()
             .map(|&q| &self.peers[q])
-            .filter(|q| zone.contains(q.point()))
+            .filter(|q| zone.contains_id(q.point(), q.id().index()))
             .collect();
         for (ci, child_zone) in self.partitioner.partition(&self.info, &zone, &in_zone) {
             let child = in_zone[ci].id().index();

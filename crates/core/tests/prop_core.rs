@@ -86,19 +86,20 @@ proptest! {
         ]).unwrap();
         let in_zone: Vec<&PeerInfo> = population[1..]
             .iter()
-            .filter(|q| zone.contains(q.point()))
+            .filter(|q| zone.contains_id(q.point(), q.id().index()))
             .collect();
         let parts = OrthantRectPartitioner::median().partition(p, &zone, &in_zone);
+        let inside = |z: &Rect, q: &PeerInfo| z.contains_id(q.point(), q.id().index());
         for (i, (ci, z)) in parts.iter().enumerate() {
-            prop_assert!(z.contains(in_zone[*ci].point()));
+            prop_assert!(inside(z, in_zone[*ci]));
             prop_assert!(zone.contains_rect(z));
-            prop_assert!(!z.contains(p.point()));
+            prop_assert!(!inside(z, p));
             for (_cj, zj) in parts.iter().take(i) {
                 prop_assert!(z.is_disjoint(zj));
             }
         }
         for q in &in_zone {
-            let covering = parts.iter().filter(|(_, z)| z.contains(q.point())).count();
+            let covering = parts.iter().filter(|(_, z)| inside(z, q)).count();
             prop_assert_eq!(covering, 1);
         }
     }

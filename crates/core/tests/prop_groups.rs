@@ -36,7 +36,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use geocast_core::dataplane::{DeliveryPlan, PublishBatch};
-use geocast_core::groups::{build_group_tree_grafted, GroupEngine, GroupId};
+use geocast_core::groups::{
+    build_group_tree_grafted, build_group_tree_on_store, GroupEngine, GroupId,
+};
+use geocast_core::protocol::build_distributed_default;
 use geocast_core::OrthantRectPartitioner;
 use geocast_geom::gen::{chain, cross, hub, uniform_points};
 use geocast_geom::Point;
@@ -639,6 +642,42 @@ fn churn_on_the_section3_profile_examines_a_quarter_of_its_walks() {
         4 * examined <= walks,
         "{examined} of {walks} graft walks examined"
     );
+}
+
+/// The §2 tree over an integer lattice, every peer a member, reaches
+/// every peer. On a k × k lattice, k = 3…12, rooted at the corner peer
+/// 0, every neighbour a peer delegates to shares a coordinate with many
+/// others: the overlay and the partitioner both order a shared coordinate
+/// by peer id, so each in-zone neighbour lies in exactly one orthant and
+/// one sub-zone (debug builds assert the partitioner's contract). On one
+/// lattice the distributed build, which shares the partitioner, equals
+/// the store's.
+#[test]
+fn lattice_groups_reach_every_peer() {
+    let median = OrthantRectPartitioner::median();
+    for k in 3..=12u64 {
+        let peers: Vec<PeerInfo> = (0..k * k)
+            .map(|i| {
+                let at = Point::new(vec![(i % k) as f64, (i / k) as f64]);
+                PeerInfo::new(PeerId(i), at.expect("finite coordinates"))
+            })
+            .collect();
+        let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+        let everyone: BTreeSet<usize> = (0..store.len()).collect();
+        let build = build_group_tree_on_store(&store, 0, &everyone, &median);
+        assert!(
+            build.tree.is_spanning(),
+            "{k} × {k}: reached {}",
+            build.tree.reached_count()
+        );
+        assert!(build.stranded.is_empty(), "{k} × {k}");
+        assert_eq!(build.messages, store.len() - 1, "{k} × {k}: N - 1 messages");
+        if k == 7 {
+            let dist = build_distributed_default(store.peers(), &store.graph(), 0, median, 7);
+            assert_eq!(dist.tree, build.tree, "{k} × {k}: distributed");
+            assert_eq!(dist.messages as usize, build.messages);
+        }
+    }
 }
 
 proptest! {

@@ -81,10 +81,10 @@ impl Hyperplane {
 /// sides (`+1`/`-1`) relative to each plane.
 ///
 /// Points lying exactly on a plane are deterministically assigned to the
-/// positive side, so region classification is total. (Per-dimension
-/// distinctness rules this out for the orthogonal arrangement; oblique
-/// arrangements such as [`Arrangement::signed`] can still produce exact
-/// hits.)
+/// positive side, so region classification is total. (Under the
+/// orthogonal arrangement that happens only where a point shares a
+/// coordinate with the reference; oblique arrangements such as
+/// [`Arrangement::signed`] can produce exact hits anyway.)
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegionKey(Vec<i8>);
 
@@ -323,7 +323,7 @@ mod tests {
         let p = pt(&[1.0, 2.0, 3.0]);
         let q = pt(&[0.5, 7.0, 2.0]);
         let via_arrangement = arr.classify(&p, &q);
-        let via_orthant = RegionKey(Orthant::classify(&p, &q).unwrap().signs(3));
+        let via_orthant = RegionKey(Orthant::classify(&p, 0, &q, 1).unwrap().signs(3));
         assert_eq!(via_arrangement, via_orthant);
     }
 

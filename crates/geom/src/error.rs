@@ -20,8 +20,9 @@ pub enum GeomError {
         /// Dimensionality of the right-hand operand.
         right: usize,
     },
-    /// Two points share a coordinate in some dimension where the paper's
-    /// distinctness assumption is required.
+    /// Two points share a coordinate in some dimension: what
+    /// `PointSet::ensure_distinct` reports against the paper's
+    /// distinctness assumption.
     DuplicateCoordinate {
         /// The dimension in which the coordinate collides.
         dim: usize,

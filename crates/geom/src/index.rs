@@ -39,33 +39,37 @@
 //!   The walk keeps a single running set: the exact Pareto frontier of
 //!   every point scanned so far. A scanned point that some member
 //!   strictly dominates ([`crate::dominance::rect_dominates`], as
-//!   absolute offsets) is dropped; otherwise it evicts the members it
+//!   [`crate::Key`]s: coordinates and ids, flipped on the orthant's
+//!   negative sides) is dropped; otherwise it evicts the members it
 //!   dominates and joins. Domination is a strict partial order, so
 //!   whatever a dropped or evicted point could have dominated, a
 //!   surviving member dominates too: the running set never needs a
 //!   second look, and when the walk ends it **is** the answer — there
 //!   is no candidate list and no final sort-and-filter pass.
 //! * At every cell the *pruning corner* is the cell corner nearest to
-//!   `p`. When a frontier member is strictly closer to `p` than that
-//!   corner in **every** dimension, each point of this cell and of the
-//!   cells behind it in the innermost dimension is dominated, and
-//!   because the corner only grows along the walk direction that column
-//!   ends there (the column break). An outer dimension's corner has
-//!   offset 0 in the dimensions still to be walked, which nothing is
-//!   strictly closer than, so only the innermost loop is ever cut.
+//!   `p`. When a frontier member's coordinate is strictly nearer `p`
+//!   than that corner's in **every** dimension, each point of this cell
+//!   and of the cells behind it in the innermost dimension is dominated,
+//!   whatever its id, and because the corner only moves away along the
+//!   walk direction that column ends there (the column break). An outer
+//!   dimension's corner sits at `p`'s own coordinate in the dimensions
+//!   still to be walked, which no point of the orthant is strictly
+//!   nearer than, so only the innermost loop is ever cut.
 //! * For the `K`-nearest query, a cell column is cut as soon as the
 //!   L1 norm of the corner bound exceeds (strictly) the current
 //!   `K`-th best distance — a tie at equal distance is *not* cut, so
 //!   the `(distance, tie-key)` order of the brute-force selection is
 //!   reproduced exactly.
-//! * A point sharing a coordinate with `p` lies in `p`'s own layer of
-//!   that dimension, where the corner's offset is 0, which nothing is
-//!   strictly closer than: the column break never cuts it. Its
-//!   rectangle with `p` is flat, so it is an empty-rectangle neighbour
-//!   that blocks nobody; the frontier walk adds it to the answer, not to
-//!   the running set, from the one orthant whose bits read
-//!   `delta >= 0`. The `K`-nearest walk ranks it on that side too, as
-//!   the *Orthogonal Hyperplanes* rule puts a point on a plane.
+//! * A point sharing a coordinate with `p` is ordered by id
+//!   ([`crate::above`]): it lies in exactly one orthant of `p`, and
+//!   walks there like any other point. It sits in `p`'s own layer of
+//!   that dimension, whose corner is at `p`'s coordinate, which no
+//!   point is strictly nearer than, so the column break never cuts it.
+//!   A query position that is no point of the index ranks after every
+//!   id. The `K`-nearest walk is the *Orthogonal Hyperplanes* rule's,
+//!   whose regions are half-open: it ranks a shared coordinate on the
+//!   positive side, as the rule's arrangement puts a point on a
+//!   plane.
 //!
 //! Points inserted outside the built bounding box land in clamped edge
 //! cells; the corner bound stays a valid *lower* bound for them, so
@@ -77,7 +81,7 @@
 //! equilibrium construction into roughly `O(N^1.5)` in 2-D.
 //!
 use crate::dominance::ParetoSet;
-use crate::{l1, Point};
+use crate::{above, key, l1, Key, Point};
 
 /// Orthant walks keep one frontier per orthant; beyond this many
 /// dimensions the `2^D` tables would dwarf the point set and a linear
@@ -88,22 +92,10 @@ pub const MAX_INDEX_DIM: usize = 16;
 const END: u32 = u32::MAX;
 
 /// `true` if an offset `delta` along dimension `d` lies on orthant
-/// `o`'s side: a zero offset counts as positive.
+/// `o`'s side of the *Orthogonal Hyperplanes* arrangement: a zero offset
+/// counts as positive.
 fn on_side(delta: f64, o: usize, d: usize) -> bool {
     (delta >= 0.0) == (o >> d & 1 == 1)
-}
-
-/// Writes `q`'s absolute offsets from `p` into `offs` and reports
-/// whether `q` lies on orthant `o`'s side of `p` in every dimension.
-fn offsets_in_orthant(p: &[f64], q: &[f64], o: usize, offs: &mut [f64; MAX_INDEX_DIM]) -> bool {
-    for d in 0..p.len() {
-        let delta = q[d] - p[d];
-        if !on_side(delta, o, d) {
-            return false;
-        }
-        offs[d] = delta.abs();
-    }
-    true
 }
 
 /// A uniform grid over a mutable point population, supporting exact
@@ -129,10 +121,9 @@ fn offsets_in_orthant(p: &[f64], q: &[f64], o: usize, offs: &mut [f64; MAX_INDEX
 /// let fast = index.empty_rect_neighbors(3).expect("at most MAX_INDEX_DIM dimensions");
 /// let candidates: Vec<_> =
 ///     points.iter().enumerate().filter(|&(j, _)| j != 3).map(|(_, p)| p).collect();
-/// let slow: Vec<usize> = empty_rect_neighbors(&points[3], &candidates)
-///     .into_iter()
-///     .map(|ci| if ci < 3 { ci } else { ci + 1 })
-///     .collect();
+/// let id = |ci: usize| if ci < 3 { ci } else { ci + 1 };
+/// let slow: Vec<usize> =
+///     empty_rect_neighbors(&points[3], 3, &candidates, id).into_iter().map(id).collect();
 /// assert_eq!(fast, slow);
 /// ```
 #[derive(Debug, Clone)]
@@ -416,8 +407,8 @@ impl GridIndex {
     }
 
     /// The indices of the exact empty-rectangle neighbours of point `i`
-    /// among all other live indexed points, sorted ascending. A point
-    /// sharing a coordinate with point `i` is always one.
+    /// among all other live indexed points, sorted ascending. Ids are the
+    /// ranks of the tie rule ([`crate::above`]).
     ///
     /// Returns `None` only when the dimensionality exceeds
     /// [`MAX_INDEX_DIM`]; callers then fall back to
@@ -433,13 +424,14 @@ impl GridIndex {
         if self.dim > MAX_INDEX_DIM {
             return None;
         }
-        Some(self.empty_rect_walk(self.point_coords(i), i))
+        Some(self.empty_rect_walk(self.point_coords(i), i, i))
     }
 
     /// [`GridIndex::empty_rect_neighbors`] for an **external** query
     /// position: the exact empty-rectangle neighbours of `q` among all
     /// live indexed points except `skip`, sorted ascending — a position
-    /// asks an index it is not (or not yet) a point of.
+    /// asks an index it is not (or not yet) a point of. The position
+    /// ranks after every id, as a newcomer's next id would.
     ///
     /// Returns `None` only when the dimensionality exceeds
     /// [`MAX_INDEX_DIM`]; callers fall back to their brute-force paths.
@@ -460,7 +452,7 @@ impl GridIndex {
         if self.dim > MAX_INDEX_DIM {
             return None;
         }
-        Some(self.empty_rect_walk(q.coords(), skip.unwrap_or(usize::MAX)))
+        Some(self.empty_rect_walk(q.coords(), usize::MAX, skip.unwrap_or(usize::MAX)))
     }
 
     /// Some live point near the position `q`, other than `skip`: of the
@@ -624,19 +616,21 @@ impl GridIndex {
     }
 
     /// The full query behind both empty-rectangle entry points: the
-    /// frontier walk (module docs, "How pruning works") once per orthant,
-    /// over live points excluding `skip` (`usize::MAX` excludes nobody).
-    fn empty_rect_walk(&self, p: &[f64], skip: usize) -> Vec<usize> {
+    /// frontier walk (module docs, "How pruning works") once per orthant
+    /// around `p`, ranked as id `p_id`, over live points excluding `skip`
+    /// (`usize::MAX` excludes nobody).
+    fn empty_rect_walk(&self, p: &[f64], p_id: usize, skip: usize) -> Vec<usize> {
         let mut walk = FrontierWalk {
             index: self,
             p,
+            p_id,
             orthant: 0,
             set: ParetoSet::default(),
             kept: Vec::new(),
             skip,
             p_layer: [0; MAX_INDEX_DIM],
             cell: [0; MAX_INDEX_DIM],
-            bound: [0.0; MAX_INDEX_DIM],
+            bound: [(0.0, 0); MAX_INDEX_DIM],
         };
         for (d, &x) in p.iter().enumerate() {
             walk.p_layer[d] = self.layer_of(d, x);
@@ -652,8 +646,9 @@ impl GridIndex {
     }
 
     /// The cell layer `t` steps from `p`'s layer along `d` (direction
-    /// `positive`), paired with the minimum absolute offset from `p` to
-    /// any point of that layer. `None` once the grid edge is passed.
+    /// `positive`), paired with the coordinate on that side of `p`
+    /// nearest to it in the layer: `p`'s own in its own layer, else the
+    /// layer's face towards `p`. `None` once the grid edge is passed.
     fn layer_step(
         &self,
         d: usize,
@@ -675,14 +670,14 @@ impl GridIndex {
             }
             base - t
         };
-        let offmin = if t == 0 {
-            0.0
+        let near = if t == 0 {
+            p[d]
         } else if positive {
-            (self.lo[d] + cell as f64 * self.cell_size[d]) - p[d]
+            (self.lo[d] + cell as f64 * self.cell_size[d]).max(p[d])
         } else {
-            p[d] - (self.lo[d] + (cell + 1) as f64 * self.cell_size[d])
+            (self.lo[d] + (cell + 1) as f64 * self.cell_size[d]).min(p[d])
         };
-        Some((cell, offmin.max(0.0)))
+        Some((cell, near))
     }
 
     /// The `k` nearest live indexed points to point `i` within each
@@ -756,11 +751,11 @@ impl GridIndex {
         let positive = o >> d & 1 == 1;
         let innermost = depth + 1 == self.dim;
         for t in 0.. {
-            let Some((cell, offmin)) = self.layer_step(d, p, p_layer, positive, t) else {
+            let Some((cell, near)) = self.layer_step(d, p, p_layer, positive, t) else {
                 break;
             };
             prefix_cells[d] = cell;
-            prefix_offs[d] = offmin;
+            prefix_offs[d] = (near - p[d]).abs();
             // Lower bound on the distance of any point in this column
             // (remaining dimensions contribute nothing); monotone in `t`.
             if best[o].len() == k {
@@ -820,18 +815,20 @@ impl GridIndex {
 struct FrontierWalk<'a> {
     index: &'a GridIndex,
     p: &'a [f64],
+    /// `p`'s id under the tie rule: `usize::MAX` for a position.
+    p_id: usize,
     orthant: usize,
     /// The running set of the orthant being walked.
     set: ParetoSet,
-    /// The answer so far: every earlier orthant's set, and every point
-    /// tied with `p`.
+    /// The answer so far: every earlier orthant's set.
     kept: Vec<usize>,
     skip: usize,
     p_layer: [usize; MAX_INDEX_DIM],
     cell: [usize; MAX_INDEX_DIM],
-    /// The pruning corner: per dimension, the least absolute offset
-    /// from `p` of any point in the layer the walk is in.
-    bound: [f64; MAX_INDEX_DIM],
+    /// The pruning corner: per dimension, the key of the coordinate
+    /// nearest `p` in the layer the walk is in, with an id below every
+    /// key's, so that only a strictly nearer coordinate is below it.
+    bound: [Key; MAX_INDEX_DIM],
 }
 
 impl FrontierWalk<'_> {
@@ -841,14 +838,14 @@ impl FrontierWalk<'_> {
         let positive = self.orthant >> d & 1 == 1;
         let innermost = depth + 1 == dim;
         for t in 0.. {
-            let Some((cell, offmin)) =
+            let Some((cell, near)) =
                 self.index
                     .layer_step(d, self.p, &self.p_layer[..dim], positive, t)
             else {
                 break;
             };
             self.cell[d] = cell;
-            self.bound[d] = offmin;
+            self.bound[d] = (if positive { near } else { -near }, 0);
             if !innermost {
                 self.descend(depth + 1);
                 continue;
@@ -869,21 +866,21 @@ impl FrontierWalk<'_> {
         let flat = self.cell[..dim]
             .iter()
             .fold(0usize, |flat, &c| flat * index.side + c);
-        let mut offs = [0.0f64; MAX_INDEX_DIM];
-        for id in index.bucket(flat) {
+        let mut keys = [(0.0, 0); MAX_INDEX_DIM];
+        'bucket: for id in index.bucket(flat) {
             if id == self.skip {
                 continue;
             }
             debug_assert!(!index.removed[id], "buckets hold live points only");
             let q = index.point_coords(id);
-            if !offsets_in_orthant(self.p, q, self.orthant, &mut offs) {
-                continue;
+            for d in 0..dim {
+                let positive = self.orthant >> d & 1 == 1;
+                if above(q[d], id, self.p[d], self.p_id) != positive {
+                    continue 'bucket;
+                }
+                keys[d] = key(q[d], id, positive);
             }
-            if offs[..dim].contains(&0.0) {
-                self.kept.push(id);
-            } else {
-                self.set.offer(&offs[..dim], id);
-            }
+            self.set.offer(&keys[..dim], id);
         }
     }
 }
@@ -895,12 +892,13 @@ mod tests {
     use crate::gen::uniform_points;
     use crate::Orthant;
 
-    /// The definition's row of position `q` over the points `ids`, by the
-    /// naive rectangle test: on tied inputs the walk under test is held
-    /// against the rule itself, not a second fast path.
-    fn naive_row(points: &[Point], q: &Point, ids: &[usize]) -> Vec<usize> {
+    /// The definition's row of position `q`, ranked as id `q_id`, over
+    /// the points `ids`, by the naive rectangle test: on tied inputs the
+    /// walk under test is held against the rule itself, not a second
+    /// fast path.
+    fn naive_row(points: &[Point], q: &Point, q_id: usize, ids: &[usize]) -> Vec<usize> {
         let candidates: Vec<&Point> = ids.iter().map(|&j| &points[j]).collect();
-        empty_rect_neighbors_naive(q, &candidates)
+        empty_rect_neighbors_naive(q, q_id, &candidates, |c| ids[c])
             .into_iter()
             .map(|ci| ids[ci])
             .collect()
@@ -912,9 +910,10 @@ mod tests {
             .enumerate()
             .filter_map(|(j, p)| (j != i).then_some(p))
             .collect();
-        empty_rect_neighbors(&points[i], &candidates)
+        let id = |ci: usize| if ci < i { ci } else { ci + 1 };
+        empty_rect_neighbors(&points[i], i, &candidates, id)
             .into_iter()
-            .map(|ci| if ci < i { ci } else { ci + 1 })
+            .map(id)
             .collect()
     }
 
@@ -943,8 +942,9 @@ mod tests {
 
     #[test]
     fn empty_rect_answers_a_shared_coordinate() {
-        // A point sharing y with point 0 is its neighbour and blocks
-        // nobody behind it: the index answers with the definition's row.
+        // Point 1 shares y with point 0 and lies above it there (its id
+        // is larger), where it hides point 2: the index answers with the
+        // definition's row.
         let points = vec![
             Point::new(vec![0.0, 0.0]).unwrap(),
             Point::new(vec![1.0, 0.0]).unwrap(), // shares y with point 0
@@ -953,8 +953,10 @@ mod tests {
         let index = GridIndex::build(&points);
         assert_eq!(
             index.empty_rect_neighbors(0),
-            Some(naive_row(&points, &points[0], &[1, 2]))
+            Some(naive_row(&points, &points[0], 0, &[1, 2]))
         );
+        assert_eq!(index.empty_rect_neighbors(0), Some(vec![1]));
+        assert_eq!(index.empty_rect_neighbors(2), Some(vec![1]));
     }
 
     #[test]
@@ -977,7 +979,7 @@ mod tests {
                         if j == i {
                             continue;
                         }
-                        let o = Orthant::classify(&points[i], q).unwrap();
+                        let o = Orthant::classify(&points[i], i, q, j).unwrap();
                         want[o.index()].push((l1(points[i].coords(), q.coords()), j));
                     }
                     for group in &mut want {
@@ -1103,10 +1105,11 @@ mod tests {
             let got = index.empty_rect_neighbors(i).expect("distinct workload");
             let cand_ids: Vec<usize> = live.iter().copied().filter(|&j| j != i).collect();
             let candidates: Vec<&Point> = cand_ids.iter().map(|&j| &points[j]).collect();
-            let want: Vec<usize> = empty_rect_neighbors(&points[i], &candidates)
-                .into_iter()
-                .map(|ci| cand_ids[ci])
-                .collect();
+            let want: Vec<usize> =
+                empty_rect_neighbors(&points[i], i, &candidates, |c| cand_ids[c])
+                    .into_iter()
+                    .map(|ci| cand_ids[ci])
+                    .collect();
             assert_eq!(got, want, "query {i}");
             assert!(got.iter().all(|n| !victims.contains(n)));
 
@@ -1114,7 +1117,7 @@ mod tests {
                 let got = index.k_nearest_per_orthant(i, k).unwrap();
                 let mut want: Vec<Vec<(f64, usize)>> = vec![Vec::new(); Orthant::count(2)];
                 for &j in &cand_ids {
-                    let o = Orthant::classify(&points[i], &points[j]).unwrap();
+                    let o = Orthant::classify(&points[i], i, &points[j], j).unwrap();
                     want[o.index()].push((l1(points[i].coords(), points[j].coords()), j));
                 }
                 for group in &mut want {
@@ -1151,8 +1154,9 @@ mod tests {
 
     #[test]
     fn removing_a_colliding_point_restores_index_answers() {
-        // Points 0 and 1 share y: point 0's row holds both others. Once
-        // point 1 is removed it holds point 2 alone.
+        // Points 0 and 1 share y, so point 1 lies above point 0 there;
+        // point 0's row holds both others. Once point 1 is removed it
+        // holds point 2 alone.
         let points = vec![
             Point::new(vec![0.0, 5.0]).unwrap(),
             Point::new(vec![90.0, 5.0]).unwrap(),
@@ -1161,7 +1165,7 @@ mod tests {
         let mut index = GridIndex::build(&points);
         assert_eq!(
             index.empty_rect_neighbors(0),
-            Some(naive_row(&points, &points[0], &[1, 2]))
+            Some(naive_row(&points, &points[0], 0, &[1, 2]))
         );
         index.remove(1);
         assert_eq!(index.empty_rect_neighbors(0), Some(vec![2]));
@@ -1204,10 +1208,11 @@ mod tests {
                     .empty_rect_neighbors_at(q, None)
                     .expect("distinct workload");
                 let candidates: Vec<&Point> = live.iter().map(|&j| &points[j]).collect();
-                let want: Vec<usize> = empty_rect_neighbors(q, &candidates)
-                    .into_iter()
-                    .map(|ci| live[ci])
-                    .collect();
+                let want: Vec<usize> =
+                    empty_rect_neighbors(q, usize::MAX, &candidates, |c| live[c])
+                        .into_iter()
+                        .map(|ci| live[ci])
+                        .collect();
                 assert_eq!(got, want, "n={n} dim={dim} q={q:?}");
             }
         }
@@ -1233,16 +1238,18 @@ mod tests {
             Point::new(vec![3.0, 8.0]).unwrap(),
         ];
         let index = GridIndex::build(&points);
-        // Shares y with live point 0, which is a neighbour…
+        // Shares y with live point 0, which ranks below the position
+        // there and is a neighbour…
         let q = Point::new(vec![7.0, 5.0]).unwrap();
         assert_eq!(
             index.empty_rect_neighbors_at(&q, None),
-            Some(naive_row(&points, &q, &[0, 1]))
+            Some(naive_row(&points, &q, usize::MAX, &[0, 1]))
         );
+        assert_eq!(index.empty_rect_neighbors_at(&q, None), Some(vec![0, 1]));
         // …unless point 0 is the one being excluded (the query's own slot).
         assert_eq!(
             index.empty_rect_neighbors_at(&q, Some(0)),
-            Some(naive_row(&points, &q, &[1]))
+            Some(naive_row(&points, &q, usize::MAX, &[1]))
         );
         // A clean external point answers.
         let q = Point::new(vec![7.0, 6.0]).unwrap();
@@ -1295,7 +1302,7 @@ mod tests {
         let tied = Point::new(vec![7.0, 5.0]).unwrap();
         assert_eq!(
             index.empty_rect_neighbors_at(&tied, None),
-            Some(naive_row(&points, &tied, &[0, 1]))
+            Some(naive_row(&points, &tied, usize::MAX, &[0, 1]))
         );
         assert!(index.locate(&tied, None).is_some());
         assert_eq!(index.locate(&points[0], Some(0)), Some(1));

@@ -1,16 +1,24 @@
 use std::fmt;
 
+use crate::key_lt;
+
 /// An **open** interval `(lo, hi)` over the reals, with `±∞` endpoints
-/// permitted.
+/// permitted, and with the tie rule of [`crate::above`] at its ends.
 ///
 /// Responsibility zones in the paper are strict interiors of axis-aligned
-/// hyper-rectangles; each side of such a rectangle is an `Interval`.
-/// Because peer coordinates are distinct within every dimension, open
-/// versus closed boundaries never create membership ambiguity for peer
-/// coordinates, and open intervals compose exactly under intersection.
+/// hyper-rectangles; each side of such a rectangle is an `Interval`. An
+/// endpoint a peer set carries that peer's id, so a peer at the very
+/// coordinate of the end is inside iff its id ranks on the inner side:
+/// [`Interval::contains_id`] reads `(lo, lo_id) < (x, id) < (hi, hi_id)`.
+/// Every peer then lies on exactly one side of every endpoint a peer
+/// set, so the sub-zones of a zone partition its peers, shared
+/// coordinates included. A plain endpoint ([`Interval::new`] and its
+/// kin) excludes every id at its coordinate: the interval is open in
+/// the ordinary sense, and [`Interval::contains`] is that test.
 ///
-/// The empty interval is represented canonically: any construction where
-/// `lo >= hi` yields [`Interval::EMPTY`].
+/// Open intervals compose exactly under intersection. The empty interval
+/// is represented canonically: any construction where `lo` ranks at or
+/// above `hi` yields [`Interval::EMPTY`].
 ///
 /// # Example
 ///
@@ -23,16 +31,28 @@ use std::fmt;
 ///
 /// let everything = Interval::unbounded();
 /// assert_eq!(everything.intersect(i), i);
+///
+/// // Above the peer with id 4 at coordinate 1: a peer at 1 is inside
+/// // iff its id is larger.
+/// let zone = Interval::above_id(1.0, 4);
+/// assert!(zone.contains_id(1.0, 5) && !zone.contains_id(1.0, 3));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
-    lo: f64,
-    hi: f64,
+    /// The lower end and its id: a point there is inside iff its id is
+    /// larger. A plain end's id is `usize::MAX`.
+    lo: (f64, usize),
+    /// The upper end and its id: a point there is inside iff its id is
+    /// smaller. A plain end's id is 0.
+    hi: (f64, usize),
 }
 
 impl Interval {
     /// The canonical empty interval.
-    pub const EMPTY: Interval = Interval { lo: 0.0, hi: 0.0 };
+    pub const EMPTY: Interval = Interval {
+        lo: (0.0, usize::MAX),
+        hi: (0.0, 0),
+    };
 
     /// Creates the open interval `(lo, hi)`.
     ///
@@ -42,7 +62,14 @@ impl Interval {
     /// explicitly).
     #[must_use]
     pub fn new(lo: f64, hi: f64) -> Self {
-        if lo.is_nan() || hi.is_nan() || lo >= hi {
+        Interval::ends((lo, usize::MAX), (hi, 0))
+    }
+
+    /// Everything between the ends `lo` and `hi`, each a coordinate and
+    /// an id, in the order of [`crate::above`]; empty unless `lo` ranks
+    /// below `hi`.
+    fn ends(lo: (f64, usize), hi: (f64, usize)) -> Self {
+        if lo.0.is_nan() || hi.0.is_nan() || lo >= hi {
             Interval::EMPTY
         } else {
             Interval { lo, hi }
@@ -52,10 +79,7 @@ impl Interval {
     /// The interval `(-∞, +∞)`.
     #[must_use]
     pub fn unbounded() -> Self {
-        Interval {
-            lo: f64::NEG_INFINITY,
-            hi: f64::INFINITY,
-        }
+        Interval::new(f64::NEG_INFINITY, f64::INFINITY)
     }
 
     /// The interval `(-∞, hi)`.
@@ -70,34 +94,76 @@ impl Interval {
         Interval::new(lo, f64::INFINITY)
     }
 
+    /// Everything below the peer with id `id` at coordinate `hi`.
+    #[must_use]
+    pub fn below_id(hi: f64, id: usize) -> Self {
+        Interval::ends((f64::NEG_INFINITY, usize::MAX), (hi, id))
+    }
+
+    /// Everything above the peer with id `id` at coordinate `lo`.
+    #[must_use]
+    pub fn above_id(lo: f64, id: usize) -> Self {
+        Interval::ends((lo, id), (f64::INFINITY, 0))
+    }
+
+    /// Everything strictly between the peers `(a, a_id)` and
+    /// `(b, b_id)`, in either order.
+    #[must_use]
+    pub fn between_ids(a: f64, a_id: usize, b: f64, b_id: usize) -> Self {
+        let (a, b) = ((a, a_id), (b, b_id));
+        if a < b {
+            Interval::ends(a, b)
+        } else {
+            Interval::ends(b, a)
+        }
+    }
+
     /// Lower endpoint (exclusive); `-∞` when unbounded below.
     #[must_use]
     pub fn lo(&self) -> f64 {
-        self.lo
+        self.lo.0
     }
 
     /// Upper endpoint (exclusive); `+∞` when unbounded above.
     #[must_use]
     pub fn hi(&self) -> f64 {
-        self.hi
+        self.hi.0
     }
 
-    /// `true` if the interval contains no real number.
+    /// `true` if the interval contains no point.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.lo >= self.hi
     }
 
-    /// `true` if `x` lies strictly between the endpoints.
+    /// `true` if `x` lies strictly between the endpoints: inside for
+    /// every id.
     #[must_use]
     pub fn contains(&self, x: f64) -> bool {
-        self.lo < x && x < self.hi
+        self.lo.0 < x && x < self.hi.0
+    }
+
+    /// `true` if the point with id `id` at `x` lies inside: `(lo, lo_id)
+    /// < (x, id) < (hi, hi_id)`, the order of [`crate::above`].
+    #[must_use]
+    pub fn contains_id(&self, x: f64, id: usize) -> bool {
+        key_lt(&self.lo, &(x, id)) && key_lt(&(x, id), &self.hi)
     }
 
     /// The intersection of two open intervals (also open).
     #[must_use]
     pub fn intersect(&self, other: Interval) -> Interval {
-        Interval::new(self.lo.max(other.lo), self.hi.min(other.hi))
+        let lo = if self.lo >= other.lo {
+            self.lo
+        } else {
+            other.lo
+        };
+        let hi = if self.hi <= other.hi {
+            self.hi
+        } else {
+            other.hi
+        };
+        Interval::ends(lo, hi)
     }
 
     /// `true` if the two intervals share no point.
@@ -128,7 +194,7 @@ impl fmt::Display for Interval {
         if self.is_empty() {
             write!(f, "∅")
         } else {
-            write!(f, "({}, {})", self.lo, self.hi)
+            write!(f, "({}, {})", self.lo.0, self.hi.0)
         }
     }
 }
@@ -212,6 +278,28 @@ mod tests {
         assert!(a.contains_interval(Interval::EMPTY));
         assert!(Interval::unbounded().contains_interval(a));
         assert!(!a.contains_interval(Interval::unbounded()));
+    }
+
+    #[test]
+    fn an_end_a_peer_set_orders_its_coordinate_by_id() {
+        let up = Interval::above_id(1.0, 4);
+        let down = Interval::below_id(1.0, 4);
+        // Every other peer at the end's coordinate is on exactly one side.
+        for id in [0, 3, 5, usize::MAX] {
+            assert!(up.contains_id(1.0, id) != down.contains_id(1.0, id));
+        }
+        assert!(!up.contains_id(1.0, 4) && !down.contains_id(1.0, 4));
+        assert!(up.is_disjoint(down));
+        // Two ends at one coordinate leave room for the ids between them.
+        let between = Interval::between_ids(1.0, 7, 1.0, 4);
+        assert!(!between.is_empty() && between.contains_id(1.0, 5));
+        assert!(!between.contains(1.0), "no plain coordinate is inside");
+        assert!(up.contains_interval(between) && down.is_disjoint(between));
+        // A plain end excludes every id at its coordinate.
+        assert!(!Interval::above(1.0).contains_id(1.0, usize::MAX));
+        assert!(Interval::above_id(1.0, 4)
+            .intersect(Interval::below(1.0))
+            .is_empty());
     }
 
     #[test]

@@ -1,18 +1,83 @@
+use std::cmp::Ordering;
 use std::fmt;
 
 use crate::{GeomError, Point};
 
-/// One of the `2^D` open orthants around a reference point.
+/// The one tie rule of the empty-rectangle and §2 pipelines: a point at
+/// coordinate `q` with id `q_id` lies **above** one at `p` with id `p_id`
+/// along a dimension iff `(q, q_id) > (p, p_id)`.
+///
+/// The paper assumes coordinates distinct within every dimension. A
+/// shared coordinate is ordered by id instead — symbolic perturbation
+/// (Edelsbrunner & Mücke, *Simulation of Simplicity*, ACM TOG 1990) —
+/// so no two peers tie along any axis, every peer lies in exactly one
+/// orthant of every other, and on distinct coordinates the id is never
+/// read. An id is a peer's slot in the population it is ranked in; a
+/// position that is no peer's (a query from outside, a newcomer before
+/// it is given a slot) takes `usize::MAX` and so ranks after every peer.
+#[must_use]
+#[inline]
+pub fn above(q: f64, q_id: usize, p: f64, p_id: usize) -> bool {
+    (q, q_id) > (p, p_id)
+}
+
+/// A coordinate and the id that breaks its ties, both flipped on an
+/// orthant's negative side (see [`key`]): along that side, a smaller key
+/// is nearer the orthant's apex, and no two peers share one.
+pub type Key = (f64, usize);
+
+/// The [`Key`] of coordinate `x` of the point with id `id` on the
+/// `positive` or negative side of an apex: `(x, id)` above it,
+/// `(−x, !id)` below it. So the tie rule of [`above`] reads the same on
+/// both sides, and comparing two keys is comparing raw coordinates — no
+/// subtraction rounds it — with the id read only when they are equal.
+#[must_use]
+#[inline]
+pub fn key(x: f64, id: usize, positive: bool) -> Key {
+    if positive {
+        (x, id)
+    } else {
+        (-x, !id)
+    }
+}
+
+/// `true` if key `a` is strictly smaller than key `b` — nearer the apex:
+/// the order of `<` on the pair, written out so that the coordinate
+/// alone decides in one comparison unless it is equal, and only then is
+/// the id read. The hot loops' comparison.
+#[must_use]
+#[inline]
+pub fn key_lt(a: &Key, b: &Key) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
+/// The order of [`key_lt`] as an [`Ordering`], for sorts: the
+/// coordinate as `<` and `==` compare it (a `-0.0` equals `0.0`), then
+/// the id. Keys of finite coordinates and distinct ids are totally
+/// ordered.
+#[must_use]
+#[inline]
+pub fn key_cmp(a: &Key, b: &Key) -> Ordering {
+    if a.0 < b.0 {
+        Ordering::Less
+    } else if a.0 > b.0 {
+        Ordering::Greater
+    } else {
+        a.1.cmp(&b.1)
+    }
+}
+
+/// One of the `2^D` orthants around a reference point.
 ///
 /// The Orthogonal-Hyperplanes neighbour-selection method and the paper's
 /// space partitioner both classify peers by the *sign vector* of their
 /// offset from a reference peer `P`: bit `i` of an `Orthant` is set when
-/// the classified point lies on the **positive** side of `P` in dimension
-/// `i` (`x(Q,i) > x(P,i)`).
+/// the classified point lies **above** `P` in dimension `i` ([`above`]:
+/// `(x(Q,i), id(Q)) > (x(P,i), id(P))`).
 ///
-/// Because coordinates are distinct within every dimension, no peer ever
-/// lies *on* one of the axis hyperplanes through `P`, so the classification
-/// is total over peers and the orthants partition the peer set.
+/// Under that tie rule no peer ever lies *on* one of the axis hyperplanes
+/// through `P`, so the classification is total over peers and the
+/// orthants partition the peer set.
 ///
 /// Orthants support at most 32 dimensions, far beyond the paper's
 /// `D ∈ [2, 10]`.
@@ -24,10 +89,12 @@ use crate::{GeomError, Point};
 ///
 /// # fn main() -> Result<(), geocast_geom::GeomError> {
 /// let p = Point::new(vec![0.0, 0.0])?;
-/// let q = Point::new(vec![3.0, -2.0])?;
-/// let o = Orthant::classify(&p, &q)?;
+/// let q = Point::new(vec![3.0, 0.0])?;
+/// // q shares p's y; its larger id puts it above p there.
+/// let o = Orthant::classify(&p, 0, &q, 1)?;
 /// assert!(o.is_positive(0));
-/// assert!(!o.is_positive(1));
+/// assert!(o.is_positive(1));
+/// assert!(!Orthant::classify(&q, 1, &p, 0)?.is_positive(1));
 /// assert_eq!(Orthant::count(2), 4);
 /// # Ok(())
 /// # }
@@ -53,23 +120,19 @@ impl Orthant {
         Ok(Orthant(bits))
     }
 
-    /// Classifies `q` into an orthant around `p`.
+    /// Classifies `q` (id `q_id`) into an orthant around `p` (id `p_id`):
+    /// bit `d` is set iff `q` lies [`above`] `p` along `d`.
     ///
     /// # Errors
     ///
     /// Returns [`GeomError::DimensionMismatch`] if the points disagree on
-    /// dimensionality, and [`GeomError::DuplicateCoordinate`] if `q`
-    /// shares a coordinate with `p` in some dimension (the paper's
-    /// distinctness assumption is violated and the orthant would be
-    /// ambiguous).
-    pub fn classify(p: &Point, q: &Point) -> Result<Self, GeomError> {
+    /// dimensionality.
+    pub fn classify(p: &Point, p_id: usize, q: &Point, q_id: usize) -> Result<Self, GeomError> {
         p.check_dim(q)?;
         let mut bits = 0u32;
         for dim in 0..p.dim() {
-            if q[dim] > p[dim] {
+            if above(q[dim], q_id, p[dim], p_id) {
                 bits |= 1 << dim;
-            } else if q[dim] == p[dim] {
-                return Err(GeomError::DuplicateCoordinate { dim, value: q[dim] });
             }
         }
         Ok(Orthant(bits))
@@ -146,17 +209,41 @@ mod tests {
     fn classify_sets_bits_for_positive_sides() {
         let p = pt(&[0.0, 0.0, 0.0]);
         let q = pt(&[1.0, -1.0, 2.0]);
-        let o = Orthant::classify(&p, &q).unwrap();
+        let o = Orthant::classify(&p, 0, &q, 1).unwrap();
         assert_eq!(o.bits(), 0b101);
         assert_eq!(o.signs(3), vec![1, -1, 1]);
     }
 
     #[test]
-    fn classify_rejects_equal_coordinate() {
+    fn classify_orders_an_equal_coordinate_by_id() {
         let p = pt(&[0.0, 1.0]);
         let q = pt(&[5.0, 1.0]);
-        let err = Orthant::classify(&p, &q).unwrap_err();
-        assert_eq!(err, GeomError::DuplicateCoordinate { dim: 1, value: 1.0 });
+        assert_eq!(Orthant::classify(&p, 3, &q, 4).unwrap().bits(), 0b11);
+        assert_eq!(Orthant::classify(&p, 3, &q, 2).unwrap().bits(), 0b01);
+        // A position that is no peer's ranks after every peer.
+        assert_eq!(
+            Orthant::classify(&p, usize::MAX, &q, 2).unwrap().bits(),
+            0b01
+        );
+    }
+
+    #[test]
+    fn keys_order_nearness_on_both_sides() {
+        // Above the apex, nearer is smaller (x, id); below it, larger.
+        assert!(key(2.0, 7, true) < key(3.0, 1, true));
+        assert!(key(2.0, 1, true) < key(2.0, 7, true));
+        assert!(key(3.0, 1, false) < key(2.0, 7, false));
+        assert!(key(2.0, 7, false) < key(2.0, 1, false));
+        assert!(above(1.0, 2, 1.0, 1) && !above(1.0, 1, 1.0, 2));
+        assert!(key_lt(&(1.0, 9), &(2.0, 0)) && key_lt(&(1.0, 2), &(1.0, 3)));
+        assert!(!key_lt(&(1.0, 3), &(1.0, 3)) && !key_lt(&(2.0, 0), &(1.0, 9)));
+        // The sort order is the same order, a negative zero included.
+        assert_eq!(key_cmp(&(-0.0, 2), &(0.0, 1)), Ordering::Greater);
+        assert_eq!(
+            key_cmp(&key(0.0, 1, false), &key(-0.0, 2, false)),
+            Ordering::Greater
+        );
+        assert!(!above(-0.0, 1, 0.0, 2) && above(0.0, 2, -0.0, 1));
     }
 
     #[test]
@@ -164,7 +251,7 @@ mod tests {
         let p = pt(&[0.0]);
         let q = pt(&[1.0, 2.0]);
         assert!(matches!(
-            Orthant::classify(&p, &q),
+            Orthant::classify(&p, 0, &q, 1),
             Err(GeomError::DimensionMismatch { .. })
         ));
     }
@@ -193,9 +280,16 @@ mod tests {
     fn classification_is_antisymmetric() {
         let p = pt(&[0.0, 0.0]);
         let q = pt(&[1.0, -3.0]);
-        let pq = Orthant::classify(&p, &q).unwrap();
-        let qp = Orthant::classify(&q, &p).unwrap();
-        assert_eq!(pq.bits() ^ qp.bits(), 0b11, "every sign flips");
+        for (p_id, q_id) in [(0, 1), (1, 0)] {
+            let pq = Orthant::classify(&p, p_id, &q, q_id).unwrap();
+            let qp = Orthant::classify(&q, q_id, &p, p_id).unwrap();
+            assert_eq!(pq.bits() ^ qp.bits(), 0b11, "every sign flips");
+        }
+        // A shared coordinate flips too.
+        let r = pt(&[0.0, 5.0]);
+        let pr = Orthant::classify(&p, 0, &r, 1).unwrap();
+        let rp = Orthant::classify(&r, 1, &p, 0).unwrap();
+        assert_eq!(pr.bits() ^ rp.bits(), 0b11);
     }
 
     #[test]

@@ -259,7 +259,7 @@ impl PointSet {
     ///
     /// Returns [`GeomError::DuplicateCoordinate`] identifying the first
     /// collision found.
-    // lint:allow(D006, reason = "how gen's tests see the per-dimension distinctness draw_distinct gives every generated set, the paper's assumption the index's exactness rests on")
+    // lint:allow(D006, reason = "how gen's tests see the per-dimension distinctness draw_distinct gives every generated set: the paper's assumption, which the tie rule (above) makes nothing rely on")
     pub fn ensure_distinct(&self) -> Result<(), GeomError> {
         for dim in 0..self.dim {
             let mut values: Vec<f64> = self.points.iter().map(|p| p[dim]).collect();

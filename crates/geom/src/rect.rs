@@ -11,13 +11,17 @@ use crate::{GeomError, Interval, Orthant, Point};
 ///
 /// * the full space (the root's zone),
 /// * the open orthant rectangle `HR` around a peer
-///   ([`Rect::orthant_of`]): side `i` is `(x(P,i), +∞)` or `(-∞, x(P,i))`
-///   depending on the orthant sign,
+///   ([`Rect::orthant_of`]): side `i` is everything above `P` or
+///   everything below it in dimension `i`, depending on the orthant sign,
+///   under the tie rule of [`crate::above`],
 /// * intersections `Z(Q) = Z(P) ∩ HR`.
 ///
-/// A rectangle with any empty side is empty; emptiness is always
-/// detectable exactly because sides are open intervals over distinct
-/// coordinates.
+/// A zone's sides end at peers, so a zone holds a peer iff
+/// [`Rect::contains_id`] says so: each side then orders a peer at its
+/// end's coordinate by id, and every peer lies in exactly one sub-zone
+/// of a partitioned zone. A rectangle with any empty side is empty.
+/// Plain boxes — built from [`Interval::new`] — are open in the ordinary
+/// sense, and [`Rect::contains`] is their test.
 ///
 /// # Example
 ///
@@ -29,9 +33,9 @@ use crate::{GeomError, Interval, Orthant, Point};
 /// let p = Point::new(vec![5.0, 5.0])?;
 /// let q = Point::new(vec![7.0, 9.0])?;
 ///
-/// let zone = space.intersect(&Rect::orthant_of(&p, Orthant::classify(&p, &q)?));
-/// assert!(zone.contains(&q));
-/// assert!(!zone.contains(&p)); // zones always exclude the forwarding peer
+/// let zone = space.intersect(&Rect::orthant_of(&p, 0, Orthant::classify(&p, 0, &q, 1)?));
+/// assert!(zone.contains_id(&q, 1));
+/// assert!(!zone.contains_id(&p, 0)); // zones always exclude the forwarding peer
 /// # Ok(())
 /// # }
 /// ```
@@ -81,41 +85,44 @@ impl Rect {
         }
     }
 
-    /// The open orthant rectangle `HR` of the paper: around reference
-    /// point `p`, side `i` is `(x(p,i), +∞)` when the orthant is positive
-    /// in dimension `i` and `(-∞, x(p,i))` otherwise.
+    /// The open orthant rectangle `HR` of the paper: around the peer `p`
+    /// with id `p_id`, side `i` is everything above it
+    /// ([`Interval::above_id`]) when the orthant is positive in dimension
+    /// `i` and everything below it otherwise.
     #[must_use]
-    pub fn orthant_of(p: &Point, orthant: Orthant) -> Self {
+    pub fn orthant_of(p: &Point, p_id: usize, orthant: Orthant) -> Self {
         let sides = (0..p.dim())
             .map(|d| {
                 if orthant.is_positive(d) {
-                    Interval::above(p[d])
+                    Interval::above_id(p[d], p_id)
                 } else {
-                    Interval::below(p[d])
+                    Interval::below_id(p[d], p_id)
                 }
             })
             .collect();
         Rect { sides }
     }
 
-    /// The open rectangle spanned by two corner points: side `i` is
-    /// `(min(p_i, q_i), max(p_i, q_i))`.
+    /// The open rectangle spanned by the peers `p` (id `p_id`) and `q`
+    /// (id `q_id`): side `i` is everything strictly between them
+    /// ([`Interval::between_ids`]).
     ///
     /// This is the rectangle of the §2 neighbour-selection rule: `q` is a
-    /// neighbour of `p` iff `Rect::spanned_open(p, q)` contains no other
-    /// candidate. Under the per-dimension distinctness assumption, a third
-    /// peer can never lie on the boundary, so testing the open interior is
-    /// exact.
+    /// neighbour of `p` iff `Rect::spanned_open(p, p_id, q, q_id)` holds
+    /// no other candidate ([`Rect::contains_id`]). A third peer that
+    /// shares a coordinate with a corner is inside along that dimension
+    /// iff its id ranks between the corners' there, so the test is exact
+    /// with or without shared coordinates.
     ///
     /// # Errors
     ///
     /// Returns [`GeomError::DimensionMismatch`] if the points disagree on
     /// dimensionality.
     // lint:allow(D006, reason = "the §2 rule's rectangle as a definition: what prop_overlay and prop_geom hold EmptyRectSelection and the dominance frontier against")
-    pub fn spanned_open(p: &Point, q: &Point) -> Result<Self, GeomError> {
+    pub fn spanned_open(p: &Point, p_id: usize, q: &Point, q_id: usize) -> Result<Self, GeomError> {
         p.check_dim(q)?;
         let sides = (0..p.dim())
-            .map(|d| Interval::new(p[d].min(q[d]), p[d].max(q[d])))
+            .map(|d| Interval::between_ids(p[d], p_id, q[d], q_id))
             .collect();
         Ok(Rect { sides })
     }
@@ -157,6 +164,25 @@ impl Rect {
             .iter()
             .enumerate()
             .all(|(d, side)| side.contains(p[d]))
+    }
+
+    /// `true` if the peer with id `id` at `p` lies inside: inside every
+    /// side by [`Interval::contains_id`]. The zone membership test.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` has a different dimensionality.
+    #[must_use]
+    pub fn contains_id(&self, p: &Point, id: usize) -> bool {
+        assert_eq!(
+            p.dim(),
+            self.dim(),
+            "dimension mismatch in Rect::contains_id"
+        );
+        self.sides
+            .iter()
+            .enumerate()
+            .all(|(d, side)| side.contains_id(p[d], id))
     }
 
     /// The intersection of two rectangles.
@@ -286,28 +312,36 @@ mod tests {
     fn orthant_rect_excludes_reference_point() {
         let p = pt(&[1.0, 2.0]);
         for o in Orthant::all(2) {
-            let hr = Rect::orthant_of(&p, o);
-            assert!(!hr.contains(&p), "orthant rect must exclude p");
+            let hr = Rect::orthant_of(&p, 3, o);
+            assert!(!hr.contains_id(&p, 3), "orthant rect must exclude p");
         }
     }
 
     #[test]
     fn orthant_rects_cover_offset_points() {
         let p = pt(&[0.0, 0.0]);
-        let q = pt(&[-3.0, 7.0]);
-        let o = Orthant::classify(&p, &q).unwrap();
-        assert!(Rect::orthant_of(&p, o).contains(&q));
-        // ... and only that orthant's rect contains q.
-        let covering = Orthant::all(2)
-            .filter(|&oo| Rect::orthant_of(&p, oo).contains(&q))
-            .count();
-        assert_eq!(covering, 1);
+        // A shared coordinate is covered too, on the side its id gives.
+        for (q, q_id) in [
+            (pt(&[-3.0, 7.0]), 1),
+            (pt(&[0.0, 7.0]), 1),
+            (pt(&[-3.0, 0.0]), 5),
+        ] {
+            let o = Orthant::classify(&p, 2, &q, q_id).unwrap();
+            assert!(Rect::orthant_of(&p, 2, o).contains_id(&q, q_id));
+            // ... and only that orthant's rect contains q.
+            let covering = Orthant::all(2)
+                .filter(|&oo| Rect::orthant_of(&p, 2, oo).contains_id(&q, q_id))
+                .count();
+            assert_eq!(covering, 1);
+        }
     }
 
     #[test]
     fn orthant_rects_are_pairwise_disjoint() {
         let p = pt(&[1.0, -1.0, 0.5]);
-        let rects: Vec<Rect> = Orthant::all(3).map(|o| Rect::orthant_of(&p, o)).collect();
+        let rects: Vec<Rect> = Orthant::all(3)
+            .map(|o| Rect::orthant_of(&p, 0, o))
+            .collect();
         for i in 0..rects.len() {
             for j in 0..i {
                 assert!(
@@ -322,31 +356,36 @@ mod tests {
     fn spanned_open_is_symmetric_and_excludes_corners() {
         let p = pt(&[0.0, 5.0]);
         let q = pt(&[4.0, 1.0]);
-        let r1 = Rect::spanned_open(&p, &q).unwrap();
-        let r2 = Rect::spanned_open(&q, &p).unwrap();
+        let r1 = Rect::spanned_open(&p, 0, &q, 1).unwrap();
+        let r2 = Rect::spanned_open(&q, 1, &p, 0).unwrap();
         assert_eq!(r1, r2);
-        assert!(!r1.contains(&p));
-        assert!(!r1.contains(&q));
-        assert!(r1.contains(&pt(&[2.0, 3.0])));
+        assert!(!r1.contains_id(&p, 0));
+        assert!(!r1.contains_id(&q, 1));
+        assert!(r1.contains_id(&pt(&[2.0, 3.0]), 2));
+        // On q's y, a third peer is inside iff its id ranks between
+        // the corners' there: above q's (q is the lower corner in y).
+        assert!(r1.contains_id(&pt(&[2.0, 1.0]), 2));
+        let r3 = Rect::spanned_open(&p, 0, &q, 3).unwrap();
+        assert!(!r3.contains_id(&pt(&[2.0, 1.0]), 2));
     }
 
     #[test]
     fn spanned_open_checks_dimensions() {
         let p = pt(&[0.0]);
         let q = pt(&[0.0, 1.0]);
-        assert!(Rect::spanned_open(&p, &q).is_err());
+        assert!(Rect::spanned_open(&p, 0, &q, 1).is_err());
     }
 
     #[test]
     fn intersect_commutes_and_shrinks() {
         let a = Rect::new(vec![Interval::new(0.0, 10.0), Interval::new(0.0, 10.0)]).unwrap();
-        let b = Rect::orthant_of(&pt(&[5.0, 5.0]), Orthant::from_bits(0b11, 2).unwrap());
+        let b = Rect::orthant_of(&pt(&[5.0, 5.0]), 0, Orthant::from_bits(0b11, 2).unwrap());
         let i1 = a.intersect(&b);
         let i2 = b.intersect(&a);
         assert_eq!(i1, i2);
         assert!(a.contains_rect(&i1));
         assert!(b.contains_rect(&i1));
-        assert_eq!(i1.side(0).unwrap(), Interval::new(5.0, 10.0));
+        assert_eq!(i1.side(0).unwrap(), Interval::between_ids(5.0, 0, 10.0, 0));
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! The paper assumes coordinates distinct in every dimension; the index
 //! does not. A point sharing a coordinate with the query point lies in
 //! the query's own cell layer of that dimension, where the pruning
-//! corner's offset is 0, so the walks scan it even when it sits far
-//! beyond the k-NN prune horizon — every orthant already saturated with
-//! closer candidates. The empty-rectangle walk must list it (its
-//! rectangle with the query is flat, hence empty), and the k-nearest
-//! walk must rank it on the positive side of the shared dimension. The
-//! original implementation noticed such a point only while scanning a
-//! cell, which this workload was built to catch.
+//! corner sits at the query's coordinate, so the walks scan it even when
+//! it sits far beyond the k-NN prune horizon — every orthant already
+//! saturated with closer candidates. The empty-rectangle walk orders it
+//! by id: here it ranks above the query in the shared dimension, nearer
+//! the query there than any other point of its orthant, so it is a
+//! neighbour. The k-nearest walk must rank it on the positive side of
+//! the shared dimension. The original implementation noticed such a
+//! point only while scanning a cell, which this workload was built to
+//! catch.
 
 use geocast_geom::dominance::empty_rect_neighbors_naive;
 use geocast_geom::index::GridIndex;
@@ -76,7 +78,7 @@ fn empty_rect_answers_the_same_far_collision() {
     let pts = colliding_workload();
     let index = GridIndex::build(&pts);
     let far = pts.len() - 1;
-    let want: Vec<usize> = empty_rect_neighbors_naive(&pts[0], &pts[1..])
+    let want: Vec<usize> = empty_rect_neighbors_naive(&pts[0], 0, &pts[1..], |c| c + 1)
         .into_iter()
         .map(|ci| ci + 1)
         .collect();
@@ -84,7 +86,8 @@ fn empty_rect_answers_the_same_far_collision() {
     assert_eq!(
         index.empty_rect_neighbors(0),
         Some(want),
-        "the far point sharing y == 0.0 with point 0 spans a flat, empty \
-         rectangle with it: a neighbour however far it lies"
+        "the far point sharing y == 0.0 with point 0 ranks above it there \
+         by id, nearer it in y than anything else in (+, +): a neighbour \
+         however far it lies"
     );
 }

@@ -76,9 +76,23 @@ fn reshape(points: Vec<Point>, shape: u8, outside: usize) -> Vec<Point> {
 /// `p`'s empty-rectangle row over the live points, by the rule's naive
 /// rectangle test (the definition, ties included).
 fn brute_row(points: &[Point], live: &[bool], p: usize) -> Vec<usize> {
-    let ids: Vec<usize> = (0..points.len()).filter(|&j| j != p && live[j]).collect();
+    brute_row_at(points, live, &points[p], p, p)
+}
+
+/// The row of the position `q`, ranked as id `q_id`, over the live
+/// points other than `skip`, by the naive rectangle test.
+fn brute_row_at(
+    points: &[Point],
+    live: &[bool],
+    q: &Point,
+    q_id: usize,
+    skip: usize,
+) -> Vec<usize> {
+    let ids: Vec<usize> = (0..points.len())
+        .filter(|&j| j != skip && live[j])
+        .collect();
     let candidates: Vec<&Point> = ids.iter().map(|&j| &points[j]).collect();
-    empty_rect_neighbors_naive(&points[p], &candidates)
+    empty_rect_neighbors_naive(q, q_id, &candidates, |c| ids[c])
         .into_iter()
         .map(|ci| ids[ci])
         .collect()
@@ -151,26 +165,29 @@ proptest! {
             Point::from_validated(p.coords()[..dim].to_vec())
         };
         let p = project(&pts[0]);
-        for q in &pts[1..] {
+        for (id, q) in pts.iter().enumerate().skip(1) {
             let q = project(q);
-            let o = Orthant::classify(&p, &q).expect("distinct coords classify totally");
-            let back = Orthant::classify(&q, &p).expect("reverse classifies too");
+            let o = Orthant::classify(&p, 0, &q, id).expect("one dimensionality");
+            let back = Orthant::classify(&q, id, &p, 0).expect("one dimensionality");
             prop_assert_eq!(o.bits() ^ back.bits(), (1u32 << dim) - 1, "every sign flips");
             // The orthant rect contains q and excludes p.
-            let hr = Rect::orthant_of(&p, o);
-            prop_assert!(hr.contains(&q));
-            prop_assert!(!hr.contains(&p));
+            let hr = Rect::orthant_of(&p, 0, o);
+            prop_assert!(hr.contains_id(&q, id));
+            prop_assert!(!hr.contains_id(&p, 0));
         }
     }
 
     #[test]
     fn orthant_rects_partition_points(
-        pts in (3usize..12).prop_flat_map(|n| distinct_points(3, n)),
+        family in 0u8..3,
+        raw in vec(vec(0u8..40, 4), 3..12),
     ) {
+        // Lattice and exponentially spread points share coordinates.
+        let pts = tied_points(3, family, &raw, 0);
         let p = &pts[0];
-        for q in &pts[1..] {
+        for (id, q) in pts.iter().enumerate().skip(1) {
             let covering = Orthant::all(3)
-                .filter(|&o| Rect::orthant_of(p, o).contains(q))
+                .filter(|&o| Rect::orthant_of(p, 0, o).contains_id(q, id))
                 .count();
             prop_assert_eq!(covering, 1, "each point lies in exactly one orthant rect");
         }
@@ -194,8 +211,8 @@ proptest! {
     fn rect_intersection_contained_in_both(
         pts in distinct_points(3, 4),
     ) {
-        let a = Rect::spanned_open(&pts[0], &pts[1]).unwrap();
-        let b = Rect::spanned_open(&pts[2], &pts[3]).unwrap();
+        let a = Rect::spanned_open(&pts[0], 0, &pts[1], 1).unwrap();
+        let b = Rect::spanned_open(&pts[2], 2, &pts[3], 3).unwrap();
         let i = a.intersect(&b);
         prop_assert!(a.contains_rect(&i));
         prop_assert!(b.contains_rect(&i));
@@ -230,9 +247,8 @@ proptest! {
         let project = |p: &Point| Point::from_validated(p.coords()[..dim].to_vec());
         let p = project(&pts[0]);
         let cands: Vec<Point> = pts[1..].iter().map(project).collect();
-        let mut naive = empty_rect_neighbors_naive(&p, &cands);
-        naive.sort_unstable();
-        let fast = empty_rect_neighbors(&p, &cands);
+        let naive = empty_rect_neighbors_naive(&p, 0, &cands, |c| c + 1);
+        let fast = empty_rect_neighbors(&p, 0, &cands, |c| c + 1);
         prop_assert_eq!(fast, naive);
     }
 
@@ -283,10 +299,10 @@ proptest! {
     /// Shared coordinates, answered: on integer lattices (D = 1–4) and
     /// exponentially spread coordinates, half the points inserted after
     /// the build (some outside its box) and a few random removals, every
-    /// live point's empty-rectangle row — by id, by position, and by the
-    /// dominance module's frontier — equals the naive rectangle test, and
-    /// its per-orthant `k` nearest equal the `>=`-sided `(distance, id)`
-    /// ranking.
+    /// live point's empty-rectangle row — by id, by position (ranked after
+    /// every id), and by the dominance module's frontier — equals the
+    /// naive rectangle test, and its per-orthant `k` nearest equal the
+    /// `>=`-sided `(distance, id)` ranking.
     #[test]
     fn tied_coordinates_are_answered_exactly(
         dim in 1usize..=4,
@@ -318,12 +334,12 @@ proptest! {
                 prop_assert_eq!(index.empty_rect_neighbors(i), Some(want.clone()), "by id, {}", i);
                 prop_assert_eq!(
                     index.empty_rect_neighbors_at(&points[i], Some(i)),
-                    Some(want.clone()),
+                    Some(brute_row_at(&points, &live, &points[i], usize::MAX, i)),
                     "by position, {}", i
                 );
                 let ids: Vec<usize> = (0..points.len()).filter(|&j| j != i && live[j]).collect();
                 let candidates: Vec<&Point> = ids.iter().map(|&j| &points[j]).collect();
-                let frontier: Vec<usize> = empty_rect_neighbors(&points[i], &candidates)
+                let frontier: Vec<usize> = empty_rect_neighbors(&points[i], i, &candidates, |c| ids[c])
                     .into_iter()
                     .map(|ci| ids[ci])
                     .collect();
@@ -392,21 +408,26 @@ proptest! {
 
     #[test]
     fn domination_is_transitive(
-        pts in distinct_points(3, 4),
+        family in 0u8..3,
+        raw in vec(vec(0u8..40, 4), 4),
     ) {
-        let (p, a, b, c) = (&pts[0], &pts[1], &pts[2], &pts[3]);
-        if rect_dominates(p, a, b) && rect_dominates(p, b, c) {
-            prop_assert!(rect_dominates(p, a, c));
+        // Shared coordinates included, each point's id its position.
+        let pts = tied_points(3, family, &raw, 0);
+        let site = |i: usize| (pts[i].coords(), i);
+        if rect_dominates(site(0), site(1), site(2)) && rect_dominates(site(0), site(2), site(3)) {
+            prop_assert!(rect_dominates(site(0), site(1), site(3)));
         }
     }
 
     #[test]
     fn spanned_rect_membership_matches_domination(
-        pts in distinct_points(3, 3),
+        family in 0u8..3,
+        raw in vec(vec(0u8..40, 4), 3),
     ) {
-        let (p, q, r) = (&pts[0], &pts[1], &pts[2]);
-        let rect = Rect::spanned_open(p, q).unwrap();
-        prop_assert_eq!(rect.contains(r), rect_dominates(p, r, q));
+        let pts = tied_points(3, family, &raw, 0);
+        let site = |i: usize| (pts[i].coords(), i);
+        let rect = Rect::spanned_open(&pts[0], 0, &pts[1], 1).unwrap();
+        prop_assert_eq!(rect.contains_id(&pts[2], 2), rect_dominates(site(0), site(2), site(1)));
     }
 
     #[test]
@@ -419,7 +440,7 @@ proptest! {
         let q = project(&pts[1]);
         let arr = Arrangement::orthogonal(dim);
         let key = arr.classify(&p, &q);
-        let orthant = Orthant::classify(&p, &q).unwrap();
+        let orthant = Orthant::classify(&p, 0, &q, 1).unwrap();
         prop_assert_eq!(key.sides(), &orthant.signs(dim)[..]);
     }
 

@@ -87,8 +87,8 @@ impl ChurnSchedule {
         let mut rng = StdRng::seed_from_u64(seed);
         // Joining identifiers come from a fresh generator; distinctness
         // against the initial population is the caller's concern (use a
-        // disjoint seed and the chance of collision is nil; the overlay
-        // itself tolerates it via the naive fallback).
+        // disjoint seed and the chance of collision is nil). The overlay
+        // needs none: it orders a shared coordinate by peer id.
         let join_points: Vec<Point> =
             uniform_points(extra_joins, dim, vmax, seed ^ 0x9e37_79b9).into_points();
 

@@ -11,14 +11,15 @@
 //! Beside them sits the one closed form of a whole population:
 //! [`sweep_rows`], every empty-rectangle row of a bulk build at `D = 2`
 //! in `O((N + E) log N)` for `E` links, where one selection per peer
-//! would walk the index `N` times. It takes only populations whose
-//! coordinates are distinct per axis, and declines (`None`) on any other,
-//! so a tie keeps the selection's own semantics.
+//! would walk the index `N` times. It declines (`None`) off the plane
+//! only: it orders each axis by `(coordinate, id)`, the tie rule of
+//! [`geocast_geom::above`], so shared coordinates take the selection's
+//! own semantics with no second path.
 //!
-//! With distinct coordinates, a point lies strictly between two others in
-//! a coordinate unless it *is* one of them there, so `p` and `q` are
-//! neighbours iff no third peer lies strictly between them in both
-//! coordinates. Sweep the peers by ascending `x`. Each link `p – q` with
+//! In that order no two peers share a coordinate: a point lies strictly
+//! between two others along an axis unless it *is* one of them there, so
+//! `p` and `q` are neighbours iff no third peer lies strictly between
+//! them along both axes. Below, `x` and `y` are those orders. Sweep the peers by ascending `x`. Each link `p – q` with
 //! `x_p < x_q` is met once, when `q` is swept: `p` lies below-left or
 //! above-left of `q`. Take below-left (above-left is the same sweep with
 //! `y` reversed). There `p` is a neighbour iff no swept peer lies in the
@@ -50,9 +51,9 @@
 
 use std::ops::Range;
 
-use geocast_geom::dominance::{rect_dominates_coords, ParetoSet};
+use geocast_geom::dominance::{rect_dominates, ParetoSet};
 use geocast_geom::index::MAX_INDEX_DIM;
-use geocast_geom::{l1, GridIndex, MAX_ORTHANT_DIM};
+use geocast_geom::{above, key, key_cmp, key_lt, l1, GridIndex, Key, MAX_ORTHANT_DIM};
 
 use crate::peer::PeerInfo;
 
@@ -63,7 +64,9 @@ use crate::peer::PeerInfo;
 /// the largest id, so it loses every distance tie. `out[i]` restricted
 /// to an orthant *is* that region's full top-`K` (at equilibrium), so
 /// the `K`-th distance is just the max over those members: `O(degree)`
-/// arithmetic, no selection call.
+/// arithmetic, no selection call. Regions are the rule's own half-open
+/// orthants: a coordinate on a plane counts as positive, as
+/// `Arrangement::classify` puts it and the index ranks it.
 pub(crate) fn topk_join_recheck(
     peers: &[PeerInfo],
     out: &[Vec<u32>],
@@ -76,28 +79,14 @@ pub(crate) fn topk_join_recheck(
     if pc.len() > MAX_INDEX_DIM {
         return true; // no orthant bit tables out here: recheck
     }
-    let mut bits = 0u32;
-    for d in 0..pc.len() {
-        if qc[d] > pc[d] {
-            bits |= 1 << d;
-        } else if qc[d] == pc[d] {
-            // On-hyperplane region: no saturation info, recheck.
-            return true;
-        }
-    }
+    let region =
+        |c: &[f64]| (0..pc.len()).fold(0u32, |bits, d| bits | u32::from(c[d] >= pc[d]) << d);
+    let bits = region(qc);
     let mut count = 0usize;
     let mut kth = f64::NEG_INFINITY;
-    'nbr: for &j in &out[i] {
+    for &j in &out[i] {
         let jc = peers[j as usize].point().coords();
-        let mut jb = 0u32;
-        for d in 0..pc.len() {
-            if jc[d] > pc[d] {
-                jb |= 1 << d;
-            } else if jc[d] == pc[d] {
-                continue 'nbr; // different region
-            }
-        }
-        if jb == bits {
+        if region(jc) == bits {
             count += 1;
             kth = kth.max(l1(pc, jc));
         }
@@ -105,20 +94,17 @@ pub(crate) fn topk_join_recheck(
     count < k || l1(pc, qc) < kth
 }
 
-/// `member`'s orthant around `at` as bits — bit `d` set iff it lies
-/// above `at` in dimension `d` — from raw comparisons, with no
-/// subtraction to round them; `None` on a tie, which puts it in no
-/// orthant.
-fn orthant_code(at: &[f64], member: &[f64]) -> Option<u32> {
+/// The orthant code of the peer `m` at `member` around the peer `x` at
+/// `at` — bit `d` set iff `m` lies [`above`] `x` in dimension `d` — from
+/// raw comparisons, with no subtraction to round them.
+fn orthant_code(at: &[f64], x: usize, member: &[f64], m: usize) -> u32 {
     let mut code = 0u32;
-    for (d, (&x, &m)) in at.iter().zip(member).enumerate() {
-        if m > x {
+    for (d, (&a, &c)) in at.iter().zip(member).enumerate() {
+        if above(c, m, a, x) {
             code |= 1 << d;
-        } else if m == x {
-            return None;
         }
     }
-    Some(code)
+    code
 }
 
 /// The orthant code with all `dim` bits set: two codes are
@@ -132,41 +118,35 @@ fn full_code(dim: usize) -> u32 {
 /// A row gathered around the peer `x` that joins or leaves, in runs: the
 /// members of each orthant code around `x`, codes ascending and row
 /// order inside a run, from one sort. Every member of a run carries its
-/// keys — its coordinates with the sign flipped on the orthant's
-/// negative sides — so a smaller key is nearer `x`, and strictly
-/// smaller is the rule's strict test with no subtraction to round it.
-/// A member tied with `x` in some coordinate is in no orthant and no
-/// run. Both empty-rectangle closed forms read only this.
+/// [`Key`]s — its coordinates and id, flipped on the orthant's negative
+/// sides — so a smaller key is nearer `x`, and strictly smaller is the
+/// rule's strict test, with no subtraction to round it and the id read
+/// only on equal coordinates. Both empty-rectangle closed forms read
+/// only this.
 struct RowRuns<'a> {
-    index: &'a GridIndex,
     row: &'a [u32],
     dim: usize,
-    /// `(orthant code, row position)` of every untied member, ascending.
+    /// `(orthant code, row position)` of every member, ascending.
     members: Vec<(u32, usize)>,
     /// `dim` keys per entry of `members`.
-    keys: Vec<f64>,
+    keys: Vec<Key>,
     /// Each run's code and its range of `members`, ascending by code.
     runs: Vec<(u32, Range<usize>)>,
-    /// Row positions of the members tied with `x`.
-    tied: Vec<usize>,
 }
 
 impl<'a> RowRuns<'a> {
-    fn gather(index: &'a GridIndex, x: usize, row: &'a [u32]) -> Self {
+    fn gather(index: &GridIndex, x: usize, row: &'a [u32]) -> Self {
         let (dim, at) = (index.dim(), index.point_coords(x));
-        let mut members = Vec::with_capacity(row.len());
-        let mut tied = Vec::new();
-        for (k, &r) in row.iter().enumerate() {
-            match orthant_code(at, index.point_coords(r as usize)) {
-                Some(code) => members.push((code, k)),
-                None => tied.push(k),
-            }
-        }
+        let code = |r: usize| orthant_code(at, x, index.point_coords(r), r);
+        let mut members: Vec<(u32, usize)> = (row.iter().enumerate())
+            .map(|(k, &r)| (code(r as usize), k))
+            .collect();
         members.sort_unstable();
         let mut keys = Vec::with_capacity(members.len() * dim);
         for &(code, k) in &members {
-            let member = index.point_coords(row[k] as usize).iter().enumerate();
-            keys.extend(member.map(|(d, &c)| if code >> d & 1 == 1 { c } else { -c }));
+            let id = row[k] as usize;
+            let member = index.point_coords(id).iter().enumerate();
+            keys.extend(member.map(|(d, &c)| key(c, id, code >> d & 1 == 1)));
         }
         let mut runs = Vec::new();
         let mut start = 0;
@@ -175,17 +155,15 @@ impl<'a> RowRuns<'a> {
             start += run.len();
         }
         RowRuns {
-            index,
             row,
             dim,
             members,
             keys,
             runs,
-            tied,
         }
     }
 
-    fn key(&self, m: usize) -> &[f64] {
+    fn key(&self, m: usize) -> &[Key] {
         &self.keys[m * self.dim..][..self.dim]
     }
 
@@ -202,9 +180,9 @@ impl<'a> RowRuns<'a> {
 
     /// Every pair of runs `(r, s)`, by index, whose codes differ in
     /// every bit, `r`'s code the smaller. `x` is strictly inside the open
-    /// rectangle of two members iff neither ties it anywhere and they
-    /// are in such a pair of runs, so the pairs that straddle `x` are
-    /// exactly the cross products of these.
+    /// rectangle of two members iff they are in such a pair of runs, so
+    /// the pairs that straddle `x` are exactly the cross products of
+    /// these.
     fn opposite_runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let full = full_code(self.dim);
         self.runs
@@ -239,8 +217,7 @@ impl<'a> RowRuns<'a> {
     /// run's members nearer than `a` in `a`'s coordinate, and the run
     /// blocks `(a, b)` iff that threshold is below `b`'s key `j`. Every
     /// other run is scanned per pair. So at `D = 2` a pair costs one
-    /// comparison per blocker run; the tied members take the rule's
-    /// strict test.
+    /// comparison per blocker run.
     fn unblocked_pairs(&self) -> Vec<(usize, usize)> {
         let (dim, full) = (self.dim, full_code(self.dim));
         let mut links = Vec::new();
@@ -249,7 +226,7 @@ impl<'a> RowRuns<'a> {
             let (code, ends_a) = (self.runs[r].0, self.runs[r].1.clone());
             let ends_b = self.runs[s].1.clone();
             thresholds.clear();
-            thresholds.resize(ends_a.len() * dim, f64::INFINITY);
+            thresholds.resize(ends_a.len() * dim, NO_KEY);
             barred.clear();
             scans.clear();
             for (o, (blocker, run)) in self.runs.iter().enumerate() {
@@ -272,10 +249,9 @@ impl<'a> RowRuns<'a> {
                 let key_a = self.key(a);
                 for b in ends_b.clone() {
                     let key_b = self.key(b);
-                    let blocked = barred.iter().any(|&j| below[j] < key_b[j])
+                    let blocked = barred.iter().any(|&j| key_lt(&below[j], &key_b[j]))
                         || (scans.iter())
-                            .any(|(toward_b, run)| self.scan(*toward_b, run.clone(), key_a, key_b))
-                        || self.tie_blocks(a, b);
+                            .any(|(toward_b, run)| self.scan(*toward_b, run.clone(), key_a, key_b));
                     if !blocked {
                         links.push(self.ids(a, b));
                     }
@@ -292,26 +268,26 @@ impl<'a> RowRuns<'a> {
     /// minima of key `j`, and each end takes a binary search.
     fn lower(
         &self,
-        thresholds: &mut [f64],
+        thresholds: &mut [Key],
         ends: Range<usize>,
         d: usize,
         j: usize,
         run: &Range<usize>,
     ) {
-        let mut sorted: Vec<(f64, f64)> = run
+        let mut sorted: Vec<(Key, Key)> = run
             .clone()
             .map(|y| (self.key(y)[d], self.key(y)[j]))
             .collect();
-        sorted.sort_unstable_by(|p, q| p.0.total_cmp(&q.0));
-        let mut least = f64::INFINITY;
+        sorted.sort_unstable_by(|p, q| key_cmp(&p.0, &q.0));
+        let mut least = NO_KEY;
         for entry in &mut sorted {
-            least = least.min(entry.1);
+            least = lesser(least, entry.1);
             entry.1 = least;
         }
         for (e, threshold) in ends.zip(thresholds.chunks_exact_mut(self.dim)) {
-            let nearer = sorted.partition_point(|&(key, _)| key < self.key(e)[d]);
+            let nearer = sorted.partition_point(|(key, _)| key_lt(key, &self.key(e)[d]));
             if let Some(&(_, least)) = nearer.checked_sub(1).map(|last| &sorted[last]) {
-                threshold[j] = threshold[j].min(least);
+                threshold[j] = lesser(threshold[j], least);
             }
         }
     }
@@ -319,25 +295,26 @@ impl<'a> RowRuns<'a> {
     /// `true` if a member of `run` — on `b`'s side of `x` in the
     /// coordinates of `toward_b`, on `a`'s in the others — is strictly
     /// nearer `x` than `a` on `a`'s sides and than `b` on `b`'s.
-    fn scan(&self, toward_b: u32, run: Range<usize>, key_a: &[f64], key_b: &[f64]) -> bool {
+    fn scan(&self, toward_b: u32, run: Range<usize>, key_a: &[Key], key_b: &[Key]) -> bool {
         run.into_iter().any(|y| {
             let key = self.key(y);
             (0..self.dim).all(|d| {
                 let end = if toward_b >> d & 1 == 1 { key_b } else { key_a };
-                key[d] < end[d]
+                key_lt(&key[d], &end[d])
             })
         })
     }
+}
 
-    /// `true` if a tied member sits strictly inside the open rectangle
-    /// of members `a` and `b`.
-    fn tie_blocks(&self, a: usize, b: usize) -> bool {
-        if self.tied.is_empty() {
-            return false;
-        }
-        let of = |i| self.index.point_coords(i);
-        let (p, q) = (of(self.id(a)), of(self.id(b)));
-        (self.tied.iter()).any(|&t| rect_dominates_coords(p, of(self.row[t] as usize), q))
+/// A key beyond every peer's: the threshold of no blocker.
+const NO_KEY: Key = (f64::INFINITY, usize::MAX);
+
+/// The smaller of two keys.
+fn lesser(a: Key, b: Key) -> Key {
+    if key_lt(&b, &a) {
+        b
+    } else {
+        a
     }
 }
 
@@ -372,8 +349,8 @@ pub(crate) fn straddled_links(
 /// products of opposite runs, and each is tested against the other runs
 /// through their thresholds, over raw coordinates, not offsets from `x`:
 /// a subtraction would round the strict tests. The rule's own test, so
-/// collisions and any dimensionality take the same path: no index
-/// query, no decline.
+/// shared coordinates and any dimensionality take the same path: no
+/// index query, no decline.
 pub(crate) fn unblocked_pairs(index: &GridIndex, x: usize, row: &[u32]) -> Vec<(usize, usize)> {
     RowRuns::gather(index, x, row).unblocked_pairs()
 }
@@ -381,10 +358,10 @@ pub(crate) fn unblocked_pairs(index: &GridIndex, x: usize, row: &[u32]) -> Vec<(
 /// Every empty-rectangle row of the points of `index`, by the plane sweep
 /// of the module docs: sorted ascending, each allocated at exact
 /// capacity. `None` — the caller selects row by row — unless the points
-/// are 2-D with every `x` and every `y` distinct. A shared coordinate
-/// shows up as two equal neighbours in one of the two sort orders.
-/// `index` must be fresh, with no point removed: the bulk build's, whose
-/// population the store has already checked to fit `u32` ids.
+/// are 2-D. Each axis is sorted by `(coordinate, id)`, the tie rule's
+/// order. `index` must be fresh, with no point removed: the bulk
+/// build's, whose population the store has already checked to fit `u32`
+/// ids.
 pub(crate) fn sweep_rows(index: &GridIndex) -> Option<Vec<Vec<u32>>> {
     if index.dim() != 2 {
         return None;
@@ -398,16 +375,17 @@ pub(crate) fn sweep_rows(index: &GridIndex) -> Option<Vec<Vec<u32>>> {
     let coord = |i: u32, d: usize| index.point_coords(i as usize)[d];
     let sorted_by = |d: usize| {
         let mut ids: Vec<u32> = (0..n as u32).collect();
-        ids.sort_unstable_by(|&a, &b| coord(a, d).total_cmp(&coord(b, d)));
-        let distinct = ids.windows(2).all(|w| coord(w[0], d) != coord(w[1], d));
-        distinct.then_some(ids)
+        ids.sort_unstable_by(|&a, &b| {
+            key_cmp(&(coord(a, d), a as usize), &(coord(b, d), b as usize))
+        });
+        ids
     };
-    let by_y = sorted_by(1)?;
+    let by_y = sorted_by(1);
     let mut rank = vec![0u32; n];
     for (r, &i) in by_y.iter().enumerate() {
         rank[i as usize] = r as u32;
     }
-    let by_x = sorted_by(0)?;
+    let by_x = sorted_by(0);
 
     let mut staircase = Staircase::new(n);
     let mut degree = vec![0u32; n];
@@ -525,15 +503,12 @@ pub struct JoinWalkStats {
     pub offered: u64,
 }
 
-/// The slot of a tied member in [`JoinWalk`]'s queue: in no front.
-const TIED: usize = usize::MAX;
-
 /// The empty-rectangle newcomer's own row, found over the rows the store
 /// already holds, with the buffers it reuses from join to join: a
 /// seen-stamp per peer, one [`ParetoSet`] per orthant code met (no `2^D`
 /// table, so any dimensionality up to `MAX_ORTHANT_DIM` takes this
-/// path), the tied members and the expansion queue. The steps and their
-/// proofs are in `crate::store`, "The newcomer's own row".
+/// path) and the expansion queue. The steps and their proofs are in
+/// `crate::store`, "The newcomer's own row".
 #[derive(Debug, Default)]
 pub(crate) struct JoinWalk {
     /// `seen[p] == stamp`: `p` was offered during this join.
@@ -544,11 +519,11 @@ pub(crate) struct JoinWalk {
     slots: Vec<(u32, usize)>,
     /// The fronts by slot; those past `slots.len()` are spare buffers.
     fronts: Vec<ParetoSet>,
-    /// Members tied with the newcomer: in no orthant, always in its row.
-    tied: Vec<usize>,
-    /// Every peer pushed, with its front slot ([`TIED`] if tied), in
-    /// the order the grow pops them.
+    /// Every peer pushed, with its front slot, in the order the grow
+    /// pops them.
     queue: Vec<(usize, usize)>,
+    /// The keys of the peer being offered.
+    keys: Vec<Key>,
     stats: JoinWalkStats,
 }
 
@@ -578,18 +553,16 @@ impl JoinWalk {
             self.stamp = 1;
         }
         self.slots.clear();
-        self.tied.clear();
         self.queue.clear();
 
-        let at = index.point_coords(x);
-        let first = self.descend(index, out, at, start);
+        let first = self.descend(index, out, x, start);
         self.seen[first] = self.stamp;
-        self.offer(index, at, first);
+        self.offer(index, x, first);
         let mut head = 0;
         while let Some(&(v, slot)) = self.queue.get(head) {
             head += 1;
             // Evicted since it was pushed: dominated, not a neighbour.
-            if slot != TIED && !self.fronts[slot].ids().contains(&v) {
+            if !self.fronts[slot].ids().contains(&v) {
                 continue;
             }
             self.stats.rows_read += 1;
@@ -597,15 +570,14 @@ impl JoinWalk {
                 let w = w as usize;
                 if self.seen[w] != self.stamp {
                     self.seen[w] = self.stamp;
-                    self.offer(index, at, w);
+                    self.offer(index, x, w);
                 }
             }
         }
         // Sized once: the row becomes the newcomer's stored row.
         let fronts = self.slots.iter().map(|&(_, slot)| self.fronts[slot].ids());
-        let size = self.tied.len() + fronts.clone().map(<[usize]>::len).sum::<usize>();
-        let mut row = Vec::with_capacity(size);
-        for ids in fronts.chain([&self.tied[..]]) {
+        let mut row = Vec::with_capacity(fronts.clone().map(<[usize]>::len).sum::<usize>());
+        for ids in fronts {
             row.extend(ids.iter().map(|&j| j as u32));
         }
         row.sort_unstable();
@@ -613,21 +585,21 @@ impl JoinWalk {
         row
     }
 
-    /// From `p`, steps to the member of `row(p)` in the closed box of
-    /// `p` and `at` that is not at `p`'s corner and leaves the smallest
-    /// box (least L1 offset from `at`), until `row(p)` has none: then
-    /// `p` is a neighbour of the newcomer at `at`. Each step shrinks the
-    /// box strictly, so no peer is visited twice.
-    fn descend(&mut self, index: &GridIndex, out: &[Vec<u32>], at: &[f64], mut p: usize) -> usize {
+    /// From `p`, steps to the member of `row(p)` strictly inside the
+    /// open rectangle of `p` and the newcomer `x` (the tie rule's
+    /// [`rect_dominates`]) that leaves the smallest box (least L1 offset
+    /// from `x`), until `row(p)` has none: then `p` is a neighbour of
+    /// `x`. Each step shrinks the rectangle strictly, so no peer is
+    /// visited twice.
+    fn descend(&mut self, index: &GridIndex, out: &[Vec<u32>], x: usize, mut p: usize) -> usize {
+        let at = index.point_coords(x);
         loop {
             let pc = index.point_coords(p);
             let mut next: Option<(f64, usize)> = None;
             for &m in &out[p] {
                 let m = m as usize;
                 let mc = index.point_coords(m);
-                let in_box = (at.iter().zip(pc).zip(mc))
-                    .all(|((&a, &b), &c)| a.min(b) <= c && c <= a.max(b));
-                if in_box && mc != pc {
+                if rect_dominates((pc, p), (mc, m), (at, x)) {
                     let size: f64 = mc.iter().zip(at).map(|(c, a)| (c - a).abs()).sum();
                     if next.is_none_or(|smallest| (size, m) < smallest) {
                         next = Some((size, m));
@@ -643,23 +615,21 @@ impl JoinWalk {
         }
     }
 
-    /// Offers `w` to the front of its orthant around `at`, keyed by its
-    /// coordinates with the sign flipped on the orthant's negative
-    /// sides — strictly smaller in every key is strictly inside the
-    /// rectangle, with no subtraction to round the test — or to the tied
-    /// set; pushes it if it joined.
-    fn offer(&mut self, index: &GridIndex, at: &[f64], w: usize) {
+    /// Offers `w` to the front of its orthant around the newcomer `x`,
+    /// keyed by its [`Key`]s — coordinates and id, flipped on the
+    /// orthant's negative sides: strictly smaller in every key is
+    /// strictly inside the rectangle, with no subtraction to round the
+    /// test; pushes it if it joined.
+    fn offer(&mut self, index: &GridIndex, x: usize, w: usize) {
         self.stats.offered += 1;
-        let wc = index.point_coords(w);
-        let Some(code) = orthant_code(at, wc) else {
-            self.tied.push(w);
-            self.queue.push((w, TIED));
-            return;
-        };
-        let mut keys = [0.0f64; MAX_ORTHANT_DIM];
-        for (d, (key, &c)) in keys.iter_mut().zip(wc).enumerate() {
-            *key = if code >> d & 1 == 1 { c } else { -c };
-        }
+        let (at, wc) = (index.point_coords(x), index.point_coords(w));
+        let code = orthant_code(at, x, wc, w);
+        self.keys.clear();
+        let keys = wc
+            .iter()
+            .enumerate()
+            .map(|(d, &c)| key(c, w, code >> d & 1 == 1));
+        self.keys.extend(keys);
         let slot = match self.slots.binary_search_by_key(&code, |&(c, _)| c) {
             Ok(i) => self.slots[i].1,
             Err(i) => {
@@ -672,7 +642,7 @@ impl JoinWalk {
                 slot
             }
         };
-        if self.fronts[slot].offer(&keys[..wc.len()], w) {
+        if self.fronts[slot].offer(&self.keys, w) {
             self.queue.push((w, slot));
         }
     }
@@ -764,7 +734,7 @@ mod tests {
                 let row = &ids[..];
                 let want: Vec<(usize, usize)> = (0..row.len())
                     .flat_map(|a| (a + 1..row.len()).map(move |b| (row[a], row[b])))
-                    .filter(|&(a, b)| rect_dominates_coords(of(a), of(x), of(b)))
+                    .filter(|&(a, b)| rect_dominates((of(a), a), (of(x), x), (of(b), b)))
                     .collect();
                 assert_eq!(got, want, "dim {dim}: around {x}");
                 straddles += got.len();
@@ -842,7 +812,7 @@ mod tests {
                     assert_eq!(row, after.row(q), "{q} joins from {start}");
                     walks += 1;
                     // The descent's own contract: it stops at a neighbour.
-                    let stop = descent.descend(&index, &before.out, index.point_coords(q), start);
+                    let stop = descent.descend(&index, &before.out, q, start);
                     assert!(
                         row.contains(&(stop as u32)),
                         "{q} joins: descent from {start}"
@@ -856,10 +826,10 @@ mod tests {
     }
 
     #[test]
-    fn the_sweep_declines_on_a_shared_coordinate_and_off_the_plane() {
-        // One shared x, one shared y, and D = 1 and D = 3: the sweep
-        // declines, and the bulk build — one selection per peer — is
-        // still the definition's.
+    fn the_sweep_answers_shared_coordinates_and_declines_off_the_plane() {
+        // One shared x, one shared y, the 6 × 7 lattice: the sweep
+        // answers. D = 1 and D = 3: it declines. Either way the bulk
+        // build is the definition's.
         let plane = peers(60, 2, 68);
         let sharing = |d: usize| {
             let mut population = plane.clone();
@@ -868,19 +838,23 @@ mod tests {
             population[41] = PeerInfo::new(PeerId(41), Point::new(coords).unwrap());
             population
         };
-        assert!(sweep_rows(&GridIndex::build(&plane)).is_some());
-        for (what, population) in [
-            ("a shared x", sharing(0)),
-            ("a shared y", sharing(1)),
-            ("D = 1", peers(60, 1, 69)),
-            ("D = 3", peers(60, 3, 70)),
+        let lattice = closed_form_populations().swap_remove(6).0;
+        for (what, population, swept) in [
+            ("distinct", plane.clone(), true),
+            ("a shared x", sharing(0), true),
+            ("a shared y", sharing(1), true),
+            ("a lattice", lattice, true),
+            ("D = 1", peers(60, 1, 69), false),
+            ("D = 3", peers(60, 3, 70), false),
         ] {
-            assert!(
-                sweep_rows(&GridIndex::build(&population)).is_none(),
+            assert_eq!(
+                sweep_rows(&GridIndex::build(&population)).is_some(),
+                swept,
                 "{what}"
             );
+            let n = population.len();
             let store = TopologyStore::from_peers(population.clone(), Arc::new(EmptyRectSelection));
-            let want = oracle::equilibrium_live(&population, &[false; 60], &EmptyRectSelection);
+            let want = oracle::equilibrium_live(&population, &vec![false; n], &EmptyRectSelection);
             assert_eq!(store.graph(), want, "{what}: adjacency");
             assert_eq!(store.fingerprint(), oracle::fingerprint(&want), "{what}");
         }

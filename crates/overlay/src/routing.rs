@@ -550,7 +550,7 @@ mod tests {
         // non-empty-region assert rather than producing a bogus walk.
         let store = store_setup(10, 2, 25);
         let corner = store.peers()[0].point();
-        let degenerate = Rect::spanned_open(corner, corner).unwrap();
+        let degenerate = Rect::spanned_open(corner, 0, corner, 0).unwrap();
         assert!(degenerate.is_empty());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             greedy_route_to_rect_on_store(&store, 1, &degenerate, 10)

@@ -9,7 +9,10 @@ use crate::select::{select_in_brute, ChurnShape, NeighborSelection, SelectContex
 ///
 /// Implemented as per-orthant Pareto frontiers
 /// ([`geocast_geom::dominance::empty_rect_neighbors`]); the equivalence
-/// with the definitional rule is property-tested in `geocast-geom`.
+/// with the definitional rule is property-tested in `geocast-geom`. A
+/// coordinate shared by two peers is ordered by peer id
+/// ([`geocast_geom::above`]), so every candidate lies in exactly one
+/// orthant of `P` and spans a rectangle of full dimension with it.
 ///
 /// Selection under this rule is *symmetric at equilibrium*: when `P` and
 /// `Q` see the same candidate universe, the spanned rectangle (and hence
@@ -37,15 +40,17 @@ pub struct EmptyRectSelection;
 
 impl NeighborSelection for EmptyRectSelection {
     fn select(&self, who: &PeerInfo, candidates: &[&PeerInfo]) -> Vec<usize> {
-        dominance::empty_rect_neighbors(who.point(), candidates)
+        dominance::empty_rect_neighbors(who.point(), who.id().index(), candidates, |c| {
+            candidates[c].id().index()
+        })
     }
 
     fn select_in(&self, peers: &[PeerInfo], i: usize, ctx: &SelectContext<'_>) -> Vec<usize> {
-        // The frontier is a function of coordinates only (no id
-        // tie-breaking), so the index path applies whenever an index
-        // exists, shared coordinates included; it declines (None) only
-        // beyond `MAX_INDEX_DIM`, where `select_in_brute` answers.
-        if let Some(index) = ctx.index() {
+        // The index orders a shared coordinate by slot, the rule by peer
+        // id: it answers when slots are ids, as for the orthogonal
+        // Hyperplanes rule. It declines (None) only beyond
+        // `MAX_INDEX_DIM`, where `select_in_brute` answers.
+        if let Some(index) = ctx.index().filter(|_| ctx.ids_in_slice_order) {
             if let Some(picked) = index.empty_rect_neighbors(i) {
                 return picked;
             }
@@ -76,11 +81,17 @@ mod tests {
         let picked = EmptyRectSelection.select(who, &cands);
         assert!(!picked.is_empty());
         for (ci, cand) in cands.iter().enumerate() {
-            let rect = Rect::spanned_open(who.point(), cand.point()).unwrap();
+            let rect = Rect::spanned_open(
+                who.point(),
+                who.id().index(),
+                cand.point(),
+                cand.id().index(),
+            )
+            .unwrap();
             let occupied = cands
                 .iter()
                 .enumerate()
-                .any(|(oi, other)| oi != ci && rect.contains(other.point()));
+                .any(|(oi, other)| oi != ci && rect.contains_id(other.point(), other.id().index()));
             assert_eq!(
                 !occupied,
                 picked.contains(&ci),

@@ -162,7 +162,13 @@ mod tests {
             let picked = sel.select(who, &cands);
             let mut per_orthant: BTreeMap<u32, usize> = BTreeMap::new();
             for &ci in &picked {
-                let o = Orthant::classify(who.point(), cands[ci].point()).unwrap();
+                let o = Orthant::classify(
+                    who.point(),
+                    who.id().index(),
+                    cands[ci].point(),
+                    cands[ci].id().index(),
+                )
+                .unwrap();
                 *per_orthant.entry(o.bits()).or_default() += 1;
             }
             assert!(per_orthant.values().all(|&c| c <= k), "K={k} violated");
@@ -178,13 +184,27 @@ mod tests {
         let picked = sel.select(who, &cands);
         // For every picked candidate, nothing in its orthant is closer.
         for &ci in &picked {
-            let o = Orthant::classify(who.point(), cands[ci].point()).unwrap();
+            let o = Orthant::classify(
+                who.point(),
+                who.id().index(),
+                cands[ci].point(),
+                cands[ci].id().index(),
+            )
+            .unwrap();
             let d = l1(who.point().coords(), cands[ci].point().coords());
             for (oi, other) in cands.iter().enumerate() {
                 if oi == ci {
                     continue;
                 }
-                if Orthant::classify(who.point(), other.point()).unwrap() == o {
+                if Orthant::classify(
+                    who.point(),
+                    who.id().index(),
+                    other.point(),
+                    other.id().index(),
+                )
+                .unwrap()
+                    == o
+                {
                     assert!(
                         l1(who.point().coords(), other.point().coords()) >= d,
                         "picked candidate is not the orthant minimum"
@@ -203,14 +223,23 @@ mod tests {
         let picked = sel.select(who, &cands);
         let populated: std::collections::BTreeSet<u32> = cands
             .iter()
-            .map(|c| Orthant::classify(who.point(), c.point()).unwrap().bits())
+            .map(|c| {
+                Orthant::classify(who.point(), who.id().index(), c.point(), c.id().index())
+                    .unwrap()
+                    .bits()
+            })
             .collect();
         let represented: std::collections::BTreeSet<u32> = picked
             .iter()
             .map(|&ci| {
-                Orthant::classify(who.point(), cands[ci].point())
-                    .unwrap()
-                    .bits()
+                Orthant::classify(
+                    who.point(),
+                    who.id().index(),
+                    cands[ci].point(),
+                    cands[ci].id().index(),
+                )
+                .unwrap()
+                .bits()
             })
             .collect();
         assert_eq!(populated, represented);

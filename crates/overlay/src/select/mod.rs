@@ -67,7 +67,7 @@ pub struct SelectContext<'a> {
     index: Option<&'a GridIndex>,
     departed: Option<&'a [bool]>,
     /// `peers[j].id().index() == j` for every `j`: index slot order is
-    /// id order, so the index's distance tie-breaks are the rule's.
+    /// id order, so the index's tie-breaks are the rule's.
     ids_in_slice_order: bool,
 }
 
@@ -83,10 +83,10 @@ impl<'a> SelectContext<'a> {
     /// slice handed to `select_in`, in the same order.
     ///
     /// `ids_in_slice_order` states whether `peers[j].id().index() == j`
-    /// for every `j` ([`ids_in_slice_order`]). The empty-rectangle rule
-    /// breaks no distance tie and ignores it; the orthogonal Hyperplanes
-    /// rule breaks ties by id, and answers from the index only when it
-    /// holds.
+    /// for every `j` ([`ids_in_slice_order`]). Both rules that read the
+    /// index break ties by peer id — the empty-rectangle rule a shared
+    /// coordinate, the orthogonal Hyperplanes rule a distance — and the
+    /// index by slot, so they answer from it only when it holds.
     #[must_use]
     pub fn with_index(index: &'a GridIndex, ids_in_slice_order: bool) -> Self {
         SelectContext {
@@ -126,7 +126,7 @@ impl<'a> SelectContext<'a> {
 
 /// `true` iff every peer's id equals its slice position — the standard
 /// experiment workload shape ([`PeerInfo::from_point_set`]), under which
-/// id-based and position-based distance tie-breaking agree.
+/// id-based and position-based tie-breaking agree.
 #[must_use]
 pub fn ids_in_slice_order(peers: &[PeerInfo]) -> bool {
     peers.iter().enumerate().all(|(j, p)| p.id().index() == j)

@@ -9,9 +9,9 @@
 //! change's dirty region. Its rows are selected on **one index**, a
 //! [`GridIndex`] over every peer ever inserted whose slot ids are peer
 //! ids (a departed peer's slot is tombstoned): the bulk build selects
-//! every row on it — or, under the empty-rectangle rule at `D = 2` with
-//! coordinates distinct per axis, sweeps its coordinate table once
-//! (`crate::closed_form`, "The plane sweep") — a join takes its walk's
+//! every row on it — or, under the empty-rectangle rule at `D = 2`,
+//! sweeps its coordinate table once (`crate::closed_form`, "The plane
+//! sweep") — a join takes its walk's
 //! start from it, and a Hyperplanes re-selection is a query on it. A
 //! join or leave touches only the peers whose rows the membership
 //! change can affect, and each of those rows is updated at the cost of
@@ -43,12 +43,11 @@
 //!   new row = `{r ∈ selection(i) : q ∉ rect(i, r)} ∪ {q}`, where
 //!   `q ∈ rect(i, r)` is the strict-interior test
 //!   ([`geocast_geom::dominance::rect_dominates`]) — the rule's
-//!   definition, coordinate collisions included (a point sharing a
-//!   coordinate with `i` is inside no open rectangle and has an empty
-//!   one of its own), so the update needs no fallback. Every evicted
-//!   `r` is in `q`'s row too (below), and `q` sits strictly inside
-//!   `rect(i, r)` iff `i` and `r` lie in complementary orthants around
-//!   `q` with no tie: the store groups `q`'s row into runs by orthant
+//!   definition, which orders a coordinate shared by two peers by peer
+//!   id ([`geocast_geom::above`]), so the update needs no fallback.
+//!   Every evicted `r` is in `q`'s row too (below), and `q` sits
+//!   strictly inside `rect(i, r)` iff `i` and `r` lie in complementary
+//!   orthants around `q`: the store groups `q`'s row into runs by orthant
 //!   code once per event (one sort, below) and cuts the linked pairs of
 //!   the cross products of complementary runs
 //!   (`crate::closed_form`'s `straddled_links`), with no rectangle
@@ -78,18 +77,18 @@
 //!   its corners are inside; either it is empty and `y` itself is a
 //!   neighbour of `x`, or it holds a point with a strictly smaller
 //!   rectangle of its own, and that finite descent ends on a neighbour
-//!   of `x` inside `rect(i, w)`. *Ties:* a `y` sharing a coordinate
-//!   with `x` spans no open rectangle with it and is its neighbour by
-//!   the rule's own definition, so the descent starts there too; an `x`
-//!   sharing a coordinate with `i` sat strictly inside no rectangle of
-//!   `i`'s, and `i` just loses it. So the new links are the pairs of
+//!   of `x` inside `rect(i, w)`. *Ties:* every step reads coordinates
+//!   in the order of [`geocast_geom::above`] — the coordinate, then the
+//!   peer id — in which no two peers share a coordinate, so a shared
+//!   one needs no case of its own. So the new links are the pairs of
 //!   `row(x)` whose open rectangle holds `x` and no other member of
 //!   `row(x)`. *The runs:* one sort groups the members of `row(x)` by
-//!   their orthant code around `x`; the tied members are in no run.
-//!   Each member in a run is keyed by its coordinates with the sign
-//!   flipped where its orthant lies below `x` (`v` above, `−v` below),
+//!   their orthant code around `x`. Each member in a run is keyed by
+//!   its coordinate and id, both flipped where its orthant lies below
+//!   `x` (`(v, id)` above, `(−v, !id)` below: [`geocast_geom::key`]),
 //!   so a smaller key is nearer `x` and every comparison below is a
-//!   comparison of raw coordinates — no subtraction rounds it. The
+//!   comparison of raw coordinates — no subtraction rounds it — that
+//!   reads the id only when they are equal. The
 //!   pairs that hold `x` are the cross products of two runs whose codes
 //!   differ in every bit. *The blockers:* a member `y` of a run whose
 //!   code is `i`'s or `w`'s is no blocker of `(i, w)`: it would sit
@@ -106,11 +105,10 @@
 //!   least `j` key among the members of `o` nearer than it in `d`, and
 //!   `(i, w)` is blocked by `o` iff that threshold is below `w`'s `j`
 //!   key: one comparison per pair. Every other run (`D ≥ 3`) is scanned
-//!   per pair. The tied members take the strict-interior test
-//!   itself. So at `D = 2` a leave costs `O(k log k + straddling
+//!   per pair. So at `D = 2` a leave costs `O(k log k + straddling
 //!   pairs)` for a row of `k`, and every step is the rule's definition:
-//!   any dimensionality and any tie take the same path, with no
-//!   index and no fallback. The rows that
+//!   any dimensionality and any shared coordinate take the same path,
+//!   with no index and no fallback. The rows that
 //!   change are exactly `row(x) ∪ {x}`, which is the delta. The join's
 //!   evictions are pairs inside the newcomer's row the same way: an
 //!   evicted `r` had `rect(i, r)` empty before `q` came to sit in it,
@@ -129,40 +127,41 @@
 //! and `hull(a, b)` the closed box spanned by `x`, `a` and `b`. The walk
 //! has three steps.
 //!
+//! Every coordinate below is read in the order of
+//! [`geocast_geom::above`] — the coordinate, then the peer id, the
+//! newcomer's the largest — in which no two peers share a coordinate
+//! along any axis.
+//!
 //! 1. **Locate.** The start is any live peer: the one nearest `x` in
 //!    the index's grid cells (`GridIndex::locate`, which reads buckets
-//!    only and so never declines on a tie). Nothing below depends on
-//!    which peer it is; a near one keeps the descent short.
+//!    only). Nothing below depends on which peer it is; a near one keeps
+//!    the descent short.
 //! 2. **Descend.** From `p`, step to the member `m` of `row(p)` that lies
-//!    in `box(p, x)` at coordinates other than `p`'s and leaves the
-//!    smallest box; stop when `row(p)` has none. `box(m, x)` is a strict
-//!    part of `box(p, x)`, so no peer is visited twice and the walk ends.
-//!    *Lemma:* if `box(p, x)` holds a live peer `s` at coordinates other
-//!    than `p`'s, then `row(p)` holds one. If the open `rect(p, s)` holds
-//!    a peer `t`, then `t` is strictly between `p` and `s` in every
-//!    dimension: it lies in `box(p, x)`, off `p`'s coordinates, with
-//!    `box(p, t)` a strict part of `box(p, s)`. That finite descent ends
-//!    at such a peer whose open rectangle with `p` is empty, a member of
-//!    `row(p)`. So where the walk stops, `box(p, x)` holds no live peer
-//!    but `p` and its copies, the open `rect(x, p)` holds none, and
-//!    `p ∈ row(x)`.
+//!    strictly inside the open `rect(p, x)` and leaves the smallest box;
+//!    stop when `row(p)` has none. `rect(m, x)` is a strict part of
+//!    `rect(p, x)`, so no peer is visited twice and the walk ends.
+//!    *Lemma:* if the open `rect(p, x)` holds a live peer `s`, then
+//!    `row(p)` holds one. If the open `rect(p, s)` holds a peer `t`, then
+//!    `t` is strictly between `p` and `s` in every dimension: it lies in
+//!    `rect(p, x)`, with `rect(p, t)` a strict part of `rect(p, s)`. That
+//!    finite descent ends at such a peer whose open rectangle with `p` is
+//!    empty, a member of `row(p)`. So where the walk stops, the open
+//!    `rect(x, p)` holds no live peer, and `p ∈ row(x)`.
 //! 3. **Grow.** Keep one Pareto front per orthant code around `x`
 //!    (`geocast_geom::dominance::ParetoSet`, created as orthants are met
-//!    — no `2^D` table) and a tied set for the peers that share a
-//!    coordinate with `x`, which are in no orthant and always in
-//!    `row(x)`. A front's keys are the member's coordinates with the sign
-//!    flipped on the orthant's negative sides: strictly smaller in every
-//!    key is strictly inside the rectangle, with no subtraction to round
-//!    the test. Offer the descent's end, then push every peer a front
-//!    accepts or the tied set takes; pop them in order, and when a popped
-//!    peer is still in its front (or is tied), offer every member of its
-//!    row. A seen-stamp per peer offers each peer at most once per join.
-//!    At the end the fronts and the tied set are `row(x)`.
+//!    — no `2^D` table). A front's keys are the member's coordinate and
+//!    id, flipped on the orthant's negative sides: strictly smaller in
+//!    every key is strictly inside the rectangle, with no subtraction to
+//!    round the test. Offer the descent's end, then push every peer a
+//!    front accepts; pop them in order, and when a popped peer is still
+//!    in its front, offer every member of its row. A seen-stamp per peer
+//!    offers each peer at most once per join. At the end the fronts are
+//!    `row(x)`.
 //!
 //! Why the grow ends with exactly `row(x)`:
 //!
-//! * **`row(x)` is connected in `G`** — within an orthant, across
-//!   orthants, and with ties. Induct on `μ(a, b)`, the number of live
+//! * **`row(x)` is connected in `G`** — within an orthant and across
+//!   orthants. Induct on `μ(a, b)`, the number of live
 //!   peers in `hull(a, b)`, for `a, b ∈ row(x)`. If the open `rect(a, b)`
 //!   is empty, `a – b` is a link of `G`. Otherwise it holds a peer `r`,
 //!   strictly between `a` and `b` in every dimension. Some dimension has
@@ -179,14 +178,12 @@
 //!   `O`, `hull(a, b)` is the box from `x` to the componentwise maximum
 //!   of the offsets of `a` and `b`, and `μ` counts the peers of `O` whose
 //!   offsets lie below it. Across orthants no minimal pair of orthants is
-//!   needed. The argument never puts a peer in an orthant, so peers that
-//!   share a coordinate with `x` or with each other are covered by the
-//!   proof, not only by the property tests.
+//!   needed.
 //! * **Every member of `row(x)` is offered, and stays.** A member is
 //!   strictly dominated by no live peer (that peer would sit strictly
 //!   inside its rectangle with `x`), so a front that is offered it
-//!   accepts it and never evicts it; a tied member always goes to the
-//!   tied set. So it is popped and expanded, and its row holds its links
+//!   accepts it and never evicts it. So it is popped and expanded, and
+//!   its row holds its links
 //!   inside `row(x)`. The descent's end is in `row(x)`, whatever the
 //!   start, so by connectivity every member of `row(x)` is offered.
 //! * **Nothing else stays.** A front holds the Pareto frontier of what it
@@ -196,18 +193,15 @@
 //!   That member was offered too, so `s` is not in the final front.
 //! * **From any start.** The descent makes the grow cheap, not exact:
 //!   grown from a start outside `row(x)`, it still offers a member of
-//!   `row(x)` (a tied start is in it). The start's front never empties,
-//!   and every peer in a final front was expanded when popped. If all
-//!   final members are in `row(x)`, one was offered. Otherwise let `f`
-//!   be the final member outside `row(x)` with the least L1 offset from
-//!   `x`. By the lemma, `row(f)` — which was offered — holds
-//!   a peer `m` in `box(f, x)` off `f`'s coordinates. Either `m` is tied
-//!   with `x`, and so in `row(x)`; or it lies in `f`'s orthant with a
-//!   smaller L1 offset. Then `m` is a final member, or some final member
-//!   strictly dominates it with a smaller offset still; by the choice of
-//!   `f`, that member is in `row(x)`. Connectivity does the rest. So a
-//!   start anywhere is correct, and the walk does not depend on
-//!   `locate` beyond the cost.
+//!   `row(x)`. The start's front never empties, and every peer in a
+//!   final front was expanded when popped. If all final members are in
+//!   `row(x)`, one was offered. A final member `f` outside `row(x)`
+//!   cannot be: by the lemma, `row(f)` — which was offered — holds a
+//!   peer `m` strictly inside the open `rect(f, x)`, in `f`'s orthant
+//!   and strictly nearer `x` in every dimension. `m` was offered and
+//!   dominates `f`, so `f` is in no final front. Connectivity does the
+//!   rest. So a start anywhere is correct, and the walk does not depend
+//!   on `locate` beyond the cost.
 //!
 //! Every test is a raw comparison of coordinates, as in the rule's own
 //! definition, so the walk takes the same path at every dimensionality
@@ -391,9 +385,9 @@ impl TopologyStore {
     /// Builds a store over an existing dense-id population in one bulk
     /// pass, ready for incremental churn: one index over the population,
     /// and every row selected on it in parallel — or, under the
-    /// empty-rectangle rule on a 2-D population whose coordinates are
-    /// distinct per axis, every row from one serial plane sweep over the
-    /// index's coordinates (`crate::closed_form`, "The plane sweep"),
+    /// empty-rectangle rule on a 2-D population, every row from one
+    /// serial plane sweep over the index's coordinates
+    /// (`crate::closed_form`, "The plane sweep"),
     /// held to the selection by tests. Topology, fingerprint
     /// and delta stream are the definition's
     /// ([`crate::oracle::equilibrium_live`]; property-tested in
@@ -1578,7 +1572,7 @@ mod tests {
     #[test]
     fn colliding_coordinates_join_and_leave_exactly() {
         // A workload violating per-dimension distinctness. A join's
-        // walk puts a newcomer's tied peers in its tied set and never
+        // walk orders a newcomer's shared coordinates by id and never
         // asks the index; the leave removes a peer that shares a
         // coordinate with two of its selectors, and the pair kernel is
         // the rule's own strict test. Neither runs a brute selection.
@@ -1642,11 +1636,10 @@ mod tests {
     fn a_join_tied_to_its_row_members_cuts_exactly() {
         // The join half: each newcomer copies one coordinate of a live
         // peer and the other coordinate of one of that peer's
-        // neighbours. Both tie it, so both are in its row with no
-        // orthant code, and no pair through them is cut. The walk finds
-        // the newcomer's own row over store rows and puts the ties in its
-        // tied set, so no join queries the index and none runs a brute
-        // selection. Debug builds re-select every edited row, the
+        // neighbours, and ranks above both there by id. The walk finds
+        // the newcomer's own row over store rows, so no join queries the
+        // index and none runs a brute selection; its row is the
+        // definition's. Debug builds re-select every edited row, the
         // newcomer's included, after each join.
         let peers = PeerInfo::from_point_set(&uniform_points(2000, 2, 1000.0, 67));
         let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
@@ -1656,13 +1649,10 @@ mod tests {
             let tied = store.peers()[t]
                 .point()
                 .with_coord(1, store.peers()[u].point()[1]);
-            let q = store.insert(tied);
-            assert!(
-                [t, u]
-                    .iter()
-                    .all(|w| store.out_neighbors(q.index()).contains(w)),
-                "a tied peer is always a neighbour"
-            );
+            let q = store.insert(tied).index();
+            let ctx = SelectContext::without_index().masked(store.departed());
+            let want = EmptyRectSelection.select_in(store.peers(), q, &ctx);
+            assert_eq!(store.out_neighbors(q), &want[..], "join {k}");
         }
         assert_eq!(store.join_walk_stats().joins, 20, "every join walked");
         assert_eq!(store.graph(), reference_graph(&store));

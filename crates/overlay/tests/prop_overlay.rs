@@ -194,11 +194,12 @@ proptest! {
         let cands: Vec<&PeerInfo> = population[1..].iter().collect();
         let picked = EmptyRectSelection.select(&population[0], &cands);
         for (ci, cand) in cands.iter().enumerate() {
-            let rect = Rect::spanned_open(population[0].point(), cand.point()).unwrap();
+            let rect = Rect::spanned_open(population[0].point(), 0, cand.point(), cand.id().index())
+                .unwrap();
             let blocked = cands
                 .iter()
                 .enumerate()
-                .any(|(oi, o)| oi != ci && rect.contains(o.point()));
+                .any(|(oi, o)| oi != ci && rect.contains_id(o.point(), o.id().index()));
             prop_assert_eq!(picked.contains(&ci), !blocked, "candidate {}", ci);
         }
     }
@@ -218,13 +219,14 @@ proptest! {
         let picked = sel.select(&population[0], &cands);
         let mut per_orthant = vec![0usize; Orthant::count(dim)];
         for &ci in &picked {
-            let o = Orthant::classify(population[0].point(), cands[ci].point()).unwrap();
+            let o = Orthant::classify(population[0].point(), 0, cands[ci].point(), cands[ci].id().index())
+                .unwrap();
             per_orthant[o.index()] += 1;
         }
         prop_assert!(per_orthant.iter().all(|&c| c <= k));
         // Populated orthants are represented.
         for (i, cand) in cands.iter().enumerate() {
-            let o = Orthant::classify(population[0].point(), cand.point()).unwrap();
+            let o = Orthant::classify(population[0].point(), 0, cand.point(), cand.id().index()).unwrap();
             if per_orthant[o.index()] == 0 {
                 prop_assert!(
                     !picked.is_empty() || cands.is_empty(),

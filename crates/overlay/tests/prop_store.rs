@@ -260,13 +260,29 @@ fn a_hostile_row_departs_into_the_bulk_build_over_the_survivors() {
     }
 }
 
+/// Asserts the store's bulk build over `peers` — the plane sweep, at
+/// `D = 2` — equals one selection per peer on the index, rows and
+/// fingerprint.
+fn assert_sweep_equals_selection(what: &str, peers: &[PeerInfo]) {
+    let store = TopologyStore::from_peers(peers.to_vec(), Arc::new(EmptyRectSelection));
+    let index = GridIndex::build(peers);
+    let ctx = SelectContext::with_index(&index, true);
+    let rows = (0..peers.len()).map(|i| EmptyRectSelection.select_in(peers, i, &ctx));
+    let want = OverlayGraph::from_out_neighbors(rows.collect());
+    assert_eq!(store.graph(), want, "{what}: adjacency");
+    assert_eq!(
+        store.fingerprint(),
+        oracle::fingerprint(&want),
+        "{what}: fingerprint"
+    );
+}
+
 /// The bulk build's plane sweep against one selection per peer on the
-/// index — the path a bulk build takes when the sweep declines — on
-/// 2-D populations with coordinates distinct per axis, where it does
-/// not: uniform, clustered, a chain (rows of two), a hub (one row of
-/// everyone) and a cross (one row of two opposite arms). Rows and the
-/// fingerprint must be equal. Release runs N up to 20 000 (CI does);
-/// debug builds a tenth.
+/// index — the path a bulk build takes off the plane — on 2-D
+/// populations with coordinates distinct per axis: uniform, clustered, a
+/// chain (rows of two), a hub (one row of everyone) and a cross (one row
+/// of two opposite arms). Release runs N up to 20 000 (CI does); debug
+/// builds a tenth.
 #[test]
 fn the_bulk_build_sweep_equals_one_selection_per_peer() {
     let n = if cfg!(debug_assertions) {
@@ -282,30 +298,37 @@ fn the_bulk_build_sweep_equals_one_selection_per_peer() {
         ("cross", cross(2 * n / 5, 8)),
     ];
     for (what, points) in families {
-        assert!(
-            points.ensure_distinct().is_ok(),
-            "{what}: the sweep's input"
-        );
-        let peers = PeerInfo::from_point_set(&points);
-        let store = TopologyStore::from_peers(peers.clone(), Arc::new(EmptyRectSelection));
-        let index = GridIndex::build(&peers);
-        let ctx = SelectContext::with_index(&index, true);
-        let rows = (0..peers.len()).map(|i| EmptyRectSelection.select_in(&peers, i, &ctx));
-        let want = OverlayGraph::from_out_neighbors(rows.collect());
-        assert_eq!(store.graph(), want, "{what}: adjacency");
-        assert_eq!(
-            store.fingerprint(),
-            oracle::fingerprint(&want),
-            "{what}: fingerprint"
-        );
+        assert!(points.ensure_distinct().is_ok(), "{what}: distinct");
+        assert_sweep_equals_selection(what, &PeerInfo::from_point_set(&points));
     }
 }
 
+/// The same on a shuffled square integer lattice, where every
+/// coordinate is shared by a whole row or column of peers and peer ids
+/// follow no axis: the sweep orders each axis by `(coordinate, id)` as
+/// the selection does. Release runs the 141 × 141 lattice (19 881
+/// peers; CI does), debug builds a 45 × 45 one.
+#[test]
+fn the_bulk_build_sweep_equals_one_selection_per_peer_on_a_shuffled_lattice() {
+    let side: u32 = if cfg!(debug_assertions) { 45 } else { 141 };
+    let mut lattice: Vec<Point> = (0..side * side)
+        .map(|i| Point::new(vec![f64::from(i % side), f64::from(i / side)]).unwrap())
+        .collect();
+    let mut rng = StdRng::seed_from_u64(141);
+    for k in (1..lattice.len()).rev() {
+        lattice.swap(k, rng.random_range(0..=k));
+    }
+    let peers: Vec<PeerInfo> = (0..lattice.len() as u64)
+        .zip(lattice)
+        .map(|(i, p)| PeerInfo::new(PeerId(i), p))
+        .collect();
+    assert_sweep_equals_selection(&format!("{side} × {side} lattice"), &peers);
+}
+
 /// A 2-D population of `n` for the bulk-build property, by `grid`:
-/// uniform reals (distinct per axis, so the sweep builds it); integers
-/// below `n / 2` on both axes; or integer `x` and real `y`. The two
-/// integer kinds share coordinates almost always, so the sweep declines
-/// and every row is selected on its own.
+/// uniform reals (distinct per axis); integers below `n / 2` on both
+/// axes; or integer `x` and real `y`. The two integer kinds share
+/// coordinates almost always, and even identical points.
 fn plane_population(n: usize, grid: usize, seed: u64) -> Vec<PeerInfo> {
     let reals = uniform_points(n, 2, 1000.0, seed).into_points();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -327,9 +350,8 @@ fn plane_population(n: usize, grid: usize, seed: u64) -> Vec<PeerInfo> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A bulk build on the plane equals the definition, rows and
-    /// fingerprint, whichever path builds it: the sweep on distinct
-    /// coordinates, one selection per peer on shared ones.
+    /// A bulk build on the plane — the sweep — equals the definition,
+    /// rows and fingerprint, on distinct coordinates and on shared ones.
     #[test]
     fn a_bulk_build_on_the_plane_equals_the_definition(
         n in 1usize..90,
@@ -424,6 +446,56 @@ proptest! {
             let what = format!("dim {dim}, op {op}");
             rebuilt = assert_from_scratch(&store, Some(&rebuilt), &what);
             assert_mutual_and_local(&store, &moved, &what);
+        }
+    }
+
+    /// Shared coordinates under churn, every rule family: a bulk build
+    /// over the first half of a tied population, then joins of the rest
+    /// interleaved with leaves, equals the from-scratch rebuild after
+    /// every event. Family 0 draws integers below 6 on every axis (a
+    /// dense lattice, with identical points), family 1 copies four
+    /// points over and over (identical points only), family 2 spreads
+    /// coordinates exponentially (`±2^e`, `e < 20`, many shared).
+    #[test]
+    fn tied_populations_churn_equals_from_scratch_rebuild(
+        n in 4usize..50,
+        family in 0usize..3,
+        dim in 1usize..4,
+        variant in 0usize..4,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut coordinate = |i: usize| match family {
+            0 => f64::from(rng.random_range(0..6u8)),
+            1 => (i % 4 * 10) as f64,
+            _ => {
+                let e = rng.random_range(0..20);
+                if rng.random_range(0..2) == 0 { 2f64.powi(e) } else { -(2f64.powi(e)) }
+            }
+        };
+        let points: Vec<Point> = (0..n)
+            .map(|i| Point::new((0..dim).map(|_| coordinate(i)).collect()).unwrap())
+            .collect();
+        let (seeded, joining) = points.split_at(n / 2);
+        let peers: Vec<PeerInfo> = (0..seeded.len() as u64)
+            .zip(seeded.iter().cloned())
+            .map(|(i, p)| PeerInfo::new(PeerId(i), p))
+            .collect();
+        let mut store = TopologyStore::from_peers(peers, selection_for(variant, dim, 2));
+        let mut rebuilt = assert_from_scratch(&store, None, "bulk build");
+        let mut joins = joining.iter().cloned();
+        for op in 0..joining.len() + n / 4 {
+            let live: Vec<usize> = (0..store.len())
+                .filter(|&i| !store.is_departed(PeerId(i as u64)))
+                .collect();
+            let leave = (live.len() > 1 && (op % 3 == 2 || joins.len() == 0))
+                .then(|| live[rng.random_range(0..live.len())]);
+            let moved = apply_event(&mut store, leave, &mut joins);
+            let what = format!("family {family}, variant {variant}, op {op}");
+            rebuilt = assert_from_scratch(&store, Some(&rebuilt), &what);
+            if variant == 0 {
+                assert_mutual_and_local(&store, &moved, &what);
+            }
         }
     }
 
