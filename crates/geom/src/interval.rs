@@ -1,7 +1,5 @@
 use std::fmt;
 
-use crate::key_lt;
-
 /// An **open** interval `(lo, hi)` over the reals, with `±∞` endpoints
 /// permitted, and with the tie rule of [`crate::above`] at its ends.
 ///
@@ -39,19 +37,31 @@ use crate::key_lt;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
-    /// The lower end and its id: a point there is inside iff its id is
-    /// larger. A plain end's id is `usize::MAX`.
-    lo: (f64, usize),
-    /// The upper end and its id: a point there is inside iff its id is
-    /// smaller. A plain end's id is 0.
-    hi: (f64, usize),
+    /// The lower end: a point there is inside iff its id is larger than
+    /// `lo_id`.
+    lo: f64,
+    /// The upper end: a point there is inside iff its id is smaller than
+    /// `hi_id`.
+    hi: f64,
+    /// The lower end's id; a plain end's is `u32::MAX`, which no id
+    /// exceeds (an id past it ranks with it).
+    lo_id: u32,
+    /// The upper end's id; a plain end's is 0.
+    hi_id: u32,
+}
+
+/// A peer id as an end carries it: peer ids are 32-bit.
+fn end_id(id: usize) -> u32 {
+    u32::try_from(id).expect("a peer id fits in 32 bits")
 }
 
 impl Interval {
     /// The canonical empty interval.
     pub const EMPTY: Interval = Interval {
-        lo: (0.0, usize::MAX),
-        hi: (0.0, 0),
+        lo: 0.0,
+        hi: 0.0,
+        lo_id: u32::MAX,
+        hi_id: 0,
     };
 
     /// Creates the open interval `(lo, hi)`.
@@ -62,18 +72,33 @@ impl Interval {
     /// explicitly).
     #[must_use]
     pub fn new(lo: f64, hi: f64) -> Self {
-        Interval::ends((lo, usize::MAX), (hi, 0))
+        Interval::ends((lo, u32::MAX), (hi, 0))
     }
 
     /// Everything between the ends `lo` and `hi`, each a coordinate and
     /// an id, in the order of [`crate::above`]; empty unless `lo` ranks
     /// below `hi`.
-    fn ends(lo: (f64, usize), hi: (f64, usize)) -> Self {
+    fn ends(lo: (f64, u32), hi: (f64, u32)) -> Self {
         if lo.0.is_nan() || hi.0.is_nan() || lo >= hi {
             Interval::EMPTY
         } else {
-            Interval { lo, hi }
+            Interval {
+                lo: lo.0,
+                hi: hi.0,
+                lo_id: lo.1,
+                hi_id: hi.1,
+            }
         }
+    }
+
+    /// The lower end and its id, in the order of [`crate::above`].
+    fn lo_end(&self) -> (f64, u32) {
+        (self.lo, self.lo_id)
+    }
+
+    /// The upper end and its id, in the order of [`crate::above`].
+    fn hi_end(&self) -> (f64, u32) {
+        (self.hi, self.hi_id)
     }
 
     /// The interval `(-∞, +∞)`.
@@ -97,20 +122,20 @@ impl Interval {
     /// Everything below the peer with id `id` at coordinate `hi`.
     #[must_use]
     pub fn below_id(hi: f64, id: usize) -> Self {
-        Interval::ends((f64::NEG_INFINITY, usize::MAX), (hi, id))
+        Interval::ends((f64::NEG_INFINITY, u32::MAX), (hi, end_id(id)))
     }
 
     /// Everything above the peer with id `id` at coordinate `lo`.
     #[must_use]
     pub fn above_id(lo: f64, id: usize) -> Self {
-        Interval::ends((lo, id), (f64::INFINITY, 0))
+        Interval::ends((lo, end_id(id)), (f64::INFINITY, 0))
     }
 
     /// Everything strictly between the peers `(a, a_id)` and
     /// `(b, b_id)`, in either order.
     #[must_use]
     pub fn between_ids(a: f64, a_id: usize, b: f64, b_id: usize) -> Self {
-        let (a, b) = ((a, a_id), (b, b_id));
+        let (a, b) = ((a, end_id(a_id)), (b, end_id(b_id)));
         if a < b {
             Interval::ends(a, b)
         } else {
@@ -121,48 +146,44 @@ impl Interval {
     /// Lower endpoint (exclusive); `-∞` when unbounded below.
     #[must_use]
     pub fn lo(&self) -> f64 {
-        self.lo.0
+        self.lo
     }
 
     /// Upper endpoint (exclusive); `+∞` when unbounded above.
     #[must_use]
     pub fn hi(&self) -> f64 {
-        self.hi.0
+        self.hi
     }
 
     /// `true` if the interval contains no point.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lo >= self.hi
+        self.lo_end() >= self.hi_end()
     }
 
     /// `true` if `x` lies strictly between the endpoints: inside for
     /// every id.
     #[must_use]
     pub fn contains(&self, x: f64) -> bool {
-        self.lo.0 < x && x < self.hi.0
+        self.lo < x && x < self.hi
     }
 
     /// `true` if the point with id `id` at `x` lies inside: `(lo, lo_id)
     /// < (x, id) < (hi, hi_id)`, the order of [`crate::above`].
     #[must_use]
     pub fn contains_id(&self, x: f64, id: usize) -> bool {
-        key_lt(&self.lo, &(x, id)) && key_lt(&(x, id), &self.hi)
+        let id = u32::try_from(id).unwrap_or(u32::MAX);
+        (self.lo < x || (self.lo == x && self.lo_id < id))
+            && (x < self.hi || (x == self.hi && id < self.hi_id))
     }
 
     /// The intersection of two open intervals (also open).
     #[must_use]
     pub fn intersect(&self, other: Interval) -> Interval {
-        let lo = if self.lo >= other.lo {
-            self.lo
-        } else {
-            other.lo
-        };
-        let hi = if self.hi <= other.hi {
-            self.hi
-        } else {
-            other.hi
-        };
+        let (a, b) = (self.lo_end(), other.lo_end());
+        let lo = if a >= b { a } else { b };
+        let (a, b) = (self.hi_end(), other.hi_end());
+        let hi = if a <= b { a } else { b };
         Interval::ends(lo, hi)
     }
 
@@ -177,7 +198,7 @@ impl Interval {
     /// The empty interval is contained in everything.
     #[must_use]
     pub fn contains_interval(&self, other: Interval) -> bool {
-        other.is_empty() || (self.lo <= other.lo && other.hi <= self.hi)
+        other.is_empty() || (self.lo_end() <= other.lo_end() && other.hi_end() <= self.hi_end())
     }
 }
 
@@ -194,7 +215,7 @@ impl fmt::Display for Interval {
         if self.is_empty() {
             write!(f, "∅")
         } else {
-            write!(f, "({}, {})", self.lo.0, self.hi.0)
+            write!(f, "({}, {})", self.lo, self.hi)
         }
     }
 }
@@ -300,6 +321,13 @@ mod tests {
         assert!(Interval::above_id(1.0, 4)
             .intersect(Interval::below(1.0))
             .is_empty());
+    }
+
+    #[test]
+    fn an_interval_is_24_bytes() {
+        // Two f64 ends and two 32-bit ids: a zone costs 24 bytes per
+        // dimension.
+        assert_eq!(std::mem::size_of::<Interval>(), 24);
     }
 
     #[test]
