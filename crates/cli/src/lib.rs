@@ -1,29 +1,30 @@
-//! Command implementation behind the `geocast` binary.
-//!
-//! The CLI wraps the library's experiment surface for interactive use:
-//!
-//! ```text
-//! geocast overlay   --n 500 --dim 2 --method empty-rect        # topology profile
-//! geocast tree      --n 500 --dim 3 --root 0 --pick median     # §2 construction
-//! geocast stability --n 500 --dim 4 --k 2 --policy max-t       # §3 tree + departures
-//! geocast figures   --panel fig1a [--full]                     # reproduce the paper
-//! ```
+//! Command implementation behind the `geocast` binary: the library's
+//! experiment surface for interactive use (`geocast help` lists it).
 //!
 //! Argument parsing is hand-rolled (`--key value` pairs after a
 //! subcommand) to keep the dependency set identical to the library's.
+//! One table holds each command and each option's key, default, choices
+//! and check: parsing, the typed reads and `help` all read it.
 
 #![forbid(unsafe_code)]
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
 use std::sync::Arc;
+use std::time::Instant;
 
+use geocast::core::detect::{run_detection, DetectionScenario};
 use geocast::core::stability::{non_leaf_departures, preferred_links, PreferredPolicy};
-use geocast::figures;
+use geocast::figures::{self, *};
 use geocast::geom::arrangement::MAX_SIGNED_DIM;
 use geocast::geom::{MAX_ORTHANT_DIM, VMAX};
 use geocast::overlay::analysis;
+use geocast::overlay::churn::{run_schedule_on_store, ChurnSchedule};
 use geocast::prelude::*;
+use geocast::sim::workload::PublishWorkload;
 
 /// A parsed invocation: subcommand plus `--key value` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,49 +59,9 @@ pub enum CliError {
         /// Offending value.
         value: String,
     },
-    /// `--strict-coverage` was requested and some published payload
-    /// failed to reach every subscriber (the CI coverage gate).
-    StrandedMembers {
-        /// Total stranded deliveries across the run's publishes.
-        stranded: u64,
-        /// Publishes performed.
-        publishes: u64,
-    },
-    /// `publish --strict` was requested and the data-plane gate failed:
-    /// a flushed payload stranded a subscriber, the delivery-plan cache
-    /// never hit, or the engine diverged from the oracle rebuild (the
-    /// CI data-plane gate).
-    PublishGate {
-        /// Payload-deliveries that failed to reach a subscriber.
-        stranded_payloads: u64,
-        /// Delivery-plan cache hits across the run's flushes.
-        cache_hits: u64,
-        /// Whether every group matched the from-scratch rebuild.
-        converged: bool,
-    },
-    /// `detect --strict` was requested and the detection gate failed:
-    /// a live peer was convicted, an injected failure went undetected,
-    /// coverage did not recover, or the detector-driven topology
-    /// diverged from the oracle rebuild (the CI detection gate).
-    DetectionGate {
-        /// Live peers wrongly convicted as dead.
-        false_positives: usize,
-        /// Injected failures never detected.
-        undetected: usize,
-        /// Whether payload coverage returned to 100% by the end.
-        recovered: bool,
-        /// Whether the topology matched the oracle rebuild.
-        converged: bool,
-    },
-    /// `churn --strict` was requested and the replayed store diverged
-    /// from the from-scratch definition of the topology it should hold
-    /// (the CI store gate).
-    StoreGate {
-        /// Whether the adjacency graph matched the definition's.
-        graphs_equal: bool,
-        /// Whether the fingerprint matched the one recomputed from it.
-        fingerprints_equal: bool,
-    },
+    /// A `--strict` or `--strict-coverage` gate failed (the CI gates):
+    /// the command's message names each of its checks and how it read.
+    Gate(String),
 }
 
 impl fmt::Display for CliError {
@@ -111,52 +72,21 @@ impl fmt::Display for CliError {
             CliError::MalformedOption(o) => {
                 write!(f, "malformed option `{o}` (expected --key value)")
             }
-            CliError::UnknownOption { command, key } => write!(
-                f,
-                "`{command}` has no option --{key}; try `geocast help`"
-            ),
+            CliError::UnknownOption { command, key } => {
+                write!(f, "`{command}` has no option --{key}; try `geocast help`")
+            }
             CliError::BadValue { key, value } => write!(f, "invalid value `{value}` for --{key}"),
-            CliError::StrandedMembers {
-                stranded,
-                publishes,
-            } => write!(
-                f,
-                "strict coverage violated: {stranded} stranded deliveries across {publishes} publishes"
-            ),
-            CliError::PublishGate {
-                stranded_payloads,
-                cache_hits,
-                converged,
-            } => write!(
-                f,
-                "strict publish violated: {stranded_payloads} stranded \
-                 payload-deliveries, {cache_hits} plan-cache hits, \
-                 converged {converged}"
-            ),
-            CliError::DetectionGate {
-                false_positives,
-                undetected,
-                recovered,
-                converged,
-            } => write!(
-                f,
-                "strict detection violated: {false_positives} false positives, \
-                 {undetected} undetected failures, recovered {recovered}, \
-                 converged {converged}"
-            ),
-            CliError::StoreGate {
-                graphs_equal,
-                fingerprints_equal,
-            } => write!(
-                f,
-                "strict churn violated: graph equals the definition \
-                 {graphs_equal}, fingerprint {fingerprints_equal}"
-            ),
+            CliError::Gate(message) => f.write_str(message),
         }
     }
 }
 
 impl std::error::Error for CliError {}
+
+fn bad_value(key: &str, value: impl fmt::Display) -> CliError {
+    let (key, value) = (key.to_owned(), value.to_string());
+    CliError::BadValue { key, value }
+}
 
 /// Parses raw arguments (without the program name).
 ///
@@ -174,191 +104,18 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, CliError> {
         let Some(key) = token.strip_prefix("--") else {
             return Err(CliError::MalformedOption(token.clone()));
         };
-        // Boolean flags (no value) are stored as "true".
-        match key {
-            "full" | "strict-coverage" | "strict" => {
-                options.insert(key.to_owned(), "true".to_owned());
-            }
-            _ => {
-                let Some(value) = it.next() else {
-                    return Err(CliError::MalformedOption(token.clone()));
-                };
-                options.insert(key.to_owned(), value.clone());
-            }
-        }
+        // A flag of any command takes no value; `run` rejects a foreign one.
+        let mut opts = COMMANDS.iter().flat_map(|c| c.options);
+        let value = if opts.any(|o| o.key == key && matches!(o.kind, Flag)) {
+            "true"
+        } else {
+            let malformed = || CliError::MalformedOption(token.clone());
+            it.next().ok_or_else(malformed)?
+        };
+        options.insert(key.to_owned(), value.to_owned());
     }
-    Ok(Invocation {
-        command: command.clone(),
-        options,
-    })
-}
-
-fn opt<T: std::str::FromStr>(inv: &Invocation, key: &str, default: T) -> Result<T, CliError> {
-    match inv.options.get(key) {
-        None => Ok(default),
-        Some(raw) => raw.parse().map_err(|_| CliError::BadValue {
-            key: key.to_owned(),
-            value: raw.clone(),
-        }),
-    }
-}
-
-/// Parses `--n`, rejecting empty populations the downstream passes
-/// (overlay profiling, root placement) cannot represent.
-fn opt_peers(inv: &Invocation, default: usize) -> Result<usize, CliError> {
-    let n: usize = opt(inv, "n", default)?;
-    if n == 0 {
-        return Err(CliError::BadValue {
-            key: "n".to_owned(),
-            value: "0".to_owned(),
-        });
-    }
-    Ok(n)
-}
-
-/// Parses `--dim`: an [`Orthant`] is a bit per dimension, so every
-/// command's geometry holds 1 ..= [`MAX_ORTHANT_DIM`] dimensions.
-fn opt_dim(inv: &Invocation, default: usize) -> Result<usize, CliError> {
-    let dim: usize = opt(inv, "dim", default)?;
-    if !(1..=MAX_ORTHANT_DIM).contains(&dim) {
-        return Err(CliError::BadValue {
-            key: "dim".to_owned(),
-            value: dim.to_string(),
-        });
-    }
-    Ok(dim)
-}
-
-fn selection_for(
-    method: &str,
-    dim: usize,
-    k: usize,
-) -> Result<Arc<dyn NeighborSelection + Send + Sync>, CliError> {
-    if k == 0 {
-        return Err(CliError::BadValue {
-            key: "k".into(),
-            value: "0".into(),
-        });
-    }
-    Ok(match method {
-        "signed" if dim > MAX_SIGNED_DIM => {
-            return Err(CliError::BadValue {
-                key: "dim".into(),
-                value: dim.to_string(),
-            })
-        }
-        "empty-rect" => Arc::new(EmptyRectSelection),
-        "orthogonal" => Arc::new(HyperplanesSelection::orthogonal(dim, k)),
-        "signed" => Arc::new(HyperplanesSelection::signed(dim, k)),
-        "k-closest" => Arc::new(HyperplanesSelection::k_closest(dim, k)),
-        other => {
-            return Err(CliError::BadValue {
-                key: "method".into(),
-                value: other.into(),
-            })
-        }
-    })
-}
-
-/// A subcommand's body: the text to print, or why not.
-type Body = fn(&Invocation) -> Result<String, CliError>;
-
-/// A subcommand: its name, every option key it reads, and its body.
-type Command = (&'static str, &'static [&'static str], Body);
-
-/// Every subcommand but `help`. [`parse_args`] stores any `--key value`
-/// and the bodies look up only the keys they know, so the key list is
-/// what keeps a typo or a stale option from being ignored in silence.
-const COMMANDS: &[Command] = &[
-    ("overlay", &["n", "dim", "seed", "k", "method"], cmd_overlay),
-    ("tree", &["n", "dim", "seed", "root", "pick"], cmd_tree),
-    (
-        "stability",
-        &["n", "dim", "seed", "k", "policy"],
-        cmd_stability,
-    ),
-    ("route", &["n", "dim", "seed", "from", "to"], cmd_route),
-    (
-        "churn",
-        &[
-            "n",
-            "dim",
-            "seed",
-            "events",
-            "join-rate",
-            "leave-rate",
-            "pattern",
-            "strict",
-        ],
-        cmd_churn,
-    ),
-    (
-        "groups",
-        &[
-            "n",
-            "dim",
-            "seed",
-            "groups",
-            "subs",
-            "zipf",
-            "events",
-            "group-events",
-            "placement",
-            "strict-coverage",
-        ],
-        cmd_groups,
-    ),
-    (
-        "publish",
-        &[
-            "n",
-            "dim",
-            "seed",
-            "groups",
-            "subs",
-            "zipf",
-            "batch",
-            "ticks",
-            "churn-every",
-            "placement",
-            "strict",
-        ],
-        cmd_publish,
-    ),
-    (
-        "detect",
-        &[
-            "n",
-            "dim",
-            "seed",
-            "groups",
-            "group-size",
-            "loss",
-            "crashes",
-            "silent",
-            "suspicion-ms",
-            "strict",
-        ],
-        cmd_detect,
-    ),
-    ("figures", &["panel", "full"], cmd_figures),
-];
-
-/// Looks the subcommand up and checks that it reads every option given.
-fn resolve(inv: &Invocation) -> Result<Body, CliError> {
-    let &(_, keys, body) = COMMANDS
-        .iter()
-        .find(|(name, ..)| *name == inv.command)
-        .ok_or_else(|| CliError::UnknownCommand(inv.command.clone()))?;
-    // The smallest, so the key reported does not depend on hash order.
-    let unknown = inv.options.keys().filter(|k| !keys.contains(&k.as_str()));
-    match unknown.min() {
-        Some(key) => Err(CliError::UnknownOption {
-            command: inv.command.clone(),
-            key: key.clone(),
-        }),
-        None => Ok(body),
-    }
+    let command = command.clone();
+    Ok(Invocation { command, options })
 }
 
 /// Executes a parsed invocation, returning the text to print.
@@ -366,362 +123,523 @@ fn resolve(inv: &Invocation) -> Result<Body, CliError> {
 /// # Errors
 ///
 /// Returns a [`CliError`] for unknown commands, options the command
-/// does not read, or invalid option values.
+/// does not read, invalid option values, or a failed strict gate.
 pub fn run(inv: &Invocation) -> Result<String, CliError> {
     if matches!(inv.command.as_str(), "help" | "--help" | "-h") {
-        return Ok(HELP.to_owned());
+        return Ok(help());
     }
-    resolve(inv)?(inv)
+    let command = resolve(inv)?;
+    let (given, options) = (&inv.options, command.options);
+    (command.body)(&Args { given, options })
 }
 
-const HELP: &str = "geocast — decentralized multicast trees on geometric P2P overlays
+/// One subcommand, with what `help` says of it and the options it takes.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    options: &'static [Opt],
+    body: fn(&Args) -> Result<String, CliError>,
+}
 
-USAGE: geocast <COMMAND> [--key value ...]
+/// Every subcommand but `help`, in the order `help` lists them.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "overlay",
+        about: "build an equilibrium overlay and print its profile",
+        options: &[
+            opt("n", "500", Number(POSITIVE)),
+            opt("dim", "2", Number(DIMS)),
+            SEED,
+            opt("k", "2", Number(POSITIVE)),
+            opt("method", "empty-rect", Choice(|| names(METHODS))),
+        ],
+        body: cmd_overlay,
+    },
+    Command {
+        name: "tree",
+        about: "run the §2 construction and check its claims",
+        options: &[
+            opt("n", "500", Number(POSITIVE)),
+            opt("dim", "2", Number(DIMS)),
+            SEED,
+            opt("root", "0", Number(ANY)),
+            opt("pick", "median", Choice(|| names(PICKS))),
+        ],
+        body: cmd_tree,
+    },
+    Command {
+        name: "stability",
+        about: "run the §3 construction and replay all departures",
+        options: &[
+            opt("n", "500", Number(POSITIVE)),
+            opt("dim", "3", Number(DIMS)),
+            SEED,
+            opt("k", "2", Number(POSITIVE)),
+            opt("policy", "max-t", Choice(|| names(POLICIES))),
+        ],
+        body: cmd_stability,
+    },
+    Command {
+        name: "route",
+        about: "greedy geometric routing between two peers",
+        options: &[
+            opt("n", "200", Number(POSITIVE)),
+            opt("dim", "2", Number(DIMS)),
+            SEED,
+            opt("from", "0", Number(ANY)),
+            opt("to", "n-1", Derived(ANY)),
+        ],
+        body: cmd_route,
+    },
+    Command {
+        name: "churn",
+        about: "replay a churn pattern through the incremental engine",
+        options: &[
+            opt("n", "500", Number(POSITIVE)),
+            opt("dim", "2", Number(DIMS)),
+            SEED,
+            opt("pattern", "mixed", Choice(|| names(PATTERNS))),
+            opt("events", "200", Number(ANY)),
+            opt("join-rate", "1", Number(ANY)),
+            opt("leave-rate", "1", Number(ANY)),
+            opt("strict", "fail unless the store equals a rebuild", Flag),
+        ],
+        body: cmd_churn,
+    },
+    Command {
+        name: "groups",
+        about: "drive N concurrent multicast groups over one shared store",
+        options: &[
+            opt("n", "500", Number(POSITIVE)),
+            opt("dim", "2", Number(DIMS)),
+            SEED,
+            opt("groups", "16", Number(POSITIVE)),
+            opt("subs", "2n", Derived(ANY)),
+            opt("zipf", "1.0", Number(ANY)),
+            opt("events", "200", Number(ANY)),
+            opt("group-events", "200", Number(ANY)),
+            opt("placement", "clustered", Choice(|| names(PLACEMENTS))),
+            opt("strict-coverage", "fail if any member is stranded", Flag),
+        ],
+        body: cmd_groups,
+    },
+    Command {
+        name: "publish",
+        about: "drive the batched data plane: enqueue + flush over the plan cache",
+        options: &[
+            opt("n", "500", Number(POSITIVE)),
+            opt("dim", "2", Number(DIMS)),
+            SEED,
+            opt("groups", "16", Number(POSITIVE)),
+            opt("subs", "2n", Derived(ANY)),
+            opt("zipf", "1.5", Number(ANY)),
+            opt("batch", "64", Number(POSITIVE)),
+            // No tick, no flush: no hit rate or throughput to report.
+            opt("ticks", "50", Number(POSITIVE)),
+            opt("churn-every", "10", Number(ANY)),
+            opt("placement", "clustered", Choice(|| names(PLACEMENTS))),
+            opt("strict", "fail on stranding, a cold cache or drift", Flag),
+        ],
+        body: cmd_publish,
+    },
+    Command {
+        name: "detect",
+        about: "run the SWIM failure-detection plane through a crash wave",
+        // The quick scenario's; a wave needs a peer to fail and one to notice.
+        options: &[
+            opt("n", "24", Number(2.0..=f64::MAX)),
+            opt("dim", "2", Number(DIMS)),
+            opt("seed", "42", Number(ANY)),
+            opt("groups", "2", Number(POSITIVE)),
+            opt("group-size", "min(8,n)", Derived(POSITIVE)),
+            opt("loss", "0.0", Number(0.0..=1.0)),
+            opt("crashes", "2", Number(ANY)),
+            opt("silent", "1", Number(ANY)),
+            opt("suspicion-ms", "400", Number(POSITIVE)),
+            opt("strict", "fail on bad verdicts, lost coverage, drift", Flag),
+        ],
+        body: cmd_detect,
+    },
+    Command {
+        name: "figures",
+        about: "regenerate the paper's artifacts",
+        options: &[
+            opt("panel", "all", Choice(|| names(PANELS))),
+            opt("full", "paper scale (minutes), not quick scale", Flag),
+        ],
+        body: cmd_figures,
+    },
+];
 
-COMMANDS:
-  overlay    build an equilibrium overlay and print its profile
-             --n 500 --dim 2 --seed 1 --method empty-rect|orthogonal|signed|k-closest --k 2
-  tree       run the §2 construction and check its claims
-             --n 500 --dim 2 --seed 1 --root 0 --pick median|closest|farthest
-  stability  run the §3 construction and replay all departures
-             --n 500 --dim 3 --k 2 --seed 1 --policy max-t|min-higher-t|closest
-  route      greedy geometric routing between two peers
-             --n 200 --dim 2 --seed 1 --from 0 --to 199  (--to defaults to n − 1)
-  churn      replay a churn pattern through the incremental engine
-             --n 500 --dim 2 --seed 1 --pattern mixed|join-wave|leave-wave|flash-crowd
-             --events 200 --join-rate 1 --leave-rate 1
-             [--strict]  (fail unless the replayed store is byte-identical
-                          to the from-scratch definition)
-  groups     drive N concurrent multicast groups over one shared store
-             --n 500 --dim 2 --seed 1 --groups 16 --subs 1000 --zipf 1.0
-             --events 200 --group-events 200 --placement clustered|scattered
-             [--strict-coverage]  (fail if any publish strands a member)
-  publish    drive the batched data plane: enqueue + flush over the plan cache
-             --n 500 --dim 2 --seed 1 --groups 16 --subs 1000 --zipf 1.5
-             --batch 64 --ticks 50 --churn-every 10 --placement clustered|scattered
-             [--strict]  (fail on stranded payloads, a cold plan cache,
-                          or oracle divergence)
-  detect     run the SWIM failure-detection plane through a crash wave
-             --n 24 --dim 2 --seed 42 --groups 2 --group-size 8 --loss 0.0
-             --crashes 2 --silent 1 --suspicion-ms 400
-             [--strict]  (fail on false positives, missed failures,
-                          unrecovered coverage, or oracle divergence)
-  figures    regenerate the paper's artifacts
-             --panel fig1a|fig1b|fig1c|fig1d|fig1e|claims|ablation|baselines|repair|churn|groups|detection|publish|all [--full]
-  help       this text
-";
+/// Looks the subcommand up and checks that it takes every option given,
+/// so that a typo or a stale option is not ignored in silence.
+fn resolve(inv: &Invocation) -> Result<&'static Command, CliError> {
+    let command = (COMMANDS.iter())
+        .find(|c| c.name == inv.command)
+        .ok_or_else(|| CliError::UnknownCommand(inv.command.clone()))?;
+    let unknown = (inv.options.keys()).filter(|k| !command.options.iter().any(|o| o.key == *k));
+    // The smallest, so the key reported does not depend on hash order.
+    unknown.min().map_or(Ok(command), |key| {
+        let (command, key) = (inv.command.clone(), key.clone());
+        Err(CliError::UnknownOption { command, key })
+    })
+}
 
-fn cmd_overlay(inv: &Invocation) -> Result<String, CliError> {
-    let n: usize = opt_peers(inv, 500)?;
-    let dim: usize = opt_dim(inv, 2)?;
-    let seed: u64 = opt(inv, "seed", 1)?;
-    let k: usize = opt(inv, "k", 2)?;
-    let method: String = opt(inv, "method", "empty-rect".to_owned())?;
-    let selection = selection_for(&method, dim, k)?;
+/// One option of one command.
+struct Opt {
+    key: &'static str,
+    /// The default as `help` shows it (a derived one's rule, a flag's use).
+    shown: &'static str,
+    kind: Kind,
+}
 
+const fn opt(key: &'static str, shown: &'static str, kind: Kind) -> Opt {
+    Opt { key, shown, kind }
+}
+
+/// How an option takes its value.
+enum Kind {
+    /// A number in the range; `shown` when not given.
+    Number(RangeInclusive<f64>),
+    /// A number in the range; the command derives it when not given.
+    Derived(RangeInclusive<f64>),
+    /// A name of a choice table; `shown` when not given.
+    Choice(fn() -> Vec<&'static str>),
+    /// Given or not, with no value.
+    Flag,
+}
+
+use Kind::{Choice, Derived, Flag, Number};
+
+/// Every value of an unsigned option, and a finite non-negative float.
+const ANY: RangeInclusive<f64> = 0.0..=f64::MAX;
+/// One or more: an empty population has no overlay and no root.
+const POSITIVE: RangeInclusive<f64> = 1.0..=f64::MAX;
+/// `--dim`: an [`Orthant`] is a bit per dimension.
+const DIMS: RangeInclusive<f64> = 1.0..=MAX_ORTHANT_DIM as f64;
+const SEED: Opt = opt("seed", "1", Number(ANY));
+
+/// A choice option's table: each name it takes and what that selects.
+type Choices<T> = &'static [(&'static str, T)];
+
+/// The names of a choice table, whatever it selects.
+fn names<T>(table: Choices<T>) -> Vec<&'static str> {
+    table.iter().map(|&(name, _)| name).collect()
+}
+
+impl Opt {
+    /// `raw` as a `T`, if it parses as one and as a number in range.
+    fn parse<T: FromStr>(&self, raw: &str) -> Result<T, CliError> {
+        let (Number(range) | Derived(range)) = &self.kind else {
+            panic!("--{} is not a number", self.key);
+        };
+        let in_range = raw.parse::<f64>().is_ok_and(|x| range.contains(&x));
+        match raw.parse() {
+            Ok(value) if in_range => Ok(value),
+            _ => Err(bad_value(self.key, raw)),
+        }
+    }
+
+    /// The option as `help` lists it, a choice's default first.
+    fn usage(&self) -> String {
+        let (key, shown) = (self.key, self.shown);
+        match self.kind {
+            Choice(names) => {
+                let others = names().into_iter().filter(|&n| n != shown);
+                let names: Vec<&str> = std::iter::once(shown).chain(others).collect();
+                format!("--{key} {}", names.join("|"))
+            }
+            Flag => format!("[--{key}]  {shown}"),
+            Number(_) | Derived(_) => format!("--{key} {shown}"),
+        }
+    }
+}
+
+/// A command's options as given, read through its row of the table.
+struct Args<'a> {
+    given: &'a HashMap<String, String>,
+    options: &'static [Opt],
+}
+
+impl Args<'_> {
+    fn opt(&self, key: &str) -> &'static Opt {
+        (self.options.iter())
+            .find(|o| o.key == key)
+            .expect("a command reads only the options of its row")
+    }
+
+    /// The option `key` as given, else its default.
+    fn raw(&self, key: &str) -> &str {
+        let given = self.given.get(key);
+        given.map_or(self.opt(key).shown, String::as_str)
+    }
+
+    /// The number option `key`: as given, else its default.
+    fn get<T: FromStr>(&self, key: &str) -> Result<T, CliError> {
+        self.opt(key).parse(self.raw(key))
+    }
+
+    /// The number option `key`: as given, else `derived`.
+    fn get_or<T: FromStr>(&self, key: &str, derived: T) -> Result<T, CliError> {
+        match self.given.get(key) {
+            Some(raw) => self.opt(key).parse(raw),
+            None => Ok(derived),
+        }
+    }
+
+    /// `--n`, `--dim` and `--seed` of a uniform population.
+    fn population(&self) -> Result<(usize, usize, u64), CliError> {
+        Ok((self.get("n")?, self.get("dim")?, self.get("seed")?))
+    }
+
+    /// The entry of `table` the choice option `key` names, or its default.
+    fn choice<T>(&self, key: &str, table: Choices<T>) -> Result<&(&str, T), CliError> {
+        let raw = self.raw(key);
+        let entry = table.iter().find(|(name, _)| *name == raw);
+        entry.ok_or_else(|| bad_value(key, raw))
+    }
+
+    fn flag(&self, key: &str) -> bool {
+        self.opt(key);
+        self.given.contains_key(key)
+    }
+}
+
+/// `geocast help`: every command and each of its options, from the table.
+fn help() -> String {
+    let mut out = String::from(
+        "geocast — decentralized multicast trees on geometric P2P overlays\n\n\
+         USAGE: geocast <COMMAND> [--key value ...]\n\
+         (each option at its default; a default written with n follows --n)\n\n\
+         COMMANDS:\n",
+    );
+    for command in COMMANDS {
+        out.push_str(&format!("  {:<10} {}\n", command.name, command.about));
+        let (flags, values): (Vec<_>, Vec<_>) = (command.options.iter())
+            .map(Opt::usage)
+            .partition(|usage| usage.starts_with('['));
+        for line in values.chunks(4).chain(flags.chunks(1)) {
+            out.push_str(&format!("{:13}{}\n", "", line.join(" ")));
+        }
+    }
+    out + "  help       this text\n"
+}
+
+/// What a command prints: a title, a blank line, then one `label: value`
+/// row each, labels padded to one column (a longer one is not).
+struct Report {
+    column: usize,
+    text: String,
+}
+
+impl Report {
+    fn new(column: usize, title: String) -> Self {
+        let text = title + "\n\n";
+        Report { column, text }
+    }
+
+    fn row(&mut self, label: &str, value: impl fmt::Display) {
+        let width = self.column;
+        self.text.push_str(&format!("  {label:<width$}: {value}\n"));
+    }
+}
+
+type Selection = Arc<dyn NeighborSelection + Send + Sync>;
+
+/// A store of `n` uniform peers in `dim` dimensions under `selection`.
+fn uniform_store(n: usize, dim: usize, seed: u64, selection: Selection) -> TopologyStore {
     let peers = PeerInfo::from_point_set(&uniform_points(n, dim, VMAX, seed));
-    let store = TopologyStore::from_peers(peers, selection);
+    TopologyStore::from_peers(peers, selection)
+}
+
+/// Where a group's members sit: `groups` and `publish` take it.
+const PLACEMENTS: Choices<MembershipPlacement> = &[
+    ("clustered", MembershipPlacement::Clustered),
+    ("scattered", MembershipPlacement::Scattered),
+];
+
+/// The selection rules by dimension and `K`; signed stops at [`MAX_SIGNED_DIM`].
+pub(crate) const METHODS: Choices<fn(usize, usize) -> Option<Selection>> = &[
+    ("empty-rect", |_, _| Some(Arc::new(EmptyRectSelection))),
+    ("orthogonal", |d, k| {
+        Some(Arc::new(HyperplanesSelection::orthogonal(d, k)))
+    }),
+    ("signed", |d, k| {
+        (d <= MAX_SIGNED_DIM).then(|| Arc::new(HyperplanesSelection::signed(d, k)) as _)
+    }),
+    ("k-closest", |d, k| {
+        Some(Arc::new(HyperplanesSelection::k_closest(d, k)))
+    }),
+];
+
+pub(crate) fn cmd_overlay(a: &Args) -> Result<String, CliError> {
+    let (n, dim, seed) = a.population()?;
+    let k: usize = a.get("k")?;
+    let &(method, select) = a.choice("method", METHODS)?;
+    let selection = select(dim, k).ok_or_else(|| bad_value("dim", dim))?;
+    let store = uniform_store(n, dim, seed, selection);
     let graph = store.graph();
-    let profile = analysis::profile(&graph, Some(64.min(n)), seed);
+    let p = analysis::profile(&graph, Some(64.min(n)), seed);
     let stretch = if n >= 2 {
         analysis::geometric_stretch(store.peers(), &graph, 200, seed)
     } else {
         0.0
     };
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "overlay: {method} over {n} peers (D={dim}, seed {seed})\n\n"
-    ));
-    out.push_str(&format!(
-        "  directed edges    : {}\n",
-        profile.directed_edges
-    ));
-    out.push_str(&format!(
-        "  undirected links  : {}\n",
-        profile.undirected_edges
-    ));
-    out.push_str(&format!(
-        "  degree            : min {} / mean {:.1} / max {}\n",
-        profile.degree_min, profile.degree_mean, profile.degree_max
-    ));
-    out.push_str(&format!(
-        "  link symmetry     : {:.1}%\n",
-        profile.link_symmetry * 100.0
-    ));
-    out.push_str(&format!("  connected         : {}\n", profile.connected));
-    out.push_str(&format!(
-        "  mean hop distance : {:.2}\n",
-        profile.mean_hop_distance
-    ));
-    out.push_str(&format!(
-        "  max eccentricity  : {}\n",
-        profile.hop_eccentricity_max
-    ));
-    out.push_str(&format!(
-        "  clustering coeff  : {:.3}\n",
-        profile.clustering_coefficient
-    ));
-    out.push_str(&format!("  geometric stretch : {stretch:.2}\n"));
-    Ok(out)
+    let title = format!("overlay: {method} over {n} peers (D={dim}, seed {seed})");
+    let mut out = Report::new(18, title);
+    out.row("directed edges", p.directed_edges);
+    out.row("undirected links", p.undirected_edges);
+    let (min, mean, max) = (p.degree_min, p.degree_mean, p.degree_max);
+    out.row("degree", format!("min {min} / mean {mean:.1} / max {max}"));
+    out.row("link symmetry", format!("{:.1}%", p.link_symmetry * 100.0));
+    out.row("connected", p.connected);
+    out.row("mean hop distance", format!("{:.2}", p.mean_hop_distance));
+    out.row("max eccentricity", p.hop_eccentricity_max);
+    let clustering = p.clustering_coefficient;
+    out.row("clustering coeff", format!("{clustering:.3}"));
+    out.row("geometric stretch", format!("{stretch:.2}"));
+    Ok(out.text)
 }
 
-fn cmd_tree(inv: &Invocation) -> Result<String, CliError> {
-    let n: usize = opt_peers(inv, 500)?;
-    let dim: usize = opt_dim(inv, 2)?;
-    let seed: u64 = opt(inv, "seed", 1)?;
-    let root: usize = opt(inv, "root", 0)?;
-    let pick: String = opt(inv, "pick", "median".to_owned())?;
-    let partitioner = match pick.as_str() {
-        "median" => OrthantRectPartitioner::median(),
-        "closest" => OrthantRectPartitioner::closest(),
-        "farthest" => OrthantRectPartitioner::farthest(),
-        other => {
-            return Err(CliError::BadValue {
-                key: "pick".into(),
-                value: other.into(),
-            })
-        }
-    };
+/// How the §2 partitioner picks a zone's child.
+pub(crate) const PICKS: Choices<fn() -> OrthantRectPartitioner> = &[
+    ("median", OrthantRectPartitioner::median),
+    ("closest", OrthantRectPartitioner::closest),
+    ("farthest", OrthantRectPartitioner::farthest),
+];
+
+pub(crate) fn cmd_tree(a: &Args) -> Result<String, CliError> {
+    let (n, dim, seed) = a.population()?;
+    let root: usize = a.get("root")?;
+    let &(pick, partitioner) = a.choice("pick", PICKS)?;
     if root >= n {
-        return Err(CliError::BadValue {
-            key: "root".into(),
-            value: root.to_string(),
-        });
+        return Err(bad_value("root", root));
     }
-
-    let peers = PeerInfo::from_point_set(&uniform_points(n, dim, VMAX, seed));
-    let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+    let store = uniform_store(n, dim, seed, Arc::new(EmptyRectSelection));
     let everyone = (0..n).collect();
-    let result = build_group_tree_on_store(&store, root, &everyone, &partitioner);
+    let result = build_group_tree_on_store(&store, root, &everyone, &partitioner());
     let verdict = validate::check_section2(&result, n, dim);
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "§2 multicast tree: {n} peers, D={dim}, root {root}, pick {pick}\n\n"
-    ));
-    out.push_str(&format!(
-        "  messages          : {} (N-1 = {})\n",
-        result.messages,
-        n - 1
-    ));
-    out.push_str(&format!(
-        "  spanning          : {}\n",
-        result.tree.is_spanning()
-    ));
-    out.push_str(&format!(
-        "  height            : {}\n",
-        result.tree.longest_root_to_leaf()
-    ));
-    out.push_str(&format!(
-        "  diameter          : {}\n",
-        result.tree.diameter()
-    ));
-    out.push_str(&format!(
-        "  max children      : {} (2^D = {})\n",
-        result.tree.max_children(),
-        1usize << dim
-    ));
-    out.push_str(&format!("  §2 claims hold    : {}\n", verdict.all_hold()));
-    Ok(out)
+    let title = format!("§2 multicast tree: {n} peers, D={dim}, root {root}, pick {pick}");
+    let mut out = Report::new(18, title);
+    let (messages, tree) = (result.messages, &result.tree);
+    out.row("messages", format!("{messages} (N-1 = {})", n - 1));
+    out.row("spanning", tree.is_spanning());
+    out.row("height", tree.longest_root_to_leaf());
+    out.row("diameter", tree.diameter());
+    let (children, fanout) = (tree.max_children(), 1usize << dim);
+    out.row("max children", format!("{children} (2^D = {fanout})"));
+    out.row("§2 claims hold", verdict.all_hold());
+    Ok(out.text)
 }
 
-fn cmd_stability(inv: &Invocation) -> Result<String, CliError> {
-    let n: usize = opt_peers(inv, 500)?;
-    let dim: usize = opt_dim(inv, 3)?;
-    let seed: u64 = opt(inv, "seed", 1)?;
-    let k: usize = opt(inv, "k", 2)?;
-    let policy_name: String = opt(inv, "policy", "max-t".to_owned())?;
-    let policy = match policy_name.as_str() {
-        "max-t" => PreferredPolicy::MaxT,
-        "min-higher-t" => PreferredPolicy::MinHigherT,
-        "closest" => PreferredPolicy::ClosestHigherT,
-        other => {
-            return Err(CliError::BadValue {
-                key: "policy".into(),
-                value: other.into(),
-            })
-        }
-    };
+/// How a peer picks its preferred neighbour among later leavers.
+pub(crate) const POLICIES: Choices<PreferredPolicy> = &[
+    ("max-t", PreferredPolicy::MaxT),
+    ("min-higher-t", PreferredPolicy::MinHigherT),
+    ("closest", PreferredPolicy::ClosestHigherT),
+];
 
-    let selection = selection_for("orthogonal", dim, k)?;
-
-    let base = uniform_points(n, dim, VMAX, seed);
+pub(crate) fn cmd_stability(a: &Args) -> Result<String, CliError> {
+    let (n, dim, seed) = a.population()?;
+    let k: usize = a.get("k")?;
+    let &(policy_name, policy) = a.choice("policy", POLICIES)?;
     let times = lifetimes(n, VMAX, seed ^ 0x57_4a);
-    let store = TopologyStore::from_peers(
-        PeerInfo::from_point_set(&embed_lifetimes(&base, &times)),
-        selection,
-    );
+    let points = embed_lifetimes(&uniform_points(n, dim, VMAX, seed), &times);
+    let selection = Arc::new(HyperplanesSelection::orthogonal(dim, k));
+    let store = TopologyStore::from_peers(PeerInfo::from_point_set(&points), selection);
     let (peers, overlay) = (store.peers(), store.graph());
     let forest = preferred_links(peers, &overlay, policy);
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "§3 stability tree: {n} peers, D={dim}, K={k}, policy {policy_name}\n\n"
-    ));
-    out.push_str(&format!("  links form a tree : {}\n", forest.is_tree()));
-    out.push_str(&format!(
-        "  heap property     : {}\n",
-        forest.heap_property_holds(peers)
-    ));
+    let title = format!("§3 stability tree: {n} peers, D={dim}, K={k}, policy {policy_name}");
+    let mut out = Report::new(18, title);
+    out.row("links form a tree", forest.is_tree());
+    out.row("heap property", forest.heap_property_holds(peers));
     if let Some(tree) = forest.to_multicast_tree() {
-        let t: Vec<f64> = peers
-            .iter()
-            .map(geocast::prelude::PeerInfo::departure_time)
-            .collect();
-        out.push_str(&format!(
-            "  height            : {}\n",
-            tree.longest_root_to_leaf()
-        ));
-        out.push_str(&format!("  diameter          : {}\n", tree.diameter()));
-        out.push_str(&format!(
-            "  max tree degree   : {}\n",
-            tree.degrees().into_iter().max().unwrap_or(0)
-        ));
-        out.push_str(&format!(
-            "  disconnecting departures (full schedule): {}\n",
-            non_leaf_departures(&tree, &t)
-        ));
+        let t: Vec<f64> = peers.iter().map(PeerInfo::departure_time).collect();
+        out.row("height", tree.longest_root_to_leaf());
+        out.row("diameter", tree.diameter());
+        let degree = tree.degrees().into_iter().max().unwrap_or(0);
+        out.row("max tree degree", degree);
+        let cuts = non_leaf_departures(&tree, &t);
+        out.row("disconnecting departures (full schedule)", cuts);
     }
-    Ok(out)
+    Ok(out.text)
 }
 
-fn cmd_route(inv: &Invocation) -> Result<String, CliError> {
-    let n: usize = opt_peers(inv, 200)?;
-    let dim: usize = opt_dim(inv, 2)?;
-    let seed: u64 = opt(inv, "seed", 1)?;
-    let from: usize = opt(inv, "from", 0)?;
-    let to: usize = opt(inv, "to", n.saturating_sub(1))?;
-    if from >= n {
-        return Err(CliError::BadValue {
-            key: "from".into(),
-            value: from.to_string(),
-        });
+pub(crate) fn cmd_route(a: &Args) -> Result<String, CliError> {
+    let (n, dim, seed) = a.population()?;
+    let from: usize = a.get("from")?;
+    let to: usize = a.get_or("to", n - 1)?;
+    if let Some(&(key, peer)) = [("from", from), ("to", to)].iter().find(|e| e.1 >= n) {
+        return Err(bad_value(key, peer));
     }
-    if to >= n {
-        return Err(CliError::BadValue {
-            key: "to".into(),
-            value: to.to_string(),
-        });
-    }
-
-    let peers = PeerInfo::from_point_set(&uniform_points(n, dim, VMAX, seed));
-    let store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
+    let store = uniform_store(n, dim, seed, Arc::new(EmptyRectSelection));
     let route = geocast::overlay::routing::route_to_peer(&store, from, to);
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "greedy route {from} -> {to} over {n} peers (D={dim}, seed {seed})\n\n"
-    ));
-    out.push_str(&format!("  delivered : {}\n", route.delivered()));
-    out.push_str(&format!("  hops      : {}\n", route.hops()));
-    out.push_str("  path      : ");
-    for (i, hop) in route.path().iter().enumerate() {
-        if i > 0 {
-            out.push_str(" -> ");
-        }
-        out.push_str(&hop.to_string());
-    }
-    out.push('\n');
-    Ok(out)
+    let title = format!("greedy route {from} -> {to} over {n} peers (D={dim}, seed {seed})");
+    let mut out = Report::new(10, title);
+    out.row("delivered", route.delivered());
+    out.row("hops", route.hops());
+    let path: Vec<String> = route.path().iter().map(ToString::to_string).collect();
+    out.row("path", path.join(" -> "));
+    Ok(out.text)
 }
 
-fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
-    use geocast::overlay::churn::{run_schedule_on_store, ChurnSchedule};
-    use std::time::Instant;
+/// The churn shapes of `--events` events (and mixed, of the rates).
+pub(crate) const PATTERNS: Choices<fn(usize, u32, u32) -> ChurnPattern> = &[
+    ("mixed", |e, j, l| ChurnPattern::Mixed {
+        events: e,
+        join_rate: j,
+        leave_rate: l,
+    }),
+    ("join-wave", |n, _, _| ChurnPattern::JoinWave { count: n }),
+    ("leave-wave", |n, _, _| ChurnPattern::LeaveWave { count: n }),
+    ("flash-crowd", |events, _, _| ChurnPattern::FlashCrowd {
+        surge: events / 2,
+        exodus: events - events / 2,
+    }),
+];
 
-    let n: usize = opt_peers(inv, 500)?;
-    let dim: usize = opt_dim(inv, 2)?;
-    let seed: u64 = opt(inv, "seed", 1)?;
-    let events: usize = opt(inv, "events", 200)?;
-    let join_rate: u32 = opt(inv, "join-rate", 1)?;
-    let leave_rate: u32 = opt(inv, "leave-rate", 1)?;
-    let pattern_name: String = opt(inv, "pattern", "mixed".to_owned())?;
-    let strict = inv.options.contains_key("strict");
-    let pattern = match pattern_name.as_str() {
-        "join-wave" => ChurnPattern::JoinWave { count: events },
-        "leave-wave" => ChurnPattern::LeaveWave { count: events },
-        "flash-crowd" => ChurnPattern::FlashCrowd {
-            surge: events / 2,
-            exodus: events - events / 2,
-        },
-        "mixed" => {
-            if join_rate == 0 && leave_rate == 0 {
-                return Err(CliError::BadValue {
-                    key: "join-rate".into(),
-                    value: "0 (with --leave-rate 0)".into(),
-                });
-            }
-            ChurnPattern::Mixed {
-                events,
-                join_rate,
-                leave_rate,
-            }
-        }
-        other => {
-            return Err(CliError::BadValue {
-                key: "pattern".into(),
-                value: other.into(),
-            })
-        }
-    };
-
-    let points = uniform_points(n, dim, VMAX, seed);
+pub(crate) fn cmd_churn(a: &Args) -> Result<String, CliError> {
+    let (n, dim, seed) = a.population()?;
+    let events = a.get("events")?;
+    let (join_rate, leave_rate) = (a.get("join-rate")?, a.get("leave-rate")?);
+    let pattern = (a.choice("pattern", PATTERNS)?.1)(events, join_rate, leave_rate);
+    if join_rate == 0 && leave_rate == 0 && matches!(pattern, ChurnPattern::Mixed { .. }) {
+        return Err(bad_value("join-rate", "0 (with --leave-rate 0)"));
+    }
     let schedule = ChurnSchedule::from_pattern(n, &pattern, dim, VMAX, seed ^ 0xc4);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "churn replay: {pattern} on {n} initial peers (D={dim}, seed {seed})\n\n"
-    ));
-    let mut store = TopologyStore::from_peers(
-        PeerInfo::from_point_set(&points),
-        Arc::new(EmptyRectSelection),
-    );
+    let mut store = uniform_store(n, dim, seed, Arc::new(EmptyRectSelection));
     // lint:allow(D002, reason = "wall-clock lines in the CLI report only; no control flow reads the clock")
     let start = Instant::now();
-    let report = run_schedule_on_store(&mut store, &schedule);
+    let r = run_schedule_on_store(&mut store, &schedule);
     let secs = start.elapsed().as_secs_f64();
-    out.push_str(&format!(
-        "  events applied    : {} ({} joins, {} leaves)\n",
-        report.joins + report.leaves,
-        report.joins,
-        report.leaves
-    ));
-    out.push_str(&format!("  elapsed           : {secs:.3}s\n"));
-    out.push_str(&format!(
-        "  events per second : {:.0}\n",
-        (report.joins + report.leaves) as f64 / secs.max(1e-9)
-    ));
-    out.push_str(&format!(
-        "  dirty region      : mean {:.1} / max {} peers\n",
-        report.touched_mean(),
-        report.touched_max
-    ));
-    let events = (report.joins + report.leaves).max(1) as f64;
-    out.push_str(&format!(
-        "  links made / cut  : {:.2} / {:.2} per event ({} by leaves, {} by joins)\n",
-        report.links_made as f64 / events,
-        report.links_cut as f64 / events,
-        report.links_made,
-        report.links_cut
-    ));
-    out.push_str(&format!("  live peers after  : {}\n", store.live_count()));
-    out.push_str(&format!(
-        "  row bytes         : {:.1} per live peer ({} in the adjacency tables)\n",
-        store.row_bytes() as f64 / store.live_count().max(1) as f64,
-        store.row_bytes()
-    ));
-    let walk = store.join_walk_stats();
-    let per_join = |count: u64| count as f64 / walk.joins.max(1) as f64;
-    out.push_str(&format!(
-        "  join walk         : {:.2} descent hops, {:.1} rows read, {:.1} peers offered \
-         per join ({} joins)\n",
-        per_join(walk.descent_hops),
-        per_join(walk.rows_read),
-        per_join(walk.offered),
-        walk.joins
-    ));
-    // Departed peers keep their (edge-less) vertex, so connectivity is a
-    // live-peers-only question.
+    let title = format!("churn replay: {pattern} on {n} initial peers (D={dim}, seed {seed})");
+    let mut out = Report::new(18, title);
+    let (joins, leaves) = (r.joins, r.leaves);
+    let applied = format!("{} ({joins} joins, {leaves} leaves)", joins + leaves);
+    out.row("events applied", applied);
+    out.row("elapsed", format!("{secs:.3}s"));
+    let rate = (joins + leaves) as f64 / secs.max(1e-9);
+    out.row("events per second", format!("{rate:.0}"));
+    let per_event = |count: u64| count as f64 / (joins + leaves).max(1) as f64;
+    let (mean, max) = (r.touched_mean(), r.touched_max);
+    out.row("dirty region", format!("mean {mean:.1} / max {max} peers"));
+    let (made, cut) = (r.links_made, r.links_cut);
+    let links = format!("{:.2} / {:.2}", per_event(made), per_event(cut));
+    let links = format!("{links} per event ({made} by leaves, {cut} by joins)");
+    out.row("links made / cut", links);
+    let (live_count, bytes) = (store.live_count(), store.row_bytes());
+    out.row("live peers after", live_count);
+    let per_peer = bytes as f64 / live_count.max(1) as f64;
+    let row_bytes = format!("{per_peer:.1} per live peer ({bytes} in the adjacency tables)");
+    out.row("row bytes", row_bytes);
+    let w = store.join_walk_stats();
+    let per_join = |count: u64| count as f64 / w.joins.max(1) as f64;
+    let (hops, rows) = (per_join(w.descent_hops), per_join(w.rows_read));
+    let walk = format!("{hops:.2} descent hops, {rows:.1} rows read");
+    let offered = format!("{:.1} peers offered per join", per_join(w.offered));
+    let walk = format!("{walk}, {offered} ({} joins)", w.joins);
+    out.row("join walk", walk);
+    // A departed peer keeps an edge-less vertex: only live peers must connect.
     let live: Vec<usize> = (0..store.len())
         .filter(|&i| !store.is_departed(PeerId(i as u64)))
         .collect();
@@ -730,195 +648,100 @@ fn cmd_churn(inv: &Invocation) -> Result<String, CliError> {
         let dist = graph.bfs_distances(start);
         live.iter().all(|&i| dist[i].is_some())
     });
-    out.push_str(&format!("  connected         : {connected}\n"));
-    if strict {
-        // The CI gate: the topology the survivors define, from
-        // scratch and with no index, and the fingerprint of that.
+    out.row("connected", connected);
+    if a.flag("strict") {
+        // The CI gate: the survivors' topology from scratch, with no index.
         let want = oracle::equilibrium_live(store.peers(), store.departed(), &EmptyRectSelection);
         let graphs_equal = graph == want;
         let fingerprints_equal = store.fingerprint() == oracle::fingerprint(&want);
         if !(graphs_equal && fingerprints_equal) {
-            return Err(CliError::StoreGate {
-                graphs_equal,
-                fingerprints_equal,
-            });
+            return Err(CliError::Gate(format!(
+                "strict churn violated: graph equals the definition \
+                 {graphs_equal}, fingerprint {fingerprints_equal}"
+            )));
         }
-        out.push_str("  strict gate       : byte-identical to the from-scratch definition\n");
+        let equal = "byte-identical to the from-scratch definition";
+        out.row("strict gate", equal);
     }
-    Ok(out)
+    Ok(out.text)
 }
 
-fn cmd_groups(inv: &Invocation) -> Result<String, CliError> {
-    let n: usize = opt_peers(inv, 500)?;
-    let dim: usize = opt_dim(inv, 2)?;
-    let seed: u64 = opt(inv, "seed", 1)?;
-    let num_groups: usize = opt(inv, "groups", 16)?;
-    let subs: usize = opt(inv, "subs", 2 * n)?;
-    let zipf: f64 = opt(inv, "zipf", 1.0)?;
-    let churn_events: usize = opt(inv, "events", 200)?;
-    let group_events: usize = opt(inv, "group-events", 200)?;
-    let placement_name: String = opt(inv, "placement", "clustered".to_owned())?;
-    let strict_coverage = inv.options.contains_key("strict-coverage");
-    let placement = match placement_name.as_str() {
-        "clustered" => MembershipPlacement::Clustered,
-        "scattered" => MembershipPlacement::Scattered,
-        other => {
-            return Err(CliError::BadValue {
-                key: "placement".into(),
-                value: other.into(),
-            })
-        }
-    };
-    if num_groups == 0 {
-        return Err(CliError::BadValue {
-            key: "groups".into(),
-            value: "0".into(),
-        });
-    }
-    if !zipf.is_finite() || zipf < 0.0 {
-        return Err(CliError::BadValue {
-            key: "zipf".into(),
-            value: zipf.to_string(),
-        });
-    }
-
-    let cfg = figures::GroupsConfig {
+pub(crate) fn cmd_groups(a: &Args) -> Result<String, CliError> {
+    let (n, dim, seed) = a.population()?;
+    let (groups, zipf) = (a.get("groups")?, a.get("zipf")?);
+    let &(placement_name, placement) = a.choice("placement", PLACEMENTS)?;
+    let cfg = GroupsConfig {
         initial: n,
-        group_counts: vec![num_groups],
+        group_counts: vec![groups],
         placements: vec![placement],
-        subscriptions: subs,
+        subscriptions: a.get_or("subs", 2 * n)?,
         exponent: zipf,
-        churn_events,
-        group_events,
+        churn_events: a.get("events")?,
+        group_events: a.get("group-events")?,
         dim,
         seed,
     };
-    let s = figures::groups_scenario(&cfg, num_groups, placement);
-    let churn = s.examined.len();
-    let examined: usize = s.examined.iter().sum();
-    let secs = s.seconds;
-    let (totals, published) = (&s.totals, &s.published);
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "multi-group sessions: {num_groups} groups over {n} peers (D={dim}, seed {seed}, zipf {zipf:.1}, {placement_name})\n\n"
-    ));
-    out.push_str(&format!(
-        "  events applied      : {churn} churn + {} group ops\n",
-        s.group_events
-    ));
-    out.push_str(&format!("  elapsed             : {secs:.3}s\n"));
-    out.push_str(&format!(
-        "  events per second   : {:.0}\n",
-        (churn + s.group_events) as f64 / secs.max(1e-9)
-    ));
+    let s = figures::groups_scenario(&cfg, groups, placement);
+    let (t, published) = (&s.totals, &s.published);
+    let title = format!(
+        "multi-group sessions: {groups} groups over {n} peers \
+         (D={dim}, seed {seed}, zipf {zipf:.1}, {placement_name})"
+    );
+    let mut out = Report::new(20, title);
+    let (churn, ops, secs) = (s.examined.len(), s.group_events, s.seconds);
+    out.row("events applied", format!("{churn} churn + {ops} group ops"));
+    out.row("elapsed", format!("{secs:.3}s"));
+    let rate = (churn + ops) as f64 / secs.max(1e-9);
+    out.row("events per second", format!("{rate:.0}"));
     let per_event = |sum: usize| sum as f64 / churn.max(1) as f64;
-    out.push_str(&format!(
-        "  affected groups     : mean {:.2} / max {} examined per churn event (naive engine: {num_groups})\n",
-        per_event(examined),
-        s.examined.iter().max().unwrap_or(&0)
-    ));
-    out.push_str(&format!(
-        "  certified / rebuilt : mean {:.2} / {:.2} per churn event\n",
-        per_event(s.certified),
-        per_event(examined - s.certified)
-    ));
-    out.push_str(&format!(
-        "  tree rebuilds       : {} ({} tree nodes touched)\n",
-        totals.tree_rebuilds, totals.tree_nodes_touched
-    ));
-    out.push_str(&format!(
-        "  graft walks         : {} replayed from the previous build ({} spliced whole) / {} searched; {} examined\n",
-        totals.graft_walks_replayed,
-        totals.graft_walks_spliced,
-        totals.graft_walks_recomputed,
-        totals.graft_walks_examined
-    ));
-    out.push_str(&format!(
-        "  zone splits         : {} replayed from the previous build / {} partitioned\n",
-        totals.zone_splits_replayed, totals.zone_splits_recomputed
-    ));
-    out.push_str(&format!(
-        "  memberships after   : {} across {num_groups} groups\n",
-        s.memberships
-    ));
-    out.push_str(&format!(
-        "  mean coverage       : {:.0}%\n",
-        s.coverage_mean * 100.0
-    ));
-    out.push_str(&format!("  relay nodes         : {}\n", s.relays));
-    out.push_str(&format!(
-        "  publishes           : {} ({} data messages, {} over relays)\n",
-        published.batches, published.messages, published.relay_messages
-    ));
-    out.push_str(&format!(
-        "  publish stranded    : {}\n",
-        published.payload_strandings
-    ));
-    out.push_str(&format!("  live peers after    : {}\n", s.live));
-    out.push_str(&format!("  all == rebuild      : {}\n", s.exact));
-    if strict_coverage && published.payload_strandings > 0 {
-        return Err(CliError::StrandedMembers {
-            stranded: published.payload_strandings,
-            publishes: published.batches,
-        });
+    let examined: usize = s.examined.iter().sum();
+    let (mean, max) = (per_event(examined), s.examined.iter().max().unwrap_or(&0));
+    let affected = format!("mean {mean:.2} / max {max} examined per churn event");
+    let affected = format!("{affected} (naive engine: {groups})");
+    out.row("affected groups", affected);
+    let (certified, rebuilt) = (per_event(s.certified), per_event(examined - s.certified));
+    let certified = format!("mean {certified:.2} / {rebuilt:.2} per churn event");
+    out.row("certified / rebuilt", certified);
+    let (rebuilds, nodes) = (t.tree_rebuilds, t.tree_nodes_touched);
+    let rebuilds = format!("{rebuilds} ({nodes} tree nodes touched)");
+    out.row("tree rebuilds", rebuilds);
+    let (replayed, spliced) = (t.graft_walks_replayed, t.graft_walks_spliced);
+    let (searched, examined) = (t.graft_walks_recomputed, t.graft_walks_examined);
+    let walks = format!("{replayed} replayed from the previous build ({spliced} spliced whole)");
+    let walks = format!("{walks} / {searched} searched; {examined} examined");
+    out.row("graft walks", walks);
+    let (replayed, split) = (t.zone_splits_replayed, t.zone_splits_recomputed);
+    let splits = format!("{replayed} replayed from the previous build / {split} partitioned");
+    out.row("zone splits", splits);
+    let memberships = format!("{} across {groups} groups", s.memberships);
+    out.row("memberships after", memberships);
+    out.row("mean coverage", format!("{:.0}%", s.coverage_mean * 100.0));
+    out.row("relay nodes", s.relays);
+    let (batches, messages) = (published.batches, published.messages);
+    let relayed = published.relay_messages;
+    let publishes = format!("{batches} ({messages} data messages, {relayed} over relays)");
+    out.row("publishes", publishes);
+    let stranded = published.payload_strandings;
+    out.row("publish stranded", stranded);
+    out.row("live peers after", s.live);
+    out.row("all == rebuild", s.exact);
+    if a.flag("strict-coverage") && stranded > 0 {
+        return Err(CliError::Gate(format!(
+            "strict coverage violated: {stranded} stranded deliveries across {batches} publishes"
+        )));
     }
-    Ok(out)
+    Ok(out.text)
 }
 
-fn cmd_publish(inv: &Invocation) -> Result<String, CliError> {
-    use geocast::sim::workload::PublishWorkload;
-
-    let n: usize = opt_peers(inv, 500)?;
-    let dim: usize = opt_dim(inv, 2)?;
-    let seed: u64 = opt(inv, "seed", 1)?;
-    let num_groups: usize = opt(inv, "groups", 16)?;
-    let subs: usize = opt(inv, "subs", 2 * n)?;
-    let zipf: f64 = opt(inv, "zipf", 1.5)?;
-    let batch: usize = opt(inv, "batch", 64)?;
-    let ticks: usize = opt(inv, "ticks", 50)?;
-    let churn_every: usize = opt(inv, "churn-every", 10)?;
-    let placement_name: String = opt(inv, "placement", "clustered".to_owned())?;
-    let strict = inv.options.contains_key("strict");
-    let placement = match placement_name.as_str() {
-        "clustered" => MembershipPlacement::Clustered,
-        "scattered" => MembershipPlacement::Scattered,
-        other => {
-            return Err(CliError::BadValue {
-                key: "placement".into(),
-                value: other.into(),
-            })
-        }
-    };
-    if num_groups == 0 {
-        return Err(CliError::BadValue {
-            key: "groups".into(),
-            value: "0".into(),
-        });
-    }
-    if batch == 0 {
-        return Err(CliError::BadValue {
-            key: "batch".into(),
-            value: "0".into(),
-        });
-    }
-    if ticks == 0 {
-        return Err(CliError::BadValue {
-            key: "ticks".into(),
-            value: "0".into(),
-        });
-    }
-    if !zipf.is_finite() || zipf < 0.0 {
-        return Err(CliError::BadValue {
-            key: "zipf".into(),
-            value: zipf.to_string(),
-        });
-    }
-
-    let cfg = figures::PublishConfig {
+pub(crate) fn cmd_publish(a: &Args) -> Result<String, CliError> {
+    let (n, dim, seed) = a.population()?;
+    let (groups, zipf, batch) = (a.get("groups")?, a.get("zipf")?, a.get("batch")?);
+    let (ticks, churn_every) = (a.get("ticks")?, a.get("churn-every")?);
+    let &(placement_name, placement) = a.choice("placement", PLACEMENTS)?;
+    let cfg = PublishConfig {
         initial: n,
-        groups: num_groups,
-        subscriptions: subs,
+        groups,
+        subscriptions: a.get_or("subs", 2 * n)?,
         placement,
         exponents: vec![zipf],
         batch_sizes: vec![batch],
@@ -928,303 +751,161 @@ fn cmd_publish(inv: &Invocation) -> Result<String, CliError> {
         seed,
     };
     let s = figures::publish_scenario(&cfg, zipf, batch);
-    let (report, converged) = (&s.report, s.exact);
+    let (r, converged) = (&s.report, s.exact);
     let workload = PublishWorkload {
-        groups: num_groups,
+        groups,
         exponent: zipf,
         ticks,
         payloads_per_tick: batch,
     };
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "batched data plane: {workload} over {num_groups} groups, {n} peers \
-         (D={dim}, seed {seed}, {placement_name}, churn every {churn_every} ticks)\n\n"
-    ));
-    out.push_str(&format!("  payloads published  : {}\n", report.payloads));
-    out.push_str(&format!(
-        "  flushes             : {} batches over {} ticks\n",
-        report.batches, ticks
-    ));
-    out.push_str(&format!(
-        "  data frames         : {} ({} over relays)\n",
-        report.messages, report.relay_messages
-    ));
-    out.push_str(&format!(
-        "  messages/payload    : {:.3} (sequential would pay {:.3})\n",
-        report.messages_per_payload(),
-        report.sequential_messages as f64 / report.payloads.max(1) as f64
-    ));
-    out.push_str(&format!(
-        "  batching reduction  : {:.1}x\n",
-        report.reduction()
-    ));
-    out.push_str(&format!(
-        "  plan cache          : {} hits / {} misses ({:.0}% hit rate)\n",
-        report.cache_hits,
-        report.cache_misses,
-        report.cache_hit_rate() * 100.0
-    ));
-    out.push_str(&format!(
-        "  payload deliveries  : {} ({} stranded)\n",
-        report.payload_deliveries, report.payload_strandings
-    ));
-    out.push_str(&format!(
-        "  flush throughput    : {:.2e} payloads/s\n",
-        s.payloads_per_s
-    ));
-    out.push_str(&format!("  all == rebuild      : {converged}\n"));
-    if strict && (report.payload_strandings > 0 || report.cache_hits == 0 || !converged) {
-        return Err(CliError::PublishGate {
-            stranded_payloads: report.payload_strandings,
-            cache_hits: report.cache_hits,
-            converged,
-        });
+    let title = format!(
+        "batched data plane: {workload} over {groups} groups, {n} peers \
+         (D={dim}, seed {seed}, {placement_name}, churn every {churn_every} ticks)"
+    );
+    let mut out = Report::new(20, title);
+    out.row("payloads published", r.payloads);
+    let flushes = format!("{} batches over {ticks} ticks", r.batches);
+    out.row("flushes", flushes);
+    let (frames, relayed) = (r.messages, r.relay_messages);
+    out.row("data frames", format!("{frames} ({relayed} over relays)"));
+    let per_payload = r.messages_per_payload();
+    let sequential = r.sequential_messages as f64 / r.payloads.max(1) as f64;
+    let messages = format!("{per_payload:.3} (sequential would pay {sequential:.3})");
+    out.row("messages/payload", messages);
+    out.row("batching reduction", format!("{:.1}x", r.reduction()));
+    let (hits, misses, rate) = (r.cache_hits, r.cache_misses, r.cache_hit_rate() * 100.0);
+    let cache = format!("{hits} hits / {misses} misses ({rate:.0}% hit rate)");
+    out.row("plan cache", cache);
+    let (delivered, stranded) = (r.payload_deliveries, r.payload_strandings);
+    let deliveries = format!("{delivered} ({stranded} stranded)");
+    out.row("payload deliveries", deliveries);
+    let throughput = s.payloads_per_s;
+    out.row("flush throughput", format!("{throughput:.2e} payloads/s"));
+    out.row("all == rebuild", converged);
+    if a.flag("strict") && (stranded > 0 || hits == 0 || !converged) {
+        return Err(CliError::Gate(format!(
+            "strict publish violated: {stranded} stranded payload-deliveries, \
+             {hits} plan-cache hits, converged {converged}"
+        )));
     }
-    Ok(out)
+    Ok(out.text)
 }
 
-fn cmd_detect(inv: &Invocation) -> Result<String, CliError> {
-    use geocast::core::detect::{run_detection, DetectionScenario};
-
-    // CLI-scale defaults: the quick scenario (seconds of virtual time,
-    // fast detector) with every knob overridable.
+pub(crate) fn cmd_detect(a: &Args) -> Result<String, CliError> {
     let mut sc = DetectionScenario::quick();
-    sc.peers = opt_peers(inv, sc.peers)?;
-    sc.dim = opt_dim(inv, sc.dim)?;
-    sc.seed = opt(inv, "seed", sc.seed)?;
-    sc.groups = opt(inv, "groups", sc.groups)?;
-    // The default group fits the population; an explicit larger one is
-    // refused below.
-    sc.group_size = opt(inv, "group-size", sc.group_size.min(sc.peers))?;
-    sc.loss = opt(inv, "loss", sc.loss)?;
-    sc.crash_count = opt(inv, "crashes", sc.crash_count)?;
-    sc.silent_count = opt(inv, "silent", sc.silent_count)?;
-    let suspicion_ms: u64 = opt(
-        inv,
-        "suspicion-ms",
-        sc.detector.suspicion_timeout.as_nanos() / 1_000_000,
-    )?;
+    (sc.peers, sc.dim, sc.seed) = a.population()?;
+    sc.groups = a.get("groups")?;
+    // The default fits the population; a larger explicit one is refused.
+    sc.group_size = a.get_or("group-size", sc.group_size.min(sc.peers))?;
+    (sc.loss, sc.crash_count, sc.silent_count) =
+        (a.get("loss")?, a.get("crashes")?, a.get("silent")?);
+    let suspicion_ms: u64 = a.get("suspicion-ms")?;
     sc.detector.suspicion_timeout = SimDuration::from_millis(suspicion_ms);
-    let strict = inv.options.contains_key("strict");
-
-    if sc.peers < 2 {
-        return Err(CliError::BadValue {
-            key: "n".into(),
-            value: sc.peers.to_string(),
-        });
+    let (n, size) = (sc.peers, sc.group_size);
+    if size > n {
+        return Err(bad_value("group-size", format!("{size} over {n} peers")));
     }
-    if !(0.0..=1.0).contains(&sc.loss) {
-        return Err(CliError::BadValue {
-            key: "loss".into(),
-            value: sc.loss.to_string(),
-        });
+    let (crashes, silent) = (sc.crash_count, sc.silent_count);
+    if crashes + silent >= n {
+        return Err(bad_value("crashes", format!("{crashes}+{silent} silent")));
     }
-    if sc.groups == 0 || sc.group_size == 0 {
-        return Err(CliError::BadValue {
-            key: "groups".into(),
-            value: "0".into(),
-        });
-    }
-    if sc.group_size > sc.peers {
-        return Err(CliError::BadValue {
-            key: "group-size".into(),
-            value: format!("{} over {} peers", sc.group_size, sc.peers),
-        });
-    }
-    if sc.crash_count + sc.silent_count >= sc.peers {
-        return Err(CliError::BadValue {
-            key: "crashes".into(),
-            value: format!("{}+{} silent", sc.crash_count, sc.silent_count),
-        });
-    }
-    if suspicion_ms == 0 {
-        return Err(CliError::BadValue {
-            key: "suspicion-ms".into(),
-            value: "0".into(),
-        });
-    }
-
-    let report = run_detection(&sc);
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "failure detection: {} peers, {} groups of {}, loss {:.0}%, suspicion {} ms\n\n",
-        sc.peers,
-        sc.groups,
-        sc.group_size,
-        sc.loss * 100.0,
-        suspicion_ms
-    ));
-    out.push_str(&format!(
-        "  wave              : {} crash-stop + {} silent-drop at {:.0} ms\n",
-        report.crashed.len(),
-        report.silent.len(),
-        sc.crash_at.as_secs_f64() * 1e3
-    ));
-    out.push_str(&format!(
-        "  detected          : {}/{}\n",
-        report.detected.len(),
-        report.crashed.len() + report.silent.len()
-    ));
+    let r = run_detection(&sc);
+    let (groups, loss) = (sc.groups, sc.loss * 100.0);
+    let title = format!(
+        "failure detection: {n} peers, {groups} groups of {size}, loss {loss:.0}%, \
+         suspicion {suspicion_ms} ms"
+    );
+    let mut out = Report::new(18, title);
+    let (crashed, silent) = (r.crashed.len(), r.silent.len());
+    let at = sc.crash_at.as_secs_f64() * 1e3;
+    let wave = format!("{crashed} crash-stop + {silent} silent-drop at {at:.0} ms");
+    out.row("wave", wave);
+    let (detected, failed) = (r.detected.len(), crashed + silent);
+    out.row("detected", format!("{detected}/{failed}"));
+    let (mean, max) = (r.mean_detection_ms(), r.max_detection_ms());
+    let latency = format!("mean {mean:.0} ms / max {max:.0} ms");
     // No verdict, no latency: "-" as the detection panel prints it.
-    let latency = if report.detected.is_empty() {
-        "-".to_owned()
-    } else {
-        format!(
-            "mean {:.0} ms / max {:.0} ms",
-            report.mean_detection_ms(),
-            report.max_detection_ms()
-        )
-    };
-    out.push_str(&format!("  detection latency : {latency}\n"));
-    out.push_str(&format!(
-        "  false positives   : {}\n",
-        report.false_positives
-    ));
-    out.push_str(&format!(
-        "  suspicions        : {} raised, {} refuted\n",
-        report.suspect_events, report.refute_events
-    ));
-    out.push_str(&format!(
-        "  probe plane       : {} simulator events, {} messages sent\n",
-        report.sim_events, report.messages_sent
-    ));
-    out.push_str(&format!(
-        "  coverage          : min {:.1}% / final {:.1}%\n",
-        report.min_coverage * 100.0,
-        report.final_coverage * 100.0
-    ));
-    out.push_str(&format!(
-        "  recovery          : {}\n",
-        report.recovered_after.map_or("never".to_owned(), |d| {
-            format!("{:.0} ms after the wave", d.as_secs_f64() * 1e3)
-        })
-    ));
-    out.push_str(&format!("  oracle convergence: {}\n", report.converged));
-    if strict && !report.strict_ok() {
-        return Err(CliError::DetectionGate {
-            false_positives: report.false_positives,
-            undetected: report.crashed.len() + report.silent.len() - report.detected.len(),
-            recovered: report.final_coverage == 1.0,
-            converged: report.converged,
-        });
+    let latency = if detected == 0 { "-" } else { &latency };
+    out.row("detection latency", latency);
+    out.row("false positives", r.false_positives);
+    let (raised, refuted) = (r.suspect_events, r.refute_events);
+    out.row("suspicions", format!("{raised} raised, {refuted} refuted"));
+    let (events, sent) = (r.sim_events, r.messages_sent);
+    let plane = format!("{events} simulator events, {sent} messages sent");
+    out.row("probe plane", plane);
+    let (min, last) = (r.min_coverage * 100.0, r.final_coverage * 100.0);
+    out.row("coverage", format!("min {min:.1}% / final {last:.1}%"));
+    let after = |d: SimDuration| format!("{:.0} ms after the wave", d.as_secs_f64() * 1e3);
+    let recovery = r.recovered_after.map_or("never".to_owned(), after);
+    out.row("recovery", recovery);
+    out.row("oracle convergence", r.converged);
+    if a.flag("strict") && !r.strict_ok() {
+        let (wrong, missed) = (r.false_positives, failed - detected);
+        let (recovered, converged) = (r.final_coverage == 1.0, r.converged);
+        return Err(CliError::Gate(format!(
+            "strict detection violated: {wrong} false positives, {missed} undetected failures, \
+             recovered {recovered}, converged {converged}"
+        )));
     }
-    Ok(out)
+    Ok(out.text)
 }
 
-fn cmd_figures(inv: &Invocation) -> Result<String, CliError> {
-    let panel: String = opt(inv, "panel", "all".to_owned())?;
-    let full = inv.options.contains_key("full");
+/// One `figures` run's scale, and the §3 sweep fig1d and fig1e share.
+pub(crate) struct Scale {
+    full: bool,
+    sweep: OnceCell<StabilitySweep>,
+}
 
-    let fig1 = if full {
-        figures::Fig1Config::default()
-    } else {
-        figures::Fig1Config::quick()
-    };
-    let fig1c = if full {
-        figures::Fig1cConfig::default()
-    } else {
-        figures::Fig1cConfig::quick()
-    };
-    let stab = if full {
-        figures::StabilityConfig::default()
-    } else {
-        figures::StabilityConfig::quick()
-    };
-    let claims = if full {
-        figures::ClaimsConfig::default()
-    } else {
-        figures::ClaimsConfig::quick()
-    };
-    let ab = if full {
-        figures::AblationConfig::default()
-    } else {
-        figures::AblationConfig::quick()
-    };
-    let base = if full {
-        figures::BaselineConfig::default()
-    } else {
-        figures::BaselineConfig::quick()
-    };
-    let repair = if full {
-        figures::RepairConfig::default()
-    } else {
-        figures::RepairConfig::quick()
-    };
-    let churn = if full {
-        figures::ChurnConfig::default()
-    } else {
-        figures::ChurnConfig::quick()
-    };
-    let groups = if full {
-        figures::GroupsConfig::default()
-    } else {
-        figures::GroupsConfig::quick()
-    };
-    let detection = if full {
-        figures::DetectionConfig::default()
-    } else {
-        figures::DetectionConfig::quick()
-    };
-    let publish = if full {
-        figures::PublishConfig::default()
-    } else {
-        figures::PublishConfig::quick()
-    };
+impl Scale {
+    /// A panel's config: paper scale under `--full`, else `quick`.
+    fn at<T: Default>(&self, quick: fn() -> T) -> T {
+        self.full.then(T::default).unwrap_or_else(quick)
+    }
 
-    let mut reports = Vec::new();
-    match panel.as_str() {
-        "fig1a" => reports.push(figures::fig1a(&fig1)),
-        "fig1b" => reports.push(figures::fig1b(&fig1)),
-        "fig1c" => reports.push(figures::fig1c(&fig1c)),
-        "fig1d" => reports.push(figures::fig1d(&stab)),
-        "fig1e" => reports.push(figures::fig1e(&stab)),
-        "claims" => {
-            reports.push(figures::claims_section2(&claims));
-            reports.push(figures::claims_section3(&claims));
-        }
-        "ablation" => reports.push(figures::ablation_partitioner(&ab)),
-        "baselines" => {
-            reports.push(figures::baseline_messages(&base));
-            reports.push(figures::baseline_stability(&base));
-        }
-        "repair" => reports.push(figures::repair_cost(&repair)),
-        "churn" => reports.push(figures::churn_panel(&churn)),
-        "groups" => reports.push(figures::groups_panel(&groups)),
-        "detection" => reports.push(figures::detection_panel(&detection)),
-        "publish" => reports.push(figures::publish_panel(&publish)),
-        "all" => {
-            reports.push(figures::fig1a(&fig1));
-            reports.push(figures::fig1b(&fig1));
-            reports.push(figures::fig1c(&fig1c));
-            let sweep = figures::stability_sweep(&stab);
-            reports.push(sweep.fig1d_report());
-            reports.push(sweep.fig1e_report());
-            reports.push(figures::claims_section2(&claims));
-            reports.push(figures::claims_section3(&claims));
-            reports.push(figures::ablation_partitioner(&ab));
-            reports.push(figures::baseline_messages(&base));
-            reports.push(figures::baseline_stability(&base));
-            reports.push(figures::repair_cost(&repair));
-            reports.push(figures::churn_panel(&churn));
-            reports.push(figures::groups_panel(&groups));
-            reports.push(figures::detection_panel(&detection));
-            reports.push(figures::publish_panel(&publish));
-        }
-        other => {
-            return Err(CliError::BadValue {
-                key: "panel".into(),
-                value: other.into(),
-            })
-        }
+    fn sweep(&self) -> &StabilitySweep {
+        let cfg = || self.at(StabilityConfig::quick);
+        self.sweep.get_or_init(|| stability_sweep(&cfg()))
     }
-    let mut out = String::new();
-    for report in &reports {
-        out.push_str(&report.to_string());
-        out.push('\n');
-    }
-    Ok(out)
+}
+
+/// Every panel, in the order `all`, the last, prints them.
+pub(crate) const PANELS: Choices<fn(&Scale) -> Vec<FigureReport>> = &[
+    ("fig1a", |s| vec![fig1a(&s.at(Fig1Config::quick))]),
+    ("fig1b", |s| vec![fig1b(&s.at(Fig1Config::quick))]),
+    ("fig1c", |s| vec![fig1c(&s.at(Fig1cConfig::quick))]),
+    ("fig1d", |s| vec![s.sweep().fig1d_report()]),
+    ("fig1e", |s| vec![s.sweep().fig1e_report()]),
+    ("claims", |s| {
+        let cfg = s.at(ClaimsConfig::quick);
+        vec![claims_section2(&cfg), claims_section3(&cfg)]
+    }),
+    ("ablation", |s| {
+        vec![ablation_partitioner(&s.at(AblationConfig::quick))]
+    }),
+    ("baselines", |s| {
+        let cfg = s.at(BaselineConfig::quick);
+        vec![baseline_messages(&cfg), baseline_stability(&cfg)]
+    }),
+    ("repair", |s| vec![repair_cost(&s.at(RepairConfig::quick))]),
+    ("churn", |s| vec![churn_panel(&s.at(ChurnConfig::quick))]),
+    ("groups", |s| vec![groups_panel(&s.at(GroupsConfig::quick))]),
+    ("detection", |s| {
+        vec![detection_panel(&s.at(DetectionConfig::quick))]
+    }),
+    ("publish", |s| {
+        vec![publish_panel(&s.at(PublishConfig::quick))]
+    }),
+    ("all", |s| {
+        let panels = &PANELS[..PANELS.len() - 1];
+        panels.iter().flat_map(|(_, panel)| panel(s)).collect()
+    }),
+];
+
+pub(crate) fn cmd_figures(a: &Args) -> Result<String, CliError> {
+    let &(_, panel) = a.choice("panel", PANELS)?;
+    let (full, sweep) = (a.flag("full"), OnceCell::new());
+    let reports = panel(&Scale { full, sweep });
+    Ok(reports.iter().map(|r| format!("{r}\n")).collect())
 }
 
 #[cfg(test)]
@@ -1269,6 +950,22 @@ mod tests {
         for cmd in ["overlay", "tree", "stability", "route", "figures"] {
             assert!(out.contains(cmd), "help missing {cmd}");
         }
+        // Every command, and each option with its default and choices.
+        for command in COMMANDS {
+            assert!(out.contains(&format!("  {} ", command.name)), "{out}");
+            for opt in command.options {
+                assert!(out.contains(&opt.usage()), "{}: {out}", command.name);
+            }
+        }
+        for choices in [
+            "empty-rect|orthogonal|signed|k-closest",
+            "clustered|scattered",
+        ] {
+            assert!(out.contains(choices), "{out}");
+        }
+        let panels = "all|fig1a|fig1b|fig1c|fig1d|fig1e|claims|ablation|baselines\
+                      |repair|churn|groups|detection|publish";
+        assert!(out.contains(panels), "{out}");
     }
 
     #[test]
@@ -1602,19 +1299,30 @@ mod tests {
     }
 
     /// The invocation `help` lists for `command`: its `--key value`
-    /// pairs, each `a|b|c` choice at its first alternative.
+    /// pairs, each `a|b|c` choice at its first alternative, less the
+    /// defaults the command works out from other options.
     fn listed_invocation(command: &str) -> Vec<String> {
+        let help = run(&parse_args(&args(&["help"])).unwrap()).unwrap();
         let title = format!("  {command} ");
-        let lines = HELP.lines().skip_while(|line| !line.starts_with(&title));
+        let lines = help.lines().skip_while(|line| !line.starts_with(&title));
         let options = lines
             .skip(1)
             .take_while(|line| line.trim_start().starts_with("--"));
         let mut words = options.flat_map(str::split_whitespace);
+        let row = COMMANDS.iter().find(|c| c.name == command).unwrap();
+        let derived = |word: &str| {
+            (row.options.iter())
+                .any(|o| word == format!("--{}", o.key) && matches!(o.kind, Derived(_)))
+        };
         let mut listed = vec![command.to_owned()];
         while let Some(word) = words.next() {
             if word.starts_with("--") {
                 let value = words.next().expect("a listed option has a value");
-                listed.extend([word, value.split('|').next().unwrap_or(value)].map(str::to_owned));
+                if !derived(word) {
+                    listed.extend(
+                        [word, value.split('|').next().unwrap_or(value)].map(str::to_owned),
+                    );
+                }
             }
         }
         listed
@@ -1802,11 +1510,12 @@ mod tests {
         // Each of these used to reach a library `assert!` (or, for
         // `--n 0`, run on and blame another option).
         let mut cases: Vec<(&str, &str, &str)> = Vec::new();
-        for &(command, keys, _) in COMMANDS.iter().filter(|(_, keys, _)| keys.contains(&"dim")) {
-            assert!(keys.contains(&"n"), "{command}");
-            cases.push((command, "dim", "0"));
-            cases.push((command, "dim", "33"));
-            cases.push((command, "n", "0"));
+        let takes = |command: &Command, key: &str| command.options.iter().any(|o| o.key == key);
+        for command in COMMANDS.iter().filter(|c| takes(c, "dim")) {
+            assert!(takes(command, "n"), "{}", command.name);
+            cases.push((command.name, "dim", "0"));
+            cases.push((command.name, "dim", "33"));
+            cases.push((command.name, "n", "0"));
         }
         assert_eq!(cases.len(), 8 * 3, "every command but `figures`");
         cases.push(("overlay", "k", "0"));
@@ -1824,6 +1533,30 @@ mod tests {
                     value: value.into()
                 }),
                 "{command} --{key} {value}"
+            );
+        }
+    }
+
+    #[test]
+    fn each_range_check_names_its_own_option_and_the_value_as_typed() {
+        // `--group-size 0` used to blame --groups, and a float was
+        // echoed as it printed (`NaN`), not as it was typed.
+        for (line, key, value) in [
+            ("detect --group-size 0", "group-size", "0"),
+            ("detect --groups 0", "groups", "0"),
+            ("detect --loss nan", "loss", "nan"),
+            ("detect --loss 1.50", "loss", "1.50"),
+            ("groups --zipf nan", "zipf", "nan"),
+            ("publish --zipf inf", "zipf", "inf"),
+        ] {
+            let words: Vec<&str> = line.split(' ').collect();
+            assert_eq!(
+                run(&parse_args(&args(&words)).unwrap()),
+                Err(CliError::BadValue {
+                    key: key.into(),
+                    value: value.into()
+                }),
+                "{line}"
             );
         }
     }
@@ -1847,6 +1580,10 @@ mod tests {
                     value: "v".into(),
                 },
                 "invalid value",
+            ),
+            (
+                CliError::Gate("strict churn violated: x".into()),
+                "strict churn violated",
             ),
         ] {
             assert!(err.to_string().contains(needle));

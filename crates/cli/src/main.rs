@@ -6,21 +6,12 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let invocation = match geocast_cli::parse_args(&args) {
-        Ok(inv) => inv,
+    match geocast_cli::parse_args(&args).and_then(|invocation| geocast_cli::run(&invocation)) {
+        Ok(output) => print!("{output}"),
         Err(err) => {
             eprintln!("error: {err}");
             return ExitCode::FAILURE;
         }
-    };
-    match geocast_cli::run(&invocation) {
-        Ok(output) => {
-            print!("{output}");
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("error: {err}");
-            ExitCode::FAILURE
-        }
     }
+    ExitCode::SUCCESS
 }

@@ -212,7 +212,7 @@ pub fn chain(n: usize) -> PointSet {
 /// chain peer, its row lies in one orthant, and its departure rewires
 /// `n` rows.
 #[must_use]
-// lint:allow(D006, reason = "ROADMAP item 18 (i) names it: the hub family, an input of the hostile-row gates")
+// lint:allow(D006, reason = "ROADMAP item 18 names it: the hub family, an input of the hostile-row gates")
 pub fn hub(n: usize) -> PointSet {
     let mut points = chain(n).into_points();
     points.push(Point::from_validated(vec![0.0, 0.0]));
