@@ -8,6 +8,16 @@
 
 #![forbid(unsafe_code)]
 
+mod churn;
+mod detect;
+mod groups;
+mod overlay;
+mod panels;
+mod publish;
+mod route;
+mod stability;
+mod tree;
+
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -151,9 +161,9 @@ const COMMANDS: &[Command] = &[
             opt("dim", "2", Number(DIMS)),
             SEED,
             opt("k", "2", Number(POSITIVE)),
-            opt("method", "empty-rect", Choice(|| names(METHODS))),
+            opt("method", "empty-rect", Choice(|| names(overlay::METHODS))),
         ],
-        body: cmd_overlay,
+        body: overlay::cmd_overlay,
     },
     Command {
         name: "tree",
@@ -163,9 +173,9 @@ const COMMANDS: &[Command] = &[
             opt("dim", "2", Number(DIMS)),
             SEED,
             opt("root", "0", Number(ANY)),
-            opt("pick", "median", Choice(|| names(PICKS))),
+            opt("pick", "median", Choice(|| names(tree::PICKS))),
         ],
-        body: cmd_tree,
+        body: tree::cmd_tree,
     },
     Command {
         name: "stability",
@@ -175,9 +185,9 @@ const COMMANDS: &[Command] = &[
             opt("dim", "3", Number(DIMS)),
             SEED,
             opt("k", "2", Number(POSITIVE)),
-            opt("policy", "max-t", Choice(|| names(POLICIES))),
+            opt("policy", "max-t", Choice(|| names(stability::POLICIES))),
         ],
-        body: cmd_stability,
+        body: stability::cmd_stability,
     },
     Command {
         name: "route",
@@ -189,7 +199,7 @@ const COMMANDS: &[Command] = &[
             opt("from", "0", Number(ANY)),
             opt("to", "n-1", Derived(ANY)),
         ],
-        body: cmd_route,
+        body: route::cmd_route,
     },
     Command {
         name: "churn",
@@ -198,13 +208,13 @@ const COMMANDS: &[Command] = &[
             opt("n", "500", Number(POSITIVE)),
             opt("dim", "2", Number(DIMS)),
             SEED,
-            opt("pattern", "mixed", Choice(|| names(PATTERNS))),
+            opt("pattern", "mixed", Choice(|| names(churn::PATTERNS))),
             opt("events", "200", Number(ANY)),
             opt("join-rate", "1", Number(ANY)),
             opt("leave-rate", "1", Number(ANY)),
             opt("strict", "fail unless the store equals a rebuild", Flag),
         ],
-        body: cmd_churn,
+        body: churn::cmd_churn,
     },
     Command {
         name: "groups",
@@ -221,7 +231,7 @@ const COMMANDS: &[Command] = &[
             opt("placement", "clustered", Choice(|| names(PLACEMENTS))),
             opt("strict-coverage", "fail if any member is stranded", Flag),
         ],
-        body: cmd_groups,
+        body: groups::cmd_groups,
     },
     Command {
         name: "publish",
@@ -240,7 +250,7 @@ const COMMANDS: &[Command] = &[
             opt("placement", "clustered", Choice(|| names(PLACEMENTS))),
             opt("strict", "fail on stranding, a cold cache or drift", Flag),
         ],
-        body: cmd_publish,
+        body: publish::cmd_publish,
     },
     Command {
         name: "detect",
@@ -258,16 +268,16 @@ const COMMANDS: &[Command] = &[
             opt("suspicion-ms", "400", Number(POSITIVE)),
             opt("strict", "fail on bad verdicts, lost coverage, drift", Flag),
         ],
-        body: cmd_detect,
+        body: detect::cmd_detect,
     },
     Command {
         name: "figures",
         about: "regenerate the paper's artifacts",
         options: &[
-            opt("panel", "all", Choice(|| names(PANELS))),
+            opt("panel", "all", Choice(|| names(panels::PANELS))),
             opt("full", "paper scale (minutes), not quick scale", Flag),
         ],
-        body: cmd_figures,
+        body: panels::cmd_figures,
     },
 ];
 
@@ -457,456 +467,6 @@ const PLACEMENTS: Choices<MembershipPlacement> = &[
     ("clustered", MembershipPlacement::Clustered),
     ("scattered", MembershipPlacement::Scattered),
 ];
-
-/// The selection rules by dimension and `K`; signed stops at [`MAX_SIGNED_DIM`].
-pub(crate) const METHODS: Choices<fn(usize, usize) -> Option<Selection>> = &[
-    ("empty-rect", |_, _| Some(Arc::new(EmptyRectSelection))),
-    ("orthogonal", |d, k| {
-        Some(Arc::new(HyperplanesSelection::orthogonal(d, k)))
-    }),
-    ("signed", |d, k| {
-        (d <= MAX_SIGNED_DIM).then(|| Arc::new(HyperplanesSelection::signed(d, k)) as _)
-    }),
-    ("k-closest", |d, k| {
-        Some(Arc::new(HyperplanesSelection::k_closest(d, k)))
-    }),
-];
-
-pub(crate) fn cmd_overlay(a: &Args) -> Result<String, CliError> {
-    let (n, dim, seed) = a.population()?;
-    let k: usize = a.get("k")?;
-    let &(method, select) = a.choice("method", METHODS)?;
-    let selection = select(dim, k).ok_or_else(|| bad_value("dim", dim))?;
-    let store = uniform_store(n, dim, seed, selection);
-    let graph = store.graph();
-    let p = analysis::profile(&graph, Some(64.min(n)), seed);
-    let stretch = if n >= 2 {
-        analysis::geometric_stretch(store.peers(), &graph, 200, seed)
-    } else {
-        0.0
-    };
-    let title = format!("overlay: {method} over {n} peers (D={dim}, seed {seed})");
-    let mut out = Report::new(18, title);
-    out.row("directed edges", p.directed_edges);
-    out.row("undirected links", p.undirected_edges);
-    let (min, mean, max) = (p.degree_min, p.degree_mean, p.degree_max);
-    out.row("degree", format!("min {min} / mean {mean:.1} / max {max}"));
-    out.row("link symmetry", format!("{:.1}%", p.link_symmetry * 100.0));
-    out.row("connected", p.connected);
-    out.row("mean hop distance", format!("{:.2}", p.mean_hop_distance));
-    out.row("max eccentricity", p.hop_eccentricity_max);
-    let clustering = p.clustering_coefficient;
-    out.row("clustering coeff", format!("{clustering:.3}"));
-    out.row("geometric stretch", format!("{stretch:.2}"));
-    Ok(out.text)
-}
-
-/// How the §2 partitioner picks a zone's child.
-pub(crate) const PICKS: Choices<fn() -> OrthantRectPartitioner> = &[
-    ("median", OrthantRectPartitioner::median),
-    ("closest", OrthantRectPartitioner::closest),
-    ("farthest", OrthantRectPartitioner::farthest),
-];
-
-pub(crate) fn cmd_tree(a: &Args) -> Result<String, CliError> {
-    let (n, dim, seed) = a.population()?;
-    let root: usize = a.get("root")?;
-    let &(pick, partitioner) = a.choice("pick", PICKS)?;
-    if root >= n {
-        return Err(bad_value("root", root));
-    }
-    let store = uniform_store(n, dim, seed, Arc::new(EmptyRectSelection));
-    let everyone = (0..n).collect();
-    let result = build_group_tree_on_store(&store, root, &everyone, &partitioner());
-    let verdict = validate::check_section2(&result, n, dim);
-    let title = format!("§2 multicast tree: {n} peers, D={dim}, root {root}, pick {pick}");
-    let mut out = Report::new(18, title);
-    let (messages, tree) = (result.messages, &result.tree);
-    out.row("messages", format!("{messages} (N-1 = {})", n - 1));
-    out.row("spanning", tree.is_spanning());
-    out.row("height", tree.longest_root_to_leaf());
-    out.row("diameter", tree.diameter());
-    let (children, fanout) = (tree.max_children(), 1usize << dim);
-    out.row("max children", format!("{children} (2^D = {fanout})"));
-    out.row("§2 claims hold", verdict.all_hold());
-    Ok(out.text)
-}
-
-/// How a peer picks its preferred neighbour among later leavers.
-pub(crate) const POLICIES: Choices<PreferredPolicy> = &[
-    ("max-t", PreferredPolicy::MaxT),
-    ("min-higher-t", PreferredPolicy::MinHigherT),
-    ("closest", PreferredPolicy::ClosestHigherT),
-];
-
-pub(crate) fn cmd_stability(a: &Args) -> Result<String, CliError> {
-    let (n, dim, seed) = a.population()?;
-    let k: usize = a.get("k")?;
-    let &(policy_name, policy) = a.choice("policy", POLICIES)?;
-    let times = lifetimes(n, VMAX, seed ^ 0x57_4a);
-    let points = embed_lifetimes(&uniform_points(n, dim, VMAX, seed), &times);
-    let selection = Arc::new(HyperplanesSelection::orthogonal(dim, k));
-    let store = TopologyStore::from_peers(PeerInfo::from_point_set(&points), selection);
-    let (peers, overlay) = (store.peers(), store.graph());
-    let forest = preferred_links(peers, &overlay, policy);
-    let title = format!("§3 stability tree: {n} peers, D={dim}, K={k}, policy {policy_name}");
-    let mut out = Report::new(18, title);
-    out.row("links form a tree", forest.is_tree());
-    out.row("heap property", forest.heap_property_holds(peers));
-    if let Some(tree) = forest.to_multicast_tree() {
-        let t: Vec<f64> = peers.iter().map(PeerInfo::departure_time).collect();
-        out.row("height", tree.longest_root_to_leaf());
-        out.row("diameter", tree.diameter());
-        let degree = tree.degrees().into_iter().max().unwrap_or(0);
-        out.row("max tree degree", degree);
-        let cuts = non_leaf_departures(&tree, &t);
-        out.row("disconnecting departures (full schedule)", cuts);
-    }
-    Ok(out.text)
-}
-
-pub(crate) fn cmd_route(a: &Args) -> Result<String, CliError> {
-    let (n, dim, seed) = a.population()?;
-    let from: usize = a.get("from")?;
-    let to: usize = a.get_or("to", n - 1)?;
-    if let Some(&(key, peer)) = [("from", from), ("to", to)].iter().find(|e| e.1 >= n) {
-        return Err(bad_value(key, peer));
-    }
-    let store = uniform_store(n, dim, seed, Arc::new(EmptyRectSelection));
-    let route = geocast::overlay::routing::route_to_peer(&store, from, to);
-    let title = format!("greedy route {from} -> {to} over {n} peers (D={dim}, seed {seed})");
-    let mut out = Report::new(10, title);
-    out.row("delivered", route.delivered());
-    out.row("hops", route.hops());
-    let path: Vec<String> = route.path().iter().map(ToString::to_string).collect();
-    out.row("path", path.join(" -> "));
-    Ok(out.text)
-}
-
-/// The churn shapes of `--events` events (and mixed, of the rates).
-pub(crate) const PATTERNS: Choices<fn(usize, u32, u32) -> ChurnPattern> = &[
-    ("mixed", |e, j, l| ChurnPattern::Mixed {
-        events: e,
-        join_rate: j,
-        leave_rate: l,
-    }),
-    ("join-wave", |n, _, _| ChurnPattern::JoinWave { count: n }),
-    ("leave-wave", |n, _, _| ChurnPattern::LeaveWave { count: n }),
-    ("flash-crowd", |events, _, _| ChurnPattern::FlashCrowd {
-        surge: events / 2,
-        exodus: events - events / 2,
-    }),
-];
-
-pub(crate) fn cmd_churn(a: &Args) -> Result<String, CliError> {
-    let (n, dim, seed) = a.population()?;
-    let events = a.get("events")?;
-    let (join_rate, leave_rate) = (a.get("join-rate")?, a.get("leave-rate")?);
-    let pattern = (a.choice("pattern", PATTERNS)?.1)(events, join_rate, leave_rate);
-    if join_rate == 0 && leave_rate == 0 && matches!(pattern, ChurnPattern::Mixed { .. }) {
-        return Err(bad_value("join-rate", "0 (with --leave-rate 0)"));
-    }
-    let schedule = ChurnSchedule::from_pattern(n, &pattern, dim, VMAX, seed ^ 0xc4);
-    let mut store = uniform_store(n, dim, seed, Arc::new(EmptyRectSelection));
-    // lint:allow(D002, reason = "wall-clock lines in the CLI report only; no control flow reads the clock")
-    let start = Instant::now();
-    let r = run_schedule_on_store(&mut store, &schedule);
-    let secs = start.elapsed().as_secs_f64();
-    let title = format!("churn replay: {pattern} on {n} initial peers (D={dim}, seed {seed})");
-    let mut out = Report::new(18, title);
-    let (joins, leaves) = (r.joins, r.leaves);
-    let applied = format!("{} ({joins} joins, {leaves} leaves)", joins + leaves);
-    out.row("events applied", applied);
-    out.row("elapsed", format!("{secs:.3}s"));
-    let rate = (joins + leaves) as f64 / secs.max(1e-9);
-    out.row("events per second", format!("{rate:.0}"));
-    let per_event = |count: u64| count as f64 / (joins + leaves).max(1) as f64;
-    let (mean, max) = (r.touched_mean(), r.touched_max);
-    out.row("dirty region", format!("mean {mean:.1} / max {max} peers"));
-    let (made, cut) = (r.links_made, r.links_cut);
-    let links = format!("{:.2} / {:.2}", per_event(made), per_event(cut));
-    let links = format!("{links} per event ({made} by leaves, {cut} by joins)");
-    out.row("links made / cut", links);
-    let (live_count, bytes) = (store.live_count(), store.row_bytes());
-    out.row("live peers after", live_count);
-    let per_peer = bytes as f64 / live_count.max(1) as f64;
-    let row_bytes = format!("{per_peer:.1} per live peer ({bytes} in the adjacency tables)");
-    out.row("row bytes", row_bytes);
-    let w = store.join_walk_stats();
-    let per_join = |count: u64| count as f64 / w.joins.max(1) as f64;
-    let (hops, rows) = (per_join(w.descent_hops), per_join(w.rows_read));
-    let walk = format!("{hops:.2} descent hops, {rows:.1} rows read");
-    let offered = format!("{:.1} peers offered per join", per_join(w.offered));
-    let walk = format!("{walk}, {offered} ({} joins)", w.joins);
-    out.row("join walk", walk);
-    // A departed peer keeps an edge-less vertex: only live peers must connect.
-    let live: Vec<usize> = (0..store.len())
-        .filter(|&i| !store.is_departed(PeerId(i as u64)))
-        .collect();
-    let graph = store.graph();
-    let connected = live.first().is_none_or(|&start| {
-        let dist = graph.bfs_distances(start);
-        live.iter().all(|&i| dist[i].is_some())
-    });
-    out.row("connected", connected);
-    if a.flag("strict") {
-        // The CI gate: the survivors' topology from scratch, with no index.
-        let want = oracle::equilibrium_live(store.peers(), store.departed(), &EmptyRectSelection);
-        let graphs_equal = graph == want;
-        let fingerprints_equal = store.fingerprint() == oracle::fingerprint(&want);
-        if !(graphs_equal && fingerprints_equal) {
-            return Err(CliError::Gate(format!(
-                "strict churn violated: graph equals the definition \
-                 {graphs_equal}, fingerprint {fingerprints_equal}"
-            )));
-        }
-        let equal = "byte-identical to the from-scratch definition";
-        out.row("strict gate", equal);
-    }
-    Ok(out.text)
-}
-
-pub(crate) fn cmd_groups(a: &Args) -> Result<String, CliError> {
-    let (n, dim, seed) = a.population()?;
-    let (groups, zipf) = (a.get("groups")?, a.get("zipf")?);
-    let &(placement_name, placement) = a.choice("placement", PLACEMENTS)?;
-    let cfg = GroupsConfig {
-        initial: n,
-        group_counts: vec![groups],
-        placements: vec![placement],
-        subscriptions: a.get_or("subs", 2 * n)?,
-        exponent: zipf,
-        churn_events: a.get("events")?,
-        group_events: a.get("group-events")?,
-        dim,
-        seed,
-    };
-    let s = figures::groups_scenario(&cfg, groups, placement);
-    let (t, published) = (&s.totals, &s.published);
-    let title = format!(
-        "multi-group sessions: {groups} groups over {n} peers \
-         (D={dim}, seed {seed}, zipf {zipf:.1}, {placement_name})"
-    );
-    let mut out = Report::new(20, title);
-    let (churn, ops, secs) = (s.examined.len(), s.group_events, s.seconds);
-    out.row("events applied", format!("{churn} churn + {ops} group ops"));
-    out.row("elapsed", format!("{secs:.3}s"));
-    let rate = (churn + ops) as f64 / secs.max(1e-9);
-    out.row("events per second", format!("{rate:.0}"));
-    let per_event = |sum: usize| sum as f64 / churn.max(1) as f64;
-    let examined: usize = s.examined.iter().sum();
-    let (mean, max) = (per_event(examined), s.examined.iter().max().unwrap_or(&0));
-    let affected = format!("mean {mean:.2} / max {max} examined per churn event");
-    let affected = format!("{affected} (naive engine: {groups})");
-    out.row("affected groups", affected);
-    let (certified, rebuilt) = (per_event(s.certified), per_event(examined - s.certified));
-    let certified = format!("mean {certified:.2} / {rebuilt:.2} per churn event");
-    out.row("certified / rebuilt", certified);
-    let (rebuilds, nodes) = (t.tree_rebuilds, t.tree_nodes_touched);
-    let rebuilds = format!("{rebuilds} ({nodes} tree nodes touched)");
-    out.row("tree rebuilds", rebuilds);
-    let (replayed, spliced) = (t.graft_walks_replayed, t.graft_walks_spliced);
-    let (searched, examined) = (t.graft_walks_recomputed, t.graft_walks_examined);
-    let walks = format!("{replayed} replayed from the previous build ({spliced} spliced whole)");
-    let walks = format!("{walks} / {searched} searched; {examined} examined");
-    out.row("graft walks", walks);
-    let (replayed, split) = (t.zone_splits_replayed, t.zone_splits_recomputed);
-    let splits = format!("{replayed} replayed from the previous build / {split} partitioned");
-    out.row("zone splits", splits);
-    let memberships = format!("{} across {groups} groups", s.memberships);
-    out.row("memberships after", memberships);
-    out.row("mean coverage", format!("{:.0}%", s.coverage_mean * 100.0));
-    out.row("relay nodes", s.relays);
-    let (batches, messages) = (published.batches, published.messages);
-    let relayed = published.relay_messages;
-    let publishes = format!("{batches} ({messages} data messages, {relayed} over relays)");
-    out.row("publishes", publishes);
-    let stranded = published.payload_strandings;
-    out.row("publish stranded", stranded);
-    out.row("live peers after", s.live);
-    out.row("all == rebuild", s.exact);
-    if a.flag("strict-coverage") && stranded > 0 {
-        return Err(CliError::Gate(format!(
-            "strict coverage violated: {stranded} stranded deliveries across {batches} publishes"
-        )));
-    }
-    Ok(out.text)
-}
-
-pub(crate) fn cmd_publish(a: &Args) -> Result<String, CliError> {
-    let (n, dim, seed) = a.population()?;
-    let (groups, zipf, batch) = (a.get("groups")?, a.get("zipf")?, a.get("batch")?);
-    let (ticks, churn_every) = (a.get("ticks")?, a.get("churn-every")?);
-    let &(placement_name, placement) = a.choice("placement", PLACEMENTS)?;
-    let cfg = PublishConfig {
-        initial: n,
-        groups,
-        subscriptions: a.get_or("subs", 2 * n)?,
-        placement,
-        exponents: vec![zipf],
-        batch_sizes: vec![batch],
-        ticks,
-        churn_every,
-        dim,
-        seed,
-    };
-    let s = figures::publish_scenario(&cfg, zipf, batch);
-    let (r, converged) = (&s.report, s.exact);
-    let workload = PublishWorkload {
-        groups,
-        exponent: zipf,
-        ticks,
-        payloads_per_tick: batch,
-    };
-    let title = format!(
-        "batched data plane: {workload} over {groups} groups, {n} peers \
-         (D={dim}, seed {seed}, {placement_name}, churn every {churn_every} ticks)"
-    );
-    let mut out = Report::new(20, title);
-    out.row("payloads published", r.payloads);
-    let flushes = format!("{} batches over {ticks} ticks", r.batches);
-    out.row("flushes", flushes);
-    let (frames, relayed) = (r.messages, r.relay_messages);
-    out.row("data frames", format!("{frames} ({relayed} over relays)"));
-    let per_payload = r.messages_per_payload();
-    let sequential = r.sequential_messages as f64 / r.payloads.max(1) as f64;
-    let messages = format!("{per_payload:.3} (sequential would pay {sequential:.3})");
-    out.row("messages/payload", messages);
-    out.row("batching reduction", format!("{:.1}x", r.reduction()));
-    let (hits, misses, rate) = (r.cache_hits, r.cache_misses, r.cache_hit_rate() * 100.0);
-    let cache = format!("{hits} hits / {misses} misses ({rate:.0}% hit rate)");
-    out.row("plan cache", cache);
-    let (delivered, stranded) = (r.payload_deliveries, r.payload_strandings);
-    let deliveries = format!("{delivered} ({stranded} stranded)");
-    out.row("payload deliveries", deliveries);
-    let throughput = s.payloads_per_s;
-    out.row("flush throughput", format!("{throughput:.2e} payloads/s"));
-    out.row("all == rebuild", converged);
-    if a.flag("strict") && (stranded > 0 || hits == 0 || !converged) {
-        return Err(CliError::Gate(format!(
-            "strict publish violated: {stranded} stranded payload-deliveries, \
-             {hits} plan-cache hits, converged {converged}"
-        )));
-    }
-    Ok(out.text)
-}
-
-pub(crate) fn cmd_detect(a: &Args) -> Result<String, CliError> {
-    let mut sc = DetectionScenario::quick();
-    (sc.peers, sc.dim, sc.seed) = a.population()?;
-    sc.groups = a.get("groups")?;
-    // The default fits the population; a larger explicit one is refused.
-    sc.group_size = a.get_or("group-size", sc.group_size.min(sc.peers))?;
-    (sc.loss, sc.crash_count, sc.silent_count) =
-        (a.get("loss")?, a.get("crashes")?, a.get("silent")?);
-    let suspicion_ms: u64 = a.get("suspicion-ms")?;
-    sc.detector.suspicion_timeout = SimDuration::from_millis(suspicion_ms);
-    let (n, size) = (sc.peers, sc.group_size);
-    if size > n {
-        return Err(bad_value("group-size", format!("{size} over {n} peers")));
-    }
-    let (crashes, silent) = (sc.crash_count, sc.silent_count);
-    if crashes + silent >= n {
-        return Err(bad_value("crashes", format!("{crashes}+{silent} silent")));
-    }
-    let r = run_detection(&sc);
-    let (groups, loss) = (sc.groups, sc.loss * 100.0);
-    let title = format!(
-        "failure detection: {n} peers, {groups} groups of {size}, loss {loss:.0}%, \
-         suspicion {suspicion_ms} ms"
-    );
-    let mut out = Report::new(18, title);
-    let (crashed, silent) = (r.crashed.len(), r.silent.len());
-    let at = sc.crash_at.as_secs_f64() * 1e3;
-    let wave = format!("{crashed} crash-stop + {silent} silent-drop at {at:.0} ms");
-    out.row("wave", wave);
-    let (detected, failed) = (r.detected.len(), crashed + silent);
-    out.row("detected", format!("{detected}/{failed}"));
-    let (mean, max) = (r.mean_detection_ms(), r.max_detection_ms());
-    let latency = format!("mean {mean:.0} ms / max {max:.0} ms");
-    // No verdict, no latency: "-" as the detection panel prints it.
-    let latency = if detected == 0 { "-" } else { &latency };
-    out.row("detection latency", latency);
-    out.row("false positives", r.false_positives);
-    let (raised, refuted) = (r.suspect_events, r.refute_events);
-    out.row("suspicions", format!("{raised} raised, {refuted} refuted"));
-    let (events, sent) = (r.sim_events, r.messages_sent);
-    let plane = format!("{events} simulator events, {sent} messages sent");
-    out.row("probe plane", plane);
-    let (min, last) = (r.min_coverage * 100.0, r.final_coverage * 100.0);
-    out.row("coverage", format!("min {min:.1}% / final {last:.1}%"));
-    let after = |d: SimDuration| format!("{:.0} ms after the wave", d.as_secs_f64() * 1e3);
-    let recovery = r.recovered_after.map_or("never".to_owned(), after);
-    out.row("recovery", recovery);
-    out.row("oracle convergence", r.converged);
-    if a.flag("strict") && !r.strict_ok() {
-        let (wrong, missed) = (r.false_positives, failed - detected);
-        let (recovered, converged) = (r.final_coverage == 1.0, r.converged);
-        return Err(CliError::Gate(format!(
-            "strict detection violated: {wrong} false positives, {missed} undetected failures, \
-             recovered {recovered}, converged {converged}"
-        )));
-    }
-    Ok(out.text)
-}
-
-/// One `figures` run's scale, and the §3 sweep fig1d and fig1e share.
-pub(crate) struct Scale {
-    full: bool,
-    sweep: OnceCell<StabilitySweep>,
-}
-
-impl Scale {
-    /// A panel's config: paper scale under `--full`, else `quick`.
-    fn at<T: Default>(&self, quick: fn() -> T) -> T {
-        self.full.then(T::default).unwrap_or_else(quick)
-    }
-
-    fn sweep(&self) -> &StabilitySweep {
-        let cfg = || self.at(StabilityConfig::quick);
-        self.sweep.get_or_init(|| stability_sweep(&cfg()))
-    }
-}
-
-/// Every panel, in the order `all`, the last, prints them.
-pub(crate) const PANELS: Choices<fn(&Scale) -> Vec<FigureReport>> = &[
-    ("fig1a", |s| vec![fig1a(&s.at(Fig1Config::quick))]),
-    ("fig1b", |s| vec![fig1b(&s.at(Fig1Config::quick))]),
-    ("fig1c", |s| vec![fig1c(&s.at(Fig1cConfig::quick))]),
-    ("fig1d", |s| vec![s.sweep().fig1d_report()]),
-    ("fig1e", |s| vec![s.sweep().fig1e_report()]),
-    ("claims", |s| {
-        let cfg = s.at(ClaimsConfig::quick);
-        vec![claims_section2(&cfg), claims_section3(&cfg)]
-    }),
-    ("ablation", |s| {
-        vec![ablation_partitioner(&s.at(AblationConfig::quick))]
-    }),
-    ("baselines", |s| {
-        let cfg = s.at(BaselineConfig::quick);
-        vec![baseline_messages(&cfg), baseline_stability(&cfg)]
-    }),
-    ("repair", |s| vec![repair_cost(&s.at(RepairConfig::quick))]),
-    ("churn", |s| vec![churn_panel(&s.at(ChurnConfig::quick))]),
-    ("groups", |s| vec![groups_panel(&s.at(GroupsConfig::quick))]),
-    ("detection", |s| {
-        vec![detection_panel(&s.at(DetectionConfig::quick))]
-    }),
-    ("publish", |s| {
-        vec![publish_panel(&s.at(PublishConfig::quick))]
-    }),
-    ("all", |s| {
-        let panels = &PANELS[..PANELS.len() - 1];
-        panels.iter().flat_map(|(_, panel)| panel(s)).collect()
-    }),
-];
-
-pub(crate) fn cmd_figures(a: &Args) -> Result<String, CliError> {
-    let &(_, panel) = a.choice("panel", PANELS)?;
-    let (full, sweep) = (a.flag("full"), OnceCell::new());
-    let reports = panel(&Scale { full, sweep });
-    Ok(reports.iter().map(|r| format!("{r}\n")).collect())
-}
 
 #[cfg(test)]
 mod tests {
