@@ -92,11 +92,13 @@ impl Interval {
     }
 
     /// The lower end and its id, in the order of [`crate::above`].
+    #[inline]
     fn lo_end(&self) -> (f64, u32) {
         (self.lo, self.lo_id)
     }
 
     /// The upper end and its id, in the order of [`crate::above`].
+    #[inline]
     fn hi_end(&self) -> (f64, u32) {
         (self.hi, self.hi_id)
     }
@@ -157,6 +159,7 @@ impl Interval {
 
     /// `true` if the interval contains no point.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.lo_end() >= self.hi_end()
     }
@@ -171,6 +174,7 @@ impl Interval {
     /// `true` if the point with id `id` at `x` lies inside: `(lo, lo_id)
     /// < (x, id) < (hi, hi_id)`, the order of [`crate::above`].
     #[must_use]
+    #[inline]
     pub fn contains_id(&self, x: f64, id: usize) -> bool {
         let id = u32::try_from(id).unwrap_or(u32::MAX);
         (self.lo < x || (self.lo == x && self.lo_id < id))
@@ -179,6 +183,7 @@ impl Interval {
 
     /// The intersection of two open intervals (also open).
     #[must_use]
+    #[inline]
     pub fn intersect(&self, other: Interval) -> Interval {
         let (a, b) = (self.lo_end(), other.lo_end());
         let lo = if a >= b { a } else { b };
