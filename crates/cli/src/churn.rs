@@ -53,6 +53,7 @@ pub(crate) fn cmd_churn(a: &Args) -> Result<String, CliError> {
     let per_join = |count: u64| count as f64 / w.joins.max(1) as f64;
     let (hops, rows) = (per_join(w.descent_hops), per_join(w.rows_read));
     let walk = format!("{hops:.2} descent hops, {rows:.1} rows read");
+    let walk = format!("{walk}, {:.1} front tests", per_join(w.front_tests));
     let offered = format!("{:.1} peers offered per join", per_join(w.offered));
     let walk = format!("{walk}, {offered} ({} joins)", w.joins);
     out.row("join walk", walk);

@@ -636,6 +636,7 @@ mod tests {
         let out = run(&inv.unwrap()).unwrap();
         assert!(out.contains("join walk         : "), "{out}");
         assert!(out.contains(" rows read, "), "{out}");
+        assert!(out.contains(" front tests, "), "{out}");
         assert!(out.contains(" peers offered per join ("), "{out}");
         assert!(
             out.contains("strict gate       : byte-identical to the from-scratch definition"),

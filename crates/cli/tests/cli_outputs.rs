@@ -40,21 +40,25 @@ const CI_QUICK: &[(&str, u64)] = &[
         "groups --n 60 --dim 32 --seed 1 --groups 4 --subs 40",
         0x8cde8a86afd688f4,
     ),
-    ("churn --n 400 --events 120 --strict", 0x7385e8e8df8b576f),
+    ("churn --n 400 --events 120 --strict", 0x762fd6915c36bc7e),
     (
         "churn --n 400 --events 120 --dim 3 --strict",
-        0x9e971910511f1934,
+        0xbb84d8c1a7ef7131,
     ),
 ];
 
 /// The workflow's store gates that take half a minute each in a debug
-/// build: the oracle rebuild at D = 4 and at N = 5 000.
+/// build: the oracle rebuild at D = 4, D = 5 and N = 5 000.
 const CI_SLOW: &[(&str, u64)] = &[
     (
         "churn --n 400 --events 120 --dim 4 --strict",
-        0xe15943918b90afcb,
+        0x58ab05b51c8deecc,
     ),
-    ("churn --n 5000 --events 400 --strict", 0x94e51d059c317cfd),
+    (
+        "churn --n 400 --events 120 --dim 5 --strict",
+        0x597e5e2e51daf118,
+    ),
+    ("churn --n 5000 --events 400 --strict", 0xbb917ea025415c5e),
 ];
 
 /// Every command at its defaults, and at small fixed sizes through each
@@ -64,7 +68,7 @@ const SMALL: &[(&str, u64)] = &[
     ("tree", 0xd5884b50681d0180),
     ("stability", 0x16e79eed8c0edf7f),
     ("route", 0x1fc2777709f8eb69),
-    ("churn", 0x9a53147b31fd9490),
+    ("churn", 0xc883fb7452343b03),
     ("groups", 0x52b139ab71110528),
     ("publish", 0xd7522da421a3457c),
     ("detect", 0x3158115687082e6a),
@@ -100,19 +104,19 @@ const SMALL: &[(&str, u64)] = &[
     ("route --n 80 --dim 3 --from 5", 0x5a6cd5f90e39b4fe),
     (
         "churn --n 200 --events 60 --join-rate 2 --leave-rate 1 --seed 7",
-        0xcdd3956a50bc604f,
+        0xea4c5c41de5243b2,
     ),
     (
         "churn --n 200 --events 60 --pattern join-wave",
-        0x7adf775c50c7506d,
+        0xb2157aa675d1324d,
     ),
     (
         "churn --n 200 --events 60 --pattern leave-wave --dim 3",
-        0x267c794e25ecd186,
+        0x8a07c40423b6706a,
     ),
     (
         "churn --n 200 --events 60 --pattern flash-crowd",
-        0xb47b3f7953ec6095,
+        0x66c651855ad2320b,
     ),
     (
         "groups --n 150 --groups 5 --subs 300 --zipf 0.5 --events 20 --group-events 30 --seed 3",

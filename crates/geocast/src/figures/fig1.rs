@@ -538,20 +538,6 @@ impl StabilitySweep {
     }
 }
 
-/// **Fig. 1(d)** — variation of the multicast-tree diameter with `K` for
-/// each `D`. Convenience wrapper over [`stability_sweep`].
-#[must_use]
-pub fn fig1d(cfg: &StabilityConfig) -> FigureReport {
-    stability_sweep(cfg).fig1d_report()
-}
-
-/// **Fig. 1(e)** — variation of the maximum tree degree with `K` for
-/// each `D`. Convenience wrapper over [`stability_sweep`].
-#[must_use]
-pub fn fig1e(cfg: &StabilityConfig) -> FigureReport {
-    stability_sweep(cfg).fig1e_report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,18 +641,5 @@ mod tests {
         assert_eq!(d_report.table.len(), 2, "one row per K");
         assert_eq!(d_report.table.headers().len(), 3, "K column + one per D");
         assert!(e_report.notes.iter().any(|n| n.contains("true")));
-    }
-
-    #[test]
-    fn fig1d_and_fig1e_wrappers_agree_with_sweep() {
-        let cfg = StabilityConfig {
-            n: 40,
-            dims: vec![2],
-            ks: vec![1, 2],
-            seeds: vec![7],
-        };
-        let sweep = stability_sweep(&cfg);
-        assert_eq!(fig1d(&cfg).table, sweep.fig1d_report().table);
-        assert_eq!(fig1e(&cfg).table, sweep.fig1e_report().table);
     }
 }

@@ -8,8 +8,8 @@
 //! | Fig. 1(a) — overlay degree vs `D` | [`fig1a`] |
 //! | Fig. 1(b) — root-to-leaf path lengths vs `D` | [`fig1b`] |
 //! | Fig. 1(c) — overlay degree vs `N` at `D = 2` | [`fig1c`] |
-//! | Fig. 1(d) — stability-tree diameter vs `K`, `D` | [`fig1d`] |
-//! | Fig. 1(e) — stability-tree max degree vs `K`, `D` | [`fig1e`] |
+//! | Fig. 1(d) — stability-tree diameter vs `K`, `D` | [`StabilitySweep::fig1d_report`] |
+//! | Fig. 1(e) — stability-tree max degree vs `K`, `D` | [`StabilitySweep::fig1e_report`] |
 //! | §2 claims (N−1 messages, no duplicates, degree bound) | [`claims_section2`] |
 //! | §3 claims (tree, heap property, leaf departures) | [`claims_section3`] |
 //! | Ablation: median vs closest vs farthest child pick | [`ablation_partitioner`] |
@@ -43,8 +43,8 @@ pub use extra::{
     ablation_partitioner, baseline_messages, baseline_stability, AblationConfig, BaselineConfig,
 };
 pub use fig1::{
-    fig1a, fig1b, fig1c, fig1d, fig1e, stability_sweep, Fig1Config, Fig1cConfig, StabilityConfig,
-    StabilityRow, StabilitySweep,
+    fig1a, fig1b, fig1c, stability_sweep, Fig1Config, Fig1cConfig, StabilityConfig, StabilityRow,
+    StabilitySweep,
 };
 pub use groups::{groups_panel, groups_scenario, GroupsConfig, GroupsScenario};
 pub use publish::{publish_panel, publish_scenario, PublishConfig, PublishScenario};

@@ -25,8 +25,9 @@
 //! delegate each populated region to.
 //!
 //! [`ParetoSet`] is that frontier kept incrementally, one orthant at a
-//! time: the index's empty-rectangle query and the store's join walk
-//! both grow their answer in one.
+//! time: the index's empty-rectangle query grows its answer in one, and
+//! so does the store's join walk at dimensionalities other than the
+//! paper's `D = 2–5` (where it keeps fronts of a compile-time width).
 
 use crate::{above, key, key_cmp, key_lt, Key, Orthant, Point};
 

@@ -501,44 +501,79 @@ pub struct JoinWalkStats {
     pub rows_read: u64,
     /// Peers offered to the fronts, each at most once per join.
     pub offered: u64,
+    /// Front members the offers were tested against: each offer adds
+    /// the size its orthant's front had when the peer came, every member
+    /// an accepted peer is tested against (a rejected one may stop at
+    /// its first dominator). Whatever order a front keeps its members
+    /// in, the count is the same.
+    pub front_tests: u64,
 }
 
 /// The empty-rectangle newcomer's own row, found over the rows the store
 /// already holds, with the buffers it reuses from join to join: a
-/// seen-stamp per peer, one [`ParetoSet`] per orthant code met (no `2^D`
-/// table, so any dimensionality up to `MAX_ORTHANT_DIM` takes this
-/// path) and the expansion queue. The steps and their proofs are in
+/// seen-stamp per peer, the expansion queue, and the per-orthant fronts
+/// — [`OrthantFronts`] at each of the paper's `D = 2–5`, fixed at
+/// compile time, and [`ParetoFronts`] at any other dimensionality up to
+/// `MAX_ORTHANT_DIM`. The instance is picked once per join; both hold
+/// the same members after the same offers, so the walk visits, pops and
+/// offers in one order whichever runs. The steps and their proofs are in
 /// `crate::store`, "The newcomer's own row".
 #[derive(Debug, Default)]
 pub(crate) struct JoinWalk {
-    /// `seen[p] == stamp`: `p` was offered during this join.
-    seen: Vec<u32>,
-    stamp: u32,
-    /// `(orthant code, front slot)` of every orthant met in this join,
-    /// ascending by code.
-    slots: Vec<(u32, usize)>,
-    /// The fronts by slot; those past `slots.len()` are spare buffers.
-    fronts: Vec<ParetoSet>,
-    /// Every peer pushed, with its front slot, in the order the grow
-    /// pops them.
-    queue: Vec<(usize, usize)>,
-    /// The keys of the peer being offered.
-    keys: Vec<Key>,
-    stats: JoinWalkStats,
+    walk: Walk,
+    d2: OrthantFronts<2>,
+    d3: OrthantFronts<3>,
+    d4: OrthantFronts<4>,
+    d5: OrthantFronts<5>,
+    any: ParetoFronts,
 }
 
 impl JoinWalk {
     pub(crate) fn stats(&self) -> JoinWalkStats {
-        self.stats
+        self.walk.stats
     }
 
     /// The row of `x` among the peers that `out`'s rows link — every
-    /// live peer but `x` — walked from the live peer `start`: descend to
-    /// a neighbour of `x`, then grow the fronts over rows until no
-    /// member is left to expand. Sorted ascending, at the store's row
-    /// width.
+    /// live peer but `x` — walked from the live peer `start` over the
+    /// fronts of `index`'s dimensionality ([`Walk::row`]). Sorted
+    /// ascending, at the store's row width.
     pub(crate) fn row(
         &mut self,
+        index: &GridIndex,
+        out: &[Vec<u32>],
+        x: usize,
+        start: usize,
+    ) -> Vec<u32> {
+        let walk = &mut self.walk;
+        match index.dim() {
+            2 => walk.row(&mut self.d2, index, out, x, start),
+            3 => walk.row(&mut self.d3, index, out, x, start),
+            4 => walk.row(&mut self.d4, index, out, x, start),
+            5 => walk.row(&mut self.d5, index, out, x, start),
+            _ => walk.row(&mut self.any, index, out, x, start),
+        }
+    }
+}
+
+/// The join walk's visit state, whatever its fronts: the seen-stamps,
+/// the expansion queue and the counts.
+#[derive(Debug, Default)]
+struct Walk {
+    /// `seen[p] == stamp`: `p` was offered during this join.
+    seen: Vec<u32>,
+    stamp: u32,
+    /// Every peer pushed, with its front's slot, in the order the grow
+    /// pops them.
+    queue: Vec<(usize, usize)>,
+    stats: JoinWalkStats,
+}
+
+impl Walk {
+    /// Descends from `start` to a neighbour of `x`, then grows `fronts`
+    /// over rows until no member is left to expand.
+    fn row<F: Fronts>(
+        &mut self,
+        fronts: &mut F,
         index: &GridIndex,
         out: &[Vec<u32>],
         x: usize,
@@ -552,17 +587,17 @@ impl JoinWalk {
             self.seen.fill(0);
             self.stamp = 1;
         }
-        self.slots.clear();
+        fronts.clear();
         self.queue.clear();
 
         let first = self.descend(index, out, x, start);
         self.seen[first] = self.stamp;
-        self.offer(index, x, first);
+        self.offer(fronts, index, x, first);
         let mut head = 0;
         while let Some(&(v, slot)) = self.queue.get(head) {
             head += 1;
             // Evicted since it was pushed: dominated, not a neighbour.
-            if !self.fronts[slot].ids().contains(&v) {
+            if !fronts.holds(slot, v) {
                 continue;
             }
             self.stats.rows_read += 1;
@@ -570,18 +605,15 @@ impl JoinWalk {
                 let w = w as usize;
                 if self.seen[w] != self.stamp {
                     self.seen[w] = self.stamp;
-                    self.offer(index, x, w);
+                    self.offer(fronts, index, x, w);
                 }
             }
         }
-        // Sized once: the row becomes the newcomer's stored row.
-        let fronts = self.slots.iter().map(|&(_, slot)| self.fronts[slot].ids());
-        let mut row = Vec::with_capacity(fronts.clone().map(<[usize]>::len).sum::<usize>());
-        for ids in fronts {
-            row.extend(ids.iter().map(|&j| j as u32));
-        }
-        row.sort_unstable();
         self.stats.joins += 1;
+        // Sized once: the row becomes the newcomer's stored row.
+        let mut row = Vec::with_capacity(fronts.ids().count());
+        row.extend(fronts.ids().map(|id| id as u32));
+        row.sort_unstable();
         row
     }
 
@@ -615,14 +647,134 @@ impl JoinWalk {
         }
     }
 
-    /// Offers `w` to the front of its orthant around the newcomer `x`,
-    /// keyed by its [`Key`]s — coordinates and id, flipped on the
-    /// orthant's negative sides: strictly smaller in every key is
-    /// strictly inside the rectangle, with no subtraction to round the
-    /// test; pushes it if it joined.
-    fn offer(&mut self, index: &GridIndex, x: usize, w: usize) {
+    /// Offers `w` to `fronts` around the newcomer `x`; pushes it if it
+    /// joined.
+    fn offer<F: Fronts>(&mut self, fronts: &mut F, index: &GridIndex, x: usize, w: usize) {
         self.stats.offered += 1;
         let (at, wc) = (index.point_coords(x), index.point_coords(w));
+        if let Some(slot) = fronts.offer(at, x, wc, w, &mut self.stats.front_tests) {
+            self.queue.push((w, slot));
+        }
+    }
+}
+
+/// One join walk's Pareto fronts, one per orthant code around the
+/// newcomer `x`. A member's keys are its [`Key`]s — coordinates and id,
+/// flipped on the orthant's negative sides — so strictly smaller in
+/// every key is strictly inside the rectangle, with no subtraction to
+/// round the test.
+trait Fronts {
+    /// Empties every front, keeping the buffers.
+    fn clear(&mut self);
+
+    /// Offers the peer `w` at `wc` to the front of its orthant around
+    /// `x` at `at`: dropped if a member dominates it, else it evicts the
+    /// members it dominates and joins. Adds the front's size to `tests`.
+    /// Returns the front's slot if `w` joined.
+    fn offer(
+        &mut self,
+        at: &[f64],
+        x: usize,
+        wc: &[f64],
+        w: usize,
+        tests: &mut u64,
+    ) -> Option<usize>;
+
+    /// `true` if `w` is still a member of the front at `slot`.
+    fn holds(&self, slot: usize, w: usize) -> bool;
+
+    /// Every member's id, front by front.
+    fn ids(&self) -> impl Iterator<Item = usize> + '_;
+}
+
+/// The fronts at `D` dimensions fixed at compile time: one per orthant
+/// code, indexed by it, each member one `([Key; D], id)` entry. An offer
+/// builds its code and keys on the stack, and its member tests unroll.
+#[derive(Debug, Default)]
+struct OrthantFronts<const D: usize> {
+    fronts: Vec<Vec<([Key; D], usize)>>,
+}
+
+impl<const D: usize> Fronts for OrthantFronts<D> {
+    fn clear(&mut self) {
+        self.fronts.resize_with(1 << D, Vec::new);
+        self.fronts.iter_mut().for_each(Vec::clear);
+    }
+
+    fn offer(
+        &mut self,
+        at: &[f64],
+        x: usize,
+        wc: &[f64],
+        w: usize,
+        tests: &mut u64,
+    ) -> Option<usize> {
+        let at: &[f64; D] = at.try_into().expect("the newcomer has D coordinates");
+        let wc: &[f64; D] = wc.try_into().expect("an offered peer has D coordinates");
+        let code = (0..D).fold(0, |code, d| {
+            code | usize::from(above(wc[d], w, at[d], x)) << d
+        });
+        let keys: [Key; D] = std::array::from_fn(|d| key(wc[d], w, code >> d & 1 == 1));
+        let front = &mut self.fronts[code];
+        *tests += front.len() as u64;
+        // Two peers' keys are never equal (their ids differ), so in each
+        // coordinate exactly one is nearer `x`: one comparison per
+        // coordinate tells both which member dominates `w` (nearer in
+        // none) and which `w` dominates (nearer in all). Members do not
+        // dominate one another, so once a member dominates `w`, `w` has
+        // evicted no one before it.
+        let mut m = 0;
+        while m < front.len() {
+            let member = &front[m].0;
+            let nearer = (0..D).filter(|&d| key_lt(&keys[d], &member[d])).count();
+            if nearer == 0 {
+                return None;
+            } else if nearer == D {
+                front.swap_remove(m);
+            } else {
+                m += 1;
+            }
+        }
+        front.push((keys, w));
+        Some(code)
+    }
+
+    fn holds(&self, slot: usize, w: usize) -> bool {
+        self.fronts[slot].iter().any(|&(_, id)| id == w)
+    }
+
+    fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.fronts.iter().flatten().map(|&(_, id)| id)
+    }
+}
+
+/// The fronts at any dimensionality: one [`ParetoSet`] per orthant code
+/// met (no `2^D` table, so any dimensionality up to `MAX_ORTHANT_DIM`
+/// takes this path).
+#[derive(Debug, Default)]
+struct ParetoFronts {
+    /// `(orthant code, front slot)` of every orthant met in this join,
+    /// ascending by code.
+    slots: Vec<(u32, usize)>,
+    /// The fronts by slot; those past `slots.len()` are spare buffers.
+    fronts: Vec<ParetoSet>,
+    /// The keys of the peer being offered.
+    keys: Vec<Key>,
+}
+
+impl Fronts for ParetoFronts {
+    fn clear(&mut self) {
+        self.slots.clear();
+    }
+
+    fn offer(
+        &mut self,
+        at: &[f64],
+        x: usize,
+        wc: &[f64],
+        w: usize,
+        tests: &mut u64,
+    ) -> Option<usize> {
         let code = orthant_code(at, x, wc, w);
         self.keys.clear();
         let keys = wc
@@ -642,9 +794,17 @@ impl JoinWalk {
                 slot
             }
         };
-        if self.fronts[slot].offer(&self.keys, w) {
-            self.queue.push((w, slot));
-        }
+        *tests += self.fronts[slot].ids().len() as u64;
+        self.fronts[slot].offer(&self.keys, w).then_some(slot)
+    }
+
+    fn holds(&self, slot: usize, w: usize) -> bool {
+        self.fronts[slot].ids().contains(&w)
+    }
+
+    fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        let fronts = self.slots.iter().map(|&(_, slot)| self.fronts[slot].ids());
+        fronts.flatten().copied()
     }
 }
 
@@ -657,7 +817,7 @@ mod tests {
     use crate::peer::PeerId;
     use crate::select::{EmptyRectSelection, NeighborSelection};
     use crate::store::TopologyStore;
-    use geocast_geom::gen::{cross, hub, uniform_points};
+    use geocast_geom::gen::{clustered_points, cross, hub, uniform_points};
     use geocast_geom::Point;
 
     fn peers(n: usize, dim: usize, seed: u64) -> Vec<PeerInfo> {
@@ -812,7 +972,7 @@ mod tests {
                     assert_eq!(row, after.row(q), "{q} joins from {start}");
                     walks += 1;
                     // The descent's own contract: it stops at a neighbour.
-                    let stop = descent.descend(&index, &before.out, q, start);
+                    let stop = descent.walk.descend(&index, &before.out, q, start);
                     assert!(
                         row.contains(&(stop as u32)),
                         "{q} joins: descent from {start}"
@@ -823,6 +983,62 @@ mod tests {
         let stats = walk.stats();
         assert_eq!(stats.joins, walks);
         assert!(stats.descent_hops > 0, "far starts descend before growing");
+    }
+
+    #[test]
+    fn every_instantiated_dimensionality_walks_as_the_runtime_path() {
+        // Uniform, clustered and shuffled-lattice (tied) populations at
+        // D = 1–6: each third peer in turn joins the peers before it,
+        // from three starts, once over the fronts the walk picks for D
+        // and once over the runtime-D fronts. Rows and every count,
+        // front tests included, must be equal: at D = 2–5 that holds the
+        // const-D fronts to `ParetoSet`, at D = 1 and 6 both are it.
+        for dim in 1..=6 {
+            // The full lattice of side `side`, cell `7i mod side^D` for
+            // point `i`: 7 is prime to every side, so each cell once.
+            let side = [60, 8, 4, 3, 2, 2][dim - 1];
+            let cells = (side as u64).pow(dim as u32);
+            let lattice: Vec<Point> = (0..cells)
+                .map(|i| {
+                    let mut cell = i * 7 % cells;
+                    let coords = (0..dim).map(|_| {
+                        let c = cell % side as u64;
+                        cell /= side as u64;
+                        c as f64
+                    });
+                    Point::new(coords.collect()).unwrap()
+                })
+                .collect();
+            for (what, points) in [
+                ("uniform", uniform_points(60, dim, 1000.0, 71).into_points()),
+                (
+                    "clustered",
+                    clustered_points(60, dim, 1000.0, 3, 25.0, 72).into_points(),
+                ),
+                ("lattice", lattice),
+            ] {
+                let population: Vec<PeerInfo> = (0..points.len() as u64)
+                    .zip(points)
+                    .map(|(i, p)| PeerInfo::new(PeerId(i), p))
+                    .collect();
+                let index = GridIndex::build(&population);
+                let (mut picked, mut runtime) = (JoinWalk::default(), JoinWalk::default());
+                for q in (1..population.len()).step_by(3) {
+                    let before = TopologyStore::from_peers(
+                        population[..q].to_vec(),
+                        Arc::new(EmptyRectSelection),
+                    );
+                    for start in [0, q / 2, q - 1] {
+                        let row = picked.row(&index, &before.out, q, start);
+                        let (walk, any) = (&mut runtime.walk, &mut runtime.any);
+                        let want = walk.row(any, &index, &before.out, q, start);
+                        assert_eq!(row, want, "D = {dim}, {what}: {q} joins from {start}");
+                    }
+                }
+                assert_eq!(picked.stats(), runtime.stats(), "D = {dim}, {what}");
+                assert!(picked.stats().front_tests > 0, "D = {dim}, {what}");
+            }
+        }
     }
 
     #[test]

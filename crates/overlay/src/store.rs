@@ -147,16 +147,24 @@
 //!    finite descent ends at such a peer whose open rectangle with `p` is
 //!    empty, a member of `row(p)`. So where the walk stops, the open
 //!    `rect(x, p)` holds no live peer, and `p ∈ row(x)`.
-//! 3. **Grow.** Keep one Pareto front per orthant code around `x`
-//!    (`geocast_geom::dominance::ParetoSet`, created as orthants are met
-//!    — no `2^D` table). A front's keys are the member's coordinate and
-//!    id, flipped on the orthant's negative sides: strictly smaller in
-//!    every key is strictly inside the rectangle, with no subtraction to
-//!    round the test. Offer the descent's end, then push every peer a
-//!    front accepts; pop them in order, and when a popped peer is still
-//!    in its front, offer every member of its row. A seen-stamp per peer
-//!    offers each peer at most once per join. At the end the fronts are
-//!    `row(x)`.
+//! 3. **Grow.** Keep one Pareto front per orthant code around `x`. A
+//!    front's keys are the member's coordinate and id, flipped on the
+//!    orthant's negative sides: strictly smaller in every key is
+//!    strictly inside the rectangle, with no subtraction to round the
+//!    test. Offer the descent's end, then push every peer a front
+//!    accepts; pop them in order, and when a popped peer is still in its
+//!    front, offer every member of its row. A seen-stamp per peer offers
+//!    each peer at most once per join. At the end the fronts are
+//!    `row(x)`. At the paper's `D = 2–5` the fronts are a table of `2^D`
+//!    fronts indexed by orthant code, the dimensionality a compile-time
+//!    constant: an offer builds its code and keys on the stack, and each
+//!    member is one `([Key; D], id)` entry whose test is `D` unrolled
+//!    comparisons. Every other dimensionality keeps one
+//!    `geocast_geom::dominance::ParetoSet` per code met (no `2^D`
+//!    table). The walk picks one of the two once per join; both hold the
+//!    front of everything offered, so it visits, pops and offers in the
+//!    same order either way, and rows and counts are equal
+//!    (`closed_form`'s unit tests run both on the same joins).
 //!
 //! Why the grow ends with exactly `row(x)`:
 //!
@@ -497,7 +505,8 @@ impl TopologyStore {
     }
 
     /// What the empty-rectangle join walk did since construction —
-    /// joins walked, descent steps, rows read, peers offered — counted
+    /// joins walked, descent steps, rows read, peers offered, front
+    /// members tested — counted
     /// like [`TopologyStore::links_made_by_leaves`]; the other rules
     /// query the index and count nothing here.
     #[must_use]

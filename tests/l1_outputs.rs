@@ -13,7 +13,7 @@ use std::sync::Arc;
 use geocast::core::graft::GraftReport;
 use geocast::core::stability::{preferred_links_on_store, PreferredPolicy};
 use geocast::figures::{
-    ablation_partitioner, baseline_stability, claims_section3, fig1d, fig1e, AblationConfig,
+    ablation_partitioner, baseline_stability, claims_section3, stability_sweep, AblationConfig,
     BaselineConfig, ClaimsConfig, FigureReport, StabilityConfig,
 };
 use geocast::geom::VMAX;
@@ -116,9 +116,9 @@ fn assert_pinned(digest: &Digest, pinned: u64, what: &str) {
 #[test]
 fn figure_tables_are_the_pinned_ones() {
     let mut d = Digest::new();
-    let stability = StabilityConfig::quick();
-    d.table(&fig1d(&stability));
-    d.table(&fig1e(&stability));
+    let stability = stability_sweep(&StabilityConfig::quick());
+    d.table(&stability.fig1d_report());
+    d.table(&stability.fig1e_report());
     d.table(&claims_section3(&ClaimsConfig::quick()));
     d.table(&ablation_partitioner(&AblationConfig::quick()));
     d.table(&baseline_stability(&BaselineConfig::quick()));
