@@ -469,10 +469,8 @@ pub fn eager_lazy_deliver(
     let mut queue: VecDeque<usize> = (0..n).filter(|&i| holder[i]).collect();
     let mut iwant_pulls = 0usize;
     let mut recovered = 0usize;
-    let mut scratch: Vec<usize> = Vec::new();
     while let Some(u) = queue.pop_front() {
-        store.undirected_neighbors_into(u, &mut scratch);
-        for &v in &scratch {
+        for v in store.neighbors(u) {
             if v == source[u] || !eligible(v) {
                 continue;
             }
@@ -536,10 +534,8 @@ pub fn flood_deliver(
     visited[seed] = true;
     let mut queue = VecDeque::from([seed]);
     let mut messages = 0usize;
-    let mut scratch: Vec<usize> = Vec::new();
     while let Some(u) = queue.pop_front() {
-        store.undirected_neighbors_into(u, &mut scratch);
-        for &v in &scratch {
+        for v in store.neighbors(u) {
             if !eligible(v) {
                 continue;
             }

@@ -482,7 +482,7 @@ impl<'a> Replay<'a> {
         for (at, hop) in logged.windows(2).enumerate() {
             let (from, next) = (hop[0] as usize, hop[1] as usize);
             let dirty = retake && self.dirty.binary_search(&from).is_ok();
-            if dirty && greedy_step_on_store(store, from, target, &mut walk.nbuf) != Some(next) {
+            if dirty && greedy_step_on_store(store, from, target) != Some(next) {
                 return None;
             }
             walk.path.push(next);
@@ -922,7 +922,6 @@ struct Walk {
     /// Rows the fallback tiers read (tier 1 reads only the rows of the
     /// path it attaches).
     consulted: Vec<usize>,
-    nbuf: Vec<usize>,
 }
 
 impl Walk {
@@ -957,7 +956,7 @@ fn discover_path(
         // decide the used path are read, so only they enter the support
         // set. Every hop is strictly closer to the target than the
         // last, so a path that never left this tier has no loop.
-        while let Some(next) = greedy_step_on_store(store, cur, tp, &mut walk.nbuf) {
+        while let Some(next) = greedy_step_on_store(store, cur, tp) {
             walk.path.push(next);
             report.route_hops += 1;
             if on_tree.contains(next) {
@@ -1038,8 +1037,7 @@ fn flood_to_tree(
             return true;
         }
         walk.consulted.push(u);
-        store.undirected_neighbors_into(u, &mut walk.nbuf);
-        for &v in &walk.nbuf {
+        for v in store.neighbors(u) {
             if !seen.contains(v) {
                 seen.insert(v);
                 parent.insert(v, u);

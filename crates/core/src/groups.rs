@@ -209,7 +209,6 @@ impl GroupBuild {
         store: &TopologyStore,
         members: &BTreeSet<usize>,
         mut dirty: impl Iterator<Item = (usize, u32)>,
-        nbuf: &mut Vec<usize>,
     ) -> bool {
         let walks = &self.reads.walks;
         dirty.all(|(p, step)| {
@@ -218,14 +217,14 @@ impl GroupBuild {
             }
             if step == DELEGATION {
                 let member = |j| members.contains(&j);
-                return self.reads.member_rows.stands(store, p, member, nbuf);
+                return self.reads.member_rows.stands(store, p, member);
             }
             let w = walks
                 .walk(step as usize)
                 .expect("an indexed walk is logged");
             !walks.fallback(w) && {
                 let target = store.peers()[walks.target(w)].point();
-                let hop = greedy_step_on_store(store, p, target, nbuf);
+                let hop = greedy_step_on_store(store, p, target);
                 hop.is_some() && hop == self.build.tree.parent(p)
             }
         })
@@ -779,8 +778,7 @@ impl GroupEngine {
     /// the engine synced just before, so no adjacency row has changed
     /// under any build.
     fn rebuild_after_membership_of(&mut self, gi: usize, p: usize) {
-        let mut touched = Vec::new();
-        self.store.undirected_neighbors_into(p, &mut touched);
+        let mut touched: Vec<usize> = self.store.neighbors(p).collect();
         let at = touched.partition_point(|&q| q < p);
         touched.insert(at, p);
         let changed = Changed {
@@ -1299,7 +1297,6 @@ impl GroupEngine {
             deltas: deltas.len(),
             ..SyncReport::default()
         };
-        let mut nbuf: Vec<usize> = Vec::new();
         let (mut dirty, mut dirty_walks) = (Vec::new(), Vec::new());
         for of_group in hits.chunk_by(|a, b| a.0 == b.0) {
             let gi = of_group[0].0 as usize;
@@ -1307,7 +1304,7 @@ impl GroupEngine {
             report.affected_groups += 1;
             let steps = of_group.iter().map(|&(_, p, step)| (p as usize, step));
             let kept = (group.build.as_ref())
-                .is_some_and(|gb| gb.steps_stand(&self.store, &group.members, steps, &mut nbuf));
+                .is_some_and(|gb| gb.steps_stand(&self.store, &group.members, steps));
             if kept {
                 report.certified_groups += 1;
                 debug_assert!(
@@ -2135,9 +2132,7 @@ mod tests {
     }
 
     fn neighbors(eng: &GroupEngine, p: usize) -> Vec<usize> {
-        let mut row = Vec::new();
-        eng.store().undirected_neighbors_into(p, &mut row);
-        row
+        eng.store().neighbors(p).collect()
     }
 
     /// `0 —1—2—3— 4` on a diagonal (consecutive peers are overlay
@@ -2224,7 +2219,7 @@ mod tests {
         assert_eq!(neighbors(&eng, 0), vec![2, 3], "A and B are now linked");
         let stand = |dirty: &[(usize, u32)]| {
             let dirty = dirty.iter().copied();
-            old.steps_stand(eng.store(), eng.members(g), dirty, &mut Vec::new())
+            old.steps_stand(eng.store(), eng.members(g), dirty)
         };
         assert!(
             stand(&[(2, 2), (3, DELEGATION)]),

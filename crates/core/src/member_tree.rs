@@ -148,10 +148,13 @@ pub(crate) struct MemberRows {
 }
 
 impl MemberRows {
-    fn push(&mut self, member: u32, row: impl Iterator<Item = u32>) {
-        let start = self.flat.len() as u32;
+    /// Records `row` as `member`'s and returns it as recorded.
+    fn push(&mut self, member: u32, row: impl Iterator<Item = u32>) -> &[u32] {
+        let start = self.flat.len();
         self.flat.extend(row);
-        self.spans.push((member, start, self.flat.len() as u32));
+        let end = self.flat.len();
+        self.spans.push((member, start as u32, end as u32));
+        &self.flat[start..]
     }
 
     /// The recorded row of `member`; `None` if the §2 construction did
@@ -205,12 +208,10 @@ impl MemberRows {
         store: &TopologyStore,
         p: usize,
         member: impl Fn(usize) -> bool,
-        buf: &mut Vec<usize>,
     ) -> bool {
         self.row(p).is_none_or(|then| {
-            store.undirected_neighbors_into(p, buf);
-            buf.retain(|&j| member(j));
-            buf.iter().map(|&j| j as u32).eq(then.iter().copied())
+            let now = store.neighbors(p).filter(|&j| member(j));
+            now.map(|j| j as u32).eq(then.iter().copied())
         })
     }
 }
@@ -319,7 +320,6 @@ pub(crate) fn member_tree<'a>(
     // inside the zone: a difference outside it costs one partition that
     // changes nothing. One that is no longer a member is none: it is
     // reached by nobody, and the row of its recorded parent lost it.
-    let mut row = Vec::new();
     let (mut replay, recorded_rows, touched) = match recorded.filter(|r| r.tree.root() == root) {
         Some(Recorded {
             tree,
@@ -328,7 +328,7 @@ pub(crate) fn member_tree<'a>(
             touched,
         }) => {
             let suspects: Vec<usize> = (touched.iter().copied())
-                .filter(|&p| member(p) && !rows.stands(store, p, member, &mut row))
+                .filter(|&p| member(p) && !rows.stands(store, p, member))
                 .collect();
             (Some(Replay::new(tree, zones, &suspects)), rows, touched)
         }
@@ -360,9 +360,8 @@ pub(crate) fn member_tree<'a>(
                 continue;
             }
         }
-        store.undirected_neighbors_into(p, &mut row);
-        row.retain(|&j| member(j));
-        read.push(p as u32, row.iter().map(|&j| j as u32));
+        let row = store.neighbors(p).filter(|&j| member(j));
+        let row = read.push(p as u32, row.map(|j| j as u32));
         let zone = match &replay {
             Some(r) if at < known => &r.zones[at].1,
             _ => &fresh[at - known].1,
@@ -370,7 +369,7 @@ pub(crate) fn member_tree<'a>(
         in_zone.clear();
         in_zone.extend(
             row.iter()
-                .map(|&q| &peers[q])
+                .map(|&q| &peers[q as usize])
                 .filter(|q| zone.contains_id(q.point(), q.id().index())),
         );
         for (child_ci, child_zone) in partitioner.partition(&peers[p], zone, &in_zone) {
@@ -720,11 +719,7 @@ mod tests {
         // and the construction must report the rest stranded rather than
         // invent links.
         let store = setup(60, 2, 19);
-        let row = |i: usize| {
-            let mut row = Vec::new();
-            store.undirected_neighbors_into(i, &mut row);
-            row
-        };
+        let row = |i: usize| store.neighbors(i).collect::<Vec<_>>();
         let near = row(0)[0];
         let mut members: BTreeSet<usize> = [0, near].into();
         let mut far = Vec::new();
@@ -787,9 +782,7 @@ mod tests {
         let leaver = *old_build.tree.reached().last().expect("a reached member");
         members.remove(&leaver);
         let mut touched = vec![leaver];
-        let mut row = Vec::new();
-        store.undirected_neighbors_into(leaver, &mut row);
-        touched.extend(&row);
+        touched.extend(store.neighbors(leaver));
         touched.sort_unstable();
         let recorded = Recorded {
             tree: &old_build.tree,

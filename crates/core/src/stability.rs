@@ -27,7 +27,7 @@
 //! every populated orthant contributes at least one selected neighbour.
 
 use geocast_geom::l1;
-use geocast_overlay::{OverlayGraph, PeerId, PeerInfo, TopologyStore};
+use geocast_overlay::{OverlayGraph, PeerInfo, TopologyStore};
 
 use crate::tree::MulticastTree;
 
@@ -178,30 +178,24 @@ impl StabilityForest {
         delta: &[usize],
     ) {
         self.preferred.resize(store.len(), None);
-        let mut buf = Vec::new();
         for &i in delta {
-            if store.is_departed(PeerId(i as u64)) {
-                self.preferred[i] = None;
-                continue;
-            }
-            self.preferred[i] = pick_on_store(store, i, policy, &mut buf);
+            self.preferred[i] = pick(store.peers(), i, store.neighbors(i), policy);
         }
     }
 }
 
-/// One peer's preferred pick over the store's undirected neighbourhood.
-fn pick_on_store(
-    store: &TopologyStore,
+/// Peer `i`'s preferred pick among its undirected `neighbors`: `None`
+/// when none of them outlives it, so a departed peer, whose row is
+/// empty, picks nobody.
+fn pick(
+    peers: &[PeerInfo],
     i: usize,
+    neighbors: impl IntoIterator<Item = usize>,
     policy: PreferredPolicy,
-    buf: &mut Vec<usize>,
 ) -> Option<usize> {
-    let peers = store.peers();
     let who = &peers[i];
-    store.undirected_neighbors_into(i, buf);
-    let higher: Vec<&PeerInfo> = buf
-        .iter()
-        .map(|&j| &peers[j])
+    let higher: Vec<&PeerInfo> = (neighbors.into_iter())
+        .map(|j| &peers[j])
         .filter(|q| q.departure_time() > who.departure_time())
         .collect();
     policy.pick(who, &higher).map(|ci| higher[ci].id().index())
@@ -221,18 +215,8 @@ pub fn preferred_links(
 ) -> StabilityForest {
     assert_eq!(peers.len(), overlay.len(), "peer/overlay size mismatch");
     let adj = overlay.undirected_closure();
-    let preferred = peers
-        .iter()
-        .enumerate()
-        .map(|(i, who)| {
-            let higher: Vec<&PeerInfo> = adj
-                .out_neighbors(i)
-                .iter()
-                .map(|&j| &peers[j])
-                .filter(|q| q.departure_time() > who.departure_time())
-                .collect();
-            policy.pick(who, &higher).map(|ci| higher[ci].id().index())
-        })
+    let preferred = (0..peers.len())
+        .map(|i| pick(peers, i, adj.out_neighbors(i).iter().copied(), policy))
         .collect();
     StabilityForest { preferred }
 }
@@ -244,15 +228,8 @@ pub fn preferred_links(
 /// edges, are nobody's).
 #[must_use]
 pub fn preferred_links_on_store(store: &TopologyStore, policy: PreferredPolicy) -> StabilityForest {
-    let mut buf = Vec::new();
     let preferred = (0..store.len())
-        .map(|i| {
-            if store.is_departed(PeerId(i as u64)) {
-                None
-            } else {
-                pick_on_store(store, i, policy, &mut buf)
-            }
-        })
+        .map(|i| pick(store.peers(), i, store.neighbors(i), policy))
         .collect();
     StabilityForest { preferred }
 }
@@ -301,6 +278,7 @@ mod tests {
     use super::*;
     use geocast_geom::gen::{embed_lifetimes, lifetimes, uniform_points};
     use geocast_overlay::select::HyperplanesSelection;
+    use geocast_overlay::PeerId;
     use std::sync::Arc;
 
     /// The §3 experimental setup: uniform coordinates, random distinct
@@ -406,10 +384,22 @@ mod tests {
         for p in points.into_points() {
             store.insert(p);
         }
-        for policy in [PreferredPolicy::MaxT, PreferredPolicy::MinHigherT] {
-            let via_store = preferred_links_on_store(&store, policy);
-            let via_graph = preferred_links(store.peers(), &store.graph(), policy);
-            assert_eq!(via_store, via_graph, "{policy}");
+        // Every policy, on the full population and after each of a few
+        // departures: a departed peer's empty row picks nobody.
+        let policies = [
+            PreferredPolicy::MaxT,
+            PreferredPolicy::MinHigherT,
+            PreferredPolicy::ClosestHigherT,
+        ];
+        for departed in [None, Some(7u64), Some(21), Some(40), Some(59)] {
+            if let Some(victim) = departed {
+                store.remove(PeerId(victim));
+            }
+            for policy in policies {
+                let via_store = preferred_links_on_store(&store, policy);
+                let via_graph = preferred_links(store.peers(), &store.graph(), policy);
+                assert_eq!(via_store, via_graph, "{policy} after {departed:?}");
+            }
         }
     }
 

@@ -519,9 +519,8 @@ fn hostile_chain_and_hub_builds_equal_from_scratch_after_every_op() {
                 Arc::new(EmptyRectSelection),
             );
             if hostile {
-                let mut row = Vec::new();
-                store.undirected_neighbors_into(last, &mut row);
-                assert_eq!(row.len(), last, "the hub neighbours every other peer");
+                let row = store.neighbors(last);
+                assert_eq!(row.count(), last, "the hub neighbours every other peer");
             }
             let mut engine = GroupEngine::new(store, Arc::new(OrthantRectPartitioner::median()));
             let mut state = 0xc4a1_u64 + family;

@@ -117,18 +117,19 @@ fn full_code(dim: usize) -> u32 {
 
 /// A row gathered around the peer `x` that joins or leaves, in runs: the
 /// members of each orthant code around `x`, codes ascending and row
-/// order inside a run, from one sort. Every member of a run carries its
-/// [`Key`]s — its coordinates and id, flipped on the orthant's negative
-/// sides — so a smaller key is nearer `x`, and strictly smaller is the
-/// rule's strict test, with no subtraction to round it and the id read
-/// only on equal coordinates. Both empty-rectangle closed forms read
-/// only this.
+/// order inside a run, from one sort. For the leave's blocker tests
+/// ([`RowRuns::with_keys`]) every member of a run carries its [`Key`]s —
+/// its coordinates and id, flipped on the orthant's negative sides — so
+/// a smaller key is nearer `x`, and strictly smaller is the rule's
+/// strict test, with no subtraction to round it and the id read only on
+/// equal coordinates. Both empty-rectangle closed forms read only this.
 struct RowRuns<'a> {
     row: &'a [u32],
     dim: usize,
     /// `(orthant code, row position)` of every member, ascending.
     members: Vec<(u32, usize)>,
-    /// `dim` keys per entry of `members`.
+    /// `dim` keys per entry of `members`; empty until
+    /// [`RowRuns::with_keys`].
     keys: Vec<Key>,
     /// Each run's code and its range of `members`, ascending by code.
     runs: Vec<(u32, Range<usize>)>,
@@ -142,12 +143,6 @@ impl<'a> RowRuns<'a> {
             .map(|(k, &r)| (code(r as usize), k))
             .collect();
         members.sort_unstable();
-        let mut keys = Vec::with_capacity(members.len() * dim);
-        for &(code, k) in &members {
-            let id = row[k] as usize;
-            let member = index.point_coords(id).iter().enumerate();
-            keys.extend(member.map(|(d, &c)| key(c, id, code >> d & 1 == 1)));
-        }
         let mut runs = Vec::new();
         let mut start = 0;
         for run in members.chunk_by(|a, b| a.0 == b.0) {
@@ -158,9 +153,21 @@ impl<'a> RowRuns<'a> {
             row,
             dim,
             members,
-            keys,
+            keys: Vec::new(),
             runs,
         }
+    }
+
+    /// Fills every member's keys, which only the blocker tests of
+    /// [`RowRuns::unblocked_pairs`] read.
+    fn with_keys(mut self, index: &GridIndex) -> Self {
+        self.keys.reserve_exact(self.members.len() * self.dim);
+        for &(code, k) in &self.members {
+            let id = self.row[k] as usize;
+            let member = index.point_coords(id).iter().enumerate();
+            (self.keys).extend(member.map(|(d, &c)| key(c, id, code >> d & 1 == 1)));
+        }
+        self
     }
 
     fn key(&self, m: usize) -> &[Key] {
@@ -352,7 +359,9 @@ pub(crate) fn straddled_links(
 /// shared coordinates and any dimensionality take the same path: no
 /// index query, no decline.
 pub(crate) fn unblocked_pairs(index: &GridIndex, x: usize, row: &[u32]) -> Vec<(usize, usize)> {
-    RowRuns::gather(index, x, row).unblocked_pairs()
+    RowRuns::gather(index, x, row)
+        .with_keys(index)
+        .unblocked_pairs()
 }
 
 /// Every empty-rectangle row of the points of `index`, by the plane sweep

@@ -67,4 +67,4 @@ pub use delta::{CursorCatchUp, DeltaCursor, DeltaKind, DeltaLog, TopologyDelta};
 pub use graph::OverlayGraph;
 pub use network::{ConvergenceReport, NetworkConfig, OverlayNetwork};
 pub use peer::{PeerAddr, PeerId, PeerInfo};
-pub use store::{topology_hash, ShardConfig, TopologyStore};
+pub use store::{topology_hash, Neighbors, ShardConfig, TopologyStore};

@@ -106,12 +106,12 @@ impl RouteResult {
 /// `current_score`, ties broken by the smaller peer index; `None` at a
 /// local minimum. Returns the chosen neighbour with its score.
 fn greedy_step(
-    neighbors: &[usize],
+    neighbors: impl IntoIterator<Item = usize>,
     mut score: impl FnMut(usize) -> f64,
     current_score: f64,
 ) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
-    for &nbr in neighbors {
+    for nbr in neighbors {
         let d = score(nbr);
         if d < current_score {
             let better = match best {
@@ -127,31 +127,26 @@ fn greedy_step(
 }
 
 /// The single greedy hop from live peer `from` towards `target` over the
-/// store's undirected row of `from` (read into `nbuf`): the neighbour
-/// strictly closer to `target` than `from` (L1), nearest
-/// first, ties broken by peer index; `None` when `from` is a local
-/// minimum. [`greedy_route`] is exactly this step iterated, so a caller
-/// that walks hop by hop (relay grafting, which stops at the first
-/// on-tree node) or re-runs one recorded hop against a changed row
-/// (the group engine's replay of a graft walk) decides what the full route
-/// would have decided. Undirected rows come straight from the store's
-/// forward + reverse tables, so no closure is materialized and departed
-/// peers are unreachable by construction (they appear in no row).
+/// store's undirected row of `from`: the neighbour strictly closer to
+/// `target` than `from` (L1), nearest first, ties broken by peer index;
+/// `None` when `from` is a local minimum. [`greedy_route`] is exactly
+/// this step iterated, so a caller that walks hop by hop (relay
+/// grafting, which stops at the first on-tree node) or re-runs one
+/// recorded hop against a changed row (the group engine's replay of a
+/// graft walk) decides what the full route would have decided.
+/// Undirected rows are read in place in the store's forward + reverse
+/// tables ([`TopologyStore::neighbors`]), so no closure is materialized
+/// and departed peers are unreachable by construction (they appear in
+/// no row).
 ///
 /// # Panics
 ///
 /// Panics if `from` is out of range.
 #[must_use]
-pub fn greedy_step_on_store(
-    store: &TopologyStore,
-    from: usize,
-    target: &Point,
-    nbuf: &mut Vec<usize>,
-) -> Option<usize> {
+pub fn greedy_step_on_store(store: &TopologyStore, from: usize, target: &Point) -> Option<usize> {
     let peers = store.peers();
     let score = |i: usize| l1(peers[i].point().coords(), target.coords());
-    store.undirected_neighbors_into(from, nbuf);
-    greedy_step(nbuf, score, score(from)).map(|(next, _)| next)
+    greedy_step(store.neighbors(from), score, score(from)).map(|(next, _)| next)
 }
 
 /// The shared greedy walk over the store's undirected rows: iterate
@@ -169,14 +164,12 @@ fn greedy_walk(
     let mut path = vec![from];
     let mut current = from;
     let mut current_score = score(current);
-    let mut nbuf: Vec<usize> = Vec::new();
 
     for _ in 0..max_hops {
         if arrived(current) {
             return RouteResult::new(path, true, false);
         }
-        store.undirected_neighbors_into(current, &mut nbuf);
-        match greedy_step(&nbuf, &mut score, current_score) {
+        match greedy_step(store.neighbors(current), &mut score, current_score) {
             Some((nbr, d)) => {
                 path.push(nbr);
                 current = nbr;
@@ -451,9 +444,7 @@ mod tests {
                 // neighbour improves on it.
                 let last = route.last();
                 let d_last = l1(peers[last].point().coords(), target.coords());
-                let mut nbrs = Vec::new();
-                store.undirected_neighbors_into(last, &mut nbrs);
-                for &nbr in &nbrs {
+                for nbr in store.neighbors(last) {
                     assert!(
                         l1(peers[nbr].point().coords(), target.coords()) >= d_last,
                         "neighbour {nbr} of {last} disproves the minimum"
@@ -567,10 +558,8 @@ mod tests {
 
     /// [`greedy_step_on_store`] iterated from `from` to a local minimum.
     fn step_path(store: &TopologyStore, from: usize, target: &Point) -> Vec<usize> {
-        let mut nbuf = Vec::new();
         let mut path = vec![from];
-        while let Some(next) = greedy_step_on_store(store, path[path.len() - 1], target, &mut nbuf)
-        {
+        while let Some(next) = greedy_step_on_store(store, path[path.len() - 1], target) {
             path.push(next);
         }
         path

@@ -563,9 +563,8 @@ impl TopologyStore {
     /// The equilibrium out-neighbours of peer `i` (sorted; empty for
     /// departed peers), as a copy at `usize` width: the store holds its
     /// rows as `u32` ids. The library's hot paths read the stored row
-    /// itself (the crate-visible `row`, and
-    /// [`TopologyStore::undirected_neighbors_into`], which fills a
-    /// caller's `usize` buffer).
+    /// in place (the crate-visible `row`, and
+    /// [`TopologyStore::neighbors`], the undirected row).
     ///
     /// # Panics
     ///
@@ -588,7 +587,7 @@ impl TopologyStore {
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    // lint:allow(D006, reason = "how store's tests see the reverse table the re-selecting rules keep, which the group engine and the graft pass read through undirected_neighbors_into; under the empty-rectangle rule it is out itself")
+    // lint:allow(D006, reason = "how store's tests see the reverse table the re-selecting rules keep, which the group engine and the graft pass read through neighbors; under the empty-rectangle rule it is out itself")
     pub fn rev_neighbors(&self, i: usize) -> Vec<usize> {
         widen(if self.mutual() {
             self.row(i)
@@ -615,48 +614,20 @@ impl TopologyStore {
         self.shape == ChurnShape::EmptyRect
     }
 
-    /// Merges `i`'s out- and reverse-neighbours into `buf` (sorted,
-    /// deduplicated) — the undirected closure row, without materializing
-    /// a graph; under the empty-rectangle rule a copy of `i`'s row.
-    /// `buf` is cleared first.
+    /// Peer `i`'s undirected row, sorted and deduplicated, read in
+    /// place: under the empty-rectangle rule the stored row itself, under
+    /// the re-selecting rules a lazy merge of who `i` selects and who
+    /// selects `i`. Empty for a departed peer.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn undirected_neighbors_into(&self, i: usize, buf: &mut Vec<usize>) {
-        buf.clear();
-        if self.mutual() {
-            buf.extend(self.row(i).iter().map(|&j| j as usize));
-            return;
-        }
-        let (a, b) = (self.row(i), &self.rev[i]);
-        let (mut x, mut y) = (0usize, 0usize);
-        while x < a.len() || y < b.len() {
-            let next = match (a.get(x), b.get(y)) {
-                (Some(&u), Some(&v)) if u == v => {
-                    x += 1;
-                    y += 1;
-                    u
-                }
-                (Some(&u), Some(&v)) if u < v => {
-                    x += 1;
-                    u
-                }
-                (Some(_), Some(&v)) => {
-                    y += 1;
-                    v
-                }
-                (Some(&u), None) => {
-                    x += 1;
-                    u
-                }
-                (None, Some(&v)) => {
-                    y += 1;
-                    v
-                }
-                (None, None) => unreachable!("loop condition"),
-            };
-            buf.push(next as usize);
+    #[must_use]
+    pub fn neighbors(&self, i: usize) -> Neighbors<'_> {
+        let rev: &[u32] = if self.mutual() { &[] } else { &self.rev[i] };
+        Neighbors {
+            out: self.row(i),
+            rev,
         }
     }
 
@@ -1025,6 +996,40 @@ impl TopologyStore {
     }
 }
 
+/// A peer's undirected row, borrowed from the store
+/// ([`TopologyStore::neighbors`]): the merge of two sorted `u32` rows
+/// (the second empty where links are mutual), yielding `usize` ids in
+/// ascending order, each once.
+#[derive(Debug, Clone)]
+pub struct Neighbors<'a> {
+    out: &'a [u32],
+    rev: &'a [u32],
+}
+
+impl Iterator for Neighbors<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let (u, v) = (self.out.first().copied(), self.rev.first().copied());
+        let next = match (u, v) {
+            (Some(u), Some(v)) => u.min(v),
+            _ => u.or(v)?,
+        };
+        if u == Some(next) {
+            self.out = &self.out[1..];
+        }
+        if v == Some(next) {
+            self.rev = &self.rev[1..];
+        }
+        Some(next as usize)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let (a, b) = (self.out.len(), self.rev.len());
+        (a.max(b), Some(a + b))
+    }
+}
+
 /// A stored row at `usize` width.
 fn widen(row: &[u32]) -> Vec<usize> {
     row.iter().map(|&j| j as usize).collect()
@@ -1353,7 +1358,7 @@ mod tests {
 
     #[test]
     fn undirected_rows_match_graph_closure() {
-        // `out_neighbors`, `undirected_neighbors_into` and `graph()` read
+        // `out_neighbors`, `neighbors` and `graph()` read
         // the same stored rows: under the mutual rule and under directed
         // ones (Hyperplanes K = 1, D = 2 and K = 2, D = 3) they agree row
         // by row after each join and each leave.
@@ -1366,8 +1371,7 @@ mod tests {
         for (rule, dim) in rules {
             let peers = PeerInfo::from_point_set(&uniform_points(80, dim, 1000.0, 71));
             let mut store = TopologyStore::from_peers(peers, rule.clone());
-            let mut row = Vec::new();
-            let mut check = |store: &TopologyStore, what: &str| {
+            let check = |store: &TopologyStore, what: &str| {
                 let graph = store.graph();
                 let closure = graph.undirected_closure();
                 for i in 0..store.len() {
@@ -1376,7 +1380,7 @@ mod tests {
                         graph.out_neighbors(i),
                         "{what}: {i}"
                     );
-                    store.undirected_neighbors_into(i, &mut row);
+                    let row: Vec<usize> = store.neighbors(i).collect();
                     assert_eq!(row, closure.out_neighbors(i), "{what}: {i}, undirected");
                 }
             };

@@ -513,21 +513,17 @@ proptest! {
         let peers = PeerInfo::from_point_set(&uniform_points(initial, dim, 1000.0, seed));
         let mut store = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection));
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut row = Vec::new();
         for _ in 0..departures.min(initial - 1) {
             let live: Vec<usize> = (0..store.len())
                 .filter(|&i| !store.is_departed(PeerId(i as u64)))
                 .collect();
             let before: Vec<Vec<usize>> = (0..store.len())
-                .map(|i| {
-                    store.undirected_neighbors_into(i, &mut row);
-                    row.clone()
-                })
+                .map(|i| store.neighbors(i).collect())
                 .collect();
             let leaver = live[rng.random_range(0..live.len())];
             store.remove(PeerId(leaver as u64));
             for &i in live.iter().filter(|&&i| i != leaver) {
-                store.undirected_neighbors_into(i, &mut row);
+                let row: Vec<usize> = store.neighbors(i).collect();
                 for &j in before[i].iter().filter(|&&j| j != leaver) {
                     prop_assert!(row.contains(&j), "link {}-{} cut by the departure of {}", i, j, leaver);
                 }
