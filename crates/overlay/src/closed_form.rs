@@ -19,35 +19,51 @@
 //! In that order no two peers share a coordinate: a point lies strictly
 //! between two others along an axis unless it *is* one of them there, so
 //! `p` and `q` are neighbours iff no third peer lies strictly between
-//! them along both axes. Below, `x` and `y` are those orders. Sweep the peers by ascending `x`. Each link `p – q` with
-//! `x_p < x_q` is met once, when `q` is swept: `p` lies below-left or
-//! above-left of `q`. Take below-left (above-left is the same sweep with
-//! `y` reversed). There `p` is a neighbour iff no swept peer lies in the
-//! quadrant to the right of and above `p`: the neighbours are the maximal
-//! points of the quadrant, its *staircase*. Ordered by descending `y`
-//! they ascend in `x`, and each is the highest peer below the last one
-//! found that lies to its right. Concretely, a max segment tree over
-//! `y`-ranks holds each swept peer's sweep position. From `bound =
-//! rank(q)` and `last = −1`, one descent finds the highest rank
-//! `r < bound` whose position exceeds `last`; that peer is linked, and
-//! `last` and `bound` become its position and `r`. The first hit is the
-//! highest swept peer below `q`, and nothing dominates it. Every rank
-//! skipped on the way, between `r` and `bound`, holds a position at most
-//! `last`: that peer lies left of the previous hit and below it, so it
-//! is dominated. And nothing above dominates a hit `p`: by induction
-//! every swept peer with a rank between `r` and `rank(q)` lies left of
-//! the previous hit, and so left of `p`. So the hits are exactly the
-//! staircase, one descent each, and one more descent ends it. Then `q`'s
-//! position goes in at `rank(q)` (Güting, Nurmi & Ottmann, *J.
-//! Algorithms* 1989, direct dominance). Positions only grow, so that
-//! insert overwrites every ancestor with no comparison.
+//! them along both axes. Below, `x` and `y` are those orders. Sweep the
+//! peers by ascending `x`. Each link `p – q` with `x_p < x_q` is met
+//! once, when `q` is swept: `p` lies below-left or above-left of `q`.
+//! Take below-left (above-left is the same with `y` reversed). There `p`
+//! is a neighbour iff no swept peer lies in the quadrant to the right of
+//! and above `p`: the neighbours are the maximal points of the quadrant,
+//! its *staircase*. Ordered by descending `y` they ascend in `x`, and
+//! each is the highest peer below the last one found that lies to its
+//! right. Concretely, a max tree over `y`-ranks holds each swept peer's
+//! sweep position. From `bound = rank(q)` and `last = −1`, one query
+//! finds the highest rank `r < bound` whose position exceeds `last`;
+//! that peer is linked, and `last` and `bound` become its position and
+//! `r`. The first hit is the highest swept peer below `q`, and nothing
+//! dominates it. Every rank skipped on the way, between `r` and `bound`,
+//! holds a position at most `last`: that peer lies left of the previous
+//! hit and below it, so it is dominated. And nothing above dominates a
+//! hit `p`: by induction every swept peer with a rank between `r` and
+//! `rank(q)` lies left of the previous hit, and so left of `p`. So the
+//! hits are exactly the staircase, one query each, and one more query
+//! ends it. Then `q`'s position goes in at `rank(q)` (Güting, Nurmi &
+//! Ottmann, *J. Algorithms* 1989, direct dominance).
 //!
-//! The rows are filled in two passes, which make the same links: the
-//! first counts degrees, the second fills rows allocated once at exact
-//! capacity, which are then sorted. No list of pairs is ever held.
-//! `tests/prop_store.rs` holds the rows, and the store's fingerprint,
-//! to one selection per peer on uniform, clustered, chain, hub and cross
-//! populations up to N = 20 000.
+//! One sweep drives two such trees, the below-left one over `y`-ranks
+//! and the above-left one over reversed ranks, so each link is found
+//! once. Each tree is 16-ary: a node is sixteen `u32` maxima, one cache
+//! line, so `N = 20 000` ranks take four levels. A query scans, right to
+//! left, the entries of its bound's own node that lie left of the bound;
+//! the entries before that node are covered by the next level up, left
+//! of the node's own entry there, so it climbs with that as the bound
+//! until a scan hits, then descends through the rightmost child above
+//! `last` at each level. The levels partition the ranks below the bound
+//! into runs of whole subtrees, scanned nearest first, so the first hit
+//! holds the highest such rank: the query's answer is the one the
+//! argument above reads, whatever the tree's width. Positions only grow,
+//! so an insert overwrites one entry per level with no comparison.
+//!
+//! The sweep appends each peer's left neighbours to one flat list of
+//! `u32` ids, with a start offset per sweep position, and counts both
+//! ends' degrees as it goes. Then every row is allocated once at exact
+//! capacity and filled from the list: row `q` takes its left list, and
+//! each `p` in it takes `q`. The list — one id per link, no list of
+//! pairs — is dropped and the rows are sorted. `tests/prop_store.rs`
+//! holds the rows, and the store's fingerprint, to one selection per
+//! peer on uniform, clustered, chain, hub and cross populations up to
+//! N = 20 000.
 
 use std::ops::Range;
 
@@ -367,8 +383,8 @@ pub(crate) fn unblocked_pairs(index: &GridIndex, x: usize, row: &[u32]) -> Vec<(
 /// Every empty-rectangle row of the points of `index`, by the plane sweep
 /// of the module docs: sorted ascending, each allocated at exact
 /// capacity. `None` — the caller selects row by row — unless the points
-/// are 2-D. Each axis is sorted by `(coordinate, id)`, the tie rule's
-/// order. `index` must be fresh, with no point removed: the bulk
+/// are 2-D. Each axis is sorted as `(coordinate, id)` keys, the tie
+/// rule's order. `index` must be fresh, with no point removed: the bulk
 /// build's, whose population the store has already checked to fit `u32`
 /// ids.
 pub(crate) fn sweep_rows(index: &GridIndex) -> Option<Vec<Vec<u32>>> {
@@ -381,116 +397,178 @@ pub(crate) fn sweep_rows(index: &GridIndex) -> Option<Vec<Vec<u32>>> {
         "a bulk build removes no one"
     );
     let n = index.len();
-    let coord = |i: u32, d: usize| index.point_coords(i as usize)[d];
     let sorted_by = |d: usize| {
-        let mut ids: Vec<u32> = (0..n as u32).collect();
-        ids.sort_unstable_by(|&a, &b| {
-            key_cmp(&(coord(a, d), a as usize), &(coord(b, d), b as usize))
-        });
-        ids
+        let mut keys: Vec<Key> = (0..n).map(|i| (index.point_coords(i)[d], i)).collect();
+        keys.sort_unstable_by(key_cmp);
+        keys
     };
-    let by_y = sorted_by(1);
     let mut rank = vec![0u32; n];
-    for (r, &i) in by_y.iter().enumerate() {
-        rank[i as usize] = r as u32;
+    for (r, &(_, i)) in sorted_by(1).iter().enumerate() {
+        rank[i] = r as u32;
     }
     let by_x = sorted_by(0);
 
-    let mut staircase = Staircase::new(n);
+    // Every peer but the first in `x` has at least one left neighbour,
+    // the peer just before it, so `left` holds at least `n - 1` ids.
+    let mut left: Vec<u32> = Vec::with_capacity(n.saturating_sub(1));
+    // Where each sweep position's left list starts in `left`, and its end.
+    let mut starts: Vec<usize> = Vec::with_capacity(n + 1);
     let mut degree = vec![0u32; n];
-    staircase.sweep(&by_x, &rank, |p, q| {
-        degree[p as usize] += 1;
-        degree[q as usize] += 1;
-    });
+    let (mut below, mut above) = (Staircase::new(n), Staircase::new(n));
+    let top = n.saturating_sub(1);
+    for (pos, &(_, q)) in (1..).zip(&by_x) {
+        let start = left.len();
+        starts.push(start);
+        let r = rank[q] as usize;
+        for (tree, at) in [(&mut below, r), (&mut above, top - r)] {
+            tree.staircase(at, |hit| {
+                let p = by_x[hit as usize - 1].1;
+                left.push(p as u32);
+                degree[p] += 1;
+            });
+            tree.insert(at, pos);
+        }
+        degree[q] += (left.len() - start) as u32;
+    }
+    starts.push(left.len());
+    drop((rank, below, above));
+
     let mut rows: Vec<Vec<u32>> = (degree.iter())
         .map(|&k| Vec::with_capacity(k as usize))
         .collect();
-    staircase.sweep(&by_x, &rank, |p, q| {
-        rows[p as usize].push(q);
-        rows[q as usize].push(p);
-    });
+    for (&(_, q), ends) in by_x.iter().zip(starts.windows(2)) {
+        let list = &left[ends[0]..ends[1]];
+        rows[q].extend_from_slice(list);
+        for &p in list {
+            rows[p as usize].push(q as u32);
+        }
+    }
+    drop(left);
     for row in &mut rows {
         row.sort_unstable();
     }
     Some(rows)
 }
 
-/// The max segment tree of [`sweep_rows`]: over `y`-ranks, each leaf
-/// holds its peer's sweep position plus one, `0` while unswept, so the
-/// "−1" of the module docs is `0` here.
+/// Children per node of a [`Staircase`]: sixteen `u32` maxima fill one
+/// 64-byte cache line.
+const FANOUT: usize = 16;
+
+/// Levels of a [`Staircase`] over at most `u32::MAX` ranks: `levels`
+/// of them suffice once `FANOUT^levels` reaches the rank count, and
+/// `16^8 = 2^32`.
+const MAX_LEVELS: usize = 8;
+
+/// One node of a [`Staircase`]: its children's maxima, in one cache line.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct Node([u32; FANOUT]);
+
+impl Node {
+    /// Bit `k` set iff entry `k` holds more than `last`: the node's
+    /// scan, in one pass with no branch.
+    fn above(&self, last: u32) -> u32 {
+        (self.0.iter().enumerate()).fold(0, |bits, (k, &v)| bits | u32::from(v > last) << k)
+    }
+}
+
+/// The highest set bit of a non-zero `bits`.
+fn highest_bit(bits: u32) -> usize {
+    31 - bits.leading_zeros() as usize
+}
+
+/// A max tree of [`sweep_rows`], `FANOUT`-ary: over `y`-ranks (or their
+/// reverse), each leaf holds its peer's sweep position plus one, `0`
+/// while unswept, so the "−1" of the module docs is `0` here. Level `0`
+/// holds the leaves, entry `i` of level `l + 1` the maximum of entries
+/// `FANOUT·i ..` of level `l`, and the top level fits one node.
 struct Staircase {
-    /// Leaves from `size`; node `i`'s children are `2i` and `2i + 1`.
-    tree: Vec<u32>,
-    size: usize,
+    /// Every level's nodes, leaves first.
+    nodes: Vec<Node>,
+    /// Where each level starts in `nodes`; `levels` of them are used.
+    starts: [usize; MAX_LEVELS],
+    levels: usize,
 }
 
 impl Staircase {
     fn new(n: usize) -> Self {
-        let size = n.next_power_of_two();
-        Staircase {
-            tree: vec![0; 2 * size],
-            size,
-        }
-    }
-
-    /// Calls `link(p, q)` once for every link `p – q` with `p` before
-    /// `q` in `by_x`, ascending `x`: one sweep with `y` as is, for the
-    /// below-left staircases, and one with `y` reversed, for the
-    /// above-left ones.
-    fn sweep(&mut self, by_x: &[u32], rank: &[u32], mut link: impl FnMut(u32, u32)) {
-        let top = by_x.len().saturating_sub(1);
-        for reversed in [false, true] {
-            self.tree.fill(0);
-            for (pos, &q) in (1..).zip(by_x) {
-                let at = rank[q as usize] as usize;
-                let at = if reversed { top - at } else { at };
-                let (mut bound, mut last) = (at, 0);
-                while let Some(r) = self.highest_below(bound, last) {
-                    last = self.tree[self.size + r];
-                    link(by_x[last as usize - 1], q);
-                    bound = r;
-                }
-                self.insert(at, pos);
-            }
-        }
-    }
-
-    /// The highest leaf `r < bound` holding more than `last`, by one
-    /// descent: climb from `bound` leftwards over the subtrees that hold
-    /// nothing above `last`, then go down the first that does, right
-    /// child first.
-    fn highest_below(&self, bound: usize, last: u32) -> Option<usize> {
-        if bound == 0 {
-            return None;
-        }
-        let mut node = self.size + bound;
+        let (mut starts, mut levels, mut total, mut len) = ([0; MAX_LEVELS], 0, 0, n);
         loop {
-            node -= 1;
-            while node > 1 && node % 2 == 1 {
-                node /= 2;
+            starts[levels] = total;
+            levels += 1;
+            total += len.div_ceil(FANOUT).max(1);
+            if len <= FANOUT {
+                break;
             }
-            if self.tree[node] > last {
-                while node < self.size {
-                    node = 2 * node + 1;
-                    if self.tree[node] <= last {
-                        node -= 1;
-                    }
-                }
-                return Some(node - self.size);
-            }
-            if node.is_power_of_two() {
-                return None;
-            }
+            len = len.div_ceil(FANOUT);
         }
+        Staircase {
+            nodes: vec![Node([0; FANOUT]); total],
+            starts,
+            levels,
+        }
+    }
+
+    fn node(&self, level: usize, i: usize) -> &Node {
+        &self.nodes[self.starts[level] + i]
+    }
+
+    /// Calls `hit(position)` for every peer of the staircase below the
+    /// leaf `at`, from the highest down: from `bound = at` and `last =
+    /// 0`, each hit is the highest leaf below `bound` holding more than
+    /// `last`, and becomes the next `bound` and `last`.
+    fn staircase(&self, at: usize, mut hit: impl FnMut(u32)) {
+        let (mut bound, mut last) = (at, 0);
+        while let Some(r) = self.highest_below(bound, last) {
+            last = self.node(0, r / FANOUT).0[r % FANOUT];
+            hit(last);
+            bound = r;
+        }
+    }
+
+    /// The highest leaf `r < bound` holding more than `last`. Each level
+    /// scans the entries left of its bound in the bound's own node (the
+    /// whole top node at the top), right to left; the entries before
+    /// that node are the next level's, left of the node's own entry
+    /// there. The first level with a hit descends from it, through the
+    /// rightmost child above `last` each time.
+    fn highest_below(&self, bound: usize, last: u32) -> Option<usize> {
+        let mut at = bound;
+        for level in 0..self.levels {
+            let (node, count) = if level + 1 == self.levels {
+                (0, at)
+            } else {
+                (at / FANOUT, at % FANOUT)
+            };
+            if count > 0 {
+                let hits = self.node(level, node).above(last) & ((1 << count) - 1);
+                if hits != 0 {
+                    return Some(self.descend(level, FANOUT * node + highest_bit(hits), last));
+                }
+            }
+            at /= FANOUT;
+        }
+        None
+    }
+
+    /// The highest leaf under entry `i` of `level` holding more than
+    /// `last`, which entry `i` does.
+    fn descend(&self, level: usize, mut i: usize, last: u32) -> usize {
+        for level in (0..level).rev() {
+            let hits = self.node(level, i).above(last);
+            debug_assert_ne!(hits, 0, "an entry holds its children's maximum");
+            i = FANOUT * i + highest_bit(hits);
+        }
+        i
     }
 
     /// Stores `value` at leaf `at`. Values only grow along a sweep, so
-    /// `value` is the new maximum of every subtree above the leaf.
-    fn insert(&mut self, at: usize, value: u32) {
-        let mut node = self.size + at;
-        while node > 0 {
-            self.tree[node] = value;
-            node /= 2;
+    /// `value` is the new maximum of every entry above the leaf: one
+    /// write per level, no comparison.
+    fn insert(&mut self, mut at: usize, value: u32) {
+        for level in 0..self.levels {
+            self.nodes[self.starts[level] + at / FANOUT].0[at % FANOUT] = value;
+            at /= FANOUT;
         }
     }
 }
@@ -828,6 +906,8 @@ mod tests {
     use crate::store::TopologyStore;
     use geocast_geom::gen::{clustered_points, cross, hub, uniform_points};
     use geocast_geom::Point;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn peers(n: usize, dim: usize, seed: u64) -> Vec<PeerInfo> {
         PeerInfo::from_point_set(&uniform_points(n, dim, 1000.0, seed))
@@ -1082,6 +1162,45 @@ mod tests {
             let want = oracle::equilibrium_live(&population, &vec![false; n], &EmptyRectSelection);
             assert_eq!(store.graph(), want, "{what}: adjacency");
             assert_eq!(store.fingerprint(), oracle::fingerprint(&want), "{what}");
+        }
+    }
+
+    #[test]
+    fn the_wide_tree_finds_the_highest_leaf_a_linear_scan_finds() {
+        // Trees of one level, several levels and partial nodes take
+        // inserts at their leaves in random order, with increasing
+        // values, as a sweep makes them. Every so often each bound at a
+        // node edge, and a few at random, is probed at several `last`s:
+        // `highest_below` must answer as a linear scan of the leaves.
+        let mut rng = StdRng::seed_from_u64(73);
+        for n in [0, 1, 15, 16, 17, 255, 256, 257, 4_097] {
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.random_range(0..=i));
+            }
+            let (mut tree, mut leaves) = (Staircase::new(n), vec![0u32; n]);
+            let edges = [0, 1, 15, 16, 17, 255, 256, 257, 4_095, 4_096, 4_097];
+            let stride = (n / 64).max(1);
+            for (inserted, at) in (1..=n).zip(order) {
+                let value = inserted as u32;
+                tree.insert(at, value);
+                leaves[at] = value;
+                if !(inserted.is_multiple_of(stride) || inserted == n) {
+                    continue;
+                }
+                let random: [usize; 4] = std::array::from_fn(|_| rng.random_range(0..=n));
+                let bounds = edges.into_iter().filter(|&b| b <= n).chain(random);
+                for bound in bounds {
+                    for last in [0, value / 2, rng.random_range(0..=value), value] {
+                        let want = (0..bound).rev().find(|&r| leaves[r] > last);
+                        assert_eq!(
+                            tree.highest_below(bound, last),
+                            want,
+                            "{n} leaves, {value} inserted: below {bound} above {last}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -245,7 +245,8 @@ fn a_store_leave_allocates_its_budget() {
 fn a_bulk_build_allocates_its_budget() {
     // The store `Warm` starts from, built by the plane sweep: serial, so
     // every allocation is on this thread, and each row is allocated
-    // once, at its exact length.
+    // once, at its exact length. The rest are the index's and the
+    // sweep's transient buffers, its flat left list's growths included.
     let peers = PeerInfo::from_point_set(&uniform_points(20_000, 2, VMAX, 1));
     let rule = Arc::new(EmptyRectSelection);
     let (store, allocs) = allocations(|| TopologyStore::from_peers(peers, rule));
@@ -255,7 +256,7 @@ fn a_bulk_build_allocates_its_budget() {
         store.len() * size_of::<Vec<u32>>() + links * size_of::<u32>(),
         "every row at exact capacity"
     );
-    assert_eq!(allocs, 20_014, "one bulk build of 20 000 peers");
+    assert_eq!(allocs, 20_022, "one bulk build of 20 000 peers");
 }
 
 #[test]
@@ -277,5 +278,5 @@ fn a_crash_wave_allocates_its_budget() {
         6,
         "the wave fired"
     );
-    assert_eq!(allocs, 7_750, "one crash_wave wave");
+    assert_eq!(allocs, 7_756, "one crash_wave wave");
 }
