@@ -9,7 +9,7 @@ use geocast_geom::VMAX;
 use geocast_metrics::Table;
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection};
 use geocast_overlay::{PeerInfo, TopologyStore};
-use geocast_sim::runner::ParallelRunner;
+use geocast_sim::runner::{map_indexed, Grain};
 
 use crate::figures::FigureReport;
 
@@ -68,8 +68,8 @@ pub fn claims_section2(cfg: &ClaimsConfig) -> FigureReport {
                 .flat_map(move |&d| cfg.seeds.iter().map(move |&s| (n, d, s)))
         })
         .collect();
-    let runner = ParallelRunner::default();
-    let measured = runner.map(&jobs, |&(n, dim, seed)| {
+    let measured = map_indexed(Grain::JOBS, jobs.len(), |j| {
+        let (n, dim, seed) = jobs[j];
         let store = TopologyStore::from_peers(
             PeerInfo::from_point_set(&uniform_points(n, dim, VMAX, seed)),
             Arc::new(EmptyRectSelection),
@@ -148,8 +148,8 @@ pub fn claims_section3(cfg: &ClaimsConfig) -> FigureReport {
                 .flat_map(move |&k| cfg.seeds.iter().map(move |&s| (d, k, s)))
         })
         .collect();
-    let runner = ParallelRunner::default();
-    let measured = runner.map(&jobs, |&(dim, k, seed)| {
+    let measured = map_indexed(Grain::JOBS, jobs.len(), |j| {
+        let (dim, k, seed) = jobs[j];
         let base = uniform_points(n, dim, VMAX, seed);
         let times = lifetimes(n, VMAX, seed ^ 0x3353);
         let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));

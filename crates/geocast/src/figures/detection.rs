@@ -15,7 +15,7 @@
 
 use geocast_core::detect::{run_detection, DetectionReport, DetectionScenario};
 use geocast_metrics::{AsciiChart, Table};
-use geocast_sim::runner::ParallelRunner;
+use geocast_sim::runner::{map_indexed, Grain};
 use geocast_sim::SimDuration;
 
 use crate::figures::FigureReport;
@@ -62,12 +62,13 @@ fn fmt_opt_ms(value: Option<SimDuration>) -> String {
 /// The detection panel: suspicion sweep table + coverage-recovery chart.
 #[must_use]
 pub fn detection_panel(cfg: &DetectionConfig) -> FigureReport {
-    let runner = ParallelRunner::default();
-    let reports: Vec<DetectionReport> = runner.map(&cfg.suspicion_timeouts_ms, |&timeout_ms| {
-        let mut scenario = cfg.scenario.clone();
-        scenario.detector.suspicion_timeout = SimDuration::from_millis(timeout_ms);
-        run_detection(&scenario)
-    });
+    let reports: Vec<DetectionReport> =
+        map_indexed(Grain::JOBS, cfg.suspicion_timeouts_ms.len(), |j| {
+            let timeout_ms = cfg.suspicion_timeouts_ms[j];
+            let mut scenario = cfg.scenario.clone();
+            scenario.detector.suspicion_timeout = SimDuration::from_millis(timeout_ms);
+            run_detection(&scenario)
+        });
 
     let mut table = Table::new(vec![
         "suspicion timeout (ms)".into(),

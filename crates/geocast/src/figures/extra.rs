@@ -10,7 +10,7 @@ use geocast_geom::VMAX;
 use geocast_metrics::{Summary, Table};
 use geocast_overlay::select::{EmptyRectSelection, HyperplanesSelection};
 use geocast_overlay::{PeerInfo, TopologyStore};
-use geocast_sim::runner::ParallelRunner;
+use geocast_sim::runner::{map_indexed, Grain};
 
 use crate::figures::FigureReport;
 
@@ -67,9 +67,9 @@ pub fn ablation_partitioner(cfg: &AblationConfig) -> FigureReport {
         .iter()
         .flat_map(|&d| cfg.seeds.iter().map(move |&s| (d, s)))
         .collect();
-    let runner = ParallelRunner::default();
     // Per job: per partitioner (avg longest path, avg diameter, spanning).
-    let measured = runner.map(&jobs, |&(dim, seed)| {
+    let measured = map_indexed(Grain::JOBS, jobs.len(), |j| {
+        let (dim, seed) = jobs[j];
         let store = TopologyStore::from_peers(
             PeerInfo::from_point_set(&uniform_points(cfg.n, dim, VMAX, seed)),
             Arc::new(EmptyRectSelection),
@@ -176,8 +176,8 @@ pub fn baseline_messages(cfg: &BaselineConfig) -> FigureReport {
         .iter()
         .flat_map(|&n| cfg.seeds.iter().map(move |&s| (n, s)))
         .collect();
-    let runner = ParallelRunner::default();
-    let measured = runner.map(&jobs, |&(n, seed)| {
+    let measured = map_indexed(Grain::JOBS, jobs.len(), |j| {
+        let (n, seed) = jobs[j];
         let store = TopologyStore::from_peers(
             PeerInfo::from_point_set(&uniform_points(n, cfg.dim, VMAX, seed)),
             Arc::new(EmptyRectSelection),
@@ -236,8 +236,8 @@ pub fn baseline_stability(cfg: &BaselineConfig) -> FigureReport {
         .iter()
         .flat_map(|&n| cfg.seeds.iter().map(move |&s| (n, s)))
         .collect();
-    let runner = ParallelRunner::default();
-    let measured = runner.map(&jobs, |&(n, seed)| {
+    let measured = map_indexed(Grain::JOBS, jobs.len(), |j| {
+        let (n, seed) = jobs[j];
         let base = uniform_points(n, cfg.dim, VMAX, seed);
         let times = lifetimes(n, VMAX, seed ^ 0x1234_5678);
         let sel = HyperplanesSelection::orthogonal(cfg.dim, 2);

@@ -10,7 +10,7 @@ use geocast_geom::VMAX;
 use geocast_metrics::{AsciiChart, Table};
 use geocast_overlay::select::EmptyRectSelection;
 use geocast_overlay::{oracle, PeerInfo, TopologyStore};
-use geocast_sim::runner::ParallelRunner;
+use geocast_sim::runner::{map_indexed, Grain};
 
 use crate::figures::FigureReport;
 
@@ -84,8 +84,8 @@ pub fn fig1a(cfg: &Fig1Config) -> FigureReport {
         .iter()
         .flat_map(|&d| cfg.seeds.iter().map(move |&s| (d, s)))
         .collect();
-    let runner = ParallelRunner::default();
-    let measured = runner.map(&jobs, |&(dim, seed)| {
+    let measured = map_indexed(Grain::JOBS, jobs.len(), |j| {
+        let (dim, seed) = jobs[j];
         let peers = PeerInfo::from_point_set(&uniform_points(cfg.n, dim, VMAX, seed));
         let graph = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection)).graph();
         let degrees = graph.undirected_degrees();
@@ -145,8 +145,8 @@ pub fn fig1b(cfg: &Fig1Config) -> FigureReport {
         .iter()
         .flat_map(|&d| cfg.seeds.iter().map(move |&s| (d, s)))
         .collect();
-    let runner = ParallelRunner::default();
-    let measured = runner.map(&jobs, |&(dim, seed)| {
+    let measured = map_indexed(Grain::JOBS, jobs.len(), |j| {
+        let (dim, seed) = jobs[j];
         let point_set = uniform_points(cfg.n, dim, VMAX, seed);
         let store = TopologyStore::from_peers(
             PeerInfo::from_point_set(&point_set),
@@ -296,8 +296,8 @@ pub fn fig1c(cfg: &Fig1cConfig) -> FigureReport {
         .iter()
         .flat_map(|&n| cfg.seeds.iter().map(move |&s| (n, s)))
         .collect();
-    let runner = ParallelRunner::default();
-    let measured = runner.map(&jobs, |&(n, seed)| {
+    let measured = map_indexed(Grain::JOBS, jobs.len(), |j| {
+        let (n, seed) = jobs[j];
         let peers = PeerInfo::from_point_set(&uniform_points(n, cfg.dim, VMAX, seed));
         let graph = TopologyStore::from_peers(peers, Arc::new(EmptyRectSelection)).graph();
         let degrees = graph.undirected_degrees();
@@ -423,9 +423,9 @@ pub fn stability_sweep(cfg: &StabilityConfig) -> StabilitySweep {
         .iter()
         .flat_map(|&d| cfg.seeds.iter().map(move |&s| (d, s)))
         .collect();
-    let runner = ParallelRunner::default();
     // Per job: one row per K, in cfg.ks order.
-    let measured: Vec<Vec<(f64, f64, bool, bool)>> = runner.map(&jobs, |&(dim, seed)| {
+    let measured: Vec<Vec<(f64, f64, bool, bool)>> = map_indexed(Grain::JOBS, jobs.len(), |j| {
+        let (dim, seed) = jobs[j];
         let base = uniform_points(cfg.n, dim, VMAX, seed);
         let times = lifetimes(cfg.n, VMAX, seed ^ 0x5747_4142);
         let peers = PeerInfo::from_point_set(&embed_lifetimes(&base, &times));

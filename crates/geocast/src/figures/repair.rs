@@ -10,7 +10,7 @@ use geocast_geom::VMAX;
 use geocast_metrics::{Summary, Table};
 use geocast_overlay::select::EmptyRectSelection;
 use geocast_overlay::{PeerId, PeerInfo, TopologyStore};
-use geocast_sim::runner::ParallelRunner;
+use geocast_sim::runner::{map_indexed, Grain};
 
 use crate::figures::FigureReport;
 
@@ -82,10 +82,10 @@ pub fn repair_cost(cfg: &RepairConfig) -> FigureReport {
         .flat_map(|&n| cfg.seeds.iter().map(move |&s| (n, s)))
         .collect();
     let median = OrthantRectPartitioner::median();
-    let runner = ParallelRunner::default();
     // Per job: (links changed, zones re-delegated) per departure, and
     // whether every tree after one spans the survivors.
-    let measured = runner.map(&jobs, |&(n, seed)| {
+    let measured = map_indexed(Grain::JOBS, jobs.len(), |j| {
+        let (n, seed) = jobs[j];
         let peers = PeerInfo::from_point_set(&uniform_points(n, cfg.dim, VMAX, seed));
         let store = TopologyStore::from_peers(peers.clone(), Arc::new(EmptyRectSelection));
         let everyone: BTreeSet<usize> = (0..n).collect();

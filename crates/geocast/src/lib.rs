@@ -82,7 +82,6 @@ pub mod prelude {
         PeerInfo, TopologyStore,
     };
     pub use geocast_sim::{
-        runner::ParallelRunner,
         workload::{ChurnPattern, GroupOp, GroupWorkload, MembershipPlacement},
         FaultModel, NodeId, SimDuration, SimTime, Simulation,
     };

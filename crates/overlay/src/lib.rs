@@ -50,7 +50,6 @@
 mod closed_form;
 mod graph;
 mod network;
-mod par;
 mod peer;
 mod store;
 

@@ -21,9 +21,9 @@
 use std::collections::BTreeSet;
 
 use geocast_geom::{l1, GridIndex};
+use geocast_sim::runner::{map_indexed, Grain};
 
 use crate::graph::OverlayGraph;
-use crate::par;
 use crate::peer::PeerInfo;
 use crate::select::{ids_in_slice_order, NeighborSelection, SelectContext};
 use crate::store::topology_hash;
@@ -45,7 +45,7 @@ where
     S: NeighborSelection + Sync + ?Sized,
 {
     let ctx = SelectContext::without_index().masked(departed);
-    OverlayGraph::from_out_neighbors(par::map_indexed(peers.len(), |i| {
+    OverlayGraph::from_out_neighbors(map_indexed(Grain::PEERS, peers.len(), |i| {
         if departed[i] {
             Vec::new()
         } else {
@@ -167,7 +167,7 @@ fn ranked_orthant_groups(peers: &[PeerInfo], kmax: usize) -> Vec<Vec<Vec<usize>>
         "population dimensionality is fixed per overlay"
     );
     let index = ids_in_slice_order(peers).then(|| GridIndex::build(peers));
-    par::map_indexed(peers.len(), |i| {
+    map_indexed(Grain::PEERS, peers.len(), |i| {
         if let Some(ix) = &index {
             if let Some(groups) = ix.k_nearest_per_orthant(i, kmax) {
                 return groups;

@@ -239,13 +239,13 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use geocast_geom::{GridIndex, Point, MAX_ORTHANT_DIM};
+use geocast_sim::runner::{map_indexed, Grain};
 
 use crate::closed_form::{
     straddled_links, sweep_rows, topk_join_recheck, unblocked_pairs, JoinWalk, JoinWalkStats,
 };
 use crate::delta::{DeltaKind, DeltaLog, TopologyDelta};
 use crate::graph::OverlayGraph;
-use crate::par;
 use crate::peer::{PeerId, PeerInfo};
 use crate::select::{ids_in_slice_order, ChurnShape, NeighborSelection, SelectContext};
 
@@ -436,7 +436,9 @@ impl TopologyStore {
         };
         let out: Vec<Row> = swept.unwrap_or_else(|| {
             let ctx = SelectContext::with_index(&index, true).masked(index.removed());
-            par::map_indexed(n, |i| to_row(&selection.select_in(&peers, i, &ctx)))
+            map_indexed(Grain::PEERS, n, |i| {
+                to_row(&selection.select_in(&peers, i, &ctx))
+            })
         });
         let mut rev = Vec::new();
         if shape != ChurnShape::EmptyRect {
@@ -783,7 +785,7 @@ impl TopologyStore {
         let selection = self.selection.as_ref();
         let (peers, departed, out) = (&self.peers, self.index.removed(), &self.out);
         let affected: Vec<usize> = match shape {
-            ChurnShape::OrthantTopK { k } => par::map_indexed(id, |i| {
+            ChurnShape::OrthantTopK { k } => map_indexed(Grain::PEERS, id, |i| {
                 (!departed[i] && topk_join_recheck(peers, out, i, id, k)).then_some(i)
             })
             .into_iter()
@@ -792,7 +794,7 @@ impl TopologyStore {
             // No structure to rule anyone out by: everyone.
             _ => (0..id).filter(|&i| !departed[i]).collect(),
         };
-        let updates: Vec<Row> = par::map_indexed(affected.len(), |a| {
+        let updates: Vec<Row> = map_indexed(Grain::PEERS, affected.len(), |a| {
             let i = affected[a];
             // `id` is the largest index, so appending keeps the
             // candidate id list sorted.

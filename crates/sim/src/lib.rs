@@ -27,9 +27,10 @@
 //! `(time, sequence number)`; `tests/prop_sim.rs` checks it against a
 //! sorted reference.
 //!
-//! Multi-threading is preserved where it matters for throughput: the
-//! [`runner::ParallelRunner`] fans independent seeded simulations out
-//! across CPU cores.
+//! Multi-threading is kept where it matters for throughput and cannot
+//! change an answer: [`runner::map_indexed`], the one parallel map,
+//! fans independent seeded simulations, and an overlay build's per-peer
+//! rows, out across CPU cores, in index order.
 //!
 //! # Example
 //!

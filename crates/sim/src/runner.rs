@@ -1,181 +1,187 @@
-//! Parallel experiment execution.
+//! The one parallel map: order-preserving, so deterministic.
 //!
-//! The paper's framework was multi-threaded; in this reproduction the
-//! simulations themselves are deterministic and single-threaded (so runs
-//! replay exactly), and parallelism is applied where it is free of
-//! nondeterminism: across **independent** experiment instances (seeds,
-//! parameter points). [`ParallelRunner`] fans a closure out over inputs
-//! on scoped `std::thread`s and returns outputs in input order.
+//! Simulations are single-threaded, so runs replay exactly; parallelism
+//! goes only to maps of independent items, a figure sweep's seeded
+//! experiments or an overlay build's per-peer rows. [`map_indexed`] runs
+//! them on scoped threads, the caller's among them, each claiming the
+//! next indices from an atomic cursor, and stores each result in its
+//! index's slot: the output is the sequential run's. A map called from a
+//! map's item runs inline, since the cores are already busy one level up
+//! and a nested fan-out would oversubscribe them quadratically.
 
 use std::cell::Cell;
-use std::sync::atomic::AtomicUsize;
-use std::sync::atomic::Ordering;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 std::thread_local! {
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// `true` while this thread runs a map's items.
+    static IN_MAP: Cell<bool> = const { Cell::new(false) };
 }
 
-/// `true` on a [`ParallelRunner`] worker thread.
+/// How a map divides its indices: how many one claim takes, and below
+/// how many the map runs inline. The two call shapes differ in nothing
+/// else.
+#[derive(Debug, Clone, Copy)]
+pub struct Grain {
+    claim: usize,
+    parallel_from: usize,
+}
+
+impl Grain {
+    /// Per-peer maps (rows of a bulk build, a join's re-selections, the
+    /// oracle): cheap, uneven items. Claims of 32 keep cursor traffic
+    /// negligible and still balance; below 512 items thread start-up
+    /// would dominate the work.
+    pub const PEERS: Grain = Grain {
+        claim: 32,
+        parallel_from: 512,
+    };
+    /// Figure sweeps: every job is a whole seeded experiment, so a
+    /// claim takes one and two jobs already fan out.
+    pub const JOBS: Grain = Grain {
+        claim: 1,
+        parallel_from: 2,
+    };
+}
+
+/// Applies `f` to `0..n` across CPU cores, returning the outputs in
+/// index order.
 ///
-/// Nested data-parallel helpers (e.g. the overlay engine's per-peer
-/// fan-out) should check this and run sequentially: the cores are
-/// already saturated one level up, and another `available_parallelism`
-/// fan-out per job would oversubscribe the CPU quadratically.
-#[must_use]
-pub fn in_parallel_worker() -> bool {
-    IN_WORKER.with(Cell::get)
-}
-
-/// Runs independent experiment instances across CPU cores.
+/// It runs inline — on the calling thread, asking nothing of the
+/// machine — below `grain`'s size, on a thread already running a map's
+/// items, and on a single-core machine.
 ///
 /// # Example
 ///
 /// ```
-/// use geocast_sim::runner::ParallelRunner;
+/// use geocast_sim::runner::{map_indexed, Grain};
 ///
-/// let runner = ParallelRunner::default();
-/// let squares = runner.map(&[1u64, 2, 3, 4], |&x| x * x);
+/// let inputs = [1u64, 2, 3, 4];
+/// let squares = map_indexed(Grain::JOBS, inputs.len(), |i| inputs[i] * inputs[i]);
 /// assert_eq!(squares, vec![1, 4, 9, 16]);
 /// ```
-#[derive(Debug, Clone)]
-pub struct ParallelRunner {
-    threads: usize,
+///
+/// # Panics
+///
+/// Propagates panics from `f`.
+pub fn map_indexed<T, F>(grain: Grain, n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if n >= grain.parallel_from && !IN_MAP.with(Cell::get) {
+        let threads = available_threads().min(n.div_ceil(grain.claim));
+        if threads > 1 {
+            return fan_out(n, threads, grain.claim, &f);
+        }
+    }
+    (0..n).map(f).collect()
 }
 
-impl ParallelRunner {
-    /// A runner with an explicit thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        assert!(threads > 0, "need at least one thread");
-        ParallelRunner { threads }
-    }
+/// The machine's thread count, asked once per process and only by a map
+/// about to fan out: the query reads system files and allocates.
+fn available_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
+}
 
-    /// The number of worker threads used.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Applies `f` to every input, in parallel, preserving input order in
-    /// the output.
-    ///
-    /// Work is distributed dynamically (an atomic cursor over the input
-    /// slice), so uneven per-input cost still balances.
-    ///
-    /// # Panics
-    ///
-    /// Propagates panics from `f` (the run is aborted).
-    pub fn map<I, O, F>(&self, inputs: &[I], f: F) -> Vec<O>
-    where
-        I: Sync,
-        O: Send,
-        F: Fn(&I) -> O + Sync,
-    {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.threads.min(inputs.len());
-        if threads == 1 {
-            return inputs.iter().map(f).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<O>>> = Mutex::new((0..inputs.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    IN_WORKER.with(|w| w.set(true));
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= inputs.len() {
-                            break;
-                        }
-                        let out = f(&inputs[i]);
-                        results.lock().expect("result lock poisoned")[i] = Some(out);
-                    }
-                });
+/// Runs `f` over `0..n` on `threads` threads, the caller's included,
+/// each claiming `claim` indices at a time.
+fn fan_out<T, F>(n: usize, threads: usize, claim: usize, f: &F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let cursor = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    let work = || {
+        IN_MAP.with(|m| m.set(true));
+        loop {
+            let start = cursor.fetch_add(claim, Ordering::Relaxed);
+            if start >= n {
+                break;
             }
-        });
-        results
-            .into_inner()
-            .expect("result lock poisoned")
-            .into_iter()
-            .map(|o| o.expect("every input produced an output"))
-            .collect()
-    }
-}
-
-impl Default for ParallelRunner {
-    /// A runner using all available CPU cores.
-    fn default() -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        ParallelRunner { threads }
-    }
+            let end = (start + claim).min(n);
+            let block: Vec<T> = (start..end).map(f).collect();
+            let mut slots = slots.lock().expect("result lock poisoned");
+            for (offset, value) in block.into_iter().enumerate() {
+                slots[start + offset] = Some(value);
+            }
+        }
+        IN_MAP.with(|m| m.set(false));
+    };
+    // The calling thread is one of the `threads`: it would only wait
+    // otherwise, and every extra thread that allocates costs resident
+    // memory of its own (its allocator arena keeps what it freed).
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
+    });
+    slots
+        .into_inner()
+        .expect("result lock poisoned")
+        .into_iter()
+        .map(|v| v.expect("every index produced a value"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::{self, ThreadId};
 
     #[test]
     fn map_preserves_input_order() {
-        let runner = ParallelRunner::new(4);
-        let inputs: Vec<u64> = (0..100).collect();
-        let outputs = runner.map(&inputs, |&x| x * 2);
-        assert_eq!(outputs, inputs.iter().map(|x| x * 2).collect::<Vec<_>>());
+        for grain in [Grain::PEERS, Grain::JOBS] {
+            let out = map_indexed(grain, 1000, |i| i * 3);
+            assert_eq!(out, (0..1000).map(|i| i * 3).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn map_handles_empty_input() {
-        let runner = ParallelRunner::new(2);
-        let outputs: Vec<u64> = runner.map(&[], |x: &u64| *x);
-        assert!(outputs.is_empty());
+        let out: Vec<usize> = map_indexed(Grain::JOBS, 0, |i| i);
+        assert!(out.is_empty());
     }
 
+    /// Below its grain's size a map runs on the calling thread, which
+    /// it does not mark as running a map.
     #[test]
     fn single_thread_runs_inline() {
-        let runner = ParallelRunner::new(1);
-        assert_eq!(runner.threads(), 1);
-        let outputs = runner.map(&[1, 2, 3], |&x: &i32| x + 1);
-        assert_eq!(outputs, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn every_input_is_processed_exactly_once() {
-        let runner = ParallelRunner::new(8);
-        let calls = AtomicUsize::new(0);
-        let inputs: Vec<usize> = (0..500).collect();
-        let outputs = runner.map(&inputs, |&x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            x
+        let caller = thread::current().id();
+        let out = map_indexed(Grain::PEERS, 511, |i| {
+            (i + 1, thread::current().id(), IN_MAP.with(Cell::get))
         });
-        assert_eq!(calls.load(Ordering::Relaxed), 500);
-        assert_eq!(outputs, inputs);
+        assert!(out
+            .iter()
+            .enumerate()
+            .all(|(i, &(v, id, marked))| v == i + 1 && id == caller && !marked));
     }
 
+    /// A map called from a map's item runs inline on that item's thread.
     #[test]
     fn worker_threads_are_marked() {
-        assert!(!in_parallel_worker());
-        let runner = ParallelRunner::new(4);
-        let inputs: Vec<u64> = (0..64).collect();
-        let flags = runner.map(&inputs, |_| in_parallel_worker());
-        assert!(flags.iter().all(|&inside| inside));
-        assert!(!in_parallel_worker());
+        let jobs = map_indexed(Grain::JOBS, 8, |_| {
+            let outer = thread::current().id();
+            let inner: Vec<ThreadId> = map_indexed(Grain::PEERS, 2000, |_| thread::current().id());
+            inner.iter().all(|&id| id == outer)
+        });
+        assert!(jobs.iter().all(|&inline| inline));
+        assert!(!IN_MAP.with(Cell::get));
     }
 
+    /// Whatever the machine, four threads claiming blocks produce the
+    /// sequential answer, each index computed once.
     #[test]
-    fn default_uses_at_least_one_thread() {
-        assert!(ParallelRunner::default().threads() >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_rejected() {
-        let _ = ParallelRunner::new(0);
+    fn every_input_is_processed_exactly_once() {
+        let calls = AtomicUsize::new(0);
+        let par = fan_out(5000, 4, Grain::PEERS.claim, &|i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            i ^ 0xabc
+        });
+        assert_eq!(par, (0..5000).map(|i| i ^ 0xabc).collect::<Vec<_>>());
+        assert_eq!(calls.load(Ordering::Relaxed), 5000);
     }
 }

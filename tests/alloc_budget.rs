@@ -278,5 +278,5 @@ fn a_crash_wave_allocates_its_budget() {
         6,
         "the wave fired"
     );
-    assert_eq!(allocs, 7_756, "one crash_wave wave");
+    assert_eq!(allocs, 7_752, "one crash_wave wave");
 }
