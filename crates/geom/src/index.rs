@@ -28,16 +28,21 @@
 //! # How pruning works
 //!
 //! Points are bucketed into a `side^D` uniform grid (`side ≈ N^(1/D)`,
-//! so cells hold `O(1)` points on uniform workloads). A query walks the
-//! cells of each orthant around the reference point `p` outwards,
-//! innermost dimension last, and cuts the walk with a *cell-corner
-//! bound*: for a cell, the per-dimension minimum absolute offset from
-//! `p` to any point inside it is known from the cell boundaries.
+//! so cells hold `O(1)` points on uniform workloads). Both orthant
+//! queries are **one walk** (`OrthantWalk`) per orthant around the
+//! reference point `p`: it steps through the orthant's cells outwards,
+//! innermost dimension last, offers every point of a scanned cell to a
+//! running set, and asks the set, at each step, whether to cut the
+//! column there. The cut reads the *pruning corner*: per walked
+//! dimension, the coordinate on the orthant's side of `p` nearest to it
+//! in the layer the walk is in — `p`'s own in its own layer, else the
+//! layer's face towards `p`. The corner only moves away from `p` along
+//! the column, so what is cut at one step stays cut for the rest of it.
+//! The two queries differ only in their running set (`RunningSet`):
 //!
-//! * The empty-rectangle query ([`GridIndex::empty_rect_neighbors`]) is
-//!   **one frontier walk** (`FrontierWalk`) per orthant.
-//!   The walk keeps a single running set: the exact Pareto frontier of
-//!   every point scanned so far. A scanned point that some member
+//! * The empty-rectangle query ([`GridIndex::empty_rect_neighbors`])
+//!   keeps the exact Pareto frontier of every point scanned so far
+//!   ([`crate::dominance::ParetoSet`]). A scanned point that some member
 //!   strictly dominates ([`crate::dominance::rect_dominates`], as
 //!   [`crate::Key`]s: coordinates and ids, flipped on the orthant's
 //!   negative sides) is dropped; otherwise it evicts the members it
@@ -45,31 +50,31 @@
 //!   whatever a dropped or evicted point could have dominated, a
 //!   surviving member dominates too: the running set never needs a
 //!   second look, and when the walk ends it **is** the answer — there
-//!   is no candidate list and no final sort-and-filter pass.
-//! * At every cell the *pruning corner* is the cell corner nearest to
-//!   `p`. When a frontier member's coordinate is strictly nearer `p`
-//!   than that corner's in **every** dimension, each point of this cell
-//!   and of the cells behind it in the innermost dimension is dominated,
-//!   whatever its id, and because the corner only moves away along the
-//!   walk direction that column ends there (the column break). An outer
-//!   dimension's corner sits at `p`'s own coordinate in the dimensions
-//!   still to be walked, which no point of the orthant is strictly
-//!   nearer than, so only the innermost loop is ever cut.
-//! * For the `K`-nearest query, a cell column is cut as soon as the
-//!   L1 norm of the corner bound exceeds (strictly) the current
-//!   `K`-th best distance — a tie at equal distance is *not* cut, so
-//!   the `(distance, tie-key)` order of the brute-force selection is
-//!   reproduced exactly.
-//! * A point sharing a coordinate with `p` is ordered by id
-//!   ([`crate::above`]): it lies in exactly one orthant of `p`, and
-//!   walks there like any other point. It sits in `p`'s own layer of
-//!   that dimension, whose corner is at `p`'s coordinate, which no
-//!   point is strictly nearer than, so the column break never cuts it.
-//!   A query position that is no point of the index ranks after every
-//!   id. The `K`-nearest walk is the *Orthogonal Hyperplanes* rule's,
-//!   whose regions are half-open: it ranks a shared coordinate on the
-//!   positive side, as the rule's arrangement puts a point on a
-//!   plane.
+//!   is no candidate list and no final sort-and-filter pass. Its cut:
+//!   when a member's coordinate is strictly nearer `p` than the corner's
+//!   in **every** dimension, every point of the cell and of the cells
+//!   behind it is dominated, whatever its id. It is asked at the
+//!   innermost depth only: an outer corner sits at `p`'s own coordinate
+//!   in the dimensions still to be walked, which no point of the
+//!   orthant is strictly nearer than.
+//! * The `K`-nearest query ([`GridIndex::k_nearest_per_orthant`]) keeps
+//!   the `K` best points by `(L1 distance, id)`. Its cut, asked at every
+//!   depth: the corner's L1 offset from `p` (the dimensions still to be
+//!   walked at zero) bounds every point of the column from below, and
+//!   the column ends once it exceeds (strictly) the `K`-th best distance
+//!   — a tie at equal distance is *not* cut, so the `(distance, id)`
+//!   order of the brute-force selection is reproduced exactly.
+//!
+//! A point sharing a coordinate with `p` is ordered by id
+//! ([`crate::above`]): it lies in exactly one orthant of `p`, and
+//! walks there like any other point. It sits in `p`'s own layer of
+//! that dimension, whose corner is at `p`'s coordinate, which no
+//! point is strictly nearer than, so the frontier's cut never cuts it.
+//! A query position that is no point of the index ranks after every
+//! id. The `K`-nearest walk is the *Orthogonal Hyperplanes* rule's,
+//! whose regions are half-open: it ranks a shared coordinate on the
+//! positive side, as the rule's arrangement puts a point on a
+//! plane.
 //!
 //! Points inserted outside the built bounding box land in clamped edge
 //! cells; the corner bound stays a valid *lower* bound for them, so
@@ -81,7 +86,7 @@
 //! equilibrium construction into roughly `O(N^1.5)` in 2-D.
 //!
 use crate::dominance::ParetoSet;
-use crate::{above, key, l1, Key, Point};
+use crate::{above, key, l1, Point};
 
 /// Orthant walks keep one frontier per orthant; beyond this many
 /// dimensions the `2^D` tables would dwarf the point set and a linear
@@ -616,68 +621,20 @@ impl GridIndex {
     }
 
     /// The full query behind both empty-rectangle entry points: the
-    /// frontier walk (module docs, "How pruning works") once per orthant
+    /// orthant walk (module docs, "How pruning works") once per orthant
     /// around `p`, ranked as id `p_id`, over live points excluding `skip`
-    /// (`usize::MAX` excludes nobody).
+    /// (`usize::MAX` excludes nobody), keeping the Pareto frontier.
     fn empty_rect_walk(&self, p: &[f64], p_id: usize, skip: usize) -> Vec<usize> {
-        let mut walk = FrontierWalk {
-            index: self,
-            p,
-            p_id,
-            orthant: 0,
-            set: ParetoSet::default(),
-            kept: Vec::new(),
-            skip,
-            p_layer: [0; MAX_INDEX_DIM],
-            cell: [0; MAX_INDEX_DIM],
-            bound: [(0.0, 0); MAX_INDEX_DIM],
-        };
-        for (d, &x) in p.iter().enumerate() {
-            walk.p_layer[d] = self.layer_of(d, x);
-        }
+        let mut walk = OrthantWalk::new(self, p, p_id, skip);
+        let mut frontier = ParetoSet::default();
+        let mut kept = Vec::new();
         for o in 0..1usize << self.dim {
-            walk.orthant = o;
-            walk.set.reset(self.dim);
-            walk.descend(0);
-            walk.kept.extend_from_slice(walk.set.ids());
+            frontier.reset(self.dim);
+            walk.run(o, &mut frontier);
+            kept.extend_from_slice(frontier.ids());
         }
-        walk.kept.sort_unstable();
-        walk.kept
-    }
-
-    /// The cell layer `t` steps from `p`'s layer along `d` (direction
-    /// `positive`), paired with the coordinate on that side of `p`
-    /// nearest to it in the layer: `p`'s own in its own layer, else the
-    /// layer's face towards `p`. `None` once the grid edge is passed.
-    fn layer_step(
-        &self,
-        d: usize,
-        p: &[f64],
-        p_layer: &[usize],
-        positive: bool,
-        t: usize,
-    ) -> Option<(usize, f64)> {
-        let base = p_layer[d];
-        let cell = if positive {
-            let c = base + t;
-            if c >= self.side {
-                return None;
-            }
-            c
-        } else {
-            if t > base {
-                return None;
-            }
-            base - t
-        };
-        let near = if t == 0 {
-            p[d]
-        } else if positive {
-            (self.lo[d] + cell as f64 * self.cell_size[d]).max(p[d])
-        } else {
-            (self.lo[d] + (cell + 1) as f64 * self.cell_size[d]).min(p[d])
-        };
-        Some((cell, near))
+        kept.sort_unstable();
+        kept
     }
 
     /// The `k` nearest live indexed points to point `i` within each
@@ -702,186 +659,205 @@ impl GridIndex {
         if self.dim > MAX_INDEX_DIM {
             return None;
         }
-        let p = self.point_coords(i);
-        let dim = self.dim;
-        let orthants = 1usize << dim;
-        let p_layer: Vec<usize> = (0..dim).map(|d| self.layer_of(d, p[d])).collect();
-
-        let mut best: Vec<Vec<(f64, usize)>> = vec![Vec::new(); orthants];
-        let mut prefix_cells = vec![0usize; dim];
-        let mut prefix_offs = vec![0.0f64; dim];
-        for o in 0..orthants {
-            self.walk_knn(
-                o,
-                0,
-                p,
-                &p_layer,
-                &mut prefix_cells,
-                &mut prefix_offs,
-                i,
-                k,
-                &mut best,
-            );
-        }
-        Some(
-            best.into_iter()
-                .map(|group| group.into_iter().map(|(_, id)| id).collect())
-                .collect(),
-        )
-    }
-
-    /// Walks orthant `o` cells for the `k`-nearest query. The column
-    /// walk along each dimension stops once the corner bound (remaining
-    /// dimensions at zero offset) strictly exceeds the current `k`-th
-    /// best distance.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_knn(
-        &self,
-        o: usize,
-        depth: usize,
-        p: &[f64],
-        p_layer: &[usize],
-        prefix_cells: &mut [usize],
-        prefix_offs: &mut [f64],
-        skip: usize,
-        k: usize,
-        best: &mut [Vec<(f64, usize)>],
-    ) {
-        let d = depth;
-        let positive = o >> d & 1 == 1;
-        let innermost = depth + 1 == self.dim;
-        for t in 0.. {
-            let Some((cell, near)) = self.layer_step(d, p, p_layer, positive, t) else {
-                break;
-            };
-            prefix_cells[d] = cell;
-            prefix_offs[d] = (near - p[d]).abs();
-            // Lower bound on the distance of any point in this column
-            // (remaining dimensions contribute nothing); monotone in `t`.
-            if best[o].len() == k {
-                // The offsets are non-negative: their L1 norm is their sum.
-                let bound: f64 = prefix_offs[..=depth].iter().sum();
-                if bound > best[o][k - 1].0 {
-                    break;
-                }
-            }
-            if innermost {
-                let mut flat = 0usize;
-                for &c in prefix_cells.iter() {
-                    flat = flat * self.side + c;
-                }
-                for id in self.bucket(flat) {
-                    if id == skip {
-                        continue;
-                    }
-                    debug_assert!(!self.removed[id], "buckets hold live points only");
-                    let q = self.point_coords(id);
-                    if !(0..self.dim).all(|dd| on_side(q[dd] - p[dd], o, dd)) {
-                        continue;
-                    }
-                    let dist = l1(p, q);
-                    let entry = (dist, id);
-                    let group = &mut best[o];
-                    if group.len() == k {
-                        let worst = group[k - 1];
-                        if (entry.0, entry.1) >= (worst.0, worst.1) {
-                            continue;
-                        }
-                        group.pop();
-                    }
-                    let pos = group.partition_point(|&(gd, gid)| (gd, gid) < (entry.0, entry.1));
-                    group.insert(pos, entry);
-                }
-            } else {
-                self.walk_knn(
-                    o,
-                    depth + 1,
-                    p,
-                    p_layer,
-                    prefix_cells,
-                    prefix_offs,
-                    skip,
-                    k,
-                    best,
-                );
-            }
-        }
+        let mut walk = OrthantWalk::new(self, self.point_coords(i), i, i);
+        let mut nearest = Nearest {
+            k,
+            best: Vec::new(),
+        };
+        let per_orthant = (0..1usize << self.dim)
+            .map(|o| {
+                nearest.best.clear();
+                walk.run(o, &mut nearest);
+                nearest.best.iter().map(|&(_, id)| id).collect()
+            })
+            .collect();
+        Some(per_orthant)
     }
 }
 
-/// The state of one empty-rectangle query's frontier walks, one orthant
-/// at a time: everything but the running set and the answer lives on
-/// the stack, and those two keep their buffers from orthant to orthant.
-struct FrontierWalk<'a> {
+/// What an orthant walk keeps as it scans: the walk only enumerates
+/// cells, and its running set decides where a column ends and what a
+/// scanned point does to it.
+trait RunningSet {
+    /// `true` if no point at or beyond the corner the walk just stepped
+    /// to along dimension `depth` can enter the set: the walk leaves the
+    /// column there.
+    fn cuts(&self, walk: &OrthantWalk<'_>, depth: usize) -> bool;
+
+    /// Offers the live point `id` of the cell the walk is scanning.
+    fn consider(&mut self, walk: &OrthantWalk<'_>, id: usize);
+}
+
+/// The empty-rectangle rule's running set: the exact Pareto frontier of
+/// the points of the orthant scanned so far, as [`crate::Key`]s.
+impl RunningSet for ParetoSet {
+    /// Only at the innermost depth: an outer corner sits at `p`'s own
+    /// coordinate in the dimensions still to be walked, which no point
+    /// of the orthant is strictly nearer than. The corner's keys carry an
+    /// id below every key's, so that only a strictly nearer coordinate is
+    /// below one.
+    fn cuts(&self, walk: &OrthantWalk<'_>, depth: usize) -> bool {
+        let dim = walk.index.dim;
+        if depth + 1 < dim {
+            return false;
+        }
+        let mut corner = [(0.0, 0); MAX_INDEX_DIM];
+        for (d, c) in corner[..dim].iter_mut().enumerate() {
+            let near = walk.near[d];
+            *c = (if walk.positive(d) { near } else { -near }, 0);
+        }
+        self.dominates(&corner[..dim])
+    }
+
+    fn consider(&mut self, walk: &OrthantWalk<'_>, id: usize) {
+        let dim = walk.index.dim;
+        let q = walk.index.point_coords(id);
+        let mut keys = [(0.0, 0); MAX_INDEX_DIM];
+        for d in 0..dim {
+            let positive = walk.positive(d);
+            if above(q[d], id, walk.p[d], walk.p_id) != positive {
+                return;
+            }
+            keys[d] = key(q[d], id, positive);
+        }
+        self.offer(&keys[..dim], id);
+    }
+}
+
+/// The *Orthogonal Hyperplanes* rule's running set: the `k` nearest
+/// points of the orthant scanned so far, by `(L1 distance, id)`
+/// ascending.
+struct Nearest {
+    k: usize,
+    best: Vec<(f64, usize)>,
+}
+
+impl RunningSet for Nearest {
+    /// At every depth: the corner's L1 offset from `p`, the dimensions
+    /// still to be walked at zero, is a lower bound on the distance of
+    /// every point in the column. A tie with the `k`-th best distance is
+    /// not cut.
+    fn cuts(&self, walk: &OrthantWalk<'_>, depth: usize) -> bool {
+        let Some(&(kth, _)) = self.best.get(self.k - 1) else {
+            return false;
+        };
+        let bound: f64 = (0..=depth).map(|d| (walk.near[d] - walk.p[d]).abs()).sum();
+        bound > kth
+    }
+
+    fn consider(&mut self, walk: &OrthantWalk<'_>, id: usize) {
+        let q = walk.index.point_coords(id);
+        if !(0..walk.index.dim).all(|d| on_side(q[d] - walk.p[d], walk.orthant, d)) {
+            return;
+        }
+        let entry = (l1(walk.p, q), id);
+        if self.best.len() == self.k {
+            if entry >= self.best[self.k - 1] {
+                return;
+            }
+            self.best.pop();
+        }
+        let at = self.best.partition_point(|&e| e < entry);
+        self.best.insert(at, entry);
+    }
+}
+
+/// One query's walk of the orthants around `p`, one at a time: the cells
+/// of an orthant outwards, innermost dimension last, each column cut
+/// where its running set says. Everything but the running set lives on
+/// the stack.
+struct OrthantWalk<'a> {
     index: &'a GridIndex,
     p: &'a [f64],
     /// `p`'s id under the tie rule: `usize::MAX` for a position.
     p_id: usize,
-    orthant: usize,
-    /// The running set of the orthant being walked.
-    set: ParetoSet,
-    /// The answer so far: every earlier orthant's set.
-    kept: Vec<usize>,
     skip: usize,
+    orthant: usize,
     p_layer: [usize; MAX_INDEX_DIM],
     cell: [usize; MAX_INDEX_DIM],
-    /// The pruning corner: per dimension, the key of the coordinate
-    /// nearest `p` in the layer the walk is in, with an id below every
-    /// key's, so that only a strictly nearer coordinate is below it.
-    bound: [Key; MAX_INDEX_DIM],
+    /// The pruning corner: per walked dimension, the coordinate on the
+    /// orthant's side of `p` nearest to it in the layer the walk is in.
+    near: [f64; MAX_INDEX_DIM],
 }
 
-impl FrontierWalk<'_> {
-    fn descend(&mut self, depth: usize) {
-        let dim = self.index.dim;
-        let d = depth;
-        let positive = self.orthant >> d & 1 == 1;
-        let innermost = depth + 1 == dim;
-        for t in 0.. {
-            let Some((cell, near)) =
-                self.index
-                    .layer_step(d, self.p, &self.p_layer[..dim], positive, t)
-            else {
-                break;
-            };
-            self.cell[d] = cell;
-            self.bound[d] = (if positive { near } else { -near }, 0);
-            if !innermost {
-                self.descend(depth + 1);
-                continue;
-            }
-            // Everything still reachable in this column is at or beyond
-            // the corner, which only grows with `t`: once dominated,
-            // done.
-            if self.set.dominates(&self.bound[..dim]) {
-                break;
-            }
-            self.scan_cell();
+impl<'a> OrthantWalk<'a> {
+    fn new(index: &'a GridIndex, p: &'a [f64], p_id: usize, skip: usize) -> Self {
+        let mut p_layer = [0; MAX_INDEX_DIM];
+        for (d, &x) in p.iter().enumerate() {
+            p_layer[d] = index.layer_of(d, x);
+        }
+        OrthantWalk {
+            index,
+            p,
+            p_id,
+            skip,
+            orthant: 0,
+            p_layer,
+            cell: [0; MAX_INDEX_DIM],
+            near: [0.0; MAX_INDEX_DIM],
         }
     }
 
-    fn scan_cell(&mut self) {
+    fn positive(&self, d: usize) -> bool {
+        self.orthant >> d & 1 == 1
+    }
+
+    /// Walks orthant `o` into `set`.
+    fn run(&mut self, o: usize, set: &mut impl RunningSet) {
+        self.orthant = o;
+        self.descend(set, 0);
+    }
+
+    fn descend(&mut self, set: &mut impl RunningSet, depth: usize) {
         let index = self.index;
-        let dim = index.dim;
-        let flat = self.cell[..dim]
-            .iter()
-            .fold(0usize, |flat, &c| flat * index.side + c);
-        let mut keys = [(0.0, 0); MAX_INDEX_DIM];
-        'bucket: for id in index.bucket(flat) {
-            if id == self.skip {
+        let innermost = depth + 1 == index.dim;
+        for t in 0.. {
+            let Some((cell, near)) = self.step(depth, t) else {
+                break;
+            };
+            self.cell[depth] = cell;
+            self.near[depth] = near;
+            // The corner only moves away from `p` as `t` grows: what is
+            // cut here stays cut for the rest of the column.
+            if set.cuts(self, depth) {
+                break;
+            }
+            if !innermost {
+                self.descend(set, depth + 1);
                 continue;
             }
-            debug_assert!(!index.removed[id], "buckets hold live points only");
-            let q = index.point_coords(id);
-            for d in 0..dim {
-                let positive = self.orthant >> d & 1 == 1;
-                if above(q[d], id, self.p[d], self.p_id) != positive {
-                    continue 'bucket;
+            let flat = self.cell[..index.dim]
+                .iter()
+                .fold(0usize, |flat, &c| flat * index.side + c);
+            for id in index.bucket(flat) {
+                if id != self.skip {
+                    debug_assert!(!index.removed[id], "buckets hold live points only");
+                    set.consider(self, id);
                 }
-                keys[d] = key(q[d], id, positive);
             }
-            self.set.offer(&keys[..dim], id);
         }
+    }
+
+    /// The cell layer `t` steps from `p`'s layer along `d`, towards the
+    /// orthant's side, paired with the coordinate on that side of `p`
+    /// nearest to it in the layer: `p`'s own in its own layer, else the
+    /// layer's face towards `p`. `None` once the grid edge is passed.
+    fn step(&self, d: usize, t: usize) -> Option<(usize, f64)> {
+        let (index, base) = (self.index, self.p_layer[d]);
+        let positive = self.positive(d);
+        let cell = if positive {
+            Some(base + t).filter(|&c| c < index.side)?
+        } else {
+            base.checked_sub(t)?
+        };
+        let near = if t == 0 {
+            self.p[d]
+        } else if positive {
+            (index.lo[d] + cell as f64 * index.cell_size[d]).max(self.p[d])
+        } else {
+            (index.lo[d] + (cell + 1) as f64 * index.cell_size[d]).min(self.p[d])
+        };
+        Some((cell, near))
     }
 }
 
@@ -1008,6 +984,73 @@ mod tests {
             index.k_nearest_per_orthant(0, 1),
             Some(vec![vec![], vec![], vec![], vec![1]])
         );
+    }
+
+    /// Both orthant queries above D = 5: at D = 6, where the grid has two
+    /// cells per axis, and at `MAX_INDEX_DIM`, the deepest walk, on
+    /// integer coordinates spread over 0-999, or over 0-5 where many
+    /// share values. Rows equal
+    /// the naive rectangle test, by id and at external positions with a
+    /// point skipped or not; each orthant's `k` nearest equal the
+    /// `>=`-sided ranking.
+    #[test]
+    fn orthant_queries_match_the_definitions_up_to_max_index_dim() {
+        for &(n, dim, queries) in &[(200usize, 6usize, 6usize), (24, MAX_INDEX_DIM, 2)] {
+            for (seed, scale) in [(81u64, 1000.0), (82, 6.0)] {
+                let floor = |p: Point| Point::new(p.coords().iter().map(|x| x.floor()).collect());
+                let points: Vec<Point> = uniform_points(n, dim, scale, seed)
+                    .into_points()
+                    .into_iter()
+                    .map(|p| floor(p).unwrap())
+                    .collect();
+                let index = GridIndex::build(&points);
+                let all: Vec<usize> = (0..n).collect();
+                let others = |i: usize| -> Vec<usize> { (0..n).filter(|&j| j != i).collect() };
+                for i in 0..queries {
+                    let case = format!("dim={dim} seed={seed} i={i}");
+                    let row = index.empty_rect_neighbors(i);
+                    assert_eq!(
+                        row,
+                        Some(naive_row(&points, &points[i], i, &others(i))),
+                        "{case}"
+                    );
+                    for k in [1usize, 3] {
+                        let mut want = vec![Vec::new(); 1 << dim];
+                        for j in others(i) {
+                            let o = (0..dim)
+                                .fold(0, |o, d| o | usize::from(points[j][d] >= points[i][d]) << d);
+                            want[o].push((l1(points[i].coords(), points[j].coords()), j));
+                        }
+                        let want: Vec<Vec<usize>> = want
+                            .into_iter()
+                            .map(|mut group| {
+                                group.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                                group.into_iter().take(k).map(|(_, j)| j).collect()
+                            })
+                            .collect();
+                        assert_eq!(
+                            index.k_nearest_per_orthant(i, k),
+                            Some(want),
+                            "{case} k={k}"
+                        );
+                    }
+                }
+                let positions = uniform_points(queries, dim, scale * 1.2, seed ^ 0x6d);
+                for (s, q) in positions.into_points().into_iter().map(floor).enumerate() {
+                    let q = q.unwrap();
+                    assert_eq!(
+                        index.empty_rect_neighbors_at(&q, None),
+                        Some(naive_row(&points, &q, usize::MAX, &all)),
+                        "dim={dim} seed={seed} q={q:?}"
+                    );
+                    assert_eq!(
+                        index.empty_rect_neighbors_at(&q, Some(s)),
+                        Some(naive_row(&points, &q, usize::MAX, &others(s))),
+                        "dim={dim} seed={seed} q={q:?} skip={s}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

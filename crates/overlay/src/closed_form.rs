@@ -68,7 +68,6 @@
 use std::ops::Range;
 
 use geocast_geom::dominance::{rect_dominates, ParetoSet};
-use geocast_geom::index::MAX_INDEX_DIM;
 use geocast_geom::{above, key, key_cmp, key_lt, l1, GridIndex, Key, MAX_ORTHANT_DIM};
 
 use crate::peer::PeerInfo;
@@ -82,7 +81,10 @@ use crate::peer::PeerInfo;
 /// the `K`-th distance is just the max over those members: `O(degree)`
 /// arithmetic, no selection call. Regions are the rule's own half-open
 /// orthants: a coordinate on a plane counts as positive, as
-/// `Arrangement::classify` puts it and the index ranks it.
+/// `Arrangement::classify` puts it and the index ranks it. A region is
+/// a `u32` fold of those comparisons, which holds up to
+/// [`MAX_ORTHANT_DIM`], the store's own ceiling: every dimensionality
+/// prunes, none needs the index.
 pub(crate) fn topk_join_recheck(
     peers: &[PeerInfo],
     out: &[Vec<u32>],
@@ -92,9 +94,6 @@ pub(crate) fn topk_join_recheck(
 ) -> bool {
     let pc = peers[i].point().coords();
     let qc = peers[q].point().coords();
-    if pc.len() > MAX_INDEX_DIM {
-        return true; // no orthant bit tables out here: recheck
-    }
     let region =
         |c: &[f64]| (0..pc.len()).fold(0u32, |bits, d| bits | u32::from(c[d] >= pc[d]) << d);
     let bits = region(qc);
