@@ -160,13 +160,15 @@ mod tests {
             .all(|(i, &(v, id, marked))| v == i + 1 && id == caller && !marked));
     }
 
-    /// A map called from a map's item runs inline on that item's thread.
+    /// Every thread running a map's items, the caller's too, is marked,
+    /// so a map called from an item runs inline on that item's thread
+    /// and leaves the mark in place; the mark ends with the outer map.
     #[test]
     fn worker_threads_are_marked() {
-        let jobs = map_indexed(Grain::JOBS, 8, |_| {
+        let jobs = fan_out(8, 2, Grain::JOBS.claim, &|_| {
             let outer = thread::current().id();
             let inner: Vec<ThreadId> = map_indexed(Grain::PEERS, 2000, |_| thread::current().id());
-            inner.iter().all(|&id| id == outer)
+            inner.iter().all(|&id| id == outer) && IN_MAP.with(Cell::get)
         });
         assert!(jobs.iter().all(|&inline| inline));
         assert!(!IN_MAP.with(Cell::get));
