@@ -74,6 +74,8 @@ mod event;
 mod fault;
 mod latency;
 mod node;
+#[cfg(test)]
+mod par;
 mod sim;
 mod time;
 

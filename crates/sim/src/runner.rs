@@ -87,7 +87,7 @@ fn available_threads() -> usize {
 
 /// Runs `f` over `0..n` on `threads` threads, the caller's included,
 /// each claiming `claim` indices at a time.
-fn fan_out<T, F>(n: usize, threads: usize, claim: usize, f: &F) -> Vec<T>
+pub(crate) fn fan_out<T, F>(n: usize, threads: usize, claim: usize, f: &F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
